@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke ci
+.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke ci
 
 all: build test
 
@@ -36,6 +36,13 @@ race:
 # enforces).
 bench-guard:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/broker/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/incident/ ./internal/obs/netqual/ ./internal/flow/ ./internal/fb/ ./internal/core/
+
+# The repository benchmark (BENCHMARK.json, bench/) is a module of its own
+# that `go build ./... && go test ./...` never descends into, yet it
+# imports this module's public API: vet and smoke-test it so an API change
+# that breaks it fails here rather than at the next benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Measure the pixel-pipeline hot paths (optimized vs slowXxx reference
 # kernels, serial vs parallel encoder) and record the numbers as JSON.
@@ -97,9 +104,9 @@ fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke' -count 1 -v .
 
 # CI-style gate: static checks, race-detected tests, benchmark smoke run,
-# allocation budgets, capacity-curve smoke, path-estimation smoke, gen-2
-# codec smoke, fleet smoke.
-ci: vet race bench-guard alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke
+# repository-benchmark smoke, allocation budgets, capacity-curve smoke,
+# path-estimation smoke, gen-2 codec smoke, fleet smoke.
+ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke
 
 cover:
 	$(GO) test -cover ./...

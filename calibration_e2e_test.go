@@ -119,7 +119,6 @@ func TestCalibrationConvergesAndRepacesGovernor(t *testing.T) {
 	tr := &recordingTransport{}
 	srv := NewServer(tr, WithTerminalApp(),
 		WithMetricsRegistry(reg),
-		WithCostModel(SunRay1Costs()),
 		WithFlowControl(FlowConfig{Batch: true}),
 		WithCalibratedCosts(cal))
 	srv.Auth.Register("card-a", "alice")

@@ -3,9 +3,17 @@
 // with -app — a video player (the §7 multimedia configurations). Register
 // card tokens with -card token=user (repeatable).
 //
+// With -shards N (N > 1) the one UDP attach point fronts a session-broker
+// fleet of N in-process server shards: the broker authenticates the card,
+// places the session on a shard (-routing hash|leastloaded), and
+// live-migrates it on hotdesk when the fleet is skewed (-migrate-slack).
+// Consoles never learn any of this; the console protocol is unchanged.
+// Every other flag applies to each shard.
+//
 // Usage:
 //
 //	slimd -addr 127.0.0.1:5499 -card card-1=alice -card card-2=bob
+//	slimd -shards 8 -routing leastloaded -migrate-slack 2   # sharded fleet, rebalanced on hotdesk
 //	slimd -app quake -fps 30       # every session plays the game stream
 //	slimd -flow                    # §7 grant-paced per-session flow control
 //	slimd -debug :6060             # live metrics + pprof on http://:6060
@@ -21,7 +29,10 @@
 // /debug/vars, /debug/trace, /debug/costmodel, /debug/slo, /debug/hostmon,
 // /debug/incident, /debug/pprof/). The headline metric is
 // slim_input_to_paint_seconds, the paper's §3 interactive-latency figure,
-// live per session.
+// live per session. A fleet adds slim_broker_sessions (total),
+// slim_broker_shard_sessions{shard="i"} (per-shard occupancy),
+// slim_broker_migrations_total, and slim_broker_reattach_seconds (the
+// hotdesk card-insert-to-attach latency histogram).
 //
 // With -capture, every datagram the transport sends or receives is
 // spooled (timestamped, with payload) to a .slimcap file — see PROTOCOL.md
@@ -45,6 +56,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -95,6 +107,26 @@ func appFactory(name string, fps float64) (slim.AppFactory, bool, error) {
 	}
 }
 
+// routingPolicy maps the -routing flag to a placement policy.
+func routingPolicy(name string) (slim.RoutingPolicy, error) {
+	switch name {
+	case "hash":
+		return slim.RouteHash, nil
+	case "leastloaded":
+		return slim.RouteLeastLoaded, nil
+	default:
+		return slim.RouteHash, fmt.Errorf("unknown routing policy %q (want hash|leastloaded)", name)
+	}
+}
+
+// daemon is what the rest of main needs of either listener: the
+// single-server UDPServer or the fleet's UDPBroker.
+type daemon interface {
+	Addr() net.Addr
+	Close() error
+	StartTicker(fps float64)
+}
+
 // newLogger builds the daemon's structured logger from -log-level and
 // -log-json.
 func newLogger(level string, asJSON bool) (*slog.Logger, error) {
@@ -115,7 +147,10 @@ func newLogger(level string, asJSON bool) (*slog.Logger, error) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:5499", "UDP address to listen on")
 	debugAddr := flag.String("debug", "", "serve the debug endpoint (GET /debug/ for the index) on this HTTP address")
-	state := flag.String("state", "", "session state file: loaded at boot, saved at shutdown")
+	shards := flag.Int("shards", 1, "in-process server shards behind this address; above 1 a session broker places and migrates sessions between them")
+	routing := flag.String("routing", "hash", "with -shards above 1, session placement: hash|leastloaded")
+	slack := flag.Int("migrate-slack", 0, "with -routing leastloaded, migrate on hotdesk when the home shard holds at least this many more sessions than the emptiest (0: default 2, negative: never migrate automatically)")
+	state := flag.String("state", "", "session state file: loaded at boot, saved at shutdown (single server only)")
 	app := flag.String("app", "terminal", "session application: terminal|desktop|quake|mpeg2|ntsc")
 	fps := flag.Float64("fps", 24, "video frame rate for video applications")
 	flow := flag.Bool("flow", false, "enable the per-session send governor: pace to console grants, supersede stale damage, budget retransmits (§7)")
@@ -169,13 +204,22 @@ func main() {
 	if err != nil {
 		fatal("bad -app", "err", err)
 	}
+	policy, err := routingPolicy(*routing)
+	if err != nil {
+		fatal("bad -routing", "err", err)
+	}
+	if *shards < 1 {
+		fatal("bad -shards", "shards", *shards)
+	}
+	if *shards > 1 && *state != "" {
+		fatal("-state saves one server's session table; it cannot be combined with -shards above 1")
+	}
 	opts := []slim.ServerOption{slim.WithLogger(logger)}
 	if *codec2 {
 		opts = append(opts, slim.WithCodec2())
 	}
 	if *flow {
 		opts = append(opts,
-			slim.WithCostModel(slim.SunRay1Costs()),
 			slim.WithFlowControl(slim.FlowConfig{InitialBps: *flowBps}),
 			slim.WithCalibratedCosts(slim.Calibrator()))
 	}
@@ -193,6 +237,9 @@ func main() {
 			"path", *capturePath, "decode", "slimtrace capture -i "+*capturePath)
 	}
 	if *netqualOn {
+		// Shards share the process-wide tracker (session IDs are disjoint
+		// per shard), so estimator state follows a session across hotdesk
+		// migrations and the broker rolls it up per shard.
 		slim.SetNetQualEnabled(true)
 		logger.Info("passive path estimation on",
 			"series", "slim_netqual_*", "watch", "/debug/netqual")
@@ -215,9 +262,30 @@ func main() {
 		logger.Info("incident bundles on",
 			"dir", *incidentDir, "summarize", "slimtrace incident -dir "+*incidentDir)
 	}
-	srv, err := slim.ListenAndServeContext(context.Background(), *addr, factory, opts...)
-	if err != nil {
-		fatal("listen", "addr", *addr, "err", err)
+	// Cards enroll through the Directory surface: Single is the one-shard
+	// implementation, a Broker shares one registry across its shards so a
+	// card works wherever its session migrates.
+	var (
+		srv    daemon
+		dir    slim.Directory
+		single *slim.Server
+	)
+	if *shards == 1 {
+		u, err := slim.ListenAndServeContext(context.Background(), *addr, factory, opts...)
+		if err != nil {
+			fatal("listen", "addr", *addr, "err", err)
+		}
+		srv, dir, single = u, slim.NewSingle(u.Server), u.Server
+	} else {
+		u, err := slim.ListenAndServeBroker(context.Background(), *addr, slim.BrokerConfig{
+			Shards:       *shards,
+			Routing:      policy,
+			MigrateSlack: *slack,
+		}, factory, opts...)
+		if err != nil {
+			fatal("listen", "addr", *addr, "err", err)
+		}
+		srv, dir = u, u.Broker
 	}
 	if *flow {
 		logger.Info("flow control on: sessions pace to console bandwidth grants")
@@ -239,7 +307,7 @@ func main() {
 	}
 	if *state != "" {
 		if f, err := os.Open(*state); err == nil {
-			loadErr := srv.Server.LoadSessions(f)
+			loadErr := single.LoadSessions(f)
 			f.Close()
 			if loadErr != nil {
 				fatal("load state", "path", *state, "err", loadErr)
@@ -249,15 +317,13 @@ func main() {
 			fatal("open state", "path", *state, "err", err)
 		}
 	}
-	// Card enrollment goes through the Directory surface; Single is the
-	// one-shard implementation, so slimd behaves exactly as before.
-	dir := slim.NewSingle(srv.Server)
 	for _, c := range cards {
 		parts := strings.SplitN(c, "=", 2)
 		dir.Register(slim.TokenOf(parts[0]), parts[1])
 		logger.Info("registered card", "token", parts[0], "user", parts[1])
 	}
-	logger.Info("serving SLIM sessions", "addr", srv.Addr(), "app", *app)
+	logger.Info("serving SLIM sessions",
+		"addr", srv.Addr(), "app", *app, "shards", *shards, "routing", *routing)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -268,7 +334,7 @@ func main() {
 		if err != nil {
 			fatal("create state", "path", *state, "err", err)
 		}
-		if err := srv.Server.SaveSessions(f); err != nil {
+		if err := single.SaveSessions(f); err != nil {
 			fatal("save sessions", "err", err)
 		}
 		if err := f.Close(); err != nil {

@@ -20,7 +20,7 @@
 // /debug/trace or the breach dumps. The interval arithmetic lives in
 // internal/monitor.
 //
-// Pointed at a slimbroker, the line grows a fleet column — total and
+// Pointed at a slimd -shards fleet, the line grows a fleet column — total and
 // per-shard session occupancy, hotdesk migrations this interval, and the
 // windowed reattach p99:
 //

@@ -14,7 +14,7 @@ func TestContextCancelClosesUDPServer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	srv, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp(),
-		WithFlowControl(FlowConfig{}), WithCostModel(SunRay1Costs()))
+		WithFlowControl(FlowConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestDialConsoleContextCanceled(t *testing.T) {
 
 // TestUDPServerConcurrentClose checks Close is safe to race with itself.
 func TestUDPServerConcurrentClose(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}

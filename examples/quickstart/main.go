@@ -19,11 +19,10 @@ func main() {
 	fabric := slim.NewFabric()
 
 	// One server, running the echo terminal as every session's app (§2.4).
-	// Options configure the rest: the Sun Ray 1 decode cost model (Table 5)
-	// and the grant-paced send governor (§7), so each session's traffic is
-	// paced to whatever bandwidth its console grants.
+	// Options configure the rest: the grant-paced send governor (§7), its
+	// defaults derived from the Sun Ray 1 decode costs (Table 5), paces
+	// each session's traffic to whatever bandwidth its console grants.
 	srv := slim.NewServer(fabric, slim.WithTerminalApp(),
-		slim.WithCostModel(slim.SunRay1Costs()),
 		slim.WithFlowControl(slim.FlowConfig{}))
 	srv.Auth.Register("card-alice", "alice")
 

@@ -50,8 +50,11 @@ type Fabric struct {
 	// dropEvery, when positive, drops every Nth display datagram on the
 	// server→console path — loss injection for exercising the protocol's
 	// replay recovery. Control traffic is never dropped.
+	// phase is the drop cycle's position, restarted by SetLoss; delivered
+	// and dropped count for the fabric's whole life.
 	dropEvery int
-	sent      int
+	phase     int
+	delivered int
 	dropped   int
 
 	// Delivery is flattened into a FIFO: a datagram sent while another is
@@ -168,14 +171,14 @@ func (f *Fabric) SetLoss(dropEvery int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.dropEvery = dropEvery
-	f.sent = 0
+	f.phase = 0
 }
 
 // LossStats reports display datagrams delivered and dropped.
 func (f *Fabric) LossStats() (delivered, dropped int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.sent - f.dropped, f.dropped
+	return f.delivered, f.dropped
 }
 
 // isDisplayDatagram peeks at a plain-framed datagram's type byte.
@@ -205,8 +208,8 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 		f.capture.Tap(capture.DirDown, consoleID, -1, wire, f.clock)
 	}
 	if f.dropEvery > 0 && isDisplayDatagram(wire) {
-		f.sent++
-		if f.sent%f.dropEvery == 0 {
+		f.phase++
+		if f.phase%f.dropEvery == 0 {
 			f.dropped++
 			f.metrics.dropped.Inc()
 			srv := f.servers[consoleID]
@@ -221,6 +224,7 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 			}
 			return nil // the datagram vanished on the wire
 		}
+		f.delivered++
 	}
 	if f.draining {
 		// This Send returns before the active drain delivers the datagram,

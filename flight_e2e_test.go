@@ -49,7 +49,7 @@ func TestFlightBreachEndToEnd(t *testing.T) {
 	// 2400 bps: a ~60-byte glyph datagram plus frame overhead serializes
 	// in ~340 ms, comfortably past the 150 ms default threshold.
 	slow := &slowTransport{Fabric: fabric, link: netsim.Link{Bps: 2400}}
-	srv := NewServer(slow, WithTerminalApp()).Instrument(reg).WithFlight(rec)
+	srv := NewServer(slow, WithTerminalApp(), WithMetricsRegistry(reg), WithFlightRecorder(rec))
 	srv.Auth.Register("card-alice", "alice")
 
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
@@ -207,7 +207,7 @@ func TestFlightDisabledRecorderStaysCold(t *testing.T) {
 	rec.SetThreshold(time.Nanosecond) // everything would breach if armed
 
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp()).Instrument(reg).WithFlight(rec)
+	srv := NewServer(fabric, WithTerminalApp(), WithMetricsRegistry(reg), WithFlightRecorder(rec))
 	srv.Auth.Register("card-bob", "bob")
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
 	if err != nil {

@@ -332,19 +332,29 @@ func (b *Broker) handleHello(console string, m *protocol.Hello, now time.Duratio
 	b.consoles[console] = ci
 	b.routeMu.Unlock()
 	if m.CardToken == "" {
-		if err := b.shards[ci.shard].Handle(console,
-			&protocol.Hello{Width: m.Width, Height: m.Height, Caps: m.Caps}, now); err != nil {
-			return err
-		}
-		b.routeMu.Lock()
-		if cur, ok := b.consoles[console]; ok && cur.shard == ci.shard {
-			cur.registered = true
-			b.consoles[console] = cur
-		}
-		b.routeMu.Unlock()
-		return nil
+		return b.registerConsole(ci.shard, console, ci, now)
 	}
 	return b.attach(console, m.CardToken, now)
+}
+
+// registerConsole announces a console's geometry and capabilities to a
+// shard — the Hello the shard would have received had the console booted
+// against it directly, minus the card token the broker already resolved —
+// and records that shard as the console's route. ci is the caller's read
+// of the registration; a bare Hello runs outside b.admin, so if an attach
+// re-routed the console in the meantime its route stands.
+func (b *Broker) registerConsole(shard int, console string, ci consoleInfo, now time.Duration) error {
+	if err := b.shards[shard].Handle(console,
+		&protocol.Hello{Width: ci.w, Height: ci.h, Caps: ci.caps}, now); err != nil {
+		return err
+	}
+	b.routeMu.Lock()
+	if cur, ok := b.consoles[console]; ok && cur.shard == ci.shard {
+		ci.shard, ci.registered = shard, true
+		b.consoles[console] = ci
+	}
+	b.routeMu.Unlock()
+	return nil
 }
 
 // handleConnect is a card insertion at an already-registered console.
@@ -393,14 +403,9 @@ func (b *Broker) attach(console, token string, now time.Duration) error {
 		if ci.shard != target && ci.registered {
 			b.shards[ci.shard].EvictConsole(console)
 		}
-		if err := b.shards[target].Handle(console,
-			&protocol.Hello{Width: ci.w, Height: ci.h, Caps: ci.caps}, now); err != nil {
+		if err := b.registerConsole(target, console, ci, now); err != nil {
 			return err
 		}
-		b.routeMu.Lock()
-		ci.shard, ci.registered = target, true
-		b.consoles[console] = ci
-		b.routeMu.Unlock()
 	}
 	if err := b.shards[target].Attach(console, user, now); err != nil {
 		return err
@@ -509,14 +514,9 @@ func (b *Broker) MigrateUser(user string, to int, now time.Duration) error {
 	ci := b.consoles[console]
 	b.routeMu.RUnlock()
 	b.shards[home].EvictConsole(console)
-	if err := b.shards[to].Handle(console,
-		&protocol.Hello{Width: ci.w, Height: ci.h, Caps: ci.caps}, now); err != nil {
+	if err := b.registerConsole(to, console, ci, now); err != nil {
 		return err
 	}
-	b.routeMu.Lock()
-	ci.shard, ci.registered = to, true
-	b.consoles[console] = ci
-	b.routeMu.Unlock()
 	return b.shards[to].Attach(console, user, now)
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // fleetTransport collects datagrams per console; every shard in a test
-// fleet shares one, exactly as they share one UDP socket in slimbroker.
+// fleet shares one, exactly as they share one UDP socket in slimd -shards.
 type fleetTransport struct {
 	mu   sync.Mutex
 	sent map[string][][]byte

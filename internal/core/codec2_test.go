@@ -5,6 +5,7 @@ import (
 
 	"slim/internal/fb"
 	"slim/internal/protocol"
+	"slim/internal/raceflag"
 )
 
 // photoPix mints a deterministic continuous-tone pixel block — content the
@@ -144,7 +145,7 @@ func TestRepaintAllResetsCodec2(t *testing.T) {
 // the white-box test reuses the message value; the path under test is
 // everything else.
 func TestCodec2CacheHitZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	e := NewEncoder(64, 64)

@@ -7,6 +7,7 @@ import (
 
 	"slim/internal/par"
 	"slim/internal/protocol"
+	"slim/internal/raceflag"
 	"slim/internal/wirebuf"
 )
 
@@ -164,7 +165,7 @@ func TestReplayRingReleasesEvicted(t *testing.T) {
 // small command with wire generation on allocates nothing but the message
 // itself (which this white-box test reuses).
 func TestEmitZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	e := NewEncoder(64, 64)

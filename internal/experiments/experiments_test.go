@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/raceflag"
 	"slim/internal/workload"
 )
 
@@ -333,7 +334,7 @@ func TestEncoderOverheadSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead timing is slow")
 	}
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race-detector instrumentation skews the render/marshal timing ratio")
 	}
 	frac := EncoderOverhead(testCorpus)

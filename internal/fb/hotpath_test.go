@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slim/internal/protocol"
+	"slim/internal/raceflag"
 )
 
 // The tests in this file pin every optimized kernel to the retained
@@ -320,7 +321,7 @@ func TestBitReaderOverrun(t *testing.T) {
 // the frame buffer's CSCS scratch is warm, applying SET, FILL, COPY,
 // BITMAP, and scaled CSCS commands allocates nothing.
 func TestConsoleApplyZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	f := New(128, 128)

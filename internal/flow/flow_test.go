@@ -358,7 +358,8 @@ func TestBatchKeepsLargeCommandsPlain(t *testing.T) {
 
 func TestMetricsPublish(t *testing.T) {
 	r := obs.NewRegistry(obs.DomainWall)
-	m := NewMetrics(r, "alice")
+	series := r.Labeled("session", "alice")
+	m := NewMetrics(r, series)
 	g := NewGovernor(Config{BurstBytes: 1 << 20, SupersedeThresholdBytes: 1, MaxQueueBytes: 1 << 20}, m)
 	g.SetGrant(0, 1)
 	rect := protocol.Rect{X: 1, Y: 1, W: 4, H: 4}
@@ -382,13 +383,13 @@ func TestMetricsPublish(t *testing.T) {
 	if _, ok := snap.Gauges[`slim_flow_grant_utilization{session="alice"}`]; !ok {
 		t.Fatal("grant utilization gauge missing")
 	}
-	m.Unregister(r)
+	series.Remove()
 	snap = r.Snapshot()
 	if _, ok := snap.Gauges[`slim_flow_queue_depth{session="alice"}`]; ok {
-		t.Fatal("Unregister left per-session gauges behind")
+		t.Fatal("Remove left per-session gauges behind")
 	}
 	if _, ok := snap.Counters["slim_flow_superseded_total"]; !ok {
-		t.Fatal("Unregister must keep shared totals")
+		t.Fatal("Remove must keep shared totals")
 	}
 }
 

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"time"
 
 	"slim/internal/obs"
@@ -26,20 +25,19 @@ type Metrics struct {
 	retransB    *obs.Counter
 	pacingDelay *obs.Histogram
 
-	depth  *obs.Gauge
-	bytes  *obs.Gauge
-	grant  *obs.Gauge
-	util   *obs.Gauge
-	labels []string
+	depth *obs.Gauge
+	bytes *obs.Gauge
+	grant *obs.Gauge
+	util  *obs.Gauge
 }
 
-// NewMetrics resolves the flow instrument family in r, labeling the
-// per-session gauges with session. The registry's clock domain is the
+// NewMetrics resolves the flow instrument family: the shared totals in r,
+// the per-session gauges through session, whose owner evicts them with
+// session.Remove when the session ends. The registry's clock domain is the
 // caller's choice: wall transports use obs.Default, virtual-time
 // simulations obs.Sim — pacing delays then carry that domain's time.
-func NewMetrics(r *obs.Registry, session string) *Metrics {
-	label := fmt.Sprintf("{session=%q}", session)
-	m := &Metrics{
+func NewMetrics(r *obs.Registry, session *obs.Labeled) *Metrics {
+	return &Metrics{
 		submitted:   r.Counter("slim_flow_submitted_total"),
 		releasedN:   r.Counter("slim_flow_released_total"),
 		releasedB:   r.Counter("slim_flow_released_bytes_total"),
@@ -51,28 +49,10 @@ func NewMetrics(r *obs.Registry, session string) *Metrics {
 		nackShed:    r.Counter("slim_flow_retransmits_suppressed_total"),
 		retransB:    r.Counter("slim_flow_retransmit_bytes_total"),
 		pacingDelay: r.Histogram("slim_flow_pacing_delay_seconds"),
-		depth:       r.Gauge("slim_flow_queue_depth" + label),
-		bytes:       r.Gauge("slim_flow_queue_bytes" + label),
-		grant:       r.Gauge("slim_flow_grant_bps" + label),
-		util:        r.Gauge("slim_flow_grant_utilization" + label),
-		labels: []string{
-			"slim_flow_queue_depth" + label,
-			"slim_flow_queue_bytes" + label,
-			"slim_flow_grant_bps" + label,
-			"slim_flow_grant_utilization" + label,
-		},
-	}
-	return m
-}
-
-// Unregister removes the per-session labeled series from r — the
-// session-termination half of NewMetrics. Shared totals survive.
-func (m *Metrics) Unregister(r *obs.Registry) {
-	if m == nil {
-		return
-	}
-	for _, name := range m.labels {
-		r.Remove(name)
+		depth:       session.Gauge("slim_flow_queue_depth"),
+		bytes:       session.Gauge("slim_flow_queue_bytes"),
+		grant:       session.Gauge("slim_flow_grant_bps"),
+		util:        session.Gauge("slim_flow_grant_utilization"),
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"slim/internal/obs"
+	"slim/internal/raceflag"
 )
 
-// raceEnabled is set by alloc_race_test.go under -race; the race
-// detector's instrumentation allocates, so the hard budgets skip there
-// (make alloc-guard runs these without -race).
+// The race detector's instrumentation allocates, so the hard budgets skip
+// under it (make alloc-guard runs these without -race).
 var allocGuard = func(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("allocation budgets skip under the race detector")
 	}
 }

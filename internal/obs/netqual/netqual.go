@@ -120,7 +120,7 @@ func New(domain obs.Domain, cfg Config) *Tracker {
 }
 
 // Default is the process-wide wall-clock tracker; live servers register
-// sessions here unless told otherwise. Disabled until slimd/slimbroker
+// sessions here unless told otherwise. Disabled until slimd
 // -netqual (or SetEnabled) turns it on.
 var Default = New(obs.DomainWall, DefaultConfig()).Instrument(obs.Default)
 

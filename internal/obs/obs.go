@@ -191,6 +191,41 @@ func (r *Registry) Remove(name string) {
 	delete(r.histograms, name)
 }
 
+// Labeled resolves metrics that all carry one label and remembers every
+// name it resolved, so Remove evicts exactly those: an owner that reaches
+// its per-session series only through a Labeled cannot forget one at
+// teardown. A Labeled is not safe for concurrent use; the registry is.
+type Labeled struct {
+	r     *Registry
+	label string
+	names []string
+}
+
+// Labeled returns a resolver that appends {key="value"} to every name.
+func (r *Registry) Labeled(key, value string) *Labeled {
+	return &Labeled{r: r, label: fmt.Sprintf("{%s=%q}", key, value)}
+}
+
+func (l *Labeled) name(base string) string {
+	name := base + l.label
+	l.names = append(l.names, name)
+	return name
+}
+
+// Gauge resolves the labeled gauge base{key="value"}.
+func (l *Labeled) Gauge(base string) *Gauge { return l.r.Gauge(l.name(base)) }
+
+// Histogram resolves the labeled histogram base{key="value"}.
+func (l *Labeled) Histogram(base string) *Histogram { return l.r.Histogram(l.name(base)) }
+
+// Remove evicts every series resolved through l from the registry.
+func (l *Labeled) Remove() {
+	for _, name := range l.names {
+		l.r.Remove(name)
+	}
+	l.names = nil
+}
+
 // MustSim panics unless r is a simulated-clock registry. Instrumentation
 // helpers for simulator components call it so a wall-clock registry can
 // never silently receive virtual-time observations.

@@ -25,7 +25,7 @@ func driveOps(t *testing.T, s *Server, sess *Session, ops []core.Op) {
 	t.Helper()
 	var out []outbound
 	s.mu.Lock()
-	err := s.render(&out, sess, ops, 0)
+	err := sess.render(&out, ops, 0)
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

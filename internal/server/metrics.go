@@ -1,11 +1,6 @@
 package server
 
-import (
-	"fmt"
-
-	"slim/internal/core"
-	"slim/internal/obs"
-)
+import "slim/internal/obs"
 
 // metrics is the session manager's live instrument set, resolved once per
 // server so the input and attach paths pay only atomic operations.
@@ -38,52 +33,4 @@ func newMetrics(r *obs.Registry) *metrics {
 		inputEvents:  r.Counter("slim_input_events_total"),
 		inputToPaint: r.Histogram("slim_input_to_paint_seconds"),
 	}
-}
-
-// sessionHistogramName is the per-session input-to-paint histogram's
-// registry key — shared by resolution here and removal in Terminate, so
-// terminated sessions do not leak labeled series.
-func sessionHistogramName(user string) string {
-	return fmt.Sprintf("slim_input_to_paint_seconds{session=%q}", user)
-}
-
-// sessionHistogram resolves the per-session input-to-paint histogram.
-func sessionHistogram(r *obs.Registry, user string) *obs.Histogram {
-	return r.Histogram(sessionHistogramName(user))
-}
-
-// Instrument points the server's live metrics at r (the process-wide
-// obs.Default unless redirected — hermetic tests hand each server its own
-// registry). Call it before the first session is created; encoders and
-// histograms already resolved keep reporting to the old registry.
-func (s *Server) Instrument(r *obs.Registry) *Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs = r
-	s.metrics = newMetrics(r)
-	s.encMetrics = core.NewEncoderMetrics(r)
-	return s
-}
-
-// instrumentSession attaches the live instruments a session encoder and
-// its input-to-paint histogram report through, plus the session's flight
-// ring. Callers hold s.mu.
-func (s *Server) instrumentSession(sess *Session) {
-	sess.Encoder.Metrics = s.encMetrics
-	sess.Encoder.Parallel = s.encPool
-	sess.itp = sessionHistogram(s.obs, sess.User)
-	sess.flog = s.flight.Session(sess.ID)
-	sess.Encoder.Flight = sess.flog
-	sess.slo = s.slo.Session(sess.ID, sess.User)
-	sess.nq = s.netqual.Session(sess.ID, sess.User)
-}
-
-// InputToPaint exposes the session's live input-to-paint histogram.
-func (sess *Session) InputToPaint() *obs.Histogram { return sess.itp }
-
-// Obs reports the registry the server publishes metrics into.
-func (s *Server) Obs() *obs.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"time"
 
-	"slim/internal/core"
-	"slim/internal/flow"
 	"slim/internal/protocol"
 )
 
@@ -69,55 +67,23 @@ func DecodeSnapshot(r io.Reader) (*SessionSnapshot, error) {
 }
 
 // ExportSession freezes a user's session for migration and removes it from
-// this server: the flow governor is quiesced (grant revoked, queued damage
-// dropped and flight-logged — the importing side repaints in full), the
-// attached console (if any) receives SessionDetach, and the session's
-// per-server observability residue (labeled histogram, flow gauges) leaves
-// the registry. The shared flight ring and SLO state are left alone: the
-// session lives on under the same ID, and the importing server re-resolves
-// them — Terminate remains the eviction point.
+// this server (closeLocked, keeping the stores shards share): the flow
+// governor is quiesced — grant revoked, queued damage dropped and
+// flight-logged, since the importing side repaints in full — and the
+// attached console (if any) receives SessionDetach. Terminate remains the
+// eviction point for the flight ring, SLO state, and path estimator.
 func (s *Server) ExportSession(user string, now time.Duration) (*SessionSnapshot, error) {
 	s.mu.Lock()
-	var out []outbound
-	id, ok := s.byUser[user]
-	if !ok {
+	sess, err := s.userSessionLocked(user)
+	if err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("server: no session for user %q", user)
+		return nil, err
 	}
-	sess := s.sessions[id]
-	if sess.Console != "" {
-		if cs, ok := s.consoles[sess.Console]; ok && cs.session == id {
-			cs.session = 0
-		}
-		s.send(&out, sess.Console, &protocol.SessionDetach{SessionID: id})
-		sess.Console = ""
-	}
-	if sess.gov != nil {
-		for _, it := range sess.gov.Quiesce(now) {
-			if sess.flog.Armed() {
-				sess.flog.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
-			}
-			it.ReleaseWire()
-		}
-	}
-	sn := &SessionSnapshot{
-		ID:      sess.ID,
-		User:    sess.User,
-		W:       sess.Encoder.FB.W,
-		H:       sess.Encoder.FB.H,
-		Pixels:  append([]protocol.Pixel(nil), sess.Encoder.FB.Pix...),
-		LastSeq: sess.Encoder.LastSeq(),
-	}
-	if p, ok := sess.App.(Persistent); ok {
-		sn.AppState = p.SaveState()
-	}
-	delete(s.sessions, id)
-	delete(s.byUser, user)
-	s.metrics.sessions.Set(int64(len(s.sessions)))
-	s.obs.Remove(sessionHistogramName(user))
-	sess.fm.Unregister(s.obs)
+	var out []outbound
+	s.closeLocked(&out, sess, false, now)
+	sn := sess.snapshot()
 	if s.log != nil {
-		s.log.Info("session exported", "user", user, "session", id, "last_seq", sn.LastSeq)
+		s.log.Info("session exported", "user", user, "session", sn.ID, "last_seq", sn.LastSeq)
 	}
 	s.mu.Unlock()
 	return sn, s.flush(out)
@@ -132,47 +98,32 @@ func (s *Server) ExportSession(user string, now time.Duration) (*SessionSnapshot
 // migrated ID belongs to the exporting shard's space, which is why fleets
 // give each shard a disjoint WithSessionIDBase.
 func (s *Server) ImportSession(sn *SessionSnapshot) error {
-	if sn.W <= 0 || sn.H <= 0 || len(sn.Pixels) != sn.W*sn.H {
-		return fmt.Errorf("server: corrupt session snapshot for %q", sn.User)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.byUser[sn.User]; exists {
-		return fmt.Errorf("server: ImportSession: user %q already has a session here", sn.User)
+	if err := s.restoreLocked(sn); err != nil {
+		return err
 	}
-	if _, exists := s.sessions[sn.ID]; exists {
-		return fmt.Errorf("server: ImportSession: session ID %d already in use", sn.ID)
-	}
-	sess := &Session{
-		ID:      sn.ID,
-		User:    sn.User,
-		Encoder: core.NewEncoder(sn.W, sn.H),
-	}
-	s.instrumentSession(sess)
-	copy(sess.Encoder.FB.Pix, sn.Pixels)
-	sess.Encoder.ResumeAt(sn.LastSeq)
-	if s.flowCfg != nil {
-		sess.fm = flow.NewMetrics(s.obs, sn.User)
-		sess.gov = flow.NewGovernor(*s.flowCfg, sess.fm)
-		if s.cal != nil && s.cal.Generation() > 0 {
-			sess.gov.SetCosts(s.cal.Model())
-		}
-	}
-	if s.NewApp != nil {
-		sess.App = s.NewApp(sn.User, sn.W, sn.H)
-		if p, ok := sess.App.(Persistent); ok && sn.AppState != nil {
-			if err := p.RestoreState(sn.AppState); err != nil {
-				return fmt.Errorf("server: restore %q app state: %w", sn.User, err)
-			}
-		}
-	}
-	s.sessions[sess.ID] = sess
-	s.byUser[sess.User] = sess.ID
-	s.metrics.sessions.Set(int64(len(s.sessions)))
 	if s.log != nil {
 		s.log.Info("session imported", "user", sn.User, "session", sn.ID, "last_seq", sn.LastSeq)
 	}
 	return nil
+}
+
+// restoreLocked validates a snapshot — it may come from another process or
+// a file — and rebuilds its session here. ID 0 is the console table's "no
+// session". Callers hold s.mu.
+func (s *Server) restoreLocked(sn *SessionSnapshot) error {
+	if sn.ID == 0 || sn.W <= 0 || sn.H <= 0 || len(sn.Pixels) != sn.W*sn.H {
+		return fmt.Errorf("server: corrupt session snapshot for %q", sn.User)
+	}
+	if _, exists := s.byUser[sn.User]; exists {
+		return fmt.Errorf("server: user %q already has a session here", sn.User)
+	}
+	if _, exists := s.sessions[sn.ID]; exists {
+		return fmt.Errorf("server: session ID %d already in use", sn.ID)
+	}
+	_, err := s.newSessionLocked(sn.ID, sn.User, sn.W, sn.H, sn)
+	return err
 }
 
 // SessionCount reports the number of live sessions (attached or detached).

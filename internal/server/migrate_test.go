@@ -224,6 +224,12 @@ func TestSnapshotRoundTripAndValidation(t *testing.T) {
 	if err := dst.ImportSession(&bad); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("corrupt-snapshot import error = %v", err)
 	}
+	// ID 0 is the console table's "no session": rejected.
+	bad = *sn
+	bad.User, bad.ID = "bob", 0
+	if err := dst.ImportSession(&bad); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Errorf("zero-ID import error = %v", err)
+	}
 	// Unknown user: export fails cleanly.
 	if _, err := dst.ExportSession("nobody", 0); err == nil {
 		t.Error("exporting a missing user succeeded")

@@ -12,16 +12,17 @@ import (
 	"slim/internal/par"
 )
 
-// Option configures a Server at construction. Options run before the
-// server is instrumented, so redirected registries and recorders are in
-// place before the first session resolves its instruments.
+// Option configures a Server at construction — the only configuration
+// path. Options run before the server is instrumented, so redirected
+// registries and recorders are in place before the first session resolves
+// its instruments.
 type Option func(*Server)
 
 // WithRegistry redirects live metrics into r instead of the process-wide
 // obs.Default — hermetic tests and virtual-time simulations hand each
 // server its own registry.
 func WithRegistry(r *obs.Registry) Option {
-	return func(s *Server) { s.optObs = r }
+	return func(s *Server) { s.obs = r }
 }
 
 // WithFlightRecorder points the server's causal flight recorder at rec
@@ -53,14 +54,6 @@ func WithNetQual(t *netqual.Tracker) Option {
 // server never logs per-datagram work regardless.
 func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
-}
-
-// WithCostModel installs the console decode cost model (Table 5) the
-// server uses to derive flow-control defaults — the per-session demand it
-// requests from consoles and the pacing burst. It fills the Costs field
-// of a WithFlowControl config that left it nil.
-func WithCostModel(cm *core.CostModel) Option {
-	return func(s *Server) { s.costs = cm }
 }
 
 // WithCalibratedCosts feeds a live cost-model calibrator back into flow
@@ -107,8 +100,8 @@ func WithSessionIDBase(base uint32) Option {
 // Resolved is the subset of option-configured settings a broker needs to
 // see before fanning the same option list out to its shards — the shared
 // registry its fleet rollup publishes into, and the logger for broker-level
-// lifecycle events. Everything else (flow config, cost model, SLO tracker,
-// flight recorder, parallel encoding) is inherited opaquely by each shard.
+// lifecycle events. Everything else (flow config, SLO tracker, flight
+// recorder, parallel encoding) is inherited opaquely by each shard.
 type Resolved struct {
 	Registry *obs.Registry
 	Logger   *slog.Logger
@@ -125,15 +118,15 @@ func ResolveOptions(opts ...Option) Resolved {
 	for _, o := range opts {
 		o(&probe)
 	}
-	return Resolved{Registry: probe.optObs, Logger: probe.log, NetQual: probe.netqual}
+	return Resolved{Registry: probe.obs, Logger: probe.log, NetQual: probe.netqual}
 }
 
 // WithFlowControl enables the grant-driven send governor (§7) for every
 // session: display traffic is paced to the console's BandwidthGrant,
 // stale queued damage is superseded under backpressure, and NACK
 // retransmits are budgeted so replay storms cannot starve fresh paints.
-// Zero-value fields take the flow package defaults; a nil cfg.Costs picks
-// up WithCostModel.
+// Zero-value fields take the flow package defaults; a nil cfg.Costs is the
+// published Sun Ray 1 model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {
 	return func(s *Server) {
 		cfg.Enabled = true

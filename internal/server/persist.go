@@ -4,20 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"slim/internal/core"
-	"slim/internal/protocol"
 )
-
-// pixelsToUint32 widens the frame buffer's pixel slice to the on-disk
-// []uint32 representation (the gob format predates the Pixel slice type).
-func pixelsToUint32(pix []protocol.Pixel) []uint32 {
-	out := make([]uint32, len(pix))
-	for i, p := range pix {
-		out[i] = uint32(p)
-	}
-	return out
-}
 
 // Session persistence. The paper's statelessness argument puts all true
 // state on the server (§2.2); this file makes that state durable across
@@ -37,19 +24,13 @@ type Persistent interface {
 	RestoreState(data []byte) error
 }
 
-// sessionImage is the serialized form of one session.
-type sessionImage struct {
-	ID       uint32
-	User     string
-	W, H     int
-	Pixels   []uint32
-	AppState []byte
-}
-
-// serverImage is the serialized form of the session table.
+// serverImage is the serialized form of the session table: the ID counter
+// and one SessionSnapshot per session, the same freeze a migration ships.
+// State files written before the snapshot carried LastSeq decode with it
+// zero (gob matches fields by name).
 type serverImage struct {
 	NextID   uint32
-	Sessions []sessionImage
+	Sessions []SessionSnapshot
 }
 
 // SaveSessions serializes every session (detached from consoles — console
@@ -58,17 +39,7 @@ func (s *Server) SaveSessions(w io.Writer) error {
 	s.mu.Lock()
 	img := serverImage{NextID: s.nextID}
 	for _, sess := range s.sessions {
-		si := sessionImage{
-			ID:     sess.ID,
-			User:   sess.User,
-			W:      sess.Encoder.FB.W,
-			H:      sess.Encoder.FB.H,
-			Pixels: pixelsToUint32(sess.Encoder.FB.Pix),
-		}
-		if p, ok := sess.App.(Persistent); ok {
-			si.AppState = p.SaveState()
-		}
-		img.Sessions = append(img.Sessions, si)
+		img.Sessions = append(img.Sessions, *sess.snapshot())
 	}
 	s.mu.Unlock()
 	if err := gob.NewEncoder(w).Encode(img); err != nil {
@@ -80,7 +51,7 @@ func (s *Server) SaveSessions(w io.Writer) error {
 // LoadSessions restores sessions saved with SaveSessions into an empty
 // server. Applications are rebuilt with the server's factory and offered
 // their saved state; every session starts detached and repaints whichever
-// console its user next badges into.
+// console its user next badges into, numbering on from where it stopped.
 func (s *Server) LoadSessions(r io.Reader) error {
 	var img serverImage
 	if err := gob.NewDecoder(r).Decode(&img); err != nil {
@@ -92,30 +63,10 @@ func (s *Server) LoadSessions(r io.Reader) error {
 		return fmt.Errorf("server: LoadSessions into a non-empty server")
 	}
 	s.nextID = img.NextID
-	for _, si := range img.Sessions {
-		if si.W <= 0 || si.H <= 0 || len(si.Pixels) != si.W*si.H {
-			return fmt.Errorf("server: corrupt session image for %q", si.User)
+	for i := range img.Sessions {
+		if err := s.restoreLocked(&img.Sessions[i]); err != nil {
+			return err
 		}
-		sess := &Session{
-			ID:      si.ID,
-			User:    si.User,
-			Encoder: core.NewEncoder(si.W, si.H),
-		}
-		s.instrumentSession(sess)
-		for i, p := range si.Pixels {
-			sess.Encoder.FB.Pix[i] = protocol.Pixel(p)
-		}
-		if s.NewApp != nil {
-			sess.App = s.NewApp(si.User, si.W, si.H)
-			if p, ok := sess.App.(Persistent); ok && si.AppState != nil {
-				if err := p.RestoreState(si.AppState); err != nil {
-					return fmt.Errorf("server: restore %q app state: %w", si.User, err)
-				}
-			}
-		}
-		s.sessions[sess.ID] = sess
-		s.byUser[sess.User] = sess.ID
 	}
-	s.metrics.sessions.Set(int64(len(s.sessions)))
 	return nil
 }

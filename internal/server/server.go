@@ -98,58 +98,6 @@ func (a *AuthManager) Authenticate(token string) (string, error) {
 	return user, nil
 }
 
-// Session is one user's persistent desktop: the authoritative frame buffer
-// (inside the encoder), the running application, and the console it is
-// currently displayed on (if any).
-type Session struct {
-	ID      uint32
-	User    string
-	Encoder *core.Encoder
-	App     Application
-	Console string // attached console ID, "" if detached
-
-	// itp is the session's live input-to-paint histogram (§3's canonical
-	// interactive-latency metric), labeled with the user name.
-	itp *obs.Histogram
-	// flog is the session's flight-recorder ring: every protocol event on
-	// this session's display path lands here, causally chained.
-	flog *flight.SessionLog
-	// gov paces display traffic to the console's bandwidth grant (§7);
-	// nil when the server runs without WithFlowControl.
-	gov *flow.Governor
-	// fm owns the session's labeled flow gauges so Terminate can evict
-	// them from the registry.
-	fm *flow.Metrics
-	// slo is the session's rolling SLO state (breach-rate windows, blame
-	// histogram) in the server's tracker.
-	slo *slo.SessionSLO
-	// nq is the session's passive path estimator (RTT/jitter/loss/goodput)
-	// in the server's netqual tracker. Estimators are keyed by the
-	// fleet-unique session ID, so a hotdesk migration resolves the same
-	// estimator on the destination shard and smoothed state survives.
-	nq *netqual.PathSession
-	// demandBps is the bandwidth demand last announced to the console's §7
-	// allocator; PumpFlows re-announces when the governor's measured demand
-	// drifts from it by more than 1/8.
-	demandBps uint64
-}
-
-// Governor exposes the session's send governor (nil when flow control is
-// disabled) — simulation harnesses drive its virtual-time pump directly.
-func (sess *Session) Governor() *flow.Governor { return sess.gov }
-
-// FlightLog exposes the session's flight-recorder ring (nil before the
-// session is instrumented).
-func (sess *Session) FlightLog() *flight.SessionLog { return sess.flog }
-
-// SLO exposes the session's rolling SLO state (nil before the session is
-// instrumented).
-func (sess *Session) SLO() *slo.SessionSLO { return sess.slo }
-
-// NetQual exposes the session's passive path estimator (nil before the
-// session is instrumented).
-func (sess *Session) NetQual() *netqual.PathSession { return sess.nq }
-
 // Server ties the managers together and speaks the SLIM protocol to
 // consoles.
 type Server struct {
@@ -164,14 +112,15 @@ type Server struct {
 	consoles  map[string]*consoleState
 	nextID    uint32
 
-	// Live observability (see Instrument): the registry metrics publish
-	// into, the resolved server instruments, and the shared encoder metric
-	// family attached to every session encoder.
+	// Live observability, fixed at construction: the registry metrics
+	// publish into (obs.Default unless redirected by WithRegistry), the
+	// resolved server instruments, and the shared encoder metric family
+	// attached to every session encoder.
 	obs        *obs.Registry
 	metrics    *metrics
 	encMetrics *core.EncoderMetrics
 	// flight is the causal flight recorder sessions record protocol
-	// events into (flight.Default unless redirected by WithFlight).
+	// events into (flight.Default unless redirected by WithFlightRecorder).
 	flight *flight.Recorder
 	// slo is the SLO tracker sessions evaluate input-to-paint latency
 	// against (slo.Default unless redirected by WithSLO).
@@ -183,12 +132,6 @@ type Server struct {
 	// log receives session lifecycle events (WithLogger); nil = silent.
 	log *slog.Logger
 
-	// optObs is the registry chosen by WithRegistry, applied by New after
-	// all options have run (nil means obs.Default).
-	optObs *obs.Registry
-	// costs is the console decode cost model flow-control defaults derive
-	// from (WithCostModel).
-	costs *core.CostModel
 	// flowCfg enables the per-session send governor when non-nil
 	// (WithFlowControl).
 	flowCfg *flow.Config
@@ -236,9 +179,11 @@ const StatusLagThreshold = 512
 // recovery rather than staying suppressed forever.
 const RecoverGrace = 2 * time.Second
 
-// New returns a server sending through the given transport. Options
-// configure observability and flow control; the zero-option call keeps
-// the historical defaults (obs.Default, flight.Default, no governor).
+// New returns a server sending through the given transport. Options are
+// the only way to configure it: they run before any session exists, so
+// every session resolves its instruments from the registries and
+// recorders chosen here. The zero-option call keeps the defaults
+// (obs.Default, flight.Default, no governor).
 func New(t Transport, newApp func(user string, w, h int) Application, opts ...Option) *Server {
 	s := &Server{
 		Auth:      NewAuthManager(),
@@ -247,6 +192,7 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 		sessions:  make(map[uint32]*Session),
 		byUser:    make(map[string]uint32),
 		consoles:  make(map[string]*consoleState),
+		obs:       obs.Default,
 		flight:    flight.Default,
 		slo:       slo.Default,
 		netqual:   netqual.Default,
@@ -254,79 +200,26 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 	for _, o := range opts {
 		o(s)
 	}
-	reg := obs.Default
-	if s.optObs != nil {
-		reg = s.optObs
-	}
-	if s.flowCfg != nil && s.flowCfg.Costs == nil {
-		s.flowCfg.Costs = s.costs
-	}
+	s.metrics = newMetrics(s.obs)
+	s.encMetrics = core.NewEncoderMetrics(s.obs)
 	s.wirePathEvidence()
-	return s.Instrument(reg)
+	return s
 }
 
 // FlowEnabled reports whether sessions are created with a send governor.
-func (s *Server) FlowEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flowCfg != nil
-}
-
-// WithFlight points the server's flight recorder at rec (flight.Default
-// unless redirected — hermetic tests hand each server its own recorder).
-// Call it before the first session is created; rings already resolved
-// keep recording into the old recorder.
-func (s *Server) WithFlight(rec *flight.Recorder) *Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flight = rec
-	return s
-}
+func (s *Server) FlowEnabled() bool { return s.flowCfg != nil }
 
 // FlightRecorder reports the recorder sessions record into.
-func (s *Server) FlightRecorder() *flight.Recorder {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flight
-}
-
-// WithSLOTracker points the server's SLO tracker at t (slo.Default unless
-// redirected — hermetic tests hand each server its own tracker). Call it
-// before the first session is created; sessions already instrumented keep
-// evaluating against the old tracker.
-func (s *Server) WithSLOTracker(t *slo.Tracker) *Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slo = t
-	return s
-}
+func (s *Server) FlightRecorder() *flight.Recorder { return s.flight }
 
 // SLOTracker reports the tracker sessions evaluate against.
-func (s *Server) SLOTracker() *slo.Tracker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slo
-}
-
-// WithNetQualTracker points the server's path estimation at t
-// (netqual.Default unless redirected — hermetic tests and virtual-time
-// simulations hand each server its own sim-domain tracker). Call it
-// before the first session is created; sessions already instrumented keep
-// observing into the old tracker.
-func (s *Server) WithNetQualTracker(t *netqual.Tracker) *Server {
-	s.mu.Lock()
-	s.netqual = t
-	s.mu.Unlock()
-	s.wirePathEvidence()
-	return s
-}
+func (s *Server) SLOTracker() *slo.Tracker { return s.slo }
 
 // NetQualTracker reports the tracker sessions observe path samples into.
-func (s *Server) NetQualTracker() *netqual.Tracker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.netqual
-}
+func (s *Server) NetQualTracker() *netqual.Tracker { return s.netqual }
+
+// Obs reports the registry the server publishes metrics into.
+func (s *Server) Obs() *obs.Registry { return s.obs }
 
 // wirePathEvidence stamps the netqual tracker's measured path state into
 // the flight recorder's breach dumps: WIRE verdicts gain a LINK
@@ -334,9 +227,7 @@ func (s *Server) NetQualTracker() *netqual.Tracker {
 // estimator saw at breach time. Sessions the tracker never observed — or
 // a disarmed tracker — contribute no evidence rather than zeros.
 func (s *Server) wirePathEvidence() {
-	s.mu.Lock()
 	rec, t := s.flight, s.netqual
-	s.mu.Unlock()
 	if rec == nil || t == nil {
 		return
 	}
@@ -499,8 +390,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 				return err
 			}
 		}
-		cs := s.consoles[console]
-		s.send(out, console, &protocol.HelloAck{SessionID: cs.session})
+		send(out, console, &protocol.HelloAck{SessionID: s.consoles[console].session})
 		return nil
 
 	case *protocol.SessionConnect:
@@ -514,14 +404,14 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		if err != nil {
 			return err
 		}
-		return s.render(out, sess, sess.App.HandleKey(*m), now)
+		return sess.render(out, sess.App.HandleKey(*m), now)
 
 	case *protocol.PointerEvent:
 		sess, err := s.sessionFor(console)
 		if err != nil {
 			return err
 		}
-		return s.render(out, sess, sess.App.HandlePointer(*m), now)
+		return sess.render(out, sess.App.HandlePointer(*m), now)
 
 	case *protocol.Nack:
 		sess, err := s.sessionFor(console)
@@ -533,7 +423,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		}
 		sess.nq.OnNack(now, m.From, m.To)
 		if sess.gov == nil {
-			s.sendDatagrams(out, sess, sess.Encoder.HandleNack(*m), now)
+			sess.submit(out, sess.Encoder.HandleNack(*m), now, false)
 			return nil
 		}
 		switch sess.gov.OnNack(now, m.From, m.To) {
@@ -544,7 +434,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 			// once the backoff expires, from the then-current frame buffer.
 			return nil
 		}
-		s.retransmit(out, sess, *m, now)
+		sess.retransmit(out, *m, now)
 		return nil
 
 	case *protocol.BandwidthGrant:
@@ -554,7 +444,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		if sess, ok := s.sessions[m.SessionID]; ok && sess.gov != nil {
 			sess.nq.OnGrant(now)
 			sess.gov.SetGrant(now, m.Bps)
-			s.releaseFlow(out, sess, now)
+			sess.releaseFlow(out, now)
 		}
 		return nil
 
@@ -611,7 +501,7 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 			s.log.Warn("display state lost; recovery repaint",
 				"console", console, "session", cs.session, "drops", lost, "lag", lag)
 		}
-		s.sendDatagrams(out, sess, sess.Encoder.RepaintAll(), now)
+		sess.submit(out, sess.Encoder.RepaintAll(), now, false)
 		cs.recoverSeq = sess.Encoder.LastSeq()
 		cs.recoverAt = now
 	}
@@ -676,97 +566,41 @@ func (s *Server) EvictConsole(console string) {
 // given console, creating the session on first use. Callers hold s.mu.
 func (s *Server) attachUserLocked(out *[]outbound, console, user string, now time.Duration) error {
 	cs := s.consoles[console]
-	id, ok := s.byUser[user]
-	var sess *Session
-	if ok {
-		sess = s.sessions[id]
+	sess, reconnect := s.sessions[s.byUser[user]]
+	if reconnect {
 		s.metrics.reconnects.Inc()
-	} else {
-		s.nextID++
-		sess = &Session{
-			ID:      s.nextID,
-			User:    user,
-			Encoder: core.NewEncoder(cs.w, cs.h),
-		}
-		s.instrumentSession(sess)
-		if s.flowCfg != nil {
-			sess.fm = flow.NewMetrics(s.obs, user)
-			sess.gov = flow.NewGovernor(*s.flowCfg, sess.fm)
-			if s.cal != nil && s.cal.Generation() > 0 {
-				// Sessions born after calibration converged start from
-				// the measured model, not the Table 5 constants.
-				sess.gov.SetCosts(s.cal.Model())
-			}
-		}
-		if s.NewApp != nil {
-			sess.App = s.NewApp(user, cs.w, cs.h)
-		}
-		s.sessions[sess.ID] = sess
-		s.byUser[user] = sess.ID
-		s.metrics.sessions.Set(int64(len(s.sessions)))
-	}
-	s.metrics.attaches.Inc()
-	if ok {
 		// Hotdesk move or reconnect: the console — and likely the network
 		// path — changed. Rebase the estimator so stale in-flight samples
 		// from the old path never poison the new one; smoothed SRTT/jitter
 		// and the loss windows survive the cutover.
 		sess.nq.Rebase(now)
-	}
-	// Detach from wherever it was displayed before.
-	if sess.Console != "" && sess.Console != console {
-		if old, ok := s.consoles[sess.Console]; ok && old.session == sess.ID {
-			old.session = 0
+	} else {
+		s.nextID++
+		var err error
+		if sess, err = s.newSessionLocked(s.nextID, user, cs.w, cs.h, nil); err != nil {
+			return err
 		}
-		s.send(out, sess.Console, &protocol.SessionDetach{SessionID: sess.ID})
+	}
+	s.metrics.attaches.Inc()
+	if sess.Console != console {
+		s.unbindLocked(out, sess)
 	}
 	// Evict whatever session the target console was showing.
-	if cs.session != 0 && cs.session != sess.ID {
-		if other, ok := s.sessions[cs.session]; ok {
-			other.Console = ""
-		}
+	if other, ok := s.sessions[cs.session]; ok && other != sess {
+		other.Console = ""
 	}
 	cs.session = sess.ID
-	sess.Console = console
 	if s.log != nil {
 		s.log.Info("session attached",
-			"user", user, "session", sess.ID, "console", console, "reconnect", ok)
+			"user", user, "session", sess.ID, "console", console, "reconnect", reconnect)
 	}
-	s.send(out, console, &protocol.SessionAttach{SessionID: sess.ID})
-	if sess.gov != nil {
-		// Damage queued for the previous console is worthless here; the
-		// full repaint below regenerates everything. The new console also
-		// learns this session's bandwidth demand so its allocator can
-		// grant a share (§7).
-		for _, it := range sess.gov.Reset(now) {
-			if sess.flog.Armed() {
-				sess.flog.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
-			}
-			it.ReleaseWire()
-		}
-		sess.nq.OnProbe(now)
-		sess.demandBps = sess.gov.DemandBps()
-		s.send(out, console, &protocol.BandwidthRequest{
-			SessionID: sess.ID,
-			Bps:       sess.demandBps,
-		})
-	}
-	// Negotiate the gen-2 tile cache per attachment: engage it only when
-	// the server is armed (WithCodec2) and this console advertised
-	// CapCachePaint in its Hello. A gen-1 console gets the plain encoding
-	// — same pixels, no CACHE_PAINT on its wire. EnableCodec2 resets the
-	// server-side cache and RepaintAll below resets the console's (its
-	// setSession does), so both sides restart mirrored from an empty cache.
-	if s.codec2 && cs.caps&protocol.CapCachePaint != 0 {
-		sess.Encoder.EnableCodec2(0)
-	} else {
-		sess.Encoder.DisableCodec2()
-	}
-	// The console held only soft state: repaint the screen "to the exact
-	// state at which it was left" (§1.1). The repaint opens a recovery
-	// epoch so heartbeats acking mid-burst (legitimately trailing the
-	// encoder) don't trigger a redundant second repaint.
-	s.sendDatagrams(out, sess, sess.Encoder.RepaintAll(), now)
+	// The gen-2 tile cache is negotiated per attachment: only when the
+	// server is armed (WithCodec2) and this console advertised
+	// CapCachePaint in its Hello.
+	sess.attach(out, console, s.codec2 && cs.caps&protocol.CapCachePaint != 0, now)
+	// The attach repaint opens a recovery epoch so heartbeats acking
+	// mid-burst (legitimately trailing the encoder) don't trigger a
+	// redundant second repaint.
 	cs.recoverSeq = sess.Encoder.LastSeq()
 	cs.recoverAt = now
 	return nil
@@ -784,7 +618,7 @@ func (s *Server) Tick(now time.Duration) error {
 		if !ok {
 			continue
 		}
-		if err := s.render(&out, sess, tk.Tick(now), now); err != nil && firstErr == nil {
+		if err := sess.render(&out, tk.Tick(now), now); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -799,22 +633,15 @@ func (s *Server) Tick(now time.Duration) error {
 // destroying it; state persists server side.
 func (s *Server) Detach(user string) error {
 	s.mu.Lock()
-	var out []outbound
-	id, ok := s.byUser[user]
-	if !ok {
+	sess, err := s.userSessionLocked(user)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("server: no session for user %q", user)
+		return err
 	}
-	sess := s.sessions[id]
-	if sess.Console != "" {
-		if cs, ok := s.consoles[sess.Console]; ok && cs.session == id {
-			cs.session = 0
-		}
-		s.send(&out, sess.Console, &protocol.SessionDetach{SessionID: id})
-		sess.Console = ""
-	}
+	var out []outbound
+	s.unbindLocked(&out, sess)
 	if s.log != nil {
-		s.log.Info("session detached", "user", user, "session", id)
+		s.log.Info("session detached", "user", user, "session", sess.ID)
 	}
 	s.mu.Unlock()
 	return s.flush(out)
@@ -822,45 +649,32 @@ func (s *Server) Detach(user string) error {
 
 // Terminate destroys a user's session: the console (if any) is detached,
 // the session state is discarded, and — unlike Detach — the session's
-// observability residue is evicted too: the labeled input-to-paint
-// histogram leaves the registry and the flight-recorder ring is dropped.
-// Without this, a server that outlives many logins accumulates one
-// histogram and one 4096-slot ring per user forever.
+// observability residue is evicted too (see closeLocked). Without this, a
+// server that outlives many logins accumulates one histogram and one
+// 4096-slot ring per user forever.
 func (s *Server) Terminate(user string) error {
 	s.mu.Lock()
-	var out []outbound
-	id, ok := s.byUser[user]
-	if !ok {
+	sess, err := s.userSessionLocked(user)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("server: no session for user %q", user)
+		return err
 	}
-	sess := s.sessions[id]
-	if sess.Console != "" {
-		if cs, ok := s.consoles[sess.Console]; ok && cs.session == id {
-			cs.session = 0
-		}
-		s.send(&out, sess.Console, &protocol.SessionDetach{SessionID: id})
-		sess.Console = ""
-	}
-	if sess.gov != nil {
-		// Anything still queued dies with the session; recycle the buffers.
-		for _, it := range sess.gov.Reset(0) {
-			it.ReleaseWire()
-		}
-	}
-	delete(s.sessions, id)
-	delete(s.byUser, user)
-	s.metrics.sessions.Set(int64(len(s.sessions)))
-	s.obs.Remove(sessionHistogramName(user))
-	sess.fm.Unregister(s.obs)
-	s.flight.Drop(id)
-	s.slo.Remove(id)
-	s.netqual.Remove(id)
+	var out []outbound
+	s.closeLocked(&out, sess, true, 0)
 	if s.log != nil {
-		s.log.Info("session terminated", "user", user, "session", id)
+		s.log.Info("session terminated", "user", user, "session", sess.ID)
 	}
 	s.mu.Unlock()
 	return s.flush(out)
+}
+
+// userSessionLocked resolves a user's session. Callers hold s.mu.
+func (s *Server) userSessionLocked(user string) (*Session, error) {
+	sess, ok := s.sessions[s.byUser[user]]
+	if !ok {
+		return nil, fmt.Errorf("server: no session for user %q", user)
+	}
+	return sess, nil
 }
 
 // sessionFor resolves the session attached to a console. Callers hold s.mu.
@@ -873,127 +687,6 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 		return nil, ErrNoSession
 	}
 	return s.sessions[cs.session], nil
-}
-
-// render encodes ops for a session and queues them for its console.
-func (s *Server) render(out *[]outbound, sess *Session, ops []core.Op, now time.Duration) error {
-	for _, op := range ops {
-		if sess.flog.Armed() {
-			sess.flog.Op(int64(op.RawPixels()))
-		}
-		dgs, err := sess.Encoder.Encode(op)
-		if err != nil {
-			return err
-		}
-		s.sendDatagrams(out, sess, dgs, now)
-	}
-	return nil
-}
-
-func (s *Server) sendDatagrams(out *[]outbound, sess *Session, dgs []core.Datagram, now time.Duration) {
-	s.submit(out, sess, dgs, now, false)
-}
-
-// retransmit regenerates a nacked range from the authoritative frame
-// buffer and charges the wire bytes against the governor's retransmit
-// budget, so replay storms cannot starve fresh paints. Callers hold s.mu
-// and have a non-nil sess.gov.
-func (s *Server) retransmit(out *[]outbound, sess *Session, n protocol.Nack, now time.Duration) {
-	dgs := sess.Encoder.HandleNack(n)
-	var bytes int
-	for _, d := range dgs {
-		bytes += len(d.Wire)
-	}
-	sess.gov.SpendRetry(bytes)
-	s.submit(out, sess, dgs, now, true)
-}
-
-// submit routes display datagrams to the console: directly when the
-// session is ungoverned or has no grant yet, through the governor's
-// supersession queue and token bucket otherwise. Callers hold s.mu.
-func (s *Server) submit(out *[]outbound, sess *Session, dgs []core.Datagram, now time.Duration, retrans bool) {
-	if sess.Console == "" {
-		// Detached session keeps rendering into its frame buffer; the wire
-		// goes nowhere, so its buffer returns to the pool immediately.
-		for i := range dgs {
-			dgs[i].ReleaseWire()
-		}
-		return
-	}
-	if sess.gov == nil {
-		for _, d := range dgs {
-			sess.nq.OnSend(now, d.Seq, len(d.Wire), retrans)
-			*out = append(*out, outbound{
-				console: sess.Console,
-				wire:    d.Wire,
-				flog:    sess.flog,
-				seq:     d.Seq,
-				cmd:     d.Msg.Type(),
-				buf:     d.Buf,
-			})
-		}
-		return
-	}
-	for _, d := range dgs {
-		it := flow.Item{Seq: d.Seq, Cmd: d.Msg.Type(), Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: retrans}
-		res := sess.gov.Submit(now, it)
-		if res.Pass {
-			sess.nq.OnSend(now, d.Seq, len(d.Wire), retrans)
-			*out = append(*out, outbound{
-				console: sess.Console,
-				wire:    d.Wire,
-				flog:    sess.flog,
-				seq:     d.Seq,
-				cmd:     it.Cmd,
-				buf:     d.Buf,
-			})
-			continue
-		}
-		if sess.flog.Armed() {
-			sess.flog.TxQueue(d.Seq, it.Cmd, int64(it.Bytes()), int64(res.Depth))
-			for _, sup := range res.Superseded {
-				sess.flog.Supersede(sup.Seq, sup.Cmd, d.Seq, int64(sup.Bytes()))
-			}
-			for _, ev := range res.Evicted {
-				sess.flog.Drop(ev.Seq, ev.Cmd, int64(ev.Bytes()))
-			}
-		}
-		// Shed commands never reach the wire: recycle their buffers now
-		// that the flight recorder has accounted for them.
-		for i := range res.Superseded {
-			res.Superseded[i].ReleaseWire()
-		}
-		for i := range res.Evicted {
-			res.Evicted[i].ReleaseWire()
-		}
-	}
-	s.releaseFlow(out, sess, now)
-}
-
-// releaseFlow drains whatever the governor's token bucket permits at now.
-// Callers hold s.mu and have a non-nil sess.gov.
-func (s *Server) releaseFlow(out *[]outbound, sess *Session, now time.Duration) {
-	if sess.Console == "" {
-		return
-	}
-	for _, p := range sess.gov.Release(now) {
-		if sess.nq.Armed() {
-			for _, it := range p.Items {
-				sess.nq.OnSend(now, it.Seq, it.Bytes(), it.Retransmit)
-			}
-		}
-		o := outbound{console: sess.Console, wire: p.Wire, flog: sess.flog}
-		if len(p.Items) == 1 {
-			o.seq, o.cmd = p.Items[0].Seq, p.Items[0].Cmd
-			o.buf = p.Items[0].Buf
-		} else {
-			// A coalesced batch frame: the frame wire is freshly built by
-			// the batcher; the member items still own their per-command
-			// buffers, which flush releases after the send.
-			o.batch = p.Items
-		}
-		*out = append(*out, o)
-	}
 }
 
 // PumpFlows services every governed session at now: deferred retransmits
@@ -1011,10 +704,10 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 			continue
 		}
 		for _, n := range sess.gov.DueNacks(now) {
-			s.retransmit(&out, sess, n, now)
+			sess.retransmit(&out, n, now)
 		}
-		s.releaseFlow(&out, sess, now)
-		s.announceDemandLocked(&out, sess, now)
+		sess.releaseFlow(&out, now)
+		sess.announceDemand(&out, now)
 		if t, ok := sess.gov.NextRelease(now); ok && (!pending || t < next) {
 			next, pending = t, true
 		}
@@ -1044,49 +737,9 @@ func (s *Server) refreshCalibrationLocked(out *[]outbound, now time.Duration) {
 		oldDemand := sess.gov.Config().InitialBps
 		sess.gov.SetCosts(model)
 		if d := sess.gov.Config().InitialBps; d != oldDemand && sess.Console != "" {
-			sess.nq.OnProbe(now)
-			sess.demandBps = sess.gov.DemandBps()
-			s.send(out, sess.Console, &protocol.BandwidthRequest{SessionID: sess.ID, Bps: sess.demandBps})
+			sess.requestBandwidth(out, now)
 		}
 	}
-}
-
-// announceDemandLocked re-announces a session's bandwidth demand to its
-// console when the governor's measured demand has drifted from the last
-// announcement by more than 1/8 in either direction. The governor measures
-// bytes actually sent, so a session whose gen-2 cache absorbs most of its
-// pixel traffic shrinks its claim and the console's §7 allocator can grant
-// the freed budget to hungrier sessions; a cache gone cold grows it back.
-// The 1/8 deadband keeps steady-state traffic from emitting a
-// BandwidthRequest every pump. Callers hold s.mu.
-func (s *Server) announceDemandLocked(out *[]outbound, sess *Session, now time.Duration) {
-	if sess.gov == nil || sess.Console == "" {
-		return
-	}
-	d := sess.gov.DemandBps()
-	old := sess.demandBps
-	if old == 0 {
-		if d == 0 {
-			return
-		}
-	} else {
-		var diff uint64
-		if d > old {
-			diff = d - old
-		} else {
-			diff = old - d
-		}
-		if diff*8 <= old {
-			return
-		}
-	}
-	sess.demandBps = d
-	sess.nq.OnProbe(now)
-	s.send(out, sess.Console, &protocol.BandwidthRequest{SessionID: sess.ID, Bps: d})
-}
-
-func (s *Server) send(out *[]outbound, console string, msg protocol.Message) {
-	*out = append(*out, outbound{console: console, wire: protocol.Encode(nil, 0, msg)})
 }
 
 // SessionOf reports the session currently owning a console (nil if none).
@@ -1104,9 +757,6 @@ func (s *Server) SessionOf(console string) *Session {
 func (s *Server) SessionByUser(user string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, ok := s.byUser[user]
-	if !ok {
-		return nil
-	}
-	return s.sessions[id]
+	sess, _ := s.userSessionLocked(user)
+	return sess
 }

@@ -56,8 +56,8 @@ func (m *memTransport) msgsTo(t *testing.T, console string) []protocol.Message {
 	return out
 }
 
-func newTestServer(tr Transport) *Server {
-	s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) })
+func newTestServer(tr Transport, opts ...Option) *Server {
+	s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) }, opts...)
 	s.Auth.Register("card-alice", "alice")
 	s.Auth.Register("card-bob", "bob")
 	return s

@@ -1,0 +1,338 @@
+package server
+
+import (
+	"fmt"
+	"time"
+
+	"slim/internal/core"
+	"slim/internal/flow"
+	"slim/internal/obs"
+	"slim/internal/obs/flight"
+	"slim/internal/obs/netqual"
+	"slim/internal/obs/slo"
+	"slim/internal/protocol"
+)
+
+// Session is one user's persistent desktop: the authoritative frame buffer
+// (inside the encoder), the running application, and the console it is
+// currently displayed on (if any). The Server routes console traffic to
+// sessions; everything a session owns is built in newSessionLocked,
+// frozen by snapshot, and released in closeLocked — nowhere else. All of
+// it is guarded by Server.mu.
+type Session struct {
+	ID      uint32
+	User    string
+	Encoder *core.Encoder
+	App     Application
+	Console string // attached console ID, "" if detached
+
+	// series resolves the labeled metrics this session publishes into the
+	// server's registry (the input-to-paint histogram, the governor's
+	// gauges); closeLocked removes exactly what was resolved through it.
+	series *obs.Labeled
+	// itp is the session's live input-to-paint histogram (§3's canonical
+	// interactive-latency metric), labeled with the user name.
+	itp *obs.Histogram
+	// flog is the session's flight-recorder ring: every protocol event on
+	// this session's display path lands here, causally chained.
+	flog *flight.SessionLog
+	// gov paces display traffic to the console's bandwidth grant (§7);
+	// nil when the server runs without WithFlowControl.
+	gov *flow.Governor
+	// slo is the session's rolling SLO state (breach-rate windows, blame
+	// histogram) in the server's tracker.
+	slo *slo.SessionSLO
+	// nq is the session's passive path estimator (RTT/jitter/loss/goodput)
+	// in the server's netqual tracker. Estimators are keyed by the
+	// fleet-unique session ID, so a hotdesk migration resolves the same
+	// estimator on the destination shard and smoothed state survives.
+	nq *netqual.PathSession
+	// demandBps is the bandwidth demand last announced to the console's §7
+	// allocator; PumpFlows re-announces when the governor's measured demand
+	// drifts from it by more than 1/8.
+	demandBps uint64
+}
+
+// Governor exposes the session's send governor (nil when flow control is
+// disabled) — simulation harnesses drive its virtual-time pump directly.
+func (sess *Session) Governor() *flow.Governor { return sess.gov }
+
+// FlightLog exposes the session's flight-recorder ring.
+func (sess *Session) FlightLog() *flight.SessionLog { return sess.flog }
+
+// SLO exposes the session's rolling SLO state.
+func (sess *Session) SLO() *slo.SessionSLO { return sess.slo }
+
+// NetQual exposes the session's passive path estimator.
+func (sess *Session) NetQual() *netqual.PathSession { return sess.nq }
+
+// InputToPaint exposes the session's live input-to-paint histogram.
+func (sess *Session) InputToPaint() *obs.Histogram { return sess.itp }
+
+// newSessionLocked builds a session and enters it in the table: a blank
+// w×h desktop for a first login, or — with restore — the frozen one a
+// migration or a state file carries, its encoder resuming the snapshot's
+// sequence numbering. The session starts detached. The application is
+// built before anything is registered, so a snapshot whose application
+// state does not restore leaves no residue. Callers hold s.mu.
+func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *SessionSnapshot) (*Session, error) {
+	sess := &Session{ID: id, User: user, Encoder: core.NewEncoder(w, h)}
+	if restore != nil {
+		copy(sess.Encoder.FB.Pix, restore.Pixels)
+		sess.Encoder.ResumeAt(restore.LastSeq)
+	}
+	if s.NewApp != nil {
+		sess.App = s.NewApp(user, w, h)
+		if p, ok := sess.App.(Persistent); ok && restore != nil && restore.AppState != nil {
+			if err := p.RestoreState(restore.AppState); err != nil {
+				return nil, fmt.Errorf("server: restore %q app state: %w", user, err)
+			}
+		}
+	}
+	sess.series = s.obs.Labeled("session", user)
+	sess.itp = sess.series.Histogram("slim_input_to_paint_seconds")
+	sess.flog = s.flight.Session(id)
+	sess.slo = s.slo.Session(id, user)
+	sess.nq = s.netqual.Session(id, user)
+	sess.Encoder.Metrics = s.encMetrics
+	sess.Encoder.Parallel = s.encPool
+	sess.Encoder.Flight = sess.flog
+	if s.flowCfg != nil {
+		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.obs, sess.series))
+		if s.cal != nil && s.cal.Generation() > 0 {
+			// Sessions born after calibration converged start from the
+			// measured model, not the Table 5 constants.
+			sess.gov.SetCosts(s.cal.Model())
+		}
+	}
+	s.sessions[id] = sess
+	s.byUser[user] = id
+	s.metrics.sessions.Set(int64(len(s.sessions)))
+	return sess, nil
+}
+
+// snapshot freezes the session's server-side truth: pixels, application
+// state, and the sequence counter.
+func (sess *Session) snapshot() *SessionSnapshot {
+	sn := &SessionSnapshot{
+		ID:      sess.ID,
+		User:    sess.User,
+		W:       sess.Encoder.FB.W,
+		H:       sess.Encoder.FB.H,
+		Pixels:  append([]protocol.Pixel(nil), sess.Encoder.FB.Pix...),
+		LastSeq: sess.Encoder.LastSeq(),
+	}
+	if p, ok := sess.App.(Persistent); ok {
+		sn.AppState = p.SaveState()
+	}
+	return sn
+}
+
+// unbindLocked takes a session off its console, telling the console so.
+// Callers hold s.mu.
+func (s *Server) unbindLocked(out *[]outbound, sess *Session) {
+	if sess.Console == "" {
+		return
+	}
+	if cs, ok := s.consoles[sess.Console]; ok && cs.session == sess.ID {
+		cs.session = 0
+	}
+	send(out, sess.Console, &protocol.SessionDetach{SessionID: sess.ID})
+	sess.Console = ""
+}
+
+// closeLocked removes a session from this server: the console is unbound,
+// the governor quiesced (queued damage dies with the session here), and
+// the labeled series the session published leave the registry. The flight
+// ring, SLO state, and path estimator are keyed by the fleet-unique
+// session ID in stores shards share, so a migration (evictShared false)
+// leaves them for the importing server to resolve again; only a terminated
+// session takes them along. Callers hold s.mu.
+func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool, now time.Duration) {
+	s.unbindLocked(out, sess)
+	if sess.gov != nil {
+		sess.shed(sess.gov.Quiesce(now))
+	}
+	delete(s.sessions, sess.ID)
+	delete(s.byUser, sess.User)
+	s.metrics.sessions.Set(int64(len(s.sessions)))
+	sess.series.Remove()
+	if evictShared {
+		s.flight.Drop(sess.ID)
+		s.slo.Remove(sess.ID)
+		s.netqual.Remove(sess.ID)
+	}
+}
+
+// attach binds the session to a console and regenerates its screen there.
+// gen2 says whether this attachment negotiated the tile cache.
+func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time.Duration) {
+	sess.Console = console
+	send(out, console, &protocol.SessionAttach{SessionID: sess.ID})
+	if sess.gov != nil {
+		// Damage queued for the previous console is worthless here; the
+		// full repaint below regenerates everything. The new console also
+		// learns this session's bandwidth demand so its allocator can
+		// grant a share (§7).
+		sess.shed(sess.gov.Reset(now))
+		sess.requestBandwidth(out, now)
+	}
+	// A gen-1 console gets the plain encoding — same pixels, no
+	// CACHE_PAINT on its wire. EnableCodec2 resets the server-side cache
+	// and the repaint resets the console's (its setSession does), so both
+	// sides restart mirrored from an empty cache.
+	if gen2 {
+		sess.Encoder.EnableCodec2(0)
+	} else {
+		sess.Encoder.DisableCodec2()
+	}
+	// The console held only soft state: repaint the screen "to the exact
+	// state at which it was left" (§1.1).
+	sess.submit(out, sess.Encoder.RepaintAll(), now, false)
+}
+
+// shed accounts for commands the governor dropped before they reached the
+// wire, and recycles their buffers.
+func (sess *Session) shed(items []flow.Item) {
+	for _, it := range items {
+		if sess.flog.Armed() {
+			sess.flog.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
+		}
+		it.ReleaseWire()
+	}
+}
+
+// requestBandwidth announces the governor's current demand to the console.
+func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
+	sess.nq.OnProbe(now)
+	sess.demandBps = sess.gov.DemandBps()
+	send(out, sess.Console, &protocol.BandwidthRequest{SessionID: sess.ID, Bps: sess.demandBps})
+}
+
+// announceDemand re-announces the session's bandwidth demand when the
+// governor's measured demand has drifted from the last announcement by
+// more than 1/8 in either direction. The governor measures bytes actually
+// sent, so a session whose gen-2 cache absorbs most of its pixel traffic
+// shrinks its claim and the console's §7 allocator can grant the freed
+// budget to hungrier sessions; a cache gone cold grows it back. The 1/8
+// deadband keeps steady-state traffic from emitting a BandwidthRequest
+// every pump. The session is governed and attached.
+func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
+	d, old := sess.gov.DemandBps(), sess.demandBps
+	diff := d - old
+	if d < old {
+		diff = old - d
+	}
+	if diff*8 <= old {
+		return
+	}
+	sess.requestBandwidth(out, now)
+}
+
+// render encodes ops and queues the result for the session's console.
+func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) error {
+	for _, op := range ops {
+		if sess.flog.Armed() {
+			sess.flog.Op(int64(op.RawPixels()))
+		}
+		dgs, err := sess.Encoder.Encode(op)
+		if err != nil {
+			return err
+		}
+		sess.submit(out, dgs, now, false)
+	}
+	return nil
+}
+
+// retransmit regenerates a nacked range from the authoritative frame
+// buffer and charges the wire bytes against the governor's retransmit
+// budget, so replay storms cannot starve fresh paints. The session is
+// governed.
+func (sess *Session) retransmit(out *[]outbound, n protocol.Nack, now time.Duration) {
+	dgs := sess.Encoder.HandleNack(n)
+	var bytes int
+	for _, d := range dgs {
+		bytes += len(d.Wire)
+	}
+	sess.gov.SpendRetry(bytes)
+	sess.submit(out, dgs, now, true)
+}
+
+// submit routes display datagrams to the console: directly when the
+// session is ungoverned or has no grant yet, through the governor's
+// supersession queue and token bucket otherwise.
+func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, retrans bool) {
+	if sess.Console == "" {
+		// Detached session keeps rendering into its frame buffer; the wire
+		// goes nowhere, so its buffer returns to the pool immediately.
+		for i := range dgs {
+			dgs[i].ReleaseWire()
+		}
+		return
+	}
+	for _, d := range dgs {
+		cmd := d.Msg.Type()
+		if sess.gov != nil {
+			it := flow.Item{Seq: d.Seq, Cmd: cmd, Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: retrans}
+			res := sess.gov.Submit(now, it)
+			if !res.Pass {
+				if sess.flog.Armed() {
+					sess.flog.TxQueue(d.Seq, cmd, int64(it.Bytes()), int64(res.Depth))
+					for _, sup := range res.Superseded {
+						sess.flog.Supersede(sup.Seq, sup.Cmd, d.Seq, int64(sup.Bytes()))
+					}
+				}
+				// Shed commands never reach the wire: recycle their
+				// buffers once the flight recorder has accounted for them.
+				for i := range res.Superseded {
+					res.Superseded[i].ReleaseWire()
+				}
+				sess.shed(res.Evicted)
+				continue
+			}
+		}
+		sess.nq.OnSend(now, d.Seq, len(d.Wire), retrans)
+		*out = append(*out, outbound{
+			console: sess.Console,
+			wire:    d.Wire,
+			flog:    sess.flog,
+			seq:     d.Seq,
+			cmd:     cmd,
+			buf:     d.Buf,
+		})
+	}
+	if sess.gov != nil {
+		sess.releaseFlow(out, now)
+	}
+}
+
+// releaseFlow drains whatever the governor's token bucket permits at now.
+// The session is governed.
+func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
+	if sess.Console == "" {
+		return
+	}
+	for _, p := range sess.gov.Release(now) {
+		if sess.nq.Armed() {
+			for _, it := range p.Items {
+				sess.nq.OnSend(now, it.Seq, it.Bytes(), it.Retransmit)
+			}
+		}
+		o := outbound{console: sess.Console, wire: p.Wire, flog: sess.flog}
+		if len(p.Items) == 1 {
+			o.seq, o.cmd = p.Items[0].Seq, p.Items[0].Cmd
+			o.buf = p.Items[0].Buf
+		} else {
+			// A coalesced batch frame: the frame wire is freshly built by
+			// the batcher; the member items still own their per-command
+			// buffers, which flush releases after the send.
+			o.batch = p.Items
+		}
+		*out = append(*out, o)
+	}
+}
+
+// send queues one control message for a console.
+func send(out *[]outbound, console string, msg protocol.Message) {
+	*out = append(*out, outbound{console: console, wire: protocol.Encode(nil, 0, msg)})
+}

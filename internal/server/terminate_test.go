@@ -22,7 +22,7 @@ func TestTerminateEvictsObservability(t *testing.T) {
 	tr := newMemTransport()
 	reg := obs.NewRegistry(obs.DomainWall)
 	rec := flight.New(obs.DomainWall).Instrument(reg)
-	s := newTestServer(tr).Instrument(reg).WithFlight(rec)
+	s := newTestServer(tr, WithRegistry(reg), WithFlightRecorder(rec))
 
 	if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestTerminateEvictsObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	name := sessionHistogramName("alice")
+	name := `slim_input_to_paint_seconds{session="alice"}`
 	if _, ok := reg.Snapshot().Histograms[name]; !ok {
 		t.Fatalf("labeled histogram %q not registered while session live", name)
 	}
@@ -114,64 +114,91 @@ func sessionLabeled(snap obs.Snapshot, user string) []string {
 // input-to-paint histogram, flow-governor gauges, SLO state, path
 // estimators — Terminate must leave *zero* series carrying the session
 // label, enumerated generically so series added later fail this test
-// instead of leaking.
+// instead of leaking. ExportSession, the other teardown caller, must take
+// the per-server series (each subsystem here publishes into a registry of
+// its own, as a broker's shards do) and leave the stores shards share: the
+// session lives on under the same ID on the importing server.
 func TestTerminateEvictsAllSessionSeries(t *testing.T) {
-	tr := newMemTransport()
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
-	slt := slo.New(obs.DomainWall, slo.Config{}).Instrument(reg)
-	nqt := netqual.New(obs.DomainWall, netqual.DefaultConfig()).Instrument(reg)
-	nqt.SetEnabled(true)
-	s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
-		WithRegistry(reg), WithFlightRecorder(rec), WithSLO(slt), WithNetQual(nqt),
-		WithFlowControl(flow.Config{}))
-	s.Auth.Register("card-alice", "alice")
+	for _, tc := range []struct {
+		name       string
+		close      func(*Server) error
+		keepShared bool
+	}{
+		{"terminate", func(s *Server) error { return s.Terminate("alice") }, false},
+		{"export", func(s *Server) error { _, err := s.ExportSession("alice", 0); return err }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := newMemTransport()
+			reg := obs.NewRegistry(obs.DomainWall)
+			shared := obs.NewRegistry(obs.DomainWall)
+			rec := flight.New(obs.DomainWall).Instrument(shared)
+			slt := slo.New(obs.DomainWall, slo.Config{}).Instrument(shared)
+			nqt := netqual.New(obs.DomainWall, netqual.DefaultConfig()).Instrument(shared)
+			nqt.SetEnabled(true)
+			s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
+				WithRegistry(reg), WithFlightRecorder(rec), WithSLO(slt), WithNetQual(nqt),
+				WithFlowControl(flow.Config{}))
+			s.Auth.Register("card-alice", "alice")
 
-	if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {
-		t.Fatal(err)
-	}
-	sess := s.SessionByUser("alice")
-	if sess == nil {
-		t.Fatal("no session for alice")
-	}
-	if err := s.Handle("desk-1", &protocol.KeyEvent{Code: 'a', Down: true}, 0); err != nil {
-		t.Fatal(err)
-	}
+			if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {
+				t.Fatal(err)
+			}
+			sess := s.SessionByUser("alice")
+			if sess == nil {
+				t.Fatal("no session for alice")
+			}
+			if err := s.Handle("desk-1", &protocol.KeyEvent{Code: 'a', Down: true}, 0); err != nil {
+				t.Fatal(err)
+			}
 
-	live := sessionLabeled(reg.Snapshot(), "alice")
-	if len(live) < 4 {
-		t.Fatalf("expected per-session series from itp, flow, slo, and netqual while live, got %v", live)
-	}
-	var netqualLive bool
-	for _, name := range live {
-		if strings.HasPrefix(name, "slim_netqual_") {
-			netqualLive = true
-		}
-	}
-	if !netqualLive {
-		t.Fatalf("no slim_netqual_* series registered while session live, got %v", live)
-	}
-	if sess.SLO() == nil {
-		t.Fatal("session not SLO-instrumented")
-	}
-	if sess.NetQual() == nil {
-		t.Fatal("session not netqual-instrumented")
-	}
+			if live := sessionLabeled(reg.Snapshot(), "alice"); len(live) < 2 {
+				t.Fatalf("expected per-server series from itp and flow while live, got %v", live)
+			}
+			sharedLive := sessionLabeled(shared.Snapshot(), "alice")
+			var netqualLive bool
+			for _, name := range sharedLive {
+				if strings.HasPrefix(name, "slim_netqual_") {
+					netqualLive = true
+				}
+			}
+			if len(sharedLive) < 2 || !netqualLive {
+				t.Fatalf("expected slo and slim_netqual_* series while live, got %v", sharedLive)
+			}
+			if sess.SLO() == nil {
+				t.Fatal("session not SLO-instrumented")
+			}
+			if sess.NetQual() == nil {
+				t.Fatal("session not netqual-instrumented")
+			}
 
-	if err := s.Terminate("alice"); err != nil {
-		t.Fatal(err)
-	}
+			if err := tc.close(s); err != nil {
+				t.Fatal(err)
+			}
 
-	if leaked := sessionLabeled(reg.Snapshot(), "alice"); len(leaked) != 0 {
-		t.Errorf("per-session series survived Terminate: %v", leaked)
-	}
-	if ids := slt.SessionIDs(); len(ids) != 0 {
-		t.Errorf("slo sessions survived Terminate: %v", ids)
-	}
-	if ids := nqt.SessionIDs(); len(ids) != 0 {
-		t.Errorf("netqual estimators survived Terminate: %v", ids)
-	}
-	if ids := rec.Sessions(); len(ids) != 0 {
-		t.Errorf("flight rings survived Terminate: %v", ids)
+			if leaked := sessionLabeled(reg.Snapshot(), "alice"); len(leaked) != 0 {
+				t.Errorf("per-server series survived %s: %v", tc.name, leaked)
+			}
+			if got := reg.Snapshot().Gauges["slim_sessions"]; got != 0 {
+				t.Errorf("slim_sessions = %d after %s, want 0", got, tc.name)
+			}
+			want := 0
+			if tc.keepShared {
+				want = 1
+				if kept := sessionLabeled(shared.Snapshot(), "alice"); len(kept) != len(sharedLive) {
+					t.Errorf("shared series after export = %v, want all of %v kept", kept, sharedLive)
+				}
+			} else if leaked := sessionLabeled(shared.Snapshot(), "alice"); len(leaked) != 0 {
+				t.Errorf("shared per-session series survived Terminate: %v", leaked)
+			}
+			if ids := slt.SessionIDs(); len(ids) != want {
+				t.Errorf("slo sessions after %s: %v, want %d", tc.name, ids, want)
+			}
+			if ids := nqt.SessionIDs(); len(ids) != want {
+				t.Errorf("netqual estimators after %s: %v, want %d", tc.name, ids, want)
+			}
+			if ids := rec.Sessions(); len(ids) != want {
+				t.Errorf("flight rings after %s: %v, want %d", tc.name, ids, want)
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestInputToPaintEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainWall)
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp()).Instrument(reg)
+	srv := NewServer(fabric, WithTerminalApp(), WithMetricsRegistry(reg))
 	srv.Auth.Register("card-alice", "alice")
 
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg})
@@ -131,7 +131,7 @@ func TestDebugHandlerExposesLiveTraffic(t *testing.T) {
 // failed before — Close used to orphan the goroutine blocked in
 // ReadFromUDP.
 func TestUDPServerCloseJoinsServeGoroutine(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestUDPServerCloseJoinsServeGoroutine(t *testing.T) {
 
 // TestUDPConsoleCloseJoinsServeGoroutine: same contract on the client side.
 func TestUDPConsoleCloseJoinsServeGoroutine(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	srv.Server.Auth.Register("card-u", "udpuser")
-	con, err := DialConsole(srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-u"))
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-u"))
 	if err != nil {
 		t.Fatal(err)
 	}

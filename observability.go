@@ -96,7 +96,7 @@ type NetQualTracker = netqual.Tracker
 // servers register sessions here unless redirected, /debug/netqual serves
 // its state, and slimstat's rtt/jitter/loss columns read its gauges.
 // Disabled (observe paths cost one atomic load) until SetNetQualEnabled
-// or slimd/slimbroker -netqual.
+// or slimd -netqual.
 func NetQual() *NetQualTracker { return netqual.Default }
 
 // SetNetQualEnabled arms or disarms passive path estimation process-wide.

@@ -201,13 +201,11 @@ func runOverload(t *testing.T, governed bool, reg *obs.Registry, rec *flight.Rec
 	}
 	opts := []ServerOption{WithMetricsRegistry(reg), WithFlightRecorder(rec)}
 	if governed {
-		opts = append(opts,
-			WithCostModel(SunRay1Costs()),
-			WithFlowControl(FlowConfig{
-				InitialBps:              400_000,
-				SupersedeThresholdBytes: 4096,
-				Batch:                   true,
-			}))
+		opts = append(opts, WithFlowControl(FlowConfig{
+			InitialBps:              400_000,
+			SupersedeThresholdBytes: 4096,
+			Batch:                   true,
+		}))
 	}
 	h.srv = NewServer(h, newApp, opts...)
 

@@ -131,12 +131,9 @@ type FlowConfig = flow.Config
 // session: display traffic paces to the console's bandwidth grant, stale
 // queued damage is superseded under backpressure, and NACK retransmits
 // are budgeted so replay storms cannot starve fresh paints. The zero
-// FlowConfig takes throughput-matched defaults from the cost model.
+// FlowConfig takes throughput-matched defaults from the published Sun Ray
+// 1 cost model; set FlowConfig.Costs to derive them from another.
 func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowControl(cfg) }
-
-// WithCostModel installs the console decode cost model (Table 5) used to
-// derive flow-control demand and pacing defaults.
-func WithCostModel(cm *CostModel) ServerOption { return server.WithCostModel(cm) }
 
 // DefaultTileCacheEntries is the dirty-tile cache capacity the gen-2
 // codec's capability bit implies; a console arms its cache by setting

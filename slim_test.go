@@ -1,10 +1,19 @@
 package slim
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
 )
+
+// testContext returns a context cancelled when the test ends, so a daemon
+// or console a test forgot to Close still stops with it.
+func testContext(t *testing.T) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return ctx
+}
 
 func newFabricSystem(t *testing.T) (*Fabric, *Server) {
 	t.Helper()
@@ -135,14 +144,14 @@ func TestFabricErrors(t *testing.T) {
 }
 
 func TestUDPEndToEnd(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	srv.Server.Auth.Register("card-u", "udpuser")
 
-	con, err := DialConsole(srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-u"))
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-u"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +190,14 @@ func TestUDPEndToEnd(t *testing.T) {
 }
 
 func TestUDPMobilityAcrossConsoles(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	srv.Server.Auth.Register("card-m", "mover")
 
-	con1, err := DialConsole(srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-m"))
+	con1, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-m"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +210,7 @@ func TestUDPMobilityAcrossConsoles(t *testing.T) {
 	before := con1.Console.Framebuffer().Snapshot()
 
 	// Second console presents the same card: session moves.
-	con2, err := DialConsole(srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-m"))
+	con2, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-m"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +313,7 @@ func TestVideoAppOverFabric(t *testing.T) {
 }
 
 func TestUDPTickerStreamsVideo(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", func(user string, w, h int) Application {
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", func(user string, w, h int) Application {
 		return NewVideoApp(NewQuakeSource(120, 90, 7), Rect{W: 120, H: 90}, CSCS5, 60)
 	})
 	if err != nil {
@@ -314,7 +323,7 @@ func TestUDPTickerStreamsVideo(t *testing.T) {
 	srv.Server.Auth.Register("card-t", "tv")
 	srv.StartTicker(60)
 
-	con, err := DialConsole(srv.Addr().String(), ConsoleConfig{Width: 120, Height: 90}, TokenOf("card-t"))
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 120, Height: 90}, TokenOf("card-t"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +400,7 @@ func TestDesktopAppOverFabric(t *testing.T) {
 }
 
 func TestUDPServerSurvivesGarbage(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", WithTerminalApp())
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +426,7 @@ func TestUDPServerSurvivesGarbage(t *testing.T) {
 		}
 	}
 	// The daemon must still serve a real console afterwards.
-	con, err := DialConsole(srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-g"))
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-g"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,8 @@ func TestSLOEndToEnd(t *testing.T) {
 
 	fabric := NewFabric()
 	link := &degradedTransport{Fabric: fabric}
-	srv := NewServer(link, WithTerminalApp()).Instrument(reg).WithFlight(rec).WithSLOTracker(trk)
+	srv := NewServer(link, WithTerminalApp(),
+		WithMetricsRegistry(reg), WithFlightRecorder(rec), WithSLOTracker(trk))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
 	if err != nil {

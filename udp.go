@@ -122,15 +122,6 @@ type UDPServer struct {
 	*udpListener
 }
 
-// ListenAndServe binds a UDP address and starts a SLIM server on it.
-//
-// Deprecated: use ListenAndServeContext, which ties the daemon's lifetime
-// to a context. This wrapper is ListenAndServeContext with
-// context.Background().
-func ListenAndServe(addr string, newApp AppFactory, opts ...ServerOption) (*UDPServer, error) {
-	return ListenAndServeContext(context.Background(), addr, newApp, opts...)
-}
-
 // ListenAndServeContext binds a UDP address under ctx and starts a SLIM
 // server on it. Cancelling ctx closes the server, so callers can tie the
 // daemon's lifetime to a signal context. Options configure flow control
@@ -309,21 +300,11 @@ type UDPConsole struct {
 	ackDropped uint64
 }
 
-// DialConsole connects a console to a UDP server and sends its Hello
-// (presenting tok unless it is NoToken). It serves incoming display
-// traffic on a background goroutine until Close.
-//
-// Deprecated: use DialConsoleContext, which honors a dial deadline and
-// ties the console's lifetime to a context. This wrapper is
-// DialConsoleContext with context.Background().
-func DialConsole(serverAddr string, cfg ConsoleConfig, tok Token) (*UDPConsole, error) {
-	return DialConsoleContext(context.Background(), serverAddr, cfg, tok)
-}
-
 // DialConsoleContext connects a console to a UDP server under ctx: the
 // dial honors the context's deadline, and cancelling it afterwards closes
 // the console. The console presents tok as its smart card (NoToken boots
-// to the login screen).
+// to the login screen) and serves incoming display traffic on a background
+// goroutine until Close.
 func DialConsoleContext(ctx context.Context, serverAddr string, cfg ConsoleConfig, tok Token) (*UDPConsole, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "udp", serverAddr)
