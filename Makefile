@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke ci
+.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke loc ci
 
 all: build test
 
@@ -47,8 +47,7 @@ bench-smoke:
 # Measure the pixel-pipeline hot paths (optimized vs slowXxx reference
 # kernels, serial vs parallel encoder) and record the numbers as JSON.
 bench-json:
-	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_hotpath.json
-	@echo wrote BENCH_hotpath.json
+	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ | $(GO) run ./cmd/slimbench hotpath -o BENCH_hotpath.json
 
 # Steady-state allocation budgets on the hot paths (0 allocs/op for console
 # apply, the warm wire-emit path, the SLO observe path — disabled AND
@@ -62,7 +61,7 @@ alloc-guard:
 # until the SLO burn knee (~5s of wall time; see internal/capacity).
 # TestCommittedBench validates the artifact stays consistent with the code.
 capacity:
-	$(GO) run ./cmd/slimload -o BENCH_capacity.json
+	$(GO) run ./cmd/slimbench capacity -o BENCH_capacity.json
 
 # Two-point capacity ramp asserting the curve's shape (monotone latency,
 # well-formed points, artifact roundtrip). Runs in seconds; CI runs this.
@@ -73,7 +72,7 @@ capacity-smoke:
 # sweep over RTT 1-300ms x loss 0-10% (see internal/obs/netqual/sweep.go).
 # TestCommittedBench validates the artifact stays within the accuracy bounds.
 netqual:
-	$(GO) run ./cmd/slimnetqual -o BENCH_netqual.json
+	$(GO) run ./cmd/slimbench netqual -o BENCH_netqual.json
 
 # Single-point estimator accuracy check plus committed-artifact validation.
 # Runs in seconds; CI runs this (the full sweep is TestAccuracySweep, run
@@ -86,7 +85,7 @@ netqual-smoke:
 # bytes-on-wire table). TestCommittedBench validates the artifact stays
 # consistent with the encoders.
 codec2:
-	$(GO) run ./cmd/slimbench -workload all -codec2out BENCH_codec2.json
+	$(GO) run ./cmd/slimbench codec2 -o BENCH_codec2.json
 
 # Gen-2 codec smoke: the >=5x scroll/re-expose payload-reduction
 # acceptance bound, churn reclassification on the mixed drive, and
@@ -102,6 +101,14 @@ codec2-smoke:
 # 8-shard soak is TestFleetSoak, run by plain `go test`).
 fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke' -count 1 -v .
+
+# Counted non-test Go lines per top-level package — the number the
+# simplicity PRs report (CHANGES.md). Informational; never fails.
+loc:
+	@for d in . cmd/* internal/*; do \
+		n=$$(find $$d $$([ $$d = . ] && echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat 2>/dev/null | wc -l); \
+		printf '%7d  %s\n' $$n $$d; \
+	done
 
 # CI-style gate: static checks, race-detected tests, benchmark smoke run,
 # repository-benchmark smoke, allocation budgets, capacity-curve smoke,

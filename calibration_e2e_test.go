@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -109,7 +110,8 @@ func bandwidthRequests(t *testing.T, wires [][]byte) []uint64 {
 
 func TestCalibrationConvergesAndRepacesGovernor(t *testing.T) {
 	const slowdown = 3.0
-	reg := obs.NewRegistry(obs.DomainWall)
+	kit := NewTelemetry()
+	reg := kit.Registry
 	cal := NewCalibrator(nil).Instrument(reg) // drift measured against Table 5
 	truth := scaledCosts(slowdown)
 
@@ -118,7 +120,7 @@ func TestCalibrationConvergesAndRepacesGovernor(t *testing.T) {
 	// published Table 5 demand.
 	tr := &recordingTransport{}
 	srv := NewServer(tr, WithTerminalApp(),
-		WithMetricsRegistry(reg),
+		WithTelemetry(kit),
 		WithFlowControl(FlowConfig{Batch: true}),
 		WithCalibratedCosts(cal))
 	srv.Auth.Register("card-a", "alice")
@@ -186,7 +188,7 @@ func TestCalibrationConvergesAndRepacesGovernor(t *testing.T) {
 
 	// ... and in the /debug/costmodel JSON.
 	rw := httptest.NewRecorder()
-	CostModelHandler(cal).ServeHTTP(rw, httptest.NewRequest("GET", "/debug/costmodel", nil))
+	obs.JSONHandler(func(*http.Request) (any, error) { return cal.Status(), nil }).ServeHTTP(rw, httptest.NewRequest("GET", "/debug/costmodel", nil))
 	var doc struct {
 		Generation uint64          `json:"generation"`
 		Rows       []core.CmdDrift `json:"rows"`

@@ -8,7 +8,6 @@ import (
 
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
-	"slim/internal/obs/flight"
 	"slim/internal/protocol"
 )
 
@@ -21,11 +20,10 @@ import (
 // wire-level attribution survives the full spool/read round trip on
 // realistic mixed interactive+video traffic.
 func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
-	ring := capture.NewRing(1 << 16).Instrument(reg)
+	kit := NewTelemetry()
+	ring := capture.NewRing(1 << 16).Instrument(kit.Registry)
 	ring.SetEnabled(true)
-	runOverload(t, true, reg, rec, ring)
+	runOverload(t, true, kit, ring)
 	ring.SetEnabled(false)
 	if ring.Records() == 0 {
 		t.Fatal("ring captured nothing")

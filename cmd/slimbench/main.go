@@ -3,10 +3,16 @@
 // corpus is sized to finish in seconds; use -users and -minutes to run at
 // the paper's user-study scale.
 //
+// The hotpath, netqual, capacity and codec2 subcommands regenerate the
+// committed BENCH_*.json artifacts instead (see artifacts.go; each takes
+// -o and -h).
+//
 // Usage:
 //
 //	slimbench                      # everything, quick corpus
 //	slimbench -run fig9 -users 20  # one experiment, bigger corpus
+//	slimbench capacity -scenario wan -max-users 32 -minutes 5
+//	slimbench codec2 -o BENCH_codec2.json
 package main
 
 import (
@@ -26,6 +32,12 @@ import (
 func main() {
 	log.SetPrefix("slimbench: ")
 	log.SetFlags(0)
+	if len(os.Args) > 1 {
+		if run, ok := artifacts[os.Args[1]]; ok {
+			run(os.Args[2:])
+			return
+		}
+	}
 	users := flag.Int("users", 10, "simulated study participants per application (paper: 50)")
 	minutes := flag.Int("minutes", 10, "session minutes per user (paper: >=10)")
 	seed := flag.Uint64("seed", 1999, "corpus seed")
@@ -33,14 +45,7 @@ func main() {
 	runFor := flag.Duration("simtime", 60*time.Second, "simulated seconds per sharing data point")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	workloads := flag.String("workload", "", "codec gen-2 comparison drives (scroll|reexpose|mixed|all, comma list); runs only this and exits")
-	codec2Out := flag.String("codec2out", "", "with -workload: also write the comparison as JSON (the BENCH_codec2.json artifact)")
 	flag.Parse()
-
-	if *workloads != "" {
-		runCodec2(*workloads, *codec2Out)
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -213,36 +218,4 @@ func main() {
 		frac := experiments.EncoderOverhead(c)
 		fmt.Printf("Section 5.5: SLIM protocol generation is %.1f%% of server display-path time (paper: 1.7%% of X-server execution)\n\n", 100*frac)
 	}
-}
-
-// runCodec2 runs the gen-2 codec comparison drives and prints the
-// Figure 8-shaped bytes-on-wire table. The committed BENCH_codec2.json is
-// regenerated with `make codec2`; the drives are seeded with the pinned
-// artifact seed so the TestCommittedBench validation stays exact.
-func runCodec2(names, out string) {
-	sel := strings.Split(names, ",")
-	if names == "all" {
-		sel = workload.DriveNames
-	}
-	b := &workload.CodecBench{Schema: workload.CodecBenchSchema, Seed: workload.DefaultCodecSeed}
-	for _, n := range sel {
-		row, err := workload.RunCodecRow(strings.TrimSpace(n), workload.DefaultCodecSeed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	fmt.Print(workload.RenderCodecBench(b))
-	if out == "" {
-		return
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := workload.WriteCodecBench(f, b); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", out)
 }

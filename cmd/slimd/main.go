@@ -25,10 +25,8 @@
 //	slimd -log-level debug -log-json   # structured logging to stderr
 //
 // With -debug, the daemon serves the debug endpoint on the given address;
-// GET /debug/ for the index of everything mounted there (metrics,
-// /debug/vars, /debug/trace, /debug/costmodel, /debug/slo, /debug/hostmon,
-// /debug/incident, /debug/pprof/). The headline metric is
-// slim_input_to_paint_seconds, the paper's §3 interactive-latency figure,
+// GET /debug/ for the index of everything mounted there. The headline
+// metric is slim_input_to_paint_seconds, the paper's §3 interactive-latency figure,
 // live per session. A fleet adds slim_broker_sessions (total),
 // slim_broker_shard_sessions{shard="i"} (per-shard occupancy),
 // slim_broker_migrations_total, and slim_broker_reattach_seconds (the
@@ -185,14 +183,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	slim.SetFlightThreshold(*flightThreshold)
-	slim.SetSLOTarget(*sloTarget)
-	slim.SetSLOBudget(*sloBudget)
+	slim.FlightRecorder().SetThreshold(*flightThreshold)
+	slim.SLO().SetTarget(*sloTarget)
+	slim.SLO().SetBudget(*sloBudget)
 	if *flightDir != "" {
 		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
 			fatal("flight dump dir", "err", err)
 		}
-		slim.SetFlightDumpDir(*flightDir)
+		slim.FlightRecorder().SetDumpDir(*flightDir)
 		logger.Info("flight-recorder breach dumps on",
 			"threshold", *flightThreshold, "dir", *flightDir)
 	}

@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -58,6 +59,7 @@ import (
 	"time"
 
 	"slim/internal/netsim"
+	"slim/internal/obs"
 	"slim/internal/obs/capture"
 	"slim/internal/obs/flight"
 	"slim/internal/obs/hostmon"
@@ -132,52 +134,14 @@ func captureCmd(args []string) {
 	in := fs.String("i", "", "input .slimcap capture file")
 	perfetto := fs.String("perfetto", "", "write Chrome/Perfetto trace-event JSON here")
 	out := fs.String("o", "", "write a binary §3.1 trace here (for slimtrace stat/replay)")
-	mustParse(fs, args)
-	if *in == "" {
-		log.Fatal("capture: -i is required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h, recs, err := capture.ReadCapture(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	mustParseInput(fs, args, in)
+	h, recs := readCapture(*in)
 	rep := capture.BuildReport(h, recs)
 	if err := rep.WriteTable(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	if *perfetto != "" {
-		pf, err := os.Create(*perfetto)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = capture.WritePerfetto(pf, h, recs)
-		if cerr := pf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n", *perfetto)
-	}
-	if *out != "" {
-		tr := trace.FromCapture(recs)
-		tf, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = tr.WriteBinary(tf)
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote offline trace to %s (%d records)\n", *out, len(tr.Records))
-	}
+	writeExports(*perfetto, func(w io.Writer) error { return capture.WritePerfetto(w, h, recs) },
+		*out, func() *trace.Trace { return trace.FromCapture(recs) })
 }
 
 // netqualCmd replays a .slimcap wire capture through the passive path
@@ -188,24 +152,14 @@ func captureCmd(args []string) {
 func netqualCmd(args []string) {
 	fs := flag.NewFlagSet("netqual", flag.ExitOnError)
 	in := fs.String("i", "", "input .slimcap capture file")
-	mustParse(fs, args)
-	if *in == "" {
-		log.Fatal("netqual: -i is required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h, recs, err := capture.ReadCapture(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
+	mustParseInput(fs, args, in)
+	_, recs := readCapture(*in)
 
-	// The tracker runs in the capture's own clock domain so window reads
-	// line up with record timestamps whether the spool came from a wall
-	// transport or a simulated link.
-	tr := netqual.New(h.Domain, netqual.DefaultConfig())
+	// A replay is virtual time whichever domain the spool came from: the
+	// tracker stamps from a clock set to each record's timestamp, so
+	// window reads line up with record times.
+	clk := obs.NewClock(obs.DomainSim)
+	tr := netqual.New(clk, netqual.DefaultConfig())
 	tr.SetEnabled(true)
 
 	type replaySession struct {
@@ -246,6 +200,7 @@ func netqualCmd(args []string) {
 			continue
 		}
 		rs := lookup(rec.Console)
+		clk.Set(rec.T)
 		switch rec.Dir {
 		case capture.DirDown:
 			// Split the datagram's wire size evenly across its display
@@ -271,23 +226,23 @@ func netqualCmd(args []string) {
 					if seq > rs.maxSeq {
 						rs.maxSeq = seq
 					}
-					rs.nq.OnSend(rec.T, seq, rec.Size/display, retrans)
+					rs.nq.OnSend(seq, rec.Size/display, retrans)
 					rs.down++
 				case protocol.TypeBandwidthRequest:
-					rs.nq.OnProbe(rec.T)
+					rs.nq.OnProbe()
 				}
 			}
 		case capture.DirUp:
 			for _, m := range msgs {
 				switch v := m.(type) {
 				case *protocol.Status:
-					rs.nq.OnStatus(rec.T, v.LastSeq, v.Dropped)
+					rs.nq.OnStatus(v.LastSeq, v.Dropped)
 					rs.up++
 				case *protocol.Nack:
-					rs.nq.OnNack(rec.T, v.From, v.To)
+					rs.nq.OnNack(v.From, v.To)
 					rs.up++
 				case *protocol.BandwidthGrant:
-					rs.nq.OnGrant(rec.T)
+					rs.nq.OnGrant()
 					rs.up++
 				}
 			}
@@ -365,17 +320,7 @@ func gen(args []string) {
 	if path == "" {
 		path = fmt.Sprintf("%s-%d.trace", *app, *user)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := tr.WriteBinary(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
+	writeFile(path, tr.WriteBinary)
 	fmt.Printf("wrote %s: %d records, %d input events, %.1f minutes\n",
 		path, len(tr.Records), tr.InputCount(), tr.Duration.Minutes())
 }
@@ -396,10 +341,7 @@ func load(path string) *trace.Trace {
 func stat(args []string) {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
-	mustParse(fs, args)
-	if *in == "" {
-		log.Fatal("stat: -i is required")
-	}
+	mustParseInput(fs, args, in)
 	tr := load(*in)
 	fmt.Printf("app=%s user=%d duration=%.1f min\n", tr.App, tr.User, tr.Duration.Minutes())
 	fmt.Printf("input events: %d (%.2f/sec)\n", tr.InputCount(),
@@ -422,10 +364,7 @@ func stat(args []string) {
 func dumpJSON(args []string) {
 	fs := flag.NewFlagSet("json", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
-	mustParse(fs, args)
-	if *in == "" {
-		log.Fatal("json: -i is required")
-	}
+	mustParseInput(fs, args, in)
 	if err := load(*in).WriteJSON(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
@@ -439,10 +378,7 @@ func replay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "", "input trace file")
 	kbps := fs.Float64("kbps", 1000, "constrained link rate in Kbps")
-	mustParse(fs, args)
-	if *in == "" {
-		log.Fatal("replay: -i is required")
-	}
+	mustParseInput(fs, args, in)
 	tr := load(*in)
 	pkts := tr.Packets(0)
 	if len(pkts) == 0 {
@@ -471,16 +407,8 @@ func flightCmd(args []string) {
 	in := fs.String("i", "", "input breach dump (flight-sess*.json)")
 	perfetto := fs.String("perfetto", "", "write Chrome/Perfetto trace-event JSON here")
 	out := fs.String("o", "", "write a binary §3.1 trace here (for slimtrace stat/replay)")
-	mustParse(fs, args)
-	if *in == "" {
-		log.Fatal("flight: -i is required")
-	}
-	f, err := os.Open(*in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	d, err := flight.ReadDump(f)
-	f.Close()
+	mustParseInput(fs, args, in)
+	d, err := readDump(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -536,35 +464,8 @@ func flightCmd(args []string) {
 		}
 	}
 
-	if *perfetto != "" {
-		pf, err := os.Create(*perfetto)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = flight.WritePerfetto(pf, d.Session, d.Events)
-		if cerr := pf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n", *perfetto)
-	}
-	if *out != "" {
-		tr := trace.FromFlightDump(d)
-		tf, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = tr.WriteBinary(tf)
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote offline trace to %s (%d records)\n", *out, len(tr.Records))
-	}
+	writeExports(*perfetto, func(w io.Writer) error { return flight.WritePerfetto(w, d.Session, d.Events) },
+		*out, func() *trace.Trace { return trace.FromFlightDump(d) })
 }
 
 // blameCmd aggregates breach dumps into the per-stage attribution table.
@@ -598,12 +499,7 @@ func blameCmd(args []string) {
 	var total flight.BlameTable
 	bySession := make(map[uint32]*flight.BlameTable)
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d, err := flight.ReadDump(f)
-		f.Close()
+		d, err := readDump(path)
 		if err != nil {
 			log.Fatalf("%s: %v", path, err)
 		}
@@ -667,7 +563,7 @@ func reattribute(d *flight.Dump) flight.Verdict {
 	if chain == 0 {
 		chain = lastInput
 	}
-	return flight.AttributeWithHost(d.Events, chain, asOf, d.HostWindows)
+	return flight.Attribute(d.Events, chain, asOf, d.HostWindows)
 }
 
 // incidentCmd lists a bundle directory (-dir) or summarizes one bundle
@@ -770,12 +666,7 @@ func incidentCmd(args []string) {
 		sort.Strings(dumps)
 		var table flight.BlameTable
 		for _, path := range dumps {
-			f, err := os.Open(path)
-			if err != nil {
-				continue
-			}
-			d, err := flight.ReadDump(f)
-			f.Close()
+			d, err := readDump(path)
 			if err != nil {
 				continue
 			}
@@ -789,6 +680,70 @@ func incidentCmd(args []string) {
 		if err := table.Format(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
+	}
+}
+
+// readCapture loads a .slimcap wire capture.
+func readCapture(path string) (capture.Header, []capture.Record) {
+	f, err := os.Open(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	h, recs, err := capture.ReadCapture(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return h, recs
+}
+
+// readDump loads one flight-recorder breach dump.
+func readDump(path string) (*flight.Dump, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return flight.ReadDump(f)
+}
+
+// writeFile creates path and fills it through write; any failure,
+// including the close, is fatal.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// writeExports writes the two optional exports the capture and flight
+// subcommands share: a Perfetto trace-event file and a binary §3.1 trace
+// for slimtrace stat/replay. An empty path skips that export.
+func writeExports(perfetto string, writePerfetto func(io.Writer) error, out string, toTrace func() *trace.Trace) {
+	if perfetto != "" {
+		writeFile(perfetto, writePerfetto)
+		fmt.Printf("wrote Perfetto trace to %s (load at ui.perfetto.dev)\n", perfetto)
+	}
+	if out != "" {
+		tr := toTrace()
+		writeFile(out, tr.WriteBinary)
+		fmt.Printf("wrote offline trace to %s (%d records)\n", out, len(tr.Records))
+	}
+}
+
+// mustParseInput is mustParse for the subcommands that cannot run without
+// their -i input file.
+func mustParseInput(fs *flag.FlagSet, args []string, in *string) {
+	mustParse(fs, args)
+	if *in == "" {
+		log.Fatalf("%s: -i is required", fs.Name())
 	}
 }
 

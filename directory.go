@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"slim/internal/broker"
-	"slim/internal/obs"
 	"slim/internal/server"
 )
 
@@ -135,17 +134,18 @@ func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
 // their shards, as the architecture demands).
 //
 // Every shard inherits the broker-level options — WithLogger,
-// WithSLOTracker, WithFlowControl, WithFlightRecorder,
-// WithParallelEncoding — from the one list passed here, so callers stop
-// re-threading them per server. Two settings are virtualized per shard
-// rather than inherited verbatim:
+// WithTelemetry, WithFlowControl, WithParallelEncoding — from the one
+// list passed here, so callers stop re-threading them per server. Two
+// settings are virtualized per shard rather than inherited verbatim:
 //
-//   - Metrics: each shard gets a private registry (same-named server
-//     gauges from different shards would clobber each other), and the
-//     broker republishes the fleet view into the WithMetricsRegistry
-//     registry (obs.Default if none) as slim_broker_* series with
-//     shard-labeled session gauges. Per-shard registries remain reachable
-//     via Shard(i).Obs().
+//   - Metrics: each shard gets a copy of the telemetry kit with a private
+//     registry (same-named server gauges from different shards would
+//     clobber each other) but the shared recorder, SLO tracker and path
+//     estimator, so a migrated session resolves the state it already has.
+//     The broker republishes the fleet view into the kit's own registry
+//     as slim_broker_* series with shard-labeled session gauges.
+//     Per-shard registries remain reachable via
+//     Shard(i).Telemetry().Registry.
 //   - Session IDs: shard i issues IDs from a disjoint base so IDs stay
 //     unique fleet-wide across migrations.
 func NewBroker(ctx context.Context, cfg BrokerConfig, t Transport, newApp AppFactory, opts ...ServerOption) (*Broker, error) {
@@ -157,13 +157,13 @@ func NewBroker(ctx context.Context, cfg BrokerConfig, t Transport, newApp AppFac
 		Shards:       cfg.Shards,
 		Policy:       cfg.Routing,
 		MigrateSlack: cfg.MigrateSlack,
-		Registry:     res.Registry,
+		Registry:     res.Telemetry.Registry,
 		Logger:       res.Logger,
 		NewShard: func(i int) *server.Server {
 			shardOpts := make([]ServerOption, 0, len(opts)+2)
 			shardOpts = append(shardOpts, opts...)
 			shardOpts = append(shardOpts,
-				server.WithRegistry(obs.NewRegistry(obs.DomainWall)),
+				server.WithTelemetry(res.Telemetry.Shard()),
 				server.WithSessionIDBase(uint32(i)*broker.ShardIDSpace))
 			return server.New(t, newApp, shardOpts...)
 		},

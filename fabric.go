@@ -9,6 +9,7 @@ import (
 
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -66,7 +67,7 @@ type Fabric struct {
 	draining bool
 
 	metrics *fabricMetrics
-	// capture is the wire tap (capture.Default unless redirected by
+	// capture is the wire tap (telemetry.Default's unless redirected by
 	// SetCapture): both directions of every desk's traffic are recorded
 	// at virtual time when the ring is enabled.
 	capture *capture.Ring
@@ -82,8 +83,8 @@ func NewFabric() *Fabric {
 	return &Fabric{
 		consoles: make(map[string]*Console),
 		servers:  make(map[string]SessionHandler),
-		metrics:  newFabricMetrics(obs.Default),
-		capture:  capture.Default,
+		metrics:  newFabricMetrics(telemetry.Default.Registry),
+		capture:  telemetry.Default.Capture,
 	}
 }
 
@@ -217,8 +218,8 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 			// Flight-record the loss outside f.mu: SessionOf takes the
 			// server lock, and console replies already order s.mu → f.mu.
 			if srv != nil {
-				if sess := srv.SessionOf(consoleID); sess != nil && sess.FlightLog().Armed() {
-					sess.FlightLog().Drop(binary.BigEndian.Uint32(wire[4:8]),
+				if sess := srv.SessionOf(consoleID); sess != nil && sess.Telemetry().Flight.Armed() {
+					sess.Telemetry().Flight.Drop(binary.BigEndian.Uint32(wire[4:8]),
 						protocol.MsgType(wire[3]), int64(len(wire)))
 				}
 			}

@@ -84,11 +84,12 @@ func TestFleetSoak(t *testing.T) {
 		hotdesks = 600
 	)
 	fabric := newMeteredFabric()
-	reg := obs.NewRegistry(obs.DomainWall)
+	kit := NewTelemetry()
+	reg := kit.Registry
 	b, err := NewBroker(context.Background(), BrokerConfig{
 		Shards:  shards,
 		Routing: RouteLeastLoaded,
-	}, fabric, WithTerminalApp(), WithMetricsRegistry(reg))
+	}, fabric, WithTerminalApp(), WithTelemetry(kit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,12 @@ func TestFleetSoak(t *testing.T) {
 // pixel-identical screens and a stable session ID across the migration.
 func TestFleetSmoke(t *testing.T) {
 	fabric := newMeteredFabric()
-	reg := obs.NewRegistry(obs.DomainWall)
+	kit := NewTelemetry()
+	reg := kit.Registry
 	b, err := NewBroker(context.Background(), BrokerConfig{
 		Shards:  2,
 		Routing: RouteLeastLoaded,
-	}, fabric, WithTerminalApp(), WithMetricsRegistry(reg))
+	}, fabric, WithTerminalApp(), WithTelemetry(kit))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"slim/internal/netsim"
-	"slim/internal/obs"
 	"slim/internal/obs/flight"
 	"slim/internal/protocol"
 )
@@ -40,8 +39,8 @@ func (s *slowTransport) Send(console string, wire []byte) error {
 // protocol sequence numbers, and /debug/trace serves the same events as
 // loadable Perfetto JSON.
 func TestFlightBreachEndToEnd(t *testing.T) {
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
+	kit := NewTelemetry()
+	reg, rec := kit.Registry, kit.Flight
 	dir := t.TempDir()
 	rec.SetDumpDir(dir)
 
@@ -49,7 +48,7 @@ func TestFlightBreachEndToEnd(t *testing.T) {
 	// 2400 bps: a ~60-byte glyph datagram plus frame overhead serializes
 	// in ~340 ms, comfortably past the 150 ms default threshold.
 	slow := &slowTransport{Fabric: fabric, link: netsim.Link{Bps: 2400}}
-	srv := NewServer(slow, WithTerminalApp(), WithMetricsRegistry(reg), WithFlightRecorder(rec))
+	srv := NewServer(slow, WithTerminalApp(), WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
@@ -61,7 +60,7 @@ func TestFlightBreachEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.SessionByUser("alice")
-	if sess == nil || sess.FlightLog() == nil {
+	if sess == nil || sess.Telemetry().Flight == nil {
 		t.Fatal("session flight log not wired")
 	}
 
@@ -200,14 +199,14 @@ func TestFlightBreachEndToEnd(t *testing.T) {
 // whole pipeline must record nothing and dump nothing, whatever the
 // latency.
 func TestFlightDisabledRecorderStaysCold(t *testing.T) {
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
+	kit := NewTelemetry()
+	reg, rec := kit.Registry, kit.Flight
 	rec.SetEnabled(false)
 	rec.SetDumpDir(t.TempDir())
 	rec.SetThreshold(time.Nanosecond) // everything would breach if armed
 
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithMetricsRegistry(reg), WithFlightRecorder(rec))
+	srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(kit))
 	srv.Auth.Register("card-bob", "bob")
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
 	if err != nil {

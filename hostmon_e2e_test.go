@@ -53,24 +53,24 @@ func TestHostStressEndToEnd(t *testing.T) {
 		target = 30 * time.Millisecond
 		stall  = 60 * time.Millisecond // injected per display datagram
 	)
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
+	kit := NewTelemetry()
+	reg, rec := kit.Registry, kit.Flight
 	rec.SetThreshold(target)
 	rec.SetDumpGap(0)
 	dumpDir := t.TempDir()
 	rec.SetDumpDir(dumpDir)
-	trk := slo.New(obs.DomainWall, slo.Config{
+	kit.SLO = slo.New(obs.Wall, slo.Config{
 		Target: target,
 		Short:  400 * time.Millisecond,
 		Mid:    1600 * time.Millisecond,
 		Long:   6400 * time.Millisecond,
 	}).Instrument(reg)
+	trk := kit.SLO
 
 	// The monitor shares the recorder's clock so its stall windows overlap
 	// ring events directly. Any GC pause counts as evidence; CPU-stall
 	// detection is parked so the verdict kind is deterministic.
-	mon := hostmon.New(hostmon.Config{
-		Clock:             rec.Clock,
+	mon := hostmon.New(kit.Clock, hostmon.Config{
 		GCPauseThreshold:  time.Nanosecond,
 		CPUStallThreshold: time.Hour,
 	}).Instrument(reg)
@@ -94,7 +94,7 @@ func TestHostStressEndToEnd(t *testing.T) {
 	fabric := NewFabric()
 	link := &gcStressLink{Fabric: fabric, mon: mon}
 	srv := NewServer(link, WithTerminalApp(),
-		WithMetricsRegistry(reg), WithFlightRecorder(rec), WithSLOTracker(trk))
+		WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"slim/internal/obs"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 	"slim/internal/server"
 )
@@ -80,7 +81,7 @@ type Config struct {
 	NewShard func(i int) *server.Server
 	// Registry receives the broker's fleet metrics — the per-shard session
 	// rollup gauges, migration and routing counters, and (wall registries
-	// only) the reattach-latency histogram. Nil means obs.Default.
+	// only) the reattach-latency histogram. Nil means telemetry.Default's.
 	Registry *obs.Registry
 	// Logger receives broker lifecycle events (attach, migrate, evict);
 	// nil is silent.
@@ -146,7 +147,7 @@ func New(cfg Config) (*Broker, error) {
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		reg = obs.Default
+		reg = telemetry.Default.Registry
 	}
 	b := &Broker{
 		auth:     server.NewAuthManager(),
@@ -653,15 +654,15 @@ func (b *Broker) rollupNetQual() {
 	loss := make([]int64, len(b.shards))
 	goodput := make([]float64, len(b.shards))
 	for _, o := range sessions {
-		t := b.shards[o.shard].NetQualTracker()
-		if t == nil || !t.Enabled() {
+		tel := b.shards[o.shard].Telemetry()
+		if !tel.NetQual.Enabled() {
 			continue
 		}
-		s := t.Lookup(o.id)
+		s := tel.NetQual.Lookup(o.id)
 		if s == nil {
 			continue
 		}
-		now := t.Now()
+		now := tel.Clock.Now()
 		if v := int64(s.SRTT()); v > srtt[o.shard] {
 			srtt[o.shard] = v
 		}

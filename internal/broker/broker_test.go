@@ -9,6 +9,7 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/obs"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 	"slim/internal/server"
 )
@@ -42,7 +43,8 @@ func (f *fleetTransport) count(console string) int {
 func newTestFleet(t testing.TB, shards int, policy Policy, slack int) (*Broker, *fleetTransport, *obs.Registry) {
 	t.Helper()
 	tr := newFleetTransport()
-	reg := obs.NewRegistry(obs.DomainWall)
+	fleet := telemetry.New(obs.DomainWall)
+	reg := fleet.Registry
 	b, err := New(Config{
 		Shards:       shards,
 		Policy:       policy,
@@ -51,7 +53,7 @@ func newTestFleet(t testing.TB, shards int, policy Policy, slack int) (*Broker, 
 		NewShard: func(i int) *server.Server {
 			return server.New(tr,
 				func(user string, w, h int) server.Application { return server.NewTerminal(w, h) },
-				server.WithRegistry(obs.NewRegistry(obs.DomainWall)),
+				server.WithTelemetry(fleet.Shard()),
 				server.WithSessionIDBase(uint32(i)*ShardIDSpace))
 		},
 	})
@@ -390,15 +392,16 @@ func BenchmarkBrokerKeystroke(b *testing.B) {
 // broker silently never negotiates the tile cache.
 func TestBrokerForwardsConsoleCaps(t *testing.T) {
 	tr := newFleetTransport()
+	fleet := telemetry.New(obs.DomainWall)
 	b, err := New(Config{
 		Shards:       2,
 		Policy:       RouteLeastLoaded,
 		MigrateSlack: 1,
-		Registry:     obs.NewRegistry(obs.DomainWall),
+		Registry:     fleet.Registry,
 		NewShard: func(i int) *server.Server {
 			return server.New(tr,
 				func(user string, w, h int) server.Application { return server.NewTerminal(w, h) },
-				server.WithRegistry(obs.NewRegistry(obs.DomainWall)),
+				server.WithTelemetry(fleet.Shard()),
 				server.WithSessionIDBase(uint32(i)*ShardIDSpace),
 				server.WithCodec2())
 		},

@@ -23,7 +23,6 @@
 package capacity
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -190,20 +189,6 @@ type Bench struct {
 // BenchSchema versions the document shape for the CI smoke test.
 const BenchSchema = "slim-capacity/v1"
 
-// WriteBench writes the document as indented JSON.
-func WriteBench(w io.Writer, b Bench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReadBench parses a BENCH_capacity.json document.
-func ReadBench(r io.Reader) (Bench, error) {
-	var b Bench
-	err := json.NewDecoder(r).Decode(&b)
-	return b, err
-}
-
 // Progress receives one line per completed ramp point (nil discards).
 type Progress func(Point)
 
@@ -289,7 +274,7 @@ func runPoint(sc Scenario, profiles []*workload.Profile) Point {
 	serialize := link.SerializeTime(probeBytes)
 	recovery := period/2 + 2*sc.Prop + 2*serialize
 
-	tracker := slo.New(obs.DomainSim, sc.SLO)
+	tracker := slo.New(obs.NewClock(obs.DomainSim), sc.SLO)
 	sess := tracker.Session(1, "yardstick")
 	lat := stats.NewCDF(events)
 	for i := 0; i < events; i++ {
@@ -328,7 +313,7 @@ func runPoint(sc Scenario, profiles []*workload.Profile) Point {
 	}
 }
 
-// FormatCurve renders a curve as the slimload progress table.
+// FormatCurve renders a curve as the `slimbench capacity` progress table.
 func FormatCurve(w io.Writer, c Curve) error {
 	if _, err := fmt.Fprintf(w, "%s: link %.0f Mbps, %d CPUs, loss %.1f%%\n",
 		c.Scenario.Name, c.Scenario.LinkBps/1e6, c.Scenario.CPUs, 100*c.Scenario.LossPct); err != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"slim/internal/benchfile"
 	"slim/internal/workload"
 )
 
@@ -49,13 +51,16 @@ func TestCapacitySmoke(t *testing.T) {
 			lo.P95Ms, lo.Users, hi.P95Ms, hi.Users)
 	}
 
-	var buf bytes.Buffer
-	b := Bench{Schema: BenchSchema, Scenarios: []Curve{curve}}
-	if err := WriteBench(&buf, b); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_capacity.json")
+	if err := benchfile.Write(path, Bench{Schema: BenchSchema, Scenarios: []Curve{curve}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBench(&buf)
+	raw, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Bench
+	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Schema != BenchSchema || len(got.Scenarios) != 1 {
@@ -129,18 +134,8 @@ func TestDefaults(t *testing.T) {
 // their knees. A ramp change that regenerates BENCH_capacity.json keeps
 // this green; one that forgets to regenerate it fails here.
 func TestCommittedBench(t *testing.T) {
-	f, err := os.Open("../../BENCH_capacity.json")
-	if err != nil {
-		t.Skipf("no committed artifact: %v", err)
-	}
-	defer f.Close()
-	b, err := ReadBench(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Schema != BenchSchema {
-		t.Fatalf("schema %q, want %q (regenerate with: make capacity)", b.Schema, BenchSchema)
-	}
+	var b Bench
+	benchfile.Committed(t, "BENCH_capacity.json", BenchSchema, "make capacity", &b)
 	if len(b.Scenarios) < 2 {
 		t.Fatalf("want lan + wan scenarios, got %d", len(b.Scenarios))
 	}

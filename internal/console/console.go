@@ -16,6 +16,7 @@ import (
 	"slim/internal/fb"
 	"slim/internal/obs"
 	"slim/internal/obs/flight"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 	"slim/internal/stats"
 )
@@ -40,13 +41,13 @@ type Config struct {
 	// discarded).
 	AudioBuffer time.Duration
 	// Obs is the wall-clock registry live metrics publish into
-	// (obs.Default if nil). Modelled (virtual-time) observations always go
-	// to obs.Sim, never here.
+	// (telemetry.Default's if nil). Modelled (virtual-time) observations
+	// always go to obs.Sim, never here.
 	Obs *obs.Registry
 	// Flight is the causal flight recorder the console records the RX,
 	// DECODE, PAINT, and DROP legs of each command's chain into
-	// (flight.Default if nil). In-process deployments share one recorder
-	// with the server, so both ends of the wire land in one ring.
+	// (telemetry.Default's if nil). In-process deployments share one
+	// recorder with the server, so both ends of the wire land in one ring.
 	Flight *flight.Recorder
 	// Calibrator, when non-nil, receives one (pixels, decode time) sample
 	// per display command so the §4.3 cost model can be re-fit against
@@ -107,10 +108,10 @@ func New(cfg Config) (*Console, error) {
 		cfg.TotalBps = 100_000_000
 	}
 	if cfg.Obs == nil {
-		cfg.Obs = obs.Default
+		cfg.Obs = telemetry.Default.Registry
 	}
 	if cfg.Flight == nil {
-		cfg.Flight = flight.Default
+		cfg.Flight = telemetry.Default.Flight
 	}
 	c := &Console{
 		cfg:          cfg,

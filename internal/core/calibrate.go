@@ -16,9 +16,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -311,21 +309,19 @@ func (c *Calibrator) Drift() []CmdDrift {
 	return out
 }
 
-// costModelJSON is the /debug/costmodel document.
-type costModelJSON struct {
+// CostModelStatus is the /debug/costmodel document.
+type CostModelStatus struct {
 	Generation uint64     `json:"generation"`
 	Baseline   string     `json:"baseline"`
 	Rows       []CmdDrift `json:"rows"`
 }
 
-// WriteJSON writes the calibration state as the /debug/costmodel document.
-func (c *Calibrator) WriteJSON(w io.Writer) error {
-	doc := costModelJSON{Baseline: "table5 (Sun Ray 1)"}
+// Status reports the calibration state as the /debug/costmodel document.
+func (c *Calibrator) Status() CostModelStatus {
+	doc := CostModelStatus{Baseline: "table5 (Sun Ray 1)"}
 	if c != nil {
 		doc.Generation = c.Generation()
 		doc.Rows = c.Drift()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return doc
 }

@@ -121,7 +121,7 @@ func TestCalibratorGaugesAndJSON(t *testing.T) {
 		t.Fatalf("samples counter = %d", snap.Counters[`slim_costmodel_samples_total{cmd="SET"}`])
 	}
 	var sb strings.Builder
-	if err := c.WriteJSON(&sb); err != nil {
+	if err := obs.WriteJSON(&sb, c.Status()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"generation"`, `"baseline"`, `"cmd": "SET"`, `"drift_pct"`} {
@@ -139,7 +139,7 @@ func TestNilCalibratorInert(t *testing.T) {
 		t.Fatal("nil calibrator not inert")
 	}
 	var sb strings.Builder
-	if err := c.WriteJSON(&sb); err != nil {
+	if err := obs.WriteJSON(&sb, c.Status()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"generation": 0`) {

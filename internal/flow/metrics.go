@@ -34,8 +34,9 @@ type Metrics struct {
 // NewMetrics resolves the flow instrument family: the shared totals in r,
 // the per-session gauges through session, whose owner evicts them with
 // session.Remove when the session ends. The registry's clock domain is the
-// caller's choice: wall transports use obs.Default, virtual-time
-// simulations obs.Sim — pacing delays then carry that domain's time.
+// caller's choice: wall transports use the telemetry kit's registry,
+// virtual-time simulations obs.Sim — pacing delays then carry that
+// domain's time.
 func NewMetrics(r *obs.Registry, session *obs.Labeled) *Metrics {
 	return &Metrics{
 		submitted:   r.Counter("slim_flow_submitted_total"),

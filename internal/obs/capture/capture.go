@@ -86,8 +86,8 @@ type slot struct {
 	wire []byte
 }
 
-// DefaultSlots is the ring size used by NewRing(0) and the process-wide
-// Default ring: at a datagram per slot it holds several seconds of typical
+// DefaultSlots is the ring size used by NewRing(0) and the default
+// telemetry kit's ring: at a datagram per slot it holds several seconds of typical
 // interactive traffic between spools.
 const DefaultSlots = 8192
 
@@ -99,11 +99,6 @@ func NewRing(slots int) *Ring {
 	}
 	return &Ring{slots: make([]slot, slots)}
 }
-
-// Default is the process-wide wall-clock capture ring. The udp transport
-// taps it; it is instrumented in obs.Default so /metrics shows capture
-// volume and ring drops.
-var Default = NewRing(0).Instrument(obs.Default)
 
 // Instrument resolves the ring's counters and gauges in reg and returns the
 // ring. slim_capture_enabled reports the gate so dashboards can tell "no
@@ -126,12 +121,10 @@ func (r *Ring) SetEnabled(on bool) {
 		return
 	}
 	r.enabled.Store(on)
-	if r.mEnabled != nil {
-		if on {
-			r.mEnabled.Set(1)
-		} else {
-			r.mEnabled.Set(0)
-		}
+	if on {
+		r.mEnabled.Set(1)
+	} else {
+		r.mEnabled.Set(0)
 	}
 }
 
@@ -179,9 +172,7 @@ func (r *Ring) tap(rec Record, wire []byte) {
 	if r.n == len(r.slots) {
 		r.mu.Unlock()
 		r.drops.Add(1)
-		if r.mDrops != nil {
-			r.mDrops.Add(1)
-		}
+		r.mDrops.Add(1)
 		return
 	}
 	s := &r.slots[(r.head+r.n)%len(r.slots)]
@@ -196,10 +187,8 @@ func (r *Ring) tap(rec Record, wire []byte) {
 	r.mu.Unlock()
 	r.records.Add(1)
 	r.bytes.Add(uint64(rec.Size))
-	if r.mRecords != nil {
-		r.mRecords.Add(1)
-		r.mBytes.Add(int64(rec.Size))
-	}
+	r.mRecords.Add(1)
+	r.mBytes.Add(int64(rec.Size))
 }
 
 // Drain removes and returns every buffered record. The returned records own

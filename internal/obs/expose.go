@@ -1,14 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strings"
 )
 
@@ -45,21 +45,18 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	snap := r.Snapshot()
 	typed := make(map[string]bool) // base names already given a # TYPE line
 
-	for _, name := range sortedKeys(snap.Counters) {
-		base, labels := splitName(name)
-		if !typed[base] {
-			fmt.Fprintf(w, "# TYPE %s counter\n", base)
-			typed[base] = true
+	for _, kind := range []struct {
+		name   string
+		values map[string]int64
+	}{{"counter", snap.Counters}, {"gauge", snap.Gauges}} {
+		for _, name := range sortedKeys(kind.values) {
+			base, labels := splitName(name)
+			if !typed[base] {
+				fmt.Fprintf(w, "# TYPE %s %s\n", base, kind.name)
+				typed[base] = true
+			}
+			fmt.Fprintf(w, "%s %d\n", promName(base, labels, ""), kind.values[name])
 		}
-		fmt.Fprintf(w, "%s %d\n", promName(base, labels, ""), snap.Counters[name])
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		base, labels := splitName(name)
-		if !typed[base] {
-			fmt.Fprintf(w, "# TYPE %s gauge\n", base)
-			typed[base] = true
-		}
-		fmt.Fprintf(w, "%s %d\n", promName(base, labels, ""), snap.Gauges[name])
 	}
 	for _, name := range sortedKeys(snap.Histograms) {
 		h := snap.Histograms[name]
@@ -82,44 +79,79 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// WriteJSON renders the registry snapshot as a single JSON object — the
-// expvar-style view served at /debug/vars and consumed by cmd/slimstat.
-func (r *Registry) WriteJSON(w io.Writer) error {
+// WriteJSON encodes v the way every /debug document and incident-bundle
+// snapshot is written: indented JSON, one trailing newline.
+func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return enc.Encode(v)
 }
 
-// DebugMux builds the slimd debug endpoint over the given registries
-// (conventionally Default and Sim):
-//
-//	/metrics       Prometheus text, all registries concatenated
-//	/debug/vars    JSON snapshots keyed by clock domain
-//	/debug/pprof/  the standard net/http/pprof profiles
-//
-// Mount it on any address with http.ListenAndServe, or pass it to
-// ServeDebug for the canonical background server.
-func DebugMux(regs ...*Registry) *http.ServeMux {
-	if len(regs) == 0 {
-		regs = []*Registry{Default, Sim}
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+// StatusError is an error a JSONHandler callback returns to choose the
+// HTTP status of the error document; any other error answers 500.
+type StatusError struct {
+	Code int
+	Msg  string
+}
+
+func (e StatusError) Error() string { return e.Msg }
+
+// JSONHandler serves the document status returns as indented JSON — the
+// one handler behind every JSON debug endpoint, so they all send the same
+// Content-Type and treat failure the same way: the document is encoded
+// before anything is written, and an error from status or from the encoder
+// answers {"error": "..."} under an error status instead of a truncated
+// 200.
+func JSONHandler(status func(*http.Request) (any, error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var buf bytes.Buffer
+		code := http.StatusOK
+		doc, err := status(r)
+		if err == nil {
+			err = WriteJSON(&buf, doc)
+		}
+		if err != nil {
+			code = http.StatusInternalServerError
+			var se StatusError
+			if errors.As(err, &se) {
+				code = se.Code
+			}
+			buf.Reset()
+			_ = WriteJSON(&buf, map[string]string{"error": err.Error()})
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.WriteHeader(code)
+		_, _ = w.Write(buf.Bytes())
+	})
+}
+
+// MetricsHandler serves every metric of regs, concatenated, in Prometheus
+// text exposition format — /metrics on the debug endpoint.
+func MetricsHandler(regs ...*Registry) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		for _, r := range regs {
 			r.WritePrometheus(w)
 		}
 	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+}
+
+// VarsHandler serves JSON snapshots of regs keyed by clock domain — the
+// expvar-style /debug/vars view cmd/slimstat consumes.
+func VarsHandler(regs ...*Registry) http.Handler {
+	return JSONHandler(func(*http.Request) (any, error) {
 		domains := make(map[string]Snapshot, len(regs))
 		for _, r := range regs {
 			domains[string(r.Domain())] = r.Snapshot()
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(domains)
+		return domains, nil
 	})
+}
+
+// PprofHandler serves the standard net/http/pprof profiles; mount it at
+// /debug/pprof/.
+func PprofHandler() http.Handler {
+	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -127,26 +159,6 @@ func DebugMux(regs ...*Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// ServeDebug starts the debug endpoint on addr in a background goroutine
-// and returns the server (Close to stop) once the listener is bound, so
-// callers learn about bad addresses immediately.
-func ServeDebug(addr string, regs ...*Registry) (*http.Server, error) {
-	srv := &http.Server{Addr: addr, Handler: DebugMux(regs...)}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, nil
-}
-
-// SortedHistogramNames lists a snapshot's histogram names in stable order
-// (for terminal renderers like slimstat).
-func (s Snapshot) SortedHistogramNames() []string { return sortedKeys(s.Histograms) }
-
-// SortedCounterNames lists a snapshot's counter names in stable order.
-func (s Snapshot) SortedCounterNames() []string { return sortedKeys(s.Counters) }
 
 // CounterSum adds up every counter whose base name matches base, across
 // label variants — e.g. the total commands over all per-type counters.
@@ -158,32 +170,4 @@ func (s Snapshot) CounterSum(base string) int64 {
 		}
 	}
 	return n
-}
-
-// HistogramMerge folds every histogram whose base name matches base into
-// one snapshot (summing buckets, counts, and sums, recomputing
-// percentiles) — e.g. input-to-paint over all sessions.
-func (s Snapshot) HistogramMerge(base string) HistogramSnapshot {
-	var out HistogramSnapshot
-	names := make([]string, 0, 4)
-	for name := range s.Histograms {
-		if b, _ := splitName(name); b == base {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var total int64
-	for _, name := range names {
-		h := s.Histograms[name]
-		out.Count += h.Count
-		out.SumSeconds += h.SumSeconds
-		for i, n := range h.Buckets {
-			out.Buckets[i] += n
-			total += n
-		}
-	}
-	out.P50 = quantileFromBuckets(out.Buckets, total, 0.50)
-	out.P95 = quantileFromBuckets(out.Buckets, total, 0.95)
-	out.P99 = quantileFromBuckets(out.Buckets, total, 0.99)
-	return out
 }

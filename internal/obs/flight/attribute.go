@@ -92,10 +92,9 @@ func (s *Stage) UnmarshalJSON(b []byte) error {
 
 // HostWindow is one interval during which the host runtime was unable to
 // run goroutines promptly: a garbage-collection pause or a CPU-starvation
-// episode, as detected by the hostmon sampler. Timestamps are in the same
-// clock as the flight ring's events (for the default wall recorder:
-// monotonic time since the recorder's epoch), so attribution can overlap
-// them directly against a breach's causal chain.
+// episode, as detected by the hostmon sampler. Timestamps are on the same
+// obs.Clock as the flight ring's events, so attribution can overlap them
+// directly against a breach's causal chain.
 type HostWindow struct {
 	// Start and End bound the window in ring time. An in-progress window
 	// ends at the detector's last sample.
@@ -108,9 +107,6 @@ type HostWindow struct {
 	// inside the window, in nanoseconds.
 	WorstNs int64 `json:"worst_ns,omitempty"`
 }
-
-// Duration is the window's length.
-func (w HostWindow) Duration() time.Duration { return w.End - w.Start }
 
 // overlap is the length of the intersection of [w.Start, w.End] with
 // [from, to], zero when disjoint.
@@ -200,22 +196,19 @@ type seqPath struct {
 
 // Attribute walks a session's recorded events and classifies the dominant
 // latency stage for the given input chain, as of time asOf (the breach
-// detection time, in the ring's clock domain). The walk is defensive about
-// ring truncation: if the chain's INPUT event — or every command it
-// encoded — has already been overwritten, the verdict is UNATTRIBUTED
-// rather than a guess from partial evidence.
-func Attribute(evs []Event, chain uint64, asOf time.Duration) Verdict {
-	return AttributeWithHost(evs, chain, asOf, nil)
-}
-
-// AttributeWithHost is Attribute with host-runtime evidence: hostWins are
-// the GC-pause and CPU-starvation windows recorded around the breach (ring
-// clock). When the chain's lifetime overlaps them for at least as long as
-// the dominant pipeline stage ran, the verdict is HOST — the stall is
-// explained by the host runtime, and whatever stage the time landed in was
-// a victim, not a cause. Smaller overlaps are kept as evidence (HostNs,
-// HostKind) without changing the blame.
-func AttributeWithHost(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWindow) Verdict {
+// detection time, on the ring's clock). The walk is defensive about ring
+// truncation: if the chain's INPUT event — or every command it encoded —
+// has already been overwritten, the verdict is UNATTRIBUTED rather than a
+// guess from partial evidence.
+//
+// hostWins, when not nil, are the GC-pause and CPU-starvation windows
+// recorded around the breach (same clock). When the chain's lifetime
+// overlaps them for at least as long as the dominant pipeline stage ran,
+// the verdict is HOST — the stall is explained by the host runtime, and
+// whatever stage the time landed in was a victim, not a cause. Smaller
+// overlaps are kept as evidence (HostNs, HostKind) without changing the
+// blame.
+func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWindow) Verdict {
 	v := Verdict{Chain: chain, Stage: StageUnattributed}
 	if chain == 0 {
 		return v

@@ -33,7 +33,7 @@ func TestAttributeWireLoss(t *testing.T) {
 		{T: ms(206), Kind: EvDecode, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
 		{T: ms(207), Kind: EvPaint, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
 	}
-	v := Attribute(evs, chain, ms(207))
+	v := Attribute(evs, chain, ms(207), nil)
 	if v.Stage != StageWire {
 		t.Fatalf("stage = %v, want WIRE (verdict %+v)", v.Stage, v)
 	}
@@ -60,7 +60,7 @@ func TestAttributeQueue(t *testing.T) {
 		{T: ms(183), Kind: EvRx, Cmd: protocol.TypeFill, Seq: 10, Cause: chain},
 		{T: ms(184), Kind: EvPaint, Cmd: protocol.TypeFill, Seq: 10, Cause: chain},
 	}
-	v := Attribute(evs, chain, ms(184))
+	v := Attribute(evs, chain, ms(184), nil)
 	if v.Stage != StageQueue {
 		t.Fatalf("stage = %v, want QUEUE (verdict %+v)", v.Stage, v)
 	}
@@ -79,7 +79,7 @@ func TestAttributeEncodeAndDecode(t *testing.T) {
 		{T: ms(172), Kind: EvRx, Seq: 3, Cause: chain},
 		{T: ms(173), Kind: EvPaint, Seq: 3, Cause: chain},
 	}
-	if v := Attribute(enc, chain, ms(173)); v.Stage != StageEncode {
+	if v := Attribute(enc, chain, ms(173), nil); v.Stage != StageEncode {
 		t.Errorf("stage = %v, want ENCODE", v.Stage)
 	}
 	dec := []Event{
@@ -90,7 +90,7 @@ func TestAttributeEncodeAndDecode(t *testing.T) {
 		{T: ms(160), Kind: EvDecode, Seq: 3, Cause: chain},
 		{T: ms(162), Kind: EvPaint, Seq: 3, Cause: chain},
 	}
-	if v := Attribute(dec, chain, ms(162)); v.Stage != StageDecode {
+	if v := Attribute(dec, chain, ms(162), nil); v.Stage != StageDecode {
 		t.Errorf("stage = %v, want DECODE", v.Stage)
 	}
 }
@@ -104,7 +104,7 @@ func TestAttributeOpenChain(t *testing.T) {
 		{T: ms(1), Kind: EvEncode, Seq: 8, Cause: chain},
 		{T: ms(2), Kind: EvTx, Seq: 8, Cause: chain},
 	}
-	v := Attribute(evs, chain, ms(200))
+	v := Attribute(evs, chain, ms(200), nil)
 	if v.Stage != StageWire {
 		t.Fatalf("stage = %v, want WIRE for a command lost in flight", v.Stage)
 	}
@@ -119,7 +119,7 @@ func TestAttributeOpenChain(t *testing.T) {
 // TestAttributeUnattributed: no chain, a chain whose input is gone, and a
 // chain that encoded nothing all degrade to UNATTRIBUTED.
 func TestAttributeUnattributed(t *testing.T) {
-	if v := Attribute(nil, 0, ms(100)); v.Stage != StageUnattributed {
+	if v := Attribute(nil, 0, ms(100), nil); v.Stage != StageUnattributed {
 		t.Errorf("zero chain: stage = %v", v.Stage)
 	}
 	// Input overwritten: only downstream events survive.
@@ -127,12 +127,12 @@ func TestAttributeUnattributed(t *testing.T) {
 		{T: ms(5), Kind: EvEncode, Seq: 2, Cause: 3},
 		{T: ms(6), Kind: EvTx, Seq: 2, Cause: 3},
 	}
-	if v := Attribute(evs, 3, ms(200)); v.Stage != StageUnattributed {
+	if v := Attribute(evs, 3, ms(200), nil); v.Stage != StageUnattributed {
 		t.Errorf("missing input: stage = %v, want UNATTRIBUTED", v.Stage)
 	}
 	// Input survives but its encoded commands were truncated out.
 	evs = []Event{{T: ms(0), Kind: EvInput, Cause: 3}}
-	if v := Attribute(evs, 3, ms(200)); v.Stage != StageUnattributed {
+	if v := Attribute(evs, 3, ms(200), nil); v.Stage != StageUnattributed {
 		t.Errorf("missing commands: stage = %v, want UNATTRIBUTED", v.Stage)
 	}
 }
@@ -180,7 +180,7 @@ func TestAttributeHost(t *testing.T) {
 		{T: ms(183), Kind: EvPaint, Seq: 5, Cause: chain},
 	}
 	wins := []HostWindow{{Start: ms(0), End: ms(185), Kind: "cpu", WorstNs: int64(ms(90))}}
-	v := AttributeWithHost(evs, chain, ms(183), wins)
+	v := Attribute(evs, chain, ms(183), wins)
 	if v.Stage != StageHost {
 		t.Fatalf("stage = %v, want HOST (verdict %+v)", v.Stage, v)
 	}
@@ -194,7 +194,7 @@ func TestAttributeHost(t *testing.T) {
 	// A short GC pause inside a long genuine wire stall stays WIRE — but
 	// the overlap is kept as evidence.
 	wins = []HostWindow{{Start: ms(10), End: ms(40), Kind: "gc", WorstNs: int64(ms(25))}}
-	v = AttributeWithHost(evs, chain, ms(183), wins)
+	v = Attribute(evs, chain, ms(183), wins)
 	if v.Stage != StageWire {
 		t.Fatalf("stage = %v, want WIRE for a minor pause (verdict %+v)", v.Stage, v)
 	}
@@ -209,14 +209,14 @@ func TestAttributeHost(t *testing.T) {
 		{Start: ms(0), End: ms(185), Kind: "gc"},
 		{Start: ms(0), End: ms(185), Kind: "cpu"},
 	}
-	v = AttributeWithHost(evs, chain, ms(183), wins)
+	v = Attribute(evs, chain, ms(183), wins)
 	if v.Stage != StageHost || v.HostKind != "gc+cpu" {
 		t.Errorf("combined evidence: stage=%v kind=%q, want HOST/gc+cpu", v.Stage, v.HostKind)
 	}
 
 	// Disjoint windows leave the verdict untouched.
 	wins = []HostWindow{{Start: ms(300), End: ms(400), Kind: "gc"}}
-	v = AttributeWithHost(evs, chain, ms(183), wins)
+	v = Attribute(evs, chain, ms(183), wins)
 	if v.Stage != StageWire || v.HostNs != 0 || v.HostKind != "" {
 		t.Errorf("disjoint window polluted verdict %+v", v)
 	}

@@ -48,11 +48,7 @@ type Dump struct {
 }
 
 // Write serializes the dump as indented JSON.
-func (d *Dump) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
+func (d *Dump) Write(w io.Writer) error { return obs.WriteJSON(w, d) }
 
 // ReadDump deserializes one breach dump.
 func ReadDump(r io.Reader) (*Dump, error) {
@@ -79,53 +75,32 @@ type Breach struct {
 // marked in the ring (EvBreach), attributed to their dominant latency
 // stage, published through the breach instruments, and — when a dump
 // directory is configured and the session's rate limit allows — written
-// as a dump file. Wall domain only; virtual-time harnesses use
-// CheckBreachAt.
+// as a dump file. Detection time is the recorder's clock.
 func (r *Recorder) CheckBreach(id uint32, latency time.Duration) (Breach, bool) {
-	if r.domain != obs.DomainWall {
-		panic("flight: CheckBreach on a sim-domain recorder; use CheckBreachAt")
-	}
-	return r.checkBreach(id, 0, latency, time.Since(r.epoch))
-}
-
-// CheckBreachAt is CheckBreach for sim-domain recorders: the harness that
-// resolved the paint supplies the input-chain ID (0 means the session's
-// current chain) and the virtual detection time.
-func (r *Recorder) CheckBreachAt(id uint32, chain uint64, latency, now time.Duration) (Breach, bool) {
-	if r.domain != obs.DomainSim {
-		panic("flight: CheckBreachAt on a wall-domain recorder; use CheckBreach")
-	}
-	return r.checkBreach(id, chain, latency, now)
-}
-
-func (r *Recorder) checkBreach(id uint32, chain uint64, latency, now time.Duration) (Breach, bool) {
 	threshold := time.Duration(r.thresholdNs.Load())
 	if threshold <= 0 || latency < threshold || !r.enabled.Load() {
 		return Breach{}, false
 	}
+	l := r.sessions.Lookup(id)
+	if l == nil {
+		return Breach{}, false
+	}
 	r.mu.RLock()
-	l := r.sessions[id]
 	dir := r.dumpDir
 	hostFn := r.hostFn
 	pathFn := r.pathFn
 	r.mu.RUnlock()
-	if l == nil {
-		return Breach{}, false
-	}
-	if chain == 0 {
-		chain = l.cause.Load()
-	}
+	now := r.clock.Now()
+	chain := l.cause.Load()
 	n := r.breachN.Add(1)
 	r.breaches.Inc()
-	if r.domain == obs.DomainWall {
+	if r.clock.Domain() == obs.DomainWall {
 		r.lastBreach.Set(time.Now().UnixMilli())
-		l.record(Event{Kind: EvBreach, A: int64(latency), B: int64(threshold)})
 	} else {
 		r.lastBreach.Set(now.Nanoseconds())
-		l.RecordAt(now, Event{Kind: EvBreach, Cause: chain, A: int64(latency), B: int64(threshold)})
 	}
-	window := time.Duration(r.windowNs.Load())
-	evs := l.Events(window)
+	l.record(Event{Kind: EvBreach, A: int64(latency), B: int64(threshold)})
+	evs := l.Events(DefaultWindow)
 	var hostWins []HostWindow
 	if hostFn != nil {
 		hostWins = hostFn(now)
@@ -134,7 +109,7 @@ func (r *Recorder) checkBreach(id uint32, chain uint64, latency, now time.Durati
 	if pathFn != nil {
 		pathEv = pathFn(id, now)
 	}
-	br := Breach{Verdict: AttributeWithHost(evs, chain, now, hostWins)}
+	br := Breach{Verdict: Attribute(evs, chain, now, hostWins)}
 	if br.Verdict.Stage == StageWire {
 		br.Verdict.Link = classifyLink(&br.Verdict, pathEv)
 	}
@@ -154,10 +129,10 @@ func (r *Recorder) checkBreach(id uint32, chain uint64, latency, now time.Durati
 	verdict := br.Verdict
 	d := &Dump{
 		Session:      id,
-		Domain:       r.domain,
+		Domain:       r.clock.Domain(),
 		LatencyNs:    int64(latency),
 		ThresholdNs:  int64(threshold),
-		WindowNs:     int64(window),
+		WindowNs:     int64(DefaultWindow),
 		CapturedAt:   time.Now(),
 		Verdict:      &verdict,
 		HostWindows:  hostWins,

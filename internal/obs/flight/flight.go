@@ -21,10 +21,10 @@
 //     session's recent events to a dump file on disk, so slow interactions
 //     remain diagnosable after the fact.
 //
-// Clock domains follow internal/obs: a wall-domain recorder stamps events
-// itself from a monotonic epoch; a sim-domain recorder refuses self-stamped
-// records and only accepts explicit virtual timestamps (RecordAt), so
-// simulated and wall time never share a ring.
+// A recorder stamps events from its obs.Clock: the process-wide wall clock,
+// or a sim-domain virtual clock its harness moves. Only sim-domain
+// recorders also accept explicit virtual timestamps (RecordAt), so a wall
+// ring can never receive virtual time.
 package flight
 
 import (
@@ -118,8 +118,8 @@ func (k Kind) String() string {
 
 // Event is one recorded protocol event.
 type Event struct {
-	// T is the event timestamp: monotonic wall time since the recorder's
-	// epoch for wall-domain recorders, virtual time for sim-domain ones.
+	// T is the event timestamp on the recorder's clock: time since the
+	// process-wide wall epoch, or virtual time for sim-domain recorders.
 	T time.Duration `json:"t"`
 	// Kind classifies the event.
 	Kind Kind `json:"kind"`
@@ -208,7 +208,6 @@ func (s *slot) load() (Event, bool) {
 // obtain logs from Recorder.Session. A nil *SessionLog is inert: every
 // recording method no-ops, so call sites instrument unconditionally.
 type SessionLog struct {
-	id    uint32
 	rec   *Recorder
 	mask  uint64
 	slots []slot
@@ -216,7 +215,7 @@ type SessionLog struct {
 	cursor atomic.Uint64
 	// cause is the session's current input-chain ID (see Event.Cause).
 	cause atomic.Uint64
-	// lastDumpNs rate-limits breach dumps (wall nanoseconds since epoch).
+	// lastDumpNs rate-limits breach dumps (recorder-clock nanoseconds).
 	lastDumpNs atomic.Int64
 }
 
@@ -232,24 +231,13 @@ func (l *SessionLog) push(ev Event) {
 	l.slots[i&l.mask].store(ev)
 }
 
-// record stamps and records one event. Wall-domain recorders stamp from
-// their monotonic epoch; sim-domain recorders stamp from the virtual clock
-// (SetNow) and panic if it was never advanced, so simulated and wall time
-// can still never share a ring by accident. The disabled path is a nil
-// check plus one atomic load.
+// record stamps one event from the recorder's clock and records it. The
+// disabled path is a nil check plus one atomic load.
 func (l *SessionLog) record(ev Event) {
 	if !l.Armed() {
 		return
 	}
-	if l.rec.domain == obs.DomainWall {
-		ev.T = time.Since(l.rec.epoch)
-	} else {
-		ns := l.rec.nowNs.Load()
-		if ns < 0 {
-			panic("flight: self-stamped record on a sim-domain recorder; use RecordAt or advance SetNow")
-		}
-		ev.T = time.Duration(ns)
-	}
+	ev.T = l.rec.clock.Now()
 	if ev.Cause == 0 {
 		ev.Cause = l.cause.Load()
 	}
@@ -257,13 +245,13 @@ func (l *SessionLog) record(ev Event) {
 }
 
 // RecordAt records one event with an explicit virtual timestamp. Only
-// sim-domain recorders accept it — the mirror image of record — so a wall
-// ring can never silently receive virtual time.
+// sim-domain recorders accept it, so a wall ring can never silently
+// receive virtual time.
 func (l *SessionLog) RecordAt(t time.Duration, ev Event) {
 	if !l.Armed() {
 		return
 	}
-	if l.rec.domain != obs.DomainSim {
+	if l.rec.clock.Domain() != obs.DomainSim {
 		panic("flight: RecordAt on a wall-domain recorder; virtual timestamps need a sim-domain recorder")
 	}
 	ev.T = t
@@ -281,17 +269,6 @@ func (l *SessionLog) Input(cmd protocol.MsgType, arg int64) uint64 {
 	l.cause.Store(id)
 	l.record(Event{Kind: EvInput, Cmd: cmd, Cause: id, A: arg})
 	return id
-}
-
-// Cause reports the session's current input-chain ID — the ID the next
-// recorded event will inherit. Harnesses capture it right after feeding an
-// input so they can later attribute the resulting paint's latency to the
-// correct chain (CheckBreachAt).
-func (l *SessionLog) Cause() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.cause.Load()
 }
 
 // Op records one drawing op submitted to the encoder (code is
@@ -384,23 +361,18 @@ func (l *SessionLog) Events(last time.Duration) []Event {
 // Recorder owns the per-session rings of one clock domain plus the breach
 // policy. The zero value is not usable; call New.
 type Recorder struct {
-	domain   obs.Domain
-	epoch    time.Time
+	clock    *obs.Clock
 	ringSize int
 
 	enabled     atomic.Bool
 	thresholdNs atomic.Int64
-	windowNs    atomic.Int64
 	dumpGapNs   atomic.Int64
 	inputID     atomic.Uint64
-	// nowNs is the sim-domain virtual clock (SetNow); -1 until first
-	// advanced, which keeps self-stamped records on an undriven sim
-	// recorder a hard error rather than silently stamping zero.
-	nowNs atomic.Int64
 
-	mu       sync.RWMutex
-	sessions map[uint32]*SessionLog
-	dumpDir  string
+	sessions obs.Sessions[SessionLog]
+
+	mu      sync.RWMutex
+	dumpDir string
 	// hostFn supplies host-runtime evidence (GC pause and CPU-starvation
 	// windows in ring time) to breach attribution; nil means no host
 	// monitor is wired and verdicts never blame HOST.
@@ -418,44 +390,20 @@ type Recorder struct {
 	breachN    atomic.Int64
 }
 
-// Default is the process-wide wall-clock recorder: enabled and
-// instrumented into obs.Default. Breach dumps stay off until a dump
-// directory is configured (slimd's -flight-dir flag, or SetDumpDir).
-// Live servers and consoles record here unless redirected.
-var Default = New(obs.DomainWall).Instrument(obs.Default)
+// New returns an enabled recorder on the domain's clock (obs.NewClock)
+// with the default ring size, threshold, and dump rate limit.
+func New(domain obs.Domain) *Recorder { return NewOn(obs.NewClock(domain)) }
 
-// New returns an enabled recorder in the given clock domain with the
-// default ring size, threshold, window, and dump rate limit.
-func New(domain obs.Domain) *Recorder {
-	r := &Recorder{
-		domain:   domain,
-		epoch:    time.Now(),
-		ringSize: DefaultRingSize,
-		sessions: make(map[uint32]*SessionLog),
-	}
+// NewOn is New on a clock the caller shares with other observers — how a
+// telemetry kit puts a sim-domain recorder, SLO tracker and path estimator
+// on one virtual timeline.
+func NewOn(clock *obs.Clock) *Recorder {
+	r := &Recorder{clock: clock, ringSize: DefaultRingSize}
 	r.enabled.Store(true)
 	r.thresholdNs.Store(int64(DefaultThreshold))
-	r.windowNs.Store(int64(DefaultWindow))
 	r.dumpGapNs.Store(int64(DefaultDumpGap))
-	r.nowNs.Store(-1)
 	return r
 }
-
-// SetNow advances a sim-domain recorder's virtual clock. Once set, live
-// components that self-stamp (servers, consoles) record at this virtual
-// time, letting a virtual-time harness drive the real display path and
-// still get honest stage timings out of the ring. Wall-domain recorders
-// refuse it.
-func (r *Recorder) SetNow(t time.Duration) {
-	if r.domain != obs.DomainSim {
-		panic("flight: SetNow on a wall-domain recorder")
-	}
-	r.nowNs.Store(int64(t))
-}
-
-// Now reports a sim-domain recorder's virtual clock (negative if never
-// advanced).
-func (r *Recorder) Now() time.Duration { return time.Duration(r.nowNs.Load()) }
 
 // Instrument resolves the recorder's breach instruments in reg:
 // slim_flight_breaches_total, slim_flight_dump_errors_total, and — wall
@@ -466,7 +414,7 @@ func (r *Recorder) Instrument(reg *obs.Registry) *Recorder {
 	defer r.mu.Unlock()
 	r.breaches = reg.Counter("slim_flight_breaches_total")
 	r.dumpErrors = reg.Counter("slim_flight_dump_errors_total")
-	if r.domain == obs.DomainWall {
+	if r.clock.Domain() == obs.DomainWall {
 		r.lastBreach = reg.Gauge("slim_flight_last_breach_unix_ms")
 	} else {
 		r.lastBreach = reg.Gauge("slim_flight_last_breach_ns")
@@ -474,26 +422,13 @@ func (r *Recorder) Instrument(reg *obs.Registry) *Recorder {
 	return r
 }
 
-// Domain reports the recorder's clock domain.
-func (r *Recorder) Domain() obs.Domain { return r.domain }
-
 // SetEnabled switches recording on or off. Disabled, every recording call
 // costs one atomic load; the rings are retained.
 func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether recording is live.
-func (r *Recorder) Enabled() bool { return r.enabled.Load() }
-
 // SetThreshold sets the input-to-paint breach threshold (0 disables
 // breach detection entirely).
 func (r *Recorder) SetThreshold(d time.Duration) { r.thresholdNs.Store(int64(d)) }
-
-// Threshold reports the breach threshold.
-func (r *Recorder) Threshold() time.Duration { return time.Duration(r.thresholdNs.Load()) }
-
-// SetWindow sets how far back breach dumps and default trace queries
-// reach.
-func (r *Recorder) SetWindow(d time.Duration) { r.windowNs.Store(int64(d)) }
 
 // SetDumpGap sets the per-session minimum interval between breach dumps.
 func (r *Recorder) SetDumpGap(d time.Duration) { r.dumpGapNs.Store(int64(d)) }
@@ -516,78 +451,40 @@ func (r *Recorder) DumpDir() string {
 
 // SetHostEvidence wires a host-runtime monitor into breach attribution: fn
 // is called on each breach with the detection time and must return the
-// recent GC-pause and CPU-starvation windows in the ring's clock (see
-// Clock). With evidence wired, a breach whose causal chain overlaps a host
-// window gets a HOST verdict instead of blaming an innocent pipeline
-// stage. Nil unwires.
+// recent GC-pause and CPU-starvation windows on the recorder's clock — a
+// host monitor built on the same obs.Clock stamps them there already. With
+// evidence wired, a breach whose causal chain overlaps a host window gets
+// a HOST verdict instead of blaming an innocent pipeline stage. Nil
+// unwires.
 func (r *Recorder) SetHostEvidence(fn func(asOf time.Duration) []HostWindow) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.hostFn = fn
 }
 
-// Clock reports the recorder's current ring time: monotonic time since the
-// epoch for wall-domain recorders, the virtual clock for sim-domain ones
-// (negative if never advanced). Host monitors stamp their windows with it
-// so attribution can overlap them against ring events directly.
-func (r *Recorder) Clock() time.Duration {
-	if r.domain == obs.DomainWall {
-		return time.Since(r.epoch)
-	}
-	return time.Duration(r.nowNs.Load())
-}
-
 // Session returns the session's log, creating the ring on first use.
 func (r *Recorder) Session(id uint32) *SessionLog {
-	r.mu.RLock()
-	l, ok := r.sessions[id]
-	r.mu.RUnlock()
-	if ok {
-		return l
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if l, ok := r.sessions[id]; ok {
-		return l
-	}
-	l = &SessionLog{
-		id:    id,
-		rec:   r,
-		mask:  uint64(r.ringSize - 1),
-		slots: make([]slot, r.ringSize),
-	}
-	r.sessions[id] = l
-	return l
+	return r.sessions.Get(id, func() *SessionLog {
+		return &SessionLog{
+			rec:   r,
+			mask:  uint64(r.ringSize - 1),
+			slots: make([]slot, r.ringSize),
+		}
+	})
 }
 
-// Drop evicts a session's ring — the flight-recorder half of session
-// termination (the obs half is Registry.Remove). Logs already held by
-// components keep working but are no longer reachable or dumped.
-func (r *Recorder) Drop(id uint32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.sessions, id)
-}
+// Remove evicts a session's ring — the flight-recorder share of session
+// termination. Logs already held by components keep working but are no
+// longer reachable or dumped.
+func (r *Recorder) Remove(id uint32) { r.sessions.Remove(id) }
 
-// Sessions lists the session IDs with live rings, ascending.
-func (r *Recorder) Sessions() []uint32 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]uint32, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// SessionIDs lists the session IDs with live rings, ascending.
+func (r *Recorder) SessionIDs() []uint32 { return r.sessions.IDs() }
 
 // Events returns a session's recent events (see SessionLog.Events). An
 // unknown session yields nil.
 func (r *Recorder) Events(id uint32, last time.Duration) []Event {
-	r.mu.RLock()
-	l := r.sessions[id]
-	r.mu.RUnlock()
-	return l.Events(last)
+	return r.sessions.Lookup(id).Events(last)
 }
 
 // BreachCount reports the number of threshold breaches observed.

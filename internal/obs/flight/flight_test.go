@@ -117,17 +117,21 @@ func TestConcurrentRecordingIsSafe(t *testing.T) {
 }
 
 func TestClockDomainSeparation(t *testing.T) {
-	sim := New(obs.DomainSim)
-	l := sim.Session(1)
+	clk := obs.NewClock(obs.DomainSim)
+	l := NewOn(clk).Session(1)
 	l.RecordAt(3*time.Millisecond, Event{Kind: EvLinkTx, A: 1400})
 	l.RecordAt(5*time.Millisecond, Event{Kind: EvDrop, A: 700})
 	evs := l.Events(0)
 	if len(evs) != 2 || evs[0].T != 3*time.Millisecond {
 		t.Fatalf("sim events = %+v", evs)
 	}
-	// Self-stamping on a sim recorder must panic (virtual rings never
-	// receive wall time), and vice versa.
-	mustPanic(t, func() { l.Input(protocol.TypeKey, 'x') })
+	// Self-stamping on a sim recorder reads the virtual clock its harness
+	// moves — never wall time — and a wall ring refuses virtual timestamps.
+	clk.Set(7 * time.Millisecond)
+	l.Input(protocol.TypeKey, 'x')
+	if evs = l.Events(0); len(evs) != 3 || evs[2].Kind != EvInput || evs[2].T != 7*time.Millisecond {
+		t.Fatalf("self-stamped sim event not at the virtual clock: %+v", evs)
+	}
 	wall := New(obs.DomainWall)
 	mustPanic(t, func() { wall.Session(1).RecordAt(time.Millisecond, Event{Kind: EvLinkTx}) })
 }
@@ -212,15 +216,15 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 	}
 }
 
-func TestDropEvictsSession(t *testing.T) {
+func TestRemoveEvictsSession(t *testing.T) {
 	rec := New(obs.DomainWall)
 	rec.Session(5).Op(1)
-	if len(rec.Sessions()) != 1 {
+	if len(rec.SessionIDs()) != 1 {
 		t.Fatal("session not registered")
 	}
-	rec.Drop(5)
-	if len(rec.Sessions()) != 0 {
-		t.Error("session survived Drop")
+	rec.Remove(5)
+	if len(rec.SessionIDs()) != 0 {
+		t.Error("session survived Remove")
 	}
 	if evs := rec.Events(5, 0); evs != nil {
 		t.Error("dropped session still queryable")
@@ -236,7 +240,7 @@ func TestPerfettoExportAndHandler(t *testing.T) {
 	l.Paint(1, protocol.TypeFill)
 
 	var buf bytes.Buffer
-	if err := rec.WritePerfetto(&buf, 2, 0); err != nil {
+	if err := WritePerfetto(&buf, 2, rec.Events(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	assertPerfetto(t, buf.Bytes(), 2)

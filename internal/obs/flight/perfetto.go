@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"slim/internal/obs"
 )
 
 // Perfetto (Chrome trace-event JSON) export. Each session renders as one
@@ -149,22 +151,20 @@ func WritePerfetto(w io.Writer, session uint32, evs []Event) error {
 	return enc.Encode(f)
 }
 
-// WritePerfetto renders recent events — one session, or all of them when
-// id is 0 and the recorder tracks several — as Perfetto trace-event JSON.
-func (r *Recorder) WritePerfetto(w io.Writer, id uint32, last time.Duration) error {
+// perfetto renders recent events — one session, or all of them when id is
+// 0 and the recorder tracks several — as a trace-event document.
+func (r *Recorder) perfetto(id uint32, last time.Duration) perfettoFile {
 	var out []perfettoEvent
 	ids := []uint32{id}
 	if id == 0 {
-		ids = r.Sessions()
+		ids = r.SessionIDs()
 	}
 	for _, sid := range ids {
 		if evs := r.Events(sid, last); len(evs) > 0 {
 			out = appendSession(out, sid, evs)
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(perfettoFile{DisplayTimeUnit: "ms", TraceEvents: out})
+	return perfettoFile{DisplayTimeUnit: "ms", TraceEvents: out}
 }
 
 // TraceHandler serves the recorder over HTTP — mounted at /debug/trace on
@@ -175,28 +175,22 @@ func (r *Recorder) WritePerfetto(w io.Writer, id uint32, last time.Duration) err
 //	GET /debug/trace?last=5s          bound the lookback window
 //
 // The response is Chrome/Perfetto trace-event JSON; load it at
-// ui.perfetto.dev or chrome://tracing.
+// ui.perfetto.dev or chrome://tracing. A malformed parameter answers 400.
 func (r *Recorder) TraceHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var id uint32
+	return obs.JSONHandler(func(req *http.Request) (any, error) {
+		var id uint64
+		last := DefaultWindow
+		var err error
 		if s := req.URL.Query().Get("session"); s != "" {
-			n, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				http.Error(w, "bad session: "+err.Error(), http.StatusBadRequest)
-				return
+			if id, err = strconv.ParseUint(s, 10, 32); err != nil {
+				return nil, obs.StatusError{Code: http.StatusBadRequest, Msg: "bad session: " + err.Error()}
 			}
-			id = uint32(n)
 		}
-		last := time.Duration(r.windowNs.Load())
 		if s := req.URL.Query().Get("last"); s != "" {
-			d, err := time.ParseDuration(s)
-			if err != nil {
-				http.Error(w, "bad last: "+err.Error(), http.StatusBadRequest)
-				return
+			if last, err = time.ParseDuration(s); err != nil {
+				return nil, obs.StatusError{Code: http.StatusBadRequest, Msg: "bad last: " + err.Error()}
 			}
-			last = d
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.WritePerfetto(w, id, last)
+		return r.perfetto(uint32(id), last), nil
 	})
 }

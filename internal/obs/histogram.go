@@ -77,15 +77,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(ns)].Add(1)
 }
 
-// Reset empties the histogram.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -106,9 +97,6 @@ type HistogramSnapshot struct {
 	P95     float64                 `json:"p95_seconds"`
 	P99     float64                 `json:"p99_seconds"`
 }
-
-// NumHistogramBuckets reports the bucket count of every histogram.
-func NumHistogramBuckets() int { return histBucketsTotal }
 
 // BoundarySeconds reports bucket i's inclusive upper bound in seconds;
 // the final bucket reports +Inf.

@@ -82,7 +82,7 @@ func TestQuantileOverflowBucket(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(90 * time.Second)
 	h.Observe(5 * time.Minute)
-	top := BoundarySeconds(NumHistogramBuckets() - 2)
+	top := BoundarySeconds(histBucketsTotal - 2)
 	for _, q := range []float64{0, 0.5, 1} {
 		got := h.Quantile(q)
 		if math.IsInf(got, 0) || math.IsNaN(got) {
@@ -92,7 +92,7 @@ func TestQuantileOverflowBucket(t *testing.T) {
 			t.Errorf("overflow Quantile(%v) = %v, want table top %v", q, got, top)
 		}
 	}
-	if got := BoundarySeconds(NumHistogramBuckets() - 1); !math.IsInf(got, 1) {
+	if got := BoundarySeconds(histBucketsTotal - 1); !math.IsInf(got, 1) {
 		t.Errorf("final bucket bound = %v, want +Inf", got)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // boundaries from 0.1 ms to 10 s, five per decade, with the paper's
 // perception thresholds each resolved by a distinct bucket.
 func TestBucketBoundaries(t *testing.T) {
-	if got := NumHistogramBuckets(); got != 27 {
-		t.Fatalf("NumHistogramBuckets() = %d, want 27", got)
+	if got := len(HistogramSnapshot{}.Buckets); got != 27 {
+		t.Fatalf("histograms have %d buckets, want 27", got)
 	}
 	if got := BoundarySeconds(0); got != 100e-6 {
 		t.Errorf("BoundarySeconds(0) = %g, want 100µs", got)
@@ -152,8 +152,9 @@ func TestHistogramDelta(t *testing.T) {
 		t.Errorf("windowed p50 = %g, want ≈0.1 (window is all 100ms)", d.P50)
 	}
 
-	// A reset between scrapes yields the newer snapshot unchanged.
-	h.Reset()
+	// A restart between scrapes (counts fall) yields the newer snapshot
+	// unchanged.
+	h = NewHistogram()
 	h.Observe(time.Millisecond)
 	third := h.Snapshot()
 	d = third.Delta(second)

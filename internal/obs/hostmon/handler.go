@@ -1,14 +1,9 @@
 package hostmon
 
-import (
-	"encoding/json"
-	"io"
-	"net/http"
+import "slim/internal/obs/flight"
 
-	"slim/internal/obs/flight"
-)
-
-// Status is the /debug/hostmon document: the monitor's configuration,
+// Status is the /debug/hostmon document (and an incident bundle's
+// hostmon.json): the monitor's configuration,
 // the most recent sample, the full sample ring, live stall windows, and
 // (when a profiler is attached) the latest top-N self-time table.
 type Status struct {
@@ -35,26 +30,10 @@ func (m *Monitor) StatusWith(prof *Profiler) Status {
 		CPUStallNs:   int64(m.cfg.CPUStallThreshold),
 		Last:         m.Last(),
 		Samples:      m.Ring(),
-		Windows:      m.Windows(m.cfg.Clock()),
+		Windows:      m.Windows(m.clock.Now()),
 	}
 	if prof != nil {
 		st.Profile = prof.Top()
 	}
 	return st
-}
-
-// WriteJSON serializes the current status as indented JSON.
-func (m *Monitor) WriteJSON(w io.Writer, prof *Profiler) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m.StatusWith(prof))
-}
-
-// Handler serves the monitor (and optionally profiler) status as
-// /debug/hostmon JSON.
-func (m *Monitor) Handler(prof *Profiler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = m.WriteJSON(w, prof)
-	})
 }

@@ -72,11 +72,6 @@ type Config struct {
 	// (default 2 m); MaxWindows bounds how many are kept (default 256).
 	WindowRetention time.Duration
 	MaxWindows      int
-	// Clock stamps samples and stall windows. Wire it to the flight
-	// recorder's ring clock (flight.Recorder.Clock) so windows and
-	// breach chains share a time base. Default: monotonic time since
-	// the monitor was created.
-	Clock func() time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -104,7 +99,7 @@ func (c Config) withDefaults() Config {
 // Sample is one tick's host snapshot, as stored in the ring and
 // serialized into incident bundles.
 type Sample struct {
-	// T is the sample timestamp on the monitor's clock.
+	// T is the sample timestamp on the monitor's obs.Clock.
 	T time.Duration `json:"t_ns"`
 	// HeapBytes / TotalBytes are live-object and total-reserved memory.
 	HeapBytes  uint64 `json:"heap_bytes"`
@@ -129,8 +124,10 @@ type Sample struct {
 // Monitor is the runtime/metrics sampler. Create with New, wire with
 // Instrument, then Start; Close stops the loop and waits for it.
 type Monitor struct {
-	cfg     Config
-	start   time.Time
+	cfg Config
+	// clock stamps samples and stall windows; on the clock the flight
+	// recorder reads, windows and breach chains share a time base.
+	clock   *obs.Clock
 	enabled atomic.Bool
 
 	// Sampler state (loop goroutine only; guarded by smu for SampleNow).
@@ -168,19 +165,15 @@ type Monitor struct {
 	pauseHist                  *obs.Histogram
 }
 
-// New returns a stopped, enabled monitor. Zero config fields take
-// defaults.
-func New(cfg Config) *Monitor {
+// New returns a stopped, enabled monitor stamping from clock (obs.Wall in
+// a live process). Zero config fields take defaults.
+func New(clock *obs.Clock, cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:   cfg,
-		start: time.Now(),
+		clock: clock,
 		ring:  make([]Sample, cfg.RingSize),
 		wins:  make([]flight.HostWindow, 0, cfg.MaxWindows),
-	}
-	if m.cfg.Clock == nil {
-		start := m.start
-		m.cfg.Clock = func() time.Duration { return time.Since(start) }
 	}
 	m.samples = make([]metrics.Sample, len(metricNames))
 	for i, n := range metricNames {
@@ -214,9 +207,6 @@ func (m *Monitor) Instrument(reg *obs.Registry) *Monitor {
 // Disabled ticks cost one atomic load and touch nothing.
 func (m *Monitor) SetEnabled(on bool) { m.enabled.Store(on) }
 
-// Enabled reports whether sampling is live.
-func (m *Monitor) Enabled() bool { return m.enabled.Load() }
-
 // Interval reports the sampling period.
 func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
 
@@ -237,7 +227,7 @@ func (m *Monitor) Start() {
 	}
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
-	m.prevTick = m.cfg.Clock()
+	m.prevTick = m.clock.Now()
 	go m.loop(m.stop, m.done)
 }
 
@@ -263,7 +253,7 @@ func (m *Monitor) loop(stop <-chan struct{}, done chan<- struct{}) {
 		case <-t.C:
 			if !m.enabled.Load() {
 				m.smu.Lock()
-				m.prevTick = m.cfg.Clock() // don't count disabled time as lag
+				m.prevTick = m.clock.Now() // don't count disabled time as lag
 				m.smu.Unlock()
 				continue
 			}
@@ -281,7 +271,7 @@ func (m *Monitor) SampleNow() Sample {
 	m.smu.Lock()
 	defer m.smu.Unlock()
 
-	now := m.cfg.Clock()
+	now := m.clock.Now()
 	lag := now - m.prevTick - m.cfg.Interval
 	if m.prevTick == 0 || lag < 0 {
 		lag = 0
@@ -294,83 +284,67 @@ func (m *Monitor) SampleNow() Sample {
 	var s Sample
 	s.T = now
 	s.TickLag = lag
-	for i := range m.samples {
-		v := &m.samples[i].Value
-		switch m.samples[i].Name {
-		case mHeapBytes:
-			if v.Kind() == metrics.KindUint64 {
-				s.HeapBytes = v.Uint64()
-			}
-		case mTotalBytes:
-			if v.Kind() == metrics.KindUint64 {
-				s.TotalBytes = v.Uint64()
-			}
-		case mGoroutines:
-			if v.Kind() == metrics.KindUint64 {
-				s.Goroutines = int64(v.Uint64())
-			}
-		case mGCCycles:
-			if v.Kind() == metrics.KindUint64 {
-				s.GCCycles = v.Uint64()
-			}
-		case mCgoCalls:
-			if v.Kind() == metrics.KindUint64 {
-				s.CgoCalls = v.Uint64()
-			}
-		}
-	}
-	// CPU fractions: GC CPU as a permille of total CPU.
+	// One pass over the fixed sample set. A metric the running Go version
+	// does not export reads as KindBad and is skipped, leaving its field
+	// zero. The histogram deltas are the worst new GC pause and scheduler
+	// latency this tick; GC CPU is reported as a permille of total CPU.
 	var cpuGC, cpuTotal float64
 	for i := range m.samples {
-		if m.samples[i].Value.Kind() != metrics.KindFloat64 {
-			continue
-		}
-		switch m.samples[i].Name {
-		case mCPUGC:
-			cpuGC = m.samples[i].Value.Float64()
-		case mCPUTotal:
-			cpuTotal = m.samples[i].Value.Float64()
+		name, v := m.samples[i].Name, &m.samples[i].Value
+		switch v.Kind() {
+		case metrics.KindUint64:
+			switch name {
+			case mHeapBytes:
+				s.HeapBytes = v.Uint64()
+			case mTotalBytes:
+				s.TotalBytes = v.Uint64()
+			case mGoroutines:
+				s.Goroutines = int64(v.Uint64())
+			case mGCCycles:
+				s.GCCycles = v.Uint64()
+			case mCgoCalls:
+				s.CgoCalls = v.Uint64()
+			}
+		case metrics.KindFloat64:
+			switch name {
+			case mCPUGC:
+				cpuGC = v.Float64()
+			case mCPUTotal:
+				cpuTotal = v.Float64()
+			}
+		case metrics.KindFloat64Histogram:
+			switch name {
+			case mGCPauses:
+				s.WorstGCPause = histDelta(v.Float64Histogram(), &m.prevPause, m.haveHists)
+			case mSchedLat:
+				s.WorstSchedLat = histDelta(v.Float64Histogram(), &m.prevSched, m.haveHists)
+			}
 		}
 	}
 	if cpuTotal > 0 {
 		s.GCCPUMilli = int64(1000 * cpuGC / cpuTotal)
 	}
-	// Histogram deltas: worst new GC pause and sched latency this tick.
-	for i := range m.samples {
-		if m.samples[i].Value.Kind() != metrics.KindFloat64Histogram {
-			continue
-		}
-		h := m.samples[i].Value.Float64Histogram()
-		switch m.samples[i].Name {
-		case mGCPauses:
-			s.WorstGCPause = histDelta(h, &m.prevPause, m.haveHists)
-		case mSchedLat:
-			s.WorstSchedLat = histDelta(h, &m.prevSched, m.haveHists)
-		}
-	}
 	first := !m.haveHists
 	m.haveHists = true
 	m.lastSample = s
 
-	// Publish.
-	if m.heapG != nil {
-		m.heapG.Set(int64(s.HeapBytes))
-		m.totalG.Set(int64(s.TotalBytes))
-		m.goroutinesG.Set(s.Goroutines)
-		m.gcPauseG.Set(int64(s.WorstGCPause))
-		m.schedLatG.Set(int64(s.WorstSchedLat))
-		m.gcCPUG.Set(s.GCCPUMilli)
-		m.tickLagG.Set(int64(s.TickLag))
-		if d := s.GCCycles - m.prevGC; d > 0 && m.prevGC > 0 {
-			m.gcCyclesC.Add(int64(d))
-		}
-		if d := s.CgoCalls - m.prevCgo; d > 0 && m.prevCgo > 0 {
-			m.cgoC.Add(int64(d))
-		}
-		m.samplesC.Inc()
-		if s.WorstGCPause > 0 {
-			m.pauseHist.Observe(s.WorstGCPause)
-		}
+	// Publish (every instrument is nil-safe before Instrument).
+	m.heapG.Set(int64(s.HeapBytes))
+	m.totalG.Set(int64(s.TotalBytes))
+	m.goroutinesG.Set(s.Goroutines)
+	m.gcPauseG.Set(int64(s.WorstGCPause))
+	m.schedLatG.Set(int64(s.WorstSchedLat))
+	m.gcCPUG.Set(s.GCCPUMilli)
+	m.tickLagG.Set(int64(s.TickLag))
+	if d := s.GCCycles - m.prevGC; d > 0 && m.prevGC > 0 {
+		m.gcCyclesC.Add(int64(d))
+	}
+	if d := s.CgoCalls - m.prevCgo; d > 0 && m.prevCgo > 0 {
+		m.cgoC.Add(int64(d))
+	}
+	m.samplesC.Inc()
+	if s.WorstGCPause > 0 {
+		m.pauseHist.Observe(s.WorstGCPause)
 	}
 	m.prevGC = s.GCCycles
 	m.prevCgo = s.CgoCalls
@@ -467,15 +441,10 @@ func (m *Monitor) addWindow(w flight.HostWindow) {
 	}
 	m.wins = append(m.wins, w)
 	m.wmu.Unlock()
-	switch w.Kind {
-	case "gc":
-		if m.winGCC != nil {
-			m.winGCC.Inc()
-		}
-	default:
-		if m.winCPUC != nil {
-			m.winCPUC.Inc()
-		}
+	if w.Kind == "gc" {
+		m.winGCC.Inc()
+	} else {
+		m.winCPUC.Inc()
 	}
 }
 

@@ -3,33 +3,25 @@ package hostmon
 import (
 	"math"
 	"runtime/metrics"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"slim/internal/obs"
 )
 
-// testClock is a manually advanced monitor clock.
-type testClock struct{ ns atomic.Int64 }
-
-func (c *testClock) now() time.Duration  { return time.Duration(c.ns.Load()) }
-func (c *testClock) set(d time.Duration) { c.ns.Store(int64(d)) }
-
-// newTestMonitor builds an instrumented monitor on a manual clock with
+// newTestMonitor builds an instrumented monitor on a virtual clock with
 // tight thresholds.
-func newTestMonitor(t *testing.T) (*Monitor, *testClock, *obs.Registry) {
+func newTestMonitor(t *testing.T) (*Monitor, *obs.Clock, *obs.Registry) {
 	t.Helper()
-	clk := &testClock{}
+	clk := obs.NewClock(obs.DomainSim)
 	reg := obs.NewRegistry(obs.DomainWall)
-	m := New(Config{
+	m := New(clk, Config{
 		Interval:          100 * time.Millisecond,
 		RingSize:          8,
 		GCPauseThreshold:  10 * time.Millisecond,
 		CPUStallThreshold: 10 * time.Millisecond,
 		WindowRetention:   time.Minute,
 		MaxWindows:        4,
-		Clock:             clk.now,
 	}).Instrument(reg)
 	return m, clk, reg
 }
@@ -38,7 +30,7 @@ func newTestMonitor(t *testing.T) (*Monitor, *testClock, *obs.Registry) {
 // the ring.
 func TestSampleAndSeries(t *testing.T) {
 	m, clk, reg := newTestMonitor(t)
-	clk.set(100 * time.Millisecond)
+	clk.Set(100 * time.Millisecond)
 	s := m.SampleNow()
 	if s.HeapBytes == 0 || s.Goroutines == 0 {
 		t.Fatalf("implausible sample: %+v", s)
@@ -53,7 +45,7 @@ func TestSampleAndSeries(t *testing.T) {
 	if snap.Counters["slim_runtime_samples_total"] != 1 {
 		t.Error("sample counter not bumped")
 	}
-	clk.set(200 * time.Millisecond)
+	clk.Set(200 * time.Millisecond)
 	m.SampleNow()
 	ring := m.Ring()
 	if len(ring) != 2 || ring[0].T != 100*time.Millisecond || ring[1].T != 200*time.Millisecond {
@@ -68,7 +60,7 @@ func TestSampleAndSeries(t *testing.T) {
 func TestRingWraps(t *testing.T) {
 	m, clk, _ := newTestMonitor(t)
 	for i := 1; i <= 20; i++ {
-		clk.set(time.Duration(i) * 100 * time.Millisecond)
+		clk.Set(time.Duration(i) * 100 * time.Millisecond)
 		m.SampleNow()
 	}
 	ring := m.Ring()
@@ -84,18 +76,18 @@ func TestRingWraps(t *testing.T) {
 // covering the gap — the sampler's own starvation as evidence.
 func TestTickLagWindow(t *testing.T) {
 	m, clk, reg := newTestMonitor(t)
-	clk.set(100 * time.Millisecond)
+	clk.Set(100 * time.Millisecond)
 	m.SampleNow() // warm-up: histogram deltas and lag are unreliable
-	clk.set(200 * time.Millisecond)
+	clk.Set(200 * time.Millisecond)
 	m.SampleNow() // on schedule: no lag
-	wins := m.Windows(clk.now())
+	wins := m.Windows(clk.Now())
 	if len(wins) != 0 {
 		t.Fatalf("windows after on-time ticks: %+v", wins)
 	}
 	// 150 ms late: lag 150ms >= 10ms threshold.
-	clk.set(450 * time.Millisecond)
+	clk.Set(450 * time.Millisecond)
 	m.SampleNow()
-	wins = m.Windows(clk.now())
+	wins = m.Windows(clk.Now())
 	if len(wins) != 1 {
 		t.Fatalf("windows = %+v, want 1", wins)
 	}
@@ -112,9 +104,9 @@ func TestTickLagWindow(t *testing.T) {
 
 	// A second late tick touching the first window merges instead of
 	// appending.
-	clk.set(700 * time.Millisecond)
+	clk.Set(700 * time.Millisecond)
 	m.SampleNow()
-	wins = m.Windows(clk.now())
+	wins = m.Windows(clk.Now())
 	if len(wins) != 1 {
 		t.Fatalf("merged windows = %+v, want 1", wins)
 	}
@@ -127,24 +119,24 @@ func TestTickLagWindow(t *testing.T) {
 // retention horizon, and MaxWindows bounds the kept set.
 func TestWindowRetention(t *testing.T) {
 	m, clk, _ := newTestMonitor(t)
-	clk.set(100 * time.Millisecond)
+	clk.Set(100 * time.Millisecond)
 	m.SampleNow()
 	now := 200 * time.Millisecond
 	// Ten disjoint stalls (interleave on-time ticks to break merging).
 	for i := 0; i < 10; i++ {
 		now += 300 * time.Millisecond // 200ms late → cpu window
-		clk.set(now)
+		clk.Set(now)
 		m.SampleNow()
 		now += 100 * time.Millisecond // on schedule → closes the merge run
-		clk.set(now)
+		clk.Set(now)
 		m.SampleNow()
 	}
-	wins := m.Windows(clk.now())
+	wins := m.Windows(clk.Now())
 	if len(wins) != 4 {
 		t.Fatalf("kept windows = %d, want MaxWindows=4", len(wins))
 	}
 	// An hour later every window is stale.
-	if wins := m.Windows(clk.now() + time.Hour); len(wins) != 0 {
+	if wins := m.Windows(clk.Now() + time.Hour); len(wins) != 0 {
 		t.Fatalf("stale windows survived retention: %+v", wins)
 	}
 }
@@ -191,7 +183,7 @@ func TestZeroAllocSample(t *testing.T) {
 	var now time.Duration
 	tick := func() {
 		now += 100 * time.Millisecond
-		clk.set(now)
+		clk.Set(now)
 		m.SampleNow()
 	}
 	tick()
@@ -205,7 +197,7 @@ func TestZeroAllocSample(t *testing.T) {
 // TestStartClose: the sampling loop starts, samples, and shuts down
 // without leaking its goroutine (Close waits for exit).
 func TestStartClose(t *testing.T) {
-	m := New(Config{Interval: 5 * time.Millisecond}).Instrument(obs.NewRegistry(obs.DomainWall))
+	m := New(obs.Wall, Config{Interval: 5 * time.Millisecond}).Instrument(obs.NewRegistry(obs.DomainWall))
 	m.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for len(m.Ring()) == 0 && time.Now().Before(deadline) {
@@ -229,7 +221,7 @@ func TestStartClose(t *testing.T) {
 // TestDisabledTicks: a disabled monitor's loop keeps running but touches
 // nothing.
 func TestDisabledTicks(t *testing.T) {
-	m := New(Config{Interval: 5 * time.Millisecond})
+	m := New(obs.Wall, Config{Interval: 5 * time.Millisecond})
 	m.SetEnabled(false)
 	m.Start()
 	defer m.Close()

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"slim/internal/obs"
@@ -22,7 +21,6 @@ type Profiler struct {
 	window  time.Duration
 	ringCap int
 	topN    int
-	enabled atomic.Bool
 
 	mu     sync.Mutex
 	ring   []ProfileWindow
@@ -60,9 +58,7 @@ func NewProfiler(window time.Duration, ringSize, topN int) *Profiler {
 	if topN <= 0 {
 		topN = 8
 	}
-	p := &Profiler{window: window, ringCap: ringSize, topN: topN}
-	p.enabled.Store(true)
-	return p
+	return &Profiler{window: window, ringCap: ringSize, topN: topN}
 }
 
 // Instrument makes reg the home of the profiler's series: the rotating
@@ -89,10 +85,6 @@ func (p *Profiler) SetWindow(d time.Duration) {
 	}
 }
 
-// SetEnabled pauses or resumes capture; the loop keeps running but a
-// disabled profiler skips StartCPUProfile entirely.
-func (p *Profiler) SetEnabled(on bool) { p.enabled.Store(on) }
-
 // Start launches the capture loop. Starting a started profiler panics.
 func (p *Profiler) Start() {
 	if p.stop != nil {
@@ -116,19 +108,7 @@ func (p *Profiler) Close() {
 
 func (p *Profiler) loop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	t := time.NewTimer(0)
-	defer t.Stop()
-	<-t.C
 	for {
-		if !p.enabled.Load() {
-			t.Reset(p.window)
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-			continue
-		}
 		p.CaptureWindow(stop)
 		select {
 		case <-stop:
@@ -147,9 +127,7 @@ func (p *Profiler) CaptureWindow(stop <-chan struct{}) bool {
 	start := time.Now()
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		// Another profile is running (ours or /debug/pprof/profile).
-		if p.errorsC != nil {
-			p.errorsC.Inc()
-		}
+		p.errorsC.Inc()
 		t := time.NewTimer(p.window)
 		defer t.Stop()
 		select {
@@ -168,7 +146,7 @@ func (p *Profiler) CaptureWindow(stop <-chan struct{}) bool {
 	w := ProfileWindow{Start: start, End: time.Now(), Data: buf.Bytes()}
 	if self, err := SelfTimeByPkg(w.Data); err == nil {
 		w.SelfByPkg = self
-	} else if p.errorsC != nil {
+	} else {
 		p.errorsC.Inc()
 	}
 	p.store(w)
@@ -184,9 +162,7 @@ func (p *Profiler) store(w ProfileWindow) {
 		p.ring = p.ring[:len(p.ring)-1]
 	}
 	p.ring = append(p.ring, w)
-	if p.windowsC != nil {
-		p.windowsC.Inc()
-	}
+	p.windowsC.Inc()
 	if p.reg == nil || w.SelfByPkg == nil {
 		return
 	}
@@ -257,17 +233,6 @@ func (p *Profiler) Top() []PkgSelf {
 		}
 	}
 	return nil
-}
-
-// Evict removes every published top-N gauge — registry hygiene for
-// tests and shutdown.
-func (p *Profiler) Evict() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for pkg, name := range p.pubbed {
-		p.reg.Remove(name)
-		delete(p.pubbed, pkg)
-	}
 }
 
 // quoteLabel is strconv.Quote minus the surrounding quotes — reserved

@@ -1,9 +1,10 @@
 package incident
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
+
+	"slim/internal/obs"
 )
 
 // StatusDoc is the /debug/incident document.
@@ -14,50 +15,31 @@ type StatusDoc struct {
 	Bundles []*Manifest `json:"bundles"`
 }
 
-// Handler serves the engine over HTTP:
+// Status is the engine's obs.JSONHandler callback:
 //
-//	GET  /debug/incident            → StatusDoc JSON
+//	GET  /debug/incident            → StatusDoc
 //	POST /debug/incident?trigger=R  → write a bundle now (reason R,
-//	                                  default "manual"); 429 when rate
-//	                                  limited, 503 when disabled
-func (e *Engine) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if r.Method == http.MethodPost {
-			reason := r.URL.Query().Get("trigger")
-			if reason == "" {
-				reason = "manual"
-			}
-			m, err := e.Trigger(reason, "manual")
-			switch {
-			case errors.Is(err, ErrRateLimited):
-				http.Error(w, `{"error":"rate limited"}`, http.StatusTooManyRequests)
-				return
-			case errors.Is(err, ErrDisabled):
-				http.Error(w, `{"error":"disabled"}`, http.StatusServiceUnavailable)
-				return
-			case err != nil:
-				http.Error(w, `{"error":`+jsonStr(err.Error())+`}`, http.StatusInternalServerError)
-				return
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(m)
-			return
+//	                                  default "manual") and answer its
+//	                                  manifest; 429 when rate limited,
+//	                                  503 when disabled
+func (e *Engine) Status(r *http.Request) (any, error) {
+	if r.Method == http.MethodPost {
+		reason := r.URL.Query().Get("trigger")
+		if reason == "" {
+			reason = "manual"
 		}
-		bundles, err := List(e.cfg.Dir)
-		if err != nil {
-			http.Error(w, `{"error":`+jsonStr(err.Error())+`}`, http.StatusInternalServerError)
-			return
+		m, err := e.Trigger(reason, "manual")
+		switch {
+		case errors.Is(err, ErrRateLimited):
+			return nil, obs.StatusError{Code: http.StatusTooManyRequests, Msg: "rate limited"}
+		case errors.Is(err, ErrDisabled):
+			return nil, obs.StatusError{Code: http.StatusServiceUnavailable, Msg: "disabled"}
 		}
-		doc := StatusDoc{Enabled: e.enabled.Load(), Dir: e.cfg.Dir, Bundles: bundles}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	})
-}
-
-func jsonStr(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
+		return m, err
+	}
+	bundles, err := List(e.cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return StatusDoc{Enabled: e.enabled.Load(), Dir: e.cfg.Dir, Bundles: bundles}, nil
 }

@@ -90,8 +90,8 @@ type Sources struct {
 	Profiler *hostmon.Profiler
 	// Registry supplies metrics.prom.
 	Registry *obs.Registry
-	// Costmodel writes the /debug/costmodel document (costmodel.json).
-	Costmodel func(io.Writer) error
+	// Costmodel returns the /debug/costmodel document (costmodel.json).
+	Costmodel func() any
 	// FlightDir is the flight recorder's dump directory; the newest
 	// FlightTail dumps are copied into the bundle's flight/ directory.
 	FlightDir string
@@ -161,9 +161,6 @@ func (e *Engine) Instrument(reg *obs.Registry) *Engine {
 // SetEnabled pauses or resumes triggering (manual and SLO-driven).
 func (e *Engine) SetEnabled(on bool) { e.enabled.Store(on) }
 
-// Enabled reports whether triggering is live.
-func (e *Engine) Enabled() bool { return e.enabled.Load() }
-
 // Dir reports the bundle root.
 func (e *Engine) Dir() string { return e.cfg.Dir }
 
@@ -186,9 +183,7 @@ func (e *Engine) Start() {
 			select {
 			case e.trigC <- "slo:" + from.String() + "->" + to.String():
 			default:
-				if e.droppedC != nil {
-					e.droppedC.Inc()
-				}
+				e.droppedC.Inc()
 			}
 		})
 	}
@@ -234,40 +229,28 @@ var ErrDisabled = fmt.Errorf("incident: disabled")
 // ErrRateLimited / ErrDisabled without touching disk.
 func (e *Engine) Trigger(reason, trigger string) (*Manifest, error) {
 	if !e.enabled.Load() || e.cfg.Dir == "" {
-		if e.droppedC != nil {
-			e.droppedC.Inc()
-		}
+		e.droppedC.Inc()
 		return nil, ErrDisabled
 	}
 	now := time.Now()
 	last := e.lastNs.Load()
 	if last != 0 && now.UnixNano()-last < int64(e.cfg.MinGap) {
-		if e.droppedC != nil {
-			e.droppedC.Inc()
-		}
+		e.droppedC.Inc()
 		return nil, ErrRateLimited
 	}
 	if !e.lastNs.CompareAndSwap(last, now.UnixNano()) {
-		if e.droppedC != nil {
-			e.droppedC.Inc()
-		}
+		e.droppedC.Inc()
 		return nil, ErrRateLimited // lost the race to a concurrent trigger
 	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
 	m, err := e.writeBundle(reason, trigger, now)
 	if err != nil {
-		if e.errorsC != nil {
-			e.errorsC.Inc()
-		}
+		e.errorsC.Inc()
 		return nil, err
 	}
-	if e.bundlesC != nil {
-		e.bundlesC.Inc()
-	}
-	if e.lastG != nil {
-		e.lastG.Set(now.UnixMilli())
-	}
+	e.bundlesC.Inc()
+	e.lastG.Set(now.UnixMilli())
 	e.rotate()
 	return m, nil
 }
@@ -316,32 +299,7 @@ func (e *Engine) writeBundle(reason, trigger string, now time.Time) (*Manifest, 
 		Errors:    map[string]string{},
 	}
 
-	writeFile := func(rel string, fill func(io.Writer) error) {
-		path := filepath.Join(stage, rel)
-		if dir := filepath.Dir(path); dir != stage {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				m.Errors[rel] = err.Error()
-				return
-			}
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			m.Errors[rel] = err.Error()
-			return
-		}
-		err = fill(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			m.Errors[rel] = err.Error()
-			os.Remove(path)
-			return
-		}
-		if fi, err := os.Stat(path); err == nil {
-			m.Files[rel] = fi.Size()
-		}
-	}
+	writeFile := func(rel string, fill func(io.Writer) error) { writeStaged(stage, m, rel, fill) }
 
 	// CPU profile: the continuous profiler's current window, or a short
 	// on-demand capture when no window is available.
@@ -363,14 +321,14 @@ func (e *Engine) writeBundle(reason, trigger string, now time.Time) (*Manifest, 
 	})
 
 	if e.src.SLO != nil {
-		writeFile("slo.json", e.src.SLO.WriteJSON)
+		writeFile("slo.json", func(w io.Writer) error { return obs.WriteJSON(w, e.src.SLO.Status()) })
 	} else {
 		m.Errors["slo.json"] = "no slo tracker wired"
 	}
 	if e.src.Monitor != nil {
 		e.src.Monitor.SampleNow() // a fresh tick so the ring ends at the incident
 		writeFile("hostmon.json", func(w io.Writer) error {
-			return e.src.Monitor.WriteJSON(w, e.src.Profiler)
+			return obs.WriteJSON(w, e.src.Monitor.StatusWith(e.src.Profiler))
 		})
 	} else {
 		m.Errors["hostmon.json"] = "no host monitor wired"
@@ -382,22 +340,47 @@ func (e *Engine) writeBundle(reason, trigger string, now time.Time) (*Manifest, 
 		})
 	}
 	if e.src.Costmodel != nil {
-		writeFile("costmodel.json", e.src.Costmodel)
+		writeFile("costmodel.json", func(w io.Writer) error { return obs.WriteJSON(w, e.src.Costmodel()) })
 	}
 	e.copyFlightDumps(stage, m)
 	e.captureTail(stage, m)
 
-	writeFile("manifest.json", func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
-	})
+	writeFile("manifest.json", func(w io.Writer) error { return obs.WriteJSON(w, m) })
 
 	final := filepath.Join(e.cfg.Dir, name)
 	if err := os.Rename(stage, final); err != nil {
 		return nil, fmt.Errorf("incident: publish bundle: %w", err)
 	}
 	return m, nil
+}
+
+// writeStaged fills one bundle file under the staging directory, creating
+// its subdirectory on demand. Success records the file's size in the
+// manifest; any failure records the error there instead and leaves no
+// partial file behind.
+func writeStaged(stage string, m *Manifest, rel string, fill func(io.Writer) error) {
+	path := filepath.Join(stage, rel)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		m.Errors[rel] = err.Error()
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		m.Errors[rel] = err.Error()
+		return
+	}
+	err = fill(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		m.Errors[rel] = err.Error()
+		os.Remove(path)
+		return
+	}
+	if fi, err := os.Stat(path); err == nil {
+		m.Files[rel] = fi.Size()
+	}
 }
 
 // cpuProfile returns the freshest CPU profile available: the continuous
@@ -451,13 +434,6 @@ func (e *Engine) copyFlightDumps(stage string, m *Manifest) {
 	if len(dumps) > e.cfg.FlightTail {
 		dumps = dumps[:e.cfg.FlightTail]
 	}
-	if len(dumps) == 0 {
-		return
-	}
-	if err := os.MkdirAll(filepath.Join(stage, "flight"), 0o755); err != nil {
-		m.Errors["flight"] = err.Error()
-		return
-	}
 	for _, d := range dumps {
 		rel := filepath.Join("flight", d.name)
 		data, err := os.ReadFile(filepath.Join(e.src.FlightDir, d.name))
@@ -465,11 +441,10 @@ func (e *Engine) copyFlightDumps(stage string, m *Manifest) {
 			m.Errors[rel] = err.Error()
 			continue
 		}
-		if err := os.WriteFile(filepath.Join(stage, rel), data, 0o644); err != nil {
-			m.Errors[rel] = err.Error()
-			continue
-		}
-		m.Files[rel] = int64(len(data))
+		writeStaged(stage, m, rel, func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
 	}
 }
 
@@ -498,32 +473,19 @@ func (e *Engine) captureTail(stage string, m *Manifest) {
 	if len(recs) > e.cfg.CaptureTail {
 		recs = recs[len(recs)-e.cfg.CaptureTail:]
 	}
-	out, err := os.Create(filepath.Join(stage, rel))
-	if err != nil {
-		m.Errors[rel] = err.Error()
-		return
-	}
-	werr := capture.WriteHeader(out, hdr.Domain, hdr.Epoch)
-	if werr == nil {
+	writeStaged(stage, m, rel, func(w io.Writer) error {
+		if err := capture.WriteHeader(w, hdr.Domain, hdr.Epoch); err != nil {
+			return err
+		}
 		var buf []byte
 		for _, r := range recs {
 			buf = capture.AppendRecord(buf[:0], r)
-			if _, err := out.Write(buf); err != nil {
-				werr = err
-				break
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
 		}
-	}
-	if cerr := out.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		m.Errors[rel] = werr.Error()
-		return
-	}
-	if fi, err := os.Stat(filepath.Join(stage, rel)); err == nil {
-		m.Files[rel] = fi.Size()
-	}
+		return nil
+	})
 }
 
 // rotate removes the oldest bundles past MaxBundles. Bundle names embed

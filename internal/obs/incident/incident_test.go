@@ -2,7 +2,6 @@ package incident
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -35,8 +34,8 @@ func sloCfg() slo.Config {
 func newTestEngine(t testing.TB, cfg Config) (*Engine, *slo.Tracker, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry(obs.DomainWall)
-	trk := slo.New(obs.DomainSim, sloCfg())
-	mon := hostmon.New(hostmon.Config{Interval: 100 * time.Millisecond})
+	trk := slo.New(obs.NewClock(obs.DomainSim), sloCfg())
+	mon := hostmon.New(obs.Wall, hostmon.Config{Interval: 100 * time.Millisecond})
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
@@ -71,7 +70,7 @@ func newTestEngine(t testing.TB, cfg Config) (*Engine, *slo.Tracker, *obs.Regist
 		SLO:         trk,
 		Monitor:     mon,
 		Registry:    reg,
-		Costmodel:   func(w io.Writer) error { _, err := w.Write([]byte(`{"fit":"ok"}`)); return err },
+		Costmodel:   func() any { return map[string]string{"fit": "ok"} },
 		FlightDir:   fdir,
 		CaptureFile: capPath,
 	}).Instrument(reg)
@@ -226,7 +225,7 @@ func TestDisabled(t *testing.T) {
 // TestHandler: GET lists, POST triggers, rate-limited POST is 429.
 func TestHandler(t *testing.T) {
 	e, _, _ := newTestEngine(t, Config{MinGap: time.Hour, ProfileFallback: time.Millisecond})
-	srv := httptest.NewServer(e.Handler())
+	srv := httptest.NewServer(obs.JSONHandler(e.Status))
 	defer srv.Close()
 
 	resp, err := srv.Client().Post(srv.URL+"?trigger=via-http", "", nil)

@@ -2,7 +2,6 @@ package netqual
 
 import (
 	"testing"
-	"time"
 
 	"slim/internal/obs"
 	"slim/internal/raceflag"
@@ -20,14 +19,14 @@ var allocGuard = func(t *testing.T) {
 // every observe call is one atomic load and nothing else.
 func TestZeroAllocDisabled(t *testing.T) {
 	allocGuard(t)
-	tr := New(obs.DomainWall, DefaultConfig())
+	tr := New(obs.Wall, DefaultConfig())
 	s := tr.Session(1, "alice")
 	if n := testing.AllocsPerRun(1000, func() {
-		s.OnSend(time.Millisecond, 1, 1000, false)
-		s.OnStatus(2*time.Millisecond, 1, 0)
-		s.OnNack(3*time.Millisecond, 2, 2)
-		s.OnProbe(4 * time.Millisecond)
-		s.OnGrant(5 * time.Millisecond)
+		s.OnSend(1, 1000, false)
+		s.OnStatus(1, 0)
+		s.OnNack(2, 2)
+		s.OnProbe()
+		s.OnGrant()
 	}); n != 0 {
 		t.Errorf("disabled observe path allocates %.1f/op, want 0", n)
 	}
@@ -38,26 +37,23 @@ func TestZeroAllocDisabled(t *testing.T) {
 func TestZeroAllocEnabled(t *testing.T) {
 	allocGuard(t)
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(1, "alice")
 
 	var seq uint32
-	var now time.Duration
 	if n := testing.AllocsPerRun(1000, func() {
 		seq++
-		now += time.Millisecond
-		s.OnSend(now, seq, 1000, false)
-		s.OnStatus(now+500*time.Microsecond, seq, 0)
+		s.OnSend(seq, 1000, false)
+		s.OnStatus(seq, 0)
 	}); n != 0 {
 		t.Errorf("enabled send/status path allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		seq += 2
-		now += time.Millisecond
-		s.OnNack(now, seq-1, seq-1)
-		s.OnProbe(now)
-		s.OnGrant(now + time.Millisecond)
+		s.OnNack(seq-1, seq-1)
+		s.OnProbe()
+		s.OnGrant()
 	}); n != 0 {
 		t.Errorf("enabled nack/grant path allocates %.1f/op, want 0", n)
 	}
@@ -67,40 +63,39 @@ func TestZeroAllocEnabled(t *testing.T) {
 // fold, jitter, window accounting, gauge publish).
 func BenchmarkObserveStatus(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(1, "alice")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq := uint32(i + 1)
-		now := time.Duration(i) * time.Millisecond
-		s.OnSend(now, seq, 1000, false)
-		s.OnStatus(now+500*time.Microsecond, seq, 0)
+		s.OnSend(seq, 1000, false)
+		s.OnStatus(seq, 0)
 	}
 }
 
 // BenchmarkObserveSendDisabled measures the disarmed fast path.
 func BenchmarkObserveSendDisabled(b *testing.B) {
-	tr := New(obs.DomainWall, DefaultConfig())
+	tr := New(obs.Wall, DefaultConfig())
 	s := tr.Session(1, "alice")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.OnSend(time.Duration(i), uint32(i), 1000, false)
+		s.OnSend(uint32(i), 1000, false)
 	}
 }
 
 // BenchmarkObserveNack measures the armed NACK ingest.
 func BenchmarkObserveNack(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(1, "alice")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq := uint32(i + 1)
-		s.OnNack(time.Duration(i)*time.Millisecond, seq, seq)
+		s.OnNack(seq, seq)
 	}
 }

@@ -1,13 +1,10 @@
 package netqual
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"sort"
 	"time"
 
 	"slim/internal/obs"
+	"slim/internal/obs/flight"
 )
 
 // SessionStatus is one session's path estimate in a Status report.
@@ -35,16 +32,6 @@ type Status struct {
 	Sessions    []SessionStatus `json:"sessions"`
 }
 
-// SessionStatusAt reports one session's estimate as of now (sim-domain
-// callers pass their own clock; wall callers usually want t.Now()).
-func (t *Tracker) SessionStatusAt(id uint32, now time.Duration) (SessionStatus, bool) {
-	s := t.lookup(id)
-	if s == nil {
-		return SessionStatus{}, false
-	}
-	return s.statusAt(now), true
-}
-
 func (s *PathSession) statusAt(now time.Duration) SessionStatus {
 	return SessionStatus{
 		ID:         s.id,
@@ -64,43 +51,46 @@ func (s *PathSession) statusAt(now time.Duration) SessionStatus {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Status snapshots every session as of the tracker's read clock, sorted
-// by session ID.
+// Status snapshots every session as of the tracker's clock, sorted by
+// session ID.
 func (t *Tracker) Status() Status {
-	now := t.Now()
-	t.mu.RLock()
-	sessions := make([]*PathSession, 0, len(t.sessions))
-	for _, s := range t.sessions {
-		sessions = append(sessions, s)
-	}
-	t.mu.RUnlock()
+	now := t.clock.Now()
+	ids := t.sessions.IDs()
 	st := Status{
 		Enabled:     t.enabled.Load(),
-		Domain:      t.domain,
+		Domain:      t.clock.Domain(),
 		ShortWindow: t.cfg.ShortWindow,
 		LongWindow:  t.cfg.LongWindow,
-		Sessions:    make([]SessionStatus, 0, len(sessions)),
+		Sessions:    make([]SessionStatus, 0, len(ids)),
 	}
-	for _, s := range sessions {
-		st.Sessions = append(st.Sessions, s.statusAt(now))
+	for _, id := range ids {
+		if s := t.sessions.Lookup(id); s != nil {
+			st.Sessions = append(st.Sessions, s.statusAt(now))
+		}
 	}
-	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
 }
 
-// WriteJSON writes the Status report as indented JSON.
-func (t *Tracker) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Status())
-}
-
-// Handler serves the Status report over HTTP (mounted at /debug/netqual).
-func (t *Tracker) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := t.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
+// PathEvidence reports a session's measured path state as of asOf (on the
+// tracker's clock) in the form the flight recorder stamps into breach
+// dumps — wire it with Recorder.SetPathEvidence and WIRE verdicts gain a
+// LINK sub-verdict (loss-driven vs latency-driven) backed by the RTT and
+// loss the estimator saw at breach time. A session the tracker never
+// observed — or a disarmed tracker — contributes no evidence rather than
+// zeros.
+func (t *Tracker) PathEvidence(id uint32, asOf time.Duration) *flight.PathEvidence {
+	s := t.Lookup(id)
+	if s == nil || !t.Enabled() {
+		return nil
+	}
+	return &flight.PathEvidence{
+		SRTTNs:     int64(s.SRTT()),
+		RTTVarNs:   int64(s.RTTVar()),
+		MinRTTNs:   int64(s.MinRTT()),
+		JitterNs:   int64(s.Jitter()),
+		Samples:    s.Samples(),
+		LossShort:  s.LossShortAt(asOf),
+		LossLong:   s.LossLongAt(asOf),
+		GoodputBps: s.GoodputAt(asOf),
+	}
 }

@@ -17,10 +17,13 @@
 //   - The disabled observe path is one atomic load, zero allocations.
 //   - The enabled observe path is atomics and fixed arrays only — no
 //     locks, no maps, no allocation (pinned by TestZeroAlloc*).
-//   - Observe methods take the caller's clock (`now time.Duration`) and
-//     are single-writer per session: the owning server calls them under
-//     its session lock. Reads (debug handler, flight recorder, broker
-//     rollup) are lock-free atomic loads.
+//   - Observe methods stamp from the tracker's obs.Clock — the timeline
+//     the flight recorder and SLO tracker share, so breach-time path
+//     evidence needs no translation — and are single-writer per session:
+//     the owning server calls them under its session lock. A harness that
+//     replays recorded or simulated traffic sets a sim-domain clock before
+//     each call. Reads (debug handler, flight recorder, broker rollup) are
+//     lock-free atomic loads.
 //
 // Sessions are keyed by fleet-unique session ID, so one process-wide
 // tracker shared across broker shards keeps estimator state alive across
@@ -32,7 +35,6 @@
 package netqual
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,25 +85,18 @@ type txSlot struct {
 	bytes   int32
 }
 
-// Tracker owns per-session path estimators in one clock domain. The
-// zero value is not usable; call New. Estimation is off until Enable —
-// the disabled observe path costs one atomic load.
+// Tracker owns per-session path estimators on one clock. The zero value
+// is not usable; call New. Estimation is off until SetEnabled — the
+// disabled observe path costs one atomic load.
 type Tracker struct {
-	domain  obs.Domain
+	clock   *obs.Clock
 	cfg     Config
 	enabled atomic.Bool
 
-	// lastNs is the newest session-clock instant any observe saw;
-	// lastWallNs is the wall time at that instant (wall domain only).
-	// Together they let reads compute a "now" consistent with the
-	// caller-provided clock the windows were written with, advancing
-	// through idle periods so stale windows decay instead of freezing.
-	lastNs     atomic.Int64
-	lastWallNs atomic.Int64
+	sessions obs.Sessions[PathSession]
 
-	mu       sync.RWMutex
-	sessions map[uint32]*PathSession
-	reg      *obs.Registry
+	mu  sync.RWMutex
+	reg *obs.Registry
 
 	// Fleet-wide counters (resolved by Instrument; nil-safe before).
 	cSamples    *obs.Counter // slim_netqual_rtt_samples_total
@@ -110,24 +105,16 @@ type Tracker struct {
 	cAckedBytes *obs.Counter // slim_netqual_acked_bytes_total
 }
 
-// New returns a tracker for one clock domain (estimation disabled).
-func New(domain obs.Domain, cfg Config) *Tracker {
-	return &Tracker{
-		domain:   domain,
-		cfg:      cfg.withDefaults(),
-		sessions: make(map[uint32]*PathSession),
-	}
+// New returns a tracker that stamps and reads its windows on clock
+// (estimation disabled).
+func New(clock *obs.Clock, cfg Config) *Tracker {
+	return &Tracker{clock: clock, cfg: cfg.withDefaults()}
 }
-
-// Default is the process-wide wall-clock tracker; live servers register
-// sessions here unless told otherwise. Disabled until slimd
-// -netqual (or SetEnabled) turns it on.
-var Default = New(obs.DomainWall, DefaultConfig()).Instrument(obs.Default)
 
 // Instrument resolves the tracker's fleet counters in reg and makes reg
 // the home for per-session labeled gauges. Returns t for chaining.
 func (t *Tracker) Instrument(reg *obs.Registry) *Tracker {
-	if reg.Domain() != t.domain {
+	if reg.Domain() != t.clock.Domain() {
 		panic("netqual: registry clock domain does not match tracker domain")
 	}
 	t.mu.Lock()
@@ -140,121 +127,53 @@ func (t *Tracker) Instrument(reg *obs.Registry) *Tracker {
 	return t
 }
 
-// Domain reports the tracker's clock domain.
-func (t *Tracker) Domain() obs.Domain { return t.domain }
-
-// Windows reports the configured short and long accounting windows.
-func (t *Tracker) Windows() (short, long time.Duration) {
-	return t.cfg.ShortWindow, t.cfg.LongWindow
-}
-
 // SetEnabled arms or disarms every session's observe path.
 func (t *Tracker) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // Enabled reports whether estimation is armed.
 func (t *Tracker) Enabled() bool { return t.enabled.Load() }
 
-// tick records the caller's clock so reads can compute a consistent now.
-func (t *Tracker) tick(now time.Duration) {
-	n := int64(now)
-	if n > t.lastNs.Load() {
-		t.lastNs.Store(n)
-		if t.domain == obs.DomainWall {
-			t.lastWallNs.Store(time.Now().UnixNano())
-		}
-	}
-}
-
-// Now returns the tracker's read clock: the newest observed instant,
-// advanced by elapsed wall time since (wall domain). Sim-domain readers
-// that need decay semantics pass their own now to the At variants.
-func (t *Tracker) Now() time.Duration {
-	last := t.lastNs.Load()
-	if t.domain == obs.DomainWall {
-		if w := t.lastWallNs.Load(); w != 0 {
-			last += time.Now().UnixNano() - w
-		}
-	}
-	return time.Duration(last)
-}
-
 // Session returns the path estimator for a session, creating (and, when
 // instrumented, registering its labeled gauges) on first use. Session IDs
 // are fleet-unique, so a migrated session resolves to the same estimator
 // on its destination shard.
 func (t *Tracker) Session(id uint32, user string) *PathSession {
-	t.mu.RLock()
-	s, ok := t.sessions[id]
-	t.mu.RUnlock()
-	if ok {
+	return t.sessions.Get(id, func() *PathSession {
+		s := &PathSession{t: t, id: id, user: user}
+		s.short.Init(t.cfg.ShortWindow)
+		s.long.Init(t.cfg.LongWindow)
+		t.mu.RLock()
+		reg := t.reg
+		t.mu.RUnlock()
+		if reg != nil {
+			s.series = reg.Labeled("session", user)
+			s.gSRTT = s.series.Gauge("slim_netqual_srtt_ns")
+			s.gJitter = s.series.Gauge("slim_netqual_jitter_ns")
+			s.gLoss = s.series.Gauge("slim_netqual_loss_permille")
+			s.gGoodput = s.series.Gauge("slim_netqual_goodput_bps")
+		}
 		return s
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.sessions[id]; ok {
-		return s
-	}
-	s = &PathSession{t: t, id: id, user: user}
-	s.short.slotNs = int64(t.cfg.ShortWindow) / slotsPerWindow
-	s.long.slotNs = int64(t.cfg.LongWindow) / slotsPerWindow
-	if t.reg != nil {
-		s.gSRTT = t.reg.Gauge(`slim_netqual_srtt_ns{session="` + user + `"}`)
-		s.gJitter = t.reg.Gauge(`slim_netqual_jitter_ns{session="` + user + `"}`)
-		s.gLoss = t.reg.Gauge(`slim_netqual_loss_permille{session="` + user + `"}`)
-		s.gGoodput = t.reg.Gauge(`slim_netqual_goodput_bps{session="` + user + `"}`)
-	}
-	t.sessions[id] = s
-	return s
+	})
 }
 
 // Remove evicts a session's estimator and its labeled gauges — the
 // cardinality-eviction contract shared with the SLO tracker and the
 // per-session input-to-paint histograms. Call from Terminate paths.
 func (t *Tracker) Remove(id uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.sessions[id]
-	if !ok {
-		return
-	}
-	delete(t.sessions, id)
-	if t.reg != nil {
-		for _, name := range []string{
-			`slim_netqual_srtt_ns{session="` + s.user + `"}`,
-			`slim_netqual_jitter_ns{session="` + s.user + `"}`,
-			`slim_netqual_loss_permille{session="` + s.user + `"}`,
-			`slim_netqual_goodput_bps{session="` + s.user + `"}`,
-		} {
-			t.reg.Remove(name)
-		}
+	if s := t.sessions.Remove(id); s != nil && s.series != nil {
+		s.series.Remove()
 	}
 }
 
 // SessionIDs returns the tracked session IDs, sorted (tests, eviction
 // checks).
-func (t *Tracker) SessionIDs() []uint32 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]uint32, 0, len(t.sessions))
-	for id := range t.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// lookup returns the session without creating it.
-func (t *Tracker) lookup(id uint32) *PathSession {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sessions[id]
-}
+func (t *Tracker) SessionIDs() []uint32 { return t.sessions.IDs() }
 
 // Lookup returns a session's estimator without creating it (nil when the
 // session is untracked). Evidence taps — breach-dump stamping, broker
 // rollups — use it so reads never instantiate estimator state for
 // sessions nothing observed.
-func (t *Tracker) Lookup(id uint32) *PathSession { return t.lookup(id) }
+func (t *Tracker) Lookup(id uint32) *PathSession { return t.sessions.Lookup(id) }
 
 // PathSession estimates one session's path. Observe methods (OnSend,
 // OnStatus, OnNack, OnProbe, OnGrant, Rebase) are single-writer — the
@@ -286,9 +205,12 @@ type PathSession struct {
 	prevGapNs int64  // previous STATUS inter-arrival gap
 	haveGap   bool
 
-	short, long window
+	// short and long count (acked, lost, acked bytes) per slot.
+	short, long obs.Window
 
-	// Per-session labeled gauges (nil when the tracker is uninstrumented).
+	// Per-session labeled gauges (nil when the tracker is uninstrumented);
+	// series owns them and Remove evicts through it.
+	series                          *obs.Labeled
 	gSRTT, gJitter, gLoss, gGoodput *obs.Gauge
 }
 
@@ -298,17 +220,11 @@ func (s *PathSession) Armed() bool {
 	return s != nil && s.t.enabled.Load()
 }
 
-// ID returns the session ID.
-func (s *PathSession) ID() uint32 { return s.id }
-
-// User returns the session's user.
-func (s *PathSession) User() string { return s.user }
-
 // OnSend records a paced datagram leaving the server: seq → send time for
 // ack matching, bytes for goodput. Retransmissions poison their slot
 // (Karn's algorithm: a retransmitted sequence never yields an RTT sample,
 // because the ack is ambiguous between transmissions).
-func (s *PathSession) OnSend(now time.Duration, seq uint32, bytes int, retrans bool) {
+func (s *PathSession) OnSend(seq uint32, bytes int, retrans bool) {
 	if !s.Armed() {
 		return
 	}
@@ -316,11 +232,10 @@ func (s *PathSession) OnSend(now time.Duration, seq uint32, bytes int, retrans b
 	if retrans && sl.seq == seq {
 		sl.retrans = true
 	} else {
-		sl.seq, sl.sendNs, sl.bytes, sl.retrans = seq, int64(now), int32(bytes), retrans
+		sl.seq, sl.sendNs, sl.bytes, sl.retrans = seq, int64(s.t.clock.Now()), int32(bytes), retrans
 	}
 	s.sentPkts.Add(1)
 	s.sentBytes.Add(int64(bytes))
-	s.t.tick(now)
 }
 
 // OnStatus ingests a console STATUS heartbeat: RTT sample from the ack of
@@ -329,13 +244,12 @@ func (s *PathSession) OnSend(now time.Duration, seq uint32, bytes int, retrans b
 // goodput. Stale or reordered STATUS messages (LastSeq at or below the
 // ack watermark) contribute jitter only — the ack walk never runs
 // backward.
-func (s *PathSession) OnStatus(now time.Duration, lastSeq, dropped uint32) {
+func (s *PathSession) OnStatus(lastSeq, dropped uint32) {
 	if !s.Armed() {
 		return
 	}
 	t := s.t
-	t.tick(now)
-	nowNs := int64(now)
+	nowNs := int64(t.clock.Now())
 	adv := int32(lastSeq - s.ackedSeq)
 
 	// One-way jitter from inter-arrival deltas (RFC 3550 shape, applied
@@ -392,8 +306,8 @@ func (s *PathSession) OnStatus(now time.Duration, lastSeq, dropped uint32) {
 				acked += (n - walk) * (s.sentBytes.Load() / pkts)
 			}
 		}
-		s.short.observe(nowNs, n, 0, acked)
-		s.long.observe(nowNs, n, 0, acked)
+		s.short.Add(nowNs, n, 0, acked)
+		s.long.Add(nowNs, n, 0, acked)
 		t.cAckedBytes.Add(acked)
 
 		// RTT sample from the newest acked sequence, Karn-filtered.
@@ -408,11 +322,11 @@ func (s *PathSession) OnStatus(now time.Duration, lastSeq, dropped uint32) {
 // OnNack ingests a console NACK for the inclusive sequence range
 // [from, to]. A watermark deduplicates: sequences already counted lost —
 // including an identical duplicate NACK — are not counted again.
-func (s *PathSession) OnNack(now time.Duration, from, to uint32) {
+func (s *PathSession) OnNack(from, to uint32) {
 	if !s.Armed() {
 		return
 	}
-	s.t.tick(now)
+	nowNs := int64(s.t.clock.Now())
 	s.t.cNacks.Inc()
 	lo := from
 	if int32(lo-1-s.nackHi) < 0 {
@@ -420,7 +334,7 @@ func (s *PathSession) OnNack(now time.Duration, from, to uint32) {
 	}
 	if int32(to-lo) >= 0 {
 		n := int64(to - lo + 1)
-		s.lose(int64(now), n)
+		s.lose(nowNs, n)
 		s.nackHi = to
 		// Mark the lost sequences in the tx ring so the ack walk skips
 		// their bytes (goodput counts delivered bytes only) and a later
@@ -438,31 +352,29 @@ func (s *PathSession) OnNack(now time.Duration, from, to uint32) {
 			}
 		}
 	}
-	s.publishRates(int64(now))
+	s.publishRates(nowNs)
 }
 
 // OnProbe marks a bandwidth-grant round trip leaving the server (the
 // BandwidthRequest the server sends at attach). The matching OnGrant
 // closes the loop with an RTT sample — the only RTT source a session has
 // before its first STATUS.
-func (s *PathSession) OnProbe(now time.Duration) {
+func (s *PathSession) OnProbe() {
 	if !s.Armed() {
 		return
 	}
-	s.probeNs = int64(now)
-	s.t.tick(now)
+	s.probeNs = int64(s.t.clock.Now())
 }
 
 // OnGrant closes an open grant probe into an RTT sample.
-func (s *PathSession) OnGrant(now time.Duration) {
+func (s *PathSession) OnGrant() {
 	if !s.Armed() {
 		return
 	}
 	if s.probeNs != 0 {
-		s.sampleRTT(int64(now) - s.probeNs)
+		s.sampleRTT(int64(s.t.clock.Now()) - s.probeNs)
 		s.probeNs = 0
 	}
-	s.t.tick(now)
 }
 
 // Rebase clears in-flight sample state after a migration cutover or
@@ -471,7 +383,7 @@ func (s *PathSession) OnGrant(now time.Duration) {
 // would pollute the estimators. The smoothed SRTT/jitter values, the ack
 // and NACK watermarks, and the loss/goodput windows survive — a hotdesk
 // redirect must not look like a loss spike.
-func (s *PathSession) Rebase(now time.Duration) {
+func (s *PathSession) Rebase() {
 	if s == nil {
 		return
 	}
@@ -482,13 +394,12 @@ func (s *PathSession) Rebase(now time.Duration) {
 	s.lastArrNs = 0
 	s.prevGapNs = 0
 	s.haveGap = false
-	s.t.tick(now)
 }
 
 // lose charges n lost packets to both windows and the fleet counter.
 func (s *PathSession) lose(nowNs, n int64) {
-	s.short.observe(nowNs, 0, n, 0)
-	s.long.observe(nowNs, 0, n, 0)
+	s.short.Add(nowNs, 0, n, 0)
+	s.long.Add(nowNs, 0, n, 0)
 	s.t.cLost.Add(n)
 }
 
@@ -527,12 +438,9 @@ func (s *PathSession) publishRates(nowNs int64) {
 	if s.gLoss == nil && s.gGoodput == nil {
 		return
 	}
-	acked, lost, ackedBytes := s.short.totals(nowNs)
+	acked, lost, ackedBytes := s.short.Totals(nowNs)
 	s.gLoss.Set(permille(lost, acked))
-	span := s.short.spanNs()
-	if span > 0 {
-		s.gGoodput.Set(ackedBytes * 8 * int64(time.Second) / span)
-	}
+	s.gGoodput.Set(ackedBytes * 8 * int64(time.Second) / int64(s.short.Span()))
 }
 
 // permille returns ⌊1000*num/den⌋ clamped to [0, 1000], 0 when den is 0.
@@ -593,7 +501,7 @@ func (s *PathSession) LossShortAt(now time.Duration) float64 {
 	if s == nil {
 		return 0
 	}
-	acked, lost, _ := s.short.totals(int64(now))
+	acked, lost, _ := s.short.Totals(int64(now))
 	return lossFrac(acked, lost)
 }
 
@@ -602,7 +510,7 @@ func (s *PathSession) LossLongAt(now time.Duration) float64 {
 	if s == nil {
 		return 0
 	}
-	acked, lost, _ := s.long.totals(int64(now))
+	acked, lost, _ := s.long.Totals(int64(now))
 	return lossFrac(acked, lost)
 }
 
@@ -612,12 +520,8 @@ func (s *PathSession) GoodputAt(now time.Duration) float64 {
 	if s == nil {
 		return 0
 	}
-	_, _, ackedBytes := s.short.totals(int64(now))
-	span := s.short.spanNs()
-	if span <= 0 {
-		return 0
-	}
-	return float64(ackedBytes*8) * float64(time.Second) / float64(span)
+	_, _, ackedBytes := s.short.Totals(int64(now))
+	return float64(ackedBytes*8) * float64(time.Second) / float64(s.short.Span())
 }
 
 // lossFrac is lost/acked clamped to [0, 1]. The ack watermark advances

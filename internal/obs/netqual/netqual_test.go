@@ -8,10 +8,13 @@ import (
 	"slim/internal/obs"
 )
 
-func simTracker() *Tracker {
-	t := New(obs.DomainSim, DefaultConfig())
+// simTracker returns an armed tracker and the virtual clock its observe
+// calls stamp from; tests set the clock before each call.
+func simTracker() (*Tracker, *obs.Clock) {
+	clk := obs.NewClock(obs.DomainSim)
+	t := New(clk, DefaultConfig())
 	t.SetEnabled(true)
-	return t
+	return t, clk
 }
 
 const msec = time.Millisecond
@@ -19,11 +22,14 @@ const msec = time.Millisecond
 // TestRTTEWMA pins the RFC 6298 fold: first sample seeds SRTT and
 // RTTVAR=sample/2; later samples move SRTT by 1/8 of the error.
 func TestRTTEWMA(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
 
-	s.OnSend(0, 1, 100, false)
-	s.OnStatus(40*msec, 1, 0)
+	clk.Set(0)
+
+	s.OnSend(1, 100, false)
+	clk.Set(40 * msec)
+	s.OnStatus(1, 0)
 	if got := s.SRTT(); got != 40*msec {
 		t.Fatalf("first sample SRTT = %v, want 40ms", got)
 	}
@@ -36,8 +42,10 @@ func TestRTTEWMA(t *testing.T) {
 
 	// Second sample of 120ms: SRTT += (120-40)/8 = 50ms,
 	// RTTVAR += (|120-40| - 20)/4 = 35ms.
-	s.OnSend(100*msec, 2, 100, false)
-	s.OnStatus(220*msec, 2, 0)
+	clk.Set(100 * msec)
+	s.OnSend(2, 100, false)
+	clk.Set(220 * msec)
+	s.OnStatus(2, 0)
 	if got := s.SRTT(); got != 50*msec {
 		t.Errorf("SRTT after second sample = %v, want 50ms", got)
 	}
@@ -52,18 +60,24 @@ func TestRTTEWMA(t *testing.T) {
 // TestKarnExcludesRetransmits: a retransmitted sequence must never yield
 // an RTT sample — the ack is ambiguous between the transmissions.
 func TestKarnExcludesRetransmits(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
 
-	s.OnSend(0, 1, 100, false)
-	s.OnSend(10*msec, 1, 100, true) // retransmit of seq 1
-	s.OnStatus(50*msec, 1, 0)
+	clk.Set(0)
+
+	s.OnSend(1, 100, false)
+	clk.Set(10 * msec)
+	s.OnSend(1, 100, true) // retransmit of seq 1
+	clk.Set(50 * msec)
+	s.OnStatus(1, 0)
 	if got := s.Samples(); got != 0 {
 		t.Fatalf("retransmitted seq produced %d RTT samples, want 0", got)
 	}
 	// The next clean sequence samples normally.
-	s.OnSend(60*msec, 2, 100, false)
-	s.OnStatus(100*msec, 2, 0)
+	clk.Set(60 * msec)
+	s.OnSend(2, 100, false)
+	clk.Set(100 * msec)
+	s.OnStatus(2, 0)
 	if got, want := s.SRTT(), 40*msec; got != want {
 		t.Errorf("SRTT = %v, want %v", got, want)
 	}
@@ -72,15 +86,18 @@ func TestKarnExcludesRetransmits(t *testing.T) {
 // TestGrantProbeRTT: the bandwidth-grant round trip is an RTT source
 // before any STATUS arrives.
 func TestGrantProbeRTT(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
-	s.OnProbe(10 * msec)
-	s.OnGrant(35 * msec)
+	clk.Set(10 * msec)
+	s.OnProbe()
+	clk.Set(35 * msec)
+	s.OnGrant()
 	if got := s.SRTT(); got != 25*msec {
 		t.Fatalf("grant-probe SRTT = %v, want 25ms", got)
 	}
 	// A grant with no open probe must not sample.
-	s.OnGrant(90 * msec)
+	clk.Set(90 * msec)
+	s.OnGrant()
 	if got := s.Samples(); got != 1 {
 		t.Errorf("unmatched grant sampled: %d samples, want 1", got)
 	}
@@ -89,21 +106,24 @@ func TestGrantProbeRTT(t *testing.T) {
 // TestReorderedAcks: a stale STATUS (LastSeq below the watermark) must
 // not walk the ack window backward or produce a negative-advance sample.
 func TestReorderedAcks(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
 	for i := uint32(1); i <= 5; i++ {
-		s.OnSend(time.Duration(i)*msec, i, 100, false)
+		clk.Set(time.Duration(i) * msec)
+		s.OnSend(i, 100, false)
 	}
-	s.OnStatus(20*msec, 5, 0)
-	acked, _, bytes := s.short.totals(int64(20 * msec))
+	clk.Set(20 * msec)
+	s.OnStatus(5, 0)
+	acked, _, bytes := s.short.Totals(int64(20 * msec))
 	if acked != 5 || bytes != 500 {
 		t.Fatalf("acked=%d bytes=%d, want 5/500", acked, bytes)
 	}
 	samples := s.Samples()
 
 	// Reordered: an older STATUS for seq 3 arrives late.
-	s.OnStatus(25*msec, 3, 0)
-	acked2, _, bytes2 := s.short.totals(int64(25 * msec))
+	clk.Set(25 * msec)
+	s.OnStatus(3, 0)
+	acked2, _, bytes2 := s.short.Totals(int64(25 * msec))
 	if acked2 != acked || bytes2 != bytes {
 		t.Errorf("stale status re-acked: %d/%d, want %d/%d", acked2, bytes2, acked, bytes)
 	}
@@ -115,42 +135,50 @@ func TestReorderedAcks(t *testing.T) {
 // TestDuplicateNacks: the NACK watermark counts each lost sequence once,
 // no matter how many times the console re-NACKs the range.
 func TestDuplicateNacks(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
 	now := 10 * msec
 
-	s.OnNack(now, 3, 5)
-	if _, lost, _ := s.short.totals(int64(now)); lost != 3 {
+	clk.Set(now)
+
+	s.OnNack(3, 5)
+	if _, lost, _ := s.short.Totals(int64(now)); lost != 3 {
 		t.Fatalf("lost = %d, want 3", lost)
 	}
-	s.OnNack(now+msec, 3, 5) // exact duplicate
-	s.OnNack(now+2*msec, 4, 5)
-	if _, lost, _ := s.short.totals(int64(now + 2*msec)); lost != 3 {
+	clk.Set(now + msec)
+	s.OnNack(3, 5) // exact duplicate
+	clk.Set(now + 2*msec)
+	s.OnNack(4, 5)
+	if _, lost, _ := s.short.Totals(int64(now + 2*msec)); lost != 3 {
 		t.Errorf("duplicate NACKs double-counted: lost = %d, want 3", lost)
 	}
 	// A partially-overlapping range counts only the fresh tail.
-	s.OnNack(now+3*msec, 5, 7)
-	if _, lost, _ := s.short.totals(int64(now + 3*msec)); lost != 5 {
+	clk.Set(now + 3*msec)
+	s.OnNack(5, 7)
+	if _, lost, _ := s.short.Totals(int64(now + 3*msec)); lost != 5 {
 		t.Errorf("overlapping NACK: lost = %d, want 5", lost)
 	}
 }
 
 // TestLossRate drives a 10%-loss pattern and checks the windowed rate.
 func TestLossRate(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
 	var now time.Duration
 	var highest uint32
 	for i := uint32(1); i <= 100; i++ {
 		now = time.Duration(i) * msec
-		s.OnSend(now, i, 100, false)
+		clk.Set(now)
+		s.OnSend(i, 100, false)
 		if i%10 == 0 {
-			s.OnNack(now, i, i) // every 10th is lost
+			clk.Set(now)
+			s.OnNack(i, i) // every 10th is lost
 		} else {
 			highest = i
 		}
 	}
-	s.OnStatus(now, 100, 0) // console saw everything up to 100
+	clk.Set(now)
+	s.OnStatus(100, 0) // console saw everything up to 100
 	_ = highest
 	got := s.LossShortAt(now)
 	if got < 0.09 || got > 0.11 {
@@ -161,27 +189,32 @@ func TestLossRate(t *testing.T) {
 // TestMigrationRebase: a hotdesk cutover clears in-flight sample state
 // but must not disturb the smoothed estimates or spike the loss windows.
 func TestMigrationRebase(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
-	s.OnSend(0, 1, 100, false)
-	s.OnStatus(40*msec, 1, 0)
-	s.OnSend(50*msec, 2, 100, false) // in flight across the cutover
-	s.OnProbe(55 * msec)             // grant probe open across the cutover
+	clk.Set(0)
+	s.OnSend(1, 100, false)
+	clk.Set(40 * msec)
+	s.OnStatus(1, 0)
+	clk.Set(50 * msec)
+	s.OnSend(2, 100, false) // in flight across the cutover
+	clk.Set(55 * msec)
+	s.OnProbe() // grant probe open across the cutover
 
 	srtt, jit := s.SRTT(), s.Jitter()
-	ackedBefore, lostBefore, _ := s.short.totals(int64(60 * msec))
+	ackedBefore, lostBefore, _ := s.short.Totals(int64(60 * msec))
 
 	// The destination shard resolves the same session and rebases.
 	if got := tr.Session(1, "alice"); got != s {
 		t.Fatalf("migrated session did not resolve to the same estimator")
 	}
-	s.Rebase(60 * msec)
+	clk.Set(60 * msec)
+	s.Rebase()
 
 	if s.SRTT() != srtt || s.Jitter() != jit {
 		t.Errorf("rebase disturbed smoothed estimates: srtt %v->%v jitter %v->%v",
 			srtt, s.SRTT(), jit, s.Jitter())
 	}
-	acked, lost, _ := s.short.totals(int64(60 * msec))
+	acked, lost, _ := s.short.Totals(int64(60 * msec))
 	if acked != ackedBefore || lost != lostBefore {
 		t.Errorf("rebase disturbed loss windows: acked %d->%d lost %d->%d",
 			ackedBefore, acked, lostBefore, lost)
@@ -191,12 +224,15 @@ func TestMigrationRebase(t *testing.T) {
 	// replayed seq 2 is re-sent by the destination, and only that send
 	// time counts.
 	samples := s.Samples()
-	s.OnGrant(70 * msec) // grant raced the cutover: probe was cleared
+	clk.Set(70 * msec)
+	s.OnGrant() // grant raced the cutover: probe was cleared
 	if s.Samples() != samples {
 		t.Errorf("stale grant probe sampled across the cutover")
 	}
-	s.OnSend(80*msec, 2, 100, false)
-	s.OnStatus(120*msec, 2, 0)
+	clk.Set(80 * msec)
+	s.OnSend(2, 100, false)
+	clk.Set(120 * msec)
+	s.OnStatus(2, 0)
 	if got := s.Samples(); got != samples+1 {
 		t.Fatalf("post-cutover ack sampled %d times, want once", got-samples)
 	}
@@ -207,7 +243,7 @@ func TestMigrationRebase(t *testing.T) {
 		t.Errorf("post-cutover SRTT = %v, want %v", got, want)
 	}
 	// And no loss spike: the cutover itself charged nothing.
-	if _, lost, _ := s.short.totals(int64(120 * msec)); lost != lostBefore {
+	if _, lost, _ := s.short.Totals(int64(120 * msec)); lost != lostBefore {
 		t.Errorf("cutover charged %d lost packets", lost-lostBefore)
 	}
 }
@@ -215,13 +251,18 @@ func TestMigrationRebase(t *testing.T) {
 // TestIdleDecay: an idle session's windows expire by epoch arithmetic —
 // rates read later are zero, not frozen at the last burst.
 func TestIdleDecay(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
-	s.OnSend(0, 1, 100, false)
-	s.OnStatus(msec, 1, 0) // clean ack: seeds SRTT
-	s.OnSend(msec, 2, 100, false)
-	s.OnNack(2*msec, 2, 2)
-	s.OnStatus(2*msec, 2, 0)
+	clk.Set(0)
+	s.OnSend(1, 100, false)
+	clk.Set(msec)
+	s.OnStatus(1, 0) // clean ack: seeds SRTT
+	clk.Set(msec)
+	s.OnSend(2, 100, false)
+	clk.Set(2 * msec)
+	s.OnNack(2, 2)
+	clk.Set(2 * msec)
+	s.OnStatus(2, 0)
 	if got := s.LossShortAt(2 * msec); got == 0 {
 		t.Fatalf("expected nonzero loss right after the burst")
 	}
@@ -245,28 +286,37 @@ func TestIdleDecay(t *testing.T) {
 // TestConsoleDrops: the console's cumulative drop counter feeds loss once
 // per increment.
 func TestConsoleDrops(t *testing.T) {
-	tr := simTracker()
+	tr, clk := simTracker()
 	s := tr.Session(1, "alice")
-	s.OnStatus(msec, 0, 2)
-	s.OnStatus(2*msec, 0, 2) // unchanged: no new loss
-	s.OnStatus(3*msec, 0, 5)
-	if _, lost, _ := s.short.totals(int64(3 * msec)); lost != 5 {
+	clk.Set(msec)
+	s.OnStatus(0, 2)
+	clk.Set(2 * msec)
+	s.OnStatus(0, 2) // unchanged: no new loss
+	clk.Set(3 * msec)
+	s.OnStatus(0, 5)
+	if _, lost, _ := s.short.Totals(int64(3 * msec)); lost != 5 {
 		t.Errorf("lost = %d, want 5", lost)
 	}
 }
 
 // TestDisabledObservesNothing: a disarmed tracker records no state.
 func TestDisabledObservesNothing(t *testing.T) {
-	tr := New(obs.DomainSim, DefaultConfig())
+	clk := obs.NewClock(obs.DomainSim)
+	tr := New(clk, DefaultConfig())
 	s := tr.Session(1, "alice")
 	if s.Armed() {
 		t.Fatal("disabled tracker reports armed")
 	}
-	s.OnSend(0, 1, 100, false)
-	s.OnStatus(40*msec, 1, 0)
-	s.OnNack(41*msec, 2, 2)
-	s.OnProbe(42 * msec)
-	s.OnGrant(50 * msec)
+	clk.Set(0)
+	s.OnSend(1, 100, false)
+	clk.Set(40 * msec)
+	s.OnStatus(1, 0)
+	clk.Set(41 * msec)
+	s.OnNack(2, 2)
+	clk.Set(42 * msec)
+	s.OnProbe()
+	clk.Set(50 * msec)
+	s.OnGrant()
 	if s.SRTT() != 0 || s.Samples() != 0 || s.sentPkts.Load() != 0 {
 		t.Errorf("disabled session recorded state: %+v", s.statusAt(50*msec))
 	}
@@ -274,19 +324,22 @@ func TestDisabledObservesNothing(t *testing.T) {
 	if nilSess.Armed() {
 		t.Error("nil session reports armed")
 	}
-	nilSess.OnStatus(0, 0, 0) // must not panic
-	nilSess.Rebase(0)
+	nilSess.OnStatus(0, 0) // must not panic
+	nilSess.Rebase()
 }
 
 // TestEvictionRemovesLabeledSeries: Remove drops the per-session gauges
 // from the registry — the cardinality-leak contract.
 func TestEvictionRemovesLabeledSeries(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
-	tr := New(obs.DomainSim, DefaultConfig()).Instrument(reg)
+	clk := obs.NewClock(obs.DomainSim)
+	tr := New(clk, DefaultConfig()).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(7, "bob")
-	s.OnSend(0, 1, 100, false)
-	s.OnStatus(40*msec, 1, 0)
+	clk.Set(0)
+	s.OnSend(1, 100, false)
+	clk.Set(40 * msec)
+	s.OnStatus(1, 0)
 
 	snap := reg.Snapshot()
 	var labeled []string
@@ -315,11 +368,14 @@ func TestEvictionRemovesLabeledSeries(t *testing.T) {
 // TestStatusReport sanity-checks the /debug/netqual JSON surface.
 func TestStatusReport(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
-	tr := New(obs.DomainSim, DefaultConfig()).Instrument(reg)
+	clk := obs.NewClock(obs.DomainSim)
+	tr := New(clk, DefaultConfig()).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(2, "carol")
-	s.OnSend(0, 1, 100, false)
-	s.OnStatus(30*msec, 1, 0)
+	clk.Set(0)
+	s.OnSend(1, 100, false)
+	clk.Set(30 * msec)
+	s.OnStatus(1, 0)
 
 	st := tr.Status()
 	if !st.Enabled || len(st.Sessions) != 1 {
@@ -330,41 +386,12 @@ func TestStatusReport(t *testing.T) {
 		t.Errorf("session status = %+v", ss)
 	}
 	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+	if err := obs.WriteJSON(&sb, tr.Status()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"srtt_ms"`, `"loss_short"`, `"goodput_bps"`, `"carol"`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("JSON missing %s", want)
 		}
-	}
-
-	got, ok := tr.SessionStatusAt(2, 30*msec)
-	if !ok || got.SRTTMs != 30 {
-		t.Errorf("SessionStatusAt = %+v ok=%v", got, ok)
-	}
-	if _, ok := tr.SessionStatusAt(99, 0); ok {
-		t.Error("SessionStatusAt(99) found a ghost session")
-	}
-}
-
-// TestWindowRotation pins the slot-expiry arithmetic directly.
-func TestWindowRotation(t *testing.T) {
-	w := &window{slotNs: int64(time.Second)}
-	w.observe(int64(time.Second), 10, 1, 1000)
-	if a, l, b := w.totals(int64(time.Second)); a != 10 || l != 1 || b != 1000 {
-		t.Fatalf("totals = %d/%d/%d", a, l, b)
-	}
-	// Still visible 15 slots later, gone at 16.
-	if a, _, _ := w.totals(int64(16 * time.Second)); a != 10 {
-		t.Errorf("slot expired early: acked=%d", a)
-	}
-	if a, _, _ := w.totals(int64(17 * time.Second)); a != 0 {
-		t.Errorf("slot survived expiry: acked=%d", a)
-	}
-	// Re-observing a recycled slot resets it.
-	w.observe(int64(17*time.Second), 3, 0, 300)
-	if a, l, b := w.totals(int64(17 * time.Second)); a != 3 || l != 0 || b != 300 {
-		t.Errorf("recycled slot totals = %d/%d/%d", a, l, b)
 	}
 }

@@ -1,9 +1,10 @@
 package netqual
 
 import (
-	"os"
 	"testing"
 	"time"
+
+	"slim/internal/benchfile"
 )
 
 func assertPoint(t *testing.T, p BenchPoint) {
@@ -57,18 +58,8 @@ func TestAccuracySweep(t *testing.T) {
 // the tolerances. A sweep change that regenerates BENCH_netqual.json
 // keeps this green; one that forgets to regenerate it fails here.
 func TestCommittedBench(t *testing.T) {
-	f, err := os.Open("../../../BENCH_netqual.json")
-	if err != nil {
-		t.Skipf("no committed artifact: %v", err)
-	}
-	defer f.Close()
-	b, err := ReadBench(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Schema != BenchSchema {
-		t.Fatalf("schema %q, want %q (regenerate with: make netqual)", b.Schema, BenchSchema)
-	}
+	var b Bench
+	benchfile.Committed(t, "BENCH_netqual.json", BenchSchema, "make netqual", &b)
 	if want := len(SweepRTTs) * len(SweepLosses); len(b.Points) != want {
 		t.Fatalf("artifact has %d points, want the %d-cell matrix (regenerate with: make netqual)",
 			len(b.Points), want)

@@ -73,14 +73,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add moves the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value reports the current gauge value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -101,12 +93,9 @@ type Registry struct {
 	histograms map[string]*Histogram
 }
 
-// Default is the process-wide wall-clock registry; live servers, consoles,
-// and transports register here unless told otherwise.
-var Default = NewRegistry(DomainWall)
-
 // Sim is the process-wide simulated-clock registry; netsim links report
-// here, and the debug endpoint exposes it alongside Default.
+// here, and the debug endpoint exposes it alongside the default telemetry
+// kit's wall registry (internal/obs/telemetry).
 var Sim = NewRegistry(DomainSim)
 
 // NewRegistry returns an empty registry in the given clock domain.
@@ -122,60 +111,40 @@ func NewRegistry(d Domain) *Registry {
 // Domain reports the registry's clock domain.
 func (r *Registry) Domain() Domain { return r.domain }
 
+// resolve is the get-or-create behind Counter, Gauge and Histogram: a read
+// lock for the common hit, the write lock and a second look only to create.
+func resolve[T any](r *Registry, m map[string]*T, name string, create func() *T) *T {
+	r.mu.RLock()
+	v, ok := m[name]
+	r.mu.RUnlock()
+	if ok {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok := m[name]; ok {
+		return v
+	}
+	v = create()
+	m[name] = v
+	return v
+}
+
 // Counter returns the named counter, creating it on first use. Names follow
 // Prometheus conventions ("slim_udp_tx_datagrams_total"); a label suffix in
 // {name="value"} form is allowed and passed through to exposition.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return resolve(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return resolve(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named latency histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.histograms[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.histograms[name]; ok {
-		return h
-	}
-	h = NewHistogram()
-	r.histograms[name] = h
-	return h
+	return resolve(r, r.histograms, name, NewHistogram)
 }
 
 // Remove deletes the named metric from the registry — every kind sharing
@@ -266,23 +235,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// Reset zeroes every registered metric (counters and gauges to zero,
-// histograms emptied). Metric identities survive: pointers held by
-// instrumented components keep working.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		h.Reset()
-	}
 }
 
 // sortedKeys returns map keys in stable order for exposition.

@@ -44,7 +44,7 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndReset(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	r := NewRegistry(DomainSim)
 	c := r.Counter("c_total")
 	g := r.Gauge("g")
@@ -60,17 +60,6 @@ func TestSnapshotAndReset(t *testing.T) {
 	if s.Counters["c_total"] != 7 || s.Gauges["g"] != -3 || s.Histograms["h_seconds"].Count != 1 {
 		t.Errorf("snapshot values wrong: %+v", s)
 	}
-
-	r.Reset()
-	s = r.Snapshot()
-	if s.Counters["c_total"] != 0 || s.Gauges["g"] != 0 || s.Histograms["h_seconds"].Count != 0 {
-		t.Errorf("post-reset snapshot not zeroed: %+v", s)
-	}
-	// Identities survive a reset: the old pointers still feed the registry.
-	c.Inc()
-	if got := r.Snapshot().Counters["c_total"]; got != 1 {
-		t.Errorf("counter after reset+inc = %d, want 1 (identity lost)", got)
-	}
 }
 
 func TestNilInstrumentsAreSafe(t *testing.T) {
@@ -79,7 +68,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(9)
-	g.Add(1)
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil instruments reported nonzero values")
 	}
@@ -109,8 +97,8 @@ func TestSpan(t *testing.T) {
 
 	// The zero span is inert: Attach and End are no-ops.
 	var inert Span
-	if inert.Active() {
-		t.Error("zero span reports active")
+	if inert.Elapsed() != 0 {
+		t.Error("zero span reports elapsed time")
 	}
 	inert.Attach(a)
 	inert.End()
@@ -122,11 +110,7 @@ func TestSpan(t *testing.T) {
 // obsStartSpanFor exists to keep the span under test in a helper frame,
 // mirroring how server.Handle arms spans in one scope and ends in another.
 func obsStartSpanFor(h *Histogram) Span {
-	s := StartSpan(h)
-	if !s.Active() {
-		panic("StartSpan returned inert span")
-	}
-	return s
+	return StartSpan(h)
 }
 
 func TestRegistryRemove(t *testing.T) {

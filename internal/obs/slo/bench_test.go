@@ -10,7 +10,7 @@ import (
 // BenchmarkObserveDisabled is the bench-guard budget for the disabled
 // path: one nil check plus one atomic load, 0 allocs/op.
 func BenchmarkObserveDisabled(b *testing.B) {
-	tr := New(obs.DomainWall, DefaultConfig())
+	tr := New(obs.Wall, DefaultConfig())
 	s := tr.Session(1, "bench")
 	tr.SetEnabled(false)
 	b.ReportAllocs()
@@ -24,7 +24,7 @@ func BenchmarkObserveDisabled(b *testing.B) {
 // burn evaluation, and gauge publication per event.
 func BenchmarkObserveEnabled(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	s := tr.Session(1, "bench")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -37,7 +37,7 @@ func BenchmarkObserveEnabled(b *testing.B) {
 // way a busy server does: many goroutines, one session.
 func BenchmarkObserveEnabledParallel(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	s := tr.Session(1, "bench")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -50,7 +50,7 @@ func BenchmarkObserveEnabledParallel(b *testing.B) {
 // BenchmarkStatus prices a /debug/slo evaluation with a realistic fleet.
 func BenchmarkStatus(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	for i := uint32(1); i <= 25; i++ {
 		s := tr.Session(i, "user")
 		s.Observe(10 * time.Millisecond)

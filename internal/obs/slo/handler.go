@@ -1,10 +1,6 @@
 package slo
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"sort"
 	"strings"
 
 	"slim/internal/obs"
@@ -24,7 +20,8 @@ type SessionStatus struct {
 	Blame map[string]int64 `json:"blame,omitempty"`
 }
 
-// Status is the full /debug/slo document.
+// Status is the full /debug/slo document (and an incident bundle's
+// slo.json).
 type Status struct {
 	Domain    obs.Domain `json:"domain"`
 	Enabled   bool       `json:"enabled"`
@@ -58,11 +55,11 @@ func blameMap(counts *[flight.NumStages]int64) map[string]int64 {
 // Status evaluates the tracker: fleet windows and state, per-session
 // windows, states, and blame histograms.
 func (t *Tracker) Status() Status {
-	nowNs := t.now()
+	nowNs := int64(t.clock.Now())
 	budget := t.Budget()
 	burns, stats := t.fleet.eval(nowNs, budget)
 	st := Status{
-		Domain:    t.domain,
+		Domain:    t.clock.Domain(),
 		Enabled:   t.enabled.Load(),
 		TargetNs:  t.targetNs.Load(),
 		BudgetPct: budget * 100,
@@ -76,14 +73,13 @@ func (t *Tracker) Status() Status {
 	}
 	st.Blame = blameMap(&fleetBlame)
 
-	t.mu.RLock()
-	sessions := make([]*SessionSLO, 0, len(t.sessions))
-	for _, s := range t.sessions {
-		sessions = append(sessions, s)
-	}
-	t.mu.RUnlock()
-	st.Sessions = make([]SessionStatus, 0, len(sessions))
-	for _, s := range sessions {
+	ids := t.sessions.IDs()
+	st.Sessions = make([]SessionStatus, 0, len(ids))
+	for _, id := range ids {
+		s := t.sessions.Lookup(id)
+		if s == nil {
+			continue // evicted since IDs
+		}
 		sburns, sstats := s.win.eval(nowNs, budget)
 		var blame [flight.NumStages]int64
 		for i := range s.blame {
@@ -97,23 +93,5 @@ func (t *Tracker) Status() Status {
 			Blame:   blameMap(&blame),
 		})
 	}
-	sort.Slice(st.Sessions, func(i, j int) bool {
-		return st.Sessions[i].Session < st.Sessions[j].Session
-	})
 	return st
-}
-
-// WriteJSON serializes the current status as indented JSON.
-func (t *Tracker) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Status())
-}
-
-// Handler serves the tracker's status as /debug/slo JSON.
-func (t *Tracker) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = t.WriteJSON(w)
-	})
 }

@@ -20,14 +20,13 @@
 // Tracking is per session and fleet-wide, lock-free on the observe path
 // (epoch-tagged slot rings, a few atomic ops per event, zero allocations),
 // and evictable: Remove takes a terminated session's labeled series out of
-// the registry so long-lived servers do not leak cardinality. Like the
-// rest of internal/obs, a tracker lives in one clock domain: wall trackers
-// self-stamp, sim trackers only accept explicit virtual timestamps
-// (ObserveAt), so capacity simulations reuse the same burn machinery.
+// the registry so long-lived servers do not leak cardinality. A tracker
+// stamps and reads its windows on one obs.Clock; on a sim-domain clock it
+// also accepts explicit virtual timestamps (ObserveAt), so capacity
+// simulations reuse the same burn machinery.
 package slo
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -116,73 +115,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// slotsPerWindow is the ring resolution: each rolling window is tracked in
-// this many epoch-tagged slots, so totals cover the trailing window with
-// one-slot granularity and expire without any sweeper goroutine.
-const slotsPerWindow = 16
-
-// winSlot is one epoch-tagged accumulator. Rotation is racy by design: the
-// writer that CASes the slot to a new epoch resets the counts, and a
-// concurrent add straddling the rotation can be wiped — a bounded
-// undercount at slot boundaries, which SLO accounting tolerates in
-// exchange for a lock-free observe path.
-type winSlot struct {
-	epoch            atomic.Int64
-	events, breaches atomic.Int64
-}
-
-// window is one rolling breach-rate window.
-type window struct {
-	slotNs int64
-	slots  [slotsPerWindow]winSlot
-}
-
-func (w *window) init(d time.Duration) {
-	w.slotNs = int64(d) / slotsPerWindow
-	if w.slotNs <= 0 {
-		w.slotNs = 1
-	}
-	for i := range w.slots {
-		w.slots[i].epoch.Store(-1)
-	}
-}
-
-// observe counts one event at time nowNs.
-func (w *window) observe(nowNs int64, breach bool) {
-	e := nowNs / w.slotNs
-	s := &w.slots[int(e%slotsPerWindow+slotsPerWindow)%slotsPerWindow]
-	cur := s.epoch.Load()
-	if cur != e {
-		if cur > e {
-			return // stale event from a lagging writer; its slot is gone
-		}
-		if s.epoch.CompareAndSwap(cur, e) {
-			s.events.Store(0)
-			s.breaches.Store(0)
-		} else if s.epoch.Load() != e {
-			return
-		}
-	}
-	s.events.Add(1)
-	if breach {
-		s.breaches.Add(1)
-	}
-}
-
-// totals sums the window's live slots as of nowNs.
-func (w *window) totals(nowNs int64) (events, breaches int64) {
-	cur := nowNs / w.slotNs
-	min := cur - slotsPerWindow + 1
-	for i := range w.slots {
-		s := &w.slots[i]
-		if e := s.epoch.Load(); e >= min && e <= cur {
-			events += s.events.Load()
-			breaches += s.breaches.Load()
-		}
-	}
-	return events, breaches
-}
-
 // WindowStat is one window's point-in-time evaluation.
 type WindowStat struct {
 	// Role is "short", "mid", or "long"; Window is its duration.
@@ -210,30 +142,35 @@ func stateOf(burns [numWindows]float64) State {
 	return StateOK
 }
 
-// windows is the per-scope (session or fleet) rolling state.
+// windows is the per-scope (session or fleet) rolling state: three shared
+// epoch-slot windows counting events and breaches.
 type windows struct {
-	win [numWindows]window
+	win [numWindows]obs.Window
 }
 
 func (ws *windows) init(cfg Config) {
-	ws.win[WinShort].init(cfg.Short)
-	ws.win[WinMid].init(cfg.Mid)
-	ws.win[WinLong].init(cfg.Long)
+	ws.win[WinShort].Init(cfg.Short)
+	ws.win[WinMid].Init(cfg.Mid)
+	ws.win[WinLong].Init(cfg.Long)
 }
 
 func (ws *windows) observe(nowNs int64, breach bool) {
+	var breaches int64
+	if breach {
+		breaches = 1
+	}
 	for i := range ws.win {
-		ws.win[i].observe(nowNs, breach)
+		ws.win[i].Add(nowNs, 1, breaches, 0)
 	}
 }
 
 // eval computes the three burns as of nowNs.
 func (ws *windows) eval(nowNs int64, budget float64) (burns [numWindows]float64, stats [numWindows]WindowStat) {
 	for i := range ws.win {
-		ev, br := ws.win[i].totals(nowNs)
+		ev, br, _ := ws.win[i].Totals(nowNs)
 		st := WindowStat{
 			Role:     windowRoles[i],
-			Window:   time.Duration(ws.win[i].slotNs * slotsPerWindow),
+			Window:   ws.win[i].Span(),
 			Events:   ev,
 			Breaches: br,
 		}
@@ -250,19 +187,15 @@ func (ws *windows) eval(nowNs int64, budget float64) (burns [numWindows]float64,
 	return burns, stats
 }
 
-// Tracker evaluates the SLO for one clock domain: fleet-wide plus one
-// SessionSLO per live session. The zero value is not usable; call New.
+// Tracker evaluates the SLO on one clock: fleet-wide plus one SessionSLO
+// per live session. The zero value is not usable; call New.
 type Tracker struct {
-	domain obs.Domain
-	epoch  time.Time
-	cfg    Config
+	clock *obs.Clock
+	cfg   Config
 
 	enabled   atomic.Bool
 	targetNs  atomic.Int64
 	budgetPPM atomic.Int64 // budget fraction in parts per million
-	// lastNs is the max observed timestamp — the snapshot anchor for sim
-	// trackers, whose clock only advances when events arrive.
-	lastNs atomic.Int64
 
 	fleet      windows
 	fleetBlame [flight.NumStages]atomic.Int64
@@ -273,8 +206,9 @@ type Tracker struct {
 	lastState atomic.Int64
 	nSubs     atomic.Int64
 
+	sessions obs.Sessions[SessionSLO]
+
 	mu        sync.RWMutex
-	sessions  map[uint32]*SessionSLO
 	subs      []stateSub
 	nextSubID int
 
@@ -288,21 +222,11 @@ type Tracker struct {
 	blameC     [flight.NumStages]*obs.Counter
 }
 
-// Default is the process-wide wall-clock tracker, instrumented into
-// obs.Default with the paper's default objective. Live servers evaluate
-// against it unless redirected (server.WithSLO).
-var Default = New(obs.DomainWall, DefaultConfig()).Instrument(obs.Default)
-
-// New returns an enabled tracker in the given clock domain. Zero config
-// fields take the defaults.
-func New(domain obs.Domain, cfg Config) *Tracker {
+// New returns an enabled tracker that stamps and reads its windows on
+// clock. Zero config fields take the defaults.
+func New(clock *obs.Clock, cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
-	t := &Tracker{
-		domain:   domain,
-		epoch:    time.Now(),
-		cfg:      cfg,
-		sessions: make(map[uint32]*SessionSLO),
-	}
+	t := &Tracker{clock: clock, cfg: cfg}
 	t.fleet.init(cfg)
 	t.enabled.Store(true)
 	t.targetNs.Store(int64(cfg.Target))
@@ -331,15 +255,9 @@ func (t *Tracker) Instrument(reg *obs.Registry) *Tracker {
 	return t
 }
 
-// Domain reports the tracker's clock domain.
-func (t *Tracker) Domain() obs.Domain { return t.domain }
-
 // SetEnabled switches evaluation on or off. Disabled, every Observe costs
 // one atomic load and allocates nothing; the windows are retained.
 func (t *Tracker) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// Enabled reports whether evaluation is live.
-func (t *Tracker) Enabled() bool { return t.enabled.Load() }
 
 // SetTarget updates the per-event latency objective.
 func (t *Tracker) SetTarget(d time.Duration) {
@@ -360,11 +278,6 @@ func (t *Tracker) SetBudget(b float64) {
 
 // Budget reports the allowed breach fraction.
 func (t *Tracker) Budget() float64 { return float64(t.budgetPPM.Load()) / 1e6 }
-
-// Windows reports the configured window durations (short, mid, long).
-func (t *Tracker) Windows() (short, mid, long time.Duration) {
-	return t.cfg.Short, t.cfg.Mid, t.cfg.Long
-}
 
 // stateSub is one registered fleet state-transition listener.
 type stateSub struct {
@@ -428,71 +341,41 @@ func (t *Tracker) noteState(st State) {
 // Session returns the session's SLO state, creating (and instrumenting)
 // it on first use.
 func (t *Tracker) Session(id uint32, user string) *SessionSLO {
-	t.mu.RLock()
-	s, ok := t.sessions[id]
-	t.mu.RUnlock()
-	if ok {
+	return t.sessions.Get(id, func() *SessionSLO {
+		s := &SessionSLO{id: id, user: user, t: t}
+		s.win.init(t.cfg)
+		t.mu.RLock()
+		reg := t.reg
+		t.mu.RUnlock()
+		if reg != nil {
+			s.series = reg.Labeled("session", user)
+			s.stateGauge = s.series.Gauge("slim_slo_state")
+		}
 		return s
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.sessions[id]; ok {
-		return s
-	}
-	s = &SessionSLO{id: id, user: user, t: t}
-	s.win.init(t.cfg)
-	if t.reg != nil {
-		s.stateName = `slim_slo_state{session="` + user + `"}`
-		s.stateGauge = t.reg.Gauge(s.stateName)
-	}
-	t.sessions[id] = s
-	return s
+	})
 }
 
 // Remove evicts a terminated session: its windows are dropped and its
 // labeled state gauge leaves the registry — the SLO half of the
 // cardinality-eviction contract server.Terminate honors.
 func (t *Tracker) Remove(id uint32) {
-	t.mu.Lock()
-	s, ok := t.sessions[id]
-	delete(t.sessions, id)
-	reg := t.reg
-	t.mu.Unlock()
-	if ok && reg != nil && s.stateName != "" {
-		reg.Remove(s.stateName)
+	if s := t.sessions.Remove(id); s != nil && s.series != nil {
+		s.series.Remove()
 	}
 }
 
 // SessionIDs lists sessions with live SLO state, ascending.
-func (t *Tracker) SessionIDs() []uint32 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]uint32, 0, len(t.sessions))
-	for id := range t.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// now returns the evaluation timestamp: elapsed monotonic time for wall
-// trackers, the last observed virtual time for sim trackers.
-func (t *Tracker) now() int64 {
-	if t.domain == obs.DomainWall {
-		return int64(time.Since(t.epoch))
-	}
-	return t.lastNs.Load()
-}
+func (t *Tracker) SessionIDs() []uint32 { return t.sessions.IDs() }
 
 // State reports the fleet health right now.
 func (t *Tracker) State() State {
-	burns, _ := t.fleet.eval(t.now(), t.Budget())
+	burns, _ := t.fleet.eval(int64(t.clock.Now()), t.Budget())
 	return stateOf(burns)
 }
 
 // FleetWindows reports the fleet's window evaluations right now.
 func (t *Tracker) FleetWindows() [numWindows]WindowStat {
-	_, stats := t.fleet.eval(t.now(), t.Budget())
+	_, stats := t.fleet.eval(int64(t.clock.Now()), t.Budget())
 	return stats
 }
 
@@ -502,12 +385,6 @@ func (t *Tracker) observe(s *SessionSLO, nowNs int64, latency time.Duration) {
 	t.fleet.observe(nowNs, breach)
 	if s != nil {
 		s.win.observe(nowNs, breach)
-	}
-	for {
-		cur := t.lastNs.Load()
-		if nowNs <= cur || t.lastNs.CompareAndSwap(cur, nowNs) {
-			break
-		}
 	}
 	if t.events != nil {
 		t.events.Inc()
@@ -542,8 +419,10 @@ type SessionSLO struct {
 	win   windows
 	blame [flight.NumStages]atomic.Int64
 
+	// series owns the session's labeled state gauge (nil on an
+	// uninstrumented tracker); Remove evicts through it.
+	series     *obs.Labeled
 	stateGauge *obs.Gauge
-	stateName  string
 }
 
 // Armed reports whether SLO evaluation is live — the guard call sites use
@@ -552,38 +431,27 @@ func (s *SessionSLO) Armed() bool {
 	return s != nil && s.t.enabled.Load()
 }
 
-// Domain reports the owning tracker's clock domain — call sites that only
-// see real time (a live server's Handle) use it to leave sim-domain
-// trackers to their harness.
-func (s *SessionSLO) Domain() obs.Domain {
-	if s == nil {
-		return obs.DomainWall
-	}
-	return s.t.domain
-}
-
-// Observe evaluates one input-to-paint latency on a wall-domain tracker,
-// stamped now. The disabled path is a nil check plus one atomic load.
+// Observe evaluates one input-to-paint latency, stamped now on the
+// tracker's clock. The disabled path is a nil check plus one atomic load.
 func (s *SessionSLO) Observe(latency time.Duration) {
 	if !s.Armed() {
 		return
 	}
-	if s.t.domain != obs.DomainWall {
-		panic("slo: self-stamped Observe on a sim-domain tracker; use ObserveAt")
-	}
-	s.t.observe(s, int64(time.Since(s.t.epoch)), latency)
+	s.t.observe(s, int64(s.t.clock.Now()), latency)
 }
 
-// ObserveAt evaluates one latency at an explicit virtual time. Only
-// sim-domain trackers accept it — the mirror image of Observe — so wall
-// and simulated time never share windows.
+// ObserveAt evaluates one latency at an explicit virtual time and moves
+// the tracker's clock forward to it, so a read after a batch of events
+// sees them all however they were ordered. Only sim-domain trackers accept
+// it: wall windows never receive virtual time.
 func (s *SessionSLO) ObserveAt(now time.Duration, latency time.Duration) {
 	if !s.Armed() {
 		return
 	}
-	if s.t.domain != obs.DomainSim {
+	if s.t.clock.Domain() != obs.DomainSim {
 		panic("slo: ObserveAt on a wall-domain tracker; use Observe")
 	}
+	s.t.clock.Advance(now)
 	s.t.observe(s, int64(now), latency)
 }
 
@@ -598,13 +466,4 @@ func (s *SessionSLO) RecordBlame(st flight.Stage) {
 	if c := s.t.blameC[st]; c != nil {
 		c.Inc()
 	}
-}
-
-// StateAt reports the session's health as of the tracker's current clock.
-func (s *SessionSLO) StateAt() State {
-	if s == nil {
-		return StateOK
-	}
-	burns, _ := s.win.eval(s.t.now(), s.t.Budget())
-	return stateOf(burns)
 }

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func feed(s *SessionSLO, t, step time.Duration, n, everyK int) time.Duration {
 // mid window (BREACHING); after the storm the short window clears first.
 func TestStateProgression(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
-	tr := New(obs.DomainSim, cfg()).Instrument(reg)
+	tr := New(obs.NewClock(obs.DomainSim), cfg()).Instrument(reg)
 	s := tr.Session(1, "alice")
 
 	// Clean traffic: 40 events over 4s, no breaches.
@@ -67,7 +68,7 @@ func TestStateProgression(t *testing.T) {
 	if st := tr.State(); st != StateBreaching {
 		t.Fatalf("storm state = %v, want BREACHING (windows %+v)", st, tr.FleetWindows())
 	}
-	if st := s.StateAt(); st != StateBreaching {
+	if st := tr.Status().Sessions[0].State; st != "BREACHING" {
 		t.Fatalf("session state = %v, want BREACHING", st)
 	}
 
@@ -87,7 +88,7 @@ func TestStateProgression(t *testing.T) {
 // document against a known storm.
 func TestMetricsAndStatus(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
-	tr := New(obs.DomainSim, cfg()).Instrument(reg)
+	tr := New(obs.NewClock(obs.DomainSim), cfg()).Instrument(reg)
 	s := tr.Session(7, "bob")
 	feed(s, 0, 100*time.Millisecond, 40, 2) // 50% breaching
 	s.RecordBlame(flight.StageWire)
@@ -115,7 +116,7 @@ func TestMetricsAndStatus(t *testing.T) {
 		t.Errorf("wire blame counter = %d, want 2", got)
 	}
 
-	srv := httptest.NewServer(tr.Handler())
+	srv := httptest.NewServer(obs.JSONHandler(func(*http.Request) (any, error) { return tr.Status(), nil }))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -149,7 +150,7 @@ func TestMetricsAndStatus(t *testing.T) {
 // TestEviction: Remove drops the session and its labeled gauge.
 func TestEviction(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
-	tr := New(obs.DomainSim, cfg()).Instrument(reg)
+	tr := New(obs.NewClock(obs.DomainSim), cfg()).Instrument(reg)
 	s := tr.Session(3, "carol")
 	s.ObserveAt(0, time.Millisecond)
 	name := `slim_slo_state{session="carol"}`
@@ -167,7 +168,7 @@ func TestEviction(t *testing.T) {
 
 // TestDisabledAndNil: a disabled tracker and a nil session are inert.
 func TestDisabledAndNil(t *testing.T) {
-	tr := New(obs.DomainWall, cfg())
+	tr := New(obs.Wall, cfg())
 	s := tr.Session(1, "x")
 	tr.SetEnabled(false)
 	s.Observe(10 * time.Second) // would breach if armed
@@ -182,17 +183,26 @@ func TestDisabledAndNil(t *testing.T) {
 	}
 	nilS.Observe(time.Second)
 	nilS.RecordBlame(flight.StageWire)
-	if nilS.StateAt() != StateOK {
-		t.Error("nil session state != OK")
-	}
 }
 
-// TestDomainEnforcement: wall and sim observe paths never cross.
+// TestDomainEnforcement: a wall tracker refuses virtual timestamps, and a
+// self-stamped observe on a sim tracker lands at the virtual clock its
+// harness set — never at wall time.
 func TestDomainEnforcement(t *testing.T) {
-	wall := New(obs.DomainWall, cfg()).Session(1, "w")
-	sim := New(obs.DomainSim, cfg()).Session(1, "s")
+	wall := New(obs.Wall, cfg()).Session(1, "w")
 	mustPanic(t, func() { wall.ObserveAt(time.Second, time.Millisecond) })
-	mustPanic(t, func() { sim.Observe(time.Millisecond) })
+
+	clk := obs.NewClock(obs.DomainSim)
+	tr := New(clk, cfg())
+	clk.Set(time.Hour)
+	tr.Session(1, "s").Observe(time.Millisecond)
+	if st := tr.Status(); st.NowNs != int64(time.Hour) || st.Windows[WinShort].Events != 1 {
+		t.Errorf("self-stamped sim observe not at the virtual clock: now=%d windows=%+v", st.NowNs, st.Windows)
+	}
+	clk.Set(2 * time.Hour)
+	if ev := tr.FleetWindows()[WinLong].Events; ev != 0 {
+		t.Errorf("window did not decay on the virtual clock: %d events", ev)
+	}
 }
 
 func mustPanic(t *testing.T, f func()) {
@@ -210,7 +220,7 @@ func mustPanic(t *testing.T, f func()) {
 // stops delivery.
 func TestSubscribe(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
-	tr := New(obs.DomainSim, cfg()).Instrument(reg)
+	tr := New(obs.NewClock(obs.DomainSim), cfg()).Instrument(reg)
 	s := tr.Session(1, "alice")
 
 	type tr2 struct{ from, to State }
@@ -256,7 +266,7 @@ func TestSubscribe(t *testing.T) {
 // TestSubscribeUninstrumented: transitions fire even on trackers with no
 // registry (the observe path evaluates burns only when someone listens).
 func TestSubscribeUninstrumented(t *testing.T) {
-	tr := New(obs.DomainSim, cfg())
+	tr := New(obs.NewClock(obs.DomainSim), cfg())
 	s := tr.Session(1, "alice")
 	var n int
 	defer tr.Subscribe(func(from, to State) { n++ })()
@@ -271,7 +281,7 @@ func TestSubscribeUninstrumented(t *testing.T) {
 // tracker off, Observe must not allocate — servers leave the call sites
 // unconditional.
 func TestZeroAllocDisabled(t *testing.T) {
-	tr := New(obs.DomainWall, cfg())
+	tr := New(obs.Wall, cfg())
 	s := tr.Session(1, "alice")
 	tr.SetEnabled(false)
 	if n := testing.AllocsPerRun(1000, func() {
@@ -291,7 +301,7 @@ func TestZeroAllocDisabled(t *testing.T) {
 // instrumented Observe allocates nothing.
 func TestZeroAllocEnabled(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.DomainWall, cfg()).Instrument(reg)
+	tr := New(obs.Wall, cfg()).Instrument(reg)
 	s := tr.Session(1, "alice")
 	if n := testing.AllocsPerRun(1000, func() {
 		s.Observe(10 * time.Millisecond)

@@ -26,9 +26,6 @@ func StartSpan(hists ...*Histogram) Span {
 	return Span{start: time.Now(), hists: hists}
 }
 
-// Active reports whether the span was armed by StartSpan.
-func (s Span) Active() bool { return !s.start.IsZero() }
-
 // Attach adds another histogram to record into at End — used when the
 // destination (say, a per-session histogram) is only known after the span
 // began. Attaching to an inert span is a no-op.
@@ -59,12 +56,4 @@ func (s Span) End() {
 	for _, h := range s.hists {
 		h.Observe(elapsed)
 	}
-}
-
-// ObserveSince records time elapsed since start into h — the one-line
-// idiom for timing a code section:
-//
-//	defer obs.ObserveSince(h, time.Now())
-func ObserveSince(h *Histogram, start time.Time) {
-	h.Observe(time.Since(start))
 }

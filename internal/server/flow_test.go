@@ -6,7 +6,7 @@ import (
 
 	"slim/internal/flow"
 	"slim/internal/obs"
-	"slim/internal/obs/flight"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -14,12 +14,11 @@ import (
 // and recorder, granting sessions bps once attached.
 func newFlowServer(t *testing.T, tr Transport, cfg flow.Config) (*Server, *obs.Registry) {
 	t.Helper()
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
+	kit := telemetry.New(obs.DomainWall)
 	s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
-		WithRegistry(reg), WithFlightRecorder(rec), WithFlowControl(cfg))
+		WithTelemetry(kit), WithFlowControl(cfg))
 	s.Auth.Register("card-alice", "alice")
-	return s, reg
+	return s, kit.Registry
 }
 
 func TestFlowSessionRequestsBandwidth(t *testing.T) {

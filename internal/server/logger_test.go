@@ -7,8 +7,7 @@ import (
 	"testing"
 
 	"slim/internal/obs"
-	"slim/internal/obs/flight"
-	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 )
 
 // TestWithLoggerLifecycle: a server built with WithLogger reports attach,
@@ -20,9 +19,7 @@ func TestWithLoggerLifecycle(t *testing.T) {
 	tr := newMemTransport()
 	s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
 		WithLogger(logger),
-		WithRegistry(obs.NewRegistry(obs.DomainWall)),
-		WithFlightRecorder(flight.New(obs.DomainWall)),
-		WithSLO(slo.New(obs.DomainSim, slo.Config{})))
+		WithTelemetry(telemetry.New(obs.DomainWall)))
 	s.Auth.Register("card-alice", "alice")
 
 	if err := s.Handle("c1", hello(320, 200, "card-evil"), 0); err == nil {

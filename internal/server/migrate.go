@@ -132,15 +132,3 @@ func (s *Server) SessionCount() int {
 	defer s.mu.Unlock()
 	return len(s.sessions)
 }
-
-// Users lists the users with live sessions, in no particular order — the
-// broker's post-migration parity checks enumerate shards with it.
-func (s *Server) Users() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	users := make([]string, 0, len(s.byUser))
-	for u := range s.byUser {
-		users = append(users, u)
-	}
-	return users
-}

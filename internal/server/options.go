@@ -5,47 +5,24 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/flow"
-	"slim/internal/obs"
-	"slim/internal/obs/flight"
-	"slim/internal/obs/netqual"
-	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 	"slim/internal/par"
 )
 
 // Option configures a Server at construction — the only configuration
-// path. Options run before the server is instrumented, so redirected
-// registries and recorders are in place before the first session resolves
-// its instruments.
+// path. Options run before the server is instrumented, so a redirected
+// telemetry kit is in place before the first session resolves its
+// instruments.
 type Option func(*Server)
 
-// WithRegistry redirects live metrics into r instead of the process-wide
-// obs.Default — hermetic tests and virtual-time simulations hand each
-// server its own registry.
-func WithRegistry(r *obs.Registry) Option {
-	return func(s *Server) { s.obs = r }
-}
-
-// WithFlightRecorder points the server's causal flight recorder at rec
-// instead of flight.Default.
-func WithFlightRecorder(rec *flight.Recorder) Option {
-	return func(s *Server) { s.flight = rec }
-}
-
-// WithSLO points the server's SLO tracker at t instead of slo.Default —
-// hermetic tests and virtual-time simulations hand each server its own
-// tracker (a sim-domain tracker suppresses the server's wall-clock
-// Observe; the harness feeds ObserveAt itself).
-func WithSLO(t *slo.Tracker) Option {
-	return func(s *Server) { s.slo = t }
-}
-
-// WithNetQual points the server's passive path estimation at t instead of
-// netqual.Default — hermetic tests and virtual-time simulations hand each
-// server its own tracker (sim-domain trackers take explicit clocks from
-// the harness). The tracker must still be armed with SetEnabled; the
-// option only chooses where estimates live.
-func WithNetQual(t *netqual.Tracker) Option {
-	return func(s *Server) { s.netqual = t }
+// WithTelemetry points the server at the telemetry kit k instead of
+// telemetry.Default: the registry its metrics publish into, and the flight
+// recorder, SLO tracker and path estimator its sessions record into.
+// Hermetic tests and virtual-time simulations hand each server a kit of
+// its own (telemetry.New); a broker hands every shard a copy of one kit
+// with a private registry.
+func WithTelemetry(k *telemetry.Kit) Option {
+	return func(s *Server) { s.tel = k }
 }
 
 // WithLogger attaches a structured logger for session lifecycle events:
@@ -98,27 +75,25 @@ func WithSessionIDBase(base uint32) Option {
 }
 
 // Resolved is the subset of option-configured settings a broker needs to
-// see before fanning the same option list out to its shards — the shared
-// registry its fleet rollup publishes into, and the logger for broker-level
-// lifecycle events. Everything else (flow config, SLO tracker, flight
-// recorder, parallel encoding) is inherited opaquely by each shard.
+// see before fanning the same option list out to its shards — the
+// telemetry kit its fleet rollup publishes into and reads path estimates
+// from, and the logger for broker-level
+// lifecycle events. Everything else (flow config, parallel encoding) is
+// inherited opaquely by each shard.
 type Resolved struct {
-	Registry *obs.Registry
-	Logger   *slog.Logger
-	// NetQual is the path-estimation tracker shards share (nil means
-	// netqual.Default) — the broker reads it for per-shard fleet rollups.
-	NetQual *netqual.Tracker
+	Telemetry *telemetry.Kit
+	Logger    *slog.Logger
 }
 
 // ResolveOptions applies opts to a blank server and reports the settings a
 // broker inherits at its own level. The options are not consumed: callers
 // pass the same list on to every shard they construct.
 func ResolveOptions(opts ...Option) Resolved {
-	var probe Server
+	probe := Server{tel: telemetry.Default}
 	for _, o := range opts {
 		o(&probe)
 	}
-	return Resolved{Registry: probe.obs, Logger: probe.log, NetQual: probe.netqual}
+	return Resolved{Telemetry: probe.tel, Logger: probe.log}
 }
 
 // WithFlowControl enables the grant-driven send governor (§7) for every

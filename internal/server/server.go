@@ -18,8 +18,7 @@ import (
 	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/obs/flight"
-	"slim/internal/obs/netqual"
-	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
@@ -112,23 +111,15 @@ type Server struct {
 	consoles  map[string]*consoleState
 	nextID    uint32
 
-	// Live observability, fixed at construction: the registry metrics
-	// publish into (obs.Default unless redirected by WithRegistry), the
-	// resolved server instruments, and the shared encoder metric family
-	// attached to every session encoder.
-	obs        *obs.Registry
+	// Live observability, fixed at construction: the telemetry kit
+	// (telemetry.Default unless redirected by WithTelemetry) whose
+	// registry metrics publish into and whose recorder and trackers
+	// sessions resolve their handles in, the resolved server instruments,
+	// and the shared encoder metric family attached to every session
+	// encoder.
+	tel        *telemetry.Kit
 	metrics    *metrics
 	encMetrics *core.EncoderMetrics
-	// flight is the causal flight recorder sessions record protocol
-	// events into (flight.Default unless redirected by WithFlightRecorder).
-	flight *flight.Recorder
-	// slo is the SLO tracker sessions evaluate input-to-paint latency
-	// against (slo.Default unless redirected by WithSLO).
-	slo *slo.Tracker
-	// netqual owns per-session passive path estimators (netqual.Default
-	// unless redirected by WithNetQual). Estimation is armed by the
-	// tracker's SetEnabled, not per server.
-	netqual *netqual.Tracker
 	// log receives session lifecycle events (WithLogger); nil = silent.
 	log *slog.Logger
 
@@ -181,9 +172,9 @@ const RecoverGrace = 2 * time.Second
 
 // New returns a server sending through the given transport. Options are
 // the only way to configure it: they run before any session exists, so
-// every session resolves its instruments from the registries and
-// recorders chosen here. The zero-option call keeps the defaults
-// (obs.Default, flight.Default, no governor).
+// every session resolves its instruments from the telemetry kit chosen
+// here. The zero-option call keeps the defaults (telemetry.Default, no
+// governor).
 func New(t Transport, newApp func(user string, w, h int) Application, opts ...Option) *Server {
 	s := &Server{
 		Auth:      NewAuthManager(),
@@ -192,73 +183,22 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 		sessions:  make(map[uint32]*Session),
 		byUser:    make(map[string]uint32),
 		consoles:  make(map[string]*consoleState),
-		obs:       obs.Default,
-		flight:    flight.Default,
-		slo:       slo.Default,
-		netqual:   netqual.Default,
+		tel:       telemetry.Default,
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.metrics = newMetrics(s.obs)
-	s.encMetrics = core.NewEncoderMetrics(s.obs)
-	s.wirePathEvidence()
+	s.metrics = newMetrics(s.tel.Registry)
+	s.encMetrics = core.NewEncoderMetrics(s.tel.Registry)
 	return s
 }
 
 // FlowEnabled reports whether sessions are created with a send governor.
 func (s *Server) FlowEnabled() bool { return s.flowCfg != nil }
 
-// FlightRecorder reports the recorder sessions record into.
-func (s *Server) FlightRecorder() *flight.Recorder { return s.flight }
-
-// SLOTracker reports the tracker sessions evaluate against.
-func (s *Server) SLOTracker() *slo.Tracker { return s.slo }
-
-// NetQualTracker reports the tracker sessions observe path samples into.
-func (s *Server) NetQualTracker() *netqual.Tracker { return s.netqual }
-
-// Obs reports the registry the server publishes metrics into.
-func (s *Server) Obs() *obs.Registry { return s.obs }
-
-// wirePathEvidence stamps the netqual tracker's measured path state into
-// the flight recorder's breach dumps: WIRE verdicts gain a LINK
-// sub-verdict (loss-driven vs latency-driven) backed by the RTT/loss the
-// estimator saw at breach time. Sessions the tracker never observed — or
-// a disarmed tracker — contribute no evidence rather than zeros.
-func (s *Server) wirePathEvidence() {
-	rec, t := s.flight, s.netqual
-	if rec == nil || t == nil {
-		return
-	}
-	rec.SetPathEvidence(func(id uint32, asOf time.Duration) *flight.PathEvidence {
-		if !t.Enabled() {
-			return nil
-		}
-		nq := t.Lookup(id)
-		if nq == nil {
-			return nil
-		}
-		// The recorder's breach clock and the tracker's observe clock are
-		// different epochs in the wall domain; read the windows at the
-		// tracker's own now. Sim harnesses share one virtual clock, so the
-		// breach time is the right read time there.
-		at := asOf
-		if t.Domain() == obs.DomainWall {
-			at = t.Now()
-		}
-		return &flight.PathEvidence{
-			SRTTNs:     int64(nq.SRTT()),
-			RTTVarNs:   int64(nq.RTTVar()),
-			MinRTTNs:   int64(nq.MinRTT()),
-			JitterNs:   int64(nq.Jitter()),
-			Samples:    nq.Samples(),
-			LossShort:  nq.LossShortAt(at),
-			LossLong:   nq.LossLongAt(at),
-			GoodputBps: nq.GoodputAt(at),
-		}
-	})
-}
+// Telemetry reports the kit the server publishes into and its sessions
+// record into.
+func (s *Server) Telemetry() *telemetry.Kit { return s.tel }
 
 // outbound is one queued server→console datagram. Sends are queued while
 // the server lock is held and flushed after it is released, so a transport
@@ -301,18 +241,15 @@ func (s *Server) HandleDatagram(console string, wire []byte, now time.Duration) 
 func (s *Server) Handle(console string, msg protocol.Message, now time.Duration) error {
 	s.mu.Lock()
 	var span obs.Span
-	var rec *flight.Recorder
-	var sessID uint32
-	var sloSess *slo.SessionSLO
+	var tel *telemetry.Session
 	switch m := msg.(type) {
 	case *protocol.KeyEvent, *protocol.PointerEvent:
 		s.metrics.inputEvents.Inc()
 		span = obs.StartSpan(s.metrics.inputToPaint)
 		if sess, err := s.sessionFor(console); err == nil {
-			span.Attach(sess.itp)
-			rec, sessID = s.flight, sess.ID
-			sloSess = sess.slo
-			if sess.flog.Armed() {
+			tel = sess.tel
+			span.Attach(tel.InputToPaint)
+			if tel.Flight.Armed() {
 				var arg int64
 				switch ev := m.(type) {
 				case *protocol.KeyEvent:
@@ -320,7 +257,7 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 				case *protocol.PointerEvent:
 					arg = int64(ev.X)<<16 | int64(ev.Y)
 				}
-				sess.flog.Input(msg.Type(), arg)
+				tel.Flight.Input(msg.Type(), arg)
 			}
 		}
 	}
@@ -330,18 +267,9 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 	ferr := s.flush(out)
 	span.End()
 	// On a synchronous transport the console has painted by now, so the
-	// span's elapsed time is true input-to-paint — exactly what the breach
-	// dump wants to explain. Sim-domain recorders and trackers are skipped:
-	// a virtual-time harness resolves true paint latencies itself and feeds
-	// ObserveAt/CheckBreachAt with virtual timestamps.
-	if sloSess.Armed() && sloSess.Domain() == obs.DomainWall {
-		sloSess.Observe(span.Elapsed())
-	}
-	if rec != nil && rec.Domain() == obs.DomainWall {
-		if br, breached := rec.CheckBreach(sessID, span.Elapsed()); breached {
-			sloSess.RecordBlame(br.Verdict.Stage)
-		}
-	}
+	// span's elapsed time is true input-to-paint — exactly what the SLO
+	// evaluates and the breach dump wants to explain.
+	tel.ObservePaint(span.Elapsed())
 	if herr != nil {
 		return herr
 	}
@@ -418,10 +346,10 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		if err != nil {
 			return err
 		}
-		if sess.flog.Armed() {
-			sess.flog.Nack(m.From, m.To)
+		if sess.tel.Flight.Armed() {
+			sess.tel.Flight.Nack(m.From, m.To)
 		}
-		sess.nq.OnNack(now, m.From, m.To)
+		sess.tel.Path.OnNack(m.From, m.To)
 		if sess.gov == nil {
 			sess.submit(out, sess.Encoder.HandleNack(*m), now, false)
 			return nil
@@ -442,7 +370,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		// the grant addresses a session, not the console it arrived from.
 		// A stale grant for a terminated session is silently dropped.
 		if sess, ok := s.sessions[m.SessionID]; ok && sess.gov != nil {
-			sess.nq.OnGrant(now)
+			sess.tel.Path.OnGrant()
 			sess.gov.SetGrant(now, m.Bps)
 			sess.releaseFlow(out, now)
 		}
@@ -478,10 +406,10 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 		return nil
 	}
 	sess := s.sessions[cs.session]
-	if sess.flog.Armed() {
-		sess.flog.Status(st.LastSeq, st.Dropped)
+	if sess.tel.Flight.Armed() {
+		sess.tel.Flight.Status(st.LastSeq, st.Dropped)
 	}
-	sess.nq.OnStatus(now, st.LastSeq, st.Dropped)
+	sess.tel.Path.OnStatus(st.LastSeq, st.Dropped)
 	lost := st.Dropped > cs.dropped
 	cs.dropped = st.Dropped
 	lag := sess.Encoder.LastSeq() > st.LastSeq &&
@@ -573,7 +501,7 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 		// path — changed. Rebase the estimator so stale in-flight samples
 		// from the old path never poison the new one; smoothed SRTT/jitter
 		// and the loss windows survive the cutover.
-		sess.nq.Rebase(now)
+		sess.tel.Path.Rebase()
 	} else {
 		s.nextID++
 		var err error

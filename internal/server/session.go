@@ -6,10 +6,7 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/flow"
-	"slim/internal/obs"
-	"slim/internal/obs/flight"
-	"slim/internal/obs/netqual"
-	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -26,27 +23,14 @@ type Session struct {
 	App     Application
 	Console string // attached console ID, "" if detached
 
-	// series resolves the labeled metrics this session publishes into the
-	// server's registry (the input-to-paint histogram, the governor's
-	// gauges); closeLocked removes exactly what was resolved through it.
-	series *obs.Labeled
-	// itp is the session's live input-to-paint histogram (§3's canonical
-	// interactive-latency metric), labeled with the user name.
-	itp *obs.Histogram
-	// flog is the session's flight-recorder ring: every protocol event on
-	// this session's display path lands here, causally chained.
-	flog *flight.SessionLog
+	// tel is the session's handle onto the server's telemetry kit: its
+	// labeled series, flight-recorder ring, SLO state and path estimator,
+	// resolved together in newSessionLocked and released together in
+	// closeLocked.
+	tel *telemetry.Session
 	// gov paces display traffic to the console's bandwidth grant (§7);
 	// nil when the server runs without WithFlowControl.
 	gov *flow.Governor
-	// slo is the session's rolling SLO state (breach-rate windows, blame
-	// histogram) in the server's tracker.
-	slo *slo.SessionSLO
-	// nq is the session's passive path estimator (RTT/jitter/loss/goodput)
-	// in the server's netqual tracker. Estimators are keyed by the
-	// fleet-unique session ID, so a hotdesk migration resolves the same
-	// estimator on the destination shard and smoothed state survives.
-	nq *netqual.PathSession
 	// demandBps is the bandwidth demand last announced to the console's §7
 	// allocator; PumpFlows re-announces when the governor's measured demand
 	// drifts from it by more than 1/8.
@@ -57,17 +41,9 @@ type Session struct {
 // disabled) — simulation harnesses drive its virtual-time pump directly.
 func (sess *Session) Governor() *flow.Governor { return sess.gov }
 
-// FlightLog exposes the session's flight-recorder ring.
-func (sess *Session) FlightLog() *flight.SessionLog { return sess.flog }
-
-// SLO exposes the session's rolling SLO state.
-func (sess *Session) SLO() *slo.SessionSLO { return sess.slo }
-
-// NetQual exposes the session's passive path estimator.
-func (sess *Session) NetQual() *netqual.PathSession { return sess.nq }
-
-// InputToPaint exposes the session's live input-to-paint histogram.
-func (sess *Session) InputToPaint() *obs.Histogram { return sess.itp }
+// Telemetry exposes the session's telemetry handle: flight-recorder ring,
+// SLO state, path estimator and input-to-paint histogram.
+func (sess *Session) Telemetry() *telemetry.Session { return sess.tel }
 
 // newSessionLocked builds a session and enters it in the table: a blank
 // w×h desktop for a first login, or — with restore — the frozen one a
@@ -89,16 +65,12 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 			}
 		}
 	}
-	sess.series = s.obs.Labeled("session", user)
-	sess.itp = sess.series.Histogram("slim_input_to_paint_seconds")
-	sess.flog = s.flight.Session(id)
-	sess.slo = s.slo.Session(id, user)
-	sess.nq = s.netqual.Session(id, user)
+	sess.tel = s.tel.Session(id, user)
 	sess.Encoder.Metrics = s.encMetrics
 	sess.Encoder.Parallel = s.encPool
-	sess.Encoder.Flight = sess.flog
+	sess.Encoder.Flight = sess.tel.Flight
 	if s.flowCfg != nil {
-		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.obs, sess.series))
+		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))
 		if s.cal != nil && s.cal.Generation() > 0 {
 			// Sessions born after calibration converged start from the
 			// measured model, not the Table 5 constants.
@@ -143,11 +115,10 @@ func (s *Server) unbindLocked(out *[]outbound, sess *Session) {
 
 // closeLocked removes a session from this server: the console is unbound,
 // the governor quiesced (queued damage dies with the session here), and
-// the labeled series the session published leave the registry. The flight
-// ring, SLO state, and path estimator are keyed by the fleet-unique
-// session ID in stores shards share, so a migration (evictShared false)
-// leaves them for the importing server to resolve again; only a terminated
-// session takes them along. Callers hold s.mu.
+// the telemetry handle closed: its labeled series leave the registry, and
+// the kit's shared per-session stores are evicted only when evictShared —
+// a migration leaves them for the importing server to resolve again, a
+// terminated session takes them along. Callers hold s.mu.
 func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool, now time.Duration) {
 	s.unbindLocked(out, sess)
 	if sess.gov != nil {
@@ -156,12 +127,7 @@ func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool, n
 	delete(s.sessions, sess.ID)
 	delete(s.byUser, sess.User)
 	s.metrics.sessions.Set(int64(len(s.sessions)))
-	sess.series.Remove()
-	if evictShared {
-		s.flight.Drop(sess.ID)
-		s.slo.Remove(sess.ID)
-		s.netqual.Remove(sess.ID)
-	}
+	sess.tel.Close(evictShared)
 }
 
 // attach binds the session to a console and regenerates its screen there.
@@ -195,8 +161,8 @@ func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time
 // wire, and recycles their buffers.
 func (sess *Session) shed(items []flow.Item) {
 	for _, it := range items {
-		if sess.flog.Armed() {
-			sess.flog.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
+		if sess.tel.Flight.Armed() {
+			sess.tel.Flight.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
 		}
 		it.ReleaseWire()
 	}
@@ -204,7 +170,7 @@ func (sess *Session) shed(items []flow.Item) {
 
 // requestBandwidth announces the governor's current demand to the console.
 func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
-	sess.nq.OnProbe(now)
+	sess.tel.Path.OnProbe()
 	sess.demandBps = sess.gov.DemandBps()
 	send(out, sess.Console, &protocol.BandwidthRequest{SessionID: sess.ID, Bps: sess.demandBps})
 }
@@ -232,8 +198,8 @@ func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
 // render encodes ops and queues the result for the session's console.
 func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) error {
 	for _, op := range ops {
-		if sess.flog.Armed() {
-			sess.flog.Op(int64(op.RawPixels()))
+		if sess.tel.Flight.Armed() {
+			sess.tel.Flight.Op(int64(op.RawPixels()))
 		}
 		dgs, err := sess.Encoder.Encode(op)
 		if err != nil {
@@ -276,10 +242,10 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 			it := flow.Item{Seq: d.Seq, Cmd: cmd, Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: retrans}
 			res := sess.gov.Submit(now, it)
 			if !res.Pass {
-				if sess.flog.Armed() {
-					sess.flog.TxQueue(d.Seq, cmd, int64(it.Bytes()), int64(res.Depth))
+				if sess.tel.Flight.Armed() {
+					sess.tel.Flight.TxQueue(d.Seq, cmd, int64(it.Bytes()), int64(res.Depth))
 					for _, sup := range res.Superseded {
-						sess.flog.Supersede(sup.Seq, sup.Cmd, d.Seq, int64(sup.Bytes()))
+						sess.tel.Flight.Supersede(sup.Seq, sup.Cmd, d.Seq, int64(sup.Bytes()))
 					}
 				}
 				// Shed commands never reach the wire: recycle their
@@ -291,11 +257,11 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 				continue
 			}
 		}
-		sess.nq.OnSend(now, d.Seq, len(d.Wire), retrans)
+		sess.tel.Path.OnSend(d.Seq, len(d.Wire), retrans)
 		*out = append(*out, outbound{
 			console: sess.Console,
 			wire:    d.Wire,
-			flog:    sess.flog,
+			flog:    sess.tel.Flight,
 			seq:     d.Seq,
 			cmd:     cmd,
 			buf:     d.Buf,
@@ -313,12 +279,12 @@ func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
 		return
 	}
 	for _, p := range sess.gov.Release(now) {
-		if sess.nq.Armed() {
+		if sess.tel.Path.Armed() {
 			for _, it := range p.Items {
-				sess.nq.OnSend(now, it.Seq, it.Bytes(), it.Retransmit)
+				sess.tel.Path.OnSend(it.Seq, it.Bytes(), it.Retransmit)
 			}
 		}
-		o := outbound{console: sess.Console, wire: p.Wire, flog: sess.flog}
+		o := outbound{console: sess.Console, wire: p.Wire, flog: sess.tel.Flight}
 		if len(p.Items) == 1 {
 			o.seq, o.cmd = p.Items[0].Seq, p.Items[0].Cmd
 			o.buf = p.Items[0].Buf

@@ -10,9 +10,7 @@ import (
 	"slim/internal/fb"
 	"slim/internal/flow"
 	"slim/internal/obs"
-	"slim/internal/obs/flight"
-	"slim/internal/obs/netqual"
-	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -94,14 +92,9 @@ func TestSessionLifecycleParity(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				tr := newMemTransport()
-				reg := obs.NewRegistry(obs.DomainWall)
-				opts := []Option{
-					WithRegistry(reg),
-					WithFlightRecorder(flight.New(obs.DomainWall)),
-					WithSLO(slo.New(obs.DomainWall, slo.Config{})),
-					WithNetQual(netqual.New(obs.DomainWall, netqual.DefaultConfig())),
-					WithCalibratedCosts(cal),
-				}
+				kit := telemetry.New(obs.DomainWall)
+				reg := kit.Registry
+				opts := []Option{WithTelemetry(kit), WithCalibratedCosts(cal)}
 				if governed {
 					opts = append(opts, WithFlowControl(flow.Config{}))
 				}
@@ -125,8 +118,8 @@ func TestSessionLifecycleParity(t *testing.T) {
 					}
 				}
 
-				if sess.FlightLog() == nil || sess.SLO() == nil || sess.NetQual() == nil ||
-					sess.InputToPaint() == nil || sess.Encoder.Metrics == nil || sess.Encoder.Flight == nil {
+				if tel := sess.Telemetry(); tel.Flight == nil || tel.SLO == nil || tel.Path == nil ||
+					tel.InputToPaint == nil || sess.Encoder.Metrics == nil || sess.Encoder.Flight == nil {
 					t.Errorf("unresolved instruments on %+v", sess)
 				}
 				if _, ok := reg.Snapshot().Histograms[`slim_input_to_paint_seconds{session="alice"}`]; !ok {
@@ -173,7 +166,7 @@ func TestLoadSessionsReadsParentFormat(t *testing.T) {
 	}
 	defer f.Close()
 	tr := newMemTransport()
-	s := newTestServer(tr, WithRegistry(obs.NewRegistry(obs.DomainWall)), WithFlowControl(flow.Config{}))
+	s := newTestServer(tr, WithTelemetry(telemetry.New(obs.DomainWall)), WithFlowControl(flow.Config{}))
 	s.Auth.Register("card-carol", "carol")
 	if err := s.LoadSessions(f); err != nil {
 		t.Fatal(err)

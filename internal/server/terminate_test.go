@@ -7,9 +7,7 @@ import (
 
 	"slim/internal/flow"
 	"slim/internal/obs"
-	"slim/internal/obs/flight"
-	"slim/internal/obs/netqual"
-	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -20,9 +18,9 @@ import (
 // per user forever.
 func TestTerminateEvictsObservability(t *testing.T) {
 	tr := newMemTransport()
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
-	s := newTestServer(tr, WithRegistry(reg), WithFlightRecorder(rec))
+	kit := telemetry.New(obs.DomainWall)
+	reg, rec := kit.Registry, kit.Flight
+	s := newTestServer(tr, WithTelemetry(kit))
 
 	if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {
 		t.Fatal(err)
@@ -50,7 +48,7 @@ func TestTerminateEvictsObservability(t *testing.T) {
 	if _, ok := reg.Snapshot().Histograms[name]; ok {
 		t.Errorf("labeled histogram %q survived Terminate", name)
 	}
-	if ids := rec.Sessions(); len(ids) != 0 {
+	if ids := rec.SessionIDs(); len(ids) != 0 {
 		t.Errorf("flight rings survived Terminate: %v", ids)
 	}
 	if got := reg.Snapshot().Gauges["slim_sessions"]; got != 0 {
@@ -114,10 +112,12 @@ func sessionLabeled(snap obs.Snapshot, user string) []string {
 // input-to-paint histogram, flow-governor gauges, SLO state, path
 // estimators — Terminate must leave *zero* series carrying the session
 // label, enumerated generically so series added later fail this test
-// instead of leaking. ExportSession, the other teardown caller, must take
-// the per-server series (each subsystem here publishes into a registry of
-// its own, as a broker's shards do) and leave the stores shards share: the
-// session lives on under the same ID on the importing server.
+// instead of leaking, and the kit's shared per-session stores enumerated
+// through SessionStores so a store added later without eviction fails
+// here too. ExportSession, the other teardown caller, must take the
+// per-server series (the server publishes into a registry of its own, as a
+// broker's shards do) and leave the stores shards share: the session lives
+// on under the same ID on the importing server.
 func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -129,15 +129,12 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := newMemTransport()
-			reg := obs.NewRegistry(obs.DomainWall)
-			shared := obs.NewRegistry(obs.DomainWall)
-			rec := flight.New(obs.DomainWall).Instrument(shared)
-			slt := slo.New(obs.DomainWall, slo.Config{}).Instrument(shared)
-			nqt := netqual.New(obs.DomainWall, netqual.DefaultConfig()).Instrument(shared)
-			nqt.SetEnabled(true)
+			fleet := telemetry.New(obs.DomainWall)
+			fleet.NetQual.SetEnabled(true)
+			shard := fleet.Shard() // shared stores, private registry
+			reg, shared := shard.Registry, fleet.Registry
 			s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
-				WithRegistry(reg), WithFlightRecorder(rec), WithSLO(slt), WithNetQual(nqt),
-				WithFlowControl(flow.Config{}))
+				WithTelemetry(shard), WithFlowControl(flow.Config{}))
 			s.Auth.Register("card-alice", "alice")
 
 			if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {
@@ -164,11 +161,10 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 			if len(sharedLive) < 2 || !netqualLive {
 				t.Fatalf("expected slo and slim_netqual_* series while live, got %v", sharedLive)
 			}
-			if sess.SLO() == nil {
-				t.Fatal("session not SLO-instrumented")
-			}
-			if sess.NetQual() == nil {
-				t.Fatal("session not netqual-instrumented")
+			for _, st := range fleet.SessionStores() {
+				if ids := st.SessionIDs(); len(ids) != 1 || ids[0] != sess.ID {
+					t.Fatalf("%T holds %v while the session is live, want [%d]", st, ids, sess.ID)
+				}
 			}
 
 			if err := tc.close(s); err != nil {
@@ -190,14 +186,10 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 			} else if leaked := sessionLabeled(shared.Snapshot(), "alice"); len(leaked) != 0 {
 				t.Errorf("shared per-session series survived Terminate: %v", leaked)
 			}
-			if ids := slt.SessionIDs(); len(ids) != want {
-				t.Errorf("slo sessions after %s: %v, want %d", tc.name, ids, want)
-			}
-			if ids := nqt.SessionIDs(); len(ids) != want {
-				t.Errorf("netqual estimators after %s: %v, want %d", tc.name, ids, want)
-			}
-			if ids := rec.Sessions(); len(ids) != want {
-				t.Errorf("flight rings after %s: %v, want %d", tc.name, ids, want)
+			for _, st := range fleet.SessionStores() {
+				if ids := st.SessionIDs(); len(ids) != want {
+					t.Errorf("%T after %s holds %v, want %d sessions", st, tc.name, ids, want)
+				}
 			}
 		})
 	}

@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -396,26 +394,6 @@ func runDriveWith(d *Drive, enc *core.Encoder, atWarmup func()) (raw, wire int64
 		}
 	}
 	return enc.Stats.TotalRawBytes() - raw0, enc.Stats.TotalWireBytes() - wire0
-}
-
-// WriteCodecBench writes the artifact as indented JSON.
-func WriteCodecBench(w io.Writer, b *CodecBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadCodecBench parses an artifact written by WriteCodecBench.
-func ReadCodecBench(r io.Reader) (*CodecBench, error) {
-	var b CodecBench
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return nil, fmt.Errorf("workload: parse codec2 bench: %w", err)
-	}
-	return &b, nil
 }
 
 // RenderCodecBench renders the comparison in Figure 8's shape: bytes on

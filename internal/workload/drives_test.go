@@ -1,10 +1,10 @@
 package workload
 
 import (
-	"os"
 	"reflect"
 	"testing"
 
+	"slim/internal/benchfile"
 	"slim/internal/core"
 )
 
@@ -87,18 +87,8 @@ func TestMixedDriveExercisesChurn(t *testing.T) {
 // (make codec2), so the committed table never silently drifts from the
 // code.
 func TestCommittedBench(t *testing.T) {
-	f, err := os.Open("../../BENCH_codec2.json")
-	if err != nil {
-		t.Skipf("no committed artifact: %v", err)
-	}
-	defer f.Close()
-	b, err := ReadCodecBench(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Schema != CodecBenchSchema {
-		t.Fatalf("schema %q, want %q (regenerate with: make codec2)", b.Schema, CodecBenchSchema)
-	}
+	var b CodecBench
+	benchfile.Committed(t, "BENCH_codec2.json", CodecBenchSchema, "make codec2", &b)
 	if len(b.Rows) != len(DriveNames) {
 		t.Fatalf("artifact has %d rows, want %d (regenerate with: make codec2)", len(b.Rows), len(DriveNames))
 	}

@@ -15,9 +15,10 @@ import (
 // transport delivery is synchronous, so the span covers the full path:
 // input dispatch, app update, encode, wire, console decode, damage flush.
 func TestInputToPaintEndToEnd(t *testing.T) {
-	reg := obs.NewRegistry(obs.DomainWall)
+	kit := NewTelemetry()
+	reg := kit.Registry
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithMetricsRegistry(reg))
+	srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg})
@@ -61,8 +62,8 @@ func TestInputToPaintEndToEnd(t *testing.T) {
 		t.Errorf("per-session count = %d, want %d", perSession.Count, wantEvents)
 	}
 	sess := srv.SessionByUser("alice")
-	if sess.InputToPaint() == nil || sess.InputToPaint().Count() != wantEvents {
-		t.Errorf("Session.InputToPaint not wired")
+	if itp := sess.Telemetry().InputToPaint; itp == nil || itp.Count() != wantEvents {
+		t.Errorf("session input-to-paint histogram not wired")
 	}
 
 	// The surrounding pipeline published too: encoder commands and bytes,

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slim/internal/core"
@@ -14,8 +15,8 @@ import (
 	"slim/internal/obs/flight"
 	"slim/internal/obs/hostmon"
 	"slim/internal/obs/incident"
-	"slim/internal/obs/netqual"
 	"slim/internal/obs/slo"
+	"slim/internal/obs/telemetry"
 )
 
 // Runtime observability facade. Every hot path in the package — session
@@ -37,9 +38,23 @@ type (
 	HistogramSnapshot = obs.HistogramSnapshot
 )
 
+// TelemetryKit bundles the observers a server publishes into — metrics
+// registry, flight recorder, SLO tracker, path estimator — on one clock
+// (see internal/obs/telemetry). Point a server at one with WithTelemetry.
+type TelemetryKit = telemetry.Kit
+
+// Telemetry returns the process-wide wall-clock telemetry kit: what live
+// servers, consoles and transports publish into unless redirected, and
+// what the debug endpoint serves. The accessors below are its parts.
+func Telemetry() *TelemetryKit { return telemetry.Default }
+
+// NewTelemetry returns a private wall-clock kit for WithTelemetry —
+// hermetic tests and embedders that keep several servers apart.
+func NewTelemetry() *TelemetryKit { return telemetry.New(obs.DomainWall) }
+
 // Metrics returns the process-wide wall-clock metrics registry that live
 // servers, consoles, and transports publish into.
-func Metrics() *MetricsRegistry { return obs.Default }
+func Metrics() *MetricsRegistry { return telemetry.Default.Registry }
 
 // SimMetrics returns the process-wide simulated-clock registry that
 // netsim links publish into.
@@ -51,18 +66,12 @@ type Recorder = flight.Recorder
 
 // FlightRecorder returns the process-wide causal flight recorder: the
 // per-session protocol event rings behind /debug/trace and the breach
-// dumps (see internal/obs/flight). Configure its threshold and dump
-// directory here; servers and consoles record into it unless redirected.
-func FlightRecorder() *flight.Recorder { return flight.Default }
-
-// SetFlightThreshold sets the input-to-paint latency above which the
-// flight recorder dumps a session's recent events (default 150 ms, the
-// paper's §3 annoyance bound; 0 disables breach detection).
-func SetFlightThreshold(d time.Duration) { flight.Default.SetThreshold(d) }
-
-// SetFlightDumpDir directs breach dumps to dir (empty keeps dumps off;
-// breaches are still counted and marked in the ring).
-func SetFlightDumpDir(dir string) { flight.Default.SetDumpDir(dir) }
+// dumps (see internal/obs/flight). Configure its threshold (SetThreshold;
+// default 150 ms, the paper's §3 annoyance bound, 0 disables breach
+// detection) and dump directory (SetDumpDir; empty keeps dumps off while
+// breaches are still counted and marked in the ring) here; servers and
+// consoles record into it unless redirected.
+func FlightRecorder() *flight.Recorder { return telemetry.Default.Flight }
 
 // SLOTracker is the online latency SLO engine (see internal/obs/slo):
 // rolling multi-window breach rates against the 150 ms / 1% objective,
@@ -75,37 +84,23 @@ type SLOConfig = slo.Config
 
 // SLO returns the process-wide wall-clock SLO tracker: live servers
 // evaluate every input-to-paint latency against it unless redirected, and
-// /debug/slo serves its state.
-func SLO() *SLOTracker { return slo.Default }
+// /debug/slo serves its state. SetTarget changes the per-event latency
+// objective (default the paper's 150 ms annoyance bound), SetBudget the
+// allowed breach fraction (default 0.01: 1% of events may exceed it).
+func SLO() *SLOTracker { return telemetry.Default.SLO }
 
-// SetSLOTarget sets the per-event latency objective (default the paper's
-// 150 ms annoyance bound).
-func SetSLOTarget(d time.Duration) { slo.Default.SetTarget(d) }
-
-// SetSLOBudget sets the allowed breach fraction (default 0.01: 1% of
-// events may exceed the target).
-func SetSLOBudget(b float64) { slo.Default.SetBudget(b) }
-
-// NetQualTracker is the passive network-path estimator (see
-// internal/obs/netqual): per-session smoothed RTT, jitter, loss, and
+// SetNetQualEnabled arms or disarms passive path estimation process-wide
+// (see internal/obs/netqual): per-session smoothed RTT, jitter, loss, and
 // delivered goodput derived purely from traffic the protocol already
-// carries — STATUS acks, NACKs, and bandwidth grant round-trips.
-type NetQualTracker = netqual.Tracker
-
-// NetQual returns the process-wide wall-clock path estimator: live
-// servers register sessions here unless redirected, /debug/netqual serves
-// its state, and slimstat's rtt/jitter/loss columns read its gauges.
-// Disabled (observe paths cost one atomic load) until SetNetQualEnabled
-// or slimd -netqual.
-func NetQual() *NetQualTracker { return netqual.Default }
-
-// SetNetQualEnabled arms or disarms passive path estimation process-wide.
-func SetNetQualEnabled(on bool) { netqual.Default.SetEnabled(on) }
+// carries — STATUS acks, NACKs, and bandwidth grant round-trips. Disarmed,
+// the observe paths cost one atomic load. /debug/netqual serves the
+// estimates and slimstat's rtt/jitter/loss columns read their gauges.
+func SetNetQualEnabled(on bool) { telemetry.Default.NetQual.SetEnabled(on) }
 
 // defaultCalibrator is the process-wide cost calibrator behind
 // Calibrator() and /debug/costmodel, instrumented in the default registry
 // so its drift gauges appear in /metrics.
-var defaultCalibrator = core.NewCalibrator(nil).Instrument(obs.Default)
+var defaultCalibrator = core.NewCalibrator(nil).Instrument(telemetry.Default.Registry)
 
 // Calibrator returns the process-wide cost-model calibrator. Point a
 // console's ConsoleConfig.Calibrator at it (and a server at
@@ -113,21 +108,10 @@ var defaultCalibrator = core.NewCalibrator(nil).Instrument(obs.Default)
 // measured-versus-Table-5 fit for this host.
 func Calibrator() *CostCalibrator { return defaultCalibrator }
 
-// CostModelHandler serves cal's live calibration state — the fitted
-// startup/per-pixel costs, R², sample counts, and drift versus Table 5 —
-// as an indented JSON document. DebugHandler mounts it for the default
-// calibrator at /debug/costmodel.
-func CostModelHandler(cal *CostCalibrator) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = cal.WriteJSON(w)
-	})
-}
-
 // Capture returns the process-wide wire-capture ring (disabled until a
 // capture is started). The UDP transport and every fabric tap it; see
 // internal/obs/capture and the .slimcap section of PROTOCOL.md.
-func Capture() *capture.Ring { return capture.Default }
+func Capture() *capture.Ring { return telemetry.Default.Capture }
 
 // CaptureFile is an in-progress wire capture spooling to disk.
 type CaptureFile struct {
@@ -164,12 +148,10 @@ func StartCapture(path string) (*CaptureFile, error) {
 		f.Close()
 		return nil, err
 	}
-	cf := &CaptureFile{f: f, ring: capture.Default, ticker: time.NewTicker(250 * time.Millisecond),
+	cf := &CaptureFile{f: f, ring: telemetry.Default.Capture, ticker: time.NewTicker(250 * time.Millisecond),
 		done: make(chan struct{})}
 	cf.ring.SetEnabled(true)
-	captureMu.Lock()
-	capturePath = path // incident bundles tail the live spool
-	captureMu.Unlock()
+	capturePath.Store(path) // incident bundles tail the live spool
 	go func() {
 		for {
 			select {
@@ -206,17 +188,15 @@ func (c *CaptureFile) Close() error {
 // runtime/metrics into the default registry and feeds GC/CPU stall
 // windows to the default flight recorder as HOST-verdict evidence; the
 // default profiler keeps a rotating ring of short CPU-profile windows.
-// Both are stopped until StartHostMonitor.
+// Both are stopped until StartHostMonitor. The monitor stamps its stall
+// windows from the wall clock the flight recorder reads, so the two
+// overlap directly.
 var (
-	defaultMonitor = hostmon.New(hostmon.Config{Clock: flight.Default.Clock}).
-			Instrument(obs.Default)
-	defaultProfiler = hostmon.NewProfiler(0, 0, 0).Instrument(obs.Default)
+	defaultMonitor  = hostmon.New(obs.Wall, hostmon.Config{}).Instrument(telemetry.Default.Registry)
+	defaultProfiler = hostmon.NewProfiler(0, 0, 0).Instrument(telemetry.Default.Registry)
 
-	incidentMu      sync.Mutex
-	defaultIncident *incident.Engine
-
-	captureMu   sync.Mutex
-	capturePath string // live spool path for incident bundles
+	defaultIncident atomic.Pointer[incident.Engine]
+	capturePath     atomic.Value // string: live spool path for incident bundles
 )
 
 // HostMonitor returns the process-wide host-runtime monitor (see
@@ -233,11 +213,11 @@ func HostProfiler() *hostmon.Profiler { return defaultProfiler }
 // breach attribution with HOST verdicts. Returns a stop func that
 // unwires and shuts both down.
 func StartHostMonitor() (stop func()) {
-	flight.Default.SetHostEvidence(defaultMonitor.Windows)
+	telemetry.Default.Flight.SetHostEvidence(defaultMonitor.Windows)
 	defaultMonitor.Start()
 	defaultProfiler.Start()
 	return func() {
-		flight.Default.SetHostEvidence(nil)
+		telemetry.Default.Flight.SetHostEvidence(nil)
 		defaultMonitor.Close()
 		defaultProfiler.Close()
 	}
@@ -253,24 +233,18 @@ type IncidentEngine = incident.Engine
 // /debug/slo, /debug/costmodel, and hostmon snapshots. Returns the
 // engine (Close to stop). Calling it again replaces the previous engine.
 func StartIncidents(dir string) *IncidentEngine {
-	captureMu.Lock()
-	capFile := capturePath
-	captureMu.Unlock()
+	capFile, _ := capturePath.Load().(string)
 	e := incident.New(incident.Config{Dir: dir}, incident.Sources{
-		SLO:         slo.Default,
+		SLO:         telemetry.Default.SLO,
 		Monitor:     defaultMonitor,
 		Profiler:    defaultProfiler,
-		Registry:    obs.Default,
-		Costmodel:   defaultCalibrator.WriteJSON,
-		FlightDir:   flight.Default.DumpDir(),
+		Registry:    telemetry.Default.Registry,
+		Costmodel:   func() any { return defaultCalibrator.Status() },
+		FlightDir:   telemetry.Default.Flight.DumpDir(),
 		CaptureFile: capFile,
-	}).Instrument(obs.Default)
+	}).Instrument(telemetry.Default.Registry)
 	e.Start()
-	incidentMu.Lock()
-	old := defaultIncident
-	defaultIncident = e
-	incidentMu.Unlock()
-	if old != nil {
+	if old := defaultIncident.Swap(e); old != nil {
 		old.Close()
 	}
 	return e
@@ -278,45 +252,65 @@ func StartIncidents(dir string) *IncidentEngine {
 
 // Incidents returns the process-wide incident engine, or nil before
 // StartIncidents.
-func Incidents() *IncidentEngine {
-	incidentMu.Lock()
-	defer incidentMu.Unlock()
-	return defaultIncident
-}
+func Incidents() *IncidentEngine { return defaultIncident.Load() }
 
-// DebugEndpoint is one entry in the debug-endpoint table: a mounted path
-// and its one-line description.
+// DebugEndpoint is one row of the debug-endpoint table: a mounted path,
+// its one-line description, and the handler mounted there.
 type DebugEndpoint struct {
 	Path        string `json:"path"`
 	Description string `json:"description"`
+	handler     http.Handler
 }
 
-// DebugEndpoints is the canonical table of every endpoint DebugHandler
-// mounts — the /debug/ index page and the README table both derive from
-// it.
+// jsonDoc serves the document status returns through the one JSON helper
+// every /debug status endpoint shares (obs.JSONHandler).
+func jsonDoc(status func() any) http.Handler {
+	return obs.JSONHandler(func(*http.Request) (any, error) { return status(), nil })
+}
+
+// DebugEndpoints is the one table of everything DebugHandler mounts: the
+// mux, the /debug/ index page and the README table all derive from it, so
+// an endpoint cannot be served without being listed or listed without
+// being served.
 func DebugEndpoints() []DebugEndpoint {
+	k := telemetry.Default
 	return []DebugEndpoint{
-		{"/metrics", "Prometheus text exposition of every live series (wall and sim domains)"},
-		{"/debug/vars", "JSON snapshot of all registries, keyed by clock domain"},
-		{"/debug/pprof/", "standard net/http/pprof profile index (heap, goroutine, profile, trace, ...)"},
-		{"/debug/trace", "Perfetto trace-event JSON from the flight recorder's session rings"},
-		{"/debug/costmodel", "live cost-model calibration fit versus the paper's Table 5"},
-		{"/debug/slo", "SLO burn rates, OK/DEGRADED/BREACHING states, and breach-blame histograms"},
-		{"/debug/netqual", "per-session passive path estimates: smoothed RTT, jitter, loss windows, goodput"},
-		{"/debug/hostmon", "host-runtime sample ring, GC/CPU stall windows, and top-N profile self-time"},
-		{"/debug/incident", "incident bundles: GET lists manifests, POST ?trigger=reason writes one now"},
+		{"/metrics", "Prometheus text exposition of every live series (wall and sim domains)",
+			obs.MetricsHandler(k.Registry, obs.Sim)},
+		{"/debug/vars", "JSON snapshot of all registries, keyed by clock domain",
+			obs.VarsHandler(k.Registry, obs.Sim)},
+		{"/debug/pprof/", "standard net/http/pprof profile index (heap, goroutine, profile, trace, ...)",
+			obs.PprofHandler()},
+		{"/debug/trace", "Perfetto trace-event JSON from the flight recorder's session rings",
+			k.Flight.TraceHandler()},
+		{"/debug/costmodel", "live cost-model calibration fit versus the paper's Table 5",
+			jsonDoc(func() any { return defaultCalibrator.Status() })},
+		{"/debug/slo", "SLO burn rates, OK/DEGRADED/BREACHING states, and breach-blame histograms",
+			jsonDoc(func() any { return k.SLO.Status() })},
+		{"/debug/netqual", "per-session passive path estimates: smoothed RTT, jitter, loss windows, goodput",
+			jsonDoc(func() any { return k.NetQual.Status() })},
+		{"/debug/hostmon", "host-runtime sample ring, GC/CPU stall windows, and top-N profile self-time",
+			jsonDoc(func() any { return defaultMonitor.StatusWith(defaultProfiler) })},
+		{"/debug/incident", "incident bundles: GET lists manifests, POST ?trigger=reason writes one now",
+			obs.JSONHandler(func(r *http.Request) (any, error) {
+				e := Incidents()
+				if e == nil {
+					return nil, obs.StatusError{Code: http.StatusServiceUnavailable,
+						Msg: "incident engine not started (slimd -incident-dir)"}
+				}
+				return e.Status(r)
+			})},
 	}
 }
 
 // debugIndex renders the endpoint table as a minimal HTML index at
-// /debug/ (and JSON with ?format=json).
-func debugIndex() http.Handler {
+// /debug/ (anything else under it is a 404).
+func debugIndex(eps []DebugEndpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/debug/" && r.URL.Path != "/debug" && r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		eps := DebugEndpoints()
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write([]byte("<!DOCTYPE html><html><head><title>slimd debug</title></head><body>" +
 			"<h1>slimd debug endpoints</h1><table border=\"0\" cellpadding=\"4\">\n"))
@@ -328,29 +322,18 @@ func debugIndex() http.Handler {
 	})
 }
 
-// DebugHandler returns the debug endpoint served by slimd -debug. The
-// mounted paths and their descriptions are exactly DebugEndpoints —
-// /debug/ serves that table as an index page; see the README's
-// debug-endpoint table for the same list. Embed it in any HTTP server.
+// DebugHandler returns the debug endpoint served by slimd -debug: every
+// row of DebugEndpoints mounted at its path, plus /debug/ serving that
+// table as an index page (the README's debug-endpoint table is the same
+// list). Embed it in any HTTP server.
 func DebugHandler() http.Handler {
-	mux := obs.DebugMux(obs.Default, obs.Sim)
-	mux.Handle("/debug/trace", flight.Default.TraceHandler())
-	mux.Handle("/debug/costmodel", CostModelHandler(defaultCalibrator))
-	mux.Handle("/debug/slo", slo.Default.Handler())
-	mux.Handle("/debug/netqual", netqual.Default.Handler())
-	mux.Handle("/debug/hostmon", defaultMonitor.Handler(defaultProfiler))
-	mux.Handle("/debug/incident", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		e := Incidents()
-		if e == nil {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			http.Error(w, `{"error":"incident engine not started (slimd -incident-dir)"}`,
-				http.StatusServiceUnavailable)
-			return
-		}
-		e.Handler().ServeHTTP(w, r)
-	}))
-	mux.Handle("/debug/", debugIndex())
-	mux.Handle("/", debugIndex())
+	eps := DebugEndpoints()
+	mux := http.NewServeMux()
+	for _, ep := range eps {
+		mux.Handle(ep.Path, ep.handler)
+	}
+	mux.Handle("/debug/", debugIndex(eps))
+	mux.Handle("/", debugIndex(eps))
 	return mux
 }
 

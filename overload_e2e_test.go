@@ -177,7 +177,8 @@ type overloadResult struct {
 
 // runOverload drives the scenario and reports interactive latency. A
 // non-nil ring captures every datagram the run puts on the simulated wire.
-func runOverload(t *testing.T, governed bool, reg *obs.Registry, rec *flight.Recorder, ring *capture.Ring) overloadResult {
+func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.Ring) overloadResult {
+	reg, rec := kit.Registry, kit.Flight
 	t.Helper()
 	const (
 		nTerm     = 6
@@ -199,7 +200,7 @@ func runOverload(t *testing.T, governed bool, reg *obs.Registry, rec *flight.Rec
 		link:     netsim.Link{Bps: netsim.Rate10Mbps, Prop: 200 * time.Microsecond, BufBytes: 128 << 10},
 		cap:      ring,
 	}
-	opts := []ServerOption{WithMetricsRegistry(reg), WithFlightRecorder(rec)}
+	opts := []ServerOption{WithTelemetry(kit)}
 	if governed {
 		opts = append(opts, WithFlowControl(FlowConfig{
 			InitialBps:              400_000,
@@ -339,13 +340,11 @@ func runOverload(t *testing.T, governed bool, reg *obs.Registry, rec *flight.Rec
 }
 
 func TestOverloadGovernorDegradesGracefully(t *testing.T) {
-	regOff := obs.NewRegistry(obs.DomainWall)
-	recOff := flight.New(obs.DomainWall).Instrument(regOff)
-	off := runOverload(t, false, regOff, recOff, nil)
+	off := runOverload(t, false, NewTelemetry(), nil)
 
-	regOn := obs.NewRegistry(obs.DomainWall)
-	recOn := flight.New(obs.DomainWall).Instrument(regOn)
-	on := runOverload(t, true, regOn, recOn, nil)
+	kitOn := NewTelemetry()
+	regOn, recOn := kitOn.Registry, kitOn.Flight
+	on := runOverload(t, true, kitOn, nil)
 
 	t.Logf("governor off: p95=%v inputs=%d stale=%d linkDrops=%d",
 		off.p95, len(off.latencies)+off.stale, off.stale, off.linkDrops)
@@ -370,10 +369,9 @@ func TestOverloadGovernorDegradesGracefully(t *testing.T) {
 
 	// The accounting is visible where an operator would look: the /debug
 	// metrics exposition and the session's flight ring.
-	mux := obs.DebugMux(regOn, obs.Sim)
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rw := httptest.NewRecorder()
-	mux.ServeHTTP(rw, req)
+	obs.MetricsHandler(regOn, obs.Sim).ServeHTTP(rw, req)
 	body, _ := io.ReadAll(rw.Result().Body)
 	for _, want := range []string{"slim_flow_superseded_total", "slim_flow_grant_utilization"} {
 		if !strings.Contains(string(body), want) {
@@ -381,7 +379,7 @@ func TestOverloadGovernorDegradesGracefully(t *testing.T) {
 		}
 	}
 	var sawTxq, sawSup bool
-	for _, id := range recOn.Sessions() {
+	for _, id := range recOn.SessionIDs() {
 		for _, ev := range recOn.Events(id, time.Hour) {
 			switch ev.Kind {
 			case flight.EvTxQueue:

@@ -152,10 +152,6 @@ func WithCodec2() ServerOption { return server.WithCodec2() }
 // encoding — only encode wall-clock time changes.
 func WithParallelEncoding(workers int) ServerOption { return server.WithParallelEncoding(workers) }
 
-// WithMetricsRegistry redirects the server's live metrics into r instead
-// of the process-wide registry.
-func WithMetricsRegistry(r *MetricsRegistry) ServerOption { return server.WithRegistry(r) }
-
 // CostCalibrator fits the §4.3 cost model live from per-command decode
 // observations (see internal/core and the Calibration section of
 // DESIGN.md). Share one calibrator between a console's
@@ -173,19 +169,12 @@ func WithCalibratedCosts(cal *CostCalibrator) ServerOption {
 	return server.WithCalibratedCosts(cal)
 }
 
-// WithFlightRecorder points the server's causal flight recorder at rec
-// instead of the process-wide one.
-func WithFlightRecorder(rec *Recorder) ServerOption { return server.WithFlightRecorder(rec) }
-
-// WithSLOTracker points the server's latency SLO engine at t instead of
-// the process-wide one (slim.SLO()).
-func WithSLOTracker(t *SLOTracker) ServerOption { return server.WithSLO(t) }
-
-// WithNetQualTracker points the server's passive path estimation at t
-// instead of the process-wide one (slim.NetQual()). The tracker must
-// still be armed with SetEnabled; the option only chooses where the
-// estimates live.
-func WithNetQualTracker(t *NetQualTracker) ServerOption { return server.WithNetQual(t) }
+// WithTelemetry points the server at the telemetry kit k instead of the
+// process-wide one (Telemetry()): the registry its metrics publish into,
+// and the flight recorder, SLO tracker and path estimator its sessions
+// record into. NewTelemetry builds a private kit; its path estimator must
+// still be armed with k.NetQual.SetEnabled.
+func WithTelemetry(k *TelemetryKit) ServerOption { return server.WithTelemetry(k) }
 
 // WithLogger attaches a structured logger for session lifecycle events
 // (attach, detach, terminate, auth failure, recovery repaint). Nil keeps

@@ -2,6 +2,7 @@ package slim
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -57,25 +58,26 @@ func TestSLOEndToEnd(t *testing.T) {
 		target = 50 * time.Millisecond
 		delay  = 80 * time.Millisecond // per display datagram when degraded
 	)
-	reg := obs.NewRegistry(obs.DomainWall)
-	rec := flight.New(obs.DomainWall).Instrument(reg)
+	kit := NewTelemetry()
+	reg, rec := kit.Registry, kit.Flight
 	rec.SetThreshold(target)
 	rec.SetDumpGap(0) // every breach dumps: the blame table wants them all
 	dir := t.TempDir()
 	rec.SetDumpDir(dir)
 	// Compressed windows so the three states are reachable in seconds: a
 	// 400 ms detection window, 1.6 s confirmation, 6.4 s memory.
-	trk := slo.New(obs.DomainWall, slo.Config{
+	kit.SLO = slo.New(obs.Wall, slo.Config{
 		Target: target,
 		Short:  400 * time.Millisecond,
 		Mid:    1600 * time.Millisecond,
 		Long:   6400 * time.Millisecond,
 	}).Instrument(reg)
+	trk := kit.SLO
 
 	fabric := NewFabric()
 	link := &degradedTransport{Fabric: fabric}
 	srv := NewServer(link, WithTerminalApp(),
-		WithMetricsRegistry(reg), WithFlightRecorder(rec), WithSLOTracker(trk))
+		WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: reg, Flight: rec})
 	if err != nil {
@@ -86,11 +88,11 @@ func TestSLOEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.SessionByUser("alice")
-	if sess == nil || sess.SLO() == nil {
+	if sess == nil || sess.Telemetry().SLO == nil {
 		t.Fatal("session not SLO-instrumented")
 	}
 
-	ts := httptest.NewServer(trk.Handler())
+	ts := httptest.NewServer(obs.JSONHandler(func(*http.Request) (any, error) { return trk.Status(), nil }))
 	defer ts.Close()
 
 	// Phase 1 — healthy link: keystrokes paint in microseconds.

@@ -11,6 +11,7 @@ import (
 
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -65,7 +66,7 @@ type udpListener struct {
 	pacerDone chan struct{} // closed when the flow pacer has exited (flow only)
 	start     time.Time     // shared epoch for serve and the flow pacer
 	metrics   *udpMetrics
-	// capture is the wire tap (capture.Default): every datagram this
+	// capture is the wire tap (telemetry.Default's): every datagram this
 	// transport sends or receives is recorded when the ring is enabled.
 	// The Enabled guard keeps the disabled path allocation- and
 	// clock-read-free.
@@ -91,8 +92,8 @@ func listenUDP(ctx context.Context, addr string) (*udpListener, error) {
 		closed:  make(chan struct{}),
 		done:    make(chan struct{}),
 		start:   time.Now(),
-		metrics: newUDPMetrics(obs.Default, "slim_udp"),
-		capture: capture.Default,
+		metrics: newUDPMetrics(telemetry.Default.Registry, "slim_udp"),
+		capture: telemetry.Default.Capture,
 	}, nil
 }
 
@@ -229,8 +230,8 @@ func (s *udpListener) Send(consoleID string, wire []byte) error {
 		// The command never made the wire: flight-record the loss so the
 		// session's causal chain shows a TX with no RX and a DROP.
 		if isDisplayDatagram(wire) && s.handler != nil {
-			if sess := s.handler.SessionOf(consoleID); sess != nil && sess.FlightLog().Armed() {
-				sess.FlightLog().Drop(binary.BigEndian.Uint32(wire[4:8]),
+			if sess := s.handler.SessionOf(consoleID); sess != nil && sess.Telemetry().Flight.Armed() {
+				sess.Telemetry().Flight.Drop(binary.BigEndian.Uint32(wire[4:8]),
 					protocol.MsgType(wire[3]), int64(len(wire)))
 			}
 		}
@@ -327,7 +328,7 @@ func DialConsoleContext(ctx context.Context, serverAddr string, cfg ConsoleConfi
 		closed:  make(chan struct{}),
 		done:    make(chan struct{}),
 		start:   time.Now(),
-		metrics: newUDPMetrics(obs.Default, "slim_udp_console"),
+		metrics: newUDPMetrics(telemetry.Default.Registry, "slim_udp_console"),
 	}
 	c.inputPort = inputPort{
 		deliver: c.send,
