@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench cover fuzz reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke loc ci
+.PHONY: all build test vet bench cover fuzz fuzz-smoke reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke loc ci
 
 all: build test
 
@@ -105,10 +105,11 @@ fleet-smoke:
 # Counted non-test Go lines per top-level package — the number the
 # simplicity PRs report (CHANGES.md). Informational; never fails.
 loc:
-	@for d in . cmd/* internal/*; do \
+	@total=0; for d in . cmd/* internal/*; do \
 		n=$$(find $$d $$([ $$d = . ] && echo -maxdepth 1) -name '*.go' ! -name '*_test.go' | xargs cat 2>/dev/null | wc -l); \
+		total=$$((total + n)); \
 		printf '%7d  %s\n' $$n $$d; \
-	done
+	done; printf '%7d  TOTAL\n' $$total
 
 # CI-style gate: static checks, race-detected tests, benchmark smoke run,
 # repository-benchmark smoke, allocation budgets, capacity-curve smoke,
@@ -118,8 +119,18 @@ ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke co
 cover:
 	$(GO) test -cover ./...
 
-# Brief fuzz passes over the wire-format decoders.
+# The 30-second CI fuzz smoke, split between the message decoder and the
+# two entry points the transports feed raw datagrams into.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 10s ./internal/protocol/
+	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 10s ./internal/console/
+	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 10s ./internal/server/
+
+# Brief fuzz passes over the wire-format decoders and the endpoints' raw
+# datagram entry points.
 fuzz:
+	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 30s ./internal/console/
+	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 30s ./internal/server/
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatch$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 30s ./internal/protocol/

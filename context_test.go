@@ -9,7 +9,8 @@ import (
 
 // TestContextCancelClosesUDPServer ties a daemon and a console to a
 // context and checks cancellation tears both down — every background
-// goroutine (serve loops, flow pacer, context watchers) joins.
+// goroutine (serve loops, flow pacer, app ticker, the console's feedback
+// timer, context watchers) joins.
 func TestContextCancelClosesUDPServer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -19,6 +20,7 @@ func TestContextCancelClosesUDPServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Server.Auth.Register("card-ctx", "ctxuser")
+	srv.StartTicker(60)
 	con, err := DialConsoleContext(ctx, srv.Addr().String(), ConsoleConfig{Width: 160, Height: 120}, TokenOf("card-ctx"))
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +37,12 @@ func TestContextCancelClosesUDPServer(t *testing.T) {
 	if err := con.Close(); err != nil {
 		t.Fatalf("console Close after cancel: %v", err)
 	}
+	// Close joined the listener's and the console's own goroutines, so
+	// all that may still be winding down is the two context watchers.
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Errorf("goroutines: %d before, %d right after Close returned", before, n)
+	}
+	srv.StartTicker(60) // a closed listener starts nothing
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before {

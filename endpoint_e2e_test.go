@@ -1,0 +1,232 @@
+package slim
+
+import (
+	"testing"
+	"time"
+
+	"slim/internal/obs/flight"
+	"slim/internal/protocol"
+	"slim/internal/server"
+)
+
+// The console's STATUS cadence is one rule (internal/console/status.go)
+// run by both transports. The sim-domain test below drives it through the
+// fabric's virtual clock and checks the property the paper rests on — a
+// console that lost everything heals from the server's pixels, once; the
+// wall-domain test pins what a UDP console puts on the wire.
+
+// TestRebootHealsThroughHeartbeat reboots a console under a live session:
+// the replacement holds no soft state and has acknowledged nothing, and
+// nobody tells the server. Its idle heartbeat alone must bring exactly one
+// recovery repaint — not zero (the console stays blank) and not a storm.
+func TestRebootHealsThroughHeartbeat(t *testing.T) {
+	fabric, srv := newFabricSystem(t)
+	cfg := ConsoleConfig{Width: 320, Height: 240}
+	con, err := NewConsole(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric.Attach("desk-1", con, srv)
+	if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.SessionByUser("alice")
+	for sess.Encoder.LastSeq() <= 2*server.StatusLagThreshold {
+		if err := fabric.TypeString("desk-1", "the quick brown fox jumps over the lazy dog\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		t.Fatal("console diverged before the reboot")
+	}
+
+	// What one full repaint of this screen costs: the hotdesk of a fresh
+	// console onto the session and back. Nothing else moves the encoder.
+	spare, err := NewConsole(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric.Attach("desk-2", spare, srv)
+	if err := fabric.Boot("desk-2", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	fullRepaint, _ := spare.Counters()
+	if err := fabric.InsertCard("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+
+	tick := func() {
+		t.Helper()
+		fabric.SetClock(fabric.Now() + StatusInterval)
+		if err := fabric.Pump(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick() // the old console acknowledges everything it was sent
+	before := sess.Encoder.LastSeq()
+
+	fresh, err := NewConsole(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric.Attach("desk-1", fresh, srv)
+	tick()
+	sent := uint64(sess.Encoder.LastSeq() - before)
+	applied, dropped := fresh.Counters()
+	if sent == 0 {
+		t.Fatal("the rebooted console's heartbeat brought no recovery repaint")
+	}
+	if sent > fullRepaint || applied != sent || dropped != 0 {
+		t.Errorf("recovery sent %d commands (console applied %d, dropped %d); one full repaint is %d",
+			sent, applied, dropped, fullRepaint)
+	}
+	if !fresh.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := fresh.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("rebooted console differs from the session's frame buffer in %d pixels", n)
+	}
+	healed := sess.Encoder.LastSeq()
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	if got := sess.Encoder.LastSeq(); got != healed {
+		t.Errorf("heartbeats from a healed console sent %d more commands", got-healed)
+	}
+}
+
+// settledSeq waits until the console has applied display traffic past seq
+// and then none for 30 ms, and returns the sequence it settled at. (The
+// session's encoder is the server goroutine's; a test watching a live UDP
+// pair reads the console, which locks.)
+func settledSeq(t *testing.T, con *UDPConsole, past uint32) uint32 {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		seq := con.Console.Status().LastSeq
+		time.Sleep(30 * time.Millisecond)
+		if seq != past && con.Console.Status().LastSeq == seq {
+			return seq
+		}
+	}
+	t.Fatalf("console never settled past seq %d", past)
+	return 0
+}
+
+// burstApp answers 'b' with burstLen one-cell fills (one FILL datagram
+// each) and any other key with one.
+type burstApp struct{ n uint32 }
+
+const burstLen = 200
+
+func (a *burstApp) HandleKey(ev protocol.KeyEvent) []Op {
+	if !ev.Down {
+		return nil
+	}
+	count := 1
+	if ev.Code == 'b' {
+		count = burstLen
+	}
+	ops := make([]Op, count)
+	for i := range ops {
+		a.n++
+		ops[i] = FillOp{
+			Rect:  Rect{X: int(a.n % 20 * 16), Y: int(a.n / 20 % 15 * 16), W: 16, H: 16},
+			Color: Pixel(a.n * 2654435761),
+		}
+	}
+	return ops
+}
+
+func (a *burstApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
+
+// TestUDPStatusCadence pins the STATUS traffic a UDP console produces, as
+// the server sees it: the idle heartbeat, the prompt ack of an echo, and
+// the rate limit inside a burst.
+func TestUDPStatusCadence(t *testing.T) {
+	kit := NewTelemetry()
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0",
+		func(string, int, int) Application { return &burstApp{} }, WithTelemetry(kit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Server.Auth.Register("card-c", "cadence")
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer con.Close()
+	waitAttached(t, con)
+	sess := srv.Server.SessionByUser("cadence")
+
+	// statuses lists the session's STATUS events stamped in [from, to].
+	statuses := func(from, to time.Duration) []flight.Event {
+		var out []flight.Event
+		for _, ev := range kit.Flight.Events(sess.ID, 0) {
+			if ev.Kind == flight.EvStatus && ev.T >= from && ev.T <= to {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	// acked waits for a STATUS stamped after from that acknowledges seq,
+	// and returns it.
+	acked := func(from time.Duration, seq uint32) flight.Event {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for time.Now().Before(deadline) {
+			for _, ev := range statuses(from, kit.Clock.Now()) {
+				if uint32(ev.A) == seq {
+					return ev
+				}
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("no STATUS acknowledged seq %d", seq)
+		return flight.Event{}
+	}
+	// burstApp turns every op into one FILL datagram, so the test knows
+	// each sequence number the session will reach.
+	seq := settledSeq(t, con, 0)
+	acked(0, seq) // the attach repaint's trailing ack
+
+	// Idle: nothing but the heartbeat, every StatusInterval.
+	t0 := kit.Clock.Now()
+	time.Sleep(1300 * time.Millisecond)
+	if n := len(statuses(t0, t0+1200*time.Millisecond)); n < 2 || n > 3 {
+		t.Errorf("idle console sent %d STATUS in 1.2s, want 2-3 (one per %v)", n, StatusInterval)
+	}
+
+	// One keystroke: its echo is acknowledged on receipt, not at the next
+	// heartbeat.
+	const slack = 150 * time.Millisecond
+	t0 = kit.Clock.Now()
+	if err := con.SendKey('k', true); err != nil {
+		t.Fatal(err)
+	}
+	seq++
+	if ack := acked(t0, seq); ack.T-t0 > StatusAckDelay+slack {
+		t.Errorf("echo acknowledged after %v, want within %v", ack.T-t0, StatusAckDelay+slack)
+	}
+
+	// A burst: at most one ack per StatusAckDelay while it lasts, then one
+	// trailing ack that covers its end.
+	time.Sleep(2 * StatusAckDelay)
+	t0 = kit.Clock.Now()
+	if err := con.SendKey('b', true); err != nil {
+		t.Fatal(err)
+	}
+	seq += burstLen
+	last := acked(t0, seq)
+	time.Sleep(3 * StatusAckDelay) // anything still trailing has landed
+	t1 := kit.Clock.Now()
+	evs := statuses(t0, t1)
+	if limit := int((last.T-t0)/StatusAckDelay) + 2; len(evs) > limit {
+		t.Errorf("burst drew %d STATUS over %v, want at most %d", len(evs), last.T-t0, limit)
+	}
+	for i := 1; i < len(evs); i++ {
+		// Spacing is the console's; arrival jitter can only shave it.
+		if gap := evs[i].T - evs[i-1].T; gap < StatusAckDelay/2 {
+			t.Errorf("STATUS %d and %d arrived %v apart, want about %v or more", i-1, i, gap, StatusAckDelay)
+		}
+	}
+}

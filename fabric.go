@@ -1,7 +1,6 @@
 package slim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
 	"slim/internal/obs/telemetry"
-	"slim/internal/protocol"
 )
 
 // fabricMetrics is the in-process transport's live instrument set.
@@ -40,10 +38,10 @@ func newFabricMetrics(r *obs.Registry) *fabricMetrics {
 // Fabric implements Transport for the server side; console replies (Nacks,
 // Pongs, bandwidth grants) are routed back automatically.
 type Fabric struct {
-	mu       sync.Mutex
-	consoles map[string]*Console
-	servers  map[string]SessionHandler
-	closed   bool
+	mu     sync.Mutex
+	desks  map[string]desk
+	order  []string // desk IDs as first attached: Pump's polling order
+	closed bool
 	// clock is the virtual time passed to console handlers (SetClock);
 	// advance it if your test models decode delays.
 	clock time.Duration
@@ -78,13 +76,19 @@ type queuedDatagram struct {
 	wire    []byte
 }
 
+// desk is one console wired to its server side; Attach swaps either.
+type desk struct {
+	id  string
+	con *Console
+	srv SessionHandler
+}
+
 // NewFabric returns an empty fabric.
 func NewFabric() *Fabric {
 	return &Fabric{
-		consoles: make(map[string]*Console),
-		servers:  make(map[string]SessionHandler),
-		metrics:  newFabricMetrics(telemetry.Default.Registry),
-		capture:  telemetry.Default.Capture,
+		desks:   make(map[string]desk),
+		metrics: newFabricMetrics(telemetry.Default.Registry),
+		capture: telemetry.Default.Capture,
 	}
 }
 
@@ -102,8 +106,10 @@ func (f *Fabric) SetCapture(r *capture.Ring) {
 func (f *Fabric) Attach(id string, con *Console, srv SessionHandler) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.consoles[id] = con
-	f.servers[id] = srv
+	if _, ok := f.desks[id]; !ok {
+		f.order = append(f.order, id)
+	}
+	f.desks[id] = desk{id, con, srv}
 }
 
 // fabricAddr is the in-process transport's synthetic address.
@@ -121,8 +127,7 @@ func (f *Fabric) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.closed = true
-	f.consoles = make(map[string]*Console)
-	f.servers = make(map[string]SessionHandler)
+	f.desks, f.order = make(map[string]desk), nil
 	return nil
 }
 
@@ -140,29 +145,51 @@ func (f *Fabric) Now() time.Duration {
 	return f.clock
 }
 
-// Pump services every attached server's flow governors at the fabric's
-// current virtual clock — paced traffic queued by bandwidth grants is
-// released, deferred retransmits regenerate. Call it after SetClock when
-// a test advances time. No-op for servers without flow control.
+// Pump runs the periodic duties at the fabric's current virtual clock, as
+// the UDP transport's timers do on the wall clock: every attached server's
+// flow governors are serviced (paced traffic is released, deferred
+// retransmits regenerate), then every console is polled for the STATUS it
+// owes. Call it after SetClock when a test advances time.
 func (f *Fabric) Pump() error {
 	f.mu.Lock()
-	clock := f.clock
-	seen := make(map[SessionHandler]bool, len(f.servers))
-	srvs := make([]SessionHandler, 0, len(f.servers))
-	for _, srv := range f.servers {
-		if srv != nil && !seen[srv] {
-			seen[srv] = true
-			srvs = append(srvs, srv)
-		}
+	clock, capRing := f.clock, f.capture
+	desks := make([]desk, len(f.order))
+	for i, id := range f.order {
+		desks[i] = f.desks[id]
 	}
 	f.mu.Unlock()
 	var firstErr error
-	for _, srv := range srvs {
-		if _, _, err := srv.PumpFlows(clock); err != nil && firstErr == nil {
+	note := func(err error) {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	pumped := make(map[SessionHandler]bool, 1)
+	for _, d := range desks {
+		if d.srv != nil && !pumped[d.srv] {
+			pumped[d.srv] = true
+			_, _, err := d.srv.PumpFlows(clock)
+			note(err)
+		}
+	}
+	for _, d := range desks {
+		if d.con == nil || d.srv == nil {
+			continue
+		}
+		if wire := d.con.Poll(clock); wire != nil {
+			note(uplink(capRing, d.srv, d.id, wire, clock))
+		}
+	}
 	return firstErr
+}
+
+// uplink carries a console's datagram past the capture tap into its
+// server, which may re-enter Send; that queues.
+func uplink(capRing *capture.Ring, srv SessionHandler, id string, wire []byte, clock time.Duration) error {
+	if capRing.Enabled() {
+		capRing.Tap(capture.DirUp, id, -1, wire, clock)
+	}
+	return srv.HandleDatagram(id, wire, clock)
 }
 
 // SetLoss makes the fabric drop every Nth display datagram on the
@@ -182,12 +209,6 @@ func (f *Fabric) LossStats() (delivered, dropped int) {
 	return f.delivered, f.dropped
 }
 
-// isDisplayDatagram peeks at a plain-framed datagram's type byte.
-func isDisplayDatagram(wire []byte) bool {
-	return len(wire) >= protocol.HeaderSize &&
-		protocol.MsgType(wire[3]).IsDisplay() && !protocol.IsBatch(wire)
-}
-
 // Send implements Transport: deliver a server datagram to the console and
 // feed any console replies back to the server. Deliveries are serialized
 // through a FIFO; a Send issued during another delivery (loss recovery,
@@ -198,7 +219,7 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 		f.mu.Unlock()
 		return fmt.Errorf("slim: fabric is closed")
 	}
-	_, ok := f.consoles[consoleID]
+	d, ok := f.desks[consoleID]
 	if !ok {
 		f.mu.Unlock()
 		return fmt.Errorf("slim: no console %q on fabric", consoleID)
@@ -213,16 +234,10 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 		if f.phase%f.dropEvery == 0 {
 			f.dropped++
 			f.metrics.dropped.Inc()
-			srv := f.servers[consoleID]
 			f.mu.Unlock()
-			// Flight-record the loss outside f.mu: SessionOf takes the
-			// server lock, and console replies already order s.mu → f.mu.
-			if srv != nil {
-				if sess := srv.SessionOf(consoleID); sess != nil && sess.Telemetry().Flight.Armed() {
-					sess.Telemetry().Flight.Drop(binary.BigEndian.Uint32(wire[4:8]),
-						protocol.MsgType(wire[3]), int64(len(wire)))
-				}
-			}
+			// Outside f.mu: SessionOf takes the server lock, and console
+			// replies already order s.mu → f.mu.
+			recordWireLoss(d.srv, consoleID, wire)
 			return nil // the datagram vanished on the wire
 		}
 		f.delivered++
@@ -258,25 +273,19 @@ func (f *Fabric) drain() error {
 		item := f.queue[0]
 		f.queue = f.queue[1:]
 		f.metrics.queue.Set(int64(len(f.queue)))
-		con := f.consoles[item.console]
-		srv := f.servers[item.console]
-		clock := f.clock
-		capRing := f.capture
+		d := f.desks[item.console]
+		clock, capRing := f.clock, f.capture
 		f.mu.Unlock()
-		if con == nil {
+		if d.con == nil {
 			continue
 		}
 		t0 := time.Now()
-		replies, err := con.HandleDatagram(item.wire, clock)
+		replies, err := d.con.HandleDatagram(item.wire, clock)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		for _, r := range replies {
-			if capRing.Enabled() {
-				capRing.Tap(capture.DirUp, item.console, -1, r, clock)
-			}
-			// Console→server traffic may re-enter Send; it queues.
-			if err := srv.HandleDatagram(item.console, r, clock); err != nil && firstErr == nil {
+			if err := uplink(capRing, d.srv, d.id, r, clock); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -289,11 +298,11 @@ func (f *Fabric) drain() error {
 func (f *Fabric) lookup(id string) (*Console, SessionHandler, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	con, ok := f.consoles[id]
+	d, ok := f.desks[id]
 	if !ok {
 		return nil, nil, fmt.Errorf("slim: no console %q on fabric", id)
 	}
-	return con, f.servers[id], nil
+	return d.con, d.srv, nil
 }
 
 // Boot powers on a console: it sends Hello (with the card token, if any)

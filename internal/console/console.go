@@ -94,6 +94,8 @@ type Console struct {
 	// flog is the attached session's flight ring (nil while detached),
 	// re-resolved whenever the session changes.
 	flog *flight.SessionLog
+	// feedback is the STATUS cadence state (status.go).
+	feedback feedback
 }
 
 // New returns a console with the given configuration.
@@ -172,38 +174,44 @@ func (c *Console) SessionID() uint32 {
 }
 
 // HandleDatagram processes one datagram received at the modelled time now
-// and returns any console→server replies. Display commands are applied to
-// the local frame buffer; the decode delay model accounts for their cost.
+// and returns any console→server replies, the delayed-ack STATUS (status.go)
+// last among them when one is due. Display commands are applied to the
+// local frame buffer; the decode delay model accounts for their cost.
 // Batch frames (§5.4 coalesced FILL/COPY runs from the server's flow
 // governor) unpack into their member commands, applied in sequence order.
 func (c *Console) HandleDatagram(wire []byte, now time.Duration) ([][]byte, error) {
-	if protocol.IsBatch(wire) {
-		seqs, msgs, err := protocol.DecodeBatch(wire)
+	if !protocol.IsBatch(wire) {
+		seq, msg, _, err := protocol.Decode(wire)
 		if err != nil {
 			return nil, err
 		}
-		var replies [][]byte
-		for i, msg := range msgs {
-			rs, err := c.Handle(seqs[i], msg, now)
-			replies = append(replies, rs...)
-			if err != nil {
-				return replies, err
-			}
-		}
-		return replies, nil
+		return c.Handle(seq, msg, now)
 	}
-	seq, msg, _, err := protocol.Decode(wire)
+	seqs, msgs, err := protocol.DecodeBatch(wire)
 	if err != nil {
 		return nil, err
 	}
-	return c.Handle(seq, msg, now)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var replies [][]byte
+	for i := 0; i < len(msgs) && err == nil; i++ {
+		var rs [][]byte
+		rs, err = c.handleLocked(seqs[i], msgs[i], now)
+		replies = append(replies, rs...)
+	}
+	return c.ackLocked(replies, now), err
 }
 
 // Handle processes one already-decoded message.
 func (c *Console) Handle(seq uint32, msg protocol.Message, now time.Duration) ([][]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	replies, err := c.handleLocked(seq, msg, now)
+	return c.ackLocked(replies, now), err
+}
 
+// handleLocked is Handle without the STATUS rule. Callers hold c.mu.
+func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Duration) ([][]byte, error) {
 	var replies [][]byte
 	if msg.Type().IsDisplay() {
 		if c.flog.Armed() {
@@ -402,7 +410,7 @@ func (c *Console) PointerInput(x, y uint16, buttons uint8) []byte {
 	return protocol.Encode(nil, c.seq.Next(), &protocol.PointerEvent{X: x, Y: y, Buttons: buttons})
 }
 
-// Status reports the console's heartbeat message.
+// Status reports what the console's next STATUS would carry.
 func (c *Console) Status() *protocol.Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -410,17 +418,6 @@ func (c *Console) Status() *protocol.Status {
 		LastSeq: c.gaps.Highest(),
 		Dropped: uint32(c.dropped),
 	}
-}
-
-// StatusWire encodes the heartbeat for transmission, consuming one
-// up-direction sequence number like any other console-originated message.
-func (c *Console) StatusWire() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return protocol.Encode(nil, c.seq.Next(), &protocol.Status{
-		LastSeq: c.gaps.Highest(),
-		Dropped: uint32(c.dropped),
-	})
 }
 
 // Framebuffer exposes the soft display state (for screenshots and tests).

@@ -1,0 +1,85 @@
+package console
+
+import (
+	"time"
+
+	"slim/internal/protocol"
+)
+
+// STATUS is the console's feedback — the highest display sequence applied
+// and the drop count — consumed by the server's recovery path (§2.2) and
+// the passive path estimators. When one goes out is decided here alone, as
+// a function of the now the console is handed, so a socket's timers and a
+// harness's virtual clock run one rule: a delayed ack rides HandleDatagram's
+// replies, and Poll returns the trailing ack or the idle heartbeat. Time
+// counts from zero, so a fresh console polled at now ≥ StatusInterval
+// announces itself at once: that is what makes a reboot visible.
+const (
+	// StatusInterval is the idle heartbeat cadence, steady because jitter
+	// estimation measures it.
+	StatusInterval = 500 * time.Millisecond
+	// StatusAckDelay is the least spacing of acks. Acking on receipt keeps
+	// passive RTT samples near the path RTT; a timer alone inflates them.
+	StatusAckDelay = 20 * time.Millisecond
+)
+
+// feedback is the STATUS bookkeeping, guarded by Console.mu.
+type feedback struct {
+	at               time.Duration // the now of the last STATUS
+	applied, dropped uint64        // the counters it acknowledged
+	msg              protocol.Status
+	slots            []statusSlot
+}
+
+// statusSlot backs one STATUS: the datagram and the one-element reply list
+// it usually travels in. Acks ride the per-datagram path, so slots come 64
+// to an allocation. Both slices have cap == len: appending copies.
+type statusSlot struct {
+	list [1][]byte
+	wire [protocol.HeaderSize + 10]byte
+}
+
+// Poll returns the STATUS due at now — the trailing ack a burst's rate
+// limit held back, or the idle heartbeat — or nil. Transports call it
+// every StatusAckDelay of their clock.
+func (c *Console) Poll(now time.Duration) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.ackDue(now) && now-c.feedback.at < StatusInterval {
+		return nil
+	}
+	return c.statusLocked(now)[0]
+}
+
+// ackDue reports whether a counter moved since the last STATUS and
+// StatusAckDelay has passed since it. Callers hold c.mu, here and below.
+func (c *Console) ackDue(now time.Duration) bool {
+	f := &c.feedback
+	return (c.applied != f.applied || c.dropped != f.dropped) && now-f.at >= StatusAckDelay
+}
+
+// ackLocked adds the delayed ack, when due, to a datagram's replies.
+func (c *Console) ackLocked(replies [][]byte, now time.Duration) [][]byte {
+	if !c.ackDue(now) {
+		return replies
+	}
+	st := c.statusLocked(now)
+	if replies == nil {
+		return st
+	}
+	return append(replies, st[0])
+}
+
+// statusLocked encodes a STATUS sent at now and notes what it acknowledged.
+func (c *Console) statusLocked(now time.Duration) [][]byte {
+	f := &c.feedback
+	f.at, f.applied, f.dropped = now, c.applied, c.dropped
+	if len(f.slots) == 0 {
+		f.slots = make([]statusSlot, 64)
+	}
+	s := &f.slots[0]
+	f.slots = f.slots[1:]
+	f.msg = protocol.Status{LastSeq: c.gaps.Highest(), Dropped: uint32(c.dropped)}
+	s.list[0] = protocol.Encode(s.wire[:0], c.seq.Next(), &f.msg)
+	return s.list[:]
+}

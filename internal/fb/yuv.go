@@ -464,6 +464,11 @@ func growI64(s []int64, n int) []int64 {
 // rectangle. Decode and scale land in frame-buffer-owned scratch surfaces,
 // so the steady-state video path allocates nothing per command.
 func (f *Framebuffer) ApplyCSCS(m *protocol.CSCS) error {
+	// The scaled image is materialised before Set clips it, and the wire
+	// lets 16 bits of width and height claim 16 GiB of it.
+	if m.Dst.W > f.W || m.Dst.H > f.H {
+		return fmt.Errorf("fb: CSCS destination %dx%d exceeds the %dx%d frame buffer", m.Dst.W, m.Dst.H, f.W, f.H)
+	}
 	var err error
 	f.cscsDecode, err = DecodeCSCSInto(f.cscsDecode, m.Data, m.Src.W, m.Src.H, m.Format)
 	if err != nil {

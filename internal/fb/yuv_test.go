@@ -253,4 +253,11 @@ func TestApplyCSCSScales(t *testing.T) {
 	if f.At(0, 0) != 0 {
 		t.Error("CSCS painted outside destination")
 	}
+	// A destination larger than the frame buffer is refused before the
+	// scaled image is sized: 65535x65535 would be 16 GiB of it. (Found by
+	// FuzzConsoleHandleDatagram.)
+	msg.Dst = protocol.Rect{W: 65535, H: 65535}
+	if err := f.ApplyCSCS(msg); err == nil {
+		t.Error("CSCS scaled to 65535x65535 accepted")
+	}
 }

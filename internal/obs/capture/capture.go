@@ -45,8 +45,8 @@ func (d Direction) String() string {
 	return "?"
 }
 
-// Record is one captured datagram. T is transport time (wall time since the
-// transport started, or virtual time for simulated links). Wire is the raw
+// Record is one captured datagram. T is transport time (obs.Wall for live
+// transports, virtual time for simulated ones). Wire is the raw
 // datagram payload; it is nil for size-only taps (netsim links carry sizes,
 // not bytes). Size is the on-the-wire length even when Wire is elided.
 type Record struct {

@@ -7,9 +7,10 @@
 //	record:  t i64 | dir u8 | flow i32 | size u32 | wireLen u32 |
 //	         consoleLen u8 | console bytes | wire bytes
 //
-// t is nanoseconds in the capture's clock domain (wall: since the
-// transport started; sim: virtual time). epoch is the wall-clock unix-nano
-// instant of t=0, or 0 when the domain has no wall anchor. wireLen may be
+// t is nanoseconds in the capture's clock domain (wall: obs.Wall, the
+// timeline flight events are on; sim: virtual time). epoch is the
+// wall-clock unix-nano instant of t=0, or 0 when the domain has no wall
+// anchor. wireLen may be
 // 0 with size > 0: a size-only record from a transport that models
 // datagram sizes without carrying bytes (netsim).
 package capture

@@ -1,14 +1,12 @@
 package slim
 
 import (
-	"time"
-
 	"slim/internal/server"
 	"slim/internal/video"
 )
 
 // Ticker is implemented by applications that render on their own clock;
-// the server's Tick (or UDPServer.StartTicker) drives them.
+// the server's Tick (or a UDP listener's StartTicker) drives them.
 type Ticker = server.Ticker
 
 // VideoSource produces RGB frames with a modelled per-frame server cost.
@@ -32,36 +30,3 @@ func NewNTSCSource(seed uint64) VideoSource { return video.NewNTSC(seed) }
 
 // NewQuakeSource returns the §7.3 game stand-in at the given resolution.
 func NewQuakeSource(w, h int, seed uint64) VideoSource { return video.NewQuake(w, h, seed) }
-
-// StartTicker drives Ticker applications (video players) at the given
-// rate until the server is closed.
-func (s *UDPServer) StartTicker(fps float64) {
-	s.udpListener.startTicker(fps, s.Server.Tick)
-}
-
-// StartTicker drives Ticker applications on every shard at the given rate
-// until the broker is closed.
-func (b *UDPBroker) StartTicker(fps float64) {
-	b.udpListener.startTicker(fps, b.Broker.Tick)
-}
-
-func (l *udpListener) startTicker(fps float64, tick func(time.Duration) error) {
-	if fps <= 0 {
-		fps = 30
-	}
-	interval := time.Duration(float64(time.Second) / fps)
-	start := time.Now()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-l.closed:
-				return
-			case <-t.C:
-				// Per-session errors must not stop the clock.
-				_ = tick(time.Since(start))
-			}
-		}
-	}()
-}

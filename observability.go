@@ -144,7 +144,8 @@ func StartCapture(path string) (*CaptureFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := capture.WriteHeader(f, obs.DomainWall, time.Now()); err != nil {
+	// Records are stamped on obs.Wall; the header anchors its zero.
+	if err := capture.WriteHeader(f, obs.DomainWall, time.Now().Add(-obs.Wall.Now())); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -100,6 +100,12 @@ const (
 // NewConsole returns a SLIM console.
 func NewConsole(cfg ConsoleConfig) (*Console, error) { return console.New(cfg) }
 
+// A console's STATUS cadence; the rule is internal/console/status.go.
+const (
+	StatusInterval = console.StatusInterval
+	StatusAckDelay = console.StatusAckDelay
+)
+
 // NewEncoder returns a stand-alone display encoder managing a w×h frame
 // buffer (most callers get one per session via NewServer instead).
 func NewEncoder(w, h int) *Encoder { return core.NewEncoder(w, h) }

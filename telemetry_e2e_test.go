@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"slim/internal/obs"
+	"slim/internal/obs/capture"
 	"slim/internal/obs/flight"
 	"slim/internal/obs/hostmon"
 	"slim/internal/obs/telemetry"
@@ -92,9 +93,10 @@ func newOneTimelineRig(t *testing.T, kit *telemetry.Kit) *oneTimelineRig {
 	return &oneTimelineRig{kit, mon, fabric, srv, con, srv.SessionByUser("alice")}
 }
 
-// input types one key and has the console acknowledge it; between the two,
-// advance (if any) moves time. It returns the INPUT event the keystroke
-// left in the flight ring.
+// input types one key and lets the console acknowledge it on its own
+// cadence, StatusAckDelay of transport time later; between the two,
+// advance (if any) moves the observers' time. It returns the INPUT event
+// the keystroke left in the flight ring.
 func (r *oneTimelineRig) input(t *testing.T, advance func()) flight.Event {
 	t.Helper()
 	if err := r.fabric.SendKey("desk-1", 'a', true); err != nil {
@@ -103,7 +105,8 @@ func (r *oneTimelineRig) input(t *testing.T, advance func()) flight.Event {
 	if advance != nil {
 		advance()
 	}
-	if err := r.srv.Handle("desk-1", r.con.Status(), r.fabric.Now()); err != nil {
+	r.fabric.SetClock(r.fabric.Now() + StatusAckDelay)
+	if err := r.fabric.Pump(); err != nil {
 		t.Fatal(err)
 	}
 	var input flight.Event
@@ -172,6 +175,76 @@ func TestOneTimeline(t *testing.T) {
 		}
 		if ev := kit.NetQual.PathEvidence(r.sess.ID, input.T+10*time.Minute); ev == nil || ev.GoodputBps != 0 {
 			t.Errorf("path windows did not decay on the flight timeline: %+v", ev)
+		}
+	})
+
+	// Wall domain over UDP: the wire tap is on the same timeline. The
+	// transport used to stamp capture records from the listener's own
+	// epoch, so a record and the flight events of the datagram it captured
+	// disagreed by however long the process had run before listening.
+	t.Run("udp", func(t *testing.T) {
+		kit := NewTelemetry()
+		time.Sleep(40 * time.Millisecond)
+		srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp(), WithTelemetry(kit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.Server.Auth.Register("card-alice", "alice")
+		con, err := DialConsoleContext(testContext(t), srv.Addr().String(),
+			ConsoleConfig{Width: 320, Height: 240, Obs: kit.Registry, Flight: kit.Flight}, TokenOf("card-alice"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer con.Close()
+		waitAttached(t, con)
+		sess := srv.Server.SessionByUser("alice")
+		attached := settledSeq(t, con, 0)
+
+		ring := telemetry.Default.Capture // the UDP transport's tap
+		t0 := kit.Clock.Now()
+		ring.SetEnabled(true)
+		if err := con.SendKey('a', true); err != nil {
+			t.Fatal(err)
+		}
+		echo := settledSeq(t, con, attached)
+		ring.SetEnabled(false)
+		t1 := kit.Clock.Now()
+
+		within := func(what string, at time.Duration) {
+			t.Helper()
+			if at < t0 || at > t1 {
+				t.Errorf("%s stamped %v, outside the keystroke's span [%v, %v]", what, at, t0, t1)
+			}
+		}
+		var up, down int
+		for _, rec := range ring.Drain() {
+			within("capture record ("+rec.Dir.String()+")", rec.T)
+			if rec.Dir == capture.DirUp {
+				up++
+			} else {
+				down++
+			}
+		}
+		if up == 0 || down == 0 {
+			t.Errorf("captured %d up and %d down datagrams, want the key and its echo", up, down)
+		}
+		var tx, rx int
+		for _, ev := range kit.Flight.Events(sess.ID, 0) {
+			if ev.Seq != echo {
+				continue
+			}
+			switch ev.Kind {
+			case flight.EvTx:
+				tx++
+				within("flight TX event", ev.T)
+			case flight.EvRx:
+				rx++
+				within("flight RX event", ev.T)
+			}
+		}
+		if tx == 0 || rx == 0 {
+			t.Errorf("flight ring holds %d TX and %d RX events for the echo (seq %d)", tx, rx, echo)
 		}
 	})
 

@@ -1,6 +1,7 @@
 package slim
 
 import (
+	"encoding/binary"
 	"net"
 	"time"
 
@@ -36,6 +37,28 @@ type SessionHandler interface {
 	PumpFlows(now time.Duration) (next time.Duration, pending bool, err error)
 	// FlowEnabled reports whether any session runs a send governor.
 	FlowEnabled() bool
+	// Tick drives Ticker applications (video players) at now.
+	Tick(now time.Duration) error
+}
+
+// isDisplayDatagram peeks at a plain-framed datagram's type byte.
+func isDisplayDatagram(wire []byte) bool {
+	return len(wire) >= protocol.HeaderSize &&
+		protocol.MsgType(wire[3]).IsDisplay() && !protocol.IsBatch(wire)
+}
+
+// recordWireLoss flight-records a display datagram that never made the
+// wire (a failed socket write, injected fabric loss), so its session's
+// causal chain shows a TX with no RX and a DROP. SessionOf takes the
+// server lock: call it outside the transport's own.
+func recordWireLoss(h SessionHandler, console string, wire []byte) {
+	if h == nil || !isDisplayDatagram(wire) {
+		return
+	}
+	if sess := h.SessionOf(console); sess != nil && sess.Telemetry().Flight.Armed() {
+		sess.Telemetry().Flight.Drop(binary.BigEndian.Uint32(wire[4:8]),
+			protocol.MsgType(wire[3]), int64(len(wire)))
+	}
 }
 
 // InputSink is a console-side user: keystrokes, pointer motion, typed

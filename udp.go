@@ -2,9 +2,9 @@ package slim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -46,65 +46,108 @@ func newUDPMetrics(r *obs.Registry, prefix string) *udpMetrics {
 // The Sun Ray 1 carried the SLIM protocol over UDP/IP on a dedicated
 // switched Ethernet (§2.2). This file is the real-socket transport: a
 // server daemon and a console client that interoperate over any UDP
-// network, loopback included.
+// network, loopback included. Every now it hands to the server side, the
+// console and the capture tap is obs.Wall's, so wire capture, governor
+// queue times and flight events share one timeline.
 
-// udpListener is the socket machinery shared by the single-server and
-// broker UDP daemons: the serve loop demultiplexing console datagrams by
-// source address, the Transport implementation routing sends back, and the
-// flow pacer. The handler — one Server or a Broker — is set before the
-// goroutines start.
-type udpListener struct {
-	handler SessionHandler
-
+// udpSocket is what the daemon and the console client have in common: the
+// socket, its counted reads and writes, and the goroutines Close joins.
+type udpSocket struct {
 	conn      *net.UDPConn
-	mu        sync.Mutex
-	addrs     map[string]*net.UDPAddr
+	metrics   *udpMetrics
+	mu        sync.Mutex // guards closed against spawn
 	closeOnce sync.Once
 	closeErr  error
 	closed    chan struct{}
-	done      chan struct{} // closed when the serve goroutine has exited
-	pacerDone chan struct{} // closed when the flow pacer has exited (flow only)
-	start     time.Time     // shared epoch for serve and the flow pacer
-	metrics   *udpMetrics
-	// capture is the wire tap (telemetry.Default's): every datagram this
-	// transport sends or receives is recorded when the ring is enabled.
-	// The Enabled guard keeps the disabled path allocation- and
-	// clock-read-free.
-	capture *capture.Ring
+	wg        sync.WaitGroup
 }
 
-// listenUDP binds the socket and builds the listener shell; the caller
-// wires a handler and calls run.
-func listenUDP(ctx context.Context, addr string) (*udpListener, error) {
-	var lc net.ListenConfig
-	pc, err := lc.ListenPacket(ctx, "udp", addr)
+// newUDPSocket wraps what a net listen or dial call returned; its metrics
+// publish under prefix.
+func newUDPSocket(prefix string, c io.Closer, err error) (*udpSocket, error) {
 	if err != nil {
-		return nil, fmt.Errorf("slim: listen %q: %w", addr, err)
+		return nil, err
 	}
-	conn, ok := pc.(*net.UDPConn)
+	conn, ok := c.(*net.UDPConn)
 	if !ok {
-		pc.Close()
-		return nil, fmt.Errorf("slim: listen %q: not a UDP socket", addr)
+		c.Close()
+		return nil, errors.New("not a UDP socket")
 	}
-	return &udpListener{
+	return &udpSocket{
 		conn:    conn,
-		addrs:   make(map[string]*net.UDPAddr),
+		metrics: newUDPMetrics(telemetry.Default.Registry, prefix),
 		closed:  make(chan struct{}),
-		done:    make(chan struct{}),
-		start:   time.Now(),
-		metrics: newUDPMetrics(telemetry.Default.Registry, "slim_udp"),
-		capture: telemetry.Default.Capture,
 	}, nil
 }
 
-// run starts the serve loop (and the flow pacer when the handler paces)
-// and ties the listener's lifetime to ctx.
-func (s *udpListener) run(ctx context.Context) {
-	go s.serve()
-	if s.handler.FlowEnabled() {
-		s.pacerDone = make(chan struct{})
-		go s.pace()
+// Close shuts the socket and waits for its goroutines to exit (closing
+// unblocks a blocked read with net.ErrClosed). A console's soft state is
+// discarded; its session lives on at the server. Idempotent: concurrent
+// and repeated calls all wait for shutdown.
+func (s *udpSocket) Close() error {
+	s.closeOnce.Do(func() {
+		s.mu.Lock()
+		close(s.closed)
+		s.mu.Unlock()
+		s.closeErr = s.conn.Close()
+	})
+	s.wg.Wait()
+	return s.closeErr
+}
+
+// spawn runs f on a goroutine Close joins; a closed socket starts nothing.
+func (s *udpSocket) spawn(f func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-s.closed:
+		return
+	default:
 	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
+}
+
+// every runs f each d until the socket closes.
+func (s *udpSocket) every(d time.Duration, f func()) {
+	s.spawn(func() {
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.closed:
+				return
+			case <-t.C:
+				f()
+			}
+		}
+	})
+}
+
+// serve starts the read loop, handing each datagram and its source to
+// handle, and ties the socket's lifetime to ctx. Bad datagrams must not
+// stop the loop; the protocol is loss tolerant by design.
+func (s *udpSocket) serve(ctx context.Context, handle func(wire []byte, from *net.UDPAddr)) {
+	s.spawn(func() {
+		buf := make([]byte, 64*1024)
+		for {
+			n, from, err := s.conn.ReadFromUDP(buf)
+			if errors.Is(err, net.ErrClosed) {
+				return // Close is the only thing that closes the socket
+			}
+			if err != nil {
+				continue
+			}
+			s.metrics.rxDatagrams.Inc()
+			s.metrics.rxBytes.Add(int64(n))
+			t0 := time.Now()
+			handle(buf[:n], from)
+			s.metrics.handleSeconds.Observe(time.Since(t0))
+		}
+	})
 	if ctx.Done() != nil {
 		go func() {
 			select {
@@ -113,6 +156,61 @@ func (s *udpListener) run(ctx context.Context) {
 			case <-s.closed:
 			}
 		}()
+	}
+}
+
+// write sends one datagram — to the connected peer when to is nil.
+func (s *udpSocket) write(wire []byte, to *net.UDPAddr) (err error) {
+	t0 := time.Now()
+	if to == nil {
+		_, err = s.conn.Write(wire)
+	} else {
+		_, err = s.conn.WriteToUDP(wire, to)
+	}
+	s.metrics.sendSeconds.Observe(time.Since(t0))
+	if err != nil {
+		s.metrics.txErrors.Inc()
+		return err
+	}
+	s.metrics.txDatagrams.Inc()
+	s.metrics.txBytes.Add(int64(len(wire)))
+	return nil
+}
+
+// udpListener is the daemon side: console datagrams demultiplexed by
+// source address into the handler (one Server or a Broker), the Transport
+// routing sends back, the flow pacer and the app ticker.
+type udpListener struct {
+	*udpSocket
+	handler SessionHandler
+	addrMu  sync.Mutex
+	addrs   map[string]*net.UDPAddr
+	// capture is the wire tap (telemetry.Default's). The Enabled guard
+	// keeps the disabled path allocation- and clock-read-free.
+	capture *capture.Ring
+}
+
+// listenUDP binds the socket; the caller builds a handler and calls run.
+func listenUDP(ctx context.Context, addr string) (*udpListener, error) {
+	var lc net.ListenConfig
+	pc, err := lc.ListenPacket(ctx, "udp", addr)
+	sock, err := newUDPSocket("slim_udp", pc, err)
+	if err != nil {
+		return nil, fmt.Errorf("slim: listen %q: %w", addr, err)
+	}
+	return &udpListener{udpSocket: sock, addrs: make(map[string]*net.UDPAddr),
+		capture: telemetry.Default.Capture}, nil
+}
+
+// Addr reports the bound UDP address.
+func (s *udpListener) Addr() net.Addr { return s.conn.LocalAddr() }
+
+// run starts the serve loop (and the flow pacer when the handler paces).
+func (s *udpListener) run(ctx context.Context, h SessionHandler) {
+	s.handler = h
+	s.serve(ctx, s.receive)
+	if s.handler.FlowEnabled() {
+		s.spawn(s.pace)
 	}
 }
 
@@ -134,10 +232,8 @@ func ListenAndServeContext(ctx context.Context, addr string, newApp AppFactory, 
 		return nil, err
 	}
 	srv := NewServer(l, newApp, opts...)
-	l.handler = srv
-	s := &UDPServer{Server: srv, udpListener: l}
-	l.run(ctx)
-	return s, nil
+	l.run(ctx, srv)
+	return &UDPServer{Server: srv, udpListener: l}, nil
 }
 
 // UDPBroker runs a session-broker fleet on one UDP socket: every shard
@@ -161,29 +257,18 @@ func ListenAndServeBroker(ctx context.Context, addr string, cfg BrokerConfig, ne
 		l.conn.Close()
 		return nil, err
 	}
-	l.handler = b
-	u := &UDPBroker{Broker: b, udpListener: l}
-	l.run(ctx)
-	return u, nil
+	l.run(ctx, b)
+	return &UDPBroker{Broker: b, udpListener: l}, nil
 }
 
-// Addr reports the bound UDP address.
-func (s *udpListener) Addr() net.Addr { return s.conn.LocalAddr() }
-
-// Close stops the daemon and waits for its goroutines to exit, so none
-// outlives the listener even when Close races a blocked socket read
-// (closing the socket unblocks ReadFromUDP with net.ErrClosed).
-// Idempotent: concurrent and repeated calls all wait for shutdown.
-func (s *udpListener) Close() error {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		s.closeErr = s.conn.Close()
-	})
-	<-s.done
-	if s.pacerDone != nil {
-		<-s.pacerDone
+// StartTicker drives Ticker applications (video players) — on every shard,
+// behind a broker — at the given rate until the listener is closed.
+func (s *udpListener) StartTicker(fps float64) {
+	if fps <= 0 {
+		fps = 30
 	}
-	return s.closeErr
+	// Per-session errors must not stop the clock.
+	s.every(time.Duration(float64(time.Second)/fps), func() { _ = s.handler.Tick(obs.Wall.Now()) })
 }
 
 // pace releases grant-paced flow traffic on the governor's schedule. It
@@ -192,7 +277,6 @@ func (s *udpListener) Close() error {
 // the Handle path, so idle polling only bounds deferred-retransmit
 // latency).
 func (s *udpListener) pace() {
-	defer close(s.pacerDone)
 	const idle = 20 * time.Millisecond
 	timer := time.NewTimer(idle)
 	defer timer.Stop()
@@ -202,13 +286,10 @@ func (s *udpListener) pace() {
 			return
 		case <-timer.C:
 		}
-		next, pending, _ := s.handler.PumpFlows(time.Since(s.start))
+		next, pending, _ := s.handler.PumpFlows(obs.Wall.Now())
 		wait := idle
 		if pending {
-			wait = next - time.Since(s.start)
-			if wait < time.Millisecond {
-				wait = time.Millisecond
-			}
+			wait = max(next-obs.Wall.Now(), time.Millisecond)
 		}
 		timer.Reset(wait)
 	}
@@ -216,89 +297,44 @@ func (s *udpListener) pace() {
 
 // Send implements Transport: route a datagram to a console by address.
 func (s *udpListener) Send(consoleID string, wire []byte) error {
-	s.mu.Lock()
+	s.addrMu.Lock()
 	addr := s.addrs[consoleID]
-	s.mu.Unlock()
+	s.addrMu.Unlock()
 	if addr == nil {
 		return fmt.Errorf("slim: unknown console %q", consoleID)
 	}
-	t0 := time.Now()
-	_, err := s.conn.WriteToUDP(wire, addr)
-	s.metrics.sendSeconds.Observe(time.Since(t0))
-	if err != nil {
-		s.metrics.txErrors.Inc()
-		// The command never made the wire: flight-record the loss so the
-		// session's causal chain shows a TX with no RX and a DROP.
-		if isDisplayDatagram(wire) && s.handler != nil {
-			if sess := s.handler.SessionOf(consoleID); sess != nil && sess.Telemetry().Flight.Armed() {
-				sess.Telemetry().Flight.Drop(binary.BigEndian.Uint32(wire[4:8]),
-					protocol.MsgType(wire[3]), int64(len(wire)))
-			}
-		}
+	if err := s.write(wire, addr); err != nil {
+		recordWireLoss(s.handler, consoleID, wire)
 		return err
 	}
-	s.metrics.txDatagrams.Inc()
-	s.metrics.txBytes.Add(int64(len(wire)))
 	if s.capture.Enabled() {
-		s.capture.Tap(capture.DirDown, consoleID, -1, wire, time.Since(s.start))
+		s.capture.Tap(capture.DirDown, consoleID, -1, wire, obs.Wall.Now())
 	}
 	return nil
 }
 
-func (s *udpListener) serve() {
-	defer close(s.done)
-	buf := make([]byte, 64*1024)
-	for {
-		n, addr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.metrics.rxDatagrams.Inc()
-		s.metrics.rxBytes.Add(int64(n))
-		id := addr.String()
-		if s.capture.Enabled() {
-			s.capture.Tap(capture.DirUp, id, -1, buf[:n], time.Since(s.start))
-		}
-		s.mu.Lock()
-		s.addrs[id] = addr
-		s.mu.Unlock()
-		// Per-console errors (bad datagrams, unauthenticated input) must
-		// not kill the daemon; the protocol is loss tolerant by design.
-		t0 := time.Now()
-		_ = s.handler.HandleDatagram(id, buf[:n], time.Since(s.start))
-		s.metrics.handleSeconds.Observe(time.Since(t0))
+// receive hands one console datagram to the handler. Per-console errors
+// (bad datagrams, unauthenticated input) are the console's problem.
+func (s *udpListener) receive(wire []byte, from *net.UDPAddr) {
+	id, now := from.String(), obs.Wall.Now()
+	if s.capture.Enabled() {
+		s.capture.Tap(capture.DirUp, id, -1, wire, now)
 	}
+	s.addrMu.Lock()
+	s.addrs[id] = from
+	s.addrMu.Unlock()
+	_ = s.handler.HandleDatagram(id, wire, now)
 }
 
-// UDPConsole is a SLIM console attached over UDP. Its input methods
-// (SendKey, SendPointer, TypeString, InsertCard) are the shared InputSink
-// implementation over the console's socket.
+// UDPConsole is a SLIM console attached over UDP: it writes back whatever
+// Console.HandleDatagram replies to each datagram read, and on a timer
+// whatever Console.Poll returns. Its input methods (SendKey, SendPointer,
+// TypeString, InsertCard) are the shared InputSink implementation over the
+// console's socket.
 type UDPConsole struct {
 	Console *Console
 	inputPort
-
-	conn      *net.UDPConn
-	closeOnce sync.Once
-	closeErr  error
-	closed    chan struct{}
-	done      chan struct{} // closed when the serve goroutine has exited
-	start     time.Time
-	metrics   *udpMetrics
-
-	// STATUS bookkeeping shared by the serve loop (immediate acks) and
-	// the heartbeat goroutine (trailing acks + idle heartbeat).
-	ackMu      sync.Mutex
-	lastAckAt  time.Time
-	ackApplied uint64
-	ackDropped uint64
+	*udpSocket
 }
 
 // DialConsoleContext connects a console to a UDP server under ctx: the
@@ -309,173 +345,43 @@ type UDPConsole struct {
 func DialConsoleContext(ctx context.Context, serverAddr string, cfg ConsoleConfig, tok Token) (*UDPConsole, error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "udp", serverAddr)
+	sock, err := newUDPSocket("slim_udp_console", nc, err)
 	if err != nil {
 		return nil, fmt.Errorf("slim: dial %q: %w", serverAddr, err)
 	}
-	conn, ok := nc.(*net.UDPConn)
-	if !ok {
-		nc.Close()
-		return nil, fmt.Errorf("slim: dial %q: not a UDP socket", serverAddr)
-	}
 	con, err := NewConsole(cfg)
 	if err != nil {
-		conn.Close()
+		sock.conn.Close()
 		return nil, err
 	}
-	c := &UDPConsole{
-		Console: con,
-		conn:    conn,
-		closed:  make(chan struct{}),
-		done:    make(chan struct{}),
-		start:   time.Now(),
-		metrics: newUDPMetrics(telemetry.Default.Registry, "slim_udp_console"),
-	}
+	c := &UDPConsole{Console: con, udpSocket: sock}
 	c.inputPort = inputPort{
 		deliver: c.send,
-		card:    func(token string) error { return c.send(c.Console.InsertCard(token)) },
+		card:    func(token string) error { return c.send(con.InsertCard(token)) },
 	}
 	hello := con.Hello()
 	hello.CardToken = tok.String()
 	if err := c.send(hello); err != nil {
-		conn.Close()
+		sock.conn.Close()
 		return nil, err
 	}
-	go c.serve()
-	go c.heartbeat()
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.Close()
-			case <-c.closed:
+	c.serve(ctx, func(wire []byte, _ *net.UDPAddr) {
+		// A malformed datagram is dropped, per the loss-tolerant design.
+		replies, _ := con.HandleDatagram(wire, obs.Wall.Now())
+		for _, r := range replies {
+			if c.write(r, nil) != nil {
+				return
 			}
-		}()
-	}
+		}
+	})
+	c.every(StatusAckDelay, func() {
+		if wire := con.Poll(obs.Wall.Now()); wire != nil {
+			_ = c.write(wire, nil)
+		}
+	})
 	return c, nil
 }
 
-// Close detaches the console and waits for its serve goroutine to exit.
-// The console's soft state is discarded; the session lives on at the
-// server. Idempotent: concurrent and repeated calls all wait for
-// shutdown.
-func (c *UDPConsole) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.closed)
-		c.closeErr = c.conn.Close()
-	})
-	<-c.done
-	return c.closeErr
-}
-
 func (c *UDPConsole) send(msg Message) error {
-	wire := protocol.Encode(nil, 0, msg)
-	_, err := c.conn.Write(wire)
-	if err != nil {
-		c.metrics.txErrors.Inc()
-		return err
-	}
-	c.metrics.txDatagrams.Inc()
-	c.metrics.txBytes.Add(int64(len(wire)))
-	return nil
-}
-
-// StatusInterval is the UDP console's idle heartbeat cadence. STATUS
-// carries the applied sequence and cumulative drop count the server's
-// recovery path and passive path estimators (internal/obs/netqual) both
-// consume; the steady cadence is itself the signal jitter estimation
-// measures.
-const StatusInterval = 500 * time.Millisecond
-
-// StatusAckDelay bounds how soon after applying display traffic the
-// console acknowledges it with a STATUS. Acking on receipt (rather than
-// waiting for the idle heartbeat) is what keeps passively-derived RTT
-// samples close to the true path RTT — a timer-delayed ack would inflate
-// them by up to StatusInterval.
-const StatusAckDelay = 20 * time.Millisecond
-
-// maybeAck sends a STATUS when the console's applied/dropped counters
-// moved since the last STATUS went out (rate-limited to one per
-// StatusAckDelay), or unconditionally when force is set (the idle
-// heartbeat). Reports whether a STATUS was sent.
-func (c *UDPConsole) maybeAck(force bool) bool {
-	c.ackMu.Lock()
-	applied, dropped := c.Console.Counters()
-	moved := applied != c.ackApplied || dropped != c.ackDropped
-	now := time.Now()
-	if !force && (!moved || now.Sub(c.lastAckAt) < StatusAckDelay) {
-		c.ackMu.Unlock()
-		return false
-	}
-	c.ackApplied, c.ackDropped = applied, dropped
-	c.lastAckAt = now
-	wire := c.Console.StatusWire()
-	c.ackMu.Unlock()
-	if _, err := c.conn.Write(wire); err != nil {
-		c.metrics.txErrors.Inc()
-		return false
-	}
-	c.metrics.txDatagrams.Inc()
-	c.metrics.txBytes.Add(int64(len(wire)))
-	return true
-}
-
-// heartbeat ticks at the ack delay so a display burst's tail is
-// acknowledged promptly even when the serve loop's rate limit suppressed
-// the in-burst acks, and forces an idle STATUS every StatusInterval so
-// the server sees liveness (and path estimators a steady cadence) from a
-// quiet console.
-func (c *UDPConsole) heartbeat() {
-	t := time.NewTicker(StatusAckDelay)
-	defer t.Stop()
-	ticksPerIdle := int(StatusInterval / StatusAckDelay)
-	idle := 0
-	for {
-		select {
-		case <-c.closed:
-			return
-		case <-t.C:
-			idle++
-			if c.maybeAck(idle >= ticksPerIdle) {
-				idle = 0
-			}
-		}
-	}
-}
-
-func (c *UDPConsole) serve() {
-	defer close(c.done)
-	buf := make([]byte, 64*1024)
-	for {
-		n, err := c.conn.Read(buf)
-		if err != nil {
-			select {
-			case <-c.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		c.metrics.rxDatagrams.Inc()
-		c.metrics.rxBytes.Add(int64(n))
-		t0 := time.Now()
-		replies, err := c.Console.HandleDatagram(buf[:n], time.Since(c.start))
-		c.metrics.handleSeconds.Observe(time.Since(t0))
-		if err != nil {
-			continue // malformed datagram: drop, per the loss-tolerant design
-		}
-		// Delayed-ack STATUS: when this datagram moved the applied or
-		// dropped counters, acknowledge promptly (rate-limited to one ack
-		// per StatusAckDelay) instead of waiting for the idle heartbeat.
-		c.maybeAck(false)
-		for _, r := range replies {
-			if _, err := c.conn.Write(r); err != nil {
-				return
-			}
-			c.metrics.txDatagrams.Inc()
-			c.metrics.txBytes.Add(int64(len(r)))
-		}
-	}
+	return c.write(protocol.Encode(nil, 0, msg), nil)
 }
