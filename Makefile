@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench cover fuzz fuzz-smoke reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke loc ci
+.PHONY: all build test vet bench cover fuzz fuzz-smoke reproduce examples clean race bench-guard bench-json bench-smoke alloc-guard capacity capacity-smoke fleet-smoke netqual netqual-smoke codec2 codec2-smoke evidence-smoke loc ci
 
 all: build test
 
@@ -102,6 +102,37 @@ codec2-smoke:
 fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke' -count 1 -v .
 
+# Evidence smoke against the real binaries: boot slimd with a wire capture,
+# breach dumps (every paint breaches at a 1ns threshold) and incident
+# bundles on, type into it with slimview, trigger a bundle over
+# /debug/incident, stop the daemon, and have `slimtrace explain` read the
+# bundle, the capture and the dump directory back; every artifact a bundle
+# must hold is checked on disk, and the subcommands explain replaced must
+# be gone. Ports 5498/6061 keep clear of a developer's running slimd.
+EVIDENCE := $(or $(TMPDIR),/tmp)/slim-evidence-smoke
+evidence-smoke:
+	rm -rf $(EVIDENCE) && mkdir -p $(EVIDENCE)
+	$(GO) build -o $(EVIDENCE)/ ./cmd/slimd ./cmd/slimview ./cmd/slimtrace
+	set -e; cd $(EVIDENCE); \
+	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -netqual -profile-window 1s \
+		-capture run.slimcap -flight-dir dumps -flight-threshold 1ns -incident-dir incidents & \
+	slimd=$$!; trap 'kill $$slimd 2>/dev/null' EXIT; \
+	sleep 3; \
+	./slimview -server 127.0.0.1:5498 -card card-demo -type "evidence" -o screen.png; \
+	curl -fsS -X POST 'http://127.0.0.1:6061/debug/incident?trigger=evidence-smoke' >/dev/null; \
+	kill -INT $$slimd; wait $$slimd || true; trap - EXIT; \
+	for f in manifest.json cpu.pprof heap.pprof goroutines.txt hostmon.json slo.json metrics.prom capture-tail.slimcap; do \
+		ls incidents/incident-*/"$$f" >/dev/null; \
+	done; \
+	./slimtrace explain incidents | grep -q evidence-smoke; \
+	./slimtrace explain incidents/incident-* | grep -q 'host at capture'; \
+	./slimtrace explain run.slimcap | grep -q 'path replay'; \
+	./slimtrace explain -perfetto run.json dumps run.slimcap | grep -q 'dumps from'; \
+	for sub in flight blame capture netqual incident; do \
+		if ./slimtrace $$sub 2>/dev/null; then echo "slimtrace $$sub still exists"; exit 1; fi; \
+	done
+	rm -rf $(EVIDENCE)
+
 # Counted non-test Go lines per top-level package — the number the
 # simplicity PRs report (CHANGES.md). Informational; never fails.
 loc:
@@ -113,22 +144,27 @@ loc:
 
 # CI-style gate: static checks, race-detected tests, benchmark smoke run,
 # repository-benchmark smoke, allocation budgets, capacity-curve smoke,
-# path-estimation smoke, gen-2 codec smoke, fleet smoke.
-ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke
+# path-estimation smoke, gen-2 codec smoke, fleet smoke, evidence smoke.
+ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke evidence-smoke
 
 cover:
 	$(GO) test -cover ./...
 
-# The 30-second CI fuzz smoke, split between the message decoder and the
-# two entry points the transports feed raw datagrams into.
+# The 40-second CI fuzz smoke, split between the message decoder, the two
+# entry points the transports feed raw datagrams into, and the evidence
+# reader (`slimtrace explain` over an arbitrary capture or dump file; its
+# tables iterate maps, so coverage varies run to run and the minimizer is
+# capped or it eats the whole budget).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 10s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 10s ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzExplainInput -fuzztime 10s -fuzzminimizetime 20x ./cmd/slimtrace/
 
-# Brief fuzz passes over the wire-format decoders and the endpoints' raw
-# datagram entry points.
+# Brief fuzz passes over the wire-format decoders, the endpoints' raw
+# datagram entry points and the evidence reader.
 fuzz:
+	$(GO) test -run xxx -fuzz FuzzExplainInput -fuzztime 30s -fuzzminimizetime 20x ./cmd/slimtrace/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 30s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 30s ./internal/server/
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/protocol/
@@ -150,4 +186,4 @@ examples:
 	$(GO) run ./examples/sharing
 
 clean:
-	rm -f quickstart.png video-frame.png desktop.png screen.png
+	rm -f quickstart.png video-frame.png desktop.png screen.png slimbench slimd slimstat slimtrace slimview

@@ -13,7 +13,7 @@ import (
 
 // The capture end-to-end: the overload scenario runs with a wire-capture
 // ring tapped into its transport, the ring spools to an in-memory
-// .slimcap stream, and `slimtrace capture`'s decode path (ReadCapture →
+// .slimcap stream, and `slimtrace explain`'s decode path (ReadCapture →
 // BuildReport) reconstructs the paper's Tables 2-3 shape — per-command
 // counts, bytes, pixels, and bandwidth in both directions — from the
 // captured datagrams alone. This is the tentpole's acceptance check:
@@ -117,7 +117,7 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 		t.Errorf("upstream %d bytes outweighs downstream %d", rep.UpBytes, rep.DownBytes)
 	}
 
-	// The rendered table is what `slimtrace capture` prints: both
+	// The rendered table is what `slimtrace explain` prints: both
 	// directions, the command column, and a bandwidth column.
 	var out strings.Builder
 	if err := rep.WriteTable(&out); err != nil {

@@ -34,7 +34,7 @@
 //
 // With -capture, every datagram the transport sends or receives is
 // spooled (timestamped, with payload) to a .slimcap file — see PROTOCOL.md
-// — for offline per-command analysis with slimtrace capture.
+// — for offline per-command and per-path analysis with slimtrace explain.
 //
 // With -hostmon, the daemon samples runtime/metrics (GC pauses, scheduler
 // latency, heap, goroutines) into slim_runtime_* series, keeps a rotating
@@ -44,8 +44,8 @@
 //
 // With -incident-dir, transitions of the fleet SLO into DEGRADED or
 // BREACHING write a rate-limited incident bundle (profiles, dumps,
-// capture tail, metric snapshots) under the given directory — summarize
-// with slimtrace incident, or trigger one manually with
+// capture tail, metric snapshots) under the given directory — read one
+// back with slimtrace explain, or trigger one manually with
 // POST /debug/incident?trigger=reason.
 package main
 
@@ -232,7 +232,7 @@ func main() {
 			}
 		}()
 		logger.Info("spooling wire capture",
-			"path", *capturePath, "decode", "slimtrace capture -i "+*capturePath)
+			"path", *capturePath, "explain", "slimtrace explain "+*capturePath)
 	}
 	if *netqualOn {
 		// Shards share the process-wide tracker (session IDs are disjoint
@@ -258,7 +258,7 @@ func main() {
 		eng := slim.StartIncidents(*incidentDir)
 		defer eng.Close()
 		logger.Info("incident bundles on",
-			"dir", *incidentDir, "summarize", "slimtrace incident -dir "+*incidentDir)
+			"dir", *incidentDir, "explain", "slimtrace explain "+*incidentDir)
 	}
 	// Cards enroll through the Directory surface: Single is the one-shard
 	// implementation, a Broker shares one registry across its shards so a

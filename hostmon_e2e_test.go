@@ -207,7 +207,7 @@ func TestHostStressEndToEnd(t *testing.T) {
 		}
 	}
 	// At least one flight dump rode along, and it re-summarizes offline
-	// exactly the way `slimtrace incident` does.
+	// exactly the way `slimtrace explain` does.
 	flightCopies, _ := filepath.Glob(filepath.Join(bdir, "flight", "flight-sess*.json"))
 	if len(flightCopies) == 0 {
 		t.Error("bundle carries no flight dumps")

@@ -7,6 +7,7 @@ package benchfile
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,15 +17,7 @@ import (
 
 // Write writes doc to path as indented JSON.
 func Write(path string, doc any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = obs.WriteJSON(f, doc)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return obs.WriteFile(path, func(w io.Writer) error { return obs.WriteJSON(w, doc) })
 }
 
 // Committed decodes the artifact called name at the repository root into

@@ -5,7 +5,7 @@
 // paper's Tables 2-4 were produced from exactly this kind of on-the-wire
 // trace: per-command counts, byte volumes, and bandwidths measured at the
 // interconnect, not inside the server. Captures spool to a versioned
-// .slimcap file (see PROTOCOL.md, "Wire captures") that `slimtrace capture`
+// .slimcap file (see PROTOCOL.md, "Wire captures") that `slimtrace explain`
 // decodes back into those tables.
 //
 // The ring follows the flight-recorder overhead contract: when disabled
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"slim/internal/obs"
+	"slim/internal/protocol"
 )
 
 // Direction labels which way a datagram was travelling when it was tapped.
@@ -56,6 +57,37 @@ type Record struct {
 	Size    int
 	Console string // remote console address, "" when unknown
 	Wire    []byte
+}
+
+// Walk splits the record's datagram into protocol messages, calling fn
+// with each one's sequence number, the decoded message and the wire bytes
+// it is charged: a batch frame's members (each at its plain-framed size),
+// or the plain messages laid end to end. It reports whether the datagram
+// was a batch frame and how many trailing bytes did not decode — the whole
+// datagram when nothing did. A size-only record has nothing to walk.
+// Every reader of a capture (BuildReport, TraceEvents, trace.FromCapture,
+// netqual.Replay) goes through here, so they agree on what a record holds.
+func (rec Record) Walk(fn func(seq uint32, m protocol.Message, size int)) (batch bool, rest int) {
+	if protocol.IsBatch(rec.Wire) {
+		seqs, msgs, err := protocol.DecodeBatch(rec.Wire)
+		if err != nil {
+			return true, len(rec.Wire)
+		}
+		for i, m := range msgs {
+			fn(seqs[i], m, protocol.WireSize(m))
+		}
+		return true, 0
+	}
+	wire := rec.Wire
+	for len(wire) > 0 {
+		seq, m, n, err := protocol.Decode(wire)
+		if err != nil {
+			break
+		}
+		fn(seq, m, n)
+		wire = wire[n:]
+	}
+	return false, len(wire)
 }
 
 // Ring buffers captured records until they are spooled or drained.

@@ -3,6 +3,8 @@ package capture
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +148,12 @@ func TestReadCaptureRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadCapture(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("truncated record accepted")
 	}
+	// A negative timestamp is on no clock's timeline (the path replay's
+	// windows index by it): found by FuzzExplainInput.
+	early := AppendRecord(nil, Record{T: -time.Second, Dir: DirUp, Size: 3, Wire: []byte{1, 2, 3}})
+	if _, err := ReadRecord(bytes.NewReader(early)); !errors.Is(err, ErrBadCapture) {
+		t.Fatalf("negative timestamp: err = %v, want ErrBadCapture", err)
+	}
 }
 
 func TestBuildReportShape(t *testing.T) {
@@ -155,8 +163,8 @@ func TestBuildReportShape(t *testing.T) {
 		w := protocol.Encode(nil, 1, msg)
 		recs = append(recs, Record{T: at(tms), Dir: dir, Size: len(w), Wire: w})
 	}
-	add(DirDown, 0, sampleSet(16, 1))     // 16 px
-	add(DirDown, 100, sampleSet(16, 1))   // 16 px
+	add(DirDown, 0, sampleSet(16, 1))   // 16 px
+	add(DirDown, 100, sampleSet(16, 1)) // 16 px
 	add(DirDown, 200, &protocol.Fill{Rect: protocol.Rect{W: 100, H: 100}, Color: 1})
 	add(DirUp, 500, &protocol.Status{LastSeq: 2})
 	// One batch of two commands.
@@ -227,7 +235,7 @@ func TestBuildReportCountsUndecodable(t *testing.T) {
 	}
 }
 
-func TestWritePerfetto(t *testing.T) {
+func TestTraceEvents(t *testing.T) {
 	set := sampleSet(4, 4)
 	recs := []Record{
 		{T: 2 * time.Millisecond, Dir: DirDown, Size: 10, Wire: protocol.Encode(nil, 1, set)},
@@ -235,7 +243,7 @@ func TestWritePerfetto(t *testing.T) {
 		{T: 4 * time.Millisecond, Dir: DirDown, Flow: 3, Size: 555},
 	}
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, Header{Domain: obs.DomainWall}, recs); err != nil {
+	if err := obs.WriteJSON(&buf, obs.NewTraceFile(TraceEvents(nil, Header{Domain: obs.DomainWall}, recs))); err != nil {
 		t.Fatal(err)
 	}
 	var f struct {
@@ -370,5 +378,50 @@ func BenchmarkSpool(b *testing.B) {
 			sink.Reset()
 		}
 		r.SpoolTo(&sink)
+	}
+}
+
+// TestWalk: the one record splitter hands out every message of a batch
+// frame and of plain messages laid end to end, with sequence numbers and
+// charged sizes, and reports what did not decode.
+func TestWalk(t *testing.T) {
+	fill := &protocol.Fill{Rect: protocol.Rect{W: 2, H: 2}, Color: 2}
+	status := &protocol.Status{LastSeq: 9}
+	batch, err := protocol.EncodeBatch(nil, []uint32{7, 8}, []protocol.Message{
+		&protocol.Copy{Rect: protocol.Rect{W: 10, H: 10}, DstX: 1, DstY: 1}, fill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := protocol.Encode(protocol.Encode(nil, 3, fill), 4, status)
+	type seen struct {
+		seq  uint32
+		typ  protocol.MsgType
+		size int
+	}
+	for _, tc := range []struct {
+		name  string
+		wire  []byte
+		batch bool
+		rest  int
+		want  []seen
+	}{
+		{"batch", batch, true, 0, []seen{
+			{7, protocol.TypeCopy, protocol.WireSize(&protocol.Copy{})}, {8, protocol.TypeFill, protocol.WireSize(fill)}}},
+		{"plain pair", plain, false, 0, []seen{
+			{3, protocol.TypeFill, protocol.WireSize(fill)}, {4, protocol.TypeStatus, protocol.WireSize(status)}}},
+		{"plain then garbage", append(append([]byte(nil), plain...), 1, 2, 3), false, 3, []seen{
+			{3, protocol.TypeFill, protocol.WireSize(fill)}, {4, protocol.TypeStatus, protocol.WireSize(status)}}},
+		{"cut batch", batch[:len(batch)-1], true, len(batch) - 1, nil},
+		{"garbage", []byte{9, 9, 9, 9, 9}, false, 5, nil},
+		{"size only", nil, false, 0, nil},
+	} {
+		var got []seen
+		isBatch, rest := Record{Wire: tc.wire, Size: len(tc.wire)}.Walk(func(seq uint32, m protocol.Message, size int) {
+			got = append(got, seen{seq, m.Type(), size})
+		})
+		if isBatch != tc.batch || rest != tc.rest || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: batch=%v rest=%d msgs=%v; want batch=%v rest=%d msgs=%v",
+				tc.name, isBatch, rest, got, tc.batch, tc.rest, tc.want)
+		}
 	}
 }

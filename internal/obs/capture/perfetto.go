@@ -1,15 +1,15 @@
 // Chrome/Perfetto trace-event export for captures. The events land on a
-// dedicated "wire" process with one track per direction, so loading a
-// capture alongside a flight-recorder export (slimtrace flight -perfetto)
-// lines datagrams up under the same microsecond timebase as the
-// INPUT→ENCODE→TX→PAINT spans they carry.
+// dedicated "wire" process with one track per direction; rendered into the
+// same document as a flight-recorder export (slimtrace explain -perfetto)
+// the datagrams line up under the INPUT→ENCODE→TX→PAINT spans they carry,
+// because a live capture and the flight rings are both stamped from
+// obs.Wall.
 package capture
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
+	"slim/internal/obs"
 	"slim/internal/protocol"
 )
 
@@ -17,50 +17,38 @@ import (
 // are real SLIM session ids counted from 1.
 const wirePID = 999999
 
-type perfettoEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	TS    float64        `json:"ts"` // microseconds
-	Scope string         `json:"s,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type perfettoFile struct {
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-}
-
 // datagramName summarises one record for the track: the decoded command
 // type (or batch census) plus the wire size.
 func datagramName(rec Record) string {
 	if len(rec.Wire) == 0 {
 		return fmt.Sprintf("RAW %dB", rec.Size)
 	}
-	if protocol.IsBatch(rec.Wire) {
-		if _, msgs, err := protocol.DecodeBatch(rec.Wire); err == nil {
-			return fmt.Sprintf("SB×%d %dB", len(msgs), rec.Size)
+	name, n := "?", 0
+	batch, _ := rec.Walk(func(_ uint32, m protocol.Message, _ int) {
+		if n++; n == 1 {
+			name = m.Type().String()
 		}
-		return fmt.Sprintf("SB? %dB", rec.Size)
+	})
+	switch {
+	case batch && n > 0:
+		name = fmt.Sprintf("SB×%d", n)
+	case batch:
+		name = "SB?"
 	}
-	if _, m, _, err := protocol.Decode(rec.Wire); err == nil {
-		return fmt.Sprintf("%s %dB", m.Type(), rec.Size)
-	}
-	return fmt.Sprintf("? %dB", rec.Size)
+	return fmt.Sprintf("%s %dB", name, rec.Size)
 }
 
-// WritePerfetto writes the capture as a Chrome trace-event JSON file.
-func WritePerfetto(w io.Writer, h Header, recs []Record) error {
-	evs := []perfettoEvent{
-		{Name: "process_name", Ph: "M", PID: wirePID,
+// TraceEvents renders the capture onto out as instant events on a down
+// and an up track.
+func TraceEvents(out []obs.TraceEvent, h Header, recs []Record) []obs.TraceEvent {
+	out = append(out,
+		obs.TraceEvent{Name: "process_name", Ph: "M", PID: wirePID,
 			Args: map[string]any{"name": "wire capture (" + string(h.Domain) + ")"}},
-		{Name: "thread_name", Ph: "M", PID: wirePID, TID: int(DirDown),
+		obs.TraceEvent{Name: "thread_name", Ph: "M", PID: wirePID, TID: int(DirDown),
 			Args: map[string]any{"name": "down (server→console)"}},
-		{Name: "thread_name", Ph: "M", PID: wirePID, TID: int(DirUp),
+		obs.TraceEvent{Name: "thread_name", Ph: "M", PID: wirePID, TID: int(DirUp),
 			Args: map[string]any{"name": "up (console→server)"}},
-	}
+	)
 	for _, rec := range recs {
 		args := map[string]any{"bytes": rec.Size}
 		if rec.Console != "" {
@@ -69,7 +57,7 @@ func WritePerfetto(w io.Writer, h Header, recs []Record) error {
 		if rec.Flow >= 0 {
 			args["flow"] = rec.Flow
 		}
-		evs = append(evs, perfettoEvent{
+		out = append(out, obs.TraceEvent{
 			Name:  datagramName(rec),
 			Cat:   "wire",
 			Ph:    "i",
@@ -80,6 +68,5 @@ func WritePerfetto(w io.Writer, h Header, recs []Record) error {
 			Args:  args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfettoFile{DisplayTimeUnit: "ms", TraceEvents: evs})
+	return out
 }

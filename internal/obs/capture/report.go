@@ -25,14 +25,6 @@ type Row struct {
 	Pixels int64
 }
 
-// BytesPerCmd is the mean wire size of this command type.
-func (r Row) BytesPerCmd() float64 {
-	if r.Count == 0 {
-		return 0
-	}
-	return float64(r.Bytes) / float64(r.Count)
-}
-
 // BytesPerPixel is the wire cost per screen pixel carried (Tables 2-3's
 // compression column); 0 for commands that carry no pixels.
 func (r Row) BytesPerPixel() float64 {
@@ -113,38 +105,17 @@ func BuildReport(h Header, recs []Record) *Report {
 			add(rec.Dir, "RAW", int64(rec.Size), 0)
 			continue
 		}
-		if protocol.IsBatch(rec.Wire) {
-			_, msgs, err := protocol.DecodeBatch(rec.Wire)
-			if err != nil {
-				rep.Undecoded++
-				add(rec.Dir, "UNDECODED", int64(rec.Size), 0)
-				continue
-			}
-			member := 0
-			for _, m := range msgs {
-				sz := protocol.WireSize(m)
-				member += sz
-				add(rec.Dir, m.Type().String(), int64(sz), int64(core.PixelsOf(m)))
-			}
-			if over := rec.Size - member; over > 0 {
-				add(rec.Dir, "BATCH", int64(over), 0)
-			}
-			continue
-		}
-		rest := rec.Wire
-		decoded := false
-		for len(rest) > 0 {
-			_, m, n, err := protocol.Decode(rest)
-			if err != nil {
-				break
-			}
-			add(rec.Dir, m.Type().String(), int64(n), int64(core.PixelsOf(m)))
-			rest = rest[n:]
-			decoded = true
-		}
-		if !decoded || len(rest) > 0 {
+		member := 0
+		batch, rest := rec.Walk(func(_ uint32, m protocol.Message, size int) {
+			member += size
+			add(rec.Dir, m.Type().String(), int64(size), int64(core.PixelsOf(m)))
+		})
+		switch {
+		case rest > 0:
 			rep.Undecoded++
-			add(rec.Dir, "UNDECODED", int64(len(rest)), 0)
+			add(rec.Dir, "UNDECODED", int64(rest), 0)
+		case batch && rec.Size > member:
+			add(rec.Dir, "BATCH", int64(rec.Size-member), 0)
 		}
 	}
 	if len(recs) > 0 {
@@ -210,13 +181,15 @@ func (rep *Report) writeDir(w io.Writer, title string, rows []Row, total int64) 
 			bpp = fmt.Sprintf("%.2f", r.BytesPerPixel())
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.1f%%\t%.1f\t%d\t%s\t%.1f\t%s\t\n",
-			r.Label, r.Count, r.Bytes, pct, r.BytesPerCmd(), r.Pixels, bpp,
-			rep.Rate(r), formatBits(rep.Bps(r)))
+			r.Label, r.Count, r.Bytes, pct, float64(r.Bytes)/float64(r.Count), r.Pixels, bpp,
+			rep.Rate(r), FormatBits(rep.Bps(r)))
 	}
 	return tw.Flush()
 }
 
-func formatBits(bps float64) string {
+// FormatBits renders a bits-per-second rate with an adaptive unit, "-"
+// for none.
+func FormatBits(bps float64) string {
 	switch {
 	case bps <= 0:
 		return "-"

@@ -27,7 +27,9 @@ import (
 
 // Slimcap format constants.
 const (
-	slimcapMagic   = "SLCP"
+	// Magic opens every .slimcap file: how a reader tells a capture from
+	// the other evidence files (breach dumps are JSON).
+	Magic          = "SLCP"
 	SlimcapVersion = 1
 
 	headerLen       = 4 + 1 + 1 + 2 + 8
@@ -72,7 +74,7 @@ func codeDomain(c uint8) obs.Domain {
 // capture truncated by a crash is readable up to the last whole record.
 func WriteHeader(w io.Writer, domain obs.Domain, epoch time.Time) error {
 	var buf [headerLen]byte
-	copy(buf[0:4], slimcapMagic)
+	copy(buf[0:4], Magic)
 	buf[4] = SlimcapVersion
 	buf[5] = domainCode(domain)
 	binary.BigEndian.PutUint16(buf[6:8], 0) // flags, reserved
@@ -113,7 +115,7 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return Header{}, fmt.Errorf("%w: short header: %v", ErrBadCapture, err)
 	}
-	if string(buf[0:4]) != slimcapMagic {
+	if string(buf[0:4]) != Magic {
 		return Header{}, fmt.Errorf("%w: bad magic %q", ErrBadCapture, buf[0:4])
 	}
 	h := Header{Version: buf[4], Domain: codeDomain(buf[5])}
@@ -141,6 +143,9 @@ func ReadRecord(r io.Reader) (Record, error) {
 		Dir:  Direction(fixed[8]),
 		Flow: int32(binary.BigEndian.Uint32(fixed[9:13])),
 		Size: int(binary.BigEndian.Uint32(fixed[13:17])),
+	}
+	if rec.T < 0 {
+		return Record{}, fmt.Errorf("%w: negative timestamp %d", ErrBadCapture, rec.T)
 	}
 	wireLen := binary.BigEndian.Uint32(fixed[17:21])
 	consoleLen := int(fixed[21])

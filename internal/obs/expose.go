@@ -49,7 +49,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		name   string
 		values map[string]int64
 	}{{"counter", snap.Counters}, {"gauge", snap.Gauges}} {
-		for _, name := range sortedKeys(kind.values) {
+		for _, name := range SortedKeys(kind.values) {
 			base, labels := splitName(name)
 			if !typed[base] {
 				fmt.Fprintf(w, "# TYPE %s %s\n", base, kind.name)
@@ -58,7 +58,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", promName(base, labels, ""), kind.values[name])
 		}
 	}
-	for _, name := range sortedKeys(snap.Histograms) {
+	for _, name := range SortedKeys(snap.Histograms) {
 		h := snap.Histograms[name]
 		base, labels := splitName(name)
 		if !typed[base] {

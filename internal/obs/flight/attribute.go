@@ -382,8 +382,8 @@ func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWin
 }
 
 // BlameTable aggregates breach verdicts into the per-stage blame histogram
-// reported by `slimtrace blame` (and asserted by the SLO e2e — both go
-// through this code path).
+// reported by `slimtrace explain` (and asserted by the SLO e2e — both go
+// through this code path; Blame adds whole dumps to it).
 type BlameTable struct {
 	// Total counts breaches added; Unattributed counts the subset whose
 	// chain could not be walked.
@@ -396,16 +396,6 @@ type BlameTable struct {
 	StageNs   [NumStages]int64
 	// Loss counts breaches with wire-loss evidence on the critical path.
 	Loss int
-}
-
-// Add accumulates one breach dump's verdict. Dumps without a verdict
-// (written by older recorders) count as unattributed.
-func (t *BlameTable) Add(d *Dump) {
-	if d.Verdict == nil {
-		t.AddVerdict(Verdict{Stage: StageUnattributed}, d.LatencyNs)
-		return
-	}
-	t.AddVerdict(*d.Verdict, d.LatencyNs)
 }
 
 // AddVerdict accumulates one verdict with its breach latency.

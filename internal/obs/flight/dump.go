@@ -1,11 +1,13 @@
 package flight
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"slim/internal/obs"
@@ -15,7 +17,7 @@ import (
 // window leading up to an input-to-paint latency breach, plus enough
 // context to analyze the file on its own. Dumps serialize as JSON; read
 // them back with ReadDump, convert them to §3.1 offline traces with
-// trace.FromFlight, or export them to Perfetto with slimtrace flight.
+// trace.FromFlight, or print and export them with slimtrace explain.
 type Dump struct {
 	// Session is the breaching session's ID.
 	Session uint32 `json:"session"`
@@ -35,8 +37,8 @@ type Dump struct {
 	Verdict *Verdict `json:"verdict,omitempty"`
 	// HostWindows are the host-runtime stall windows (GC pauses, CPU
 	// starvation) known at capture time — the evidence behind a HOST
-	// verdict, kept so `slimtrace blame -reattribute` can re-run host
-	// attribution offline. Empty when no host monitor was wired.
+	// verdict, kept so Reattribute (`slimtrace explain -reattribute`) can
+	// re-run host attribution offline. Empty when no host monitor was wired.
 	HostWindows []HostWindow `json:"host_windows,omitempty"`
 	// PathEvidence is the session's measured network-path state (SRTT,
 	// jitter, loss, goodput) at detection time — the evidence behind a
@@ -49,6 +51,51 @@ type Dump struct {
 
 // Write serializes the dump as indented JSON.
 func (d *Dump) Write(w io.Writer) error { return obs.WriteJSON(w, d) }
+
+// dumpNameFormat names a dump file after its session and the recorder's
+// breach count, and is how ListDumps recognises one: the only place the
+// name is spelled.
+const dumpNameFormat = "flight-sess%d-%d.json"
+
+// MaxDumps bounds a dump directory: after writing a dump the recorder
+// removes all but the newest MaxDumps, so a long-running daemon's
+// evidence stays a bounded, recent window.
+const MaxDumps = 64
+
+// ListDumps returns the paths of the breach dumps in dir, oldest first:
+// by modification time, then by breach count, which orders dumps one
+// recorder wrote within a single timestamp tick.
+func ListDumps(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	type dumpFile struct {
+		path string
+		mod  time.Time
+		n    int64
+	}
+	var dumps []dumpFile
+	for _, ent := range ents {
+		var id uint32
+		var n int64
+		fmt.Sscanf(ent.Name(), dumpNameFormat, &id, &n)
+		if ent.IsDir() || ent.Name() != fmt.Sprintf(dumpNameFormat, id, n) {
+			continue
+		}
+		if fi, err := ent.Info(); err == nil {
+			dumps = append(dumps, dumpFile{filepath.Join(dir, ent.Name()), fi.ModTime(), n})
+		}
+	}
+	slices.SortFunc(dumps, func(a, b dumpFile) int {
+		return cmp.Or(a.mod.Compare(b.mod), cmp.Compare(a.n, b.n))
+	})
+	paths := make([]string, len(dumps))
+	for i, d := range dumps {
+		paths[i] = d.path
+	}
+	return paths, nil
+}
 
 // ReadDump deserializes one breach dump.
 func ReadDump(r io.Reader) (*Dump, error) {
@@ -139,20 +186,14 @@ func (r *Recorder) CheckBreach(id uint32, latency time.Duration) (Breach, bool) 
 		PathEvidence: pathEv,
 		Events:       evs,
 	}
-	path := filepath.Join(dir, fmt.Sprintf("flight-sess%d-%d.json", id, n))
-	f, err := os.Create(path)
-	if err != nil {
-		r.dumpErrors.Inc()
-		return br, true
-	}
-	err = d.Write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	path := filepath.Join(dir, fmt.Sprintf(dumpNameFormat, id, n))
+	if err := obs.WriteFile(path, d.Write); err != nil {
 		r.dumpErrors.Inc()
 		return br, true
 	}
 	br.Path = path
+	if dumps, err := ListDumps(dir); err == nil {
+		obs.KeepNewest(dumps, MaxDumps)
+	}
 	return br, true
 }

@@ -240,7 +240,7 @@ func TestPerfettoExportAndHandler(t *testing.T) {
 	l.Paint(1, protocol.TypeFill)
 
 	var buf bytes.Buffer
-	if err := WritePerfetto(&buf, 2, rec.Events(2, 0)); err != nil {
+	if err := obs.WriteJSON(&buf, obs.NewTraceFile(TraceEvents(nil, 2, rec.Events(2, 0)))); err != nil {
 		t.Fatal(err)
 	}
 	assertPerfetto(t, buf.Bytes(), 2)

@@ -1,9 +1,7 @@
 package flight
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -19,26 +17,6 @@ import (
 //
 // The format reference is the Chrome Trace Event Format document; Perfetto
 // (ui.perfetto.dev) loads these files directly.
-
-// perfettoEvent is one trace-event JSON object.
-type perfettoEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	PID  uint32         `json:"pid"`
-	TID  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// perfettoFile is the top-level JSON object.
-type perfettoFile struct {
-	DisplayTimeUnit string          `json:"displayTimeUnit"`
-	TraceEvents     []perfettoEvent `json:"traceEvents"`
-}
 
 // Pipeline lanes (Perfetto thread IDs) in display order.
 const (
@@ -79,32 +57,37 @@ var laneNames = map[int]string{
 
 // eventName renders a human-readable slice name.
 func eventName(ev Event) string {
-	if ev.Cmd != 0 && ev.Kind != EvInput {
+	if ev.Cmd != 0 || ev.Kind == EvInput {
 		return ev.Kind.String() + " " + ev.Cmd.String()
-	}
-	if ev.Kind == EvInput {
-		return "INPUT " + ev.Cmd.String()
 	}
 	return ev.Kind.String()
 }
 
-// appendSession renders one session's events into out.
-func appendSession(out []perfettoEvent, session uint32, evs []Event) []perfettoEvent {
-	out = append(out, perfettoEvent{
+// TraceEvents renders one session's events (oldest first, as Events and
+// dumps hold them) onto out: a process with one thread per lane, a slice
+// per event, and a flow arrow from each INPUT to the last PAINT of its
+// chain. The arrow's finish follows the paint it lands on, so the output
+// is in timestamp order and the same events always render the same bytes.
+func TraceEvents(out []obs.TraceEvent, session uint32, evs []Event) []obs.TraceEvent {
+	out = append(out, obs.TraceEvent{
 		Name: "process_name", Ph: "M", PID: session, TID: 0,
 		Args: map[string]any{"name": fmt.Sprintf("session %d", session)},
 	})
 	for tid := laneInput; tid <= laneBreach; tid++ {
-		out = append(out, perfettoEvent{
+		out = append(out, obs.TraceEvent{
 			Name: "thread_name", Ph: "M", PID: session, TID: tid,
 			Args: map[string]any{"name": laneNames[tid]},
 		})
 	}
-	// Track which input chains saw a paint, to emit flow arrows.
-	paintTS := make(map[uint64]float64)
-	for _, ev := range evs {
+	lastPaint := make(map[uint64]int) // input chain -> index of its last PAINT
+	for i, ev := range evs {
+		if ev.Kind == EvPaint && ev.Cause != 0 {
+			lastPaint[ev.Cause] = i
+		}
+	}
+	for i, ev := range evs {
 		ts := float64(ev.T.Nanoseconds()) / 1e3
-		pe := perfettoEvent{
+		pe := obs.TraceEvent{
 			Name: eventName(ev),
 			Cat:  ev.Kind.String(),
 			Ph:   "X",
@@ -118,53 +101,36 @@ func appendSession(out []perfettoEvent, session uint32, evs []Event) []perfettoE
 			pe.Dur = float64(ev.A) / 1e3 // modelled decode time
 		}
 		out = append(out, pe)
-		switch ev.Kind {
-		case EvInput:
-			out = append(out, perfettoEvent{
+		switch {
+		case ev.Kind == EvInput:
+			out = append(out, obs.TraceEvent{
 				Name: "input-chain", Ph: "s", TS: ts, PID: session,
 				TID: laneInput, ID: strconv.FormatUint(ev.Cause, 10),
 			})
-		case EvPaint:
-			if ev.Cause != 0 {
-				paintTS[ev.Cause] = ts
-			}
+		case ev.Kind == EvPaint && ev.Cause != 0 && lastPaint[ev.Cause] == i:
+			out = append(out, obs.TraceEvent{
+				Name: "input-chain", Ph: "f", BP: "e", TS: ts, PID: session,
+				TID: laneConsole, ID: strconv.FormatUint(ev.Cause, 10),
+			})
 		}
-	}
-	for cause, ts := range paintTS {
-		out = append(out, perfettoEvent{
-			Name: "input-chain", Ph: "f", BP: "e", TS: ts, PID: session,
-			TID: laneConsole, ID: strconv.FormatUint(cause, 10),
-		})
 	}
 	return out
 }
 
-// WritePerfetto renders one session's event slice as a Perfetto
-// trace-event JSON file.
-func WritePerfetto(w io.Writer, session uint32, evs []Event) error {
-	f := perfettoFile{
-		DisplayTimeUnit: "ms",
-		TraceEvents:     appendSession(nil, session, evs),
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(f)
-}
-
-// perfetto renders recent events — one session, or all of them when id is
-// 0 and the recorder tracks several — as a trace-event document.
-func (r *Recorder) perfetto(id uint32, last time.Duration) perfettoFile {
-	var out []perfettoEvent
+// trace renders recent events — one session, or all of them when id is 0
+// and the recorder tracks several — as a trace-event document.
+func (r *Recorder) trace(id uint32, last time.Duration) obs.TraceFile {
+	var out []obs.TraceEvent
 	ids := []uint32{id}
 	if id == 0 {
 		ids = r.SessionIDs()
 	}
 	for _, sid := range ids {
 		if evs := r.Events(sid, last); len(evs) > 0 {
-			out = appendSession(out, sid, evs)
+			out = TraceEvents(out, sid, evs)
 		}
 	}
-	return perfettoFile{DisplayTimeUnit: "ms", TraceEvents: out}
+	return obs.NewTraceFile(out)
 }
 
 // TraceHandler serves the recorder over HTTP — mounted at /debug/trace on
@@ -191,6 +157,6 @@ func (r *Recorder) TraceHandler() http.Handler {
 				return nil, obs.StatusError{Code: http.StatusBadRequest, Msg: "bad last: " + err.Error()}
 			}
 		}
-		return r.perfetto(uint32(id), last), nil
+		return r.trace(uint32(id), last), nil
 	})
 }

@@ -1,6 +1,12 @@
 package hostmon
 
-import "slim/internal/obs/flight"
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"slim/internal/obs/flight"
+)
 
 // Status is the /debug/hostmon document (and an incident bundle's
 // hostmon.json): the monitor's configuration,
@@ -36,4 +42,30 @@ func (m *Monitor) StatusWith(prof *Profiler) Status {
 		st.Profile = prof.Top()
 	}
 	return st
+}
+
+// WriteSummary prints the host state the document froze: the last
+// sample's heap, goroutines, worst GC pause and tick lag, and how many
+// stall windows were live.
+func (st *Status) WriteSummary(w io.Writer) {
+	fmt.Fprintf(w, "  host at capture: heap %.1f MiB, %d goroutines, worst GC pause %v, tick lag %v\n",
+		float64(st.Last.HeapBytes)/(1<<20), st.Last.Goroutines,
+		time.Duration(st.Last.WorstGCPause).Round(time.Microsecond),
+		time.Duration(st.Last.TickLag).Round(time.Microsecond))
+	if len(st.Windows) > 0 {
+		fmt.Fprintf(w, "  live stall windows: %d\n", len(st.Windows))
+	}
+}
+
+// WriteTopSelf prints the eight packages with the most self time in a
+// pprof CPU profile; one that does not parse, or is empty, prints nothing.
+func WriteTopSelf(w io.Writer, profile []byte) {
+	self, err := SelfTimeByPkg(profile)
+	if err != nil || len(self) == 0 {
+		return
+	}
+	fmt.Fprintln(w, "  top self-time by package (bundled profile window):")
+	for _, t := range topPkgs(self, 8) {
+		fmt.Fprintf(w, "    %-40s %v\n", t.Pkg, time.Duration(t.SelfNs).Round(time.Millisecond))
+	}
 }

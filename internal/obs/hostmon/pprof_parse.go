@@ -2,6 +2,7 @@ package hostmon
 
 import (
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -27,22 +28,13 @@ import (
 var errPprof = errors.New("hostmon: malformed pprof data")
 
 // uvarint decodes one varint at data[i:], returning the value and the
-// next offset (-1 on truncation).
+// next offset (-1 on truncation or overflow).
 func uvarint(data []byte, i int) (uint64, int) {
-	var v uint64
-	var shift uint
-	for ; i < len(data); i++ {
-		b := data[i]
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, i + 1
-		}
-		shift += 7
-		if shift >= 64 {
-			return 0, -1
-		}
+	v, n := binary.Uvarint(data[i:])
+	if n <= 0 {
+		return 0, -1
 	}
-	return 0, -1
+	return v, i + n
 }
 
 // field decodes one protobuf field at data[i:]: field number, wire type,
@@ -80,21 +72,37 @@ func field(data []byte, i int) (num int, wire int, val uint64, body []byte, next
 	return 0, 0, 0, nil, -1
 }
 
+// fields calls fn with each field of one encoded message.
+func fields(msg []byte, fn func(num, wire int, val uint64, body []byte) error) error {
+	for i := 0; i < len(msg); {
+		num, wire, val, body, next := field(msg, i)
+		if next < 0 {
+			return errPprof
+		}
+		i = next
+		if err := fn(num, wire, val, body); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // packedOrOne appends the values of a repeated numeric field: wire type
 // 2 is the packed encoding, wire type 0 a single element.
-func packedOrOne(dst []uint64, wire int, val uint64, body []byte) ([]uint64, error) {
+func packedOrOne(dst *[]uint64, wire int, val uint64, body []byte) error {
 	if wire == 0 {
-		return append(dst, val), nil
+		*dst = append(*dst, val)
+		return nil
 	}
 	for i := 0; i < len(body); {
 		v, n := uvarint(body, i)
 		if n < 0 {
-			return dst, errPprof
+			return errPprof
 		}
-		dst = append(dst, v)
+		*dst = append(*dst, v)
 		i = n
 	}
-	return dst, nil
+	return nil
 }
 
 // SelfTimeByPkg parses a (possibly gzipped) pprof CPU profile and
@@ -128,35 +136,21 @@ func SelfTimeByPkg(data []byte) (map[string]int64, error) {
 	var samples []sample
 	var period uint64
 
-	for i := 0; i < len(data); {
-		num, _, val, body, next := field(data, i)
-		if next < 0 {
-			return nil, errPprof
-		}
-		i = next
+	err := fields(data, func(num, _ int, val uint64, body []byte) error {
 		switch num {
 		case 2: // Sample
 			var locs, vals []uint64
-			for j := 0; j < len(body); {
-				n2, w2, v2, b2, nx := field(body, j)
-				if nx < 0 {
-					return nil, errPprof
-				}
-				j = nx
-				var err error
-				switch n2 {
+			err := fields(body, func(num, wire int, val uint64, body []byte) error {
+				switch num {
 				case 1:
-					if locs, err = packedOrOne(locs, w2, v2, b2); err != nil {
-						return nil, err
-					}
+					return packedOrOne(&locs, wire, val, body)
 				case 2:
-					if vals, err = packedOrOne(vals, w2, v2, b2); err != nil {
-						return nil, err
-					}
+					return packedOrOne(&vals, wire, val, body)
 				}
-			}
-			if len(locs) == 0 {
-				continue
+				return nil
+			})
+			if err != nil || len(locs) == 0 {
+				return err
 			}
 			s := sample{leafLoc: locs[0]}
 			if len(vals) >= 2 {
@@ -168,48 +162,39 @@ func SelfTimeByPkg(data []byte) (map[string]int64, error) {
 			samples = append(samples, s)
 		case 4: // Location
 			var id, fn uint64
-			for j := 0; j < len(body); {
-				n2, _, v2, b2, nx := field(body, j)
-				if nx < 0 {
-					return nil, errPprof
-				}
-				j = nx
-				switch n2 {
+			err := fields(body, func(num, _ int, val uint64, body []byte) error {
+				switch num {
 				case 1:
-					id = v2
-				case 4: // Line; first entry is the leaf-most line
-					if fn == 0 {
-						for k := 0; k < len(b2); {
-							n3, _, v3, _, nx3 := field(b2, k)
-							if nx3 < 0 {
-								return nil, errPprof
-							}
-							k = nx3
-							if n3 == 1 {
-								fn = v3
-								break
-							}
+					id = val
+				case 4: // Line; the first entry is the leaf-most line
+					return fields(body, func(num, _ int, val uint64, _ []byte) error {
+						if num == 1 && fn == 0 {
+							fn = val
 						}
-					}
+						return nil
+					})
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 			if id != 0 {
 				locFn[id] = fn
 			}
 		case 5: // Function
 			var id, name uint64
-			for j := 0; j < len(body); {
-				n2, _, v2, _, nx := field(body, j)
-				if nx < 0 {
-					return nil, errPprof
-				}
-				j = nx
-				switch n2 {
+			err := fields(body, func(num, _ int, val uint64, _ []byte) error {
+				switch num {
 				case 1:
-					id = v2
+					id = val
 				case 2:
-					name = v2
+					name = val
 				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
 			if id != 0 {
 				fnName[id] = name
@@ -219,6 +204,10 @@ func SelfTimeByPkg(data []byte) (map[string]int64, error) {
 		case 12: // period
 			period = val
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	self := make(map[string]int64)

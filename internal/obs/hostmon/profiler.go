@@ -125,22 +125,17 @@ func (p *Profiler) loop(stop <-chan struct{}, done chan<- struct{}) {
 func (p *Profiler) CaptureWindow(stop <-chan struct{}) bool {
 	var buf bytes.Buffer
 	start := time.Now()
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		// Another profile is running (ours or /debug/pprof/profile).
-		p.errorsC.Inc()
-		t := time.NewTimer(p.window)
-		defer t.Stop()
-		select {
-		case <-stop:
-		case <-t.C:
-		}
-		return false
-	}
+	err := pprof.StartCPUProfile(&buf)
 	t := time.NewTimer(p.window)
 	defer t.Stop()
 	select {
 	case <-stop:
 	case <-t.C:
+	}
+	if err != nil {
+		// Another profile is running (ours or /debug/pprof/profile).
+		p.errorsC.Inc()
+		return false
 	}
 	pprof.StopCPUProfile()
 	w := ProfileWindow{Start: start, End: time.Now(), Data: buf.Bytes()}

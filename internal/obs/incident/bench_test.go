@@ -26,8 +26,8 @@ func BenchmarkTriggerRateLimited(b *testing.B) {
 	}
 }
 
-// BenchmarkList is the /debug/incident GET path and the `slimtrace
-// incident -dir` scan: read every bundle's manifest under the directory.
+// BenchmarkList is the /debug/incident GET path and `slimtrace explain`'s
+// scan of a bundle directory: read every bundle's manifest under it.
 func BenchmarkList(b *testing.B) {
 	e, _, _ := newTestEngine(b, Config{
 		MinGap:          time.Millisecond,

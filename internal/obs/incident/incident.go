@@ -11,10 +11,11 @@
 // place, so a bundle that exists is complete: its manifest.json lists
 // every file (with sizes) plus a collector-error map for anything that
 // could not be gathered. /debug/incident lists and triggers bundles
-// over HTTP; `slimtrace incident` summarizes them offline.
+// over HTTP; `slimtrace explain` summarizes them offline.
 package incident
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -22,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,12 +30,21 @@ import (
 
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
+	"slim/internal/obs/flight"
 	"slim/internal/obs/hostmon"
 	"slim/internal/obs/slo"
 )
 
 // BundleVersion is the manifest schema version.
 const BundleVersion = 1
+
+// Where a bundle keeps the evidence it copies in the formats of other
+// packages: breach dumps (internal/obs/flight) and the wire-capture tail
+// (internal/obs/capture).
+const (
+	flightSubdir    = "flight"
+	captureTailName = "capture-tail.slimcap"
+)
 
 // Config parameterizes an engine. Dir is required; zero fields take
 // defaults.
@@ -257,22 +266,17 @@ func (e *Engine) Trigger(reason, trigger string) (*Manifest, error) {
 
 // sanitizeReason makes a reason safe for a directory name.
 func sanitizeReason(r string) string {
-	var b strings.Builder
-	for _, c := range r {
+	safe := strings.Map(func(c rune) rune {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			b.WriteRune(c)
-		default:
-			b.WriteByte('_')
+			return c
 		}
-		if b.Len() >= 40 {
-			break
-		}
-	}
-	if b.Len() == 0 {
+		return '_'
+	}, r)
+	if safe == "" {
 		return "trigger"
 	}
-	return b.String()
+	return safe[:min(len(safe), 40)]
 }
 
 // writeBundle collects every artifact into a staging directory and
@@ -364,16 +368,7 @@ func writeStaged(stage string, m *Manifest, rel string, fill func(io.Writer) err
 		m.Errors[rel] = err.Error()
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		m.Errors[rel] = err.Error()
-		return
-	}
-	err = fill(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := obs.WriteFile(path, fill); err != nil {
 		m.Errors[rel] = err.Error()
 		os.Remove(path)
 		return
@@ -410,33 +405,14 @@ func (e *Engine) copyFlightDumps(stage string, m *Manifest) {
 	if e.src.FlightDir == "" {
 		return
 	}
-	ents, err := os.ReadDir(e.src.FlightDir)
+	dumps, err := flight.ListDumps(e.src.FlightDir)
 	if err != nil {
 		m.Errors["flight"] = err.Error()
 		return
 	}
-	type dump struct {
-		name string
-		mod  time.Time
-	}
-	var dumps []dump
-	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasPrefix(ent.Name(), "flight-") || !strings.HasSuffix(ent.Name(), ".json") {
-			continue
-		}
-		fi, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		dumps = append(dumps, dump{ent.Name(), fi.ModTime()})
-	}
-	sort.Slice(dumps, func(i, j int) bool { return dumps[i].mod.After(dumps[j].mod) })
-	if len(dumps) > e.cfg.FlightTail {
-		dumps = dumps[:e.cfg.FlightTail]
-	}
-	for _, d := range dumps {
-		rel := filepath.Join("flight", d.name)
-		data, err := os.ReadFile(filepath.Join(e.src.FlightDir, d.name))
+	for _, path := range dumps[max(0, len(dumps)-e.cfg.FlightTail):] {
+		rel := filepath.Join(flightSubdir, filepath.Base(path))
+		data, err := os.ReadFile(path)
 		if err != nil {
 			m.Errors[rel] = err.Error()
 			continue
@@ -449,37 +425,51 @@ func (e *Engine) copyFlightDumps(stage string, m *Manifest) {
 }
 
 // captureTail writes the live capture spool's trailing records as a
-// fresh, valid .slimcap file.
+// fresh, valid .slimcap file. The spool is streamed through a ring of
+// CaptureTail records, so a bundle costs the tail's memory however long
+// the daemon has been capturing.
 func (e *Engine) captureTail(stage string, m *Manifest) {
 	if e.src.CaptureFile == "" {
 		return
 	}
-	const rel = "capture-tail.slimcap"
+	const rel = captureTailName
 	f, err := os.Open(e.src.CaptureFile)
 	if err != nil {
 		m.Errors[rel] = err.Error()
 		return
 	}
-	hdr, recs, rerr := capture.ReadCapture(f)
-	f.Close()
-	if rerr != nil && len(recs) == 0 {
-		m.Errors[rel] = rerr.Error()
+	defer f.Close()
+	r := bufio.NewReader(f)
+	hdr, err := capture.ReadHeader(r)
+	if err != nil {
+		m.Errors[rel] = err.Error()
 		return
 	}
-	if rerr != nil {
-		// The spool's last record was mid-write; keep what parsed.
-		m.Errors[rel+".note"] = "truncated tail: " + rerr.Error()
-	}
-	if len(recs) > e.cfg.CaptureTail {
-		recs = recs[len(recs)-e.cfg.CaptureTail:]
+	ring := make([]capture.Record, e.cfg.CaptureTail)
+	n := 0
+	for ; ; n++ {
+		rec, rerr := capture.ReadRecord(r)
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			if n == 0 {
+				m.Errors[rel] = rerr.Error()
+				return
+			}
+			// The spool's last record was mid-write; keep what parsed.
+			m.Errors[rel+".note"] = "truncated tail: " + rerr.Error()
+			break
+		}
+		ring[n%len(ring)] = rec
 	}
 	writeStaged(stage, m, rel, func(w io.Writer) error {
 		if err := capture.WriteHeader(w, hdr.Domain, hdr.Epoch); err != nil {
 			return err
 		}
 		var buf []byte
-		for _, r := range recs {
-			buf = capture.AppendRecord(buf[:0], r)
+		for i := max(0, n-len(ring)); i < n; i++ {
+			buf = capture.AppendRecord(buf[:0], ring[i%len(ring)])
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
@@ -488,32 +478,24 @@ func (e *Engine) captureTail(stage string, m *Manifest) {
 	})
 }
 
-// rotate removes the oldest bundles past MaxBundles. Bundle names embed
-// their UTC creation time, so lexical order is creation order.
+// rotate removes the oldest bundles past MaxBundles.
 func (e *Engine) rotate() {
-	names, err := bundleNames(e.cfg.Dir)
-	if err != nil || len(names) <= e.cfg.MaxBundles {
-		return
-	}
-	for _, name := range names[:len(names)-e.cfg.MaxBundles] {
-		os.RemoveAll(filepath.Join(e.cfg.Dir, name))
+	if dirs, err := bundleDirs(e.cfg.Dir); err == nil {
+		obs.KeepNewest(dirs, e.cfg.MaxBundles)
 	}
 }
 
-// bundleNames lists bundle directories under dir, oldest first.
-func bundleNames(dir string) ([]string, error) {
+// bundleDirs lists the bundle directories under dir, oldest first: bundle
+// names embed their UTC creation time, and ReadDir sorts by name.
+func bundleDirs(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
+	var dirs []string
 	for _, ent := range ents {
 		if ent.IsDir() && strings.HasPrefix(ent.Name(), "incident-") {
-			names = append(names, ent.Name())
+			dirs = append(dirs, filepath.Join(dir, ent.Name()))
 		}
 	}
-	sort.Strings(names)
-	return names, nil
+	return dirs, err
 }
 
 // ReadManifest loads one bundle's manifest.json.
@@ -532,18 +514,69 @@ func ReadManifest(bundleDir string) (*Manifest, error) {
 // List returns the manifests of every bundle under dir, oldest first.
 // Bundles whose manifest cannot be read are skipped.
 func List(dir string) ([]*Manifest, error) {
-	names, err := bundleNames(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+	dirs, err := bundleDirs(dir)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	out := make([]*Manifest, 0, len(names))
-	for _, name := range names {
-		if m, err := ReadManifest(filepath.Join(dir, name)); err == nil {
+	out := make([]*Manifest, 0, len(dirs))
+	for _, d := range dirs {
+		if m, err := ReadManifest(d); err == nil {
 			out = append(out, m)
 		}
 	}
 	return out, nil
+}
+
+// WriteList prints one row per bundle: what a bundle directory holds.
+func WriteList(w io.Writer, bundles []*Manifest) {
+	fmt.Fprintf(w, "%-44s %-20s %-8s %-6s %s\n", "BUNDLE", "CREATED", "TRIGGER", "FILES", "REASON")
+	for _, m := range bundles {
+		fmt.Fprintf(w, "%-44s %-20s %-8s %-6d %s\n", m.Name,
+			m.CreatedAt.UTC().Format("2006-01-02T15:04:05Z"), m.Trigger, len(m.Files), m.Reason)
+	}
+}
+
+// WriteSummary prints one bundle: its manifest (trigger, files, collector
+// errors), the host state at capture from hostmon.json, and the top CPU
+// consumers in the bundled profile window. The flight dumps and capture
+// tail a bundle also holds are evidence files in their own formats.
+func WriteSummary(w io.Writer, bundleDir string) error {
+	m, err := ReadManifest(bundleDir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "bundle %s (v%d)\n", m.Name, m.Version)
+	fmt.Fprintf(w, "  trigger: %s (%s), created %s\n", m.Reason, m.Trigger,
+		m.CreatedAt.UTC().Format(time.RFC3339))
+	fmt.Fprintf(w, "  files (%d):\n", len(m.Files))
+	for _, n := range obs.SortedKeys(m.Files) {
+		fmt.Fprintf(w, "    %-28s %10d bytes\n", n, m.Files[n])
+	}
+	if len(m.Errors) > 0 {
+		fmt.Fprintf(w, "  collector errors (%d):\n", len(m.Errors))
+		for _, n := range obs.SortedKeys(m.Errors) {
+			fmt.Fprintf(w, "    %-28s %s\n", n, m.Errors[n])
+		}
+	}
+	if raw, err := os.ReadFile(filepath.Join(bundleDir, "hostmon.json")); err == nil {
+		var st hostmon.Status
+		if json.Unmarshal(raw, &st) == nil {
+			st.WriteSummary(w)
+		}
+	}
+	if raw, err := os.ReadFile(filepath.Join(bundleDir, "cpu.pprof")); err == nil {
+		hostmon.WriteTopSelf(w, raw)
+	}
+	return nil
+}
+
+// Evidence lists the evidence files a bundle holds in their own formats:
+// its copied breach dumps, oldest first, then its capture tail.
+func Evidence(bundleDir string) []string {
+	paths, _ := flight.ListDumps(filepath.Join(bundleDir, flightSubdir))
+	tail := filepath.Join(bundleDir, captureTailName)
+	if _, err := os.Stat(tail); err == nil {
+		paths = append(paths, tail)
+	}
+	return paths
 }

@@ -286,3 +286,67 @@ func TestStartCloseLifecycle(t *testing.T) {
 		t.Errorf("closed engine wrote %d bundles", len(bundles))
 	}
 }
+
+// TestCaptureTailStreamsALongSpool: the bundle's capture tail is the last
+// CaptureTail records of a spool many times that long (streamed through a
+// ring of that many records, not loaded whole), and a spool whose last
+// record is mid-write still yields a valid .slimcap plus a note.
+func TestCaptureTailStreamsALongSpool(t *testing.T) {
+	const tail, records, wireLen = 64, 200 * 64, 1200
+	spool := filepath.Join(t.TempDir(), "long.slimcap")
+	f, err := os.Create(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Unix(1700000000, 0)
+	if err := capture.WriteHeader(f, obs.DomainWall, epoch); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	wire := make([]byte, wireLen)
+	for i := 0; i < records; i++ {
+		buf = capture.AppendRecord(buf[:0], capture.Record{
+			T: time.Duration(i) * time.Millisecond, Dir: capture.DirDown,
+			Flow: -1, Size: wireLen, Console: "c1", Wire: wire,
+		})
+		if _, err := f.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Write(buf[:len(buf)/2]); err != nil { // a record mid-write
+		t.Fatal(err)
+	}
+	f.Close()
+
+	e := New(Config{Dir: t.TempDir(), CaptureTail: tail}, Sources{CaptureFile: spool})
+	stage := t.TempDir()
+	m := &Manifest{Files: map[string]int64{}, Errors: map[string]string{}}
+	e.captureTail(stage, m)
+
+	if note := m.Errors[captureTailName+".note"]; !strings.Contains(note, "truncated tail") {
+		t.Errorf("no truncation note for a spool cut mid-record: %v", m.Errors)
+	}
+	if _, failed := m.Errors[captureTailName]; failed {
+		t.Fatalf("capture tail failed: %v", m.Errors)
+	}
+	cf, err := os.Open(filepath.Join(stage, captureTailName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	h, recs, err := capture.ReadCapture(cf)
+	if err != nil {
+		t.Fatalf("tail is not a valid .slimcap: %v", err)
+	}
+	if h.Domain != obs.DomainWall || !h.Epoch.Equal(epoch) {
+		t.Errorf("tail header = %+v, want the spool's", h)
+	}
+	if len(recs) != tail {
+		t.Fatalf("tail holds %d records, want %d", len(recs), tail)
+	}
+	for i, rec := range recs {
+		if want := time.Duration(records-tail+i) * time.Millisecond; rec.T != want || len(rec.Wire) != wireLen {
+			t.Fatalf("tail[%d] at %v with %d wire bytes, want the spool's record at %v", i, rec.T, len(rec.Wire), want)
+		}
+	}
+}

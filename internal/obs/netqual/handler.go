@@ -33,6 +33,7 @@ type Status struct {
 }
 
 func (s *PathSession) statusAt(now time.Duration) SessionStatus {
+	pkts, bytes := s.Sent()
 	return SessionStatus{
 		ID:         s.id,
 		User:       s.user,
@@ -44,8 +45,8 @@ func (s *PathSession) statusAt(now time.Duration) SessionStatus {
 		LossShort:  s.LossShortAt(now),
 		LossLong:   s.LossLongAt(now),
 		GoodputBps: s.GoodputAt(now),
-		SentPkts:   s.sentPkts.Load(),
-		SentBytes:  s.sentBytes.Load(),
+		SentPkts:   pkts,
+		SentBytes:  bytes,
 	}
 }
 

@@ -496,6 +496,14 @@ func (s *PathSession) Samples() int64 {
 	return s.samples.Load()
 }
 
+// Sent returns how many datagrams, and bytes, OnSend has been told of.
+func (s *PathSession) Sent() (pkts, bytes int64) {
+	if s == nil {
+		return 0, 0
+	}
+	return s.sentPkts.Load(), s.sentBytes.Load()
+}
+
 // LossShortAt returns the short-window loss fraction as of now.
 func (s *PathSession) LossShortAt(now time.Duration) float64 {
 	if s == nil {

@@ -237,8 +237,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// sortedKeys returns map keys in stable order for exposition.
-func sortedKeys[V any](m map[string]V) []string {
+// SortedKeys returns map keys in stable order for exposition.
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"time"
-
 	"slim/internal/core"
 	"slim/internal/obs/capture"
 	"slim/internal/protocol"
@@ -21,57 +19,24 @@ import (
 // trace starts at zero.
 func FromCapture(recs []capture.Record) *Trace {
 	tr := &Trace{App: "capture"}
-	var base time.Duration
-	haveBase := false
-	add := func(t time.Duration, r Record) {
-		if !haveBase {
-			base, haveBase = t, true
-		}
-		r.T = t - base
-		tr.Append(r)
-	}
-	classify := func(t time.Duration, m protocol.Message) {
-		switch msg := m.(type) {
-		case *protocol.KeyEvent:
-			if msg.Down {
-				add(t, Record{Kind: KindKey})
-			}
-		case *protocol.PointerEvent:
-			if msg.Buttons != 0 {
-				add(t, Record{Kind: KindClick})
-			}
-		default:
-			if m.Type().IsDisplay() {
-				add(t, Record{
-					Kind:   KindDisplay,
-					Cmd:    m.Type(),
-					Bytes:  protocol.WireSize(m),
-					Pixels: core.PixelsOf(m),
-				})
-			}
-		}
-	}
 	for _, rec := range recs {
-		if len(rec.Wire) == 0 {
-			continue
-		}
-		if protocol.IsBatch(rec.Wire) {
-			if _, msgs, err := protocol.DecodeBatch(rec.Wire); err == nil {
-				for _, m := range msgs {
-					classify(rec.T, m)
+		rec.Walk(func(_ uint32, m protocol.Message, size int) {
+			switch msg := m.(type) {
+			case *protocol.KeyEvent:
+				if msg.Down {
+					tr.Append(Record{T: rec.T, Kind: KindKey})
+				}
+			case *protocol.PointerEvent:
+				if msg.Buttons != 0 {
+					tr.Append(Record{T: rec.T, Kind: KindClick})
+				}
+			default:
+				if m.Type().IsDisplay() {
+					tr.Append(Record{T: rec.T, Kind: KindDisplay, Cmd: m.Type(), Bytes: size, Pixels: core.PixelsOf(m)})
 				}
 			}
-			continue
-		}
-		rest := rec.Wire
-		for len(rest) > 0 {
-			_, m, n, err := protocol.Decode(rest)
-			if err != nil {
-				break
-			}
-			classify(rec.T, m)
-			rest = rest[n:]
-		}
+		})
 	}
+	tr.rebase()
 	return tr
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"time"
-
 	"slim/internal/obs/flight"
 	"slim/internal/protocol"
 )
@@ -21,34 +19,24 @@ import (
 // skipped. Timestamps are rebased so the trace starts at zero.
 func FromFlight(app string, evs []flight.Event) *Trace {
 	tr := &Trace{App: app}
-	var base time.Duration
-	haveBase := false
 	for _, ev := range evs {
-		var r Record
+		r := Record{T: ev.T}
 		switch ev.Kind {
 		case flight.EvInput:
 			switch ev.Cmd {
 			case protocol.TypeKey:
-				r = Record{Kind: KindKey}
+				r.Kind = KindKey
 			default:
-				r = Record{Kind: KindClick}
+				r.Kind = KindClick
 			}
 		case flight.EvEncode:
-			r = Record{
-				Kind:   KindDisplay,
-				Cmd:    ev.Cmd,
-				Bytes:  int(ev.A),
-				Pixels: int(ev.B),
-			}
+			r.Kind, r.Cmd, r.Bytes, r.Pixels = KindDisplay, ev.Cmd, int(ev.A), int(ev.B)
 		default:
 			continue
 		}
-		if !haveBase {
-			base, haveBase = ev.T, true
-		}
-		r.T = ev.T - base
 		tr.Append(r)
 	}
+	tr.rebase()
 	return tr
 }
 

@@ -78,6 +78,20 @@ func (t *Trace) Append(r Record) {
 	}
 }
 
+// rebase shifts the trace so that its first record is at time zero — what
+// the converters from live evidence (FromFlight, FromCapture) do to
+// timestamps taken on a running clock.
+func (t *Trace) rebase() {
+	if len(t.Records) == 0 {
+		return
+	}
+	base := t.Records[0].T
+	for i := range t.Records {
+		t.Records[i].T -= base
+	}
+	t.Duration -= base
+}
+
 // InputTimes returns the timestamps of all input events.
 func (t *Trace) InputTimes() []time.Duration {
 	var out []time.Duration

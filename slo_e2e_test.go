@@ -181,7 +181,7 @@ func TestSLOEndToEnd(t *testing.T) {
 	if err != nil || len(dumps) == 0 {
 		t.Fatalf("no breach dumps in %s (err=%v)", dir, err)
 	}
-	var table flight.BlameTable
+	var blame flight.Blame
 	for _, path := range dumps {
 		f, err := os.Open(path)
 		if err != nil {
@@ -195,8 +195,9 @@ func TestSLOEndToEnd(t *testing.T) {
 		if d.Verdict == nil {
 			t.Fatalf("%s has no verdict", path)
 		}
-		table.Add(d)
+		blame.Add(d, false)
 	}
+	table := blame.Total
 	if table.Share(flight.StageWire) < 0.9 {
 		t.Errorf("dump WIRE share = %.0f%% of %d, want >= 90%%",
 			100*table.Share(flight.StageWire), table.Total)
