@@ -1,0 +1,427 @@
+package slim
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"slim/internal/core"
+	"slim/internal/obs/capture"
+	"slim/internal/obs/flight"
+	"slim/internal/protocol"
+	"slim/internal/raceflag"
+	"slim/internal/server"
+	"slim/internal/workload"
+)
+
+// The server hands a burst-capable transport everything one call produced
+// for a console at once, and the UDP endpoint packs it into §5.4 frames
+// (udp.go SendBurst, protocol.PackFrame). The tests below hold that to the
+// console's side of the contract — frames were always legal input, so a
+// framed stream must paint what the plain stream paints and heal the same
+// way — and pin what it buys on a live socket.
+
+// Fabric stays per-datagram: harnesses that embed it (bench's fabricTap,
+// slowTransport, meteredFabric) count and time traffic in Send, and a
+// promoted SendBurst would route bursts around them.
+func TestFabricIsNotABurstSender(t *testing.T) {
+	if _, ok := Transport(NewFabric()).(server.BurstSender); ok {
+		t.Fatal("*Fabric implements server.BurstSender")
+	}
+}
+
+// scrollApp answers each key press with the next step of
+// internal/workload's scroll drive — the bench's scroll_udp script: the
+// 512x384 priming paint cut into eight strips a flow governor can hold,
+// then the bounce (a COPY of the body plus the 512x48 exposed strip).
+type scrollApp struct {
+	steps [][]Op
+	next  int
+
+	// A live test stores the session's encoder here; each key release
+	// then publishes releases<<32 | the sequence the encoder has reached,
+	// which is where the press before it ends (bench's benchApp does the
+	// same).
+	enc      atomic.Pointer[core.Encoder]
+	releases uint32
+	pub      atomic.Uint64
+}
+
+const (
+	scrollPrimes = 8
+	scrollCycle  = 24 // one bounce: the screen is back where it started
+)
+
+func newScrollApp(t *testing.T) *scrollApp {
+	t.Helper()
+	d, err := workload.NewDrive("scroll", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &scrollApp{}
+	img := d.Step(0)[0].(ImageOp)
+	rows := img.Rect.H / scrollPrimes
+	for y := 0; y < img.Rect.H; y += rows {
+		a.steps = append(a.steps, []Op{ImageOp{
+			Rect:   Rect{X: img.Rect.X, Y: img.Rect.Y + y, W: img.Rect.W, H: rows},
+			Pixels: img.Pixels[y*img.Rect.W : (y+rows)*img.Rect.W],
+		}})
+	}
+	for i := 1; i <= scrollCycle; i++ {
+		a.steps = append(a.steps, d.Step(i))
+	}
+	return a
+}
+
+func (a *scrollApp) HandleKey(ev protocol.KeyEvent) []Op {
+	if !ev.Down {
+		a.releases++
+		var seq uint32
+		if enc := a.enc.Load(); enc != nil {
+			seq = enc.LastSeq()
+		}
+		a.pub.Store(uint64(a.releases)<<32 | uint64(seq))
+		return nil
+	}
+	i := a.next
+	if i >= len(a.steps) {
+		i = scrollPrimes + (i-scrollPrimes)%scrollCycle
+	}
+	a.next++
+	return a.steps[i]
+}
+
+func (a *scrollApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
+
+// wireTap records every datagram the server hands a plain Fabric.
+type wireTap struct {
+	*Fabric
+	wires [][]byte
+}
+
+func (w *wireTap) Send(console string, wire []byte) error {
+	w.wires = append(w.wires, append([]byte(nil), wire...))
+	return w.Fabric.Send(console, wire)
+}
+
+// framedFabric is a Fabric behind the UDP endpoint's send path, each
+// datagram delivered by Fabric.Send. drop, when set, is the one frame
+// (counted from 1) that vanishes on the wire.
+type framedFabric struct {
+	*Fabric
+	frames, drop int
+}
+
+func (f *framedFabric) SendBurst(console string, wires [][]byte) error {
+	return packAndSend(wires, func(datagram []byte, commands int) error {
+		if commands > 1 {
+			if f.frames++; f.frames == f.drop {
+				return nil
+			}
+		}
+		return f.Fabric.Send(console, datagram)
+	})
+}
+
+// TestFramedStreamPaintsWhatPlainPaints captures the plain wires of an
+// attach and a scroll drive on a Fabric, packs each input's wires as the
+// UDP endpoint would, and replays the result into a fresh console through
+// Console.HandleDatagram alone: same pixels, nothing dropped, no NACK.
+// Neither console generation needed a change to read the new stream.
+func TestFramedStreamPaintsWhatPlainPaints(t *testing.T) {
+	for _, gen := range []struct {
+		name string
+		opts []ServerOption
+		cfg  ConsoleConfig
+	}{
+		{"gen1", nil, ConsoleConfig{Width: 640, Height: 480}},
+		{"gen2", []ServerOption{WithCodec2()}, ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries}},
+	} {
+		t.Run(gen.name, func(t *testing.T) {
+			tap := &wireTap{Fabric: NewFabric()}
+			app := newScrollApp(t)
+			srv := NewServer(tap, func(string, int, int) Application { return app },
+				append(gen.opts, WithTelemetry(NewTelemetry()))...)
+			srv.Auth.Register("card-alice", "alice")
+			live, err := NewConsole(gen.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tap.Attach("desk-1", live, srv)
+			var bursts []int // len(tap.wires) after each input
+			if err := tap.Boot("desk-1", "card-alice"); err != nil {
+				t.Fatal(err)
+			}
+			bursts = append(bursts, len(tap.wires))
+			for i := 0; i < scrollPrimes+2*scrollCycle; i++ {
+				if err := tap.SendKey("desk-1", 'j', true); err != nil {
+					t.Fatal(err)
+				}
+				bursts = append(bursts, len(tap.wires))
+			}
+			sess := srv.SessionByUser("alice")
+			if !live.Framebuffer().Equal(sess.Encoder.FB) {
+				t.Fatal("the plain stream itself diverged")
+			}
+
+			replayed, err := NewConsole(gen.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, datagrams, from := 0, 0, 0
+			for _, to := range bursts {
+				err := packAndSend(tap.wires[from:to], func(datagram []byte, commands int) error {
+					datagrams++
+					if commands > 1 {
+						frames++
+					}
+					replies, err := replayed.HandleDatagram(datagram, 0)
+					for _, r := range replies {
+						if _, msg, _, _ := protocol.Decode(r); msg.Type() == protocol.TypeNack {
+							t.Fatalf("datagram %d drew a NACK: %+v", datagrams, msg)
+						}
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("by datagram %d: %v", datagrams, err)
+				}
+				from = to
+			}
+			t.Logf("%d plain wires replayed as %d datagrams, %d of them frames", len(tap.wires), datagrams, frames)
+			if frames == 0 {
+				t.Fatal("nothing was framed")
+			}
+			if !replayed.Framebuffer().Equal(sess.Encoder.FB) {
+				n, _ := replayed.Framebuffer().DiffPixels(sess.Encoder.FB)
+				t.Errorf("framed replay differs from the session's frame buffer in %d pixels", n)
+			}
+			applied, dropped := replayed.Counters()
+			if liveApplied, _ := live.Counters(); applied != liveApplied || dropped != 0 {
+				t.Errorf("framed replay applied %d commands and dropped %d; the plain stream applied %d", applied, dropped, liveApplied)
+			}
+		})
+	}
+}
+
+// TestLostFrameHealsByOneNack: a frame is the unit of loss. One warmed
+// scroll step's first frame (70 commands) vanishes; the console reports
+// the hole as one NACK range and the server heals it from its frame
+// buffer with no more than a repaint's worth of commands.
+func TestLostFrameHealsByOneNack(t *testing.T) {
+	kit := NewTelemetry()
+	ff := &framedFabric{Fabric: NewFabric()}
+	app := newScrollApp(t)
+	srv := NewServer(ff, func(string, int, int) Application { return app }, WithCodec2(), WithTelemetry(kit))
+	srv.Auth.Register("card-alice", "alice")
+	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries, Obs: kit.Registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.Attach("desk-1", con, srv)
+	if err := ff.Boot("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.SessionByUser("alice")
+	repaint := uint64(sess.Encoder.LastSeq()) // the attach is one full repaint
+	for i := 0; i < scrollPrimes+scrollCycle; i++ {
+		if err := ff.SendKey("desk-1", 'j', true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nacks := kit.Registry.Counter("slim_console_nacks_total")
+	if !con.Framebuffer().Equal(sess.Encoder.FB) || nacks.Value() != 0 {
+		t.Fatalf("warm-up over a loss-free framed fabric: %d NACKs, frame buffers equal=%v",
+			nacks.Value(), con.Framebuffer().Equal(sess.Encoder.FB))
+	}
+
+	before := sess.Encoder.LastSeq()
+	ff.drop = ff.frames + 1
+	if err := ff.SendKey("desk-1", 'j', true); err != nil {
+		t.Fatal(err)
+	}
+	if ff.frames < ff.drop {
+		t.Fatal("the step sent no frame to lose")
+	}
+	if got := nacks.Value(); got != 1 {
+		t.Errorf("one lost frame drew %d NACKs, want 1", got)
+	}
+	if sent := uint64(sess.Encoder.LastSeq() - before); sent > 97+repaint {
+		t.Errorf("step and recovery sent %d commands; a step is 97 and a full repaint %d", sent, repaint)
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("console differs from the session's frame buffer in %d pixels after recovery", n)
+	}
+}
+
+// udpTx reads the UDP daemon's cumulative send counters (process-wide, so
+// callers work with differences).
+func udpTx() (datagrams, bytes int64) {
+	m := Metrics()
+	return m.Counter("slim_udp_tx_datagrams_total").Value(), m.Counter("slim_udp_tx_bytes_total").Value()
+}
+
+// shippedProfile is `slimd -flow -codec2` and the console that goes with it.
+func shippedProfile(w, h int) ([]ServerOption, ConsoleConfig) {
+	return []ServerOption{WithFlowControl(FlowConfig{}), WithCodec2()},
+		ConsoleConfig{Width: w, Height: h, TileCacheEntries: DefaultTileCacheEntries}
+}
+
+// TestUDPAttachDatagramBudget: a 1280x1024 gen-2 attach is 5,120 tiles.
+// One datagram each overruns a default socket buffer (about 270 of them)
+// before the reader wakes; packed, the repaint is some 75 datagrams and
+// the console attaches with the socket as the kernel made it.
+func TestUDPAttachDatagramBudget(t *testing.T) {
+	opts, cfg := shippedProfile(1280, 1024)
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Server.Auth.Register("card-a", "attach")
+	datagrams0, _ := udpTx()
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), cfg, TokenOf("card-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer con.Close()
+	waitAttached(t, con)
+	settledSeq(t, con, 0)
+	datagrams, _ := udpTx()
+	sess := srv.Server.SessionByUser("attach") // the lock orders this after the repaint
+	applied, dropped := con.Console.Counters()
+	t.Logf("attach: %d commands in %d datagrams", applied, datagrams-datagrams0)
+	if applied < 5120 || dropped != 0 {
+		t.Errorf("console applied %d commands and dropped %d, want the 5,120-tile repaint", applied, dropped)
+	}
+	if sent := datagrams - datagrams0; sent > 100 {
+		t.Errorf("attach sent %d datagrams, want at most 100", sent)
+	}
+	if !con.Console.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := con.Console.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("console differs from the session's frame buffer in %d pixels", n)
+	}
+}
+
+// TestUDPScrollStep: one warmed scroll step — a COPY and 96 cache hits,
+// 2,712 B as 97 plain datagrams — leaves in two. The live capture of it
+// still reads as 97 commands in the Tables 2-3 rows.
+func TestUDPScrollStep(t *testing.T) {
+	if raceflag.Enabled {
+		// The warm-up's literal strips outrun a race-built console: tails
+		// are lost in the default receive buffer, and the pacer and serve
+		// goroutines' interleaved sends draw spurious NACKs (ROADMAP item
+		// 1), so the step under test is no longer the only traffic.
+		t.Skip("a race-built console cannot keep pace with the warm-up")
+	}
+	opts, cfg := shippedProfile(640, 480)
+	app := newScrollApp(t)
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0",
+		func(string, int, int) Application { return app }, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Server.Auth.Register("card-s", "scroll")
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), cfg, TokenOf("card-s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer con.Close()
+	waitAttached(t, con)
+	app.enc.Store(srv.Server.SessionByUser("scroll").Encoder)
+	// step scrolls once and returns the sequence number the step ended
+	// at, once the console has painted up to it.
+	step := func() uint32 {
+		t.Helper()
+		releases := app.pub.Load() >> 32
+		if err := con.TypeString("j"); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if p := app.pub.Load(); p>>32 != releases && int32(con.Console.Status().LastSeq-uint32(p)) >= 0 {
+				return uint32(p)
+			}
+		}
+		t.Fatal("the console never painted the step")
+		return 0
+	}
+	var seq uint32
+	for i := 0; i < scrollPrimes+scrollCycle; i++ {
+		seq = step()
+	}
+
+	ring := Capture()
+	ring.Drain()
+	ring.SetEnabled(true)
+	datagrams0, bytes0 := udpTx()
+	warmed := seq
+	seq = step()
+	datagrams, bytes := udpTx()
+	ring.SetEnabled(false)
+	if seq-warmed != 97 {
+		t.Fatalf("the warmed step was %d commands, want 97 (COPY + 96 CACHE_PAINT)", seq-warmed)
+	}
+	if n, b := datagrams-datagrams0, bytes-bytes0; n > 3 || b >= 2000 {
+		t.Errorf("the step left in %d datagrams, %d B; want at most 3 and under 2,000", n, b)
+	}
+	rep := capture.BuildReport(capture.Header{}, ring.Drain())
+	rows := map[string]capture.Row{}
+	for _, r := range rep.Down {
+		rows[r.Label] = r
+	}
+	if cp, cpy := rows[protocol.TypeCachePaint.String()], rows[protocol.TypeCopy.String()]; cp.Count != 96 || cp.Bytes != 96*28 || cpy.Count != 1 || rep.Undecoded != 0 {
+		t.Errorf("captured step reads as %d CACHE_PAINT (%d B), %d COPY, %d undecoded: %+v",
+			cp.Count, cp.Bytes, cpy.Count, rep.Undecoded, rep.Down)
+	}
+	if _, dropped := con.Console.Counters(); dropped != 0 {
+		t.Errorf("console dropped %d commands", dropped)
+	}
+}
+
+// TestFailedFrameWriteDropsEveryMember: a frame the socket refuses is the
+// loss of every command in it, and each one's chain must say so — TX, then
+// DROP — or a breach dump shows commands that left and never arrived with
+// nothing in between.
+func TestFailedFrameWriteDropsEveryMember(t *testing.T) {
+	kit := NewTelemetry()
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0",
+		func(string, int, int) Application { return &burstApp{} }, WithTelemetry(kit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Server.Auth.Register("card-f", "fail")
+	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer con.Close()
+	waitAttached(t, con)
+	seq := settledSeq(t, con, 0)
+	time.Sleep(2 * StatusAckDelay) // the repaint's trailing ack has been read
+
+	// Every write fails from here on; the serve loop exits on the same
+	// error, so the burst below is the only thing using the server.
+	srv.conn.Close()
+	desk := con.conn.LocalAddr().String()
+	if err := srv.Server.Handle(desk, &protocol.KeyEvent{Code: 'b', Down: true}, kit.Clock.Now()); err == nil {
+		t.Fatal("a burst onto a closed socket reported no error")
+	}
+	sess := srv.Server.SessionByUser("fail")
+	chain := map[uint32][]flight.Kind{}
+	for _, ev := range kit.Flight.Events(sess.ID, 0) {
+		if (ev.Kind == flight.EvTx || ev.Kind == flight.EvDrop) && ev.Seq > seq {
+			chain[ev.Seq] = append(chain[ev.Seq], ev.Kind)
+		}
+	}
+	if len(chain) != burstLen {
+		t.Fatalf("flight ring holds TX/DROP for %d of the burst's %d commands", len(chain), burstLen)
+	}
+	for s, kinds := range chain {
+		if len(kinds) != 2 || kinds[0] != flight.EvTx || kinds[1] != flight.EvDrop {
+			t.Fatalf("seq %d: chain %v, want TX then DROP", s, kinds)
+		}
+	}
+}

@@ -82,6 +82,12 @@ func (r *recordingTransport) Send(console string, wire []byte) error {
 	r.sent = append(r.sent, append([]byte(nil), wire...))
 	return nil
 }
+
+// SendBurst records a burst as the UDP endpoint would send it: display
+// runs packed into §5.4 frames, which bandwidthRequests must see past.
+func (r *recordingTransport) SendBurst(console string, wires [][]byte) error {
+	return packAndSend(wires, func(datagram []byte, _ int) error { return r.Send(console, datagram) })
+}
 func (r *recordingTransport) Addr() net.Addr { return fabricAddr{} }
 func (r *recordingTransport) Close() error   { return nil }
 
@@ -121,7 +127,7 @@ func TestCalibrationConvergesAndRepacesGovernor(t *testing.T) {
 	tr := &recordingTransport{}
 	srv := NewServer(tr, WithTerminalApp(),
 		WithTelemetry(kit),
-		WithFlowControl(FlowConfig{Batch: true}),
+		WithFlowControl(FlowConfig{}),
 		WithCalibratedCosts(cal))
 	srv.Auth.Register("card-a", "alice")
 	if err := srv.Handle("desk-a", &protocol.Hello{Width: 640, Height: 480, CardToken: "card-a"}, 0); err != nil {

@@ -8,6 +8,8 @@ import (
 
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
+	"slim/internal/obs/netqual"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 )
 
@@ -130,5 +132,102 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestFramedCaptureReadsPerCommand: a capture of traffic framed the way
+// the UDP endpoint frames it is still evidence about commands. The
+// .slimcap round trip yields the Tables 2-3 rows the encoder's own
+// per-command accounting has — every member of every frame, at its
+// plain-framed size — and netqual.Replay of the records reproduces the
+// live path tracker exactly (sim domain, so timestamps line up).
+func TestFramedCaptureReadsPerCommand(t *testing.T) {
+	kit := telemetry.New(obs.DomainSim)
+	kit.NetQual.SetEnabled(true)
+	ring := capture.NewRing(1 << 14)
+	ring.SetEnabled(true)
+	ff := &framedFabric{Fabric: NewFabric()}
+	ff.SetCapture(ring)
+	app := newScrollApp(t)
+	srv := NewServer(ff, func(string, int, int) Application { return app }, WithCodec2(), WithTelemetry(kit))
+	srv.Auth.Register("card-alice", "alice")
+	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries, Obs: kit.Registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.Attach("desk-1", con, srv)
+
+	now := time.Duration(0)
+	tick := func(d time.Duration) {
+		t.Helper()
+		now += d
+		kit.Clock.Set(now)
+		ff.SetClock(now)
+		if err := ff.Pump(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ff.Boot("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	tick(time.Second)
+	for i := 0; i < scrollPrimes+2*scrollCycle; i++ {
+		if err := ff.SendKey("desk-1", 'j', true); err != nil {
+			t.Fatal(err)
+		}
+		tick(time.Duration(30+i%7) * time.Millisecond)
+	}
+	tick(2 * time.Second)
+	if ff.frames < scrollCycle {
+		t.Fatalf("only %d frames crossed the fabric", ff.frames)
+	}
+
+	var buf bytes.Buffer
+	if err := capture.WriteHeader(&buf, obs.DomainSim, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ring.SpoolTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h, recs, err := capture.ReadCapture(bytes.NewReader(buf.Bytes()))
+	if err != nil || ring.Drops() != 0 {
+		t.Fatalf("read back: %v (ring shed %d records)", err, ring.Drops())
+	}
+
+	sess := srv.SessionByUser("alice")
+	rep := capture.BuildReport(h, recs)
+	if rep.Undecoded != 0 {
+		t.Errorf("%d captured datagrams did not decode", rep.Undecoded)
+	}
+	down := map[string]capture.Row{}
+	for _, r := range rep.Down {
+		down[r.Label] = r
+	}
+	for typ, want := range sess.Encoder.Stats.PerType {
+		if got := down[typ.String()]; got.Count != want.Commands || got.Bytes != want.WireBytes || got.Pixels != want.Pixels {
+			t.Errorf("%v row: %d commands, %d B, %d px; the encoder emitted %d, %d B, %d px",
+				typ, got.Count, got.Bytes, got.Pixels, want.Commands, want.WireBytes, want.Pixels)
+		}
+	}
+	if cp := down[protocol.TypeCachePaint.String()]; cp.Count < 96*scrollCycle {
+		t.Errorf("CACHE_PAINT row counts %d commands; the warmed bounce alone is %d", cp.Count, 96*scrollCycle)
+	}
+
+	live := kit.NetQual.Lookup(sess.ID)
+	paths := netqual.Replay(recs)
+	if len(paths.Paths) != 1 || paths.Undecodable != 0 {
+		t.Fatalf("replay = %d paths, %d undecodable; want desk-1 alone", len(paths.Paths), paths.Undecodable)
+	}
+	got := paths.Paths[0]
+	if live.Samples() == 0 || got.Samples() != live.Samples() || got.SRTT() != live.SRTT() || got.RTTVar() != live.RTTVar() {
+		t.Errorf("replayed RTT: %d samples srtt %v rttvar %v; live: %d samples srtt %v rttvar %v",
+			got.Samples(), got.SRTT(), got.RTTVar(), live.Samples(), live.SRTT(), live.RTTVar())
+	}
+	gotPkts, gotBytes := got.Sent()
+	if pkts, nbytes := live.Sent(); gotPkts != pkts || gotBytes != nbytes {
+		t.Errorf("replay counted %d commands (%d B) sent, the server %d (%d B)", gotPkts, gotBytes, pkts, nbytes)
+	}
+	if got.LossLongAt(now) != live.LossLongAt(now) || got.Jitter() != live.Jitter() {
+		t.Errorf("replayed loss %.4f jitter %v, live %.4f %v", got.LossLongAt(now), got.Jitter(), live.LossLongAt(now), live.Jitter())
 	}
 }

@@ -16,6 +16,11 @@ import (
 // paper ran on.
 const DefaultMTU = 1400
 
+// MaxDatagram is the largest datagram the encoder emits at DefaultMTU, and
+// so the size an endpoint packing commands into §5.4 frames fills: a frame
+// never asks more of the path than a SET strip already does.
+const MaxDatagram = protocol.HeaderSize + DefaultMTU
+
 // Datagram is one framed protocol message ready for transmission.
 //
 // Payload aliasing: when wire generation is on, the pixel/bitmap payloads
@@ -307,16 +312,12 @@ func (e *Encoder) encodeBitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []by
 // destination is carved proportionally so scaled strips tile exactly.
 func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
 	budget := e.MTU - 17 // two rects + format byte
-	// Rows per strip under the byte budget, rounded down to even.
+	// Rows per strip: the whole frame if it fits, else the largest even
+	// count whose payload does (payload grows with rows; two is the floor).
 	rows := o.Src.H
-	for rows > 2 && o.Format.PayloadLen(o.Src.W, rows) > budget {
-		rows = (rows / 2) &^ 1
-		if rows < 2 {
-			rows = 2
+	if o.Format.PayloadLen(o.Src.W, rows) > budget {
+		for rows = 2; o.Format.PayloadLen(o.Src.W, rows+2) <= budget; rows += 2 {
 		}
-	}
-	for rows > 2 && o.Format.PayloadLen(o.Src.W, rows) > budget {
-		rows -= 2
 	}
 	// Strip geometry first, so compression can fan out over the strips.
 	var strips []protocol.Rect // Y = source row offset, H = strip height

@@ -194,6 +194,67 @@ func TestEncodeVideoStrips(t *testing.T) {
 	}
 }
 
+// TestVideoStripsFillTheMTU: a frame that does not fit one datagram leaves
+// in the tallest even strips that do — every strip within the MTU, none
+// with room for two more rows (the halving search this replaced sent a
+// 320x240 CSCS6 frame as 120 two-row strips of 509 B where four rows fit).
+func TestVideoStripsFillTheMTU(t *testing.T) {
+	cases := []struct {
+		w, h   int
+		format protocol.CSCSFormat
+		strips int // 0: not pinned
+	}{
+		{320, 240, protocol.CSCS6, 60},
+		{320, 240, protocol.CSCS5, 0},
+		{320, 240, protocol.CSCS16, 0},
+		{640, 480, protocol.CSCS8, 0},
+		{352, 288, protocol.CSCS12, 0},
+		{64, 48, protocol.CSCS12, 0},
+		{31, 17, protocol.CSCS16, 0},
+		{1280, 6, protocol.CSCS16, 0}, // two rows already over budget: the floor
+		{16, 16, protocol.CSCS5, 1},   // fits whole
+	}
+	for _, tc := range cases {
+		e := NewEncoder(1280, 1024)
+		dgs, err := e.Encode(VideoOp{
+			Src:    protocol.Rect{W: tc.w, H: tc.h},
+			Dst:    protocol.Rect{W: tc.w, H: tc.h},
+			Format: tc.format,
+			Pixels: make([]protocol.Pixel, tc.w*tc.h),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.strips != 0 && len(dgs) != tc.strips {
+			t.Errorf("%dx%d format %d: %d strips, want %d", tc.w, tc.h, tc.format, len(dgs), tc.strips)
+		}
+		budget := e.MTU - 17
+		rows := 0
+		for i, d := range dgs {
+			cs := d.Msg.(*protocol.CSCS)
+			rows += cs.Src.H
+			if len(cs.Data) > budget && cs.Src.H > 2 {
+				t.Errorf("%dx%d format %d: strip %d is %d rows, %d B over the %d B budget",
+					tc.w, tc.h, tc.format, i, cs.Src.H, len(cs.Data), budget)
+			}
+			last := i == len(dgs)-1
+			if !last && cs.Src.H%2 != 0 {
+				t.Errorf("%dx%d format %d: strip %d has odd height %d", tc.w, tc.h, tc.format, i, cs.Src.H)
+			}
+			if !last && tc.format.PayloadLen(tc.w, cs.Src.H+2) <= budget {
+				t.Errorf("%dx%d format %d: strip %d is %d rows (%d B) but %d would fit",
+					tc.w, tc.h, tc.format, i, cs.Src.H, len(cs.Data), cs.Src.H+2)
+			}
+		}
+		if rows != tc.h {
+			t.Errorf("%dx%d format %d: strips carry %d rows", tc.w, tc.h, tc.format, rows)
+		}
+		for i := range dgs {
+			dgs[i].ReleaseWire()
+		}
+	}
+}
+
 // The load-bearing invariant of the whole system: after applying an
 // encoder's datagrams in order, a console frame buffer is pixel-identical
 // to the server's authoritative frame buffer — for arbitrary op sequences.

@@ -82,23 +82,3 @@ func (m *EncoderMetrics) ObserveEncode(start time.Time) {
 	}
 	m.encodeSeconds.Observe(time.Since(start))
 }
-
-// BatcherMetrics instruments the §5.4 command batcher: live queue depth and
-// flush accounting for the low-bandwidth path.
-type BatcherMetrics struct {
-	// Pending is the number of messages currently coalescing.
-	Pending *obs.Gauge
-	// Batches counts flushed batch packets.
-	Batches *obs.Counter
-	// Messages counts messages that left inside batches.
-	Messages *obs.Counter
-}
-
-// NewBatcherMetrics resolves the batcher metric family in r.
-func NewBatcherMetrics(r *obs.Registry) *BatcherMetrics {
-	return &BatcherMetrics{
-		Pending:  r.Gauge("slim_batch_pending"),
-		Batches:  r.Counter("slim_batches_total"),
-		Messages: r.Counter("slim_batched_messages_total"),
-	}
-}

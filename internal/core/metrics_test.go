@@ -113,26 +113,3 @@ func TestEncoderMetricsNilInert(t *testing.T) {
 	em.Record(&protocol.Fill{Rect: protocol.Rect{W: 1, H: 1}})
 	em.ObserveEncode(time.Now())
 }
-
-func TestBatcherMetricsWiring(t *testing.T) {
-	reg := obs.NewRegistry(obs.DomainWall)
-	b := NewBatcher(0)
-	b.Metrics = NewBatcherMetrics(reg)
-
-	b.Add(Datagram{Seq: 1, Msg: &protocol.Fill{Rect: protocol.Rect{W: 5, H: 5}}})
-	b.Add(Datagram{Seq: 2, Msg: &protocol.Fill{Rect: protocol.Rect{W: 6, H: 6}}})
-	if got := reg.Snapshot().Gauges["slim_batch_pending"]; got != 2 {
-		t.Errorf("pending gauge = %d, want 2", got)
-	}
-	if out := b.Flush(); len(out) != 1 {
-		t.Fatalf("Flush returned %d packets, want 1", len(out))
-	}
-	snap := reg.Snapshot()
-	if snap.Gauges["slim_batch_pending"] != 0 {
-		t.Errorf("pending gauge after flush = %d, want 0", snap.Gauges["slim_batch_pending"])
-	}
-	if snap.Counters["slim_batches_total"] != 1 || snap.Counters["slim_batched_messages_total"] != 2 {
-		t.Errorf("batch counters = %d batches / %d messages, want 1/2",
-			snap.Counters["slim_batches_total"], snap.Counters["slim_batched_messages_total"])
-	}
-}

@@ -6,6 +6,7 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/netsim"
+	"slim/internal/protocol"
 	"slim/internal/stats"
 	"slim/internal/workload"
 )
@@ -39,19 +40,32 @@ func LowBandwidth(app workload.App, bps float64, seed uint64, dur time.Duration)
 	line := &netsim.Link{Bps: netsim.Rate100Mbps}
 	var plain []netsim.Packet
 	var batched []netsim.Packet
-	batcher := core.NewBatcher(core.DefaultMTU)
+	var burst [][]byte        // the current event's plain wires...
+	var ready []time.Duration // ...and when each was serialized
+	var frame []byte
 	var lastEvent time.Duration
 
-	flushBatch := func(t time.Duration) {
-		for _, wire := range batcher.Flush() {
-			batched = append(batched, netsim.Packet{T: t, Size: len(wire), Flow: 1})
+	// An event's commands leave together, as one burst through the packer
+	// the UDP endpoint runs: the previous update is never held hostage. A
+	// datagram closed by a command that did not fit leaves when that
+	// command was ready, the burst's last one at the event's own instant.
+	flushBurst := func() {
+		for i := 0; i < len(burst); {
+			var n int
+			frame, n = protocol.PackFrame(frame, burst[i:], core.DefaultMTU)
+			i += n
+			t := lastEvent
+			if i < len(burst) {
+				t = ready[i]
+			}
+			batched = append(batched, netsim.Packet{T: t, Size: len(frame), Flow: 1})
 		}
+		burst, ready = burst[:0], ready[:0]
 	}
 	for i, op := range sess.Ops {
 		t := sess.OpTimes[i]
 		if t != lastEvent {
-			// Event boundary: don't hold the previous update hostage.
-			flushBatch(lastEvent)
+			flushBurst()
 			lastEvent = t
 		}
 		dgs, err := enc.Encode(op)
@@ -62,12 +76,11 @@ func LowBandwidth(app workload.App, bps float64, seed uint64, dur time.Duration)
 		for _, d := range dgs {
 			pt += line.SerializeTime(len(d.Wire))
 			plain = append(plain, netsim.Packet{T: pt, Size: len(d.Wire), Flow: 0})
-			for _, wire := range batcher.Add(d) {
-				batched = append(batched, netsim.Packet{T: pt, Size: len(wire), Flow: 1})
-			}
+			burst = append(burst, d.Wire)
+			ready = append(ready, pt)
 		}
 	}
-	flushBatch(lastEvent)
+	flushBurst()
 
 	for _, p := range plain {
 		res.PlainBytes += int64(p.Size + netsim.FrameOverhead)

@@ -4,7 +4,7 @@
 // share and answers BandwidthRequests with BandwidthGrants; this package
 // makes the server honor them.
 //
-// The governor sits between the encoder and the transport and does four
+// The governor sits between the encoder and the transport and does three
 // things:
 //
 //   - Paces: a token-bucket (bytes; refilled at the granted bps) releases
@@ -24,8 +24,10 @@
 //     NACKs whose entire range was superseded are suppressed outright: the
 //     console never painted those commands, but newer queued state covers
 //     every pixel they would have touched.
-//   - Batches: adjacent small FILL/COPY commands released in one quantum
-//     coalesce into §5.4 batch frames via the core batcher.
+//
+// Released commands leave one Packet each, at their plain-framed size;
+// packing a burst of them into §5.4 frames is the socket endpoint's job
+// (protocol.PackFrame), so tokens are an upper bound on wire bytes.
 //
 // The governor is clock-agnostic: every method takes the current time as a
 // time.Duration offset, so the same code paces wall-clock transports (udp,
@@ -73,11 +75,6 @@ type Config struct {
 	// RetransmitBackoffMax caps the exponential backoff
 	// (0 means DefaultRetransmitBackoffMax).
 	RetransmitBackoffMax time.Duration
-	// Batch coalesces small FILL/COPY commands released together into §5.4
-	// batch frames.
-	Batch bool
-	// MTU bounds batched packets (0 means core.DefaultMTU).
-	MTU int
 	// Costs is the console cost model behind the derived defaults
 	// (nil means core.SunRay1Costs).
 	Costs *core.CostModel
@@ -174,9 +171,6 @@ func (c Config) withDefaults() Config {
 	if c.RetransmitBackoffMax == 0 {
 		c.RetransmitBackoffMax = DefaultRetransmitBackoffMax
 	}
-	if c.MTU == 0 {
-		c.MTU = core.DefaultMTU
-	}
 	return c
 }
 
@@ -186,8 +180,7 @@ type Item struct {
 	// suppression.
 	Seq uint32
 	Cmd protocol.MsgType
-	// Msg is the decoded command; supersession reads its rects and
-	// batching re-encodes it.
+	// Msg is the decoded command; supersession reads its rects.
 	Msg protocol.Message
 	// Wire is the framed datagram (may be nil in simulations that only
 	// account bytes; then the wire size is computed from Msg).
@@ -223,13 +216,12 @@ func (it Item) Bytes() int {
 	return 0
 }
 
-// Packet is one transport datagram released by the governor: a single
-// command, or a §5.4 batch frame holding several.
+// Packet is one command released by the governor.
 type Packet struct {
-	// Wire is the bytes to hand to the transport (nil when every member
-	// item was submitted without wire framing).
+	// Wire is the bytes to hand to the transport (nil when the item was
+	// submitted without wire framing).
 	Wire []byte
-	// Items are the member commands, in sequence order.
+	// Items is the one command Wire carries.
 	Items []Item
 }
 
@@ -294,8 +286,6 @@ type Governor struct {
 	dropScratch []bool
 	dropped     []Item // Reset's reusable return slab
 
-	batcher *core.Batcher
-
 	shed *seqSet
 
 	backoff  time.Duration
@@ -345,9 +335,6 @@ func NewGovernor(cfg Config, m *Metrics) *Governor {
 		autoSupersede: cfg.SupersedeThresholdBytes == 0,
 	}
 	g.cfg = cfg.withDefaults()
-	if g.cfg.Batch {
-		g.batcher = core.NewBatcher(g.cfg.MTU)
-	}
 	return g
 }
 
@@ -571,9 +558,8 @@ func (g *Governor) supersede(it Item) []Item {
 	return shed
 }
 
-// Release returns the packets the grant allows to leave now, in sequence
-// order. With batching enabled, runs of small FILL/COPY commands coalesce
-// into batch frames.
+// Release returns the commands the grant allows to leave now, in sequence
+// order, one Packet each.
 func (g *Governor) Release(now time.Duration) []Packet {
 	g.refill(now)
 	if len(g.queue) == 0 {
@@ -604,46 +590,16 @@ func (g *Governor) Release(now time.Duration) []Packet {
 	if n == 0 {
 		return nil
 	}
-	pkts := g.pack(g.queue[:n])
-	for _, e := range g.queue[:n] {
+	// One backing array serves every packet's one-item list.
+	pkts, items := make([]Packet, n), make([]Item, n)
+	for i, e := range g.queue[:n] {
+		items[i] = e.it
+		pkts[i] = Packet{Wire: e.it.Wire, Items: items[i : i+1 : i+1]}
 		g.queueBytes -= e.it.Bytes()
 	}
 	rest := copy(g.queue, g.queue[n:])
 	g.queue = g.queue[:rest]
 	g.m.queue(len(g.queue), g.queueBytes)
-	return pkts
-}
-
-// pack turns released entries into transport packets, batching runs of
-// small FILL/COPY commands when enabled.
-func (g *Governor) pack(es []entry) []Packet {
-	pkts := make([]Packet, 0, len(es))
-	if g.batcher == nil {
-		for _, e := range es {
-			pkts = append(pkts, Packet{Wire: e.it.Wire, Items: []Item{e.it}})
-		}
-		return pkts
-	}
-	var pend []Item
-	flush := func(wires [][]byte) {
-		for _, w := range wires {
-			pkts = append(pkts, Packet{Wire: w, Items: pend})
-			pend = nil
-		}
-	}
-	for _, e := range es {
-		it := e.it
-		t := it.Cmd
-		batchable := it.Msg != nil && (t == protocol.TypeFill || t == protocol.TypeCopy)
-		if !batchable {
-			flush(g.batcher.Flush())
-			pkts = append(pkts, Packet{Wire: it.Wire, Items: []Item{it}})
-			continue
-		}
-		flush(g.batcher.Add(core.Datagram{Seq: it.Seq, Msg: it.Msg}))
-		pend = append(pend, it)
-	}
-	flush(g.batcher.Flush())
 	return pkts
 }
 
@@ -803,20 +759,17 @@ func (g *Governor) Reset(now time.Duration) []Item {
 	g.queue = g.queue[:0]
 	g.queueBytes = 0
 	g.pending = g.pending[:0]
-	if g.batcher != nil {
-		g.batcher.Flush()
-	}
 	g.m.queue(0, 0)
 	return dropped
 }
 
-// Quiesce is Reset plus grant revocation: queued damage, pending NACK
-// state, and the half-built batch are dropped (returned for buffer release,
-// like Reset), and the granted rate returns to zero so the governor passes
-// traffic ungoverned until the next console's BandwidthGrant arrives. The
-// migration path calls it on the exporting server — the old console's grant
-// was negotiated for the old attachment and must not pace the repaint the
-// importing server sends to the new console.
+// Quiesce is Reset plus grant revocation: queued damage and pending NACK
+// state are dropped (returned for buffer release, like Reset), and the
+// granted rate returns to zero so the governor passes traffic ungoverned
+// until the next console's BandwidthGrant arrives. The migration path calls
+// it on the exporting server — the old console's grant was negotiated for
+// the old attachment and must not pace the repaint the importing server
+// sends to the new console.
 func (g *Governor) Quiesce(now time.Duration) []Item {
 	dropped := g.Reset(now)
 	g.rate = 0

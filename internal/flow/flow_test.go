@@ -302,56 +302,73 @@ func TestQueueOverflowEvictsOldest(t *testing.T) {
 	_ = sizes
 }
 
-func TestBatchCoalescesFills(t *testing.T) {
-	g := NewGovernor(Config{Batch: true, BurstBytes: 1 << 16, MaxQueueBytes: 1 << 20}, nil)
+// packBurst runs one Release's wires through the packer the socket endpoint
+// runs on every burst, returning the datagrams that would leave.
+func packBurst(pkts []Packet) [][]byte {
+	var wires, out [][]byte
+	for _, p := range pkts {
+		wires = append(wires, p.Wire)
+	}
+	for len(wires) > 0 {
+		d, n := protocol.PackFrame(nil, wires, core.MaxDatagram)
+		out = append(out, d)
+		wires = wires[n:]
+	}
+	return out
+}
+
+// The governor frames nothing itself: each released command is its own
+// Packet with its plain wire, and the commands one quantum releases are a
+// burst the endpoint coalesces into one §5.4 frame.
+func TestReleasedFillsPackIntoOneFrame(t *testing.T) {
+	g := NewGovernor(Config{BurstBytes: 1 << 16, MaxQueueBytes: 1 << 20}, nil)
 	g.SetGrant(0, 1<<30)
 	for seq := uint32(1); seq <= 8; seq++ {
 		g.Submit(0, fillItem(seq, protocol.Rect{X: int(seq), W: 2, H: 2}, protocol.Pixel(seq)))
 	}
 	pkts := g.Release(time.Millisecond)
-	if len(pkts) != 1 {
-		t.Fatalf("got %d packets, want 1 batch", len(pkts))
+	if len(pkts) != 8 {
+		t.Fatalf("got %d packets, want one per command", len(pkts))
 	}
-	if !protocol.IsBatch(pkts[0].Wire) {
-		t.Fatal("coalesced packet is not batch-framed")
+	for i, p := range pkts {
+		if len(p.Items) != 1 || p.Items[0].Seq != uint32(i+1) || protocol.IsBatch(p.Wire) {
+			t.Fatalf("packet %d: %d items, framed=%v", i, len(p.Items), protocol.IsBatch(p.Wire))
+		}
 	}
-	seqs, msgs, err := protocol.DecodeBatch(pkts[0].Wire)
+	out := packBurst(pkts)
+	if len(out) != 1 || !protocol.IsBatch(out[0]) {
+		t.Fatalf("burst left as %d datagrams, want 1 frame", len(out))
+	}
+	seqs, msgs, err := protocol.DecodeBatch(out[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msgs) != 8 || len(pkts[0].Items) != 8 {
-		t.Fatalf("batch holds %d msgs / %d items, want 8", len(msgs), len(pkts[0].Items))
+	if len(msgs) != 8 {
+		t.Fatalf("frame holds %d msgs, want 8", len(msgs))
 	}
 	for i, s := range seqs {
-		if s != pkts[0].Items[i].Seq {
-			t.Fatalf("batch seq %d = %d, want %d", i, s, pkts[0].Items[i].Seq)
+		if s != pkts[i].Items[0].Seq {
+			t.Fatalf("frame seq %d = %d, want %d", i, s, pkts[i].Items[0].Seq)
 		}
 	}
 }
 
-func TestBatchKeepsLargeCommandsPlain(t *testing.T) {
-	g := NewGovernor(Config{Batch: true, BurstBytes: 1 << 20, MaxQueueBytes: 1 << 24}, nil)
+func TestReleasedLargeCommandStaysPlain(t *testing.T) {
+	g := NewGovernor(Config{BurstBytes: 1 << 20, MaxQueueBytes: 1 << 24}, nil)
 	g.SetGrant(0, 1<<30)
 	g.Submit(0, fillItem(1, protocol.Rect{W: 2, H: 2}, 1))
-	g.Submit(0, setItem(2, protocol.Rect{W: 300, H: 1}, 2))
+	g.Submit(0, setItem(2, protocol.Rect{W: 600, H: 1}, 2)) // 1,820 B: over any frame
 	g.Submit(0, fillItem(3, protocol.Rect{W: 2, H: 2}, 3))
 	pkts := g.Release(time.Millisecond)
-	if len(pkts) != 3 {
-		t.Fatalf("got %d packets, want 3 (fill batch, plain set, fill batch)", len(pkts))
+	out := packBurst(pkts)
+	if len(pkts) != 3 || len(out) != 3 {
+		t.Fatalf("got %d packets, %d datagrams, want 3 and 3 (fill, plain set, fill)", len(pkts), len(out))
 	}
-	if protocol.IsBatch(pkts[1].Wire) {
-		t.Fatal("large SET must stay plain-framed")
-	}
-	// Sequence order must survive the batching.
-	var got []uint32
-	for _, p := range pkts {
-		for _, it := range p.Items {
-			got = append(got, it.Seq)
-		}
-	}
-	for i, s := range got {
-		if s != uint32(i+1) {
-			t.Fatalf("release order %v not sequential", got)
+	// Sequence order and the plain wires survive the packer.
+	for i, d := range out {
+		seq, _, _, err := protocol.Decode(d)
+		if err != nil || seq != uint32(i+1) {
+			t.Fatalf("datagram %d: seq %d, err %v", i, seq, err)
 		}
 	}
 }

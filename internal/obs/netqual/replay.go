@@ -59,7 +59,6 @@ func Replay(recs []capture.Record) *Replayed {
 		}
 		return rs
 	}
-	var display []uint32 // the current datagram's display sequence numbers
 	for _, rec := range recs {
 		rep.Span = max(rep.Span, rec.T)
 		if len(rec.Wire) == 0 {
@@ -67,19 +66,19 @@ func Replay(recs []capture.Record) *Replayed {
 			continue
 		}
 		clk.Set(rec.T)
-		// Display sends wait for the walk to finish: a datagram's wire
-		// size is split evenly across its display commands (header
-		// overhead is noise at goodput scale).
+		// A display command is charged what the live server charged it:
+		// its plain-framed size, inside a §5.4 frame or out of one.
 		var rs *replaying
-		display = display[:0]
-		rec.Walk(func(seq uint32, m protocol.Message, _ int) {
+		rec.Walk(func(seq uint32, m protocol.Message, size int) {
 			if rs == nil {
 				rs = lookup(cmp.Or(rec.Console, "?"))
 			}
 			switch rec.Dir {
 			case capture.DirDown:
 				if m.Type().IsDisplay() {
-					display = append(display, seq)
+					retrans := rs.maxSeq != 0 && seq <= rs.maxSeq
+					rs.maxSeq = max(rs.maxSeq, seq)
+					rs.nq.OnSend(seq, size, retrans)
 				} else if m.Type() == protocol.TypeBandwidthRequest {
 					rs.nq.OnProbe()
 				}
@@ -96,11 +95,6 @@ func Replay(recs []capture.Record) *Replayed {
 		})
 		if rs == nil {
 			rep.Undecodable++
-		}
-		for _, seq := range display {
-			retrans := rs.maxSeq != 0 && seq <= rs.maxSeq
-			rs.maxSeq = max(rs.maxSeq, seq)
-			rs.nq.OnSend(seq, rec.Size/len(display), retrans)
 		}
 	}
 	for name, rs := range consoles {

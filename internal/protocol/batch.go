@@ -151,3 +151,62 @@ func DecodeAny(src []byte) ([]uint32, []Message, error) {
 	}
 	return []uint32{seq}, []Message{msg}, nil
 }
+
+// compactable reports whether wire is exactly one plain-framed display
+// command — the only thing PackFrame moves into a frame — and its body
+// length. Control messages carry sequence 0 and stay plain.
+func compactable(wire []byte) (body int, ok bool) {
+	if len(wire) < HeaderSize || binary.BigEndian.Uint16(wire) != Magic ||
+		wire[2] != Version || !MsgType(wire[3]).IsDisplay() {
+		return 0, false
+	}
+	body = len(wire) - HeaderSize
+	return body, body <= maxCompactBody && binary.BigEndian.Uint32(wire[8:]) == uint32(body)
+}
+
+// PackFrame packs the head of one burst of datagrams: the longest run of
+// plain-framed display commands at the front of wires (which must not be
+// empty) that one frame of at most limit bytes can carry — at most 255
+// members, every sequence number within 255 above the first. It returns
+// the datagram to send and how many wires it stands for. The frame is
+// built in dst, straight from the wire bytes (no Message is decoded); a
+// run of one, and anything that is not a plain display command (control
+// messages, frames, oversized commands), is returned as the wire it
+// arrived as, so traffic that gains nothing from framing is byte-identical
+// to unpacked traffic. Callers loop until wires is consumed; nothing is
+// held between calls, so a burst never waits for a later one.
+func PackFrame(dst []byte, wires [][]byte, limit int) (datagram []byte, n int) {
+	first := wires[0]
+	body, ok := compactable(first)
+	if !ok {
+		return first, 1
+	}
+	base := binary.BigEndian.Uint32(first[4:])
+	size := batchHeaderSize + compactHeaderSize + body
+	for n = 1; n < len(wires) && n < 255; n++ {
+		w := wires[n]
+		body, ok := compactable(w)
+		if !ok {
+			break
+		}
+		// A sequence below base cannot be expressed (that includes a run
+		// crossing the 2^32 wrap, which DecodeBatch rejects).
+		seq := binary.BigEndian.Uint32(w[4:])
+		if seq < base || seq-base > 255 || size+compactHeaderSize+body > limit {
+			break
+		}
+		size += compactHeaderSize + body
+	}
+	if n == 1 {
+		return first, 1
+	}
+	dst = append(dst[:0], BatchMagic>>8, BatchMagic&0xff, Version, byte(n), first[4], first[5], first[6], first[7])
+	for _, w := range wires[:n] {
+		delta := binary.BigEndian.Uint32(w[4:]) - base
+		// The body fits 16 bits, so its length is the low half of the
+		// plain header's 32-bit field.
+		dst = append(dst, w[3], byte(delta), w[10], w[11])
+		dst = append(dst, w[HeaderSize:]...)
+	}
+	return dst, n
+}

@@ -215,10 +215,6 @@ type outbound struct {
 	// buf is the pooled buffer backing wire; flush releases it after the
 	// transport hands the bytes off (Transport.Send must not retain).
 	buf *wirebuf.Buf
-	// batch lists the member commands when wire is a coalesced batch frame
-	// from the flow governor (§5.4); each gets its own TX event, and each
-	// member's wire buffer is released after the send.
-	batch []flow.Item
 }
 
 // HandleDatagram processes one console→server datagram.
@@ -276,29 +272,59 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 	return ferr
 }
 
+// BurstSender is the optional half of the Transport contract (asserted,
+// the way net/http asserts http.Flusher): a transport whose cost is per
+// datagram sent takes everything one Handle, PumpFlows or Tick produced
+// for a console in one call, in order, and may coalesce it on its way to
+// the wire (§5.4 frames). Like Send, SendBurst must not retain the wires.
+type BurstSender interface {
+	SendBurst(console string, wires [][]byte) error
+}
+
+// burstWires recycles the slice a burst's wires are projected into for
+// SendBurst: flush runs outside the server lock, from several goroutines
+// at once, and a 1280×1024 attach is a 5,120-entry burst.
+var burstWires = sync.Pool{New: func() any { return new([][]byte) }}
+
 // flush delivers queued datagrams outside the lock, recording the TX event
 // for display commands at the moment they reach the transport and
 // returning their pooled wire buffers once the transport is done with the
-// bytes (the Transport contract forbids retention past Send).
+// bytes (the Transport contract forbids retention past Send). Consecutive
+// datagrams for one console go to a BurstSender as one burst; a burst of
+// one, and every datagram on a plain Transport, goes through Send.
 func (s *Server) flush(out []outbound) error {
-	for i := range out {
-		o := &out[i]
-		if o.flog.Armed() {
-			if len(o.batch) > 0 {
-				for _, it := range o.batch {
-					o.flog.Tx(it.Seq, it.Cmd, int64(it.Bytes()))
-				}
-			} else {
+	burst, _ := s.transport.(BurstSender)
+	for len(out) > 0 {
+		n := 1
+		for burst != nil && n < len(out) && out[n].console == out[0].console {
+			n++
+		}
+		run := out[:n]
+		out = out[n:]
+		for i := range run {
+			if o := &run[i]; o.flog.Armed() {
 				o.flog.Tx(o.seq, o.cmd, int64(len(o.wire)))
 			}
 		}
-		err := s.transport.Send(o.console, o.wire)
-		if o.buf != nil {
-			o.buf.Release()
-			o.buf = nil
+		var err error
+		if n == 1 {
+			err = s.transport.Send(run[0].console, run[0].wire)
+		} else {
+			wp := burstWires.Get().(*[][]byte)
+			wires := (*wp)[:0]
+			for i := range run {
+				wires = append(wires, run[i].wire)
+			}
+			err = burst.SendBurst(run[0].console, wires)
+			clear(wires) // the pool must not pin released wire buffers
+			*wp = wires
+			burstWires.Put(wp)
 		}
-		for j := range o.batch {
-			o.batch[j].ReleaseWire()
+		for i := range run {
+			if o := &run[i]; o.buf != nil {
+				o.buf.Release()
+				o.buf = nil
+			}
 		}
 		if err != nil {
 			return err

@@ -2,12 +2,15 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"slim/internal/core"
 	"slim/internal/fb"
 	"slim/internal/protocol"
+	"slim/internal/raceflag"
 )
 
 // memTransport collects datagrams per console and can replay them into
@@ -422,3 +425,56 @@ var _ Application = (*Terminal)(nil)
 
 // Guard against accidental interface drift in core.Op usage.
 var _ core.Op = core.FillOp{}
+
+// burstLog is a BurstSender that logs how each datagram reached it.
+type burstLog struct{ calls []string }
+
+func (b *burstLog) Send(console string, _ []byte) error {
+	b.calls = append(b.calls, console+":send")
+	return nil
+}
+
+func (b *burstLog) SendBurst(console string, wires [][]byte) error {
+	b.calls = append(b.calls, fmt.Sprintf("%s:burst%d", console, len(wires)))
+	return nil
+}
+
+// TestFlushGroupsRunsPerConsole: consecutive datagrams for one console
+// reach a BurstSender as one burst, in order; a run of one, and everything
+// on a plain Transport, goes through Send. The burst path allocates
+// nothing per flush.
+func TestFlushGroupsRunsPerConsole(t *testing.T) {
+	out := func() []outbound {
+		return []outbound{{console: "a", wire: []byte{1}}, {console: "a", wire: []byte{2}},
+			{console: "b", wire: []byte{3}}, {console: "a", wire: []byte{4}}}
+	}
+	tr := &burstLog{}
+	if err := newTestServer(tr).flush(out()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(tr.calls, " "), "a:burst2 b:send a:send"; got != want {
+		t.Errorf("burst transport saw %q, want %q", got, want)
+	}
+	plain := newMemTransport()
+	if err := newTestServer(plain).flush(out()); err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.sent["a"]) != 3 || len(plain.sent["b"]) != 1 {
+		t.Errorf("plain transport got %d+%d datagrams, want 3+1", len(plain.sent["a"]), len(plain.sent["b"]))
+	}
+
+	if raceflag.Enabled {
+		return // the race detector empties sync.Pools at random
+	}
+	s, run := newTestServer(discardBursts{}), make([]outbound, 97)
+	for i := range run {
+		run[i] = outbound{console: "a", wire: []byte{byte(i)}}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.flush(run) }); allocs != 0 {
+		t.Errorf("flush of a 97-command burst: %v allocs, want 0", allocs)
+	}
+}
+
+type discardBursts struct{ discard }
+
+func (discardBursts) SendBurst(string, [][]byte) error { return nil }

@@ -279,22 +279,16 @@ func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
 		return
 	}
 	for _, p := range sess.gov.Release(now) {
-		if sess.tel.Path.Armed() {
-			for _, it := range p.Items {
-				sess.tel.Path.OnSend(it.Seq, it.Bytes(), it.Retransmit)
-			}
-		}
-		o := outbound{console: sess.Console, wire: p.Wire, flog: sess.tel.Flight}
-		if len(p.Items) == 1 {
-			o.seq, o.cmd = p.Items[0].Seq, p.Items[0].Cmd
-			o.buf = p.Items[0].Buf
-		} else {
-			// A coalesced batch frame: the frame wire is freshly built by
-			// the batcher; the member items still own their per-command
-			// buffers, which flush releases after the send.
-			o.batch = p.Items
-		}
-		*out = append(*out, o)
+		it := p.Items[0]
+		sess.tel.Path.OnSend(it.Seq, it.Bytes(), it.Retransmit)
+		*out = append(*out, outbound{
+			console: sess.Console,
+			wire:    p.Wire,
+			flog:    sess.tel.Flight,
+			seq:     it.Seq,
+			cmd:     it.Cmd,
+			buf:     it.Buf,
+		})
 	}
 }
 

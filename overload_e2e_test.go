@@ -56,9 +56,9 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].ord < h[j].ord
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); ev := old[n-1]; *h = old[:n-1]; return ev }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
+func (h *eventHeap) Pop() any     { old := *h; n := len(old); ev := old[n-1]; *h = old[:n-1]; return ev }
 
 // overloadHarness is the virtual-time world: a Transport modelling one
 // shared store-and-forward link, the consoles behind it, and the event
@@ -76,6 +76,7 @@ type overloadHarness struct {
 	}
 	queuedBytes int
 	linkDrops   int
+	frames      int // §5.4 frames put on the link
 
 	now    time.Duration
 	events eventHeap
@@ -136,6 +137,18 @@ func (h *overloadHarness) Send(console string, wire []byte) error {
 	return nil
 }
 
+// SendBurst makes the harness a burst endpoint like the UDP listener: one
+// server call's commands for a console cross the link packed into §5.4
+// frames by the same packer.
+func (h *overloadHarness) SendBurst(console string, wires [][]byte) error {
+	return packAndSend(wires, func(datagram []byte, commands int) error {
+		if commands > 1 {
+			h.frames++
+		}
+		return h.Send(console, datagram)
+	})
+}
+
 // markPainted records arrival times for every display seq in a frame.
 func (h *overloadHarness) markPainted(desk string, wire []byte) {
 	m := h.paintAt[desk]
@@ -173,6 +186,7 @@ type overloadResult struct {
 	latencies []time.Duration
 	stale     int // inputs whose original echo never painted (shed or lost)
 	linkDrops int
+	frames    int // §5.4 frames the harness put on the link
 }
 
 // runOverload drives the scenario and reports interactive latency. A
@@ -205,7 +219,6 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 		opts = append(opts, WithFlowControl(FlowConfig{
 			InitialBps:              400_000,
 			SupersedeThresholdBytes: 4096,
-			Batch:                   true,
 		}))
 	}
 	h.srv = NewServer(h, newApp, opts...)
@@ -311,7 +324,7 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 		pump()
 	}
 
-	res := overloadResult{linkDrops: h.linkDrops}
+	res := overloadResult{linkDrops: h.linkDrops, frames: h.frames}
 	for _, in := range inputs {
 		painted := time.Duration(-1)
 		complete := true
@@ -351,6 +364,12 @@ func TestOverloadGovernorDegradesGracefully(t *testing.T) {
 	t.Logf("governor on:  p95=%v inputs=%d stale=%d linkDrops=%d",
 		on.p95, len(on.latencies)+on.stale, on.stale, on.linkDrops)
 
+	// The wire-speed run hands whole repaints over at once, so it is the
+	// one whose bursts must have crossed the link framed (the governed run
+	// releases to its 400 kbit/s grant a command or two at a time).
+	if off.frames == 0 {
+		t.Error("no burst crossed the link as a §5.4 frame")
+	}
 	// The acceptance claim: pacing + supersession keeps interaction fast
 	// on the constricted link.
 	if on.p95 >= off.p95 {

@@ -5,7 +5,10 @@ import (
 	"net"
 	"time"
 
+	"slim/internal/core"
 	"slim/internal/protocol"
+	"slim/internal/server"
+	"slim/internal/wirebuf"
 )
 
 // Transport is the server→console datagram path, unified across the
@@ -47,17 +50,50 @@ func isDisplayDatagram(wire []byte) bool {
 		protocol.MsgType(wire[3]).IsDisplay() && !protocol.IsBatch(wire)
 }
 
-// recordWireLoss flight-records a display datagram that never made the
-// wire (a failed socket write, injected fabric loss), so its session's
-// causal chain shows a TX with no RX and a DROP. SessionOf takes the
+// packAndSend is the burst endpoint's loop, written once for the UDP
+// listener and for the test transports that stand in for it: the burst
+// goes through protocol.PackFrame into one pooled buffer of the largest
+// datagram the encoder itself emits, and send gets each datagram with the
+// number of commands it carries (more than one: a §5.4 frame; a burst of
+// one command is its plain wire). A failed send does not stop the rest of
+// the burst; the first error is returned.
+func packAndSend(wires [][]byte, send func(datagram []byte, commands int) error) error {
+	frame := wirebuf.Get(core.MaxDatagram)
+	defer frame.Release()
+	var err error
+	for len(wires) > 0 {
+		datagram, n := protocol.PackFrame(frame.Bytes(), wires, core.MaxDatagram)
+		if serr := send(datagram, n); serr != nil && err == nil {
+			err = serr
+		}
+		wires = wires[n:]
+	}
+	return err
+}
+
+// recordWireLoss flight-records the display commands of a datagram that
+// never made the wire (a failed socket write, injected fabric loss) — one
+// command, or every member of a §5.4 frame — so each one's causal chain
+// in its session shows a TX with no RX and a DROP. SessionOf takes the
 // server lock: call it outside the transport's own.
 func recordWireLoss(h SessionHandler, console string, wire []byte) {
-	if h == nil || !isDisplayDatagram(wire) {
+	framed := protocol.IsBatch(wire)
+	if h == nil || !(framed || isDisplayDatagram(wire)) {
 		return
 	}
-	if sess := h.SessionOf(console); sess != nil && sess.Telemetry().Flight.Armed() {
-		sess.Telemetry().Flight.Drop(binary.BigEndian.Uint32(wire[4:8]),
-			protocol.MsgType(wire[3]), int64(len(wire)))
+	sess := h.SessionOf(console)
+	if sess == nil || !sess.Telemetry().Flight.Armed() {
+		return
+	}
+	flog := sess.Telemetry().Flight
+	if !framed {
+		flog.Drop(binary.BigEndian.Uint32(wire[4:8]), protocol.MsgType(wire[3]), int64(len(wire)))
+		return
+	}
+	// Members are charged at their plain-framed size, as their TX was.
+	seqs, msgs, _ := protocol.DecodeBatch(wire)
+	for i, m := range msgs {
+		flog.Drop(seqs[i], m.Type(), int64(protocol.WireSize(m)))
 	}
 }
 
@@ -77,17 +113,20 @@ type InputSink interface {
 	InsertCard(token string) error
 }
 
-// Compile-time wiring checks: both transports satisfy Transport, both
-// console attachments satisfy InputSink, and both server sides satisfy
-// SessionHandler.
+// Compile-time wiring checks: both transports satisfy Transport (the UDP
+// ones also take bursts; the fabric must not — TestFabricIsNotABurstSender),
+// both console attachments satisfy InputSink, and both server sides
+// satisfy SessionHandler.
 var (
-	_ Transport      = (*Fabric)(nil)
-	_ Transport      = (*UDPServer)(nil)
-	_ Transport      = (*UDPBroker)(nil)
-	_ InputSink      = Desk{}
-	_ InputSink      = (*UDPConsole)(nil)
-	_ SessionHandler = (*Server)(nil)
-	_ SessionHandler = (*Broker)(nil)
+	_ Transport          = (*Fabric)(nil)
+	_ Transport          = (*UDPServer)(nil)
+	_ Transport          = (*UDPBroker)(nil)
+	_ server.BurstSender = (*UDPServer)(nil)
+	_ server.BurstSender = (*UDPBroker)(nil)
+	_ InputSink          = Desk{}
+	_ InputSink          = (*UDPConsole)(nil)
+	_ SessionHandler     = (*Server)(nil)
+	_ SessionHandler     = (*Broker)(nil)
 )
 
 // inputPort is the one shared InputSink implementation. A transport

@@ -297,12 +297,44 @@ func (s *udpListener) pace() {
 
 // Send implements Transport: route a datagram to a console by address.
 func (s *udpListener) Send(consoleID string, wire []byte) error {
+	addr, err := s.route(consoleID)
+	if err != nil {
+		return err
+	}
+	return s.sendTo(consoleID, addr, wire)
+}
+
+// SendBurst implements the server's BurstSender: everything one server
+// call produced for a console leaves in as few datagrams as hold it, the
+// small commands packed into §5.4 frames (packAndSend). What a datagram
+// costs — the system call, the socket-buffer slot at both ends, the
+// reader's wake-up — is paid here, so here is where commands are packed;
+// and because the server hands over a whole burst, nothing is held back
+// for a later one: no pending frame, no lock, no flush point.
+func (s *udpListener) SendBurst(consoleID string, wires [][]byte) error {
+	addr, err := s.route(consoleID)
+	if err != nil {
+		return err
+	}
+	return packAndSend(wires, func(datagram []byte, _ int) error {
+		return s.sendTo(consoleID, addr, datagram)
+	})
+}
+
+func (s *udpListener) route(consoleID string) (*net.UDPAddr, error) {
 	s.addrMu.Lock()
 	addr := s.addrs[consoleID]
 	s.addrMu.Unlock()
 	if addr == nil {
-		return fmt.Errorf("slim: unknown console %q", consoleID)
+		return nil, fmt.Errorf("slim: unknown console %q", consoleID)
 	}
+	return addr, nil
+}
+
+// sendTo writes one datagram to a console: a failed write is
+// flight-recorded as the loss of every command in it, a successful one is
+// tapped for the wire capture as it left.
+func (s *udpListener) sendTo(consoleID string, addr *net.UDPAddr, wire []byte) error {
 	if err := s.write(wire, addr); err != nil {
 		recordWireLoss(s.handler, consoleID, wire)
 		return err
