@@ -484,7 +484,7 @@ func BenchmarkAblation_CSCSFormats(b *testing.B) {
 }
 
 // BenchmarkAblation_LossRecovery compares targeted Nack recovery (repaint
-// of the affected-region union, computed from the replay ring) against a
+// of the affected-region union, computed from the sent log) against a
 // blanket full-screen repaint (§2.2's recovery design space; either way,
 // never stop-and-wait).
 func BenchmarkAblation_LossRecovery(b *testing.B) {

@@ -1,6 +1,7 @@
 package slim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -228,5 +229,75 @@ func TestUDPStatusCadence(t *testing.T) {
 		if gap := evs[i].T - evs[i-1].T; gap < StatusAckDelay/2 {
 			t.Errorf("STATUS %d and %d arrived %v apart, want about %v or more", i-1, i, gap, StatusAckDelay)
 		}
+	}
+}
+
+// noiseApp answers any key press with one 512×384 image of noise: about
+// 600 KB of literal tiles, more than twice the governor's 256 KB queue.
+type noiseApp struct{ pix []Pixel }
+
+func (a *noiseApp) HandleKey(ev protocol.KeyEvent) []Op {
+	if !ev.Down {
+		return nil
+	}
+	return []Op{ImageOp{Rect: Rect{X: 64, Y: 48, W: 512, H: 384}, Pixels: a.pix}}
+}
+
+func (a *noiseApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
+
+// TestEvictedPaintConverges: a paint larger than the governor's queue loses
+// its head to eviction on a fabric that drops nothing. Evicted is not
+// superseded — no newer command covers those tiles — so the console's NACKs
+// for them must be answered with their pixels, at the governor's pace. (When
+// the governor filed evicted commands with the superseded ones, every such
+// NACK was suppressed and the tiles stayed unpainted.)
+func TestEvictedPaintConverges(t *testing.T) {
+	kit := NewTelemetry()
+	app := &noiseApp{pix: make([]Pixel, 512*384)}
+	rng := rand.New(rand.NewSource(18))
+	for i := range app.pix {
+		app.pix[i] = Pixel(rng.Uint32() & 0xffffff)
+	}
+	opts, cfg := shippedProfile(640, 480)
+	fabric := NewFabric()
+	srv := NewServer(fabric, func(string, int, int) Application { return app }, append(opts, WithTelemetry(kit))...)
+	srv.Auth.Register("card-alice", "alice")
+	con, err := NewConsole(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric.Attach("desk-1", con, srv)
+	if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.SessionByUser("alice")
+	if sess.Governor().Grant() == 0 {
+		t.Fatal("the console granted the session no bandwidth; nothing is paced")
+	}
+	if err := fabric.SendKey("desk-1", 'p', true); err != nil {
+		t.Fatal(err)
+	}
+	if kit.Registry.Counter("slim_flow_evicted_total").Value() == 0 {
+		t.Fatal("the paint fitted the governor's queue; nothing was evicted")
+	}
+	// Pump until quiet: the queue is drained and a second of heartbeats has
+	// drawn no new command.
+	quietSince := fabric.Now()
+	for last := sess.Encoder.LastSeq(); fabric.Now()-quietSince < time.Second; {
+		if fabric.Now() > 10*time.Minute {
+			t.Fatalf("still sending after %v of virtual time (%d commands)", fabric.Now(), sess.Encoder.LastSeq())
+		}
+		fabric.SetClock(fabric.Now() + 10*time.Millisecond)
+		if err := fabric.Pump(); err != nil {
+			t.Fatal(err)
+		}
+		if seq := sess.Encoder.LastSeq(); seq != last || sess.Governor().QueueDepth() > 0 {
+			last, quietSince = seq, fabric.Now()
+		}
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("console differs from the session's frame buffer in %d pixels after %v quiet (%d commands sent)",
+			n, time.Second, sess.Encoder.LastSeq())
 	}
 }

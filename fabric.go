@@ -48,7 +48,7 @@ type Fabric struct {
 
 	// dropEvery, when positive, drops every Nth display datagram on the
 	// server→console path — loss injection for exercising the protocol's
-	// replay recovery. Control traffic is never dropped.
+	// Nack recovery. Control traffic is never dropped.
 	// phase is the drop cycle's position, restarted by SetLoss; delivered
 	// and dropped count for the fabric's whole life.
 	dropEvery int

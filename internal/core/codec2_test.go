@@ -141,7 +141,7 @@ func TestRepaintAllResetsCodec2(t *testing.T) {
 // TestCodec2CacheHitZeroAllocSteadyState asserts the ISSUE's budget for the
 // warm cache-hit encode path: hash the tile, probe the cache, touch the
 // entry, emit the framed CACHE_PAINT — zero allocations per hit once the
-// replay ring and buffer pool are warm. Like TestEmitZeroAllocSteadyState,
+// buffer pool is warm. Like TestEmitZeroAllocSteadyState,
 // the white-box test reuses the message value; the path under test is
 // everything else.
 func TestCodec2CacheHitZeroAllocSteadyState(t *testing.T) {

@@ -25,22 +25,23 @@ const MaxDatagram = protocol.HeaderSize + DefaultMTU
 //
 // Payload aliasing: when wire generation is on, the pixel/bitmap payloads
 // of Msg may alias encoder-owned scratch slabs that the next Encode call
-// reuses. Wire is always a self-contained marshalled copy; consumers that
-// outlive the Encode call (the replay ring, the flow governor) read only
+// reuses. Wire is always a self-contained marshalled copy; the one consumer
+// that outlives the Encode call (the flow governor's queue) reads only
 // Msg's geometry, never its payload.
 type Datagram struct {
 	Seq  uint32
 	Msg  protocol.Message
 	Wire []byte
 	// Buf is the pooled buffer backing Wire (nil when wire generation is
-	// skipped or the datagram predates the pool). The holder of the
-	// Datagram owns one reference; ReleaseWire returns it once the wire
-	// has been handed to a transport that does not retain it.
+	// skipped). The Datagram's holder is its only owner: handing the
+	// datagram on hands Buf on, and the last holder calls ReleaseWire after
+	// the transport's Send, or when the command is dropped unsent.
 	Buf *wirebuf.Buf
 }
 
-// ReleaseWire releases the datagram's reference on its pooled wire buffer.
-// Safe to call on datagrams without one; idempotent per Datagram value.
+// ReleaseWire returns the datagram's pooled wire buffer to the pool. Safe
+// to call on datagrams without one; idempotent per Datagram value (a second
+// release through a copy of it panics).
 func (d *Datagram) ReleaseWire() {
 	if d.Buf != nil {
 		d.Buf.Release()
@@ -63,7 +64,7 @@ type Encoder struct {
 	// become FILL, bicolor regions become BITMAP). Disabling it is the
 	// "SET-only" ablation: every image pixel goes out literally.
 	AnalyzeImages bool
-	// SkipWire suppresses datagram marshalling (and replay retention):
+	// SkipWire suppresses datagram marshalling (and the sent log):
 	// commands are interpreted and rendered into the authoritative frame
 	// buffer but no display data is prepared for the IF — the x11perf
 	// "no display data sent" configuration of Table 4.
@@ -87,8 +88,8 @@ type Encoder struct {
 	// leave it nil to stay single-threaded and deterministic in timing.
 	Parallel *par.Pool
 
-	seq    protocol.Sequencer
-	replay *ReplayBuffer
+	seq  protocol.Sequencer
+	sent sentLog // the geometry of recent commands, for HandleNack
 	// codec2 is the gen-2 tile path (content classifier + mirrored tile
 	// cache); nil runs the gen-1 command path. See codec2.go.
 	codec2 *Codec2
@@ -110,19 +111,19 @@ func NewEncoder(w, h int) *Encoder {
 		FB:            fb.New(w, h),
 		MTU:           DefaultMTU,
 		AnalyzeImages: true,
-		replay:        NewReplayBuffer(4096),
+		sent:          make(sentLog, sentLogCapacity(w, h)),
 	}
 }
 
-// emit frames msg, records it for replay, and accounts for it.
+// emit frames msg, logs its geometry, and accounts for it.
 func (e *Encoder) emit(msg protocol.Message) Datagram {
 	return e.finish(e.seq.Next(), msg, nil)
 }
 
 // finish completes the emission of msg under an already-assigned sequence
 // number: marshalling into a pooled wire buffer (unless buf carries a
-// pre-marshalled wire from a parallel worker), retaining for replay, and
-// accounting. The returned Datagram carries the send reference on buf.
+// pre-marshalled wire from a parallel worker), logging the geometry for
+// HandleNack, and accounting. The returned Datagram owns buf.
 func (e *Encoder) finish(seq uint32, msg protocol.Message, buf *wirebuf.Buf) Datagram {
 	d := Datagram{Seq: seq, Msg: msg}
 	if !e.SkipWire {
@@ -131,7 +132,7 @@ func (e *Encoder) finish(seq uint32, msg protocol.Message, buf *wirebuf.Buf) Dat
 		}
 		d.Wire = buf.Bytes()
 		d.Buf = buf
-		e.replay.Store(d) // the ring takes its own reference
+		e.sent.record(seq, msg, e.FB.Bounds())
 	}
 	e.Stats.Record(msg)
 	e.Metrics.Record(msg)
@@ -406,40 +407,64 @@ func (e *Encoder) RepaintAll() []Datagram {
 // subsequent COPY whose source touched the (transitively growing) damage.
 // Non-COPY commands applied after the loss drew correct pixels and do not
 // extend the damage, which keeps recovery proportional to what was lost —
-// crucial when recovery traffic itself suffers loss. If the range has
-// aged out of the replay ring, the whole screen is repainted. Either way,
-// never stop-and-wait (§2.2).
+// crucial when recovery traffic itself suffers loss. All of it is read from
+// the sent log, which holds geometry only. A command superseded before it
+// left (MarkSuperseded) is no loss; one evicted from the governor's queue is
+// a loss like any other. If the range has aged out of the log, the whole
+// screen is repainted. Either way, never stop-and-wait (§2.2).
 func (e *Encoder) HandleNack(n protocol.Nack) []Datagram {
 	var damage fb.Region
 	for seq := n.From; seq <= n.To; seq++ {
-		d, ok := e.replay.Get(seq)
+		r, ok := e.sent.get(seq)
 		if !ok {
 			return e.RepaintAll()
 		}
-		if cp, isCP := d.Msg.(*protocol.CachePaint); isCP && e.codec2 != nil {
+		if r.superseded {
+			continue
+		}
+		if r.key != 0 && e.codec2 != nil {
 			// A nacked CACHE_PAINT means the console does not hold (or
 			// never received) the entry. Forget the key so the repaint
 			// re-sends pixels — which re-seeds both caches — instead of
 			// claiming the same hit into a NACK loop.
-			e.codec2.cache.Remove(cp.Key)
+			e.codec2.cache.Remove(r.key)
 		}
-		damage.Add(affectedRect(d.Msg))
+		damage.Add(r.rect.rect())
 	}
 	for seq := n.To + 1; seq <= e.seq.Current(); seq++ {
-		d, ok := e.replay.Get(seq)
+		r, ok := e.sent.get(seq)
 		if !ok {
 			return e.RepaintAll()
 		}
-		if c, isCopy := d.Msg.(*protocol.Copy); isCopy && damage.Intersects(c.Rect) {
-			damage.Add(affectedRect(c))
+		if src := r.src.rect(); !src.Empty() && !r.superseded && damage.Intersects(src) {
+			damage.Add(r.rect.rect())
 		}
 	}
-	damage.Clip(e.FB.Bounds())
 	var out []Datagram
 	for _, r := range damage.Rects() {
 		out = append(out, e.Repaint(r)...)
 	}
 	return out
+}
+
+// MarkSuperseded notes that the command numbered seq never left: the flow
+// governor shed it because a newer queued command covers every pixel it
+// wrote. A Nack over it asks for nothing.
+func (e *Encoder) MarkSuperseded(seq uint32) {
+	if r, ok := e.sent.get(seq); ok {
+		r.superseded = true
+	}
+}
+
+// Superseded reports whether every command in the Nack's range was
+// superseded before it left, so that the Nack names no loss at all.
+func (e *Encoder) Superseded(n protocol.Nack) bool {
+	for seq := n.From; seq <= n.To; seq++ {
+		if r, ok := e.sent.get(seq); !ok || !r.superseded {
+			return false
+		}
+	}
+	return n.From <= n.To
 }
 
 // affectedRect reports every pixel a display command may change — for
@@ -455,11 +480,6 @@ func affectedRect(msg protocol.Message) protocol.Rect {
 	}
 	return w
 }
-
-// AffectedRect reports every pixel a display command may touch — for
-// COPY, the bounding box of both where it reads and where it writes.
-// Non-display messages report an empty rect.
-func AffectedRect(msg protocol.Message) protocol.Rect { return affectedRect(msg) }
 
 // WriteRect reports the pixels a display command overwrites: the target
 // rect for SET/BITMAP/FILL, the destination for COPY and CSCS. Non-display
@@ -499,8 +519,8 @@ func (e *Encoder) LastSeq() uint32 { return e.seq.Current() }
 // migrated session keeps its ID, and a console resets its gap tracker only
 // when the session ID changes — so the importing server's encoder must
 // number its first datagram last+1 for the console to stay oblivious. The
-// replay ring starts empty; a Nack reaching back past the cutover falls
-// back to a full repaint, which is always safe.
+// sent log starts empty; a Nack reaching back past the cutover falls back
+// to a full repaint, which is always safe.
 func (e *Encoder) ResumeAt(last uint32) { e.seq.Resume(last) }
 
 // analyzeUniform reports whether all pixels share one value.

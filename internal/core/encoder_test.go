@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"slim/internal/fb"
 	"slim/internal/protocol"
@@ -400,7 +401,7 @@ func TestHandleNackLostCopyScenario(t *testing.T) {
 
 func TestHandleNackAgedOutRepaints(t *testing.T) {
 	e := NewEncoder(32, 32)
-	e.replay = NewReplayBuffer(2) // tiny buffer so seq 1 ages out
+	e.sent = make(sentLog, 2) // tiny log so seq 1 ages out
 	first, err := e.Encode(FillOp{Rect: protocol.Rect{W: 32, H: 32}, Color: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -489,30 +490,143 @@ func TestSunRay1CostModel(t *testing.T) {
 	}
 }
 
-func TestReplayBuffer(t *testing.T) {
-	b := NewReplayBuffer(4)
+// TestSentLogWrapAndStaleSlots pins the log's ring behaviour: a record
+// survives until capacity newer ones have been written, the slot it shared
+// then answers only for its new owner, and sequence numbers never logged —
+// 0 (a blank slot's value), ones not yet issued — are absent, which is
+// what sends HandleNack to its full-repaint fallback.
+func TestSentLogWrapAndStaleSlots(t *testing.T) {
+	bounds := protocol.Rect{W: 64, H: 64}
+	l := make(sentLog, 4)
+	if _, ok := l.get(0); ok {
+		t.Error("blank slot answers for sequence number 0")
+	}
 	for seq := uint32(1); seq <= 6; seq++ {
-		b.Store(Datagram{Seq: seq, Msg: &protocol.Fill{}, Wire: []byte{byte(seq)}})
+		l.record(seq, &protocol.Fill{Rect: protocol.Rect{X: int(seq), W: 1, H: 1}}, bounds)
 	}
-	if _, ok := b.Get(1); ok {
-		t.Error("evicted datagram still present")
+	for seq := uint32(1); seq <= 2; seq++ {
+		if _, ok := l.get(seq); ok {
+			t.Errorf("seq %d still present after the ring wrapped past it", seq)
+		}
 	}
-	d, ok := b.Get(5)
-	if !ok || d.Wire[0] != 5 {
-		t.Error("recent datagram missing")
+	for seq := uint32(3); seq <= 6; seq++ {
+		r, ok := l.get(seq)
+		if !ok || r.rect.rect() != (protocol.Rect{X: int(seq), W: 1, H: 1}) {
+			t.Errorf("seq %d: record %+v, present %v", seq, r, ok)
+		}
 	}
-	if _, ok := b.Get(99); ok {
-		t.Error("never-stored datagram present")
+	if _, ok := l.get(7); ok {
+		t.Error("never-logged sequence number present")
+	}
+	// A flag dies with its slot: seq 7 reuses seq 3's and starts clean.
+	r3, _ := l.get(3)
+	r3.superseded = true
+	l.record(7, &protocol.Fill{Rect: protocol.Rect{W: 1, H: 1}}, bounds)
+	if r, ok := l.get(7); !ok || r.superseded {
+		t.Errorf("reused slot: record %+v, present %v", r, ok)
+	}
+
+	// What each command leaves behind: COPY its source and the box around
+	// source and destination, CACHE_PAINT its key, everything clipped.
+	l.record(8, &protocol.Copy{Rect: protocol.Rect{X: 0, Y: 0, W: 16, H: 16}, DstX: 56, DstY: 8}, bounds)
+	l.record(9, &protocol.CachePaint{Rect: protocol.Rect{X: 16, Y: 16, W: 16, H: 16}, Key: 0xfeed}, bounds)
+	cp, _ := l.get(8)
+	if cp.src.rect() != (protocol.Rect{W: 16, H: 16}) || cp.rect.rect() != (protocol.Rect{W: 64, H: 24}) || cp.key != 0 {
+		t.Errorf("COPY record %+v", cp)
+	}
+	if hit, _ := l.get(9); hit.key != 0xfeed || !hit.src.rect().Empty() {
+		t.Errorf("CACHE_PAINT record %+v", hit)
 	}
 }
 
-func TestReplayBufferPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for capacity 0")
+// TestSentLogSizedFromScreen: capacity is the power of two at or above
+// twice the gen-2 tiles per screen, never under the 4,096 of the ring the
+// log replaced, and the whole log of a 1280×1024 session stays under 1 MB.
+func TestSentLogSizedFromScreen(t *testing.T) {
+	for _, c := range []struct{ w, h, want int }{
+		{1280, 1024, 16384}, {1024, 768, 8192}, {640, 480, 4096}, {64, 64, 4096},
+	} {
+		if got := sentLogCapacity(c.w, c.h); got != c.want {
+			t.Errorf("%dx%d: capacity %d, want %d", c.w, c.h, got, c.want)
 		}
-	}()
-	NewReplayBuffer(0)
+	}
+	if bytes := 16384 * int(unsafe.Sizeof(sentRecord{})); bytes >= 1<<20 {
+		t.Errorf("1280x1024 log is %d bytes, want under 1 MB", bytes)
+	}
+}
+
+// TestMidAttachNackRepaintsOneTile: a 1280×1024 gen-2 attach is 5,120
+// commands, more than the fixed 4,096-entry ring this log replaced could
+// hold, so a NACK for any of its first 1,024 fell back to a second full
+// repaint — which overflowed the ring again. Sized from the screen, the log
+// answers with the one tile that was lost.
+func TestMidAttachNackRepaintsOneTile(t *testing.T) {
+	e := NewEncoder(1280, 1024)
+	rng := rand.New(rand.NewSource(5))
+	for i := range e.FB.Pix {
+		e.FB.Pix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
+	}
+	e.EnableCodec2(0)
+	attach := e.RepaintAll()
+	if len(attach) != 5120 {
+		t.Fatalf("attach is %d commands, want one per tile (5120)", len(attach))
+	}
+	lost := attach[512]
+	screen := fb.New(1280, 1024)
+	applyAll(t, screen, attach[:512])
+	applyAll(t, screen, attach[513:])
+	out := e.HandleNack(protocol.Nack{From: lost.Seq, To: lost.Seq})
+	if len(out) == 0 || len(out) > 4 {
+		t.Fatalf("recovery of one lost tile is %d commands, want 1..4", len(out))
+	}
+	if _, claim := out[0].Msg.(*protocol.CachePaint); claim {
+		// The tile's pixels never reached the console, so a CACHE_PAINT
+		// claiming them misses there and is NACKed in turn; that answer
+		// is literal.
+		out = e.HandleNack(protocol.Nack{From: out[0].Seq, To: out[len(out)-1].Seq})
+		if len(out) == 0 || len(out) > 4 {
+			t.Fatalf("second answer is %d commands, want 1..4", len(out))
+		}
+	}
+	applyAll(t, screen, out)
+	if !screen.Equal(e.FB) {
+		t.Fatal("recovery did not converge")
+	}
+}
+
+// TestHandleNackSkipsSuperseded: a command the governor shed because newer
+// state covers it is no loss — alone it asks for nothing, beside a sent
+// command only the sent one is repainted — while an unflagged (sent, or
+// evicted) command is repainted as ever.
+func TestHandleNackSkipsSuperseded(t *testing.T) {
+	e := NewEncoder(64, 64)
+	fill := func(r protocol.Rect, c protocol.Pixel) uint32 {
+		t.Helper()
+		d, err := e.Encode(FillOp{Rect: r, Color: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d[0].Seq
+	}
+	a := fill(protocol.Rect{X: 0, Y: 0, W: 8, H: 8}, 1)
+	b := fill(protocol.Rect{X: 32, Y: 32, W: 8, H: 8}, 2)
+	e.MarkSuperseded(a)
+	if !e.Superseded(protocol.Nack{From: a, To: a}) {
+		t.Error("range of one superseded command not reported superseded")
+	}
+	if e.Superseded(protocol.Nack{From: a, To: b}) || e.Superseded(protocol.Nack{From: b, To: a}) {
+		t.Error("range with a sent member, or a backwards one, reported superseded")
+	}
+	if out := e.HandleNack(protocol.Nack{From: a, To: a}); len(out) != 0 {
+		t.Errorf("nack over a superseded command repainted %d commands", len(out))
+	}
+	var covered fb.Region
+	for _, d := range e.HandleNack(protocol.Nack{From: a, To: b}) {
+		covered.Add(affectedRect(d.Msg))
+	}
+	if !covered.Contains(35, 35) || covered.Contains(4, 4) {
+		t.Errorf("mixed range repainted %v, want the sent command's rect only", covered.Rects())
+	}
 }
 
 func TestSkipWire(t *testing.T) {

@@ -3,12 +3,13 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/raceflag"
-	"slim/internal/wirebuf"
 )
 
 // hotpathOps builds the op stream both determinism tests feed through the
@@ -105,73 +106,129 @@ func TestParallelSkipWireStaysSerial(t *testing.T) {
 	}
 }
 
-// TestEmitWireBufferRefcounts pins the pooled-buffer lifecycle: an emitted
-// datagram holds the send reference, the replay ring holds a second, and
-// ring eviction releases the ring's.
-func TestEmitWireBufferRefcounts(t *testing.T) {
+// TestReleaseWireReturnsBufferToPool pins the pooled buffer's one-owner
+// lifecycle: the emitted datagram owns its wire buffer, ReleaseWire puts it
+// back in the pool (the next emit of that size class gets the same buffer
+// again — the encoder kept no claim on it) and clears the datagram, and a
+// second release of the same buffer, through a stale copy of the datagram,
+// panics instead of pooling one buffer twice.
+func TestReleaseWireReturnsBufferToPool(t *testing.T) {
 	e := NewEncoder(64, 64)
-	d, err := e.Encode(FillOp{Rect: protocol.Rect{W: 8, H: 8}, Color: 1})
-	if err != nil {
-		t.Fatal(err)
+	msg := &protocol.Fill{Rect: protocol.Rect{W: 8, H: 8}, Color: 1}
+	reused := 0
+	for i := 0; i < 100; i++ {
+		d := e.emit(msg)
+		buf := d.Buf
+		if buf == nil {
+			t.Fatal("no pooled buffer on emitted datagram")
+		}
+		d.ReleaseWire()
+		if d.Buf != nil || d.Wire != nil {
+			t.Fatal("ReleaseWire did not clear the datagram")
+		}
+		d.ReleaseWire() // idempotent per Datagram value
+		next := e.emit(msg)
+		if next.Buf == buf {
+			reused++
+		}
+		next.ReleaseWire()
 	}
-	buf := d[0].Buf
-	if buf == nil {
-		t.Fatal("no pooled buffer on emitted datagram")
+	// sync.Pool is best-effort (a GC, or the race detector's deliberate
+	// drops, may lose a Put), but a released buffer the encoder still
+	// referenced could never come back at all.
+	if reused == 0 {
+		t.Error("no released buffer ever came back from the pool")
 	}
-	if got := buf.Refs(); got != 2 {
-		t.Fatalf("refs after emit = %d, want 2 (sender + replay ring)", got)
-	}
-	d[0].ReleaseWire()
-	if got := buf.Refs(); got != 1 {
-		t.Fatalf("refs after ReleaseWire = %d, want 1 (replay ring)", got)
-	}
-	if d[0].Buf != nil || d[0].Wire != nil {
-		t.Fatal("ReleaseWire did not clear the datagram")
-	}
-	d[0].ReleaseWire() // idempotent per Datagram value
-	if got := buf.Refs(); got != 1 {
-		t.Fatalf("refs after double ReleaseWire = %d, want 1", got)
-	}
+
+	d := e.emit(msg)
+	stale := d
+	d.ReleaseWire()
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing one buffer through two datagram copies did not panic")
+		}
+	}()
+	stale.ReleaseWire()
 }
 
-// TestReplayRingReleasesEvicted checks the ring's retain/release pairing
-// directly: storing over a slot releases the evicted datagram's buffer.
-func TestReplayRingReleasesEvicted(t *testing.T) {
-	ring := NewReplayBuffer(2)
-	mkDatagram := func(seq uint32) Datagram {
-		buf := wirebuf.Get(16)
-		return Datagram{Seq: seq, Buf: buf, Wire: buf.Bytes()}
-	}
-	d1, d2, d3 := mkDatagram(1), mkDatagram(2), mkDatagram(3)
-	ring.Store(d1)
-	ring.Store(d2)
-	if got := d1.Buf.Refs(); got != 2 {
-		t.Fatalf("stored buffer refs = %d, want 2", got)
-	}
-	ring.Store(d3) // same slot as seq 1 in a 2-deep ring
-	if got := d1.Buf.Refs(); got != 1 {
-		t.Fatalf("evicted buffer refs = %d, want 1 (creator only)", got)
-	}
-	if got := d3.Buf.Refs(); got != 2 {
-		t.Fatalf("evicting buffer refs = %d, want 2", got)
-	}
-	if _, ok := ring.Get(1); ok {
-		t.Fatal("evicted seq still resolvable")
-	}
+// liveHeap reports the bytes still reachable after two collections — the
+// second empties sync.Pool's victim cache, so pooled wire buffers nobody
+// holds are gone from the figure.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
-// TestEmitZeroAllocSteadyState asserts the ISSUE's wire-path budget: once
-// the replay ring has cycled and the buffer pool is warm, emitting a
-// small command with wire generation on allocates nothing but the message
-// itself (which this white-box test reuses).
+// TestEncoderRetainsNoWire: the encoder remembers the geometry of what it
+// sent, not the bytes. After a 1280×1024 gen-2 attach of noise and 80
+// CSCS6 320×240 video frames — the traffic that left the old 4,096-datagram
+// replay ring holding about 13 MB of messages, payloads and 2 KiB wire
+// buffers — with every datagram released, what the encoder keeps alive
+// beyond its frame buffer, its scratch slabs and its tile-cache slab (the
+// sent log, the cache index, the churn map, the accounting) is under
+// 1.5 MB.
+func TestEncoderRetainsNoWire(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations are in the heap figure")
+	}
+	rng := rand.New(rand.NewSource(9))
+	const vw, vh = 320, 240
+	frame := make([]protocol.Pixel, vw*vh)
+	for i := range frame {
+		frame[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
+	}
+	before := liveHeap()
+
+	e := NewEncoder(1280, 1024)
+	for i := range e.FB.Pix {
+		e.FB.Pix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
+	}
+	e.EnableCodec2(0)
+	release := func(dgs []Datagram) {
+		for i := range dgs {
+			dgs[i].ReleaseWire()
+		}
+	}
+	release(e.RepaintAll())
+	op := VideoOp{Src: protocol.Rect{W: vw, H: vh}, Dst: protocol.Rect{X: 64, Y: 64, W: vw, H: vh}, Format: protocol.CSCS6, Pixels: frame}
+	for i := 0; i < 80; i++ {
+		frame[i] ^= 0xffffff
+		dgs, err := e.Encode(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release(dgs)
+	}
+
+	grown := liveHeap() - before
+	const px = int64(unsafe.Sizeof(protocol.Pixel(0)))
+	accounted := px*int64(cap(e.FB.Pix)+cap(e.setSlab)+cap(e.repaintPix)+cap(e.codec2.pix)) +
+		int64(cap(e.bitSlab)+cap(e.bicolorBits)) +
+		int64(cap(e.codec2.cache.ent))*int64(unsafe.Sizeof(tcEntry{}))
+	rest := grown - accounted
+	t.Logf("live heap grew %d KB: %d KB frame buffer, slabs and tile cache, %d KB besides", grown>>10, accounted>>10, rest>>10)
+	if rest > 1500<<10 {
+		t.Errorf("encoder keeps %d KB alive beyond its %d KB of frame buffer, slabs and tile cache; want under 1500 KB",
+			rest>>10, accounted>>10)
+	}
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(frame) // allocated before the first reading
+}
+
+// TestEmitZeroAllocSteadyState asserts the wire-path budget: once the
+// buffer pool is warm, emitting a small command with wire generation on —
+// marshal into a pooled buffer, one sent-log record — allocates nothing
+// but the message itself (which this white-box test reuses).
 func TestEmitZeroAllocSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	e := NewEncoder(64, 64)
 	msg := &protocol.Fill{Rect: protocol.Rect{W: 16, H: 16}, Color: 42}
-	// Warm: fill the 4096-deep replay ring so every further emit recycles
-	// an evicted buffer through the pool instead of growing it.
+	// Warm the pool, and wrap the sent log once for good measure.
 	for i := 0; i < 5000; i++ {
 		d := e.emit(msg)
 		d.ReleaseWire()
@@ -192,7 +249,7 @@ func TestEmitZeroAllocSteadyState(t *testing.T) {
 func BenchmarkHotpath_EmitFill(b *testing.B) {
 	e := NewEncoder(64, 64)
 	msg := &protocol.Fill{Rect: protocol.Rect{W: 16, H: 16}, Color: 42}
-	for i := 0; i < 5000; i++ { // warm ring + pool
+	for i := 0; i < 5000; i++ { // warm pool
 		d := e.emit(msg)
 		d.ReleaseWire()
 	}

@@ -21,9 +21,10 @@
 //     capped to a configurable fraction of it and backed off exponentially
 //     when NACKs storm, so loss recovery cannot starve fresh paints (§5's
 //     observation that recovery traffic competes with interactive traffic).
-//     NACKs whose entire range was superseded are suppressed outright: the
-//     console never painted those commands, but newer queued state covers
-//     every pixel they would have touched.
+//     The governor decides only *when* recovery may be sent; *what* a NACK
+//     lost the encoder says, from its sent log. The caller reports the
+//     commands Submit superseded to it, and a NACK naming nothing else
+//     never reaches OnNack (NackSuppressed counts it).
 //
 // Released commands leave one Packet each, at their plain-framed size;
 // packing a burst of them into §5.4 frames is the socket endpoint's job
@@ -90,10 +91,6 @@ const (
 	// utilizationWindow is the accounting window behind the
 	// slim_flow_grant_utilization gauge.
 	utilizationWindow = time.Second
-
-	// supersededRing bounds how many shed sequence numbers are remembered
-	// for NACK suppression; matches the encoder's replay-buffer depth.
-	supersededRing = 4096
 )
 
 // demandRefPixels is the reference command for cost-model-derived
@@ -176,8 +173,8 @@ func (c Config) withDefaults() Config {
 
 // Item is one display command offered to the governor.
 type Item struct {
-	// Seq and Cmd identify the command for flight recording and NACK
-	// suppression.
+	// Seq and Cmd identify the command for flight recording and for the
+	// encoder's sent log.
 	Seq uint32
 	Cmd protocol.MsgType
 	// Msg is the decoded command; supersession reads its rects.
@@ -186,17 +183,17 @@ type Item struct {
 	// account bytes; then the wire size is computed from Msg).
 	Wire []byte
 	// Buf is the pooled buffer backing Wire, nil when the wire is unpooled.
-	// The item carries its datagram's send reference through the queue; the
-	// governor never releases it — items leaving the governor (released,
-	// superseded, evicted, or dropped by Reset) hand the reference back to
-	// the caller, who releases after the send or the drop accounting.
+	// The item owns it through the queue; the governor never releases it —
+	// items leaving the governor (released, superseded, evicted, or dropped
+	// by Reset) hand it back to the caller, who releases after the send or
+	// the drop accounting.
 	Buf *wirebuf.Buf
 	// Retransmit marks NACK-triggered recovery traffic for accounting.
 	Retransmit bool
 }
 
-// ReleaseWire releases the item's reference on its pooled wire buffer (a
-// no-op for unpooled items).
+// ReleaseWire returns the item's pooled wire buffer to the pool (a no-op
+// for unpooled items).
 func (it *Item) ReleaseWire() {
 	if it.Buf != nil {
 		it.Buf.Release()
@@ -247,9 +244,6 @@ type NackVerdict int
 const (
 	// NackRetransmit: regenerate the repaint now (budget allows).
 	NackRetransmit NackVerdict = iota
-	// NackSuppressed: every sequence in the range was superseded — newer
-	// queued state covers every pixel, nothing to retransmit.
-	NackSuppressed
 	// NackDeferred: backoff or budget exhaustion; the range is parked and
 	// will be reported by DueNacks when its time comes.
 	NackDeferred
@@ -285,8 +279,6 @@ type Governor struct {
 	queueBytes  int
 	dropScratch []bool
 	dropped     []Item // Reset's reusable return slab
-
-	shed *seqSet
 
 	backoff  time.Duration
 	lastNack time.Duration
@@ -329,7 +321,6 @@ type Governor struct {
 func NewGovernor(cfg Config, m *Metrics) *Governor {
 	g := &Governor{
 		m:             m,
-		shed:          newSeqSet(supersededRing),
 		autoDemand:    cfg.InitialBps == 0,
 		autoBurst:     cfg.BurstBytes == 0,
 		autoSupersede: cfg.SupersedeThresholdBytes == 0,
@@ -492,7 +483,6 @@ func (g *Governor) Submit(now time.Duration, it Item) SubmitResult {
 		head := g.queue[0].it
 		g.queue = g.queue[1:]
 		g.queueBytes -= head.Bytes()
-		g.shed.add(head.Seq)
 		res.Evicted = append(res.Evicted, head)
 		g.m.evictedInc()
 	}
@@ -530,7 +520,6 @@ func (g *Governor) supersede(it Item) []Item {
 		if e.it.Msg != nil && w.Pixels() > 0 && rectContains(cover, w) && !rectIntersectsAny(w, guards) {
 			drop[i] = true
 			g.queueBytes -= e.it.Bytes()
-			g.shed.add(e.it.Seq)
 			shed = append(shed, e.it)
 			g.m.supersededInc(int64(e.it.Bytes()))
 			continue
@@ -653,16 +642,11 @@ func maxDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-// OnNack decides the fate of one console loss report. Fully-superseded
-// ranges are suppressed (newer queued state covers every pixel they
-// touched). Otherwise the retransmit budget and backoff decide between
-// regenerating now and parking the range for DueNacks.
+// OnNack decides when one console loss report is answered: the retransmit
+// budget and backoff choose between regenerating now and parking the range
+// for DueNacks. Callers keep NACKs that name no loss away from it.
 func (g *Governor) OnNack(now time.Duration, from, to uint32) NackVerdict {
 	g.refill(now)
-	if g.allShed(from, to) {
-		g.m.nackSuppressed()
-		return NackSuppressed
-	}
 	// Escalate the backoff while NACKs keep arriving; a quiet period
 	// (longer than the current backoff, at least the max) resets it.
 	quiet := maxDuration(2*g.backoff, g.cfg.RetransmitBackoffMax)
@@ -693,20 +677,9 @@ func minDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-// allShed reports whether every sequence in [from, to] was superseded.
-func (g *Governor) allShed(from, to uint32) bool {
-	if g.shed.len() == 0 || to < from || uint64(to)-uint64(from) > supersededRing {
-		return false
-	}
-	for seq := from; ; seq++ {
-		if !g.shed.contains(seq) {
-			return false
-		}
-		if seq == to {
-			return true
-		}
-	}
-}
+// NackSuppressed counts a NACK kept away from OnNack because every command
+// in its range was superseded: no repaint, no budget, no backoff step.
+func (g *Governor) NackSuppressed() { g.m.nackSuppressed() }
 
 // SpendRetry charges regenerated repaint bytes against the retransmit
 // budget. Callers invoke it with the wire bytes HandleNack produced for a
@@ -798,31 +771,3 @@ func rectIntersectsAny(r protocol.Rect, rs []protocol.Rect) bool {
 	}
 	return false
 }
-
-// seqSet remembers the most recent n superseded sequence numbers.
-type seqSet struct {
-	ring []uint32
-	set  map[uint32]struct{}
-	n    uint64
-}
-
-func newSeqSet(capacity int) *seqSet {
-	return &seqSet{ring: make([]uint32, capacity), set: make(map[uint32]struct{})}
-}
-
-func (s *seqSet) add(seq uint32) {
-	i := s.n % uint64(len(s.ring))
-	if s.n >= uint64(len(s.ring)) {
-		delete(s.set, s.ring[i])
-	}
-	s.ring[i] = seq
-	s.set[seq] = struct{}{}
-	s.n++
-}
-
-func (s *seqSet) contains(seq uint32) bool {
-	_, ok := s.set[seq]
-	return ok
-}
-
-func (s *seqSet) len() int { return len(s.set) }

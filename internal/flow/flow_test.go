@@ -198,24 +198,6 @@ func TestSupersessionEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestSupersededNackSuppressed(t *testing.T) {
-	g := NewGovernor(Config{BurstBytes: 1 << 20, SupersedeThresholdBytes: 1, MaxQueueBytes: 1 << 20}, nil)
-	g.SetGrant(0, 1)
-	// Disjoint rects, both inside the eventual cover.
-	g.Submit(0, fillItem(1, protocol.Rect{X: 4, Y: 4, W: 8, H: 8}, 1))
-	g.Submit(0, fillItem(2, protocol.Rect{X: 16, Y: 4, W: 8, H: 8}, 2))
-	res := g.Submit(0, fillItem(3, protocol.Rect{X: 0, Y: 0, W: 32, H: 32}, 3))
-	if len(res.Superseded) != 2 {
-		t.Fatalf("superseded %d, want 2", len(res.Superseded))
-	}
-	if v := g.OnNack(0, 1, 2); v != NackSuppressed {
-		t.Fatalf("nack over fully-superseded range: verdict %v, want NackSuppressed", v)
-	}
-	if v := g.OnNack(0, 1, 3); v == NackSuppressed {
-		t.Fatal("nack range including a live seq must not be suppressed")
-	}
-}
-
 func TestRetransmitBackoff(t *testing.T) {
 	cfg := Config{
 		BurstBytes:           1 << 10,
@@ -295,9 +277,11 @@ func TestQueueOverflowEvictsOldest(t *testing.T) {
 	if g.QueueBytes() > 64 {
 		t.Fatalf("queue %dB exceeds bound", g.QueueBytes())
 	}
-	// The evicted head must be remembered for NACK suppression.
-	if v := g.OnNack(0, first.Seq, first.Seq); v != NackSuppressed {
-		t.Fatalf("nack for evicted head: %v, want NackSuppressed", v)
+	// Evicted is not superseded: nothing newer covers the head's pixels,
+	// so the governor treats its NACK like any loss (the encoder, told of
+	// no supersession, repaints its rect).
+	if v := g.OnNack(0, first.Seq, first.Seq); v != NackRetransmit {
+		t.Fatalf("nack for evicted head: %v, want NackRetransmit", v)
 	}
 	_ = sizes
 }

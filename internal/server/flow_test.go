@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/core"
 	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/obs/telemetry"
@@ -143,6 +144,106 @@ func TestFlowNackBudget(t *testing.T) {
 	}
 	if len(tr.sent["c1"]) == before {
 		t.Error("deferred retransmit never regenerated")
+	}
+}
+
+// fillApp answers each key press with one fill, its rect chosen by the key.
+type fillApp map[uint16]protocol.Rect
+
+func (a fillApp) HandleKey(ev protocol.KeyEvent) []core.Op {
+	r, ok := a[ev.Code]
+	if !ok || !ev.Down {
+		return nil
+	}
+	return []core.Op{core.FillOp{Rect: r, Color: protocol.Pixel(ev.Code)}}
+}
+
+func (fillApp) HandlePointer(protocol.PointerEvent) []core.Op { return nil }
+
+// TestSupersededNackSuppressed drives supersession and the NACKs that
+// follow it through a Session. Two queued fills are shed by a third that
+// covers them; the governor reports them, the session tells the encoder,
+// and the encoder's sent log is then the one place that knows. A NACK over
+// just the shed pair costs nothing — no repaint, no retry budget, no
+// backoff step — and is counted; a NACK whose range also holds a command
+// that did leave repaints that command's rect and no other.
+func TestSupersededNackSuppressed(t *testing.T) {
+	rects := fillApp{
+		'a': {X: 4, Y: 4, W: 8, H: 8},
+		'b': {X: 16, Y: 4, W: 8, H: 8},
+		'c': {X: 0, Y: 0, W: 32, H: 32}, // covers a and b
+		'd': {X: 40, Y: 40, W: 8, H: 8},
+	}
+	tr := newMemTransport()
+	kit := telemetry.New(obs.DomainWall)
+	// A one-byte bucket at one byte a second: the first command after the
+	// grant leaves (a full bucket never stalls an oversized command), every
+	// later one queues, and any queue depth arms supersession.
+	s := New(tr, func(string, int, int) Application { return rects }, WithTelemetry(kit),
+		WithFlowControl(flow.Config{InitialBps: 1_000_000, BurstBytes: 1, SupersedeThresholdBytes: 1}))
+	s.Auth.Register("card-alice", "alice")
+	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.SessionByUser("alice")
+	if err := s.Handle("c1", &protocol.BandwidthGrant{SessionID: sess.ID, Bps: 8}, 0); err != nil {
+		t.Fatal(err)
+	}
+	press := func(key uint16) uint32 {
+		t.Helper()
+		if err := s.Handle("c1", &protocol.KeyEvent{Code: key, Down: true}, 0); err != nil {
+			t.Fatal(err)
+		}
+		return sess.Encoder.LastSeq()
+	}
+	d := press('d') // leaves on the full bucket
+	a, b := press('a'), press('b')
+	press('c')
+	if depth := sess.Governor().QueueDepth(); depth != 1 {
+		t.Fatalf("queue holds %d commands after the cover, want the cover alone", depth)
+	}
+	count := func(name string) int64 { return kit.Registry.Snapshot().Counters[name] }
+	const (
+		suppressed = "slim_flow_retransmits_suppressed_total"
+		answered   = "slim_flow_retransmits_total"
+		deferred   = "slim_flow_retransmits_deferred_total"
+		spent      = "slim_flow_retransmit_bytes_total"
+	)
+
+	sent, last := len(tr.sent["c1"]), sess.Encoder.LastSeq()
+	if err := s.Handle("c1", &protocol.Nack{From: a, To: b}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Encoder.LastSeq() != last || len(tr.sent["c1"]) != sent || sess.Governor().QueueDepth() != 1 {
+		t.Error("nack over a fully superseded range produced a repaint")
+	}
+	if count(suppressed) != 1 || count(answered) != 0 || count(deferred) != 0 || count(spent) != 0 {
+		t.Errorf("after the superseded nack: suppressed %d, answered %d, deferred %d, retry bytes %d; want 1, 0, 0, 0",
+			count(suppressed), count(answered), count(deferred), count(spent))
+	}
+
+	// d did leave. The range d..b is answered at once — the suppressed NACK
+	// took no backoff step — with d's rect and nothing of a's or b's.
+	if err := s.Handle("c1", &protocol.Nack{From: d, To: b}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if count(answered) != 1 || count(deferred) != 0 || count(spent) == 0 || count(suppressed) != 1 {
+		t.Errorf("after the mixed nack: answered %d, deferred %d, retry bytes %d, suppressed %d; want 1, 0, >0, 1",
+			count(answered), count(deferred), count(spent), count(suppressed))
+	}
+	for now := time.Hour; sess.Governor().QueueDepth() > 0; now += time.Hour {
+		if _, _, err := s.PumpFlows(now); err != nil { // one oversized command per refill
+			t.Fatal(err)
+		}
+	}
+	var painted []protocol.Rect
+	for _, msg := range tr.msgsTo(t, "c1")[sent:] {
+		if msg.Type().IsDisplay() {
+			painted = append(painted, core.WriteRect(msg))
+		}
+	}
+	if len(painted) != 2 || painted[0] != rects['c'] || painted[1] != rects['d'] {
+		t.Errorf("after the nacks the console was sent %v, want the cover then d's repaint", painted)
 	}
 }
 

@@ -36,6 +36,7 @@ func FuzzServerHandleDatagram(f *testing.F) {
 	}
 	f.Add(protocol.Encode(nil, 1, &protocol.Status{LastSeq: 0, Dropped: 9}))
 	f.Add(protocol.Encode(nil, 2, &protocol.Nack{From: 1, To: 1 << 30}))
+	f.Add(protocol.Encode(nil, 2, &protocol.Nack{From: 0, To: 0xffffffff})) // no sequence number that far is issued
 	f.Add(protocol.Encode(nil, 3, hello(1, 1, "card-alice")))
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		s := New(discard{}, func(user string, w, h int) Application { return NewTerminal(w, h) })

@@ -14,6 +14,9 @@ type metrics struct {
 	reconnects *obs.Counter
 	// authFailures counts rejected card tokens.
 	authFailures *obs.Counter
+	// nacksRejected counts NACKs dropped unanswered: a backwards range, or
+	// one naming a sequence number the session has not issued yet.
+	nacksRejected *obs.Counter
 	// inputEvents counts keystrokes and pointer updates received.
 	inputEvents *obs.Counter
 	// inputToPaint is the paper's canonical interactive-latency metric
@@ -26,11 +29,12 @@ type metrics struct {
 
 func newMetrics(r *obs.Registry) *metrics {
 	return &metrics{
-		sessions:     r.Gauge("slim_sessions"),
-		attaches:     r.Counter("slim_session_attaches_total"),
-		reconnects:   r.Counter("slim_session_reconnects_total"),
-		authFailures: r.Counter("slim_auth_failures_total"),
-		inputEvents:  r.Counter("slim_input_events_total"),
-		inputToPaint: r.Histogram("slim_input_to_paint_seconds"),
+		sessions:      r.Gauge("slim_sessions"),
+		attaches:      r.Counter("slim_session_attaches_total"),
+		reconnects:    r.Counter("slim_session_reconnects_total"),
+		authFailures:  r.Counter("slim_auth_failures_total"),
+		nacksRejected: r.Counter("slim_nacks_rejected_total"),
+		inputEvents:   r.Counter("slim_input_events_total"),
+		inputToPaint:  r.Histogram("slim_input_to_paint_seconds"),
 	}
 }

@@ -122,7 +122,7 @@ func TestMigrationPreservesScreenAndSequence(t *testing.T) {
 
 // TestMigrationQuiesceAndStaleNack covers the flow-control cutover: export
 // revokes the governor's grant and drains its queue, and a NACK for a
-// pre-cutover sequence range — the importing server's replay ring starts
+// pre-cutover sequence range — the importing server's sent log starts
 // empty — falls back to a full repaint instead of failing.
 func TestMigrationQuiesceAndStaleNack(t *testing.T) {
 	trA := newMemTransport()
@@ -180,8 +180,8 @@ func TestMigrationQuiesceAndStaleNack(t *testing.T) {
 	if _, _, err := dst.PumpFlows(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// A NACK for traffic the old shard sent: nothing in the new replay
-	// ring covers it, so recovery degrades to a full repaint — always
+	// A NACK for traffic the old shard sent: nothing in the new sent
+	// log covers it, so recovery degrades to a full repaint — always
 	// correct, never an error.
 	before := len(trB.sent["c1"])
 	if err := dst.Handle("c1", &protocol.Nack{From: lastSeq - 2, To: lastSeq}, time.Second); err != nil {

@@ -372,23 +372,28 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		if err != nil {
 			return err
 		}
+		if m.From > m.To || m.To > sess.Encoder.LastSeq() {
+			// Nothing unissued can be missing, and an answer would be a
+			// full-screen repaint for 28 bytes.
+			s.metrics.nacksRejected.Inc()
+			return nil
+		}
 		if sess.tel.Flight.Armed() {
 			sess.tel.Flight.Nack(m.From, m.To)
 		}
 		sess.tel.Path.OnNack(m.From, m.To)
-		if sess.gov == nil {
+		switch {
+		case sess.gov == nil:
 			sess.submit(out, sess.Encoder.HandleNack(*m), now, false)
-			return nil
+		case sess.Encoder.Superseded(*m):
+			// The governor itself shed the gap: newer queued state covers it.
+			sess.gov.NackSuppressed()
+		case sess.gov.OnNack(now, m.From, m.To) == flow.NackRetransmit:
+			sess.retransmit(out, *m, now)
 		}
-		switch sess.gov.OnNack(now, m.From, m.To) {
-		case flow.NackSuppressed, flow.NackDeferred:
-			// Suppressed: the gap is one the governor itself shed — newer
-			// queued state covers every pixel it touched. Deferred: the
-			// retransmit budget is spent; PumpFlows regenerates the range
-			// once the backoff expires, from the then-current frame buffer.
-			return nil
-		}
-		sess.retransmit(out, *m, now)
+		// Otherwise deferred: the retransmit budget is spent; PumpFlows
+		// regenerates the range once the backoff expires, from the
+		// then-current frame buffer.
 		return nil
 
 	case *protocol.BandwidthGrant:

@@ -9,6 +9,9 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/fb"
+	"slim/internal/flow"
+	"slim/internal/obs"
+	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
 	"slim/internal/raceflag"
 )
@@ -281,6 +284,64 @@ func TestNackTriggersRecovery(t *testing.T) {
 	}
 	if len(tr.sent["c1"]) <= before {
 		t.Error("nack produced no retransmission")
+	}
+}
+
+// TestNackRangeValidated: a NACK is outside input, and the range it names
+// is checked before the encoder or the governor sees it. A backwards range,
+// or one reaching past the last sequence number issued — which no console
+// can have missed, and which used to be answered with a full-screen repaint
+// for 28 bytes — is dropped and counted; a range inside what was issued is
+// answered.
+func TestNackRangeValidated(t *testing.T) {
+	for _, governed := range []bool{false, true} {
+		tr := newMemTransport()
+		kit := telemetry.New(obs.DomainWall)
+		opts := []Option{WithTelemetry(kit)}
+		if governed {
+			opts = append(opts, WithFlowControl(flow.Config{InitialBps: 1_000_000}))
+		}
+		s := newTestServer(tr, opts...)
+		if err := s.Handle("c1", hello(320, 200, "card-alice"), 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range "abc" {
+			if err := s.Handle("c1", &protocol.KeyEvent{Code: uint16(key), Down: true}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess := s.SessionByUser("alice")
+		rejected := int64(0)
+		for _, c := range []struct {
+			name     string
+			rng      func(last uint32) (from, to uint32)
+			answered bool
+		}{
+			{"first command", func(uint32) (uint32, uint32) { return 1, 1 }, true},
+			{"up to the last issued", func(last uint32) (uint32, uint32) { return last - 1, last }, true},
+			{"backwards", func(uint32) (uint32, uint32) { return 2, 1 }, false},
+			{"one past the last issued", func(last uint32) (uint32, uint32) { return last + 1, last + 1 }, false},
+			{"starts inside, ends past", func(last uint32) (uint32, uint32) { return 1, last + 1 }, false},
+			{"whole sequence space", func(uint32) (uint32, uint32) { return 0, 0xffffffff }, false},
+			{"far future", func(uint32) (uint32, uint32) { return 1 << 30, 1 << 30 }, false},
+		} {
+			before, last := len(tr.sent["c1"]), sess.Encoder.LastSeq()
+			from, to := c.rng(last)
+			if err := s.Handle("c1", &protocol.Nack{From: from, To: to}, 0); err != nil {
+				t.Fatalf("governed=%v %s: %v", governed, c.name, err)
+			}
+			if !c.answered {
+				rejected++
+			}
+			sent, encoded := len(tr.sent["c1"])-before, sess.Encoder.LastSeq()-last
+			if c.answered != (sent > 0) || c.answered != (encoded > 0) {
+				t.Errorf("governed=%v %s: nack %d..%d of %d issued drew %d datagrams (%d commands encoded), answered should be %v",
+					governed, c.name, from, to, last, sent, encoded, c.answered)
+			}
+			if got := kit.Registry.Snapshot().Counters["slim_nacks_rejected_total"]; got != rejected {
+				t.Errorf("governed=%v %s: slim_nacks_rejected_total = %d, want %d", governed, c.name, got, rejected)
+			}
+		}
 	}
 }
 

@@ -250,7 +250,10 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 				}
 				// Shed commands never reach the wire: recycle their
 				// buffers once the flight recorder has accounted for them.
+				// The encoder learns which ones newer state covers (a NACK
+				// over them asks for nothing); an evicted one is just lost.
 				for i := range res.Superseded {
+					sess.Encoder.MarkSuperseded(res.Superseded[i].Seq)
 					res.Superseded[i].ReleaseWire()
 				}
 				sess.shed(res.Evicted)

@@ -1,22 +1,23 @@
-// Package wirebuf is a reference-counted, size-classed arena for wire
-// buffers. The encoder marshals every display datagram into a Buf; the
-// buffer then travels through the flow governor's queue and the transport,
-// and is retained by the replay ring, before returning to a sync.Pool for
-// the next datagram. Refcounting is what makes pooling safe in a pipeline
-// where a datagram can be simultaneously queued for (re)transmission and
-// parked in the replay ring: the bytes go back to the pool only when every
-// holder has released, so reuse can never alias a live retransmit.
+// Package wirebuf is a size-classed arena for wire buffers. The encoder
+// marshals every display datagram into a Buf; the buffer then travels with
+// the datagram — through the flow governor's queue, if the session is
+// paced, and into the transport — and returns to a sync.Pool for the next
+// datagram. Nothing keeps a sent datagram: loss recovery repaints from the
+// frame buffer, so a buffer has exactly one owner at any moment.
 //
 // Ownership contract:
 //
-//   - Get returns a Buf with one reference, owned by the caller.
-//   - Every party that stores the Buf past its caller's return takes its
-//     own reference with Retain and pairs it with Release.
+//   - Get returns a Buf owned by the caller.
+//   - Handing the Buf on (queueing the datagram, listing it for sending)
+//     hands the ownership on; the previous holder must not touch it again.
 //   - A transport's Send must not retain the wire slice after returning;
-//     the sender releases its reference as soon as Send comes back.
+//     the sender releases the buffer as soon as Send comes back, and a
+//     transport that delivers later copies the bytes first.
+//   - The last holder calls Release exactly once — after the send, or when
+//     the command is dropped unsent.
 //
-// Release of the last reference recycles the buffer; releasing below zero
-// panics (a use-after-release waiting to happen).
+// Releasing a buffer that is already free panics (a use-after-release
+// waiting to happen).
 package wirebuf
 
 import (
@@ -35,30 +36,30 @@ var pools [len(classSizes)]sync.Pool
 
 // Buf is one pooled wire buffer.
 type Buf struct {
-	b    []byte
-	refs atomic.Int32
+	b []byte
+	// held is set from Get to Release; it exists to catch a second Release.
+	held atomic.Bool
 	// class is the index of the pool this buffer recycles into,
 	// -1 for oversized buffers that just fall to the GC.
 	class int
 }
 
-// Get returns a zero-length buffer with capacity at least size and one
-// reference owned by the caller.
+// Get returns a zero-length buffer with capacity at least size, owned by
+// the caller.
 func Get(size int) *Buf {
 	for i, cs := range classSizes {
 		if size <= cs {
-			if b, ok := pools[i].Get().(*Buf); ok {
-				b.refs.Store(1)
-				b.b = b.b[:0]
-				return b
+			b, ok := pools[i].Get().(*Buf)
+			if !ok {
+				b = &Buf{b: make([]byte, 0, cs), class: i}
 			}
-			b := &Buf{b: make([]byte, 0, cs), class: i}
-			b.refs.Store(1)
+			b.b = b.b[:0]
+			b.held.Store(true)
 			return b
 		}
 	}
 	b := &Buf{b: make([]byte, 0, size), class: -1}
-	b.refs.Store(1)
+	b.held.Store(true)
 	return b
 }
 
@@ -82,20 +83,13 @@ func (b *Buf) SetBytes(p []byte) {
 	b.b = p
 }
 
-// Retain adds a reference.
-func (b *Buf) Retain() { b.refs.Add(1) }
-
-// Release drops a reference, recycling the buffer when the last one goes.
+// Release returns the buffer to its pool. The caller must be its owner and
+// must not use it, or any slice of it, afterwards.
 func (b *Buf) Release() {
-	switch n := b.refs.Add(-1); {
-	case n == 0:
-		if b.class >= 0 {
-			pools[b.class].Put(b)
-		}
-	case n < 0:
+	if !b.held.CompareAndSwap(true, false) {
 		panic("wirebuf: release of a free buffer")
 	}
+	if b.class >= 0 {
+		pools[b.class].Put(b)
+	}
 }
-
-// Refs reports the current reference count (for tests).
-func (b *Buf) Refs() int { return int(b.refs.Load()) }

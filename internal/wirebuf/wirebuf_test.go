@@ -11,29 +11,17 @@ func TestGetSizesAndClasses(t *testing.T) {
 		if cap(b.Bytes()) < size {
 			t.Fatalf("Get(%d): cap %d too small", size, cap(b.Bytes()))
 		}
-		if b.Refs() != 1 {
-			t.Fatalf("Get(%d): refs %d, want 1", size, b.Refs())
-		}
 		b.Release()
 	}
 }
 
-func TestRetainRelease(t *testing.T) {
-	b := Get(64)
-	b.Retain()
-	if b.Refs() != 2 {
-		t.Fatalf("refs %d, want 2", b.Refs())
-	}
-	b.Release()
-	if b.Refs() != 1 {
-		t.Fatalf("refs %d, want 1", b.Refs())
-	}
-	b.Release()
-}
-
-func TestReleaseBelowZeroPanics(t *testing.T) {
+// TestSecondReleasePanics is the single-owner contract's one check: a
+// buffer goes back to the pool once, and whoever releases it again — a
+// holder that already handed it on — is stopped before the pool hands the
+// same bytes to two datagrams.
+func TestSecondReleasePanics(t *testing.T) {
 	b := &Buf{class: -1} // detached from the pools so the panic can't poison them
-	b.refs.Store(1)
+	b.held.Store(true)
 	b.Release()
 	defer func() {
 		if recover() == nil {

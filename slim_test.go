@@ -244,9 +244,9 @@ func TestLossRecoveryConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop every 7th display datagram while typing several lines. Gaps
-	// past the 2-datagram reorder window trigger Nacks; the server's
-	// replay buffer (or repaint) regenerates the losses synchronously on
-	// this fabric.
+	// past the 2-datagram reorder window trigger Nacks; the server
+	// repaints the losses from its frame buffer, synchronously on this
+	// fabric.
 	fabric.SetLoss(7)
 	for line := 0; line < 12; line++ {
 		if err := fabric.TypeString("desk-l", "packet loss is survivable!\n"); err != nil {
