@@ -147,8 +147,8 @@ func (f *Fabric) Now() time.Duration {
 
 // Pump runs the periodic duties at the fabric's current virtual clock, as
 // the UDP transport's timers do on the wall clock: every attached server's
-// flow governors are serviced (paced traffic is released, deferred
-// retransmits regenerate), then every console is polled for the STATUS it
+// flow governors are serviced (paced traffic is released, sessions in debt
+// repaint their next piece), then every console is polled for the STATUS it
 // owes. Call it after SetClock when a test advances time.
 func (f *Fabric) Pump() error {
 	f.mu.Lock()

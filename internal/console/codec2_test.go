@@ -356,3 +356,41 @@ func TestCacheHitDecodeTaggedDistinct(t *testing.T) {
 		t.Error("SET decode histogram empty; miss path untagged")
 	}
 }
+
+// TestHelloAckKeepsTheSessionsTiles: the ack of a Hello with a card trails
+// the SessionAttach and whatever of the repaint left with it. It names the
+// session the console is already showing, so it must not start another
+// cache generation — the server's mirror counts on the tiles the repaint
+// has cached, and every CACHE_PAINT after the ack would otherwise miss.
+// An ack naming any other session still starts clean.
+func TestHelloAckKeepsTheSessionsTiles(t *testing.T) {
+	c, reg := codec2Console(t, 64, 64)
+	enc := core.NewEncoder(64, 64)
+	enc.EnableCodec2(0)
+	control := func(msg protocol.Message) {
+		t.Helper()
+		if _, err := c.HandleDatagram(protocol.Encode(nil, 0, msg), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	control(&protocol.SessionAttach{SessionID: 7})
+	top := protocol.Rect{W: 64, H: core.TileSize}
+	if nacks := feedAll(t, c, enc.Repaint(top)); len(nacks) != 0 {
+		t.Fatalf("the first piece of the repaint drew %d NACKs", len(nacks))
+	}
+	control(&protocol.HelloAck{SessionID: 7})
+	rest := enc.Repaint(protocol.Rect{Y: core.TileSize, W: 64, H: 64 - core.TileSize})
+	if _, isClaim := rest[0].Msg.(*protocol.CachePaint); !isClaim {
+		t.Fatalf("the rest of a blank screen opens with %v; nothing claims the cached tile", rest[0].Msg.Type())
+	}
+	if nacks := feedAll(t, c, rest); len(nacks) != 0 {
+		t.Errorf("after the ack of its own session the console missed %d cached tiles", len(nacks))
+	}
+	control(&protocol.HelloAck{SessionID: 8})
+	if nacks := feedAll(t, c, enc.Repaint(top)); len(nacks) == 0 {
+		t.Error("an ack naming another session kept the old session's tiles")
+	}
+	if reg.Counter("slim_console_cache_misses_total").Value() == 0 {
+		t.Error("no miss was counted")
+	}
+}

@@ -276,7 +276,13 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 
 	switch m := msg.(type) {
 	case *protocol.HelloAck:
-		c.setSession(m.SessionID)
+		// The ack of a Hello with a card trails the SessionAttach and as
+		// much of the repaint as left with it. The session is set already;
+		// resetting again would discard the tiles that repaint has cached,
+		// which the server's mirror counts on from its next piece on.
+		if m.SessionID != c.sessionID {
+			c.setSession(m.SessionID)
+		}
 	case *protocol.SessionAttach:
 		c.setSession(m.SessionID)
 	case *protocol.SessionDetach:

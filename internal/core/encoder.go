@@ -398,26 +398,26 @@ func (e *Encoder) RepaintAll() []Datagram {
 	return e.Repaint(e.FB.Bounds())
 }
 
-// HandleNack recovers from a reported loss. Verbatim replay of just the
-// lost datagrams is not safe in general: by the time the Nack arrives the
-// console has already applied later commands, and a COPY among them — the
-// one command that reads the frame buffer — may have propagated the stale
-// pixels elsewhere. Recovery therefore repaints, from the authoritative
-// frame buffer, the lost commands' regions plus the regions of every
-// subsequent COPY whose source touched the (transitively growing) damage.
-// Non-COPY commands applied after the loss drew correct pixels and do not
-// extend the damage, which keeps recovery proportional to what was lost —
+// Damage reports what a console that reported the loss n is missing, as a
+// region of the frame buffer. Verbatim replay of just the lost datagrams is
+// not safe in general: by the time the Nack arrives the console has already
+// applied later commands, and a COPY among them — the one command that
+// reads the frame buffer — may have propagated the stale pixels elsewhere.
+// The damage is therefore the lost commands' regions plus the regions of
+// every subsequent COPY whose source touched the (transitively growing)
+// damage. Non-COPY commands applied after the loss drew correct pixels and
+// do not extend it, which keeps recovery proportional to what was lost —
 // crucial when recovery traffic itself suffers loss. All of it is read from
 // the sent log, which holds geometry only. A command superseded before it
-// left (MarkSuperseded) is no loss; one evicted from the governor's queue is
-// a loss like any other. If the range has aged out of the log, the whole
-// screen is repainted. Either way, never stop-and-wait (§2.2).
-func (e *Encoder) HandleNack(n protocol.Nack) []Datagram {
-	var damage fb.Region
+// left (MarkSuperseded) is no loss, so a range of nothing else is an empty
+// region; one evicted from the governor's queue is a loss like any other.
+// ok is false when the range has aged out of the log: the whole screen is
+// in doubt, tile cache included (ResetCodec2).
+func (e *Encoder) Damage(n protocol.Nack) (damage fb.Region, ok bool) {
 	for seq := n.From; seq <= n.To; seq++ {
-		r, ok := e.sent.get(seq)
-		if !ok {
-			return e.RepaintAll()
+		r, logged := e.sent.get(seq)
+		if !logged {
+			return fb.Region{}, false
 		}
 		if r.superseded {
 			continue
@@ -432,13 +432,24 @@ func (e *Encoder) HandleNack(n protocol.Nack) []Datagram {
 		damage.Add(r.rect.rect())
 	}
 	for seq := n.To + 1; seq <= e.seq.Current(); seq++ {
-		r, ok := e.sent.get(seq)
-		if !ok {
-			return e.RepaintAll()
+		r, logged := e.sent.get(seq)
+		if !logged {
+			return fb.Region{}, false
 		}
 		if src := r.src.rect(); !src.Empty() && !r.superseded && damage.Intersects(src) {
 			damage.Add(r.rect.rect())
 		}
+	}
+	return damage, true
+}
+
+// HandleNack recovers from a reported loss in one step: the Damage, repainted
+// from the authoritative frame buffer — never stop-and-wait (§2.2). The
+// server pays the same damage at its grant's pace (Session.repay).
+func (e *Encoder) HandleNack(n protocol.Nack) []Datagram {
+	damage, ok := e.Damage(n)
+	if !ok {
+		return e.RepaintAll()
 	}
 	var out []Datagram
 	for _, r := range damage.Rects() {
@@ -454,17 +465,6 @@ func (e *Encoder) MarkSuperseded(seq uint32) {
 	if r, ok := e.sent.get(seq); ok {
 		r.superseded = true
 	}
-}
-
-// Superseded reports whether every command in the Nack's range was
-// superseded before it left, so that the Nack names no loss at all.
-func (e *Encoder) Superseded(n protocol.Nack) bool {
-	for seq := n.From; seq <= n.To; seq++ {
-		if r, ok := e.sent.get(seq); !ok || !r.superseded {
-			return false
-		}
-	}
-	return n.From <= n.To
 }
 
 // affectedRect reports every pixel a display command may change — for
@@ -598,18 +598,4 @@ func tileRect(r protocol.Rect, maxW, maxH int) []protocol.Rect {
 		}
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

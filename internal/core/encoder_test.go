@@ -611,11 +611,11 @@ func TestHandleNackSkipsSuperseded(t *testing.T) {
 	a := fill(protocol.Rect{X: 0, Y: 0, W: 8, H: 8}, 1)
 	b := fill(protocol.Rect{X: 32, Y: 32, W: 8, H: 8}, 2)
 	e.MarkSuperseded(a)
-	if !e.Superseded(protocol.Nack{From: a, To: a}) {
-		t.Error("range of one superseded command not reported superseded")
+	if d, ok := e.Damage(protocol.Nack{From: a, To: a}); !ok || !d.Empty() {
+		t.Errorf("range of one superseded command damages %v (in log: %v), want nothing", d.Rects(), ok)
 	}
-	if e.Superseded(protocol.Nack{From: a, To: b}) || e.Superseded(protocol.Nack{From: b, To: a}) {
-		t.Error("range with a sent member, or a backwards one, reported superseded")
+	if d, ok := e.Damage(protocol.Nack{From: a, To: b}); !ok || d.Empty() {
+		t.Errorf("range with a sent member damages nothing (in log: %v)", ok)
 	}
 	if out := e.HandleNack(protocol.Nack{From: a, To: a}); len(out) != 0 {
 		t.Errorf("nack over a superseded command repainted %d commands", len(out))

@@ -4,7 +4,7 @@
 // share and answers BandwidthRequests with BandwidthGrants; this package
 // makes the server honor them.
 //
-// The governor sits between the encoder and the transport and does three
+// The governor sits between the encoder and the transport and does two
 // things:
 //
 //   - Paces: a token-bucket (bytes; refilled at the granted bps) releases
@@ -17,14 +17,16 @@
 //     stateless "the server need only send the latest state" advantage
 //     (§2.2) made explicit. COPY reads are respected: a command is never
 //     shed while a later queued COPY still reads its pixels.
-//   - Budgets retransmits: NACK-triggered repaints share the grant but are
-//     capped to a configurable fraction of it and backed off exponentially
-//     when NACKs storm, so loss recovery cannot starve fresh paints (§5's
-//     observation that recovery traffic competes with interactive traffic).
-//     The governor decides only *when* recovery may be sent; *what* a NACK
-//     lost the encoder says, from its sent log. The caller reports the
-//     commands Submit superseded to it, and a NACK naming nothing else
-//     never reaches OnNack (NackSuppressed counts it).
+//
+// Loss recovery has no bucket of its own here. What a console is owed is a
+// region the session keeps (server.Session's damage: a union, so a storm of
+// NACKs cannot grow it past one screen), and the session offers it in
+// burst-sized pieces only while this queue is short, so recovery is paced
+// by the one token bucket everything else leaves through and a fresh paint
+// never queues behind more than a burst of it (§5's observation that
+// recovery traffic competes with interactive traffic). The governor only
+// accounts: Item.Retransmit marks repayment, NackSuppressed counts a NACK
+// that named nothing but commands Submit superseded.
 //
 // Released commands leave one Packet each, at their plain-framed size;
 // packing a burst of them into §5.4 frames is the socket endpoint's job
@@ -67,15 +69,6 @@ type Config struct {
 	// scans run. Below it the queue drains within a burst anyway and
 	// shedding would only create NACK gaps. 0 means BurstBytes.
 	SupersedeThresholdBytes int
-	// RetransmitShare is the fraction of the grant available to
-	// NACK-triggered retransmits (0 means DefaultRetransmitShare).
-	RetransmitShare float64
-	// RetransmitBackoff is the base backoff between retransmit rounds when
-	// NACKs arrive back to back (0 means DefaultRetransmitBackoff).
-	RetransmitBackoff time.Duration
-	// RetransmitBackoffMax caps the exponential backoff
-	// (0 means DefaultRetransmitBackoffMax).
-	RetransmitBackoffMax time.Duration
 	// Costs is the console cost model behind the derived defaults
 	// (nil means core.SunRay1Costs).
 	Costs *core.CostModel
@@ -83,10 +76,7 @@ type Config struct {
 
 // Tuning defaults. See Config.
 const (
-	DefaultMaxQueueBytes        = 256 << 10
-	DefaultRetransmitShare      = 0.25
-	DefaultRetransmitBackoff    = 20 * time.Millisecond
-	DefaultRetransmitBackoffMax = 640 * time.Millisecond
+	DefaultMaxQueueBytes = 256 << 10
 
 	// utilizationWindow is the accounting window behind the
 	// slim_flow_grant_utilization gauge.
@@ -159,15 +149,6 @@ func (c Config) withDefaults() Config {
 	if c.SupersedeThresholdBytes == 0 {
 		c.SupersedeThresholdBytes = c.BurstBytes
 	}
-	if c.RetransmitShare == 0 {
-		c.RetransmitShare = DefaultRetransmitShare
-	}
-	if c.RetransmitBackoff == 0 {
-		c.RetransmitBackoff = DefaultRetransmitBackoff
-	}
-	if c.RetransmitBackoffMax == 0 {
-		c.RetransmitBackoffMax = DefaultRetransmitBackoffMax
-	}
 	return c
 }
 
@@ -188,7 +169,8 @@ type Item struct {
 	// by Reset) hand it back to the caller, who releases after the send or
 	// the drop accounting.
 	Buf *wirebuf.Buf
-	// Retransmit marks NACK-triggered recovery traffic for accounting.
+	// Retransmit marks a repaint that pays the session's debt to its
+	// console (loss recovery, attach) for accounting.
 	Retransmit bool
 }
 
@@ -238,28 +220,11 @@ type SubmitResult struct {
 	Depth int
 }
 
-// NackVerdict is the governor's decision on one incoming NACK.
-type NackVerdict int
-
-const (
-	// NackRetransmit: regenerate the repaint now (budget allows).
-	NackRetransmit NackVerdict = iota
-	// NackDeferred: backoff or budget exhaustion; the range is parked and
-	// will be reported by DueNacks when its time comes.
-	NackDeferred
-)
-
 // entry is one queued item plus its enqueue time (for the pacing-delay
 // histogram and utilization accounting).
 type entry struct {
 	it Item
 	at time.Duration
-}
-
-// pendingNack is a parked retransmit range.
-type pendingNack struct {
-	from, to uint32
-	readyAt  time.Duration
 }
 
 // Governor paces one session's display stream to its bandwidth grant.
@@ -271,7 +236,6 @@ type Governor struct {
 
 	rate   uint64 // granted bps; 0 = ungoverned pass-through
 	tokens float64
-	retry  float64
 	primed bool
 	last   time.Duration
 
@@ -279,11 +243,6 @@ type Governor struct {
 	queueBytes  int
 	dropScratch []bool
 	dropped     []Item // Reset's reusable return slab
-
-	backoff  time.Duration
-	lastNack time.Duration
-	seenNack bool
-	pending  []pendingNack
 
 	winStart time.Duration
 	winBytes int64
@@ -302,7 +261,7 @@ type Governor struct {
 	// pacedBytes/pacedRetransBytes count wire bytes this governor has
 	// handed to the transport since creation — both paced releases and
 	// ungoverned pass-throughs — split into fresh display traffic and
-	// NACK-triggered retransmits. The netqual estimator compares them
+	// debt repayment. The netqual estimator compares them
 	// against console-acknowledged bytes to derive delivered goodput.
 	pacedBytes        int64
 	pacedRetransBytes int64
@@ -333,8 +292,7 @@ func NewGovernor(cfg Config, m *Metrics) *Governor {
 // core.Calibrator — and recomputes every cost-derived parameter the
 // caller originally left to the defaults: demand, burst depth, and the
 // supersession threshold. Explicitly configured values are preserved.
-// Queued traffic, grants, and NACK state are untouched; only pacing
-// arithmetic changes.
+// Queued traffic and grants are untouched; only pacing arithmetic changes.
 func (g *Governor) SetCosts(cm *core.CostModel) {
 	if cm == nil {
 		return
@@ -366,7 +324,7 @@ func (g *Governor) QueueBytes() int { return g.queueBytes }
 
 // PacedBytes reports the cumulative wire bytes this governor has handed
 // to the transport: total includes every release and ungoverned
-// pass-through; retrans is the NACK-recovery subset. Delivered goodput is
+// pass-through; retrans is the debt-repayment subset. Delivered goodput is
 // estimated by comparing total against console-acknowledged bytes.
 func (g *Governor) PacedBytes() (total, retrans int64) {
 	return g.pacedBytes, g.pacedRetransBytes
@@ -406,7 +364,6 @@ func (g *Governor) SetGrant(now time.Duration, bps uint64) {
 	g.refill(now)
 	if g.rate == 0 && bps > 0 {
 		g.tokens = float64(g.cfg.BurstBytes)
-		g.retry = g.retryCap()
 	}
 	g.rate = bps
 	g.clamp()
@@ -438,23 +395,12 @@ func (g *Governor) refill(now time.Duration) {
 	if g.rate == 0 {
 		return
 	}
-	sec := dt.Seconds()
-	g.tokens += float64(g.rate) / 8 * sec
-	g.retry += float64(g.rate) * g.cfg.RetransmitShare / 8 * sec
+	g.tokens += float64(g.rate) / 8 * dt.Seconds()
 	g.clamp()
 }
 
-func (g *Governor) retryCap() float64 {
-	return float64(g.cfg.BurstBytes) * g.cfg.RetransmitShare
-}
-
 func (g *Governor) clamp() {
-	if cap := float64(g.cfg.BurstBytes); g.tokens > cap {
-		g.tokens = cap
-	}
-	if cap := g.retryCap(); g.retry > cap {
-		g.retry = cap
-	}
+	g.tokens = min(g.tokens, float64(g.cfg.BurstBytes))
 }
 
 // Submit offers one display command. Ungoverned sessions pass straight
@@ -465,12 +411,7 @@ func (g *Governor) Submit(now time.Duration, it Item) SubmitResult {
 	g.refill(now)
 	g.m.submittedInc()
 	if g.rate == 0 {
-		g.m.releasedDirect(int64(it.Bytes()))
-		g.winBytes += int64(it.Bytes())
-		g.pacedBytes += int64(it.Bytes())
-		if it.Retransmit {
-			g.pacedRetransBytes += int64(it.Bytes())
-		}
+		g.account(int64(it.Bytes()), it.Retransmit)
 		return SubmitResult{Pass: true}
 	}
 	var res SubmitResult
@@ -517,7 +458,7 @@ func (g *Governor) supersede(it Item) []Item {
 	for i := len(g.queue) - 1; i >= 0; i-- {
 		e := g.queue[i]
 		w := core.WriteRect(e.it.Msg)
-		if e.it.Msg != nil && w.Pixels() > 0 && rectContains(cover, w) && !rectIntersectsAny(w, guards) {
+		if e.it.Msg != nil && w.Pixels() > 0 && cover.Contains(w) && !readBy(w, guards) {
 			drop[i] = true
 			g.queueBytes -= e.it.Bytes()
 			shed = append(shed, e.it)
@@ -568,12 +509,8 @@ func (g *Governor) Release(now time.Duration) []Packet {
 		if g.rate != 0 {
 			g.tokens -= cost
 		}
-		g.winBytes += int64(cost)
-		g.pacedBytes += int64(cost)
-		if e.it.Retransmit {
-			g.pacedRetransBytes += int64(cost)
-		}
-		g.m.release(int64(cost), now-e.at, e.it.Retransmit)
+		g.account(int64(cost), e.it.Retransmit)
+		g.m.pacingDelayed(now - e.at)
 		n++
 	}
 	if n == 0 {
@@ -592,124 +529,42 @@ func (g *Governor) Release(now time.Duration) []Packet {
 	return pkts
 }
 
-// NextRelease reports when the governor next has work the grant will
-// allow: the head-of-queue release time or the earliest due retransmit
-// round. ok is false when nothing is pending.
+// NextRelease reports when the grant next lets the head of the queue
+// leave. ok is false when nothing is queued.
 func (g *Governor) NextRelease(now time.Duration) (time.Duration, bool) {
 	g.refill(now)
-	at := time.Duration(0)
-	ok := false
-	consider := func(t time.Duration) {
-		if !ok || t < at {
-			at, ok = t, true
-		}
+	if len(g.queue) == 0 {
+		return 0, false
 	}
-	if len(g.queue) > 0 {
-		if g.rate == 0 {
-			consider(now)
-		} else {
-			cost := float64(g.queue[0].it.Bytes())
-			if g.tokens >= cost || g.tokens >= float64(g.cfg.BurstBytes) {
-				consider(now)
-			} else {
-				deficit := cost - g.tokens
-				consider(now + bytesTime(deficit, g.rate))
-			}
-		}
+	cost := float64(g.queue[0].it.Bytes())
+	if g.rate == 0 || g.tokens >= cost || g.tokens >= float64(g.cfg.BurstBytes) {
+		return now, true
 	}
-	for _, p := range g.pending {
-		t := p.readyAt
-		if g.rate != 0 && g.retry <= 0 {
-			t = maxDuration(t, now+bytesTime(1-g.retry, float64(g.rate)*g.cfg.RetransmitShare))
-		}
-		consider(t)
-	}
-	return at, ok
+	return now + bytesTime(cost-g.tokens, g.rate), true
 }
 
 // bytesTime is how long rate bps takes to move n bytes.
-func bytesTime[R uint64 | float64](n float64, rate R) time.Duration {
-	if rate <= 0 {
+func bytesTime(n float64, rate uint64) time.Duration {
+	if rate == 0 {
 		return 0
 	}
 	return time.Duration(n * 8 / float64(rate) * float64(time.Second))
 }
 
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
+// account adds wire bytes handed to the transport to the utilization
+// window, the cumulative totals and the metrics.
+func (g *Governor) account(bytes int64, retransmit bool) {
+	g.m.released(bytes, retransmit)
+	g.winBytes += bytes
+	g.pacedBytes += bytes
+	if retransmit {
+		g.pacedRetransBytes += bytes
 	}
-	return b
 }
 
-// OnNack decides when one console loss report is answered: the retransmit
-// budget and backoff choose between regenerating now and parking the range
-// for DueNacks. Callers keep NACKs that name no loss away from it.
-func (g *Governor) OnNack(now time.Duration, from, to uint32) NackVerdict {
-	g.refill(now)
-	// Escalate the backoff while NACKs keep arriving; a quiet period
-	// (longer than the current backoff, at least the max) resets it.
-	quiet := maxDuration(2*g.backoff, g.cfg.RetransmitBackoffMax)
-	if g.seenNack && now-g.lastNack <= quiet {
-		if g.backoff == 0 {
-			g.backoff = g.cfg.RetransmitBackoff
-		} else if g.backoff < g.cfg.RetransmitBackoffMax {
-			g.backoff = minDuration(2*g.backoff, g.cfg.RetransmitBackoffMax)
-		}
-	} else {
-		g.backoff = 0
-	}
-	g.lastNack = now
-	g.seenNack = true
-	if g.rate == 0 || (g.backoff == 0 && g.retry > 0) {
-		g.m.nackRetransmit()
-		return NackRetransmit
-	}
-	g.pending = append(g.pending, pendingNack{from: from, to: to, readyAt: now + g.backoff})
-	g.m.nackDeferred()
-	return NackDeferred
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// NackSuppressed counts a NACK kept away from OnNack because every command
-// in its range was superseded: no repaint, no budget, no backoff step.
+// NackSuppressed counts a NACK that asked for nothing because every command
+// in its range was superseded before it left.
 func (g *Governor) NackSuppressed() { g.m.nackSuppressed() }
-
-// SpendRetry charges regenerated repaint bytes against the retransmit
-// budget. Callers invoke it with the wire bytes HandleNack produced for a
-// NackRetransmit verdict or a due range.
-func (g *Governor) SpendRetry(bytes int) {
-	g.retry -= float64(bytes)
-	g.m.retransmitBytes(int64(bytes))
-}
-
-// DueNacks pops the parked retransmit ranges whose backoff has expired,
-// provided the retransmit budget has recovered. The caller regenerates
-// their repaints (fresh encoder state — a deferred repaint sends the
-// *latest* pixels, one more way lateness cheapens recovery).
-func (g *Governor) DueNacks(now time.Duration) []protocol.Nack {
-	g.refill(now)
-	if len(g.pending) == 0 || (g.rate != 0 && g.retry <= 0) {
-		return nil
-	}
-	var due []protocol.Nack
-	kept := g.pending[:0]
-	for _, p := range g.pending {
-		if p.readyAt <= now {
-			due = append(due, protocol.Nack{From: p.from, To: p.to})
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	g.pending = kept
-	return due
-}
 
 // Reset drops all queued state — the attach path calls it when a session
 // moves to a new console, where a full repaint follows anyway. The dropped
@@ -731,13 +586,12 @@ func (g *Governor) Reset(now time.Duration) []Item {
 	g.dropped = dropped
 	g.queue = g.queue[:0]
 	g.queueBytes = 0
-	g.pending = g.pending[:0]
 	g.m.queue(0, 0)
 	return dropped
 }
 
-// Quiesce is Reset plus grant revocation: queued damage and pending NACK
-// state are dropped (returned for buffer release, like Reset), and the
+// Quiesce is Reset plus grant revocation: queued commands are dropped
+// (returned for buffer release, like Reset), and the
 // granted rate returns to zero so the governor passes traffic ungoverned
 // until the next console's BandwidthGrant arrives. The migration path calls
 // it on the exporting server — the old console's grant was negotiated for
@@ -750,22 +604,11 @@ func (g *Governor) Quiesce(now time.Duration) []Item {
 	return dropped
 }
 
-// rectContains reports whether a fully contains b (empty b is contained
-// nowhere: callers filtered it).
-func rectContains(a, b protocol.Rect) bool {
-	return b.X >= a.X && b.Y >= a.Y &&
-		b.X+b.W <= a.X+a.W && b.Y+b.H <= a.Y+a.H
-}
-
-// rectIntersects reports whether a and b share any pixel.
-func rectIntersects(a, b protocol.Rect) bool {
-	return a.X < b.X+b.W && b.X < a.X+a.W &&
-		a.Y < b.Y+b.H && b.Y < a.Y+a.H
-}
-
-func rectIntersectsAny(r protocol.Rect, rs []protocol.Rect) bool {
-	for _, o := range rs {
-		if rectIntersects(r, o) {
+// readBy reports whether any of srcs, the source rects of queued COPYs,
+// shares a pixel with w.
+func readBy(w protocol.Rect, srcs []protocol.Rect) bool {
+	for _, src := range srcs {
+		if !w.Intersect(src).Empty() {
 			return true
 		}
 	}

@@ -198,92 +198,22 @@ func TestSupersessionEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestRetransmitBackoff(t *testing.T) {
-	cfg := Config{
-		BurstBytes:           1 << 10,
-		RetransmitBackoff:    10 * time.Millisecond,
-		RetransmitBackoffMax: 80 * time.Millisecond,
-	}
-	g := NewGovernor(cfg, nil)
-	g.SetGrant(0, 1_000_000)
-	if v := g.OnNack(0, 1, 2); v != NackRetransmit {
-		t.Fatalf("first nack: %v, want NackRetransmit", v)
-	}
-	// A storm of nacks escalates into deferral.
-	deferred := 0
-	now := time.Duration(0)
-	for i := 0; i < 6; i++ {
-		now += time.Millisecond
-		if g.OnNack(now, uint32(3+i), uint32(3+i)) == NackDeferred {
-			deferred++
-		}
-	}
-	if deferred == 0 {
-		t.Fatal("nack storm never deferred")
-	}
-	if due := g.DueNacks(now); len(due) != 0 {
-		t.Fatalf("deferred ranges due immediately: %v", due)
-	}
-	due := g.DueNacks(now + cfg.RetransmitBackoffMax + time.Millisecond)
-	if len(due) != deferred {
-		t.Fatalf("due %d ranges after backoff, want %d", len(due), deferred)
-	}
-	// Quiet period resets the backoff.
-	quiet := now + 10*cfg.RetransmitBackoffMax
-	if v := g.OnNack(quiet, 100, 100); v != NackRetransmit {
-		t.Fatalf("nack after quiet period: %v, want NackRetransmit", v)
-	}
-}
-
-func TestRetransmitBudgetDefers(t *testing.T) {
-	g := NewGovernor(Config{BurstBytes: 1 << 10, RetransmitShare: 0.25}, nil)
-	g.SetGrant(0, 8_000) // 1000 B/s → retry budget 250 B/s, cap 256 B
-	if v := g.OnNack(0, 1, 1); v != NackRetransmit {
-		t.Fatalf("verdict %v, want NackRetransmit", v)
-	}
-	g.SpendRetry(10_000) // repaint far larger than the budget
-	// Budget is deep in debt: the next nack defers even though backoff
-	// alone would allow it after the quiet window.
-	now := 10 * DefaultRetransmitBackoffMax
-	if v := g.OnNack(now, 2, 2); v != NackDeferred {
-		t.Fatalf("verdict %v, want NackDeferred while budget in debt", v)
-	}
-	if due := g.DueNacks(now + time.Millisecond); due != nil {
-		t.Fatalf("due %v while budget in debt", due)
-	}
-	// ~40 s at 250 B/s repays the debt.
-	later := now + 45*time.Second
-	if due := g.DueNacks(later); len(due) != 1 {
-		t.Fatalf("due %v after budget recovery, want the parked range", due)
-	}
-}
-
 func TestQueueOverflowEvictsOldest(t *testing.T) {
 	g := NewGovernor(Config{BurstBytes: 32, MaxQueueBytes: 64, SupersedeThresholdBytes: 1 << 20}, nil)
 	g.SetGrant(0, 8)
-	var sizes []int
-	var first Item
+	var evicted []uint32
 	for seq := uint32(1); seq <= 6; seq++ {
-		it := fillItem(seq, protocol.Rect{X: int(seq), W: 1, H: 1}, 1)
-		if seq == 1 {
-			first = it
-		}
-		sizes = append(sizes, it.Bytes())
-		res := g.Submit(0, it)
-		if seq >= 5 && len(res.Evicted) == 0 && g.QueueBytes() > 64 {
-			t.Fatalf("queue %dB exceeds MaxQueueBytes with no eviction", g.QueueBytes())
+		res := g.Submit(0, fillItem(seq, protocol.Rect{X: int(seq), W: 1, H: 1}, 1))
+		for _, it := range res.Evicted {
+			evicted = append(evicted, it.Seq)
 		}
 	}
 	if g.QueueBytes() > 64 {
 		t.Fatalf("queue %dB exceeds bound", g.QueueBytes())
 	}
-	// Evicted is not superseded: nothing newer covers the head's pixels,
-	// so the governor treats its NACK like any loss (the encoder, told of
-	// no supersession, repaints its rect).
-	if v := g.OnNack(0, first.Seq, first.Seq); v != NackRetransmit {
-		t.Fatalf("nack for evicted head: %v, want NackRetransmit", v)
+	if len(evicted) == 0 || evicted[0] != 1 {
+		t.Fatalf("evicted %v, want the head first", evicted)
 	}
-	_ = sizes
 }
 
 // packBurst runs one Release's wires through the packer the socket endpoint
@@ -376,11 +306,21 @@ func TestMetricsPublish(t *testing.T) {
 	if snap.Gauges[`slim_flow_grant_bps{session="alice"}`] != 1 {
 		t.Fatal("grant gauge missing")
 	}
-	// Utilization publishes once a window elapses.
+	// Utilization publishes once a window elapses; repayment bytes are
+	// charged as they leave, not as they are queued.
+	owed := fillItem(3, protocol.Rect{X: 20, W: 4, H: 4}, 3)
+	owed.Retransmit = true
+	g.Submit(0, owed)
+	if got := r.Snapshot().Counters["slim_flow_retransmit_bytes_total"]; got != 0 {
+		t.Fatalf("retransmit_bytes_total = %d with the repaint still queued", got)
+	}
 	g.SetGrant(0, 1<<20)
 	g.Release(time.Millisecond)
 	g.Release(2 * time.Second)
 	snap = r.Snapshot()
+	if got := snap.Counters["slim_flow_retransmit_bytes_total"]; got != int64(owed.Bytes()) {
+		t.Fatalf("retransmit_bytes_total = %d after release, want %d", got, owed.Bytes())
+	}
 	if _, ok := snap.Gauges[`slim_flow_grant_utilization{session="alice"}`]; !ok {
 		t.Fatal("grant utilization gauge missing")
 	}

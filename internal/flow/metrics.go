@@ -8,7 +8,7 @@ import (
 
 // Metrics publishes one governor's accounting through internal/obs. The
 // process-wide totals (submitted, released, superseded, evicted,
-// retransmit verdicts, pacing delay) share unlabeled instruments across
+// repayment bytes, pacing delay) share unlabeled instruments across
 // sessions; the instantaneous per-session state (queue depth and bytes,
 // granted bps, grant utilization) is labeled by session so /debug shows
 // each session's governor live. A nil *Metrics is inert.
@@ -19,8 +19,6 @@ type Metrics struct {
 	superseded  *obs.Counter
 	supersededB *obs.Counter
 	evictedN    *obs.Counter
-	nackNow     *obs.Counter
-	nackLater   *obs.Counter
 	nackShed    *obs.Counter
 	retransB    *obs.Counter
 	pacingDelay *obs.Histogram
@@ -45,8 +43,6 @@ func NewMetrics(r *obs.Registry, session *obs.Labeled) *Metrics {
 		superseded:  r.Counter("slim_flow_superseded_total"),
 		supersededB: r.Counter("slim_flow_superseded_bytes_total"),
 		evictedN:    r.Counter("slim_flow_evicted_total"),
-		nackNow:     r.Counter("slim_flow_retransmits_total"),
-		nackLater:   r.Counter("slim_flow_retransmits_deferred_total"),
 		nackShed:    r.Counter("slim_flow_retransmits_suppressed_total"),
 		retransB:    r.Counter("slim_flow_retransmit_bytes_total"),
 		pacingDelay: r.Histogram("slim_flow_pacing_delay_seconds"),
@@ -63,22 +59,23 @@ func (m *Metrics) submittedInc() {
 	}
 }
 
-func (m *Metrics) releasedDirect(bytes int64) {
+// released counts a command handed to the transport, paced or passed
+// through.
+func (m *Metrics) released(bytes int64, retransmit bool) {
 	if m == nil {
 		return
 	}
 	m.releasedN.Inc()
 	m.releasedB.Add(bytes)
+	if retransmit {
+		m.retransB.Add(bytes)
+	}
 }
 
-func (m *Metrics) release(bytes int64, delay time.Duration, retransmit bool) {
-	if m == nil {
-		return
+func (m *Metrics) pacingDelayed(delay time.Duration) {
+	if m != nil {
+		m.pacingDelay.Observe(delay)
 	}
-	m.releasedN.Inc()
-	m.releasedB.Add(bytes)
-	m.pacingDelay.Observe(delay)
-	_ = retransmit // retransmit bytes are charged once, in SpendRetry
 }
 
 func (m *Metrics) supersededInc(bytes int64) {
@@ -119,26 +116,8 @@ func (m *Metrics) utilization(bytes int64, rate uint64, elapsed time.Duration) {
 	m.util.Set(int64(float64(bytes) / granted * 100))
 }
 
-func (m *Metrics) nackRetransmit() {
-	if m != nil {
-		m.nackNow.Inc()
-	}
-}
-
-func (m *Metrics) nackDeferred() {
-	if m != nil {
-		m.nackLater.Inc()
-	}
-}
-
 func (m *Metrics) nackSuppressed() {
 	if m != nil {
 		m.nackShed.Inc()
-	}
-}
-
-func (m *Metrics) retransmitBytes(bytes int64) {
-	if m != nil {
-		m.retransB.Add(bytes)
 	}
 }

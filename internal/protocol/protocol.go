@@ -209,17 +209,3 @@ func RGB(r, g, b uint8) Pixel {
 func (p Pixel) R() uint8 { return uint8(p >> 16) }
 func (p Pixel) G() uint8 { return uint8(p >> 8) }
 func (p Pixel) B() uint8 { return uint8(p) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

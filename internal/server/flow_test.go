@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"slim/internal/core"
+	"slim/internal/fb"
 	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/obs/telemetry"
@@ -95,55 +96,288 @@ func TestFlowGrantPacesTraffic(t *testing.T) {
 	}
 }
 
-// TestFlowNackBudget drives repeated NACKs and checks the deferred ones
-// regenerate through PumpFlows once the backoff expires.
-func TestFlowNackBudget(t *testing.T) {
+// wireLog is a transport that keeps each datagram's type and size, not its
+// bytes: a 1280×1024 repaint of noise is 4 MB.
+type wireLog struct {
+	types []protocol.MsgType
+	sizes []int
+}
+
+func (l *wireLog) Send(_ string, wire []byte) error {
+	l.types = append(l.types, protocol.MsgType(wire[3]))
+	l.sizes = append(l.sizes, len(wire))
+	return nil
+}
+
+// noiseScreen fills the session's frame buffer with pixels no analysis
+// compresses, behind the encoder's back: the next repaint sends them all.
+func noiseScreen(sess *Session) {
+	x := uint32(19)
+	for i := range sess.Encoder.FB.Pix {
+		x = x*1664525 + 1013904223
+		sess.Encoder.FB.Pix[i] = protocol.Pixel(x >> 8)
+	}
+}
+
+// drain pumps the governors every step of transport time from now until
+// nothing is queued, and returns the time of the last pump.
+func drain(t *testing.T, s *Server, now, step time.Duration) time.Duration {
+	t.Helper()
+	for {
+		if _, pending, err := s.PumpFlows(now); err != nil {
+			t.Fatal(err)
+		} else if !pending {
+			return now
+		}
+		now += step
+	}
+}
+
+// TestRecoveryStormOwesOneScreen: every finder of loss only adds to the one
+// region the session owes, so a storm inside one round trip — eight
+// overlapping NACKs, a NACK aged out of the sent log and a lagging STATUS,
+// on a 1280×1024 gen-2 screen under a grant — costs what the NACKs named
+// plus one screen of 5,120 tiles, and nothing overflows the queue. (With a
+// repaint computed at each trigger it cost a screen for the STATUS, evicted
+// as it was queued, and another for the aged-out NACK.)
+func TestRecoveryStormOwesOneScreen(t *testing.T) {
+	const w, h, tiles = 1280, 1024, (1280 / core.TileSize) * (1024 / core.TileSize)
+	tr := &wireLog{}
+	kit := telemetry.New(obs.DomainWall)
+	s := newTestServer(tr, WithTelemetry(kit), WithCodec2(), WithFlowControl(flow.Config{}))
+	gen2 := hello(w, h, "card-alice")
+	gen2.Caps = protocol.CapCachePaint
+	// Four attaches, 5,120 commands each, push the first out of the
+	// 16,384-record sent log. None has a grant: each is paid in the call.
+	for i := 0; i < 4; i++ {
+		if err := s.Handle("c1", gen2, 0); err != nil {
+			t.Fatal(err)
+		}
+		noiseScreen(s.SessionByUser("alice"))
+	}
+	sess := s.SessionByUser("alice")
+	last := sess.Encoder.LastSeq()
+	if last != 4*tiles {
+		t.Fatalf("four attaches encoded %d commands, want %d", last, 4*tiles)
+	}
+	storm := []protocol.Message{
+		&protocol.BandwidthGrant{SessionID: sess.ID, Bps: 1_000_000},
+		&protocol.Status{LastSeq: last}, // the attach is acknowledged: no epoch is open
+	}
+	for i := uint32(0); i < 8; i++ {
+		storm = append(storm, &protocol.Nack{From: last - 40 + 2*i, To: last - 33 + 2*i})
+	}
+	storm = append(storm,
+		&protocol.Nack{From: 1, To: 1},
+		&protocol.Status{LastSeq: last - StatusLagThreshold - 100})
+	for _, msg := range storm {
+		if err := s.Handle("c1", msg, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, s, time.Second, 100*time.Millisecond)
+	if cost := sess.Encoder.LastSeq() - last; cost < tiles || cost > tiles+64 {
+		t.Errorf("the storm cost %d commands, want one screen of %d and at most 64 more", cost, tiles)
+	}
+	if n := kit.Registry.Snapshot().Counters["slim_flow_evicted_total"]; n != 0 {
+		t.Errorf("%d commands evicted from the governor's queue", n)
+	}
+}
+
+// TestFreshPaintPassesPacedRepaint: under a grant the debt is offered to the
+// governor half a burst at a time and only into a queue holding less than
+// the other half, so a keystroke typed in the middle of a paced full
+// repaint leaves behind at most one burst of recovery bytes, with most of
+// the screen still owed. (Queued in one piece, the repaint put 256 KB
+// ahead of the echo and lost the rest to eviction.)
+func TestFreshPaintPassesPacedRepaint(t *testing.T) {
+	tr := &wireLog{}
+	s, _ := newFlowServer(t, tr, flow.Config{})
+	if err := s.Handle("c1", hello(640, 480, "card-alice"), 0); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.SessionByUser("alice")
+	noiseScreen(sess)
+	if err := s.Handle("c1", &protocol.BandwidthGrant{SessionID: sess.ID, Bps: 1_000_000}, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The hotdesk keeps the grant: 900 KB of noise at 1 Mbit/s.
+	if err := s.Handle("c2", hello(640, 480, "card-alice"), 0); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Second
+	if _, _, err := s.PumpFlows(now); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Governor().QueueBytes() == 0 {
+		t.Fatal("nothing queued a second into the repaint; nothing is paced")
+	}
+	typed := len(tr.types)
+	if err := s.Handle("c2", &protocol.KeyEvent{Code: 'x', Down: true}, now); err != nil {
+		t.Fatal(err)
+	}
+	echo := func() int {
+		for i, typ := range tr.types[typed:] {
+			if typ == protocol.TypeBitmap {
+				return typed + i
+			}
+		}
+		return -1
+	}
+	for echo() < 0 {
+		if now += 10 * time.Millisecond; now > time.Minute {
+			t.Fatal("the echo never left")
+		}
+		if _, _, err := s.PumpFlows(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ahead := 0
+	for _, n := range tr.sizes[typed:echo()] {
+		ahead += n
+	}
+	if burst := sess.Governor().Config().BurstBytes; ahead > burst {
+		t.Errorf("the echo left behind %d bytes of repaint, more than one burst of %d", ahead, burst)
+	}
+	atEcho := sess.Encoder.LastSeq()
+	drain(t, s, now, 100*time.Millisecond)
+	if rest := sess.Encoder.LastSeq() - atEcho; rest < 300 {
+		t.Errorf("only %d commands were encoded after the echo left; it did not pass the repaint", rest)
+	}
+}
+
+// TestStatusEpochFollowsTheDebt: a STATUS verdict owes the screen once. A
+// second verdict while the whole screen is still owed asks for nothing; the
+// epoch that suppresses verdicts until the console acknowledges the repaint
+// runs from the sequence and time the last piece was encoded under, not
+// from the trigger (a 900 KB repaint at 1 Mbit/s outlasts RecoverGrace
+// several times over); and a detach forgives what is left.
+func TestStatusEpochFollowsTheDebt(t *testing.T) {
+	tr := &wireLog{}
+	s, _ := newFlowServer(t, tr, flow.Config{})
+	if err := s.Handle("c1", hello(640, 480, "card-alice"), 0); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.SessionByUser("alice")
+	noiseScreen(sess)
+	status := func(now time.Duration, behind, dropped uint32) uint32 {
+		t.Helper()
+		st := &protocol.Status{LastSeq: sess.Encoder.LastSeq() - behind, Dropped: dropped}
+		if err := s.Handle(sess.Console, st, now); err != nil {
+			t.Fatal(err)
+		}
+		return sess.Encoder.LastSeq()
+	}
+	if err := s.Handle("c1", &protocol.BandwidthGrant{SessionID: sess.ID, Bps: 1_000_000}, 0); err != nil {
+		t.Fatal(err)
+	}
+	acked := status(0, 0, 0)
+	owed := status(time.Second, 0, 1)
+	if owed == acked {
+		t.Fatal("a grown drop counter drew no repaint")
+	}
+	if again := status(time.Second, 0, 2); again != owed {
+		t.Errorf("a second verdict with the screen still owed encoded %d more commands", again-owed)
+	}
+	paid := drain(t, s, time.Second, 100*time.Millisecond)
+	screen := sess.Encoder.LastSeq() - acked
+	if paid < time.Second+RecoverGrace {
+		t.Fatalf("the repaint took %v, within RecoverGrace of its trigger; the epoch's start is not on trial", paid-time.Second)
+	}
+	soon := paid + 100*time.Millisecond // the tail is still in flight: not yet an idle heartbeat's business
+	if late := status(soon, 10, 3); late != acked+screen {
+		t.Errorf("a verdict from a console still 10 commands behind the repaint drew %d more", late-acked-screen)
+	}
+	status(soon, 0, 3)
+	if next := status(soon, 0, 4); next == acked+screen {
+		t.Error("a verdict after the repaint was acknowledged drew nothing")
+	}
+	// Mid-repaint again: the card is pulled, and the next console is owed
+	// one screen, not one and the rest of the last.
+	if err := s.Detach("alice"); err != nil {
+		t.Fatal(err)
+	}
+	left := sess.Encoder.LastSeq()
+	if drain(t, s, paid+2*time.Second, time.Second); sess.Encoder.LastSeq() != left {
+		t.Errorf("%d commands encoded for a console that is gone", sess.Encoder.LastSeq()-left)
+	}
+	if err := s.Handle("c2", hello(640, 480, "card-alice"), paid+3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s, paid+3*time.Second, 100*time.Millisecond)
+	if got := sess.Encoder.LastSeq() - left; got != screen {
+		t.Errorf("the next console's repaint cost %d commands, want one screen of %d", got, screen)
+	}
+}
+
+// opApp answers each key press with the op bound to the key.
+type opApp map[uint16]core.Op
+
+func (a opApp) HandleKey(ev protocol.KeyEvent) []core.Op {
+	op, ok := a[ev.Code]
+	if !ok || !ev.Down {
+		return nil
+	}
+	return []core.Op{op}
+}
+
+func (opApp) HandlePointer(protocol.PointerEvent) []core.Op { return nil }
+
+// TestCopyOfOwedPixelsIsOwed: a debt paid late must not let the console
+// copy the stale pixels somewhere the debt does not cover. A fill is lost
+// on the wire; its NACK finds the queue busy, so the region waits; a COPY
+// encoded meanwhile reads it and leaves first. The console copies what it
+// has — not the fill — and only because the COPY's destination joined the
+// debt as it was encoded does the repaint that follows put both right.
+func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
+	from := protocol.Rect{X: 8, Y: 8, W: 16, H: 16}
+	app := opApp{
+		'a': core.FillOp{Rect: from, Color: 0xa0a0a0},
+		'x': core.FillOp{Rect: protocol.Rect{X: 0, Y: 48, W: 8, H: 8}, Color: 0x0b0b0b},
+		'c': core.ScrollOp{Rect: from, DX: 32, DY: 32},
+	}
 	tr := newMemTransport()
-	s, _ := newFlowServer(t, tr, flow.Config{
-		InitialBps:        1_000_000,
-		BurstBytes:        1 << 16,
-		RetransmitShare:   0.25,
-		RetransmitBackoff: 20 * time.Millisecond,
-	})
+	// A one-byte bucket at one byte a second: the first command after the
+	// grant leaves, every later one queues.
+	s := New(tr, func(string, int, int) Application { return app }, WithTelemetry(telemetry.New(obs.DomainWall)),
+		WithFlowControl(flow.Config{InitialBps: 1_000_000, BurstBytes: 1, SupersedeThresholdBytes: 1 << 20}))
+	s.Auth.Register("card-alice", "alice")
 	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
 		t.Fatal(err)
 	}
 	sess := s.SessionByUser("alice")
-	if err := s.Handle("c1", &protocol.BandwidthGrant{SessionID: sess.ID, Bps: 1 << 30}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Handle("c1", &protocol.KeyEvent{Code: 'x', Down: true}, 0); err != nil {
-		t.Fatal(err)
-	}
-	last := sess.Encoder.LastSeq()
-	// First NACK retransmits immediately (budget full, no backoff).
-	sent0 := len(tr.sent["c1"])
-	if err := s.Handle("c1", &protocol.Nack{From: last, To: last}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) == sent0 {
-		t.Fatal("first nack produced no retransmit")
-	}
-	// A storm of immediate repeats escalates the backoff and defers.
-	deferred := false
-	for i := 0; i < 20 && !deferred; i++ {
-		now := time.Duration(i) * time.Millisecond
-		before := len(tr.sent["c1"])
-		if err := s.Handle("c1", &protocol.Nack{From: last, To: last}, now); err != nil {
+	lost := sess.Encoder.LastSeq() + 1 // 'a', which leaves on the full bucket
+	for _, msg := range []protocol.Message{
+		&protocol.BandwidthGrant{SessionID: sess.ID, Bps: 8},
+		&protocol.KeyEvent{Code: 'a', Down: true},
+		&protocol.KeyEvent{Code: 'x', Down: true},
+		&protocol.Nack{From: lost, To: lost},
+		&protocol.KeyEvent{Code: 'c', Down: true},
+	} {
+		if err := s.Handle("c1", msg, 0); err != nil {
 			t.Fatal(err)
 		}
-		deferred = len(tr.sent["c1"]) == before
 	}
-	if !deferred {
-		t.Fatal("nack storm never deferred a retransmit")
+	if sess.Encoder.LastSeq() != lost+2 {
+		t.Fatalf("%d commands encoded before the queue moved, want the three ops: the debt was not made to wait",
+			sess.Encoder.LastSeq()-lost+1)
 	}
-	// The deferred range regenerates once its backoff expires.
-	before := len(tr.sent["c1"])
-	if _, _, err := s.PumpFlows(10 * time.Second); err != nil {
-		t.Fatal(err)
+	drain(t, s, time.Hour, time.Hour)
+	screen := fb.New(64, 64)
+	for _, wire := range tr.sent["c1"] {
+		seq, msg, _, err := protocol.Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Type().IsDisplay() && seq != lost {
+			if err := screen.Apply(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if len(tr.sent["c1"]) == before {
-		t.Error("deferred retransmit never regenerated")
+	if !screen.Equal(sess.Encoder.FB) {
+		n, _ := screen.DiffPixels(sess.Encoder.FB)
+		t.Errorf("a console that lost the fill differs in %d pixels after the debt was paid", n)
 	}
 }
 
@@ -164,9 +398,10 @@ func (fillApp) HandlePointer(protocol.PointerEvent) []core.Op { return nil }
 // follow it through a Session. Two queued fills are shed by a third that
 // covers them; the governor reports them, the session tells the encoder,
 // and the encoder's sent log is then the one place that knows. A NACK over
-// just the shed pair costs nothing — no repaint, no retry budget, no
-// backoff step — and is counted; a NACK whose range also holds a command
-// that did leave repaints that command's rect and no other.
+// just the shed pair costs nothing — no debt, no repaint — and is counted;
+// a NACK whose range also holds a command
+// that did leave owes that command's rect and no other, charged when it
+// leaves behind the cover.
 func TestSupersededNackSuppressed(t *testing.T) {
 	rects := fillApp{
 		'a': {X: 4, Y: 4, W: 8, H: 8},
@@ -205,36 +440,33 @@ func TestSupersededNackSuppressed(t *testing.T) {
 	count := func(name string) int64 { return kit.Registry.Snapshot().Counters[name] }
 	const (
 		suppressed = "slim_flow_retransmits_suppressed_total"
-		answered   = "slim_flow_retransmits_total"
-		deferred   = "slim_flow_retransmits_deferred_total"
 		spent      = "slim_flow_retransmit_bytes_total"
 	)
 
-	sent, last := len(tr.sent["c1"]), sess.Encoder.LastSeq()
+	sent, last, attach := len(tr.sent["c1"]), sess.Encoder.LastSeq(), count(spent)
 	if err := s.Handle("c1", &protocol.Nack{From: a, To: b}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if sess.Encoder.LastSeq() != last || len(tr.sent["c1"]) != sent || sess.Governor().QueueDepth() != 1 {
 		t.Error("nack over a fully superseded range produced a repaint")
 	}
-	if count(suppressed) != 1 || count(answered) != 0 || count(deferred) != 0 || count(spent) != 0 {
-		t.Errorf("after the superseded nack: suppressed %d, answered %d, deferred %d, retry bytes %d; want 1, 0, 0, 0",
-			count(suppressed), count(answered), count(deferred), count(spent))
+	if count(suppressed) != 1 || count(spent) != attach {
+		t.Errorf("after the superseded nack: suppressed %d, repaid bytes %d; want 1, 0",
+			count(suppressed), count(spent)-attach)
 	}
 
-	// d did leave. The range d..b is answered at once — the suppressed NACK
-	// took no backoff step — with d's rect and nothing of a's or b's.
+	// d did leave. The range d..b owes d's rect and nothing of a's or b's,
+	// and pays it once the cover has left the queue.
 	if err := s.Handle("c1", &protocol.Nack{From: d, To: b}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if count(answered) != 1 || count(deferred) != 0 || count(spent) == 0 || count(suppressed) != 1 {
-		t.Errorf("after the mixed nack: answered %d, deferred %d, retry bytes %d, suppressed %d; want 1, 0, >0, 1",
-			count(answered), count(deferred), count(spent), count(suppressed))
+	if count(suppressed) != 1 || count(spent) != attach || sess.Encoder.LastSeq() != last {
+		t.Errorf("after the mixed nack: suppressed %d, repaid bytes %d, %d commands encoded; want 1, 0, 0 with the cover still queued",
+			count(suppressed), count(spent)-attach, sess.Encoder.LastSeq()-last)
 	}
-	for now := time.Hour; sess.Governor().QueueDepth() > 0; now += time.Hour {
-		if _, _, err := s.PumpFlows(now); err != nil { // one oversized command per refill
-			t.Fatal(err)
-		}
+	drain(t, s, time.Hour, time.Hour) // one oversized command per refill
+	if count(spent) == attach {
+		t.Error("d's repaint left and no repaid bytes were charged")
 	}
 	var painted []protocol.Rect
 	for _, msg := range tr.msgsTo(t, "c1")[sent:] {

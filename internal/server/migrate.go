@@ -26,8 +26,8 @@ import (
 //	snapshot  frame buffer pixels + app state + LastSeq leave the source
 //	replay    ImportSession rebuilds encoder and application and resumes
 //	          the sequence counter
-//	redirect  the broker re-attaches the console to the importing shard;
-//	          RepaintAll regenerates the screen from the migrated pixels
+//	redirect  the broker re-attaches the console to the importing shard,
+//	          which owes it the screen and repaints the migrated pixels
 
 // SessionSnapshot is one session frozen for transfer between servers. It
 // is self-contained and gob-serializable (EncodeTo/DecodeSnapshot), so a

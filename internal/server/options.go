@@ -98,8 +98,9 @@ func ResolveOptions(opts ...Option) Resolved {
 
 // WithFlowControl enables the grant-driven send governor (§7) for every
 // session: display traffic is paced to the console's BandwidthGrant,
-// stale queued damage is superseded under backpressure, and NACK
-// retransmits are budgeted so replay storms cannot starve fresh paints.
+// stale queued damage is superseded under backpressure, and the region a
+// session owes its console (Session.repay) enters the queue a burst at a
+// time, so recovery cannot starve fresh paints or overflow the queue.
 // Zero-value fields take the flow package defaults; a nil cfg.Costs is the
 // published Sun Ray 1 model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {

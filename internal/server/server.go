@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"slim/internal/console"
 	"slim/internal/core"
 	"slim/internal/flow"
 	"slim/internal/obs"
@@ -148,21 +149,18 @@ type consoleState struct {
 	// dropped is the console's cumulative drop counter at the last Status;
 	// an increase means display state was lost and must be regenerated.
 	dropped uint32
-	// recoverSeq is the encoder sequence a pending recovery (or attach)
-	// repaint ends at; further Status-triggered recoveries are suppressed
-	// until the console acknowledges past it or RecoverGrace elapses.
-	// Without this epoch, a console acking mid-repaint still trails the
-	// encoder, each heartbeat triggers another full repaint, and the
-	// recovery path becomes a storm that never converges.
-	recoverSeq uint32
-	recoverAt  time.Duration // transport time the epoch opened
 }
 
 // StatusLagThreshold is how many display sequence numbers a console may
-// trail the encoder before a Status heartbeat triggers a recovery repaint.
-// A console that rebooted (soft state gone) reports LastSeq far behind or
-// zero and is repainted in full.
+// trail the encoder before a Status heartbeat owes it the whole screen
+// without asking the sent log: a console that rebooted (soft state gone)
+// reports LastSeq far behind or zero. A shorter trail is a lost tail, and
+// an idle heartbeat heals it by region (handleStatus).
 const StatusLagThreshold = 512
+
+// heartbeat is the cadence of a console's idle STATUS: a session that has
+// sent nothing for this long has nothing in flight.
+const heartbeat = console.StatusInterval
 
 // RecoverGrace bounds a recovery epoch in time: a console that still
 // hasn't acknowledged past the repaint after this long (every status it
@@ -382,18 +380,8 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 			sess.tel.Flight.Nack(m.From, m.To)
 		}
 		sess.tel.Path.OnNack(m.From, m.To)
-		switch {
-		case sess.gov == nil:
-			sess.submit(out, sess.Encoder.HandleNack(*m), now, false)
-		case sess.Encoder.Superseded(*m):
-			// The governor itself shed the gap: newer queued state covers it.
-			sess.gov.NackSuppressed()
-		case sess.gov.OnNack(now, m.From, m.To) == flow.NackRetransmit:
-			sess.retransmit(out, *m, now)
-		}
-		// Otherwise deferred: the retransmit budget is spent; PumpFlows
-		// regenerates the range once the backoff expires, from the
-		// then-current frame buffer.
+		sess.oweNack(*m)
+		sess.repay(out, now)
 		return nil
 
 	case *protocol.BandwidthGrant:
@@ -404,6 +392,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 			sess.tel.Path.OnGrant()
 			sess.gov.SetGrant(now, m.Bps)
 			sess.releaseFlow(out, now)
+			sess.repay(out, now)
 		}
 		return nil
 
@@ -422,12 +411,17 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 	}
 }
 
-// handleStatus inspects a console heartbeat and regenerates display state
-// when the console has demonstrably lost it: its decode-drop counter grew
-// (protocol overload, §4.3) or its applied sequence trails the encoder by
-// more than the in-flight window (console reboot — soft state is
-// disposable by design, §2.2). Recovery is always a repaint from the
-// authoritative frame buffer; never stop-and-wait. Callers hold s.mu.
+// handleStatus inspects a console heartbeat and owes the console what it
+// has demonstrably lost. Two verdicts owe the whole screen: its decode-drop
+// counter grew (protocol overload, §4.3), or its applied sequence trails
+// the encoder by more than StatusLagThreshold (console reboot — soft state
+// is disposable by design, §2.2). The third owes a region: an idle
+// heartbeat — nothing sent for a heartbeat's interval, nothing queued,
+// nothing owed — that still trails the last sequence sent reports a lost
+// tail, the one loss no later datagram exposes as a gap to NACK, and is
+// read as the NACK the console could not send. Recovery is always a repaint
+// from the authoritative frame buffer; never stop-and-wait. Callers hold
+// s.mu.
 func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Status, now time.Duration) error {
 	cs, ok := s.consoles[console]
 	if !ok {
@@ -443,27 +437,29 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 	sess.tel.Path.OnStatus(st.LastSeq, st.Dropped)
 	lost := st.Dropped > cs.dropped
 	cs.dropped = st.Dropped
-	lag := sess.Encoder.LastSeq() > st.LastSeq &&
-		sess.Encoder.LastSeq()-st.LastSeq > StatusLagThreshold
-	// One recovery epoch at a time: while the console is still working
-	// through a recovery repaint (acks trail recoverSeq, grace not yet
-	// elapsed), both triggers stay suppressed — the in-flight repaint
-	// already carries the full authoritative screen, so repainting again
-	// only amplifies the burst.
-	if cs.recoverSeq != 0 && int32(cs.recoverSeq-st.LastSeq) > 0 &&
-		now-cs.recoverAt < RecoverGrace {
-		return nil
+	last := sess.Encoder.LastSeq()
+	lag := last > st.LastSeq && last-st.LastSeq > StatusLagThreshold
+	// One recovery epoch at a time: while the whole screen is owed, or the
+	// console is still working through it (acks trail recoverSeq, grace not
+	// yet elapsed), both verdicts ask for nothing — the repaint already
+	// carries the full authoritative screen.
+	if int32(sess.recoverSeq-st.LastSeq) <= 0 || now-sess.recoverAt >= RecoverGrace {
+		sess.recoverSeq = 0
 	}
-	cs.recoverSeq = 0
-	if lost || lag {
+	inEpoch := sess.recovering || sess.recoverSeq != 0
+	idle := now-sess.lastSend >= heartbeat && sess.damage.Empty() &&
+		(sess.gov == nil || sess.gov.QueueDepth() == 0)
+	switch {
+	case (lost || lag) && !inEpoch:
 		if s.log != nil {
 			s.log.Warn("display state lost; recovery repaint",
 				"console", console, "session", cs.session, "drops", lost, "lag", lag)
 		}
-		sess.submit(out, sess.Encoder.RepaintAll(), now, false)
-		cs.recoverSeq = sess.Encoder.LastSeq()
-		cs.recoverAt = now
+		sess.oweScreen()
+	case idle && st.LastSeq < last:
+		sess.oweNack(protocol.Nack{From: st.LastSeq + 1, To: last})
 	}
+	sess.repay(out, now)
 	return nil
 }
 
@@ -515,7 +511,7 @@ func (s *Server) EvictConsole(console string) {
 	}
 	if cs.session != 0 {
 		if sess, ok := s.sessions[cs.session]; ok && sess.Console == console {
-			sess.Console = ""
+			sess.detach()
 		}
 	}
 	delete(s.consoles, console)
@@ -546,7 +542,7 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 	}
 	// Evict whatever session the target console was showing.
 	if other, ok := s.sessions[cs.session]; ok && other != sess {
-		other.Console = ""
+		other.detach()
 	}
 	cs.session = sess.ID
 	if s.log != nil {
@@ -557,11 +553,6 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 	// server is armed (WithCodec2) and this console advertised
 	// CapCachePaint in its Hello.
 	sess.attach(out, console, s.codec2 && cs.caps&protocol.CapCachePaint != 0, now)
-	// The attach repaint opens a recovery epoch so heartbeats acking
-	// mid-burst (legitimately trailing the encoder) don't trigger a
-	// redundant second repaint.
-	cs.recoverSeq = sess.Encoder.LastSeq()
-	cs.recoverAt = now
 	return nil
 }
 
@@ -648,9 +639,9 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 	return s.sessions[cs.session], nil
 }
 
-// PumpFlows services every governed session at now: deferred retransmits
-// whose backoff expired regenerate from the current frame buffer, and
-// token buckets release whatever pacing has accumulated. It reports the
+// PumpFlows services every governed session at now: token buckets release
+// whatever pacing has accumulated, and a session in debt to its console
+// repaints the next piece into the room that leaves. It reports the
 // earliest instant more queued traffic becomes sendable, so transports
 // schedule the next pump instead of polling — wall-clock transports call
 // it from a timer, simulations from the virtual-time event loop.
@@ -662,10 +653,8 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 		if sess.gov == nil || sess.Console == "" {
 			continue
 		}
-		for _, n := range sess.gov.DueNacks(now) {
-			sess.retransmit(&out, n, now)
-		}
 		sess.releaseFlow(&out, now)
+		sess.repay(&out, now)
 		sess.announceDemand(&out, now)
 		if t, ok := sess.gov.NextRelease(now); ok && (!pending || t < next) {
 			next, pending = t, true

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"slim/internal/core"
+	"slim/internal/fb"
 	"slim/internal/flow"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
@@ -35,6 +36,28 @@ type Session struct {
 	// allocator; PumpFlows re-announces when the governor's measured demand
 	// drifts from it by more than 1/8.
 	demandBps uint64
+
+	// damage is what the session owes its console: the pixels the console
+	// is known or feared not to hold. Everything that finds a loss — a
+	// NACK, a STATUS verdict, an attach — only adds to it, and repay alone
+	// sends it, from the frame buffer as it is when the bytes may leave. A
+	// region is bounded by the screen and union is idempotent, so no storm
+	// of triggers owes more than one repaint. A detached session owes
+	// nothing.
+	damage fb.Region
+	// recovering says the debt was the whole screen (oweScreen) and is not
+	// yet encoded in full; recoverSeq is the sequence its last piece was
+	// encoded under, at transport time recoverAt. Until the console
+	// acknowledges past recoverSeq or RecoverGrace elapses, a STATUS
+	// verdict asks for nothing: without this epoch a console acking
+	// mid-repaint still trails the encoder, each heartbeat owes the screen
+	// again, and recovery becomes a storm that never converges.
+	recovering bool
+	recoverSeq uint32
+	recoverAt  time.Duration
+	// lastSend is the transport time a display command last left for the
+	// console; an idle heartbeat is one that finds it a heartbeat old.
+	lastSend time.Duration
 }
 
 // Governor exposes the session's send governor (nil when flow control is
@@ -110,7 +133,15 @@ func (s *Server) unbindLocked(out *[]outbound, sess *Session) {
 		cs.session = 0
 	}
 	send(out, sess.Console, &protocol.SessionDetach{SessionID: sess.ID})
+	sess.detach()
+}
+
+// detach forgets the console and the debt to it: the next one is owed the
+// whole screen anyway.
+func (sess *Session) detach() {
 	sess.Console = ""
+	sess.damage.Clear()
+	sess.recovering = false
 }
 
 // closeLocked removes a session from this server: the console is unbound,
@@ -136,7 +167,7 @@ func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time
 	sess.Console = console
 	send(out, console, &protocol.SessionAttach{SessionID: sess.ID})
 	if sess.gov != nil {
-		// Damage queued for the previous console is worthless here; the
+		// Commands queued for the previous console are worthless here; the
 		// full repaint below regenerates everything. The new console also
 		// learns this session's bandwidth demand so its allocator can
 		// grant a share (§7).
@@ -145,16 +176,94 @@ func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time
 	}
 	// A gen-1 console gets the plain encoding — same pixels, no
 	// CACHE_PAINT on its wire. EnableCodec2 resets the server-side cache
-	// and the repaint resets the console's (its setSession does), so both
-	// sides restart mirrored from an empty cache.
+	// and the SessionAttach above resets the console's (its setSession
+	// does), so both sides restart mirrored from an empty cache.
 	if gen2 {
 		sess.Encoder.EnableCodec2(0)
 	} else {
 		sess.Encoder.DisableCodec2()
 	}
-	// The console held only soft state: repaint the screen "to the exact
-	// state at which it was left" (§1.1).
-	sess.submit(out, sess.Encoder.RepaintAll(), now, false)
+	// The console held only soft state: it is owed the screen "to the exact
+	// state at which it was left" (§1.1), whatever the last one was owed.
+	sess.oweScreen()
+	sess.repay(out, now)
+}
+
+// oweScreen makes the debt the whole screen: a new console, or one whose
+// state is lost past telling which part — tile cache included, so gen-2
+// starts a fresh cache generation that the repaint re-seeds on both sides.
+func (sess *Session) oweScreen() {
+	sess.Encoder.ResetCodec2()
+	sess.damage.Clear()
+	sess.damage.Add(sess.Encoder.FB.Bounds())
+	sess.recovering = true
+}
+
+// oweNack adds what the sent log says the loss n cost the console. A range
+// aged out of the log costs the screen; one of nothing but commands that
+// were superseded before they left costs nothing, and is counted.
+func (sess *Session) oweNack(n protocol.Nack) {
+	d, ok := sess.Encoder.Damage(n)
+	switch {
+	case !ok:
+		sess.oweScreen()
+	case d.Empty() && sess.gov != nil:
+		sess.gov.NackSuppressed()
+	default:
+		sess.damage.AddRegion(&d)
+	}
+}
+
+// tileWire is what a TileSize² tile of literal pixels costs on the wire.
+const tileWire = protocol.HeaderSize + 8 + 3*core.TileSize*core.TileSize
+
+// piece cuts from the top left of r what a paced session pays next: as many
+// whole rows of tiles as bytes of literal pixels hold, or, when not one row
+// fits, as many tiles of the first row, and never less than one tile. Cuts
+// fall on r's tile grid, so gen-2 encodes the pieces of a rect in exactly
+// the commands it encodes the rect in.
+func piece(r protocol.Rect, bytes int) protocol.Rect {
+	const ts = core.TileSize
+	tiles := max(1, bytes/tileWire)
+	if rows := tiles / ((r.W + ts - 1) / ts); rows > 0 {
+		r.H = min(r.H, rows*ts)
+	} else {
+		r.W, r.H = min(r.W, tiles*ts), min(r.H, ts)
+	}
+	return r
+}
+
+// repay sends what the session owes, repainted from the frame buffer as it
+// is now. An ungoverned session, or one with no grant yet, pays all of it
+// at once. Under a grant the debt leaves through the governor's one token
+// bucket, in pieces of half a burst offered only while the queue holds less
+// than the other half: a fresh paint never waits behind more than one burst
+// of recovery, a repaint never overflows the queue, and whatever is painted
+// meanwhile is in the pixels when their turn comes. The queue it leaves
+// non-empty is what re-arms PumpFlows (NextRelease) for the rest.
+func (sess *Session) repay(out *[]outbound, now time.Duration) {
+	paced := sess.gov != nil && sess.gov.Grant() != 0
+	for !sess.damage.Empty() {
+		pay := sess.damage.Rects()
+		if paced {
+			burst := sess.gov.Config().BurstBytes
+			if sess.gov.QueueBytes() >= burst-burst/2 {
+				return
+			}
+			pay = pay[:1]
+			pay[0] = piece(pay[0], burst/2)
+			sess.damage.Subtract(pay[0])
+		} else {
+			sess.damage.Clear()
+		}
+		for _, r := range pay {
+			sess.submit(out, sess.Encoder.Repaint(r), now, true)
+		}
+	}
+	if sess.recovering {
+		sess.recovering = false
+		sess.recoverSeq, sess.recoverAt = sess.Encoder.LastSeq(), now
+	}
 }
 
 // shed accounts for commands the governor dropped before they reached the
@@ -205,29 +314,26 @@ func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) e
 		if err != nil {
 			return err
 		}
+		// While in debt, a command that reads the screen where the console
+		// is owed pixels spreads the stale ones to where it writes, which
+		// the debt may not cover or may already have paid: the rule Damage
+		// applies backwards over the sent log, applied as the command goes.
+		if !sess.damage.Empty() {
+			for _, d := range dgs {
+				if src, reads := core.ReadRect(d.Msg); reads && sess.damage.Intersects(src) {
+					sess.damage.Add(core.WriteRect(d.Msg).Intersect(sess.Encoder.FB.Bounds()))
+				}
+			}
+		}
 		sess.submit(out, dgs, now, false)
 	}
 	return nil
 }
 
-// retransmit regenerates a nacked range from the authoritative frame
-// buffer and charges the wire bytes against the governor's retransmit
-// budget, so replay storms cannot starve fresh paints. The session is
-// governed.
-func (sess *Session) retransmit(out *[]outbound, n protocol.Nack, now time.Duration) {
-	dgs := sess.Encoder.HandleNack(n)
-	var bytes int
-	for _, d := range dgs {
-		bytes += len(d.Wire)
-	}
-	sess.gov.SpendRetry(bytes)
-	sess.submit(out, dgs, now, true)
-}
-
 // submit routes display datagrams to the console: directly when the
 // session is ungoverned or has no grant yet, through the governor's
-// supersession queue and token bucket otherwise.
-func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, retrans bool) {
+// supersession queue and token bucket otherwise. owed marks repayment.
+func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, owed bool) {
 	if sess.Console == "" {
 		// Detached session keeps rendering into its frame buffer; the wire
 		// goes nowhere, so its buffer returns to the pool immediately.
@@ -239,7 +345,7 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 	for _, d := range dgs {
 		cmd := d.Msg.Type()
 		if sess.gov != nil {
-			it := flow.Item{Seq: d.Seq, Cmd: cmd, Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: retrans}
+			it := flow.Item{Seq: d.Seq, Cmd: cmd, Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: owed}
 			res := sess.gov.Submit(now, it)
 			if !res.Pass {
 				if sess.tel.Flight.Armed() {
@@ -260,7 +366,7 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 				continue
 			}
 		}
-		sess.tel.Path.OnSend(d.Seq, len(d.Wire), retrans)
+		sess.sent(d.Seq, len(d.Wire), now)
 		*out = append(*out, outbound{
 			console: sess.Console,
 			wire:    d.Wire,
@@ -283,7 +389,7 @@ func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
 	}
 	for _, p := range sess.gov.Release(now) {
 		it := p.Items[0]
-		sess.tel.Path.OnSend(it.Seq, it.Bytes(), it.Retransmit)
+		sess.sent(it.Seq, it.Bytes(), now)
 		*out = append(*out, outbound{
 			console: sess.Console,
 			wire:    p.Wire,
@@ -293,6 +399,14 @@ func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
 			buf:     it.Buf,
 		})
 	}
+}
+
+// sent notes a display command leaving for the console. A repaint is
+// numbered afresh, so no acknowledgement is ever ambiguous between two
+// transmissions and every one may time the path.
+func (sess *Session) sent(seq uint32, bytes int, now time.Duration) {
+	sess.tel.Path.OnSend(seq, bytes, false)
+	sess.lastSend = now
 }
 
 // send queues one control message for a console.

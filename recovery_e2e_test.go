@@ -1,0 +1,231 @@
+package slim
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"slim/internal/obs"
+	"slim/internal/protocol"
+)
+
+// Recovery is one owed region (server.Session's damage), paid from the
+// frame buffer at the grant's pace. These sim-domain tests drive it through
+// a Fabric that loses only what they tell it to.
+
+// pumpQuiet advances the fabric's clock in steps, pumping, until the
+// session has had nothing queued and encoded nothing for quiet of virtual
+// time, and reports the deepest queue it saw, in bytes.
+func pumpQuiet(t *testing.T, fabric *Fabric, sess *Session, step, quiet time.Duration) (deepest int) {
+	t.Helper()
+	quietSince, steps := fabric.Now(), 0
+	for last := sess.Encoder.LastSeq(); fabric.Now()-quietSince < quiet; steps++ {
+		if steps > 100_000 {
+			t.Fatalf("still sending after %v of virtual time (%d commands)", fabric.Now(), sess.Encoder.LastSeq())
+		}
+		fabric.SetClock(fabric.Now() + step)
+		if err := fabric.Pump(); err != nil {
+			t.Fatal(err)
+		}
+		busy := sess.Encoder.LastSeq() != last
+		if gov := sess.Governor(); gov != nil {
+			deepest = max(deepest, gov.QueueBytes())
+			busy = busy || gov.QueueDepth() > 0
+		}
+		if busy {
+			last, quietSince = sess.Encoder.LastSeq(), fabric.Now()
+		}
+	}
+	return deepest
+}
+
+// TestHotdeskUnderGrantIsPaced: a session that hotdesks keeps its grant, so
+// the new console's repaint — 900 KB of noise at 640×480, 1 Mbit/s — is
+// owed and paid a piece at a time. Nothing is evicted from the 256 KB
+// queue, the console never has a gap to NACK, and the queue never holds
+// more than the burst the debt is offered in. (Queued in one piece, most of
+// the repaint was evicted on the spot and healed NACK by NACK.)
+func TestHotdeskUnderGrantIsPaced(t *testing.T) {
+	kit := NewTelemetry()
+	fabric := NewFabric()
+	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(kit))
+	srv.Auth.Register("card-alice", "alice")
+	consoles := obs.NewRegistry(obs.DomainWall)
+	desk := func(id string) *Console {
+		con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TotalBps: 1_000_000, Obs: consoles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach(id, con, srv)
+		if err := fabric.Boot(id, "card-alice"); err != nil {
+			t.Fatal(err)
+		}
+		return con
+	}
+	desk("desk-1")
+	sess := srv.SessionByUser("alice")
+	if sess.Governor().Grant() != 1_000_000 {
+		t.Fatalf("the first console granted %d bit/s, want its whole 1 Mbit/s", sess.Governor().Grant())
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := range sess.Encoder.FB.Pix {
+		sess.Encoder.FB.Pix[i] = Pixel(rng.Uint32() & 0xffffff)
+	}
+	con := desk("desk-2")
+	if con.Framebuffer().Equal(sess.Encoder.FB) {
+		t.Fatal("the hotdesk repaint arrived in the attach call; nothing was paced")
+	}
+	deepest := pumpQuiet(t, fabric, sess, 20*time.Millisecond, time.Second)
+	if burst := sess.Governor().Config().BurstBytes; deepest > 2*burst {
+		t.Errorf("the queue held %d bytes, more than two bursts of %d", deepest, burst)
+	}
+	if n := kit.Registry.Counter("slim_flow_evicted_total").Value(); n != 0 {
+		t.Errorf("%d commands evicted from the governor's queue", n)
+	}
+	if n := consoles.Counter("slim_console_nacks_total").Value(); n != 0 {
+		t.Errorf("the consoles sent %d NACKs on a fabric that drops nothing", n)
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("console differs from the session's frame buffer in %d pixels after the debt was paid", n)
+	}
+}
+
+// TestLostTailHealsThroughHeartbeat: the last datagram of a burst leaves no
+// gap for the console to NACK. Its idle heartbeat — nothing sent for a
+// StatusInterval, and still behind the last sequence sent — is the NACK it
+// could not send, and is answered by region: one keystroke's echo, not a
+// screen. (The lag was under StatusLagThreshold, so it stayed lost.)
+func TestLostTailHealsThroughHeartbeat(t *testing.T) {
+	fabric, srv := newFabricSystem(t)
+	con := attachConsole(t, fabric, srv, "desk-1", "card-alice")
+	if err := fabric.TypeString("desk-1", "tail"); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.SessionByUser("alice")
+	fabric.SetLoss(1)
+	if err := fabric.SendKey("desk-1", '!', true); err != nil {
+		t.Fatal(err)
+	}
+	fabric.SetLoss(0)
+	if con.Framebuffer().Equal(sess.Encoder.FB) {
+		t.Fatal("the echo arrived; nothing was lost")
+	}
+	lost := sess.Encoder.LastSeq()
+	for i := 0; i < 2; i++ {
+		fabric.SetClock(fabric.Now() + StatusInterval)
+		if err := fabric.Pump(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent := sess.Encoder.LastSeq() - lost; sent == 0 || sent > 2 {
+		t.Errorf("two idle heartbeats drew %d commands, want the echo's one or two", sent)
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("console differs from the session's frame buffer in %d pixels after two heartbeats", n)
+	}
+}
+
+// scriptApp answers each key press with the next op of a script.
+type scriptApp struct{ ops []Op }
+
+func (a *scriptApp) HandleKey(ev protocol.KeyEvent) []Op {
+	if !ev.Down || len(a.ops) == 0 {
+		return nil
+	}
+	op := a.ops[0]
+	a.ops = a.ops[1:]
+	return []Op{op}
+}
+
+func (a *scriptApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
+
+// TestDebtConvergesUnderAnyGrant is the property the owed region must keep:
+// however late it is paid — a grant of one byte a second, or a gigabit —
+// and whatever is painted meanwhile, the console ends pixel-equal. Random
+// FILL, COPY and BITMAP ops are interleaved with NACKs for ranges the
+// console never lost (so the debt is real to the server and the pixels are
+// not) and with pumps, on a fabric that drops nothing. A COPY that reads
+// owed pixels is the case that needs care: what it writes is owed too.
+func TestDebtConvergesUnderAnyGrant(t *testing.T) {
+	const w, h = 160, 128
+	rect := func(rng *rand.Rand) Rect {
+		r := Rect{W: 1 + rng.Intn(w/2), H: 1 + rng.Intn(h/2)}
+		r.X, r.Y = rng.Intn(w-r.W+1), rng.Intn(h-r.H+1)
+		return r
+	}
+	// A one-byte bucket makes the slow grant bite from the first command:
+	// one leaves per refill, the rest queue.
+	for _, grant := range []struct {
+		bps   uint64
+		burst int
+		step  time.Duration // the clock moves up to this much between events
+	}{{8, 1, 2 * time.Hour}, {1_000_000_000, 0, 40 * time.Millisecond}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			app := &scriptApp{}
+			fabric := NewFabric()
+			srv := NewServer(fabric, func(string, int, int) Application { return app },
+				WithFlowControl(FlowConfig{BurstBytes: grant.burst}), WithTelemetry(NewTelemetry()))
+			srv.Auth.Register("card-alice", "alice")
+			con, err := NewConsole(ConsoleConfig{Width: w, Height: h, TotalBps: grant.bps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fabric.Attach("desk-1", con, srv)
+			if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+				t.Fatal(err)
+			}
+			sess := srv.SessionByUser("alice")
+			if got := sess.Governor().Grant(); got == 0 || got > grant.bps {
+				t.Fatalf("granted %d bit/s of the console's %d; nothing is paced", got, grant.bps)
+			}
+			for i := 0; i < 200; i++ {
+				switch k := rng.Intn(10); {
+				case k < 1:
+					app.ops = append(app.ops, FillOp{Rect: rect(rng), Color: Pixel(rng.Uint32() & 0xffffff)})
+				case k < 2:
+					r := rect(rng)
+					bits := make([]byte, protocol.BitmapRowBytes(r.W)*r.H)
+					rng.Read(bits)
+					app.ops = append(app.ops, TextOp{Rect: r, Fg: Pixel(rng.Uint32() & 0xffffff), Bits: bits})
+				case k < 4:
+					r := rect(rng)
+					dx, dy := rng.Intn(w-r.W+1)-r.X, rng.Intn(h-r.H+1)-r.Y
+					if dx == 0 && dy == 0 {
+						continue
+					}
+					app.ops = append(app.ops, ScrollOp{Rect: r, DX: dx, DY: dy})
+				case k < 5:
+					last := sess.Encoder.LastSeq()
+					from := 1 + uint32(rng.Intn(int(last)))
+					nack := &protocol.Nack{From: from, To: min(last, from+uint32(rng.Intn(6)))}
+					if err := srv.Handle("desk-1", nack, fabric.Now()); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				case k < 6:
+					fabric.SetLoss([]int{0, 0, 2, 3, 5}[rng.Intn(5)])
+					continue
+				default:
+					fabric.SetClock(fabric.Now() + time.Duration(rng.Int63n(int64(grant.step))))
+					if err := fabric.Pump(); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := fabric.SendKey("desk-1", 'k', true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fabric.SetLoss(0)
+			pumpQuiet(t, fabric, sess, grant.step, 4*grant.step+2*StatusInterval)
+			if !con.Framebuffer().Equal(sess.Encoder.FB) {
+				n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+				t.Errorf("grant %d bit/s, seed %d: console differs in %d pixels after %d commands",
+					grant.bps, seed, n, sess.Encoder.LastSeq())
+			}
+		}
+	}
+}

@@ -135,8 +135,10 @@ type FlowConfig = flow.Config
 
 // WithFlowControl enables the grant-driven send governor (§7) on every
 // session: display traffic paces to the console's bandwidth grant, stale
-// queued damage is superseded under backpressure, and NACK retransmits
-// are budgeted so replay storms cannot starve fresh paints. The zero
+// queued damage is superseded under backpressure, and what a session owes
+// its console — loss recovery, a hotdesk repaint — leaves through the same
+// token bucket a burst at a time, so no storm of NACKs can starve fresh
+// paints or overflow the queue. The zero
 // FlowConfig takes throughput-matched defaults from the published Sun Ray
 // 1 cost model; set FlowConfig.Costs to derive them from another.
 func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowControl(cfg) }

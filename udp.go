@@ -274,8 +274,9 @@ func (s *udpListener) StartTicker(fps float64) {
 // pace releases grant-paced flow traffic on the governor's schedule. It
 // sleeps until the earliest queued datagram becomes sendable (or an idle
 // poll interval when nothing is queued — new traffic releases inline on
-// the Handle path, so idle polling only bounds deferred-retransmit
-// latency).
+// the Handle path, so idle polling only bounds how long a session's debt
+// waits once that path has emptied the queue ahead of it, and how stale an
+// announced demand gets).
 func (s *udpListener) pace() {
 	const idle = 20 * time.Millisecond
 	timer := time.NewTimer(idle)
