@@ -9,8 +9,11 @@ all: build test
 build:
 	$(GO) build ./...
 
+# Static checks: go vet, and gofmt — any file it would rewrite fails the
+# target. CI's vet step runs this target, so the check lives once.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 test: vet
 	$(GO) test ./...

@@ -115,6 +115,14 @@ const (
 // single server.
 type Broker struct {
 	*broker.Broker
+	unbind func() bool // lets go of NewBroker's context
+}
+
+// Close marks the broker closed: further messages are rejected, shard
+// state is left intact.
+func (b *Broker) Close() error {
+	b.unbind()
+	return b.Broker.Close()
 }
 
 // Register implements Directory with a typed token.
@@ -171,12 +179,5 @@ func NewBroker(ctx context.Context, cfg BrokerConfig, t Transport, newApp AppFac
 	if err != nil {
 		return nil, err
 	}
-	b := &Broker{Broker: core}
-	if ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			b.Close()
-		}()
-	}
-	return b, nil
+	return &Broker{Broker: core, unbind: context.AfterFunc(ctx, func() { core.Close() })}, nil
 }

@@ -146,7 +146,7 @@ func (f *Fabric) Now() time.Duration {
 }
 
 // Pump runs the periodic duties at the fabric's current virtual clock, as
-// the UDP transport's timers do on the wall clock: every attached server's
+// the UDP endpoints' loops do on the wall clock: every attached server's
 // flow governors are serviced (paced traffic is released, sessions in debt
 // repaint their next piece), then every console is polled for the STATUS it
 // owes. Call it after SetClock when a test advances time.

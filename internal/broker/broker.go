@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -607,15 +608,10 @@ func (b *Broker) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 	return next, pending, firstErr
 }
 
-// FlowEnabled reports whether any shard runs send governors (the UDP
-// transport starts its pacer goroutine off this).
-func (b *Broker) FlowEnabled() bool {
-	for _, sh := range b.shards {
-		if sh.FlowEnabled() {
-			return true
-		}
-	}
-	return false
+// FlowPending reports whether any shard has paced traffic queued that
+// only PumpFlows will send (the UDP endpoint schedules its pumps off this).
+func (b *Broker) FlowPending() bool {
+	return slices.ContainsFunc(b.shards, (*server.Server).FlowPending)
 }
 
 // Rollup refreshes the per-shard session gauges from live shard state —

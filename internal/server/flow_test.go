@@ -26,8 +26,8 @@ func newFlowServer(t *testing.T, tr Transport, cfg flow.Config) (*Server, *obs.R
 func TestFlowSessionRequestsBandwidth(t *testing.T) {
 	tr := newMemTransport()
 	s, _ := newFlowServer(t, tr, flow.Config{InitialBps: 1_000_000})
-	if !s.FlowEnabled() {
-		t.Fatal("FlowEnabled = false with WithFlowControl")
+	if s.FlowPending() {
+		t.Fatal("FlowPending = true before any session exists")
 	}
 	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
 		t.Fatal(err)
@@ -77,6 +77,9 @@ func TestFlowGrantPacesTraffic(t *testing.T) {
 	if gov.QueueDepth() == 0 {
 		t.Fatal("flooded governed session has an empty queue")
 	}
+	if !s.FlowPending() {
+		t.Error("FlowPending = false after a call left a queue behind")
+	}
 	sentAt0 := len(tr.sent["c1"])
 	if _, _, err := s.PumpFlows(0); err != nil {
 		t.Fatal(err)
@@ -93,6 +96,12 @@ func TestFlowGrantPacesTraffic(t *testing.T) {
 	}
 	if pending && next <= 10*time.Second {
 		t.Errorf("next release %v not in the future", next)
+	}
+	if s.FlowPending() != pending {
+		t.Errorf("FlowPending = %v after a pump that reported pending = %v", !pending, pending)
+	}
+	if drain(t, s, 10*time.Second, time.Minute); s.FlowPending() {
+		t.Error("FlowPending = true with every queue drained")
 	}
 }
 

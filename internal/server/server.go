@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slim/internal/console"
@@ -127,6 +128,8 @@ type Server struct {
 	// flowCfg enables the per-session send governor when non-nil
 	// (WithFlowControl).
 	flowCfg *flow.Config
+	// flowPending is raised by a session's releaseFlow, settled by PumpFlows.
+	flowPending atomic.Bool
 	// cal is the live cost-model calibrator (WithCalibratedCosts). When
 	// its generation advances, PumpFlows rebuilds the fitted model and
 	// re-derives every governor's demand/burst from measured costs.
@@ -191,8 +194,10 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 	return s
 }
 
-// FlowEnabled reports whether sessions are created with a send governor.
-func (s *Server) FlowEnabled() bool { return s.flowCfg != nil }
+// FlowPending reports, without the server lock, whether paced traffic
+// waits for a PumpFlows: a call since the last one left some queued, or the
+// last one reported pending. A wall-clock transport schedules none otherwise.
+func (s *Server) FlowPending() bool { return s.flowPending.Load() }
 
 // Telemetry reports the kit the server publishes into and its sessions
 // record into.
@@ -459,7 +464,9 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 	case idle && st.LastSeq < last:
 		sess.oweNack(protocol.Nack{From: st.LastSeq + 1, To: last})
 	}
-	sess.repay(out, now)
+	// No transport keeps a timer for a server with nothing queued.
+	s.refreshCalibrationLocked(out, now)
+	sess.pump(out, now)
 	return nil
 }
 
@@ -643,8 +650,8 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 // whatever pacing has accumulated, and a session in debt to its console
 // repaints the next piece into the room that leaves. It reports the
 // earliest instant more queued traffic becomes sendable, so transports
-// schedule the next pump instead of polling — wall-clock transports call
-// it from a timer, simulations from the virtual-time event loop.
+// schedule the next pump instead of polling — the UDP endpoint reads its
+// socket until then, simulations call from the virtual-time event loop.
 func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool, err error) {
 	s.mu.Lock()
 	var out []outbound
@@ -653,13 +660,12 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 		if sess.gov == nil || sess.Console == "" {
 			continue
 		}
-		sess.releaseFlow(&out, now)
-		sess.repay(&out, now)
-		sess.announceDemand(&out, now)
+		sess.pump(&out, now)
 		if t, ok := sess.gov.NextRelease(now); ok && (!pending || t < next) {
 			next, pending = t, true
 		}
 	}
+	s.flowPending.Store(pending)
 	s.mu.Unlock()
 	return next, pending, s.flush(out)
 }

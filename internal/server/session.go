@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"slim/internal/core"
@@ -9,6 +10,7 @@ import (
 	"slim/internal/flow"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
+	"slim/internal/wirebuf"
 )
 
 // Session is one user's persistent desktop: the authoritative frame buffer
@@ -32,8 +34,10 @@ type Session struct {
 	// gov paces display traffic to the console's bandwidth grant (§7);
 	// nil when the server runs without WithFlowControl.
 	gov *flow.Governor
+	// flowPending is the server's flag (see releaseFlow).
+	flowPending *atomic.Bool
 	// demandBps is the bandwidth demand last announced to the console's §7
-	// allocator; PumpFlows re-announces when the governor's measured demand
+	// allocator; pump re-announces when the governor's measured demand
 	// drifts from it by more than 1/8.
 	demandBps uint64
 
@@ -94,6 +98,7 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 	sess.Encoder.Flight = sess.tel.Flight
 	if s.flowCfg != nil {
 		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))
+		sess.flowPending = &s.flowPending
 		if s.cal != nil && s.cal.Generation() > 0 {
 			// Sessions born after calibration converged start from the
 			// measured model, not the Table 5 constants.
@@ -293,15 +298,9 @@ func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
 // deadband keeps steady-state traffic from emitting a BandwidthRequest
 // every pump. The session is governed and attached.
 func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
-	d, old := sess.gov.DemandBps(), sess.demandBps
-	diff := d - old
-	if d < old {
-		diff = old - d
+	if d, old := sess.gov.DemandBps(), sess.demandBps; max(d, old)-min(d, old) > old/8 {
+		sess.requestBandwidth(out, now)
 	}
-	if diff*8 <= old {
-		return
-	}
-	sess.requestBandwidth(out, now)
 }
 
 // render encodes ops and queues the result for the session's console.
@@ -366,47 +365,46 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 				continue
 			}
 		}
-		sess.sent(d.Seq, len(d.Wire), now)
-		*out = append(*out, outbound{
-			console: sess.Console,
-			wire:    d.Wire,
-			flog:    sess.tel.Flight,
-			seq:     d.Seq,
-			cmd:     cmd,
-			buf:     d.Buf,
-		})
+		sess.sent(out, d.Seq, cmd, d.Wire, d.Buf, now)
 	}
-	if sess.gov != nil {
-		sess.releaseFlow(out, now)
-	}
+	sess.releaseFlow(out, now)
 }
 
 // releaseFlow drains whatever the governor's token bucket permits at now.
-// The session is governed.
+// Every paced path ends here, so here the server learns that a call left
+// traffic queued (Server.FlowPending). An ungoverned session has none.
 func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
-	if sess.Console == "" {
+	if sess.gov == nil || sess.Console == "" {
 		return
 	}
 	for _, p := range sess.gov.Release(now) {
 		it := p.Items[0]
-		sess.sent(it.Seq, it.Bytes(), now)
-		*out = append(*out, outbound{
-			console: sess.Console,
-			wire:    p.Wire,
-			flog:    sess.tel.Flight,
-			seq:     it.Seq,
-			cmd:     it.Cmd,
-			buf:     it.Buf,
-		})
+		sess.sent(out, it.Seq, it.Cmd, p.Wire, it.Buf, now)
+	}
+	if sess.gov.QueueDepth() > 0 {
+		sess.flowPending.Store(true)
 	}
 }
 
-// sent notes a display command leaving for the console. A repaint is
-// numbered afresh, so no acknowledgement is ever ambiguous between two
-// transmissions and every one may time the path.
-func (sess *Session) sent(seq uint32, bytes int, now time.Duration) {
-	sess.tel.Path.OnSend(seq, bytes, false)
+// pump pays what the clock owes an attached session at now: paced traffic
+// whose tokens have arrived, the next piece of the debt, a drifted demand.
+// PumpFlows runs it on a transport's clock, handleStatus at every heartbeat:
+// no pump is scheduled with nothing queued, yet an idle grant must go back.
+func (sess *Session) pump(out *[]outbound, now time.Duration) {
+	sess.releaseFlow(out, now)
+	sess.repay(out, now)
+	if sess.gov != nil {
+		sess.announceDemand(out, now)
+	}
+}
+
+// sent queues a display command for the console and notes it leaving. A
+// repaint is numbered afresh, so no acknowledgement is ever ambiguous
+// between two transmissions and every one may time the path.
+func (sess *Session) sent(out *[]outbound, seq uint32, cmd protocol.MsgType, wire []byte, buf *wirebuf.Buf, now time.Duration) {
+	sess.tel.Path.OnSend(seq, len(wire), false)
 	sess.lastSend = now
+	*out = append(*out, outbound{console: sess.Console, wire: wire, flog: sess.tel.Flight, seq: seq, cmd: cmd, buf: buf})
 }
 
 // send queues one control message for a console.

@@ -282,19 +282,19 @@ const DefaultCodecSeed = 20260808
 // 3 B/px baseline, the gen-1 encoder, and the gen-2 tile-cache encoder,
 // all fed the identical op stream and accounted from Warmup on.
 type CodecRow struct {
-	Workload    string  `json:"workload"`
-	Steps       int     `json:"steps"`
-	WarmupSteps int     `json:"warmup_steps"`
-	RawBytes    int64   `json:"raw_bytes"`
-	Gen1Bytes   int64   `json:"gen1_bytes"`
-	Gen2Bytes   int64   `json:"gen2_bytes"`
-	Gen1Factor  float64 `json:"gen1_factor"`   // raw / gen-1
-	Gen2Factor  float64 `json:"gen2_factor"`   // raw / gen-2
-	Gen2VsGen1  float64 `json:"gen2_vs_gen1"`  // gen-1 / gen-2
-	CacheHits   uint64  `json:"cache_hits"`    // measured window
-	CacheMisses uint64  `json:"cache_misses"`  // measured window
-	HitRatio    float64 `json:"hit_ratio"`     // measured window
-	SavedBytes  int64   `json:"saved_bytes"`   // vs literal re-send of hit tiles
+	Workload    string            `json:"workload"`
+	Steps       int               `json:"steps"`
+	WarmupSteps int               `json:"warmup_steps"`
+	RawBytes    int64             `json:"raw_bytes"`
+	Gen1Bytes   int64             `json:"gen1_bytes"`
+	Gen2Bytes   int64             `json:"gen2_bytes"`
+	Gen1Factor  float64           `json:"gen1_factor"`    // raw / gen-1
+	Gen2Factor  float64           `json:"gen2_factor"`    // raw / gen-2
+	Gen2VsGen1  float64           `json:"gen2_vs_gen1"`   // gen-1 / gen-2
+	CacheHits   uint64            `json:"cache_hits"`     // measured window
+	CacheMisses uint64            `json:"cache_misses"`   // measured window
+	HitRatio    float64           `json:"hit_ratio"`      // measured window
+	SavedBytes  int64             `json:"saved_bytes"`    // vs literal re-send of hit tiles
 	Tiles       map[string]uint64 `json:"tiles_by_class"` // whole run
 }
 

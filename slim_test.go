@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"slim/internal/protocol"
 )
 
 // testContext returns a context cancelled when the test ends, so a daemon
@@ -425,6 +427,22 @@ func TestUDPServerSurvivesGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Anyone can send a datagram: a thousand sources the handler accepts
+	// nothing from — junk, and well-formed input from consoles that never
+	// said Hello — must leave nothing behind in the routing table.
+	key := protocol.Encode(nil, 0, &protocol.KeyEvent{Code: 'k', Down: true})
+	for i := 0; i < 1000; i++ {
+		stranger, err := net.Dial("udp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wire := range [][]byte{junk[2], key} {
+			if _, err := stranger.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stranger.Close()
+	}
 	// The daemon must still serve a real console afterwards.
 	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-g"))
 	if err != nil {
@@ -445,6 +463,13 @@ func TestUDPServerSurvivesGarbage(t *testing.T) {
 			t.Fatal("server unresponsive after garbage")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// The socket is a queue: the console's echo came after every stranger.
+	srv.addrMu.Lock()
+	routes := len(srv.consoles)
+	srv.addrMu.Unlock()
+	if routes != 1 {
+		t.Errorf("routing table holds %d sources, want only the console", routes)
 	}
 }
 

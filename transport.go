@@ -38,8 +38,8 @@ type SessionHandler interface {
 	// PumpFlows services flow governors at now, reporting when more paced
 	// traffic becomes sendable.
 	PumpFlows(now time.Duration) (next time.Duration, pending bool, err error)
-	// FlowEnabled reports whether any session runs a send governor.
-	FlowEnabled() bool
+	// FlowPending reports whether paced traffic waits for a PumpFlows.
+	FlowPending() bool
 	// Tick drives Ticker applications (video players) at now.
 	Tick(now time.Duration) error
 }

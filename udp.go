@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slim/internal/obs"
@@ -51,15 +53,14 @@ func newUDPMetrics(r *obs.Registry, prefix string) *udpMetrics {
 // queue times and flight events share one timeline.
 
 // udpSocket is what the daemon and the console client have in common: the
-// socket, its counted reads and writes, and the goroutines Close joins.
+// socket, its counted reads and writes, and the one goroutine that runs it.
 type udpSocket struct {
 	conn      *net.UDPConn
 	metrics   *udpMetrics
-	mu        sync.Mutex // guards closed against spawn
 	closeOnce sync.Once
 	closeErr  error
-	closed    chan struct{}
-	wg        sync.WaitGroup
+	done      chan struct{} // closed when loop returns
+	kicks     atomic.Uint32 // see kick
 }
 
 // newUDPSocket wraps what a net listen or dial call returned; its metrics
@@ -76,96 +77,75 @@ func newUDPSocket(prefix string, c io.Closer, err error) (*udpSocket, error) {
 	return &udpSocket{
 		conn:    conn,
 		metrics: newUDPMetrics(telemetry.Default.Registry, prefix),
-		closed:  make(chan struct{}),
+		done:    make(chan struct{}),
 	}, nil
 }
 
-// Close shuts the socket and waits for its goroutines to exit (closing
+// Close shuts the socket and waits for its goroutine to exit (closing
 // unblocks a blocked read with net.ErrClosed). A console's soft state is
 // discarded; its session lives on at the server. Idempotent: concurrent
 // and repeated calls all wait for shutdown.
 func (s *udpSocket) Close() error {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		close(s.closed)
-		s.mu.Unlock()
-		s.closeErr = s.conn.Close()
-	})
-	s.wg.Wait()
+	s.shut()
+	<-s.done
 	return s.closeErr
 }
 
-// spawn runs f on a goroutine Close joins; a closed socket starts nothing.
-func (s *udpSocket) spawn(f func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	select {
-	case <-s.closed:
-		return
-	default:
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		f()
-	}()
-}
+// shut closes the socket without waiting for the loop.
+func (s *udpSocket) shut() { s.closeOnce.Do(func() { s.closeErr = s.conn.Close() }) }
 
-// every runs f each d until the socket closes.
-func (s *udpSocket) every(d time.Duration, f func()) {
-	s.spawn(func() {
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.closed:
-				return
-			case <-t.C:
-				f()
-			}
+// loop is the endpoint, on the socket's one goroutine: due runs what the
+// clock owes at now and says when it next owes something, the socket is
+// read until then (ok false: until a datagram or a kick), and a datagram
+// goes to handle with its source. Both send from here, so an endpoint's
+// datagrams reach the socket in the order its calls produced them. Bad
+// datagrams must not stop the loop: the protocol is loss tolerant by
+// design. Only shut closes the socket, as cancelling ctx does.
+func (s *udpSocket) loop(ctx context.Context, handle func(wire []byte, from netip.AddrPort), due func(now time.Duration) (next time.Duration, ok bool)) {
+	defer close(s.done)
+	defer context.AfterFunc(ctx, s.shut)()
+	buf := make([]byte, 64*1024)
+	for {
+		kicks := s.kicks.Load()
+		var deadline time.Time
+		if next, ok := due(obs.Wall.Now()); ok {
+			deadline = time.Now().Add(next - obs.Wall.Now())
 		}
-	})
-}
-
-// serve starts the read loop, handing each datagram and its source to
-// handle, and ties the socket's lifetime to ctx. Bad datagrams must not
-// stop the loop; the protocol is loss tolerant by design.
-func (s *udpSocket) serve(ctx context.Context, handle func(wire []byte, from *net.UDPAddr)) {
-	s.spawn(func() {
-		buf := make([]byte, 64*1024)
-		for {
-			n, from, err := s.conn.ReadFromUDP(buf)
-			if errors.Is(err, net.ErrClosed) {
-				return // Close is the only thing that closes the socket
-			}
-			if err != nil {
-				continue
-			}
-			s.metrics.rxDatagrams.Inc()
-			s.metrics.rxBytes.Add(int64(n))
-			t0 := time.Now()
-			handle(buf[:n], from)
-			s.metrics.handleSeconds.Observe(time.Since(t0))
+		_ = s.conn.SetReadDeadline(deadline) // fails on a closed socket, as the read will
+		if s.kicks.Load() != kicks {
+			continue // the deadline just set may have replaced a kick's
 		}
-	})
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.Close()
-			case <-s.closed:
-			}
-		}()
+		n, from, err := s.conn.ReadFromUDPAddrPort(buf)
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			continue // the deadline, or an error that is one datagram's
+		}
+		s.metrics.rxDatagrams.Inc()
+		s.metrics.rxBytes.Add(int64(n))
+		t0 := time.Now()
+		handle(buf[:n], from)
+		s.metrics.handleSeconds.Observe(time.Since(t0))
 	}
 }
 
-// write sends one datagram — to the connected peer when to is nil.
-func (s *udpSocket) write(wire []byte, to *net.UDPAddr) (err error) {
+// kick makes the loop ask due again, after a change to what it will answer.
+// The loop setting its own deadline meanwhile loses no kick: one counted
+// before it rechecks the counter sends it round, one after sets the later
+// deadline and the read times out.
+func (s *udpSocket) kick() {
+	s.kicks.Add(1)
+	_ = s.conn.SetReadDeadline(time.Now()) // a closed socket has no loop to wake
+}
+
+// write sends one datagram — to the connected peer when to is zero.
+func (s *udpSocket) write(wire []byte, to netip.AddrPort) (err error) {
 	t0 := time.Now()
-	if to == nil {
-		_, err = s.conn.Write(wire)
+	if to.IsValid() {
+		_, err = s.conn.WriteToUDPAddrPort(wire, to)
 	} else {
-		_, err = s.conn.WriteToUDP(wire, to)
+		_, err = s.conn.Write(wire)
 	}
 	s.metrics.sendSeconds.Observe(time.Since(t0))
 	if err != nil {
@@ -179,15 +159,21 @@ func (s *udpSocket) write(wire []byte, to *net.UDPAddr) (err error) {
 
 // udpListener is the daemon side: console datagrams demultiplexed by
 // source address into the handler (one Server or a Broker), the Transport
-// routing sends back, the flow pacer and the app ticker.
+// routing sends back, and the clock of its app tick and flow pump (due).
 type udpListener struct {
 	*udpSocket
 	handler SessionHandler
-	addrMu  sync.Mutex
-	addrs   map[string]*net.UDPAddr
+	// consoles maps each source the handler accepted a datagram from to its
+	// console ID; newcomer is the last it has not, routable until the next.
+	addrMu   sync.Mutex
+	consoles map[netip.AddrPort]string
+	newcomer netip.AddrPort
 	// capture is the wire tap (telemetry.Default's). The Enabled guard
 	// keeps the disabled path allocation- and clock-read-free.
 	capture *capture.Ring
+
+	tickEvery          atomic.Int64  // ns; 0 until StartTicker
+	nextTick, nextPump time.Duration // the loop's own
 }
 
 // listenUDP binds the socket; the caller builds a handler and calls run.
@@ -198,20 +184,17 @@ func listenUDP(ctx context.Context, addr string) (*udpListener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slim: listen %q: %w", addr, err)
 	}
-	return &udpListener{udpSocket: sock, addrs: make(map[string]*net.UDPAddr),
+	return &udpListener{udpSocket: sock, consoles: make(map[netip.AddrPort]string),
 		capture: telemetry.Default.Capture}, nil
 }
 
 // Addr reports the bound UDP address.
 func (s *udpListener) Addr() net.Addr { return s.conn.LocalAddr() }
 
-// run starts the serve loop (and the flow pacer when the handler paces).
+// run starts the loop over h.
 func (s *udpListener) run(ctx context.Context, h SessionHandler) {
 	s.handler = h
-	s.serve(ctx, s.receive)
-	if s.handler.FlowEnabled() {
-		s.spawn(s.pace)
-	}
+	go s.loop(ctx, s.receive, s.due)
 }
 
 // UDPServer runs a SLIM server on a UDP socket. Console datagrams are
@@ -224,8 +207,8 @@ type UDPServer struct {
 // ListenAndServeContext binds a UDP address under ctx and starts a SLIM
 // server on it. Cancelling ctx closes the server, so callers can tie the
 // daemon's lifetime to a signal context. Options configure flow control
-// and observability (see NewServer); with flow control enabled the server
-// runs a pacer goroutine that releases grant-paced traffic on schedule.
+// and observability (see NewServer). The daemon is one goroutine: it reads
+// the socket until grant-paced traffic or an application tick falls due.
 func ListenAndServeContext(ctx context.Context, addr string, newApp AppFactory, opts ...ServerOption) (*UDPServer, error) {
 	l, err := listenUDP(ctx, addr)
 	if err != nil {
@@ -267,33 +250,33 @@ func (s *udpListener) StartTicker(fps float64) {
 	if fps <= 0 {
 		fps = 30
 	}
-	// Per-session errors must not stop the clock.
-	s.every(time.Duration(float64(time.Second)/fps), func() { _ = s.handler.Tick(obs.Wall.Now()) })
+	s.tickEvery.Store(int64(float64(time.Second) / fps))
+	s.kick()
 }
 
-// pace releases grant-paced flow traffic on the governor's schedule. It
-// sleeps until the earliest queued datagram becomes sendable (or an idle
-// poll interval when nothing is queued — new traffic releases inline on
-// the Handle path, so idle polling only bounds how long a session's debt
-// waits once that path has emptied the queue ahead of it, and how stale an
-// announced demand gets).
-func (s *udpListener) pace() {
-	const idle = 20 * time.Millisecond
-	timer := time.NewTimer(idle)
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-timer.C:
+// due is the daemon's clock, making the handler calls Fabric.Pump makes on
+// a virtual one: Tick when its period has elapsed, then PumpFlows when the
+// instant the last one named has come — with none named, as soon as a call
+// has left paced traffic behind, to learn its instant. With nothing queued
+// no pump is scheduled: what else PumpFlows does, a console's heartbeat
+// does for its session (Server.handleStatus). Either call, however long it
+// took, is followed by half a period or a millisecond of reading the socket.
+func (s *udpListener) due(now time.Duration) (next time.Duration, ok bool) {
+	if every := time.Duration(s.tickEvery.Load()); every > 0 {
+		if now >= s.nextTick {
+			_ = s.handler.Tick(now) // per-session errors must not stop the clock
+			s.nextTick = max(s.nextTick+every, obs.Wall.Now()+every/2)
 		}
-		next, pending, _ := s.handler.PumpFlows(obs.Wall.Now())
-		wait := idle
-		if pending {
-			wait = max(next-obs.Wall.Now(), time.Millisecond)
-		}
-		timer.Reset(wait)
+		next, ok = s.nextTick, true
 	}
+	if s.handler.FlowPending() && now >= s.nextPump {
+		t, _, _ := s.handler.PumpFlows(now) // a console's send error is its own
+		s.nextPump = max(t, obs.Wall.Now()+time.Millisecond)
+	}
+	if s.handler.FlowPending() && (!ok || s.nextPump < next) {
+		next, ok = s.nextPump, true
+	}
+	return next, ok
 }
 
 // Send implements Transport: route a datagram to a console by address.
@@ -322,12 +305,13 @@ func (s *udpListener) SendBurst(consoleID string, wires [][]byte) error {
 	})
 }
 
-func (s *udpListener) route(consoleID string) (*net.UDPAddr, error) {
+// route resolves a console ID to the address receive printed it from.
+func (s *udpListener) route(consoleID string) (netip.AddrPort, error) {
+	addr, err := netip.ParseAddrPort(consoleID)
 	s.addrMu.Lock()
-	addr := s.addrs[consoleID]
-	s.addrMu.Unlock()
-	if addr == nil {
-		return nil, fmt.Errorf("slim: unknown console %q", consoleID)
+	defer s.addrMu.Unlock()
+	if _, ok := s.consoles[addr]; err != nil || !ok && addr != s.newcomer {
+		return addr, fmt.Errorf("slim: unknown console %q", consoleID)
 	}
 	return addr, nil
 }
@@ -335,7 +319,7 @@ func (s *udpListener) route(consoleID string) (*net.UDPAddr, error) {
 // sendTo writes one datagram to a console: a failed write is
 // flight-recorded as the loss of every command in it, a successful one is
 // tapped for the wire capture as it left.
-func (s *udpListener) sendTo(consoleID string, addr *net.UDPAddr, wire []byte) error {
+func (s *udpListener) sendTo(consoleID string, addr netip.AddrPort, wire []byte) error {
 	if err := s.write(wire, addr); err != nil {
 		recordWireLoss(s.handler, consoleID, wire)
 		return err
@@ -346,24 +330,34 @@ func (s *udpListener) sendTo(consoleID string, addr *net.UDPAddr, wire []byte) e
 	return nil
 }
 
-// receive hands one console datagram to the handler. Per-console errors
-// (bad datagrams, unauthenticated input) are the console's problem.
-func (s *udpListener) receive(wire []byte, from *net.UDPAddr) {
-	id, now := from.String(), obs.Wall.Now()
+// receive hands one console datagram to the handler; a bad one is the
+// console's problem. A source enters the table once the handler accepts a
+// datagram from it (anyone can send one); as newcomer it gets a Hello's reply.
+func (s *udpListener) receive(wire []byte, from netip.AddrPort) {
+	// A dual-stack socket reports an IPv4 peer as IPv4-mapped IPv6.
+	from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
+	now := obs.Wall.Now()
+	s.addrMu.Lock()
+	id, known := s.consoles[from]
+	if !known {
+		id, s.newcomer = from.String(), from
+	}
+	s.addrMu.Unlock()
 	if s.capture.Enabled() {
 		s.capture.Tap(capture.DirUp, id, -1, wire, now)
 	}
-	s.addrMu.Lock()
-	s.addrs[id] = from
-	s.addrMu.Unlock()
-	_ = s.handler.HandleDatagram(id, wire, now)
+	if err := s.handler.HandleDatagram(id, wire, now); err == nil && !known {
+		s.addrMu.Lock()
+		s.consoles[from] = id
+		s.addrMu.Unlock()
+	}
 }
 
 // UDPConsole is a SLIM console attached over UDP: it writes back whatever
-// Console.HandleDatagram replies to each datagram read, and on a timer
-// whatever Console.Poll returns. Its input methods (SendKey, SendPointer,
-// TypeString, InsertCard) are the shared InputSink implementation over the
-// console's socket.
+// Console.HandleDatagram replies to each datagram read, and every
+// StatusAckDelay whatever Console.Poll returns. Its input methods (SendKey,
+// SendPointer, TypeString, InsertCard) are the shared InputSink
+// implementation over the console's socket.
 type UDPConsole struct {
 	Console *Console
 	inputPort
@@ -398,23 +392,27 @@ func DialConsoleContext(ctx context.Context, serverAddr string, cfg ConsoleConfi
 		sock.conn.Close()
 		return nil, err
 	}
-	c.serve(ctx, func(wire []byte, _ *net.UDPAddr) {
+	var nextPoll time.Duration
+	go c.loop(ctx, func(wire []byte, _ netip.AddrPort) {
 		// A malformed datagram is dropped, per the loss-tolerant design.
 		replies, _ := con.HandleDatagram(wire, obs.Wall.Now())
 		for _, r := range replies {
-			if c.write(r, nil) != nil {
+			if c.write(r, netip.AddrPort{}) != nil {
 				return
 			}
 		}
-	})
-	c.every(StatusAckDelay, func() {
-		if wire := con.Poll(obs.Wall.Now()); wire != nil {
-			_ = c.write(wire, nil)
+	}, func(now time.Duration) (time.Duration, bool) {
+		if now >= nextPoll {
+			if wire := con.Poll(now); wire != nil {
+				_ = c.write(wire, netip.AddrPort{}) // a lost STATUS is followed by the next
+			}
+			nextPoll = now + StatusAckDelay
 		}
+		return nextPoll, true
 	})
 	return c, nil
 }
 
 func (c *UDPConsole) send(msg Message) error {
-	return c.write(protocol.Encode(nil, 0, msg), nil)
+	return c.write(protocol.Encode(nil, 0, msg), netip.AddrPort{})
 }
