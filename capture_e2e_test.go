@@ -171,7 +171,7 @@ func TestFramedCaptureReadsPerCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	tick(time.Second)
-	for i := 0; i < scrollPrimes+2*scrollCycle; i++ {
+	for i := 0; i < 1+2*scrollCycle; i++ {
 		if err := ff.SendKey("desk-1", 'j', true); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package slim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -232,26 +233,39 @@ func TestUDPStatusCadence(t *testing.T) {
 	}
 }
 
-// noiseApp answers any key press with one 512×384 image of noise: about
-// 600 KB of literal tiles, more than twice the governor's 256 KB queue.
+// noiseApp answers 'p' with one 512×384 image of noise — about 600 KB of
+// literal tiles, more than twice the governor's 256 KB queue — and any
+// other key with its echo, one glyph cell at the top left (echoCell).
 type noiseApp struct{ pix []Pixel }
+
+var echoCell = Rect{W: 8, H: 16}
 
 func (a *noiseApp) HandleKey(ev protocol.KeyEvent) []Op {
 	if !ev.Down {
 		return nil
 	}
-	return []Op{ImageOp{Rect: Rect{X: 64, Y: 48, W: 512, H: 384}, Pixels: a.pix}}
+	if ev.Code == 'p' {
+		return []Op{ImageOp{Rect: Rect{X: 64, Y: 48, W: 512, H: 384}, Pixels: a.pix}}
+	}
+	bits := make([]byte, echoCell.H)
+	for i := range bits {
+		bits[i] = byte(ev.Code) << (i % 3)
+	}
+	return []Op{TextOp{Rect: echoCell, Fg: 0xffffff, Bits: bits}}
 }
 
 func (a *noiseApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
 
-// TestEvictedPaintConverges: a paint larger than the governor's queue loses
-// its head to eviction on a fabric that drops nothing. Evicted is not
-// superseded — no newer command covers those tiles — so the console's NACKs
-// for them must be answered with their pixels, at the governor's pace. (When
-// the governor filed evicted commands with the superseded ones, every such
-// NACK was suppressed and the tiles stayed unpainted.)
-func TestEvictedPaintConverges(t *testing.T) {
+// TestOversizedPaintIsOwed: a paint larger than the governor's queue is
+// never encoded whole. Admission refuses it; the session applies it to its
+// frame buffer, owes the console its rect, and pays the debt half a burst
+// at a time from current pixels. So the queue stays within two bursts, no
+// command is lost for the console to NACK, and a keystroke typed right
+// after the paint is painted while most of the paint is still owed.
+// (Encoded at once, the paint overflowed the queue, was evicted from the
+// head, and came back tile by tile through NACKs — behind the echo's
+// queue position or not at all.)
+func TestOversizedPaintIsOwed(t *testing.T) {
 	kit := NewTelemetry()
 	app := &noiseApp{pix: make([]Pixel, 512*384)}
 	rng := rand.New(rand.NewSource(18))
@@ -259,6 +273,7 @@ func TestEvictedPaintConverges(t *testing.T) {
 		app.pix[i] = Pixel(rng.Uint32() & 0xffffff)
 	}
 	opts, cfg := shippedProfile(640, 480)
+	cfg.Obs = kit.Registry
 	fabric := NewFabric()
 	srv := NewServer(fabric, func(string, int, int) Application { return app }, append(opts, WithTelemetry(kit))...)
 	srv.Auth.Register("card-alice", "alice")
@@ -277,23 +292,33 @@ func TestEvictedPaintConverges(t *testing.T) {
 	if err := fabric.SendKey("desk-1", 'p', true); err != nil {
 		t.Fatal(err)
 	}
-	if kit.Registry.Counter("slim_flow_evicted_total").Value() == 0 {
-		t.Fatal("the paint fitted the governor's queue; nothing was evicted")
+	if srv.Owed("alice") == nil {
+		t.Fatal("the paint fitted the governor's queue; nothing was owed")
 	}
-	// Pump until quiet: the queue is drained and a second of heartbeats has
-	// drawn no new command.
-	quietSince := fabric.Now()
-	for last := sess.Encoder.LastSeq(); fabric.Now()-quietSince < time.Second; {
-		if fabric.Now() > 10*time.Minute {
-			t.Fatalf("still sending after %v of virtual time (%d commands)", fabric.Now(), sess.Encoder.LastSeq())
+	if err := fabric.SendKey("desk-1", 'e', true); err != nil {
+		t.Fatal(err)
+	}
+	// Step the clock until the echo is on the console's glass.
+	burst, deepest := sess.Governor().Config().BurstBytes, 0
+	for !slices.Equal(con.Framebuffer().ReadRectInto(nil, echoCell), sess.Encoder.FB.ReadRectInto(nil, echoCell)) {
+		if fabric.Now() > time.Minute {
+			t.Fatal("the echo never reached the console")
 		}
-		fabric.SetClock(fabric.Now() + 10*time.Millisecond)
+		deepest = max(deepest, sess.Governor().QueueBytes())
+		fabric.SetClock(fabric.Now() + time.Millisecond)
 		if err := fabric.Pump(); err != nil {
 			t.Fatal(err)
 		}
-		if seq := sess.Encoder.LastSeq(); seq != last || sess.Governor().QueueDepth() > 0 {
-			last, quietSince = seq, fabric.Now()
-		}
+	}
+	if srv.Owed("alice") == nil {
+		t.Errorf("the echo reached the console after %v, once the whole paint was paid", fabric.Now())
+	}
+	deepest = max(deepest, pumpQuiet(t, fabric, sess, 10*time.Millisecond, time.Second))
+	if deepest > 2*burst {
+		t.Errorf("the queue held %d bytes, more than two bursts of %d", deepest, burst)
+	}
+	if n := kit.Registry.Counter("slim_console_nacks_total").Value(); n != 0 {
+		t.Errorf("the console sent %d NACKs on a fabric that drops nothing", n)
 	}
 	if !con.Framebuffer().Equal(sess.Encoder.FB) {
 		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)

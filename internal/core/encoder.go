@@ -155,7 +155,7 @@ func marshalDatagram(seq uint32, msg protocol.Message) *wirebuf.Buf {
 }
 
 // Encode lowers one rendering op into SLIM datagrams, updating the
-// authoritative frame buffer as it goes.
+// authoritative frame buffer first (Apply's half of the work).
 func (e *Encoder) Encode(op Op) ([]Datagram, error) {
 	if e.Metrics != nil {
 		defer e.Metrics.ObserveEncode(time.Now())
@@ -163,35 +163,25 @@ func (e *Encoder) Encode(op Op) ([]Datagram, error) {
 	if err := validateOp(op); err != nil {
 		return nil, err
 	}
+	if o, ok := op.(VideoOp); ok {
+		return e.encodeVideo(o)
+	}
+	if _, err := e.apply(op); err != nil {
+		return nil, err
+	}
 	switch o := op.(type) {
 	case FillOp:
-		e.FB.Fill(o.Rect, o.Color)
 		return []Datagram{e.emit(&protocol.Fill{Rect: o.Rect, Color: o.Color})}, nil
-
 	case TextOp:
-		if err := e.FB.Bitmap(o.Rect, o.Fg, o.Bg, o.Bits); err != nil {
-			return nil, err
-		}
 		return e.encodeBitmap(o.Rect, o.Fg, o.Bg, o.Bits), nil
-
 	case ScrollOp:
-		e.FB.Copy(o.Rect, o.Rect.X+o.DX, o.Rect.Y+o.DY)
 		return []Datagram{e.emit(&protocol.Copy{
 			Rect: o.Rect, DstX: o.Rect.X + o.DX, DstY: o.Rect.Y + o.DY,
 		})}, nil
-
 	case ImageOp:
-		if err := e.FB.Set(o.Rect, o.Pixels); err != nil {
-			return nil, err
-		}
 		return e.encodeRegion(o.Rect, o.Pixels), nil
-
-	case VideoOp:
-		return e.encodeVideo(o)
-
-	default:
-		return nil, fmt.Errorf("core: unknown op type %T", op)
 	}
+	return nil, fmt.Errorf("core: unknown op type %T", op)
 }
 
 // encodeRegion lowers a pixel rectangle to the cheapest command sequence.
@@ -308,18 +298,40 @@ func (e *Encoder) encodeBitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []by
 	return out
 }
 
-// encodeVideo lowers a video frame to CSCS strips that fit the MTU. Strips
-// are even-height so 2x2 chroma blocks never straddle a boundary; the
-// destination is carved proportionally so scaled strips tile exactly.
+// encodeVideo lowers a video frame to CSCS strips that fit the MTU,
+// applying them to the frame buffer (applyVideo) before it emits them.
 func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
-	budget := e.MTU - 17 // two rects + format byte
-	// Rows per strip: the whole frame if it fits, else the largest even
-	// count whose payload does (payload grows with rows; two is the floor).
+	msgs, err := e.applyVideo(o)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Datagram, 0, len(msgs))
+	for _, msg := range msgs {
+		out = append(out, e.emit(msg))
+	}
+	return out, nil
+}
+
+// videoRows is the strip height encodeVideo cuts o into at mtu: the whole
+// frame if it fits, else the largest even count whose payload does
+// (payload grows with rows; two is the floor). Even heights keep 2x2
+// chroma blocks from straddling a boundary.
+func videoRows(o VideoOp, mtu int) int {
+	budget := mtu - 17 // two rects + format byte
 	rows := o.Src.H
 	if o.Format.PayloadLen(o.Src.W, rows) > budget {
 		for rows = 2; o.Format.PayloadLen(o.Src.W, rows+2) <= budget; rows += 2 {
 		}
 	}
+	return rows
+}
+
+// applyVideo compresses a video frame into the CSCS strips the console
+// will decode and applies them to the authoritative frame buffer, so the
+// server holds exactly the lossy pixels the console shows. The destination
+// is carved proportionally so scaled strips tile exactly.
+func (e *Encoder) applyVideo(o VideoOp) ([]*protocol.CSCS, error) {
+	rows := videoRows(o, e.MTU)
 	// Strip geometry first, so compression can fan out over the strips.
 	var strips []protocol.Rect // Y = source row offset, H = strip height
 	for y0 := 0; y0 < o.Src.H; y0 += rows {
@@ -334,7 +346,7 @@ func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
 	}
 	if e.Parallel.Workers() > 1 && len(strips) > 1 {
 		// Compression reads only o.Pixels, so it parallelizes cleanly;
-		// frame-buffer application and emission stay serial and in order.
+		// frame-buffer application stays serial and in order.
 		errs := make([]error, len(strips))
 		e.Parallel.Do(len(strips), func(i int) { errs[i] = encodeStrip(i) })
 		for _, err := range errs {
@@ -349,7 +361,7 @@ func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
 			}
 		}
 	}
-	out := make([]Datagram, 0, len(strips))
+	msgs := make([]*protocol.CSCS, len(strips))
 	for i, s := range strips {
 		// Proportional destination band.
 		dy0 := o.Dst.Y + s.Y*o.Dst.H/o.Src.H
@@ -357,21 +369,92 @@ func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
 		if dy1 <= dy0 {
 			dy1 = dy0 + 1
 		}
-		msg := &protocol.CSCS{
+		msgs[i] = &protocol.CSCS{
 			Src:    protocol.Rect{X: o.Src.X, Y: o.Src.Y + s.Y, W: o.Src.W, H: s.H},
 			Dst:    protocol.Rect{X: o.Dst.X, Y: dy0, W: o.Dst.W, H: dy1 - dy0},
 			Format: o.Format,
 			Data:   payloads[i],
 		}
-		// Keep the authoritative frame buffer current: apply the same
-		// command the console will see.
-		if err := e.FB.ApplyCSCS(msg); err != nil {
+		if err := e.FB.ApplyCSCS(msgs[i]); err != nil {
 			return nil, err
 		}
-		out = append(out, e.emit(msg))
 	}
-	return out, nil
+	return msgs, nil
 }
+
+// Apply paints op into the authoritative frame buffer as Encode would and
+// emits nothing: no sequence number, no sent-log record, no tile-cache
+// entry. It reports the rect op wrote, clipped to the screen — what a
+// session that applied it instead of encoding it owes its console. (Where
+// gen-2 would have shipped a churning tile as lossy CSCS, the frame buffer
+// keeps the op's own pixels; whichever repaint pays the debt classifies
+// them afresh.)
+func (e *Encoder) Apply(op Op) (protocol.Rect, error) {
+	if err := validateOp(op); err != nil {
+		return protocol.Rect{}, err
+	}
+	return e.apply(op)
+}
+
+// apply is Apply on a validated op.
+func (e *Encoder) apply(op Op) (protocol.Rect, error) {
+	w := op.Bounds()
+	var err error
+	switch o := op.(type) {
+	case FillOp:
+		e.FB.Fill(o.Rect, o.Color)
+	case TextOp:
+		err = e.FB.Bitmap(o.Rect, o.Fg, o.Bg, o.Bits)
+	case ScrollOp:
+		e.FB.Copy(o.Rect, o.Rect.X+o.DX, o.Rect.Y+o.DY)
+		w.X, w.Y = o.Rect.X+o.DX, o.Rect.Y+o.DY
+	case ImageOp:
+		err = e.FB.Set(o.Rect, o.Pixels)
+	case VideoOp:
+		_, err = e.applyVideo(o)
+	}
+	return w.Intersect(e.FB.Bounds()), err
+}
+
+// WireBound bounds the wire bytes Encode(op) emits at DefaultMTU or above,
+// gen-1 or gen-2, cache hits or not: 3 bytes a pixel and one SET's framing
+// per command for images (the costliest lowering of any pixels, cut the
+// way whichever generation cuts finer), the exact strips for video. It
+// reads only op's geometry, so a governor can price a paint before anyone
+// encodes it.
+func WireBound(op Op) int {
+	const frame = protocol.HeaderSize + 8 // header + rect
+	switch o := op.(type) {
+	case FillOp:
+		return frame + 3
+	case ScrollOp:
+		return frame + 4
+	case TextOp:
+		budget := DefaultMTU - 8 - 6
+		tileW := min(o.Rect.W, max(8, budget*8))
+		cols := ceilDiv(o.Rect.W, tileW)
+		cmds := cols * ceilDiv(o.Rect.H, max(1, budget/protocol.BitmapRowBytes(tileW)))
+		return cmds*(frame+6) + (protocol.BitmapRowBytes(o.Rect.W)+cols)*o.Rect.H
+	case ImageOp:
+		r := o.Rect
+		maxPixels := (DefaultMTU - 8) / 3
+		tileW := min(r.W, maxPixels)
+		gen1 := ceilDiv(r.W, tileW) * ceilDiv(r.H, max(1, maxPixels/tileW))
+		gen2 := ceilDiv(r.W, TileSize) * ceilDiv(r.H, TileSize)
+		return max(gen1, gen2)*frame + 3*r.Pixels()
+	case VideoOp:
+		rows := videoRows(o, DefaultMTU)
+		full, rest := o.Src.H/rows, o.Src.H%rows
+		n := full * (frame + 9 + o.Format.PayloadLen(o.Src.W, rows))
+		if rest > 0 {
+			n += frame + 9 + o.Format.PayloadLen(o.Src.W, rest)
+		}
+		return n
+	}
+	return 0
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Repaint regenerates the given region from the authoritative frame buffer
 // as fresh commands. This is the recovery path for lost datagrams and the
@@ -408,19 +491,16 @@ func (e *Encoder) RepaintAll() []Datagram {
 // damage. Non-COPY commands applied after the loss drew correct pixels and
 // do not extend it, which keeps recovery proportional to what was lost —
 // crucial when recovery traffic itself suffers loss. All of it is read from
-// the sent log, which holds geometry only. A command superseded before it
-// left (MarkSuperseded) is no loss, so a range of nothing else is an empty
-// region; one evicted from the governor's queue is a loss like any other.
-// ok is false when the range has aged out of the log: the whole screen is
-// in doubt, tile cache included (ResetCodec2).
+// the sent log, which holds geometry only — and only of commands that were
+// encoded, every one of which goes to the console: a paint the server could
+// not send yet was applied (Apply), not encoded, and is owed by region
+// before any NACK could name it. ok is false when the range has aged out of
+// the log: the whole screen is in doubt, tile cache included (ResetCodec2).
 func (e *Encoder) Damage(n protocol.Nack) (damage fb.Region, ok bool) {
 	for seq := n.From; seq <= n.To; seq++ {
 		r, logged := e.sent.get(seq)
 		if !logged {
 			return fb.Region{}, false
-		}
-		if r.superseded {
-			continue
 		}
 		if r.key != 0 && e.codec2 != nil {
 			// A nacked CACHE_PAINT means the console does not hold (or
@@ -436,7 +516,7 @@ func (e *Encoder) Damage(n protocol.Nack) (damage fb.Region, ok bool) {
 		if !logged {
 			return fb.Region{}, false
 		}
-		if src := r.src.rect(); !src.Empty() && !r.superseded && damage.Intersects(src) {
+		if src := r.src.rect(); !src.Empty() && damage.Intersects(src) {
 			damage.Add(r.rect.rect())
 		}
 	}
@@ -456,15 +536,6 @@ func (e *Encoder) HandleNack(n protocol.Nack) []Datagram {
 		out = append(out, e.Repaint(r)...)
 	}
 	return out
-}
-
-// MarkSuperseded notes that the command numbered seq never left: the flow
-// governor shed it because a newer queued command covers every pixel it
-// wrote. A Nack over it asks for nothing.
-func (e *Encoder) MarkSuperseded(seq uint32) {
-	if r, ok := e.sent.get(seq); ok {
-		r.superseded = true
-	}
 }
 
 // affectedRect reports every pixel a display command may change — for

@@ -518,11 +518,12 @@ func TestSentLogWrapAndStaleSlots(t *testing.T) {
 	if _, ok := l.get(7); ok {
 		t.Error("never-logged sequence number present")
 	}
-	// A flag dies with its slot: seq 7 reuses seq 3's and starts clean.
-	r3, _ := l.get(3)
-	r3.superseded = true
+	// Seq 7 reuses seq 3's slot, which then answers for 7 alone.
 	l.record(7, &protocol.Fill{Rect: protocol.Rect{W: 1, H: 1}}, bounds)
-	if r, ok := l.get(7); !ok || r.superseded {
+	if _, ok := l.get(3); ok {
+		t.Error("seq 3 still present after seq 7 took its slot")
+	}
+	if r, ok := l.get(7); !ok || r.rect.rect() != (protocol.Rect{W: 1, H: 1}) {
 		t.Errorf("reused slot: record %+v, present %v", r, ok)
 	}
 
@@ -591,41 +592,6 @@ func TestMidAttachNackRepaintsOneTile(t *testing.T) {
 	applyAll(t, screen, out)
 	if !screen.Equal(e.FB) {
 		t.Fatal("recovery did not converge")
-	}
-}
-
-// TestHandleNackSkipsSuperseded: a command the governor shed because newer
-// state covers it is no loss — alone it asks for nothing, beside a sent
-// command only the sent one is repainted — while an unflagged (sent, or
-// evicted) command is repainted as ever.
-func TestHandleNackSkipsSuperseded(t *testing.T) {
-	e := NewEncoder(64, 64)
-	fill := func(r protocol.Rect, c protocol.Pixel) uint32 {
-		t.Helper()
-		d, err := e.Encode(FillOp{Rect: r, Color: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d[0].Seq
-	}
-	a := fill(protocol.Rect{X: 0, Y: 0, W: 8, H: 8}, 1)
-	b := fill(protocol.Rect{X: 32, Y: 32, W: 8, H: 8}, 2)
-	e.MarkSuperseded(a)
-	if d, ok := e.Damage(protocol.Nack{From: a, To: a}); !ok || !d.Empty() {
-		t.Errorf("range of one superseded command damages %v (in log: %v), want nothing", d.Rects(), ok)
-	}
-	if d, ok := e.Damage(protocol.Nack{From: a, To: b}); !ok || d.Empty() {
-		t.Errorf("range with a sent member damages nothing (in log: %v)", ok)
-	}
-	if out := e.HandleNack(protocol.Nack{From: a, To: a}); len(out) != 0 {
-		t.Errorf("nack over a superseded command repainted %d commands", len(out))
-	}
-	var covered fb.Region
-	for _, d := range e.HandleNack(protocol.Nack{From: a, To: b}) {
-		covered.Add(affectedRect(d.Msg))
-	}
-	if !covered.Contains(35, 35) || covered.Contains(4, 4) {
-		t.Errorf("mixed range repainted %v, want the sent command's rect only", covered.Rects())
 	}
 }
 

@@ -23,9 +23,6 @@ type sentRecord struct {
 	seq  uint32 // 0 marks a slot never written (sequence numbers start at 1)
 	rect rect16 // every pixel the command may change (COPY: source and destination)
 	src  rect16 // COPY's source rect, empty for every other command
-	// superseded: the governor shed the command before it left, because a
-	// newer queued command covers every pixel it wrote.
-	superseded bool
 }
 
 // sentLog is the encoder's per-session memory of what it sent, a ring

@@ -12,21 +12,20 @@
 //     burst depth defaults to what the Table-5 cost model says the console
 //     can decode in one short quantum, so pacing never starves a console
 //     that could have kept up.
-//   - Supersedes: under backpressure, a queued command whose written rect
-//     is fully covered by a newer queued command is dropped — the paper's
-//     stateless "the server need only send the latest state" advantage
-//     (§2.2) made explicit. COPY reads are respected: a command is never
-//     shed while a later queued COPY still reads its pixels.
+//   - Admits: before a fresh paint is encoded the session asks Admit
+//     whether the queue can take it now — less than a burst queued and
+//     room for its wire bound. A paint refused is not encoded at all: the
+//     session applies it to its frame buffer and owes the console its
+//     rect (server.Session's damage), paid later from the pixels as they
+//     are then — §2.2's "the server need only send the latest state",
+//     decided before encode, so nothing encoded is ever dropped here.
 //
-// Loss recovery has no bucket of its own here. What a console is owed is a
-// region the session keeps (server.Session's damage: a union, so a storm of
-// NACKs cannot grow it past one screen), and the session offers it in
-// burst-sized pieces only while this queue is short, so recovery is paced
+// What a console is owed is a region the session keeps, offered in
+// burst-sized pieces only while this queue is short, so repayment is paced
 // by the one token bucket everything else leaves through and a fresh paint
 // never queues behind more than a burst of it (§5's observation that
 // recovery traffic competes with interactive traffic). The governor only
-// accounts: Item.Retransmit marks repayment, NackSuppressed counts a NACK
-// that named nothing but commands Submit superseded.
+// accounts: Item.Retransmit marks repayment.
 //
 // Released commands leave one Packet each, at their plain-framed size;
 // packing a burst of them into §5.4 frames is the socket endpoint's job
@@ -60,15 +59,10 @@ type Config struct {
 	// BurstBytes is the token-bucket depth. 0 derives it from the cost
 	// model (DefaultBurst).
 	BurstBytes int
-	// MaxQueueBytes bounds the send queue; overflow drops the oldest
-	// commands (the console recovers them via its Status/NACK machinery,
-	// or they are covered by the newer state that pushed them out).
+	// MaxQueueBytes bounds what Admit lets into the send queue: a fresh
+	// paint whose wire bound would take the queue past it is owed instead.
 	// 0 means DefaultMaxQueueBytes.
 	MaxQueueBytes int
-	// SupersedeThresholdBytes is the queue depth beyond which supersession
-	// scans run. Below it the queue drains within a burst anyway and
-	// shedding would only create NACK gaps. 0 means BurstBytes.
-	SupersedeThresholdBytes int
 	// Costs is the console cost model behind the derived defaults
 	// (nil means core.SunRay1Costs).
 	Costs *core.CostModel
@@ -111,8 +105,8 @@ func DefaultDemandBps(cm *core.CostModel) uint64 {
 // DefaultBurst derives the token-bucket depth from the cost model: the
 // wire bytes of the commands the console can decode in one 5 ms quantum,
 // clamped to [8 KiB, 64 KiB]. A burst the console cannot decode would only
-// move the queue from the server (where supersession can shed it) to the
-// console (where it ages into decode drops).
+// move the queue from the server (where a paint that does not fit is owed
+// and repainted late) to the console (where it ages into decode drops).
 func DefaultBurst(cm *core.CostModel) int {
 	if cm == nil {
 		cm = core.SunRay1Costs()
@@ -146,9 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueueBytes == 0 {
 		c.MaxQueueBytes = DefaultMaxQueueBytes
 	}
-	if c.SupersedeThresholdBytes == 0 {
-		c.SupersedeThresholdBytes = c.BurstBytes
-	}
 	return c
 }
 
@@ -158,16 +149,17 @@ type Item struct {
 	// encoder's sent log.
 	Seq uint32
 	Cmd protocol.MsgType
-	// Msg is the decoded command; supersession reads its rects.
+	// Msg is the decoded command; its wire size stands in for Wire's when
+	// Wire is nil.
 	Msg protocol.Message
 	// Wire is the framed datagram (may be nil in simulations that only
 	// account bytes; then the wire size is computed from Msg).
 	Wire []byte
 	// Buf is the pooled buffer backing Wire, nil when the wire is unpooled.
 	// The item owns it through the queue; the governor never releases it —
-	// items leaving the governor (released, superseded, evicted, or dropped
-	// by Reset) hand it back to the caller, who releases after the send or
-	// the drop accounting.
+	// items leaving the governor (released, or dropped by Reset) hand it
+	// back to the caller, who releases after the send or the drop
+	// accounting.
 	Buf *wirebuf.Buf
 	// Retransmit marks a repaint that pays the session's debt to its
 	// console (loss recovery, attach) for accounting.
@@ -210,12 +202,11 @@ type SubmitResult struct {
 	// disabled at this layer) and the caller should send the item
 	// directly, bypassing the queue.
 	Pass bool
-	// Superseded lists older queued commands shed because the new item
-	// fully covers them (the new item's Seq is the superseding sequence).
-	Superseded []Item
-	// Evicted lists commands dropped from the head because the queue
-	// exceeded MaxQueueBytes, oldest first.
-	Evicted []Item
+	// Superseded and Evicted are never set: nothing queued is dropped
+	// (a paint the queue cannot take is owed before it is encoded; see
+	// Admit). They stay declared because bench/replay.go, frozen outside
+	// benchmark PRs, still reads them.
+	Superseded, Evicted []Item
 	// Depth is the queue depth after the submit (0 on the Pass path).
 	Depth int
 }
@@ -239,10 +230,9 @@ type Governor struct {
 	primed bool
 	last   time.Duration
 
-	queue       []entry
-	queueBytes  int
-	dropScratch []bool
-	dropped     []Item // Reset's reusable return slab
+	queue      []entry
+	queueBytes int
+	dropped    []Item // Reset's reusable return slab
 
 	winStart time.Duration
 	winBytes int64
@@ -266,23 +256,21 @@ type Governor struct {
 	pacedBytes        int64
 	pacedRetransBytes int64
 
-	// autoDemand/autoBurst/autoSupersede remember which derived fields
-	// were left zero in the caller's Config, so SetCosts can recompute
-	// them from a recalibrated cost model without clobbering explicit
-	// operator choices.
-	autoDemand    bool
-	autoBurst     bool
-	autoSupersede bool
+	// autoDemand/autoBurst remember which derived fields were left zero
+	// in the caller's Config, so SetCosts can recompute them from a
+	// recalibrated cost model without clobbering explicit operator
+	// choices.
+	autoDemand bool
+	autoBurst  bool
 }
 
 // NewGovernor returns a governor with cfg (zero fields defaulted),
 // reporting into m (nil is inert).
 func NewGovernor(cfg Config, m *Metrics) *Governor {
 	g := &Governor{
-		m:             m,
-		autoDemand:    cfg.InitialBps == 0,
-		autoBurst:     cfg.BurstBytes == 0,
-		autoSupersede: cfg.SupersedeThresholdBytes == 0,
+		m:          m,
+		autoDemand: cfg.InitialBps == 0,
+		autoBurst:  cfg.BurstBytes == 0,
 	}
 	g.cfg = cfg.withDefaults()
 	return g
@@ -290,8 +278,8 @@ func NewGovernor(cfg Config, m *Metrics) *Governor {
 
 // SetCosts swaps in a new cost model — typically a calibrated fit from
 // core.Calibrator — and recomputes every cost-derived parameter the
-// caller originally left to the defaults: demand, burst depth, and the
-// supersession threshold. Explicitly configured values are preserved.
+// caller originally left to the defaults: demand and burst depth.
+// Explicitly configured values are preserved.
 // Queued traffic and grants are untouched; only pacing arithmetic changes.
 func (g *Governor) SetCosts(cm *core.CostModel) {
 	if cm == nil {
@@ -303,9 +291,6 @@ func (g *Governor) SetCosts(cm *core.CostModel) {
 	}
 	if g.autoBurst {
 		g.cfg.BurstBytes = DefaultBurst(cm)
-		if g.autoSupersede {
-			g.cfg.SupersedeThresholdBytes = g.cfg.BurstBytes
-		}
 	}
 	g.clamp()
 }
@@ -403,10 +388,20 @@ func (g *Governor) clamp() {
 	g.tokens = min(g.tokens, float64(g.cfg.BurstBytes))
 }
 
+// Admit reports whether a fresh paint whose encoding is at most bound wire
+// bytes may be encoded now: always for an ungoverned session, under a grant
+// only while less than a burst is queued and the paint fits under
+// MaxQueueBytes. A refusal is counted; the caller owes the paint instead.
+func (g *Governor) Admit(bound int) bool {
+	if g.rate == 0 || g.queueBytes < g.cfg.BurstBytes && g.queueBytes+bound <= g.cfg.MaxQueueBytes {
+		return true
+	}
+	g.m.owedInc()
+	return false
+}
+
 // Submit offers one display command. Ungoverned sessions pass straight
-// through (zero allocations); governed ones enqueue, shedding older
-// queued commands the new one supersedes and evicting from the head on
-// overflow.
+// through (zero allocations); governed ones enqueue it for Release.
 func (g *Governor) Submit(now time.Duration, it Item) SubmitResult {
 	g.refill(now)
 	g.m.submittedInc()
@@ -414,78 +409,10 @@ func (g *Governor) Submit(now time.Duration, it Item) SubmitResult {
 		g.account(int64(it.Bytes()), it.Retransmit)
 		return SubmitResult{Pass: true}
 	}
-	var res SubmitResult
-	if g.queueBytes >= g.cfg.SupersedeThresholdBytes {
-		res.Superseded = g.supersede(it)
-	}
 	g.queue = append(g.queue, entry{it: it, at: now})
 	g.queueBytes += it.Bytes()
-	for g.queueBytes > g.cfg.MaxQueueBytes && len(g.queue) > 1 {
-		head := g.queue[0].it
-		g.queue = g.queue[1:]
-		g.queueBytes -= head.Bytes()
-		res.Evicted = append(res.Evicted, head)
-		g.m.evictedInc()
-	}
-	res.Depth = len(g.queue)
 	g.m.queue(len(g.queue), g.queueBytes)
-	return res
-}
-
-// supersede sheds queued commands fully covered by it. Only pure writes
-// supersede (COPY output depends on current console pixels), and a queued
-// command is kept while any later queued COPY still reads its rect — the
-// console applies in order, so the covering write must land before any
-// such read for the shed to be invisible.
-func (g *Governor) supersede(it Item) []Item {
-	if it.Msg == nil {
-		return nil
-	}
-	if _, reads := core.ReadRect(it.Msg); reads {
-		return nil
-	}
-	cover := core.WriteRect(it.Msg)
-	if cover.Pixels() == 0 {
-		return nil
-	}
-	var shed []Item
-	var guards []protocol.Rect // source rects of surviving later queued COPYs
-	if cap(g.dropScratch) < len(g.queue) {
-		g.dropScratch = make([]bool, len(g.queue))
-	}
-	drop := g.dropScratch[:len(g.queue)]
-	// Scan newest→oldest so each candidate sees the reads queued after it.
-	for i := len(g.queue) - 1; i >= 0; i-- {
-		e := g.queue[i]
-		w := core.WriteRect(e.it.Msg)
-		if e.it.Msg != nil && w.Pixels() > 0 && cover.Contains(w) && !readBy(w, guards) {
-			drop[i] = true
-			g.queueBytes -= e.it.Bytes()
-			shed = append(shed, e.it)
-			g.m.supersededInc(int64(e.it.Bytes()))
-			continue
-		}
-		drop[i] = false
-		if src, ok := core.ReadRect(e.it.Msg); ok {
-			guards = append(guards, src)
-		}
-	}
-	if len(shed) == 0 {
-		return nil
-	}
-	// Compact forward (aliasing is safe: writes trail reads).
-	kept := g.queue[:0]
-	for i, e := range g.queue {
-		if !drop[i] {
-			kept = append(kept, e)
-		}
-	}
-	g.queue = kept
-	// shed accumulated newest-first; report oldest-first.
-	for i, j := 0, len(shed)-1; i < j; i, j = i+1, j-1 {
-		shed[i], shed[j] = shed[j], shed[i]
-	}
-	return shed
+	return SubmitResult{Depth: len(g.queue)}
 }
 
 // Release returns the commands the grant allows to leave now, in sequence
@@ -562,10 +489,6 @@ func (g *Governor) account(bytes int64, retransmit bool) {
 	}
 }
 
-// NackSuppressed counts a NACK that asked for nothing because every command
-// in its range was superseded before it left.
-func (g *Governor) NackSuppressed() { g.m.nackSuppressed() }
-
 // Reset drops all queued state — the attach path calls it when a session
 // moves to a new console, where a full repaint follows anyway. The dropped
 // items are returned so the caller can release their wire buffers (and log
@@ -602,15 +525,4 @@ func (g *Governor) Quiesce(now time.Duration) []Item {
 	g.rate = 0
 	g.m.grantBps(0)
 	return dropped
-}
-
-// readBy reports whether any of srcs, the source rects of queued COPYs,
-// shares a pixel with w.
-func readBy(w protocol.Rect, srcs []protocol.Rect) bool {
-	for _, src := range srcs {
-		if !w.Intersect(src).Empty() {
-			return true
-		}
-	}
-	return false
 }

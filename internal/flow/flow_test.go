@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"slim/internal/core"
-	"slim/internal/fb"
 	"slim/internal/obs"
 	"slim/internal/protocol"
 )
@@ -51,7 +50,6 @@ func TestGrantQueuesAndPaces(t *testing.T) {
 	// covers and they must wait for refill.
 	n := 10
 	for i := 0; i < n; i++ {
-		// Disjoint rects so supersession never sheds any of them.
 		it := fillItem(uint32(i+1), protocol.Rect{X: i * 10, W: 4, H: 4}, 1)
 		if res := g.Submit(0, it); res.Pass {
 			t.Fatal("granted governor must queue")
@@ -140,79 +138,33 @@ func TestPacingWindowBoundProperty(t *testing.T) {
 	}
 }
 
-// TestSupersessionEquivalenceProperty: applying only the surviving
-// (non-superseded) commands must leave the frame buffer identical to
-// applying every submitted command — shedding is invisible on glass.
-func TestSupersessionEquivalenceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const W, H = 64, 64
-	for trial := 0; trial < 200; trial++ {
-		// Threshold 1 keeps every submit under backpressure; the frozen
-		// 1 bps grant stops releases until the end, when the full burst
-		// lets everything out at once.
-		g := NewGovernor(Config{BurstBytes: 1 << 20, SupersedeThresholdBytes: 1, MaxQueueBytes: 1 << 30}, nil)
-		g.SetGrant(0, 1) // effectively frozen: 1 bps
-
-		var all []Item
-		shedCount := 0
-		for seq := uint32(1); seq <= 60; seq++ {
-			var it Item
-			r := protocol.Rect{X: rng.Intn(W), Y: rng.Intn(H), W: rng.Intn(W/2) + 1, H: rng.Intn(H/2) + 1}
-			switch rng.Intn(3) {
-			case 0:
-				it = fillItem(seq, r, protocol.Pixel(rng.Uint32()&0xffffff))
-			case 1:
-				it = setItem(seq, protocol.Rect{X: r.X, Y: r.Y, W: r.W, H: 1}, protocol.Pixel(rng.Uint32()&0xffffff))
-			default:
-				it = copyItem(seq, r, rng.Intn(W), rng.Intn(H))
-			}
-			all = append(all, it)
-			res := g.Submit(0, it)
-			shedCount += len(res.Superseded)
-			if len(res.Evicted) > 0 {
-				t.Fatal("eviction disabled by MaxQueueBytes, yet items evicted")
-			}
-		}
-		// Release everything.
-		g.SetGrant(0, 1<<40)
-		var survived []Item
-		for _, p := range g.Release(time.Millisecond) {
-			survived = append(survived, p.Items...)
-		}
-
-		ref := fb.New(W, H)
-		got := fb.New(W, H)
-		for _, it := range all {
-			if err := ref.Apply(it.Msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, it := range survived {
-			if err := got.Apply(it.Msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !got.Equal(ref) {
-			t.Fatalf("trial %d: shedding %d commands changed final frame buffer", trial, shedCount)
-		}
+// TestAdmitHoldsTheQueueToABurst: an ungoverned session admits any paint;
+// under a grant a paint is admitted while less than a burst is queued and
+// it fits under MaxQueueBytes, and each refusal is counted as owed.
+func TestAdmitHoldsTheQueueToABurst(t *testing.T) {
+	r := obs.NewRegistry(obs.DomainWall)
+	g := NewGovernor(Config{BurstBytes: 100, MaxQueueBytes: 1000}, NewMetrics(r, r.Labeled("session", "a")))
+	if !g.Admit(1 << 30) {
+		t.Fatal("an ungoverned governor refused a paint")
 	}
-}
-
-func TestQueueOverflowEvictsOldest(t *testing.T) {
-	g := NewGovernor(Config{BurstBytes: 32, MaxQueueBytes: 64, SupersedeThresholdBytes: 1 << 20}, nil)
-	g.SetGrant(0, 8)
-	var evicted []uint32
-	for seq := uint32(1); seq <= 6; seq++ {
-		res := g.Submit(0, fillItem(seq, protocol.Rect{X: int(seq), W: 1, H: 1}, 1))
-		for _, it := range res.Evicted {
-			evicted = append(evicted, it.Seq)
+	g.SetGrant(0, 8) // one byte a second: nothing released after the burst
+	if !g.Admit(1000) || g.Admit(1001) {
+		t.Fatal("an empty queue must admit exactly what fits under MaxQueueBytes")
+	}
+	it := setItem(1, protocol.Rect{W: 30, H: 1}, 1) // 110 B: over the burst
+	g.Submit(0, it)
+	g.Release(0) // leaves on the full bucket
+	for seq := uint32(2); g.QueueBytes() < 100; seq++ {
+		if !g.Admit(1) {
+			t.Fatalf("refused a paint with %d bytes queued, under the burst", g.QueueBytes())
 		}
+		g.Submit(0, fillItem(seq, protocol.Rect{X: int(seq), W: 1, H: 1}, 1))
 	}
-	if g.QueueBytes() > 64 {
-		t.Fatalf("queue %dB exceeds bound", g.QueueBytes())
+	if g.Admit(1) {
+		t.Fatalf("admitted a paint with %d bytes queued, a burst or more", g.QueueBytes())
 	}
-	if len(evicted) == 0 || evicted[0] != 1 {
-		t.Fatalf("evicted %v, want the head first", evicted)
+	if got := r.Snapshot().Counters["slim_flow_owed_total"]; got != 2 {
+		t.Fatalf("owed_total = %d, want the 2 refusals", got)
 	}
 }
 
@@ -291,14 +243,13 @@ func TestMetricsPublish(t *testing.T) {
 	r := obs.NewRegistry(obs.DomainWall)
 	series := r.Labeled("session", "alice")
 	m := NewMetrics(r, series)
-	g := NewGovernor(Config{BurstBytes: 1 << 20, SupersedeThresholdBytes: 1, MaxQueueBytes: 1 << 20}, m)
+	g := NewGovernor(Config{BurstBytes: 1 << 20, MaxQueueBytes: 1 << 20}, m)
 	g.SetGrant(0, 1)
-	rect := protocol.Rect{X: 1, Y: 1, W: 4, H: 4}
-	g.Submit(0, fillItem(1, rect, 1))
-	g.Submit(0, fillItem(2, protocol.Rect{W: 16, H: 16}, 2))
+	g.Submit(0, fillItem(1, protocol.Rect{X: 1, Y: 1, W: 4, H: 4}, 1))
+	g.Admit(1 << 21)
 	snap := r.Snapshot()
-	if snap.Counters["slim_flow_superseded_total"] != 1 {
-		t.Fatalf("superseded_total = %d, want 1", snap.Counters["slim_flow_superseded_total"])
+	if snap.Counters["slim_flow_owed_total"] != 1 {
+		t.Fatalf("owed_total = %d, want 1", snap.Counters["slim_flow_owed_total"])
 	}
 	if snap.Gauges[`slim_flow_queue_depth{session="alice"}`] != 1 {
 		t.Fatalf("queue depth gauge = %d, want 1", snap.Gauges[`slim_flow_queue_depth{session="alice"}`])
@@ -329,22 +280,31 @@ func TestMetricsPublish(t *testing.T) {
 	if _, ok := snap.Gauges[`slim_flow_queue_depth{session="alice"}`]; ok {
 		t.Fatal("Remove left per-session gauges behind")
 	}
-	if _, ok := snap.Counters["slim_flow_superseded_total"]; !ok {
+	if _, ok := snap.Counters["slim_flow_owed_total"]; !ok {
 		t.Fatal("Remove must keep shared totals")
 	}
 }
 
-// TestUngovernedZeroAlloc pins the disabled-path allocation count at zero;
-// the benchmarks in bench guard it over time.
+// TestUngovernedZeroAlloc pins the disabled-path allocation count at zero,
+// admission included (governed too: Admit is arithmetic); the benchmarks in
+// bench guard it over time.
 func TestUngovernedZeroAlloc(t *testing.T) {
 	g := NewGovernor(Config{}, nil)
 	it := fillItem(1, protocol.Rect{W: 8, H: 8}, 1)
 	allocs := testing.AllocsPerRun(1000, func() {
+		g.Admit(it.Bytes())
 		g.Submit(0, it)
 		g.Release(0)
 	})
 	if allocs != 0 {
-		t.Fatalf("ungoverned submit+release allocates %.1f per op, want 0", allocs)
+		t.Fatalf("ungoverned admit+submit+release allocates %.1f per op, want 0", allocs)
+	}
+	r := obs.NewRegistry(obs.DomainWall)
+	paced := NewGovernor(Config{BurstBytes: 1}, NewMetrics(r, r.Labeled("session", "a")))
+	paced.SetGrant(0, 8)
+	paced.Submit(0, it)
+	if allocs := testing.AllocsPerRun(1000, func() { paced.Admit(it.Bytes()) }); allocs != 0 {
+		t.Fatalf("a governed refusal allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -397,10 +357,6 @@ func TestSetCostsRecomputesDerivedConfig(t *testing.T) {
 	}
 	if after.BurstBytes != DefaultBurst(slow) {
 		t.Fatalf("burst = %d, want DefaultBurst = %d", after.BurstBytes, DefaultBurst(slow))
-	}
-	if after.SupersedeThresholdBytes != after.BurstBytes {
-		t.Fatalf("supersede threshold %d should track burst %d",
-			after.SupersedeThresholdBytes, after.BurstBytes)
 	}
 	// Nil models are ignored.
 	g.SetCosts(nil)

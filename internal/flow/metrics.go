@@ -7,8 +7,8 @@ import (
 )
 
 // Metrics publishes one governor's accounting through internal/obs. The
-// process-wide totals (submitted, released, superseded, evicted,
-// repayment bytes, pacing delay) share unlabeled instruments across
+// process-wide totals (submitted, released, owed, repayment bytes, pacing
+// delay) share unlabeled instruments across
 // sessions; the instantaneous per-session state (queue depth and bytes,
 // granted bps, grant utilization) is labeled by session so /debug shows
 // each session's governor live. A nil *Metrics is inert.
@@ -16,10 +16,7 @@ type Metrics struct {
 	submitted   *obs.Counter
 	releasedN   *obs.Counter
 	releasedB   *obs.Counter
-	superseded  *obs.Counter
-	supersededB *obs.Counter
-	evictedN    *obs.Counter
-	nackShed    *obs.Counter
+	owed        *obs.Counter
 	retransB    *obs.Counter
 	pacingDelay *obs.Histogram
 
@@ -40,10 +37,7 @@ func NewMetrics(r *obs.Registry, session *obs.Labeled) *Metrics {
 		submitted:   r.Counter("slim_flow_submitted_total"),
 		releasedN:   r.Counter("slim_flow_released_total"),
 		releasedB:   r.Counter("slim_flow_released_bytes_total"),
-		superseded:  r.Counter("slim_flow_superseded_total"),
-		supersededB: r.Counter("slim_flow_superseded_bytes_total"),
-		evictedN:    r.Counter("slim_flow_evicted_total"),
-		nackShed:    r.Counter("slim_flow_retransmits_suppressed_total"),
+		owed:        r.Counter("slim_flow_owed_total"),
 		retransB:    r.Counter("slim_flow_retransmit_bytes_total"),
 		pacingDelay: r.Histogram("slim_flow_pacing_delay_seconds"),
 		depth:       session.Gauge("slim_flow_queue_depth"),
@@ -78,17 +72,9 @@ func (m *Metrics) pacingDelayed(delay time.Duration) {
 	}
 }
 
-func (m *Metrics) supersededInc(bytes int64) {
-	if m == nil {
-		return
-	}
-	m.superseded.Inc()
-	m.supersededB.Add(bytes)
-}
-
-func (m *Metrics) evictedInc() {
+func (m *Metrics) owedInc() {
 	if m != nil {
-		m.evictedN.Inc()
+		m.owed.Inc()
 	}
 }
 
@@ -114,10 +100,4 @@ func (m *Metrics) utilization(bytes int64, rate uint64, elapsed time.Duration) {
 	}
 	granted := float64(rate) / 8 * elapsed.Seconds()
 	m.util.Set(int64(float64(bytes) / granted * 100))
-}
-
-func (m *Metrics) nackSuppressed() {
-	if m != nil {
-		m.nackShed.Inc()
-	}
 }

@@ -127,8 +127,8 @@ func (w HostWindow) overlap(from, to time.Duration) time.Duration {
 // Verdict is one breach's automated attribution: the dominant stage plus
 // the per-stage time split along the critical command's path. A verdict is
 // computed by walking the causal chain (INPUT → ENCODE → TXQ → TX → RX →
-// DECODE → PAINT, with DROP/NACK/SUPERSEDE as loss evidence) for the
-// input-chain ID that breached.
+// DECODE → PAINT, with DROP/NACK as loss evidence and OWE marking a paint
+// deferred to repayment) for the input-chain ID that breached.
 type Verdict struct {
 	// Chain is the input-chain ID that was walked.
 	Chain uint64 `json:"chain"`

@@ -84,28 +84,28 @@ const (
 	// immediately — the session is pacing to its bandwidth grant. A = wire
 	// bytes, B = queue depth after the enqueue.
 	EvTxQueue
-	// EvSupersede: the governor dropped a queued command because a newer
-	// queued command fully covers its affected rect — the paper's
-	// "send only latest state" shedding made visible. A = the superseding
-	// sequence number, B = wire bytes shed.
-	EvSupersede
+	// EvOwe: the session applied a fresh paint to its frame buffer without
+	// encoding it, because the governor's queue could not take it now; the
+	// console is owed the pixels, repainted later from the latest state.
+	// A = owed pixels, B = queued bytes at the decision.
+	EvOwe
 )
 
 var kindNames = [...]string{
-	EvInput:     "INPUT",
-	EvOp:        "OP",
-	EvEncode:    "ENCODE",
-	EvTx:        "TX",
-	EvRx:        "RX",
-	EvDecode:    "DECODE",
-	EvPaint:     "PAINT",
-	EvStatus:    "STATUS",
-	EvNack:      "NACK",
-	EvDrop:      "DROP",
-	EvLinkTx:    "LINK_TX",
-	EvBreach:    "BREACH",
-	EvTxQueue:   "TXQ",
-	EvSupersede: "SUPERSEDE",
+	EvInput:   "INPUT",
+	EvOp:      "OP",
+	EvEncode:  "ENCODE",
+	EvTx:      "TX",
+	EvRx:      "RX",
+	EvDecode:  "DECODE",
+	EvPaint:   "PAINT",
+	EvStatus:  "STATUS",
+	EvNack:    "NACK",
+	EvDrop:    "DROP",
+	EvLinkTx:  "LINK_TX",
+	EvBreach:  "BREACH",
+	EvTxQueue: "TXQ",
+	EvOwe:     "OWE",
 }
 
 // String names the event kind.
@@ -324,10 +324,10 @@ func (l *SessionLog) TxQueue(seq uint32, cmd protocol.MsgType, bytes, depth int6
 	l.record(Event{Kind: EvTxQueue, Cmd: cmd, Seq: seq, A: bytes, B: depth})
 }
 
-// Supersede records the governor shedding a queued command whose rect is
-// fully covered by the newer command bySeq.
-func (l *SessionLog) Supersede(seq uint32, cmd protocol.MsgType, bySeq uint32, bytes int64) {
-	l.record(Event{Kind: EvSupersede, Cmd: cmd, Seq: seq, A: int64(bySeq), B: bytes})
+// Owe records a fresh paint of pixels owed instead of encoded, with
+// queueBytes queued when the governor refused it.
+func (l *SessionLog) Owe(pixels, queueBytes int64) {
+	l.record(Event{Kind: EvOwe, A: pixels, B: queueBytes})
 }
 
 // Events returns the ring's surviving events in time order. A non-zero

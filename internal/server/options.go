@@ -97,10 +97,11 @@ func ResolveOptions(opts ...Option) Resolved {
 }
 
 // WithFlowControl enables the grant-driven send governor (§7) for every
-// session: display traffic is paced to the console's BandwidthGrant,
-// stale queued damage is superseded under backpressure, and the region a
-// session owes its console (Session.repay) enters the queue a burst at a
-// time, so recovery cannot starve fresh paints or overflow the queue.
+// session: display traffic is paced to the console's BandwidthGrant, a
+// paint the queue cannot take now is owed instead of encoded (Session.
+// render), and the region a session owes its console (Session.repay)
+// enters the queue a burst at a time, so recovery cannot starve fresh
+// paints and nothing overflows the queue.
 // Zero-value fields take the flow package defaults; a nil cfg.Costs is the
 // published Sun Ray 1 model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {

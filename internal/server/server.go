@@ -714,3 +714,15 @@ func (s *Server) SessionByUser(user string) *Session {
 	sess, _ := s.userSessionLocked(user)
 	return sess
 }
+
+// Owed reports the rects a user's session owes its console — painted in
+// its frame buffer and not yet encoded for the console — or nil if it owes
+// nothing or has no session.
+func (s *Server) Owed(user string) []protocol.Rect {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sess, err := s.userSessionLocked(user); err == nil && !sess.damage.Empty() {
+		return sess.damage.Rects()
+	}
+	return nil
+}

@@ -43,7 +43,8 @@ type Session struct {
 
 	// damage is what the session owes its console: the pixels the console
 	// is known or feared not to hold. Everything that finds a loss — a
-	// NACK, a STATUS verdict, an attach — only adds to it, and repay alone
+	// NACK, a STATUS verdict, an attach — and every paint the governor
+	// could not take when it was drawn only adds to it, and repay alone
 	// sends it, from the frame buffer as it is when the bytes may leave. A
 	// region is bounded by the screen and union is idempotent, so no storm
 	// of triggers owes more than one repaint. A detached session owes
@@ -205,17 +206,12 @@ func (sess *Session) oweScreen() {
 }
 
 // oweNack adds what the sent log says the loss n cost the console. A range
-// aged out of the log costs the screen; one of nothing but commands that
-// were superseded before they left costs nothing, and is counted.
+// aged out of the log costs the screen.
 func (sess *Session) oweNack(n protocol.Nack) {
-	d, ok := sess.Encoder.Damage(n)
-	switch {
-	case !ok:
-		sess.oweScreen()
-	case d.Empty() && sess.gov != nil:
-		sess.gov.NackSuppressed()
-	default:
+	if d, ok := sess.Encoder.Damage(n); ok {
 		sess.damage.AddRegion(&d)
+	} else {
+		sess.oweScreen()
 	}
 }
 
@@ -303,35 +299,63 @@ func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
 	}
 }
 
-// render encodes ops and queues the result for the session's console.
+// render paints ops into the frame buffer and sends the console what the
+// grant can take now. An op is encoded only if it is admitted (admit);
+// otherwise it is applied to the frame buffer alone and the rect it wrote
+// joins the debt. An encoded pure write paints its rect with current
+// pixels, so it pays whatever of that rect was owed. render ends in repay,
+// like every path that can leave a debt: fresh commands first, then the
+// next piece of what is owed.
 func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) error {
 	for _, op := range ops {
-		if sess.tel.Flight.Armed() {
+		armed := sess.tel.Flight.Armed()
+		if armed {
 			sess.tel.Flight.Op(int64(op.RawPixels()))
+		}
+		if !sess.admit(op) {
+			w, err := sess.Encoder.Apply(op)
+			if err != nil {
+				return err
+			}
+			sess.damage.Add(w)
+			if armed {
+				sess.tel.Flight.Owe(int64(w.Pixels()), int64(sess.gov.QueueBytes()))
+			}
+			continue
 		}
 		dgs, err := sess.Encoder.Encode(op)
 		if err != nil {
 			return err
 		}
-		// While in debt, a command that reads the screen where the console
-		// is owed pixels spreads the stale ones to where it writes, which
-		// the debt may not cover or may already have paid: the rule Damage
-		// applies backwards over the sent log, applied as the command goes.
 		if !sess.damage.Empty() {
 			for _, d := range dgs {
-				if src, reads := core.ReadRect(d.Msg); reads && sess.damage.Intersects(src) {
-					sess.damage.Add(core.WriteRect(d.Msg).Intersect(sess.Encoder.FB.Bounds()))
-				}
+				sess.damage.Subtract(core.WriteRect(d.Msg))
 			}
 		}
 		sess.submit(out, dgs, now, false)
 	}
+	sess.repay(out, now)
 	return nil
 }
 
+// admit decides before encoding whether op goes to the console now. A
+// COPY that reads pixels the console is owed would spread stale ones, so
+// it is owed itself; any other op is the governor's call (Admit), on the
+// most its encoding can cost. A detached or ungoverned session admits
+// everything.
+func (sess *Session) admit(op core.Op) bool {
+	if sess.gov == nil || sess.Console == "" {
+		return true
+	}
+	if sc, ok := op.(core.ScrollOp); ok && sess.damage.Intersects(sc.Rect) {
+		return false
+	}
+	return sess.gov.Admit(core.WireBound(op))
+}
+
 // submit routes display datagrams to the console: directly when the
-// session is ungoverned or has no grant yet, through the governor's
-// supersession queue and token bucket otherwise. owed marks repayment.
+// session is ungoverned or has no grant yet, through the governor's token
+// bucket otherwise. owed marks repayment.
 func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, owed bool) {
 	if sess.Console == "" {
 		// Detached session keeps rendering into its frame buffer; the wire
@@ -345,23 +369,10 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 		cmd := d.Msg.Type()
 		if sess.gov != nil {
 			it := flow.Item{Seq: d.Seq, Cmd: cmd, Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: owed}
-			res := sess.gov.Submit(now, it)
-			if !res.Pass {
+			if res := sess.gov.Submit(now, it); !res.Pass {
 				if sess.tel.Flight.Armed() {
 					sess.tel.Flight.TxQueue(d.Seq, cmd, int64(it.Bytes()), int64(res.Depth))
-					for _, sup := range res.Superseded {
-						sess.tel.Flight.Supersede(sup.Seq, sup.Cmd, d.Seq, int64(sup.Bytes()))
-					}
 				}
-				// Shed commands never reach the wire: recycle their
-				// buffers once the flight recorder has accounted for them.
-				// The encoder learns which ones newer state covers (a NACK
-				// over them asks for nothing); an evicted one is just lost.
-				for i := range res.Superseded {
-					sess.Encoder.MarkSuperseded(res.Superseded[i].Seq)
-					res.Superseded[i].ReleaseWire()
-				}
-				sess.shed(res.Evicted)
 				continue
 			}
 		}

@@ -21,13 +21,13 @@ import (
 // two video players — share one simulated downstream link that shrinks
 // from 10 Mbps to 1 Mbps mid-run. Without flow control the video traffic
 // fills the link buffer and every keystroke echo queues behind it; with
-// the grant-driven governor each session paces to its console's grant,
-// stale video frames are superseded instead of transmitted, and
-// interactive latency stays low. The test asserts the §7 claim
-// quantitatively: p95 input-to-paint is lower with the governor than
-// without, degradation shows up as superseded (stale) frames rather than
-// a collapsed queue, and the supersession/utilization accounting is
-// visible on the debug endpoint and in the flight ring.
+// the grant-driven governor each session paces to its console's grant, a
+// video frame the queue cannot take is owed instead of encoded — repainted
+// later from whatever frame is current — and interactive latency stays
+// low. The test asserts the §7 claim quantitatively: p95 input-to-paint is
+// lower with the governor than without, degradation shows up as owed
+// frames rather than a collapsed queue, and the owed/utilization
+// accounting is visible on the debug endpoint and in the flight ring.
 
 // simEvent is one scheduled occurrence in the virtual-time run.
 type simEvent struct {
@@ -216,10 +216,7 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 	}
 	opts := []ServerOption{WithTelemetry(kit)}
 	if governed {
-		opts = append(opts, WithFlowControl(FlowConfig{
-			InitialBps:              400_000,
-			SupersedeThresholdBytes: 4096,
-		}))
+		opts = append(opts, WithFlowControl(FlowConfig{InitialBps: 400_000}))
 	}
 	h.srv = NewServer(h, newApp, opts...)
 
@@ -370,16 +367,16 @@ func TestOverloadGovernorDegradesGracefully(t *testing.T) {
 	if off.frames == 0 {
 		t.Error("no burst crossed the link as a §5.4 frame")
 	}
-	// The acceptance claim: pacing + supersession keeps interaction fast
-	// on the constricted link.
+	// The acceptance claim: pacing + admission keeps interaction fast on
+	// the constricted link.
 	if on.p95 >= off.p95 {
 		t.Errorf("governed p95 %v not lower than ungoverned %v", on.p95, off.p95)
 	}
-	// Degradation is graceful: stale state is shed at the server instead
-	// of collapsing the link queue.
+	// Degradation is graceful: frames the grant cannot carry are owed at
+	// the server instead of collapsing the link queue.
 	snap := regOn.Snapshot()
-	if snap.Counters["slim_flow_superseded_total"] == 0 {
-		t.Error("governor shed no stale frames under overload")
+	if snap.Counters["slim_flow_owed_total"] == 0 {
+		t.Error("governor owed no frames under overload")
 	}
 	if on.linkDrops > off.linkDrops {
 		t.Errorf("governed run dropped more on the link (%d) than ungoverned (%d)",
@@ -392,23 +389,23 @@ func TestOverloadGovernorDegradesGracefully(t *testing.T) {
 	rw := httptest.NewRecorder()
 	obs.MetricsHandler(regOn, obs.Sim).ServeHTTP(rw, req)
 	body, _ := io.ReadAll(rw.Result().Body)
-	for _, want := range []string{"slim_flow_superseded_total", "slim_flow_grant_utilization"} {
+	for _, want := range []string{"slim_flow_owed_total", "slim_flow_grant_utilization"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	var sawTxq, sawSup bool
+	var sawTxq, sawOwe bool
 	for _, id := range recOn.SessionIDs() {
 		for _, ev := range recOn.Events(id, time.Hour) {
 			switch ev.Kind {
 			case flight.EvTxQueue:
 				sawTxq = true
-			case flight.EvSupersede:
-				sawSup = true
+			case flight.EvOwe:
+				sawOwe = true
 			}
 		}
 	}
-	if !sawTxq || !sawSup {
-		t.Errorf("flight rings missing governor events: TXQ=%v SUPERSEDE=%v", sawTxq, sawSup)
+	if !sawTxq || !sawOwe {
+		t.Errorf("flight rings missing governor events: TXQ=%v OWE=%v", sawTxq, sawOwe)
 	}
 }

@@ -134,13 +134,14 @@ type ServerOption = server.Option
 type FlowConfig = flow.Config
 
 // WithFlowControl enables the grant-driven send governor (§7) on every
-// session: display traffic paces to the console's bandwidth grant, stale
-// queued damage is superseded under backpressure, and what a session owes
-// its console — loss recovery, a hotdesk repaint — leaves through the same
-// token bucket a burst at a time, so no storm of NACKs can starve fresh
-// paints or overflow the queue. The zero
-// FlowConfig takes throughput-matched defaults from the published Sun Ray
-// 1 cost model; set FlowConfig.Costs to derive them from another.
+// session: display traffic paces to the console's bandwidth grant, a paint
+// the queue cannot take now is owed rather than encoded, and everything a
+// session owes its console — such a paint, loss recovery, a hotdesk
+// repaint — leaves through the same token bucket a burst at a time, drawn
+// from the frame buffer as it is then, so nothing overflows the queue and
+// no storm of NACKs starves fresh paints. The zero FlowConfig takes
+// throughput-matched defaults from the published Sun Ray 1 cost model; set
+// FlowConfig.Costs to derive them from another.
 func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowControl(cfg) }
 
 // DefaultTileCacheEntries is the dirty-tile cache capacity the gen-2

@@ -443,7 +443,14 @@ func TestUDPServerSurvivesGarbage(t *testing.T) {
 		}
 		stranger.Close()
 	}
-	// The daemon must still serve a real console afterwards.
+	// The daemon must still serve a real console afterwards. A console's
+	// Hello is sent once, so let the daemon drain what the kernel kept of
+	// the blast first: a full receive buffer would drop the Hello, not test
+	// the daemon.
+	rx := Metrics().Counter("slim_udp_rx_datagrams_total")
+	for read := int64(-1); rx.Value() != read; time.Sleep(20 * time.Millisecond) {
+		read = rx.Value()
+	}
 	con, err := DialConsoleContext(testContext(t), srv.Addr().String(), ConsoleConfig{Width: 320, Height: 240}, TokenOf("card-g"))
 	if err != nil {
 		t.Fatal(err)
