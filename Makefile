@@ -126,29 +126,35 @@ fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestLostTailHealsThroughHeartbeat|TestDebtConvergesUnderAnyGrant' -count 1 -v .
 
 # Evidence smoke against the real binaries: boot slimd with a wire capture,
-# breach dumps (every paint breaches at a 1ns threshold) and incident
-# bundles on, type into it with slimview, trigger a bundle over
-# /debug/incident, stop the daemon, and have `slimtrace explain` read the
-# bundle, the capture and the dump directory back; every artifact a bundle
-# must hold is checked on disk, and the subcommands explain replaced must
-# be gone. Ports 5498/6061 keep clear of a developer's running slimd.
+# breach dumps (every paint breaches a 1ns SLO target) and incident bundles
+# on, check the standard CPU profile still answers beside them, type into
+# it with slimview, ask for a bundle over /debug/incident, stop the daemon,
+# and have `slimtrace explain` read the bundle, the capture and the dump
+# directory back; every artifact a bundle must hold is checked on disk, and
+# the subcommands explain replaced must be gone. The 1ns target also drives
+# the SLO to BREACHING, so its bundle may land first and the manual one
+# answer 429 inside MinGap: either bundle will do. Ports 5498/6061 keep
+# clear of a developer's running slimd.
 EVIDENCE := $(or $(TMPDIR),/tmp)/slim-evidence-smoke
 evidence-smoke:
 	rm -rf $(EVIDENCE) && mkdir -p $(EVIDENCE)
 	$(GO) build -o $(EVIDENCE)/ ./cmd/slimd ./cmd/slimview ./cmd/slimtrace
 	set -e; cd $(EVIDENCE); \
-	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -netqual -profile-window 1s \
-		-capture run.slimcap -flight-dir dumps -flight-threshold 1ns -incident-dir incidents & \
+	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -netqual \
+		-capture run.slimcap -flight-dir dumps -slo-target 1ns -incident-dir incidents & \
 	slimd=$$!; trap 'kill $$slimd 2>/dev/null' EXIT; \
 	sleep 3; \
+	curl -fsS -o /dev/null 'http://127.0.0.1:6061/debug/pprof/profile?seconds=1'; \
 	./slimview -server 127.0.0.1:5498 -card card-demo -type "evidence" -o screen.png; \
-	curl -fsS -X POST 'http://127.0.0.1:6061/debug/incident?trigger=evidence-smoke' >/dev/null; \
+	code=$$(curl -sS -o /dev/null -w '%{http_code}' -X POST 'http://127.0.0.1:6061/debug/incident?trigger=evidence-smoke'); \
+	case $$code in 200|429) ;; *) echo "POST /debug/incident answered $$code"; exit 1;; esac; \
 	kill -INT $$slimd; wait $$slimd || true; trap - EXIT; \
 	for f in manifest.json cpu.pprof heap.pprof goroutines.txt hostmon.json slo.json metrics.prom capture-tail.slimcap; do \
 		ls incidents/incident-*/"$$f" >/dev/null; \
 	done; \
-	./slimtrace explain incidents | grep -q evidence-smoke; \
+	./slimtrace explain incidents | grep -qE 'evidence-smoke|slo:OK->'; \
 	./slimtrace explain incidents/incident-* | grep -q 'host at capture'; \
+	./slimtrace explain incidents/incident-* | grep -q 'go tool pprof -top'; \
 	./slimtrace explain run.slimcap | grep -q 'path replay'; \
 	./slimtrace explain -perfetto run.json dumps run.slimcap | grep -q 'dumps from'; \
 	for sub in flight blame capture netqual incident; do \

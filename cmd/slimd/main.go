@@ -19,7 +19,7 @@
 //	slimd -debug :6060             # live metrics + pprof on http://:6060
 //	slimd -capture run.slimcap     # spool every datagram to a wire capture
 //	slimd -slo-target 100ms -slo-budget 0.005   # tighten the latency SLO
-//	slimd -hostmon                 # host runtime telemetry + profiling
+//	slimd -hostmon                 # host runtime telemetry, HOST verdicts
 //	slimd -netqual                 # passive per-session path RTT/loss estimation
 //	slimd -incident-dir incidents  # SLO-triggered incident bundles
 //	slimd -log-level debug -log-json   # structured logging to stderr
@@ -37,10 +37,10 @@
 // — for offline per-command and per-path analysis with slimtrace explain.
 //
 // With -hostmon, the daemon samples runtime/metrics (GC pauses, scheduler
-// latency, heap, goroutines) into slim_runtime_* series, keeps a rotating
-// CPU-profile window, and feeds GC/CPU stall windows to the flight
-// recorder so latency breaches caused by the host are attributed HOST
-// rather than blamed on a pipeline stage.
+// latency, heap, goroutines) into slim_runtime_* series and feeds GC/CPU
+// stall windows to the flight recorder so latency breaches caused by the
+// host are attributed HOST rather than blamed on a pipeline stage. It
+// never holds the CPU profiler: /debug/pprof/profile works with every flag.
 //
 // With -incident-dir, transitions of the fleet SLO into DEGRADED or
 // BREACHING write a rate-limited incident bundle (profiles, dumps,
@@ -61,7 +61,6 @@ import (
 	"syscall"
 
 	"slim"
-	"slim/internal/obs/flight"
 )
 
 type cardFlags []string
@@ -154,18 +153,15 @@ func main() {
 	flow := flag.Bool("flow", false, "enable the per-session send governor: pace display traffic and loss recovery to console grants, owe paints the queue cannot take and repaint them from the latest state (§7)")
 	codec2 := flag.Bool("codec2", false, "arm the gen-2 codec (content-typed tiles + dirty-tile cache); engages per attachment for consoles advertising CACHE_PAINT")
 	flowBps := flag.Uint64("flow-bps", 0, "with -flow, initial per-session bandwidth demand in bits/s (0: derive from the cost model)")
-	flightThreshold := flag.Duration("flight-threshold", flight.DefaultThreshold,
-		"input-to-paint latency that triggers a flight-recorder breach (0 disables)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder breach dumps (empty: count breaches, write nothing)")
 	capturePath := flag.String("capture", "", "spool a wire capture of every datagram to this .slimcap file")
 	sloTarget := flag.Duration("slo-target", slim.SLO().Target(),
-		"per-event latency objective the SLO engine evaluates against")
+		"per-event latency objective the SLO engine evaluates against; also the flight recorder's breach-dump threshold")
 	sloBudget := flag.Float64("slo-budget", slim.SLO().Budget(),
 		"allowed breach fraction, e.g. 0.01 for 1% of events")
 	netqualOn := flag.Bool("netqual", false, "estimate per-session path RTT/jitter/loss/goodput passively from STATUS/NACK/grant traffic (slim_netqual_*, /debug/netqual)")
-	hostmonOn := flag.Bool("hostmon", false, "sample host runtime telemetry (slim_runtime_*), profile continuously, and attribute HOST-caused latency breaches")
+	hostmonOn := flag.Bool("hostmon", false, "sample host runtime telemetry (slim_runtime_*) and attribute HOST-caused latency breaches")
 	hostmonInterval := flag.Duration("hostmon-interval", 0, "with -hostmon, runtime sampling period (0: the 250ms default)")
-	profileWindow := flag.Duration("profile-window", 0, "with -hostmon, length of each rotating CPU-profile window (0: the 5s default)")
 	incidentDir := flag.String("incident-dir", "", "write SLO-triggered incident bundles under this directory (implies -hostmon)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
@@ -183,7 +179,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	slim.FlightRecorder().SetThreshold(*flightThreshold)
 	slim.SLO().SetTarget(*sloTarget)
 	slim.SLO().SetBudget(*sloBudget)
 	if *flightDir != "" {
@@ -192,7 +187,7 @@ func main() {
 		}
 		slim.FlightRecorder().SetDumpDir(*flightDir)
 		logger.Info("flight-recorder breach dumps on",
-			"threshold", *flightThreshold, "dir", *flightDir)
+			"threshold", slim.SLO().Target(), "dir", *flightDir)
 	}
 
 	if len(cards) == 0 {
@@ -244,12 +239,9 @@ func main() {
 	}
 	if *hostmonOn || *incidentDir != "" {
 		slim.HostMonitor().SetInterval(*hostmonInterval)
-		slim.HostProfiler().SetWindow(*profileWindow)
 		stop := slim.StartHostMonitor()
 		defer stop()
-		logger.Info("host runtime telemetry on",
-			"interval", slim.HostMonitor().Interval(),
-			"profile_window", slim.HostProfiler().Window())
+		logger.Info("host runtime telemetry on", "interval", slim.HostMonitor().Interval())
 	}
 	if *incidentDir != "" {
 		if err := os.MkdirAll(*incidentDir, 0o755); err != nil {

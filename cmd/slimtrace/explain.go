@@ -33,9 +33,9 @@ type explainer struct {
 // paper's Tables 2-3, then the per-console path estimates a live server
 // exports as slim_netqual_*), a breach dump (event census and last causal
 // chain, then the per-stage blame table), an incident bundle (manifest,
-// host state, top self-time packages, then the dumps and capture tail it
-// holds), or a directory of dumps and bundles (the bundles listed, the
-// dumps explained under one blame table).
+// host state, the pprof command for its CPU profile, then the dumps and
+// capture tail it holds), or a directory of dumps and bundles (the
+// bundles listed, the dumps explained under one blame table).
 func explain(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	perfetto := fs.String("perfetto", "", "write every dump's session lanes and every capture's wire tracks as one Chrome/Perfetto trace-event file")

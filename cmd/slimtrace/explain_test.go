@@ -27,7 +27,7 @@ type evidence struct {
 }
 
 // driveSession runs two users through a short typing session on a fabric
-// with the capture ring on and the breach threshold at a nanosecond, so
+// with the capture ring on and the SLO target at a nanosecond, so
 // every keystroke's paint dumps, then writes an incident bundle. Flight
 // events, capture records and the fabric share one virtual clock, as a
 // live slimd's share obs.Wall.
@@ -39,7 +39,7 @@ func driveSession(t testing.TB, dir string) evidence {
 	}
 	kit := telemetry.New(obs.DomainSim)
 	kit.NetQual.SetEnabled(true)
-	kit.Flight.SetThreshold(time.Nanosecond)
+	kit.SLO.SetTarget(time.Nanosecond)
 	kit.Flight.SetDumpDir(ev.dumps)
 	ring := capture.NewRing(1 << 12)
 	ring.SetEnabled(true)
@@ -100,7 +100,7 @@ func driveSession(t testing.TB, dir string) evidence {
 		t.Fatal(err)
 	}
 
-	eng := incident.New(incident.Config{Dir: filepath.Join(dir, "incidents"), ProfileFallback: 20 * time.Millisecond},
+	eng := incident.New(incident.Config{Dir: filepath.Join(dir, "incidents"), CPUProfile: 20 * time.Millisecond},
 		incident.Sources{
 			SLO:         kit.SLO,
 			Monitor:     hostmon.New(obs.Wall, hostmon.Config{}),

@@ -46,7 +46,7 @@ func TestFlightBreachEndToEnd(t *testing.T) {
 
 	fabric := NewFabric()
 	// 2400 bps: a ~60-byte glyph datagram plus frame overhead serializes
-	// in ~340 ms, comfortably past the 150 ms default threshold.
+	// in ~340 ms, comfortably past the 150 ms default SLO target.
 	slow := &slowTransport{Fabric: fabric, link: netsim.Link{Bps: 2400}}
 	srv := NewServer(slow, WithTerminalApp(), WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
@@ -203,7 +203,7 @@ func TestFlightDisabledRecorderStaysCold(t *testing.T) {
 	reg, rec := kit.Registry, kit.Flight
 	rec.SetEnabled(false)
 	rec.SetDumpDir(t.TempDir())
-	rec.SetThreshold(time.Nanosecond) // everything would breach if armed
+	kit.SLO.SetTarget(time.Nanosecond) // everything would breach if armed
 
 	fabric := NewFabric()
 	srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(kit))

@@ -1,6 +1,9 @@
 package slim
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,6 +45,31 @@ func (l *gcStressLink) Send(console string, wire []byte) error {
 	return err
 }
 
+// TestPprofProfileWithHostMonitor: host telemetry leaves the process's one
+// CPU profiler free, so the standard /debug/pprof/profile answers a
+// gzipped profile while the monitor runs (slimd -hostmon, -incident-dir).
+func TestPprofProfileWithHostMonitor(t *testing.T) {
+	stop := StartHostMonitor()
+	defer stop()
+	ts := httptest.NewServer(DebugHandler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/debug/pprof/profile?seconds=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/pprof/profile = %d: %s", resp.StatusCode, body)
+	}
+	if len(body) < 2 || body[0] != 0x1f || body[1] != 0x8b {
+		t.Fatalf("profile body is not gzip (%d bytes)", len(body))
+	}
+}
+
 // TestHostStressEndToEnd drives a real session over a CLEAN link while the
 // host runtime is under GC stress, and asserts the full hostmon/incident
 // contract: the SLO engine leaves OK, the flight recorder attributes the
@@ -55,7 +83,6 @@ func TestHostStressEndToEnd(t *testing.T) {
 	)
 	kit := NewTelemetry()
 	reg, rec := kit.Registry, kit.Flight
-	rec.SetThreshold(target)
 	rec.SetDumpGap(0)
 	dumpDir := t.TempDir()
 	rec.SetDumpDir(dumpDir)
@@ -81,7 +108,7 @@ func TestHostStressEndToEnd(t *testing.T) {
 
 	incDir := t.TempDir()
 	eng := incident.New(incident.Config{
-		Dir: incDir, MinGap: time.Minute, ProfileFallback: 10 * time.Millisecond,
+		Dir: incDir, MinGap: time.Minute, CPUProfile: 10 * time.Millisecond,
 	}, incident.Sources{
 		SLO:       trk,
 		Monitor:   mon,
@@ -199,7 +226,7 @@ func TestHostStressEndToEnd(t *testing.T) {
 	}
 	bdir := filepath.Join(incDir, m.Name)
 	for _, want := range []string{
-		"manifest.json", "heap.pprof", "goroutines.txt", "slo.json",
+		"manifest.json", "cpu.pprof", "heap.pprof", "goroutines.txt", "slo.json",
 		"hostmon.json", "metrics.prom",
 	} {
 		if _, err := os.Stat(filepath.Join(bdir, want)); err != nil {
@@ -223,8 +250,7 @@ func TestHostStressEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Terminate evicts the session's series; the profiler gauges are
-	// process-wide and unaffected.
+	// Terminate evicts the session's series.
 	if err := srv.Terminate("alice"); err != nil {
 		t.Fatal(err)
 	}

@@ -139,13 +139,12 @@ func TestAttributeUnattributed(t *testing.T) {
 
 // TestAttributeTruncatedRing is the satellite regression: a breach whose
 // chain head was already overwritten in the live ring must come back
-// UNATTRIBUTED from CheckBreach, never misclassified from the partial
+// UNATTRIBUTED from RecordBreach, never misclassified from the partial
 // tail. The ring is flooded between the input and the breach check so the
 // INPUT (and ENCODE) slots are gone but the breach is still detected.
 func TestAttributeTruncatedRing(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainWall)
 	rec := New(obs.DomainWall).Instrument(reg)
-	rec.SetThreshold(150 * time.Millisecond)
 	l := rec.Session(1)
 
 	l.Input(protocol.TypeKey, 'x')
@@ -156,7 +155,7 @@ func TestAttributeTruncatedRing(t *testing.T) {
 	for i := 0; i < DefaultRingSize+64; i++ {
 		l.Status(uint32(i), 0)
 	}
-	br, breached := rec.CheckBreach(1, 400*time.Millisecond)
+	br, breached := rec.RecordBreach(1, 400*time.Millisecond, 150*time.Millisecond)
 	if !breached {
 		t.Fatal("breach not detected on a truncated ring")
 	}
@@ -228,7 +227,6 @@ func TestAttributeHost(t *testing.T) {
 func TestCheckBreachHostEvidence(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainWall)
 	rec := New(obs.DomainWall).Instrument(reg)
-	rec.SetThreshold(50 * time.Millisecond)
 	rec.SetDumpGap(0)
 	dir := t.TempDir()
 	rec.SetDumpDir(dir)
@@ -245,7 +243,7 @@ func TestCheckBreachHostEvidence(t *testing.T) {
 	rec.SetHostEvidence(func(asOf time.Duration) []HostWindow {
 		return []HostWindow{{Start: 0, End: asOf, Kind: "cpu", WorstNs: int64(20 * time.Millisecond)}}
 	})
-	br, breached := rec.CheckBreach(1, 200*time.Millisecond)
+	br, breached := rec.RecordBreach(1, 200*time.Millisecond, 50*time.Millisecond)
 	if !breached {
 		t.Fatal("breach not detected")
 	}
@@ -273,7 +271,7 @@ func TestCheckBreachHostEvidence(t *testing.T) {
 
 	// Unwiring the evidence reverts to pipeline-only attribution.
 	rec.SetHostEvidence(nil)
-	br, _ = rec.CheckBreach(1, 200*time.Millisecond)
+	br, _ = rec.RecordBreach(1, 200*time.Millisecond, 50*time.Millisecond)
 	if br.Verdict.Stage == StageHost {
 		t.Error("HOST verdict without wired evidence")
 	}

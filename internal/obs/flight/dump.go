@@ -25,7 +25,7 @@ type Dump struct {
 	Domain obs.Domain `json:"domain"`
 	// LatencyNs is the input-to-paint latency that tripped the dump.
 	LatencyNs int64 `json:"latency_ns"`
-	// ThresholdNs is the breach threshold at the time.
+	// ThresholdNs is the SLO target the latency breached.
 	ThresholdNs int64 `json:"threshold_ns"`
 	// WindowNs is how far back Events reaches.
 	WindowNs int64 `json:"window_ns"`
@@ -106,26 +106,26 @@ func ReadDump(r io.Reader) (*Dump, error) {
 	return &d, nil
 }
 
-// Breach describes one detected threshold crossing: the attribution
-// verdict for the breaching chain, and the dump file it was snapshotted
-// to ("" when no dump was written — dumps are rate limited and need a
-// configured directory; the verdict is computed regardless).
+// Breach describes one recorded breach: the attribution verdict for the
+// breaching chain, and the dump file it was snapshotted to ("" when no
+// dump was written — dumps are rate limited and need a configured
+// directory; the verdict is computed regardless).
 type Breach struct {
 	Path    string
 	Verdict Verdict
 }
 
-// CheckBreach is the server's post-paint hook: called with each input
-// event's observed input-to-paint latency, it detects threshold crossings
-// and snapshots the session's recent events to disk. Below-threshold
-// latencies return immediately (one atomic load); breaches are counted,
-// marked in the ring (EvBreach), attributed to their dominant latency
-// stage, published through the breach instruments, and — when a dump
-// directory is configured and the session's rate limit allows — written
-// as a dump file. Detection time is the recorder's clock.
-func (r *Recorder) CheckBreach(id uint32, latency time.Duration) (Breach, bool) {
-	threshold := time.Duration(r.thresholdNs.Load())
-	if threshold <= 0 || latency < threshold || !r.enabled.Load() {
+// RecordBreach records one input event whose input-to-paint latency
+// breached target; the caller decides that (telemetry.Session.ObservePaint
+// asks the SLO), so every observer counts the same breaches. The breach is
+// counted, marked in the ring (EvBreach), attributed to its dominant
+// latency stage, published through the breach instruments, and — when a
+// dump directory is configured and the session's rate limit allows —
+// written as a dump file stamped with target. Detection time is the
+// recorder's clock. A disabled recorder or unknown session records
+// nothing and reports false.
+func (r *Recorder) RecordBreach(id uint32, latency, target time.Duration) (Breach, bool) {
+	if !r.enabled.Load() {
 		return Breach{}, false
 	}
 	l := r.sessions.Lookup(id)
@@ -146,7 +146,7 @@ func (r *Recorder) CheckBreach(id uint32, latency time.Duration) (Breach, bool) 
 	} else {
 		r.lastBreach.Set(now.Nanoseconds())
 	}
-	l.record(Event{Kind: EvBreach, A: int64(latency), B: int64(threshold)})
+	l.record(Event{Kind: EvBreach, A: int64(latency), B: int64(target)})
 	evs := l.Events(DefaultWindow)
 	var hostWins []HostWindow
 	if hostFn != nil {
@@ -178,7 +178,7 @@ func (r *Recorder) CheckBreach(id uint32, latency time.Duration) (Breach, bool) 
 		Session:      id,
 		Domain:       r.clock.Domain(),
 		LatencyNs:    int64(latency),
-		ThresholdNs:  int64(threshold),
+		ThresholdNs:  int64(target),
 		WindowNs:     int64(DefaultWindow),
 		CapturedAt:   time.Now(),
 		Verdict:      &verdict,

@@ -29,7 +29,7 @@ func TestDumpDirIsBounded(t *testing.T) {
 	for i := 0; i < MaxDumps+extra; i++ {
 		l := rec.Session(uint32(1 + i%3))
 		l.Input(protocol.TypeKey, 'a')
-		br, breached := rec.CheckBreach(uint32(1+i%3), time.Second)
+		br, breached := rec.RecordBreach(uint32(1+i%3), time.Second, 150*time.Millisecond)
 		if !breached || br.Path == "" {
 			t.Fatalf("breach %d: breached=%v path=%q", i, breached, br.Path)
 		}

@@ -16,10 +16,10 @@
 //
 //   - /debug/trace?session=N&last=5s on the slimd debug endpoint renders a
 //     session's recent events as Chrome/Perfetto trace-event JSON.
-//   - When a session's input-to-paint latency crosses the configured
-//     threshold (default the paper's 150 ms), the recorder snapshots that
-//     session's recent events to a dump file on disk, so slow interactions
-//     remain diagnosable after the fact.
+//   - When a session's input-to-paint latency breaches the SLO target
+//     (default the paper's 150 ms; the caller decides, see RecordBreach),
+//     the recorder snapshots that session's recent events to a dump file
+//     on disk, so slow interactions remain diagnosable after the fact.
 //
 // A recorder stamps events from its obs.Clock: the process-wide wall clock,
 // or a sim-domain virtual clock its harness moves. Only sim-domain
@@ -77,8 +77,8 @@ const (
 	// EvLinkTx: a simulated link finished serializing a packet (virtual
 	// time). A = payload bytes, B = flow ID.
 	EvLinkTx
-	// EvBreach: the session's input-to-paint latency crossed the breach
-	// threshold. A = observed latency in nanoseconds, B = threshold.
+	// EvBreach: the session's input-to-paint latency breached the SLO
+	// target. A = observed latency in nanoseconds, B = target.
 	EvBreach
 	// EvTxQueue: the flow governor queued a command instead of sending it
 	// immediately — the session is pacing to its bandwidth grant. A = wire
@@ -143,10 +143,6 @@ type Event struct {
 // default 5 s dump window; bursty video sessions wrap sooner but the most
 // recent events — the ones a breach dump wants — always survive.
 const DefaultRingSize = 4096
-
-// DefaultThreshold is the breach threshold: the paper's §3 annoyance
-// bound of 150 ms.
-const DefaultThreshold = 150 * time.Millisecond
 
 // DefaultWindow is how far back a breach dump reaches.
 const DefaultWindow = 5 * time.Second
@@ -364,10 +360,9 @@ type Recorder struct {
 	clock    *obs.Clock
 	ringSize int
 
-	enabled     atomic.Bool
-	thresholdNs atomic.Int64
-	dumpGapNs   atomic.Int64
-	inputID     atomic.Uint64
+	enabled   atomic.Bool
+	dumpGapNs atomic.Int64
+	inputID   atomic.Uint64
 
 	sessions obs.Sessions[SessionLog]
 
@@ -391,7 +386,7 @@ type Recorder struct {
 }
 
 // New returns an enabled recorder on the domain's clock (obs.NewClock)
-// with the default ring size, threshold, and dump rate limit.
+// with the default ring size and dump rate limit.
 func New(domain obs.Domain) *Recorder { return NewOn(obs.NewClock(domain)) }
 
 // NewOn is New on a clock the caller shares with other observers — how a
@@ -400,7 +395,6 @@ func New(domain obs.Domain) *Recorder { return NewOn(obs.NewClock(domain)) }
 func NewOn(clock *obs.Clock) *Recorder {
 	r := &Recorder{clock: clock, ringSize: DefaultRingSize}
 	r.enabled.Store(true)
-	r.thresholdNs.Store(int64(DefaultThreshold))
 	r.dumpGapNs.Store(int64(DefaultDumpGap))
 	return r
 }
@@ -425,10 +419,6 @@ func (r *Recorder) Instrument(reg *obs.Registry) *Recorder {
 // SetEnabled switches recording on or off. Disabled, every recording call
 // costs one atomic load; the rings are retained.
 func (r *Recorder) SetEnabled(on bool) { r.enabled.Store(on) }
-
-// SetThreshold sets the input-to-paint breach threshold (0 disables
-// breach detection entirely).
-func (r *Recorder) SetThreshold(d time.Duration) { r.thresholdNs.Store(int64(d)) }
 
 // SetDumpGap sets the per-session minimum interval between breach dumps.
 func (r *Recorder) SetDumpGap(d time.Duration) { r.dumpGapNs.Store(int64(d)) }
@@ -487,5 +477,5 @@ func (r *Recorder) Events(id uint32, last time.Duration) []Event {
 	return r.sessions.Lookup(id).Events(last)
 }
 
-// BreachCount reports the number of threshold breaches observed.
+// BreachCount reports the number of breaches recorded.
 func (r *Recorder) BreachCount() int64 { return r.breachN.Load() }

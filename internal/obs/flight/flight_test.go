@@ -151,17 +151,17 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainWall)
 	rec := New(obs.DomainWall).Instrument(reg)
 	rec.SetDumpDir(dir)
-	rec.SetThreshold(150 * time.Millisecond)
+	const target = 150 * time.Millisecond
 
 	l := rec.Session(3)
 	cause := l.Input(protocol.TypeKey, 'q')
 	l.Encode(9, protocol.TypeBitmap, 44, 128)
 	l.Paint(9, protocol.TypeBitmap)
 
-	if _, breached := rec.CheckBreach(3, 100*time.Millisecond); breached {
-		t.Fatal("sub-threshold latency reported as breach")
+	if _, breached := rec.RecordBreach(4, 200*time.Millisecond, target); breached {
+		t.Fatal("a session with no ring recorded a breach")
 	}
-	br, breached := rec.CheckBreach(3, 200*time.Millisecond)
+	br, breached := rec.RecordBreach(3, 200*time.Millisecond, target)
 	if !breached || br.Path == "" {
 		t.Fatalf("breach not dumped: path=%q breached=%v", br.Path, breached)
 	}
@@ -186,7 +186,7 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Session != 3 || d.LatencyNs != int64(200*time.Millisecond) {
+	if d.Session != 3 || d.LatencyNs != int64(200*time.Millisecond) || d.ThresholdNs != int64(target) {
 		t.Errorf("dump header = %+v", d)
 	}
 	// The causal chain survives the round trip.
@@ -204,7 +204,7 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 	}
 
 	// A second breach within the gap is counted but not dumped.
-	if br2, breached := rec.CheckBreach(3, 300*time.Millisecond); !breached || br2.Path != "" {
+	if br2, breached := rec.RecordBreach(3, 300*time.Millisecond, target); !breached || br2.Path != "" {
 		t.Errorf("rate limit failed: path=%q breached=%v", br2.Path, breached)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "flight-sess3-*.json"))

@@ -14,7 +14,6 @@ import (
 func TestCheckBreachPathEvidence(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainWall)
 	rec := New(obs.DomainWall).Instrument(reg)
-	rec.SetThreshold(50 * time.Millisecond)
 	rec.SetDumpGap(0)
 	rec.SetDumpDir(t.TempDir())
 	l := rec.Session(1)
@@ -39,7 +38,7 @@ func TestCheckBreachPathEvidence(t *testing.T) {
 			LossLong:  0.03,
 		}
 	})
-	br, breached := rec.CheckBreach(1, 200*time.Millisecond)
+	br, breached := rec.RecordBreach(1, 200*time.Millisecond, 50*time.Millisecond)
 	if !breached {
 		t.Fatal("breach not detected")
 	}
@@ -78,7 +77,7 @@ func TestCheckBreachPathEvidence(t *testing.T) {
 	rec.SetPathEvidence(func(uint32, time.Duration) *PathEvidence {
 		return &PathEvidence{SRTTNs: int64(120 * time.Millisecond), Samples: 40}
 	})
-	br, _ = rec.CheckBreach(1, 200*time.Millisecond)
+	br, _ = rec.RecordBreach(1, 200*time.Millisecond, 50*time.Millisecond)
 	if br.Verdict.Stage == StageWire && br.Verdict.Link != LinkLatency {
 		t.Errorf("clean-path link = %q, want %q", br.Verdict.Link, LinkLatency)
 	}
@@ -86,7 +85,7 @@ func TestCheckBreachPathEvidence(t *testing.T) {
 	// Unwired: no evidence in dumps, but chain loss evidence still
 	// classifies the link.
 	rec.SetPathEvidence(nil)
-	br, _ = rec.CheckBreach(1, 200*time.Millisecond)
+	br, _ = rec.RecordBreach(1, 200*time.Millisecond, 50*time.Millisecond)
 	if br.Verdict.Stage == StageWire && br.Verdict.Link == "" {
 		t.Error("WIRE verdict lost its LINK sub-verdict without a path estimator")
 	}

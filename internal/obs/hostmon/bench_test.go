@@ -50,15 +50,3 @@ func BenchmarkWindows(b *testing.B) {
 		_ = m.Windows(now)
 	}
 }
-
-// BenchmarkSelfTimeByPkg is the per-profile-window parse cost.
-func BenchmarkSelfTimeByPkg(b *testing.B) {
-	data := buildProfile()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SelfTimeByPkg(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

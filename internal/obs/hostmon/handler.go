@@ -9,9 +9,8 @@ import (
 )
 
 // Status is the /debug/hostmon document (and an incident bundle's
-// hostmon.json): the monitor's configuration,
-// the most recent sample, the full sample ring, live stall windows, and
-// (when a profiler is attached) the latest top-N self-time table.
+// hostmon.json): the monitor's configuration, the most recent sample, the
+// full sample ring, and the live stall windows.
 type Status struct {
 	Enabled      bool   `json:"enabled"`
 	IntervalNs   int64  `json:"interval_ns"`
@@ -21,15 +20,11 @@ type Status struct {
 	// Samples is the ring, oldest first; Windows the live stall windows.
 	Samples []Sample            `json:"samples"`
 	Windows []flight.HostWindow `json:"windows,omitempty"`
-	// Profile is the latest profile window's top-N self-time by package
-	// (absent without a profiler).
-	Profile []PkgSelf `json:"profile,omitempty"`
 }
 
-// StatusWith builds the full document, including prof's top-N table when
-// prof is non-nil.
-func (m *Monitor) StatusWith(prof *Profiler) Status {
-	st := Status{
+// Status builds the full document.
+func (m *Monitor) Status() Status {
+	return Status{
 		Enabled:      m.enabled.Load(),
 		IntervalNs:   int64(m.cfg.Interval),
 		GCPauseThrNs: int64(m.cfg.GCPauseThreshold),
@@ -38,10 +33,6 @@ func (m *Monitor) StatusWith(prof *Profiler) Status {
 		Samples:      m.Ring(),
 		Windows:      m.Windows(m.clock.Now()),
 	}
-	if prof != nil {
-		st.Profile = prof.Top()
-	}
-	return st
 }
 
 // WriteSummary prints the host state the document froze: the last
@@ -54,18 +45,5 @@ func (st *Status) WriteSummary(w io.Writer) {
 		time.Duration(st.Last.TickLag).Round(time.Microsecond))
 	if len(st.Windows) > 0 {
 		fmt.Fprintf(w, "  live stall windows: %d\n", len(st.Windows))
-	}
-}
-
-// WriteTopSelf prints the eight packages with the most self time in a
-// pprof CPU profile; one that does not parse, or is empty, prints nothing.
-func WriteTopSelf(w io.Writer, profile []byte) {
-	self, err := SelfTimeByPkg(profile)
-	if err != nil || len(self) == 0 {
-		return
-	}
-	fmt.Fprintln(w, "  top self-time by package (bundled profile window):")
-	for _, t := range topPkgs(self, 8) {
-		fmt.Fprintf(w, "    %-40s %v\n", t.Pkg, time.Duration(t.SelfNs).Round(time.Millisecond))
 	}
 }

@@ -17,10 +17,9 @@
 // breach whose critical chain overlaps a stall earns a HOST verdict
 // instead of being misblamed on an innocent pipeline stage.
 //
-// A companion Profiler (profiler.go) keeps a rotating ring of short pprof
-// CPU-profile windows and exposes top-N self-time by package as gauges,
-// so an incident bundle always contains the profile covering the moment
-// things went wrong.
+// The monitor never holds the CPU profiler: per-package CPU time is
+// /debug/pprof/profile plus `go tool pprof -top`, and an incident bundle
+// takes its own short capture.
 package hostmon
 
 import (

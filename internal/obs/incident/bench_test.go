@@ -11,8 +11,8 @@ import (
 // disk. This is the per-transition overhead during a sustained breach.
 func BenchmarkTriggerRateLimited(b *testing.B) {
 	e, _, _ := newTestEngine(b, Config{
-		MinGap:          time.Hour,
-		ProfileFallback: time.Millisecond,
+		MinGap:     time.Hour,
+		CPUProfile: time.Millisecond,
 	})
 	if _, err := e.Trigger("bench-warmup", "manual"); err != nil {
 		b.Fatal(err)
@@ -30,9 +30,9 @@ func BenchmarkTriggerRateLimited(b *testing.B) {
 // scan of a bundle directory: read every bundle's manifest under it.
 func BenchmarkList(b *testing.B) {
 	e, _, _ := newTestEngine(b, Config{
-		MinGap:          time.Millisecond,
-		MaxBundles:      8,
-		ProfileFallback: time.Millisecond,
+		MinGap:     time.Millisecond,
+		MaxBundles: 8,
+		CPUProfile: time.Millisecond,
 	})
 	for i := 0; i < 4; i++ {
 		if _, err := e.Trigger("bench", "manual"); err != nil {

@@ -1,8 +1,8 @@
 // Package incident closes the observability loop: instead of hoping an
 // operator is watching /debug/slo when the SLO engine degrades, an
 // Engine subscribes to fleet state transitions and snapshots everything
-// a post-mortem needs the moment the transition happens — the CPU
-// profile window covering the incident, heap and goroutine dumps, the
+// a post-mortem needs the moment the transition happens — a short CPU
+// profile taken as the bundle is written, heap and goroutine dumps, the
 // flight recorder's breach dumps, the wire-capture tail, the /debug/slo
 // and /debug/costmodel documents, and the hostmon sample ring — into a
 // versioned, rate-limited bundle directory under `slimd -incident-dir`.
@@ -16,7 +16,6 @@ package incident
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,9 +62,9 @@ type Config struct {
 	// (default 8, newest first).
 	CaptureTail int
 	FlightTail  int
-	// ProfileFallback is the on-demand CPU-profile length used when no
-	// continuous profiler window is available (default 250 ms).
-	ProfileFallback time.Duration
+	// CPUProfile is the length of the CPU profile each bundle captures
+	// (default 250 ms).
+	CPUProfile time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -81,8 +80,8 @@ func (c Config) withDefaults() Config {
 	if c.FlightTail <= 0 {
 		c.FlightTail = 8
 	}
-	if c.ProfileFallback <= 0 {
-		c.ProfileFallback = 250 * time.Millisecond
+	if c.CPUProfile <= 0 {
+		c.CPUProfile = 250 * time.Millisecond
 	}
 	return c
 }
@@ -93,10 +92,8 @@ func (c Config) withDefaults() Config {
 type Sources struct {
 	// SLO supplies the transition feed (Start subscribes) and slo.json.
 	SLO *slo.Tracker
-	// Monitor supplies hostmon.json (ring + stall windows); Profiler the
-	// cpu.pprof window and the hostmon.json top-N table.
-	Monitor  *hostmon.Monitor
-	Profiler *hostmon.Profiler
+	// Monitor supplies hostmon.json (ring + stall windows).
+	Monitor *hostmon.Monitor
 	// Registry supplies metrics.prom.
 	Registry *obs.Registry
 	// Costmodel returns the /debug/costmodel document (costmodel.json).
@@ -305,18 +302,7 @@ func (e *Engine) writeBundle(reason, trigger string, now time.Time) (*Manifest, 
 
 	writeFile := func(rel string, fill func(io.Writer) error) { writeStaged(stage, m, rel, fill) }
 
-	// CPU profile: the continuous profiler's current window, or a short
-	// on-demand capture when no window is available.
-	cpu := e.cpuProfile()
-	if len(cpu) > 0 {
-		writeFile("cpu.pprof", func(w io.Writer) error {
-			_, err := w.Write(cpu)
-			return err
-		})
-	} else {
-		m.Errors["cpu.pprof"] = "no profile window and on-demand capture failed"
-	}
-
+	writeFile("cpu.pprof", e.cpuProfile)
 	writeFile("heap.pprof", func(w io.Writer) error {
 		return pprof.Lookup("heap").WriteTo(w, 0)
 	})
@@ -332,7 +318,7 @@ func (e *Engine) writeBundle(reason, trigger string, now time.Time) (*Manifest, 
 	if e.src.Monitor != nil {
 		e.src.Monitor.SampleNow() // a fresh tick so the ring ends at the incident
 		writeFile("hostmon.json", func(w io.Writer) error {
-			return obs.WriteJSON(w, e.src.Monitor.StatusWith(e.src.Profiler))
+			return obs.WriteJSON(w, e.src.Monitor.Status())
 		})
 	} else {
 		m.Errors["hostmon.json"] = "no host monitor wired"
@@ -378,25 +364,15 @@ func writeStaged(stage string, m *Manifest, rel string, fill func(io.Writer) err
 	}
 }
 
-// cpuProfile returns the freshest CPU profile available: the continuous
-// profiler's latest window, else a short synchronous capture.
-func (e *Engine) cpuProfile() []byte {
-	if p := e.src.Profiler; p != nil {
-		if w := p.Latest(); len(w.Data) > 0 {
-			return w.Data
-		}
+// cpuProfile profiles the process for CPUProfile into w. It fails, and the
+// bundle notes why, while another CPU profile (/debug/pprof/profile) runs.
+func (e *Engine) cpuProfile(w io.Writer) error {
+	if err := pprof.StartCPUProfile(w); err != nil {
+		return err
 	}
-	// On-demand fallback: capture a short window right now. Fails when
-	// another profile (the continuous profiler mid-window) is running —
-	// in that case the profiler's next Latest would have it, but we
-	// don't block a bundle on it.
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		return nil
-	}
-	time.Sleep(e.cfg.ProfileFallback)
+	time.Sleep(e.cfg.CPUProfile)
 	pprof.StopCPUProfile()
-	return buf.Bytes()
+	return nil
 }
 
 // copyFlightDumps copies the newest FlightTail breach dumps into the
@@ -537,9 +513,9 @@ func WriteList(w io.Writer, bundles []*Manifest) {
 }
 
 // WriteSummary prints one bundle: its manifest (trigger, files, collector
-// errors), the host state at capture from hostmon.json, and the top CPU
-// consumers in the bundled profile window. The flight dumps and capture
-// tail a bundle also holds are evidence files in their own formats.
+// errors), the host state at capture from hostmon.json, and how to read
+// its CPU profile. The flight dumps and capture tail a bundle also holds
+// are evidence files in their own formats.
 func WriteSummary(w io.Writer, bundleDir string) error {
 	m, err := ReadManifest(bundleDir)
 	if err != nil {
@@ -564,8 +540,9 @@ func WriteSummary(w io.Writer, bundleDir string) error {
 			st.WriteSummary(w)
 		}
 	}
-	if raw, err := os.ReadFile(filepath.Join(bundleDir, "cpu.pprof")); err == nil {
-		hostmon.WriteTopSelf(w, raw)
+	cpu := filepath.Join(bundleDir, "cpu.pprof")
+	if _, err := os.Stat(cpu); err == nil {
+		fmt.Fprintf(w, "  cpu profile: go tool pprof -top %s\n", cpu)
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func newTestEngine(t testing.TB, cfg Config) (*Engine, *slo.Tracker, *obs.Regist
 // TestTriggerWritesCompleteBundle: a manual trigger produces a complete,
 // versioned bundle whose manifest matches the files on disk.
 func TestTriggerWritesCompleteBundle(t *testing.T) {
-	e, _, reg := newTestEngine(t, Config{ProfileFallback: 50 * time.Millisecond})
+	e, _, reg := newTestEngine(t, Config{CPUProfile: 50 * time.Millisecond})
 	m, err := e.Trigger("unit-test", "manual")
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +103,20 @@ func TestTriggerWritesCompleteBundle(t *testing.T) {
 			}
 		}
 	}
-	// cpu.pprof comes from the on-demand fallback here; tolerate an
-	// environment where profiling is unavailable but require the error
-	// to be declared.
+	// cpu.pprof is the bundle's own capture; tolerate an environment where
+	// profiling is unavailable but require the error to be declared. The
+	// summary names the command that reads the profile when it exists.
+	var summary strings.Builder
+	if err := WriteSummary(&summary, bdir); err != nil {
+		t.Fatal(err)
+	}
+	readProfile := "go tool pprof -top " + filepath.Join(bdir, "cpu.pprof")
 	if _, err := os.Stat(filepath.Join(bdir, "cpu.pprof")); err != nil {
 		if _, noted := m.Errors["cpu.pprof"]; !noted {
 			t.Error("cpu.pprof absent and not in error map")
 		}
+	} else if !strings.Contains(summary.String(), readProfile) {
+		t.Errorf("summary does not name %q:\n%s", readProfile, summary.String())
 	}
 	// The capture tail must be a valid .slimcap with our three records.
 	cf, err := os.Open(filepath.Join(bdir, "capture-tail.slimcap"))
@@ -142,7 +149,7 @@ func TestTriggerWritesCompleteBundle(t *testing.T) {
 // bundle directory is bounded at MaxBundles.
 func TestRateLimitAndRotation(t *testing.T) {
 	e, _, reg := newTestEngine(t, Config{
-		MinGap: time.Hour, MaxBundles: 2, ProfileFallback: time.Millisecond,
+		MinGap: time.Hour, MaxBundles: 2, CPUProfile: time.Millisecond,
 	})
 	if _, err := e.Trigger("one", "manual"); err != nil {
 		t.Fatal(err)
@@ -176,7 +183,7 @@ func TestRateLimitAndRotation(t *testing.T) {
 // TestSLOTransitionTriggers: driving the tracker into DEGRADED writes a
 // bundle through the subscription, tagged with the transition.
 func TestSLOTransitionTriggers(t *testing.T) {
-	e, trk, _ := newTestEngine(t, Config{ProfileFallback: time.Millisecond})
+	e, trk, _ := newTestEngine(t, Config{CPUProfile: time.Millisecond})
 	e.Start()
 	defer e.Close()
 	s := trk.Session(1, "alice")
@@ -224,7 +231,7 @@ func TestDisabled(t *testing.T) {
 
 // TestHandler: GET lists, POST triggers, rate-limited POST is 429.
 func TestHandler(t *testing.T) {
-	e, _, _ := newTestEngine(t, Config{MinGap: time.Hour, ProfileFallback: time.Millisecond})
+	e, _, _ := newTestEngine(t, Config{MinGap: time.Hour, CPUProfile: time.Millisecond})
 	srv := httptest.NewServer(obs.JSONHandler(e.Status))
 	defer srv.Close()
 

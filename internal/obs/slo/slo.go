@@ -74,7 +74,8 @@ var windowRoles = [numWindows]string{"short", "mid", "long"}
 // Config parameterizes a tracker.
 type Config struct {
 	// Target is the per-event latency objective (the paper's 150 ms
-	// annoyance bound). Latencies above Target are breaches.
+	// annoyance bound). Latencies above Target are breaches, for the
+	// flight recorder's dumps and blame too (telemetry.Session.ObservePaint).
 	Target time.Duration
 	// Budget is the allowed breach fraction, e.g. 0.01 for "1% of events".
 	Budget float64

@@ -25,9 +25,10 @@ import (
 type Kit struct {
 	Clock    *obs.Clock
 	Registry *obs.Registry
-	// Flight records per-session protocol events and detects breaches;
-	// SLO evaluates input-to-paint latency; NetQual estimates each
-	// session's path (disarmed until SetEnabled).
+	// Flight records per-session protocol events and dumps breaches; SLO
+	// evaluates input-to-paint latency and its target decides what a
+	// breach is; NetQual estimates each session's path (disarmed until
+	// SetEnabled).
 	Flight  *flight.Recorder
 	SLO     *slo.Tracker
 	NetQual *netqual.Tracker
@@ -116,16 +117,19 @@ func (k *Kit) Session(id uint32, user string) *Session {
 }
 
 // ObservePaint is the post-paint hook for one input event: the latency is
-// evaluated against the SLO and checked for a breach, and a breach's
-// verdict is credited to the session's blame histogram. A nil handle (an
-// input no session claimed) does nothing.
+// evaluated against the SLO, and a latency above the SLO target — the one
+// breach predicate, whether or not the SLO is armed — is recorded by the
+// flight recorder and its verdict credited to the session's blame
+// histogram. A nil handle (an input no session claimed) does nothing.
 func (s *Session) ObservePaint(latency time.Duration) {
 	if s == nil {
 		return
 	}
 	s.SLO.Observe(latency)
-	if br, breached := s.kit.Flight.CheckBreach(s.id, latency); breached {
-		s.SLO.RecordBlame(br.Verdict.Stage)
+	if target := s.kit.SLO.Target(); latency > target {
+		if br, ok := s.kit.Flight.RecordBreach(s.id, latency, target); ok {
+			s.SLO.RecordBlame(br.Verdict.Stage)
+		}
 	}
 }
 

@@ -66,11 +66,10 @@ type Recorder = flight.Recorder
 
 // FlightRecorder returns the process-wide causal flight recorder: the
 // per-session protocol event rings behind /debug/trace and the breach
-// dumps (see internal/obs/flight). Configure its threshold (SetThreshold;
-// default 150 ms, the paper's §3 annoyance bound, 0 disables breach
-// detection) and dump directory (SetDumpDir; empty keeps dumps off while
-// breaches are still counted and marked in the ring) here; servers and
-// consoles record into it unless redirected.
+// dumps (see internal/obs/flight). A breach is a latency above the SLO
+// target (SLO().SetTarget); configure the dump directory here (SetDumpDir;
+// empty keeps dumps off while breaches are still counted and marked in
+// the ring). Servers and consoles record into it unless redirected.
 func FlightRecorder() *flight.Recorder { return telemetry.Default.Flight }
 
 // SLOTracker is the online latency SLO engine (see internal/obs/slo):
@@ -85,7 +84,8 @@ type SLOConfig = slo.Config
 // SLO returns the process-wide wall-clock SLO tracker: live servers
 // evaluate every input-to-paint latency against it unless redirected, and
 // /debug/slo serves its state. SetTarget changes the per-event latency
-// objective (default the paper's 150 ms annoyance bound), SetBudget the
+// objective (default the paper's 150 ms annoyance bound), which is also
+// the flight recorder's breach-dump threshold; SetBudget the
 // allowed breach fraction (default 0.01: 1% of events may exceed it).
 func SLO() *SLOTracker { return telemetry.Default.SLO }
 
@@ -187,14 +187,12 @@ func (c *CaptureFile) Close() error {
 
 // Host-runtime telemetry facade. The default monitor samples
 // runtime/metrics into the default registry and feeds GC/CPU stall
-// windows to the default flight recorder as HOST-verdict evidence; the
-// default profiler keeps a rotating ring of short CPU-profile windows.
-// Both are stopped until StartHostMonitor. The monitor stamps its stall
-// windows from the wall clock the flight recorder reads, so the two
-// overlap directly.
+// windows to the default flight recorder as HOST-verdict evidence; it is
+// stopped until StartHostMonitor. The monitor stamps its stall windows
+// from the wall clock the flight recorder reads, so the two overlap
+// directly.
 var (
-	defaultMonitor  = hostmon.New(obs.Wall, hostmon.Config{}).Instrument(telemetry.Default.Registry)
-	defaultProfiler = hostmon.NewProfiler(0, 0, 0).Instrument(telemetry.Default.Registry)
+	defaultMonitor = hostmon.New(obs.Wall, hostmon.Config{}).Instrument(telemetry.Default.Registry)
 
 	defaultIncident atomic.Pointer[incident.Engine]
 	capturePath     atomic.Value // string: live spool path for incident bundles
@@ -205,22 +203,16 @@ var (
 // /debug/hostmon, and the stall windows behind HOST breach verdicts.
 func HostMonitor() *hostmon.Monitor { return defaultMonitor }
 
-// HostProfiler returns the process-wide continuous CPU profiler: a
-// rotating ring of short pprof windows with top-N self-time gauges.
-func HostProfiler() *hostmon.Profiler { return defaultProfiler }
-
-// StartHostMonitor starts the default monitor and profiler and wires the
-// monitor's stall windows into the default flight recorder, upgrading
-// breach attribution with HOST verdicts. Returns a stop func that
-// unwires and shuts both down.
+// StartHostMonitor starts the default monitor and wires its stall windows
+// into the default flight recorder, upgrading breach attribution with
+// HOST verdicts. It leaves the CPU profiler free for /debug/pprof/profile.
+// Returns a stop func that unwires and shuts the monitor down.
 func StartHostMonitor() (stop func()) {
 	telemetry.Default.Flight.SetHostEvidence(defaultMonitor.Windows)
 	defaultMonitor.Start()
-	defaultProfiler.Start()
 	return func() {
 		telemetry.Default.Flight.SetHostEvidence(nil)
 		defaultMonitor.Close()
-		defaultProfiler.Close()
 	}
 }
 
@@ -229,8 +221,8 @@ type IncidentEngine = incident.Engine
 
 // StartIncidents builds, wires, and starts the process-wide incident
 // engine: SLO transitions into DEGRADED/BREACHING write rate-limited
-// bundles under dir containing the current CPU-profile window, heap and
-// goroutine dumps, flight breach dumps, the capture-spool tail, and the
+// bundles under dir containing a short CPU profile, heap and goroutine
+// dumps, flight breach dumps, the capture-spool tail, and the
 // /debug/slo, /debug/costmodel, and hostmon snapshots. Returns the
 // engine (Close to stop). Calling it again replaces the previous engine.
 func StartIncidents(dir string) *IncidentEngine {
@@ -238,7 +230,6 @@ func StartIncidents(dir string) *IncidentEngine {
 	e := incident.New(incident.Config{Dir: dir}, incident.Sources{
 		SLO:         telemetry.Default.SLO,
 		Monitor:     defaultMonitor,
-		Profiler:    defaultProfiler,
 		Registry:    telemetry.Default.Registry,
 		Costmodel:   func() any { return defaultCalibrator.Status() },
 		FlightDir:   telemetry.Default.Flight.DumpDir(),
@@ -290,8 +281,8 @@ func DebugEndpoints() []DebugEndpoint {
 			jsonDoc(func() any { return k.SLO.Status() })},
 		{"/debug/netqual", "per-session passive path estimates: smoothed RTT, jitter, loss windows, goodput",
 			jsonDoc(func() any { return k.NetQual.Status() })},
-		{"/debug/hostmon", "host-runtime sample ring, GC/CPU stall windows, and top-N profile self-time",
-			jsonDoc(func() any { return defaultMonitor.StatusWith(defaultProfiler) })},
+		{"/debug/hostmon", "host-runtime sample ring and GC/CPU stall windows",
+			jsonDoc(func() any { return defaultMonitor.Status() })},
 		{"/debug/incident", "incident bundles: GET lists manifests, POST ?trigger=reason writes one now",
 			obs.JSONHandler(func(r *http.Request) (any, error) {
 				e := Incidents()

@@ -60,7 +60,6 @@ func TestSLOEndToEnd(t *testing.T) {
 	)
 	kit := NewTelemetry()
 	reg, rec := kit.Registry, kit.Flight
-	rec.SetThreshold(target)
 	rec.SetDumpGap(0) // every breach dumps: the blame table wants them all
 	dir := t.TempDir()
 	rec.SetDumpDir(dir)

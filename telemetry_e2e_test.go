@@ -19,8 +19,9 @@ import (
 // TestDebugEndpointTable walks the one debug-endpoint table: every row must
 // be served by DebugHandler (a row that only the index knows about is a
 // 404), every JSON document must carry the shared Content-Type, and every
-// row must appear in the README's table. An endpoint added to the mux, the
-// index or the README alone fails here.
+// row must appear in the README's table with its description verbatim. An
+// endpoint added to (or redescribed in) the mux, the index or the README
+// alone fails here.
 func TestDebugEndpointTable(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -43,8 +44,11 @@ func TestDebugEndpointTable(t *testing.T) {
 		if strings.Contains(ct, "json") && ct != "application/json; charset=utf-8" {
 			t.Errorf("%s: Content-Type %q, want the shared JSON header", ep.Path, ct)
 		}
-		if !strings.Contains(string(readme), "| `"+ep.Path+"`") {
+		row := readmeRow(string(readme), "| `"+ep.Path+"`")
+		if row == "" {
 			t.Errorf("%s has no row in the README's debug-endpoint table", ep.Path)
+		} else if !strings.Contains(row, "| "+ep.Description) {
+			t.Errorf("README row %q does not describe %s as DebugEndpoints does: %q", row, ep.Path, ep.Description)
 		}
 	}
 	// The index serves the same table, and nothing else hides under /debug/.
@@ -56,6 +60,16 @@ func TestDebugEndpointTable(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unlisted /debug/ path answered %d, want 404", resp.StatusCode)
 	}
+}
+
+// readmeRow returns the README line starting with prefix, or "".
+func readmeRow(readme, prefix string) string {
+	for _, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	return ""
 }
 
 // oneTimelineRig is a server, console and host monitor all observing
