@@ -69,13 +69,16 @@ bench-json:
 	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ | $(GO) run ./cmd/slimbench hotpath -o BENCH_hotpath.json
 
 # Steady-state allocation budgets on the hot paths (0 allocs/op for console
-# apply, the warm wire-emit path, the SLO observe path — disabled AND
-# enabled — the hostmon sample path, and the netqual observe path —
-# disabled AND enabled — and the §5.4 frame packer). Run without -race:
-# the race detector's instrumentation allocates, so these tests skip
-# themselves under it.
+# apply, the warm wire-emit path, the full tile cache, the SLO observe
+# path — disabled AND enabled — the hostmon sample path, and the netqual
+# observe path — disabled AND enabled — and the §5.4 frame packer), and
+# the memory budgets: a tile cache holds only the slots it has filled,
+# the encoder retains no wire bytes, a 640x480 gen-2 session is its two
+# frame buffers plus at most 1 MiB. Run without -race: the race
+# detector's instrumentation allocates and shadows the heap, so these
+# tests skip themselves under it and `make race` never runs them.
 alloc-guard:
-	$(GO) test -run 'ZeroAlloc' -count 1 ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/
+	$(GO) test -run 'ZeroAlloc|Heap|RetainsNo' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/
 
 # Regenerate the committed capacity artifact: full LAN + WAN user ramps
 # until the SLO burn knee (~5s of wall time; see internal/capacity).

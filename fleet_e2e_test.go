@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
 
 	"slim/internal/netsim"
 	"slim/internal/obs"
+	"slim/internal/raceflag"
 )
 
 // meteredFabric wraps the in-process fabric and records the size of every
@@ -272,4 +274,66 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("migrations = %d, want exactly 1 (the forced one)", got)
 	}
 	checkFleetParity(t, b, reg)
+}
+
+// TestSessionHeapIsTwoFrameBuffers pins what one session costs in memory:
+// its two frame buffers — the server's authoritative copy and the
+// console's soft one — plus what it has actually used, at most 1 MiB more.
+// Eight gen-2 terminal sessions at 640×480 on a 2-shard broker over the
+// fabric, each typed into; the reading is the live heap with the fleet up
+// less the live heap once it is closed and dropped, as the benchmark's
+// live_heap_mb reads it. A tile cache sized for its capacity rather than
+// its use, or a retained full-screen repaint copy, breaks the budget.
+func TestSessionHeapIsTwoFrameBuffers(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations are in the heap figure")
+	}
+	const sessions, w, h = 8, 640, 480
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	fabric := NewFabric()
+	b, err := NewBroker(context.Background(), BrokerConfig{Shards: 2}, fabric,
+		WithTerminalApp(), WithFlowControl(FlowConfig{}), WithCodec2(), WithTelemetry(NewTelemetry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sessions; i++ {
+		desk, user := fmt.Sprintf("desk-%d", i), fmt.Sprintf("user-%d", i)
+		con, err := NewConsole(ConsoleConfig{Width: w, Height: h, TileCacheEntries: DefaultTileCacheEntries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach(desk, con, b)
+		tok := TokenOf("card-" + user)
+		b.Register(tok, user)
+		if err := fabric.Boot(desk, tok.String()); err != nil {
+			t.Fatal(err)
+		}
+		if err := fabric.TypeString(desk, fmt.Sprintf("session %d types a line\nand another\n", i)); err != nil {
+			t.Fatal(err)
+		}
+		if con.TileCache().Len() == 0 {
+			t.Fatal("a gen-2 console cached no tiles: the session did not run the tile path")
+		}
+	}
+	if got := b.Sessions(); got != sessions {
+		t.Fatalf("%d sessions attached, want %d", got, sessions)
+	}
+	held := liveHeap()
+	b.Close()
+	perSession := (held - liveHeap()) / sessions
+
+	const frameBuffer = int64(w * h * 4)
+	budget := 2*frameBuffer + 1<<20
+	t.Logf("live heap per session %d KiB: two frame buffers are %d KiB, budget %d KiB",
+		perSession>>10, 2*frameBuffer>>10, budget>>10)
+	if perSession > budget {
+		t.Errorf("a %dx%d gen-2 session holds %d KiB, want at most two frame buffers + 1 MiB (%d KiB)",
+			w, h, perSession>>10, budget>>10)
+	}
 }

@@ -18,7 +18,6 @@ import (
 	"slim/internal/obs/flight"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
-	"slim/internal/stats"
 )
 
 // Config parameterizes a console.
@@ -72,8 +71,6 @@ type Console struct {
 	fb   *fb.Framebuffer
 	gaps *protocol.GapTracker
 	seq  protocol.Sequencer // for console→server messages
-	// Service-time observations, the Figure 7 sample.
-	serviceTimes *stats.CDF
 	// Modelled clock: when the decode engine becomes free. Commands that
 	// arrive while it is busy queue; sustained overload drops commands,
 	// which is how §4.3 found the processing limits.
@@ -116,13 +113,12 @@ func New(cfg Config) (*Console, error) {
 		cfg.Flight = telemetry.Default.Flight
 	}
 	c := &Console{
-		cfg:          cfg,
-		fb:           fb.New(cfg.Width, cfg.Height),
-		gaps:         protocol.NewGapTracker(cfg.ReorderWindow),
-		serviceTimes: stats.NewCDF(1024),
-		QueueLimit:   500 * time.Millisecond,
-		alloc:        NewBandwidthAllocator(cfg.TotalBps),
-		metrics:      newConsoleMetrics(cfg.Obs, obs.Sim),
+		cfg:        cfg,
+		fb:         fb.New(cfg.Width, cfg.Height),
+		gaps:       protocol.NewGapTracker(cfg.ReorderWindow),
+		QueueLimit: 500 * time.Millisecond,
+		alloc:      NewBandwidthAllocator(cfg.TotalBps),
+		metrics:    newConsoleMetrics(cfg.Obs, obs.Sim),
 	}
 	if cfg.AudioBuffer > 0 {
 		c.audioSink = audio.NewSink(cfg.AudioBuffer)
@@ -266,7 +262,6 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		if c.cfg.Calibrator != nil {
 			c.cfg.Calibrator.ObserveMsg(msg, pure)
 		}
-		c.serviceTimes.Add(svc.Seconds())
 		if c.flog.Armed() {
 			c.flog.Decode(seq, msg.Type(), svc.Nanoseconds())
 			c.flog.Paint(seq, msg.Type())
@@ -431,14 +426,6 @@ func (c *Console) Framebuffer() *fb.Framebuffer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fb
-}
-
-// ServiceTimes returns the observed display service-time sample in seconds
-// (Figure 7's data).
-func (c *Console) ServiceTimes() *stats.CDF {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.serviceTimes
 }
 
 // AudioStats reports audio blocks received and underruns at model time

@@ -145,8 +145,9 @@ func TestModelledServiceTimeAndOverload(t *testing.T) {
 	// A full-screen SET at 270ns/px on 64x64 = ~1.1ms per command; blast
 	// many at the same instant so the queue passes 10ms and drops begin.
 	pix := make([]protocol.Pixel, 64*64)
+	msg := &protocol.Set{Rect: protocol.Rect{W: 64, H: 64}, Pixels: pix}
+	before := c.metrics.simService.Snapshot()
 	for i := uint32(1); i <= 40; i++ {
-		msg := &protocol.Set{Rect: protocol.Rect{W: 64, H: 64}, Pixels: pix}
 		if _, err := c.Handle(i, msg, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -158,9 +159,14 @@ func TestModelledServiceTimeAndOverload(t *testing.T) {
 	if applied == 0 {
 		t.Error("everything dropped")
 	}
-	st := c.ServiceTimes()
-	if st.N() == 0 || st.Max() <= st.Min() {
-		t.Error("service times not recorded with queueing growth")
+	// Every applied command lands in the modelled service-time histogram,
+	// and each one queues behind the last: the k-th waits k decodes, so
+	// the mean is several times one decode.
+	svc := c.metrics.simService.Snapshot().Delta(before)
+	decode := core.SunRay1Costs().ServiceTime(msg).Seconds()
+	if svc.Count != int64(applied) || svc.SumSeconds < 2*decode*float64(applied) {
+		t.Errorf("service times not recorded with queueing growth: %d observations (applied %d), mean %.2f ms, one decode %.2f ms",
+			svc.Count, applied, 1e3*svc.SumSeconds/float64(max(svc.Count, 1)), 1e3*decode)
 	}
 	if c.Status().Dropped == 0 {
 		t.Error("status does not report drops")

@@ -69,13 +69,6 @@ func (e *Encoder) EnableCodec2(capacity int) {
 	e.codec2.stats.Resets++
 }
 
-func capOrDefault(capacity int) int {
-	if capacity <= 0 {
-		return DefaultTileCacheEntries
-	}
-	return capacity
-}
-
 // DisableCodec2 reverts the encoder to the gen-1 command path (console
 // without the capability bit, or codec2 switched off server-wide).
 func (e *Encoder) DisableCodec2() { e.codec2 = nil }
@@ -125,10 +118,11 @@ func (c2 *Codec2) noteEmit(f *fb.Framebuffer, msg protocol.Message) {
 }
 
 // encodeRegion2 is the gen-2 replacement for encodeRegion: it reads the
-// (already updated) authoritative frame buffer tile by tile. The pixels
-// argument of encodeRegion is deliberately unused — by the time any
-// region is encoded the frame buffer holds the truth, and hashing must
-// see exactly what the console will hold after applying the command.
+// (already updated) authoritative frame buffer in place, tile by tile, so
+// fresh paints and repaints alike stage no copy of the region — by the
+// time any region is encoded the frame buffer holds the truth, and
+// hashing must see exactly what the console will hold after applying the
+// command.
 func (e *Encoder) encodeRegion2(r protocol.Rect) []Datagram {
 	r = r.Intersect(e.FB.Bounds())
 	if r.Empty() {

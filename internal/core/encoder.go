@@ -179,19 +179,18 @@ func (e *Encoder) Encode(op Op) ([]Datagram, error) {
 			Rect: o.Rect, DstX: o.Rect.X + o.DX, DstY: o.Rect.Y + o.DY,
 		})}, nil
 	case ImageOp:
+		if e.codec2 != nil {
+			return e.encodeRegion2(o.Rect), nil
+		}
 		return e.encodeRegion(o.Rect, o.Pixels), nil
 	}
 	return nil, fmt.Errorf("core: unknown op type %T", op)
 }
 
-// encodeRegion lowers a pixel rectangle to the cheapest command sequence.
+// encodeRegion is gen-1's lowering of a pixel rectangle to the cheapest
+// command sequence, chosen by whole-rect analysis of its pixels. Gen-2
+// reads the frame buffer tile by tile instead (encodeRegion2).
 func (e *Encoder) encodeRegion(r protocol.Rect, pixels []protocol.Pixel) []Datagram {
-	if e.codec2 != nil {
-		// Gen-2 ignores the staged pixels: the frame buffer is already
-		// current, and the tile path must hash exactly what the console
-		// will hold.
-		return e.encodeRegion2(r)
-	}
 	if e.AnalyzeImages {
 		if c, uniform := analyzeUniform(pixels); uniform {
 			return []Datagram{e.emit(&protocol.Fill{Rect: r, Color: c})}
@@ -465,8 +464,12 @@ func (e *Encoder) Repaint(r protocol.Rect) []Datagram {
 	if r.Empty() {
 		return nil
 	}
-	// Repaint pixels land in an encoder-owned slab: encodeRegion only reads
-	// them (tile payloads are copies), so the slab never escapes.
+	if e.codec2 != nil {
+		return e.encodeRegion2(r)
+	}
+	// Gen-1's analysis wants the pixels contiguous: they land in an
+	// encoder-owned slab that encodeRegion only reads (tile payloads are
+	// copies), so the slab never escapes.
 	e.repaintPix = e.FB.ReadRectInto(e.repaintPix, r)
 	return e.encodeRegion(r, e.repaintPix)
 }

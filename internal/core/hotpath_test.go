@@ -167,9 +167,10 @@ func liveHeap() int64 {
 // CSCS6 320×240 video frames — the traffic that left the old 4,096-datagram
 // replay ring holding about 13 MB of messages, payloads and 2 KiB wire
 // buffers — with every datagram released, what the encoder keeps alive
-// beyond its frame buffer, its scratch slabs and its tile-cache slab (the
-// sent log, the cache index, the churn map, the accounting) is under
-// 1.5 MB.
+// beyond its frame buffer, its scratch slabs and its tile-cache slots (the
+// 512 KB sent log, the cache index, the churn map, the accounting) is
+// under 768 KB. The gen-2 repaint reads the frame buffer in place, so it
+// leaves no full-screen staging copy behind.
 func TestEncoderRetainsNoWire(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's shadow allocations are in the heap figure")
@@ -193,6 +194,9 @@ func TestEncoderRetainsNoWire(t *testing.T) {
 		}
 	}
 	release(e.RepaintAll())
+	if cap(e.repaintPix) != 0 {
+		t.Errorf("gen-2 RepaintAll left a %d-pixel staging slab", cap(e.repaintPix))
+	}
 	op := VideoOp{Src: protocol.Rect{W: vw, H: vh}, Dst: protocol.Rect{X: 64, Y: 64, W: vw, H: vh}, Format: protocol.CSCS6, Pixels: frame}
 	for i := 0; i < 80; i++ {
 		frame[i] ^= 0xffffff
@@ -205,13 +209,13 @@ func TestEncoderRetainsNoWire(t *testing.T) {
 
 	grown := liveHeap() - before
 	const px = int64(unsafe.Sizeof(protocol.Pixel(0)))
-	accounted := px*int64(cap(e.FB.Pix)+cap(e.setSlab)+cap(e.repaintPix)+cap(e.codec2.pix)) +
+	accounted := px*int64(cap(e.FB.Pix)+cap(e.setSlab)+cap(e.codec2.pix)) +
 		int64(cap(e.bitSlab)+cap(e.bicolorBits)) +
 		int64(cap(e.codec2.cache.ent))*int64(unsafe.Sizeof(tcEntry{}))
 	rest := grown - accounted
 	t.Logf("live heap grew %d KB: %d KB frame buffer, slabs and tile cache, %d KB besides", grown>>10, accounted>>10, rest>>10)
-	if rest > 1500<<10 {
-		t.Errorf("encoder keeps %d KB alive beyond its %d KB of frame buffer, slabs and tile cache; want under 1500 KB",
+	if rest > 768<<10 {
+		t.Errorf("encoder keeps %d KB alive beyond its %d KB of frame buffer, slabs and tile cache; want under 768 KB",
 			rest>>10, accounted>>10)
 	}
 	runtime.KeepAlive(e)

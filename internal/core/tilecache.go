@@ -25,16 +25,19 @@ const (
 
 	// DefaultTileCacheEntries is the capacity both sides assume when a
 	// console advertises CapCachePaint without further negotiation:
-	// 4096 entries × 1 KiB of pixels ≈ 4 MiB of console memory, well
-	// inside the 8 MB a Sun Ray-class terminal carries beyond its frame
-	// buffer. Server and console MUST agree on capacity or their LRU
-	// eviction orders drift (harmless, but each drift costs a NACK).
+	// 4096 entries × 1 KiB of pixels caps the console's cache at about
+	// 4 MiB, well inside the 8 MB a Sun Ray-class terminal carries beyond
+	// its frame buffer. The cap is not an allocation: a cache holds only
+	// the slots it has filled. Server and console MUST agree on capacity
+	// or their LRU eviction orders drift (harmless, but each drift costs
+	// a NACK).
 	DefaultTileCacheEntries = 4096
 )
 
-// tcEntry is one cache slot. Slots live in a preallocated slab and are
-// linked into an intrusive LRU list by index, so steady-state insertion
-// and eviction allocate nothing.
+// tcEntry is one cache slot. Slots are created the first time the cache
+// fills them and linked into an intrusive LRU list by index; a slot keeps
+// its pixel buffer when its entry is evicted, removed or reset, so once
+// the slots are warm insertion and eviction allocate nothing.
 type tcEntry struct {
 	key        uint64
 	epoch      uint32
@@ -61,27 +64,25 @@ type TileCache struct {
 
 // NewTileCache returns a cache with the given entry capacity. retain
 // selects the console variant, which keeps each tile's pixels; the
-// server passes false and stores keys only. All memory — entry slab,
-// pixel slabs, index buckets — is allocated up front.
+// server passes false and stores keys only. Capacity bounds the entry
+// count, not what is allocated: the index, the slots and (retaining)
+// each slot's 1 KiB of pixels grow as slots are first filled.
 func NewTileCache(capacity int, retain bool) *TileCache {
-	if capacity <= 0 {
-		capacity = DefaultTileCacheEntries
-	}
-	c := &TileCache{
+	return &TileCache{
 		retain: retain,
-		cap:    capacity,
-		idx:    make(map[uint64]int32, capacity),
-		ent:    make([]tcEntry, capacity),
+		cap:    capOrDefault(capacity),
+		idx:    make(map[uint64]int32),
 		head:   -1,
 		tail:   -1,
 	}
-	if retain {
-		slab := make([]protocol.Pixel, capacity*TileSize*TileSize)
-		for i := range c.ent {
-			c.ent[i].pix = slab[i*TileSize*TileSize : i*TileSize*TileSize : (i+1)*TileSize*TileSize]
-		}
+}
+
+// capOrDefault maps a non-positive capacity to DefaultTileCacheEntries.
+func capOrDefault(capacity int) int {
+	if capacity <= 0 {
+		return DefaultTileCacheEntries
 	}
-	return c
+	return capacity
 }
 
 // Len reports the number of live entries.
@@ -97,12 +98,12 @@ func (c *TileCache) Epoch() uint32 { return c.epoch }
 func (c *TileCache) Evictions() uint64 { return c.evictions }
 
 // Reset starts a new generation: the cache forgets everything, in O(n)
-// over live entries, keeping every slab allocated. Both sides reset at
-// session attach (and the server again on recovery repaints), which is
-// the only moment the mirrored LRU orders need re-synchronizing — a
-// fresh console, a hotdesk move, or a migrated session all start from
-// the same empty generation and an immediately following full repaint
-// re-seeds both caches identically.
+// over live entries, keeping every slot and pixel buffer allocated. Both
+// sides reset at session attach (and the server again on recovery
+// repaints), which is the only moment the mirrored LRU orders need
+// re-synchronizing — a fresh console, a hotdesk move, or a migrated
+// session all start from the same empty generation and an immediately
+// following full repaint re-seeds both caches identically.
 func (c *TileCache) Reset() {
 	c.epoch++
 	clear(c.idx)
@@ -164,6 +165,12 @@ func (c *TileCache) Insert(f *fb.Framebuffer, r protocol.Rect) uint64 {
 	if c.n < c.cap {
 		i = int32(c.n)
 		c.n++
+		if int(i) == len(c.ent) {
+			c.ent = append(c.ent, tcEntry{})
+		}
+		if c.retain && c.ent[i].pix == nil {
+			c.ent[i].pix = make([]protocol.Pixel, 0, TileSize*TileSize)
+		}
 	} else {
 		i = c.tail
 		c.unlink(i)
@@ -194,8 +201,6 @@ func (c *TileCache) Remove(key uint64) {
 	}
 	c.unlink(i)
 	delete(c.idx, key)
-	// Recycle the slot by swapping the last live slab slot into place is
-	// unnecessary: leave it unlinked and reuse via the free count.
 	c.freeSlot(i)
 }
 
@@ -205,7 +210,8 @@ func (c *TileCache) freeSlot(i int32) {
 	last := int32(c.n - 1)
 	if i != last {
 		// Move entry `last` into slot i, fixing list links and index.
-		// The slabs swap rather than alias: every slot keeps exactly one.
+		// The pixel buffers swap rather than alias: every filled slot
+		// keeps exactly one.
 		pix := c.ent[i].pix
 		c.ent[i] = c.ent[last]
 		c.ent[last].pix = pix

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"slim/internal/fb"
 	"slim/internal/protocol"
+	"slim/internal/raceflag"
 )
 
 // tileAt paints a distinct solid color into the i-th 16x16 cell of f and
@@ -241,5 +245,206 @@ func TestNoteApplyChunking(t *testing.T) {
 	// Oversized direct Insert is the caller's bug: ignored with key 0.
 	if k := c.Insert(f, protocol.Rect{X: 0, Y: 0, W: TileSize + 1, H: TileSize}); k != 0 {
 		t.Fatalf("oversized insert returned key %#x, want 0", k)
+	}
+}
+
+// distinctTiles paints n distinct solid tiles into a frame buffer wide
+// enough to hold them and returns the tile rectangles: color i+1 in cell i,
+// so keys stay distinct far past the 256 colors tileAt cycles through.
+func distinctTiles(n int) (*fb.Framebuffer, []protocol.Rect) {
+	const cols = 128
+	f := fb.New(cols*TileSize, (n+cols-1)/cols*TileSize)
+	rs := make([]protocol.Rect, n)
+	for i := range rs {
+		rs[i] = protocol.Rect{X: i % cols * TileSize, Y: i / cols * TileSize, W: TileSize, H: TileSize}
+		f.Fill(rs[i], protocol.Pixel(i+1))
+	}
+	return f, rs
+}
+
+// TestTileCacheHeapGrowsWithUse: capacity is a cap, not an allocation. A
+// console cache at the default 4,096 entries holds nothing for slots it
+// has never filled — an echo terminal fills about 75 — and a filled slot
+// costs its 1 KiB of pixels plus its index and list entry.
+func TestTileCacheHeapGrowsWithUse(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations are in the heap figure")
+	}
+	f, rs := distinctTiles(100)
+	before := liveHeap()
+	c := NewTileCache(DefaultTileCacheEntries, true)
+	fresh := liveHeap() - before
+	for _, r := range rs {
+		c.Insert(f, r)
+	}
+	used := liveHeap() - before
+	t.Logf("fresh cache %d B, after %d inserts %d B", fresh, len(rs), used)
+	if fresh >= 64<<10 {
+		t.Errorf("a fresh %d-entry cache retains %d KiB, want under 64 KiB", c.Cap(), fresh>>10)
+	}
+	if used >= 192<<10 {
+		t.Errorf("%d entries retain %d KiB, want under 192 KiB", c.Len(), used>>10)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(f)
+}
+
+// TestTileCacheZeroAllocAtCapacity: once every slot has been filled, the
+// cache allocates nothing — not to evict its LRU tail for a new tile, not
+// to refill a slot Remove freed, not to refill after a Reset.
+func TestTileCacheZeroAllocAtCapacity(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const capacity = DefaultTileCacheEntries
+	f, rs := distinctTiles(2 * capacity)
+	c := NewTileCache(capacity, true)
+	// Cycling through twice capacity evicts on every insert; a few laps
+	// first let the index settle under churn.
+	next := 0
+	insert := func() {
+		c.Insert(f, rs[next])
+		next = (next + 1) % len(rs)
+	}
+	for i := 0; i < 4*len(rs); i++ {
+		insert()
+	}
+	if c.Len() != capacity {
+		t.Fatalf("len=%d after warm-up, want capacity %d", c.Len(), capacity)
+	}
+	if a := testing.AllocsPerRun(4*capacity, insert); a != 0 {
+		t.Errorf("insert with eviction allocates %.2f objects/op, want 0", a)
+	}
+	live := rs[(next+len(rs)-capacity/2)%len(rs)] // inserted capacity/2 ago
+	if a := testing.AllocsPerRun(1000, func() {
+		c.Remove(f.HashRect(live))
+		c.Insert(f, live)
+	}); a != 0 {
+		t.Errorf("Remove + re-Insert allocates %.2f objects/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		c.Reset()
+		for i := 0; i < capacity; i++ {
+			insert()
+		}
+	}); a != 0 {
+		t.Errorf("Reset + refill allocates %.2f objects per refill, want 0", a)
+	}
+	if c.Len() != capacity {
+		t.Fatalf("len=%d after refills, want capacity %d", c.Len(), capacity)
+	}
+}
+
+// TestTileCacheRandomAgainstModel drives a small retaining cache through a
+// random Insert/Touch/Lookup/Remove/Reset sequence next to a plain model —
+// an MRU-first key list and a map of the pixels each key was inserted
+// with. At every step the cache must hold exactly the model's keys, every
+// Lookup must return exactly the inserted pixels, and no two live entries
+// may share a pixel buffer (slots are created lazily and swapped by
+// freeSlot; an alias would let one insert overwrite another entry).
+func TestTileCacheRandomAgainstModel(t *testing.T) {
+	const capacity, pool = 16, 40
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := fb.New(8*TileSize, 8*TileSize)
+		for i := range f.Pix {
+			f.Pix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
+		}
+		// A pool of full and edge-sized tiles, each with its own content.
+		rs := make([]protocol.Rect, pool)
+		keys := make([]uint64, pool)
+		at := make(map[uint64]protocol.Rect, pool)
+		want := make(map[uint64][]protocol.Pixel, pool)
+		for i := range rs {
+			w, h := TileSize, TileSize
+			if i%5 == 0 {
+				w = 8
+			}
+			if i%7 == 0 {
+				h = 12
+			}
+			rs[i] = protocol.Rect{X: i % 8 * TileSize, Y: i / 8 * TileSize, W: w, H: h}
+			keys[i] = f.HashRect(rs[i])
+			at[keys[i]] = rs[i]
+			want[keys[i]] = f.ReadRect(rs[i])
+		}
+		c := NewTileCache(capacity, true)
+		var model []uint64 // MRU first
+		find := func(k uint64) int {
+			for i, m := range model {
+				if m == k {
+					return i
+				}
+			}
+			return -1
+		}
+		front := func(k uint64) {
+			if i := find(k); i >= 0 {
+				model = append(model[:i], model[i+1:]...)
+			}
+			model = append([]uint64{k}, model...)
+		}
+		for step := 0; step < 3000; step++ {
+			p := rng.Intn(pool)
+			r, k := rs[p], keys[p]
+			switch op := rng.Intn(20); {
+			case op < 10:
+				if got := c.Insert(f, r); got != k {
+					t.Fatalf("seed %d step %d: Insert returned %#x, want %#x", seed, step, got, k)
+				}
+				if find(k) < 0 && len(model) == capacity {
+					model = model[:capacity-1]
+				}
+				front(k)
+			case op < 13:
+				c.Touch(k)
+				if find(k) >= 0 {
+					front(k)
+				}
+			case op < 16:
+				pix, ok := c.Lookup(k, r.W, r.H)
+				if ok != (find(k) >= 0) {
+					t.Fatalf("seed %d step %d: Lookup hit=%v, model holds it: %v", seed, step, ok, !ok)
+				}
+				if ok {
+					front(k)
+					if !slices.Equal(pix, want[k]) {
+						t.Fatalf("seed %d step %d: Lookup returned pixels other than the inserted ones", seed, step)
+					}
+				}
+			case op < 19:
+				c.Remove(k)
+				if i := find(k); i >= 0 {
+					model = append(model[:i], model[i+1:]...)
+				}
+			default:
+				c.Reset()
+				model = model[:0]
+			}
+
+			if c.Len() != len(model) {
+				t.Fatalf("seed %d step %d: len=%d, model %d", seed, step, c.Len(), len(model))
+			}
+			for _, k := range keys {
+				if c.Contains(k) != (find(k) >= 0) {
+					t.Fatalf("seed %d step %d: membership of %#x diverged from the model", seed, step, k)
+				}
+			}
+			// Looking every entry up from LRU to MRU moves each to the
+			// front in turn, which leaves the recency order as it was.
+			backing := make(map[*protocol.Pixel]uint64, len(model))
+			for i := len(model) - 1; i >= 0; i-- {
+				k := model[i]
+				r := at[k]
+				pix, ok := c.Lookup(k, r.W, r.H)
+				if !ok || !slices.Equal(pix, want[k]) {
+					t.Fatalf("seed %d step %d: live entry %#x lost or corrupted", seed, step, k)
+				}
+				if other, dup := backing[&pix[0]]; dup {
+					t.Fatalf("seed %d step %d: entries %#x and %#x share a pixel buffer", seed, step, k, other)
+				}
+				backing[&pix[0]] = k
+			}
+		}
 	}
 }
