@@ -64,7 +64,8 @@ bench-smoke:
 	echo "bench-smoke: only the expected scroll_udp byte cross-check failed (see Makefile)"
 
 # Measure the pixel-pipeline hot paths (optimized vs slowXxx reference
-# kernels, serial vs parallel encoder) and record the numbers as JSON.
+# kernels, the encoder's wire emit, full repaint and video encode) and
+# record the numbers as JSON.
 bench-json:
 	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ | $(GO) run ./cmd/slimbench hotpath -o BENCH_hotpath.json
 

@@ -502,7 +502,15 @@ func BenchmarkAblation_LossRecovery(b *testing.B) {
 			// Nack the most recent datagram, as a console would: recovery
 			// itself emits datagrams, so chase the tail.
 			seq := enc.LastSeq()
-			if out := enc.HandleNack(protocol.Nack{From: seq, To: seq}); len(out) == 0 {
+			damage, ok := enc.Damage(protocol.Nack{From: seq, To: seq})
+			if !ok {
+				b.Fatal("the latest sequence number aged out")
+			}
+			n := 0
+			for _, r := range damage.Rects() {
+				n += len(enc.Repaint(r))
+			}
+			if n == 0 {
 				b.Fatal("no recovery")
 			}
 		}

@@ -142,7 +142,7 @@ func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
 // their shards, as the architecture demands).
 //
 // Every shard inherits the broker-level options — WithLogger,
-// WithTelemetry, WithFlowControl, WithParallelEncoding — from the one
+// WithTelemetry, WithFlowControl, WithCodec2 — from the one
 // list passed here, so callers stop re-threading them per server. Two
 // settings are virtualized per shard rather than inherited verbatim:
 //

@@ -171,9 +171,3 @@ func (k *Sink) Stats(now time.Duration) (received, underruns int) {
 	k.drain(now)
 	return k.received, k.underruns
 }
-
-// Buffered reports the queued audio at model time now.
-func (k *Sink) Buffered(now time.Duration) time.Duration {
-	k.drain(now)
-	return k.buffered
-}

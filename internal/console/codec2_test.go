@@ -307,7 +307,16 @@ func TestCachePaintMissSelfHeals(t *testing.T) {
 		}
 		var next []protocol.Nack
 		for _, n := range nacks {
-			next = append(next, feedAll(t, con, enc.HandleNack(n))...)
+			// The server's answer: the NACK's damage, repainted from its
+			// frame buffer, or the whole screen if the range aged out.
+			damage, ok := enc.Damage(n)
+			if !ok {
+				next = append(next, feedAll(t, con, enc.RepaintAll())...)
+				continue
+			}
+			for _, r := range damage.Rects() {
+				next = append(next, feedAll(t, con, enc.Repaint(r))...)
+			}
 		}
 		nacks = next
 	}

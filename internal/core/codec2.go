@@ -98,7 +98,7 @@ func (e *Encoder) ResetCodec2() {
 }
 
 // noteEmit is the server half of the mirrored cache-maintenance rule,
-// run from finish() for every emitted command in sequence order — the
+// run from emit() for every emitted command in sequence order — the
 // same order the console applies them. CACHE_PAINT touches the entry it
 // claimed; SET and CSCS bump the churn tracker (the content-replacing
 // commands); everything except CSCS and CACHE_PAINT inserts its write

@@ -6,7 +6,6 @@ import (
 
 	"slim/internal/fb"
 	"slim/internal/obs/flight"
-	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
 )
@@ -81,15 +80,9 @@ type Encoder struct {
 	// ENCODE stage of the causal input-to-paint chain. Nil or disabled
 	// costs one branch per command.
 	Flight *flight.SessionLog
-	// Parallel, when non-nil, shards large SET tilings and CSCS strip
-	// compression across its workers. Sequence numbers are reserved up
-	// front and results emitted in index order, so the datagram stream is
-	// byte-identical to the serial encoder's. Virtual-time simulation paths
-	// leave it nil to stay single-threaded and deterministic in timing.
-	Parallel *par.Pool
 
 	seq  protocol.Sequencer
-	sent sentLog // the geometry of recent commands, for HandleNack
+	sent sentLog // the geometry of recent commands, for Damage
 	// codec2 is the gen-2 tile path (content classifier + mirrored tile
 	// cache); nil runs the gen-1 command path. See codec2.go.
 	codec2 *Codec2
@@ -115,21 +108,15 @@ func NewEncoder(w, h int) *Encoder {
 	}
 }
 
-// emit frames msg, logs its geometry, and accounts for it.
+// emit assigns msg the next sequence number and completes its emission:
+// marshalling into a pooled wire buffer, logging the geometry for Damage,
+// and accounting. The returned Datagram owns the buffer.
 func (e *Encoder) emit(msg protocol.Message) Datagram {
-	return e.finish(e.seq.Next(), msg, nil)
-}
-
-// finish completes the emission of msg under an already-assigned sequence
-// number: marshalling into a pooled wire buffer (unless buf carries a
-// pre-marshalled wire from a parallel worker), logging the geometry for
-// HandleNack, and accounting. The returned Datagram owns buf.
-func (e *Encoder) finish(seq uint32, msg protocol.Message, buf *wirebuf.Buf) Datagram {
+	seq := e.seq.Next()
 	d := Datagram{Seq: seq, Msg: msg}
 	if !e.SkipWire {
-		if buf == nil {
-			buf = marshalDatagram(seq, msg)
-		}
+		buf := wirebuf.Get(protocol.WireSize(msg))
+		buf.SetBytes(protocol.Encode(buf.Bytes(), seq, msg))
 		d.Wire = buf.Bytes()
 		d.Buf = buf
 		e.sent.record(seq, msg, e.FB.Bounds())
@@ -145,13 +132,6 @@ func (e *Encoder) finish(seq uint32, msg protocol.Message, buf *wirebuf.Buf) Dat
 		e.codec2.noteEmit(e.FB, msg)
 	}
 	return d
-}
-
-// marshalDatagram frames msg into a pooled buffer.
-func marshalDatagram(seq uint32, msg protocol.Message) *wirebuf.Buf {
-	buf := wirebuf.Get(protocol.WireSize(msg))
-	buf.SetBytes(protocol.Encode(buf.Bytes(), seq, msg))
-	return buf
 }
 
 // Encode lowers one rendering op into SLIM datagrams, updating the
@@ -203,10 +183,6 @@ func (e *Encoder) encodeRegion(r protocol.Rect, pixels []protocol.Pixel) []Datag
 }
 
 // encodeSet splits a literal-pixel rectangle into MTU-sized SET commands.
-// Large tilings shard tile extraction and marshalling across the parallel
-// pool when one is attached; sequence numbers are reserved up front and
-// emission completes in index order, so the datagram stream is identical
-// to the serial path's.
 func (e *Encoder) encodeSet(r protocol.Rect, pixels []protocol.Pixel) []Datagram {
 	budget := e.MTU - 8 // rect header
 	maxPixels := max(1, budget/3)
@@ -214,22 +190,6 @@ func (e *Encoder) encodeSet(r protocol.Rect, pixels []protocol.Pixel) []Datagram
 	tileH := max(1, maxPixels/tileW)
 	tiles := tileRect(r, tileW, tileH)
 	out := make([]Datagram, 0, len(tiles))
-	if e.Parallel.Workers() > 1 && len(tiles) > 1 && !e.SkipWire {
-		firstSeq := e.seq.Reserve(len(tiles))
-		msgs := make([]*protocol.Set, len(tiles))
-		bufs := make([]*wirebuf.Buf, len(tiles))
-		e.Parallel.Do(len(tiles), func(i int) {
-			t := tiles[i]
-			sub := make([]protocol.Pixel, t.Pixels())
-			copyTile(sub, pixels, r, t)
-			m := &protocol.Set{Rect: t, Pixels: sub}
-			msgs[i], bufs[i] = m, marshalDatagram(firstSeq+uint32(i), m)
-		})
-		for i, m := range msgs {
-			out = append(out, e.finish(firstSeq+uint32(i), m, bufs[i]))
-		}
-		return out
-	}
 	for _, t := range tiles {
 		var sub []protocol.Pixel
 		if e.SkipWire {
@@ -331,52 +291,29 @@ func videoRows(o VideoOp, mtu int) int {
 // is carved proportionally so scaled strips tile exactly.
 func (e *Encoder) applyVideo(o VideoOp) ([]*protocol.CSCS, error) {
 	rows := videoRows(o, e.MTU)
-	// Strip geometry first, so compression can fan out over the strips.
-	var strips []protocol.Rect // Y = source row offset, H = strip height
+	msgs := make([]*protocol.CSCS, 0, ceilDiv(o.Src.H, rows))
 	for y0 := 0; y0 < o.Src.H; y0 += rows {
-		strips = append(strips, protocol.Rect{Y: y0, W: o.Src.W, H: min(rows, o.Src.H-y0)})
-	}
-	payloads := make([][]byte, len(strips))
-	encodeStrip := func(i int) error {
-		s := strips[i]
-		data, err := fb.EncodeCSCS(o.Pixels[s.Y*o.Src.W:(s.Y+s.H)*o.Src.W], o.Src.W, s.H, o.Format)
-		payloads[i] = data
-		return err
-	}
-	if e.Parallel.Workers() > 1 && len(strips) > 1 {
-		// Compression reads only o.Pixels, so it parallelizes cleanly;
-		// frame-buffer application stays serial and in order.
-		errs := make([]error, len(strips))
-		e.Parallel.Do(len(strips), func(i int) { errs[i] = encodeStrip(i) })
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		h := min(rows, o.Src.H-y0)
+		data, err := fb.EncodeCSCS(o.Pixels[y0*o.Src.W:(y0+h)*o.Src.W], o.Src.W, h, o.Format)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		for i := range strips {
-			if err := encodeStrip(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	msgs := make([]*protocol.CSCS, len(strips))
-	for i, s := range strips {
 		// Proportional destination band.
-		dy0 := o.Dst.Y + s.Y*o.Dst.H/o.Src.H
-		dy1 := o.Dst.Y + (s.Y+s.H)*o.Dst.H/o.Src.H
+		dy0 := o.Dst.Y + y0*o.Dst.H/o.Src.H
+		dy1 := o.Dst.Y + (y0+h)*o.Dst.H/o.Src.H
 		if dy1 <= dy0 {
 			dy1 = dy0 + 1
 		}
-		msgs[i] = &protocol.CSCS{
-			Src:    protocol.Rect{X: o.Src.X, Y: o.Src.Y + s.Y, W: o.Src.W, H: s.H},
+		m := &protocol.CSCS{
+			Src:    protocol.Rect{X: o.Src.X, Y: o.Src.Y + y0, W: o.Src.W, H: h},
 			Dst:    protocol.Rect{X: o.Dst.X, Y: dy0, W: o.Dst.W, H: dy1 - dy0},
 			Format: o.Format,
-			Data:   payloads[i],
+			Data:   data,
 		}
-		if err := e.FB.ApplyCSCS(msgs[i]); err != nil {
+		if err := e.FB.ApplyCSCS(m); err != nil {
 			return nil, err
 		}
+		msgs = append(msgs, m)
 	}
 	return msgs, nil
 }
@@ -524,21 +461,6 @@ func (e *Encoder) Damage(n protocol.Nack) (damage fb.Region, ok bool) {
 		}
 	}
 	return damage, true
-}
-
-// HandleNack recovers from a reported loss in one step: the Damage, repainted
-// from the authoritative frame buffer — never stop-and-wait (§2.2). The
-// server pays the same damage at its grant's pace (Session.repay).
-func (e *Encoder) HandleNack(n protocol.Nack) []Datagram {
-	damage, ok := e.Damage(n)
-	if !ok {
-		return e.RepaintAll()
-	}
-	var out []Datagram
-	for _, r := range damage.Rects() {
-		out = append(out, e.Repaint(r)...)
-	}
-	return out
 }
 
 // affectedRect reports every pixel a display command may change — for

@@ -329,7 +329,22 @@ func TestRepaintMatchesFB(t *testing.T) {
 	}
 }
 
-func TestHandleNackRepaintsAffectedUnion(t *testing.T) {
+// repayNack answers the loss n the way a session does: the Damage region,
+// repainted rect by rect from the frame buffer, or the whole screen when
+// the range has aged out of the sent log.
+func repayNack(e *Encoder, n protocol.Nack) []Datagram {
+	damage, ok := e.Damage(n)
+	if !ok {
+		return e.RepaintAll()
+	}
+	var out []Datagram
+	for _, r := range damage.Rects() {
+		out = append(out, e.Repaint(r)...)
+	}
+	return out
+}
+
+func TestDamageRepaintsAffectedUnion(t *testing.T) {
 	e := NewEncoder(64, 64)
 	d1, err := e.Encode(FillOp{Rect: protocol.Rect{X: 0, Y: 0, W: 16, H: 16}, Color: 1})
 	if err != nil {
@@ -338,7 +353,7 @@ func TestHandleNackRepaintsAffectedUnion(t *testing.T) {
 	if _, err := e.Encode(FillOp{Rect: protocol.Rect{X: 32, Y: 32, W: 8, H: 8}, Color: 2}); err != nil {
 		t.Fatal(err)
 	}
-	out := e.HandleNack(protocol.Nack{From: d1[0].Seq, To: d1[0].Seq})
+	out := repayNack(e, protocol.Nack{From: d1[0].Seq, To: d1[0].Seq})
 	if len(out) == 0 {
 		t.Fatal("nack produced nothing")
 	}
@@ -370,10 +385,10 @@ func TestHandleNackRepaintsAffectedUnion(t *testing.T) {
 	}
 }
 
-// TestHandleNackLostCopyScenario reproduces the soak-test failure mode:
+// TestDamageLostCopyScenario reproduces the soak-test failure mode:
 // a COPY is lost, later commands land, and recovery must fix both the
 // copy's destination and anything it would have moved.
-func TestHandleNackLostCopyScenario(t *testing.T) {
+func TestDamageLostCopyScenario(t *testing.T) {
 	e := NewEncoder(64, 64)
 	if _, err := e.Encode(FillOp{Rect: protocol.Rect{X: 0, Y: 0, W: 16, H: 16}, Color: 7}); err != nil {
 		t.Fatal(err)
@@ -393,13 +408,13 @@ func TestHandleNackLostCopyScenario(t *testing.T) {
 	}
 	applyAll(t, screen, after)
 	// Nack-driven recovery converges despite the stale copy source.
-	applyAll(t, screen, e.HandleNack(protocol.Nack{From: lost[0].Seq, To: lost[0].Seq}))
+	applyAll(t, screen, repayNack(e, protocol.Nack{From: lost[0].Seq, To: lost[0].Seq}))
 	if !screen.Equal(e.FB) {
 		t.Fatal("lost-COPY recovery diverged")
 	}
 }
 
-func TestHandleNackAgedOutRepaints(t *testing.T) {
+func TestDamageAgedOutRepaints(t *testing.T) {
 	e := NewEncoder(32, 32)
 	e.sent = make(sentLog, 2) // tiny log so seq 1 ages out
 	first, err := e.Encode(FillOp{Rect: protocol.Rect{W: 32, H: 32}, Color: 7})
@@ -411,7 +426,11 @@ func TestHandleNackAgedOutRepaints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := e.HandleNack(protocol.Nack{From: first[0].Seq, To: first[0].Seq})
+	n := protocol.Nack{From: first[0].Seq, To: first[0].Seq}
+	if _, ok := e.Damage(n); ok {
+		t.Fatal("Damage answered for a sequence number the log no longer holds")
+	}
+	out := repayNack(e, n)
 	if len(out) == 0 {
 		t.Fatal("aged-out nack produced nothing")
 	}
@@ -494,7 +513,7 @@ func TestSunRay1CostModel(t *testing.T) {
 // survives until capacity newer ones have been written, the slot it shared
 // then answers only for its new owner, and sequence numbers never logged —
 // 0 (a blank slot's value), ones not yet issued — are absent, which is
-// what sends HandleNack to its full-repaint fallback.
+// what makes Damage report the range aged out (a full repaint).
 func TestSentLogWrapAndStaleSlots(t *testing.T) {
 	bounds := protocol.Rect{W: 64, H: 64}
 	l := make(sentLog, 4)
@@ -576,7 +595,7 @@ func TestMidAttachNackRepaintsOneTile(t *testing.T) {
 	screen := fb.New(1280, 1024)
 	applyAll(t, screen, attach[:512])
 	applyAll(t, screen, attach[513:])
-	out := e.HandleNack(protocol.Nack{From: lost.Seq, To: lost.Seq})
+	out := repayNack(e, protocol.Nack{From: lost.Seq, To: lost.Seq})
 	if len(out) == 0 || len(out) > 4 {
 		t.Fatalf("recovery of one lost tile is %d commands, want 1..4", len(out))
 	}
@@ -584,7 +603,7 @@ func TestMidAttachNackRepaintsOneTile(t *testing.T) {
 		// The tile's pixels never reached the console, so a CACHE_PAINT
 		// claiming them misses there and is NACKed in turn; that answer
 		// is literal.
-		out = e.HandleNack(protocol.Nack{From: out[0].Seq, To: out[len(out)-1].Seq})
+		out = repayNack(e, protocol.Nack{From: out[0].Seq, To: out[len(out)-1].Seq})
 		if len(out) == 0 || len(out) > 4 {
 			t.Fatalf("second answer is %d commands, want 1..4", len(out))
 		}

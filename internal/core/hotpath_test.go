@@ -1,110 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
 	"unsafe"
 
-	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/raceflag"
 )
-
-// hotpathOps builds the op stream both determinism tests feed through the
-// serial and parallel encoders: a noisy image large enough to tile into
-// many SET datagrams, a multi-strip video frame, plus the single-datagram
-// commands.
-func hotpathOps(rng *rand.Rand) []Op {
-	imgR := protocol.Rect{X: 5, Y: 7, W: 300, H: 200}
-	imgPix := make([]protocol.Pixel, imgR.Pixels())
-	for i := range imgPix {
-		imgPix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
-	}
-	const vw, vh = 176, 144
-	vidPix := make([]protocol.Pixel, vw*vh)
-	for i := range vidPix {
-		vidPix[i] = protocol.RGB(uint8(i), uint8(i/vw*3), uint8(rng.Intn(256)))
-	}
-	bits := make([]byte, protocol.BitmapRowBytes(100)*40)
-	rng.Read(bits)
-	return []Op{
-		FillOp{Rect: protocol.Rect{X: 0, Y: 0, W: 320, H: 240}, Color: protocol.RGB(9, 8, 7)},
-		ImageOp{Rect: imgR, Pixels: imgPix},
-		TextOp{Rect: protocol.Rect{X: 20, Y: 30, W: 100, H: 40}, Fg: 0xffffff, Bg: 0x000080, Bits: bits},
-		VideoOp{
-			Src:    protocol.Rect{W: vw, H: vh},
-			Dst:    protocol.Rect{X: 8, Y: 8, W: vw, H: vh},
-			Format: protocol.CSCS12,
-			Pixels: vidPix,
-		},
-		ScrollOp{Rect: protocol.Rect{X: 0, Y: 50, W: 320, H: 150}, DX: 0, DY: -10},
-	}
-}
-
-// TestParallelEncoderMatchesSerial is the determinism guarantee behind
-// WithParallelEncoding: a parallel encoder must produce the exact datagram
-// stream of a serial one — same sequence numbers, same wire bytes, same
-// final frame buffer.
-func TestParallelEncoderMatchesSerial(t *testing.T) {
-	serial := NewEncoder(320, 240)
-	parallel := NewEncoder(320, 240)
-	parallel.Parallel = par.New(4)
-
-	run := func(e *Encoder) []Datagram {
-		var out []Datagram
-		for _, op := range hotpathOps(rand.New(rand.NewSource(77))) {
-			dgs, err := e.Encode(op)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, dgs...)
-		}
-		out = append(out, e.RepaintAll()...)
-		return out
-	}
-	sd, pd := run(serial), run(parallel)
-
-	if len(sd) != len(pd) {
-		t.Fatalf("serial emitted %d datagrams, parallel %d", len(sd), len(pd))
-	}
-	for i := range sd {
-		if sd[i].Seq != pd[i].Seq {
-			t.Fatalf("datagram %d: seq %d vs %d", i, sd[i].Seq, pd[i].Seq)
-		}
-		if !bytes.Equal(sd[i].Wire, pd[i].Wire) {
-			t.Fatalf("datagram %d (seq %d, %v): wire bytes differ",
-				i, sd[i].Seq, sd[i].Msg.Type())
-		}
-	}
-	if !serial.FB.Equal(parallel.FB) {
-		t.Fatal("frame buffers diverged")
-	}
-	if serial.LastSeq() != parallel.LastSeq() {
-		t.Fatalf("last seq %d vs %d", serial.LastSeq(), parallel.LastSeq())
-	}
-}
-
-// TestParallelSkipWireStaysSerial pins the gate: SkipWire encoders never
-// shard SETs (their messages own their payloads and no wire is made), and
-// still produce the same command stream.
-func TestParallelSkipWireStaysSerial(t *testing.T) {
-	e := NewEncoder(320, 240)
-	e.SkipWire = true
-	e.Parallel = par.New(4)
-	for _, op := range hotpathOps(rand.New(rand.NewSource(77))) {
-		dgs, err := e.Encode(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range dgs {
-			if d.Wire != nil || d.Buf != nil {
-				t.Fatal("SkipWire datagram carries wire")
-			}
-		}
-	}
-}
 
 // TestReleaseWireReturnsBufferToPool pins the pooled buffer's one-owner
 // lifecycle: the emitted datagram owns its wire buffer, ReleaseWire puts it
@@ -248,7 +152,7 @@ func TestEmitZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// --- BenchmarkHotpath_*: encoder wire path, serial vs parallel ---
+// --- BenchmarkHotpath_*: encoder wire path ---
 
 func BenchmarkHotpath_EmitFill(b *testing.B) {
 	e := NewEncoder(64, 64)
@@ -265,11 +169,8 @@ func BenchmarkHotpath_EmitFill(b *testing.B) {
 	}
 }
 
-func benchRepaint(b *testing.B, workers int) {
+func BenchmarkHotpath_RepaintAllSerial(b *testing.B) {
 	e := NewEncoder(1280, 1024)
-	if workers > 1 {
-		e.Parallel = par.New(workers)
-	}
 	rng := rand.New(rand.NewSource(3))
 	for i := range e.FB.Pix {
 		e.FB.Pix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
@@ -284,14 +185,8 @@ func benchRepaint(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkHotpath_RepaintAllSerial(b *testing.B)    { benchRepaint(b, 1) }
-func BenchmarkHotpath_RepaintAllParallel4(b *testing.B) { benchRepaint(b, 4) }
-
-func benchVideo(b *testing.B, workers int) {
+func BenchmarkHotpath_EncodeVideoSerial(b *testing.B) {
 	e := NewEncoder(352, 288)
-	if workers > 1 {
-		e.Parallel = par.New(workers)
-	}
 	const vw, vh = 352, 240
 	pix := make([]protocol.Pixel, vw*vh)
 	for i := range pix {
@@ -316,6 +211,3 @@ func benchVideo(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkHotpath_EncodeVideoSerial(b *testing.B)    { benchVideo(b, 1) }
-func BenchmarkHotpath_EncodeVideoParallel4(b *testing.B) { benchVideo(b, 4) }

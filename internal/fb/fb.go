@@ -1,8 +1,9 @@
 // Package fb implements the frame buffer substrate shared by SLIM servers
 // and consoles: a 32-bit pixel surface with the five Table 1 operations
 // (SET, BITMAP, FILL, COPY, CSCS), YUV color-space conversion with optional
-// bilinear scaling, damage tracking, and frame differencing for the
-// raw-pixel baseline protocol.
+// bilinear scaling, and frame differencing for the raw-pixel baseline
+// protocol. It keeps pixels, not damage: what a console is owed is tracked
+// by whoever owes it, as a Region (region.go).
 //
 // The server keeps the persistent, authoritative frame buffer; the console
 // keeps only a soft copy that may be overwritten at any time (§2.2). Both
@@ -32,16 +33,6 @@ import (
 type Framebuffer struct {
 	W, H int
 	Pix  []protocol.Pixel
-
-	damage  protocol.Rect
-	damaged bool
-
-	// TrackRegion enables exact damage-region accumulation (disjoint
-	// rectangles) in addition to the cheap bounding box. The VNC-style
-	// baseline and region repaints use it; SLIM's own push path does not
-	// need it, which is part of why a SLIM server is simpler (§8.3).
-	TrackRegion  bool
-	damageRegion Region
 
 	// cscsDecode and cscsScale are the per-frame-buffer scratch surfaces
 	// the CSCS apply path decodes and scales into; they grow to the largest
@@ -86,45 +77,6 @@ func (f *Framebuffer) clip(r protocol.Rect) protocol.Rect {
 	return r.Intersect(f.Bounds())
 }
 
-// noteDamage extends the damage region to cover r.
-func (f *Framebuffer) noteDamage(r protocol.Rect) {
-	if r.Empty() {
-		return
-	}
-	if f.TrackRegion {
-		f.damageRegion.Add(r)
-	}
-	if !f.damaged {
-		f.damage = r
-		f.damaged = true
-		return
-	}
-	x1 := min(f.damage.X, r.X)
-	y1 := min(f.damage.Y, r.Y)
-	x2 := max(f.damage.X+f.damage.W, r.X+r.W)
-	y2 := max(f.damage.Y+f.damage.H, r.Y+r.H)
-	f.damage = protocol.Rect{X: x1, Y: y1, W: x2 - x1, H: y2 - y1}
-}
-
-// TakeDamage returns the bounding box of all writes since the last call and
-// resets it. The server-side encoder uses damage to know what to repaint
-// after a session migrates to a new console.
-func (f *Framebuffer) TakeDamage() (protocol.Rect, bool) {
-	r, ok := f.damage, f.damaged
-	f.damage, f.damaged = protocol.Rect{}, false
-	f.damageRegion.Clear()
-	return r, ok
-}
-
-// TakeDamageRegion returns the exact damaged rectangles since the last
-// take and resets tracking. Requires TrackRegion.
-func (f *Framebuffer) TakeDamageRegion() []protocol.Rect {
-	rects := f.damageRegion.Rects()
-	f.damageRegion.Clear()
-	f.damage, f.damaged = protocol.Rect{}, false
-	return rects
-}
-
 // row returns the pixels of row y clipped to [x0, x0+w).
 func (f *Framebuffer) row(y, x0, w int) []protocol.Pixel {
 	off := y*f.W + x0
@@ -146,7 +98,6 @@ func (f *Framebuffer) Fill(r protocol.Rect, c protocol.Pixel) {
 	for y := r.Y + 1; y < r.Y+r.H; y++ {
 		copy(f.row(y, r.X, r.W), row0)
 	}
-	f.noteDamage(r)
 }
 
 // Set writes literal pixels into r (the SET command). pixels must hold
@@ -164,7 +115,6 @@ func (f *Framebuffer) Set(r protocol.Rect, pixels []protocol.Pixel) error {
 		src := (y-r.Y)*r.W + (clipped.X - r.X)
 		copy(f.row(y, clipped.X, clipped.W), pixels[src:src+clipped.W])
 	}
-	f.noteDamage(clipped)
 	return nil
 }
 
@@ -186,7 +136,6 @@ func (f *Framebuffer) Bitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []byte
 		srcRow := bits[(y-r.Y)*rowBytes : (y-r.Y+1)*rowBytes]
 		expandBitmapRow(f.row(y, clipped.X, clipped.W), srcRow, bx0, fg, bg)
 	}
-	f.noteDamage(clipped)
 	return nil
 }
 
@@ -277,7 +226,6 @@ func (f *Framebuffer) Copy(src protocol.Rect, dstX, dstY int) {
 			f.copyRow(src, dst, y)
 		}
 	}
-	f.noteDamage(dst)
 }
 
 func (f *Framebuffer) copyRow(src, dst protocol.Rect, y int) {

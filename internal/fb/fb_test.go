@@ -145,26 +145,6 @@ func TestCopyOverlappingProperty(t *testing.T) {
 	}
 }
 
-func TestDamageTracking(t *testing.T) {
-	f := New(20, 20)
-	if _, ok := f.TakeDamage(); ok {
-		t.Error("fresh framebuffer reports damage")
-	}
-	f.Fill(protocol.Rect{X: 2, Y: 2, W: 3, H: 3}, 1)
-	f.Fill(protocol.Rect{X: 10, Y: 10, W: 2, H: 2}, 2)
-	d, ok := f.TakeDamage()
-	if !ok {
-		t.Fatal("no damage after fills")
-	}
-	want := protocol.Rect{X: 2, Y: 2, W: 10, H: 10}
-	if d != want {
-		t.Errorf("damage = %v, want %v", d, want)
-	}
-	if _, ok := f.TakeDamage(); ok {
-		t.Error("damage not reset")
-	}
-}
-
 func TestDiff(t *testing.T) {
 	a := New(10, 10)
 	b := New(10, 10)

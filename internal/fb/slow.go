@@ -27,7 +27,6 @@ func (f *Framebuffer) slowFill(r protocol.Rect, c protocol.Pixel) {
 			row[i] = c
 		}
 	}
-	f.noteDamage(r)
 }
 
 // slowSet writes literal pixels into r, one pixel at a time.
@@ -46,7 +45,6 @@ func (f *Framebuffer) slowSet(r protocol.Rect, pixels []protocol.Pixel) error {
 			f.Pix[dstRow+x] = pixels[srcRow+(x-r.X)]
 		}
 	}
-	f.noteDamage(clipped)
 	return nil
 }
 
@@ -72,7 +70,6 @@ func (f *Framebuffer) slowBitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []
 			}
 		}
 	}
-	f.noteDamage(clipped)
 	return nil
 }
 
@@ -109,7 +106,6 @@ func (f *Framebuffer) slowCopy(src protocol.Rect, dstX, dstY int) {
 			}
 		}
 	}
-	f.noteDamage(dst)
 }
 
 // slowReadRect copies the pixels of r out of the frame buffer with one

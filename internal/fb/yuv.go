@@ -150,8 +150,8 @@ func init() {
 
 // yuvScratch holds the reusable intermediates of one encode/decode/scale
 // call: quarter-resolution chroma accumulators and planes, and the
-// horizontal resampling maps. Pooled so concurrent strip encoders (the
-// parallel repaint path) each get their own.
+// horizontal resampling maps. Pooled so encoders and consoles running on
+// different goroutines (one loop per shard or socket) each get their own.
 type yuvScratch struct {
 	usum, vsum   []int32 // encode: 2x2 block component sums
 	us, vs       []uint8 // decode: dequantized chroma planes

@@ -136,16 +136,6 @@ func (s *Sequencer) Next() uint32 {
 // Current returns the most recently issued sequence number.
 func (s *Sequencer) Current() uint32 { return s.next }
 
-// Reserve claims a contiguous block of n sequence numbers and returns the
-// first. The parallel encoder reserves a block up front so workers can
-// marshal datagrams out of order while the emitted sequence stays exactly
-// what the serial encoder would have produced.
-func (s *Sequencer) Reserve(n int) uint32 {
-	first := s.next + 1
-	s.next += uint32(n)
-	return first
-}
-
 // Resume continues numbering after last, as if last had just been issued.
 // Session migration uses it: a session keeps its ID across servers, so the
 // receiving server's sequencer must pick up exactly where the sender's

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"time"
 
 	"slim/internal/protocol"
@@ -30,8 +28,9 @@ import (
 //	          which owes it the screen and repaints the migrated pixels
 
 // SessionSnapshot is one session frozen for transfer between servers. It
-// is self-contained and gob-serializable (EncodeTo/DecodeSnapshot), so a
-// fleet spanning processes can ship it over any byte stream.
+// is self-contained: a broker hands it from one shard to another in
+// process, and the state file (persist.go) is the ID counter plus one
+// snapshot per session.
 type SessionSnapshot struct {
 	ID   uint32
 	User string
@@ -47,23 +46,6 @@ type SessionSnapshot struct {
 	// its gap tracker only on a session-ID change — never sees the stream
 	// restart.
 	LastSeq uint32
-}
-
-// EncodeTo serializes the snapshot to w (gob).
-func (sn *SessionSnapshot) EncodeTo(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(sn); err != nil {
-		return fmt.Errorf("server: encode session snapshot: %w", err)
-	}
-	return nil
-}
-
-// DecodeSnapshot reads a snapshot serialized with EncodeTo.
-func DecodeSnapshot(r io.Reader) (*SessionSnapshot, error) {
-	var sn SessionSnapshot
-	if err := gob.NewDecoder(r).Decode(&sn); err != nil {
-		return nil, fmt.Errorf("server: decode session snapshot: %w", err)
-	}
-	return &sn, nil
 }
 
 // ExportSession freezes a user's session for migration and removes it from

@@ -6,7 +6,6 @@ import (
 	"slim/internal/core"
 	"slim/internal/flow"
 	"slim/internal/obs/telemetry"
-	"slim/internal/par"
 )
 
 // Option configures a Server at construction — the only configuration
@@ -44,16 +43,6 @@ func WithCalibratedCosts(cal *core.Calibrator) Option {
 	return func(s *Server) { s.cal = cal }
 }
 
-// WithParallelEncoding shards large repaint tilings and CSCS strip
-// compression in every session's encoder across a bounded worker pool
-// (workers <= 0 means GOMAXPROCS) — the §6 SMP-scaling story applied to a
-// single session's encode path. The datagram stream is byte-identical to
-// serial encoding; only wall-clock time changes, which is why virtual-time
-// simulations leave this off.
-func WithParallelEncoding(workers int) Option {
-	return func(s *Server) { s.encPool = par.New(workers) }
-}
-
 // WithCodec2 arms the gen-2 encoder: content-typed tiles plus the
 // hash-keyed dirty-tile cache. Armed servers negotiate per attachment —
 // the cache engages only for consoles whose Hello advertised
@@ -78,7 +67,7 @@ func WithSessionIDBase(base uint32) Option {
 // see before fanning the same option list out to its shards — the
 // telemetry kit its fleet rollup publishes into and reads path estimates
 // from, and the logger for broker-level
-// lifecycle events. Everything else (flow config, parallel encoding) is
+// lifecycle events. Everything else (flow config, gen-2 arming) is
 // inherited opaquely by each shard.
 type Resolved struct {
 	Telemetry *telemetry.Kit

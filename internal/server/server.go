@@ -21,7 +21,6 @@ import (
 	"slim/internal/obs"
 	"slim/internal/obs/flight"
 	"slim/internal/obs/telemetry"
-	"slim/internal/par"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
 )
@@ -136,9 +135,6 @@ type Server struct {
 	cal *core.Calibrator
 	// calGen is the calibrator generation last applied to the governors.
 	calGen uint64
-	// encPool, when non-nil, is shared by every session encoder to shard
-	// large repaints and CSCS compression (WithParallelEncoding).
-	encPool *par.Pool
 	// codec2 arms the gen-2 tile cache (WithCodec2). The cache engages
 	// per attachment, only for consoles that advertised CapCachePaint in
 	// their Hello; gen-1 consoles keep receiving the plain encoding.

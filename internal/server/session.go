@@ -95,7 +95,6 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 	}
 	sess.tel = s.tel.Session(id, user)
 	sess.Encoder.Metrics = s.encMetrics
-	sess.Encoder.Parallel = s.encPool
 	sess.Encoder.Flight = sess.tel.Flight
 	if s.flowCfg != nil {
 		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))

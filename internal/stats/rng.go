@@ -74,12 +74,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// LogNormal returns a log-normally distributed value where the underlying
-// normal has mean mu and standard deviation sigma.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
-}
-
 // Norm returns a standard normal variate (Box–Muller).
 func (r *RNG) Norm() float64 {
 	u1 := r.Float64()

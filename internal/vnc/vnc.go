@@ -83,32 +83,37 @@ func (u Update) Pixels() int {
 // between client pulls — the "maintaining complex state or calculating a
 // large delta" cost the paper attributes to the pull model.
 type Server struct {
-	enc *core.Encoder
+	enc    *core.Encoder
+	damage fb.Region
 }
 
 // NewServer returns a VNC-style server with a w×h frame buffer.
 func NewServer(w, h int) *Server {
-	e := core.NewEncoder(w, h)
-	e.SkipWire = true // render only; transfers happen on pull
-	e.FB.TrackRegion = true
-	return &Server{enc: e}
+	return &Server{enc: core.NewEncoder(w, h)}
 }
 
 // FB exposes the authoritative frame buffer.
 func (s *Server) FB() *fb.Framebuffer { return s.enc.FB }
 
 // Render applies one rendering operation to the frame buffer, recording
-// damage.
+// damage: the rect it wrote joins what the next pull owes the client.
+// Nothing is encoded; transfers happen on pull.
 func (s *Server) Render(op core.Op) error {
-	_, err := s.enc.Encode(op)
-	return err
+	w, err := s.enc.Apply(op)
+	if err != nil {
+		return err
+	}
+	s.damage.Add(w)
+	return nil
 }
 
 // Pull answers a client framebuffer-update request: every rectangle
 // changed since the previous pull, encoded as requested. Damage resets.
 func (s *Server) Pull(enc Encoding) (Update, error) {
 	var u Update
-	for _, r := range s.enc.FB.TakeDamageRegion() {
+	rects := s.damage.Rects()
+	s.damage.Clear()
+	for _, r := range rects {
 		payload, err := encodeRect(s.enc.FB, r, enc)
 		if err != nil {
 			return Update{}, err

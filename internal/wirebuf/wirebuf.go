@@ -31,7 +31,7 @@ import (
 var classSizes = [...]int{256, 2 << 10, 8 << 10, 32 << 10, 128 << 10}
 
 // pools[i] recycles Bufs whose capacity is classSizes[i]. sync.Pool is
-// per-P sharded, so the parallel encoder's workers do not contend.
+// per-P sharded, so encoders on different goroutines do not contend.
 var pools [len(classSizes)]sync.Pool
 
 // Buf is one pooled wire buffer.

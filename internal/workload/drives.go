@@ -353,19 +353,6 @@ func RunCodecRow(name string, seed uint64) (CodecRow, error) {
 	return row, nil
 }
 
-// RunCodecBench builds the full artifact: every drive at the given seed.
-func RunCodecBench(seed uint64) (*CodecBench, error) {
-	b := &CodecBench{Schema: CodecBenchSchema, Seed: seed}
-	for _, name := range DriveNames {
-		row, err := RunCodecRow(name, seed)
-		if err != nil {
-			return nil, err
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	return b, nil
-}
-
 // runDrive replays a drive, returning raw and wire bytes accumulated from
 // the drive's Warmup step on.
 func runDrive(d *Drive, enc *core.Encoder) (raw, wire int64) {

@@ -155,12 +155,6 @@ const DefaultTileCacheEntries = core.DefaultTileCacheEntries
 // TileCacheEntries > 0); everyone else keeps the gen-1 command stream.
 func WithCodec2() ServerOption { return server.WithCodec2() }
 
-// WithParallelEncoding shards large repaints and CSCS video compression in
-// every session's encoder across a bounded worker pool (workers <= 0 means
-// GOMAXPROCS). The emitted datagram stream is byte-identical to serial
-// encoding — only encode wall-clock time changes.
-func WithParallelEncoding(workers int) ServerOption { return server.WithParallelEncoding(workers) }
-
 // CostCalibrator fits the §4.3 cost model live from per-command decode
 // observations (see internal/core and the Calibration section of
 // DESIGN.md). Share one calibrator between a console's
