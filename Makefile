@@ -124,10 +124,11 @@ codec2-smoke:
 # asserted against the 2-second hotdesk budget (the full 2,000-console
 # 8-shard soak is TestFleetSoak, run by plain `go test`). The sim-domain
 # recovery checks ride along, a fraction of a second between them: a
-# hotdesk repaint paid at the grant's pace, a lost tail healed by the idle
-# heartbeat, and the owed region converging under any grant.
+# hotdesk repaint paid at the grant's pace, a lost tail and a lost middle
+# healed through the heartbeat, the seeded fault schedules converging on
+# one fabric server, and the owed region converging under any grant.
 fleet-smoke:
-	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestLostTailHealsThroughHeartbeat|TestDebtConvergesUnderAnyGrant' -count 1 -v .
+	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant' -count 1 -v .
 
 # Evidence smoke against the real binaries: boot slimd with a wire capture,
 # breach dumps (every paint breaches a 1ns SLO target) and incident bundles

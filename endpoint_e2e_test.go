@@ -8,7 +8,6 @@ import (
 
 	"slim/internal/obs/flight"
 	"slim/internal/protocol"
-	"slim/internal/server"
 )
 
 // The console's STATUS cadence is one rule (internal/console/status.go)
@@ -33,7 +32,7 @@ func TestRebootHealsThroughHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.SessionByUser("alice")
-	for sess.Encoder.LastSeq() <= 2*server.StatusLagThreshold {
+	for sess.Encoder.LastSeq() <= 1024 {
 		if err := fabric.TypeString("desk-1", "the quick brown fox jumps over the lazy dog\n"); err != nil {
 			t.Fatal(err)
 		}

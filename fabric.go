@@ -1,6 +1,7 @@
 package slim
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"sync"
@@ -16,17 +17,13 @@ type fabricMetrics struct {
 	delivered *obs.Counter
 	dropped   *obs.Counter
 	queue     *obs.Gauge
-	// deliverSeconds is the wall time one datagram spends in delivery:
-	// console decode plus any replies fed back into the server.
-	deliverSeconds *obs.Histogram
 }
 
 func newFabricMetrics(r *obs.Registry) *fabricMetrics {
 	return &fabricMetrics{
-		delivered:      r.Counter("slim_fabric_delivered_total"),
-		dropped:        r.Counter("slim_fabric_dropped_total"),
-		queue:          r.Gauge("slim_fabric_queue_depth"),
-		deliverSeconds: r.Histogram("slim_fabric_deliver_seconds"),
+		delivered: r.Counter("slim_fabric_delivered_total"),
+		dropped:   r.Counter("slim_fabric_dropped_total"),
+		queue:     r.Gauge("slim_fabric_queue_depth"),
 	}
 }
 
@@ -63,6 +60,10 @@ type Fabric struct {
 	// network (where transmission is asynchronous) never does.
 	queue    []queuedDatagram
 	draining bool
+	// replies are what consoles answered, handed to their servers once the
+	// queue is empty and no server call the fabric made is running.
+	replies []queuedDatagram
+	serving int
 
 	metrics *fabricMetrics
 	// capture is the wire tap (telemetry.Default's unless redirected by
@@ -148,8 +149,9 @@ func (f *Fabric) Now() time.Duration {
 // Pump runs the periodic duties at the fabric's current virtual clock, as
 // the UDP endpoints' loops do on the wall clock: every attached server's
 // flow governors are serviced (paced traffic is released, sessions in debt
-// repaint their next piece), then every console is polled for the STATUS it
-// owes. Call it after SetClock when a test advances time.
+// repaint their next piece), then every console is polled for what it owes:
+// its STATUS, and the NACKs of holes its quiet line settles. Call it after
+// SetClock when a test advances time.
 func (f *Fabric) Pump() error {
 	f.mu.Lock()
 	clock, capRing := f.clock, f.capture
@@ -158,29 +160,47 @@ func (f *Fabric) Pump() error {
 		desks[i] = f.desks[id]
 	}
 	f.mu.Unlock()
-	var firstErr error
-	note := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
+	return f.serve(func() error {
+		var firstErr error
+		pumped := make(map[SessionHandler]bool, 1)
+		for _, d := range desks {
+			if d.srv != nil && !pumped[d.srv] {
+				pumped[d.srv] = true
+				_, _, err := d.srv.PumpFlows(clock)
+				firstErr = cmp.Or(firstErr, err)
+			}
 		}
+		for _, d := range desks {
+			if d.con == nil || d.srv == nil {
+				continue
+			}
+			for _, wire := range d.con.Poll(clock) {
+				firstErr = cmp.Or(firstErr, uplink(capRing, d.srv, d.id, wire, clock))
+			}
+		}
+		return firstErr
+	})
+}
+
+// serve runs one call into a server, holding what its consoles answer
+// meanwhile until the call returns. A server flushes a whole burst before
+// it reads its socket; holding the replies keeps that order here, so the
+// repaint a NACK of a burst's first datagrams draws follows the rest of
+// the burst instead of overtaking it.
+func (f *Fabric) serve(call func() error) error {
+	f.mu.Lock()
+	f.serving++
+	f.mu.Unlock()
+	err := call()
+	f.mu.Lock()
+	f.serving--
+	idle := f.serving == 0 && !f.draining // else that call or drain takes the replies
+	f.draining = f.draining || idle
+	f.mu.Unlock()
+	if idle {
+		err = cmp.Or(err, f.drain())
 	}
-	pumped := make(map[SessionHandler]bool, 1)
-	for _, d := range desks {
-		if d.srv != nil && !pumped[d.srv] {
-			pumped[d.srv] = true
-			_, _, err := d.srv.PumpFlows(clock)
-			note(err)
-		}
-	}
-	for _, d := range desks {
-		if d.con == nil || d.srv == nil {
-			continue
-		}
-		if wire := d.con.Poll(clock); wire != nil {
-			note(uplink(capRing, d.srv, d.id, wire, clock))
-		}
-	}
-	return firstErr
+	return err
 }
 
 // uplink carries a console's datagram past the capture tap into its
@@ -260,37 +280,44 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 	return f.drain()
 }
 
-// drain delivers queued datagrams in order until the queue empties.
+// drain delivers queued datagrams in order until the queue empties, then
+// hands the servers what their consoles answered, unless a server call is
+// running (serve): that takes them when it returns.
 func (f *Fabric) drain() error {
 	var firstErr error
 	for {
 		f.mu.Lock()
-		if len(f.queue) == 0 {
+		var item queuedDatagram
+		up := len(f.queue) == 0
+		switch {
+		case !up:
+			item, f.queue = f.queue[0], f.queue[1:]
+			f.metrics.queue.Set(int64(len(f.queue)))
+		case len(f.replies) > 0 && f.serving == 0:
+			item, f.replies = f.replies[0], f.replies[1:]
+		default:
 			f.draining = false
 			f.mu.Unlock()
 			return firstErr
 		}
-		item := f.queue[0]
-		f.queue = f.queue[1:]
-		f.metrics.queue.Set(int64(len(f.queue)))
 		d := f.desks[item.console]
 		clock, capRing := f.clock, f.capture
 		f.mu.Unlock()
-		if d.con == nil {
-			continue
-		}
-		t0 := time.Now()
-		replies, err := d.con.HandleDatagram(item.wire, clock)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		for _, r := range replies {
-			if err := uplink(capRing, d.srv, d.id, r, clock); err != nil && firstErr == nil {
-				firstErr = err
+		var err error
+		switch {
+		case up && d.srv != nil:
+			err = uplink(capRing, d.srv, d.id, item.wire, clock)
+		case !up && d.con != nil:
+			var replies [][]byte
+			replies, err = d.con.HandleDatagram(item.wire, clock)
+			f.mu.Lock()
+			for _, r := range replies {
+				f.replies = append(f.replies, queuedDatagram{console: item.console, wire: r})
 			}
+			f.mu.Unlock()
+			f.metrics.delivered.Inc()
 		}
-		f.metrics.delivered.Inc()
-		f.metrics.deliverSeconds.Observe(time.Since(t0))
+		firstErr = cmp.Or(firstErr, err)
 	}
 }
 
@@ -314,7 +341,7 @@ func (f *Fabric) Boot(id, cardToken string) error {
 	}
 	hello := con.Hello()
 	hello.CardToken = cardToken
-	return srv.Handle(id, hello, f.Now())
+	return f.serve(func() error { return srv.Handle(id, hello, f.Now()) })
 }
 
 // Desk is one fabric desk viewed as an input device: the InputSink for
@@ -332,7 +359,7 @@ func (f *Fabric) Desk(id string) Desk {
 		if err != nil {
 			return err
 		}
-		return srv.Handle(id, msg, f.Now())
+		return f.serve(func() error { return srv.Handle(id, msg, f.Now()) })
 	}
 	return Desk{inputPort{
 		deliver: deliver,
@@ -341,7 +368,7 @@ func (f *Fabric) Desk(id string) Desk {
 			if err != nil {
 				return err
 			}
-			return srv.Handle(id, con.InsertCard(token), f.Now())
+			return f.serve(func() error { return srv.Handle(id, con.InsertCard(token), f.Now()) })
 		},
 	}}
 }

@@ -7,25 +7,47 @@ import (
 )
 
 // TestFabricLossToggleRace drives steady fabric traffic while other
-// goroutines toggle loss injection, read loss counters, and advance the
-// virtual clock — the shared state drain reads. Run with -race; the test
-// body only checks the system stays consistent.
+// goroutines toggle loss injection, read loss counters, advance the
+// virtual clock — the shared state drain reads — and type at a second desk
+// and pump, so server calls from several goroutines hold and hand over
+// console replies at once. Run with -race; the test body only checks the
+// system stays consistent.
 func TestFabricLossToggleRace(t *testing.T) {
 	fabric := NewFabric()
 	srv := NewServer(fabric, WithTerminalApp())
-	srv.Auth.Register("card-r", "racer")
-	con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric.Attach("desk-r", con, srv)
-	if err := fabric.Boot("desk-r", "card-r"); err != nil {
-		t.Fatal(err)
+	for _, desk := range []string{"r", "s"} {
+		srv.Auth.Register("card-"+desk, "racer-"+desk)
+		con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach("desk-"+desk, con, srv)
+		if err := fabric.Boot("desk-"+desk, "card-"+desk); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := fabric.TypeString("desk-s", "z"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := fabric.Pump(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {

@@ -213,11 +213,8 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		if c.flog.Armed() {
 			c.flog.Rx(seq, msg.Type(), int64(protocol.WireSize(msg)))
 		}
-		for _, nack := range c.gaps.Observe(seq) {
-			n := nack
-			c.metrics.nacks.Inc()
-			replies = append(replies, protocol.Encode(nil, c.seq.Next(), &n))
-		}
+		c.feedback.arrived = now
+		replies = c.nackLocked(replies, c.gaps.Observe(seq))
 		if cp, isCP := msg.(*protocol.CachePaint); isCP {
 			pix, hit := c.cacheLookup(cp)
 			if !hit {
@@ -227,13 +224,10 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 				// without a protocol error, they are soft state like
 				// everything else the console holds.
 				c.metrics.cacheMisses.Inc()
-				c.metrics.nacks.Inc()
 				if c.flog.Armed() {
 					c.flog.Drop(seq, msg.Type(), int64(protocol.WireSize(msg)))
 				}
-				n := protocol.Nack{From: seq, To: seq}
-				replies = append(replies, protocol.Encode(nil, c.seq.Next(), &n))
-				return replies, nil
+				return c.nackLocked(replies, []protocol.Nack{{From: seq, To: seq}}), nil
 			}
 			c.metrics.cacheHits.Inc()
 			c.cpPix = pix
@@ -304,6 +298,15 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		return nil, fmt.Errorf("console: unexpected message %v", msg.Type())
 	}
 	return replies, nil
+}
+
+// nackLocked adds a NACK for each lost range to replies. Callers hold c.mu.
+func (c *Console) nackLocked(replies [][]byte, lost []protocol.Nack) [][]byte {
+	for i := range lost {
+		c.metrics.nacks.Inc()
+		replies = append(replies, protocol.Encode(nil, c.seq.Next(), &lost[i]))
+	}
+	return replies
 }
 
 // setSession switches the console to a (possibly different) session. Each

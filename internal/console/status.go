@@ -13,7 +13,9 @@ import (
 // harness's virtual clock run one rule: a delayed ack rides HandleDatagram's
 // replies, and Poll returns the trailing ack or the idle heartbeat. Time
 // counts from zero, so a fresh console polled at now ≥ StatusInterval
-// announces itself at once: that is what makes a reboot visible.
+// announces itself at once: that is what makes a reboot visible. A line
+// quiet for a StatusInterval pushes no gap past the reorder window, so Poll
+// settles every hole below the highest arrival with a NACK instead.
 const (
 	// StatusInterval is the idle heartbeat cadence, steady because jitter
 	// estimation measures it.
@@ -26,6 +28,7 @@ const (
 // feedback is the STATUS bookkeeping, guarded by Console.mu.
 type feedback struct {
 	at               time.Duration // the now of the last STATUS
+	arrived          time.Duration // the now of the last display datagram
 	applied, dropped uint64        // the counters it acknowledged
 	msg              protocol.Status
 	slots            []statusSlot
@@ -39,16 +42,21 @@ type statusSlot struct {
 	wire [protocol.HeaderSize + 10]byte
 }
 
-// Poll returns the STATUS due at now — the trailing ack a burst's rate
-// limit held back, or the idle heartbeat — or nil. Transports call it
-// every StatusAckDelay of their clock.
-func (c *Console) Poll(now time.Duration) []byte {
+// Poll returns what is due at now, or nil: the NACKs of holes a quiet line
+// settles, then the STATUS — the trailing ack a burst's rate limit held
+// back, the idle heartbeat, or the report of a settled arrival. Transports
+// call it every StatusAckDelay of their clock.
+func (c *Console) Poll(now time.Duration) [][]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.ackDue(now) && now-c.feedback.at < StatusInterval {
+	var replies [][]byte
+	if now-c.feedback.arrived >= StatusInterval {
+		replies = c.nackLocked(replies, c.gaps.Settle())
+	}
+	if replies == nil && !c.ackDue(now) && now-c.feedback.at < StatusInterval {
 		return nil
 	}
-	return c.statusLocked(now)[0]
+	return c.statusLocked(replies, now)
 }
 
 // ackDue reports whether a counter moved since the last STATUS and
@@ -63,15 +71,12 @@ func (c *Console) ackLocked(replies [][]byte, now time.Duration) [][]byte {
 	if !c.ackDue(now) {
 		return replies
 	}
-	st := c.statusLocked(now)
-	if replies == nil {
-		return st
-	}
-	return append(replies, st[0])
+	return c.statusLocked(replies, now)
 }
 
-// statusLocked encodes a STATUS sent at now and notes what it acknowledged.
-func (c *Console) statusLocked(now time.Duration) [][]byte {
+// statusLocked adds a STATUS sent at now to replies and notes what it
+// acknowledged.
+func (c *Console) statusLocked(replies [][]byte, now time.Duration) [][]byte {
 	f := &c.feedback
 	f.at, f.applied, f.dropped = now, c.applied, c.dropped
 	if len(f.slots) == 0 {
@@ -81,5 +86,8 @@ func (c *Console) statusLocked(now time.Duration) [][]byte {
 	f.slots = f.slots[1:]
 	f.msg = protocol.Status{LastSeq: c.gaps.Highest(), Dropped: uint32(c.dropped)}
 	s.list[0] = protocol.Encode(s.wire[:0], c.seq.Next(), &f.msg)
-	return s.list[:]
+	if replies == nil {
+		return s.list[:]
+	}
+	return append(replies, s.list[0])
 }

@@ -45,10 +45,7 @@ func TestStatusCadence(t *testing.T) {
 	}
 	poll := func(now time.Duration) []*protocol.Status {
 		t.Helper()
-		if w := c.Poll(now); w != nil {
-			return statusIn(t, w)
-		}
-		return nil
+		return statusIn(t, c.Poll(now)...)
 	}
 	const ms = time.Millisecond
 
@@ -86,6 +83,37 @@ func TestStatusCadence(t *testing.T) {
 	}
 	if st := statusIn(t, replies...); st != nil {
 		t.Fatalf("a Ping drew a STATUS: %+v", st[0])
+	}
+}
+
+// TestPollSettlesAQuietLine: a hole below the highest arrival is left to the
+// reorder window while datagrams may still come; once none has arrived for
+// a StatusInterval, Poll NACKs it, and the STATUS after the NACK reports
+// the arrival.
+func TestPollSettlesAQuietLine(t *testing.T) {
+	c := newTestConsole(t, nil)
+	for _, seq := range []uint32{1, 2, 4} {
+		if _, err := c.HandleDatagram(fillWire(seq), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := statusIn(t, c.Poll(StatusInterval-time.Millisecond)...); len(st) != 1 || st[0].LastSeq != 2 {
+		t.Fatalf("trailing ack = %+v, want LastSeq 2 with the hole still open", st)
+	}
+	replies := c.Poll(StatusInterval)
+	if len(replies) != 2 {
+		t.Fatalf("the settling poll sent %d datagrams, want a NACK and a STATUS", len(replies))
+	}
+	if _, msg, _, err := protocol.Decode(replies[0]); err != nil {
+		t.Fatal(err)
+	} else if n, ok := msg.(*protocol.Nack); !ok || *n != (protocol.Nack{From: 3, To: 3}) {
+		t.Errorf("first reply = %+v, want NACK {3 3}", msg)
+	}
+	if st := statusIn(t, replies[1]); len(st) != 1 || st[0].LastSeq != 4 {
+		t.Errorf("STATUS after the settle = %+v, want LastSeq 4", st)
+	}
+	if again := c.Poll(StatusInterval + StatusAckDelay); again != nil {
+		t.Errorf("a settled console sent %d more datagrams", len(again))
 	}
 }
 
@@ -159,18 +187,14 @@ func FuzzConsoleHandleDatagram(f *testing.F) {
 			replies, _ := c.HandleDatagram(wire, now)
 			check(replies...)
 		}
-		if w := c.Poll(now); w != nil {
-			check(w)
-		}
+		check(c.Poll(now)...)
 		if len(sent) > 1 {
 			t.Fatalf("%d STATUS for one now", len(sent))
 		}
 		// Whatever the datagram did, the console still owes — and sends —
 		// a truthful heartbeat.
 		sent = nil
-		if w := c.Poll(now + StatusInterval); w != nil {
-			check(w)
-		}
+		check(c.Poll(now + StatusInterval)...)
 		if want := c.Status(); len(sent) != 1 || *sent[0] != *want {
 			t.Fatalf("heartbeat = %+v, want one carrying %+v", sent, want)
 		}

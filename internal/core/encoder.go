@@ -426,11 +426,12 @@ func (e *Encoder) RepaintAll() []Datagram {
 // not safe in general: by the time the Nack arrives the console has already
 // applied later commands, and a COPY among them — the one command that
 // reads the frame buffer — may have propagated the stale pixels elsewhere.
-// The damage is therefore the lost commands' regions plus the regions of
-// every subsequent COPY whose source touched the (transitively growing)
-// damage. Non-COPY commands applied after the loss drew correct pixels and
-// do not extend it, which keeps recovery proportional to what was lost —
-// crucial when recovery traffic itself suffers loss. All of it is read from
+// The damage is therefore what the lost commands wrote plus the destination
+// of every subsequent COPY whose source touched the (transitively growing)
+// damage; a lost COPY leaves its source as it was. Non-COPY commands
+// applied after the loss drew correct pixels and do not extend it, which
+// keeps recovery proportional to what was lost — crucial when recovery
+// traffic itself suffers loss. All of it is read from
 // the sent log, which holds geometry only — and only of commands that were
 // encoded, every one of which goes to the console: a paint the server could
 // not send yet was applied (Apply), not encoded, and is owed by region
@@ -461,20 +462,6 @@ func (e *Encoder) Damage(n protocol.Nack) (damage fb.Region, ok bool) {
 		}
 	}
 	return damage, true
-}
-
-// affectedRect reports every pixel a display command may change — for
-// COPY, both where it read and where it wrote.
-func affectedRect(msg protocol.Message) protocol.Rect {
-	w := WriteRect(msg)
-	if src, ok := ReadRect(msg); ok {
-		x1 := min(src.X, w.X)
-		y1 := min(src.Y, w.Y)
-		x2 := max(src.X+src.W, w.X+w.W)
-		y2 := max(src.Y+src.H, w.Y+w.H)
-		return protocol.Rect{X: x1, Y: y1, W: x2 - x1, H: y2 - y1}
-	}
-	return w
 }
 
 // WriteRect reports the pixels a display command overwrites: the target

@@ -363,7 +363,7 @@ func TestDamageRepaintsAffectedUnion(t *testing.T) {
 	var covered fb.Region
 	pixels := 0
 	for _, d := range out {
-		r := affectedRect(d.Msg)
+		r := WriteRect(d.Msg)
 		covered.Add(r)
 		pixels += r.Pixels()
 	}
@@ -546,12 +546,12 @@ func TestSentLogWrapAndStaleSlots(t *testing.T) {
 		t.Errorf("reused slot: record %+v, present %v", r, ok)
 	}
 
-	// What each command leaves behind: COPY its source and the box around
-	// source and destination, CACHE_PAINT its key, everything clipped.
+	// What each command leaves behind: COPY its source and its destination,
+	// CACHE_PAINT its key, everything clipped.
 	l.record(8, &protocol.Copy{Rect: protocol.Rect{X: 0, Y: 0, W: 16, H: 16}, DstX: 56, DstY: 8}, bounds)
 	l.record(9, &protocol.CachePaint{Rect: protocol.Rect{X: 16, Y: 16, W: 16, H: 16}, Key: 0xfeed}, bounds)
 	cp, _ := l.get(8)
-	if cp.src.rect() != (protocol.Rect{W: 16, H: 16}) || cp.rect.rect() != (protocol.Rect{W: 64, H: 24}) || cp.key != 0 {
+	if cp.src.rect() != (protocol.Rect{W: 16, H: 16}) || cp.rect.rect() != (protocol.Rect{X: 56, Y: 8, W: 8, H: 16}) || cp.key != 0 {
 		t.Errorf("COPY record %+v", cp)
 	}
 	if hit, _ := l.get(9); hit.key != 0xfeed || !hit.src.rect().Empty() {

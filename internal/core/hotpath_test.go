@@ -68,8 +68,8 @@ func liveHeap() int64 {
 
 // TestEncoderRetainsNoWire: the encoder remembers the geometry of what it
 // sent, not the bytes. After a 1280×1024 gen-2 attach of noise and 80
-// CSCS6 320×240 video frames — the traffic that left the old 4,096-datagram
-// replay ring holding about 13 MB of messages, payloads and 2 KiB wire
+// CSCS6 320×240 video frames — traffic whose last 4,096 datagrams, kept
+// whole, would hold about 13 MB of messages, payloads and 2 KiB wire
 // buffers — with every datagram released, what the encoder keeps alive
 // beyond its frame buffer, its scratch slabs and its tile-cache slots (the
 // 512 KB sent log, the cache index, the churn map, the accounting) is

@@ -21,7 +21,7 @@ func (r rect16) rect() protocol.Rect {
 type sentRecord struct {
 	key  uint64 // CACHE_PAINT's key, 0 for every other command
 	seq  uint32 // 0 marks a slot never written (sequence numbers start at 1)
-	rect rect16 // every pixel the command may change (COPY: source and destination)
+	rect rect16 // every pixel the command writes (COPY: its destination)
 	src  rect16 // COPY's source rect, empty for every other command
 }
 
@@ -54,7 +54,7 @@ func (l sentLog) slot(seq uint32) *sentRecord { return &l[int(seq)&(len(l)-1)] }
 // record notes msg as sent under seq, overwriting whichever older command
 // shared the slot. Rects are clipped to bounds.
 func (l sentLog) record(seq uint32, msg protocol.Message, bounds protocol.Rect) {
-	r := sentRecord{seq: seq, rect: packRect(affectedRect(msg).Intersect(bounds))}
+	r := sentRecord{seq: seq, rect: packRect(WriteRect(msg).Intersect(bounds))}
 	switch m := msg.(type) {
 	case *protocol.Copy:
 		r.src = packRect(m.Rect.Intersect(bounds))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +258,20 @@ func TestFigure12Profiles(t *testing.T) {
 		}
 		if out := RenderFigure12(site, samples); !strings.Contains(out, "peak users") {
 			t.Error("render incomplete")
+		}
+	}
+}
+
+// TestFigure12IsAFunctionOfItsSeed: a site's mix is a map, and Figure 12
+// must not follow Go's random map order into which application each draw
+// names — 20 calls with one seed return one day.
+func TestFigure12IsAFunctionOfItsSeed(t *testing.T) {
+	for _, site := range Figure12Sites() {
+		want := Figure12(site, 7)
+		for i := 0; i < 20; i++ {
+			if got := Figure12(site, 7); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: call %d with seed 7 returned a different day", site.Name, i+2)
+			}
 		}
 	}
 }

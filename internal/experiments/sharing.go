@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"slim/internal/loadgen"
@@ -201,10 +202,13 @@ func Figure12Sites() []CaseStudySite {
 func Figure12(site CaseStudySite, seed uint64) []CaseStudySample {
 	rng := stats.NewRNG(seed)
 	apps := make([]workload.App, 0, len(site.Mix))
-	weights := make([]float64, 0, len(site.Mix))
-	for app, w := range site.Mix {
+	for app := range site.Mix {
 		apps = append(apps, app)
-		weights = append(weights, w)
+	}
+	slices.Sort(apps) // not the map's order: rng.Pick's index must name one app
+	weights := make([]float64, len(apps))
+	for i, app := range apps {
+		weights[i] = site.Mix[app]
 	}
 	var out []CaseStudySample
 	for min := 0; min < 24*60; min += 5 {

@@ -175,7 +175,6 @@ func (g *GapTracker) Observe(seq uint32) []Nack {
 		delete(g.pending, seq)
 		return nil
 	}
-	var nacks []Nack
 	if seq == g.highest+1 {
 		g.highest = seq
 		// Absorb any pending successors.
@@ -188,30 +187,39 @@ func (g *GapTracker) Observe(seq uint32) []Nack {
 	// There is a gap between highest and seq.
 	g.pending[seq] = true
 	if seq-g.highest > g.ReorderWindow {
-		// Declare everything in (highest, seq) that has not arrived lost.
-		var from, to uint32
-		inRun := false
-		for s := g.highest + 1; s < seq; s++ {
-			if g.pending[s] {
-				if inRun {
-					nacks = append(nacks, Nack{From: from, To: to})
-					inRun = false
-				}
-				continue
-			}
-			if !inRun {
-				from, inRun = s, true
-			}
-			to = s
-		}
-		if inRun {
-			nacks = append(nacks, Nack{From: from, To: to})
-		}
-		for s := g.highest + 1; s <= seq; s++ {
-			delete(g.pending, s)
-		}
-		g.highest = seq
+		return g.declare(seq)
 	}
+	return nil
+}
+
+// Settle declares lost every sequence number still missing below the
+// highest arrival, as Observe does once delivery runs ReorderWindow past a
+// gap. The console calls it when the line has gone quiet: no later
+// datagram is coming to push the gaps past the window.
+func (g *GapTracker) Settle() []Nack {
+	top := g.highest
+	for s := range g.pending {
+		top = max(top, s)
+	}
+	return g.declare(top)
+}
+
+// declare reports everything in (highest, top) that has not arrived as
+// lost, in runs, and moves highest to top.
+func (g *GapTracker) declare(top uint32) []Nack {
+	var nacks []Nack
+	for s := g.highest + 1; s < top; s++ {
+		switch n := len(nacks); {
+		case g.pending[s]:
+			delete(g.pending, s)
+		case n > 0 && nacks[n-1].To == s-1:
+			nacks[n-1].To = s
+		default:
+			nacks = append(nacks, Nack{From: s, To: s})
+		}
+	}
+	delete(g.pending, top)
+	g.highest = top
 	return nacks
 }
 

@@ -394,3 +394,35 @@ func TestGapTrackerDuplicates(t *testing.T) {
 		t.Errorf("highest = %d", g.Highest())
 	}
 }
+
+// TestGapTrackerSettle: Settle declares what Observe would once delivery ran
+// past the window — every hole below the highest arrival — and leaves a
+// tracker with no holes, or an unprimed one, alone.
+func TestGapTrackerSettle(t *testing.T) {
+	g := NewGapTracker(64)
+	if nacks := g.Settle(); nacks != nil {
+		t.Errorf("an unprimed tracker settled %v", nacks)
+	}
+	g.Observe(1)
+	g.Observe(2)
+	if nacks := g.Settle(); nacks != nil || g.Highest() != 2 {
+		t.Errorf("a tracker with no holes settled %v at %d", nacks, g.Highest())
+	}
+	// A lost tail repainted under fresh numbers: 3 and 4 lost, 5 arrived.
+	g.Observe(5)
+	if nacks := g.Settle(); !reflect.DeepEqual(nacks, []Nack{{From: 3, To: 4}}) || g.Highest() != 5 {
+		t.Errorf("settled %v at %d, want [{3 4}] at 5", nacks, g.Highest())
+	}
+	// Two holes around an arrival, then a late one the settle gave up on.
+	g.Observe(7)
+	g.Observe(9)
+	if nacks := g.Settle(); !reflect.DeepEqual(nacks, []Nack{{From: 6, To: 6}, {From: 8, To: 8}}) || g.Highest() != 9 {
+		t.Errorf("settled %v at %d, want [{6 6} {8 8}] at 9", nacks, g.Highest())
+	}
+	if nacks := g.Observe(8); nacks != nil || g.Highest() != 9 {
+		t.Errorf("a late arrival below the settled mark drew %v at %d", nacks, g.Highest())
+	}
+	if nacks := g.Settle(); nacks != nil {
+		t.Errorf("a second settle declared %v", nacks)
+	}
+}

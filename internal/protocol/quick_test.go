@@ -122,6 +122,49 @@ func TestQuickGapTrackerPermutation(t *testing.T) {
 	}
 }
 
+// Property: a tracker primed at 0 that sees a random subset of 1..n arrive
+// in random order (window >= n, so Observe declares nothing) settles by
+// NACKing exactly the dropped numbers below the highest arrival, and
+// reports that arrival.
+func TestQuickGapTrackerSettle(t *testing.T) {
+	f := func(seed int64, size uint8) bool {
+		n := int(size%64) + 1
+		rng := rand.New(rand.NewSource(seed))
+		g := NewGapTracker(uint32(n) + 1)
+		g.Observe(0)
+		var top uint32
+		dropped := make(map[uint32]bool)
+		for _, idx := range rng.Perm(n) {
+			seq := uint32(idx) + 1
+			if rng.Intn(3) == 0 {
+				dropped[seq] = true
+				continue
+			}
+			top = max(top, seq)
+			if g.Observe(seq) != nil {
+				return false
+			}
+		}
+		for _, nack := range g.Settle() {
+			for seq := nack.From; seq <= nack.To; seq++ {
+				if !dropped[seq] || seq >= top {
+					return false
+				}
+				delete(dropped, seq)
+			}
+		}
+		for seq := range dropped {
+			if seq < top {
+				return false
+			}
+		}
+		return g.Highest() == top
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: in-order delivery with arbitrary duplication never produces a
 // nack.
 func TestQuickGapTrackerDuplicates(t *testing.T) {

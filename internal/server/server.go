@@ -145,27 +145,14 @@ type consoleState struct {
 	w, h    int
 	caps    uint16 // capability bits from the console's Hello
 	session uint32 // attached session, 0 = login screen
-	// dropped is the console's cumulative drop counter at the last Status;
-	// an increase means display state was lost and must be regenerated.
+	// dropped is the console's drop counter at the last STATUS judged; an
+	// increase means display state was lost and must be regenerated.
 	dropped uint32
 }
-
-// StatusLagThreshold is how many display sequence numbers a console may
-// trail the encoder before a Status heartbeat owes it the whole screen
-// without asking the sent log: a console that rebooted (soft state gone)
-// reports LastSeq far behind or zero. A shorter trail is a lost tail, and
-// an idle heartbeat heals it by region (handleStatus).
-const StatusLagThreshold = 512
 
 // heartbeat is the cadence of a console's idle STATUS: a session that has
 // sent nothing for this long has nothing in flight.
 const heartbeat = console.StatusInterval
-
-// RecoverGrace bounds a recovery epoch in time: a console that still
-// hasn't acknowledged past the repaint after this long (every status it
-// sent was lost, or it rebooted before acking anything) gets another
-// recovery rather than staying suppressed forever.
-const RecoverGrace = 2 * time.Second
 
 // New returns a server sending through the given transport. Options are
 // the only way to configure it: they run before any session exists, so
@@ -412,17 +399,15 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 	}
 }
 
-// handleStatus inspects a console heartbeat and owes the console what it
-// has demonstrably lost. Two verdicts owe the whole screen: its decode-drop
-// counter grew (protocol overload, §4.3), or its applied sequence trails
-// the encoder by more than StatusLagThreshold (console reboot — soft state
-// is disposable by design, §2.2). The third owes a region: an idle
-// heartbeat — nothing sent for a heartbeat's interval, nothing queued,
-// nothing owed — that still trails the last sequence sent reports a lost
-// tail, the one loss no later datagram exposes as a gap to NACK, and is
-// read as the NACK the console could not send. Recovery is always a repaint
-// from the authoritative frame buffer; never stop-and-wait. Callers hold
-// s.mu.
+// handleStatus feeds a console's STATUS to telemetry and pumps the
+// session. It judges the STATUS only on a quiet line — nothing sent for a
+// heartbeat, nothing queued, nothing owed — where it describes all the
+// console will get. There a grown decode-drop counter (overload, §4.3) or
+// a LastSeq of 0 (a reboot: the console holds nothing of the session,
+// §2.2) owes the whole screen; a LastSeq trailing the last sequence sent
+// is a lost tail, the one hole the console cannot settle itself, and owes
+// what the sent log says it cost. A verdict keeps the line busy until it
+// is paid and a heartbeat has passed, so none can storm. Callers hold s.mu.
 func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Status, now time.Duration) error {
 	cs, ok := s.consoles[console]
 	if !ok {
@@ -436,29 +421,17 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 		sess.tel.Flight.Status(st.LastSeq, st.Dropped)
 	}
 	sess.tel.Path.OnStatus(st.LastSeq, st.Dropped)
-	lost := st.Dropped > cs.dropped
-	cs.dropped = st.Dropped
-	last := sess.Encoder.LastSeq()
-	lag := last > st.LastSeq && last-st.LastSeq > StatusLagThreshold
-	// One recovery epoch at a time: while the whole screen is owed, or the
-	// console is still working through it (acks trail recoverSeq, grace not
-	// yet elapsed), both verdicts ask for nothing — the repaint already
-	// carries the full authoritative screen.
-	if int32(sess.recoverSeq-st.LastSeq) <= 0 || now-sess.recoverAt >= RecoverGrace {
-		sess.recoverSeq = 0
-	}
-	inEpoch := sess.recovering || sess.recoverSeq != 0
-	idle := now-sess.lastSend >= heartbeat && sess.damage.Empty() &&
-		(sess.gov == nil || sess.gov.QueueDepth() == 0)
-	switch {
-	case (lost || lag) && !inEpoch:
-		if s.log != nil {
-			s.log.Warn("display state lost; recovery repaint",
-				"console", console, "session", cs.session, "drops", lost, "lag", lag)
+	if now-sess.lastSend >= heartbeat && sess.damage.Empty() && (sess.gov == nil || sess.gov.QueueDepth() == 0) {
+		lost := st.Dropped > cs.dropped
+		cs.dropped = st.Dropped
+		if last := sess.Encoder.LastSeq(); lost || st.LastSeq == 0 {
+			if s.log != nil {
+				s.log.Warn("display state lost; recovery repaint", "console", console, "session", cs.session, "drops", lost)
+			}
+			sess.oweScreen()
+		} else if st.LastSeq < last {
+			sess.oweNack(protocol.Nack{From: st.LastSeq + 1, To: last})
 		}
-		sess.oweScreen()
-	case idle && st.LastSeq < last:
-		sess.oweNack(protocol.Nack{From: st.LastSeq + 1, To: last})
 	}
 	// No transport keeps a timer for a server with nothing queued.
 	s.refreshCalibrationLocked(out, now)

@@ -382,102 +382,67 @@ func TestServerStatusIgnoredWithoutSession(t *testing.T) {
 	}
 }
 
-func TestStatusDropTriggersRepaint(t *testing.T) {
-	tr := newMemTransport()
-	s := newTestServer(tr)
-	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
-		t.Fatal(err)
-	}
-	sess := s.SessionByUser("alice")
-	// Healthy heartbeat: no new traffic.
-	before := len(tr.sent["c1"])
-	if err := s.Handle("c1", &protocol.Status{LastSeq: sess.Encoder.LastSeq()}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) != before {
-		t.Error("healthy status triggered traffic")
-	}
-	// Drops grew: the console shed commands under overload → repaint.
-	if err := s.Handle("c1", &protocol.Status{LastSeq: sess.Encoder.LastSeq(), Dropped: 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) <= before {
-		t.Error("drop growth did not trigger recovery")
-	}
-	// Same counter again: no repeat repaint.
-	before = len(tr.sent["c1"])
-	if err := s.Handle("c1", &protocol.Status{LastSeq: sess.Encoder.LastSeq(), Dropped: 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) != before {
-		t.Error("stable drop counter repainted again")
-	}
-}
-
-func TestStatusLagTriggersRepaint(t *testing.T) {
-	tr := newMemTransport()
-	s := newTestServer(tr)
-	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
-		t.Fatal(err)
-	}
-	sess := s.SessionByUser("alice")
-	// Push the encoder far ahead of what the console claims it applied.
-	term := sess.App.(*Terminal)
-	for i := 0; i < StatusLagThreshold+64; i++ {
-		for _, op := range term.Type(byte('a' + i%26)) {
-			if _, err := sess.Encoder.Encode(op); err != nil {
+// TestStatusVerdictOnAQuietLine: a STATUS is judged only on a quiet line —
+// nothing sent for a heartbeat, nothing owed or queued. There a grown drop
+// counter, or a LastSeq of 0 (a rebooted console holds nothing of the
+// session), owes the screen once, and the repaint restores it exactly. The
+// same STATUS on a busy line owes nothing, and neither does a second
+// verdict before the line is quiet again.
+func TestStatusVerdictOnAQuietLine(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		dropped uint32 // the console's drop counter; 0 means it rebooted
+	}{{"drop", 3}, {"reboot", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := newMemTransport()
+			s := newTestServer(tr)
+			if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	before := len(tr.sent["c1"])
-	// Console reports it is still at sequence 1: it rebooted. (The attach
-	// repaint opened a recovery epoch; a reboot this early is only
-	// detectable once RecoverGrace has elapsed without an ack.)
-	rebootAt := RecoverGrace + time.Millisecond
-	if err := s.Handle("c1", &protocol.Status{LastSeq: 1}, rebootAt); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) <= before {
-		t.Error("sequence lag did not trigger recovery")
-	}
-	// A heartbeat acking mid-repaint still trails the encoder far beyond
-	// the lag threshold; the open recovery epoch must suppress a second
-	// repaint or recovery storms (each repaint re-creating the lag that
-	// triggers the next).
-	mid := len(tr.sent["c1"])
-	if err := s.Handle("c1", &protocol.Status{LastSeq: 2}, rebootAt); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) != mid {
-		t.Error("mid-recovery heartbeat triggered a repaint storm")
-	}
-	// Once the console acks past the repaint, the epoch closes and a
-	// fresh reboot is again detected immediately.
-	if err := s.Handle("c1", &protocol.Status{LastSeq: sess.Encoder.LastSeq()}, rebootAt); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Handle("c1", &protocol.Status{LastSeq: 1}, rebootAt); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sent["c1"]) <= mid {
-		t.Error("post-recovery reboot not detected")
-	}
-	// Verify the repaint restores the screen exactly.
-	screen := fb.New(64, 64)
-	for _, wire := range tr.sent["c1"][before:] {
-		_, msg, _, err := protocol.Decode(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.Type().IsDisplay() {
-			if err := screen.Apply(msg); err != nil {
-				t.Fatal(err)
+			for _, k := range "status" {
+				if err := s.Handle("c1", &protocol.KeyEvent{Code: uint16(k), Down: true}, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-	if !screen.Equal(sess.Encoder.FB) {
-		t.Error("recovery repaint incomplete")
+			sess := s.SessionByUser("alice")
+			status := func(now time.Duration, lastSeq uint32) [][]byte {
+				t.Helper()
+				before := len(tr.sent["c1"])
+				if err := s.Handle("c1", &protocol.Status{LastSeq: lastSeq, Dropped: c.dropped}, now); err != nil {
+					t.Fatal(err)
+				}
+				return tr.sent["c1"][before:]
+			}
+			verdict := sess.Encoder.LastSeq() // up to date but for the drops
+			if c.dropped == 0 {
+				verdict = 0
+			}
+			if sent := status(heartbeat-time.Millisecond, verdict); len(sent) != 0 {
+				t.Errorf("the verdict on a busy line drew %d datagrams", len(sent))
+			}
+			repaint := status(heartbeat, verdict)
+			if len(repaint) == 0 {
+				t.Fatal("the verdict on a quiet line drew no repaint")
+			}
+			screen := fb.New(64, 64)
+			for _, wire := range repaint {
+				if _, msg, _, err := protocol.Decode(wire); err != nil {
+					t.Fatal(err)
+				} else if err := screen.Apply(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !screen.Equal(sess.Encoder.FB) {
+				t.Error("the recovery repaint does not restore the screen")
+			}
+			// A reboot verdict while the repaint is in flight.
+			if sent := status(heartbeat+time.Millisecond, 0); len(sent) != 0 {
+				t.Errorf("a second verdict before the line was quiet again drew %d datagrams", len(sent))
+			}
+			if sent := status(2*heartbeat, sess.Encoder.LastSeq()); len(sent) != 0 {
+				t.Errorf("the healed console's heartbeat drew %d datagrams", len(sent))
+			}
+		})
 	}
 }
 

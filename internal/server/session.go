@@ -15,7 +15,9 @@ import (
 
 // Session is one user's persistent desktop: the authoritative frame buffer
 // (inside the encoder), the running application, and the console it is
-// currently displayed on (if any). The Server routes console traffic to
+// currently displayed on (if any). What it keeps for that console is the
+// frame buffer, the owed region, the encoder's sent log and sequence
+// number, and when it last sent. The Server routes console traffic to
 // sessions; everything a session owns is built in newSessionLocked,
 // frozen by snapshot, and released in closeLocked — nowhere else. All of
 // it is guarded by Server.mu.
@@ -50,18 +52,9 @@ type Session struct {
 	// of triggers owes more than one repaint. A detached session owes
 	// nothing.
 	damage fb.Region
-	// recovering says the debt was the whole screen (oweScreen) and is not
-	// yet encoded in full; recoverSeq is the sequence its last piece was
-	// encoded under, at transport time recoverAt. Until the console
-	// acknowledges past recoverSeq or RecoverGrace elapses, a STATUS
-	// verdict asks for nothing: without this epoch a console acking
-	// mid-repaint still trails the encoder, each heartbeat owes the screen
-	// again, and recovery becomes a storm that never converges.
-	recovering bool
-	recoverSeq uint32
-	recoverAt  time.Duration
 	// lastSend is the transport time a display command last left for the
-	// console; an idle heartbeat is one that finds it a heartbeat old.
+	// console. A STATUS is judged only on a quiet line: one that finds it a
+	// heartbeat old, with nothing owed or queued.
 	lastSend time.Duration
 }
 
@@ -146,7 +139,6 @@ func (s *Server) unbindLocked(out *[]outbound, sess *Session) {
 func (sess *Session) detach() {
 	sess.Console = ""
 	sess.damage.Clear()
-	sess.recovering = false
 }
 
 // closeLocked removes a session from this server: the console is unbound,
@@ -201,7 +193,6 @@ func (sess *Session) oweScreen() {
 	sess.Encoder.ResetCodec2()
 	sess.damage.Clear()
 	sess.damage.Add(sess.Encoder.FB.Bounds())
-	sess.recovering = true
 }
 
 // oweNack adds what the sent log says the loss n cost the console. A range
@@ -259,10 +250,6 @@ func (sess *Session) repay(out *[]outbound, now time.Duration) {
 		for _, r := range pay {
 			sess.submit(out, sess.Encoder.Repaint(r), now, true)
 		}
-	}
-	if sess.recovering {
-		sess.recovering = false
-		sess.recoverSeq, sess.recoverAt = sess.Encoder.LastSeq(), now
 	}
 }
 

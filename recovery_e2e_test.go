@@ -88,39 +88,71 @@ func TestHotdeskUnderGrantIsPaced(t *testing.T) {
 	}
 }
 
-// TestLostTailHealsThroughHeartbeat: the last datagram of a burst leaves no
-// gap for the console to NACK. Its idle heartbeat — nothing sent for a
-// StatusInterval, and still behind the last sequence sent — is the NACK it
-// could not send, and is answered by region: one keystroke's echo, not a
-// screen. (The lag was under StatusLagThreshold, so it stayed lost.)
+// TestLostTailHealsThroughHeartbeat: a loss no later datagram pushes past
+// the reorder window heals through the heartbeat in at most two rounds. A
+// lost tail leaves no gap to NACK: the first quiet heartbeat trails the
+// last sequence sent and is answered by region, under fresh numbers. That
+// leaves a hole below the console's highest arrival, and its next poll —
+// nothing having arrived for a StatusInterval — settles the hole with a
+// NACK and stops trailing. A lost middle settles at the first. Either way
+// the console's STATUS stops trailing within two heartbeats, the heal costs
+// at most twice the lost commands, and later heartbeats draw nothing.
+// (While the console left such holes open, every quiet heartbeat re-owed
+// the same tail until ReorderWindow more datagrams arrived: one lost echo
+// cost about 60 repaints.)
 func TestLostTailHealsThroughHeartbeat(t *testing.T) {
-	fabric, srv := newFabricSystem(t)
-	con := attachConsole(t, fabric, srv, "desk-1", "card-alice")
-	if err := fabric.TypeString("desk-1", "tail"); err != nil {
-		t.Fatal(err)
-	}
-	sess := srv.SessionByUser("alice")
-	fabric.SetLoss(1)
-	if err := fabric.SendKey("desk-1", '!', true); err != nil {
-		t.Fatal(err)
-	}
-	fabric.SetLoss(0)
-	if con.Framebuffer().Equal(sess.Encoder.FB) {
-		t.Fatal("the echo arrived; nothing was lost")
-	}
-	lost := sess.Encoder.LastSeq()
-	for i := 0; i < 2; i++ {
-		fabric.SetClock(fabric.Now() + StatusInterval)
-		if err := fabric.Pump(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sent := sess.Encoder.LastSeq() - lost; sent == 0 || sent > 2 {
-		t.Errorf("two idle heartbeats drew %d commands, want the echo's one or two", sent)
-	}
-	if !con.Framebuffer().Equal(sess.Encoder.FB) {
-		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
-		t.Errorf("console differs from the session's frame buffer in %d pixels after two heartbeats", n)
+	for _, c := range []struct {
+		name            string
+		lost, delivered string // typed with every display datagram lost, then without loss
+	}{{"tail", "!", ""}, {"long-tail", "0123456789", ""}, {"middle", "!", "abcd"}} {
+		t.Run(c.name, func(t *testing.T) {
+			fabric, srv := newFabricSystem(t)
+			con := attachConsole(t, fabric, srv, "desk-1", "card-alice")
+			if err := fabric.TypeString("desk-1", "tail"); err != nil {
+				t.Fatal(err)
+			}
+			sess := srv.SessionByUser("alice")
+			before := sess.Encoder.LastSeq()
+			fabric.SetLoss(1)
+			if err := fabric.TypeString("desk-1", c.lost); err != nil {
+				t.Fatal(err)
+			}
+			fabric.SetLoss(0)
+			lost := sess.Encoder.LastSeq() - before
+			if err := fabric.TypeString("desk-1", c.delivered); err != nil {
+				t.Fatal(err)
+			}
+			if con.Framebuffer().Equal(sess.Encoder.FB) {
+				t.Fatal("the echo arrived; nothing was lost")
+			}
+			sent := sess.Encoder.LastSeq()
+			tick := func() {
+				t.Helper()
+				fabric.SetClock(fabric.Now() + StatusInterval)
+				if err := fabric.Pump(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tick()
+			tick()
+			if got, last := con.Status().LastSeq, sess.Encoder.LastSeq(); got != last {
+				t.Errorf("after two heartbeats the console's STATUS reports %d of %d", got, last)
+			}
+			if cost := sess.Encoder.LastSeq() - sent; cost == 0 || cost > 2*lost {
+				t.Errorf("%d lost commands cost %d to heal, want 1 to %d", lost, cost, 2*lost)
+			}
+			if !con.Framebuffer().Equal(sess.Encoder.FB) {
+				n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+				t.Errorf("console differs from the session's frame buffer in %d pixels after two heartbeats", n)
+			}
+			healed := sess.Encoder.LastSeq()
+			for i := 0; i < 10; i++ {
+				tick()
+			}
+			if more := sess.Encoder.LastSeq() - healed; more != 0 {
+				t.Errorf("ten heartbeats after the heal drew %d more commands", more)
+			}
+		})
 	}
 }
 

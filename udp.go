@@ -403,8 +403,8 @@ func DialConsoleContext(ctx context.Context, serverAddr string, cfg ConsoleConfi
 		}
 	}, func(now time.Duration) (time.Duration, bool) {
 		if now >= nextPoll {
-			if wire := con.Poll(now); wire != nil {
-				_ = c.write(wire, netip.AddrPort{}) // a lost STATUS is followed by the next
+			for _, wire := range con.Poll(now) {
+				_ = c.write(wire, netip.AddrPort{}) // a lost STATUS or NACK is followed by the next
 			}
 			nextPoll = now + StatusAckDelay
 		}
