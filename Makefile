@@ -72,14 +72,15 @@ bench-json:
 # Steady-state allocation budgets on the hot paths (0 allocs/op for console
 # apply, the warm wire-emit path, the full tile cache, the SLO observe
 # path — disabled AND enabled — the hostmon sample path, and the netqual
-# observe path — disabled AND enabled — and the §5.4 frame packer), and
+# observe path — disabled AND enabled — the §5.4 frame packer, and the
+# flow governor ungoverned, sending under a grant and refusing), and
 # the memory budgets: a tile cache holds only the slots it has filled,
 # the encoder retains no wire bytes, a 640x480 gen-2 session is its two
 # frame buffers plus at most 1 MiB. Run without -race: the race
 # detector's instrumentation allocates and shadows the heap, so these
 # tests skip themselves under it and `make race` never runs them.
 alloc-guard:
-	$(GO) test -run 'ZeroAlloc|Heap|RetainsNo' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/
+	$(GO) test -run 'ZeroAlloc|Heap|RetainsNo' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/
 
 # Regenerate the committed capacity artifact: full LAN + WAN user ramps
 # until the SLO burn knee (~5s of wall time; see internal/capacity).
@@ -124,11 +125,12 @@ codec2-smoke:
 # asserted against the 2-second hotdesk budget (the full 2,000-console
 # 8-shard soak is TestFleetSoak, run by plain `go test`). The sim-domain
 # recovery checks ride along, a fraction of a second between them: a
-# hotdesk repaint paid at the grant's pace, a lost tail and a lost middle
-# healed through the heartbeat, the seeded fault schedules converging on
-# one fabric server, and the owed region converging under any grant.
+# hotdesk repaint paid at the grant's pace, a hotdesk leaving no stale
+# grant on the console it left, a lost tail and a lost middle healed
+# through the heartbeat, the seeded fault schedules converging on one
+# fabric server, and the owed region converging under any grant.
 fleet-smoke:
-	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant' -count 1 -v .
+	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant' -count 1 -v .
 
 # Evidence smoke against the real binaries: boot slimd with a wire capture,
 # breach dumps (every paint breaches a 1ns SLO target) and incident bundles

@@ -33,7 +33,7 @@ func TestFabricIsNotABurstSender(t *testing.T) {
 // scrollApp answers each key press with the next step of
 // internal/workload's scroll drive — the bench's scroll_udp script: the
 // 512x384 priming paint in one piece (a governed session owes what its
-// queue cannot take and repays it from the frame buffer), then the bounce
+// token bucket cannot take and repays it from the frame buffer), then the bounce
 // (a COPY of the body plus the 512x48 exposed strip).
 type scrollApp struct {
 	steps [][]Op
@@ -297,7 +297,7 @@ func TestUDPAttachDatagramBudget(t *testing.T) {
 // TestUDPScrollStep: one warmed scroll step — a COPY and 96 cache hits,
 // 2,712 B as 97 plain datagrams — leaves in two. The live capture of it
 // still reads as 97 commands in the Tables 2-3 rows. The 600 KB priming
-// paint goes in one piece: the governor owes what its queue cannot take,
+// paint goes in one piece: the governor owes what its bucket cannot take,
 // and the warm-up bounce starts once the debt is paid.
 func TestUDPScrollStep(t *testing.T) {
 	opts, cfg := shippedProfile(640, 480)

@@ -150,7 +150,7 @@ func main() {
 	state := flag.String("state", "", "session state file: loaded at boot, saved at shutdown (single server only)")
 	app := flag.String("app", "terminal", "session application: terminal|desktop|quake|mpeg2|ntsc")
 	fps := flag.Float64("fps", 24, "video frame rate for video applications")
-	flow := flag.Bool("flow", false, "enable the per-session send governor: pace display traffic and loss recovery to console grants, owe paints the queue cannot take and repaint them from the latest state (§7)")
+	flow := flag.Bool("flow", false, "enable the per-session send governor: pace display traffic and loss recovery to console grants, owe paints the token bucket cannot take and repaint them from the latest state (§7)")
 	codec2 := flag.Bool("codec2", false, "arm the gen-2 codec (content-typed tiles + dirty-tile cache); engages per attachment for consoles advertising CACHE_PAINT")
 	flowBps := flag.Uint64("flow-bps", 0, "with -flow, initial per-session bandwidth demand in bits/s (0: derive from the cost model)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder breach dumps (empty: count breaches, write nothing)")

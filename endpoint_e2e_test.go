@@ -233,7 +233,8 @@ func TestUDPStatusCadence(t *testing.T) {
 }
 
 // noiseApp answers 'p' with one 512×384 image of noise — about 600 KB of
-// literal tiles, more than twice the governor's 256 KB queue — and any
+// literal tiles, more than nine times the most a paint may overdraw the
+// governor's bucket by (64 KiB) — and any
 // other key with its echo, one glyph cell at the top left (echoCell).
 type noiseApp struct{ pix []Pixel }
 
@@ -255,12 +256,13 @@ func (a *noiseApp) HandleKey(ev protocol.KeyEvent) []Op {
 
 func (a *noiseApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
 
-// TestOversizedPaintIsOwed: a paint larger than the governor's queue is
-// never encoded whole. Admission refuses it; the session applies it to its
-// frame buffer, owes the console its rect, and pays the debt half a burst
-// at a time from current pixels. So the queue stays within two bursts, no
-// command is lost for the console to NACK, and a keystroke typed right
-// after the paint is painted while most of the paint is still owed.
+// TestOversizedPaintIsOwed: a paint larger than the governor may overdraw
+// its bucket by is never encoded whole. Admission refuses it; the session
+// applies it to its frame buffer, owes the console its rect, and pays the
+// debt from current pixels in pieces cut to the tokens. So the bucket is
+// never overdrawn by more than a burst, no command is lost for the console
+// to NACK, and a keystroke typed right after the paint is painted while
+// most of the paint is still owed.
 // (Encoded at once, the paint overflowed the queue, was evicted from the
 // head, and came back tile by tile through NACKs — behind the echo's
 // queue position or not at all.)
@@ -292,18 +294,18 @@ func TestOversizedPaintIsOwed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if srv.Owed("alice") == nil {
-		t.Fatal("the paint fitted the governor's queue; nothing was owed")
+		t.Fatal("the governor admitted the paint; nothing was owed")
 	}
 	if err := fabric.SendKey("desk-1", 'e', true); err != nil {
 		t.Fatal(err)
 	}
 	// Step the clock until the echo is on the console's glass.
-	burst, deepest := sess.Governor().Config().BurstBytes, 0
+	burst, overdrawn := sess.Governor().Config().BurstBytes, 0
 	for !slices.Equal(con.Framebuffer().ReadRectInto(nil, echoCell), sess.Encoder.FB.ReadRectInto(nil, echoCell)) {
 		if fabric.Now() > time.Minute {
 			t.Fatal("the echo never reached the console")
 		}
-		deepest = max(deepest, sess.Governor().QueueBytes())
+		overdrawn = max(overdrawn, -sess.Governor().Tokens(fabric.Now()))
 		fabric.SetClock(fabric.Now() + time.Millisecond)
 		if err := fabric.Pump(); err != nil {
 			t.Fatal(err)
@@ -312,9 +314,9 @@ func TestOversizedPaintIsOwed(t *testing.T) {
 	if srv.Owed("alice") == nil {
 		t.Errorf("the echo reached the console after %v, once the whole paint was paid", fabric.Now())
 	}
-	deepest = max(deepest, pumpQuiet(t, fabric, sess, 10*time.Millisecond, time.Second))
-	if deepest > 2*burst {
-		t.Errorf("the queue held %d bytes, more than two bursts of %d", deepest, burst)
+	overdrawn = max(overdrawn, pumpQuiet(t, fabric, srv, sess, 10*time.Millisecond, time.Second))
+	if overdrawn > burst {
+		t.Errorf("the bucket was overdrawn by %d bytes, more than a burst of %d", overdrawn, burst)
 	}
 	if n := kit.Registry.Counter("slim_console_nacks_total").Value(); n != 0 {
 		t.Errorf("the console sent %d NACKs on a fabric that drops nothing", n)

@@ -33,7 +33,7 @@ type faultWorld struct {
 	sess   *Session
 
 	// seen is the encoder's last sequence at the last step, busyAt the
-	// last instant the session was seen encoding, queueing or owing, and
+	// last instant the session was seen encoding or owing, and
 	// wakeups how often it turned busy again after a heartbeat of
 	// stillness since mark.
 	seen    uint32
@@ -111,15 +111,14 @@ func (w *faultWorld) mark() {
 }
 
 // step moves the clock one StatusAckDelay, runs the periodic duties, and
-// notes whether the session is busy: encoding, queueing or owing.
+// notes whether the session is busy: encoding or owing.
 func (w *faultWorld) step(t *testing.T) {
 	t.Helper()
 	w.fabric.SetClock(w.fabric.Now() + StatusAckDelay)
 	if err := w.fabric.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	gov := w.sess.Governor()
-	if w.sess.Encoder.LastSeq() == w.seen && w.srv.Owed("alice") == nil && (gov == nil || gov.QueueDepth() == 0) {
+	if w.sess.Encoder.LastSeq() == w.seen && w.srv.Owed("alice") == nil {
 		return
 	}
 	if now := w.fabric.Now(); now-w.busyAt >= StatusInterval {

@@ -395,7 +395,7 @@ func (b *Broker) attach(console, token string, now time.Duration) error {
 
 	target := b.place(user, home, hasHome)
 	if hasHome && target != home {
-		if err := b.migrate(user, home, target, now); err != nil {
+		if err := b.migrate(user, home, target); err != nil {
 			return err
 		}
 	}
@@ -456,8 +456,8 @@ func (b *Broker) place(user string, home int, hasHome bool) int {
 // the source (ExportSession), replay on the target (ImportSession). The
 // console redirect happens in the caller's attach step. Callers hold
 // b.admin.
-func (b *Broker) migrate(user string, from, to int, now time.Duration) error {
-	sn, err := b.shards[from].ExportSession(user, now)
+func (b *Broker) migrate(user string, from, to int) error {
+	sn, err := b.shards[from].ExportSession(user)
 	if err != nil {
 		return fmt.Errorf("broker: export %q from shard %d: %w", user, from, err)
 	}
@@ -506,7 +506,7 @@ func (b *Broker) MigrateUser(user string, to int, now time.Duration) error {
 	if sess := b.shards[home].SessionByUser(user); sess != nil {
 		console = sess.Console
 	}
-	if err := b.migrate(user, home, to, now); err != nil {
+	if err := b.migrate(user, home, to); err != nil {
 		return err
 	}
 	if console == "" {
@@ -608,8 +608,8 @@ func (b *Broker) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 	return next, pending, firstErr
 }
 
-// FlowPending reports whether any shard has paced traffic queued that
-// only PumpFlows will send (the UDP endpoint schedules its pumps off this).
+// FlowPending reports whether any shard has a paced debt that only
+// PumpFlows will pay (the UDP endpoint schedules its pumps off this).
 func (b *Broker) FlowPending() bool {
 	return slices.ContainsFunc(b.shards, (*server.Server).FlowPending)
 }

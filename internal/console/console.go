@@ -276,6 +276,7 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		c.setSession(m.SessionID)
 	case *protocol.SessionDetach:
 		if c.sessionID == m.SessionID {
+			c.alloc.Request(m.SessionID, 0)
 			c.sessionID = 0
 		}
 	case *protocol.Ping:
@@ -311,11 +312,14 @@ func (c *Console) nackLocked(replies [][]byte, lost []protocol.Nack) [][]byte {
 
 // setSession switches the console to a (possibly different) session. Each
 // session has its own display sequence space, so the gap tracker resets;
-// anything else would nack the jump from the old session's numbering.
-// Callers hold c.mu.
+// anything else would nack the jump from the old session's numbering. A
+// session that left gives back its bandwidth request, so the allocator
+// neither shares the link with it nor re-grants it a share of a link it
+// no longer uses (§7). Callers hold c.mu.
 func (c *Console) setSession(id uint32) {
 	if id != c.sessionID {
 		c.gaps = protocol.NewGapTracker(c.cfg.ReorderWindow)
+		c.alloc.Request(c.sessionID, 0)
 	}
 	if c.cache != nil {
 		// Every (re)attach starts a fresh tile-cache generation: the

@@ -24,9 +24,9 @@ const MaxDatagram = protocol.HeaderSize + DefaultMTU
 //
 // Payload aliasing: when wire generation is on, the pixel/bitmap payloads
 // of Msg may alias encoder-owned scratch slabs that the next Encode call
-// reuses. Wire is always a self-contained marshalled copy; the one consumer
-// that outlives the Encode call (the flow governor's queue) reads only
-// Msg's geometry, never its payload.
+// reuses. Wire is always a self-contained marshalled copy; what outlives
+// the Encode call (the sent log, the server's outbound list until it is
+// flushed) reads only Msg's geometry or Wire, never Msg's payload.
 type Datagram struct {
 	Seq  uint32
 	Msg  protocol.Message

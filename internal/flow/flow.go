@@ -4,32 +4,22 @@
 // share and answers BandwidthRequests with BandwidthGrants; this package
 // makes the server honor them.
 //
-// The governor sits between the encoder and the transport and does two
-// things:
+// The governor is a token bucket (bytes; refilled at the granted bps, as
+// deep as a burst) and holds no commands. Before a fresh paint is encoded
+// the session asks Admit whether the bucket can take it now; an admitted
+// paint is encoded and sent in the same call, and Submit charges its wire
+// bytes to the bucket. A paint refused is not encoded at all: the session
+// applies it to its frame buffer and owes the console its rect
+// (server.Session's damage), paid later from the pixels as they are then —
+// §2.2's "the server need only send the latest state". So a governed
+// session sends or owes; it never queues. The burst depth defaults to what
+// the Table-5 cost model says the console can decode in one short quantum,
+// so pacing never starves a console that could have kept up.
 //
-//   - Paces: a token-bucket (bytes; refilled at the granted bps) releases
-//     queued display commands so the session never exceeds its grant. The
-//     burst depth defaults to what the Table-5 cost model says the console
-//     can decode in one short quantum, so pacing never starves a console
-//     that could have kept up.
-//   - Admits: before a fresh paint is encoded the session asks Admit
-//     whether the queue can take it now — less than a burst queued and
-//     room for its wire bound. A paint refused is not encoded at all: the
-//     session applies it to its frame buffer and owes the console its
-//     rect (server.Session's damage), paid later from the pixels as they
-//     are then — §2.2's "the server need only send the latest state",
-//     decided before encode, so nothing encoded is ever dropped here.
-//
-// What a console is owed is a region the session keeps, offered in
-// burst-sized pieces only while this queue is short, so repayment is paced
-// by the one token bucket everything else leaves through and a fresh paint
-// never queues behind more than a burst of it (§5's observation that
-// recovery traffic competes with interactive traffic). The governor only
-// accounts: Item.Retransmit marks repayment.
-//
-// Released commands leave one Packet each, at their plain-framed size;
-// packing a burst of them into §5.4 frames is the socket endpoint's job
-// (protocol.PackFrame), so tokens are an upper bound on wire bytes.
+// What a console is owed leaves through the same bucket, in pieces cut to
+// the tokens it holds (server.Session.repay), so recovery traffic competes
+// with interactive traffic (§5) only for the bytes the grant has to give.
+// The governor only accounts: Item.Retransmit marks repayment.
 //
 // The governor is clock-agnostic: every method takes the current time as a
 // time.Duration offset, so the same code paces wall-clock transports (udp,
@@ -38,6 +28,7 @@
 package flow
 
 import (
+	"math"
 	"time"
 
 	"slim/internal/core"
@@ -59,18 +50,17 @@ type Config struct {
 	// BurstBytes is the token-bucket depth. 0 derives it from the cost
 	// model (DefaultBurst).
 	BurstBytes int
-	// MaxQueueBytes bounds what Admit lets into the send queue: a fresh
-	// paint whose wire bound would take the queue past it is owed instead.
-	// 0 means DefaultMaxQueueBytes.
-	MaxQueueBytes int
 	// Costs is the console cost model behind the derived defaults
 	// (nil means core.SunRay1Costs).
 	Costs *core.CostModel
 }
 
-// Tuning defaults. See Config.
 const (
-	DefaultMaxQueueBytes = 256 << 10
+	// burstCeiling caps DefaultBurst, and is the most a paint may overdraw
+	// the bucket by: Admit takes any paint up to it while no debt is
+	// outstanding, so a frame larger than the burst is sent, not owed
+	// forever.
+	burstCeiling = 64 << 10
 
 	// utilizationWindow is the accounting window behind the
 	// slim_flow_grant_utilization gauge.
@@ -105,25 +95,19 @@ func DefaultDemandBps(cm *core.CostModel) uint64 {
 // DefaultBurst derives the token-bucket depth from the cost model: the
 // wire bytes of the commands the console can decode in one 5 ms quantum,
 // clamped to [8 KiB, 64 KiB]. A burst the console cannot decode would only
-// move the queue from the server (where a paint that does not fit is owed
-// and repainted late) to the console (where it ages into decode drops).
+// move the backlog from the server (where a paint that does not fit is
+// owed and repainted late) to the console (where it ages into decode
+// drops).
 func DefaultBurst(cm *core.CostModel) int {
 	if cm == nil {
 		cm = core.SunRay1Costs()
 	}
 	svc := cm.ServiceTime(&protocol.Set{Rect: protocol.Rect{W: demandRefPixels, H: 1}})
 	if svc <= 0 {
-		return 64 << 10
+		return burstCeiling
 	}
 	cmds := float64(5*time.Millisecond) / float64(svc)
-	b := int(cmds * demandRefWireBytes)
-	if b < 8<<10 {
-		b = 8 << 10
-	}
-	if b > 64<<10 {
-		b = 64 << 10
-	}
-	return b
+	return min(max(int(cmds*demandRefWireBytes), 8<<10), burstCeiling)
 }
 
 // withDefaults fills zero fields.
@@ -137,43 +121,24 @@ func (c Config) withDefaults() Config {
 	if c.BurstBytes == 0 {
 		c.BurstBytes = DefaultBurst(c.Costs)
 	}
-	if c.MaxQueueBytes == 0 {
-		c.MaxQueueBytes = DefaultMaxQueueBytes
-	}
 	return c
 }
 
-// Item is one display command offered to the governor.
+// Item is one display command charged to the governor.
 type Item struct {
-	// Seq and Cmd identify the command for flight recording and for the
-	// encoder's sent log.
+	// Seq, Cmd and Buf are not read by the governor; bench/replay.go sets them.
 	Seq uint32
 	Cmd protocol.MsgType
+	Buf *wirebuf.Buf
 	// Msg is the decoded command; its wire size stands in for Wire's when
 	// Wire is nil.
 	Msg protocol.Message
 	// Wire is the framed datagram (may be nil in simulations that only
 	// account bytes; then the wire size is computed from Msg).
 	Wire []byte
-	// Buf is the pooled buffer backing Wire, nil when the wire is unpooled.
-	// The item owns it through the queue; the governor never releases it —
-	// items leaving the governor (released, or dropped by Reset) hand it
-	// back to the caller, who releases after the send or the drop
-	// accounting.
-	Buf *wirebuf.Buf
 	// Retransmit marks a repaint that pays the session's debt to its
 	// console (loss recovery, attach) for accounting.
 	Retransmit bool
-}
-
-// ReleaseWire returns the item's pooled wire buffer to the pool (a no-op
-// for unpooled items).
-func (it *Item) ReleaseWire() {
-	if it.Buf != nil {
-		it.Buf.Release()
-		it.Buf = nil
-		it.Wire = nil
-	}
 }
 
 // Bytes reports the item's wire size.
@@ -187,35 +152,16 @@ func (it Item) Bytes() int {
 	return 0
 }
 
-// Packet is one command released by the governor.
+// Packet is never produced (Release returns none); bench/replay.go reads it.
 type Packet struct {
-	// Wire is the bytes to hand to the transport (nil when the item was
-	// submitted without wire framing).
-	Wire []byte
-	// Items is the one command Wire carries.
 	Items []Item
 }
 
-// SubmitResult reports what Submit did with an item.
+// SubmitResult is always zero: nothing is queued, superseded or evicted.
+// Its fields stay declared because bench/replay.go still reads them.
 type SubmitResult struct {
-	// Pass means the governor is ungoverned (no grant yet, or flow
-	// disabled at this layer) and the caller should send the item
-	// directly, bypassing the queue.
-	Pass bool
-	// Superseded and Evicted are never set: nothing queued is dropped
-	// (a paint the queue cannot take is owed before it is encoded; see
-	// Admit). They stay declared because bench/replay.go, frozen outside
-	// benchmark PRs, still reads them.
 	Superseded, Evicted []Item
-	// Depth is the queue depth after the submit (0 on the Pass path).
-	Depth int
-}
-
-// entry is one queued item plus its enqueue time (for the pacing-delay
-// histogram and utilization accounting).
-type entry struct {
-	it Item
-	at time.Duration
+	Depth               int
 }
 
 // Governor paces one session's display stream to its bandwidth grant.
@@ -229,10 +175,6 @@ type Governor struct {
 	tokens float64
 	primed bool
 	last   time.Duration
-
-	queue      []entry
-	queueBytes int
-	dropped    []Item // Reset's reusable return slab
 
 	winStart time.Duration
 	winBytes int64
@@ -249,10 +191,8 @@ type Governor struct {
 	demandKnown bool
 
 	// pacedBytes/pacedRetransBytes count wire bytes this governor has
-	// handed to the transport since creation — both paced releases and
-	// ungoverned pass-throughs — split into fresh display traffic and
-	// debt repayment. The netqual estimator compares them
-	// against console-acknowledged bytes to derive delivered goodput.
+	// charged since creation — paced and ungoverned alike — split into
+	// fresh display traffic and debt repayment.
 	pacedBytes        int64
 	pacedRetransBytes int64
 
@@ -279,8 +219,8 @@ func NewGovernor(cfg Config, m *Metrics) *Governor {
 // SetCosts swaps in a new cost model — typically a calibrated fit from
 // core.Calibrator — and recomputes every cost-derived parameter the
 // caller originally left to the defaults: demand and burst depth.
-// Explicitly configured values are preserved.
-// Queued traffic and grants are untouched; only pacing arithmetic changes.
+// Explicitly configured values are preserved, and so are the tokens and
+// the grant; only pacing arithmetic changes.
 func (g *Governor) SetCosts(cm *core.CostModel) {
 	if cm == nil {
 		return
@@ -301,21 +241,17 @@ func (g *Governor) Config() Config { return g.cfg }
 // Grant reports the granted rate in bits per second (0 = ungoverned).
 func (g *Governor) Grant() uint64 { return g.rate }
 
-// QueueDepth reports the number of queued commands.
-func (g *Governor) QueueDepth() int { return len(g.queue) }
+// QueueDepth is always 0: nothing is queued. Only bench/replay.go calls it.
+func (g *Governor) QueueDepth() int { return 0 }
 
-// QueueBytes reports the queued wire bytes.
-func (g *Governor) QueueBytes() int { return g.queueBytes }
-
-// PacedBytes reports the cumulative wire bytes this governor has handed
-// to the transport: total includes every release and ungoverned
-// pass-through; retrans is the debt-repayment subset. Delivered goodput is
-// estimated by comparing total against console-acknowledged bytes.
+// PacedBytes reports the cumulative wire bytes this governor has charged:
+// total includes every paced and ungoverned send; retrans is the
+// debt-repayment subset.
 func (g *Governor) PacedBytes() (total, retrans int64) {
 	return g.pacedBytes, g.pacedRetransBytes
 }
 
-// DemandBps reports the session's current bandwidth demand: the
+// DemandBps reports the session's bandwidth demand at now: the
 // cost-model ceiling (InitialBps, what the console could decode) capped
 // at roughly twice the measured send rate, floored at ceiling/8. Before
 // the first measurement window completes the ceiling stands unmodified —
@@ -326,20 +262,16 @@ func (g *Governor) PacedBytes() (total, retrans int64) {
 // fully idle session reachable at interactive latency. The server
 // re-announces this value to the console's §7 allocator when it moves, so
 // gen-2 cache hits — bytes that never leave the server — free grant
-// budget for the console's other sessions.
-func (g *Governor) DemandBps() uint64 {
+// budget for the console's other sessions. Asking closes a measurement
+// window that now has completed, so an idle session's demand falls
+// without anything being sent.
+func (g *Governor) DemandBps(now time.Duration) uint64 {
+	g.refill(now)
 	ceil := g.cfg.InitialBps
 	if !g.demandKnown {
 		return ceil
 	}
-	d := 2 * g.measuredBps
-	if floor := ceil / 8; d < floor {
-		d = floor
-	}
-	if d > ceil {
-		d = ceil
-	}
-	return d
+	return min(max(2*g.measuredBps, ceil/8), ceil)
 }
 
 // SetGrant applies a console BandwidthGrant. The first grant fills the
@@ -355,7 +287,8 @@ func (g *Governor) SetGrant(now time.Duration, bps uint64) {
 	g.m.grantBps(int64(bps))
 }
 
-// refill accrues tokens for the time since the last call.
+// refill accrues tokens for the time since the last call, and closes the
+// measurement window when it has run its length.
 func (g *Governor) refill(now time.Duration) {
 	if !g.primed {
 		g.primed = true
@@ -389,140 +322,70 @@ func (g *Governor) clamp() {
 }
 
 // Admit reports whether a fresh paint whose encoding is at most bound wire
-// bytes may be encoded now: always for an ungoverned session, under a grant
-// only while less than a burst is queued and the paint fits under
-// MaxQueueBytes. A refusal is counted; the caller owes the paint instead.
-func (g *Governor) Admit(bound int) bool {
-	if g.rate == 0 || g.queueBytes < g.cfg.BurstBytes && g.queueBytes+bound <= g.cfg.MaxQueueBytes {
+// bytes may be encoded and sent now: always for an ungoverned session;
+// under a grant when the tokens cover bound, or when no debt is
+// outstanding (tokens ≥ 0) and bound is at most burstCeiling — a paint
+// larger than what the bucket holds overdraws it once and the next waits
+// for the grant to pay that back. A refusal is counted; the caller owes
+// the paint instead.
+func (g *Governor) Admit(now time.Duration, bound int) bool {
+	g.refill(now)
+	if g.rate == 0 || float64(bound) <= g.tokens || g.tokens >= 0 && bound <= burstCeiling {
 		return true
 	}
 	g.m.owedInc()
 	return false
 }
 
-// Submit offers one display command. Ungoverned sessions pass straight
-// through (zero allocations); governed ones enqueue it for Release.
+// Submit charges one display command the caller is sending now to the
+// bucket and to the accounting. It never holds the command.
 func (g *Governor) Submit(now time.Duration, it Item) SubmitResult {
 	g.refill(now)
-	g.m.submittedInc()
-	if g.rate == 0 {
-		g.account(int64(it.Bytes()), it.Retransmit)
-		return SubmitResult{Pass: true}
+	bytes := it.Bytes()
+	if g.rate != 0 {
+		g.tokens -= float64(bytes)
 	}
-	g.queue = append(g.queue, entry{it: it, at: now})
-	g.queueBytes += it.Bytes()
-	g.m.queue(len(g.queue), g.queueBytes)
-	return SubmitResult{Depth: len(g.queue)}
+	g.m.released(int64(bytes), it.Retransmit)
+	g.winBytes += int64(bytes)
+	g.pacedBytes += int64(bytes)
+	if it.Retransmit {
+		g.pacedRetransBytes += int64(bytes)
+	}
+	return SubmitResult{}
 }
 
-// Release returns the commands the grant allows to leave now, in sequence
-// order, one Packet each.
-func (g *Governor) Release(now time.Duration) []Packet {
+// Release returns nil: Submit sends. Only bench/replay.go calls it.
+func (g *Governor) Release(time.Duration) []Packet { return nil }
+
+// NextRelease reports nothing pending. Only bench/replay.go calls it.
+func (g *Governor) NextRelease(time.Duration) (time.Duration, bool) { return 0, false }
+
+// Tokens reports the whole bytes the bucket holds at now: negative while a
+// paint that overdrew it is being paid back. Ungoverned sends never charge
+// the bucket.
+func (g *Governor) Tokens(now time.Duration) int {
 	g.refill(now)
-	if len(g.queue) == 0 {
-		return nil
-	}
-	n := 0
-	burst := float64(g.cfg.BurstBytes)
-	for _, e := range g.queue {
-		cost := float64(e.it.Bytes())
-		if g.rate != 0 && g.tokens < cost && g.tokens < burst {
-			// Not enough tokens — and the bucket is not full, so waiting
-			// will help. (A command larger than the whole burst goes out
-			// when the bucket is full, driving tokens negative: an
-			// oversized command must not stall forever.)
-			break
-		}
-		if g.rate != 0 {
-			g.tokens -= cost
-		}
-		g.account(int64(cost), e.it.Retransmit)
-		g.m.pacingDelayed(now - e.at)
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	// One backing array serves every packet's one-item list.
-	pkts, items := make([]Packet, n), make([]Item, n)
-	for i, e := range g.queue[:n] {
-		items[i] = e.it
-		pkts[i] = Packet{Wire: e.it.Wire, Items: items[i : i+1 : i+1]}
-		g.queueBytes -= e.it.Bytes()
-	}
-	rest := copy(g.queue, g.queue[n:])
-	g.queue = g.queue[:rest]
-	g.m.queue(len(g.queue), g.queueBytes)
-	return pkts
+	return int(g.tokens)
 }
 
-// NextRelease reports when the grant next lets the head of the queue
-// leave. ok is false when nothing is queued.
-func (g *Governor) NextRelease(now time.Duration) (time.Duration, bool) {
+// ReadyAt reports the instant the bucket will hold n bytes: now if it does
+// already, or if the session is ungoverned.
+func (g *Governor) ReadyAt(now time.Duration, n int) time.Duration {
 	g.refill(now)
-	if len(g.queue) == 0 {
-		return 0, false
+	if g.rate == 0 || g.tokens >= float64(n) {
+		return now
 	}
-	cost := float64(g.queue[0].it.Bytes())
-	if g.rate == 0 || g.tokens >= cost || g.tokens >= float64(g.cfg.BurstBytes) {
-		return now, true
-	}
-	return now + bytesTime(cost-g.tokens, g.rate), true
+	return now + time.Duration(math.Ceil((float64(n)-g.tokens)*8/float64(g.rate)*float64(time.Second)))
 }
 
-// bytesTime is how long rate bps takes to move n bytes.
-func bytesTime(n float64, rate uint64) time.Duration {
-	if rate == 0 {
-		return 0
-	}
-	return time.Duration(n * 8 / float64(rate) * float64(time.Second))
-}
-
-// account adds wire bytes handed to the transport to the utilization
-// window, the cumulative totals and the metrics.
-func (g *Governor) account(bytes int64, retransmit bool) {
-	g.m.released(bytes, retransmit)
-	g.winBytes += bytes
-	g.pacedBytes += bytes
-	if retransmit {
-		g.pacedRetransBytes += bytes
-	}
-}
-
-// Reset drops all queued state — the attach path calls it when a session
-// moves to a new console, where a full repaint follows anyway. The dropped
-// items are returned so the caller can release their wire buffers (and log
-// the drops); the slice aliases governor scratch and is valid only until
-// the next call. The measured-demand window resets too: the old console's
-// traffic pattern says nothing about the new attachment, and the repaint
-// about to go out deserves the full cost-model demand.
-func (g *Governor) Reset(now time.Duration) []Item {
+// Reset starts the measured-demand window afresh — the attach path calls
+// it when a session moves to a new console: the old console's traffic
+// pattern says nothing about the new attachment, and the repaint about to
+// go out deserves the full cost-model demand.
+func (g *Governor) Reset(now time.Duration) {
 	g.refill(now)
 	g.measuredBps = 0
 	g.demandKnown = false
 	g.winStart = now
 	g.winBytes = 0
-	dropped := g.dropped[:0]
-	for _, e := range g.queue {
-		dropped = append(dropped, e.it)
-	}
-	g.dropped = dropped
-	g.queue = g.queue[:0]
-	g.queueBytes = 0
-	g.m.queue(0, 0)
-	return dropped
-}
-
-// Quiesce is Reset plus grant revocation: queued commands are dropped
-// (returned for buffer release, like Reset), and the
-// granted rate returns to zero so the governor passes traffic ungoverned
-// until the next console's BandwidthGrant arrives. The migration path calls
-// it on the exporting server — the old console's grant was negotiated for
-// the old attachment and must not pace the repaint the importing server
-// sends to the new console.
-func (g *Governor) Quiesce(now time.Duration) []Item {
-	dropped := g.Reset(now)
-	g.rate = 0
-	g.m.grantBps(0)
-	return dropped
 }

@@ -16,225 +16,118 @@ func fillItem(seq uint32, r protocol.Rect, c protocol.Pixel) Item {
 	return Item{Seq: seq, Cmd: protocol.TypeFill, Msg: msg, Wire: protocol.Encode(nil, seq, msg)}
 }
 
-func copyItem(seq uint32, src protocol.Rect, dx, dy int) Item {
-	msg := &protocol.Copy{Rect: src, DstX: dx, DstY: dy}
-	return Item{Seq: seq, Cmd: protocol.TypeCopy, Msg: msg, Wire: protocol.Encode(nil, seq, msg)}
-}
-
-func setItem(seq uint32, r protocol.Rect, c protocol.Pixel) Item {
-	px := make([]protocol.Pixel, r.Pixels())
-	for i := range px {
-		px[i] = c
-	}
-	msg := &protocol.Set{Rect: r, Pixels: px}
-	return Item{Seq: seq, Cmd: protocol.TypeSet, Msg: msg, Wire: protocol.Encode(nil, seq, msg)}
-}
-
 func TestUngovernedPassesThrough(t *testing.T) {
 	g := NewGovernor(Config{}, nil)
-	res := g.Submit(0, fillItem(1, protocol.Rect{W: 10, H: 10}, 0))
-	if !res.Pass {
-		t.Fatal("ungoverned submit should pass through")
-	}
-	if g.QueueDepth() != 0 {
-		t.Fatalf("queue depth = %d, want 0", g.QueueDepth())
-	}
-}
-
-func TestGrantQueuesAndPaces(t *testing.T) {
-	g := NewGovernor(Config{BurstBytes: 64, MaxQueueBytes: 1 << 20}, nil)
-	g.SetGrant(0, 8000) // 1000 bytes/s
-	it := fillItem(1, protocol.Rect{W: 4, H: 4}, 1)
-	size := it.Bytes()
-	// First submit fits in the 64-byte burst; queue more than the burst
-	// covers and they must wait for refill.
-	n := 10
-	for i := 0; i < n; i++ {
-		it := fillItem(uint32(i+1), protocol.Rect{X: i * 10, W: 4, H: 4}, 1)
-		if res := g.Submit(0, it); res.Pass {
-			t.Fatal("granted governor must queue")
-		}
-	}
-	first := g.Release(0)
-	got := 0
-	for _, p := range first {
-		got += len(p.Items)
-	}
-	if want := 64 / size; got != want {
-		t.Fatalf("burst released %d commands, want %d (size %d)", got, want, size)
-	}
-	// After one second, 1000 bytes of tokens arrive (capped at burst —
-	// but drained continuously they cover 1000/size more commands).
-	total := got
-	for ms := 50; ms <= 1000; ms += 50 {
-		for _, p := range g.Release(time.Duration(ms) * time.Millisecond) {
-			total += len(p.Items)
-		}
-	}
-	want := min(n, (64+1000)/size)
-	if total != want {
-		t.Fatalf("released %d commands after 1s, want %d", total, want)
-	}
-	if _, ok := g.NextRelease(time.Second); ok != (total < n) {
-		t.Fatalf("NextRelease ok = %v with %d/%d released", ok, total, n)
-	}
-}
-
-// TestPacingWindowBoundProperty: over any 100 ms window, released bytes
-// never exceed grant/8 × 0.1 s plus one burst (plus one oversized command,
-// which may exceed the burst only when the bucket is full).
-func TestPacingWindowBoundProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		rate := uint64(rng.Intn(990)+10) * 1000 // 10k..1M bps
-		burst := rng.Intn(8<<10) + 512
-		g := NewGovernor(Config{BurstBytes: burst, MaxQueueBytes: 1 << 30}, nil)
-		g.SetGrant(0, rate)
-
-		type rel struct {
-			at    time.Duration
-			bytes int
-		}
-		var rels []rel
-		maxItem := 0
-		now := time.Duration(0)
-		seq := uint32(0)
-		record := func(pkts []Packet) {
-			for _, p := range pkts {
-				n := 0
-				for _, it := range p.Items {
-					n += it.Bytes()
-				}
-				rels = append(rels, rel{at: now, bytes: n})
-			}
-		}
-		for step := 0; step < 400; step++ {
-			now += time.Duration(rng.Intn(20_000)) * time.Microsecond
-			k := rng.Intn(4)
-			for i := 0; i < k; i++ {
-				seq++
-				side := rng.Intn(200) + 1
-				it := setItem(seq, protocol.Rect{X: rng.Intn(100), Y: rng.Intn(100), W: side, H: 1}, protocol.Pixel(rng.Uint32()))
-				if b := it.Bytes(); b > maxItem {
-					maxItem = b
-				}
-				g.Submit(now, it)
-			}
-			record(g.Release(now))
-		}
-		// Sliding 100 ms window over every release point.
-		const win = 100 * time.Millisecond
-		bound := float64(rate)/8*win.Seconds() + float64(max(burst, maxItem)) + 1
-		for i := range rels {
-			sum := 0
-			for j := i; j < len(rels) && rels[j].at-rels[i].at <= win; j++ {
-				sum += rels[j].bytes
-			}
-			if float64(sum) > bound {
-				t.Fatalf("trial %d: %d bytes released in a 100ms window, bound %.0f (rate %d bps, burst %d, maxItem %d)",
-					trial, sum, bound, rate, burst, maxItem)
-			}
-		}
-	}
-}
-
-// TestAdmitHoldsTheQueueToABurst: an ungoverned session admits any paint;
-// under a grant a paint is admitted while less than a burst is queued and
-// it fits under MaxQueueBytes, and each refusal is counted as owed.
-func TestAdmitHoldsTheQueueToABurst(t *testing.T) {
-	r := obs.NewRegistry(obs.DomainWall)
-	g := NewGovernor(Config{BurstBytes: 100, MaxQueueBytes: 1000}, NewMetrics(r, r.Labeled("session", "a")))
-	if !g.Admit(1 << 30) {
+	it := fillItem(1, protocol.Rect{W: 10, H: 10}, 0)
+	if !g.Admit(0, 1<<30) {
 		t.Fatal("an ungoverned governor refused a paint")
 	}
-	g.SetGrant(0, 8) // one byte a second: nothing released after the burst
-	if !g.Admit(1000) || g.Admit(1001) {
-		t.Fatal("an empty queue must admit exactly what fits under MaxQueueBytes")
-	}
-	it := setItem(1, protocol.Rect{W: 30, H: 1}, 1) // 110 B: over the burst
 	g.Submit(0, it)
-	g.Release(0) // leaves on the full bucket
-	for seq := uint32(2); g.QueueBytes() < 100; seq++ {
-		if !g.Admit(1) {
-			t.Fatalf("refused a paint with %d bytes queued, under the burst", g.QueueBytes())
-		}
-		g.Submit(0, fillItem(seq, protocol.Rect{X: int(seq), W: 1, H: 1}, 1))
+	if total, _ := g.PacedBytes(); total != int64(it.Bytes()) {
+		t.Fatalf("ungoverned submit charged %d bytes, want %d", total, it.Bytes())
 	}
-	if g.Admit(1) {
-		t.Fatalf("admitted a paint with %d bytes queued, a burst or more", g.QueueBytes())
+	if tokens, at := g.Tokens(0), g.ReadyAt(0, 1<<20); tokens != 0 || at != 0 {
+		t.Fatalf("ungoverned bucket holds %d tokens, ready at %v; want 0 and now", tokens, at)
+	}
+}
+
+// TestAdmitHoldsTheQueueToABurst: what a governed session sends ahead of
+// its grant is held to one paint of at most burstCeiling. A paint is
+// admitted when the tokens cover it, or when no debt is outstanding and it
+// is at most burstCeiling; while the bucket is in debt nothing more is
+// admitted, and each refusal is counted as owed. A 59 KB video frame — the
+// size video_udp sends — is admitted on non-negative tokens and owed on
+// negative ones.
+func TestAdmitHoldsTheQueueToABurst(t *testing.T) {
+	r := obs.NewRegistry(obs.DomainWall)
+	g := NewGovernor(Config{BurstBytes: 1000}, NewMetrics(r, r.Labeled("session", "a")))
+	if !g.Admit(0, 1<<30) {
+		t.Fatal("an ungoverned governor refused a paint")
+	}
+	g.SetGrant(0, 8000) // 1000 bytes a second
+	const frame = 59 << 10
+	if !g.Admit(0, 1000) || !g.Admit(0, frame) || g.Admit(0, burstCeiling+1) {
+		t.Fatal("a full bucket must admit up to burstCeiling and no more")
+	}
+	g.Submit(0, Item{Wire: make([]byte, frame)})
+	if g.Admit(0, 1) {
+		t.Fatal("admitted a paint while the bucket is in debt")
 	}
 	if got := r.Snapshot().Counters["slim_flow_owed_total"]; got != 2 {
 		t.Fatalf("owed_total = %d, want the 2 refusals", got)
 	}
 }
 
-// packBurst runs one Release's wires through the packer the socket endpoint
-// runs on every burst, returning the datagrams that would leave.
-func packBurst(pkts []Packet) [][]byte {
-	var wires, out [][]byte
-	for _, p := range pkts {
-		wires = append(wires, p.Wire)
+// TestGrantQueuesAndPaces: under a grant the first burst leaves at once,
+// what Submit charges comes out of the tokens at once, and the debt a
+// larger paint runs up is paid back at the grant's pace — ReadyAt names
+// the instant, and the next paint waits for it.
+func TestGrantQueuesAndPaces(t *testing.T) {
+	g := NewGovernor(Config{BurstBytes: 1000}, nil)
+	g.SetGrant(0, 8000) // 1000 bytes a second
+	if got := g.Tokens(0); got != 1000 {
+		t.Fatalf("a first grant fills the bucket to %d tokens, want the 1000 B burst", got)
 	}
-	for len(wires) > 0 {
-		d, n := protocol.PackFrame(nil, wires, core.MaxDatagram)
-		out = append(out, d)
-		wires = wires[n:]
+	const frame = 59 << 10
+	g.Submit(0, Item{Wire: make([]byte, frame)})
+	if got := g.Tokens(0); got != 1000-frame {
+		t.Fatalf("tokens after a %d B frame = %d, want %d", frame, got, 1000-frame)
 	}
-	return out
-}
-
-// The governor frames nothing itself: each released command is its own
-// Packet with its plain wire, and the commands one quantum releases are a
-// burst the endpoint coalesces into one §5.4 frame.
-func TestReleasedFillsPackIntoOneFrame(t *testing.T) {
-	g := NewGovernor(Config{BurstBytes: 1 << 16, MaxQueueBytes: 1 << 20}, nil)
-	g.SetGrant(0, 1<<30)
-	for seq := uint32(1); seq <= 8; seq++ {
-		g.Submit(0, fillItem(seq, protocol.Rect{X: int(seq), W: 2, H: 2}, protocol.Pixel(seq)))
+	back := g.ReadyAt(0, 0)
+	if want := time.Duration(frame-1000) * time.Millisecond; back < want || back > want+time.Microsecond {
+		t.Fatalf("out of debt at %v, want %v", back, want)
 	}
-	pkts := g.Release(time.Millisecond)
-	if len(pkts) != 8 {
-		t.Fatalf("got %d packets, want one per command", len(pkts))
+	if g.Admit(back-time.Millisecond, frame) {
+		t.Fatal("admitted the next frame a millisecond before the debt was paid")
 	}
-	for i, p := range pkts {
-		if len(p.Items) != 1 || p.Items[0].Seq != uint32(i+1) || protocol.IsBatch(p.Wire) {
-			t.Fatalf("packet %d: %d items, framed=%v", i, len(p.Items), protocol.IsBatch(p.Wire))
-		}
-	}
-	out := packBurst(pkts)
-	if len(out) != 1 || !protocol.IsBatch(out[0]) {
-		t.Fatalf("burst left as %d datagrams, want 1 frame", len(out))
-	}
-	seqs, msgs, err := protocol.DecodeBatch(out[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 8 {
-		t.Fatalf("frame holds %d msgs, want 8", len(msgs))
-	}
-	for i, s := range seqs {
-		if s != pkts[i].Items[0].Seq {
-			t.Fatalf("frame seq %d = %d, want %d", i, s, pkts[i].Items[0].Seq)
-		}
+	if !g.Admit(back+time.Millisecond, frame) {
+		t.Fatal("refused a frame on non-negative tokens")
 	}
 }
 
-func TestReleasedLargeCommandStaysPlain(t *testing.T) {
-	g := NewGovernor(Config{BurstBytes: 1 << 20, MaxQueueBytes: 1 << 24}, nil)
-	g.SetGrant(0, 1<<30)
-	g.Submit(0, fillItem(1, protocol.Rect{W: 2, H: 2}, 1))
-	g.Submit(0, setItem(2, protocol.Rect{W: 600, H: 1}, 2)) // 1,820 B: over any frame
-	g.Submit(0, fillItem(3, protocol.Rect{W: 2, H: 2}, 3))
-	pkts := g.Release(time.Millisecond)
-	out := packBurst(pkts)
-	if len(pkts) != 3 || len(out) != 3 {
-		t.Fatalf("got %d packets, %d datagrams, want 3 and 3 (fill, plain set, fill)", len(pkts), len(out))
-	}
-	// Sequence order and the plain wires survive the packer.
-	for i, d := range out {
-		seq, _, _, err := protocol.Decode(d)
-		if err != nil || seq != uint32(i+1) {
-			t.Fatalf("datagram %d: seq %d, err %v", i, seq, err)
+// TestPacingWindowBoundProperty: a session sends what Admit takes and owes
+// the rest, so over any window T the bytes it sends never exceed one burst
+// plus burstCeiling (the most a paint may overdraw the bucket by) plus
+// what the grant refills in T.
+func TestPacingWindowBoundProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 50; trial++ {
+		rate := uint64(rng.Intn(990)+10) * 1000 // 10k..1M bps
+		burst := rng.Intn(8<<10) + 512
+		g := NewGovernor(Config{BurstBytes: burst}, nil)
+		g.SetGrant(0, rate)
+
+		type send struct {
+			at    time.Duration
+			bytes int
+		}
+		var sends []send
+		now := time.Duration(0)
+		for step := 0; step < 400; step++ {
+			now += time.Duration(rng.Intn(20_000)) * time.Microsecond
+			for k := rng.Intn(4); k > 0; k-- {
+				n := rng.Intn(200) + 1
+				if rng.Intn(20) == 0 {
+					n = rng.Intn(burstCeiling) + 1 // a frame larger than any burst
+				}
+				if g.Admit(now, n) {
+					g.Submit(now, Item{Wire: make([]byte, n)})
+					sends = append(sends, send{at: now, bytes: n})
+				}
+			}
+		}
+		for _, win := range []time.Duration{0, 10 * time.Millisecond, 100 * time.Millisecond, time.Second} {
+			bound := float64(burst+burstCeiling) + float64(rate)/8*win.Seconds()
+			for i := range sends {
+				sum := 0
+				for j := i; j < len(sends) && sends[j].at-sends[i].at <= win; j++ {
+					sum += sends[j].bytes
+				}
+				if float64(sum) > bound {
+					t.Fatalf("trial %d: %d bytes sent in a %v window, bound %.0f (rate %d bps, burst %d)",
+						trial, sum, win, bound, rate, burst)
+				}
+			}
 		}
 	}
 }
@@ -243,41 +136,32 @@ func TestMetricsPublish(t *testing.T) {
 	r := obs.NewRegistry(obs.DomainWall)
 	series := r.Labeled("session", "alice")
 	m := NewMetrics(r, series)
-	g := NewGovernor(Config{BurstBytes: 1 << 20, MaxQueueBytes: 1 << 20}, m)
+	g := NewGovernor(Config{BurstBytes: 1 << 10}, m)
 	g.SetGrant(0, 1)
 	g.Submit(0, fillItem(1, protocol.Rect{X: 1, Y: 1, W: 4, H: 4}, 1))
-	g.Admit(1 << 21)
+	g.Admit(0, burstCeiling+1)
 	snap := r.Snapshot()
 	if snap.Counters["slim_flow_owed_total"] != 1 {
 		t.Fatalf("owed_total = %d, want 1", snap.Counters["slim_flow_owed_total"])
 	}
-	if snap.Gauges[`slim_flow_queue_depth{session="alice"}`] != 1 {
-		t.Fatalf("queue depth gauge = %d, want 1", snap.Gauges[`slim_flow_queue_depth{session="alice"}`])
-	}
 	if snap.Gauges[`slim_flow_grant_bps{session="alice"}`] != 1 {
 		t.Fatal("grant gauge missing")
 	}
-	// Utilization publishes once a window elapses; repayment bytes are
-	// charged as they leave, not as they are queued.
+	// Repayment bytes are charged as they are sent; utilization publishes
+	// once a window elapses.
 	owed := fillItem(3, protocol.Rect{X: 20, W: 4, H: 4}, 3)
 	owed.Retransmit = true
 	g.Submit(0, owed)
-	if got := r.Snapshot().Counters["slim_flow_retransmit_bytes_total"]; got != 0 {
-		t.Fatalf("retransmit_bytes_total = %d with the repaint still queued", got)
+	if got := r.Snapshot().Counters["slim_flow_retransmit_bytes_total"]; got != int64(owed.Bytes()) {
+		t.Fatalf("retransmit_bytes_total = %d, want %d", got, owed.Bytes())
 	}
-	g.SetGrant(0, 1<<20)
-	g.Release(time.Millisecond)
-	g.Release(2 * time.Second)
-	snap = r.Snapshot()
-	if got := snap.Counters["slim_flow_retransmit_bytes_total"]; got != int64(owed.Bytes()) {
-		t.Fatalf("retransmit_bytes_total = %d after release, want %d", got, owed.Bytes())
-	}
-	if _, ok := snap.Gauges[`slim_flow_grant_utilization{session="alice"}`]; !ok {
+	g.Tokens(2 * time.Second)
+	if _, ok := r.Snapshot().Gauges[`slim_flow_grant_utilization{session="alice"}`]; !ok {
 		t.Fatal("grant utilization gauge missing")
 	}
 	series.Remove()
 	snap = r.Snapshot()
-	if _, ok := snap.Gauges[`slim_flow_queue_depth{session="alice"}`]; ok {
+	if _, ok := snap.Gauges[`slim_flow_grant_bps{session="alice"}`]; ok {
 		t.Fatal("Remove left per-session gauges behind")
 	}
 	if _, ok := snap.Counters["slim_flow_owed_total"]; !ok {
@@ -285,25 +169,37 @@ func TestMetricsPublish(t *testing.T) {
 	}
 }
 
-// TestUngovernedZeroAlloc pins the disabled-path allocation count at zero,
-// admission included (governed too: Admit is arithmetic); the benchmarks in
+// TestUngovernedZeroAlloc pins the governor's allocation count at zero:
+// ungoverned, governed while sending under its grant, and governed while
+// refusing. Nothing it does per command may allocate; the benchmarks in
 // bench guard it over time.
 func TestUngovernedZeroAlloc(t *testing.T) {
-	g := NewGovernor(Config{}, nil)
 	it := fillItem(1, protocol.Rect{W: 8, H: 8}, 1)
-	allocs := testing.AllocsPerRun(1000, func() {
-		g.Admit(it.Bytes())
-		g.Submit(0, it)
-		g.Release(0)
-	})
-	if allocs != 0 {
-		t.Fatalf("ungoverned admit+submit+release allocates %.1f per op, want 0", allocs)
-	}
 	r := obs.NewRegistry(obs.DomainWall)
-	paced := NewGovernor(Config{BurstBytes: 1}, NewMetrics(r, r.Labeled("session", "a")))
-	paced.SetGrant(0, 8)
-	paced.Submit(0, it)
-	if allocs := testing.AllocsPerRun(1000, func() { paced.Admit(it.Bytes()) }); allocs != 0 {
+	send := func(g *Governor, now *time.Duration) func() {
+		return func() {
+			*now += time.Millisecond
+			if g.Admit(*now, it.Bytes()) {
+				g.Submit(*now, it)
+			}
+		}
+	}
+	var now time.Duration
+	if allocs := testing.AllocsPerRun(1000, send(NewGovernor(Config{}, nil), &now)); allocs != 0 {
+		t.Fatalf("ungoverned admit+submit allocates %.1f per op, want 0", allocs)
+	}
+	granted := NewGovernor(Config{}, NewMetrics(r, r.Labeled("session", "a")))
+	granted.SetGrant(0, 1<<30)
+	if allocs := testing.AllocsPerRun(1000, send(granted, &now)); allocs != 0 {
+		t.Fatalf("a governed send under its grant allocates %.1f per op, want 0", allocs)
+	}
+	if sent, _ := granted.PacedBytes(); sent == 0 {
+		t.Fatal("the governed session sent nothing under a gigabit grant")
+	}
+	refusing := NewGovernor(Config{BurstBytes: 1}, NewMetrics(r, r.Labeled("session", "b")))
+	refusing.SetGrant(0, 8)
+	refusing.Submit(0, it)
+	if allocs := testing.AllocsPerRun(1000, func() { refusing.Admit(0, it.Bytes()) }); allocs != 0 {
 		t.Fatalf("a governed refusal allocates %.1f per call, want 0", allocs)
 	}
 }
@@ -313,21 +209,23 @@ func BenchmarkSubmitUngoverned(b *testing.B) {
 	it := fillItem(1, protocol.Rect{W: 8, H: 8}, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Submit(0, it)
-		g.Release(0)
+		if g.Admit(0, it.Bytes()) {
+			g.Submit(0, it)
+		}
 	}
 }
 
 func BenchmarkSubmitGoverned(b *testing.B) {
-	g := NewGovernor(Config{BurstBytes: 1 << 16, MaxQueueBytes: 1 << 20}, nil)
+	g := NewGovernor(Config{BurstBytes: 1 << 16}, nil)
 	g.SetGrant(0, 1<<30)
 	it := fillItem(1, protocol.Rect{W: 8, H: 8}, 1)
 	b.ReportAllocs()
 	now := time.Duration(0)
 	for i := 0; i < b.N; i++ {
 		now += time.Microsecond
-		g.Submit(now, it)
-		g.Release(now)
+		if g.Admit(now, it.Bytes()) {
+			g.Submit(now, it)
+		}
 	}
 }
 
@@ -399,21 +297,15 @@ func TestPacedBytesAccounting(t *testing.T) {
 		t.Fatalf("retransmit paced = (%d, %d), want (%d, %d)", total, retrans, 2*size, size)
 	}
 
-	// Governed: queued bytes count only when the bucket releases them.
-	g = NewGovernor(Config{BurstBytes: int(size), MaxQueueBytes: 1 << 20}, nil)
+	// Governed: bytes count as they are sent, and come out of the tokens.
+	g = NewGovernor(Config{BurstBytes: int(size)}, nil)
 	g.SetGrant(0, 8*uint64(size)) // size bytes/s: one command per second
 	g.Submit(0, fillItem(1, protocol.Rect{W: 4, H: 4}, 1))
-	g.Submit(0, fillItem(2, protocol.Rect{X: 10, W: 4, H: 4}, 1))
-	if total, _ := g.PacedBytes(); total != 0 {
-		t.Fatalf("queued bytes already paced: %d", total)
+	if total, _ := g.PacedBytes(); total != size || g.Tokens(0) != 0 {
+		t.Fatalf("paced after a burst's send = %d with %d tokens left, want %d and 0", total, g.Tokens(0), size)
 	}
-	g.Release(0)
-	if total, _ := g.PacedBytes(); total != size {
-		t.Fatalf("paced after burst = %d, want %d", total, size)
-	}
-	g.Release(time.Second)
-	if total, retrans := g.PacedBytes(); total != 2*size || retrans != 0 {
-		t.Fatalf("paced after refill = (%d, %d), want (%d, 0)", total, retrans, 2*size)
+	if g.ReadyAt(0, int(size)) != time.Second {
+		t.Fatalf("the next command may leave at %v, want 1s", g.ReadyAt(0, int(size)))
 	}
 }
 
@@ -426,7 +318,7 @@ func TestPacedBytesAccounting(t *testing.T) {
 func TestDemandBpsTracksMeasuredRate(t *testing.T) {
 	const ceiling = 8000
 	g := NewGovernor(Config{InitialBps: ceiling}, nil)
-	if got := g.DemandBps(); got != ceiling {
+	if got := g.DemandBps(0); got != ceiling {
 		t.Fatalf("demand before first window = %d, want ceiling %d", got, ceiling)
 	}
 
@@ -450,10 +342,10 @@ func TestDemandBpsTracksMeasuredRate(t *testing.T) {
 	if want > ceiling {
 		want = ceiling
 	}
-	if got := g.DemandBps(); got != want {
+	if got := g.DemandBps(time.Second); got != want {
 		t.Fatalf("demand after %d bytes/s = %d, want %d (item size %d)", sent, got, want, size)
 	}
-	if got := g.DemandBps(); got <= ceiling/8 || got >= ceiling {
+	if got := g.DemandBps(time.Second); got <= ceiling/8 || got >= ceiling {
 		t.Fatalf("test content did not land mid-range: demand %d, ceiling %d", got, ceiling)
 	}
 
@@ -464,20 +356,20 @@ func TestDemandBpsTracksMeasuredRate(t *testing.T) {
 		g.Submit(time.Second+time.Duration(i)*time.Millisecond, it)
 	}
 	g.Submit(2200*time.Millisecond, fillItem(999, protocol.Rect{Y: 80, W: 8, H: 8}, 0))
-	if got := g.DemandBps(); got != ceiling {
+	if got := g.DemandBps(2200 * time.Millisecond); got != ceiling {
 		t.Fatalf("busy demand = %d, want capped at ceiling %d", got, ceiling)
 	}
 
 	// An idle window drops to the floor, never zero: the session must
-	// stay reachable at interactive latency.
-	g.Submit(3300*time.Millisecond, fillItem(1000, protocol.Rect{Y: 120, W: 8, H: 8}, 0))
-	if got, floor := g.DemandBps(), uint64(ceiling/8); got != floor {
+	// stay reachable at interactive latency. Asking closes the window; no
+	// send is needed.
+	if got, floor := g.DemandBps(3300*time.Millisecond), uint64(ceiling/8); got != floor {
 		t.Fatalf("idle demand = %d, want floor %d", got, floor)
 	}
 
 	// Hotdesk: the measurement says nothing about the new console.
 	g.Reset(3400 * time.Millisecond)
-	if got := g.DemandBps(); got != ceiling {
+	if got := g.DemandBps(3400 * time.Millisecond); got != ceiling {
 		t.Fatalf("demand after Reset = %d, want ceiling %d", got, ceiling)
 	}
 }

@@ -11,7 +11,8 @@ import (
 // Stage classifies the pipeline stage that dominated a breach's latency —
 // the answer to "why was this frame late". The taxonomy follows the
 // display path the flight recorder already records: encode on the server,
-// governor queueing, the wire (including loss detection and retransmit),
+// the wait before the transport, the wire (including loss detection and
+// retransmit),
 // console decode, and the final paint/apply.
 type Stage uint8
 
@@ -22,8 +23,9 @@ const (
 	StageUnattributed Stage = iota
 	// StageEncode: the server spent the time lowering ops into commands.
 	StageEncode
-	// StageQueue: the flow governor held the commands, pacing to the
-	// console's bandwidth grant (or the send path stalled before TX).
+	// StageQueue: the commands waited between ENCODE and TX — the send
+	// path stalled before the transport. (The flow governor holds no
+	// commands: a paint its tokens cannot take is owed, EvOwe.)
 	StageQueue
 	// StageWire: the time went to the interconnect — serialization,
 	// queueing in the link, or loss followed by NACK-driven retransmit.
@@ -126,7 +128,7 @@ func (w HostWindow) overlap(from, to time.Duration) time.Duration {
 
 // Verdict is one breach's automated attribution: the dominant stage plus
 // the per-stage time split along the critical command's path. A verdict is
-// computed by walking the causal chain (INPUT → ENCODE → TXQ → TX → RX →
+// computed by walking the causal chain (INPUT → ENCODE → TX → RX →
 // DECODE → PAINT, with DROP/NACK as loss evidence and OWE marking a paint
 // deferred to repayment) for the input-chain ID that breached.
 type Verdict struct {
@@ -182,7 +184,6 @@ func (v *Verdict) StageDuration(s Stage) time.Duration {
 // Attribute scans the ring.
 type seqPath struct {
 	encT            time.Duration
-	queued          bool
 	txT             time.Duration // first TX
 	txN             int
 	rxT             time.Duration
@@ -254,8 +255,6 @@ func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWin
 			continue
 		}
 		switch ev.Kind {
-		case EvTxQueue:
-			p.queued = true
 		case EvTx:
 			if p.txN == 0 || ev.T < p.txT {
 				p.txT = ev.T

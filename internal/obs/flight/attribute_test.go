@@ -48,14 +48,13 @@ func TestAttributeWireLoss(t *testing.T) {
 	}
 }
 
-// TestAttributeQueue blames the governor when the command sat in the
-// paced queue for most of the latency.
+// TestAttributeQueue blames the send path when the command sat between
+// ENCODE and TX for most of the latency.
 func TestAttributeQueue(t *testing.T) {
 	const chain = 9
 	evs := []Event{
 		{T: ms(0), Kind: EvInput, Cmd: protocol.TypeKey, Cause: chain},
 		{T: ms(1), Kind: EvEncode, Cmd: protocol.TypeFill, Seq: 10, Cause: chain},
-		{T: ms(1), Kind: EvTxQueue, Cmd: protocol.TypeFill, Seq: 10, Cause: chain, B: 12},
 		{T: ms(180), Kind: EvTx, Cmd: protocol.TypeFill, Seq: 10, Cause: chain},
 		{T: ms(183), Kind: EvRx, Cmd: protocol.TypeFill, Seq: 10, Cause: chain},
 		{T: ms(184), Kind: EvPaint, Cmd: protocol.TypeFill, Seq: 10, Cause: chain},

@@ -80,32 +80,30 @@ const (
 	// EvBreach: the session's input-to-paint latency breached the SLO
 	// target. A = observed latency in nanoseconds, B = target.
 	EvBreach
-	// EvTxQueue: the flow governor queued a command instead of sending it
-	// immediately — the session is pacing to its bandwidth grant. A = wire
-	// bytes, B = queue depth after the enqueue.
-	EvTxQueue
+	// Kind 13 was TXQ, a command entering the flow governor's send queue,
+	// which is gone. The number stays reserved: dumps store kinds as numbers.
+	_
 	// EvOwe: the session applied a fresh paint to its frame buffer without
-	// encoding it, because the governor's queue could not take it now; the
+	// encoding it, because the governor's tokens could not take it now; the
 	// console is owed the pixels, repainted later from the latest state.
-	// A = owed pixels, B = queued bytes at the decision.
+	// A = owed pixels, B = the governor's tokens at the decision.
 	EvOwe
 )
 
 var kindNames = [...]string{
-	EvInput:   "INPUT",
-	EvOp:      "OP",
-	EvEncode:  "ENCODE",
-	EvTx:      "TX",
-	EvRx:      "RX",
-	EvDecode:  "DECODE",
-	EvPaint:   "PAINT",
-	EvStatus:  "STATUS",
-	EvNack:    "NACK",
-	EvDrop:    "DROP",
-	EvLinkTx:  "LINK_TX",
-	EvBreach:  "BREACH",
-	EvTxQueue: "TXQ",
-	EvOwe:     "OWE",
+	EvInput:  "INPUT",
+	EvOp:     "OP",
+	EvEncode: "ENCODE",
+	EvTx:     "TX",
+	EvRx:     "RX",
+	EvDecode: "DECODE",
+	EvPaint:  "PAINT",
+	EvStatus: "STATUS",
+	EvNack:   "NACK",
+	EvDrop:   "DROP",
+	EvLinkTx: "LINK_TX",
+	EvBreach: "BREACH",
+	EvOwe:    "OWE",
 }
 
 // String names the event kind.
@@ -314,16 +312,10 @@ func (l *SessionLog) Drop(seq uint32, cmd protocol.MsgType, bytes int64) {
 	l.record(Event{Kind: EvDrop, Cmd: cmd, Seq: seq, A: bytes})
 }
 
-// TxQueue records the flow governor queueing one command for paced
-// release (depth is the queue depth after the enqueue).
-func (l *SessionLog) TxQueue(seq uint32, cmd protocol.MsgType, bytes, depth int64) {
-	l.record(Event{Kind: EvTxQueue, Cmd: cmd, Seq: seq, A: bytes, B: depth})
-}
-
-// Owe records a fresh paint of pixels owed instead of encoded, with
-// queueBytes queued when the governor refused it.
-func (l *SessionLog) Owe(pixels, queueBytes int64) {
-	l.record(Event{Kind: EvOwe, A: pixels, B: queueBytes})
+// Owe records a fresh paint of pixels owed instead of encoded, with the
+// governor's tokens when it was refused.
+func (l *SessionLog) Owe(pixels, tokens int64) {
+	l.record(Event{Kind: EvOwe, A: pixels, B: tokens})
 }
 
 // Events returns the ring's surviving events in time order. A non-zero

@@ -359,3 +359,14 @@ func BenchmarkRecordEnabledParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestRetiredKindKeepsNumbers: dumps store kinds as numbers, so retiring
+// TXQ (13) leaves the kinds after it where they were.
+func TestRetiredKindKeepsNumbers(t *testing.T) {
+	if EvBreach != 12 || EvOwe != 14 {
+		t.Fatalf("BREACH = %d, OWE = %d; want 12 and 14", EvBreach, EvOwe)
+	}
+	if got := Kind(13).String(); got != "Kind(13)" {
+		t.Errorf("the retired kind 13 reads %q", got)
+	}
+}

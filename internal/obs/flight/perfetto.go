@@ -34,7 +34,7 @@ func lane(k Kind) int {
 		return laneInput
 	case EvOp, EvEncode:
 		return laneEncode
-	case EvTx, EvRx, EvDrop, EvTxQueue, EvOwe:
+	case EvTx, EvRx, EvDrop, EvOwe:
 		return laneTransport
 	case EvDecode, EvPaint, EvStatus, EvNack:
 		return laneConsole

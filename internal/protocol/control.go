@@ -212,9 +212,9 @@ func (m *HelloAck) UnmarshalBody(src []byte) error {
 // Status is a periodic console heartbeat carrying decode statistics; the
 // server uses it to detect losses and console overload.
 type Status struct {
-	LastSeq    uint32 // highest display sequence applied
-	Dropped    uint32 // commands dropped since boot
-	QueueDepth uint16 // commands waiting to be decoded
+	LastSeq uint32 // highest display sequence applied
+	Dropped uint32 // commands dropped since boot
+	Backlog uint16 // commands waiting to be decoded
 }
 
 // Type implements Message.
@@ -228,7 +228,7 @@ func (m *Status) MarshalBody(dst []byte) []byte {
 	var b [10]byte
 	binary.BigEndian.PutUint32(b[0:], m.LastSeq)
 	binary.BigEndian.PutUint32(b[4:], m.Dropped)
-	binary.BigEndian.PutUint16(b[8:], m.QueueDepth)
+	binary.BigEndian.PutUint16(b[8:], m.Backlog)
 	return append(dst, b[:]...)
 }
 
@@ -239,7 +239,7 @@ func (m *Status) UnmarshalBody(src []byte) error {
 	}
 	m.LastSeq = binary.BigEndian.Uint32(src[0:])
 	m.Dropped = binary.BigEndian.Uint32(src[4:])
-	m.QueueDepth = binary.BigEndian.Uint16(src[8:])
+	m.Backlog = binary.BigEndian.Uint16(src[8:])
 	return nil
 }
 

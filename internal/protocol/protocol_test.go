@@ -142,7 +142,7 @@ func sampleMessages() []Message {
 		&Audio{SampleRate: 44100, Channels: 2, Samples: []byte{1, 2, 3, 4}},
 		&Hello{Width: 1280, Height: 1024, CardToken: "card-42"},
 		&HelloAck{SessionID: 7},
-		&Status{LastSeq: 10, Dropped: 2, QueueDepth: 3},
+		&Status{LastSeq: 10, Dropped: 2, Backlog: 3},
 		&Nack{From: 5, To: 9},
 		&BandwidthRequest{SessionID: 1, Bps: 40_000_000},
 		&BandwidthGrant{SessionID: 1, Bps: 20_000_000},

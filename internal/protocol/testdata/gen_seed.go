@@ -60,7 +60,7 @@ func main() {
 		&protocol.Hello{Width: 1280, Height: 1024, CardToken: "card-42"},
 		&protocol.KeyEvent{Code: 0x1234, Down: true},
 		&protocol.PointerEvent{X: 100, Y: 200, Buttons: 1},
-		&protocol.Status{LastSeq: 10, Dropped: 2, QueueDepth: 3},
+		&protocol.Status{LastSeq: 10, Dropped: 2, Backlog: 3},
 		&protocol.Nack{From: 5, To: 9},
 		&protocol.BandwidthRequest{SessionID: 7, Bps: 40_000_000},
 	}

@@ -51,7 +51,8 @@ func TestFlowSessionRequestsBandwidth(t *testing.T) {
 }
 
 // TestFlowGrantPacesTraffic grants a tiny rate, floods input-driven
-// damage, and checks queued commands release only as virtual time passes.
+// damage, and checks that what the grant could not take is owed and paid
+// only as virtual time passes.
 func TestFlowGrantPacesTraffic(t *testing.T) {
 	tr := newMemTransport()
 	s, _ := newFlowServer(t, tr, flow.Config{
@@ -66,42 +67,41 @@ func TestFlowGrantPacesTraffic(t *testing.T) {
 	if err := s.Handle("c1", &protocol.BandwidthGrant{SessionID: sess.ID, Bps: 8_000}, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The first grant fills the burst bucket; drain it with the repaint
-	// already queued plus a couple of keystrokes, then flood.
+	// The first grant fills the burst bucket; the first keystrokes spend
+	// it, the rest of the flood is owed.
 	for i := 0; i < 400; i++ {
 		if err := s.Handle("c1", &protocol.KeyEvent{Code: uint16('a' + i%26), Down: true}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	gov := sess.Governor()
-	if gov.QueueDepth() == 0 {
-		t.Fatal("flooded governed session has an empty queue")
+	if s.Owed("alice") == nil {
+		t.Fatal("flooded governed session owes nothing")
 	}
 	if !s.FlowPending() {
-		t.Error("FlowPending = false after a call left a queue behind")
+		t.Error("FlowPending = false after a call left a debt behind")
 	}
 	sentAt0 := len(tr.sent["c1"])
 	if _, _, err := s.PumpFlows(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.sent["c1"]); got != sentAt0 {
-		t.Errorf("pump at t=0 released %d datagrams with an empty bucket", got-sentAt0)
+		t.Errorf("pump at t=0 sent %d datagrams with an empty bucket", got-sentAt0)
 	}
 	next, pending, err := s.PumpFlows(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.sent["c1"]); got == sentAt0 {
-		t.Error("pump after 10s released nothing")
+		t.Error("pump after 10s paid nothing")
 	}
 	if pending && next <= 10*time.Second {
-		t.Errorf("next release %v not in the future", next)
+		t.Errorf("next piece due at %v, not in the future", next)
 	}
 	if s.FlowPending() != pending {
 		t.Errorf("FlowPending = %v after a pump that reported pending = %v", !pending, pending)
 	}
-	if drain(t, s, 10*time.Second, time.Minute); s.FlowPending() {
-		t.Error("FlowPending = true with every queue drained")
+	if drain(t, s, 10*time.Second, time.Minute); s.FlowPending() || s.Owed("alice") != nil {
+		t.Errorf("FlowPending = %v, owed %v after the debt was paid", s.FlowPending(), s.Owed("alice"))
 	}
 }
 
@@ -129,7 +129,7 @@ func noiseScreen(sess *Session) {
 }
 
 // drain pumps the governors every step of transport time from now until
-// nothing is queued, and returns the time of the last pump.
+// nothing is owed, and returns the time of the last pump.
 func drain(t *testing.T, s *Server, now, step time.Duration) time.Duration {
 	t.Helper()
 	for {
@@ -146,9 +146,10 @@ func drain(t *testing.T, s *Server, now, step time.Duration) time.Duration {
 // region the session owes, so a storm inside one round trip — eight
 // overlapping NACKs, a NACK aged out of the sent log and a lagging STATUS,
 // on a 1280×1024 gen-2 screen under a grant — costs what the NACKs named
-// plus one screen of 5,120 tiles, and the queue never holds more than a
-// burst of it. (With a repaint computed at each trigger it cost a screen for
-// the STATUS, evicted as it was queued, and another for the aged-out NACK.)
+// plus one screen of 5,120 tiles, and no more than a burst and a tile of it
+// leaves before the clock moves. (With a repaint computed at each trigger it
+// cost a screen for the STATUS, evicted as it was queued, and another for
+// the aged-out NACK.)
 func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	const w, h, tiles = 1280, 1024, (1280 / core.TileSize) * (1024 / core.TileSize)
 	tr := &wireLog{}
@@ -179,13 +180,20 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	storm = append(storm,
 		&protocol.Nack{From: 1, To: 1},
 		&protocol.Status{LastSeq: last - 612})
+	before := len(tr.sizes)
 	for _, msg := range storm {
 		if err := s.Handle("c1", msg, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if queued, burst := sess.Governor().QueueBytes(), sess.Governor().Config().BurstBytes; queued > burst {
-		t.Errorf("the storm left %d bytes queued, more than a burst of %d", queued, burst)
+	sent := 0
+	for i, n := range tr.sizes[before:] {
+		if tr.types[before+i].IsDisplay() {
+			sent += n
+		}
+	}
+	if burst := sess.Governor().Config().BurstBytes; sent > burst+tileWire {
+		t.Errorf("the storm sent %d bytes at once, more than a burst of %d and a tile", sent, burst)
 	}
 	drain(t, s, time.Second, 100*time.Millisecond)
 	if cost := sess.Encoder.LastSeq() - last; cost < tiles || cost > tiles+64 {
@@ -193,12 +201,12 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	}
 }
 
-// TestFreshPaintPassesPacedRepaint: under a grant the debt is offered to the
-// governor half a burst at a time and only into a queue holding less than
-// the other half, so a keystroke typed in the middle of a paced full
-// repaint leaves behind at most one burst of recovery bytes, with most of
-// the screen still owed. (Queued in one piece, the repaint put 256 KB
-// ahead of the echo and lost the rest to eviction.)
+// TestFreshPaintPassesPacedRepaint: under a grant the debt is paid only in
+// pieces the tokens cover, so the bucket is never in debt for long and a
+// keystroke typed in the middle of a paced full repaint leaves behind at
+// most one burst of recovery bytes, with most of the screen still owed.
+// (Queued in one piece, the repaint put 256 KB ahead of the echo and lost
+// the rest to eviction.)
 func TestFreshPaintPassesPacedRepaint(t *testing.T) {
 	tr := &wireLog{}
 	s, _ := newFlowServer(t, tr, flow.Config{})
@@ -218,8 +226,8 @@ func TestFreshPaintPassesPacedRepaint(t *testing.T) {
 	if _, _, err := s.PumpFlows(now); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Governor().QueueBytes() == 0 {
-		t.Fatal("nothing queued a second into the repaint; nothing is paced")
+	if s.Owed("alice") == nil {
+		t.Fatal("nothing owed a second into the repaint; nothing is paced")
 	}
 	typed := len(tr.types)
 	if err := s.Handle("c2", &protocol.KeyEvent{Code: 'x', Down: true}, now); err != nil {
@@ -325,11 +333,11 @@ func (opApp) HandlePointer(protocol.PointerEvent) []core.Op { return nil }
 
 // TestCopyOfOwedPixelsIsOwed: a debt paid late must not let the console
 // copy the stale pixels somewhere the debt does not cover. A fill is lost
-// on the wire; its NACK finds the queue busy, so the region waits; a COPY
-// drawn meanwhile reads it. Sent, it would copy what the console has — not
-// the fill — so it is owed instead: applied to the frame buffer, never
+// on the wire; its NACK finds the bucket in debt, so the region waits; a
+// COPY drawn meanwhile reads it. Sent, it would copy what the console has —
+// not the fill — so it is owed instead: applied to the frame buffer, never
 // encoded, its destination added to the debt, and the repaint that follows
-// puts both right.
+// puts all of it right.
 func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
 	from := protocol.Rect{X: 8, Y: 8, W: 16, H: 16}
 	to := protocol.Rect{X: 40, Y: 40, W: 16, H: 16}
@@ -340,7 +348,7 @@ func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
 	}
 	tr := newMemTransport()
 	// A one-byte bucket at one byte a second: the first command after the
-	// grant leaves, every later one queues.
+	// grant leaves and overdraws it, every later one is owed.
 	s := New(tr, func(string, int, int) Application { return app }, WithTelemetry(telemetry.New(obs.DomainWall)),
 		WithFlowControl(flow.Config{InitialBps: 1_000_000, BurstBytes: 1}))
 	s.Auth.Register("card-alice", "alice")
@@ -360,16 +368,18 @@ func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sess.Encoder.LastSeq() != lost+1 {
-		t.Fatalf("%d commands encoded before the queue moved, want the two fills: the debt did not wait, or the COPY was sent",
+	if sess.Encoder.LastSeq() != lost {
+		t.Fatalf("%d commands encoded after the grant, want the first fill alone: the debt did not wait, or a later op was sent",
 			sess.Encoder.LastSeq()-lost+1)
 	}
 	var owed fb.Region
 	for _, r := range s.Owed("alice") {
 		owed.Add(r)
 	}
-	if owed.Subtract(from); owed.Area() != to.Pixels() || owed.Bounds() != to {
-		t.Fatalf("owed %v, want the fill's rect and the COPY's destination", s.Owed("alice"))
+	owed.Subtract(from)
+	owed.Subtract(app['x'].Bounds())
+	if owed.Area() != to.Pixels() || owed.Bounds() != to {
+		t.Fatalf("owed %v, want the lost fill's rect, the owed fill's and the COPY's destination", s.Owed("alice"))
 	}
 	drain(t, s, time.Hour, time.Hour)
 	screen := fb.New(64, 64)
@@ -401,7 +411,7 @@ func TestFlowTerminateUnregisters(t *testing.T) {
 	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
 		t.Fatal(err)
 	}
-	name := `slim_flow_queue_depth{session="alice"}`
+	name := `slim_flow_grant_bps{session="alice"}`
 	if _, ok := reg.Snapshot().Gauges[name]; !ok {
 		t.Fatalf("governed session did not publish %s", name)
 	}

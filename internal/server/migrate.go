@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"slim/internal/protocol"
 )
@@ -19,8 +18,8 @@ import (
 //
 // The migration state machine, driven by the broker:
 //
-//	quiesce   ExportSession drains the flow governor (grant revoked,
-//	          queued damage dropped — a full repaint follows anyway)
+//	quiesce   ExportSession detaches the console and drops the session,
+//	          its governor and what it owed — a full repaint follows anyway
 //	snapshot  frame buffer pixels + app state + LastSeq leave the source
 //	replay    ImportSession rebuilds encoder and application and resumes
 //	          the sequence counter
@@ -49,12 +48,12 @@ type SessionSnapshot struct {
 }
 
 // ExportSession freezes a user's session for migration and removes it from
-// this server (closeLocked, keeping the stores shards share): the flow
-// governor is quiesced — grant revoked, queued damage dropped and
-// flight-logged, since the importing side repaints in full — and the
-// attached console (if any) receives SessionDetach. Terminate remains the
-// eviction point for the flight ring, SLO state, and path estimator.
-func (s *Server) ExportSession(user string, now time.Duration) (*SessionSnapshot, error) {
+// this server (closeLocked, keeping the stores shards share): the attached
+// console (if any) receives SessionDetach, and the governor and the owed
+// region go with the session, since the importing side builds its own and
+// repaints in full. Terminate remains the eviction point for the flight
+// ring, SLO state, and path estimator.
+func (s *Server) ExportSession(user string) (*SessionSnapshot, error) {
 	s.mu.Lock()
 	sess, err := s.userSessionLocked(user)
 	if err != nil {
@@ -62,7 +61,7 @@ func (s *Server) ExportSession(user string, now time.Duration) (*SessionSnapshot
 		return nil, err
 	}
 	var out []outbound
-	s.closeLocked(&out, sess, false, now)
+	s.closeLocked(&out, sess, false)
 	sn := sess.snapshot()
 	if s.log != nil {
 		s.log.Info("session exported", "user", user, "session", sn.ID, "last_seq", sn.LastSeq)

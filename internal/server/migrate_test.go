@@ -26,7 +26,7 @@ func migrateSession(t *testing.T, text string) *SessionSnapshot {
 			t.Fatal(err)
 		}
 	}
-	sn, err := src.ExportSession("alice", 0)
+	sn, err := src.ExportSession("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,12 @@ func TestMigrationPreservesScreenAndSequence(t *testing.T) {
 	}
 }
 
-// TestMigrationQuiesceAndStaleNack covers the flow-control cutover: export
-// revokes the governor's grant and drains its queue, and a NACK for a
-// pre-cutover sequence range — the importing server's sent log starts
-// empty — falls back to a full repaint instead of failing.
+// TestMigrationQuiesceAndStaleNack covers the flow-control cutover: a
+// session exported while it owes its console a flood the grant could not
+// take leaves nothing behind — the exporting server has no debt to pay and
+// sends nothing more — and a NACK for a pre-cutover sequence range — the
+// importing server's sent log starts empty — falls back to a full repaint
+// instead of failing.
 func TestMigrationQuiesceAndStaleNack(t *testing.T) {
 	trA := newMemTransport()
 	src, _ := newFlowServer(t, trA, flow.Config{InitialBps: 1_000_000, BurstBytes: 9000})
@@ -139,17 +141,20 @@ func TestMigrationQuiesceAndStaleNack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gov := sess.Governor()
-	if gov.QueueDepth() == 0 {
-		t.Fatal("flood did not queue damage; quiesce has nothing to prove")
+	if src.Owed("alice") == nil || !src.FlowPending() {
+		t.Fatal("flood left no debt; quiesce has nothing to prove")
 	}
 	lastSeq := sess.Encoder.LastSeq()
-	sn, err := src.ExportSession("alice", 0)
+	sn, err := src.ExportSession("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gov.QueueDepth() != 0 {
-		t.Errorf("quiesce left %d items queued", gov.QueueDepth())
+	exported := len(trA.sent["c1"])
+	if _, pending, err := src.PumpFlows(time.Minute); err != nil || pending {
+		t.Errorf("the exporting server still has a debt to pay (pending %v, err %v)", pending, err)
+	}
+	if got := len(trA.sent["c1"]); got != exported {
+		t.Errorf("the exporting server sent %d datagrams after the export", got-exported)
 	}
 	// The console was detached on export.
 	var detached bool
@@ -218,7 +223,7 @@ func TestImportRejectsBadSnapshots(t *testing.T) {
 		t.Errorf("zero-ID import error = %v", err)
 	}
 	// Unknown user: export fails cleanly.
-	if _, err := dst.ExportSession("nobody", 0); err == nil {
+	if _, err := dst.ExportSession("nobody"); err == nil {
 		t.Error("exporting a missing user succeeded")
 	}
 }

@@ -34,9 +34,9 @@ func WithLogger(l *slog.Logger) Option {
 
 // WithCalibratedCosts feeds a live cost-model calibrator back into flow
 // control: whenever cal produces a new fit (its generation advances), the
-// next PumpFlows rebuilds the model and re-derives every governor's
-// demand, burst, and supersession threshold from *measured* per-command
-// costs instead of the static Table 5 constants. Consoles receive a fresh
+// next PumpFlows or heartbeat rebuilds the model and re-derives every
+// governor's demand and burst from *measured* per-command costs instead
+// of the static Table 5 constants. Consoles receive a fresh
 // BandwidthRequest when a session's derived demand changes. Pair it with
 // a console whose Config.Calibrator is the same calibrator.
 func WithCalibratedCosts(cal *core.Calibrator) Option {
@@ -86,11 +86,11 @@ func ResolveOptions(opts ...Option) Resolved {
 }
 
 // WithFlowControl enables the grant-driven send governor (§7) for every
-// session: display traffic is paced to the console's BandwidthGrant, a
-// paint the queue cannot take now is owed instead of encoded (Session.
-// render), and the region a session owes its console (Session.repay)
-// enters the queue a burst at a time, so recovery cannot starve fresh
-// paints and nothing overflows the queue.
+// session: display traffic is paced to the console's BandwidthGrant by one
+// token bucket, a paint the bucket cannot take now is owed instead of
+// encoded (Session.render), and the region a session owes its console
+// (Session.repay) leaves in pieces the tokens cover, so recovery cannot
+// starve fresh paints and nothing is queued.
 // Zero-value fields take the flow package defaults; a nil cfg.Costs is the
 // published Sun Ray 1 model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {

@@ -127,7 +127,7 @@ type Server struct {
 	// flowCfg enables the per-session send governor when non-nil
 	// (WithFlowControl).
 	flowCfg *flow.Config
-	// flowPending is raised by a session's releaseFlow, settled by PumpFlows.
+	// flowPending is raised by a session's repay, settled by PumpFlows.
 	flowPending atomic.Bool
 	// cal is the live cost-model calibrator (WithCalibratedCosts). When
 	// its generation advances, PumpFlows rebuilds the fitted model and
@@ -177,9 +177,10 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 	return s
 }
 
-// FlowPending reports, without the server lock, whether paced traffic
-// waits for a PumpFlows: a call since the last one left some queued, or the
-// last one reported pending. A wall-clock transport schedules none otherwise.
+// FlowPending reports, without the server lock, whether an owed region
+// waits for a PumpFlows: a call since the last one left a debt the tokens
+// did not cover, or the last one reported pending. A wall-clock transport
+// schedules none otherwise.
 func (s *Server) FlowPending() bool { return s.flowPending.Load() }
 
 // Telemetry reports the kit the server publishes into and its sessions
@@ -373,13 +374,12 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		return nil
 
 	case *protocol.BandwidthGrant:
-		// Consoles arbitrate downstream bandwidth between sessions (§7);
-		// the grant addresses a session, not the console it arrived from.
-		// A stale grant for a terminated session is silently dropped.
-		if sess, ok := s.sessions[m.SessionID]; ok && sess.gov != nil {
+		// Consoles arbitrate downstream bandwidth between sessions (§7); a
+		// grant addresses a session and counts only from the console showing
+		// it. A stale grant, or one for a terminated session, is dropped.
+		if sess, ok := s.sessions[m.SessionID]; ok && sess.gov != nil && sess.Console == console {
 			sess.tel.Path.OnGrant()
 			sess.gov.SetGrant(now, m.Bps)
-			sess.releaseFlow(out, now)
 			sess.repay(out, now)
 		}
 		return nil
@@ -401,7 +401,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 
 // handleStatus feeds a console's STATUS to telemetry and pumps the
 // session. It judges the STATUS only on a quiet line — nothing sent for a
-// heartbeat, nothing queued, nothing owed — where it describes all the
+// heartbeat, nothing owed — where it describes all the
 // console will get. There a grown decode-drop counter (overload, §4.3) or
 // a LastSeq of 0 (a reboot: the console holds nothing of the session,
 // §2.2) owes the whole screen; a LastSeq trailing the last sequence sent
@@ -421,7 +421,7 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 		sess.tel.Flight.Status(st.LastSeq, st.Dropped)
 	}
 	sess.tel.Path.OnStatus(st.LastSeq, st.Dropped)
-	if now-sess.lastSend >= heartbeat && sess.damage.Empty() && (sess.gov == nil || sess.gov.QueueDepth() == 0) {
+	if now-sess.lastSend >= heartbeat && sess.damage.Empty() {
 		lost := st.Dropped > cs.dropped
 		cs.dropped = st.Dropped
 		if last := sess.Encoder.LastSeq(); lost || st.LastSeq == 0 {
@@ -433,7 +433,7 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 			sess.oweNack(protocol.Nack{From: st.LastSeq + 1, To: last})
 		}
 	}
-	// No transport keeps a timer for a server with nothing queued.
+	// No transport keeps a timer for a server with nothing owed.
 	s.refreshCalibrationLocked(out, now)
 	sess.pump(out, now)
 	return nil
@@ -586,7 +586,7 @@ func (s *Server) Terminate(user string) error {
 		return err
 	}
 	var out []outbound
-	s.closeLocked(&out, sess, true, 0)
+	s.closeLocked(&out, sess, true)
 	if s.log != nil {
 		s.log.Info("session terminated", "user", user, "session", sess.ID)
 	}
@@ -615,12 +615,12 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 	return s.sessions[cs.session], nil
 }
 
-// PumpFlows services every governed session at now: token buckets release
-// whatever pacing has accumulated, and a session in debt to its console
-// repaints the next piece into the room that leaves. It reports the
-// earliest instant more queued traffic becomes sendable, so transports
-// schedule the next pump instead of polling — the UDP endpoint reads its
-// socket until then, simulations call from the virtual-time event loop.
+// PumpFlows services every governed session at now: a session in debt to
+// its console repaints the pieces its tokens cover. It reports the
+// earliest instant a debt left behind can pay its next piece, so
+// transports schedule the next pump instead of polling — the UDP endpoint
+// reads its socket until then, simulations call from the virtual-time
+// event loop.
 func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool, err error) {
 	s.mu.Lock()
 	var out []outbound
@@ -630,7 +630,10 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 			continue
 		}
 		sess.pump(&out, now)
-		if t, ok := sess.gov.NextRelease(now); ok && (!pending || t < next) {
+		if sess.damage.Empty() {
+			continue
+		}
+		if t := sess.gov.ReadyAt(now, sess.pieceBytes()); !pending || t < next {
 			next, pending = t, true
 		}
 	}

@@ -36,7 +36,7 @@ type Session struct {
 	// gov paces display traffic to the console's bandwidth grant (§7);
 	// nil when the server runs without WithFlowControl.
 	gov *flow.Governor
-	// flowPending is the server's flag (see releaseFlow).
+	// flowPending is the server's flag (see repay).
 	flowPending *atomic.Bool
 	// demandBps is the bandwidth demand last announced to the console's §7
 	// allocator; pump re-announces when the governor's measured demand
@@ -46,7 +46,7 @@ type Session struct {
 	// damage is what the session owes its console: the pixels the console
 	// is known or feared not to hold. Everything that finds a loss — a
 	// NACK, a STATUS verdict, an attach — and every paint the governor
-	// could not take when it was drawn only adds to it, and repay alone
+	// could not admit when it was drawn only adds to it, and repay alone
 	// sends it, from the frame buffer as it is when the bytes may leave. A
 	// region is bounded by the screen and union is idempotent, so no storm
 	// of triggers owes more than one repaint. A detached session owes
@@ -54,7 +54,7 @@ type Session struct {
 	damage fb.Region
 	// lastSend is the transport time a display command last left for the
 	// console. A STATUS is judged only on a quiet line: one that finds it a
-	// heartbeat old, with nothing owed or queued.
+	// heartbeat old, with nothing owed.
 	lastSend time.Duration
 }
 
@@ -141,17 +141,14 @@ func (sess *Session) detach() {
 	sess.damage.Clear()
 }
 
-// closeLocked removes a session from this server: the console is unbound,
-// the governor quiesced (queued damage dies with the session here), and
+// closeLocked removes a session from this server: the console is unbound
+// (what it was owed dies with the session here, the governor with it), and
 // the telemetry handle closed: its labeled series leave the registry, and
 // the kit's shared per-session stores are evicted only when evictShared —
 // a migration leaves them for the importing server to resolve again, a
 // terminated session takes them along. Callers hold s.mu.
-func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool, now time.Duration) {
+func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool) {
 	s.unbindLocked(out, sess)
-	if sess.gov != nil {
-		sess.shed(sess.gov.Quiesce(now))
-	}
 	delete(s.sessions, sess.ID)
 	delete(s.byUser, sess.User)
 	s.metrics.sessions.Set(int64(len(s.sessions)))
@@ -164,11 +161,9 @@ func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time
 	sess.Console = console
 	send(out, console, &protocol.SessionAttach{SessionID: sess.ID})
 	if sess.gov != nil {
-		// Commands queued for the previous console are worthless here; the
-		// full repaint below regenerates everything. The new console also
-		// learns this session's bandwidth demand so its allocator can
-		// grant a share (§7).
-		sess.shed(sess.gov.Reset(now))
+		// The new console learns this session's bandwidth demand, measured
+		// afresh, so its allocator can grant a share (§7).
+		sess.gov.Reset(now)
 		sess.requestBandwidth(out, now)
 	}
 	// A gen-1 console gets the plain encoding — same pixels, no
@@ -224,25 +219,36 @@ func piece(r protocol.Rect, bytes int) protocol.Rect {
 	return r
 }
 
+// pieceBytes is what the bucket must hold before repay cuts a piece: one
+// tile of literal pixels, or the whole burst when that is smaller, so a
+// bucket shallower than a tile still pays a tile each time it fills.
+func (sess *Session) pieceBytes() int {
+	return min(tileWire, sess.gov.Config().BurstBytes)
+}
+
 // repay sends what the session owes, repainted from the frame buffer as it
-// is now. An ungoverned session, or one with no grant yet, pays all of it
-// at once. Under a grant the debt leaves through the governor's one token
-// bucket, in pieces of half a burst offered only while the queue holds less
-// than the other half: a fresh paint never waits behind more than one burst
-// of recovery, a repaint never overflows the queue, and whatever is painted
-// meanwhile is in the pixels when their turn comes. The queue it leaves
-// non-empty is what re-arms PumpFlows (NextRelease) for the rest.
+// is now: all at once for an ungoverned session or one with no grant yet;
+// under a grant in pieces cut to the bucket's tokens while they cover
+// pieceBytes, at most half a burst per call (a whole bucket handed to the
+// socket at once overruns a slow console's receive buffer, and what that
+// loses comes back as debt). A debt it leaves raises FlowPending, and
+// PumpFlows names the instant the bucket will pay the next piece.
 func (sess *Session) repay(out *[]outbound, now time.Duration) {
 	paced := sess.gov != nil && sess.gov.Grant() != 0
+	var floor int // the tokens this call stops at
+	if paced {
+		floor = sess.gov.Tokens(now) - max(sess.gov.Config().BurstBytes/2, sess.pieceBytes())
+	}
 	for !sess.damage.Empty() {
 		pay := sess.damage.Rects()
 		if paced {
-			burst := sess.gov.Config().BurstBytes
-			if sess.gov.QueueBytes() >= burst-burst/2 {
+			tokens := sess.gov.Tokens(now)
+			if tokens < sess.pieceBytes() || tokens <= floor {
+				sess.flowPending.Store(true)
 				return
 			}
 			pay = pay[:1]
-			pay[0] = piece(pay[0], burst/2)
+			pay[0] = piece(pay[0], tokens-max(floor, 0))
 			sess.damage.Subtract(pay[0])
 		} else {
 			sess.damage.Clear()
@@ -253,21 +259,10 @@ func (sess *Session) repay(out *[]outbound, now time.Duration) {
 	}
 }
 
-// shed accounts for commands the governor dropped before they reached the
-// wire, and recycles their buffers.
-func (sess *Session) shed(items []flow.Item) {
-	for _, it := range items {
-		if sess.tel.Flight.Armed() {
-			sess.tel.Flight.Drop(it.Seq, it.Cmd, int64(it.Bytes()))
-		}
-		it.ReleaseWire()
-	}
-}
-
 // requestBandwidth announces the governor's current demand to the console.
 func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
 	sess.tel.Path.OnProbe()
-	sess.demandBps = sess.gov.DemandBps()
+	sess.demandBps = sess.gov.DemandBps(now)
 	send(out, sess.Console, &protocol.BandwidthRequest{SessionID: sess.ID, Bps: sess.demandBps})
 }
 
@@ -280,13 +275,13 @@ func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
 // deadband keeps steady-state traffic from emitting a BandwidthRequest
 // every pump. The session is governed and attached.
 func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
-	if d, old := sess.gov.DemandBps(), sess.demandBps; max(d, old)-min(d, old) > old/8 {
+	if d, old := sess.gov.DemandBps(now), sess.demandBps; max(d, old)-min(d, old) > old/8 {
 		sess.requestBandwidth(out, now)
 	}
 }
 
 // render paints ops into the frame buffer and sends the console what the
-// grant can take now. An op is encoded only if it is admitted (admit);
+// grant can take now. An op is encoded and sent only if admitted (admit);
 // otherwise it is applied to the frame buffer alone and the rect it wrote
 // joins the debt. An encoded pure write paints its rect with current
 // pixels, so it pays whatever of that rect was owed. render ends in repay,
@@ -298,14 +293,14 @@ func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) e
 		if armed {
 			sess.tel.Flight.Op(int64(op.RawPixels()))
 		}
-		if !sess.admit(op) {
+		if !sess.admit(op, now) {
 			w, err := sess.Encoder.Apply(op)
 			if err != nil {
 				return err
 			}
 			sess.damage.Add(w)
 			if armed {
-				sess.tel.Flight.Owe(int64(w.Pixels()), int64(sess.gov.QueueBytes()))
+				sess.tel.Flight.Owe(int64(w.Pixels()), int64(sess.gov.Tokens(now)))
 			}
 			continue
 		}
@@ -329,19 +324,18 @@ func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) e
 // it is owed itself; any other op is the governor's call (Admit), on the
 // most its encoding can cost. A detached or ungoverned session admits
 // everything.
-func (sess *Session) admit(op core.Op) bool {
+func (sess *Session) admit(op core.Op, now time.Duration) bool {
 	if sess.gov == nil || sess.Console == "" {
 		return true
 	}
 	if sc, ok := op.(core.ScrollOp); ok && sess.damage.Intersects(sc.Rect) {
 		return false
 	}
-	return sess.gov.Admit(core.WireBound(op))
+	return sess.gov.Admit(now, core.WireBound(op))
 }
 
-// submit routes display datagrams to the console: directly when the
-// session is ungoverned or has no grant yet, through the governor's token
-// bucket otherwise. owed marks repayment.
+// submit sends display datagrams to the console, charging a governed
+// session's bucket for them. owed marks repayment.
 func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, owed bool) {
 	if sess.Console == "" {
 		// Detached session keeps rendering into its frame buffer; the wire
@@ -352,43 +346,18 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 		return
 	}
 	for _, d := range dgs {
-		cmd := d.Msg.Type()
 		if sess.gov != nil {
-			it := flow.Item{Seq: d.Seq, Cmd: cmd, Msg: d.Msg, Wire: d.Wire, Buf: d.Buf, Retransmit: owed}
-			if res := sess.gov.Submit(now, it); !res.Pass {
-				if sess.tel.Flight.Armed() {
-					sess.tel.Flight.TxQueue(d.Seq, cmd, int64(it.Bytes()), int64(res.Depth))
-				}
-				continue
-			}
+			sess.gov.Submit(now, flow.Item{Msg: d.Msg, Wire: d.Wire, Retransmit: owed})
 		}
-		sess.sent(out, d.Seq, cmd, d.Wire, d.Buf, now)
-	}
-	sess.releaseFlow(out, now)
-}
-
-// releaseFlow drains whatever the governor's token bucket permits at now.
-// Every paced path ends here, so here the server learns that a call left
-// traffic queued (Server.FlowPending). An ungoverned session has none.
-func (sess *Session) releaseFlow(out *[]outbound, now time.Duration) {
-	if sess.gov == nil || sess.Console == "" {
-		return
-	}
-	for _, p := range sess.gov.Release(now) {
-		it := p.Items[0]
-		sess.sent(out, it.Seq, it.Cmd, p.Wire, it.Buf, now)
-	}
-	if sess.gov.QueueDepth() > 0 {
-		sess.flowPending.Store(true)
+		sess.sent(out, d.Seq, d.Msg.Type(), d.Wire, d.Buf, now)
 	}
 }
 
-// pump pays what the clock owes an attached session at now: paced traffic
-// whose tokens have arrived, the next piece of the debt, a drifted demand.
-// PumpFlows runs it on a transport's clock, handleStatus at every heartbeat:
-// no pump is scheduled with nothing queued, yet an idle grant must go back.
+// pump pays what the clock owes an attached session at now: the next piece
+// of the debt the tokens cover, a drifted demand. PumpFlows runs it on a
+// transport's clock, handleStatus at every heartbeat: no pump is scheduled
+// with nothing owed, yet an idle grant must go back.
 func (sess *Session) pump(out *[]outbound, now time.Duration) {
-	sess.releaseFlow(out, now)
 	sess.repay(out, now)
 	if sess.gov != nil {
 		sess.announceDemand(out, now)

@@ -113,7 +113,7 @@ func TestSessionLifecycleParity(t *testing.T) {
 					if got := gov.Config().Costs.PerPixel[protocol.TypeSet]; got != fitted {
 						t.Errorf("governor SET cost = %v, want the calibrated %v", got, fitted)
 					}
-					if _, ok := reg.Snapshot().Gauges[`slim_flow_queue_depth{session="alice"}`]; !ok {
+					if _, ok := reg.Snapshot().Gauges[`slim_flow_grant_bps{session="alice"}`]; !ok {
 						t.Error("governor gauges not published")
 					}
 				}

@@ -125,7 +125,7 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 		keepShared bool
 	}{
 		{"terminate", func(s *Server) error { return s.Terminate("alice") }, false},
-		{"export", func(s *Server) error { _, err := s.ExportSession("alice", 0); return err }, true},
+		{"export", func(s *Server) error { _, err := s.ExportSession("alice"); return err }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := newMemTransport()

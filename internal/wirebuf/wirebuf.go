@@ -1,14 +1,14 @@
 // Package wirebuf is a size-classed arena for wire buffers. The encoder
 // marshals every display datagram into a Buf; the buffer then travels with
-// the datagram — through the flow governor's queue, if the session is
-// paced, and into the transport — and returns to a sync.Pool for the next
+// the datagram — onto the server's outbound list and into the
+// transport — and returns to a sync.Pool for the next
 // datagram. Nothing keeps a sent datagram: loss recovery repaints from the
 // frame buffer, so a buffer has exactly one owner at any moment.
 //
 // Ownership contract:
 //
 //   - Get returns a Buf owned by the caller.
-//   - Handing the Buf on (queueing the datagram, listing it for sending)
+//   - Handing the Buf on (listing the datagram for sending)
 //     hands the ownership on; the previous holder must not touch it again.
 //   - A transport's Send must not retain the wire slice after returning;
 //     the sender releases the buffer as soon as Send comes back, and a

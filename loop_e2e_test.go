@@ -146,7 +146,7 @@ func (a paintApp) HandleKey(ev protocol.KeyEvent) []Op {
 func (a paintApp) HandlePointer(protocol.PointerEvent) []Op { return nil }
 
 // TestPacedTailLeavesOnTime: a paint of about 1.1 bursts leaves a tenth of
-// a burst queued behind the call that painted it. The endpoint learns that
+// a burst owed behind the call that painted it. The endpoint learns that
 // from the call (FlowPending) and reads its socket only until the tail's
 // tokens have arrived. (A pacer goroutine asleep on its 20 ms idle poll
 // could not be told: the tail left 0–20 ms late, uniformly.)
@@ -221,7 +221,7 @@ func TestPacedTailLeavesOnTime(t *testing.T) {
 	}
 }
 
-// TestIdleSessionReturnsItsGrant: with nothing queued no pump is scheduled,
+// TestIdleSessionReturnsItsGrant: with nothing owed no pump is scheduled,
 // so the console's heartbeat is the clock an idle session's housekeeping
 // runs on (Server.handleStatus). A session that only ever drew its attach
 // repaint hands the grant it asked for back — re-announces the floor of

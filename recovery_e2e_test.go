@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/protocol"
 )
@@ -14,9 +15,9 @@ import (
 // a Fabric that loses only what they tell it to.
 
 // pumpQuiet advances the fabric's clock in steps, pumping, until the
-// session has had nothing queued and encoded nothing for quiet of virtual
-// time, and reports the deepest queue it saw, in bytes.
-func pumpQuiet(t *testing.T, fabric *Fabric, sess *Session, step, quiet time.Duration) (deepest int) {
+// session has owed and encoded nothing for quiet of virtual time, and
+// reports the most its token bucket was seen overdrawn by, in bytes.
+func pumpQuiet(t *testing.T, fabric *Fabric, srv *Server, sess *Session, step, quiet time.Duration) (overdrawn int) {
 	t.Helper()
 	quietSince, steps := fabric.Now(), 0
 	for last := sess.Encoder.LastSeq(); fabric.Now()-quietSince < quiet; steps++ {
@@ -27,22 +28,21 @@ func pumpQuiet(t *testing.T, fabric *Fabric, sess *Session, step, quiet time.Dur
 		if err := fabric.Pump(); err != nil {
 			t.Fatal(err)
 		}
-		busy := sess.Encoder.LastSeq() != last
 		if gov := sess.Governor(); gov != nil {
-			deepest = max(deepest, gov.QueueBytes())
-			busy = busy || gov.QueueDepth() > 0
+			overdrawn = max(overdrawn, -gov.Tokens(fabric.Now()))
 		}
-		if busy {
+		if sess.Encoder.LastSeq() != last || srv.Owed(sess.User) != nil {
 			last, quietSince = sess.Encoder.LastSeq(), fabric.Now()
 		}
 	}
-	return deepest
+	return overdrawn
 }
 
 // TestHotdeskUnderGrantIsPaced: a session that hotdesks keeps its grant, so
 // the new console's repaint — 900 KB of noise at 640×480, 1 Mbit/s — is
-// owed and paid a piece at a time. The console never has a gap to NACK,
-// and the queue never holds more than the burst the debt is offered in.
+// owed and paid a piece at a time, each cut to the tokens the bucket holds.
+// The console never has a gap to NACK, and the bucket is never overdrawn by
+// more than a burst.
 // (Queued in one piece, most of the repaint was evicted on the spot and
 // healed NACK by NACK.)
 func TestHotdeskUnderGrantIsPaced(t *testing.T) {
@@ -75,9 +75,9 @@ func TestHotdeskUnderGrantIsPaced(t *testing.T) {
 	if con.Framebuffer().Equal(sess.Encoder.FB) {
 		t.Fatal("the hotdesk repaint arrived in the attach call; nothing was paced")
 	}
-	deepest := pumpQuiet(t, fabric, sess, 20*time.Millisecond, time.Second)
-	if burst := sess.Governor().Config().BurstBytes; deepest > 2*burst {
-		t.Errorf("the queue held %d bytes, more than two bursts of %d", deepest, burst)
+	overdrawn := pumpQuiet(t, fabric, srv, sess, 20*time.Millisecond, time.Second)
+	if burst := sess.Governor().Config().BurstBytes; overdrawn > burst {
+		t.Errorf("the bucket was overdrawn by %d bytes, more than a burst of %d", overdrawn, burst)
 	}
 	if n := consoles.Counter("slim_console_nacks_total").Value(); n != 0 {
 		t.Errorf("the consoles sent %d NACKs on a fabric that drops nothing", n)
@@ -85,6 +85,37 @@ func TestHotdeskUnderGrantIsPaced(t *testing.T) {
 	if !con.Framebuffer().Equal(sess.Encoder.FB) {
 		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
 		t.Errorf("console differs from the session's frame buffer in %d pixels after the debt was paid", n)
+	}
+}
+
+// TestHotdeskLeavesNoStaleGrant: a console forgets a session that left it,
+// and a grant counts only from the console showing its session. Alice
+// hotdesks from x, a 100 Mbit/s console, to y, a 10 Mbit/s one; then bob
+// badges in at x. x grants bob his whole demand, not what is left beside
+// alice's old request, and the grant x would have re-issued for alice does
+// not pace her past y's link. (Before, bob got 15.4 Mbit/s of his 84.6 and
+// alice was paced at 84.6 Mbit/s on y's 10.)
+func TestHotdeskLeavesNoStaleGrant(t *testing.T) {
+	fabric := NewFabric()
+	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+	srv.Auth.Register("card-alice", "alice")
+	srv.Auth.Register("card-bob", "bob")
+	for id, bps := range map[string]uint64{"x": 100_000_000, "y": 10_000_000} {
+		con, err := NewConsole(ConsoleConfig{Width: 64, Height: 48, TotalBps: bps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach(id, con, srv)
+	}
+	for _, badge := range []struct{ desk, card string }{{"x", "card-alice"}, {"y", "card-alice"}, {"x", "card-bob"}} {
+		if err := fabric.Boot(badge.desk, badge.card); err != nil {
+			t.Fatal(err)
+		}
+	}
+	demand := flow.DefaultDemandBps(SunRay1Costs())
+	alice, bob := srv.SessionByUser("alice").Governor().Grant(), srv.SessionByUser("bob").Governor().Grant()
+	if bob != demand || alice != 10_000_000 {
+		t.Errorf("bob at x: grant %d of demand %d; alice at y (10 Mbit/s console): grant %d", bob, demand, alice)
 	}
 }
 
@@ -185,7 +216,7 @@ func TestDebtConvergesUnderAnyGrant(t *testing.T) {
 		return r
 	}
 	// A one-byte bucket makes the slow grant bite from the first command:
-	// one leaves per refill, the rest queue.
+	// one leaves per refill, the rest are owed.
 	for _, grant := range []struct {
 		bps   uint64
 		burst int
@@ -249,7 +280,7 @@ func TestDebtConvergesUnderAnyGrant(t *testing.T) {
 				}
 			}
 			fabric.SetLoss(0)
-			pumpQuiet(t, fabric, sess, grant.step, 4*grant.step+2*StatusInterval)
+			pumpQuiet(t, fabric, srv, sess, grant.step, 4*grant.step+2*StatusInterval)
 			if !con.Framebuffer().Equal(sess.Encoder.FB) {
 				n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
 				t.Errorf("grant %d bit/s, seed %d: console differs in %d pixels after %d commands",
@@ -357,7 +388,7 @@ func TestAdmissionConvergesProperty(t *testing.T) {
 					}
 				}
 			}
-			pumpQuiet(t, fabric, sess, 50*time.Millisecond, 2*StatusInterval)
+			pumpQuiet(t, fabric, srv, sess, 50*time.Millisecond, 2*StatusInterval)
 			if !con.Framebuffer().Equal(sess.Encoder.FB) || nacks.Value() != 0 || srv.Owed("alice") != nil {
 				n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
 				t.Fatalf("seed %d (%d bit/s, burst %d, quiet point %d): console differs in %d pixels, %d NACKs, owed %v",

@@ -134,12 +134,13 @@ type ServerOption = server.Option
 type FlowConfig = flow.Config
 
 // WithFlowControl enables the grant-driven send governor (§7) on every
-// session: display traffic paces to the console's bandwidth grant, a paint
-// the queue cannot take now is owed rather than encoded, and everything a
-// session owes its console — such a paint, loss recovery, a hotdesk
-// repaint — leaves through the same token bucket a burst at a time, drawn
-// from the frame buffer as it is then, so nothing overflows the queue and
-// no storm of NACKs starves fresh paints. The zero FlowConfig takes
+// session: display traffic paces to the console's bandwidth grant through
+// one token bucket, a paint is sent in the call that drew it when the
+// bucket can take it and owed rather than encoded when it cannot, and
+// everything a session owes its console — such a paint, loss recovery, a
+// hotdesk repaint — leaves through the same bucket in pieces its tokens
+// cover, drawn from the frame buffer as it is then, so nothing is queued
+// and no storm of NACKs starves fresh paints. The zero FlowConfig takes
 // throughput-matched defaults from the published Sun Ray 1 cost model; set
 // FlowConfig.Costs to derive them from another.
 func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowControl(cfg) }
@@ -167,7 +168,7 @@ type CostCalibrator = core.Calibrator
 func NewCalibrator(base *CostModel) *CostCalibrator { return core.NewCalibrator(base) }
 
 // WithCalibratedCosts feeds cal's fitted cost model back into every
-// session governor's demand/burst computation as calibration converges.
+// session governor's demand and burst as calibration converges.
 func WithCalibratedCosts(cal *CostCalibrator) ServerOption {
 	return server.WithCalibratedCosts(cal)
 }

@@ -50,7 +50,7 @@ func newUDPMetrics(r *obs.Registry, prefix string) *udpMetrics {
 // server daemon and a console client that interoperate over any UDP
 // network, loopback included. Every now it hands to the server side, the
 // console and the capture tap is obs.Wall's, so wire capture, governor
-// queue times and flight events share one timeline.
+// token arithmetic and flight events share one timeline.
 
 // udpSocket is what the daemon and the console client have in common: the
 // socket, its counted reads and writes, and the one goroutine that runs it.
@@ -257,7 +257,7 @@ func (s *udpListener) StartTicker(fps float64) {
 // due is the daemon's clock, making the handler calls Fabric.Pump makes on
 // a virtual one: Tick when its period has elapsed, then PumpFlows when the
 // instant the last one named has come — with none named, as soon as a call
-// has left paced traffic behind, to learn its instant. With nothing queued
+// has left a paced debt behind, to learn its instant. With nothing owed
 // no pump is scheduled: what else PumpFlows does, a console's heartbeat
 // does for its session (Server.handleStatus). Either call, however long it
 // took, is followed by half a period or a millisecond of reading the socket.
