@@ -72,15 +72,18 @@ bench-json:
 # Steady-state allocation budgets on the hot paths (0 allocs/op for console
 # apply, the warm wire-emit path, the full tile cache, the SLO observe
 # path — disabled AND enabled — the hostmon sample path, and the netqual
-# observe path — disabled AND enabled — the §5.4 frame packer, and the
-# flow governor ungoverned, sending under a grant and refusing), and
-# the memory budgets: a tile cache holds only the slots it has filled,
-# the encoder retains no wire bytes, a 640x480 gen-2 session is its two
-# frame buffers plus at most 1 MiB. Run without -race: the race
+# observe path — disabled AND enabled — the §5.4 frame packer, the
+# flow governor ungoverned, sending under a grant and refusing, the
+# flight recorder and the capture tap disabled and enabled, and the
+# server's burst flush; at most 8 per 42-byte fabric echo end to end),
+# and the memory budgets: a tile cache holds only the slots it has
+# filled, the encoder retains no wire bytes, a 640x480 gen-2 session is
+# its two frame buffers plus at most 1 MiB. Run without -race: the race
 # detector's instrumentation allocates and shadows the heap, so these
 # tests skip themselves under it and `make race` never runs them.
+ALLOC_TESTS = ZeroAlloc|Heap|RetainsNo|AllocsPerEcho|AllocatesNothing|ReusesSlotStorage|FlushGroupsRunsPerConsole
 alloc-guard:
-	$(GO) test -run 'ZeroAlloc|Heap|RetainsNo' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/
+	$(GO) test -run '$(ALLOC_TESTS)' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/server/
 
 # Regenerate the committed capacity artifact: full LAN + WAN user ramps
 # until the SLO burn knee (~5s of wall time; see internal/capacity).

@@ -58,11 +58,11 @@ type Fabric struct {
 	// loss recovery triggered from inside a delivery would nest — a
 	// recovery datagram's own loss spawning recovery — which a real
 	// network (where transmission is asynchronous) never does.
-	queue    []queuedDatagram
+	queue    fifo
 	draining bool
 	// replies are what consoles answered, handed to their servers once the
 	// queue is empty and no server call the fabric made is running.
-	replies []queuedDatagram
+	replies fifo
 	serving int
 
 	metrics *fabricMetrics
@@ -75,6 +75,31 @@ type Fabric struct {
 type queuedDatagram struct {
 	console string
 	wire    []byte
+}
+
+// fifo is a queue of datagrams that keeps its backing array: pops move a
+// head index, and once the consumed prefix is at least half the array the
+// live tail moves to its front (nothing moves when the queue has emptied).
+// A fabric in steady state queues without allocating, and senders that
+// keep a drain from ever emptying the queue cannot grow it without bound.
+type fifo struct {
+	items []queuedDatagram
+	head  int
+}
+
+func (q *fifo) len() int { return len(q.items) - q.head }
+
+func (q *fifo) push(d queuedDatagram) { q.items = append(q.items, d) }
+
+func (q *fifo) pop() queuedDatagram {
+	d := q.items[q.head]
+	q.items[q.head] = queuedDatagram{} // do not pin the wire
+	if q.head++; q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:]) // do not pin the moved entries' wires twice
+		q.items, q.head = q.items[:n], 0
+	}
+	return d
 }
 
 // desk is one console wired to its server side; Attach swaps either.
@@ -269,8 +294,8 @@ func (f *Fabric) Send(consoleID string, wire []byte) error {
 		// be copied to survive until delivery.
 		wire = append([]byte(nil), wire...)
 	}
-	f.queue = append(f.queue, queuedDatagram{console: consoleID, wire: wire})
-	f.metrics.queue.Set(int64(len(f.queue)))
+	f.queue.push(queuedDatagram{console: consoleID, wire: wire})
+	f.metrics.queue.Set(int64(f.queue.len()))
 	if f.draining {
 		f.mu.Unlock()
 		return nil // the active drain will deliver it
@@ -288,13 +313,13 @@ func (f *Fabric) drain() error {
 	for {
 		f.mu.Lock()
 		var item queuedDatagram
-		up := len(f.queue) == 0
+		up := f.queue.len() == 0
 		switch {
 		case !up:
-			item, f.queue = f.queue[0], f.queue[1:]
-			f.metrics.queue.Set(int64(len(f.queue)))
-		case len(f.replies) > 0 && f.serving == 0:
-			item, f.replies = f.replies[0], f.replies[1:]
+			item = f.queue.pop()
+			f.metrics.queue.Set(int64(f.queue.len()))
+		case f.replies.len() > 0 && f.serving == 0:
+			item = f.replies.pop()
 		default:
 			f.draining = false
 			f.mu.Unlock()
@@ -312,7 +337,7 @@ func (f *Fabric) drain() error {
 			replies, err = d.con.HandleDatagram(item.wire, clock)
 			f.mu.Lock()
 			for _, r := range replies {
-				f.replies = append(f.replies, queuedDatagram{console: item.console, wire: r})
+				f.replies.push(queuedDatagram{console: item.console, wire: r})
 			}
 			f.mu.Unlock()
 			f.metrics.delivered.Inc()

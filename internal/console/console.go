@@ -210,8 +210,12 @@ func (c *Console) Handle(seq uint32, msg protocol.Message, now time.Duration) ([
 func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Duration) ([][]byte, error) {
 	var replies [][]byte
 	if msg.Type().IsDisplay() {
+		// Two readings of the wall clock time a command: its arrival (the
+		// RX stamp and the start of the decode metric) and the end of its
+		// apply (the metric's end, DECODE and PAINT).
+		arrived := obs.Wall.Now()
 		if c.flog.Armed() {
-			c.flog.Rx(seq, msg.Type(), int64(protocol.WireSize(msg)))
+			c.flog.Rx(arrived, seq, msg.Type(), int64(protocol.WireSize(msg)))
 		}
 		c.feedback.arrived = now
 		replies = c.nackLocked(replies, c.gaps.Observe(seq))
@@ -232,7 +236,6 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 			c.metrics.cacheHits.Inc()
 			c.cpPix = pix
 		}
-		start := time.Now()
 		svc, pure, ok := c.applyDisplay(msg, now)
 		if !ok {
 			c.dropped++
@@ -250,15 +253,16 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 			// touches, done at lookup; CSCS never caches).
 			c.cache.NoteApply(c.fb, msg)
 		}
-		wall := time.Since(start)
+		applied := obs.Wall.Now()
+		wall := applied - arrived
 		c.metrics.decodeSeconds.Observe(wall)
 		c.metrics.observeDecodeType(msg.Type(), wall)
 		if c.cfg.Calibrator != nil {
 			c.cfg.Calibrator.ObserveMsg(msg, pure)
 		}
 		if c.flog.Armed() {
-			c.flog.Decode(seq, msg.Type(), svc.Nanoseconds())
-			c.flog.Paint(seq, msg.Type())
+			c.flog.Decode(applied, seq, msg.Type(), svc.Nanoseconds())
+			c.flog.Paint(applied, seq, msg.Type())
 		}
 		return replies, nil
 	}

@@ -19,8 +19,9 @@ type consoleMetrics struct {
 	applied *obs.Counter
 	dropped *obs.Counter
 	nacks   *obs.Counter
-	// decodeSeconds is the real wall time spent decoding one display
-	// command into the frame buffer — the console half of the
+	// decodeSeconds is the real wall time from one display command's
+	// arrival to its apply into the frame buffer (sequence tracking and
+	// the tile-cache probe included) — the console half of the
 	// input-to-paint pipeline on asynchronous transports. decodeByType
 	// splits the same observations per command so the §4.3 calibration
 	// has a per-command latency distribution next to its fitted line.

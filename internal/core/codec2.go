@@ -171,18 +171,18 @@ func (e *Encoder) encodeTile(out []Datagram, t protocol.Rect) []Datagram {
 		out = append(out, e.emit(&protocol.Fill{Rect: t, Color: c2.pix[0]}))
 	case ClassText:
 		if fg, bg, bits, ok := e.analyzeBicolor(t, c2.pix); ok {
-			out = append(out, e.encodeBitmap(t, fg, bg, bits)...)
+			out = e.encodeBitmap(out, t, fg, bg, bits)
 		} else {
-			out = append(out, e.encodeSet(t, c2.pix)...)
+			out = e.encodeSet(out, t, c2.pix)
 		}
 	case ClassChurn:
 		if dgs, ok := e.encodeTileCSCS(t, c2.pix); ok {
 			out = append(out, dgs...)
 		} else {
-			out = append(out, e.encodeSet(t, c2.pix)...)
+			out = e.encodeSet(out, t, c2.pix)
 		}
 	default: // ClassPhoto
-		out = append(out, e.encodeSet(t, c2.pix)...)
+		out = e.encodeSet(out, t, c2.pix)
 	}
 	if c2.cache.Evictions() != c2.lastEvictions {
 		if e.Metrics != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"slim/internal/fb"
+	"slim/internal/obs"
 	"slim/internal/obs/flight"
 	"slim/internal/protocol"
 	"slim/internal/wirebuf"
@@ -75,10 +77,11 @@ type Encoder struct {
 	// the experiment harness leaves it nil so simulation replays pay
 	// nothing for instrumentation.
 	Metrics *EncoderMetrics
-	// Flight, when non-nil, records every emitted command into the
-	// session's flight-recorder ring (seq, type, bytes, pixels), the
-	// ENCODE stage of the causal input-to-paint chain. Nil or disabled
-	// costs one branch per command.
+	// Flight, when non-nil, records every command Encode or Repaint
+	// returns into the session's flight-recorder ring (seq, type, bytes,
+	// pixels), stamped when the call is done: the ENCODE stage of the
+	// causal input-to-paint chain. Nil or disabled costs one branch per
+	// call.
 	Flight *flight.SessionLog
 
 	seq  protocol.Sequencer
@@ -123,9 +126,6 @@ func (e *Encoder) emit(msg protocol.Message) Datagram {
 	}
 	e.Stats.Record(msg)
 	e.Metrics.Record(msg)
-	if e.Flight.Armed() {
-		e.Flight.Encode(seq, msg.Type(), int64(protocol.WireSize(msg)), int64(PixelsOf(msg)))
-	}
 	if e.codec2 != nil {
 		// Mirrored cache maintenance, in sequence order — the same order
 		// the console runs its half of the rule.
@@ -135,11 +135,35 @@ func (e *Encoder) emit(msg protocol.Message) Datagram {
 }
 
 // Encode lowers one rendering op into SLIM datagrams, updating the
-// authoritative frame buffer first (Apply's half of the work).
+// authoritative frame buffer first (Apply's half of the work). One reading
+// of the wall clock at its end times the call and stamps the ENCODE of
+// every datagram it returns.
 func (e *Encoder) Encode(op Op) ([]Datagram, error) {
+	var start time.Duration
 	if e.Metrics != nil {
-		defer e.Metrics.ObserveEncode(time.Now())
+		start = obs.Wall.Now()
 	}
+	dgs, err := e.encode(op)
+	if e.Metrics != nil || e.Flight.Armed() {
+		end := obs.Wall.Now()
+		e.Metrics.ObserveEncode(end - start)
+		e.encoded(dgs, end)
+	}
+	return dgs, err
+}
+
+// encoded records the ENCODE of each datagram one call returns, at wall —
+// a reading of obs.Wall taken when the call was done with them all.
+func (e *Encoder) encoded(dgs []Datagram, wall time.Duration) {
+	if !e.Flight.Armed() {
+		return
+	}
+	for _, d := range dgs {
+		e.Flight.Encode(wall, d.Seq, d.Msg.Type(), int64(protocol.WireSize(d.Msg)), int64(PixelsOf(d.Msg)))
+	}
+}
+
+func (e *Encoder) encode(op Op) ([]Datagram, error) {
 	if err := validateOp(op); err != nil {
 		return nil, err
 	}
@@ -153,7 +177,7 @@ func (e *Encoder) Encode(op Op) ([]Datagram, error) {
 	case FillOp:
 		return []Datagram{e.emit(&protocol.Fill{Rect: o.Rect, Color: o.Color})}, nil
 	case TextOp:
-		return e.encodeBitmap(o.Rect, o.Fg, o.Bg, o.Bits), nil
+		return e.encodeBitmap(nil, o.Rect, o.Fg, o.Bg, o.Bits), nil
 	case ScrollOp:
 		return []Datagram{e.emit(&protocol.Copy{
 			Rect: o.Rect, DstX: o.Rect.X + o.DX, DstY: o.Rect.Y + o.DY,
@@ -176,21 +200,22 @@ func (e *Encoder) encodeRegion(r protocol.Rect, pixels []protocol.Pixel) []Datag
 			return []Datagram{e.emit(&protocol.Fill{Rect: r, Color: c})}
 		}
 		if fg, bg, bits, ok := e.analyzeBicolor(r, pixels); ok {
-			return e.encodeBitmap(r, fg, bg, bits)
+			return e.encodeBitmap(nil, r, fg, bg, bits)
 		}
 	}
-	return e.encodeSet(r, pixels)
+	return e.encodeSet(nil, r, pixels)
 }
 
-// encodeSet splits a literal-pixel rectangle into MTU-sized SET commands.
-func (e *Encoder) encodeSet(r protocol.Rect, pixels []protocol.Pixel) []Datagram {
+// encodeSet splits a literal-pixel rectangle into MTU-sized SET commands,
+// appended to out.
+func (e *Encoder) encodeSet(out []Datagram, r protocol.Rect, pixels []protocol.Pixel) []Datagram {
 	budget := e.MTU - 8 // rect header
 	maxPixels := max(1, budget/3)
 	tileW := min(r.W, maxPixels)
-	tileH := max(1, maxPixels/tileW)
-	tiles := tileRect(r, tileW, tileH)
-	out := make([]Datagram, 0, len(tiles))
-	for _, t := range tiles {
+	tiles := tile(r, tileW, max(1, maxPixels/tileW))
+	out = slices.Grow(out, tiles.n())
+	for i := range tiles.n() {
+		t := tiles.at(i)
 		var sub []protocol.Pixel
 		if e.SkipWire {
 			// No wire copy is made, so the message owns its payload.
@@ -215,15 +240,16 @@ func copyTile(dst []protocol.Pixel, pixels []protocol.Pixel, r, t protocol.Rect)
 	}
 }
 
-// encodeBitmap splits a bicolor rectangle into MTU-sized BITMAP commands.
-func (e *Encoder) encodeBitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []byte) []Datagram {
+// encodeBitmap splits a bicolor rectangle into MTU-sized BITMAP commands,
+// appended to out.
+func (e *Encoder) encodeBitmap(out []Datagram, r protocol.Rect, fg, bg protocol.Pixel, bits []byte) []Datagram {
 	budget := e.MTU - 8 - 6 // rect + two colors
 	tileW := min(r.W, max(8, budget*8))
-	rowBytes := protocol.BitmapRowBytes(tileW)
-	tileH := max(1, budget/rowBytes)
+	tiles := tile(r, tileW, max(1, budget/protocol.BitmapRowBytes(tileW)))
 	srcRow := protocol.BitmapRowBytes(r.W)
-	var out []Datagram
-	for _, t := range tileRect(r, tileW, tileH) {
+	out = slices.Grow(out, tiles.n())
+	for i := range tiles.n() {
+		t := tiles.at(i)
 		tRow := protocol.BitmapRowBytes(t.W)
 		var sub []byte
 		if e.SkipWire {
@@ -397,6 +423,14 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // attach path when a session migrates to a new console: because the server
 // holds the true state, recovery never needs to stop and wait (§2.2).
 func (e *Encoder) Repaint(r protocol.Rect) []Datagram {
+	dgs := e.repaint(r)
+	if e.Flight.Armed() {
+		e.encoded(dgs, obs.Wall.Now())
+	}
+	return dgs
+}
+
+func (e *Encoder) repaint(r protocol.Rect) []Datagram {
 	r = r.Intersect(e.FB.Bounds())
 	if r.Empty() {
 		return nil
@@ -570,15 +604,23 @@ func (e *Encoder) analyzeBicolor(r protocol.Rect, pixels []protocol.Pixel) (fg, 
 	return fg, bg, bits, true
 }
 
-// tileRect splits r into a grid of tiles at most maxW wide and maxH tall.
-func tileRect(r protocol.Rect, maxW, maxH int) []protocol.Rect {
-	var out []protocol.Rect
-	for y := r.Y; y < r.Y+r.H; y += maxH {
-		h := min(maxH, r.Y+r.H-y)
-		for x := r.X; x < r.X+r.W; x += maxW {
-			w := min(maxW, r.X+r.W-x)
-			out = append(out, protocol.Rect{X: x, Y: y, W: w, H: h})
-		}
-	}
-	return out
+// tiling is r cut into a grid of tiles at most w wide and h tall, in row
+// order — computed tile by tile, so encoding a rect allocates no list of
+// its tiles.
+type tiling struct {
+	r          protocol.Rect
+	w, h, cols int
+}
+
+func tile(r protocol.Rect, maxW, maxH int) tiling {
+	return tiling{r: r, w: maxW, h: maxH, cols: ceilDiv(r.W, maxW)}
+}
+
+// n is the number of tiles.
+func (t tiling) n() int { return t.cols * ceilDiv(t.r.H, t.h) }
+
+// at is tile i.
+func (t tiling) at(i int) protocol.Rect {
+	x, y := t.r.X+i%t.cols*t.w, t.r.Y+i/t.cols*t.h
+	return protocol.Rect{X: x, Y: y, W: min(t.w, t.r.X+t.r.W-x), H: min(t.h, t.r.Y+t.r.H-y)}
 }

@@ -76,9 +76,9 @@ func (m *EncoderMetrics) Record(msg protocol.Message) {
 }
 
 // ObserveEncode records the wall time of one Encode call.
-func (m *EncoderMetrics) ObserveEncode(start time.Time) {
+func (m *EncoderMetrics) ObserveEncode(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.encodeSeconds.Observe(time.Since(start))
+	m.encodeSeconds.Observe(d)
 }

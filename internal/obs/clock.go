@@ -7,7 +7,7 @@ import (
 
 // Clock is the one answer to "what time is it" in a clock domain. Every
 // observer that stamps its own events — the flight recorder, the SLO and
-// path-quality trackers, the host monitor, Span — reads a Clock instead of
+// path-quality trackers, the host monitor — reads a Clock instead of
 // keeping an epoch of its own, so what they record lands on one timeline
 // and evidence from one can be laid over evidence from another without
 // translation.
@@ -45,6 +45,16 @@ func (c *Clock) Domain() Domain { return c.domain }
 func (c *Clock) Now() time.Duration {
 	if c.domain == DomainWall {
 		return time.Since(wallEpoch)
+	}
+	return time.Duration(c.ns.Load())
+}
+
+// At is Now for a moment the caller has already read from Wall: the wall
+// clock answers with that reading, so observers stamping one instant share
+// one clock read, and a sim clock answers with its virtual now.
+func (c *Clock) At(wall time.Duration) time.Duration {
+	if c.domain == DomainWall {
+		return wall
 	}
 	return time.Duration(c.ns.Load())
 }

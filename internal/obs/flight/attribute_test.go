@@ -146,8 +146,8 @@ func TestAttributeTruncatedRing(t *testing.T) {
 	rec := New(obs.DomainWall).Instrument(reg)
 	l := rec.Session(1)
 
-	l.Input(protocol.TypeKey, 'x')
-	l.Encode(1, protocol.TypeBitmap, 100, 64)
+	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
+	l.Encode(obs.Wall.Now(), 1, protocol.TypeBitmap, 100, 64)
 	l.Tx(1, protocol.TypeBitmap, 100)
 	// Flood the ring: far more events than DefaultRingSize, all under the
 	// same chain, overwriting the head of the chain.
@@ -231,12 +231,12 @@ func TestCheckBreachHostEvidence(t *testing.T) {
 	rec.SetDumpDir(dir)
 	l := rec.Session(1)
 
-	l.Input(protocol.TypeKey, 'x')
-	l.Encode(9, protocol.TypeBitmap, 100, 64)
+	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
+	l.Encode(obs.Wall.Now(), 9, protocol.TypeBitmap, 100, 64)
 	l.Tx(9, protocol.TypeBitmap, 100)
 	time.Sleep(20 * time.Millisecond)
-	l.Rx(9, protocol.TypeBitmap, 100)
-	l.Paint(9, protocol.TypeBitmap)
+	l.Rx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
+	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap)
 
 	// The monitor saw the whole run as one starvation episode.
 	rec.SetHostEvidence(func(asOf time.Duration) []HostWindow {

@@ -28,7 +28,7 @@ func TestDumpDirIsBounded(t *testing.T) {
 	var written []string
 	for i := 0; i < MaxDumps+extra; i++ {
 		l := rec.Session(uint32(1 + i%3))
-		l.Input(protocol.TypeKey, 'a')
+		l.Input(obs.Wall.Now(), protocol.TypeKey, 'a')
 		br, breached := rec.RecordBreach(uint32(1+i%3), time.Second, 150*time.Millisecond)
 		if !breached || br.Path == "" {
 			t.Fatalf("breach %d: breached=%v path=%q", i, breached, br.Path)

@@ -22,9 +22,14 @@
 //     on disk, so slow interactions remain diagnosable after the fact.
 //
 // A recorder stamps events from its obs.Clock: the process-wide wall clock,
-// or a sim-domain virtual clock its harness moves. Only sim-domain
-// recorders also accept explicit virtual timestamps (RecordAt), so a wall
-// ring can never receive virtual time.
+// or a sim-domain virtual clock its harness moves. The stages a call site
+// has already read obs.Wall for — Input at an input's arrival, Encode at
+// the end of an Encode call, Rx at a command's arrival, Decode and Paint
+// after its apply — take that reading as their first argument: a wall
+// recorder stamps it instead of reading the clock again, a sim-domain
+// recorder stamps its virtual now either way. Only sim-domain recorders
+// accept explicit virtual timestamps (RecordAt), so a wall ring can never
+// receive virtual time.
 package flight
 
 import (
@@ -228,10 +233,23 @@ func (l *SessionLog) push(ev Event) {
 // record stamps one event from the recorder's clock and records it. The
 // disabled path is a nil check plus one atomic load.
 func (l *SessionLog) record(ev Event) {
-	if !l.Armed() {
-		return
+	if l.Armed() {
+		l.stamp(l.rec.clock.Now(), ev)
 	}
-	ev.T = l.rec.clock.Now()
+}
+
+// recordAt records ev at wall, a reading of obs.Wall the caller has
+// already taken: a wall recorder stamps it, a sim-domain one its virtual
+// now (obs.Clock.At).
+func (l *SessionLog) recordAt(wall time.Duration, ev Event) {
+	if l.Armed() {
+		l.stamp(l.rec.clock.At(wall), ev)
+	}
+}
+
+// stamp records ev at t under the session's current input chain.
+func (l *SessionLog) stamp(t time.Duration, ev Event) {
+	ev.T = t
 	if ev.Cause == 0 {
 		ev.Cause = l.cause.Load()
 	}
@@ -253,15 +271,16 @@ func (l *SessionLog) RecordAt(t time.Duration, ev Event) {
 }
 
 // Input records an input event reaching the server and opens a new causal
-// chain, returning the fresh input-chain ID. cmd is TypeKey or
-// TypePointer; arg carries the key code or packed pointer position.
-func (l *SessionLog) Input(cmd protocol.MsgType, arg int64) uint64 {
+// chain, returning the fresh input-chain ID. wall is the reading of
+// obs.Wall taken at its arrival; cmd is TypeKey or TypePointer; arg
+// carries the key code or packed pointer position.
+func (l *SessionLog) Input(wall time.Duration, cmd protocol.MsgType, arg int64) uint64 {
 	if !l.Armed() {
 		return 0
 	}
 	id := l.rec.inputID.Add(1)
 	l.cause.Store(id)
-	l.record(Event{Kind: EvInput, Cmd: cmd, Cause: id, A: arg})
+	l.stamp(l.rec.clock.At(wall), Event{Kind: EvInput, Cmd: cmd, Cause: id, A: arg})
 	return id
 }
 
@@ -271,9 +290,10 @@ func (l *SessionLog) Op(code int64) {
 	l.record(Event{Kind: EvOp, A: code})
 }
 
-// Encode records one display command leaving the encoder.
-func (l *SessionLog) Encode(seq uint32, cmd protocol.MsgType, bytes, pixels int64) {
-	l.record(Event{Kind: EvEncode, Cmd: cmd, Seq: seq, A: bytes, B: pixels})
+// Encode records one display command leaving the encoder, at wall — the
+// reading of obs.Wall that ended the call returning it.
+func (l *SessionLog) Encode(wall time.Duration, seq uint32, cmd protocol.MsgType, bytes, pixels int64) {
+	l.recordAt(wall, Event{Kind: EvEncode, Cmd: cmd, Seq: seq, A: bytes, B: pixels})
 }
 
 // Tx records one command handed to the transport.
@@ -281,20 +301,23 @@ func (l *SessionLog) Tx(seq uint32, cmd protocol.MsgType, bytes int64) {
 	l.record(Event{Kind: EvTx, Cmd: cmd, Seq: seq, A: bytes})
 }
 
-// Rx records one command received by the console transport.
-func (l *SessionLog) Rx(seq uint32, cmd protocol.MsgType, bytes int64) {
-	l.record(Event{Kind: EvRx, Cmd: cmd, Seq: seq, A: bytes})
+// Rx records one command received by the console transport, at wall —
+// the reading of obs.Wall taken at its arrival.
+func (l *SessionLog) Rx(wall time.Duration, seq uint32, cmd protocol.MsgType, bytes int64) {
+	l.recordAt(wall, Event{Kind: EvRx, Cmd: cmd, Seq: seq, A: bytes})
 }
 
 // Decode records the console decoding one command (serviceNs is the
-// modelled decode time, 0 without a cost model).
-func (l *SessionLog) Decode(seq uint32, cmd protocol.MsgType, serviceNs int64) {
-	l.record(Event{Kind: EvDecode, Cmd: cmd, Seq: seq, A: serviceNs})
+// modelled decode time, 0 without a cost model), at wall — the reading of
+// obs.Wall taken when its apply was done.
+func (l *SessionLog) Decode(wall time.Duration, seq uint32, cmd protocol.MsgType, serviceNs int64) {
+	l.recordAt(wall, Event{Kind: EvDecode, Cmd: cmd, Seq: seq, A: serviceNs})
 }
 
-// Paint records the console applying one command to its frame buffer.
-func (l *SessionLog) Paint(seq uint32, cmd protocol.MsgType) {
-	l.record(Event{Kind: EvPaint, Cmd: cmd, Seq: seq})
+// Paint records the console applying one command to its frame buffer, at
+// wall — the reading of obs.Wall taken when the apply was done.
+func (l *SessionLog) Paint(wall time.Duration, seq uint32, cmd protocol.MsgType) {
+	l.recordAt(wall, Event{Kind: EvPaint, Cmd: cmd, Seq: seq})
 }
 
 // Status records a console heartbeat.

@@ -18,16 +18,16 @@ import (
 func TestRingRecordsAndOrders(t *testing.T) {
 	rec := New(obs.DomainWall)
 	l := rec.Session(7)
-	id := l.Input(protocol.TypeKey, 'x')
+	id := l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
 	if id == 0 {
 		t.Fatal("Input returned zero chain ID")
 	}
 	l.Op(2)
-	l.Encode(41, protocol.TypeBitmap, 58, 128)
+	l.Encode(obs.Wall.Now(), 41, protocol.TypeBitmap, 58, 128)
 	l.Tx(41, protocol.TypeBitmap, 58)
-	l.Rx(41, protocol.TypeBitmap, 58)
-	l.Decode(41, protocol.TypeBitmap, 0)
-	l.Paint(41, protocol.TypeBitmap)
+	l.Rx(obs.Wall.Now(), 41, protocol.TypeBitmap, 58)
+	l.Decode(obs.Wall.Now(), 41, protocol.TypeBitmap, 0)
+	l.Paint(obs.Wall.Now(), 41, protocol.TypeBitmap)
 
 	evs := l.Events(0)
 	if len(evs) != 7 {
@@ -73,8 +73,8 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	rec := New(obs.DomainWall)
 	rec.SetEnabled(false)
 	l := rec.Session(1)
-	l.Input(protocol.TypeKey, 'x')
-	l.Encode(1, protocol.TypeFill, 10, 100)
+	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
+	l.Encode(obs.Wall.Now(), 1, protocol.TypeFill, 10, 100)
 	if evs := l.Events(0); len(evs) != 0 {
 		t.Fatalf("disabled recorder stored %d events", len(evs))
 	}
@@ -82,8 +82,8 @@ func TestDisabledRecordsNothing(t *testing.T) {
 		t.Error("disabled log reports Armed")
 	}
 	var nilLog *SessionLog
-	nilLog.Input(protocol.TypeKey, 'x') // must not panic
-	nilLog.Paint(1, protocol.TypeFill)
+	nilLog.Input(obs.Wall.Now(), protocol.TypeKey, 'x') // must not panic
+	nilLog.Paint(obs.Wall.Now(), 1, protocol.TypeFill)
 	if nilLog.Events(0) != nil {
 		t.Error("nil log returned events")
 	}
@@ -98,7 +98,7 @@ func TestConcurrentRecordingIsSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				l.Encode(uint32(i), protocol.TypeSet, 100, 50)
+				l.Encode(obs.Wall.Now(), uint32(i), protocol.TypeSet, 100, 50)
 			}
 		}()
 	}
@@ -128,7 +128,7 @@ func TestClockDomainSeparation(t *testing.T) {
 	// Self-stamping on a sim recorder reads the virtual clock its harness
 	// moves — never wall time — and a wall ring refuses virtual timestamps.
 	clk.Set(7 * time.Millisecond)
-	l.Input(protocol.TypeKey, 'x')
+	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
 	if evs = l.Events(0); len(evs) != 3 || evs[2].Kind != EvInput || evs[2].T != 7*time.Millisecond {
 		t.Fatalf("self-stamped sim event not at the virtual clock: %+v", evs)
 	}
@@ -154,9 +154,9 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 	const target = 150 * time.Millisecond
 
 	l := rec.Session(3)
-	cause := l.Input(protocol.TypeKey, 'q')
-	l.Encode(9, protocol.TypeBitmap, 44, 128)
-	l.Paint(9, protocol.TypeBitmap)
+	cause := l.Input(obs.Wall.Now(), protocol.TypeKey, 'q')
+	l.Encode(obs.Wall.Now(), 9, protocol.TypeBitmap, 44, 128)
+	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap)
 
 	if _, breached := rec.RecordBreach(4, 200*time.Millisecond, target); breached {
 		t.Fatal("a session with no ring recorded a breach")
@@ -234,10 +234,10 @@ func TestRemoveEvictsSession(t *testing.T) {
 func TestPerfettoExportAndHandler(t *testing.T) {
 	rec := New(obs.DomainWall)
 	l := rec.Session(2)
-	l.Input(protocol.TypeKey, 'a')
-	l.Encode(1, protocol.TypeFill, 20, 1000)
+	l.Input(obs.Wall.Now(), protocol.TypeKey, 'a')
+	l.Encode(obs.Wall.Now(), 1, protocol.TypeFill, 20, 1000)
 	l.Tx(1, protocol.TypeFill, 20)
-	l.Paint(1, protocol.TypeFill)
+	l.Paint(obs.Wall.Now(), 1, protocol.TypeFill)
 
 	var buf bytes.Buffer
 	if err := obs.WriteJSON(&buf, obs.NewTraceFile(TraceEvents(nil, 2, rec.Events(2, 0)))); err != nil {
@@ -304,13 +304,13 @@ func TestDisabledRecordAllocatesNothing(t *testing.T) {
 	rec.SetEnabled(false)
 	l := rec.Session(1)
 	if n := testing.AllocsPerRun(100, func() {
-		l.Encode(1, protocol.TypeSet, 100, 50)
+		l.Encode(obs.Wall.Now(), 1, protocol.TypeSet, 100, 50)
 	}); n != 0 {
 		t.Errorf("disabled record allocates %.1f objects", n)
 	}
 	rec.SetEnabled(true)
 	if n := testing.AllocsPerRun(100, func() {
-		l.Encode(1, protocol.TypeSet, 100, 50)
+		l.Encode(obs.Wall.Now(), 1, protocol.TypeSet, 100, 50)
 	}); n != 0 {
 		t.Errorf("enabled record allocates %.1f objects", n)
 	}
@@ -326,7 +326,7 @@ func BenchmarkRecordBaseline(b *testing.B) {
 	var l *SessionLog
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Encode(uint32(i), protocol.TypeSet, 100, 50)
+		l.Encode(obs.Wall.Now(), uint32(i), protocol.TypeSet, 100, 50)
 	}
 }
 
@@ -336,7 +336,7 @@ func BenchmarkRecordDisabled(b *testing.B) {
 	l := rec.Session(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Encode(uint32(i), protocol.TypeSet, 100, 50)
+		l.Encode(obs.Wall.Now(), uint32(i), protocol.TypeSet, 100, 50)
 	}
 }
 
@@ -345,7 +345,7 @@ func BenchmarkRecordEnabled(b *testing.B) {
 	l := rec.Session(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Encode(uint32(i), protocol.TypeSet, 100, 50)
+		l.Encode(obs.Wall.Now(), uint32(i), protocol.TypeSet, 100, 50)
 	}
 }
 
@@ -355,7 +355,7 @@ func BenchmarkRecordEnabledParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			l.Encode(7, protocol.TypeSet, 100, 50)
+			l.Encode(obs.Wall.Now(), 7, protocol.TypeSet, 100, 50)
 		}
 	})
 }

@@ -19,12 +19,12 @@ func TestCheckBreachPathEvidence(t *testing.T) {
 	l := rec.Session(1)
 
 	// A wire-dominated chain: sent promptly, slow to arrive.
-	l.Input(protocol.TypeKey, 'x')
-	l.Encode(9, protocol.TypeBitmap, 100, 64)
+	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
+	l.Encode(obs.Wall.Now(), 9, protocol.TypeBitmap, 100, 64)
 	l.Tx(9, protocol.TypeBitmap, 100)
 	time.Sleep(30 * time.Millisecond)
-	l.Rx(9, protocol.TypeBitmap, 100)
-	l.Paint(9, protocol.TypeBitmap)
+	l.Rx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
+	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap)
 
 	// The estimator reports a lossy path at breach time.
 	var askedSession uint32

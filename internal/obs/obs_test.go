@@ -86,33 +86,6 @@ func TestMustSim(t *testing.T) {
 	MustSim(NewRegistry(DomainWall))
 }
 
-func TestSpan(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	span := obsStartSpanFor(a)
-	span.Attach(b)
-	span.End()
-	if a.Count() != 1 || b.Count() != 1 {
-		t.Errorf("span recorded into %d/%d histograms, want 1/1", a.Count(), b.Count())
-	}
-
-	// The zero span is inert: Attach and End are no-ops.
-	var inert Span
-	if inert.Elapsed() != 0 {
-		t.Error("zero span reports elapsed time")
-	}
-	inert.Attach(a)
-	inert.End()
-	if a.Count() != 1 {
-		t.Error("inert span recorded an observation")
-	}
-}
-
-// obsStartSpanFor exists to keep the span under test in a helper frame,
-// mirroring how server.Handle arms spans in one scope and ends in another.
-func obsStartSpanFor(h *Histogram) Span {
-	return StartSpan(h)
-}
-
 func TestRegistryRemove(t *testing.T) {
 	r := NewRegistry(DomainWall)
 	c := r.Counter("gone_total")

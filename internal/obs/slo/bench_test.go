@@ -16,7 +16,7 @@ func BenchmarkObserveDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Observe(200 * time.Millisecond)
+		s.Observe(obs.Wall.Now(), 200*time.Millisecond)
 	}
 }
 
@@ -29,7 +29,7 @@ func BenchmarkObserveEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Observe(10 * time.Millisecond)
+		s.Observe(obs.Wall.Now(), 10*time.Millisecond)
 	}
 }
 
@@ -42,7 +42,7 @@ func BenchmarkObserveEnabledParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			s.Observe(10 * time.Millisecond)
+			s.Observe(obs.Wall.Now(), 10*time.Millisecond)
 		}
 	})
 }
@@ -53,7 +53,7 @@ func BenchmarkStatus(b *testing.B) {
 	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
 	for i := uint32(1); i <= 25; i++ {
 		s := tr.Session(i, "user")
-		s.Observe(10 * time.Millisecond)
+		s.Observe(obs.Wall.Now(), 10*time.Millisecond)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,12 +18,18 @@
 //   - OK — every window is inside budget.
 //
 // Tracking is per session and fleet-wide, lock-free on the observe path
-// (epoch-tagged slot rings, a few atomic ops per event, zero allocations),
-// and evictable: Remove takes a terminated session's labeled series out of
-// the registry so long-lived servers do not leak cardinality. A tracker
-// stamps and reads its windows on one obs.Clock; on a sim-domain clock it
-// also accepts explicit virtual timestamps (ObserveAt), so capacity
-// simulations reuse the same burn machinery.
+// and allocation-free. An event is a few atomic adds into epoch-tagged slot
+// rings; a scope's windows are evaluated — burns summed, gauges and state
+// published, transitions detected — only while one of them can still hold
+// a breach, and once more at the first observe after the last breach has
+// left them all. Outside those spans every burn is zero and the state OK,
+// which is what the gauges already read, so the published values are
+// those of evaluating at every event. Tracking is also evictable: Remove
+// takes a terminated session's labeled series out of the registry so
+// long-lived servers do not leak cardinality. A tracker stamps and reads
+// its windows on one obs.Clock; on a sim-domain clock it also accepts
+// explicit virtual timestamps (ObserveAt), so capacity simulations reuse
+// the same burn machinery.
 package slo
 
 import (
@@ -144,9 +150,11 @@ func stateOf(burns [numWindows]float64) State {
 }
 
 // windows is the per-scope (session or fleet) rolling state: three shared
-// epoch-slot windows counting events and breaches.
+// epoch-slot windows counting events and breaches, and the gate that says
+// when they are worth evaluating.
 type windows struct {
-	win [numWindows]obs.Window
+	win  [numWindows]obs.Window
+	gate gate
 }
 
 func (ws *windows) init(cfg Config) {
@@ -163,6 +171,36 @@ func (ws *windows) observe(nowNs int64, breach bool) {
 	for i := range ws.win {
 		ws.win[i].Add(nowNs, 1, breaches, 0)
 	}
+	if breach {
+		// After the add, so an evaluation the gate lets through sees it.
+		ws.gate.breach(ws.expiry(nowNs))
+	}
+}
+
+// expiry is the first instant at which an event at nowNs has left every
+// window — the longest window need not be the last one configured.
+func (ws *windows) expiry(nowNs int64) int64 {
+	var e int64
+	for i := range ws.win {
+		e = max(e, ws.win[i].Expiry(nowNs))
+	}
+	return e
+}
+
+// evalGated is eval behind the gate: ok is false when no window can hold
+// a breach at nowNs, so every burn is zero and the state OK — what the
+// scope published at the evaluation that closed the gate. hot reports a
+// breach in some window; the caller hands it to gate.published once it
+// has published the burns.
+func (ws *windows) evalGated(nowNs int64, budget float64) (burns [numWindows]float64, hot, ok bool) {
+	if !ws.gate.open(nowNs) {
+		return burns, false, false
+	}
+	burns, stats := ws.eval(nowNs, budget)
+	for _, st := range stats {
+		hot = hot || st.Breaches > 0
+	}
+	return burns, hot, true
 }
 
 // eval computes the three burns as of nowNs.
@@ -186,6 +224,58 @@ func (ws *windows) eval(nowNs int64, budget float64) (burns [numWindows]float64,
 		stats[i] = st
 	}
 	return burns, stats
+}
+
+// gate spares a scope's observe path the evaluation of its windows while
+// none of them can hold a breach: the burns are then zero and the state
+// OK, which is what the scope's gauges already read. until is the expiry
+// of the latest breach: 0 before any breach, positive while the gate is
+// open, negated once the first observe at or past it has closed the gate
+// with one last evaluation. Every change is a CAS on the one word, so a
+// breach racing the close either lands before it — the close fails and
+// re-reads — or reopens the gate after it.
+type gate struct{ until atomic.Int64 }
+
+// breach opens the gate until at least expiry.
+func (g *gate) breach(expiry int64) {
+	for {
+		u := g.until.Load()
+		v := max(u, -u, expiry)
+		if u == v || g.until.CompareAndSwap(u, v) {
+			return
+		}
+	}
+}
+
+// open reports whether an observe at nowNs must evaluate: while the gate
+// is open, and for the observe that closes it. A closed gate still lets
+// through an observe stamped before the expiry it closed at — instants
+// may arrive out of order, and the breach is in that observe's windows.
+func (g *gate) open(nowNs int64) bool {
+	for {
+		u := g.until.Load()
+		switch {
+		case u == 0:
+			return false
+		case u < 0:
+			return nowNs < -u
+		case nowNs < u:
+			return true
+		case g.until.CompareAndSwap(u, -u):
+			return true
+		}
+	}
+}
+
+// published follows every gated evaluation once its results are out. An
+// evaluation that found a breach (hot) while the gate closed behind it —
+// an older observe that may have published over the closing one, or an
+// out-of-order instant — reopens the gate, so the next observe evaluates
+// again and publishes what eager evaluation would.
+func (g *gate) published(hot bool) {
+	if u := g.until.Load(); hot && u < 0 {
+		g.until.CompareAndSwap(u, -u)
+	}
 }
 
 // Tracker evaluates the SLO on one clock: fleet-wide plus one SessionSLO
@@ -380,7 +470,10 @@ func (t *Tracker) FleetWindows() [numWindows]WindowStat {
 	return stats
 }
 
-// observe is the shared observe path.
+// observe is the shared observe path. The gauges and transitions it
+// publishes are those of evaluating every window at every observe, but a
+// scope's windows are evaluated only while its gate is open: in a quiet
+// fleet an observe is the window adds and the counters.
 func (t *Tracker) observe(s *SessionSLO, nowNs int64, latency time.Duration) {
 	breach := latency > time.Duration(t.targetNs.Load())
 	t.fleet.observe(nowNs, breach)
@@ -393,20 +486,26 @@ func (t *Tracker) observe(s *SessionSLO, nowNs int64, latency time.Duration) {
 			t.breachesC.Inc()
 		}
 		budget := t.Budget()
-		burns, _ := t.fleet.eval(nowNs, budget)
-		for i := range burns {
-			t.burnGauges[i].Set(int64(burns[i] * 1000))
+		if burns, hot, ok := t.fleet.evalGated(nowNs, budget); ok {
+			for i := range burns {
+				t.burnGauges[i].Set(int64(burns[i] * 1000))
+			}
+			fleetState := stateOf(burns)
+			t.stateGauge.Set(int64(fleetState))
+			t.noteState(fleetState)
+			t.fleet.gate.published(hot)
 		}
-		fleetState := stateOf(burns)
-		t.stateGauge.Set(int64(fleetState))
-		t.noteState(fleetState)
 		if s != nil && s.stateGauge != nil {
-			sburns, _ := s.win.eval(nowNs, budget)
-			s.stateGauge.Set(int64(stateOf(sburns)))
+			if sburns, hot, ok := s.win.evalGated(nowNs, budget); ok {
+				s.stateGauge.Set(int64(stateOf(sburns)))
+				s.win.gate.published(hot)
+			}
 		}
 	} else if t.nSubs.Load() != 0 {
-		burns, _ := t.fleet.eval(nowNs, t.Budget())
-		t.noteState(stateOf(burns))
+		if burns, hot, ok := t.fleet.evalGated(nowNs, t.Budget()); ok {
+			t.noteState(stateOf(burns))
+			t.fleet.gate.published(hot)
+		}
 	}
 }
 
@@ -432,13 +531,15 @@ func (s *SessionSLO) Armed() bool {
 	return s != nil && s.t.enabled.Load()
 }
 
-// Observe evaluates one input-to-paint latency, stamped now on the
-// tracker's clock. The disabled path is a nil check plus one atomic load.
-func (s *SessionSLO) Observe(latency time.Duration) {
+// Observe evaluates one input-to-paint latency at wall, the reading of
+// obs.Wall that ended it: a wall tracker stamps that reading instead of
+// reading the clock again, a sim tracker its virtual now. The disabled
+// path is a nil check plus one atomic load.
+func (s *SessionSLO) Observe(wall, latency time.Duration) {
 	if !s.Armed() {
 		return
 	}
-	s.t.observe(s, int64(s.t.clock.Now()), latency)
+	s.t.observe(s, int64(s.t.clock.At(wall)), latency)
 }
 
 // ObserveAt evaluates one latency at an explicit virtual time and moves

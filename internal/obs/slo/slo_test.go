@@ -171,7 +171,7 @@ func TestDisabledAndNil(t *testing.T) {
 	tr := New(obs.Wall, cfg())
 	s := tr.Session(1, "x")
 	tr.SetEnabled(false)
-	s.Observe(10 * time.Second) // would breach if armed
+	s.Observe(obs.Wall.Now(), 10*time.Second) // would breach if armed
 	s.RecordBlame(flight.StageWire)
 	tr.SetEnabled(true)
 	if st := tr.FleetWindows(); st[WinShort].Events != 0 {
@@ -181,7 +181,7 @@ func TestDisabledAndNil(t *testing.T) {
 	if nilS.Armed() {
 		t.Error("nil session armed")
 	}
-	nilS.Observe(time.Second)
+	nilS.Observe(obs.Wall.Now(), time.Second)
 	nilS.RecordBlame(flight.StageWire)
 }
 
@@ -195,7 +195,7 @@ func TestDomainEnforcement(t *testing.T) {
 	clk := obs.NewClock(obs.DomainSim)
 	tr := New(clk, cfg())
 	clk.Set(time.Hour)
-	tr.Session(1, "s").Observe(time.Millisecond)
+	tr.Session(1, "s").Observe(obs.Wall.Now(), time.Millisecond)
 	if st := tr.Status(); st.NowNs != int64(time.Hour) || st.Windows[WinShort].Events != 1 {
 		t.Errorf("self-stamped sim observe not at the virtual clock: now=%d windows=%+v", st.NowNs, st.Windows)
 	}
@@ -285,13 +285,13 @@ func TestZeroAllocDisabled(t *testing.T) {
 	s := tr.Session(1, "alice")
 	tr.SetEnabled(false)
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Observe(200 * time.Millisecond)
+		s.Observe(obs.Wall.Now(), 200*time.Millisecond)
 	}); n != 0 {
 		t.Errorf("disabled Observe allocates %.1f/op, want 0", n)
 	}
 	var nilS *SessionSLO
 	if n := testing.AllocsPerRun(1000, func() {
-		nilS.Observe(200 * time.Millisecond)
+		nilS.Observe(obs.Wall.Now(), 200*time.Millisecond)
 	}); n != 0 {
 		t.Errorf("nil Observe allocates %.1f/op, want 0", n)
 	}
@@ -304,7 +304,7 @@ func TestZeroAllocEnabled(t *testing.T) {
 	tr := New(obs.Wall, cfg()).Instrument(reg)
 	s := tr.Session(1, "alice")
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Observe(10 * time.Millisecond)
+		s.Observe(obs.Wall.Now(), 10*time.Millisecond)
 	}); n != 0 {
 		t.Errorf("enabled Observe allocates %.1f/op, want 0", n)
 	}
@@ -312,7 +312,7 @@ func TestZeroAllocEnabled(t *testing.T) {
 	// budget: noteState's no-change path is one atomic load.
 	defer tr.Subscribe(func(from, to State) {})()
 	if n := testing.AllocsPerRun(1000, func() {
-		s.Observe(10 * time.Millisecond)
+		s.Observe(obs.Wall.Now(), 10*time.Millisecond)
 	}); n != 0 {
 		t.Errorf("subscribed Observe allocates %.1f/op, want 0", n)
 	}

@@ -26,7 +26,7 @@ func TestObserversCountOneBreach(t *testing.T) {
 		{"target", target, 0},
 		{"target+1ns", target + time.Nanosecond, 1},
 	} {
-		sess.ObservePaint(tc.latency)
+		sess.ObservePaint(obs.Wall.Now(), tc.latency)
 		snap := kit.Registry.Snapshot()
 		var blamed int64
 		for name, n := range snap.Counters {

@@ -72,6 +72,12 @@ func (w *Window) Add(nowNs, a, b, c int64) {
 	}
 }
 
+// Expiry reports the first instant at which an add at nowNs has left the
+// window: Totals from then on no longer counts it.
+func (w *Window) Expiry(nowNs int64) int64 {
+	return (nowNs/w.slotNs + WindowSlots) * w.slotNs
+}
+
 // Totals sums the slots still inside the window as of nowNs. Expiry is
 // purely epoch arithmetic: a slot whose epoch fell out of the trailing
 // WindowSlots contributes nothing.

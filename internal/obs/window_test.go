@@ -32,6 +32,23 @@ func TestWindowRotation(t *testing.T) {
 	}
 }
 
+// TestWindowExpiry: Expiry names the first instant Totals no longer
+// counts an add, whatever the add's offset into its slot.
+func TestWindowExpiry(t *testing.T) {
+	for _, at := range []int64{0, 1, int64(time.Second) - 1, int64(time.Second), 5*int64(time.Second) + 7} {
+		var w Window
+		w.Init(WindowSlots * time.Second)
+		w.Add(at, 1, 0, 0)
+		end := w.Expiry(at)
+		if a, _, _ := w.Totals(end - 1); a == 0 {
+			t.Errorf("add at %d gone at %d, before its expiry %d", at, end-1, end)
+		}
+		if a, _, _ := w.Totals(end); a != 0 {
+			t.Errorf("add at %d still counted at its expiry %d", at, end)
+		}
+	}
+}
+
 // TestWindowDropsStaleWriter pins the one stale-writer rule the SLO and
 // path-quality windows now share: a writer whose instant is a whole
 // revolution (or more) behind the slot's epoch is dropped, not folded into

@@ -215,23 +215,25 @@ func (s *Server) HandleDatagram(console string, wire []byte, now time.Duration) 
 
 // Handle processes one already-decoded console message.
 //
-// Input events are stamped here — the earliest the server can see them —
-// and the stamp rides the whole encode→wire→decode→damage-flush pipeline:
-// on a synchronous transport (the in-process fabric) the console has
-// painted by the time flush returns, so ending the span records true
-// input-to-paint; on UDP it records input-to-wire, with console-side
-// decode published separately by the console's own instruments.
+// An input event is timed from one reading of the wall clock when it
+// arrives — the earliest the server can see it, and its INPUT stamp — to
+// one reading after the resulting commands are flushed, which ends the
+// latency both input-to-paint histograms record and is the SLO's
+// observation instant. On a synchronous transport (the in-process fabric)
+// the console has painted by then, so the latency is true input-to-paint;
+// on UDP it is input-to-wire, with console-side decode published
+// separately by the console's own instruments.
 func (s *Server) Handle(console string, msg protocol.Message, now time.Duration) error {
 	s.mu.Lock()
-	var span obs.Span
+	var input bool
+	var arrived time.Duration
 	var tel *telemetry.Session
 	switch m := msg.(type) {
 	case *protocol.KeyEvent, *protocol.PointerEvent:
+		input, arrived = true, obs.Wall.Now()
 		s.metrics.inputEvents.Inc()
-		span = obs.StartSpan(s.metrics.inputToPaint)
 		if sess, err := s.sessionFor(console); err == nil {
 			tel = sess.tel
-			span.Attach(tel.InputToPaint)
 			if tel.Flight.Armed() {
 				var arg int64
 				switch ev := m.(type) {
@@ -240,19 +242,26 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 				case *protocol.PointerEvent:
 					arg = int64(ev.X)<<16 | int64(ev.Y)
 				}
-				tel.Flight.Input(msg.Type(), arg)
+				tel.Flight.Input(arrived, msg.Type(), arg)
 			}
 		}
 	}
-	var out []outbound
-	herr := s.handleLocked(&out, console, msg, now)
+	out := outbounds.Get().(*[]outbound)
+	herr := s.handleLocked(out, console, msg, now)
 	s.mu.Unlock()
-	ferr := s.flush(out)
-	span.End()
-	// On a synchronous transport the console has painted by now, so the
-	// span's elapsed time is true input-to-paint — exactly what the SLO
-	// evaluates and the breach dump wants to explain.
-	tel.ObservePaint(span.Elapsed())
+	ferr := s.flush(*out)
+	clear(*out) // the pool must not pin wires, logs or console names
+	*out = (*out)[:0]
+	outbounds.Put(out)
+	if input {
+		painted := obs.Wall.Now()
+		latency := painted - arrived
+		s.metrics.inputToPaint.Observe(latency)
+		if tel != nil {
+			tel.InputToPaint.Observe(latency)
+			tel.ObservePaint(painted, latency)
+		}
+	}
 	if herr != nil {
 		return herr
 	}
@@ -272,6 +281,11 @@ type BurstSender interface {
 // SendBurst: flush runs outside the server lock, from several goroutines
 // at once, and a 1280×1024 attach is a 5,120-entry burst.
 var burstWires = sync.Pool{New: func() any { return new([][]byte) }}
+
+// outbounds recycles the queue Handle's datagrams wait in between the
+// locked dispatch and flush: Handle runs once per input event, and an
+// echo's one command should not cost a slice.
+var outbounds = sync.Pool{New: func() any { return new([]outbound) }}
 
 // flush delivers queued datagrams outside the lock, recording the TX event
 // for display commands at the moment they reach the transport and
