@@ -213,7 +213,6 @@ func TestLostFrameHealsByOneNack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.SessionByUser("alice")
-	repaint := uint64(sess.Encoder.LastSeq()) // the attach is one full repaint
 	for i := 0; i < 1+scrollCycle; i++ {
 		if err := ff.SendKey("desk-1", 'j', true); err != nil {
 			t.Fatal(err)
@@ -236,7 +235,12 @@ func TestLostFrameHealsByOneNack(t *testing.T) {
 	if got := nacks.Value(); got != 1 {
 		t.Errorf("one lost frame drew %d NACKs, want 1", got)
 	}
-	if sent := uint64(sess.Encoder.LastSeq() - before); sent > 97+repaint {
+	// A full repaint is one of the screen the loss was healed on.
+	dgs := freshRepaint(sess.Encoder.FB, true)
+	for i := range dgs {
+		dgs[i].ReleaseWire()
+	}
+	if sent, repaint := int(sess.Encoder.LastSeq()-before), len(dgs); sent > 97+repaint {
 		t.Errorf("step and recovery sent %d commands; a step is 97 and a full repaint %d", sent, repaint)
 	}
 	if !con.Framebuffer().Equal(sess.Encoder.FB) {
@@ -258,10 +262,13 @@ func shippedProfile(w, h int) ([]ServerOption, ConsoleConfig) {
 		ConsoleConfig{Width: w, Height: h, TileCacheEntries: DefaultTileCacheEntries}
 }
 
-// TestUDPAttachDatagramBudget: a 1280x1024 gen-2 attach is 5,120 tiles.
-// One datagram each overruns a default socket buffer (about 270 of them)
-// before the reader wakes; packed, the repaint is some 75 datagrams and
-// the console attaches with the socket as the kernel made it.
+// TestUDPAttachDatagramBudget: a gen-2 attach is a fresh repaint of the
+// session's screen — on a blank 1280×1024 screen one FILL per tile row —
+// and the endpoint packs its display commands into §5.4 frames, so the
+// attach leaves in the datagrams the packed repaint needs plus its three
+// control messages: SessionAttach, BandwidthRequest and HelloAck. (One
+// datagram per command, a 5,120-tile attach overran a default socket
+// buffer, about 270 datagrams, before the reader woke.)
 func TestUDPAttachDatagramBudget(t *testing.T) {
 	opts, cfg := shippedProfile(1280, 1024)
 	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp(), opts...)
@@ -280,17 +287,52 @@ func TestUDPAttachDatagramBudget(t *testing.T) {
 	settledSeq(t, con, 0)
 	datagrams, _ := udpTx()
 	sess := srv.Server.SessionByUser("attach") // the lock orders this after the repaint
+	repaint := freshRepaint(sess.Encoder.FB, true)
+	wires := make([][]byte, len(repaint))
+	for i := range repaint {
+		wires[i] = repaint[i].Wire
+	}
+	frames := 0
+	_ = packAndSend(wires, func([]byte, int) error { frames++; return nil })
+	for i := range repaint {
+		repaint[i].ReleaseWire()
+	}
 	applied, dropped := con.Console.Counters()
 	t.Logf("attach: %d commands in %d datagrams", applied, datagrams-datagrams0)
-	if applied < 5120 || dropped != 0 {
-		t.Errorf("console applied %d commands and dropped %d, want the 5,120-tile repaint", applied, dropped)
+	if applied < uint64(len(repaint)) || dropped != 0 {
+		t.Errorf("console applied %d commands and dropped %d, want the %d-command repaint", applied, dropped, len(repaint))
 	}
-	if sent := datagrams - datagrams0; sent > 100 {
-		t.Errorf("attach sent %d datagrams, want at most 100", sent)
+	if sent := datagrams - datagrams0; sent > int64(frames)+3 {
+		t.Errorf("attach sent %d datagrams, want the repaint's %d and 3 control messages", sent, frames)
 	}
 	if !con.Console.Framebuffer().Equal(sess.Encoder.FB) {
 		n, _ := con.Console.Framebuffer().DiffPixels(sess.Encoder.FB)
 		t.Errorf("console differs from the session's frame buffer in %d pixels", n)
+	}
+}
+
+// TestFabricAttachIsOneFillPerRow: a gen-2 attach to a blank 640×480
+// screen sends one FILL per tile row, 30 display commands, where claiming
+// each repeat of the blank tile sent 1,200.
+func TestFabricAttachIsOneFillPerRow(t *testing.T) {
+	fabric := NewFabric()
+	srv := NewServer(fabric, WithTerminalApp(), WithCodec2())
+	srv.Auth.Register("card-alice", "alice")
+	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric.Attach("desk-1", con, srv)
+	if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.SessionByUser("alice")
+	applied, dropped := con.Counters()
+	if sent := sess.Encoder.LastSeq(); sent != 30 || applied != 30 || dropped != 0 {
+		t.Errorf("the attach sent %d display commands, the console applied %d and dropped %d; want 30 FILLs", sent, applied, dropped)
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		t.Error("the console differs from the session's frame buffer")
 	}
 }
 

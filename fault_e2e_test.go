@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"slim/internal/core"
+	"slim/internal/fb"
 	"slim/internal/protocol"
 )
 
@@ -25,6 +26,7 @@ const faultW, faultH = 256, 192
 type faultWorld struct {
 	fabric *Fabric
 	srv    *Server
+	kit    *TelemetryKit
 	app    *scriptApp
 	cfg    ConsoleConfig
 	gen2   bool
@@ -44,7 +46,7 @@ type faultWorld struct {
 func newFaultWorld(t *testing.T, gen2 bool, grant uint64) *faultWorld {
 	t.Helper()
 	kit := NewTelemetry()
-	w := &faultWorld{fabric: NewFabric(), app: &scriptApp{}, gen2: gen2, cons: make(map[string]*Console)}
+	w := &faultWorld{fabric: NewFabric(), kit: kit, app: &scriptApp{}, gen2: gen2, cons: make(map[string]*Console)}
 	w.fabric.SetCapture(nil)
 	w.cfg = ConsoleConfig{Width: faultW, Height: faultH, Costs: SunRay1Costs(), Obs: kit.Registry}
 	opts := []ServerOption{WithTelemetry(kit)}
@@ -96,6 +98,12 @@ func (w *faultWorld) reboot(t *testing.T) {
 }
 
 func (w *faultWorld) con() *Console { return w.cons[w.desk] }
+
+// cacheMisses counts the CACHE_PAINT claims the world's consoles could not
+// serve.
+func (w *faultWorld) cacheMisses() int64 {
+	return w.kit.Registry.Counter("slim_console_cache_misses_total").Value()
+}
 
 func (w *faultWorld) paint(t *testing.T, op Op) {
 	t.Helper()
@@ -176,16 +184,23 @@ func (w *faultWorld) check(t *testing.T, when string) {
 // session's frame buffer, or one command per tile — what a repaint paced in
 // pieces of whole tiles may cost — whichever is more.
 func (w *faultWorld) screen() int64 {
-	enc := NewEncoder(faultW, faultH)
-	copy(enc.FB.Pix, w.sess.Encoder.FB.Pix)
-	if w.gen2 {
-		enc.EnableCodec2(0)
-	}
-	dgs := enc.Repaint(enc.FB.Bounds())
+	dgs := freshRepaint(w.sess.Encoder.FB, w.gen2)
 	for i := range dgs {
 		dgs[i].ReleaseWire()
 	}
 	return max(int64(len(dgs)), (faultW/core.TileSize)*(faultH/core.TileSize))
+}
+
+// freshRepaint is what one screen of src costs: a repaint of its pixels by
+// a scratch encoder that has sent nothing before, on the gen-2 tile path
+// or gen-1's. The caller owns the wires.
+func freshRepaint(src *fb.Framebuffer, gen2 bool) []Datagram {
+	enc := NewEncoder(src.W, src.H)
+	copy(enc.FB.Pix, src.Pix)
+	if gen2 {
+		enc.EnableCodec2(0)
+	}
+	return enc.Repaint(enc.FB.Bounds())
 }
 
 // faultOp draws an op of at most a quarter of the screen.
@@ -218,13 +233,13 @@ func noise(rng *rand.Rand, r Rect) ImageOp {
 	return ImageOp{Rect: r, Pixels: pix}
 }
 
-// wallpaper repeats one tile of noise across the screen: a gen-2 repaint
-// of it is one tile of pixels and a cache hit for every other tile.
-func wallpaper(rng *rand.Rand) ImageOp {
+// wallpaper repeats one tile of noise across a w×h screen: a gen-2
+// repaint of it is one tile of pixels and a cache hit for every other tile.
+func wallpaper(rng *rand.Rand, w, h int) ImageOp {
 	const ts = core.TileSize
-	tile, op := noise(rng, Rect{W: ts, H: ts}), noise(rng, Rect{W: faultW, H: faultH})
+	tile, op := noise(rng, Rect{W: ts, H: ts}), ImageOp{Rect: Rect{W: w, H: h}, Pixels: make([]Pixel, w*h)}
 	for i := range op.Pixels {
-		op.Pixels[i] = tile.Pixels[(i/faultW)%ts*ts+i%faultW%ts]
+		op.Pixels[i] = tile.Pixels[(i/w)%ts*ts+i%w%ts]
 	}
 	return op
 }
@@ -232,8 +247,9 @@ func wallpaper(rng *rand.Rand) ImageOp {
 // TestFaultScheduleConverges runs every fault once per seed — the hotdesk
 // twice, away and back — in a seeded order between bursts of ordinary
 // painting, on gen-1 and gen-2 consoles with and without a grant. At every
-// quiet point both worlds satisfy check, and each fault costs the faulty
-// world at most one screen of commands plus 64 more than its twin. The
+// quiet point both worlds satisfy check, each fault costs the faulty
+// world at most one screen of commands plus 64 more than its twin, and no
+// claim misses after a hotdesk. The
 // rules it leans on: the console settles holes once its line is quiet, the
 // server judges a STATUS only on a quiet line, a LastSeq of 0 owes the
 // screen with its tile cache, a COPY of owed pixels is owed, and a HelloAck
@@ -321,20 +337,32 @@ func TestFaultScheduleConverges(t *testing.T) {
 			// holding only what the console holds. A reboot strikes tiles
 			// the mirror holds and no CACHE_PAINT has named yet, a hotdesk a
 			// screen of cache hits.
+			var paper ImageOp
 			switch fault.name {
 			case "reboot":
 				both(noise(rng, Rect{W: faultW, H: faultH}))
 			case "hotdesk":
-				both(wallpaper(rng))
+				paper = wallpaper(rng, faultW, faultH)
+				both(paper)
 			}
 			quiet(t, f, twin)
 			f.check(t, at("painting before "+fault.name))
 			twin.check(t, at("the twin's painting before "+fault.name))
 			f0, t0 := f.sess.Encoder.LastSeq(), twin.sess.Encoder.LastSeq()
+			misses := f.cacheMisses()
 			fault.do(t, rng, f, paint)
+			if fault.name == "hotdesk" {
+				// Right after the move the wallpaper is painted again: a
+				// claim of every tile, which the new desk's console holds
+				// from the repaint whether or not its HelloAck trails it.
+				both(paper)
+			}
 			quiet(t, f, twin)
 			f.check(t, at(fault.name))
 			twin.check(t, at("the twin's "+fault.name))
+			if n := f.cacheMisses() - misses; fault.name == "hotdesk" && n != 0 {
+				t.Fatalf("%s: %d claims missed on a line that loses nothing", at(fault.name), n)
+			}
 			cost := int64(f.sess.Encoder.LastSeq()-f0) - int64(twin.sess.Encoder.LastSeq()-t0)
 			if screen := f.screen(); cost > screen+64 {
 				t.Fatalf("%s cost %d commands; one screen is %d", at(fault.name), cost, screen)

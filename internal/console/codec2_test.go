@@ -376,6 +376,17 @@ func TestHelloAckKeepsTheSessionsTiles(t *testing.T) {
 	c, reg := codec2Console(t, 64, 64)
 	enc := core.NewEncoder(64, 64)
 	enc.EnableCodec2(0)
+	// Wallpaper: one tile of noise repeated, so every tile after the first
+	// is a claim of the tile the first one cached.
+	rng := rand.New(rand.NewSource(3))
+	var tile [core.TileSize * core.TileSize]protocol.Pixel
+	for i := range tile {
+		tile[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
+	}
+	for i := range enc.FB.Pix {
+		x, y := i%64, i/64
+		enc.FB.Pix[i] = tile[y%core.TileSize*core.TileSize+x%core.TileSize]
+	}
 	control := func(msg protocol.Message) {
 		t.Helper()
 		if _, err := c.HandleDatagram(protocol.Encode(nil, 0, msg), 0); err != nil {
@@ -390,7 +401,7 @@ func TestHelloAckKeepsTheSessionsTiles(t *testing.T) {
 	control(&protocol.HelloAck{SessionID: 7})
 	rest := enc.Repaint(protocol.Rect{Y: core.TileSize, W: 64, H: 64 - core.TileSize})
 	if _, isClaim := rest[0].Msg.(*protocol.CachePaint); !isClaim {
-		t.Fatalf("the rest of a blank screen opens with %v; nothing claims the cached tile", rest[0].Msg.Type())
+		t.Fatalf("the rest of the wallpaper opens with %v; nothing claims the cached tile", rest[0].Msg.Type())
 	}
 	if nacks := feedAll(t, c, rest); len(nacks) != 0 {
 		t.Errorf("after the ack of its own session the console missed %d cached tiles", len(nacks))

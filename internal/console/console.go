@@ -250,7 +250,7 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		if c.cache != nil {
 			// Console half of the mirrored cache-maintenance rule: insert
 			// every applied command's write-rect tiles (CACHE_PAINT only
-			// touches, done at lookup; CSCS never caches).
+			// touches, done at lookup; FILL and CSCS never cache).
 			c.cache.NoteApply(c.fb, msg)
 		}
 		applied := obs.Wall.Now()

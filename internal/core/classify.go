@@ -12,7 +12,11 @@ import (
 // (fb.TileStats): a capped distinct-color count and a distinct-row-hash
 // count. The classes and their encodings:
 //
-//	solid      1 color                          → FILL
+//	solid      1 color                          → FILL, one per run of
+//	                                              solid tiles of that color
+//	                                              in a tile row (found by
+//	                                              encodeRegion2 before any
+//	                                              cache probe)
 //	text-like  ≤2 colors, or a limited palette  → BITMAP when bicolor,
 //	           with heavily repeated rows         SET otherwise
 //	           (text, UI chrome, dithers)

@@ -7,23 +7,26 @@ import (
 
 // Gen-2 codec: the encoder-side tile path. Where gen-1 lowered each
 // damage rectangle to one command family chosen by whole-rect analysis,
-// gen-2 walks the rectangle in TileSize chunks and, per tile, first asks
-// the mirrored tile cache whether the console has seen exactly this
-// content before — a hit costs 28 wire bytes instead of a pixel re-send —
-// and only on a miss classifies the tile and encodes it with the
-// cheapest command for its content class. The cache keys double as the
-// CACHE_PAINT wire payload; see protocol.CachePaint for the recovery
-// story that keeps all of this soft state.
+// gen-2 walks the rectangle in TileSize chunks. A tile of one color joins
+// a run of FILL; any other tile first asks the mirrored tile cache
+// whether the console has seen exactly this content before — a hit costs
+// 28 wire bytes instead of a pixel re-send — and only on a miss is
+// classified and encoded with the cheapest command for its content class.
+// The cache keys double as the CACHE_PAINT wire payload; see
+// protocol.CachePaint for the recovery story that keeps all of this soft
+// state.
 
 // Codec2Stats is the gen-2 accounting, the committed-bench twin of
 // CommandStats.
 type Codec2Stats struct {
-	// Hits and Misses count tile cache probes on the encode path.
+	// Hits and Misses count tile cache probes on the encode path; solid
+	// tiles are never probed.
 	Hits, Misses uint64
 	// SavedBytes is wire bytes avoided by hits, measured against a
 	// literal re-send of the tile (SET framing, 3 bytes per pixel).
 	SavedBytes int64
-	// Tiles counts classified (miss-path) tiles per content class.
+	// Tiles counts tiles per content class: every solid tile, and the
+	// classified (miss-path) tiles of the other classes.
 	Tiles [numTileClasses]uint64
 	// Resets counts cache generation bumps (attach, recovery repaint).
 	Resets uint64
@@ -101,8 +104,8 @@ func (e *Encoder) ResetCodec2() {
 // run from emit() for every emitted command in sequence order — the
 // same order the console applies them. CACHE_PAINT touches the entry it
 // claimed; SET and CSCS bump the churn tracker (the content-replacing
-// commands); everything except CSCS and CACHE_PAINT inserts its write
-// rectangle's tiles.
+// commands); everything except FILL, CSCS and CACHE_PAINT inserts its
+// write rectangle's tiles.
 func (c2 *Codec2) noteEmit(f *fb.Framebuffer, msg protocol.Message) {
 	switch m := msg.(type) {
 	case *protocol.CachePaint:
@@ -123,27 +126,85 @@ func (c2 *Codec2) noteEmit(f *fb.Framebuffer, msg protocol.Message) {
 // time any region is encoded the frame buffer holds the truth, and
 // hashing must see exactly what the console will hold after applying the
 // command.
+//
+// Solid tiles come first: a tile of one color is never probed or hashed,
+// and consecutive solid tiles of one color in a tile row leave as one
+// FILL, emitted when the run ends (at a tile that is not solid, a color
+// change, or the row's end). Runs never span rows, so a blank screen is
+// one FILL per tile row.
 func (e *Encoder) encodeRegion2(r protocol.Rect) []Datagram {
 	r = r.Intersect(e.FB.Bounds())
 	if r.Empty() {
 		return nil
 	}
-	tilesX := (r.W + TileSize - 1) / TileSize
-	tilesY := (r.H + TileSize - 1) / TileSize
-	out := make([]Datagram, 0, tilesX*tilesY)
+	c2 := e.codec2
+	// One command per tile is the most a region can take; a whole screen
+	// is mostly runs, so it starts at a window's worth and grows.
+	tiles := ((r.W + TileSize - 1) / TileSize) * ((r.H + TileSize - 1) / TileSize)
+	out := make([]Datagram, 0, min(tiles, 256))
 	for y := r.Y; y < r.Y+r.H; y += TileSize {
 		th := min(TileSize, r.Y+r.H-y)
+		var run protocol.Rect // the pending FILL, empty when none
+		var color protocol.Pixel
 		for x := r.X; x < r.X+r.W; x += TileSize {
 			t := protocol.Rect{X: x, Y: y, W: min(TileSize, r.X+r.W-x), H: th}
-			out = e.encodeTile(out, t)
+			c, solid := e.FB.Uniform(t)
+			if solid {
+				c2.stats.Tiles[ClassSolid]++
+				if e.Metrics != nil {
+					e.Metrics.codec2Tiles[ClassSolid].Inc()
+				}
+			}
+			if solid && !run.Empty() && c == color {
+				run.W += t.W
+				continue
+			}
+			out = e.endRun(out, &run, color)
+			if solid {
+				run, color = t, c
+			} else {
+				out = e.encodeTile(out, t)
+			}
 		}
+		out = e.endRun(out, &run, color)
 	}
 	return out
 }
 
-// encodeTile emits the cheapest encoding for one cache tile: a
-// CACHE_PAINT on a hit, else the per-class command. The hit branch is
-// the hot path and allocates nothing beyond the message itself.
+// endRun emits the pending run of solid tiles, if any, as one FILL.
+func (e *Encoder) endRun(out []Datagram, run *protocol.Rect, c protocol.Pixel) []Datagram {
+	if run.Empty() {
+		return out
+	}
+	out = append(out, e.emit(&protocol.Fill{Rect: *run, Color: c}))
+	*run = protocol.Rect{}
+	return out
+}
+
+// RunEnd moves a cut through the first tile row of r, at x on r's tile
+// grid, past the run of solid tiles of one color it would split, so that
+// gen-2 encodes the two sides of the cut in exactly the commands it
+// encodes r in: a run is one FILL whole, two cut. It returns x when x
+// splits no run, and on gen-1, which analyzes the rect as a whole.
+func (e *Encoder) RunEnd(r protocol.Rect, x int) int {
+	if e.codec2 == nil || x <= r.X {
+		return x
+	}
+	h := min(TileSize, r.H)
+	c, solid := e.FB.Uniform(protocol.Rect{X: x - TileSize, Y: r.Y, W: TileSize, H: h})
+	for solid && x < r.X+r.W {
+		t := protocol.Rect{X: x, Y: r.Y, W: min(TileSize, r.X+r.W-x), H: h}
+		if n, ok := e.FB.Uniform(t); !ok || n != c {
+			break
+		}
+		x += t.W
+	}
+	return x
+}
+
+// encodeTile emits the cheapest encoding for one cache tile that is not
+// solid: a CACHE_PAINT on a hit, else the per-class command. The hit
+// branch is the hot path and allocates nothing beyond the message itself.
 func (e *Encoder) encodeTile(out []Datagram, t protocol.Rect) []Datagram {
 	c2 := e.codec2
 	key := e.FB.HashRect(t)
@@ -167,8 +228,6 @@ func (e *Encoder) encodeTile(out []Datagram, t protocol.Rect) []Datagram {
 	}
 	c2.pix = e.FB.ReadRectInto(c2.pix, t)
 	switch class {
-	case ClassSolid:
-		out = append(out, e.emit(&protocol.Fill{Rect: t, Color: c2.pix[0]}))
 	case ClassText:
 		if fg, bg, bits, ok := e.analyzeBicolor(t, c2.pix); ok {
 			out = e.encodeBitmap(out, t, fg, bg, bits)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"slim/internal/fb"
@@ -110,21 +111,9 @@ func TestRepaintAllResetsCodec2(t *testing.T) {
 	}
 	// Replay the stream against a fresh mirror, exactly as a just-reset
 	// console would: every claim must already be present at claim time.
-	mirror := NewTileCache(DefaultTileCacheEntries, true)
 	screen := fb.New(64, 64)
+	mirrorConsole(t, screen, NewTileCache(DefaultTileCacheEntries, true), dgs)
 	for i := range dgs {
-		if cp, ok := dgs[i].Msg.(*protocol.CachePaint); ok {
-			cached, hit := mirror.Lookup(cp.Key, cp.Rect.W, cp.Rect.H)
-			if !hit {
-				t.Fatalf("datagram %d claims key %#x a fresh console cannot hold", i, cp.Key)
-			}
-			if err := screen.Set(cp.Rect, cached); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := screen.Apply(dgs[i].Msg); err != nil {
-			t.Fatal(err)
-		}
-		mirror.NoteApply(screen, dgs[i].Msg)
 		dgs[i].ReleaseWire()
 	}
 	if !screen.Equal(e.FB) {
@@ -135,6 +124,176 @@ func TestRepaintAllResetsCodec2(t *testing.T) {
 	again := e.Repaint(protocol.Rect{W: TileSize, H: TileSize})
 	if n := countCachePaints(again); n != 1 {
 		t.Fatalf("post-repaint re-encode claimed %d hits, want 1", n)
+	}
+}
+
+// mirrorConsole replays a gen-2 stream the way a console does: a claim
+// paints the cached tile, anything else applies, and then the mirrored
+// insert rule runs. It fails the test on a claim the console cannot serve.
+func mirrorConsole(t *testing.T, screen *fb.Framebuffer, cache *TileCache, dgs []Datagram) {
+	t.Helper()
+	for i := range dgs {
+		if cp, ok := dgs[i].Msg.(*protocol.CachePaint); ok {
+			pix, hit := cache.Lookup(cp.Key, cp.Rect.W, cp.Rect.H)
+			if !hit {
+				t.Fatalf("datagram %d claims key %#x the console does not hold", i, cp.Key)
+			}
+			if err := screen.Set(cp.Rect, pix); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := screen.Apply(dgs[i].Msg); err != nil {
+			t.Fatal(err)
+		}
+		cache.NoteApply(screen, dgs[i].Msg)
+	}
+}
+
+// lruKeys lists a cache's keys from most to least recently used.
+func lruKeys(c *TileCache) []uint64 {
+	var keys []uint64
+	for i := c.head; i >= 0; i = c.ent[i].next {
+		keys = append(keys, c.ent[i].key)
+	}
+	return keys
+}
+
+// TestSolidRunsAreOneFill: gen-2 sends a solid tile as part of a run of
+// FILL — consecutive solid tiles of one color in a tile row, edge tiles
+// included, leave as one FILL when the run ends — and probes the cache
+// only for the other tiles. No FILL inserts, so both sides' caches hold
+// the same keys, in the same order.
+func TestSolidRunsAreOneFill(t *testing.T) {
+	blank := NewEncoder(1280, 1024)
+	blank.EnableCodec2(0)
+	dgs := blank.RepaintAll()
+	for i := range dgs {
+		f, ok := dgs[i].Msg.(*protocol.Fill)
+		if want := (protocol.Rect{Y: i * TileSize, W: 1280, H: TileSize}); !ok || f.Rect != want {
+			t.Fatalf("blank repaint command %d is %v %v, want a FILL of the tile row %v", i, dgs[i].Msg.Type(), WriteRect(dgs[i].Msg), want)
+		}
+		dgs[i].ReleaseWire()
+	}
+	if len(dgs) != 64 {
+		t.Fatalf("a blank 1280x1024 repaint is %d commands, want 64 FILLs", len(dgs))
+	}
+	if st := blank.Codec2Stats(); st.Tiles[ClassSolid] != 5120 || st.Hits+st.Misses != 0 {
+		t.Fatalf("a blank repaint counted %d solid tiles and %d probes, want 5120 and none", st.Tiles[ClassSolid], st.Hits+st.Misses)
+	}
+
+	const w, h = runScreenW, runScreenH
+	e := NewEncoder(w, h)
+	e.EnableCodec2(0)
+	dgs, err := e.Encode(runScreen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := func(x, y, w, h int, c protocol.Pixel) string {
+		return fmt.Sprintf("fill %v #%06x", protocol.Rect{X: x, Y: y, W: w, H: h}, c)
+	}
+	a, b := runScreenA, runScreenB
+	want := []string{
+		fill(0, 0, 32, 16, a), "tile 16x16+32+0", fill(48, 0, 16, 16, a), fill(64, 0, 8, 16, b),
+		"claim 16x16+0+16", fill(16, 16, 56, 16, a),
+		fill(0, 32, 72, 10, b),
+	}
+	if got := describe(dgs); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("encoded\n\t%v\nwant\n\t%v", got, want)
+	}
+	if st := e.Codec2Stats(); st.Tiles[ClassSolid] != 13 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("counted %d solid tiles, %d hits and %d misses; want 13, 1 and 1", st.Tiles[ClassSolid], st.Hits, st.Misses)
+	}
+
+	screen, cache := fb.New(w, h), NewTileCache(DefaultTileCacheEntries, true)
+	mirrorConsole(t, screen, cache, dgs)
+	if !screen.Equal(e.FB) {
+		t.Fatal("the console's frame buffer differs from the encoder's")
+	}
+	if server, console := lruKeys(e.codec2.cache), lruKeys(cache); fmt.Sprint(server) != fmt.Sprint(console) || len(server) != 1 {
+		t.Fatalf("server cache holds %x, console %x; want the noise tile on both", server, console)
+	}
+}
+
+// The run screen is 72x42: four tile columns and an 8-wide edge, two tile
+// rows and a 10-high edge. Row 0 is A A noise A B(edge); row 1 repeats the
+// noise tile, then A to the edge; row 2 is all B.
+const runScreenW, runScreenH = 72, 42
+
+var runScreenA, runScreenB = protocol.RGB(10, 20, 30), protocol.RGB(40, 50, 60)
+
+func runScreen() ImageOp {
+	const w, h = runScreenW, runScreenH
+	op := ImageOp{Rect: protocol.Rect{W: w, H: h}, Pixels: make([]protocol.Pixel, w*h)}
+	noise := photoPix(TileSize, TileSize, 3)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			p := runScreenA
+			switch {
+			case y >= 2*TileSize, y < TileSize && x >= 4*TileSize:
+				p = runScreenB
+			case y < TileSize && x/TileSize == 2:
+				p = noise[y*TileSize+x-2*TileSize]
+			case y >= TileSize && x < TileSize:
+				p = noise[(y-TileSize)*TileSize+x]
+			}
+			op.Pixels[y*w+x] = p
+		}
+	}
+	return op
+}
+
+// describe lists a stream's commands — FILLs with their color, claims, and
+// any other tile command — releasing the wires.
+func describe(dgs []Datagram) []string {
+	var got []string
+	for i := range dgs {
+		switch m := dgs[i].Msg.(type) {
+		case *protocol.Fill:
+			got = append(got, fmt.Sprintf("fill %v #%06x", m.Rect, m.Color))
+		case *protocol.CachePaint:
+			got = append(got, "claim "+m.Rect.String())
+		default:
+			got = append(got, "tile "+WriteRect(m).String())
+		}
+		dgs[i].ReleaseWire()
+	}
+	return got
+}
+
+// TestRunEndCutsBetweenRuns: a paced repaint pays a rect in pieces, and a
+// piece cut within a tile row ends where RunEnd says, so the pieces encode
+// in exactly the commands the whole rect does.
+func TestRunEndCutsBetweenRuns(t *testing.T) {
+	r := protocol.Rect{W: runScreenW, H: runScreenH}
+	fresh := func() *Encoder {
+		e := NewEncoder(r.W, r.H)
+		if err := e.FB.Apply(&protocol.Set{Rect: r, Pixels: runScreen().Pixels}); err != nil {
+			t.Fatal(err)
+		}
+		e.EnableCodec2(0)
+		return e
+	}
+	whole := fmt.Sprint(describe(fresh().Repaint(r)))
+	for x, want := range map[int]int{16: 32, 32: 32, 48: 48, 64: 64} {
+		e := fresh()
+		end := e.RunEnd(r, x)
+		if end != want {
+			t.Errorf("RunEnd at x=%d is %d, want %d", x, end, want)
+		}
+		var dgs []Datagram
+		for _, p := range []protocol.Rect{
+			{W: end, H: TileSize},
+			{X: end, W: r.W - end, H: TileSize},
+			{Y: TileSize, W: r.W, H: r.H - TileSize},
+		} {
+			dgs = append(dgs, e.Repaint(p)...)
+		}
+		if got := fmt.Sprint(describe(dgs)); got != whole {
+			t.Errorf("cut at x=%d (moved to %d) encodes\n\t%s\nwhole\n\t%s", x, end, got, whole)
+		}
+	}
+	g1 := NewEncoder(r.W, r.H)
+	if end := g1.RunEnd(r, 16); end != 16 {
+		t.Errorf("gen-1 RunEnd moved the cut to %d", end)
 	}
 }
 

@@ -9,13 +9,13 @@ import (
 // the server keeps a key-only model of what the console holds, the
 // console keeps keys plus pixels. Because every entry is inserted by the
 // same deterministic rule on both sides — after each applied display
-// command, hash every TileSize-aligned chunk of the command's write
-// rectangle — the two caches stay mirrored as long as the command stream
-// is delivered. Loss only makes the console miss inserts, which turns a
-// later server claim into a CACHE_PAINT miss, a NACK, and a repaint: the
-// standard §2.2 recovery path. No invalidation handshake exists or is
-// needed; keys are content hashes, so an entry can never paint wrong
-// pixels, only be absent.
+// command other than FILL, CSCS and CACHE_PAINT, hash every TileSize
+// chunk of the command's write rectangle (NoteApply) — the two caches
+// stay mirrored as long as the command stream is delivered. Loss only
+// makes the console miss inserts, which turns a later server claim into a
+// CACHE_PAINT miss, a NACK, and a repaint: the standard §2.2 recovery
+// path. No invalidation handshake exists or is needed; keys are content
+// hashes, so an entry can never paint wrong pixels, only be absent.
 const (
 	// TileSize is the cache chunk edge in pixels. 16×16 = 256 pixels =
 	// 768 wire bytes keeps a full literal chunk inside one MTU-sized SET
@@ -269,16 +269,18 @@ func (c *TileCache) pushFront(i int32) {
 // NoteApply runs the mirrored cache-maintenance step after msg has been
 // applied to f: every TileSize chunk of the command's write rectangle
 // (chunks anchor at the rectangle's origin, edge chunks run smaller) is
-// inserted with its current content. CSCS is excluded — video churn
-// would only thrash the LRU, and its lossy output is poor cache
-// currency — and CACHE_PAINT itself only touches (done at claim/apply
-// time), otherwise a hit would reinsert what it just used. The rule
-// depends on nothing but the message and the frame buffer, which is what
-// keeps the server and console caches in lockstep without any cache
-// state on the wire.
+// inserted with its current content. FILL is excluded — the encoder
+// sends every solid tile as a run of FILL and never claims one, so its
+// chunks would be entries nothing uses, hashed on both sides — and so is
+// CSCS — video churn would only thrash the LRU, and its lossy output is
+// poor cache currency — and CACHE_PAINT itself only touches (done at
+// claim/apply time), otherwise a hit would reinsert what it just used.
+// The rule depends on nothing but the message and the frame buffer, which
+// is what keeps the server and console caches in lockstep without any
+// cache state on the wire.
 func (c *TileCache) NoteApply(f *fb.Framebuffer, msg protocol.Message) {
 	switch msg.(type) {
-	case *protocol.CachePaint, *protocol.CSCS:
+	case *protocol.Fill, *protocol.CachePaint, *protocol.CSCS:
 		return
 	}
 	if !msg.Type().IsDisplay() {

@@ -193,21 +193,33 @@ func TestTileCacheMirrors(t *testing.T) {
 }
 
 // TestNoteApplyChunking pins the mirrored insert rule's geometry: chunks
-// anchor at the write rectangle's origin, edge chunks run smaller, CSCS and
-// CACHE_PAINT never insert, and non-display messages are ignored.
+// anchor at the write rectangle's origin, edge chunks run smaller, FILL,
+// CSCS and CACHE_PAINT never insert, and non-display messages are ignored.
 func TestNoteApplyChunking(t *testing.T) {
 	f := fb.New(64, 64)
 	c := NewTileCache(64, true)
+	set := func(r protocol.Rect, color func(x, y int) protocol.Pixel) *protocol.Set {
+		pix := make([]protocol.Pixel, 0, r.Pixels())
+		for y := r.Y; y < r.Y+r.H; y++ {
+			for x := r.X; x < r.X+r.W; x++ {
+				pix = append(pix, color(x, y))
+			}
+		}
+		msg := &protocol.Set{Rect: r, Pixels: pix}
+		if err := f.Apply(msg); err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
 
 	// 40x24 rect at (8,8): chunk columns at x=8,24,40 (widths 16,16,8),
-	// rows at y=8,24 (heights 16,8) = 6 chunks. The fill is uniform, so
-	// content addressing collapses same-geometry chunks onto one entry:
+	// rows at y=8,24 (heights 16,8) = 6 chunks. The SET is of one color,
+	// so content addressing collapses same-geometry chunks onto one entry:
 	// the distinct keys are one per geometry — 16x16, 8x16, 16x8, 8x8.
 	r := protocol.Rect{X: 8, Y: 8, W: 40, H: 24}
-	f.Fill(r, protocol.RGB(1, 2, 3))
-	c.NoteApply(f, &protocol.Fill{Rect: r, Color: protocol.RGB(1, 2, 3)})
+	c.NoteApply(f, set(r, func(int, int) protocol.Pixel { return protocol.RGB(1, 2, 3) }))
 	if c.Len() != 4 {
-		t.Fatalf("len=%d after uniform 40x24 fill, want 4 deduplicated geometries", c.Len())
+		t.Fatalf("len=%d after a uniform 40x24 SET, want 4 deduplicated geometries", c.Len())
 	}
 	// An edge chunk (8 wide) must be retrievable under its own geometry.
 	edge := protocol.Rect{X: 40, Y: 8, W: 8, H: 16}
@@ -217,29 +229,33 @@ func TestNoteApplyChunking(t *testing.T) {
 	}
 	// Non-uniform content in the same footprint produces all 6 entries.
 	noisy := NewTileCache(64, true)
-	for y := r.Y; y < r.Y+r.H; y++ {
-		for x := r.X; x < r.X+r.W; x++ {
-			f.Fill(protocol.Rect{X: x, Y: y, W: 1, H: 1}, protocol.RGB(uint8(x*31), uint8(y*57), uint8(x^y)))
-		}
-	}
-	noisy.NoteApply(f, &protocol.Fill{Rect: r, Color: 0})
+	noisy.NoteApply(f, set(r, func(x, y int) protocol.Pixel { return protocol.RGB(uint8(x*31), uint8(y*57), uint8(x^y)) }))
 	if noisy.Len() != 6 {
 		t.Fatalf("len=%d after noisy 40x24 write, want 6 chunks", noisy.Len())
 	}
 
+	// The encoder sends solid tiles as FILL and never claims one, so a
+	// FILL inserts nothing, even over content another command would cache.
 	before := c.Len()
+	c.NoteApply(f, &protocol.Fill{Rect: r, Color: 0})
 	c.NoteApply(f, &protocol.CachePaint{Rect: protocol.Rect{W: TileSize, H: TileSize}, Key: key})
 	c.NoteApply(f, &protocol.CSCS{Src: r, Dst: r, Format: protocol.CSCS16})
 	c.NoteApply(f, &protocol.Nack{From: 1, To: 2})
 	if c.Len() != before {
-		t.Fatalf("CACHE_PAINT/CSCS/non-display changed the cache (%d -> %d)", before, c.Len())
+		t.Fatalf("FILL/CACHE_PAINT/CSCS/non-display changed the cache (%d -> %d)", before, c.Len())
 	}
 
 	// A rect fully off screen inserts nothing; a partly off-screen rect
 	// inserts its clipped chunks only.
-	c.NoteApply(f, &protocol.Fill{Rect: protocol.Rect{X: 100, Y: 100, W: 16, H: 16}})
+	off := protocol.Rect{X: 100, Y: 100, W: 16, H: 16}
+	c.NoteApply(f, &protocol.Set{Rect: off, Pixels: make([]protocol.Pixel, off.Pixels())})
 	if c.Len() != before {
 		t.Fatal("off-screen write rect inserted chunks")
+	}
+	part := protocol.Rect{X: 56, Y: 56, W: 16, H: 16}
+	c.NoteApply(f, &protocol.Set{Rect: part, Pixels: make([]protocol.Pixel, part.Pixels())})
+	if _, ok := c.Lookup(f.HashRect(protocol.Rect{X: 56, Y: 56, W: 8, H: 8}), 8, 8); !ok || c.Len() != before+1 {
+		t.Fatalf("a partly off-screen SET left %d new entries, want its one clipped 8x8 chunk", c.Len()-before)
 	}
 
 	// Oversized direct Insert is the caller's bug: ignored with key 0.

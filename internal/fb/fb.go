@@ -347,6 +347,26 @@ func (f *Framebuffer) ReadRectInto(dst []protocol.Pixel, r protocol.Rect) []prot
 	return dst
 }
 
+// Uniform reports whether every pixel of r (clipped) has one color, and
+// which. It reads the rows in place and stops at the first pixel that
+// differs, so the gen-2 encoder can test every tile for a FILL before it
+// hashes anything. An empty (fully clipped) rectangle is not uniform.
+func (f *Framebuffer) Uniform(r protocol.Rect) (protocol.Pixel, bool) {
+	r = f.clip(r)
+	if r.Empty() {
+		return 0, false
+	}
+	c := f.Pix[r.Y*f.W+r.X]
+	for y := r.Y; y < r.Y+r.H; y++ {
+		for _, p := range f.row(y, r.X, r.W) {
+			if p != c {
+				return 0, false
+			}
+		}
+	}
+	return c, true
+}
+
 // Apply executes one display command against the frame buffer. This is the
 // entire console rendering path: a SLIM console is "not much more
 // intelligent than a frame buffer" (§9).

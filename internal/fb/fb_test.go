@@ -53,6 +53,32 @@ func TestSetAndReadRect(t *testing.T) {
 	}
 }
 
+// TestUniform checks Uniform against the pixels ReadRect copies out, on
+// frame buffers of one color with a few pixels changed, over random and
+// clipped rectangles.
+func TestUniform(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	f := New(40, 30)
+	for i := 0; i < 2000; i++ {
+		if i%50 == 0 {
+			f.Fill(f.Bounds(), protocol.Pixel(rng.Intn(3)))
+			for n := rng.Intn(4); n > 0; n-- {
+				f.SetAt(rng.Intn(f.W), rng.Intn(f.H), protocol.Pixel(rng.Intn(3)))
+			}
+		}
+		r := protocol.Rect{X: rng.Intn(50) - 5, Y: rng.Intn(40) - 5, W: rng.Intn(20), H: rng.Intn(20)}
+		pix := f.ReadRect(r)
+		want := len(pix) > 0
+		for _, p := range pix {
+			want = want && p == pix[0]
+		}
+		c, got := f.Uniform(r)
+		if got != want || got && c != pix[0] {
+			t.Fatalf("Uniform(%v) = %#x, %v; the pixels say %v", r, c, got, want)
+		}
+	}
+}
+
 func TestSetWrongLength(t *testing.T) {
 	f := New(8, 8)
 	if err := f.Set(protocol.Rect{W: 2, H: 2}, []protocol.Pixel{1}); err == nil {

@@ -157,18 +157,24 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	s := newTestServer(tr, WithTelemetry(kit), WithCodec2(), WithFlowControl(flow.Config{}))
 	gen2 := hello(w, h, "card-alice")
 	gen2.Caps = protocol.CapCachePaint
-	// Four attaches, 5,120 commands each, push the first out of the
-	// 16,384-record sent log. None has a grant: each is paid in the call.
+	// The session starts on a blank screen, one FILL per tile row. Then
+	// its screen is noise, and four attaches of it, 5,120 commands each,
+	// push the first attach out of the 16,384-record sent log. None has a
+	// grant: each is paid in the call.
+	if err := s.Handle("c1", gen2, 0); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.SessionByUser("alice")
+	first := sess.Encoder.LastSeq()
+	noiseScreen(sess)
 	for i := 0; i < 4; i++ {
 		if err := s.Handle("c1", gen2, 0); err != nil {
 			t.Fatal(err)
 		}
-		noiseScreen(s.SessionByUser("alice"))
 	}
-	sess := s.SessionByUser("alice")
 	last := sess.Encoder.LastSeq()
-	if last != 4*tiles {
-		t.Fatalf("four attaches encoded %d commands, want %d", last, 4*tiles)
+	if last-first != 4*tiles {
+		t.Fatalf("four attaches of noise encoded %d commands, want %d", last-first, 4*tiles)
 	}
 	storm := []protocol.Message{
 		&protocol.BandwidthGrant{SessionID: sess.ID, Bps: 1_000_000},

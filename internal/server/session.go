@@ -206,15 +206,16 @@ const tileWire = protocol.HeaderSize + 8 + 3*core.TileSize*core.TileSize
 // piece cuts from the top left of r what a paced session pays next: as many
 // whole rows of tiles as bytes of literal pixels hold, or, when not one row
 // fits, as many tiles of the first row, and never less than one tile. Cuts
-// fall on r's tile grid, so gen-2 encodes the pieces of a rect in exactly
+// fall on r's tile grid, and a cut within a row never splits a run of solid
+// tiles (Encoder.RunEnd), so gen-2 encodes the pieces of a rect in exactly
 // the commands it encodes the rect in.
-func piece(r protocol.Rect, bytes int) protocol.Rect {
+func piece(e *core.Encoder, r protocol.Rect, bytes int) protocol.Rect {
 	const ts = core.TileSize
 	tiles := max(1, bytes/tileWire)
 	if rows := tiles / ((r.W + ts - 1) / ts); rows > 0 {
 		r.H = min(r.H, rows*ts)
 	} else {
-		r.W, r.H = min(r.W, tiles*ts), min(r.H, ts)
+		r.W, r.H = e.RunEnd(r, r.X+min(r.W, tiles*ts))-r.X, min(r.H, ts)
 	}
 	return r
 }
@@ -248,7 +249,7 @@ func (sess *Session) repay(out *[]outbound, now time.Duration) {
 				return
 			}
 			pay = pay[:1]
-			pay[0] = piece(pay[0], tokens-max(floor, 0))
+			pay[0] = piece(sess.Encoder, pay[0], tokens-max(floor, 0))
 			sess.damage.Subtract(pay[0])
 		} else {
 			sess.damage.Clear()

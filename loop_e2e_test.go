@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/fb"
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
 	"slim/internal/obs/flight"
@@ -31,12 +32,31 @@ func grantOf(kit *TelemetryKit, user string) int64 {
 	return kit.Registry.Gauge(`slim_flow_grant_bps{session="` + user + `"}`).Value()
 }
 
+// wallpaperApp is a terminal whose first echo lays a wallpaper under the
+// text: a screen whose gen-2 repaint is a tile of pixels and a cache hit
+// for every other tile, 143 KB at 1280×1024, more than a burst.
+type wallpaperApp struct {
+	Application
+	wallpaper ImageOp
+	laid      bool
+}
+
+func (a *wallpaperApp) HandleKey(ev protocol.KeyEvent) []Op {
+	echo := a.Application.HandleKey(ev)
+	if a.laid {
+		return echo
+	}
+	a.laid = true
+	return append([]Op{a.wallpaper}, echo...)
+}
+
 // TestUDPOneWriterInOrder is the live twin of TestRecoveryStormOwesOneScreen:
 // the shipped profile at 1280×1024, a session hotdesked under a live grant
-// — its repaint owed and paid in paced pieces — while a key is typed every
-// few milliseconds. Paced pieces and keystroke echoes come from different
-// server calls, and they reach each console in sequence order because one
-// goroutine makes every call and every write. (With a pacer goroutine
+// — its repaint, text on a wallpaper of 5,120 tiles, owed and paid in
+// paced pieces — while a key is typed every few milliseconds. Paced pieces
+// and keystroke echoes come from different server calls, and they reach
+// each console in sequence order because one goroutine makes every call
+// and every write. (With a pacer goroutine
 // beside the read loop, a paced burst overtook an echo's: cache misses,
 // spurious NACKs, each answered with about a frame.)
 func TestUDPOneWriterInOrder(t *testing.T) {
@@ -44,7 +64,12 @@ func TestUDPOneWriterInOrder(t *testing.T) {
 	consoles := obs.NewRegistry(obs.DomainWall)
 	opts, cfg := shippedProfile(1280, 1024)
 	cfg.Obs = consoles
-	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp(), append(opts, WithTelemetry(kit))...)
+	wp := wallpaper(rand.New(rand.NewSource(7)), 1280, 1024)
+	term := WithTerminalApp()
+	apps := func(user string, w, h int) Application {
+		return &wallpaperApp{Application: term(user, w, h), wallpaper: wp}
+	}
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", apps, append(opts, WithTelemetry(kit))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +143,24 @@ func TestUDPOneWriterInOrder(t *testing.T) {
 	if ring.Drops() != 0 {
 		t.Errorf("the capture ring shed %d records", ring.Drops())
 	}
-	for _, con := range []*UDPConsole{con1, con2} {
-		if id := con.conn.LocalAddr().String(); commands[id] < 5120 {
-			t.Errorf("console %s: %d display commands captured, want its 5,120-tile repaint and more", id, commands[id])
+	// Each console saw at least a repaint of the screen it attached to:
+	// blank for the first; for the second the wallpaper, where a tile of
+	// text costs what the tile of wallpaper it covers does.
+	papered := NewEncoder(1280, 1024).FB
+	if err := papered.Set(wp.Rect, wp.Pixels); err != nil {
+		t.Fatal(err)
+	}
+	for con, screen := range map[*UDPConsole]*fb.Framebuffer{con1: NewEncoder(1280, 1024).FB, con2: papered} {
+		repaint := freshRepaint(screen, true)
+		for i := range repaint {
+			repaint[i].ReleaseWire()
+		}
+		if id := con.conn.LocalAddr().String(); commands[id] < len(repaint) {
+			t.Errorf("console %s: %d display commands captured, want its %d-command repaint and more", id, commands[id], len(repaint))
 		}
 	}
 	if n, d := consoles.Counter("slim_console_nacks_total").Value(), consoles.Counter("slim_console_dropped_total").Value(); n != 0 || d != 0 {
-		t.Errorf("the consoles sent %d NACKs and dropped %d commands on a loopback that loses nothing", n, d)
+		t.Errorf("the consoles sent %d NACKs and dropped %d commands on a loopback that loses nothing (%d of them cache misses)", n, d, consoles.Counter("slim_console_cache_misses_total").Value())
 	}
 	sess := srv.Server.SessionByUser("hot") // the lock orders this after the last paint
 	if !con2.Console.Framebuffer().Equal(sess.Encoder.FB) {
