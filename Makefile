@@ -135,26 +135,30 @@ codec2-smoke:
 fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant' -count 1 -v .
 
-# Evidence smoke against the real binaries: boot slimd with a wire capture,
-# breach dumps (every paint breaches a 1ns SLO target) and incident bundles
-# on, check the standard CPU profile still answers beside them, type into
-# it with slimview, ask for a bundle over /debug/incident, stop the daemon,
-# and have `slimtrace explain` read the bundle, the capture and the dump
-# directory back; every artifact a bundle must hold is checked on disk, and
-# the subcommands explain replaced must be gone. The 1ns target also drives
-# the SLO to BREACHING, so its bundle may land first and the manual one
-# answer 429 inside MinGap: either bundle will do. Ports 5498/6061 keep
-# clear of a developer's running slimd.
+# Evidence smoke against the real binaries: boot slimd with the flow
+# governor, a wire capture, breach dumps (every paint breaches a 1ns SLO
+# target) and incident bundles on, check the standard CPU profile still
+# answers beside them, type into it with slimview, ask for a bundle over
+# /debug/incident, stop the daemon, and have `slimtrace explain` read the
+# bundle, the capture and the dump directory back; every artifact a bundle
+# must hold is checked on disk, and what was deleted must stay gone: the
+# subcommands explain replaced, the /debug/costmodel endpoint (a 404) and
+# the bundle's costmodel.json. The 1ns target also drives the SLO to
+# BREACHING, so its bundle may land first and the manual one answer 429
+# inside MinGap: either bundle will do. Ports 5498/6061 keep clear of a
+# developer's running slimd.
 EVIDENCE := $(or $(TMPDIR),/tmp)/slim-evidence-smoke
 evidence-smoke:
 	rm -rf $(EVIDENCE) && mkdir -p $(EVIDENCE)
 	$(GO) build -o $(EVIDENCE)/ ./cmd/slimd ./cmd/slimview ./cmd/slimtrace
 	set -e; cd $(EVIDENCE); \
-	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -netqual \
+	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -flow -netqual \
 		-capture run.slimcap -flight-dir dumps -slo-target 1ns -incident-dir incidents & \
 	slimd=$$!; trap 'kill $$slimd 2>/dev/null' EXIT; \
 	sleep 3; \
 	curl -fsS -o /dev/null 'http://127.0.0.1:6061/debug/pprof/profile?seconds=1'; \
+	code=$$(curl -sS -o /dev/null -w '%{http_code}' 'http://127.0.0.1:6061/debug/costmodel'); \
+	[ "$$code" = 404 ] || { echo "GET /debug/costmodel answered $$code"; exit 1; }; \
 	./slimview -server 127.0.0.1:5498 -card card-demo -type "evidence" -o screen.png; \
 	code=$$(curl -sS -o /dev/null -w '%{http_code}' -X POST 'http://127.0.0.1:6061/debug/incident?trigger=evidence-smoke'); \
 	case $$code in 200|429) ;; *) echo "POST /debug/incident answered $$code"; exit 1;; esac; \
@@ -162,6 +166,7 @@ evidence-smoke:
 	for f in manifest.json cpu.pprof heap.pprof goroutines.txt hostmon.json slo.json metrics.prom capture-tail.slimcap; do \
 		ls incidents/incident-*/"$$f" >/dev/null; \
 	done; \
+	if ls incidents/incident-*/costmodel.json 2>/dev/null; then echo "a bundle still holds costmodel.json"; exit 1; fi; \
 	./slimtrace explain incidents | grep -qE 'evidence-smoke|slo:OK->'; \
 	./slimtrace explain incidents/incident-* | grep -q 'host at capture'; \
 	./slimtrace explain incidents/incident-* | grep -q 'go tool pprof -top'; \

@@ -212,9 +212,7 @@ func main() {
 		opts = append(opts, slim.WithCodec2())
 	}
 	if *flow {
-		opts = append(opts,
-			slim.WithFlowControl(slim.FlowConfig{InitialBps: *flowBps}),
-			slim.WithCalibratedCosts(slim.Calibrator()))
+		opts = append(opts, slim.WithFlowControl(slim.FlowConfig{InitialBps: *flowBps}))
 	}
 	if *capturePath != "" {
 		cf, err := slim.StartCapture(*capturePath)

@@ -33,12 +33,7 @@ func main() {
 	out := flag.String("o", "screen.png", "screenshot output path")
 	flag.Parse()
 
-	cfg := slim.ConsoleConfig{
-		Width: *width, Height: *height,
-		// Measure real decode costs into the process-wide calibrator: a
-		// console is where §4.3's constants actually come from.
-		Calibrator: slim.Calibrator(),
-	}
+	cfg := slim.ConsoleConfig{Width: *width, Height: *height}
 	if *codec2 {
 		cfg.TileCacheEntries = slim.DefaultTileCacheEntries
 	}

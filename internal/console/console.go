@@ -48,12 +48,6 @@ type Config struct {
 	// (telemetry.Default's if nil). In-process deployments share one
 	// recorder with the server, so both ends of the wire land in one ring.
 	Flight *flight.Recorder
-	// Calibrator, when non-nil, receives one (pixels, decode time) sample
-	// per display command so the §4.3 cost model can be re-fit against
-	// this console's measured behaviour. With a cost model installed the
-	// sample is the modelled service time (virtual calibration); without
-	// one it is the real wall time of the frame-buffer apply.
-	Calibrator *core.Calibrator
 	// TileCacheEntries enables the gen-2 content-addressed tile cache
 	// with the given entry capacity; the console then advertises
 	// CapCachePaint in its Hello and accepts CACHE_PAINT commands. 0
@@ -236,7 +230,7 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 			c.metrics.cacheHits.Inc()
 			c.cpPix = pix
 		}
-		svc, pure, ok := c.applyDisplay(msg, now)
+		svc, ok := c.applyDisplay(msg, now)
 		if !ok {
 			c.dropped++
 			c.metrics.dropped.Inc()
@@ -257,9 +251,6 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		wall := applied - arrived
 		c.metrics.decodeSeconds.Observe(wall)
 		c.metrics.observeDecodeType(msg.Type(), wall)
-		if c.cfg.Calibrator != nil {
-			c.cfg.Calibrator.ObserveMsg(msg, pure)
-		}
 		if c.flog.Armed() {
 			c.flog.Decode(applied, seq, msg.Type(), svc.Nanoseconds())
 			c.flog.Paint(applied, seq, msg.Type())
@@ -360,34 +351,25 @@ func (c *Console) TileCache() *core.TileCache {
 	return c.cache
 }
 
-// applyDisplay renders one display command, returning its modelled service
-// time and whether it was processed (false = dropped due to overload).
-// applyDisplay decodes one display command into the frame buffer. svc is
-// the modelled service time including queueing (0 without a cost model);
-// pure is the calibration sample — the queue-free decode cost of this one
-// command (modelled when a cost model is installed, measured wall time of
-// the frame-buffer apply when a calibrator wants it, 0 otherwise).
-func (c *Console) applyDisplay(msg protocol.Message, now time.Duration) (svc, pure time.Duration, ok bool) {
+// applyDisplay decodes one display command into the frame buffer,
+// returning its modelled service time including queueing (0 without a
+// cost model) and whether it was processed (false = dropped due to
+// overload or malformed).
+func (c *Console) applyDisplay(msg protocol.Message, now time.Duration) (svc time.Duration, ok bool) {
 	if c.cfg.Costs != nil {
-		pure = c.cfg.Costs.ServiceTime(msg)
 		start := now
 		if c.busyUntil > start {
 			start = c.busyUntil
 		}
 		if start-now > c.QueueLimit {
-			return 0, 0, false // decode queue overflow: drop (§4.3)
+			return 0, false // decode queue overflow: drop (§4.3)
 		}
-		c.busyUntil = start + pure
+		c.busyUntil = start + c.cfg.Costs.ServiceTime(msg)
 		svc = c.busyUntil - now // queueing + decode = service time
 		// Modelled quantities are virtual time: they go to the sim-domain
 		// instruments, never the wall-clock ones.
 		c.metrics.simService.Observe(svc)
 		c.metrics.simBacklogNs.Set(int64(c.busyUntil - now))
-	}
-	var t0 time.Time
-	measure := c.cfg.Costs == nil && c.cfg.Calibrator != nil
-	if measure {
-		t0 = time.Now()
 	}
 	var err error
 	if cp, isCP := msg.(*protocol.CachePaint); isCP {
@@ -400,12 +382,9 @@ func (c *Console) applyDisplay(msg protocol.Message, now time.Duration) (svc, pu
 	if err != nil {
 		// Malformed geometry is clipped by fb; real errors are protocol
 		// violations we count as drops.
-		return 0, 0, false
+		return 0, false
 	}
-	if measure {
-		pure = time.Since(t0)
-	}
-	return svc, pure, true
+	return svc, true
 }
 
 // KeyInput encodes a keystroke for transmission to the server.

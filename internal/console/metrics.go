@@ -23,13 +23,11 @@ type consoleMetrics struct {
 	// arrival to its apply into the frame buffer (sequence tracking and
 	// the tile-cache probe included) — the console half of the
 	// input-to-paint pipeline on asynchronous transports. decodeByType
-	// splits the same observations per command so the §4.3 calibration
-	// has a per-command latency distribution next to its fitted line.
-	// decodeByType spans the full display range including the gen-2
-	// CACHE_PAINT, which gets its own bucket: a cache-hit apply is a
-	// small blit, and folding it into the class of the command that
-	// originally painted the pixels would drag that class's calibration
-	// window toward zero.
+	// splits the same observations per command, across the full display
+	// range including the gen-2 CACHE_PAINT, which gets its own bucket:
+	// a cache-hit apply is a small blit, and folding it into the class
+	// of the command that originally painted the pixels would drag that
+	// class's distribution toward zero.
 	decodeSeconds *obs.Histogram
 	decodeByType  [protocol.TypeCachePaint + 1]*obs.Histogram
 	// cacheHits / cacheMisses count CACHE_PAINT claims against the

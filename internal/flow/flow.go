@@ -50,9 +50,6 @@ type Config struct {
 	// BurstBytes is the token-bucket depth. 0 derives it from the cost
 	// model (DefaultBurst).
 	BurstBytes int
-	// Costs is the console cost model behind the derived defaults
-	// (nil means core.SunRay1Costs).
-	Costs *core.CostModel
 }
 
 const (
@@ -75,51 +72,40 @@ const (
 	demandRefWireBytes = 3*demandRefPixels + 16
 )
 
-// DefaultDemandBps estimates a session's bandwidth demand from the cost
-// model: the wire rate at which reference SET strips arrive exactly as
-// fast as the console can decode them. Requesting more than this is
-// pointless — the decode queue, not the link, becomes the bottleneck
-// (§4.3's saturation methodology).
-func DefaultDemandBps(cm *core.CostModel) uint64 {
-	if cm == nil {
-		cm = core.SunRay1Costs()
-	}
-	svc := cm.ServiceTime(&protocol.Set{Rect: protocol.Rect{W: demandRefPixels, H: 1}})
-	if svc <= 0 {
-		return 0
-	}
-	cmdsPerSec := float64(time.Second) / float64(svc)
+// refService is the Sun Ray 1's decode time for the reference strip
+// (Table 5).
+func refService() time.Duration {
+	return core.SunRay1Costs().ServiceTime(&protocol.Set{Rect: protocol.Rect{W: demandRefPixels, H: 1}})
+}
+
+// DefaultDemandBps estimates a session's bandwidth demand from Table 5:
+// the wire rate at which reference SET strips arrive exactly as fast as
+// the console can decode them. Requesting more than this is pointless —
+// the decode queue, not the link, becomes the bottleneck (§4.3's
+// saturation methodology).
+func DefaultDemandBps() uint64 {
+	cmdsPerSec := float64(time.Second) / float64(refService())
 	return uint64(cmdsPerSec * demandRefWireBytes * 8)
 }
 
-// DefaultBurst derives the token-bucket depth from the cost model: the
-// wire bytes of the commands the console can decode in one 5 ms quantum,
+// DefaultBurst derives the token-bucket depth from Table 5: the wire
+// bytes of the commands the console can decode in one 5 ms quantum,
 // clamped to [8 KiB, 64 KiB]. A burst the console cannot decode would only
 // move the backlog from the server (where a paint that does not fit is
 // owed and repainted late) to the console (where it ages into decode
 // drops).
-func DefaultBurst(cm *core.CostModel) int {
-	if cm == nil {
-		cm = core.SunRay1Costs()
-	}
-	svc := cm.ServiceTime(&protocol.Set{Rect: protocol.Rect{W: demandRefPixels, H: 1}})
-	if svc <= 0 {
-		return burstCeiling
-	}
-	cmds := float64(5*time.Millisecond) / float64(svc)
+func DefaultBurst() int {
+	cmds := float64(5*time.Millisecond) / float64(refService())
 	return min(max(int(cmds*demandRefWireBytes), 8<<10), burstCeiling)
 }
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Costs == nil {
-		c.Costs = core.SunRay1Costs()
-	}
 	if c.InitialBps == 0 {
-		c.InitialBps = DefaultDemandBps(c.Costs)
+		c.InitialBps = DefaultDemandBps()
 	}
 	if c.BurstBytes == 0 {
-		c.BurstBytes = DefaultBurst(c.Costs)
+		c.BurstBytes = DefaultBurst()
 	}
 	return c
 }
@@ -195,44 +181,12 @@ type Governor struct {
 	// fresh display traffic and debt repayment.
 	pacedBytes        int64
 	pacedRetransBytes int64
-
-	// autoDemand/autoBurst remember which derived fields were left zero
-	// in the caller's Config, so SetCosts can recompute them from a
-	// recalibrated cost model without clobbering explicit operator
-	// choices.
-	autoDemand bool
-	autoBurst  bool
 }
 
 // NewGovernor returns a governor with cfg (zero fields defaulted),
 // reporting into m (nil is inert).
 func NewGovernor(cfg Config, m *Metrics) *Governor {
-	g := &Governor{
-		m:          m,
-		autoDemand: cfg.InitialBps == 0,
-		autoBurst:  cfg.BurstBytes == 0,
-	}
-	g.cfg = cfg.withDefaults()
-	return g
-}
-
-// SetCosts swaps in a new cost model — typically a calibrated fit from
-// core.Calibrator — and recomputes every cost-derived parameter the
-// caller originally left to the defaults: demand and burst depth.
-// Explicitly configured values are preserved, and so are the tokens and
-// the grant; only pacing arithmetic changes.
-func (g *Governor) SetCosts(cm *core.CostModel) {
-	if cm == nil {
-		return
-	}
-	g.cfg.Costs = cm
-	if g.autoDemand {
-		g.cfg.InitialBps = DefaultDemandBps(cm)
-	}
-	if g.autoBurst {
-		g.cfg.BurstBytes = DefaultBurst(cm)
-	}
-	g.clamp()
+	return &Governor{cfg: cfg.withDefaults(), m: m}
 }
 
 // Config reports the governor's effective (defaulted) configuration.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"slim/internal/core"
 	"slim/internal/obs"
 	"slim/internal/protocol"
 )
@@ -226,58 +225,6 @@ func BenchmarkSubmitGoverned(b *testing.B) {
 		if g.Admit(now, it.Bytes()) {
 			g.Submit(now, it)
 		}
-	}
-}
-
-// TestSetCostsRecomputesDerivedConfig: a calibrated cost model must flow
-// into the demand/burst arithmetic the caller left to the defaults, while
-// explicit operator settings survive recalibration.
-func TestSetCostsRecomputesDerivedConfig(t *testing.T) {
-	g := NewGovernor(Config{Enabled: true}, nil)
-	before := g.Config()
-	// A console measured 4x slower than Table 5 halves what a quantum can
-	// decode: demand and burst must shrink.
-	slow := core.SunRay1Costs()
-	for ty, v := range slow.PerPixel {
-		slow.PerPixel[ty] = v * 4
-	}
-	for f, v := range slow.CSCSPerPixel {
-		slow.CSCSPerPixel[f] = v * 4
-	}
-	g.SetCosts(slow)
-	after := g.Config()
-	if after.InitialBps >= before.InitialBps {
-		t.Fatalf("demand did not shrink for a slower console: %d → %d",
-			before.InitialBps, after.InitialBps)
-	}
-	if after.InitialBps != DefaultDemandBps(slow) {
-		t.Fatalf("demand = %d, want DefaultDemandBps = %d", after.InitialBps, DefaultDemandBps(slow))
-	}
-	if after.BurstBytes != DefaultBurst(slow) {
-		t.Fatalf("burst = %d, want DefaultBurst = %d", after.BurstBytes, DefaultBurst(slow))
-	}
-	// Nil models are ignored.
-	g.SetCosts(nil)
-	if g.Config().InitialBps != after.InitialBps {
-		t.Fatal("nil SetCosts changed the config")
-	}
-}
-
-// TestSetCostsPreservesExplicitConfig: operator-pinned demand and burst
-// are not recomputed.
-func TestSetCostsPreservesExplicitConfig(t *testing.T) {
-	g := NewGovernor(Config{Enabled: true, InitialBps: 123456, BurstBytes: 4096}, nil)
-	slow := core.SunRay1Costs()
-	for ty, v := range slow.PerPixel {
-		slow.PerPixel[ty] = v * 10
-	}
-	g.SetCosts(slow)
-	cfg := g.Config()
-	if cfg.InitialBps != 123456 || cfg.BurstBytes != 4096 {
-		t.Fatalf("explicit config clobbered: %+v", cfg)
-	}
-	if cfg.Costs != slow {
-		t.Fatal("cost model itself should still update")
 	}
 }
 

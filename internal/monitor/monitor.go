@@ -36,16 +36,6 @@ type Line struct {
 	// from the slim_flight_last_breach_unix_ms gauge; negative when no
 	// breach has ever fired.
 	LastBreachAge time.Duration
-	// CalSamples is the cumulative decode-cost observations the live
-	// calibrator has taken (slim_costmodel_samples_total summed across
-	// command labels); 0 means no calibration is running.
-	CalSamples int64
-	// DriftCmd and DriftPct identify the command whose fitted decode cost
-	// has strayed furthest from the published Table 5 model (the largest
-	// |slim_costmodel_drift_pct| gauge). DriftPct is signed: positive means
-	// this console is slower than the Sun Ray 1 baseline.
-	DriftCmd string
-	DriftPct int64
 	// CaptureOn reports whether the wire-capture ring is enabled, and
 	// CaptureDrops counts records the ring shed this interval because a
 	// burst outran the spooler (delta of slim_capture_ring_drops_total).
@@ -97,34 +87,6 @@ type Line struct {
 
 // sloStateNames renders the slim_slo_state gauge (mirrors slo.State).
 var sloStateNames = [...]string{"OK", "DEGRADED", "BREACHING"}
-
-// worstDrift scans the per-command drift gauges and returns the command
-// label and signed percentage with the largest magnitude.
-func worstDrift(gauges map[string]int64) (cmd string, pct int64) {
-	const prefix = `slim_costmodel_drift_pct{cmd="`
-	for name, v := range gauges {
-		rest, ok := strings.CutPrefix(name, prefix)
-		if !ok {
-			continue
-		}
-		label, ok := strings.CutSuffix(rest, `"}`)
-		if !ok {
-			continue
-		}
-		abs := v
-		if abs < 0 {
-			abs = -abs
-		}
-		worst := pct
-		if worst < 0 {
-			worst = -worst
-		}
-		if cmd == "" || abs > worst {
-			cmd, pct = label, v
-		}
-	}
-	return cmd, pct
-}
 
 // worstSession scans a metric's session-labeled gauges and returns the
 // largest value — slimstat's one-line format has room for the worst path,
@@ -200,8 +162,6 @@ func Summarize(prev, cur map[string]obs.Snapshot, interval time.Duration, now ti
 		}
 		l.LastBreachAge = age
 	}
-	l.CalSamples = c.CounterSum("slim_costmodel_samples_total")
-	l.DriftCmd, l.DriftPct = worstDrift(c.Gauges)
 	l.CaptureOn = c.Gauges["slim_capture_enabled"] != 0
 	l.CaptureDrops = Delta(p, c, "slim_capture_ring_drops_total")
 	l.SLOEvents = c.Counters["slim_slo_events_total"]
@@ -263,9 +223,6 @@ func (l Line) Format(now time.Time) string {
 		if l.LastBreachAge >= 0 {
 			s += fmt.Sprintf(" (%s ago)", l.LastBreachAge.Round(time.Second))
 		}
-	}
-	if l.CalSamples > 0 && l.DriftCmd != "" {
-		s += fmt.Sprintf(" | drift %s %+d%%", l.DriftCmd, l.DriftPct)
 	}
 	if l.CaptureOn {
 		s += " | cap on"

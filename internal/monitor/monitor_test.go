@@ -100,30 +100,16 @@ func TestSummarizeQuietSystem(t *testing.T) {
 func TestSummarizeCalibrationAndCaptureColumns(t *testing.T) {
 	now := time.UnixMilli(1_700_000_010_000)
 	p, c := snapPair(func(prev, cur *obs.Registry) {
-		cur.Counter(`slim_costmodel_samples_total{cmd="SET"}`).Add(200)
-		cur.Counter(`slim_costmodel_samples_total{cmd="FILL"}`).Add(100)
-		cur.Gauge(`slim_costmodel_drift_pct{cmd="SET"}`).Set(4)
-		cur.Gauge(`slim_costmodel_drift_pct{cmd="FILL"}`).Set(-17)
 		cur.Gauge("slim_capture_enabled").Set(1)
 		prev.Counter("slim_capture_ring_drops_total").Add(10)
 		cur.Counter("slim_capture_ring_drops_total").Add(25)
 	})
 	l := Summarize(p, c, time.Second, now)
-	if l.CalSamples != 300 {
-		t.Errorf("CalSamples = %d, want 300 (summed across cmd labels)", l.CalSamples)
-	}
-	if l.DriftCmd != "FILL" || l.DriftPct != -17 {
-		t.Errorf("worst drift = %s %d%%, want FILL -17%% (largest magnitude wins)",
-			l.DriftCmd, l.DriftPct)
-	}
 	if !l.CaptureOn || l.CaptureDrops != 15 {
 		t.Errorf("capture = on=%v drops=%d, want on=true drops=15 (windowed)",
 			l.CaptureOn, l.CaptureDrops)
 	}
 	line := l.Format(now)
-	if !strings.Contains(line, "drift FILL -17%") {
-		t.Errorf("formatted line missing drift column: %q", line)
-	}
 	if !strings.Contains(line, "cap on (15 shed)") {
 		t.Errorf("formatted line missing capture column: %q", line)
 	}
@@ -131,16 +117,14 @@ func TestSummarizeCalibrationAndCaptureColumns(t *testing.T) {
 
 func TestSummarizeHidesQuietCalibrationAndCapture(t *testing.T) {
 	p, c := snapPair(func(prev, cur *obs.Registry) {
-		// Drift gauges exist (calibrator instrumented) but no samples have
-		// been taken, and the capture ring is instrumented but disabled:
-		// neither column should clutter the line.
-		cur.Gauge(`slim_costmodel_drift_pct{cmd="SET"}`).Set(0)
+		// The capture ring is instrumented but disabled: its column
+		// should not clutter the line.
 		cur.Gauge("slim_capture_enabled").Set(0)
 		cur.Counter("slim_capture_ring_drops_total").Add(0)
 	})
 	line := Summarize(p, c, time.Second, time.UnixMilli(0)).Format(time.UnixMilli(0))
-	if strings.Contains(line, "drift") || strings.Contains(line, "cap on") {
-		t.Errorf("quiet line grew calibration/capture columns: %q", line)
+	if strings.Contains(line, "cap on") {
+		t.Errorf("quiet line grew a capture column: %q", line)
 	}
 }
 

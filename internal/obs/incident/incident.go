@@ -4,8 +4,8 @@
 // a post-mortem needs the moment the transition happens — a short CPU
 // profile taken as the bundle is written, heap and goroutine dumps, the
 // flight recorder's breach dumps, the wire-capture tail, the /debug/slo
-// and /debug/costmodel documents, and the hostmon sample ring — into a
-// versioned, rate-limited bundle directory under `slimd -incident-dir`.
+// document, and the hostmon sample ring — into a versioned, rate-limited
+// bundle directory under `slimd -incident-dir`.
 //
 // Bundles are written to a hidden staging directory and renamed into
 // place, so a bundle that exists is complete: its manifest.json lists
@@ -96,8 +96,6 @@ type Sources struct {
 	Monitor *hostmon.Monitor
 	// Registry supplies metrics.prom.
 	Registry *obs.Registry
-	// Costmodel returns the /debug/costmodel document (costmodel.json).
-	Costmodel func() any
 	// FlightDir is the flight recorder's dump directory; the newest
 	// FlightTail dumps are copied into the bundle's flight/ directory.
 	FlightDir string
@@ -328,9 +326,6 @@ func (e *Engine) writeBundle(reason, trigger string, now time.Time) (*Manifest, 
 			e.src.Registry.WritePrometheus(w)
 			return nil
 		})
-	}
-	if e.src.Costmodel != nil {
-		writeFile("costmodel.json", func(w io.Writer) error { return obs.WriteJSON(w, e.src.Costmodel()) })
 	}
 	e.copyFlightDumps(stage, m)
 	e.captureTail(stage, m)

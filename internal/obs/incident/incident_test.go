@@ -70,7 +70,6 @@ func newTestEngine(t testing.TB, cfg Config) (*Engine, *slo.Tracker, *obs.Regist
 		SLO:         trk,
 		Monitor:     mon,
 		Registry:    reg,
-		Costmodel:   func() any { return map[string]string{"fit": "ok"} },
 		FlightDir:   fdir,
 		CaptureFile: capPath,
 	}).Instrument(reg)
@@ -91,7 +90,7 @@ func TestTriggerWritesCompleteBundle(t *testing.T) {
 	bdir := filepath.Join(e.Dir(), m.Name)
 	for _, want := range []string{
 		"manifest.json", "heap.pprof", "goroutines.txt", "slo.json",
-		"hostmon.json", "metrics.prom", "costmodel.json",
+		"hostmon.json", "metrics.prom",
 		"capture-tail.slimcap", "flight/flight-sess1-1.json", "flight/flight-sess1-2.json",
 	} {
 		if _, err := os.Stat(filepath.Join(bdir, want)); err != nil {

@@ -3,7 +3,6 @@ package server
 import (
 	"log/slog"
 
-	"slim/internal/core"
 	"slim/internal/flow"
 	"slim/internal/obs/telemetry"
 )
@@ -30,17 +29,6 @@ func WithTelemetry(k *telemetry.Kit) Option {
 // server never logs per-datagram work regardless.
 func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
-}
-
-// WithCalibratedCosts feeds a live cost-model calibrator back into flow
-// control: whenever cal produces a new fit (its generation advances), the
-// next PumpFlows or heartbeat rebuilds the model and re-derives every
-// governor's demand and burst from *measured* per-command costs instead
-// of the static Table 5 constants. Consoles receive a fresh
-// BandwidthRequest when a session's derived demand changes. Pair it with
-// a console whose Config.Calibrator is the same calibrator.
-func WithCalibratedCosts(cal *core.Calibrator) Option {
-	return func(s *Server) { s.cal = cal }
 }
 
 // WithCodec2 arms the gen-2 encoder: content-typed tiles plus the
@@ -91,8 +79,8 @@ func ResolveOptions(opts ...Option) Resolved {
 // encoded (Session.render), and the region a session owes its console
 // (Session.repay) leaves in pieces the tokens cover, so recovery cannot
 // starve fresh paints and nothing is queued.
-// Zero-value fields take the flow package defaults; a nil cfg.Costs is the
-// published Sun Ray 1 model (Table 5).
+// Zero-value fields take the flow package defaults, derived from the
+// published Sun Ray 1 cost model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {
 	return func(s *Server) {
 		cfg.Enabled = true

@@ -129,12 +129,6 @@ type Server struct {
 	flowCfg *flow.Config
 	// flowPending is raised by a session's repay, settled by PumpFlows.
 	flowPending atomic.Bool
-	// cal is the live cost-model calibrator (WithCalibratedCosts). When
-	// its generation advances, PumpFlows rebuilds the fitted model and
-	// re-derives every governor's demand/burst from measured costs.
-	cal *core.Calibrator
-	// calGen is the calibrator generation last applied to the governors.
-	calGen uint64
 	// codec2 arms the gen-2 tile cache (WithCodec2). The cache engages
 	// per attachment, only for consoles that advertised CapCachePaint in
 	// their Hello; gen-1 consoles keep receiving the plain encoding.
@@ -339,6 +333,9 @@ func (s *Server) flush(out []outbound) error {
 func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Message, now time.Duration) error {
 	switch m := msg.(type) {
 	case *protocol.Hello:
+		// A Hello means the console rebooted: whatever it was showing is
+		// gone from it, card or no card.
+		s.detachConsoleLocked(console)
 		s.consoles[console] = &consoleState{w: int(m.Width), h: int(m.Height), caps: m.Caps}
 		if m.CardToken != "" {
 			if err := s.attachByToken(out, console, m.CardToken, now); err != nil {
@@ -448,7 +445,6 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 		}
 	}
 	// No transport keeps a timer for a server with nothing owed.
-	s.refreshCalibrationLocked(out, now)
 	sess.pump(out, now)
 	return nil
 }
@@ -495,16 +491,20 @@ func (s *Server) Attach(console, user string, now time.Duration) error {
 func (s *Server) EvictConsole(console string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs, ok := s.consoles[console]
-	if !ok {
-		return
-	}
-	if cs.session != 0 {
+	s.detachConsoleLocked(console)
+	delete(s.consoles, console)
+}
+
+// detachConsoleLocked silently detaches the session a console shows, if
+// any: no SessionDetach, since the console already forgot it (a reboot) or
+// another shard's SessionAttach supersedes it (an eviction). Callers hold
+// s.mu.
+func (s *Server) detachConsoleLocked(console string) {
+	if cs, ok := s.consoles[console]; ok {
 		if sess, ok := s.sessions[cs.session]; ok && sess.Console == console {
 			sess.detach()
 		}
 	}
-	delete(s.consoles, console)
 }
 
 // attachUserLocked moves an already-authenticated user's session to the
@@ -638,7 +638,6 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool, err error) {
 	s.mu.Lock()
 	var out []outbound
-	s.refreshCalibrationLocked(&out, now)
 	for _, sess := range s.sessions {
 		if sess.gov == nil || sess.Console == "" {
 			continue
@@ -654,32 +653,6 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 	s.flowPending.Store(pending)
 	s.mu.Unlock()
 	return next, pending, s.flush(out)
-}
-
-// refreshCalibrationLocked applies a newly-fitted cost model to every
-// governed session when the calibrator's generation has advanced since the
-// last pump. Sessions whose derived demand changed re-announce it to their
-// console so the §7 allocator can re-divide the link. Call with s.mu held.
-func (s *Server) refreshCalibrationLocked(out *[]outbound, now time.Duration) {
-	if s.cal == nil {
-		return
-	}
-	gen := s.cal.Generation()
-	if gen == s.calGen {
-		return
-	}
-	s.calGen = gen
-	model := s.cal.Model()
-	for _, sess := range s.sessions {
-		if sess.gov == nil {
-			continue
-		}
-		oldDemand := sess.gov.Config().InitialBps
-		sess.gov.SetCosts(model)
-		if d := sess.gov.Config().InitialBps; d != oldDemand && sess.Console != "" {
-			sess.requestBandwidth(out, now)
-		}
-	}
 }
 
 // SessionOf reports the session currently owning a console (nil if none).

@@ -127,6 +127,45 @@ func TestHelloWithoutCardShowsLogin(t *testing.T) {
 	if s.SessionOf("c1") != nil {
 		t.Error("session created without a card")
 	}
+
+	// A console that reboots with no card in it shows the login screen:
+	// the session it showed keeps running but must stop painting there.
+	const w, h = 64, 48
+	tr = newMemTransport()
+	s = New(tr, func(string, int, int) Application { return tickingTerminal{NewTerminal(w, h)} })
+	s.Auth.Register("card-alice", "alice")
+	if err := s.Handle("c1", hello(w, h, "card-alice"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Handle("c1", hello(w, h, ""), 0); err != nil {
+		t.Fatal(err)
+	}
+	tr.sent["c1"] = nil
+	if err := s.Tick(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.sent["c1"]); n != 0 {
+		t.Errorf("a tick after a card-less Hello sent %d datagrams to the login screen", n)
+	}
+	sess := s.SessionByUser("alice")
+	if sess.Console != "" {
+		t.Errorf("alice's session still bound to %q", sess.Console)
+	}
+	if err := s.Handle("c1", hello(w, h, "card-alice"), 2*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	screen := fb.New(w, h)
+	tr.renderTo(t, "c1", screen)
+	if sess.Console != "c1" || !screen.Equal(sess.Encoder.FB) {
+		t.Errorf("reinserting the card did not repaint alice's screen (console %q)", sess.Console)
+	}
+}
+
+// tickingTerminal is a Terminal that also repaints a corner on every Tick.
+type tickingTerminal struct{ *Terminal }
+
+func (tickingTerminal) Tick(now time.Duration) []core.Op {
+	return []core.Op{core.FillOp{Rect: protocol.Rect{W: 8, H: 8}, Color: protocol.Pixel(now)}}
 }
 
 func TestBadCardRejected(t *testing.T) {

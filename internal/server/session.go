@@ -92,11 +92,6 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 	if s.flowCfg != nil {
 		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))
 		sess.flowPending = &s.flowPending
-		if s.cal != nil && s.cal.Generation() > 0 {
-			// Sessions born after calibration converged start from the
-			// measured model, not the Table 5 constants.
-			sess.gov.SetCosts(s.cal.Model())
-		}
 	}
 	s.sessions[id] = sess
 	s.byUser[user] = id

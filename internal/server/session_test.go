@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"os"
 	"testing"
-	"time"
 
-	"slim/internal/core"
 	"slim/internal/fb"
 	"slim/internal/flow"
 	"slim/internal/obs"
@@ -47,8 +45,7 @@ func firstDisplaySeq(t *testing.T, tr *memTransport, console string) uint32 {
 // TestSessionLifecycleParity pins that a session is the same object
 // however it came to exist: a first login, a migration import, and a state
 // file load all go through the one constructor, so each has a governor
-// exactly when the server is governed (starting from the calibrated model
-// once one exists), every instrument resolved, the application and pixels
+// exactly when the server is governed, every instrument resolved, the application and pixels
 // where the user left them, and the sequence numbering carried on.
 func TestSessionLifecycleParity(t *testing.T) {
 	const w, h, text = 96, 64, "parity\nline two"
@@ -60,19 +57,6 @@ func TestSessionLifecycleParity(t *testing.T) {
 	var state bytes.Buffer
 	if err := src.SaveSessions(&state); err != nil {
 		t.Fatal(err)
-	}
-
-	cal := core.NewCalibrator(nil)
-	for i := 0; i < 256; i++ {
-		px := 64 + (i%32)*64
-		cal.Observe(protocol.TypeSet, 0, px, time.Duration(9000+400*px))
-	}
-	if cal.Generation() == 0 {
-		t.Fatal("calibrator never fitted")
-	}
-	fitted := cal.Model().PerPixel[protocol.TypeSet]
-	if fitted == core.SunRay1Costs().PerPixel[protocol.TypeSet] {
-		t.Fatal("fitted SET cost equals Table 5; the test cannot tell them apart")
 	}
 
 	origins := []struct {
@@ -94,7 +78,7 @@ func TestSessionLifecycleParity(t *testing.T) {
 				tr := newMemTransport()
 				kit := telemetry.New(obs.DomainWall)
 				reg := kit.Registry
-				opts := []Option{WithTelemetry(kit), WithCalibratedCosts(cal)}
+				opts := []Option{WithTelemetry(kit)}
 				if governed {
 					opts = append(opts, WithFlowControl(flow.Config{}))
 				}
@@ -110,9 +94,6 @@ func TestSessionLifecycleParity(t *testing.T) {
 				if gov := sess.Governor(); (gov != nil) != governed {
 					t.Fatalf("governor = %v on a server with flow control %v", gov, governed)
 				} else if governed {
-					if got := gov.Config().Costs.PerPixel[protocol.TypeSet]; got != fitted {
-						t.Errorf("governor SET cost = %v, want the calibrated %v", got, fitted)
-					}
 					if _, ok := reg.Snapshot().Gauges[`slim_flow_grant_bps{session="alice"}`]; !ok {
 						t.Error("governor gauges not published")
 					}

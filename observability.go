@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"slim/internal/core"
 	"slim/internal/obs"
 	"slim/internal/obs/capture"
 	"slim/internal/obs/flight"
@@ -96,17 +95,6 @@ func SLO() *SLOTracker { return telemetry.Default.SLO }
 // the observe paths cost one atomic load. /debug/netqual serves the
 // estimates and slimstat's rtt/jitter/loss columns read their gauges.
 func SetNetQualEnabled(on bool) { telemetry.Default.NetQual.SetEnabled(on) }
-
-// defaultCalibrator is the process-wide cost calibrator behind
-// Calibrator() and /debug/costmodel, instrumented in the default registry
-// so its drift gauges appear in /metrics.
-var defaultCalibrator = core.NewCalibrator(nil).Instrument(telemetry.Default.Registry)
-
-// Calibrator returns the process-wide cost-model calibrator. Point a
-// console's ConsoleConfig.Calibrator at it (and a server at
-// WithCalibratedCosts(slim.Calibrator())) and /debug/costmodel shows the
-// measured-versus-Table-5 fit for this host.
-func Calibrator() *CostCalibrator { return defaultCalibrator }
 
 // Capture returns the process-wide wire-capture ring (disabled until a
 // capture is started). The UDP transport and every fabric tap it; see
@@ -222,16 +210,15 @@ type IncidentEngine = incident.Engine
 // StartIncidents builds, wires, and starts the process-wide incident
 // engine: SLO transitions into DEGRADED/BREACHING write rate-limited
 // bundles under dir containing a short CPU profile, heap and goroutine
-// dumps, flight breach dumps, the capture-spool tail, and the
-// /debug/slo, /debug/costmodel, and hostmon snapshots. Returns the
-// engine (Close to stop). Calling it again replaces the previous engine.
+// dumps, flight breach dumps, the capture-spool tail, and the /debug/slo
+// and hostmon snapshots. Returns the engine (Close to stop). Calling it
+// again replaces the previous engine.
 func StartIncidents(dir string) *IncidentEngine {
 	capFile, _ := capturePath.Load().(string)
 	e := incident.New(incident.Config{Dir: dir}, incident.Sources{
 		SLO:         telemetry.Default.SLO,
 		Monitor:     defaultMonitor,
 		Registry:    telemetry.Default.Registry,
-		Costmodel:   func() any { return defaultCalibrator.Status() },
 		FlightDir:   telemetry.Default.Flight.DumpDir(),
 		CaptureFile: capFile,
 	}).Instrument(telemetry.Default.Registry)
@@ -275,8 +262,6 @@ func DebugEndpoints() []DebugEndpoint {
 			obs.PprofHandler()},
 		{"/debug/trace", "Perfetto trace-event JSON from the flight recorder's session rings",
 			k.Flight.TraceHandler()},
-		{"/debug/costmodel", "live cost-model calibration fit versus the paper's Table 5",
-			jsonDoc(func() any { return defaultCalibrator.Status() })},
 		{"/debug/slo", "SLO burn rates, OK/DEGRADED/BREACHING states, and breach-blame histograms",
 			jsonDoc(func() any { return k.SLO.Status() })},
 		{"/debug/netqual", "per-session passive path estimates: smoothed RTT, jitter, loss windows, goodput",

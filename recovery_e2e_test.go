@@ -112,7 +112,7 @@ func TestHotdeskLeavesNoStaleGrant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	demand := flow.DefaultDemandBps(SunRay1Costs())
+	demand := flow.DefaultDemandBps()
 	alice, bob := srv.SessionByUser("alice").Governor().Grant(), srv.SessionByUser("bob").Governor().Grant()
 	if bob != demand || alice != 10_000_000 {
 		t.Errorf("bob at x: grant %d of demand %d; alice at y (10 Mbit/s console): grant %d", bob, demand, alice)

@@ -141,8 +141,8 @@ type FlowConfig = flow.Config
 // hotdesk repaint — leaves through the same bucket in pieces its tokens
 // cover, drawn from the frame buffer as it is then, so nothing is queued
 // and no storm of NACKs starves fresh paints. The zero FlowConfig takes
-// throughput-matched defaults from the published Sun Ray 1 cost model; set
-// FlowConfig.Costs to derive them from another.
+// throughput-matched defaults from the published Sun Ray 1 cost model
+// (Table 5).
 func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowControl(cfg) }
 
 // DefaultTileCacheEntries is the dirty-tile cache capacity the gen-2
@@ -155,23 +155,6 @@ const DefaultTileCacheEntries = core.DefaultTileCacheEntries
 // that advertise the CACHE_PAINT capability (ConsoleConfig.
 // TileCacheEntries > 0); everyone else keeps the gen-1 command stream.
 func WithCodec2() ServerOption { return server.WithCodec2() }
-
-// CostCalibrator fits the §4.3 cost model live from per-command decode
-// observations (see internal/core and the Calibration section of
-// DESIGN.md). Share one calibrator between a console's
-// ConsoleConfig.Calibrator and a server's WithCalibratedCosts to close
-// the measure→fit→pace loop.
-type CostCalibrator = core.Calibrator
-
-// NewCalibrator returns a cost calibrator measuring drift against base
-// (nil: the published Table 5 model).
-func NewCalibrator(base *CostModel) *CostCalibrator { return core.NewCalibrator(base) }
-
-// WithCalibratedCosts feeds cal's fitted cost model back into every
-// session governor's demand and burst as calibration converges.
-func WithCalibratedCosts(cal *CostCalibrator) ServerOption {
-	return server.WithCalibratedCosts(cal)
-}
 
 // WithTelemetry points the server at the telemetry kit k instead of the
 // process-wide one (Telemetry()): the registry its metrics publish into,

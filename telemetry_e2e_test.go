@@ -19,13 +19,25 @@ import (
 // TestDebugEndpointTable walks the one debug-endpoint table: every row must
 // be served by DebugHandler (a row that only the index knows about is a
 // 404), every JSON document must carry the shared Content-Type, and every
-// row must appear in the README's table with its description verbatim. An
-// endpoint added to (or redescribed in) the mux, the index or the README
-// alone fails here.
+// row must appear in the README's table with its description verbatim, and
+// every README row must be a row of the table. An endpoint added to,
+// redescribed in or deleted from the mux, the index or the README alone
+// fails here.
 func TestDebugEndpointTable(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, ep := range DebugEndpoints() {
+		listed[ep.Path] = true
+	}
+	for _, line := range strings.Split(string(readme), "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `/"); ok {
+			if path, _, _ := strings.Cut(rest, "`"); !listed["/"+path] {
+				t.Errorf("README lists /%s, which DebugEndpoints does not", path)
+			}
+		}
 	}
 	ts := httptest.NewServer(DebugHandler())
 	defer ts.Close()
