@@ -109,8 +109,8 @@ netqual-smoke:
 	$(GO) test -run 'TestNetqualSmoke|TestCommittedBench' -count 1 -v ./internal/obs/netqual/
 
 # Regenerate the committed gen-2 codec artifact: the scroll, re-expose,
-# and mixed drives compared raw vs gen-1 vs gen-2 (the Figure 8-shaped
-# bytes-on-wire table). TestCommittedBench validates the artifact stays
+# mixed and window drives compared raw vs gen-1 vs gen-2 (the Figure
+# 8-shaped bytes-on-wire table). TestCommittedBench validates the artifact stays
 # consistent with the encoders.
 codec2:
 	$(GO) run ./cmd/slimbench codec2 -o BENCH_codec2.json

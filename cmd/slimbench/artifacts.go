@@ -200,7 +200,7 @@ func runCapacity(args []string) {
 // so the TestCommittedBench validation stays exact.
 func runCodec2(args []string) {
 	fs, out := newFlags("codec2", "")
-	names := fs.String("workload", "all", "drives to run: scroll|reexpose|mixed|all, comma list")
+	names := fs.String("workload", "all", "drives to run: scroll|reexpose|mixed|window|all, comma list")
 	fs.Parse(args)
 	sel := strings.Split(*names, ",")
 	if *names == "all" {

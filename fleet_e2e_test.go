@@ -280,9 +280,9 @@ func TestFleetSmoke(t *testing.T) {
 // its two frame buffers — the server's authoritative copy and the
 // console's soft one — plus what it has actually used, at most 1 MiB more.
 // Eight gen-2 terminal sessions at 640×480 on a 2-shard broker over the
-// fabric, each typed into; the reading is the live heap with the fleet up
-// less the live heap once it is closed and dropped, as the benchmark's
-// live_heap_mb reads it. A tile cache sized for its capacity rather than
+// fabric, each typed into and repainted; the reading is the live heap
+// with the fleet up less the live heap once it is closed and dropped, as
+// the benchmark's live_heap_mb reads it. A tile cache sized for its capacity rather than
 // its use, or a retained full-screen repaint copy, breaks the budget.
 func TestSessionHeapIsTwoFrameBuffers(t *testing.T) {
 	if raceflag.Enabled {
@@ -315,6 +315,12 @@ func TestSessionHeapIsTwoFrameBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := fabric.TypeString(desk, fmt.Sprintf("session %d types a line\nand another\n", i)); err != nil {
+			t.Fatal(err)
+		}
+		// An echo's glyph is never cached; the repaint of a badge-in at
+		// the same desk sends the typed text as whole textured tiles,
+		// which are.
+		if err := fabric.InsertCard(desk, tok.String()); err != nil {
 			t.Fatal(err)
 		}
 		if con.TileCache().Len() == 0 {

@@ -243,8 +243,8 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		c.metrics.applied.Inc()
 		if c.cache != nil {
 			// Console half of the mirrored cache-maintenance rule: insert
-			// every applied command's write-rect tiles (CACHE_PAINT only
-			// touches, done at lookup; FILL and CSCS never cache).
+			// every applied command's whole write-rect tiles (CACHE_PAINT
+			// only touches, done at lookup; FILL and CSCS never cache).
 			c.cache.NoteApply(c.fb, msg)
 		}
 		applied := obs.Wall.Now()

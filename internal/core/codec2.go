@@ -105,7 +105,7 @@ func (e *Encoder) ResetCodec2() {
 // same order the console applies them. CACHE_PAINT touches the entry it
 // claimed; SET and CSCS bump the churn tracker (the content-replacing
 // commands); everything except FILL, CSCS and CACHE_PAINT inserts its
-// write rectangle's tiles.
+// write rectangle's whole tiles.
 func (c2 *Codec2) noteEmit(f *fb.Framebuffer, msg protocol.Message) {
 	switch m := msg.(type) {
 	case *protocol.CachePaint:

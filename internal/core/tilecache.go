@@ -9,9 +9,10 @@ import (
 // the server keeps a key-only model of what the console holds, the
 // console keeps keys plus pixels. Because every entry is inserted by the
 // same deterministic rule on both sides — after each applied display
-// command other than FILL, CSCS and CACHE_PAINT, hash every TileSize
-// chunk of the command's write rectangle (NoteApply) — the two caches
-// stay mirrored as long as the command stream is delivered. Loss only
+// command other than FILL, CSCS and CACHE_PAINT, hash every whole
+// TileSize×TileSize chunk of the command's write rectangle (NoteApply;
+// edge chunks and glyphs are never cached) — the two caches stay
+// mirrored as long as the command stream is delivered. Loss only
 // makes the console miss inserts, which turns a later server claim into a
 // CACHE_PAINT miss, a NACK, and a repaint: the standard §2.2 recovery
 // path. No invalidation handshake exists or is needed; keys are content
@@ -267,13 +268,15 @@ func (c *TileCache) pushFront(i int32) {
 }
 
 // NoteApply runs the mirrored cache-maintenance step after msg has been
-// applied to f: every TileSize chunk of the command's write rectangle
-// (chunks anchor at the rectangle's origin, edge chunks run smaller) is
-// inserted with its current content. FILL is excluded — the encoder
-// sends every solid tile as a run of FILL and never claims one, so its
-// chunks would be entries nothing uses, hashed on both sides — and so is
-// CSCS — video churn would only thrash the LRU, and its lossy output is
-// poor cache currency — and CACHE_PAINT itself only touches (done at
+// applied to f: every whole TileSize×TileSize chunk of the command's write
+// rectangle (chunks anchor at the rectangle's origin) is inserted with its
+// current content. Edge chunks that run smaller are not: a claim names a
+// tile the encoder probes, and an edge chunk of one command — a glyph, a
+// sliver of a window — is almost never one, so hashing it on both ends
+// paid for an entry nothing used. FILL is excluded — the encoder sends
+// every solid tile as a run of FILL and never claims one — and so is CSCS
+// — video churn would only thrash the LRU, and its lossy output is poor
+// cache currency — and CACHE_PAINT itself only touches (done at
 // claim/apply time), otherwise a hit would reinsert what it just used.
 // The rule depends on nothing but the message and the frame buffer, which
 // is what keeps the server and console caches in lockstep without any
@@ -287,13 +290,9 @@ func (c *TileCache) NoteApply(f *fb.Framebuffer, msg protocol.Message) {
 		return
 	}
 	w := WriteRect(msg).Intersect(f.Bounds())
-	if w.Empty() {
-		return
-	}
-	for y := w.Y; y < w.Y+w.H; y += TileSize {
-		h := min(TileSize, w.Y+w.H-y)
-		for x := w.X; x < w.X+w.W; x += TileSize {
-			c.Insert(f, protocol.Rect{X: x, Y: y, W: min(TileSize, w.X+w.W-x), H: h})
+	for y := w.Y; y+TileSize <= w.Y+w.H; y += TileSize {
+		for x := w.X; x+TileSize <= w.X+w.W; x += TileSize {
+			c.Insert(f, protocol.Rect{X: x, Y: y, W: TileSize, H: TileSize})
 		}
 	}
 }

@@ -192,9 +192,10 @@ func TestTileCacheMirrors(t *testing.T) {
 	step()
 }
 
-// TestNoteApplyChunking pins the mirrored insert rule's geometry: chunks
-// anchor at the write rectangle's origin, edge chunks run smaller, FILL,
-// CSCS and CACHE_PAINT never insert, and non-display messages are ignored.
+// TestNoteApplyChunking pins the mirrored insert rule's geometry: only
+// whole TileSize×TileSize chunks are inserted, anchored at the write
+// rectangle's origin; edge chunks and glyphs never are; FILL, CSCS and
+// CACHE_PAINT never insert, and non-display messages are ignored.
 func TestNoteApplyChunking(t *testing.T) {
 	f := fb.New(64, 64)
 	c := NewTileCache(64, true)
@@ -213,32 +214,57 @@ func TestNoteApplyChunking(t *testing.T) {
 	}
 
 	// 40x24 rect at (8,8): chunk columns at x=8,24,40 (widths 16,16,8),
-	// rows at y=8,24 (heights 16,8) = 6 chunks. The SET is of one color,
-	// so content addressing collapses same-geometry chunks onto one entry:
-	// the distinct keys are one per geometry — 16x16, 8x16, 16x8, 8x8.
+	// rows at y=8,24 (heights 16,8). Only the two 16x16 chunks of the
+	// first row are whole; the SET is of one color, so content
+	// addressing collapses them onto one entry.
 	r := protocol.Rect{X: 8, Y: 8, W: 40, H: 24}
 	c.NoteApply(f, set(r, func(int, int) protocol.Pixel { return protocol.RGB(1, 2, 3) }))
-	if c.Len() != 4 {
-		t.Fatalf("len=%d after a uniform 40x24 SET, want 4 deduplicated geometries", c.Len())
+	if c.Len() != 1 {
+		t.Fatalf("len=%d after a uniform 40x24 SET, want its one whole-chunk content", c.Len())
 	}
-	// An edge chunk (8 wide) must be retrievable under its own geometry.
+	whole := f.HashRect(protocol.Rect{X: 8, Y: 8, W: TileSize, H: TileSize})
+	if pix, ok := c.Lookup(whole, TileSize, TileSize); !ok || fb.HashPixels(pix, TileSize, TileSize) != whole {
+		t.Fatal("whole chunk not cached")
+	}
+	// An edge chunk (8 wide) is not cached under any geometry.
 	edge := protocol.Rect{X: 40, Y: 8, W: 8, H: 16}
-	key := f.HashRect(edge)
-	if pix, ok := c.Lookup(key, 8, 16); !ok || fb.HashPixels(pix, 8, 16) != key {
-		t.Fatal("edge chunk not cached under clipped geometry")
+	if _, ok := c.Lookup(f.HashRect(edge), 8, 16); ok {
+		t.Fatal("edge chunk cached")
 	}
-	// Non-uniform content in the same footprint produces all 6 entries.
+	// Non-uniform content in the same footprint inserts the two whole
+	// chunks and nothing else.
 	noisy := NewTileCache(64, true)
 	noisy.NoteApply(f, set(r, func(x, y int) protocol.Pixel { return protocol.RGB(uint8(x*31), uint8(y*57), uint8(x^y)) }))
-	if noisy.Len() != 6 {
-		t.Fatalf("len=%d after noisy 40x24 write, want 6 chunks", noisy.Len())
+	if noisy.Len() != 2 {
+		t.Fatalf("len=%d after noisy 40x24 write, want its 2 whole chunks", noisy.Len())
+	}
+	for _, x := range []int{8, 24} {
+		if !noisy.Contains(f.HashRect(protocol.Rect{X: x, Y: 8, W: TileSize, H: TileSize})) {
+			t.Fatalf("whole chunk at x=%d not cached", x)
+		}
+	}
+
+	// A keystroke echo — one 8x16 glyph BITMAP — inserts nothing on either
+	// end: the console's cache keeps pixels, the server's only keys.
+	glyph := &protocol.Bitmap{Rect: protocol.Rect{X: 8, Y: 40, W: 8, H: 16}, Fg: protocol.RGB(255, 255, 255), Bits: make([]byte, 16)}
+	for i := range glyph.Bits {
+		glyph.Bits[i] = byte(0x3c ^ i)
+	}
+	if err := f.Apply(glyph); err != nil {
+		t.Fatal(err)
+	}
+	for _, end := range []*TileCache{NewTileCache(64, true), NewTileCache(64, false)} {
+		end.NoteApply(f, glyph)
+		if end.Len() != 0 {
+			t.Fatalf("an 8x16 glyph inserted %d entries (retain=%v), want none", end.Len(), end.retain)
+		}
 	}
 
 	// The encoder sends solid tiles as FILL and never claims one, so a
 	// FILL inserts nothing, even over content another command would cache.
 	before := c.Len()
 	c.NoteApply(f, &protocol.Fill{Rect: r, Color: 0})
-	c.NoteApply(f, &protocol.CachePaint{Rect: protocol.Rect{W: TileSize, H: TileSize}, Key: key})
+	c.NoteApply(f, &protocol.CachePaint{Rect: protocol.Rect{W: TileSize, H: TileSize}, Key: whole})
 	c.NoteApply(f, &protocol.CSCS{Src: r, Dst: r, Format: protocol.CSCS16})
 	c.NoteApply(f, &protocol.Nack{From: 1, To: 2})
 	if c.Len() != before {
@@ -246,16 +272,17 @@ func TestNoteApplyChunking(t *testing.T) {
 	}
 
 	// A rect fully off screen inserts nothing; a partly off-screen rect
-	// inserts its clipped chunks only.
+	// inserts the whole chunks of its clipped rectangle only, anchored at
+	// the clipped origin.
 	off := protocol.Rect{X: 100, Y: 100, W: 16, H: 16}
 	c.NoteApply(f, &protocol.Set{Rect: off, Pixels: make([]protocol.Pixel, off.Pixels())})
 	if c.Len() != before {
 		t.Fatal("off-screen write rect inserted chunks")
 	}
-	part := protocol.Rect{X: 56, Y: 56, W: 16, H: 16}
-	c.NoteApply(f, &protocol.Set{Rect: part, Pixels: make([]protocol.Pixel, part.Pixels())})
-	if _, ok := c.Lookup(f.HashRect(protocol.Rect{X: 56, Y: 56, W: 8, H: 8}), 8, 8); !ok || c.Len() != before+1 {
-		t.Fatalf("a partly off-screen SET left %d new entries, want its one clipped 8x8 chunk", c.Len()-before)
+	part := set(protocol.Rect{X: 40, Y: 40, W: 32, H: 32}, func(x, y int) protocol.Pixel { return protocol.RGB(uint8(x), uint8(y), 9) })
+	c.NoteApply(f, part)
+	if _, ok := c.Lookup(f.HashRect(protocol.Rect{X: 40, Y: 40, W: TileSize, H: TileSize}), TileSize, TileSize); !ok || c.Len() != before+1 {
+		t.Fatalf("a partly off-screen SET left %d new entries, want its one whole clipped chunk", c.Len()-before)
 	}
 
 	// Oversized direct Insert is the caller's bug: ignored with key 0.

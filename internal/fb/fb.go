@@ -13,7 +13,8 @@
 // session density is bounded by per-pixel CPU cost (§4.3, §6), so every
 // kernel works a row slice at a time — builtin copy for SET/COPY/ReadRect,
 // a doubling copy for FILL, byte-at-a-time 8-pixel unrolled expansion for
-// BITMAP — and allocates nothing in steady state. The original scalar
+// BITMAP (a glyph cell, one byte per row, in place without row slices) —
+// and allocates nothing in steady state. The original scalar
 // implementations are retained in slow.go as differential-test references.
 package fb
 
@@ -120,8 +121,12 @@ func (f *Framebuffer) Set(r protocol.Rect, pixels []protocol.Pixel) error {
 
 // Bitmap expands a 1bpp bitmap into fg/bg colors over r (the BITMAP
 // command). bits holds r.H padded rows of ceil(r.W/8) bytes, MSB first.
-// Interior bytes expand eight pixels at a time with uniform-byte fast
-// paths for 0x00/0xff runs (solid glyph background and strikes).
+// A clipped width of 8 starting on a byte boundary — the terminal's glyph
+// cell, one byte per row — expands in place, branch-free, with no per-row
+// call (expandGlyph). Every other shape goes a row at a time through
+// expandBitmapRow, whose interior bytes expand eight pixels at a time
+// with uniform-byte fast paths for 0x00/0xff runs (solid glyph background
+// and strikes).
 func (f *Framebuffer) Bitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []byte) error {
 	rowBytes := protocol.BitmapRowBytes(r.W)
 	if len(bits) != rowBytes*r.H {
@@ -132,11 +137,37 @@ func (f *Framebuffer) Bitmap(r protocol.Rect, fg, bg protocol.Pixel, bits []byte
 		return nil
 	}
 	bx0 := clipped.X - r.X
+	if clipped.W == 8 && bx0&7 == 0 {
+		f.expandGlyph(clipped, bits[(clipped.Y-r.Y)*rowBytes+bx0>>3:], rowBytes, fg, bg)
+		return nil
+	}
 	for y := clipped.Y; y < clipped.Y+clipped.H; y++ {
 		srcRow := bits[(y-r.Y)*rowBytes : (y-r.Y+1)*rowBytes]
 		expandBitmapRow(f.row(y, clipped.X, clipped.W), srcRow, bx0, fg, bg)
 	}
 	return nil
+}
+
+// expandGlyph writes the 8-pixel-wide clipped rectangle c from one bitmap
+// byte per row: bits[i*stride] holds row c.Y+i. Each pixel is bg with the
+// fg^bg difference masked in by its bit (-(bit) is all ones or zero), so
+// no pixel branches on its bit.
+func (f *Framebuffer) expandGlyph(c protocol.Rect, bits []byte, stride int, fg, bg protocol.Pixel) {
+	x := fg ^ bg
+	off := c.Y*f.W + c.X
+	for i := 0; i < c.H; i++ {
+		b := protocol.Pixel(bits[i*stride])
+		d := f.Pix[off : off+8 : off+8]
+		d[0] = bg ^ x&-(b>>7)
+		d[1] = bg ^ x&-(b>>6&1)
+		d[2] = bg ^ x&-(b>>5&1)
+		d[3] = bg ^ x&-(b>>4&1)
+		d[4] = bg ^ x&-(b>>3&1)
+		d[5] = bg ^ x&-(b>>2&1)
+		d[6] = bg ^ x&-(b>>1&1)
+		d[7] = bg ^ x&-(b&1)
+		off += f.W
+	}
 }
 
 // expandBitmapRow writes dst[i] = fg/bg according to bitmap bit bx0+i.

@@ -381,10 +381,38 @@ func FuzzFBKernels(f *testing.F) {
 		const w, h = 48, 32
 		fast := randomFB(rng, w, h)
 		slow := cloneFB(fast)
+		bitmap := func(r protocol.Rect) {
+			bits := make([]byte, protocol.BitmapRowBytes(r.W)*r.H)
+			rng.Read(bits)
+			fg := protocol.Pixel(rng.Uint32() & 0xffffff)
+			bg := protocol.Pixel(rng.Uint32() & 0xffffff)
+			fast.Bitmap(r, fg, bg, bits)
+			slow.slowBitmap(r, fg, bg, bits)
+		}
+		// Glyph cells first: 8-wide, byte-aligned BITMAPs take the in-place
+		// expansion whole, clipped at the bottom or top edge, or after a
+		// whole-byte left or right clip; clipped mid-byte at the right edge
+		// they do not.
+		for _, r := range []protocol.Rect{
+			{X: 0, Y: 0, W: 8, H: 16},
+			{X: w - 8, Y: h - 16, W: 8, H: 16},
+			{X: 8, Y: h - 9, W: 8, H: 16},     // bottom edge
+			{X: 16, Y: -7, W: 8, H: 16},       // top edge
+			{X: -8, Y: 5, W: 16, H: 16},       // left edge, one whole byte
+			{X: w - 8, Y: 9, W: 16, H: 16},    // right edge, one whole byte
+			{X: w - 5, Y: 3, W: 8, H: 16},     // right edge
+			{X: w - 3, Y: h - 4, W: 8, H: 16}, // right and bottom
+			{X: 24, Y: 4, W: 8, H: 1},
+		} {
+			bitmap(r)
+			if !fast.slowEqual(slow) {
+				t.Fatalf("glyph %v: frame buffers diverged", r)
+			}
+		}
 		ops := int(nOps)%24 + 1
 		for i := 0; i < ops; i++ {
 			r := randRect(rng, w, h)
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				c := protocol.Pixel(rng.Uint32() & 0xffffff)
 				fast.Fill(r, c)
@@ -397,12 +425,7 @@ func FuzzFBKernels(f *testing.F) {
 				fast.Set(r, pixels)
 				slow.slowSet(r, pixels)
 			case 2:
-				bits := make([]byte, protocol.BitmapRowBytes(r.W)*r.H)
-				rng.Read(bits)
-				fg := protocol.Pixel(rng.Uint32() & 0xffffff)
-				bg := protocol.Pixel(rng.Uint32() & 0xffffff)
-				fast.Bitmap(r, fg, bg, bits)
-				slow.slowBitmap(r, fg, bg, bits)
+				bitmap(r)
 			case 3:
 				// Overlapping copy, direction chosen by the rng: the four
 				// combinations of left/right and up/down shifts.
@@ -423,6 +446,10 @@ func FuzzFBKernels(f *testing.F) {
 				if len(got) != len(want) {
 					t.Fatalf("op %d: ReadRect %v lengths %d vs %d", i, r, len(got), len(want))
 				}
+			case 6:
+				// A glyph cell, byte-aligned since it starts on screen:
+				// whole, or clipped at the right, top or bottom edge.
+				bitmap(protocol.Rect{X: rng.Intn(w), Y: rng.Intn(h+16) - 8, W: 8, H: 16})
 			}
 			if !fast.slowEqual(slow) {
 				t.Fatalf("op %d: frame buffers diverged", i)
@@ -498,6 +525,29 @@ func BenchmarkHotpath_SlowBitmapApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.slowBitmap(r, 0xffffff, 0, bits)
+	}
+}
+
+// BenchmarkHotpath_GlyphApply measures a keystroke echo's paint: one 8×16
+// glyph BITMAP, advancing a cell at a time across 64 frame buffers of
+// 640×480, so each apply lands on rows that are not in cache — as on a
+// server whose sessions take turns.
+func BenchmarkHotpath_GlyphApply(b *testing.B) {
+	const screens, w, h = 64, 640, 480
+	fbs := make([]*Framebuffer, screens)
+	for i := range fbs {
+		fbs[i] = New(w, h)
+	}
+	bits := make([]byte, 16)
+	rand.New(rand.NewSource(7)).Read(bits)
+	const cols, rows = w / 8, h / 16
+	b.SetBytes(8 * 16 * 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell := i / screens
+		r := protocol.Rect{X: cell % cols * 8, Y: cell / cols % rows * 16, W: 8, H: 16}
+		fbs[i%screens].Bitmap(r, 0xffffff, 0, bits)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"slim/internal/stats"
 )
 
-// Codec gen-2 drives: deterministic scroll / re-expose / mixed op streams
+// Codec gen-2 drives: deterministic scroll / re-expose / mixed / window op streams
 // for the bytes-on-wire comparison (the Figure 8-shaped raw vs gen-1 vs
 // gen-2 table). Unlike the Table 2 session models, these are not
 // statistical user models — they are adversarially *repetitive* screens,
@@ -21,7 +21,7 @@ import (
 // validated bit-for-bit.
 
 // DriveNames lists the codec-comparison workloads in report order.
-var DriveNames = []string{"scroll", "reexpose", "mixed"}
+var DriveNames = []string{"scroll", "reexpose", "mixed", "window"}
 
 // Drive produces one deterministic rendering-op stream. Step must be
 // called with i = 0, 1, 2, ... in order (drives carry scroll positions and
@@ -44,11 +44,18 @@ func NewDrive(name string, seed uint64) (*Drive, error) {
 	case "scroll":
 		return newScrollDrive(seed), nil
 	case "reexpose":
-		return newReexposeDrive(seed), nil
+		return newReexposeDrive("reexpose", seed, 320, 240), nil
 	case "mixed":
 		return newMixedDrive(seed), nil
+	case "window":
+		// A 100×70 window: its damage is not a multiple of core.TileSize,
+		// so each restore ends in a column and a row of edge tiles, which
+		// the mirrored insert rule never caches and which re-send their
+		// pixels every round. It prices what caching only whole tiles
+		// gives up.
+		return newReexposeDrive("window", seed, 100, 70), nil
 	}
-	return nil, fmt.Errorf("workload: unknown drive %q (want scroll|reexpose|mixed)", name)
+	return nil, fmt.Errorf("workload: unknown drive %q (want scroll|reexpose|mixed|window)", name)
 }
 
 // Document geometry shared by the drives. The band height is a multiple of
@@ -228,11 +235,13 @@ func (s *reexposeStepper) ops(i int) []core.Op {
 	}}
 }
 
-func newReexposeDrive(seed uint64) *Drive {
-	st := newReexposeStepper(seed, protocol.Rect{X: 128, Y: 128, W: 1024, H: 768}, 320, 240)
+// newReexposeDrive pops and dismisses an ovW×ovH overlay over a 1024×768
+// background window.
+func newReexposeDrive(name string, seed uint64, ovW, ovH int) *Drive {
+	st := newReexposeStepper(seed, protocol.Rect{X: 128, Y: 128, W: 1024, H: 768}, ovW, ovH)
 	cycle := 2 * len(st.overlay)
 	return &Drive{
-		Name: "reexpose",
+		Name: name,
 		// Five measured pop/dismiss rounds over every position after the
 		// background paint and one priming round.
 		Steps:  1 + 6*cycle,
