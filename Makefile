@@ -39,7 +39,9 @@ race:
 # 0 allocs/op assertion on the capture-disabled path is
 # TestDisabledTapAllocatesNothing, which every plain `go test` run
 # enforces). internal/protocol brings BenchmarkPackFrames: the §5.4 packer
-# on a 97-wire scroll burst and a 5,120-wire attach burst.
+# on a 97-wire scroll burst and a 5,120-wire attach burst; the root package
+# BenchmarkFabricEcho, one keystroke echo over the fabric with every
+# observer armed.
 bench-guard:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/protocol/ ./internal/broker/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/incident/ ./internal/obs/netqual/ ./internal/flow/ ./internal/fb/ ./internal/core/
 

@@ -23,49 +23,77 @@ func TestFabricAllocsPerEcho(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const budget = 8
-	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithCodec2(),
-		WithTelemetry(NewTelemetry()))
-	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric.Attach("desk", con, srv)
-	tok := TokenOf("card-alice")
-	srv.Auth.Register(tok.String(), "alice")
-	if err := fabric.Boot("desk", tok.String()); err != nil {
-		t.Fatal(err)
-	}
-	port := fabric.Desk("desk")
-	var clock time.Duration
-	echoes := 0
-	echo := func() {
-		clock += 10 * time.Millisecond
-		fabric.SetClock(clock)
-		if echoes%70 == 0 {
-			if err := port.SendPointer(0, 0, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		echoes++
-		if err := port.SendKey('a'+uint16(echoes%26), true); err != nil {
-			t.Fatal(err)
-		}
-		if err := port.SendKey('a'+uint16(echoes%26), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range 140 {
-		echo() // warm the pools, the tile cache and the governor's grant
-	}
+	echo, screensAgree := fabricEcho(t)
 	allocs := testing.AllocsPerRun(700, echo)
 	t.Logf("%.0f allocations per echo", allocs)
 	if allocs > budget {
 		t.Errorf("a 42-byte fabric echo allocates %.0f objects, want at most %d", allocs, budget)
 	}
-	sess := srv.SessionOf("desk")
-	if sess == nil || !con.Framebuffer().Equal(sess.Encoder.FB) {
+	if !screensAgree() {
 		t.Fatal("the console's screen diverged from its session's")
+	}
+}
+
+// BenchmarkFabricEcho times TestFabricAllocsPerEcho's echo: what one
+// keystroke costs end to end on the fabric with every observer armed —
+// the profile to take when asking what an echo pays to be watched.
+func BenchmarkFabricEcho(b *testing.B) {
+	echo, screensAgree := fabricEcho(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		echo()
+	}
+	b.StopTimer()
+	if !screensAgree() {
+		b.Fatal("the console's screen diverged from its session's")
+	}
+}
+
+// fabricEcho builds TestFabricAllocsPerEcho's rig on a private telemetry
+// kit and returns its echo, already run 140 times to warm the pools, the
+// tile cache and the governor's grant, and a check that the console's
+// screen still equals its session's.
+func fabricEcho(tb testing.TB) (echo func(), screensAgree func() bool) {
+	tb.Helper()
+	fabric := NewFabric()
+	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithCodec2(),
+		WithTelemetry(NewTelemetry()))
+	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fabric.Attach("desk", con, srv)
+	tok := TokenOf("card-alice")
+	srv.Auth.Register(tok.String(), "alice")
+	if err := fabric.Boot("desk", tok.String()); err != nil {
+		tb.Fatal(err)
+	}
+	port := fabric.Desk("desk")
+	var clock time.Duration
+	echoes := 0
+	echo = func() {
+		clock += 10 * time.Millisecond
+		fabric.SetClock(clock)
+		if echoes%70 == 0 {
+			if err := port.SendPointer(0, 0, 1); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		echoes++
+		if err := port.SendKey('a'+uint16(echoes%26), true); err != nil {
+			tb.Fatal(err)
+		}
+		if err := port.SendKey('a'+uint16(echoes%26), false); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for range 140 {
+		echo()
+	}
+	return echo, func() bool {
+		sess := srv.SessionOf("desk")
+		return sess != nil && con.Framebuffer().Equal(sess.Encoder.FB)
 	}
 }
 

@@ -44,7 +44,7 @@ type Config struct {
 	// always go to obs.Sim, never here.
 	Obs *obs.Registry
 	// Flight is the causal flight recorder the console records the RX,
-	// DECODE, PAINT, and DROP legs of each command's chain into
+	// PAINT, and DROP legs of each command's chain into
 	// (telemetry.Default's if nil). In-process deployments share one
 	// recorder with the server, so both ends of the wire land in one ring.
 	Flight *flight.Recorder
@@ -206,7 +206,7 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 	if msg.Type().IsDisplay() {
 		// Two readings of the wall clock time a command: its arrival (the
 		// RX stamp and the start of the decode metric) and the end of its
-		// apply (the metric's end, DECODE and PAINT).
+		// apply (the metric's end and the PAINT stamp).
 		arrived := obs.Wall.Now()
 		if c.flog.Armed() {
 			c.flog.Rx(arrived, seq, msg.Type(), int64(protocol.WireSize(msg)))
@@ -252,8 +252,7 @@ func (c *Console) handleLocked(seq uint32, msg protocol.Message, now time.Durati
 		c.metrics.decodeSeconds.Observe(wall)
 		c.metrics.observeDecodeType(msg.Type(), wall)
 		if c.flog.Armed() {
-			c.flog.Decode(applied, seq, msg.Type(), svc.Nanoseconds())
-			c.flog.Paint(applied, seq, msg.Type())
+			c.flog.Paint(applied, seq, msg.Type(), svc.Nanoseconds())
 		}
 		return replies, nil
 	}

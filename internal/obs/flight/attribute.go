@@ -12,8 +12,7 @@ import (
 // the answer to "why was this frame late". The taxonomy follows the
 // display path the flight recorder already records: encode on the server,
 // the wait before the transport, the wire (including loss detection and
-// retransmit),
-// console decode, and the final paint/apply.
+// retransmit), and the console's decode and apply.
 type Stage uint8
 
 const (
@@ -30,11 +29,9 @@ const (
 	// StageWire: the time went to the interconnect — serialization,
 	// queueing in the link, or loss followed by NACK-driven retransmit.
 	StageWire
-	// StageDecode: the console's decode path was the bottleneck.
+	// StageDecode: the console's decode and apply, from RX to PAINT, was
+	// the bottleneck.
 	StageDecode
-	// StagePaint: decode finished promptly but the frame-buffer apply
-	// lagged.
-	StagePaint
 	// StageHost: the time went to the host runtime, not the pipeline — the
 	// breach's critical chain overlapped a recorded GC pause or
 	// CPU-starvation window (see HostWindow) that explains the stall better
@@ -53,7 +50,6 @@ var stageNames = [NumStages]string{
 	StageQueue:        "QUEUE",
 	StageWire:         "WIRE",
 	StageDecode:       "DECODE",
-	StagePaint:        "PAINT",
 	StageHost:         "HOST",
 }
 
@@ -129,19 +125,18 @@ func (w HostWindow) overlap(from, to time.Duration) time.Duration {
 // Verdict is one breach's automated attribution: the dominant stage plus
 // the per-stage time split along the critical command's path. A verdict is
 // computed by walking the causal chain (INPUT → ENCODE → TX → RX →
-// DECODE → PAINT, with DROP/NACK as loss evidence and OWE marking a paint
+// PAINT, with DROP/NACK as loss evidence and OWE marking a paint
 // deferred to repayment) for the input-chain ID that breached.
 type Verdict struct {
 	// Chain is the input-chain ID that was walked.
 	Chain uint64 `json:"chain"`
 	// Stage is the dominant latency stage.
 	Stage Stage `json:"stage"`
-	// EncodeNs..PaintNs split the critical command's latency by stage.
+	// EncodeNs..DecodeNs split the critical command's latency by stage.
 	EncodeNs int64 `json:"encode_ns,omitempty"`
 	QueueNs  int64 `json:"queue_ns,omitempty"`
 	WireNs   int64 `json:"wire_ns,omitempty"`
 	DecodeNs int64 `json:"decode_ns,omitempty"`
-	PaintNs  int64 `json:"paint_ns,omitempty"`
 	// Loss reports wire-loss evidence on the critical path: a DROP, a NACK
 	// covering the sequence, or more than one TX (a retransmit).
 	Loss bool `json:"loss,omitempty"`
@@ -172,8 +167,6 @@ func (v *Verdict) StageDuration(s Stage) time.Duration {
 		return time.Duration(v.WireNs)
 	case StageDecode:
 		return time.Duration(v.DecodeNs)
-	case StagePaint:
-		return time.Duration(v.PaintNs)
 	case StageHost:
 		return time.Duration(v.HostNs)
 	}
@@ -188,8 +181,6 @@ type seqPath struct {
 	txN             int
 	rxT             time.Duration
 	haveRx          bool
-	decT            time.Duration
-	haveDec         bool
 	paintT          time.Duration
 	painted         bool
 	dropped, nacked bool
@@ -226,7 +217,7 @@ func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWin
 		return v // head of the chain already overwritten
 	}
 	// The chain's display commands are the ENCODE events carrying its ID;
-	// everything downstream (TX/RX/DECODE/PAINT, retransmits, drops) joins
+	// everything downstream (TX/RX/PAINT, retransmits, drops) joins
 	// by sequence number regardless of which chain was current when it was
 	// recorded — a retransmit fires under a *later* input's chain ID.
 	paths := make(map[uint32]*seqPath)
@@ -263,10 +254,6 @@ func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWin
 		case EvRx:
 			if !p.haveRx {
 				p.rxT, p.haveRx = ev.T, true
-			}
-		case EvDecode:
-			if !p.haveDec {
-				p.decT, p.haveDec = ev.T, true
 			}
 		case EvPaint:
 			if !p.painted || ev.T > p.paintT {
@@ -322,18 +309,7 @@ func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWin
 		v.QueueNs = clamp(asOf - p.encT)
 	}
 	if p.haveRx {
-		base := p.rxT
-		if p.haveDec {
-			v.DecodeNs = clamp(p.decT - p.rxT)
-			base = p.decT
-		}
-		if p.painted {
-			v.PaintNs = clamp(p.paintT - base)
-		} else if p.haveDec {
-			v.PaintNs = clamp(asOf - base)
-		} else {
-			v.DecodeNs = clamp(asOf - base)
-		}
+		v.DecodeNs = clamp(crit.done - p.rxT)
 	}
 	v.Loss = p.dropped || p.nacked || p.txN > 1
 	v.Seqs = len(paths)
@@ -343,7 +319,7 @@ func Attribute(evs []Event, chain uint64, asOf time.Duration, hostWins []HostWin
 		}
 	}
 	v.Stage = StageEncode
-	for _, st := range []Stage{StageQueue, StageWire, StageDecode, StagePaint} {
+	for _, st := range []Stage{StageQueue, StageWire, StageDecode} {
 		if v.StageDuration(st) > v.StageDuration(v.Stage) {
 			v.Stage = st
 		}

@@ -30,7 +30,9 @@ func TestAttributeWireLoss(t *testing.T) {
 		{T: ms(200), Kind: EvNack, Cmd: protocol.TypeNack, Cause: chain + 1, A: 41, B: 41},
 		{T: ms(201), Kind: EvTx, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
 		{T: ms(205), Kind: EvRx, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
-		{T: ms(206), Kind: EvDecode, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
+		// A dump written before DECODE (kind 6) was retired holds one at
+		// the PAINT instant; it attributes as before.
+		{T: ms(207), Kind: 6, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
 		{T: ms(207), Kind: EvPaint, Cmd: protocol.TypeBitmap, Seq: 41, Cause: chain + 1},
 	}
 	v := Attribute(evs, chain, ms(207), nil)
@@ -86,7 +88,7 @@ func TestAttributeEncodeAndDecode(t *testing.T) {
 		{T: ms(1), Kind: EvEncode, Seq: 3, Cause: chain},
 		{T: ms(2), Kind: EvTx, Seq: 3, Cause: chain},
 		{T: ms(3), Kind: EvRx, Seq: 3, Cause: chain},
-		{T: ms(160), Kind: EvDecode, Seq: 3, Cause: chain},
+		{T: ms(162), Kind: 6, Seq: 3, Cause: chain}, // a retired DECODE
 		{T: ms(162), Kind: EvPaint, Seq: 3, Cause: chain},
 	}
 	if v := Attribute(dec, chain, ms(162), nil); v.Stage != StageDecode {
@@ -236,7 +238,7 @@ func TestCheckBreachHostEvidence(t *testing.T) {
 	l.Tx(9, protocol.TypeBitmap, 100)
 	time.Sleep(20 * time.Millisecond)
 	l.Rx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
-	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap)
+	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap, 0)
 
 	// The monitor saw the whole run as one starvation episode.
 	rec.SetHostEvidence(func(asOf time.Duration) []HostWindow {

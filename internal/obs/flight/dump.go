@@ -138,7 +138,7 @@ func (r *Recorder) RecordBreach(id uint32, latency, target time.Duration) (Breac
 	pathFn := r.pathFn
 	r.mu.RUnlock()
 	now := r.clock.Now()
-	chain := l.cause.Load()
+	chain := l.chain()
 	n := r.breachN.Add(1)
 	r.breaches.Inc()
 	if r.clock.Domain() == obs.DomainWall {

@@ -1,7 +1,7 @@
 // Package flight is the causal flight recorder: an always-on, per-session
 // ring buffer of typed protocol events covering the whole display path —
 // input received, drawing op submitted, command encoded, transmitted,
-// received, decoded, painted — linked into causal chains by the protocol
+// received, painted — linked into causal chains by the protocol
 // sequence numbers that already flow end to end.
 //
 // The paper's methodology (§3.1, §5) is event-level: every input event and
@@ -9,8 +9,8 @@
 // after the fact. The aggregate histograms of internal/obs say *that* a
 // paint blew past the 150 ms annoyance threshold; the flight recorder says
 // *why*, by keeping the last few thousand events of every session in a
-// lock-free ring that costs a handful of atomic stores per event when
-// enabled and a single atomic load when disabled.
+// ring under one mutex that costs a lock and a 40-byte store per event
+// when enabled and a single atomic load when disabled.
 //
 // Two read paths exist:
 //
@@ -24,10 +24,10 @@
 // A recorder stamps events from its obs.Clock: the process-wide wall clock,
 // or a sim-domain virtual clock its harness moves. The stages a call site
 // has already read obs.Wall for — Input at an input's arrival, Encode at
-// the end of an Encode call, Rx at a command's arrival, Decode and Paint
-// after its apply — take that reading as their first argument: a wall
-// recorder stamps it instead of reading the clock again, a sim-domain
-// recorder stamps its virtual now either way. Only sim-domain recorders
+// the end of an Encode call, Rx at a command's arrival, Paint after its
+// apply — take that reading as their first argument: a wall recorder
+// stamps it instead of reading the clock again, a sim-domain recorder
+// stamps its virtual now either way. Only sim-domain recorders
 // accept explicit virtual timestamps (RecordAt), so a wall ring can never
 // receive virtual time.
 package flight
@@ -64,12 +64,13 @@ const (
 	// EvRx: the console transport received the command, before decode.
 	// A = wire bytes.
 	EvRx
-	// EvDecode: the console started decoding the command. A = modelled
-	// service nanoseconds (0 without a cost model).
-	EvDecode
+	// Kind 6 was DECODE, always stamped at the PAINT instant. The number
+	// stays reserved: dumps store kinds as numbers, and Attribute skips a
+	// DECODE an old dump still holds.
+	_
 	// EvPaint: the console applied the command to its frame buffer — the
 	// pixels are on glass (or were shed: a dropped command records EvDrop
-	// instead).
+	// instead). A = modelled service nanoseconds (0 without a cost model).
 	EvPaint
 	// EvStatus: a console heartbeat arrived. A = console's last applied
 	// sequence, B = cumulative decode drops.
@@ -101,7 +102,6 @@ var kindNames = [...]string{
 	EvEncode: "ENCODE",
 	EvTx:     "TX",
 	EvRx:     "RX",
-	EvDecode: "DECODE",
 	EvPaint:  "PAINT",
 	EvStatus: "STATUS",
 	EvNack:   "NACK",
@@ -129,7 +129,7 @@ type Event struct {
 	// Cmd is the protocol message type, for protocol-level events.
 	Cmd protocol.MsgType `json:"cmd,omitempty"`
 	// Seq is the display-protocol sequence number. It links ENCODE → TX →
-	// RX → DECODE → PAINT for one command across machines, which is what
+	// RX → PAINT for one command across machines, which is what
 	// makes the chains causal rather than merely temporal.
 	Seq uint32 `json:"seq,omitempty"`
 	// Cause is the input-chain ID: every event recorded for a session
@@ -154,66 +154,22 @@ const DefaultWindow = 5 * time.Second
 // breaching on every keystroke produces one dump per gap, not thousands.
 const DefaultDumpGap = 5 * time.Second
 
-// slot is one ring entry. All fields are atomics so concurrent writers
-// (server goroutine, console loop) and snapshot readers never race: the
-// version field is a seqlock — odd while a write is in flight, bumped to
-// even when the slot is stable — and the payload is packed into five
-// words. Claiming distinct indices via the ring cursor means two writers
-// only ever collide on a slot when they race a full ring apart; the
-// version check makes the reader skip such torn slots.
-type slot struct {
-	version atomic.Uint64
-	t       atomic.Int64
-	kcs     atomic.Uint64 // kind<<40 | cmd<<32 | seq
-	cause   atomic.Uint64
-	a, b    atomic.Int64
-}
-
-func (s *slot) store(ev Event) {
-	v := s.version.Load()
-	s.version.Store(v | 1) // odd: write in progress
-	s.t.Store(int64(ev.T))
-	s.kcs.Store(uint64(ev.Kind)<<40 | uint64(ev.Cmd)<<32 | uint64(ev.Seq))
-	s.cause.Store(ev.Cause)
-	s.a.Store(ev.A)
-	s.b.Store(ev.B)
-	s.version.Store((v | 1) + 1) // even: stable
-}
-
-// load copies the slot if it is stable, reporting ok=false for slots that
-// are empty, mid-write, or were overwritten during the read.
-func (s *slot) load() (Event, bool) {
-	v1 := s.version.Load()
-	if v1 == 0 || v1&1 == 1 {
-		return Event{}, false
-	}
-	ev := Event{
-		T:     time.Duration(s.t.Load()),
-		Cause: s.cause.Load(),
-		A:     s.a.Load(),
-		B:     s.b.Load(),
-	}
-	kcs := s.kcs.Load()
-	ev.Kind = Kind(kcs >> 40)
-	ev.Cmd = protocol.MsgType(kcs >> 32)
-	ev.Seq = uint32(kcs)
-	if s.version.Load() != v1 {
-		return Event{}, false
-	}
-	return ev, true
-}
-
 // SessionLog is one session's event ring. The zero value is not usable;
 // obtain logs from Recorder.Session. A nil *SessionLog is inert: every
 // recording method no-ops, so call sites instrument unconditionally.
 type SessionLog struct {
-	rec   *Recorder
-	mask  uint64
-	slots []slot
+	rec *Recorder
 
-	cursor atomic.Uint64
+	// mu guards the ring, its cursor and the current chain: writers (server
+	// goroutine, console loop) and snapshot readers take it in turn.
+	mu     sync.Mutex
+	events []Event
+	mask   uint64
+	// n counts the events ever pushed; the next one lands at n&mask.
+	n uint64
 	// cause is the session's current input-chain ID (see Event.Cause).
-	cause atomic.Uint64
+	cause uint64
+
 	// lastDumpNs rate-limits breach dumps (recorder-clock nanoseconds).
 	lastDumpNs atomic.Int64
 }
@@ -224,10 +180,10 @@ func (l *SessionLog) Armed() bool {
 	return l != nil && l.rec.enabled.Load()
 }
 
-// push claims the next ring index and writes the event.
-func (l *SessionLog) push(ev Event) {
-	i := l.cursor.Add(1) - 1
-	l.slots[i&l.mask].store(ev)
+// pushLocked writes ev into the next ring entry. Callers hold l.mu.
+func (l *SessionLog) pushLocked(ev Event) {
+	l.events[l.n&l.mask] = ev
+	l.n++
 }
 
 // record stamps one event from the recorder's clock and records it. The
@@ -250,10 +206,12 @@ func (l *SessionLog) recordAt(wall time.Duration, ev Event) {
 // stamp records ev at t under the session's current input chain.
 func (l *SessionLog) stamp(t time.Duration, ev Event) {
 	ev.T = t
+	l.mu.Lock()
 	if ev.Cause == 0 {
-		ev.Cause = l.cause.Load()
+		ev.Cause = l.cause
 	}
-	l.push(ev)
+	l.pushLocked(ev)
+	l.mu.Unlock()
 }
 
 // RecordAt records one event with an explicit virtual timestamp. Only
@@ -267,7 +225,9 @@ func (l *SessionLog) RecordAt(t time.Duration, ev Event) {
 		panic("flight: RecordAt on a wall-domain recorder; virtual timestamps need a sim-domain recorder")
 	}
 	ev.T = t
-	l.push(ev)
+	l.mu.Lock()
+	l.pushLocked(ev)
+	l.mu.Unlock()
 }
 
 // Input records an input event reaching the server and opens a new causal
@@ -279,9 +239,19 @@ func (l *SessionLog) Input(wall time.Duration, cmd protocol.MsgType, arg int64) 
 		return 0
 	}
 	id := l.rec.inputID.Add(1)
-	l.cause.Store(id)
-	l.stamp(l.rec.clock.At(wall), Event{Kind: EvInput, Cmd: cmd, Cause: id, A: arg})
+	t := l.rec.clock.At(wall)
+	l.mu.Lock()
+	l.cause = id
+	l.pushLocked(Event{T: t, Kind: EvInput, Cmd: cmd, Cause: id, A: arg})
+	l.mu.Unlock()
 	return id
+}
+
+// chain reports the session's current input-chain ID.
+func (l *SessionLog) chain() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.cause
 }
 
 // Op records one drawing op submitted to the encoder (code is
@@ -307,17 +277,11 @@ func (l *SessionLog) Rx(wall time.Duration, seq uint32, cmd protocol.MsgType, by
 	l.recordAt(wall, Event{Kind: EvRx, Cmd: cmd, Seq: seq, A: bytes})
 }
 
-// Decode records the console decoding one command (serviceNs is the
-// modelled decode time, 0 without a cost model), at wall — the reading of
-// obs.Wall taken when its apply was done.
-func (l *SessionLog) Decode(wall time.Duration, seq uint32, cmd protocol.MsgType, serviceNs int64) {
-	l.recordAt(wall, Event{Kind: EvDecode, Cmd: cmd, Seq: seq, A: serviceNs})
-}
-
-// Paint records the console applying one command to its frame buffer, at
+// Paint records the console applying one command to its frame buffer
+// (serviceNs is the modelled service time, 0 without a cost model), at
 // wall — the reading of obs.Wall taken when the apply was done.
-func (l *SessionLog) Paint(wall time.Duration, seq uint32, cmd protocol.MsgType) {
-	l.recordAt(wall, Event{Kind: EvPaint, Cmd: cmd, Seq: seq})
+func (l *SessionLog) Paint(wall time.Duration, seq uint32, cmd protocol.MsgType, serviceNs int64) {
+	l.recordAt(wall, Event{Kind: EvPaint, Cmd: cmd, Seq: seq, A: serviceNs})
 }
 
 // Status records a console heartbeat.
@@ -347,19 +311,16 @@ func (l *SessionLog) Events(last time.Duration) []Event {
 	if l == nil {
 		return nil
 	}
-	end := l.cursor.Load()
-	n := end
-	if n > uint64(len(l.slots)) {
-		n = uint64(len(l.slots))
+	l.mu.Lock()
+	head := int(l.n & l.mask)
+	evs := make([]Event, 0, min(l.n, uint64(len(l.events))))
+	if l.n >= uint64(len(l.events)) {
+		evs = append(evs, l.events[head:]...)
 	}
-	evs := make([]Event, 0, n)
-	for i := end - n; i < end; i++ {
-		if ev, ok := l.slots[i&l.mask].load(); ok && ev.Kind != 0 {
-			evs = append(evs, ev)
-		}
-	}
-	// Writers racing the snapshot can leave the tail slightly out of
-	// order; sort restores the timeline.
+	evs = append(evs, l.events[:head]...)
+	l.mu.Unlock()
+	// Writers read their clocks before taking the lock, so two racing
+	// writers can land out of order; sort restores the timeline.
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
 	if last > 0 && len(evs) > 0 {
 		cut := evs[len(evs)-1].T - last
@@ -471,9 +432,9 @@ func (r *Recorder) SetHostEvidence(fn func(asOf time.Duration) []HostWindow) {
 func (r *Recorder) Session(id uint32) *SessionLog {
 	return r.sessions.Get(id, func() *SessionLog {
 		return &SessionLog{
-			rec:   r,
-			mask:  uint64(r.ringSize - 1),
-			slots: make([]slot, r.ringSize),
+			rec:    r,
+			events: make([]Event, r.ringSize),
+			mask:   uint64(r.ringSize - 1),
 		}
 	})
 }

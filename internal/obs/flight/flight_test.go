@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -26,14 +27,13 @@ func TestRingRecordsAndOrders(t *testing.T) {
 	l.Encode(obs.Wall.Now(), 41, protocol.TypeBitmap, 58, 128)
 	l.Tx(41, protocol.TypeBitmap, 58)
 	l.Rx(obs.Wall.Now(), 41, protocol.TypeBitmap, 58)
-	l.Decode(obs.Wall.Now(), 41, protocol.TypeBitmap, 0)
-	l.Paint(obs.Wall.Now(), 41, protocol.TypeBitmap)
+	l.Paint(obs.Wall.Now(), 41, protocol.TypeBitmap, 0)
 
 	evs := l.Events(0)
-	if len(evs) != 7 {
-		t.Fatalf("got %d events, want 7", len(evs))
+	if len(evs) != 6 {
+		t.Fatalf("got %d events, want 6", len(evs))
 	}
-	wantKinds := []Kind{EvInput, EvOp, EvEncode, EvTx, EvRx, EvDecode, EvPaint}
+	wantKinds := []Kind{EvInput, EvOp, EvEncode, EvTx, EvRx, EvPaint}
 	for i, ev := range evs {
 		if ev.Kind != wantKinds[i] {
 			t.Errorf("event %d kind = %v, want %v", i, ev.Kind, wantKinds[i])
@@ -53,13 +53,13 @@ func TestRingRecordsAndOrders(t *testing.T) {
 func TestRingWrapsKeepingNewest(t *testing.T) {
 	rec := New(obs.DomainWall)
 	l := rec.Session(1)
-	n := len(l.slots) + 100
+	n := len(l.events) + 100
 	for i := 0; i < n; i++ {
 		l.Op(int64(i))
 	}
 	evs := l.Events(0)
-	if len(evs) != len(l.slots) {
-		t.Fatalf("got %d events after wrap, want %d", len(evs), len(l.slots))
+	if len(evs) != len(l.events) {
+		t.Fatalf("got %d events after wrap, want %d", len(evs), len(l.events))
 	}
 	if got, want := evs[len(evs)-1].A, int64(n-1); got != want {
 		t.Errorf("newest event A = %d, want %d", got, want)
@@ -83,22 +83,39 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	}
 	var nilLog *SessionLog
 	nilLog.Input(obs.Wall.Now(), protocol.TypeKey, 'x') // must not panic
-	nilLog.Paint(obs.Wall.Now(), 1, protocol.TypeFill)
+	nilLog.Paint(obs.Wall.Now(), 1, protocol.TypeFill, 0)
 	if nilLog.Events(0) != nil {
 		t.Error("nil log returned events")
 	}
 }
 
+// TestConcurrentRecordingIsSafe races four ENCODE writers against a
+// reader and a goroutine opening input chains. The chains stop before
+// each writer's last quarter ring, so the ring's final DefaultRingSize
+// events are all ENCODEs, each whole, each writer's in its own order.
 func TestConcurrentRecordingIsSafe(t *testing.T) {
+	const writers, perWriter = 4, 5000
+	tail := DefaultRingSize / writers
 	rec := New(obs.DomainWall)
 	l := rec.Session(1)
+	inputsDone := make(chan struct{})
+	var lastChain uint64
+	go func() {
+		defer close(inputsDone)
+		for i := 0; i < 500; i++ {
+			lastChain = l.Input(obs.Wall.Now(), protocol.TypeKey, int64(i))
+		}
+	}()
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				l.Encode(obs.Wall.Now(), uint32(i), protocol.TypeSet, 100, 50)
+			for i := 0; i < perWriter; i++ {
+				if i == perWriter-tail {
+					<-inputsDone
+				}
+				l.Encode(obs.Wall.Now(), uint32(g)<<16|uint32(i), protocol.TypeSet, 100, 50)
 			}
 		}()
 	}
@@ -111,8 +128,23 @@ func TestConcurrentRecordingIsSafe(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := len(l.Events(0)); got == 0 {
-		t.Fatal("no events survived concurrent recording")
+	evs := l.Events(0)
+	if len(evs) != DefaultRingSize {
+		t.Fatalf("%d events survived, want the full ring of %d", len(evs), DefaultRingSize)
+	}
+	last := make(map[uint32]uint32)
+	for i, ev := range evs {
+		if ev.Kind != EvEncode || ev.Cmd != protocol.TypeSet || ev.A != 100 || ev.B != 50 {
+			t.Fatalf("event %d is not a whole ENCODE SET 100/50: %+v", i, ev)
+		}
+		g, n := ev.Seq>>16, ev.Seq&0xffff
+		if prev, seen := last[g]; seen && n <= prev {
+			t.Fatalf("event %d: writer %d's seq %d after %d", i, g, n, prev)
+		}
+		last[g] = n
+	}
+	if got := l.chain(); got != lastChain {
+		t.Errorf("current chain %d, want the last input's %d", got, lastChain)
 	}
 }
 
@@ -156,7 +188,7 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 	l := rec.Session(3)
 	cause := l.Input(obs.Wall.Now(), protocol.TypeKey, 'q')
 	l.Encode(obs.Wall.Now(), 9, protocol.TypeBitmap, 44, 128)
-	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap)
+	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap, 0)
 
 	if _, breached := rec.RecordBreach(4, 200*time.Millisecond, target); breached {
 		t.Fatal("a session with no ring recorded a breach")
@@ -237,7 +269,7 @@ func TestPerfettoExportAndHandler(t *testing.T) {
 	l.Input(obs.Wall.Now(), protocol.TypeKey, 'a')
 	l.Encode(obs.Wall.Now(), 1, protocol.TypeFill, 20, 1000)
 	l.Tx(1, protocol.TypeFill, 20)
-	l.Paint(obs.Wall.Now(), 1, protocol.TypeFill)
+	l.Paint(obs.Wall.Now(), 1, protocol.TypeFill, 0)
 
 	var buf bytes.Buffer
 	if err := obs.WriteJSON(&buf, obs.NewTraceFile(TraceEvents(nil, 2, rec.Events(2, 0)))); err != nil {
@@ -361,12 +393,14 @@ func BenchmarkRecordEnabledParallel(b *testing.B) {
 }
 
 // TestRetiredKindKeepsNumbers: dumps store kinds as numbers, so retiring
-// TXQ (13) leaves the kinds after it where they were.
+// DECODE (6) and TXQ (13) leaves the kinds after them where they were.
 func TestRetiredKindKeepsNumbers(t *testing.T) {
-	if EvBreach != 12 || EvOwe != 14 {
-		t.Fatalf("BREACH = %d, OWE = %d; want 12 and 14", EvBreach, EvOwe)
+	if EvPaint != 7 || EvBreach != 12 || EvOwe != 14 {
+		t.Fatalf("PAINT = %d, BREACH = %d, OWE = %d; want 7, 12 and 14", EvPaint, EvBreach, EvOwe)
 	}
-	if got := Kind(13).String(); got != "Kind(13)" {
-		t.Errorf("the retired kind 13 reads %q", got)
+	for _, k := range []Kind{6, 13} {
+		if got, want := k.String(), fmt.Sprintf("Kind(%d)", k); got != want {
+			t.Errorf("the retired kind %d reads %q", k, got)
+		}
 	}
 }

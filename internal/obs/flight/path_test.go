@@ -24,7 +24,7 @@ func TestCheckBreachPathEvidence(t *testing.T) {
 	l.Tx(9, protocol.TypeBitmap, 100)
 	time.Sleep(30 * time.Millisecond)
 	l.Rx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
-	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap)
+	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap, 0)
 
 	// The estimator reports a lossy path at breach time.
 	var askedSession uint32

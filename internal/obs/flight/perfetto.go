@@ -36,7 +36,7 @@ func lane(k Kind) int {
 		return laneEncode
 	case EvTx, EvRx, EvDrop, EvOwe:
 		return laneTransport
-	case EvDecode, EvPaint, EvStatus, EvNack:
+	case EvPaint, EvStatus, EvNack:
 		return laneConsole
 	case EvLinkTx:
 		return laneLink
@@ -97,8 +97,8 @@ func TraceEvents(out []obs.TraceEvent, session uint32, evs []Event) []obs.TraceE
 			TID:  lane(ev.Kind),
 			Args: map[string]any{"seq": ev.Seq, "cause": ev.Cause, "a": ev.A, "b": ev.B},
 		}
-		if ev.Kind == EvDecode && ev.A > 0 {
-			pe.Dur = float64(ev.A) / 1e3 // modelled decode time
+		if ev.Kind == EvPaint && ev.A > 0 {
+			pe.Dur = float64(ev.A) / 1e3 // modelled service time
 		}
 		out = append(out, pe)
 		switch {

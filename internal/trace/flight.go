@@ -15,7 +15,7 @@ import (
 // click — the dump has no button state, and dropping it would hide the
 // event that opened a causal chain), and ENCODE events become display
 // records carrying the command's wire bytes and touched pixels. Transport
-// and console legs (TX/RX/DECODE/PAINT) have no offline equivalent and are
+// and console legs (TX/RX/PAINT) have no offline equivalent and are
 // skipped. Timestamps are rebased so the trace starts at zero.
 func FromFlight(app string, evs []flight.Event) *Trace {
 	tr := &Trace{App: app}
