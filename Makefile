@@ -147,8 +147,10 @@ fleet-smoke:
 # subcommands explain replaced, the /debug/costmodel endpoint (a 404) and
 # the bundle's costmodel.json. The 1ns target also drives the SLO to
 # BREACHING, so its bundle may land first and the manual one answer 429
-# inside MinGap: either bundle will do. Ports 5498/6061 keep clear of a
-# developer's running slimd.
+# inside MinGap: either bundle will do. A second daemon, a 2-shard fleet,
+# is then typed into and must publish like one server: /metrics shows its
+# input-to-paint observations and `slim_sessions 1`. Ports 5497-5498 and
+# 6061-6062 keep clear of a developer's running slimd.
 EVIDENCE := $(or $(TMPDIR),/tmp)/slim-evidence-smoke
 evidence-smoke:
 	rm -rf $(EVIDENCE) && mkdir -p $(EVIDENCE)
@@ -177,6 +179,15 @@ evidence-smoke:
 	for sub in flight blame capture netqual incident; do \
 		if ./slimtrace $$sub 2>/dev/null; then echo "slimtrace $$sub still exists"; exit 1; fi; \
 	done
+	set -e; cd $(EVIDENCE); \
+	./slimd -addr 127.0.0.1:5497 -shards 2 -debug 127.0.0.1:6062 & \
+	fleet=$$!; trap 'kill $$fleet 2>/dev/null' EXIT; \
+	sleep 3; \
+	./slimview -server 127.0.0.1:5497 -card card-demo -type "fleet" -o fleet.png; \
+	curl -fsS -o fleet.prom http://127.0.0.1:6062/metrics; \
+	kill -INT $$fleet; wait $$fleet || true; trap - EXIT; \
+	grep -qE '^slim_input_to_paint_seconds_count [1-9]' fleet.prom || { echo "the fleet's /metrics shows no input-to-paint observations"; exit 1; }; \
+	grep -qx 'slim_sessions 1' fleet.prom || { echo "the fleet's /metrics does not show slim_sessions 1"; exit 1; }
 	rm -rf $(EVIDENCE)
 
 # Counted non-test Go lines per top-level package — the number the
@@ -196,9 +207,10 @@ ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke co
 cover:
 	$(GO) test -cover ./...
 
-# The 50-second CI fuzz smoke, split between the message decoder, the §5.4
-# frame packer, the two entry points the transports feed raw datagrams
-# into, and the evidence reader (`slimtrace explain` over an arbitrary capture or dump file; its
+# The 60-second CI fuzz smoke, split between the message decoder, the §5.4
+# frame packer, the three entry points the transports feed raw datagrams
+# into (console, server, and the broker under spoofed sources), and the
+# evidence reader (`slimtrace explain` over an arbitrary capture or dump file; its
 # tables iterate maps, so coverage varies run to run and the minimizer is
 # capped or it eats the whole budget).
 fuzz-smoke:
@@ -206,14 +218,17 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzPackFrames -fuzztime 10s ./internal/protocol/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 10s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 10s ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzBrokerHandleDatagram -fuzztime 10s ./internal/broker/
 	$(GO) test -run xxx -fuzz FuzzExplainInput -fuzztime 10s -fuzzminimizetime 20x ./cmd/slimtrace/
 
 # Brief fuzz passes over the wire-format decoders, the frame packer, the
-# endpoints' raw datagram entry points and the evidence reader.
+# endpoints' and the broker's raw datagram entry points and the evidence
+# reader.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzExplainInput -fuzztime 30s -fuzzminimizetime 20x ./cmd/slimtrace/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 30s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 30s ./internal/server/
+	$(GO) test -run xxx -fuzz FuzzBrokerHandleDatagram -fuzztime 30s ./internal/broker/
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatch$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 30s ./internal/protocol/

@@ -6,14 +6,14 @@
 // With -shards N (N > 1) the one UDP attach point fronts a session-broker
 // fleet of N in-process server shards: the broker authenticates the card,
 // places the session on a shard (-routing hash|leastloaded), and
-// live-migrates it on hotdesk when the fleet is skewed (-migrate-slack).
+// live-migrates it on hotdesk when the fleet is skewed by two sessions.
 // Consoles never learn any of this; the console protocol is unchanged.
 // Every other flag applies to each shard.
 //
 // Usage:
 //
 //	slimd -addr 127.0.0.1:5499 -card card-1=alice -card card-2=bob
-//	slimd -shards 8 -routing leastloaded -migrate-slack 2   # sharded fleet, rebalanced on hotdesk
+//	slimd -shards 8 -routing leastloaded   # sharded fleet, rebalanced on hotdesk
 //	slimd -app quake -fps 30       # every session plays the game stream
 //	slimd -flow                    # §7 grant-paced per-session flow control
 //	slimd -debug :6060             # live metrics + pprof on http://:6060
@@ -27,8 +27,9 @@
 // With -debug, the daemon serves the debug endpoint on the given address;
 // GET /debug/ for the index of everything mounted there. The headline
 // metric is slim_input_to_paint_seconds, the paper's §3 interactive-latency figure,
-// live per session. A fleet adds slim_broker_sessions (total),
-// slim_broker_shard_sessions{shard="i"} (per-shard occupancy),
+// live per session. A fleet publishes every shard's series into the one
+// registry the endpoint serves, as one server would (slim_sessions is the
+// fleet total), and adds slim_broker_shard_sessions{shard="i"} (per-shard occupancy),
 // slim_broker_migrations_total, and slim_broker_reattach_seconds (the
 // hotdesk card-insert-to-attach latency histogram).
 //
@@ -146,7 +147,6 @@ func main() {
 	debugAddr := flag.String("debug", "", "serve the debug endpoint (GET /debug/ for the index) on this HTTP address")
 	shards := flag.Int("shards", 1, "in-process server shards behind this address; above 1 a session broker places and migrates sessions between them")
 	routing := flag.String("routing", "hash", "with -shards above 1, session placement: hash|leastloaded")
-	slack := flag.Int("migrate-slack", 0, "with -routing leastloaded, migrate on hotdesk when the home shard holds at least this many more sessions than the emptiest (0: default 2, negative: never migrate automatically)")
 	state := flag.String("state", "", "session state file: loaded at boot, saved at shutdown (single server only)")
 	app := flag.String("app", "terminal", "session application: terminal|desktop|quake|mpeg2|ntsc")
 	fps := flag.Float64("fps", 24, "video frame rate for video applications")
@@ -266,9 +266,8 @@ func main() {
 		srv, dir, single = u, slim.NewSingle(u.Server), u.Server
 	} else {
 		u, err := slim.ListenAndServeBroker(context.Background(), *addr, slim.BrokerConfig{
-			Shards:       *shards,
-			Routing:      policy,
-			MigrateSlack: *slack,
+			Shards:  *shards,
+			Routing: policy,
 		}, factory, opts...)
 		if err != nil {
 			fatal("listen", "addr", *addr, "err", err)

@@ -2,6 +2,7 @@ package slim
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"slim/internal/broker"
@@ -86,13 +87,9 @@ type BrokerConfig struct {
 	Shards int
 	// Routing selects placement: RouteHash (stable, never migrates on its
 	// own) or RouteLeastLoaded (fills the emptiest shard and rebalances on
-	// hotdesk).
+	// hotdesk when its home shard holds at least two more sessions than the
+	// emptiest).
 	Routing RoutingPolicy
-	// MigrateSlack tunes RouteLeastLoaded rebalancing: a hotdesk migrates
-	// the session when its home shard holds at least this many more
-	// sessions than the emptiest one. Zero takes the default (2); negative
-	// disables automatic migration.
-	MigrateSlack int
 }
 
 // RoutingPolicy selects how a broker places sessions on shards.
@@ -142,37 +139,26 @@ func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
 // their shards, as the architecture demands).
 //
 // Every shard inherits the broker-level options — WithLogger,
-// WithTelemetry, WithFlowControl, WithCodec2 — from the one
-// list passed here, so callers stop re-threading them per server. Two
-// settings are virtualized per shard rather than inherited verbatim:
-//
-//   - Metrics: each shard gets a copy of the telemetry kit with a private
-//     registry (same-named server gauges from different shards would
-//     clobber each other) but the shared recorder, SLO tracker and path
-//     estimator, so a migrated session resolves the state it already has.
-//     The broker republishes the fleet view into the kit's own registry
-//     as slim_broker_* series with shard-labeled session gauges.
-//     Per-shard registries remain reachable via
-//     Shard(i).Telemetry().Registry.
-//   - Session IDs: shard i issues IDs from a disjoint base so IDs stay
-//     unique fleet-wide across migrations.
+// WithTelemetry, WithFlowControl, WithCodec2 — from the one list passed
+// here, so callers stop re-threading them per server. The shards publish
+// into the one telemetry kit, so the fleet's series add up there as one
+// server's would, and a migrated session resolves the recorder, SLO and
+// path state it already has; the broker adds slim_broker_* series with
+// shard-labeled session gauges. Only the session-ID base differs per
+// shard: shard i issues IDs from a disjoint base so IDs stay unique
+// fleet-wide across migrations.
 func NewBroker(ctx context.Context, cfg BrokerConfig, t Transport, newApp AppFactory, opts ...ServerOption) (*Broker, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	res := server.ResolveOptions(opts...)
 	core, err := broker.New(broker.Config{
-		Shards:       cfg.Shards,
-		Policy:       cfg.Routing,
-		MigrateSlack: cfg.MigrateSlack,
-		Registry:     res.Telemetry.Registry,
-		Logger:       res.Logger,
+		Shards:   cfg.Shards,
+		Policy:   cfg.Routing,
+		Registry: res.Telemetry.Registry,
+		Logger:   res.Logger,
 		NewShard: func(i int) *server.Server {
-			shardOpts := make([]ServerOption, 0, len(opts)+2)
-			shardOpts = append(shardOpts, opts...)
-			shardOpts = append(shardOpts,
-				server.WithTelemetry(res.Telemetry.Shard()),
-				server.WithSessionIDBase(uint32(i)*broker.ShardIDSpace))
+			shardOpts := append(slices.Clip(opts), server.WithSessionIDBase(uint32(i)*broker.ShardIDSpace))
 			return server.New(t, newApp, shardOpts...)
 		},
 	})

@@ -2,6 +2,7 @@ package slim
 
 import (
 	"math/rand"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -325,5 +326,68 @@ func TestOversizedPaintIsOwed(t *testing.T) {
 		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
 		t.Errorf("console differs from the session's frame buffer in %d pixels after %v quiet (%d commands sent)",
 			n, time.Second, sess.Encoder.LastSeq())
+	}
+}
+
+// TestStrangersStayOutOfTheConsoleTable: only a Hello introduces a
+// console. A Pong, a Device datagram and a BandwidthGrant, each from a
+// source that never said Hello, are refused by a server and by a broker
+// alike, so none of the three sources becomes routable on the listener.
+func TestStrangersStayOutOfTheConsoleTable(t *testing.T) {
+	ctx := testContext(t)
+	single, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp(), WithTelemetry(NewTelemetry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	fleet, err := ListenAndServeBroker(ctx, "127.0.0.1:0", BrokerConfig{Shards: 2},
+		WithTerminalApp(), WithTelemetry(NewTelemetry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	for _, tc := range []struct {
+		name string
+		l    *udpListener
+	}{{"server", single.udpListener}, {"broker", fleet.udpListener}} {
+		t.Run(tc.name, func(t *testing.T) {
+			to := tc.l.Addr().(*net.UDPAddr)
+			for _, msg := range []protocol.Message{
+				&protocol.Pong{Nonce: 1},
+				&protocol.Device{Port: 1, Payload: []byte{1}},
+				&protocol.BandwidthGrant{SessionID: 1, Bps: 1 << 20},
+			} {
+				c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if _, err := c.WriteToUDP(protocol.Encode(nil, 0, msg), to); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One loop reads the socket in arrival order, so once a fourth
+			// source's Hello is answered the three before it were handled.
+			hello, err := net.DialUDP("udp", nil, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hello.Close()
+			if _, err := hello.Write(protocol.Encode(nil, 0, &protocol.Hello{Width: 64, Height: 48})); err != nil {
+				t.Fatal(err)
+			}
+			_ = hello.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := hello.Read(make([]byte, 2048)); err != nil {
+				t.Fatalf("no reply to the barrier Hello: %v", err)
+			}
+			tc.l.addrMu.Lock()
+			defer tc.l.addrMu.Unlock()
+			want := hello.LocalAddr().(*net.UDPAddr).AddrPort()
+			for addr := range tc.l.consoles {
+				if addr != want {
+					t.Errorf("a source that never said Hello entered the console table: %v", addr)
+				}
+			}
+		})
 	}
 }

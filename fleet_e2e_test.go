@@ -51,8 +51,9 @@ func (m *meteredFabric) simTime(console string, mark int, link netsim.Link) time
 // not a freebie.
 var fleetLink = netsim.Link{Bps: 10_000_000, Prop: 2 * time.Millisecond}
 
-// checkFleetParity asserts the broker's rollup gauges agree with live
-// per-shard session counts — the no-leak invariant the soak ends on.
+// checkFleetParity asserts the broker's rollup gauges and the shards' one
+// slim_sessions count agree with live per-shard session counts — the
+// no-leak invariant the soak ends on.
 func checkFleetParity(t *testing.T, b *Broker, reg *obs.Registry) {
 	t.Helper()
 	b.Rollup()
@@ -66,8 +67,8 @@ func checkFleetParity(t *testing.T, b *Broker, reg *obs.Registry) {
 			t.Fatalf("shard %d rollup gauge = %d, live count = %d", i, got, n)
 		}
 	}
-	if got := snap.Gauges["slim_broker_sessions"]; got != int64(total) {
-		t.Fatalf("fleet rollup gauge = %d, live total = %d", got, total)
+	if got := snap.Gauges["slim_sessions"]; got != int64(total) {
+		t.Fatalf("slim_sessions = %d, live total = %d", got, total)
 	}
 	if got := b.Sessions(); got != total {
 		t.Fatalf("Sessions() = %d, shards sum to %d", got, total)
@@ -342,4 +343,88 @@ func TestSessionHeapIsTwoFrameBuffers(t *testing.T) {
 		t.Errorf("a %dx%d gen-2 session holds %d KiB, want at most two frame buffers + 1 MiB (%d KiB)",
 			w, h, perSession>>10, budget>>10)
 	}
+}
+
+// TestFleetPublishesOneRegistry: a broker's shards publish into the kit
+// the fleet is scraped from, so the fleet reads like one server there —
+// the headline input-to-paint histogram counts every input, slim_sessions
+// counts every session, the per-shard rollup sums to it, and each user's
+// labeled histogram is present — and after a migration the user's labeled
+// series is there once, resolved afresh by the shard that now hosts it.
+func TestFleetPublishesOneRegistry(t *testing.T) {
+	fabric := NewFabric()
+	kit := NewTelemetry()
+	reg := kit.Registry
+	b, err := NewBroker(context.Background(), BrokerConfig{Shards: 2, Routing: RouteLeastLoaded},
+		fabric, WithTerminalApp(), WithTelemetry(kit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := []struct{ name, desk, text string }{
+		{"alice", "desk-0", "hello"},
+		{"bob", "desk-1", "fleet"},
+	}
+	for _, u := range users {
+		con, err := NewConsole(ConsoleConfig{Width: 96, Height: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach(u.desk, con, b)
+		tok := TokenOf("card-" + u.name)
+		b.Register(tok, u.name)
+		if err := fabric.Boot(u.desk, tok.String()); err != nil {
+			t.Fatal(err)
+		}
+		if err := fabric.TypeString(u.desk, u.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	home, _ := b.Locate("alice")
+	if other, _ := b.Locate("bob"); other == home {
+		t.Fatal("least-loaded placement put both users on one shard; the test needs both publishing")
+	}
+
+	// Each typed character is a press and a release.
+	b.Rollup()
+	snap := reg.Snapshot()
+	var inputs int64
+	for _, u := range users {
+		n := int64(2 * len(u.text))
+		inputs += n
+		name := `slim_input_to_paint_seconds{session="` + u.name + `"}`
+		if got := snap.Histograms[name].Count; got != n {
+			t.Errorf("%s count = %d, want %d", name, got, n)
+		}
+	}
+	if got := snap.Histograms["slim_input_to_paint_seconds"].Count; got != inputs {
+		t.Errorf("slim_input_to_paint_seconds count = %d, want %d (every input on every shard)", got, inputs)
+	}
+	if got := snap.Counters["slim_input_events_total"]; got != inputs {
+		t.Errorf("slim_input_events_total = %d, want %d", got, inputs)
+	}
+	if got := snap.Gauges["slim_sessions"]; got != 2 {
+		t.Errorf("slim_sessions = %d, want 2", got)
+	}
+	var occupancy int64
+	for i := 0; i < b.Shards(); i++ {
+		occupancy += snap.Gauges[fmt.Sprintf(`slim_broker_shard_sessions{shard="%d"}`, i)]
+	}
+	if occupancy != snap.Gauges["slim_sessions"] {
+		t.Errorf("slim_broker_shard_sessions sum to %d, slim_sessions = %d", occupancy, snap.Gauges["slim_sessions"])
+	}
+
+	// Migrate alice: the exporting shard removes her series and the
+	// importing one resolves it again, so what she types next is all that
+	// series holds.
+	if err := b.MigrateUser("alice", 1-home, fabric.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fabric.TypeString("desk-0", "x"); err != nil {
+		t.Fatal(err)
+	}
+	name := `slim_input_to_paint_seconds{session="alice"}`
+	if got := reg.Snapshot().Histograms[name].Count; got != 2 {
+		t.Errorf("%s count = %d after migration, want the 2 inputs typed since", name, got)
+	}
+	checkFleetParity(t, b, reg)
 }

@@ -10,10 +10,11 @@
 // internal/server/migrate.go) while the console stays dumb throughout.
 //
 // Routing is deliberately boring on the hot path: one read-locked map
-// lookup from console ID (or, for bandwidth grants, session ID) to shard
-// index, with the message type peeked from the raw wire so non-attach
-// datagrams are never decoded here. Only Hello and SessionConnect take the
-// slow path through authentication and placement.
+// lookup from console ID to shard index, with the message type peeked from
+// the raw wire so non-attach datagrams are never decoded here. The console
+// table is the broker's only table: which shard hosts a user's session is
+// asked of the shards, on the slow paths that need it. Only Hello and
+// SessionConnect take the slow path through authentication and placement.
 package broker
 
 import (
@@ -40,8 +41,8 @@ const (
 	RouteHash Policy = iota
 	// RouteLeastLoaded places new sessions on the emptiest shard and
 	// rebalances on hotdesk: when a user badges in and their home shard
-	// holds at least MigrateSlack more sessions than the emptiest one, the
-	// session migrates as part of the attach.
+	// holds at least DefaultMigrateSlack more sessions than the emptiest
+	// one, the session migrates as part of the attach.
 	RouteLeastLoaded
 )
 
@@ -72,10 +73,6 @@ type Config struct {
 	Shards int
 	// Policy selects session placement (default RouteHash).
 	Policy Policy
-	// MigrateSlack overrides DefaultMigrateSlack for RouteLeastLoaded
-	// rebalancing; negative disables automatic migration entirely
-	// (explicit MigrateUser still works), zero takes the default.
-	MigrateSlack int
 	// NewShard builds shard i. The constructor must give each shard a
 	// disjoint session-ID base (server.WithSessionIDBase(uint32(i)*
 	// ShardIDSpace)); the slim facade's NewBroker does this for callers.
@@ -83,6 +80,7 @@ type Config struct {
 	// Registry receives the broker's fleet metrics — the per-shard session
 	// rollup gauges, migration and routing counters, and (wall registries
 	// only) the reattach-latency histogram. Nil means telemetry.Default's.
+	// Shards publishing into the same registry add up there as one server.
 	Registry *obs.Registry
 	// Logger receives broker lifecycle events (attach, migrate, evict);
 	// nil is silent.
@@ -116,19 +114,16 @@ type Broker struct {
 	auth   *server.AuthManager
 	shards []*server.Server
 	policy Policy
-	slack  int
 	log    *slog.Logger
 
 	// admin serializes the slow paths — attach, migrate, terminate — so
 	// placement decisions see consistent shard loads. It is never held
 	// while routeMu is, and never spans a re-entrant fast-path call.
 	admin sync.Mutex
-	// routeMu guards the routing maps only; the datagram fast path takes
+	// routeMu guards the console table only; the datagram fast path takes
 	// it for one lookup and releases it before entering the shard.
 	routeMu  sync.RWMutex
 	consoles map[string]consoleInfo
-	users    map[string]int // user → shard hosting their session
-	sessions map[uint32]int // session ID → shard (grant routing)
 	closed   bool
 
 	m *metrics
@@ -142,10 +137,6 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.NewShard == nil {
 		return nil, fmt.Errorf("broker: Config.NewShard is required")
 	}
-	slack := cfg.MigrateSlack
-	if slack == 0 {
-		slack = DefaultMigrateSlack
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.Default.Registry
@@ -154,11 +145,8 @@ func New(cfg Config) (*Broker, error) {
 		auth:     server.NewAuthManager(),
 		shards:   make([]*server.Server, cfg.Shards),
 		policy:   cfg.Policy,
-		slack:    slack,
 		log:      cfg.Logger,
 		consoles: make(map[string]consoleInfo),
-		users:    make(map[string]int),
-		sessions: make(map[uint32]int),
 		m:        newMetrics(reg, cfg.Shards),
 	}
 	for i := range b.shards {
@@ -186,16 +174,26 @@ func (b *Broker) Auth() *server.AuthManager { return b.auth }
 // Shards reports the fleet size.
 func (b *Broker) Shards() int { return len(b.shards) }
 
-// Shard exposes one shard server (tests and rollup endpoints reach
-// per-shard registries through it).
+// Shard exposes one shard server.
 func (b *Broker) Shard(i int) *server.Server { return b.shards[i] }
+
+// home asks each shard in turn for a user's session: the shard hosting it
+// and the session, or -1 and nil when no shard has one.
+func (b *Broker) home(user string) (int, *server.Session) {
+	for i, sh := range b.shards {
+		if sess := sh.SessionByUser(user); sess != nil {
+			return i, sess
+		}
+	}
+	return -1, nil
+}
 
 // Locate reports the shard currently hosting a user's session.
 func (b *Broker) Locate(user string) (int, bool) {
-	b.routeMu.RLock()
-	defer b.routeMu.RUnlock()
-	i, ok := b.users[user]
-	return i, ok
+	if i, sess := b.home(user); sess != nil {
+		return i, true
+	}
+	return 0, false
 }
 
 // Sessions reports the fleet-wide live session count.
@@ -228,10 +226,11 @@ func fnv1a(s string) uint32 {
 }
 
 // ShardFor resolves the shard index one raw console datagram routes to
-// without decoding it: grants route by the session ID in their body,
-// attach messages report -1 (they take the slow path through placement),
-// and everything else routes by the console's registration. ok is false
-// for consoles and sessions the broker has never seen. This is the
+// without decoding it: attach messages report -1 (they take the slow path
+// through placement), and everything else — bandwidth grants included —
+// routes by the console's registration. A grant counts only from the
+// console showing its session, and that console routes to the session's
+// shard. ok is false for consoles the broker has never seen. This is the
 // zero-allocation routing hot path.
 func (b *Broker) ShardFor(console string, wire []byte) (shard int, ok bool) {
 	if len(wire) < protocol.HeaderSize {
@@ -240,15 +239,6 @@ func (b *Broker) ShardFor(console string, wire []byte) (shard int, ok bool) {
 	switch protocol.MsgType(wire[3]) {
 	case protocol.TypeHello, protocol.TypeSessionConnect:
 		return -1, false
-	case protocol.TypeBandwidthGrant:
-		if len(wire) < protocol.HeaderSize+4 {
-			return -1, false
-		}
-		id := uint32(wire[12])<<24 | uint32(wire[13])<<16 | uint32(wire[14])<<8 | uint32(wire[15])
-		b.routeMu.RLock()
-		shard, ok = b.sessions[id]
-		b.routeMu.RUnlock()
-		return shard, ok
 	}
 	b.routeMu.RLock()
 	ci, found := b.consoles[console]
@@ -276,9 +266,6 @@ func (b *Broker) HandleDatagram(console string, wire []byte, now time.Duration) 
 	}
 	shard, ok := b.ShardFor(console, wire)
 	if !ok {
-		if protocol.MsgType(wire[3]) == protocol.TypeBandwidthGrant {
-			return nil // stale grant for a terminated session: drop, like a server would
-		}
 		return fmt.Errorf("%w: %q", server.ErrUnknownConsole, console)
 	}
 	b.m.routed.Inc()
@@ -298,15 +285,6 @@ func (b *Broker) Handle(console string, msg protocol.Message, now time.Duration)
 		return b.handleHello(console, m, now)
 	case *protocol.SessionConnect:
 		return b.handleConnect(console, m.Token, now)
-	case *protocol.BandwidthGrant:
-		b.routeMu.RLock()
-		shard, ok := b.sessions[m.SessionID]
-		b.routeMu.RUnlock()
-		if !ok {
-			return nil // stale grant for a terminated session
-		}
-		b.m.routed.Inc()
-		return b.shards[shard].Handle(console, msg, now)
 	}
 	b.routeMu.RLock()
 	ci, ok := b.consoles[console]
@@ -390,8 +368,9 @@ func (b *Broker) attach(console, token string, now time.Duration) error {
 	}
 	b.routeMu.RLock()
 	ci := b.consoles[console]
-	home, hasHome := b.users[user]
 	b.routeMu.RUnlock()
+	home, sess := b.home(user)
+	hasHome := sess != nil
 
 	target := b.place(user, home, hasHome)
 	if hasHome && target != home {
@@ -412,17 +391,12 @@ func (b *Broker) attach(console, token string, now time.Duration) error {
 	if err := b.shards[target].Attach(console, user, now); err != nil {
 		return err
 	}
-	sess := b.shards[target].SessionByUser(user)
-	b.routeMu.Lock()
-	b.users[user] = target
-	b.sessions[sess.ID] = target
-	b.routeMu.Unlock()
 	b.m.attaches.Inc()
 	b.m.reattach.Observe(time.Since(t0))
 	b.rollup()
 	if b.log != nil {
-		b.log.Info("fleet attach", "user", user, "console", console,
-			"shard", target, "session", sess.ID, "migrated", hasHome && target != home)
+		b.log.Info("fleet attach", "user", user, "console", console, "shard", target,
+			"session", b.shards[target].SessionByUser(user).ID, "migrated", hasHome && target != home)
 	}
 	return nil
 }
@@ -440,7 +414,7 @@ func (b *Broker) place(user string, home int, hasHome bool) int {
 		if !hasHome {
 			return min
 		}
-		if b.slack >= 0 && b.shards[home].SessionCount()-b.shards[min].SessionCount() >= b.slack {
+		if b.shards[home].SessionCount()-b.shards[min].SessionCount() >= DefaultMigrateSlack {
 			return min
 		}
 		return home
@@ -469,10 +443,6 @@ func (b *Broker) migrate(user string, from, to int) error {
 		}
 		return fmt.Errorf("broker: import %q into shard %d: %w", user, to, err)
 	}
-	b.routeMu.Lock()
-	b.users[user] = to
-	b.sessions[sn.ID] = to
-	b.routeMu.Unlock()
 	b.m.migrations.Inc()
 	b.rollup()
 	if b.log != nil {
@@ -492,20 +462,15 @@ func (b *Broker) MigrateUser(user string, to int, now time.Duration) error {
 	}
 	b.admin.Lock()
 	defer b.admin.Unlock()
-	b.routeMu.RLock()
-	home, ok := b.users[user]
-	b.routeMu.RUnlock()
-	if !ok {
+	home, sess := b.home(user)
+	if sess == nil {
 		return fmt.Errorf("broker: no session for user %q", user)
 	}
 	if home == to {
 		return nil
 	}
 	// Remember where the session was displayed before the export detaches it.
-	var console string
-	if sess := b.shards[home].SessionByUser(user); sess != nil {
-		console = sess.Console
-	}
+	console := sess.Console
 	if err := b.migrate(user, home, to); err != nil {
 		return err
 	}
@@ -524,36 +489,24 @@ func (b *Broker) MigrateUser(user string, to int, now time.Duration) error {
 
 // Detach removes a user's session from its console, wherever it lives.
 func (b *Broker) Detach(user string) error {
-	b.routeMu.RLock()
-	shard, ok := b.users[user]
-	b.routeMu.RUnlock()
-	if !ok {
+	shard, sess := b.home(user)
+	if sess == nil {
 		return fmt.Errorf("broker: no session for user %q", user)
 	}
 	return b.shards[shard].Detach(user)
 }
 
-// Terminate destroys a user's session and forgets its routing.
+// Terminate destroys a user's session, wherever it lives.
 func (b *Broker) Terminate(user string) error {
 	b.admin.Lock()
 	defer b.admin.Unlock()
-	b.routeMu.RLock()
-	shard, ok := b.users[user]
-	b.routeMu.RUnlock()
-	if !ok {
+	shard, sess := b.home(user)
+	if sess == nil {
 		return fmt.Errorf("broker: no session for user %q", user)
-	}
-	var id uint32
-	if sess := b.shards[shard].SessionByUser(user); sess != nil {
-		id = sess.ID
 	}
 	if err := b.shards[shard].Terminate(user); err != nil {
 		return err
 	}
-	b.routeMu.Lock()
-	delete(b.users, user)
-	delete(b.sessions, id)
-	b.routeMu.Unlock()
 	b.rollup()
 	return nil
 }
@@ -572,13 +525,8 @@ func (b *Broker) SessionOf(console string) *server.Session {
 
 // SessionByUser reports a user's session, wherever it lives (nil if none).
 func (b *Broker) SessionByUser(user string) *server.Session {
-	b.routeMu.RLock()
-	shard, ok := b.users[user]
-	b.routeMu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return b.shards[shard].SessionByUser(user)
+	_, sess := b.home(user)
+	return sess
 }
 
 // Tick drives self-clocked applications on every shard.
@@ -619,57 +567,7 @@ func (b *Broker) FlowPending() bool {
 func (b *Broker) Rollup() { b.rollup() }
 
 func (b *Broker) rollup() {
-	total := 0
 	for i, sh := range b.shards {
-		n := sh.SessionCount()
-		total += n
-		b.m.shardSessions[i].Set(int64(n))
-	}
-	b.m.sessions.Set(int64(total))
-	b.rollupNetQual()
-}
-
-// rollupNetQual republishes per-shard path-quality aggregates from the
-// shards' netqual trackers: the worst session's smoothed RTT and
-// short-window loss per shard, and the shard's summed delivered goodput.
-// Session IDs are fleet-unique, so the broker's grant-routing map already
-// groups estimators by owning shard. Shards with estimation disabled (or
-// no observed sessions) publish zeros.
-func (b *Broker) rollupNetQual() {
-	type owned struct {
-		id    uint32
-		shard int
-	}
-	b.routeMu.RLock()
-	sessions := make([]owned, 0, len(b.sessions))
-	for id, shard := range b.sessions {
-		sessions = append(sessions, owned{id, shard})
-	}
-	b.routeMu.RUnlock()
-	srtt := make([]int64, len(b.shards))
-	loss := make([]int64, len(b.shards))
-	goodput := make([]float64, len(b.shards))
-	for _, o := range sessions {
-		tel := b.shards[o.shard].Telemetry()
-		if !tel.NetQual.Enabled() {
-			continue
-		}
-		s := tel.NetQual.Lookup(o.id)
-		if s == nil {
-			continue
-		}
-		now := tel.Clock.Now()
-		if v := int64(s.SRTT()); v > srtt[o.shard] {
-			srtt[o.shard] = v
-		}
-		if v := int64(s.LossShortAt(now) * 1000); v > loss[o.shard] {
-			loss[o.shard] = v
-		}
-		goodput[o.shard] += s.GoodputAt(now)
-	}
-	for i := range b.shards {
-		b.m.shardSRTT[i].Set(srtt[i])
-		b.m.shardLoss[i].Set(loss[i])
-		b.m.shardGoodput[i].Set(int64(goodput[i]))
+		b.m.shardSessions[i].Set(int64(sh.SessionCount()))
 	}
 }

@@ -39,22 +39,21 @@ func (f *fleetTransport) count(console string) int {
 }
 
 // newTestFleet builds a broker over shards fresh terminal servers sharing
-// one transport, with a hermetic registry per shard and for the broker.
-func newTestFleet(t testing.TB, shards int, policy Policy, slack int) (*Broker, *fleetTransport, *obs.Registry) {
+// one transport and one hermetic telemetry kit, as NewBroker's shards do.
+func newTestFleet(t testing.TB, shards int, policy Policy, opts ...server.Option) (*Broker, *fleetTransport, *obs.Registry) {
 	t.Helper()
 	tr := newFleetTransport()
 	fleet := telemetry.New(obs.DomainWall)
 	reg := fleet.Registry
 	b, err := New(Config{
-		Shards:       shards,
-		Policy:       policy,
-		MigrateSlack: slack,
-		Registry:     reg,
+		Shards:   shards,
+		Policy:   policy,
+		Registry: reg,
 		NewShard: func(i int) *server.Server {
 			return server.New(tr,
 				func(user string, w, h int) server.Application { return server.NewTerminal(w, h) },
-				server.WithTelemetry(fleet.Shard()),
-				server.WithSessionIDBase(uint32(i)*ShardIDSpace))
+				append([]server.Option{server.WithTelemetry(fleet),
+					server.WithSessionIDBase(uint32(i) * ShardIDSpace)}, opts...)...)
 		},
 	})
 	if err != nil {
@@ -63,10 +62,9 @@ func newTestFleet(t testing.TB, shards int, policy Policy, slack int) (*Broker, 
 	return b, tr, reg
 }
 
-// checkInvariants asserts the broker's routing maps agree with live shard
-// state: every routed user's session really lives on the routed shard,
-// session IDs route back to the same shard, and the rollup gauges match
-// per-shard counts (the soak's no-leak parity check).
+// checkInvariants asserts the session gauges agree with live shard state:
+// the shards' one slim_sessions count and the broker's per-shard rollup
+// match per-shard counts (the soak's no-leak parity check).
 func checkInvariants(t *testing.T, b *Broker, reg *obs.Registry) {
 	t.Helper()
 	total := 0
@@ -76,30 +74,10 @@ func checkInvariants(t *testing.T, b *Broker, reg *obs.Registry) {
 	if got := b.Sessions(); got != total {
 		t.Fatalf("Sessions() = %d, shards sum to %d", got, total)
 	}
-	b.routeMu.RLock()
-	users := make(map[string]int, len(b.users))
-	for u, s := range b.users {
-		users[u] = s
-	}
-	sessions := make(map[uint32]int, len(b.sessions))
-	for id, s := range b.sessions {
-		sessions[id] = s
-	}
-	b.routeMu.RUnlock()
-	for u, shard := range users {
-		sess := b.Shard(shard).SessionByUser(u)
-		if sess == nil {
-			t.Fatalf("user %q routed to shard %d but has no session there", u, shard)
-		}
-		if got, ok := sessions[sess.ID]; !ok || got != shard {
-			t.Fatalf("session %d of %q: ID routes to %d/%v, user routes to %d",
-				sess.ID, u, got, ok, shard)
-		}
-	}
 	b.Rollup()
 	snap := reg.Snapshot()
-	if got := snap.Gauges["slim_broker_sessions"]; got != int64(total) {
-		t.Fatalf("rollup gauge = %d, want %d", got, total)
+	if got := snap.Gauges["slim_sessions"]; got != int64(total) {
+		t.Fatalf("slim_sessions = %d, want %d", got, total)
 	}
 	for i := 0; i < b.Shards(); i++ {
 		name := fmt.Sprintf(`slim_broker_shard_sessions{shard="%d"}`, i)
@@ -120,7 +98,7 @@ func TestBrokerAttachRouteEvict(t *testing.T) {
 		consoles = 12
 		steps    = 400
 	)
-	b, _, reg := newTestFleet(t, shards, RouteHash, 0)
+	b, _, reg := newTestFleet(t, shards, RouteHash)
 	for u := 0; u < users; u++ {
 		b.Register(fmt.Sprintf("card-%d", u), fmt.Sprintf("user-%d", u))
 	}
@@ -189,7 +167,7 @@ func TestBrokerAttachRouteEvict(t *testing.T) {
 // TestBrokerHashRoutingIsStable: under RouteHash a user's hotdesks never
 // migrate the session — the same shard hosts it for life.
 func TestBrokerHashRoutingIsStable(t *testing.T) {
-	b, _, reg := newTestFleet(t, 4, RouteHash, 0)
+	b, _, reg := newTestFleet(t, 4, RouteHash)
 	b.Register("card-a", "alice")
 	if err := b.Handle("desk-1", &protocol.Hello{Width: 64, Height: 48, CardToken: "card-a"}, 0); err != nil {
 		t.Fatal(err)
@@ -215,7 +193,7 @@ func TestBrokerHashRoutingIsStable(t *testing.T) {
 // TestBrokerLeastLoadedRebalances: a skewed fleet migrates the hotdesking
 // user's session to the emptiest shard, and the console follows.
 func TestBrokerLeastLoadedRebalances(t *testing.T) {
-	b, _, reg := newTestFleet(t, 2, RouteLeastLoaded, 2)
+	b, _, reg := newTestFleet(t, 2, RouteLeastLoaded)
 	for i := 0; i < 4; i++ {
 		tok, user := fmt.Sprintf("card-%d", i), fmt.Sprintf("user-%d", i)
 		b.Register(tok, user)
@@ -245,7 +223,7 @@ func TestBrokerLeastLoadedRebalances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Now shard 0 has 2 sessions, shard 1 has 0: slack 2 reached. The
+	// Now shard 0 has 2 sessions, shard 1 has 0: DefaultMigrateSlack reached. The
 	// victim hotdesks to a new desk and must come out on shard 1.
 	if err := b.Handle("desk-new", &protocol.Hello{Width: 64, Height: 48}, 0); err != nil {
 		t.Fatal(err)
@@ -270,7 +248,7 @@ func TestBrokerLeastLoadedRebalances(t *testing.T) {
 // session and redirects the displaying console without the console doing
 // anything; the session keeps its ID.
 func TestBrokerMigrateUserLive(t *testing.T) {
-	b, tr, _ := newTestFleet(t, 2, RouteHash, 0)
+	b, tr, _ := newTestFleet(t, 2, RouteHash)
 	b.Register("card-a", "alice")
 	if err := b.Handle("desk-1", &protocol.Hello{Width: 64, Height: 48, CardToken: "card-a"}, 0); err != nil {
 		t.Fatal(err)
@@ -306,7 +284,7 @@ func TestBrokerMigrateUserLive(t *testing.T) {
 // TestBrokerClosedRejects: a closed broker refuses new messages but leaves
 // shard state intact (sessions persist server side by design).
 func TestBrokerClosedRejects(t *testing.T) {
-	b, _, _ := newTestFleet(t, 2, RouteHash, 0)
+	b, _, _ := newTestFleet(t, 2, RouteHash)
 	b.Register("card-a", "alice")
 	if err := b.Handle("desk-1", &protocol.Hello{Width: 64, Height: 48, CardToken: "card-a"}, 0); err != nil {
 		t.Fatal(err)
@@ -326,7 +304,7 @@ func TestBrokerClosedRejects(t *testing.T) {
 // keystroke datagrams and bandwidth grants resolve their shard without
 // touching the heap (alloc-guard runs this).
 func TestZeroAllocRoute(t *testing.T) {
-	b, _, _ := newTestFleet(t, 4, RouteHash, 0)
+	b, _, _ := newTestFleet(t, 4, RouteHash)
 	b.Register("card-a", "alice")
 	if err := b.Handle("desk-1", &protocol.Hello{Width: 64, Height: 48, CardToken: "card-a"}, 0); err != nil {
 		t.Fatal(err)
@@ -353,7 +331,7 @@ func TestZeroAllocRoute(t *testing.T) {
 
 // BenchmarkBrokerRoute measures the raw routing decision (bench-guard).
 func BenchmarkBrokerRoute(b *testing.B) {
-	bro, _, _ := newTestFleet(b, 8, RouteHash, 0)
+	bro, _, _ := newTestFleet(b, 8, RouteHash)
 	bro.Register("card-a", "alice")
 	if err := bro.Handle("desk-1", &protocol.Hello{Width: 64, Height: 48, CardToken: "card-a"}, 0); err != nil {
 		b.Fatal(err)
@@ -371,7 +349,7 @@ func BenchmarkBrokerRoute(b *testing.B) {
 // BenchmarkBrokerKeystroke measures the full datagram path through the
 // broker into a shard: route, decode, app echo, encode, send.
 func BenchmarkBrokerKeystroke(b *testing.B) {
-	bro, _, _ := newTestFleet(b, 8, RouteHash, 0)
+	bro, _, _ := newTestFleet(b, 8, RouteHash)
 	bro.Register("card-a", "alice")
 	if err := bro.Handle("desk-1", &protocol.Hello{Width: 128, Height: 96, CardToken: "card-a"}, 0); err != nil {
 		b.Fatal(err)
@@ -391,24 +369,7 @@ func BenchmarkBrokerKeystroke(b *testing.B) {
 // advertised capability bits — otherwise a gen-2 console fronted by a
 // broker silently never negotiates the tile cache.
 func TestBrokerForwardsConsoleCaps(t *testing.T) {
-	tr := newFleetTransport()
-	fleet := telemetry.New(obs.DomainWall)
-	b, err := New(Config{
-		Shards:       2,
-		Policy:       RouteLeastLoaded,
-		MigrateSlack: 1,
-		Registry:     fleet.Registry,
-		NewShard: func(i int) *server.Server {
-			return server.New(tr,
-				func(user string, w, h int) server.Application { return server.NewTerminal(w, h) },
-				server.WithTelemetry(fleet.Shard()),
-				server.WithSessionIDBase(uint32(i)*ShardIDSpace),
-				server.WithCodec2())
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, _, _ := newTestFleet(t, 2, RouteLeastLoaded, server.WithCodec2())
 	b.Register("card-a", "alice")
 	b.Register("card-b", "bob")
 
@@ -434,16 +395,31 @@ func TestBrokerForwardsConsoleCaps(t *testing.T) {
 		t.Error("capability lost on the broker's attach redirect")
 	}
 
+	// Skew the fleet by DefaultMigrateSlack onto alice's shard: carol lands
+	// on the emptier shard and is moved next to alice, so the hotdesk below
+	// migrates alice's session rather than reattaching it in place.
+	b.Register("card-c", "carol")
+	if err := b.Handle("g1c", &protocol.Hello{Width: 64, Height: 64, CardToken: "card-c"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	home, _ := b.Locate("alice")
+	if err := b.MigrateUser("carol", home, 0); err != nil {
+		t.Fatal(err)
+	}
+
 	// Bare Hello then SessionConnect (hotdesk): both broker-synthesized
-	// Hellos must preserve what the console advertised.
+	// Hellos must preserve what the console advertised, across the move.
 	if err := b.Handle("g2b", &protocol.Hello{Width: 64, Height: 64, Caps: protocol.CapCachePaint}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Handle("g2b", &protocol.SessionConnect{Token: "card-a"}, 0); err != nil {
 		t.Fatal(err)
 	}
+	if shard, _ := b.Locate("alice"); shard == home {
+		t.Fatalf("hotdesk into a fleet skewed by %d left alice on shard %d", DefaultMigrateSlack, home)
+	}
 	if !encoder("alice").Codec2Enabled() {
-		t.Error("capability lost on the broker's hotdesk redirect")
+		t.Error("capability lost on the broker's migrating hotdesk redirect")
 	}
 
 	// A legacy console stays gen-1 on the same armed fleet.
@@ -453,4 +429,60 @@ func TestBrokerForwardsConsoleCaps(t *testing.T) {
 	if encoder("bob").Codec2Enabled() {
 		t.Error("legacy console negotiated codec2 through the broker")
 	}
+}
+
+// TestBrokerLookupsRaceMigration: with no user or session table of its
+// own, the broker answers Locate and SessionByUser by asking the shards,
+// while routing, migration and detaching run on other goroutines. Run
+// under -race; afterwards the one session is where the last migration put
+// it and every gauge agrees.
+func TestBrokerLookupsRaceMigration(t *testing.T) {
+	b, _, reg := newTestFleet(t, 2, RouteHash)
+	b.Register("card-a", "alice")
+	if err := b.Handle("desk-1", &protocol.Hello{Width: 64, Height: 48, CardToken: "card-a"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	key := protocol.Encode(nil, 0, &protocol.KeyEvent{Code: 'x', Down: true})
+	const moves = 20
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, work := range []func(){
+		func() { b.Locate("alice") },
+		func() {
+			if sess := b.SessionByUser("alice"); sess != nil && sess.User != "alice" {
+				t.Errorf("SessionByUser(alice) returned %q's session", sess.User)
+			}
+		},
+		func() { _ = b.HandleDatagram("desk-1", key, 0) }, // no session mid-move is an answer
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					work()
+				}
+			}
+		}()
+	}
+	home, _ := b.Locate("alice")
+	for i := 0; i < moves; i++ {
+		home = 1 - home
+		if err := b.MigrateUser("alice", home, 0); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got, ok := b.Locate("alice"); !ok || got != home {
+		t.Fatalf("Locate(alice) = %d/%v after the migrations, want %d", got, ok, home)
+	}
+	if sess := b.SessionByUser("alice"); sess == nil || sess.Console != "desk-1" {
+		t.Fatalf("alice's session after the migrations: %+v, want it on desk-1", sess)
+	}
+	checkInvariants(t, b, reg)
 }

@@ -9,14 +9,12 @@ import (
 // metrics is the broker's fleet instrument set: the per-shard session
 // rollup (shard-labeled gauges, so one /metrics scrape shows the whole
 // fleet's balance), lifecycle counters, and the reattach-latency
-// histogram. Shards keep their own private registries for server-level
-// series — sharing one registry would make same-named gauges
-// (slim_sessions) last-writer-wins garbage — and the broker republishes
-// the fleet view here.
+// histogram. The shards publish their server-level series into the same
+// registry, where they add up as one server's would (slim_sessions is the
+// fleet-wide session count).
 type metrics struct {
-	// sessions is the fleet-wide live session count; shardSessions[i] is
-	// shard i's share (slim_broker_shard_sessions{shard="i"}).
-	sessions      *obs.Gauge
+	// shardSessions[i] is shard i's share of slim_sessions
+	// (slim_broker_shard_sessions{shard="i"}).
 	shardSessions []*obs.Gauge
 	// attaches counts fleet attaches (logins and hotdesks); migrations the
 	// subset that moved a session between shards.
@@ -31,19 +29,10 @@ type metrics struct {
 	// repainted (§1.1's "seconds" figure). Nil on sim-domain registries:
 	// virtual-time harnesses score reattach latency themselves.
 	reattach *obs.Histogram
-	// Per-shard path-quality rollups from the shards' netqual trackers:
-	// the worst session's smoothed RTT and short-window loss on each shard
-	// (the actionable fleet view — one bad path shows up regardless of how
-	// many healthy neighbors it has) and the shard's summed delivered
-	// goodput. All zero while estimation is disabled.
-	shardSRTT    []*obs.Gauge // slim_netqual_shard_srtt_ns{shard="i"}
-	shardLoss    []*obs.Gauge // slim_netqual_shard_loss_permille{shard="i"}
-	shardGoodput []*obs.Gauge // slim_netqual_shard_goodput_bps{shard="i"}
 }
 
 func newMetrics(r *obs.Registry, shards int) *metrics {
 	m := &metrics{
-		sessions:      r.Gauge("slim_broker_sessions"),
 		shardSessions: make([]*obs.Gauge, shards),
 		attaches:      r.Counter("slim_broker_attaches_total"),
 		migrations:    r.Counter("slim_broker_migrations_total"),
@@ -51,14 +40,8 @@ func newMetrics(r *obs.Registry, shards int) *metrics {
 		authFailures:  r.Counter("slim_broker_auth_failures_total"),
 	}
 	r.Gauge("slim_broker_shards").Set(int64(shards))
-	m.shardSRTT = make([]*obs.Gauge, shards)
-	m.shardLoss = make([]*obs.Gauge, shards)
-	m.shardGoodput = make([]*obs.Gauge, shards)
 	for i := range m.shardSessions {
 		m.shardSessions[i] = r.Gauge(fmt.Sprintf(`slim_broker_shard_sessions{shard="%d"}`, i))
-		m.shardSRTT[i] = r.Gauge(fmt.Sprintf(`slim_netqual_shard_srtt_ns{shard="%d"}`, i))
-		m.shardLoss[i] = r.Gauge(fmt.Sprintf(`slim_netqual_shard_loss_permille{shard="%d"}`, i))
-		m.shardGoodput[i] = r.Gauge(fmt.Sprintf(`slim_netqual_shard_goodput_bps{shard="%d"}`, i))
 	}
 	if r.Domain() == obs.DomainWall {
 		m.reattach = r.Histogram("slim_broker_reattach_seconds")

@@ -70,10 +70,9 @@ type Line struct {
 	// FleetShards is the slim_broker_shards gauge — 0 means the scraped
 	// daemon is not a broker and the fleet columns are hidden.
 	FleetShards int64
-	// FleetSessions is the broker's fleet-wide session gauge, and
-	// ShardSessions the per-shard occupancy parsed from the
-	// slim_broker_shard_sessions{shard="i"} gauges, indexed by shard.
-	FleetSessions int64
+	// ShardSessions is the per-shard occupancy parsed from the
+	// slim_broker_shard_sessions{shard="i"} gauges, indexed by shard; the
+	// fleet total is Sessions, which every shard publishes into.
 	ShardSessions []int64
 	// Migrations counts live hotdesk migrations this interval (delta of
 	// slim_broker_migrations_total).
@@ -181,7 +180,6 @@ func Summarize(prev, cur map[string]obs.Snapshot, interval time.Duration, now ti
 	}
 	l.FleetShards = c.Gauges["slim_broker_shards"]
 	if l.FleetShards > 0 {
-		l.FleetSessions = c.Gauges["slim_broker_sessions"]
 		l.ShardSessions = shardSessions(c.Gauges, l.FleetShards)
 		l.Migrations = Delta(p, c, "slim_broker_migrations_total")
 		l.Reattach = c.Histograms["slim_broker_reattach_seconds"].
@@ -262,7 +260,7 @@ func (l Line) Format(now time.Time) string {
 			occ[i] = fmt.Sprintf("%d", n)
 		}
 		s += fmt.Sprintf(" | fleet %d/%dsh [%s]",
-			l.FleetSessions, l.FleetShards, strings.Join(occ, " "))
+			l.Sessions, l.FleetShards, strings.Join(occ, " "))
 		if l.Migrations > 0 {
 			s += fmt.Sprintf(" mig %d", l.Migrations)
 		}

@@ -294,7 +294,7 @@ func TestSummarizeHostColumns(t *testing.T) {
 func TestSummarizeFleetColumns(t *testing.T) {
 	p, c := snapPair(func(prev, cur *obs.Registry) {
 		cur.Gauge("slim_broker_shards").Set(4)
-		cur.Gauge("slim_broker_sessions").Set(7)
+		cur.Gauge("slim_sessions").Set(7)
 		cur.Gauge(`slim_broker_shard_sessions{shard="2"}`).Set(3)
 		cur.Gauge(`slim_broker_shard_sessions{shard="0"}`).Set(1)
 		cur.Gauge(`slim_broker_shard_sessions{shard="1"}`).Set(2)
@@ -308,8 +308,8 @@ func TestSummarizeFleetColumns(t *testing.T) {
 		}
 	})
 	l := Summarize(p, c, time.Second, time.UnixMilli(0))
-	if l.FleetShards != 4 || l.FleetSessions != 7 {
-		t.Fatalf("fleet fields = shards %d sessions %d, want 4/7", l.FleetShards, l.FleetSessions)
+	if l.FleetShards != 4 || l.Sessions != 7 {
+		t.Fatalf("fleet fields = shards %d sessions %d, want 4/7", l.FleetShards, l.Sessions)
 	}
 	want := []int64{1, 2, 3, 1}
 	for i, n := range want {
@@ -358,7 +358,7 @@ func TestSummarizeHidesFleetColumnsForSingleServer(t *testing.T) {
 	// occupancy but neither the mig nor the reattach fragment.
 	p, c = snapPair(func(prev, cur *obs.Registry) {
 		cur.Gauge("slim_broker_shards").Set(2)
-		cur.Gauge("slim_broker_sessions").Set(2)
+		cur.Gauge("slim_sessions").Set(2)
 		cur.Gauge(`slim_broker_shard_sessions{shard="0"}`).Set(1)
 		cur.Gauge(`slim_broker_shard_sessions{shard="1"}`).Set(1)
 	})

@@ -73,6 +73,14 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
+// Add moves the gauge by delta (negative to decrease).
+func (g *Gauge) Add(delta int64) {
+	if g == nil {
+		return
+	}
+	g.v.Add(delta)
+}
+
 // Value reports the current gauge value.
 func (g *Gauge) Value() int64 {
 	if g == nil {

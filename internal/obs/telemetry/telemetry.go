@@ -60,17 +60,6 @@ func New(d obs.Domain) *Kit {
 	return k
 }
 
-// Shard returns a copy of the kit with a private registry — what a broker
-// hands each server shard: same-named server gauges from different shards
-// would clobber each other in one registry, while the recorder, trackers
-// and their per-session stores stay shared so a migrated session resolves
-// the state it already has.
-func (k *Kit) Shard() *Kit {
-	c := *k
-	c.Registry = obs.NewRegistry(k.Clock.Domain())
-	return &c
-}
-
 // SessionStore is a per-session store keyed by the fleet-unique session
 // ID. Shards share the stores, so a migration leaves a session's entries
 // for the importing shard to resolve again and only termination evicts

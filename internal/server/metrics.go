@@ -5,7 +5,9 @@ import "slim/internal/obs"
 // metrics is the session manager's live instrument set, resolved once per
 // server so the input and attach paths pay only atomic operations.
 type metrics struct {
-	// sessions is the number of live sessions (attached or detached).
+	// sessions is the number of live sessions (attached or detached). Each
+	// server moves it by one per session created or closed, so servers
+	// sharing a registry — a broker's shards — keep one count between them.
 	sessions *obs.Gauge
 	// attaches counts session→console attachments (first logins and
 	// mobility moves alike); reconnects counts the subset that re-attached

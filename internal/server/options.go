@@ -17,8 +17,8 @@ type Option func(*Server)
 // telemetry.Default: the registry its metrics publish into, and the flight
 // recorder, SLO tracker and path estimator its sessions record into.
 // Hermetic tests and virtual-time simulations hand each server a kit of
-// its own (telemetry.New); a broker hands every shard a copy of one kit
-// with a private registry.
+// its own (telemetry.New); a broker's shards all share the caller's kit,
+// where their series add up as one server's would.
 func WithTelemetry(k *telemetry.Kit) Option {
 	return func(s *Server) { s.tel = k }
 }
@@ -44,19 +44,18 @@ func WithCodec2() Option {
 
 // WithSessionIDBase starts the server's session-ID counter at base instead
 // of zero. A broker gives each shard a disjoint ID space (shard i issues
-// IDs above i<<24) so sessions keep their IDs when they migrate between
-// shards and control messages addressed by session ID (BandwidthGrant)
-// route unambiguously across the fleet.
+// IDs above i<<24) so sessions keep their IDs, unique fleet-wide, when
+// they migrate between shards.
 func WithSessionIDBase(base uint32) Option {
 	return func(s *Server) { s.nextID = base }
 }
 
 // Resolved is the subset of option-configured settings a broker needs to
 // see before fanning the same option list out to its shards — the
-// telemetry kit its fleet rollup publishes into and reads path estimates
-// from, and the logger for broker-level
-// lifecycle events. Everything else (flow config, gen-2 arming) is
-// inherited opaquely by each shard.
+// telemetry kit whose registry its fleet series publish into beside the
+// shards' own, and the logger for broker-level lifecycle events.
+// Everything else (flow config, gen-2 arming) is inherited opaquely by
+// each shard.
 type Resolved struct {
 	Telemetry *telemetry.Kit
 	Logger    *slog.Logger

@@ -331,6 +331,11 @@ func (s *Server) flush(out []outbound) error {
 // handleLocked dispatches one message. Callers hold s.mu; all transmissions
 // are queued on out.
 func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Message, now time.Duration) error {
+	// Only a Hello introduces a console; anything else from a stranger is
+	// refused, so no source enters a transport's console table unheard.
+	if _, hello := msg.(*protocol.Hello); !hello && s.consoles[console] == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownConsole, console)
+	}
 	switch m := msg.(type) {
 	case *protocol.Hello:
 		// A Hello means the console rebooted: whatever it was showing is
@@ -346,9 +351,6 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		return nil
 
 	case *protocol.SessionConnect:
-		if _, ok := s.consoles[console]; !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownConsole, console)
-		}
 		return s.attachByToken(out, console, m.Token, now)
 
 	case *protocol.KeyEvent:
@@ -420,10 +422,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 // what the sent log says it cost. A verdict keeps the line busy until it
 // is paid and a heartbeat has passed, so none can storm. Callers hold s.mu.
 func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Status, now time.Duration) error {
-	cs, ok := s.consoles[console]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownConsole, console)
-	}
+	cs := s.consoles[console]
 	if cs.session == 0 {
 		return nil
 	}

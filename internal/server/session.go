@@ -95,7 +95,7 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 	}
 	s.sessions[id] = sess
 	s.byUser[user] = id
-	s.metrics.sessions.Set(int64(len(s.sessions)))
+	s.metrics.sessions.Add(1)
 	return sess, nil
 }
 
@@ -146,7 +146,7 @@ func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool) {
 	s.unbindLocked(out, sess)
 	delete(s.sessions, sess.ID)
 	delete(s.byUser, sess.User)
-	s.metrics.sessions.Set(int64(len(s.sessions)))
+	s.metrics.sessions.Add(-1)
 	sess.tel.Close(evictShared)
 }
 

@@ -107,6 +107,22 @@ func sessionLabeled(snap obs.Snapshot, user string) []string {
 	return names
 }
 
+// storeSeries partitions per-session series names into those the session
+// handle resolves (telemetry.Session.Series: input-to-paint, flow) and
+// those the kit's shared stores publish themselves, each under its own
+// prefix. A series of neither kind counts as the handle's, so it must go
+// at export too.
+func storeSeries(names []string) (handle, stores []string) {
+	for _, name := range names {
+		if strings.HasPrefix(name, "slim_slo_") || strings.HasPrefix(name, "slim_netqual_") {
+			stores = append(stores, name)
+		} else {
+			handle = append(handle, name)
+		}
+	}
+	return handle, stores
+}
+
 // TestTerminateEvictsAllSessionSeries is the generic cardinality-leak
 // regression: with every per-session subsystem live — labeled
 // input-to-paint histogram, flow-governor gauges, SLO state, path
@@ -114,10 +130,10 @@ func sessionLabeled(snap obs.Snapshot, user string) []string {
 // label, enumerated generically so series added later fail this test
 // instead of leaking, and the kit's shared per-session stores enumerated
 // through SessionStores so a store added later without eviction fails
-// here too. ExportSession, the other teardown caller, must take the
-// per-server series (the server publishes into a registry of its own, as a
-// broker's shards do) and leave the stores shards share: the session lives
-// on under the same ID on the importing server.
+// here too. ExportSession, the other teardown caller, must take the series
+// the session handle resolved and leave the stores shards share, and the
+// series those stores publish: the session lives on under the same ID on
+// the importing server, in the same registry.
 func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -131,10 +147,9 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 			tr := newMemTransport()
 			fleet := telemetry.New(obs.DomainWall)
 			fleet.NetQual.SetEnabled(true)
-			shard := fleet.Shard() // shared stores, private registry
-			reg, shared := shard.Registry, fleet.Registry
+			reg := fleet.Registry
 			s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
-				WithTelemetry(shard), WithFlowControl(flow.Config{}))
+				WithTelemetry(fleet), WithFlowControl(flow.Config{}))
 			s.Auth.Register("card-alice", "alice")
 
 			if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {
@@ -148,10 +163,10 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if live := sessionLabeled(reg.Snapshot(), "alice"); len(live) < 2 {
-				t.Fatalf("expected per-server series from itp and flow while live, got %v", live)
+			handleLive, sharedLive := storeSeries(sessionLabeled(reg.Snapshot(), "alice"))
+			if len(handleLive) < 2 {
+				t.Fatalf("expected handle series from itp and flow while live, got %v", handleLive)
 			}
-			sharedLive := sessionLabeled(shared.Snapshot(), "alice")
 			var netqualLive bool
 			for _, name := range sharedLive {
 				if strings.HasPrefix(name, "slim_netqual_") {
@@ -171,8 +186,9 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if leaked := sessionLabeled(reg.Snapshot(), "alice"); len(leaked) != 0 {
-				t.Errorf("per-server series survived %s: %v", tc.name, leaked)
+			handleLeft, sharedLeft := storeSeries(sessionLabeled(reg.Snapshot(), "alice"))
+			if len(handleLeft) != 0 {
+				t.Errorf("handle series survived %s: %v", tc.name, handleLeft)
 			}
 			if got := reg.Snapshot().Gauges["slim_sessions"]; got != 0 {
 				t.Errorf("slim_sessions = %d after %s, want 0", got, tc.name)
@@ -180,11 +196,11 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 			want := 0
 			if tc.keepShared {
 				want = 1
-				if kept := sessionLabeled(shared.Snapshot(), "alice"); len(kept) != len(sharedLive) {
-					t.Errorf("shared series after export = %v, want all of %v kept", kept, sharedLive)
+				if len(sharedLeft) != len(sharedLive) {
+					t.Errorf("shared series after export = %v, want all of %v kept", sharedLeft, sharedLive)
 				}
-			} else if leaked := sessionLabeled(shared.Snapshot(), "alice"); len(leaked) != 0 {
-				t.Errorf("shared per-session series survived Terminate: %v", leaked)
+			} else if len(sharedLeft) != 0 {
+				t.Errorf("shared per-session series survived Terminate: %v", sharedLeft)
 			}
 			for _, st := range fleet.SessionStores() {
 				if ids := st.SessionIDs(); len(ids) != want {
