@@ -41,7 +41,8 @@ race:
 # enforces). internal/protocol brings BenchmarkPackFrames: the §5.4 packer
 # on a 97-wire scroll burst and a 5,120-wire attach burst; the root package
 # BenchmarkFabricEcho, one keystroke echo over the fabric with every
-# observer armed.
+# observer armed, and BenchmarkFleetEcho, the same echo in fleet_fabric's
+# shape (32 consoles on a 4-shard broker) — the one to profile the fleet by.
 bench-guard:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/protocol/ ./internal/broker/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/incident/ ./internal/obs/netqual/ ./internal/flow/ ./internal/fb/ ./internal/core/
 

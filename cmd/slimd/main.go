@@ -27,7 +27,9 @@
 // With -debug, the daemon serves the debug endpoint on the given address;
 // GET /debug/ for the index of everything mounted there. The headline
 // metric is slim_input_to_paint_seconds, the paper's §3 interactive-latency figure,
-// live per session. A fleet publishes every shard's series into the one
+// live per session: one sample per input that draws, so a keystroke is one
+// (its release paints nothing and is counted in slim_input_events_total
+// only). A fleet publishes every shard's series into the one
 // registry the endpoint serves, as one server would (slim_sessions is the
 // fleet total), and adds slim_broker_shard_sessions{shard="i"} (per-shard occupancy),
 // slim_broker_migrations_total, and slim_broker_reattach_seconds (the

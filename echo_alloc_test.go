@@ -1,9 +1,12 @@
 package slim
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"slim/internal/obs/flight"
 	"slim/internal/raceflag"
 )
 
@@ -23,77 +26,178 @@ func TestFabricAllocsPerEcho(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const budget = 8
-	echo, screensAgree := fabricEcho(t)
-	allocs := testing.AllocsPerRun(700, echo)
+	r := newEchoRig(t, 1, 1, 10*time.Millisecond, 0)
+	allocs := testing.AllocsPerRun(700, r.echo)
 	t.Logf("%.0f allocations per echo", allocs)
 	if allocs > budget {
 		t.Errorf("a 42-byte fabric echo allocates %.0f objects, want at most %d", allocs, budget)
 	}
-	if !screensAgree() {
-		t.Fatal("the console's screen diverged from its session's")
+	r.screensAgree()
+}
+
+// TestFabricEchoIsWatchedOnce counts what observing TestFabricAllocsPerEcho's
+// echo records. Only the press draws, so only the press opens a chain and
+// is timed: per echo the ring takes an INPUT, ENCODE, TX, RX and PAINT,
+// plus every other echo the console's STATUS — 5.5 events, where timing
+// the release too made it 7.5 (its INPUT, and an OP per op) — and the SLO
+// takes one observation, not two. The homing click every 70 echoes draws
+// nothing and adds to neither.
+func TestFabricEchoIsWatchedOnce(t *testing.T) {
+	const echoes = 140
+	r := newEchoRig(t, 1, 1, 10*time.Millisecond, 0)
+	id := r.dir.SessionOf(r.desks[0]).ID
+	ring0 := len(r.kit.Flight.Events(id, 0))
+	slo0 := r.kit.SLO.Status().Windows[0].Events
+	for range echoes {
+		r.echo()
 	}
+	evs := r.kit.Flight.Events(id, 0)
+	if len(evs) >= flight.DefaultRingSize {
+		t.Fatalf("the ring wrapped (%d events); the count needs every event", len(evs))
+	}
+	kinds := make(map[flight.Kind]int)
+	for _, ev := range evs[ring0:] {
+		kinds[ev.Kind]++
+	}
+	if got, want := len(evs)-ring0, echoes*11/2; got != want {
+		t.Errorf("%d echoes recorded %d ring events (%v), want %d: 5.5 per echo", echoes, got, kinds, want)
+	}
+	for _, k := range []flight.Kind{flight.EvInput, flight.EvEncode, flight.EvTx, flight.EvRx, flight.EvPaint} {
+		if kinds[k] != echoes {
+			t.Errorf("%d echoes recorded %d %v events, want one each", echoes, kinds[k], k)
+		}
+	}
+	if got := r.kit.SLO.Status().Windows[0].Events - slo0; got != echoes {
+		t.Errorf("%d echoes made %d SLO observations, want one each", echoes, got)
+	}
+	r.screensAgree()
 }
 
 // BenchmarkFabricEcho times TestFabricAllocsPerEcho's echo: what one
 // keystroke costs end to end on the fabric with every observer armed —
-// the profile to take when asking what an echo pays to be watched.
+// the profile to take when asking what an echo pays to be watched. Its
+// one session fits in L2, so it under-prices stores to cold lines; profile
+// a claim about the fleet with BenchmarkFleetEcho.
 func BenchmarkFabricEcho(b *testing.B) {
-	echo, screensAgree := fabricEcho(b)
+	benchEcho(b, newEchoRig(b, 1, 1, 10*time.Millisecond, 0))
+}
+
+// BenchmarkFleetEcho is the fleet_fabric workload's shape as a Go
+// benchmark: 32 governed gen-2 640×480 consoles on a 4-shard broker over
+// the fabric, one echo per console in turn, the clock moving 10 µs per
+// echo and the governors pumped every 20 ms of it, as the benchmark
+// driver's idle pump does.
+func BenchmarkFleetEcho(b *testing.B) {
+	benchEcho(b, newEchoRig(b, 32, 4, 10*time.Microsecond, 20*time.Millisecond))
+}
+
+func benchEcho(b *testing.B, r *echoRig) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		echo()
+		r.echo()
 	}
 	b.StopTimer()
-	if !screensAgree() {
-		b.Fatal("the console's screen diverged from its session's")
+	r.screensAgree()
+}
+
+// echoRig is the echo tests' rig on a private telemetry kit, which the
+// consoles record into too, as on one machine: governed
+// gen-2 terminal sessions on 640×480 consoles over the fabric, behind one
+// server or a broker of shards. echo types one key press and release at
+// the next console in turn, moving the clock by step first, pumping the
+// governors when pump (if not 0) has passed since the last time, and
+// homing that console's cursor with a click every 70 of its echoes; it
+// has already run 140 times per console to warm the pools, the tile cache
+// and the governors' grants.
+type echoRig struct {
+	tb     testing.TB
+	kit    *TelemetryKit
+	fabric *Fabric
+	dir    Directory
+	desks  []string
+	ports  []Desk
+	step   time.Duration
+	pump   time.Duration
+	clock  time.Duration
+	pumped time.Duration
+	n      int
+}
+
+func newEchoRig(tb testing.TB, consoles, shards int, step, pump time.Duration) *echoRig {
+	tb.Helper()
+	r := &echoRig{tb: tb, kit: NewTelemetry(), fabric: NewFabric(), step: step, pump: pump}
+	opts := []ServerOption{WithFlowControl(FlowConfig{}), WithCodec2(), WithTelemetry(r.kit)}
+	if shards == 1 {
+		r.dir = NewSingle(NewServer(r.fabric, WithTerminalApp(), opts...))
+	} else {
+		ctx, cancel := context.WithCancel(context.Background())
+		tb.Cleanup(cancel)
+		b, err := NewBroker(ctx, BrokerConfig{Shards: shards}, r.fabric, WithTerminalApp(), opts...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r.dir = b
+	}
+	for i := range consoles {
+		user, desk := fmt.Sprintf("user-%02d", i), fmt.Sprintf("desk-%02d", i)
+		con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries,
+			Obs: r.kit.Registry, Flight: r.kit.Flight})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		r.fabric.Attach(desk, con, r.dir)
+		tok := TokenOf("card-" + user)
+		r.dir.Register(tok, user)
+		if err := r.fabric.Boot(desk, tok.String()); err != nil {
+			tb.Fatal(err)
+		}
+		r.desks = append(r.desks, desk)
+		r.ports = append(r.ports, r.fabric.Desk(desk))
+	}
+	for range 140 * consoles {
+		r.echo()
+	}
+	return r
+}
+
+func (r *echoRig) echo() {
+	r.clock += r.step
+	r.fabric.SetClock(r.clock)
+	if r.pump > 0 && r.clock-r.pumped >= r.pump {
+		r.pumped = r.clock
+		if _, _, err := r.dir.PumpFlows(r.clock); err != nil {
+			r.tb.Fatal(err)
+		}
+	}
+	port, k := r.ports[r.n%len(r.ports)], r.n/len(r.ports)
+	r.n++
+	if k%70 == 0 {
+		if err := port.SendPointer(0, 0, 1); err != nil {
+			r.tb.Fatal(err)
+		}
+	}
+	code := 'a' + uint16((k+1)%26)
+	if err := port.SendKey(code, true); err != nil {
+		r.tb.Fatal(err)
+	}
+	if err := port.SendKey(code, false); err != nil {
+		r.tb.Fatal(err)
 	}
 }
 
-// fabricEcho builds TestFabricAllocsPerEcho's rig on a private telemetry
-// kit and returns its echo, already run 140 times to warm the pools, the
-// tile cache and the governor's grant, and a check that the console's
-// screen still equals its session's.
-func fabricEcho(tb testing.TB) (echo func(), screensAgree func() bool) {
-	tb.Helper()
-	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithCodec2(),
-		WithTelemetry(NewTelemetry()))
-	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	fabric.Attach("desk", con, srv)
-	tok := TokenOf("card-alice")
-	srv.Auth.Register(tok.String(), "alice")
-	if err := fabric.Boot("desk", tok.String()); err != nil {
-		tb.Fatal(err)
-	}
-	port := fabric.Desk("desk")
-	var clock time.Duration
-	echoes := 0
-	echo = func() {
-		clock += 10 * time.Millisecond
-		fabric.SetClock(clock)
-		if echoes%70 == 0 {
-			if err := port.SendPointer(0, 0, 1); err != nil {
-				tb.Fatal(err)
-			}
+// screensAgree fails the test unless every console's screen equals its
+// session's.
+func (r *echoRig) screensAgree() {
+	r.tb.Helper()
+	for _, desk := range r.desks {
+		con, err := r.fabric.Console(desk)
+		if err != nil {
+			r.tb.Fatal(err)
 		}
-		echoes++
-		if err := port.SendKey('a'+uint16(echoes%26), true); err != nil {
-			tb.Fatal(err)
+		if sess := r.dir.SessionOf(desk); sess == nil || !con.Framebuffer().Equal(sess.Encoder.FB) {
+			r.tb.Fatalf("%s: the console's screen diverged from its session's", desk)
 		}
-		if err := port.SendKey('a'+uint16(echoes%26), false); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	for range 140 {
-		echo()
-	}
-	return echo, func() bool {
-		sess := srv.SessionOf("desk")
-		return sess != nil && con.Framebuffer().Equal(sess.Encoder.FB)
 	}
 }
 

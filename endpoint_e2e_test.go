@@ -330,18 +330,21 @@ func TestOversizedPaintIsOwed(t *testing.T) {
 }
 
 // TestStrangersStayOutOfTheConsoleTable: only a Hello introduces a
-// console. A Pong, a Device datagram and a BandwidthGrant, each from a
-// source that never said Hello, are refused by a server and by a broker
-// alike, so none of the three sources becomes routable on the listener.
+// console. A Pong, a Device datagram, a BandwidthGrant and a KeyEvent,
+// each from a source that never said Hello, are refused by a server and
+// by a broker alike, so none of the four sources becomes routable on the
+// listener, and the refused key is no input: slim_input_events_total
+// stays 0.
 func TestStrangersStayOutOfTheConsoleTable(t *testing.T) {
 	ctx := testContext(t)
-	single, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp(), WithTelemetry(NewTelemetry()))
+	singleKit, fleetKit := NewTelemetry(), NewTelemetry()
+	single, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp(), WithTelemetry(singleKit))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer single.Close()
 	fleet, err := ListenAndServeBroker(ctx, "127.0.0.1:0", BrokerConfig{Shards: 2},
-		WithTerminalApp(), WithTelemetry(NewTelemetry()))
+		WithTerminalApp(), WithTelemetry(fleetKit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,13 +352,15 @@ func TestStrangersStayOutOfTheConsoleTable(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		l    *udpListener
-	}{{"server", single.udpListener}, {"broker", fleet.udpListener}} {
+		kit  *TelemetryKit
+	}{{"server", single.udpListener, singleKit}, {"broker", fleet.udpListener, fleetKit}} {
 		t.Run(tc.name, func(t *testing.T) {
 			to := tc.l.Addr().(*net.UDPAddr)
 			for _, msg := range []protocol.Message{
 				&protocol.Pong{Nonce: 1},
 				&protocol.Device{Port: 1, Payload: []byte{1}},
 				&protocol.BandwidthGrant{SessionID: 1, Bps: 1 << 20},
+				&protocol.KeyEvent{Code: 'x', Down: true},
 			} {
 				c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 				if err != nil {
@@ -366,8 +371,8 @@ func TestStrangersStayOutOfTheConsoleTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// One loop reads the socket in arrival order, so once a fourth
-			// source's Hello is answered the three before it were handled.
+			// One loop reads the socket in arrival order, so once a fifth
+			// source's Hello is answered the four before it were handled.
 			hello, err := net.DialUDP("udp", nil, to)
 			if err != nil {
 				t.Fatal(err)
@@ -379,6 +384,9 @@ func TestStrangersStayOutOfTheConsoleTable(t *testing.T) {
 			_ = hello.SetReadDeadline(time.Now().Add(5 * time.Second))
 			if _, err := hello.Read(make([]byte, 2048)); err != nil {
 				t.Fatalf("no reply to the barrier Hello: %v", err)
+			}
+			if n := tc.kit.Registry.Counter("slim_input_events_total").Value(); n != 0 {
+				t.Errorf("a stranger's refused KeyEvent was counted: slim_input_events_total = %d", n)
 			}
 			tc.l.addrMu.Lock()
 			defer tc.l.addrMu.Unlock()

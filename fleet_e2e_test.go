@@ -347,7 +347,8 @@ func TestSessionHeapIsTwoFrameBuffers(t *testing.T) {
 
 // TestFleetPublishesOneRegistry: a broker's shards publish into the kit
 // the fleet is scraped from, so the fleet reads like one server there —
-// the headline input-to-paint histogram counts every input, slim_sessions
+// the headline input-to-paint histogram times every input that drew,
+// slim_input_events_total counts every input, slim_sessions
 // counts every session, the per-shard rollup sums to it, and each user's
 // labeled histogram is present — and after a migration the user's labeled
 // series is there once, resolved afresh by the shard that now hosts it.
@@ -384,23 +385,24 @@ func TestFleetPublishesOneRegistry(t *testing.T) {
 		t.Fatal("least-loaded placement put both users on one shard; the test needs both publishing")
 	}
 
-	// Each typed character is a press and a release.
+	// Each typed character is a press, which draws its echo, and a
+	// release, which draws nothing.
 	b.Rollup()
 	snap := reg.Snapshot()
-	var inputs int64
+	var drew int64
 	for _, u := range users {
-		n := int64(2 * len(u.text))
-		inputs += n
+		n := int64(len(u.text))
+		drew += n
 		name := `slim_input_to_paint_seconds{session="` + u.name + `"}`
 		if got := snap.Histograms[name].Count; got != n {
 			t.Errorf("%s count = %d, want %d", name, got, n)
 		}
 	}
-	if got := snap.Histograms["slim_input_to_paint_seconds"].Count; got != inputs {
-		t.Errorf("slim_input_to_paint_seconds count = %d, want %d (every input on every shard)", got, inputs)
+	if got := snap.Histograms["slim_input_to_paint_seconds"].Count; got != drew {
+		t.Errorf("slim_input_to_paint_seconds count = %d, want %d (every press on every shard)", got, drew)
 	}
-	if got := snap.Counters["slim_input_events_total"]; got != inputs {
-		t.Errorf("slim_input_events_total = %d, want %d", got, inputs)
+	if got := snap.Counters["slim_input_events_total"]; got != 2*drew {
+		t.Errorf("slim_input_events_total = %d, want %d", got, 2*drew)
 	}
 	if got := snap.Gauges["slim_sessions"]; got != 2 {
 		t.Errorf("slim_sessions = %d, want 2", got)
@@ -423,8 +425,8 @@ func TestFleetPublishesOneRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	name := `slim_input_to_paint_seconds{session="alice"}`
-	if got := reg.Snapshot().Histograms[name].Count; got != 2 {
-		t.Errorf("%s count = %d after migration, want the 2 inputs typed since", name, got)
+	if got := reg.Snapshot().Histograms[name].Count; got != 1 {
+		t.Errorf("%s count = %d after migration, want the 1 keystroke typed since", name, got)
 	}
 	checkFleetParity(t, b, reg)
 }

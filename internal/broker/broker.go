@@ -276,21 +276,20 @@ func (b *Broker) HandleDatagram(console string, wire []byte, now time.Duration) 
 func (b *Broker) Handle(console string, msg protocol.Message, now time.Duration) error {
 	b.routeMu.RLock()
 	closed := b.closed
+	ci, known := b.consoles[console]
 	b.routeMu.RUnlock()
 	if closed {
 		return ErrClosed
 	}
-	switch m := msg.(type) {
-	case *protocol.Hello:
+	if m, ok := msg.(*protocol.Hello); ok {
 		return b.handleHello(console, m, now)
-	case *protocol.SessionConnect:
-		return b.handleConnect(console, m.Token, now)
 	}
-	b.routeMu.RLock()
-	ci, ok := b.consoles[console]
-	b.routeMu.RUnlock()
-	if !ok {
+	if !known {
 		return fmt.Errorf("%w: %q", server.ErrUnknownConsole, console)
+	}
+	if m, ok := msg.(*protocol.SessionConnect); ok {
+		// A card insertion at an already-registered console.
+		return b.attach(console, m.Token, now)
 	}
 	b.m.routed.Inc()
 	return b.shards[ci.shard].Handle(console, msg, now)
@@ -335,17 +334,6 @@ func (b *Broker) registerConsole(shard int, console string, ci consoleInfo, now 
 	}
 	b.routeMu.Unlock()
 	return nil
-}
-
-// handleConnect is a card insertion at an already-registered console.
-func (b *Broker) handleConnect(console, token string, now time.Duration) error {
-	b.routeMu.RLock()
-	_, known := b.consoles[console]
-	b.routeMu.RUnlock()
-	if !known {
-		return fmt.Errorf("%w: %q", server.ErrUnknownConsole, console)
-	}
-	return b.attach(console, token, now)
 }
 
 // attach is the broker's slow path: authenticate the token, place the

@@ -150,7 +150,7 @@ func TestAttributeTruncatedRing(t *testing.T) {
 
 	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
 	l.Encode(obs.Wall.Now(), 1, protocol.TypeBitmap, 100, 64)
-	l.Tx(1, protocol.TypeBitmap, 100)
+	l.Tx(obs.Wall.Now(), 1, protocol.TypeBitmap, 100)
 	// Flood the ring: far more events than DefaultRingSize, all under the
 	// same chain, overwriting the head of the chain.
 	for i := 0; i < DefaultRingSize+64; i++ {
@@ -235,7 +235,7 @@ func TestCheckBreachHostEvidence(t *testing.T) {
 
 	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
 	l.Encode(obs.Wall.Now(), 9, protocol.TypeBitmap, 100, 64)
-	l.Tx(9, protocol.TypeBitmap, 100)
+	l.Tx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
 	time.Sleep(20 * time.Millisecond)
 	l.Rx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
 	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap, 0)

@@ -1,8 +1,8 @@
 // Package flight is the causal flight recorder: an always-on, per-session
 // ring buffer of typed protocol events covering the whole display path —
-// input received, drawing op submitted, command encoded, transmitted,
-// received, painted — linked into causal chains by the protocol
-// sequence numbers that already flow end to end.
+// input received, command encoded, transmitted, received, painted —
+// linked into causal chains by the protocol sequence numbers that already
+// flow end to end.
 //
 // The paper's methodology (§3.1, §5) is event-level: every input event and
 // display command is timestamped so interactive latency can be decomposed
@@ -24,12 +24,12 @@
 // A recorder stamps events from its obs.Clock: the process-wide wall clock,
 // or a sim-domain virtual clock its harness moves. The stages a call site
 // has already read obs.Wall for — Input at an input's arrival, Encode at
-// the end of an Encode call, Rx at a command's arrival, Paint after its
-// apply — take that reading as their first argument: a wall recorder
-// stamps it instead of reading the clock again, a sim-domain recorder
-// stamps its virtual now either way. Only sim-domain recorders
-// accept explicit virtual timestamps (RecordAt), so a wall ring can never
-// receive virtual time.
+// the end of an Encode call, Tx once per run of commands handed to the
+// transport, Rx at a command's arrival, Paint after its apply — take that
+// reading as their first argument: a wall recorder stamps it instead of
+// reading the clock again, a sim-domain recorder stamps its virtual now
+// either way. Only sim-domain recorders accept explicit virtual timestamps
+// (RecordAt), so a wall ring can never receive virtual time.
 package flight
 
 import (
@@ -48,14 +48,16 @@ type Kind uint8
 
 // Event kinds, in rough pipeline order.
 const (
-	// EvInput: an input event (keystroke, pointer update) reached the
-	// server. Opens a new causal chain: the event's Cause is the fresh
-	// input-chain ID inherited by everything recorded for this session
-	// until the next input.
+	// EvInput: an input event (keystroke, pointer update) that drew — its
+	// application returned ops — reached the server. Opens a new causal
+	// chain: the event's Cause is the fresh input-chain ID inherited by
+	// everything recorded for this session until the next such input.
+	// A = key code, or the pointer position as X<<16 | Y.
 	EvInput Kind = iota + 1
-	// EvOp: the application submitted one drawing op to the encoder.
-	// A holds a server-defined op code.
-	EvOp
+	// Kind 2 was OP, one drawing op submitted to the encoder, which no
+	// verdict read: every op ends in an ENCODE or an OWE that carries its
+	// pixels. The number stays reserved: dumps store kinds as numbers.
+	_
 	// EvEncode: the encoder lowered an op into one display command and
 	// assigned it a sequence number. A = wire bytes, B = pixels touched.
 	EvEncode
@@ -98,7 +100,6 @@ const (
 
 var kindNames = [...]string{
 	EvInput:  "INPUT",
-	EvOp:     "OP",
 	EvEncode: "ENCODE",
 	EvTx:     "TX",
 	EvRx:     "RX",
@@ -230,10 +231,10 @@ func (l *SessionLog) RecordAt(t time.Duration, ev Event) {
 	l.mu.Unlock()
 }
 
-// Input records an input event reaching the server and opens a new causal
-// chain, returning the fresh input-chain ID. wall is the reading of
-// obs.Wall taken at its arrival; cmd is TypeKey or TypePointer; arg
-// carries the key code or packed pointer position.
+// Input records an input event that drew reaching the server and opens a
+// new causal chain, returning the fresh input-chain ID. wall is the
+// reading of obs.Wall taken at its arrival; cmd is TypeKey or TypePointer;
+// arg carries the key code or packed pointer position.
 func (l *SessionLog) Input(wall time.Duration, cmd protocol.MsgType, arg int64) uint64 {
 	if !l.Armed() {
 		return 0
@@ -254,21 +255,16 @@ func (l *SessionLog) chain() uint64 {
 	return l.cause
 }
 
-// Op records one drawing op submitted to the encoder (code is
-// caller-defined).
-func (l *SessionLog) Op(code int64) {
-	l.record(Event{Kind: EvOp, A: code})
-}
-
 // Encode records one display command leaving the encoder, at wall — the
 // reading of obs.Wall that ended the call returning it.
 func (l *SessionLog) Encode(wall time.Duration, seq uint32, cmd protocol.MsgType, bytes, pixels int64) {
 	l.recordAt(wall, Event{Kind: EvEncode, Cmd: cmd, Seq: seq, A: bytes, B: pixels})
 }
 
-// Tx records one command handed to the transport.
-func (l *SessionLog) Tx(seq uint32, cmd protocol.MsgType, bytes int64) {
-	l.record(Event{Kind: EvTx, Cmd: cmd, Seq: seq, A: bytes})
+// Tx records one command handed to the transport, at wall — the reading
+// of obs.Wall taken for the run of commands it left in.
+func (l *SessionLog) Tx(wall time.Duration, seq uint32, cmd protocol.MsgType, bytes int64) {
+	l.recordAt(wall, Event{Kind: EvTx, Cmd: cmd, Seq: seq, A: bytes})
 }
 
 // Rx records one command received by the console transport, at wall —

@@ -23,17 +23,16 @@ func TestRingRecordsAndOrders(t *testing.T) {
 	if id == 0 {
 		t.Fatal("Input returned zero chain ID")
 	}
-	l.Op(2)
 	l.Encode(obs.Wall.Now(), 41, protocol.TypeBitmap, 58, 128)
-	l.Tx(41, protocol.TypeBitmap, 58)
+	l.Tx(obs.Wall.Now(), 41, protocol.TypeBitmap, 58)
 	l.Rx(obs.Wall.Now(), 41, protocol.TypeBitmap, 58)
 	l.Paint(obs.Wall.Now(), 41, protocol.TypeBitmap, 0)
 
 	evs := l.Events(0)
-	if len(evs) != 6 {
-		t.Fatalf("got %d events, want 6", len(evs))
+	if len(evs) != 5 {
+		t.Fatalf("got %d events, want 5", len(evs))
 	}
-	wantKinds := []Kind{EvInput, EvOp, EvEncode, EvTx, EvRx, EvPaint}
+	wantKinds := []Kind{EvInput, EvEncode, EvTx, EvRx, EvPaint}
 	for i, ev := range evs {
 		if ev.Kind != wantKinds[i] {
 			t.Errorf("event %d kind = %v, want %v", i, ev.Kind, wantKinds[i])
@@ -45,8 +44,8 @@ func TestRingRecordsAndOrders(t *testing.T) {
 			t.Errorf("event %d out of order", i)
 		}
 	}
-	if evs[2].Seq != 41 || evs[2].A != 58 || evs[2].B != 128 {
-		t.Errorf("encode event payload = %+v", evs[2])
+	if evs[1].Seq != 41 || evs[1].A != 58 || evs[1].B != 128 {
+		t.Errorf("encode event payload = %+v", evs[1])
 	}
 }
 
@@ -55,7 +54,7 @@ func TestRingWrapsKeepingNewest(t *testing.T) {
 	l := rec.Session(1)
 	n := len(l.events) + 100
 	for i := 0; i < n; i++ {
-		l.Op(int64(i))
+		l.Status(uint32(i), 0)
 	}
 	evs := l.Events(0)
 	if len(evs) != len(l.events) {
@@ -250,7 +249,7 @@ func TestBreachDumpAndRateLimit(t *testing.T) {
 
 func TestRemoveEvictsSession(t *testing.T) {
 	rec := New(obs.DomainWall)
-	rec.Session(5).Op(1)
+	rec.Session(5).Status(1, 0)
 	if len(rec.SessionIDs()) != 1 {
 		t.Fatal("session not registered")
 	}
@@ -268,7 +267,7 @@ func TestPerfettoExportAndHandler(t *testing.T) {
 	l := rec.Session(2)
 	l.Input(obs.Wall.Now(), protocol.TypeKey, 'a')
 	l.Encode(obs.Wall.Now(), 1, protocol.TypeFill, 20, 1000)
-	l.Tx(1, protocol.TypeFill, 20)
+	l.Tx(obs.Wall.Now(), 1, protocol.TypeFill, 20)
 	l.Paint(obs.Wall.Now(), 1, protocol.TypeFill, 0)
 
 	var buf bytes.Buffer
@@ -393,12 +392,14 @@ func BenchmarkRecordEnabledParallel(b *testing.B) {
 }
 
 // TestRetiredKindKeepsNumbers: dumps store kinds as numbers, so retiring
-// DECODE (6) and TXQ (13) leaves the kinds after them where they were.
+// OP (2), DECODE (6) and TXQ (13) leaves the kinds after them where they
+// were.
 func TestRetiredKindKeepsNumbers(t *testing.T) {
-	if EvPaint != 7 || EvBreach != 12 || EvOwe != 14 {
-		t.Fatalf("PAINT = %d, BREACH = %d, OWE = %d; want 7, 12 and 14", EvPaint, EvBreach, EvOwe)
+	if EvInput != 1 || EvEncode != 3 || EvPaint != 7 || EvBreach != 12 || EvOwe != 14 {
+		t.Fatalf("INPUT = %d, ENCODE = %d, PAINT = %d, BREACH = %d, OWE = %d; want 1, 3, 7, 12 and 14",
+			EvInput, EvEncode, EvPaint, EvBreach, EvOwe)
 	}
-	for _, k := range []Kind{6, 13} {
+	for _, k := range []Kind{2, 6, 13} {
 		if got, want := k.String(), fmt.Sprintf("Kind(%d)", k); got != want {
 			t.Errorf("the retired kind %d reads %q", k, got)
 		}

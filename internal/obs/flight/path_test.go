@@ -21,7 +21,7 @@ func TestCheckBreachPathEvidence(t *testing.T) {
 	// A wire-dominated chain: sent promptly, slow to arrive.
 	l.Input(obs.Wall.Now(), protocol.TypeKey, 'x')
 	l.Encode(obs.Wall.Now(), 9, protocol.TypeBitmap, 100, 64)
-	l.Tx(9, protocol.TypeBitmap, 100)
+	l.Tx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
 	time.Sleep(30 * time.Millisecond)
 	l.Rx(obs.Wall.Now(), 9, protocol.TypeBitmap, 100)
 	l.Paint(obs.Wall.Now(), 9, protocol.TypeBitmap, 0)

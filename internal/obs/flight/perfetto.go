@@ -32,7 +32,7 @@ func lane(k Kind) int {
 	switch k {
 	case EvInput:
 		return laneInput
-	case EvOp, EvEncode:
+	case EvEncode:
 		return laneEncode
 	case EvTx, EvRx, EvDrop, EvOwe:
 		return laneTransport

@@ -105,17 +105,13 @@ func (k *Kit) Session(id uint32, user string) *Session {
 	return s
 }
 
-// ObservePaint is the post-paint hook for one input event, with wall the
+// ObservePaint is the post-paint hook for one input that drew, with wall the
 // reading of obs.Wall that ended the latency (the SLO's observation
 // instant on a wall kit): the latency is evaluated against the SLO, and a
 // latency above the SLO target — the one breach predicate, whether or not
 // the SLO is armed — is recorded by the flight recorder and its verdict
-// credited to the session's blame histogram. A nil handle (an input no
-// session claimed) does nothing.
+// credited to the session's blame histogram.
 func (s *Session) ObservePaint(wall, latency time.Duration) {
-	if s == nil {
-		return
-	}
 	s.SLO.Observe(wall, latency)
 	if target := s.kit.SLO.Target(); latency > target {
 		if br, ok := s.kit.Flight.RecordBreach(s.id, latency, target); ok {

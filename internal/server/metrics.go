@@ -19,10 +19,10 @@ type metrics struct {
 	// nacksRejected counts NACKs dropped unanswered: a backwards range, or
 	// one naming a sequence number the session has not issued yet.
 	nacksRejected *obs.Counter
-	// inputEvents counts keystrokes and pointer updates received.
+	// inputEvents counts keystrokes and pointer updates from known consoles.
 	inputEvents *obs.Counter
 	// inputToPaint is the paper's canonical interactive-latency metric
-	// (§3): input event captured → resulting display commands encoded,
+	// (§3): input that draws captured → its display commands encoded,
 	// shipped, and — on a synchronous transport such as the in-process
 	// fabric — decoded and flushed into the console frame buffer. Each
 	// session additionally records into its own labeled histogram.

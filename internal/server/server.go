@@ -209,57 +209,74 @@ func (s *Server) HandleDatagram(console string, wire []byte, now time.Duration) 
 
 // Handle processes one already-decoded console message.
 //
-// An input event is timed from one reading of the wall clock when it
-// arrives — the earliest the server can see it, and its INPUT stamp — to
-// one reading after the resulting commands are flushed, which ends the
-// latency both input-to-paint histograms record and is the SLO's
-// observation instant. On a synchronous transport (the in-process fabric)
-// the console has painted by then, so the latency is true input-to-paint;
-// on UDP it is input-to-wire, with console-side decode published
-// separately by the console's own instruments.
+// An input event that draws — its application returned at least one op —
+// is timed from one reading of the wall clock when it arrives, which
+// includes the application's own time and is its INPUT stamp, to one
+// reading after the resulting commands are flushed, which ends the latency
+// both input-to-paint histograms record and is the SLO's observation
+// instant. On a synchronous transport (the in-process fabric) the console
+// has painted by then, so the latency is true input-to-paint; on UDP it is
+// input-to-wire, with console-side decode published separately by the
+// console's own instruments. An input that draws nothing — a key release,
+// a motion with no button held — opens no chain and is not timed.
 func (s *Server) Handle(console string, msg protocol.Message, now time.Duration) error {
 	s.mu.Lock()
-	var input bool
 	var arrived time.Duration
-	var tel *telemetry.Session
-	switch m := msg.(type) {
-	case *protocol.KeyEvent, *protocol.PointerEvent:
-		input, arrived = true, obs.Wall.Now()
-		s.metrics.inputEvents.Inc()
-		if sess, err := s.sessionFor(console); err == nil {
-			tel = sess.tel
-			if tel.Flight.Armed() {
-				var arg int64
-				switch ev := m.(type) {
-				case *protocol.KeyEvent:
-					arg = int64(ev.Code)
-				case *protocol.PointerEvent:
-					arg = int64(ev.X)<<16 | int64(ev.Y)
-				}
-				tel.Flight.Input(arrived, msg.Type(), arg)
-			}
-		}
-	}
+	var drew *telemetry.Session // the session an input drew in
 	out := outbounds.Get().(*[]outbound)
-	herr := s.handleLocked(out, console, msg, now)
+	var herr error
+	switch msg.(type) {
+	case *protocol.KeyEvent, *protocol.PointerEvent:
+		arrived = obs.Wall.Now()
+		drew, herr = s.input(out, console, msg, arrived, now)
+	default:
+		herr = s.handleLocked(out, console, msg, now)
+	}
 	s.mu.Unlock()
 	ferr := s.flush(*out)
 	clear(*out) // the pool must not pin wires, logs or console names
 	*out = (*out)[:0]
 	outbounds.Put(out)
-	if input {
+	if drew != nil {
 		painted := obs.Wall.Now()
 		latency := painted - arrived
 		s.metrics.inputToPaint.Observe(latency)
-		if tel != nil {
-			tel.InputToPaint.Observe(latency)
-			tel.ObservePaint(painted, latency)
-		}
+		drew.InputToPaint.Observe(latency)
+		drew.ObservePaint(painted, latency)
 	}
 	if herr != nil {
 		return herr
 	}
 	return ferr
+}
+
+// input hands a KeyEvent or PointerEvent, which arrived at wall-clock
+// reading arrived, to its session's application and renders what that
+// returns, reporting the session's telemetry only if the application drew.
+// A stranger's input is refused uncounted. Callers hold s.mu.
+func (s *Server) input(out *[]outbound, console string, msg protocol.Message, arrived, now time.Duration) (*telemetry.Session, error) {
+	sess, err := s.sessionFor(console)
+	if !errors.Is(err, ErrUnknownConsole) {
+		s.metrics.inputEvents.Inc()
+	}
+	if err != nil {
+		return nil, err
+	}
+	var ops []core.Op
+	var arg int64
+	switch m := msg.(type) {
+	case *protocol.KeyEvent:
+		ops, arg = sess.App.HandleKey(*m), int64(m.Code)
+	case *protocol.PointerEvent:
+		ops, arg = sess.App.HandlePointer(*m), int64(m.X)<<16|int64(m.Y)
+	}
+	if len(ops) == 0 {
+		return nil, sess.render(out, nil, now) // still pays what is owed
+	}
+	if sess.tel.Flight.Armed() {
+		sess.tel.Flight.Input(arrived, msg.Type(), arg)
+	}
+	return sess.tel, sess.render(out, ops, now)
 }
 
 // BurstSender is the optional half of the Transport contract (asserted,
@@ -296,9 +313,13 @@ func (s *Server) flush(out []outbound) error {
 		}
 		run := out[:n]
 		out = out[n:]
+		var wall time.Duration // one clock read per run; 0 until taken
 		for i := range run {
 			if o := &run[i]; o.flog.Armed() {
-				o.flog.Tx(o.seq, o.cmd, int64(len(o.wire)))
+				if wall == 0 {
+					wall = obs.Wall.Now()
+				}
+				o.flog.Tx(wall, o.seq, o.cmd, int64(len(o.wire)))
 			}
 		}
 		var err error
@@ -352,20 +373,6 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 
 	case *protocol.SessionConnect:
 		return s.attachByToken(out, console, m.Token, now)
-
-	case *protocol.KeyEvent:
-		sess, err := s.sessionFor(console)
-		if err != nil {
-			return err
-		}
-		return sess.render(out, sess.App.HandleKey(*m), now)
-
-	case *protocol.PointerEvent:
-		sess, err := s.sessionFor(console)
-		if err != nil {
-			return err
-		}
-		return sess.render(out, sess.App.HandlePointer(*m), now)
 
 	case *protocol.Nack:
 		sess, err := s.sessionFor(console)

@@ -285,17 +285,13 @@ func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
 // next piece of what is owed.
 func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) error {
 	for _, op := range ops {
-		armed := sess.tel.Flight.Armed()
-		if armed {
-			sess.tel.Flight.Op(int64(op.RawPixels()))
-		}
 		if !sess.admit(op, now) {
 			w, err := sess.Encoder.Apply(op)
 			if err != nil {
 				return err
 			}
 			sess.damage.Add(w)
-			if armed {
+			if sess.tel.Flight.Armed() {
 				sess.tel.Flight.Owe(int64(w.Pixels()), int64(sess.gov.Tokens(now)))
 			}
 			continue

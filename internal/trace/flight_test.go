@@ -12,7 +12,7 @@ func TestFromFlight(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	evs := []flight.Event{
 		{T: ms(100), Kind: flight.EvInput, Cmd: protocol.TypeKey, Cause: 1, A: 'a'},
-		{T: ms(101), Kind: flight.EvOp, Cause: 1, A: 96},
+		{T: ms(101), Kind: flight.Kind(2), Cause: 1, A: 96}, // a retired OP an old dump may hold
 		{T: ms(102), Kind: flight.EvEncode, Cmd: protocol.TypeBitmap, Seq: 7, Cause: 1, A: 60, B: 96},
 		{T: ms(103), Kind: flight.EvTx, Cmd: protocol.TypeBitmap, Seq: 7, Cause: 1, A: 60},
 		{T: ms(104), Kind: flight.EvRx, Cmd: protocol.TypeBitmap, Seq: 7, Cause: 1, A: 60},

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"slim/internal/obs"
+	"slim/internal/obs/flight"
+	"slim/internal/protocol"
 )
 
 // TestInputToPaintEndToEnd drives a real session over the in-process
@@ -36,15 +38,15 @@ func TestInputToPaintEndToEnd(t *testing.T) {
 
 	snap := reg.Snapshot()
 
-	// Every keystroke is press + release.
-	wantEvents := int64(2 * len(typed))
-	if got := snap.Counters["slim_input_events_total"]; got != wantEvents {
-		t.Errorf("input events = %d, want %d", got, wantEvents)
+	// Every keystroke is press + release, and every input is counted; only
+	// the press draws (its echo glyph), so only the press is timed.
+	if got, want := snap.Counters["slim_input_events_total"], int64(2*len(typed)); got != want {
+		t.Errorf("input events = %d, want %d", got, want)
 	}
-
+	wantEvents := int64(len(typed))
 	itp := snap.Histograms["slim_input_to_paint_seconds"]
 	if itp.Count != wantEvents {
-		t.Fatalf("input-to-paint count = %d, want %d", itp.Count, wantEvents)
+		t.Fatalf("input-to-paint count = %d, want %d (one per keystroke that drew)", itp.Count, wantEvents)
 	}
 	if itp.P50 <= 0 || itp.P95 <= 0 || itp.P99 <= 0 {
 		t.Errorf("input-to-paint percentiles not populated: p50=%g p95=%g p99=%g",
@@ -89,6 +91,112 @@ func TestInputToPaintEndToEnd(t *testing.T) {
 	if got := snap.Counters["slim_session_attaches_total"]; got != 1 {
 		t.Errorf("attaches = %d, want 1", got)
 	}
+}
+
+// releasePainter is a test Application that draws on key release and on
+// nothing else.
+type releasePainter struct{}
+
+func (releasePainter) HandleKey(ev protocol.KeyEvent) []Op {
+	if ev.Down {
+		return nil
+	}
+	return []Op{FillOp{Rect: Rect{W: 8, H: 16}, Color: Pixel(ev.Code)}}
+}
+
+func (releasePainter) HandlePointer(protocol.PointerEvent) []Op { return nil }
+
+// TestOnlyInputsThatDrawAreTimed: an input is watched — both
+// input-to-paint histograms, an SLO observation, an INPUT opening a chain
+// in the flight ring — only if its application returned ops. A key
+// release, a motion with no button held and a click the terminal answers
+// with no op are counted in slim_input_events_total and watched nowhere
+// else; an application that paints on release has its release timed,
+// under the release's key code.
+func TestOnlyInputsThatDrawAreTimed(t *testing.T) {
+	const what = "global histogram, session histogram, SLO events, ring INPUTs"
+	rig := func(t *testing.T, app AppFactory) (*TelemetryKit, Desk, uint32) {
+		kit := NewTelemetry()
+		fabric := NewFabric()
+		srv := NewServer(fabric, app, WithTelemetry(kit))
+		srv.Auth.Register("card-alice", "alice")
+		con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240, Obs: kit.Registry, Flight: kit.Flight})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach("desk", con, srv)
+		if err := fabric.Boot("desk", "card-alice"); err != nil {
+			t.Fatal(err)
+		}
+		return kit, fabric.Desk("desk"), srv.SessionByUser("alice").ID
+	}
+	// watched reads what timing an input feeds, in the order of what.
+	watched := func(kit *TelemetryKit, id uint32) [4]int64 {
+		snap := kit.Registry.Snapshot()
+		var inputs int64
+		for _, ev := range kit.Flight.Events(id, 0) {
+			if ev.Kind == flight.EvInput {
+				inputs++
+			}
+		}
+		return [4]int64{
+			snap.Histograms["slim_input_to_paint_seconds"].Count,
+			snap.Histograms[`slim_input_to_paint_seconds{session="alice"}`].Count,
+			kit.SLO.Status().Windows[0].Events,
+			inputs,
+		}
+	}
+	counted := func(kit *TelemetryKit) int64 { return kit.Registry.Counter("slim_input_events_total").Value() }
+
+	t.Run("terminal", func(t *testing.T) {
+		kit, desk, id := rig(t, WithTerminalApp())
+		if err := desk.SendKey('x', true); err != nil {
+			t.Fatal(err)
+		}
+		before := watched(kit, id)
+		if before != [4]int64{1, 1, 1, 1} {
+			t.Fatalf("a key press that echoed is watched %v (%s), want once by each", before, what)
+		}
+		if err := desk.SendKey('x', false); err != nil {
+			t.Fatal(err)
+		}
+		if err := desk.SendPointer(40, 40, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := desk.SendPointer(40, 40, 1); err != nil {
+			t.Fatal(err)
+		}
+		if after := watched(kit, id); after != before {
+			t.Errorf("a release, a motion and a click that drew nothing moved %s from %v to %v", what, before, after)
+		}
+		if got := counted(kit); got != 4 {
+			t.Errorf("slim_input_events_total = %d, want 4: the press and the three that drew nothing", got)
+		}
+	})
+
+	t.Run("paints on release", func(t *testing.T) {
+		kit, desk, id := rig(t, func(string, int, int) Application { return releasePainter{} })
+		if err := desk.SendKey('q', true); err != nil {
+			t.Fatal(err)
+		}
+		if got := watched(kit, id); got != [4]int64{} {
+			t.Fatalf("a press that drew nothing is watched %v (%s)", got, what)
+		}
+		if err := desk.SendKey('q', false); err != nil {
+			t.Fatal(err)
+		}
+		if got := watched(kit, id); got != [4]int64{1, 1, 1, 1} {
+			t.Errorf("a release that drew is watched %v (%s), want once by each", got, what)
+		}
+		if got := counted(kit); got != 2 {
+			t.Errorf("slim_input_events_total = %d, want 2", got)
+		}
+		for _, ev := range kit.Flight.Events(id, 0) {
+			if ev.Kind == flight.EvInput && (ev.Cmd != protocol.TypeKey || ev.A != 'q') {
+				t.Errorf("the release's INPUT is %v %d, want KEY %d", ev.Cmd, ev.A, 'q')
+			}
+		}
+	})
 }
 
 // TestDebugHandlerExposesLiveTraffic drives the default-registry path (as

@@ -23,8 +23,10 @@ import (
 // live counters, gauges, and latency histograms into a process-wide
 // registry (see internal/obs). The headline instrument is
 // slim_input_to_paint_seconds: the paper's §3 interactive-latency metric,
-// recorded per input event from capture through encode, wire, decode, and
-// damage flush, globally and per session.
+// recorded per input event that draws — one its application answers with
+// ops, so a key release or a button-less motion is counted
+// (slim_input_events_total) but not timed — from capture through encode,
+// wire, decode, and damage flush, globally and per session.
 
 // Metrics re-exports the obs registry and snapshot types.
 type (
@@ -81,7 +83,8 @@ type SLOTracker = slo.Tracker
 type SLOConfig = slo.Config
 
 // SLO returns the process-wide wall-clock SLO tracker: live servers
-// evaluate every input-to-paint latency against it unless redirected, and
+// evaluate the input-to-paint latency of every input that draws against
+// it unless redirected, and
 // /debug/slo serves its state. SetTarget changes the per-event latency
 // objective (default the paper's 150 ms annoyance bound), which is also
 // the flight recorder's breach-dump threshold; SetBudget the
