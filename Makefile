@@ -134,9 +134,10 @@ codec2-smoke:
 # hotdesk repaint paid at the grant's pace, a hotdesk leaving no stale
 # grant on the console it left, a lost tail and a lost middle healed
 # through the heartbeat, the seeded fault schedules converging on one
-# fabric server, and the owed region converging under any grant.
+# fabric server, the owed region converging under any grant, and the fault
+# schedules and the 32-console fleet each run twice and replaying exactly.
 fleet-smoke:
-	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant' -count 1 -v .
+	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant|TestSimulationIsAFunctionOfItsSeed' -count 1 -v .
 
 # Evidence smoke against the real binaries: boot slimd with the flow
 # governor, a wire capture, breach dumps (every paint breaches a 1ns SLO

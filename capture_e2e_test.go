@@ -22,15 +22,6 @@ import (
 // wire-level attribution survives the full spool/read round trip on
 // realistic mixed interactive+video traffic.
 func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
-	kit := NewTelemetry()
-	ring := capture.NewRing(1 << 16).Instrument(kit.Registry)
-	ring.SetEnabled(true)
-	runOverload(t, true, kit, ring)
-	ring.SetEnabled(false)
-	if ring.Records() == 0 {
-		t.Fatal("ring captured nothing")
-	}
-
 	// Spool exactly as slim.StartCapture does: header, then records. The
 	// harness runs on virtual time, so the capture is sim-domain with no
 	// wall epoch.
@@ -38,8 +29,9 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 	if err := capture.WriteHeader(&buf, obs.DomainSim, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ring.SpoolTo(&buf); err != nil {
-		t.Fatal(err)
+	run := runOverload(t, true, NewTelemetry(), &buf)
+	if run.captured == 0 {
+		t.Fatal("ring captured nothing")
 	}
 
 	h, recs, err := capture.ReadCapture(bytes.NewReader(buf.Bytes()))
@@ -49,11 +41,8 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 	if h.Domain != obs.DomainSim || !h.Epoch.IsZero() {
 		t.Errorf("header = %+v, want sim domain without wall epoch", h)
 	}
-	if len(recs) != int(ring.Records()) {
-		t.Errorf("read %d records, ring recorded %d", len(recs), ring.Records())
-	}
-	if ring.Drops() != 0 {
-		t.Errorf("ring shed %d records; grow the test ring", ring.Drops())
+	if len(recs) != run.captured {
+		t.Errorf("read %d records, ring spooled %d", len(recs), run.captured)
 	}
 
 	rep := capture.BuildReport(h, recs)

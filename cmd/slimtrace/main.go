@@ -19,14 +19,18 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"slim/internal/netsim"
 	"slim/internal/obs"
+	"slim/internal/protocol"
 	"slim/internal/stats"
 	"slim/internal/trace"
 	"slim/internal/workload"
@@ -131,9 +135,23 @@ func stat(args []string) {
 			by.Percentile(.5), by.Percentile(.9), by.Percentile(.99))
 	}
 	fmt.Printf("average SLIM bandwidth: %.3f Mbps\n", tr.AvgBandwidthBps()/1e6)
-	fmt.Println("per-command bytes:")
-	for cmd, pe := range tr.CommandBytes() {
-		fmt.Printf("  %-7s %12d bytes %14d pixels\n", cmd, pe.Bytes, pe.Pixels)
+	writeCommandBytes(os.Stdout, tr.CommandBytes())
+}
+
+// writeCommandBytes prints stat's per-command rows by bytes, highest
+// first, ties broken by command type, so one trace always prints one
+// table.
+func writeCommandBytes(w io.Writer, cb map[protocol.MsgType]trace.PerEvent) {
+	fmt.Fprintln(w, "per-command bytes:")
+	cmds := make([]protocol.MsgType, 0, len(cb))
+	for cmd := range cb {
+		cmds = append(cmds, cmd)
+	}
+	slices.SortFunc(cmds, func(a, b protocol.MsgType) int {
+		return cmp.Or(cmp.Compare(cb[b].Bytes, cb[a].Bytes), cmp.Compare(a, b))
+	})
+	for _, cmd := range cmds {
+		fmt.Fprintf(w, "  %-7s %12d bytes %14d pixels\n", cmd, cb[cmd].Bytes, cb[cmd].Pixels)
 	}
 }
 

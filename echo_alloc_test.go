@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/obs/capture"
 	"slim/internal/obs/flight"
 	"slim/internal/raceflag"
 )
@@ -102,7 +103,8 @@ func benchEcho(b *testing.B, r *echoRig) {
 }
 
 // echoRig is the echo tests' rig on a private telemetry kit, which the
-// consoles record into too, as on one machine: governed
+// consoles record into too, as on one machine, and a private capture ring,
+// disabled until a test enables it: governed
 // gen-2 terminal sessions on 640×480 consoles over the fabric, behind one
 // server or a broker of shards. echo types one key press and release at
 // the next console in turn, moving the clock by step first, pumping the
@@ -113,6 +115,7 @@ func benchEcho(b *testing.B, r *echoRig) {
 type echoRig struct {
 	tb     testing.TB
 	kit    *TelemetryKit
+	wire   *capture.Ring
 	fabric *Fabric
 	dir    Directory
 	desks  []string
@@ -126,7 +129,8 @@ type echoRig struct {
 
 func newEchoRig(tb testing.TB, consoles, shards int, step, pump time.Duration) *echoRig {
 	tb.Helper()
-	r := &echoRig{tb: tb, kit: NewTelemetry(), fabric: NewFabric(), step: step, pump: pump}
+	r := &echoRig{tb: tb, kit: NewTelemetry(), wire: capture.NewRing(1 << 12), fabric: NewFabric(), step: step, pump: pump}
+	r.fabric.SetCapture(r.wire)
 	opts := []ServerOption{WithFlowControl(FlowConfig{}), WithCodec2(), WithTelemetry(r.kit)}
 	if shards == 1 {
 		r.dir = NewSingle(NewServer(r.fabric, WithTerminalApp(), opts...))

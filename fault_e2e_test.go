@@ -1,6 +1,9 @@
 package slim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -8,6 +11,7 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/fb"
+	"slim/internal/obs/capture"
 	"slim/internal/protocol"
 )
 
@@ -33,6 +37,10 @@ type faultWorld struct {
 	cons   map[string]*Console
 	desk   string // where the session is shown
 	sess   *Session
+	// wire taps every datagram the fabric carries; step spools it into
+	// digest, so the ring never fills.
+	wire   *capture.Ring
+	digest hash.Hash
 
 	// seen is the encoder's last sequence at the last step, busyAt the
 	// last instant the session was seen encoding or owing, and
@@ -46,8 +54,10 @@ type faultWorld struct {
 func newFaultWorld(t *testing.T, gen2 bool, grant uint64) *faultWorld {
 	t.Helper()
 	kit := NewTelemetry()
-	w := &faultWorld{fabric: NewFabric(), kit: kit, app: &scriptApp{}, gen2: gen2, cons: make(map[string]*Console)}
-	w.fabric.SetCapture(nil)
+	w := &faultWorld{fabric: NewFabric(), kit: kit, app: &scriptApp{}, gen2: gen2, cons: make(map[string]*Console),
+		wire: capture.NewRing(1 << 12), digest: sha256.New()}
+	w.wire.SetEnabled(true)
+	w.fabric.SetCapture(w.wire)
 	w.cfg = ConsoleConfig{Width: faultW, Height: faultH, Costs: SunRay1Costs(), Obs: kit.Registry}
 	opts := []ServerOption{WithTelemetry(kit)}
 	if grant > 0 {
@@ -126,6 +136,7 @@ func (w *faultWorld) step(t *testing.T) {
 	if err := w.fabric.Pump(); err != nil {
 		t.Fatal(err)
 	}
+	w.spool(t)
 	if w.sess.Encoder.LastSeq() == w.seen && w.srv.Owed("alice") == nil {
 		return
 	}
@@ -178,6 +189,44 @@ func (w *faultWorld) check(t *testing.T, when string) {
 	if w.wakeups > 2 {
 		t.Fatalf("%s: the line woke %d times after a heartbeat of stillness", when, w.wakeups)
 	}
+}
+
+// spool moves what the capture ring holds into the world's digest.
+func (w *faultWorld) spool(t *testing.T) {
+	t.Helper()
+	if _, err := w.wire.SpoolTo(w.digest); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.wire.Drops(); n != 0 {
+		t.Fatalf("the capture ring shed %d records", n)
+	}
+}
+
+// worldOutcome is where a console ended a simulated run: what it shows
+// and reports, what its fabric lost, and a digest of everything the
+// fabric carried.
+type worldOutcome struct {
+	screen           [sha256.Size]byte
+	lastSeq, dropped uint32 // the console's STATUS
+	lost             int    // display datagrams the fabric dropped
+	wire             string // capture digest
+}
+
+func (w *faultWorld) outcome(t *testing.T) worldOutcome {
+	t.Helper()
+	w.spool(t)
+	st := w.con().Status()
+	_, lost := w.fabric.LossStats()
+	return worldOutcome{screenDigest(w.con().Framebuffer()), st.LastSeq, st.Dropped, lost, string(w.digest.Sum(nil))}
+}
+
+// screenDigest hashes a frame buffer's pixels.
+func screenDigest(f *fb.Framebuffer) [sha256.Size]byte {
+	b := make([]byte, 0, 4*len(f.Pix))
+	for _, p := range f.Pix {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
+	}
+	return sha256.Sum256(b)
 }
 
 // screen is what one screen of commands is: a fresh repaint of the
@@ -255,6 +304,19 @@ func wallpaper(rng *rand.Rand, w, h int) ImageOp {
 // screen with its tile cache, a COPY of owed pixels is owed, and a HelloAck
 // keeps the tiles the repaint before it cached.
 func TestFaultScheduleConverges(t *testing.T) {
+	for seed := int64(1); seed <= faultSeeds; seed++ {
+		runFaultSchedule(t, seed)
+	}
+}
+
+// faultSeeds is how many seeds TestFaultScheduleConverges runs: two of
+// each pairing of gen-1 or gen-2 with a grant or none.
+const faultSeeds = 8
+
+// runFaultSchedule runs TestFaultScheduleConverges for one seed, checking
+// as it goes, and returns the faulty world and its twin.
+func runFaultSchedule(t *testing.T, seed int64) (f, twin *faultWorld) {
+	t.Helper()
 	faults := []struct {
 		name string
 		do   func(t *testing.T, rng *rand.Rand, f *faultWorld, paint func(n int))
@@ -301,72 +363,71 @@ func TestFaultScheduleConverges(t *testing.T) {
 		}},
 	}
 	faults[6].do = faults[5].do
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		gen2, grant := seed%2 == 0, uint64(0)
-		if seed%4 >= 2 {
-			grant = []uint64{256_000, 2_000_000}[rng.Intn(2)]
-		}
-		f, twin := newFaultWorld(t, gen2, grant), newFaultWorld(t, gen2, grant)
-		both := func(op Op) {
-			f.paint(t, op)
-			twin.paint(t, op)
-		}
-		paint := func(n int) {
-			for ; n > 0; n-- {
-				both(faultOp(rng))
-			}
-		}
-		at := func(what string) string {
-			return what + " (seed " + strconv.FormatInt(seed, 10) + map[bool]string{false: ", gen-1", true: ", gen-2"}[gen2] +
-				map[bool]string{false: ", no grant)", true: ", under a grant)"}[grant > 0]
-		}
-		quiet(t, f, twin)
-		f.check(t, at("attach"))
-		for _, i := range rng.Perm(len(faults)) {
-			fault := faults[i]
-			// Ordinary painting, time passing between ops: under a grant
-			// some land while a debt is still being paid.
-			for n := rng.Intn(24); n > 0; n-- {
-				paint(1)
-				f.step(t)
-				twin.step(t)
-			}
-			// A gen-2 console loses its tile cache to a reboot, and a hotdesk
-			// repaint fills a new one: either must leave the server's mirror
-			// holding only what the console holds. A reboot strikes tiles
-			// the mirror holds and no CACHE_PAINT has named yet, a hotdesk a
-			// screen of cache hits.
-			var paper ImageOp
-			switch fault.name {
-			case "reboot":
-				both(noise(rng, Rect{W: faultW, H: faultH}))
-			case "hotdesk":
-				paper = wallpaper(rng, faultW, faultH)
-				both(paper)
-			}
-			quiet(t, f, twin)
-			f.check(t, at("painting before "+fault.name))
-			twin.check(t, at("the twin's painting before "+fault.name))
-			f0, t0 := f.sess.Encoder.LastSeq(), twin.sess.Encoder.LastSeq()
-			misses := f.cacheMisses()
-			fault.do(t, rng, f, paint)
-			if fault.name == "hotdesk" {
-				// Right after the move the wallpaper is painted again: a
-				// claim of every tile, which the new desk's console holds
-				// from the repaint whether or not its HelloAck trails it.
-				both(paper)
-			}
-			quiet(t, f, twin)
-			f.check(t, at(fault.name))
-			twin.check(t, at("the twin's "+fault.name))
-			if n := f.cacheMisses() - misses; fault.name == "hotdesk" && n != 0 {
-				t.Fatalf("%s: %d claims missed on a line that loses nothing", at(fault.name), n)
-			}
-			cost := int64(f.sess.Encoder.LastSeq()-f0) - int64(twin.sess.Encoder.LastSeq()-t0)
-			if screen := f.screen(); cost > screen+64 {
-				t.Fatalf("%s cost %d commands; one screen is %d", at(fault.name), cost, screen)
-			}
+	rng := rand.New(rand.NewSource(seed))
+	gen2, grant := seed%2 == 0, uint64(0)
+	if seed%4 >= 2 {
+		grant = []uint64{256_000, 2_000_000}[rng.Intn(2)]
+	}
+	f, twin = newFaultWorld(t, gen2, grant), newFaultWorld(t, gen2, grant)
+	both := func(op Op) {
+		f.paint(t, op)
+		twin.paint(t, op)
+	}
+	paint := func(n int) {
+		for ; n > 0; n-- {
+			both(faultOp(rng))
 		}
 	}
+	at := func(what string) string {
+		return what + " (seed " + strconv.FormatInt(seed, 10) + map[bool]string{false: ", gen-1", true: ", gen-2"}[gen2] +
+			map[bool]string{false: ", no grant)", true: ", under a grant)"}[grant > 0]
+	}
+	quiet(t, f, twin)
+	f.check(t, at("attach"))
+	for _, i := range rng.Perm(len(faults)) {
+		fault := faults[i]
+		// Ordinary painting, time passing between ops: under a grant
+		// some land while a debt is still being paid.
+		for n := rng.Intn(24); n > 0; n-- {
+			paint(1)
+			f.step(t)
+			twin.step(t)
+		}
+		// A gen-2 console loses its tile cache to a reboot, and a hotdesk
+		// repaint fills a new one: either must leave the server's mirror
+		// holding only what the console holds. A reboot strikes tiles
+		// the mirror holds and no CACHE_PAINT has named yet, a hotdesk a
+		// screen of cache hits.
+		var paper ImageOp
+		switch fault.name {
+		case "reboot":
+			both(noise(rng, Rect{W: faultW, H: faultH}))
+		case "hotdesk":
+			paper = wallpaper(rng, faultW, faultH)
+			both(paper)
+		}
+		quiet(t, f, twin)
+		f.check(t, at("painting before "+fault.name))
+		twin.check(t, at("the twin's painting before "+fault.name))
+		f0, t0 := f.sess.Encoder.LastSeq(), twin.sess.Encoder.LastSeq()
+		misses := f.cacheMisses()
+		fault.do(t, rng, f, paint)
+		if fault.name == "hotdesk" {
+			// Right after the move the wallpaper is painted again: a
+			// claim of every tile, which the new desk's console holds
+			// from the repaint whether or not its HelloAck trails it.
+			both(paper)
+		}
+		quiet(t, f, twin)
+		f.check(t, at(fault.name))
+		twin.check(t, at("the twin's "+fault.name))
+		if n := f.cacheMisses() - misses; fault.name == "hotdesk" && n != 0 {
+			t.Fatalf("%s: %d claims missed on a line that loses nothing", at(fault.name), n)
+		}
+		cost := int64(f.sess.Encoder.LastSeq()-f0) - int64(twin.sess.Encoder.LastSeq()-t0)
+		if screen := f.screen(); cost > screen+64 {
+			t.Fatalf("%s cost %d commands; one screen is %d", at(fault.name), cost, screen)
+		}
+	}
+	return f, twin
 }

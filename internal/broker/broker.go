@@ -230,8 +230,9 @@ func fnv1a(s string) uint32 {
 // through placement), and everything else — bandwidth grants included —
 // routes by the console's registration. A grant counts only from the
 // console showing its session, and that console routes to the session's
-// shard. ok is false for consoles the broker has never seen. This is the
-// zero-allocation routing hot path.
+// shard. ok is false for consoles the broker has never seen, and for
+// every console once the broker is closed. This is the zero-allocation
+// routing hot path.
 func (b *Broker) ShardFor(console string, wire []byte) (shard int, ok bool) {
 	if len(wire) < protocol.HeaderSize {
 		return -1, false
@@ -240,17 +241,25 @@ func (b *Broker) ShardFor(console string, wire []byte) (shard int, ok bool) {
 	case protocol.TypeHello, protocol.TypeSessionConnect:
 		return -1, false
 	}
-	b.routeMu.RLock()
-	ci, found := b.consoles[console]
-	b.routeMu.RUnlock()
-	if !found {
+	ci, found, closed := b.route(console)
+	if !found || closed {
 		return -1, false
 	}
 	return ci.shard, true
 }
 
+// route reads a console's registration and whether the broker is closed,
+// under one read lock.
+func (b *Broker) route(console string) (ci consoleInfo, found, closed bool) {
+	b.routeMu.RLock()
+	defer b.routeMu.RUnlock()
+	ci, found = b.consoles[console]
+	return ci, found, b.closed
+}
+
 // HandleDatagram routes one raw console datagram. Non-attach traffic is
-// forwarded to its shard undecoded.
+// forwarded to its shard undecoded. A closed broker refuses every
+// datagram with ErrClosed, as Handle does.
 func (b *Broker) HandleDatagram(console string, wire []byte, now time.Duration) error {
 	if len(wire) < protocol.HeaderSize {
 		_, _, _, err := protocol.Decode(wire)
@@ -264,20 +273,20 @@ func (b *Broker) HandleDatagram(console string, wire []byte, now time.Duration) 
 		}
 		return b.Handle(console, msg, now)
 	}
-	shard, ok := b.ShardFor(console, wire)
-	if !ok {
+	ci, found, closed := b.route(console)
+	if closed {
+		return ErrClosed
+	}
+	if !found {
 		return fmt.Errorf("%w: %q", server.ErrUnknownConsole, console)
 	}
 	b.m.routed.Inc()
-	return b.shards[shard].HandleDatagram(console, wire, now)
+	return b.shards[ci.shard].HandleDatagram(console, wire, now)
 }
 
 // Handle routes one already-decoded console message.
 func (b *Broker) Handle(console string, msg protocol.Message, now time.Duration) error {
-	b.routeMu.RLock()
-	closed := b.closed
-	ci, known := b.consoles[console]
-	b.routeMu.RUnlock()
+	ci, known, closed := b.route(console)
 	if closed {
 		return ErrClosed
 	}

@@ -295,6 +295,15 @@ func TestBrokerClosedRejects(t *testing.T) {
 	if err := b.Handle("desk-1", &protocol.KeyEvent{Code: 'x', Down: true}, 0); err != ErrClosed {
 		t.Fatalf("closed broker error = %v, want ErrClosed", err)
 	}
+	// The datagram path stops too: a Pong from the attached console is
+	// neither forwarded nor routed.
+	pong := protocol.Encode(nil, 1, &protocol.Pong{Nonce: 7})
+	if err := b.HandleDatagram("desk-1", pong, 0); err != ErrClosed {
+		t.Fatalf("closed broker took a datagram: error = %v, want ErrClosed", err)
+	}
+	if shard, ok := b.ShardFor("desk-1", pong); ok {
+		t.Fatalf("closed broker routes to shard %d", shard)
+	}
 	if b.Sessions() != 1 {
 		t.Error("close destroyed shard sessions")
 	}

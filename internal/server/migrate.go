@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"slim/internal/protocol"
 )
@@ -100,7 +101,7 @@ func (s *Server) restoreLocked(sn *SessionSnapshot) error {
 	if _, exists := s.byUser[sn.User]; exists {
 		return fmt.Errorf("server: user %q already has a session here", sn.User)
 	}
-	if _, exists := s.sessions[sn.ID]; exists {
+	if slices.ContainsFunc(s.sessions, func(x *Session) bool { return x.ID == sn.ID }) {
 		return fmt.Errorf("server: session ID %d already in use", sn.ID)
 	}
 	_, err := s.newSessionLocked(sn.ID, sn.User, sn.W, sn.H, sn)

@@ -34,7 +34,9 @@ type serverImage struct {
 }
 
 // SaveSessions serializes every session (detached from consoles — console
-// bindings are transient by design) to w.
+// bindings are transient by design) to w, in the table's arrival order,
+// which LoadSessions keeps: an unchanged server writes the same bytes
+// every time.
 func (s *Server) SaveSessions(w io.Writer) error {
 	s.mu.Lock()
 	img := serverImage{NextID: s.nextID}

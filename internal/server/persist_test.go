@@ -2,6 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
+	"slices"
 	"testing"
 
 	"slim/internal/fb"
@@ -69,6 +72,62 @@ func TestSaveLoadSessions(t *testing.T) {
 	}
 	if bob := s2.SessionByUser("bob"); bob.ID <= before.ID {
 		t.Errorf("new session ID %d collides with restored %d", bob.ID, before.ID)
+	}
+}
+
+// TestStateFileIsAFunctionOfTheSessions saves one unchanged 8-session
+// server twice and requires equal bytes, with the sessions in arrival
+// order (a session terminated from the middle leaves the rest in theirs),
+// and requires a server loaded from the file to save it back unchanged.
+func TestStateFileIsAFunctionOfTheSessions(t *testing.T) {
+	s := newTestServer(newMemTransport())
+	var users []string
+	for i := range 9 {
+		user := fmt.Sprintf("user-%d", i)
+		s.Auth.Register("card-"+user, user)
+		desk := fmt.Sprintf("desk-%d", i)
+		if err := s.Handle(desk, hello(64, 48, "card-"+user), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Handle(desk, &protocol.KeyEvent{Code: uint16('a' + i), Down: true}, 0); err != nil {
+			t.Fatal(err)
+		}
+		users = append(users, user)
+	}
+	if err := s.Terminate(users[3]); err != nil {
+		t.Fatal(err)
+	}
+	users = slices.Delete(users, 3, 4)
+
+	save := func(s *Server) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.SaveSessions(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first, second := save(s), save(s)
+	if !bytes.Equal(first, second) {
+		t.Fatal("two saves of an unchanged server wrote different bytes")
+	}
+	var img serverImage
+	if err := gob.NewDecoder(bytes.NewReader(first)).Decode(&img); err != nil {
+		t.Fatal(err)
+	}
+	var saved []string
+	for _, sn := range img.Sessions {
+		saved = append(saved, sn.User)
+	}
+	if !slices.Equal(saved, users) {
+		t.Errorf("saved %v, want arrival order %v", saved, users)
+	}
+	loaded := newTestServer(newMemTransport())
+	if err := loaded.LoadSessions(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(save(loaded), first) {
+		t.Error("a loaded server saves a different file")
 	}
 }
 

@@ -8,6 +8,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -107,10 +108,13 @@ type Server struct {
 
 	mu        sync.Mutex
 	transport Transport
-	sessions  map[uint32]*Session
-	byUser    map[string]uint32
-	consoles  map[string]*consoleState
-	nextID    uint32
+	// sessions is the session table in arrival order (created, imported
+	// or loaded), the order every walk takes; byUser and each
+	// consoleState.sess point into it.
+	sessions []*Session
+	byUser   map[string]*Session
+	consoles map[string]*consoleState
+	nextID   uint32
 
 	// Live observability, fixed at construction: the telemetry kit
 	// (telemetry.Default unless redirected by WithTelemetry) whose
@@ -136,9 +140,11 @@ type Server struct {
 }
 
 type consoleState struct {
-	w, h    int
-	caps    uint16 // capability bits from the console's Hello
-	session uint32 // attached session, 0 = login screen
+	w, h int
+	caps uint16 // capability bits from the console's Hello
+	// sess is the session the console shows, nil on the login screen. It
+	// is set exactly while that session's Console names this console.
+	sess *Session
 	// dropped is the console's drop counter at the last STATUS judged; an
 	// increase means display state was lost and must be regenerated.
 	dropped uint32
@@ -158,8 +164,7 @@ func New(t Transport, newApp func(user string, w, h int) Application, opts ...Op
 		Auth:      NewAuthManager(),
 		NewApp:    newApp,
 		transport: t,
-		sessions:  make(map[uint32]*Session),
-		byUser:    make(map[string]uint32),
+		byUser:    make(map[string]*Session),
 		consoles:  make(map[string]*consoleState),
 		tel:       telemetry.Default,
 	}
@@ -244,10 +249,7 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 		drew.InputToPaint.Observe(latency)
 		drew.ObservePaint(painted, latency)
 	}
-	if herr != nil {
-		return herr
-	}
-	return ferr
+	return cmp.Or(herr, ferr)
 }
 
 // input hands a KeyEvent or PointerEvent, which arrived at wall-clock
@@ -368,7 +370,11 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 				return err
 			}
 		}
-		send(out, console, &protocol.HelloAck{SessionID: s.consoles[console].session})
+		ack := &protocol.HelloAck{}
+		if sess := s.consoles[console].sess; sess != nil {
+			ack.SessionID = sess.ID
+		}
+		send(out, console, ack)
 		return nil
 
 	case *protocol.SessionConnect:
@@ -397,7 +403,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		// Consoles arbitrate downstream bandwidth between sessions (§7); a
 		// grant addresses a session and counts only from the console showing
 		// it. A stale grant, or one for a terminated session, is dropped.
-		if sess, ok := s.sessions[m.SessionID]; ok && sess.gov != nil && sess.Console == console {
+		if sess := s.consoles[console].sess; sess != nil && sess.ID == m.SessionID && sess.gov != nil {
 			sess.tel.Path.OnGrant()
 			sess.gov.SetGrant(now, m.Bps)
 			sess.repay(out, now)
@@ -430,10 +436,10 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 // is paid and a heartbeat has passed, so none can storm. Callers hold s.mu.
 func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Status, now time.Duration) error {
 	cs := s.consoles[console]
-	if cs.session == 0 {
+	sess := cs.sess
+	if sess == nil {
 		return nil
 	}
-	sess := s.sessions[cs.session]
 	if sess.tel.Flight.Armed() {
 		sess.tel.Flight.Status(st.LastSeq, st.Dropped)
 	}
@@ -443,7 +449,7 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 		cs.dropped = st.Dropped
 		if last := sess.Encoder.LastSeq(); lost || st.LastSeq == 0 {
 			if s.log != nil {
-				s.log.Warn("display state lost; recovery repaint", "console", console, "session", cs.session, "drops", lost)
+				s.log.Warn("display state lost; recovery repaint", "console", console, "session", sess.ID, "drops", lost)
 			}
 			sess.oweScreen()
 		} else if st.LastSeq < last {
@@ -483,11 +489,7 @@ func (s *Server) Attach(console, user string, now time.Duration) error {
 		err = s.attachUserLocked(&out, console, user, now)
 	}
 	s.mu.Unlock()
-	ferr := s.flush(out)
-	if err != nil {
-		return err
-	}
-	return ferr
+	return cmp.Or(err, s.flush(out))
 }
 
 // EvictConsole silently forgets a console: any session displayed there is
@@ -506,10 +508,8 @@ func (s *Server) EvictConsole(console string) {
 // another shard's SessionAttach supersedes it (an eviction). Callers hold
 // s.mu.
 func (s *Server) detachConsoleLocked(console string) {
-	if cs, ok := s.consoles[console]; ok {
-		if sess, ok := s.sessions[cs.session]; ok && sess.Console == console {
-			sess.detach()
-		}
+	if cs, ok := s.consoles[console]; ok && cs.sess != nil && cs.sess.Console == console {
+		cs.sess.detach()
 	}
 }
 
@@ -517,7 +517,8 @@ func (s *Server) detachConsoleLocked(console string) {
 // given console, creating the session on first use. Callers hold s.mu.
 func (s *Server) attachUserLocked(out *[]outbound, console, user string, now time.Duration) error {
 	cs := s.consoles[console]
-	sess, reconnect := s.sessions[s.byUser[user]]
+	sess := s.byUser[user]
+	reconnect := sess != nil
 	if reconnect {
 		s.metrics.reconnects.Inc()
 		// Hotdesk move or reconnect: the console — and likely the network
@@ -537,10 +538,10 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 		s.unbindLocked(out, sess)
 	}
 	// Evict whatever session the target console was showing.
-	if other, ok := s.sessions[cs.session]; ok && other != sess {
+	if other := cs.sess; other != nil && other != sess {
 		other.detach()
 	}
-	cs.session = sess.ID
+	cs.sess = sess
 	if s.log != nil {
 		s.log.Info("session attached",
 			"user", user, "session", sess.ID, "console", console, "reconnect", reconnect)
@@ -560,19 +561,12 @@ func (s *Server) Tick(now time.Duration) error {
 	var out []outbound
 	var firstErr error
 	for _, sess := range s.sessions {
-		tk, ok := sess.App.(Ticker)
-		if !ok {
-			continue
-		}
-		if err := sess.render(&out, tk.Tick(now), now); err != nil && firstErr == nil {
-			firstErr = err
+		if tk, ok := sess.App.(Ticker); ok {
+			firstErr = cmp.Or(firstErr, sess.render(&out, tk.Tick(now), now))
 		}
 	}
 	s.mu.Unlock()
-	if err := s.flush(out); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return cmp.Or(firstErr, s.flush(out))
 }
 
 // Detach removes a session from its console (card pulled) without
@@ -616,7 +610,7 @@ func (s *Server) Terminate(user string) error {
 
 // userSessionLocked resolves a user's session. Callers hold s.mu.
 func (s *Server) userSessionLocked(user string) (*Session, error) {
-	sess, ok := s.sessions[s.byUser[user]]
+	sess, ok := s.byUser[user]
 	if !ok {
 		return nil, fmt.Errorf("server: no session for user %q", user)
 	}
@@ -629,10 +623,10 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownConsole, console)
 	}
-	if cs.session == 0 {
+	if cs.sess == nil {
 		return nil, ErrNoSession
 	}
-	return s.sessions[cs.session], nil
+	return cs.sess, nil
 }
 
 // PumpFlows services every governed session at now: a session in debt to
@@ -665,19 +659,17 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 func (s *Server) SessionOf(console string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs, ok := s.consoles[console]
-	if !ok || cs.session == 0 {
-		return nil
+	if cs, ok := s.consoles[console]; ok {
+		return cs.sess
 	}
-	return s.sessions[cs.session]
+	return nil
 }
 
 // SessionByUser reports a user's session (nil if none).
 func (s *Server) SessionByUser(user string) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, _ := s.userSessionLocked(user)
-	return sess
+	return s.byUser[user]
 }
 
 // Owed reports the rects a user's session owes its console — painted in

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,10 +18,10 @@ import (
 // (inside the encoder), the running application, and the console it is
 // currently displayed on (if any). What it keeps for that console is the
 // frame buffer, the owed region, the encoder's sent log and sequence
-// number, and when it last sent. The Server routes console traffic to
-// sessions; everything a session owns is built in newSessionLocked,
-// frozen by snapshot, and released in closeLocked — nowhere else. All of
-// it is guarded by Server.mu.
+// number, and when it last sent. The Server keeps its sessions in one
+// list in arrival order; everything a session owns is built in
+// newSessionLocked, frozen by snapshot, and released in closeLocked —
+// nowhere else. All of it is guarded by Server.mu.
 type Session struct {
 	ID      uint32
 	User    string
@@ -93,8 +94,8 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))
 		sess.flowPending = &s.flowPending
 	}
-	s.sessions[id] = sess
-	s.byUser[user] = id
+	s.sessions = append(s.sessions, sess)
+	s.byUser[user] = sess
 	s.metrics.sessions.Add(1)
 	return sess, nil
 }
@@ -122,8 +123,8 @@ func (s *Server) unbindLocked(out *[]outbound, sess *Session) {
 	if sess.Console == "" {
 		return
 	}
-	if cs, ok := s.consoles[sess.Console]; ok && cs.session == sess.ID {
-		cs.session = 0
+	if cs, ok := s.consoles[sess.Console]; ok && cs.sess == sess {
+		cs.sess = nil
 	}
 	send(out, sess.Console, &protocol.SessionDetach{SessionID: sess.ID})
 	sess.detach()
@@ -144,7 +145,7 @@ func (sess *Session) detach() {
 // terminated session takes them along. Callers hold s.mu.
 func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool) {
 	s.unbindLocked(out, sess)
-	delete(s.sessions, sess.ID)
+	s.sessions = slices.DeleteFunc(s.sessions, func(x *Session) bool { return x == sess })
 	delete(s.byUser, sess.User)
 	s.metrics.sessions.Add(-1)
 	sess.tel.Close(evictShared)

@@ -1,10 +1,13 @@
 package slim
 
 import (
+	"bytes"
 	"container/heap"
+	"crypto/sha256"
 	"io"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -187,11 +190,14 @@ type overloadResult struct {
 	stale     int // inputs whose original echo never painted (shed or lost)
 	linkDrops int
 	frames    int // §5.4 frames the harness put on the link
+	captured  int // records spooled from the run's capture ring
 }
 
 // runOverload drives the scenario and reports interactive latency. A
-// non-nil ring captures every datagram the run puts on the simulated wire.
-func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.Ring) overloadResult {
+// non-nil spool receives, in .slimcap record encoding, every datagram the
+// run puts on the simulated wire: a capture ring private to the run taps
+// them and is spooled after every event, so it never fills.
+func runOverload(t *testing.T, governed bool, kit *TelemetryKit, spool io.Writer) overloadResult {
 	reg, rec := kit.Registry, kit.Flight
 	t.Helper()
 	const (
@@ -212,7 +218,10 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 		consoles: make(map[string]*Console),
 		paintAt:  make(map[string]map[uint32]time.Duration),
 		link:     netsim.Link{Bps: netsim.Rate10Mbps, Prop: 200 * time.Microsecond, BufBytes: 128 << 10},
-		cap:      ring,
+	}
+	if spool != nil {
+		h.cap = capture.NewRing(1 << 12).Instrument(reg)
+		h.cap.SetEnabled(true)
 	}
 	opts := []ServerOption{WithTelemetry(kit)}
 	if governed {
@@ -261,6 +270,7 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 	}
 
 	var inputs []inputRecord
+	var res overloadResult
 	pumpAt := time.Duration(-1)
 	pump := func() {
 		if !governed {
@@ -319,9 +329,17 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 			// handled by the post-event pump below
 		}
 		pump()
+		if spool != nil {
+			n, err := h.cap.SpoolTo(spool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.captured += n
+		}
 	}
-
-	res := overloadResult{linkDrops: h.linkDrops, frames: h.frames}
+	if n := h.cap.Drops(); n != 0 {
+		t.Fatalf("the run's capture ring shed %d records", n)
+	}
 	for _, in := range inputs {
 		painted := time.Duration(-1)
 		complete := true
@@ -341,6 +359,7 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 		}
 		res.latencies = append(res.latencies, painted-in.at)
 	}
+	res.linkDrops, res.frames = h.linkDrops, h.frames
 	if len(res.latencies) == 0 {
 		t.Fatal("no input completed its paint")
 	}
@@ -349,17 +368,41 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, ring *capture.R
 	return res
 }
 
+// replayOverload runs the scenario twice in one mode, each run on its own
+// telemetry kit and capture, and fails unless the second replays the first:
+// the same latencies, stale inputs, link drops and frames, and the same
+// digest of everything that crossed the wire. It returns the first run and
+// its kit.
+func replayOverload(t *testing.T, governed bool) (overloadResult, *TelemetryKit) {
+	t.Helper()
+	var runs [2]overloadResult
+	var kits [2]*TelemetryKit
+	var digests [2][]byte
+	for i := range runs {
+		d := sha256.New()
+		kits[i] = NewTelemetry()
+		runs[i] = runOverload(t, governed, kits[i], d)
+		digests[i] = d.Sum(nil)
+	}
+	a, b := runs[0], runs[1]
+	if !slices.Equal(a.latencies, b.latencies) || a.stale != b.stale || a.linkDrops != b.linkDrops ||
+		a.frames != b.frames || a.captured != b.captured || !bytes.Equal(digests[0], digests[1]) {
+		t.Errorf("governed=%v does not replay: p95 %v/%v, %d/%d painted, %d/%d stale, %d/%d link drops, %d/%d frames, %d/%d captured, capture digests equal: %v",
+			governed, a.p95, b.p95, len(a.latencies), len(b.latencies), a.stale, b.stale, a.linkDrops, b.linkDrops,
+			a.frames, b.frames, a.captured, b.captured, bytes.Equal(digests[0], digests[1]))
+	}
+	return a, kits[0]
+}
+
 func TestOverloadGovernorDegradesGracefully(t *testing.T) {
-	off := runOverload(t, false, NewTelemetry(), nil)
-
-	kitOn := NewTelemetry()
+	off, _ := replayOverload(t, false)
+	on, kitOn := replayOverload(t, true)
 	regOn, recOn := kitOn.Registry, kitOn.Flight
-	on := runOverload(t, true, kitOn, nil)
 
-	t.Logf("governor off: p95=%v inputs=%d stale=%d linkDrops=%d",
-		off.p95, len(off.latencies)+off.stale, off.stale, off.linkDrops)
-	t.Logf("governor on:  p95=%v inputs=%d stale=%d linkDrops=%d",
-		on.p95, len(on.latencies)+on.stale, on.stale, on.linkDrops)
+	t.Logf("governor off: p95=%v inputs=%d stale=%d linkDrops=%d frames=%d",
+		off.p95, len(off.latencies)+off.stale, off.stale, off.linkDrops, off.frames)
+	t.Logf("governor on:  p95=%v inputs=%d stale=%d linkDrops=%d frames=%d",
+		on.p95, len(on.latencies)+on.stale, on.stale, on.linkDrops, on.frames)
 
 	// The wire-speed run hands whole repaints over at once, so it is the
 	// one whose bursts must have crossed the link framed (the governed run
