@@ -131,13 +131,15 @@ codec2-smoke:
 # asserted against the 2-second hotdesk budget (the full 2,000-console
 # 8-shard soak is TestFleetSoak, run by plain `go test`). The sim-domain
 # recovery checks ride along, a fraction of a second between them: a
-# hotdesk repaint paid at the grant's pace, a hotdesk leaving no stale
+# hotdesk repaint paid at the grant's pace, a screen restored by import,
+# state file or migration paid at the same pace, a zero grant paced at the
+# floor rate rather than lifted or stalled, a hotdesk leaving no stale
 # grant on the console it left, a lost tail and a lost middle healed
 # through the heartbeat, the seeded fault schedules converging on one
 # fabric server, the owed region converging under any grant, and the fault
 # schedules and the 32-console fleet each run twice and replaying exactly.
 fleet-smoke:
-	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant|TestSimulationIsAFunctionOfItsSeed' -count 1 -v .
+	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestRestoredScreenIsPaced|TestZeroGrantNeitherFloodsNorWedges|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant|TestSimulationIsAFunctionOfItsSeed' -count 1 -v .
 
 # Evidence smoke against the real binaries: boot slimd with the flow
 # governor, a wire capture, breach dumps (every paint breaches a 1ns SLO

@@ -339,8 +339,11 @@ func TestFabricAttachIsOneFillPerRow(t *testing.T) {
 // TestUDPScrollStep: one warmed scroll step — a COPY and 96 cache hits,
 // 2,712 B as 97 plain datagrams — leaves in two. The live capture of it
 // still reads as 97 commands in the Tables 2-3 rows. The 600 KB priming
-// paint goes in one piece: the governor owes what its bucket cannot take,
-// and the warm-up bounce starts once the debt is paid.
+// paint goes in one piece: the governor owes what its bucket cannot take.
+// So is every step's strip (its bound is more than a bucket admits), and
+// is repaid from the frame buffer, so a step ends when nothing is owed,
+// not at its key release: on a loaded host a repayment, or a loss's,
+// could still be running then, and spilled into the next step.
 func TestUDPScrollStep(t *testing.T) {
 	opts, cfg := shippedProfile(640, 480)
 	// A lost tail heals by an idle heartbeat's repaint under fresh numbers,
@@ -362,28 +365,46 @@ func TestUDPScrollStep(t *testing.T) {
 	defer con.Close()
 	waitAttached(t, con)
 	app.enc.Store(srv.Server.SessionByUser("scroll").Encoder)
+	// released waits until the app has seen a key release since the
+	// count of releases was rel, and returns what it published.
+	deadline := time.Now().Add(20 * time.Second)
+	released := func(rel uint64) uint64 {
+		t.Helper()
+		for ; time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if p := app.pub.Load(); p>>32 != rel {
+				return p
+			}
+		}
+		t.Fatal("the key release never reached the app")
+		return 0
+	}
 	// step scrolls once and returns the sequence number the step ended
-	// at, once the console has painted up to it.
+	// at, once nothing is owed and the console has painted up to it: a
+	// bare key release, sent once the debt is paid, publishes where the
+	// encoder stands.
 	step := func() uint32 {
 		t.Helper()
-		releases := app.pub.Load() >> 32
+		p := app.pub.Load()
 		if err := con.TypeString("j"); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if p := app.pub.Load(); p>>32 != releases && int32(con.Console.Status().LastSeq-uint32(p)) >= 0 {
-				return uint32(p)
+		p = released(p >> 32)
+		for ; srv.Server.Owed("scroll") != nil; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the step's debt was never paid")
 			}
 		}
-		t.Fatal("the console never painted the step")
-		return 0
+		if err := con.SendKey('j', false); err != nil {
+			t.Fatal(err)
+		}
+		for p = released(p >> 32); int32(con.Console.Status().LastSeq-uint32(p)) < 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the console never painted the step")
+			}
+		}
+		return uint32(p)
 	}
 	seq := step()
-	for deadline := time.Now().Add(10 * time.Second); srv.Server.Owed("scroll") != nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the priming paint was never paid")
-		}
-	}
 	for i := 0; i < scrollCycle; i++ {
 		seq = step()
 	}

@@ -2,6 +2,7 @@ package slim
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,44 +15,56 @@ import (
 )
 
 // The capture end-to-end: the overload scenario runs with a wire-capture
-// ring tapped into its transport, the ring spools to an in-memory
-// .slimcap stream, and `slimtrace explain`'s decode path (ReadCapture →
-// BuildReport) reconstructs the paper's Tables 2-3 shape — per-command
-// counts, bytes, pixels, and bandwidth in both directions — from the
-// captured datagrams alone. This is the tentpole's acceptance check:
-// wire-level attribution survives the full spool/read round trip on
-// realistic mixed interactive+video traffic.
+// ring tapped into its transport, the ring spools a .slimcap stream, and
+// `slimtrace explain`'s decode path (ReadHeader, ReadRecord → BuildReport)
+// reconstructs the paper's Tables 2-3 shape — per-command counts, bytes,
+// pixels, and bandwidth in both directions — from the captured datagrams
+// alone. This is the tentpole's acceptance check: wire-level attribution
+// survives the full spool/read round trip on realistic mixed
+// interactive+video traffic. The downstream table is read from the run
+// without a governor, as the paper measured it: governed, a video frame
+// (about 140 KB of CSCS) is larger than any bucket admits and is repainted
+// from the frame buffer instead. The upstream table is read from the
+// governed run, whose consoles issue grants. The two runs share nothing
+// and run side by side.
 func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
-	// Spool exactly as slim.StartCapture does: header, then records. The
-	// harness runs on virtual time, so the capture is sim-domain with no
-	// wall epoch.
-	var buf bytes.Buffer
-	if err := capture.WriteHeader(&buf, obs.DomainSim, time.Time{}); err != nil {
-		t.Fatal(err)
+	var reps [2]*capture.Report // without a governor, with one
+	t.Run("runs", func(t *testing.T) {
+		for i := range reps {
+			t.Run(fmt.Sprintf("governed=%v", i == 1), func(t *testing.T) {
+				t.Parallel()
+				// Spool exactly as slim.StartCapture does: header, then
+				// records. The harness runs on virtual time, so the capture
+				// is sim-domain with no wall epoch.
+				w := &reportWriter{}
+				if err := capture.WriteHeader(w, obs.DomainSim, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+				run := runOverload(t, i == 1, NewTelemetry(), w)
+				if run.captured == 0 {
+					t.Fatal("ring captured nothing")
+				}
+				rep := w.report()
+				if h := rep.Header; h.Domain != obs.DomainSim || !h.Epoch.IsZero() {
+					t.Errorf("header = %+v, want sim domain without wall epoch", h)
+				}
+				if rep.Records != run.captured {
+					t.Errorf("read %d records, ring spooled %d", rep.Records, run.captured)
+				}
+				if rep.Undecoded != 0 {
+					t.Errorf("%d captured datagrams did not decode", rep.Undecoded)
+				}
+				if rep.Duration <= 0 {
+					t.Error("report has no time span")
+				}
+				reps[i] = rep
+			})
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
 	}
-	run := runOverload(t, true, NewTelemetry(), &buf)
-	if run.captured == 0 {
-		t.Fatal("ring captured nothing")
-	}
-
-	h, recs, err := capture.ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Domain != obs.DomainSim || !h.Epoch.IsZero() {
-		t.Errorf("header = %+v, want sim domain without wall epoch", h)
-	}
-	if len(recs) != run.captured {
-		t.Errorf("read %d records, ring spooled %d", len(recs), run.captured)
-	}
-
-	rep := capture.BuildReport(h, recs)
-	if rep.Undecoded != 0 {
-		t.Errorf("%d captured datagrams did not decode", rep.Undecoded)
-	}
-	if rep.Duration <= 0 {
-		t.Error("report has no time span")
-	}
+	rep, governed := reps[0], reps[1]
 
 	rows := func(rs []capture.Row) map[string]capture.Row {
 		m := make(map[string]capture.Row, len(rs))
@@ -60,7 +73,7 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 		}
 		return m
 	}
-	down, up := rows(rep.Down), rows(rep.Up)
+	down, up := rows(rep.Down), rows(governed.Up)
 
 	// Tables 2-3 shape, downstream: the video sessions dominate bytes via
 	// CSCS, the terminals echo keystrokes via pixel commands, and every
@@ -102,26 +115,94 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 		t.Fatal("no upstream rows")
 	}
 	if _, ok := up[protocol.TypeBandwidthGrant.String()]; !ok {
-		t.Errorf("no bandwidth-grant row in upstream table: %+v", rep.Up)
+		t.Errorf("no bandwidth-grant row in upstream table: %+v", governed.Up)
 	}
-	if rep.UpBytes >= rep.DownBytes {
-		t.Errorf("upstream %d bytes outweighs downstream %d", rep.UpBytes, rep.DownBytes)
+	for _, r := range []*capture.Report{rep, governed} {
+		if r.UpBytes >= r.DownBytes {
+			t.Errorf("upstream %d bytes outweighs downstream %d", r.UpBytes, r.DownBytes)
+		}
 	}
 
 	// The rendered table is what `slimtrace explain` prints: both
 	// directions, the command column, and a bandwidth column.
-	var out strings.Builder
-	if err := rep.WriteTable(&out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"server → console", "console → server", "command", "bits/s",
-		protocol.TypeCSCS.String(), protocol.TypeBandwidthGrant.String(),
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("rendered table missing %q:\n%s", want, out.String())
+	for r, rowWant := range map[*capture.Report]string{rep: protocol.TypeCSCS.String(), governed: protocol.TypeBandwidthGrant.String()} {
+		var out strings.Builder
+		if err := r.WriteTable(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"server → console", "console → server", "command", "bits/s", rowWant} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("rendered table missing %q:\n%s", want, out.String())
+			}
 		}
 	}
+}
+
+// reportWriter reads a .slimcap stream as it is written — a header, then
+// whole records in each write, as Ring.SpoolTo writes them — and sums each
+// write's BuildReport, so a run's capture is never held whole (the
+// ungoverned overload run spools over 100 MB).
+type reportWriter struct {
+	rep         capture.Report
+	rows        [2]map[string]*capture.Row // by direction: down, up
+	first, last time.Duration
+}
+
+func (w *reportWriter) Write(p []byte) (int, error) {
+	r := bytes.NewReader(p)
+	if w.rows[0] == nil {
+		h, err := capture.ReadHeader(r)
+		if err != nil {
+			return 0, err
+		}
+		w.rep.Header, w.rows = h, [2]map[string]*capture.Row{{}, {}}
+	}
+	var recs []capture.Record
+	for r.Len() > 0 {
+		rec, err := capture.ReadRecord(r)
+		if err != nil {
+			return 0, err
+		}
+		if w.rep.Records+len(recs) == 0 {
+			w.first = rec.T
+		}
+		w.first, w.last = min(w.first, rec.T), max(w.last, rec.T)
+		recs = append(recs, rec)
+	}
+	part := capture.BuildReport(w.rep.Header, recs)
+	w.rep.Records += part.Records
+	w.rep.DownBytes += part.DownBytes
+	w.rep.UpBytes += part.UpBytes
+	w.rep.Undecoded += part.Undecoded
+	for dir, rows := range [2][]capture.Row{part.Down, part.Up} {
+		for _, row := range rows {
+			sum := w.rows[dir][row.Label]
+			if sum == nil {
+				sum = &capture.Row{Label: row.Label}
+				w.rows[dir][row.Label] = sum
+			}
+			sum.Count += row.Count
+			sum.Bytes += row.Bytes
+			sum.Pixels += row.Pixels
+		}
+	}
+	return len(p), nil
+}
+
+// report is the sum of everything written so far.
+func (w *reportWriter) report() *capture.Report {
+	rep := w.rep
+	rep.Duration = w.last - w.first
+	for dir, rows := range w.rows {
+		for _, row := range rows {
+			if dir == 0 {
+				rep.Down = append(rep.Down, *row)
+			} else {
+				rep.Up = append(rep.Up, *row)
+			}
+		}
+	}
+	return &rep
 }
 
 // TestFramedCaptureReadsPerCommand: a capture of traffic framed the way

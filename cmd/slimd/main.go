@@ -154,7 +154,7 @@ func main() {
 	fps := flag.Float64("fps", 24, "video frame rate for video applications")
 	flow := flag.Bool("flow", false, "enable the per-session send governor: pace display traffic and loss recovery to console grants, owe paints the token bucket cannot take and repaint them from the latest state (§7)")
 	codec2 := flag.Bool("codec2", false, "arm the gen-2 codec (content-typed tiles + dirty-tile cache); engages per attachment for consoles advertising CACHE_PAINT")
-	flowBps := flag.Uint64("flow-bps", 0, "with -flow, initial per-session bandwidth demand in bits/s (0: derive from the cost model)")
+	flowBps := flag.Uint64("flow-bps", 0, "with -flow, per-session bandwidth demand at attach, and the pace until the first grant, in bits/s (0: derive from the cost model)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder breach dumps (empty: count breaches, write nothing)")
 	capturePath := flag.String("capture", "", "spool a wire capture of every datagram to this .slimcap file")
 	sloTarget := flag.Duration("slo-target", slim.SLO().Target(),

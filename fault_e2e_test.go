@@ -17,8 +17,9 @@ import (
 
 // The statelessness claim (§2.2) as a property over seeded fault schedules:
 // whatever a schedule does to the console showing a session on a Fabric —
-// loss bursts, a lost tail, a lost middle, periodic loss, a reboot, a
-// hotdesk and back, decode-overload drops — the console heals from the
+// loss bursts, a lost tail, a lost middle, periodic loss, a reboot (quiet,
+// or painted before its first heartbeat), a hotdesk and back,
+// decode-overload drops — the console heals from the
 // server's frame buffer, promptly and for about what was lost. Each fault
 // runs on one world while a twin without faults paints the same ops on the
 // same clock; the difference in commands encoded is what the fault cost.
@@ -300,9 +301,10 @@ func wallpaper(rng *rand.Rand, w, h int) ImageOp {
 // world at most one screen of commands plus 64 more than its twin, and no
 // claim misses after a hotdesk. The
 // rules it leans on: the console settles holes once its line is quiet, the
-// server judges a STATUS only on a quiet line, a LastSeq of 0 owes the
-// screen with its tile cache, a COPY of owed pixels is owed, and a HelloAck
-// keeps the tiles the repaint before it cached.
+// server judges a STATUS only on a quiet line, a console showing no
+// session reports a LastSeq of 0, which attaches the session again and
+// owes the screen with its tile cache, a COPY of owed pixels is owed, and
+// a HelloAck keeps the tiles the repaint before it cached.
 func TestFaultScheduleConverges(t *testing.T) {
 	for seed := int64(1); seed <= faultSeeds; seed++ {
 		runFaultSchedule(t, seed)
@@ -361,6 +363,12 @@ func runFaultSchedule(t *testing.T, seed int64) (f, twin *faultWorld) {
 			paint(2)
 			con.QueueLimit = limit
 		}},
+		// Painted before its first heartbeat, a rebooted console still
+		// reports that it holds nothing.
+		{"reboot under paint", func(t *testing.T, rng *rand.Rand, f *faultWorld, paint func(int)) {
+			f.reboot(t)
+			paint(1 + rng.Intn(3))
+		}},
 	}
 	faults[6].do = faults[5].do
 	rng := rand.New(rand.NewSource(seed))
@@ -400,7 +408,7 @@ func runFaultSchedule(t *testing.T, seed int64) (f, twin *faultWorld) {
 		// screen of cache hits.
 		var paper ImageOp
 		switch fault.name {
-		case "reboot":
+		case "reboot", "reboot under paint":
 			both(noise(rng, Rect{W: faultW, H: faultH}))
 		case "hotdesk":
 			paper = wallpaper(rng, faultW, faultH)

@@ -405,7 +405,7 @@ func (c *Console) Status() *protocol.Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return &protocol.Status{
-		LastSeq: c.gaps.Highest(),
+		LastSeq: c.lastSeqLocked(),
 		Dropped: uint32(c.dropped),
 	}
 }

@@ -84,10 +84,21 @@ func (c *Console) statusLocked(replies [][]byte, now time.Duration) [][]byte {
 	}
 	s := &f.slots[0]
 	f.slots = f.slots[1:]
-	f.msg = protocol.Status{LastSeq: c.gaps.Highest(), Dropped: uint32(c.dropped)}
+	f.msg = protocol.Status{LastSeq: c.lastSeqLocked(), Dropped: uint32(c.dropped)}
 	s.list[0] = protocol.Encode(s.wire[:0], c.seq.Next(), &f.msg)
 	if replies == nil {
 		return s.list[:]
 	}
 	return append(replies, s.list[0])
+}
+
+// lastSeqLocked is the STATUS lastSeq: the highest display sequence
+// delivered in order, or 0 while the console shows no session. A console
+// rebooted under a live session holds nothing of it, whatever paint has
+// reached it since; reporting 0 is what tells the server so.
+func (c *Console) lastSeqLocked() uint32 {
+	if c.sessionID == 0 {
+		return 0
+	}
+	return c.gaps.Highest()
 }

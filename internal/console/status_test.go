@@ -30,11 +30,22 @@ func statusIn(t testing.TB, replies ...[]byte) []*protocol.Status {
 	return out
 }
 
+// showingConsole returns a test console attached to session 1, as the
+// server's SessionAttach leaves it.
+func showingConsole(t *testing.T) *Console {
+	t.Helper()
+	c := newTestConsole(t, nil)
+	if _, err := c.Handle(0, &protocol.SessionAttach{SessionID: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestStatusCadence walks the rule on a virtual clock: an ack on receipt
 // once StatusAckDelay has passed, silence inside a burst, the trailing ack
 // from Poll, then the idle heartbeat every StatusInterval.
 func TestStatusCadence(t *testing.T) {
-	c := newTestConsole(t, nil)
+	c := showingConsole(t)
 	handle := func(seq uint32, now time.Duration) []*protocol.Status {
 		t.Helper()
 		replies, err := c.HandleDatagram(fillWire(seq), now)
@@ -86,12 +97,36 @@ func TestStatusCadence(t *testing.T) {
 	}
 }
 
+// TestRebootedConsoleHoldsNothing: a console showing no session reports
+// LastSeq 0 whatever paint reaches it. Rebooted under a live session
+// without a Hello, it would otherwise take the first paint it is sent as
+// the baseline of everything before it, and never be repainted. Once a
+// SessionAttach names its session, the numbering counts again.
+func TestRebootedConsoleHoldsNothing(t *testing.T) {
+	c := newTestConsole(t, nil)
+	if _, err := c.HandleDatagram(fillWire(700), 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := statusIn(t, c.Poll(StatusInterval)...); len(st) != 1 || st[0].LastSeq != 0 {
+		t.Fatalf("a console showing no session sent %+v after a paint, want LastSeq 0", st)
+	}
+	if _, err := c.Handle(0, &protocol.SessionAttach{SessionID: 9}, StatusInterval); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.HandleDatagram(fillWire(701), StatusInterval); err != nil {
+		t.Fatal(err)
+	}
+	if st := statusIn(t, c.Poll(2*StatusInterval)...); len(st) != 1 || st[0].LastSeq != 701 {
+		t.Fatalf("the attached console sent %+v, want LastSeq 701", st)
+	}
+}
+
 // TestPollSettlesAQuietLine: a hole below the highest arrival is left to the
 // reorder window while datagrams may still come; once none has arrived for
 // a StatusInterval, Poll NACKs it, and the STATUS after the NACK reports
 // the arrival.
 func TestPollSettlesAQuietLine(t *testing.T) {
-	c := newTestConsole(t, nil)
+	c := showingConsole(t)
 	for _, seq := range []uint32{1, 2, 4} {
 		if _, err := c.HandleDatagram(fillWire(seq), 0); err != nil {
 			t.Fatal(err)

@@ -5,16 +5,22 @@
 // makes the server honor them.
 //
 // The governor is a token bucket (bytes; refilled at the granted bps, as
-// deep as a burst) and holds no commands. Before a fresh paint is encoded
-// the session asks Admit whether the bucket can take it now; an admitted
-// paint is encoded and sent in the same call, and Submit charges its wire
-// bytes to the bucket. A paint refused is not encoded at all: the session
-// applies it to its frame buffer and owes the console its rect
-// (server.Session's damage), paid later from the pixels as they are then —
-// §2.2's "the server need only send the latest state". So a governed
-// session sends or owes; it never queues. The burst depth defaults to what
-// the Table-5 cost model says the console can decode in one short quantum,
-// so pacing never starves a console that could have kept up.
+// deep as a burst) and holds no commands. It paces from its first byte:
+// a new governor holds a full burst and refills at InitialBps, the demand
+// its attach is about to request, until the console's first grant names
+// the rate; a grant only changes the rate. So a first attach, a restored
+// screen and a migrated one are paid like any other debt.
+//
+// Before a fresh paint is encoded the session asks Admit whether the
+// bucket can take it now; an admitted paint is encoded and sent in the
+// same call, and Submit charges its wire bytes to the bucket. A paint
+// refused is not encoded at all: the session applies it to its frame
+// buffer and owes the console its rect (server.Session's damage), paid
+// later from the pixels as they are then — §2.2's "the server need only
+// send the latest state". So a governed session sends or owes; it never
+// queues. The burst depth defaults to what the Table-5 cost model says the
+// console can decode in one short quantum, so pacing never starves a
+// console that could have kept up.
 //
 // What a console is owed leaves through the same bucket, in pieces cut to
 // the tokens it holds (server.Session.repay), so recovery traffic competes
@@ -37,15 +43,16 @@ import (
 )
 
 // Config tunes one session's governor. The zero value plus withDefaults
-// is a working configuration; Enabled gates whether the server builds
-// governors at all.
+// is a working configuration.
 type Config struct {
-	// Enabled turns flow control on. Disabled servers send at wire speed
-	// (the pre-governor behavior) and pay nothing.
+	// Enabled is not read: a server governs its sessions when it is built
+	// with server.WithFlowControl.
 	Enabled bool
 	// InitialBps is the demand the server requests from the console's
-	// allocator at session attach, before any grant arrives. 0 derives it
-	// from the cost model (DefaultDemandBps).
+	// allocator at session attach, and the rate the governor paces at
+	// until the first grant arrives: what the attach asks for is what it
+	// sends at meanwhile. 0 derives it from the cost model
+	// (DefaultDemandBps).
 	InitialBps uint64
 	// BurstBytes is the token-bucket depth. 0 derives it from the cost
 	// model (DefaultBurst).
@@ -62,6 +69,12 @@ const (
 	// utilizationWindow is the accounting window behind the
 	// slim_flow_grant_utilization gauge.
 	utilizationWindow = time.Second
+
+	// MinGrantBps is the least rate the bucket refills at, a kilobyte a
+	// second: a grant below it, such as the zero fair share of a console
+	// with nothing left to give (§7), neither floods the console's link
+	// nor stops the session — what it owes is paid a tile a second.
+	MinGrantBps = 8000
 )
 
 // demandRefPixels is the reference command for cost-model-derived
@@ -157,7 +170,7 @@ type Governor struct {
 	cfg Config
 	m   *Metrics
 
-	rate   uint64 // granted bps; 0 = ungoverned pass-through
+	grant  uint64 // the console's grant in bps; InitialBps until one arrives
 	tokens float64
 	primed bool
 	last   time.Duration
@@ -166,41 +179,47 @@ type Governor struct {
 	winBytes int64
 
 	// measuredBps is the wire send rate observed over the last completed
-	// utilizationWindow — bytes the session *actually* put on the wire,
-	// paced or pass-through. With the gen-2 codec a cache-heavy session
-	// sends a fraction of its cost-model demand, and this measurement is
-	// what lets DemandBps hand the freed budget back to the console's
-	// allocator. demandKnown distinguishes "no window completed yet"
-	// (demand unknown, claim the ceiling) from "a window completed idle"
-	// (demand genuinely near zero).
+	// utilizationWindow — bytes the session *actually* put on the wire.
+	// With the gen-2 codec a cache-heavy session sends a fraction of its
+	// cost-model demand, and this measurement is what lets DemandBps hand
+	// the freed budget back to the console's allocator. demandKnown
+	// distinguishes "no window completed yet" (demand unknown, claim the
+	// ceiling) from "a window completed idle" (demand genuinely near zero).
 	measuredBps uint64
 	demandKnown bool
 
 	// pacedBytes/pacedRetransBytes count wire bytes this governor has
-	// charged since creation — paced and ungoverned alike — split into
-	// fresh display traffic and debt repayment.
+	// charged since creation, split into fresh display traffic and debt
+	// repayment.
 	pacedBytes        int64
 	pacedRetransBytes int64
 }
 
 // NewGovernor returns a governor with cfg (zero fields defaulted),
-// reporting into m (nil is inert).
+// reporting into m (nil is inert): a full bucket, refilled at InitialBps
+// until SetGrant.
 func NewGovernor(cfg Config, m *Metrics) *Governor {
-	return &Governor{cfg: cfg.withDefaults(), m: m}
+	cfg = cfg.withDefaults()
+	return &Governor{cfg: cfg, m: m, grant: cfg.InitialBps, tokens: float64(cfg.BurstBytes)}
 }
 
 // Config reports the governor's effective (defaulted) configuration.
 func (g *Governor) Config() Config { return g.cfg }
 
-// Grant reports the granted rate in bits per second (0 = ungoverned).
-func (g *Governor) Grant() uint64 { return g.rate }
+// Grant reports the console's last grant in bits per second, InitialBps
+// before the first. The bucket refills at no less than MinGrantBps.
+func (g *Governor) Grant() uint64 { return g.grant }
+
+// bytesPerSecond is the bucket's refill rate.
+func (g *Governor) bytesPerSecond() float64 {
+	return float64(max(g.grant, MinGrantBps)) / 8
+}
 
 // QueueDepth is always 0: nothing is queued. Only bench/replay.go calls it.
 func (g *Governor) QueueDepth() int { return 0 }
 
 // PacedBytes reports the cumulative wire bytes this governor has charged:
-// total includes every paced and ungoverned send; retrans is the
-// debt-repayment subset.
+// total includes every send; retrans is the debt-repayment subset.
 func (g *Governor) PacedBytes() (total, retrans int64) {
 	return g.pacedBytes, g.pacedRetransBytes
 }
@@ -228,16 +247,11 @@ func (g *Governor) DemandBps(now time.Duration) uint64 {
 	return min(max(2*g.measuredBps, ceil/8), ceil)
 }
 
-// SetGrant applies a console BandwidthGrant. The first grant fills the
-// token bucket so the session starts with a full burst; later grants only
-// change the refill rate.
+// SetGrant applies a console BandwidthGrant: the bucket refills at bps
+// (at least MinGrantBps) from now on; the tokens it holds are unchanged.
 func (g *Governor) SetGrant(now time.Duration, bps uint64) {
 	g.refill(now)
-	if g.rate == 0 && bps > 0 {
-		g.tokens = float64(g.cfg.BurstBytes)
-	}
-	g.rate = bps
-	g.clamp()
+	g.grant = bps
 	g.m.grantBps(int64(bps))
 }
 
@@ -256,35 +270,24 @@ func (g *Governor) refill(now time.Duration) {
 	}
 	g.last = now
 	if elapsed := now - g.winStart; elapsed >= utilizationWindow {
-		if g.rate != 0 {
-			g.m.utilization(g.winBytes, g.rate, elapsed)
-		}
+		g.m.utilization(g.winBytes, g.grant, elapsed)
 		g.measuredBps = uint64(float64(g.winBytes*8) / elapsed.Seconds())
 		g.demandKnown = true
 		g.winStart = now
 		g.winBytes = 0
 	}
-	if g.rate == 0 {
-		return
-	}
-	g.tokens += float64(g.rate) / 8 * dt.Seconds()
-	g.clamp()
-}
-
-func (g *Governor) clamp() {
-	g.tokens = min(g.tokens, float64(g.cfg.BurstBytes))
+	g.tokens = min(g.tokens+g.bytesPerSecond()*dt.Seconds(), float64(g.cfg.BurstBytes))
 }
 
 // Admit reports whether a fresh paint whose encoding is at most bound wire
-// bytes may be encoded and sent now: always for an ungoverned session;
-// under a grant when the tokens cover bound, or when no debt is
-// outstanding (tokens ≥ 0) and bound is at most burstCeiling — a paint
-// larger than what the bucket holds overdraws it once and the next waits
-// for the grant to pay that back. A refusal is counted; the caller owes
-// the paint instead.
+// bytes may be encoded and sent now: when the tokens cover bound, or when
+// no debt is outstanding (tokens ≥ 0) and bound is at most burstCeiling —
+// a paint larger than what the bucket holds overdraws it once and the next
+// waits for the grant to pay that back. A refusal is counted; the caller
+// owes the paint instead.
 func (g *Governor) Admit(now time.Duration, bound int) bool {
 	g.refill(now)
-	if g.rate == 0 || float64(bound) <= g.tokens || g.tokens >= 0 && bound <= burstCeiling {
+	if float64(bound) <= g.tokens || g.tokens >= 0 && bound <= burstCeiling {
 		return true
 	}
 	g.m.owedInc()
@@ -296,9 +299,7 @@ func (g *Governor) Admit(now time.Duration, bound int) bool {
 func (g *Governor) Submit(now time.Duration, it Item) SubmitResult {
 	g.refill(now)
 	bytes := it.Bytes()
-	if g.rate != 0 {
-		g.tokens -= float64(bytes)
-	}
+	g.tokens -= float64(bytes)
 	g.m.released(int64(bytes), it.Retransmit)
 	g.winBytes += int64(bytes)
 	g.pacedBytes += int64(bytes)
@@ -315,21 +316,20 @@ func (g *Governor) Release(time.Duration) []Packet { return nil }
 func (g *Governor) NextRelease(time.Duration) (time.Duration, bool) { return 0, false }
 
 // Tokens reports the whole bytes the bucket holds at now: negative while a
-// paint that overdrew it is being paid back. Ungoverned sends never charge
-// the bucket.
+// paint that overdrew it is being paid back.
 func (g *Governor) Tokens(now time.Duration) int {
 	g.refill(now)
 	return int(g.tokens)
 }
 
 // ReadyAt reports the instant the bucket will hold n bytes: now if it does
-// already, or if the session is ungoverned.
+// already.
 func (g *Governor) ReadyAt(now time.Duration, n int) time.Duration {
 	g.refill(now)
-	if g.rate == 0 || g.tokens >= float64(n) {
+	if g.tokens >= float64(n) {
 		return now
 	}
-	return now + time.Duration(math.Ceil((float64(n)-g.tokens)*8/float64(g.rate)*float64(time.Second)))
+	return now + time.Duration(math.Ceil((float64(n)-g.tokens)/g.bytesPerSecond()*float64(time.Second)))
 }
 
 // Reset starts the measured-demand window afresh — the attach path calls

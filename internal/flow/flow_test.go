@@ -15,18 +15,53 @@ func fillItem(seq uint32, r protocol.Rect, c protocol.Pixel) Item {
 	return Item{Seq: seq, Cmd: protocol.TypeFill, Msg: msg, Wire: protocol.Encode(nil, seq, msg)}
 }
 
-func TestUngovernedPassesThrough(t *testing.T) {
-	g := NewGovernor(Config{}, nil)
-	it := fillItem(1, protocol.Rect{W: 10, H: 10}, 0)
-	if !g.Admit(0, 1<<30) {
-		t.Fatal("an ungoverned governor refused a paint")
+// TestGovernorPacesFromItsFirstByte: a new governor holds a full burst
+// and refills at InitialBps before any grant arrives, so a paint larger
+// than it may overdraw the bucket by is refused and what is sent is
+// charged. A grant changes the rate and nothing else: it does not refill
+// the bucket.
+func TestGovernorPacesFromItsFirstByte(t *testing.T) {
+	g := NewGovernor(Config{InitialBps: 8000, BurstBytes: 1000}, nil) // 1000 bytes a second
+	if got := g.Tokens(0); got != 1000 {
+		t.Fatalf("a new governor holds %d tokens, want the 1000 B burst", got)
 	}
-	g.Submit(0, it)
-	if total, _ := g.PacedBytes(); total != int64(it.Bytes()) {
-		t.Fatalf("ungoverned submit charged %d bytes, want %d", total, it.Bytes())
+	if g.Admit(0, burstCeiling+1) {
+		t.Fatal("a governor with no grant yet admitted a paint larger than burstCeiling")
 	}
-	if tokens, at := g.Tokens(0), g.ReadyAt(0, 1<<20); tokens != 0 || at != 0 {
-		t.Fatalf("ungoverned bucket holds %d tokens, ready at %v; want 0 and now", tokens, at)
+	g.Submit(0, Item{Wire: make([]byte, 1000)})
+	if got := g.ReadyAt(0, 1000); got != time.Second {
+		t.Fatalf("a spent bucket refills at InitialBps by %v, want 1s", got)
+	}
+	g.SetGrant(0, 16000)
+	if got := g.Tokens(0); got != 0 {
+		t.Fatalf("a grant left %d tokens in a spent bucket, want 0: it only sets the rate", got)
+	}
+	if got := g.ReadyAt(0, 1000); got != 500*time.Millisecond {
+		t.Fatalf("a spent bucket refills at the grant by %v, want 500ms", got)
+	}
+}
+
+// TestZeroGrantPacesAtTheFloor: a zero fair share (§7: a console with
+// nothing left to give) neither lifts pacing nor wedges the session. A
+// 1 MB paint is refused, and a spent bucket refills at MinGrantBps, so
+// ReadyAt names a finite instant and a paint is admitted there.
+func TestZeroGrantPacesAtTheFloor(t *testing.T) {
+	r := obs.NewRegistry(obs.DomainWall)
+	g := NewGovernor(Config{BurstBytes: 1000}, NewMetrics(r, r.Labeled("session", "a")))
+	g.SetGrant(0, 0)
+	if g.Admit(0, 1<<20) {
+		t.Fatal("a zero grant admitted a 1 MB paint")
+	}
+	g.Submit(0, Item{Wire: make([]byte, 1000)})
+	at := g.ReadyAt(0, 1000)
+	if want := 1000 * 8 * time.Second / MinGrantBps; at != want {
+		t.Fatalf("a spent bucket under a zero grant holds a burst again at %v, want %v", at, want)
+	}
+	if !g.Admit(at, 1000) {
+		t.Fatal("refused a burst-sized paint when ReadyAt said the bucket holds it")
+	}
+	if got := r.Snapshot().Gauges[`slim_flow_grant_bps{session="a"}`]; got != 0 {
+		t.Fatalf("grant gauge = %d, want the console's 0", got)
 	}
 }
 
@@ -40,9 +75,6 @@ func TestUngovernedPassesThrough(t *testing.T) {
 func TestAdmitHoldsTheQueueToABurst(t *testing.T) {
 	r := obs.NewRegistry(obs.DomainWall)
 	g := NewGovernor(Config{BurstBytes: 1000}, NewMetrics(r, r.Labeled("session", "a")))
-	if !g.Admit(0, 1<<30) {
-		t.Fatal("an ungoverned governor refused a paint")
-	}
 	g.SetGrant(0, 8000) // 1000 bytes a second
 	const frame = 59 << 10
 	if !g.Admit(0, 1000) || !g.Admit(0, frame) || g.Admit(0, burstCeiling+1) {
@@ -57,7 +89,7 @@ func TestAdmitHoldsTheQueueToABurst(t *testing.T) {
 	}
 }
 
-// TestGrantQueuesAndPaces: under a grant the first burst leaves at once,
+// TestGrantQueuesAndPaces: under a grant a full bucket's burst leaves at once,
 // what Submit charges comes out of the tokens at once, and the debt a
 // larger paint runs up is paid back at the grant's pace — ReadyAt names
 // the instant, and the next paint waits for it.
@@ -65,7 +97,7 @@ func TestGrantQueuesAndPaces(t *testing.T) {
 	g := NewGovernor(Config{BurstBytes: 1000}, nil)
 	g.SetGrant(0, 8000) // 1000 bytes a second
 	if got := g.Tokens(0); got != 1000 {
-		t.Fatalf("a first grant fills the bucket to %d tokens, want the 1000 B burst", got)
+		t.Fatalf("the bucket holds %d tokens, want the 1000 B burst", got)
 	}
 	const frame = 59 << 10
 	g.Submit(0, Item{Wire: make([]byte, frame)})
@@ -168,11 +200,10 @@ func TestMetricsPublish(t *testing.T) {
 	}
 }
 
-// TestUngovernedZeroAlloc pins the governor's allocation count at zero:
-// ungoverned, governed while sending under its grant, and governed while
-// refusing. Nothing it does per command may allocate; the benchmarks in
+// TestGovernorZeroAlloc pins the governor's allocation count at zero:
+// sending before any grant, sending under its grant, and refusing. Nothing it does per command may allocate; the benchmarks in
 // bench guard it over time.
-func TestUngovernedZeroAlloc(t *testing.T) {
+func TestGovernorZeroAlloc(t *testing.T) {
 	it := fillItem(1, protocol.Rect{W: 8, H: 8}, 1)
 	r := obs.NewRegistry(obs.DomainWall)
 	send := func(g *Governor, now *time.Duration) func() {
@@ -185,7 +216,7 @@ func TestUngovernedZeroAlloc(t *testing.T) {
 	}
 	var now time.Duration
 	if allocs := testing.AllocsPerRun(1000, send(NewGovernor(Config{}, nil), &now)); allocs != 0 {
-		t.Fatalf("ungoverned admit+submit allocates %.1f per op, want 0", allocs)
+		t.Fatalf("admit+submit before a grant allocates %.1f per op, want 0", allocs)
 	}
 	granted := NewGovernor(Config{}, NewMetrics(r, r.Labeled("session", "a")))
 	granted.SetGrant(0, 1<<30)
@@ -200,17 +231,6 @@ func TestUngovernedZeroAlloc(t *testing.T) {
 	refusing.Submit(0, it)
 	if allocs := testing.AllocsPerRun(1000, func() { refusing.Admit(0, it.Bytes()) }); allocs != 0 {
 		t.Fatalf("a governed refusal allocates %.1f per call, want 0", allocs)
-	}
-}
-
-func BenchmarkSubmitUngoverned(b *testing.B) {
-	g := NewGovernor(Config{}, nil)
-	it := fillItem(1, protocol.Rect{W: 8, H: 8}, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if g.Admit(0, it.Bytes()) {
-			g.Submit(0, it)
-		}
 	}
 }
 
@@ -229,13 +249,13 @@ func BenchmarkSubmitGoverned(b *testing.B) {
 }
 
 func TestPacedBytesAccounting(t *testing.T) {
-	// Ungoverned pass-throughs count immediately.
+	// Sends count as they are charged, before any grant too.
 	g := NewGovernor(Config{}, nil)
 	it := fillItem(1, protocol.Rect{W: 4, H: 4}, 1)
 	size := int64(it.Bytes())
 	g.Submit(0, it)
 	if total, retrans := g.PacedBytes(); total != size || retrans != 0 {
-		t.Fatalf("pass-through paced = (%d, %d), want (%d, 0)", total, retrans, size)
+		t.Fatalf("paced before a grant = (%d, %d), want (%d, 0)", total, retrans, size)
 	}
 	rt := fillItem(2, protocol.Rect{X: 10, W: 4, H: 4}, 1)
 	rt.Retransmit = true
@@ -244,15 +264,17 @@ func TestPacedBytesAccounting(t *testing.T) {
 		t.Fatalf("retransmit paced = (%d, %d), want (%d, %d)", total, retrans, 2*size, size)
 	}
 
-	// Governed: bytes count as they are sent, and come out of the tokens.
-	g = NewGovernor(Config{BurstBytes: int(size)}, nil)
-	g.SetGrant(0, 8*uint64(size)) // size bytes/s: one command per second
-	g.Submit(0, fillItem(1, protocol.Rect{W: 4, H: 4}, 1))
-	if total, _ := g.PacedBytes(); total != size || g.Tokens(0) != 0 {
-		t.Fatalf("paced after a burst's send = %d with %d tokens left, want %d and 0", total, g.Tokens(0), size)
+	// Under a grant: bytes count as they are sent, and come out of the
+	// tokens.
+	const cmd = 1000
+	g = NewGovernor(Config{BurstBytes: cmd}, nil)
+	g.SetGrant(0, 8*cmd) // cmd bytes/s: one command per second
+	g.Submit(0, Item{Wire: make([]byte, cmd)})
+	if total, _ := g.PacedBytes(); total != cmd || g.Tokens(0) != 0 {
+		t.Fatalf("paced after a burst's send = %d with %d tokens left, want %d and 0", total, g.Tokens(0), cmd)
 	}
-	if g.ReadyAt(0, int(size)) != time.Second {
-		t.Fatalf("the next command may leave at %v, want 1s", g.ReadyAt(0, int(size)))
+	if g.ReadyAt(0, cmd) != time.Second {
+		t.Fatalf("the next command may leave at %v, want 1s", g.ReadyAt(0, cmd))
 	}
 }
 

@@ -67,8 +67,8 @@ func TestFlowGrantPacesTraffic(t *testing.T) {
 	if err := s.Handle("c1", &protocol.BandwidthGrant{SessionID: sess.ID, Bps: 8_000}, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The first grant fills the burst bucket; the first keystrokes spend
-	// it, the rest of the flood is owed.
+	// The blank attach left most of the burst in the bucket; the first
+	// keystrokes spend it, the rest of the flood is owed.
 	for i := 0; i < 400; i++ {
 		if err := s.Handle("c1", &protocol.KeyEvent{Code: uint16('a' + i%26), Down: true}, 0); err != nil {
 			t.Fatal(err)
@@ -159,18 +159,20 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	gen2.Caps = protocol.CapCachePaint
 	// The session starts on a blank screen, one FILL per tile row. Then
 	// its screen is noise, and four attaches of it, 5,120 commands each,
-	// push the first attach out of the 16,384-record sent log. None has a
-	// grant: each is paid in the call.
+	// push the first attach out of the 16,384-record sent log. Each is
+	// paid at the demand it requests before the next.
 	if err := s.Handle("c1", gen2, 0); err != nil {
 		t.Fatal(err)
 	}
 	sess := s.SessionByUser("alice")
 	first := sess.Encoder.LastSeq()
 	noiseScreen(sess)
+	now := time.Duration(0)
 	for i := 0; i < 4; i++ {
-		if err := s.Handle("c1", gen2, 0); err != nil {
+		if err := s.Handle("c1", gen2, now); err != nil {
 			t.Fatal(err)
 		}
+		now = drain(t, s, now, 10*time.Millisecond)
 	}
 	last := sess.Encoder.LastSeq()
 	if last-first != 4*tiles {
@@ -187,8 +189,9 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 		&protocol.Nack{From: 1, To: 1},
 		&protocol.Status{LastSeq: last - 612})
 	before := len(tr.sizes)
+	now += time.Second
 	for _, msg := range storm {
-		if err := s.Handle("c1", msg, time.Second); err != nil {
+		if err := s.Handle("c1", msg, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +204,7 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	if burst := sess.Governor().Config().BurstBytes; sent > burst+tileWire {
 		t.Errorf("the storm sent %d bytes at once, more than a burst of %d and a tile", sent, burst)
 	}
-	drain(t, s, time.Second, 100*time.Millisecond)
+	drain(t, s, now, 100*time.Millisecond)
 	if cost := sess.Encoder.LastSeq() - last; cost < tiles || cost > tiles+64 {
 		t.Errorf("the storm cost %d commands, want one screen of %d and at most 64 more", cost, tiles)
 	}
@@ -353,14 +356,16 @@ func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
 		'c': core.ScrollOp{Rect: from, DX: to.X - from.X, DY: to.Y - from.Y},
 	}
 	tr := newMemTransport()
-	// A one-byte bucket at one byte a second: the first command after the
-	// grant leaves and overdraws it, every later one is owed.
+	// A one-byte bucket: the attach is paid a tile at a time, and while
+	// the clock stands the first command after the grant leaves and
+	// overdraws it, every later one is owed.
 	s := New(tr, func(string, int, int) Application { return app }, WithTelemetry(telemetry.New(obs.DomainWall)),
 		WithFlowControl(flow.Config{InitialBps: 1_000_000, BurstBytes: 1}))
 	s.Auth.Register("card-alice", "alice")
 	if err := s.Handle("c1", hello(64, 64, "card-alice"), 0); err != nil {
 		t.Fatal(err)
 	}
+	now := drain(t, s, 0, time.Millisecond) + time.Second
 	sess := s.SessionByUser("alice")
 	lost := sess.Encoder.LastSeq() + 1 // 'a', which leaves on the full bucket
 	for _, msg := range []protocol.Message{
@@ -370,7 +375,7 @@ func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
 		&protocol.Nack{From: lost, To: lost},
 		&protocol.KeyEvent{Code: 'c', Down: true},
 	} {
-		if err := s.Handle("c1", msg, 0); err != nil {
+		if err := s.Handle("c1", msg, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +392,7 @@ func TestCopyOfOwedPixelsIsOwed(t *testing.T) {
 	if owed.Area() != to.Pixels() || owed.Bounds() != to {
 		t.Fatalf("owed %v, want the lost fill's rect, the owed fill's and the COPY's destination", s.Owed("alice"))
 	}
-	drain(t, s, time.Hour, time.Hour)
+	drain(t, s, now+time.Hour, time.Hour)
 	screen := fb.New(64, 64)
 	for _, wire := range tr.sent["c1"] {
 		seq, msg, _, err := protocol.Decode(wire)

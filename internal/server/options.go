@@ -81,8 +81,5 @@ func ResolveOptions(opts ...Option) Resolved {
 // Zero-value fields take the flow package defaults, derived from the
 // published Sun Ray 1 cost model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {
-	return func(s *Server) {
-		cfg.Enabled = true
-		s.flowCfg = &cfg
-	}
+	return func(s *Server) { s.flowCfg = &cfg }
 }

@@ -141,7 +141,10 @@ type Server struct {
 
 type consoleState struct {
 	w, h int
-	caps uint16 // capability bits from the console's Hello
+	// gen2 says whether an attachment here negotiates the gen-2 tile
+	// cache: the server is armed (WithCodec2) and the console advertised
+	// CapCachePaint in its Hello.
+	gen2 bool
 	// sess is the session the console shows, nil on the login screen. It
 	// is set exactly while that session's Console names this console.
 	sess *Session
@@ -364,7 +367,8 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		// A Hello means the console rebooted: whatever it was showing is
 		// gone from it, card or no card.
 		s.detachConsoleLocked(console)
-		s.consoles[console] = &consoleState{w: int(m.Width), h: int(m.Height), caps: m.Caps}
+		s.consoles[console] = &consoleState{w: int(m.Width), h: int(m.Height),
+			gen2: s.codec2 && m.Caps&protocol.CapCachePaint != 0}
 		if m.CardToken != "" {
 			if err := s.attachByToken(out, console, m.CardToken, now); err != nil {
 				return err
@@ -427,13 +431,14 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 
 // handleStatus feeds a console's STATUS to telemetry and pumps the
 // session. It judges the STATUS only on a quiet line — nothing sent for a
-// heartbeat, nothing owed — where it describes all the
-// console will get. There a grown decode-drop counter (overload, §4.3) or
-// a LastSeq of 0 (a reboot: the console holds nothing of the session,
-// §2.2) owes the whole screen; a LastSeq trailing the last sequence sent
-// is a lost tail, the one hole the console cannot settle itself, and owes
-// what the sent log says it cost. A verdict keeps the line busy until it
-// is paid and a heartbeat has passed, so none can storm. Callers hold s.mu.
+// heartbeat, nothing owed — where it describes all the console will get.
+// There a LastSeq of 0 (a reboot: the console holds nothing of the
+// session, §2.2, not even which session it shows) attaches the session
+// to it again; a grown decode-drop counter (overload, §4.3) owes the whole
+// screen; a LastSeq trailing the last sequence sent is a lost tail, the
+// one hole the console cannot settle itself, and owes what the sent log
+// says it cost. A verdict keeps the line busy until it is paid and a
+// heartbeat has passed, so none can storm. Callers hold s.mu.
 func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Status, now time.Duration) error {
 	cs := s.consoles[console]
 	sess := cs.sess
@@ -447,12 +452,15 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 	if now-sess.lastSend >= heartbeat && sess.damage.Empty() {
 		lost := st.Dropped > cs.dropped
 		cs.dropped = st.Dropped
-		if last := sess.Encoder.LastSeq(); lost || st.LastSeq == 0 {
-			if s.log != nil {
-				s.log.Warn("display state lost; recovery repaint", "console", console, "session", sess.ID, "drops", lost)
-			}
+		if s.log != nil && (lost || st.LastSeq == 0) {
+			s.log.Warn("display state lost; recovery repaint", "console", console, "session", sess.ID, "drops", lost)
+		}
+		switch last := sess.Encoder.LastSeq(); {
+		case st.LastSeq == 0:
+			sess.attach(out, console, cs.gen2, now)
+		case lost:
 			sess.oweScreen()
-		} else if st.LastSeq < last {
+		case st.LastSeq < last:
 			sess.oweNack(protocol.Nack{From: st.LastSeq + 1, To: last})
 		}
 	}
@@ -546,10 +554,7 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 		s.log.Info("session attached",
 			"user", user, "session", sess.ID, "console", console, "reconnect", reconnect)
 	}
-	// The gen-2 tile cache is negotiated per attachment: only when the
-	// server is armed (WithCodec2) and this console advertised
-	// CapCachePaint in its Hello.
-	sess.attach(out, console, s.codec2 && cs.caps&protocol.CapCachePaint != 0, now)
+	sess.attach(out, console, cs.gen2, now)
 	return nil
 }
 

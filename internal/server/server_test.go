@@ -423,8 +423,9 @@ func TestServerStatusIgnoredWithoutSession(t *testing.T) {
 
 // TestStatusVerdictOnAQuietLine: a STATUS is judged only on a quiet line —
 // nothing sent for a heartbeat, nothing owed or queued. There a grown drop
-// counter, or a LastSeq of 0 (a rebooted console holds nothing of the
-// session), owes the screen once, and the repaint restores it exactly. The
+// counter owes the screen once, and a LastSeq of 0 (a rebooted console
+// holds nothing of the session, not even which one it shows) attaches the
+// session again; either repaint restores the screen exactly. The
 // same STATUS on a busy line owes nothing, and neither does a second
 // verdict before the line is quiet again.
 func TestStatusVerdictOnAQuietLine(t *testing.T) {
@@ -463,13 +464,22 @@ func TestStatusVerdictOnAQuietLine(t *testing.T) {
 			if len(repaint) == 0 {
 				t.Fatal("the verdict on a quiet line drew no repaint")
 			}
-			screen := fb.New(64, 64)
+			screen, attached := fb.New(64, 64), false
 			for _, wire := range repaint {
-				if _, msg, _, err := protocol.Decode(wire); err != nil {
-					t.Fatal(err)
-				} else if err := screen.Apply(msg); err != nil {
+				_, msg, _, err := protocol.Decode(wire)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if !msg.Type().IsDisplay() {
+					attached = attached || msg.Type() == protocol.TypeSessionAttach
+					continue
+				}
+				if err := screen.Apply(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if attached != (c.dropped == 0) {
+				t.Errorf("the verdict sent a SessionAttach: %v; want one for a reboot alone", attached)
 			}
 			if !screen.Equal(sess.Encoder.FB) {
 				t.Error("the recovery repaint does not restore the screen")

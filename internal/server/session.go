@@ -224,35 +224,31 @@ func (sess *Session) pieceBytes() int {
 }
 
 // repay sends what the session owes, repainted from the frame buffer as it
-// is now: all at once for an ungoverned session or one with no grant yet;
-// under a grant in pieces cut to the bucket's tokens while they cover
-// pieceBytes, at most half a burst per call (a whole bucket handed to the
-// socket at once overruns a slow console's receive buffer, and what that
-// loses comes back as debt). A debt it leaves raises FlowPending, and
-// PumpFlows names the instant the bucket will pay the next piece.
+// is now: all at once for an ungoverned session; for a governed one —
+// first attach, restored and migrated screens included — in pieces cut to
+// the bucket's tokens while they cover pieceBytes, at most half a burst per
+// call (a whole bucket handed to the socket at once overruns a slow
+// console's receive buffer, and what that loses comes back as debt). A
+// debt it leaves raises FlowPending, and PumpFlows names the instant the
+// bucket will pay the next piece.
 func (sess *Session) repay(out *[]outbound, now time.Duration) {
-	paced := sess.gov != nil && sess.gov.Grant() != 0
-	var floor int // the tokens this call stops at
-	if paced {
-		floor = sess.gov.Tokens(now) - max(sess.gov.Config().BurstBytes/2, sess.pieceBytes())
-	}
-	for !sess.damage.Empty() {
-		pay := sess.damage.Rects()
-		if paced {
-			tokens := sess.gov.Tokens(now)
-			if tokens < sess.pieceBytes() || tokens <= floor {
-				sess.flowPending.Store(true)
-				return
-			}
-			pay = pay[:1]
-			pay[0] = piece(sess.Encoder, pay[0], tokens-max(floor, 0))
-			sess.damage.Subtract(pay[0])
-		} else {
-			sess.damage.Clear()
-		}
-		for _, r := range pay {
+	if sess.gov == nil {
+		for _, r := range sess.damage.Rects() {
 			sess.submit(out, sess.Encoder.Repaint(r), now, true)
 		}
+		sess.damage.Clear()
+		return
+	}
+	floor := sess.gov.Tokens(now) - max(sess.gov.Config().BurstBytes/2, sess.pieceBytes()) // where this call stops
+	for !sess.damage.Empty() {
+		tokens := sess.gov.Tokens(now)
+		if tokens < sess.pieceBytes() || tokens <= floor {
+			sess.flowPending.Store(true)
+			return
+		}
+		r := piece(sess.Encoder, sess.damage.Rects()[0], tokens-max(floor, 0))
+		sess.damage.Subtract(r)
+		sess.submit(out, sess.Encoder.Repaint(r), now, true)
 	}
 }
 

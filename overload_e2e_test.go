@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"crypto/sha256"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -368,35 +369,48 @@ func runOverload(t *testing.T, governed bool, kit *TelemetryKit, spool io.Writer
 	return res
 }
 
-// replayOverload runs the scenario twice in one mode, each run on its own
-// telemetry kit and capture, and fails unless the second replays the first:
-// the same latencies, stale inputs, link drops and frames, and the same
-// digest of everything that crossed the wire. It returns the first run and
-// its kit.
-func replayOverload(t *testing.T, governed bool) (overloadResult, *TelemetryKit) {
+// replayOverload runs the scenario twice in each mode, each run on its own
+// telemetry kit and capture, and fails unless each mode's second run
+// replays its first: the same latencies, stale inputs, link drops and
+// frames, and the same digest of everything that crossed the wire. The
+// four runs share nothing, so they run side by side (as many at once as
+// -parallel allows): nearly all of a run's time is the video sessions'
+// CSCS codec, which the race detector slows about tenfold. It returns
+// each mode's first run and the governed one's kit.
+func replayOverload(t *testing.T) (off, on overloadResult, kitOn *TelemetryKit) {
 	t.Helper()
-	var runs [2]overloadResult
-	var kits [2]*TelemetryKit
-	var digests [2][]byte
-	for i := range runs {
-		d := sha256.New()
-		kits[i] = NewTelemetry()
-		runs[i] = runOverload(t, governed, kits[i], d)
-		digests[i] = d.Sum(nil)
+	var runs [4]overloadResult // off, off, on, on
+	var kits [4]*TelemetryKit
+	var digests [4][]byte
+	t.Run("runs", func(t *testing.T) {
+		for i := range runs {
+			governed := i >= 2
+			t.Run(fmt.Sprintf("governed=%v#%d", governed, i%2), func(t *testing.T) {
+				t.Parallel()
+				d := sha256.New()
+				kits[i] = NewTelemetry()
+				runs[i] = runOverload(t, governed, kits[i], d)
+				digests[i] = d.Sum(nil)
+			})
+		}
+	})
+	if t.Failed() {
+		t.FailNow()
 	}
-	a, b := runs[0], runs[1]
-	if !slices.Equal(a.latencies, b.latencies) || a.stale != b.stale || a.linkDrops != b.linkDrops ||
-		a.frames != b.frames || a.captured != b.captured || !bytes.Equal(digests[0], digests[1]) {
-		t.Errorf("governed=%v does not replay: p95 %v/%v, %d/%d painted, %d/%d stale, %d/%d link drops, %d/%d frames, %d/%d captured, capture digests equal: %v",
-			governed, a.p95, b.p95, len(a.latencies), len(b.latencies), a.stale, b.stale, a.linkDrops, b.linkDrops,
-			a.frames, b.frames, a.captured, b.captured, bytes.Equal(digests[0], digests[1]))
+	for i := 0; i < len(runs); i += 2 {
+		a, b := runs[i], runs[i+1]
+		if !slices.Equal(a.latencies, b.latencies) || a.stale != b.stale || a.linkDrops != b.linkDrops ||
+			a.frames != b.frames || a.captured != b.captured || !bytes.Equal(digests[i], digests[i+1]) {
+			t.Errorf("governed=%v does not replay: p95 %v/%v, %d/%d painted, %d/%d stale, %d/%d link drops, %d/%d frames, %d/%d captured, capture digests equal: %v",
+				i >= 2, a.p95, b.p95, len(a.latencies), len(b.latencies), a.stale, b.stale, a.linkDrops, b.linkDrops,
+				a.frames, b.frames, a.captured, b.captured, bytes.Equal(digests[i], digests[i+1]))
+		}
 	}
-	return a, kits[0]
+	return runs[0], runs[2], kits[2]
 }
 
 func TestOverloadGovernorDegradesGracefully(t *testing.T) {
-	off, _ := replayOverload(t, false)
-	on, kitOn := replayOverload(t, true)
+	off, on, kitOn := replayOverload(t)
 	regOn, recOn := kitOn.Registry, kitOn.Flight
 
 	t.Logf("governor off: p95=%v inputs=%d stale=%d linkDrops=%d frames=%d",

@@ -1,6 +1,8 @@
 package slim
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/protocol"
+	"slim/internal/server"
 )
 
 // Recovery is one owed region (server.Session's damage), paid from the
@@ -81,6 +84,176 @@ func TestHotdeskUnderGrantIsPaced(t *testing.T) {
 	}
 	if n := consoles.Counter("slim_console_nacks_total").Value(); n != 0 {
 		t.Errorf("the consoles sent %d NACKs on a fabric that drops nothing", n)
+	}
+	if !con.Framebuffer().Equal(sess.Encoder.FB) {
+		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+		t.Errorf("console differs from the session's frame buffer in %d pixels after the debt was paid", n)
+	}
+}
+
+// TestRestoredScreenIsPaced: a governor paces from its first byte, so a
+// screen that arrives with its session — imported from another server,
+// loaded from a state file, or migrated by a broker — is owed at attach
+// and paid at the grant's pace like a hotdesk's. The restored 640×480 of
+// noise (900 KB) leaves at most one burst in the call that attaches it,
+// and once the debt is paid the console, which never had a gap to NACK,
+// is pixel-equal to the session. (Before, the governor let everything
+// through until the console's first grant, and the attach call sent all
+// 940,800 B on a 1 Mbit/s console.)
+func TestRestoredScreenIsPaced(t *testing.T) {
+	const w, h = 640, 480
+	// noisy returns a snapshot of alice's session painted with noise, and
+	// the state file of the server it was taken from.
+	noisy := func(t *testing.T) (*server.SessionSnapshot, *bytes.Buffer) {
+		fabric := NewFabric()
+		src := NewServer(fabric, WithTerminalApp(), WithTelemetry(NewTelemetry()))
+		src.Auth.Register("card-alice", "alice")
+		con, err := NewConsole(ConsoleConfig{Width: w, Height: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach("desk-0", con, src)
+		if err := fabric.Boot("desk-0", "card-alice"); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(37))
+		for i, pix := 0, src.SessionByUser("alice").Encoder.FB.Pix; i < len(pix); i++ {
+			pix[i] = Pixel(rng.Uint32() & 0xffffff)
+		}
+		var state bytes.Buffer
+		if err := src.SaveSessions(&state); err != nil {
+			t.Fatal(err)
+		}
+		sn, err := src.ExportSession("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn, &state
+	}
+	// desk boots a 1 Mbit/s console at a fabric desk without a card.
+	desk := func(t *testing.T, fabric *Fabric, srv SessionHandler, reg *obs.Registry) *Console {
+		con, err := NewConsole(ConsoleConfig{Width: w, Height: h, TotalBps: 1_000_000, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach("desk-1", con, srv)
+		return con
+	}
+	// paced checks the attach that just returned, then pays the debt.
+	paced := func(t *testing.T, fabric *Fabric, srv *Server, con *Console, reg *obs.Registry) {
+		sess := srv.SessionByUser("alice")
+		sent, _ := sess.Governor().PacedBytes()
+		if burst := sess.Governor().Config().BurstBytes; sent > int64(burst) {
+			t.Errorf("the attach call sent %d bytes of the restored screen, more than a burst of %d", sent, burst)
+		}
+		pumpQuiet(t, fabric, srv, sess, 20*time.Millisecond, time.Second)
+		if n := reg.Counter("slim_console_nacks_total").Value(); n != 0 {
+			t.Errorf("the console sent %d NACKs on a fabric that drops nothing", n)
+		}
+		if !con.Framebuffer().Equal(sess.Encoder.FB) {
+			n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
+			t.Errorf("console differs from the restored frame buffer in %d pixels after the debt was paid", n)
+		}
+	}
+	restore := map[string]func(*Server, *server.SessionSnapshot, *bytes.Buffer) error{
+		"ImportSession": func(s *Server, sn *server.SessionSnapshot, _ *bytes.Buffer) error { return s.ImportSession(sn) },
+		"LoadSessions":  func(s *Server, _ *server.SessionSnapshot, state *bytes.Buffer) error { return s.LoadSessions(state) },
+	}
+	for _, name := range []string{"ImportSession", "LoadSessions"} {
+		t.Run(name, func(t *testing.T) {
+			sn, state := noisy(t)
+			fabric, reg := NewFabric(), obs.NewRegistry(obs.DomainWall)
+			srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+			srv.Auth.Register("card-alice", "alice")
+			if err := restore[name](srv, sn, state); err != nil {
+				t.Fatal(err)
+			}
+			con := desk(t, fabric, srv, reg)
+			if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+				t.Fatal(err)
+			}
+			paced(t, fabric, srv, con, reg)
+		})
+	}
+	t.Run("MigrateUser", func(t *testing.T) {
+		fabric, reg := NewFabric(), obs.NewRegistry(obs.DomainWall)
+		b, err := NewBroker(context.Background(), BrokerConfig{Shards: 2}, fabric,
+			WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		b.Register(TokenOf("card-alice"), "alice")
+		con := desk(t, fabric, b, reg)
+		if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+			t.Fatal(err)
+		}
+		home, _ := b.Locate("alice")
+		pumpQuiet(t, fabric, b.Shard(home), b.SessionByUser("alice"), 20*time.Millisecond, time.Second)
+		rng := rand.New(rand.NewSource(37))
+		for i, pix := 0, b.SessionByUser("alice").Encoder.FB.Pix; i < len(pix); i++ {
+			pix[i] = Pixel(rng.Uint32() & 0xffffff)
+		}
+		if err := b.MigrateUser("alice", 1-home, fabric.Now()); err != nil {
+			t.Fatal(err)
+		}
+		paced(t, fabric, b.Shard(1-home), con, reg)
+	})
+}
+
+// TestZeroGrantNeitherFloodsNorWedges: a console with nothing left to give
+// grants a zero fair share (§7), and the session it shows is paced at
+// flow.MinGrantBps: a 900 KB recovery repaint is owed, not sent in the
+// call that owed it, and is paid, a kilobyte a second, to pixel equality.
+// (A zero grant used to lift pacing altogether.)
+func TestZeroGrantNeitherFloodsNorWedges(t *testing.T) {
+	fabric, reg := NewFabric(), obs.NewRegistry(obs.DomainWall)
+	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+	srv.Auth.Register("card-alice", "alice")
+	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TotalBps: 1_000_000, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabric.Attach("desk-1", con, srv)
+	if err := fabric.Boot("desk-1", "card-alice"); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.SessionByUser("alice")
+	// A session on another server asks the console for its whole link.
+	// It asks less than alice's demand, so the allocator grants it first
+	// and alice's share of what is left is 0.
+	replies, err := con.Handle(0, &protocol.BandwidthRequest{SessionID: 1<<24 + 1, Bps: 1_000_000}, fabric.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wire := range replies {
+		if err := srv.HandleDatagram("desk-1", wire, fabric.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sess.Governor().Grant(); got != 0 {
+		t.Fatalf("alice was granted %d bit/s, want the zero share", got)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for i := range sess.Encoder.FB.Pix {
+		sess.Encoder.FB.Pix[i] = Pixel(rng.Uint32() & 0xffffff)
+	}
+	// On a quiet line, the console reports it holds nothing.
+	fabric.SetClock(fabric.Now() + time.Second)
+	before, _ := sess.Governor().PacedBytes()
+	if err := srv.Handle("desk-1", &protocol.Status{}, fabric.Now()); err != nil {
+		t.Fatal(err)
+	}
+	sent, _ := sess.Governor().PacedBytes()
+	if burst := sess.Governor().Config().BurstBytes; sent-before > int64(burst) {
+		t.Errorf("the zero-granted repaint sent %d bytes at once, more than a burst of %d", sent-before, burst)
+	}
+	pumpQuiet(t, fabric, srv, sess, time.Second, 5*time.Second)
+	if got := sess.Governor().Grant(); got != 0 {
+		t.Errorf("the grant moved to %d bit/s while the debt was paid; the floor was not what paid it", got)
+	}
+	if n := reg.Counter("slim_console_nacks_total").Value(); n != 0 {
+		t.Errorf("the console sent %d NACKs on a fabric that drops nothing", n)
 	}
 	if !con.Framebuffer().Equal(sess.Encoder.FB) {
 		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
