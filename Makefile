@@ -78,13 +78,15 @@ bench-json:
 # observe path — disabled AND enabled — the §5.4 frame packer, the
 # flow governor ungoverned, sending under a grant and refusing, the
 # flight recorder and the capture tap disabled and enabled, and the
-# server's burst flush; at most 8 per 42-byte fabric echo end to end),
+# server's burst flush; at most 8 per 42-byte fabric echo end to end, and
+# a governed blank 640x480 gen-2 attach at most 16 more than an ungoverned
+# one),
 # and the memory budgets: a tile cache holds only the slots it has
 # filled, the encoder retains no wire bytes, a 640x480 gen-2 session is
 # its two frame buffers plus at most 1 MiB. Run without -race: the race
 # detector's instrumentation allocates and shadows the heap, so these
 # tests skip themselves under it and `make race` never runs them.
-ALLOC_TESTS = ZeroAlloc|Heap|RetainsNo|AllocsPerEcho|AllocatesNothing|ReusesSlotStorage|FlushGroupsRunsPerConsole
+ALLOC_TESTS = ZeroAlloc|Heap|RetainsNo|AllocsPerEcho|AllocatesNothing|ReusesSlotStorage|FlushGroupsRunsPerConsole|PacedAttachAllocs
 alloc-guard:
 	$(GO) test -run '$(ALLOC_TESTS)' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/server/
 
@@ -211,28 +213,31 @@ ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke co
 cover:
 	$(GO) test -cover ./...
 
-# The 60-second CI fuzz smoke, split between the message decoder, the §5.4
+# The 70-second CI fuzz smoke, split between the message decoder, the §5.4
 # frame packer, the three entry points the transports feed raw datagrams
-# into (console, server, and the broker under spoofed sources), and the
-# evidence reader (`slimtrace explain` over an arbitrary capture or dump file; its
-# tables iterate maps, so coverage varies run to run and the minimizer is
-# capped or it eats the whole budget).
+# into (console, server, and the broker under spoofed sources), the session
+# state file (`LoadSessions` over arbitrary bytes), and the evidence reader
+# (`slimtrace explain` over an arbitrary capture or dump file; its tables
+# iterate maps, so coverage varies run to run and the minimizer is capped
+# or it eats the whole budget).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run xxx -fuzz FuzzPackFrames -fuzztime 10s ./internal/protocol/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 10s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzBrokerHandleDatagram -fuzztime 10s ./internal/broker/
+	$(GO) test -run xxx -fuzz FuzzLoadSessions -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzExplainInput -fuzztime 10s -fuzzminimizetime 20x ./cmd/slimtrace/
 
 # Brief fuzz passes over the wire-format decoders, the frame packer, the
-# endpoints' and the broker's raw datagram entry points and the evidence
-# reader.
+# endpoints' and the broker's raw datagram entry points, the session state
+# file and the evidence reader.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzExplainInput -fuzztime 30s -fuzzminimizetime 20x ./cmd/slimtrace/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 30s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 30s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzBrokerHandleDatagram -fuzztime 30s ./internal/broker/
+	$(GO) test -run xxx -fuzz FuzzLoadSessions -fuzztime 30s ./internal/server/
 	$(GO) test -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeBatch$$' -fuzztime 30s ./internal/protocol/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 30s ./internal/protocol/

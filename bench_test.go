@@ -6,6 +6,7 @@
 package slim_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -506,11 +507,7 @@ func BenchmarkAblation_LossRecovery(b *testing.B) {
 			if !ok {
 				b.Fatal("the latest sequence number aged out")
 			}
-			n := 0
-			for _, r := range damage.Rects() {
-				n += len(enc.Repaint(r))
-			}
-			if n == 0 {
+			if len(enc.Repay(&damage, math.MaxInt)) == 0 {
 				b.Fatal("no recovery")
 			}
 		}

@@ -34,7 +34,7 @@ var clockReads = []struct {
 	{"internal/server/server.go", "Server.Handle", 2, "a drawing input's arrival and the end of its flush: the input-to-paint histograms, the SLO and the INPUT stamp"},
 	{"internal/server/server.go", "Server.flush", 1, "the TX stamp, read only while the flight ring is armed"},
 	{"internal/core/encoder.go", "Encoder.Encode", 2, "the encode-time histogram and the ENCODE stamp"},
-	{"internal/core/encoder.go", "Encoder.Repaint", 1, "a repaint's ENCODE stamp, read only while the flight ring is armed"},
+	{"internal/core/encoder.go", "Encoder.Repay", 1, "a repayment's ENCODE stamp, read only while the flight ring is armed"},
 	{"internal/console/console.go", "Console.handleLocked", 2, "a display command's arrival and applied instants: the decode histograms and the RX and PAINT stamps"},
 	{"internal/broker/broker.go", "Broker.attach", 2, "the fleet's reattach-latency histogram"},
 }

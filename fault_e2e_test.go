@@ -250,7 +250,7 @@ func freshRepaint(src *fb.Framebuffer, gen2 bool) []Datagram {
 	if gen2 {
 		enc.EnableCodec2(0)
 	}
-	return enc.Repaint(enc.FB.Bounds())
+	return enc.RepaintAll()
 }
 
 // faultOp draws an op of at most a quarter of the screen.

@@ -2,10 +2,12 @@ package console
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"slim/internal/core"
+	"slim/internal/fb"
 	"slim/internal/obs"
 	"slim/internal/protocol"
 )
@@ -314,9 +316,7 @@ func TestCachePaintMissSelfHeals(t *testing.T) {
 				next = append(next, feedAll(t, con, enc.RepaintAll())...)
 				continue
 			}
-			for _, r := range damage.Rects() {
-				next = append(next, feedAll(t, con, enc.Repaint(r))...)
-			}
+			next = append(next, feedAll(t, con, enc.Repay(&damage, math.MaxInt))...)
 		}
 		nacks = next
 	}
@@ -372,6 +372,13 @@ func TestCacheHitDecodeTaggedDistinct(t *testing.T) {
 // cache generation — the server's mirror counts on the tiles the repaint
 // has cached, and every CACHE_PAINT after the ack would otherwise miss.
 // An ack naming any other session still starts clean.
+// repaint is the encoder's unbounded repayment of the one rect r.
+func repaint(enc *core.Encoder, r protocol.Rect) []core.Datagram {
+	var d fb.Region
+	d.Add(r)
+	return enc.Repay(&d, math.MaxInt)
+}
+
 func TestHelloAckKeepsTheSessionsTiles(t *testing.T) {
 	c, reg := codec2Console(t, 64, 64)
 	enc := core.NewEncoder(64, 64)
@@ -395,11 +402,11 @@ func TestHelloAckKeepsTheSessionsTiles(t *testing.T) {
 	}
 	control(&protocol.SessionAttach{SessionID: 7})
 	top := protocol.Rect{W: 64, H: core.TileSize}
-	if nacks := feedAll(t, c, enc.Repaint(top)); len(nacks) != 0 {
+	if nacks := feedAll(t, c, repaint(enc, top)); len(nacks) != 0 {
 		t.Fatalf("the first piece of the repaint drew %d NACKs", len(nacks))
 	}
 	control(&protocol.HelloAck{SessionID: 7})
-	rest := enc.Repaint(protocol.Rect{Y: core.TileSize, W: 64, H: 64 - core.TileSize})
+	rest := repaint(enc, protocol.Rect{Y: core.TileSize, W: 64, H: 64 - core.TileSize})
 	if _, isClaim := rest[0].Msg.(*protocol.CachePaint); !isClaim {
 		t.Fatalf("the rest of the wallpaper opens with %v; nothing claims the cached tile", rest[0].Msg.Type())
 	}
@@ -407,7 +414,7 @@ func TestHelloAckKeepsTheSessionsTiles(t *testing.T) {
 		t.Errorf("after the ack of its own session the console missed %d cached tiles", len(nacks))
 	}
 	control(&protocol.HelloAck{SessionID: 8})
-	if nacks := feedAll(t, c, enc.Repaint(top)); len(nacks) == 0 {
+	if nacks := feedAll(t, c, repaint(enc, top)); len(nacks) == 0 {
 		t.Error("an ack naming another session kept the old session's tiles")
 	}
 	if reg.Counter("slim_console_cache_misses_total").Value() == 0 {

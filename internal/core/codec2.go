@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"slim/internal/fb"
 	"slim/internal/protocol"
 )
@@ -131,17 +133,15 @@ func (c2 *Codec2) noteEmit(f *fb.Framebuffer, msg protocol.Message) {
 // and consecutive solid tiles of one color in a tile row leave as one
 // FILL, emitted when the run ends (at a tile that is not solid, a color
 // change, or the row's end). Runs never span rows, so a blank screen is
-// one FILL per tile row.
-func (e *Encoder) encodeRegion2(r protocol.Rect) []Datagram {
+// one FILL per tile row. A repayment (Repay) stops only where a run ends.
+func (e *Encoder) encodeRegion2(out []Datagram, r protocol.Rect, repay bool) (_ []Datagram, rows, band protocol.Rect) {
 	r = r.Intersect(e.FB.Bounds())
 	if r.Empty() {
-		return nil
+		return out, r, band
 	}
-	c2 := e.codec2
 	// One command per tile is the most a region can take; a whole screen
 	// is mostly runs, so it starts at a window's worth and grows.
-	tiles := ((r.W + TileSize - 1) / TileSize) * ((r.H + TileSize - 1) / TileSize)
-	out := make([]Datagram, 0, min(tiles, 256))
+	out = slices.Grow(out, min(ceilDiv(r.W, TileSize)*ceilDiv(r.H, TileSize), 256))
 	for y := r.Y; y < r.Y+r.H; y += TileSize {
 		th := min(TileSize, r.Y+r.H-y)
 		var run protocol.Rect // the pending FILL, empty when none
@@ -149,17 +149,14 @@ func (e *Encoder) encodeRegion2(r protocol.Rect) []Datagram {
 		for x := r.X; x < r.X+r.W; x += TileSize {
 			t := protocol.Rect{X: x, Y: y, W: min(TileSize, r.X+r.W-x), H: th}
 			c, solid := e.FB.Uniform(t)
-			if solid {
-				c2.stats.Tiles[ClassSolid]++
-				if e.Metrics != nil {
-					e.Metrics.codec2Tiles[ClassSolid].Inc()
-				}
-			}
 			if solid && !run.Empty() && c == color {
 				run.W += t.W
 				continue
 			}
 			out = e.endRun(out, &run, color)
+			if repay && len(out) > 0 && e.left < TileWire {
+				return out, protocol.Rect{X: r.X, Y: r.Y, W: r.W, H: y - r.Y}, protocol.Rect{X: r.X, Y: y, W: x - r.X, H: th}
+			}
 			if solid {
 				run, color = t, c
 			} else {
@@ -168,38 +165,22 @@ func (e *Encoder) encodeRegion2(r protocol.Rect) []Datagram {
 		}
 		out = e.endRun(out, &run, color)
 	}
-	return out
+	return out, r, band
 }
 
-// endRun emits the pending run of solid tiles, if any, as one FILL.
+// endRun emits and counts the pending run of solid tiles, if any: one FILL.
 func (e *Encoder) endRun(out []Datagram, run *protocol.Rect, c protocol.Pixel) []Datagram {
 	if run.Empty() {
 		return out
 	}
+	n := ceilDiv(run.W, TileSize)
+	e.codec2.stats.Tiles[ClassSolid] += uint64(n)
+	if e.Metrics != nil {
+		e.Metrics.codec2Tiles[ClassSolid].Add(int64(n))
+	}
 	out = append(out, e.emit(&protocol.Fill{Rect: *run, Color: c}))
 	*run = protocol.Rect{}
 	return out
-}
-
-// RunEnd moves a cut through the first tile row of r, at x on r's tile
-// grid, past the run of solid tiles of one color it would split, so that
-// gen-2 encodes the two sides of the cut in exactly the commands it
-// encodes r in: a run is one FILL whole, two cut. It returns x when x
-// splits no run, and on gen-1, which analyzes the rect as a whole.
-func (e *Encoder) RunEnd(r protocol.Rect, x int) int {
-	if e.codec2 == nil || x <= r.X {
-		return x
-	}
-	h := min(TileSize, r.H)
-	c, solid := e.FB.Uniform(protocol.Rect{X: x - TileSize, Y: r.Y, W: TileSize, H: h})
-	for solid && x < r.X+r.W {
-		t := protocol.Rect{X: x, Y: r.Y, W: min(TileSize, r.X+r.W-x), H: h}
-		if n, ok := e.FB.Uniform(t); !ok || n != c {
-			break
-		}
-		x += t.W
-	}
-	return x
 }
 
 // encodeTile emits the cheapest encoding for one cache tile that is not

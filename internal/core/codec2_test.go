@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"slim/internal/fb"
@@ -121,7 +123,7 @@ func TestRepaintAllResetsCodec2(t *testing.T) {
 	}
 	// The repaint itself re-seeded the cache: repainting the same screen
 	// region again (not via RepaintAll) now hits.
-	again := e.Repaint(protocol.Rect{W: TileSize, H: TileSize})
+	again := repaint(e, protocol.Rect{W: TileSize, H: TileSize})
 	if n := countCachePaints(again); n != 1 {
 		t.Fatalf("post-repaint re-encode claimed %d hits, want 1", n)
 	}
@@ -259,41 +261,114 @@ func describe(dgs []Datagram) []string {
 	return got
 }
 
-// TestRunEndCutsBetweenRuns: a paced repaint pays a rect in pieces, and a
-// piece cut within a tile row ends where RunEnd says, so the pieces encode
-// in exactly the commands the whole rect does.
-func TestRunEndCutsBetweenRuns(t *testing.T) {
-	r := protocol.Rect{W: runScreenW, H: runScreenH}
-	fresh := func() *Encoder {
-		e := NewEncoder(r.W, r.H)
-		if err := e.FB.Apply(&protocol.Set{Rect: r, Pixels: runScreen().Pixels}); err != nil {
-			t.Fatal(err)
-		}
-		e.EnableCodec2(0)
-		return e
+// repaint is Repay of the one rect r, unbounded.
+func repaint(e *Encoder, r protocol.Rect) []Datagram {
+	var d fb.Region
+	d.Add(r)
+	return e.Repay(&d, math.MaxInt)
+}
+
+// mixedScreen paints a w×h gen-2 encoder, tile by tile: solid runs of
+// three colors, two-color text, photo, and a wallpaper tile the encoder
+// has sent once already, so its copies are warm cache hits.
+func mixedScreen(t *testing.T, w, h int) *Encoder {
+	e := NewEncoder(w, h)
+	e.EnableCodec2(0)
+	paper := photoPix(TileSize, TileSize, 7)
+	if _, err := e.Encode(ImageOp{Rect: protocol.Rect{W: TileSize, H: TileSize}, Pixels: paper}); err != nil {
+		t.Fatal(err)
 	}
-	whole := fmt.Sprint(describe(fresh().Repaint(r)))
-	for x, want := range map[int]int{16: 32, 32: 32, 48: 48, 64: 64} {
-		e := fresh()
-		end := e.RunEnd(r, x)
-		if end != want {
-			t.Errorf("RunEnd at x=%d is %d, want %d", x, end, want)
-		}
-		var dgs []Datagram
-		for _, p := range []protocol.Rect{
-			{W: end, H: TileSize},
-			{X: end, W: r.W - end, H: TileSize},
-			{Y: TileSize, W: r.W, H: r.H - TileSize},
-		} {
-			dgs = append(dgs, e.Repaint(p)...)
-		}
-		if got := fmt.Sprint(describe(dgs)); got != whole {
-			t.Errorf("cut at x=%d (moved to %d) encodes\n\t%s\nwhole\n\t%s", x, end, got, whole)
+	rng := rand.New(rand.NewSource(5))
+	palette := []protocol.Pixel{0x102030, 0xf0f0f0, 0x305010}
+	color := palette[0]
+	for y := 0; y < h; y += TileSize {
+		for x := 0; x < w; x += TileSize {
+			if x+y == 0 {
+				continue // the wallpaper tile itself
+			}
+			cell := protocol.Rect{X: x, Y: y, W: min(TileSize, w-x), H: min(TileSize, h-y)}
+			kind := rng.Intn(8)
+			for i := 0; i < cell.Pixels(); i++ {
+				px, py := i%cell.W, i/cell.W
+				p := color
+				switch {
+				case kind == 4: // text: ink on paper
+					p = palette[1+rng.Intn(4)/3]
+				case kind == 5: // photo
+					p = protocol.Pixel(rng.Uint32() & 0xffffff)
+				case kind >= 6: // wallpaper
+					p = paper[py*TileSize+px]
+				}
+				e.FB.Pix[(y+py)*w+x+px] = p
+			}
+			if kind == 3 { // a run changes color at the next solid tile
+				color = palette[rng.Intn(len(palette))]
+			}
 		}
 	}
-	g1 := NewEncoder(r.W, r.H)
-	if end := g1.RunEnd(r, 16); end != 16 {
-		t.Errorf("gen-1 RunEnd moved the cut to %d", end)
+	return e
+}
+
+// commands lists a stream's commands by type, rect and cache key,
+// releasing the wires.
+func commands(dgs []Datagram) []string {
+	var got []string
+	for i := range dgs {
+		key := uint64(0)
+		if cp, ok := dgs[i].Msg.(*protocol.CachePaint); ok {
+			key = cp.Key
+		}
+		got = append(got, fmt.Sprintf("%v %v %x", dgs[i].Msg.Type(), WriteRect(dgs[i].Msg), key))
+		dgs[i].ReleaseWire()
+	}
+	return got
+}
+
+// TestRepayPiecesJoinUpToTheWhole: a paced repaint pays a screen in
+// pieces cut to whatever budget each call has, and the pieces join up to
+// exactly the commands of one unbounded call — on gen-2 a stop falls only
+// where a run of solid tiles ends, on gen-1 on the grid of its literal
+// SETs — each call within its budget unless it painted a single piece.
+func TestRepayPiecesJoinUpToTheWhole(t *testing.T) {
+	screens := map[string]func() *Encoder{
+		// Edge tiles on both axes.
+		"gen-2 mixed": func() *Encoder { return mixedScreen(t, 200, 120) },
+		// Two SETs a row, 464 and 136 pixels wide.
+		"gen-1 noise": func() *Encoder {
+			e := NewEncoder(600, 48)
+			copy(e.FB.Pix, photoPix(600, 48, 9))
+			return e
+		},
+	}
+	for name, fresh := range screens {
+		screen := fresh().FB.Bounds()
+		whole := fmt.Sprint(commands(repaint(fresh(), screen)))
+		rng := rand.New(rand.NewSource(11))
+		for budgets := 0; budgets < 200; {
+			e := fresh()
+			var owed fb.Region
+			owed.Add(screen)
+			var got []string
+			for !owed.Empty() {
+				budget := TileWire + rng.Intn(3*TileWire+1)
+				budgets++
+				dgs := e.Repay(&owed, budget)
+				bytes := 0
+				for _, d := range dgs {
+					bytes += protocol.WireSize(d.Msg)
+				}
+				if bytes > budget && len(dgs) > 1 {
+					t.Fatalf("%s: a call with a budget of %d B sent %d B in %d commands", name, budget, bytes, len(dgs))
+				}
+				if len(dgs) == 0 {
+					t.Fatalf("%s: a call with a budget of %d B painted nothing of %v", name, budget, owed.Rects())
+				}
+				got = append(got, commands(dgs)...)
+			}
+			if fmt.Sprint(got) != whole {
+				t.Fatalf("%s: the pieces encode\n\t%v\nthe whole\n\t%s", name, got, whole)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -77,7 +78,7 @@ type Encoder struct {
 	// the experiment harness leaves it nil so simulation replays pay
 	// nothing for instrumentation.
 	Metrics *EncoderMetrics
-	// Flight, when non-nil, records every command Encode or Repaint
+	// Flight, when non-nil, records every command Encode or Repay
 	// returns into the session's flight-recorder ring (seq, type, bytes,
 	// pixels), stamped when the call is done: the ENCODE stage of the
 	// causal input-to-paint chain. Nil or disabled costs one branch per
@@ -86,6 +87,7 @@ type Encoder struct {
 
 	seq  protocol.Sequencer
 	sent sentLog // the geometry of recent commands, for Damage
+	left int     // what the Repay in progress may still send; emit spends it
 	// codec2 is the gen-2 tile path (content classifier + mirrored tile
 	// cache); nil runs the gen-1 command path. See codec2.go.
 	codec2 *Codec2
@@ -116,9 +118,10 @@ func NewEncoder(w, h int) *Encoder {
 // and accounting. The returned Datagram owns the buffer.
 func (e *Encoder) emit(msg protocol.Message) Datagram {
 	seq := e.seq.Next()
-	d := Datagram{Seq: seq, Msg: msg}
+	d, size := Datagram{Seq: seq, Msg: msg}, protocol.WireSize(msg)
+	e.left -= size
 	if !e.SkipWire {
-		buf := wirebuf.Get(protocol.WireSize(msg))
+		buf := wirebuf.Get(size)
 		buf.SetBytes(protocol.Encode(buf.Bytes(), seq, msg))
 		d.Wire = buf.Bytes()
 		d.Buf = buf
@@ -184,9 +187,10 @@ func (e *Encoder) encode(op Op) ([]Datagram, error) {
 		})}, nil
 	case ImageOp:
 		if e.codec2 != nil {
-			return e.encodeRegion2(o.Rect), nil
+			dgs, _, _ := e.encodeRegion2(nil, o.Rect, false)
+			return dgs, nil
 		}
-		return e.encodeRegion(o.Rect, o.Pixels), nil
+		return e.encodeRegion(nil, o.Rect, o.Pixels), nil
 	}
 	return nil, fmt.Errorf("core: unknown op type %T", op)
 }
@@ -194,25 +198,23 @@ func (e *Encoder) encode(op Op) ([]Datagram, error) {
 // encodeRegion is gen-1's lowering of a pixel rectangle to the cheapest
 // command sequence, chosen by whole-rect analysis of its pixels. Gen-2
 // reads the frame buffer tile by tile instead (encodeRegion2).
-func (e *Encoder) encodeRegion(r protocol.Rect, pixels []protocol.Pixel) []Datagram {
+func (e *Encoder) encodeRegion(out []Datagram, r protocol.Rect, pixels []protocol.Pixel) []Datagram {
 	if e.AnalyzeImages {
 		if c, uniform := analyzeUniform(pixels); uniform {
-			return []Datagram{e.emit(&protocol.Fill{Rect: r, Color: c})}
+			return append(out, e.emit(&protocol.Fill{Rect: r, Color: c}))
 		}
 		if fg, bg, bits, ok := e.analyzeBicolor(r, pixels); ok {
-			return e.encodeBitmap(nil, r, fg, bg, bits)
+			return e.encodeBitmap(out, r, fg, bg, bits)
 		}
 	}
-	return e.encodeSet(nil, r, pixels)
+	return e.encodeSet(out, r, pixels)
 }
 
 // encodeSet splits a literal-pixel rectangle into MTU-sized SET commands,
 // appended to out.
 func (e *Encoder) encodeSet(out []Datagram, r protocol.Rect, pixels []protocol.Pixel) []Datagram {
-	budget := e.MTU - 8 // rect header
-	maxPixels := max(1, budget/3)
-	tileW := min(r.W, maxPixels)
-	tiles := tile(r, tileW, max(1, maxPixels/tileW))
+	tw, th := setGrid(r.W, e.MTU)
+	tiles := tile(r, tw, th)
 	out = slices.Grow(out, tiles.n())
 	for i := range tiles.n() {
 		t := tiles.at(i)
@@ -230,6 +232,14 @@ func (e *Encoder) encodeSet(out []Datagram, r protocol.Rect, pixels []protocol.P
 		out = append(out, e.emit(&protocol.Set{Rect: t, Pixels: sub}))
 	}
 	return out
+}
+
+// setGrid is the largest SET a w-wide rect is cut into at mtu: as wide as
+// the rect or the MTU holds, as many rows tall as then fit.
+func setGrid(w, mtu int) (tw, th int) {
+	maxPixels := max(1, (mtu-8)/3) // rect header
+	tw = min(max(w, 1), maxPixels)
+	return tw, max(1, maxPixels/tw)
 }
 
 // copyTile fills dst with tile t's rows out of the pixel rectangle r.
@@ -385,31 +395,29 @@ func (e *Encoder) apply(op Op) (protocol.Rect, error) {
 // reads only op's geometry, so a governor can price a paint before anyone
 // encodes it.
 func WireBound(op Op) int {
-	const frame = protocol.HeaderSize + 8 // header + rect
 	switch o := op.(type) {
 	case FillOp:
-		return frame + 3
+		return setFrame + 3
 	case ScrollOp:
-		return frame + 4
+		return setFrame + 4
 	case TextOp:
 		budget := DefaultMTU - 8 - 6
 		tileW := min(o.Rect.W, max(8, budget*8))
 		cols := ceilDiv(o.Rect.W, tileW)
 		cmds := cols * ceilDiv(o.Rect.H, max(1, budget/protocol.BitmapRowBytes(tileW)))
-		return cmds*(frame+6) + (protocol.BitmapRowBytes(o.Rect.W)+cols)*o.Rect.H
+		return cmds*(setFrame+6) + (protocol.BitmapRowBytes(o.Rect.W)+cols)*o.Rect.H
 	case ImageOp:
 		r := o.Rect
-		maxPixels := (DefaultMTU - 8) / 3
-		tileW := min(r.W, maxPixels)
-		gen1 := ceilDiv(r.W, tileW) * ceilDiv(r.H, max(1, maxPixels/tileW))
+		tw, th := setGrid(r.W, DefaultMTU)
+		gen1 := ceilDiv(r.W, tw) * ceilDiv(r.H, th)
 		gen2 := ceilDiv(r.W, TileSize) * ceilDiv(r.H, TileSize)
-		return max(gen1, gen2)*frame + 3*r.Pixels()
+		return max(gen1, gen2)*setFrame + 3*r.Pixels()
 	case VideoOp:
 		rows := videoRows(o, DefaultMTU)
 		full, rest := o.Src.H/rows, o.Src.H%rows
-		n := full * (frame + 9 + o.Format.PayloadLen(o.Src.W, rows))
+		n := full * (setFrame + 9 + o.Format.PayloadLen(o.Src.W, rows))
 		if rest > 0 {
-			n += frame + 9 + o.Format.PayloadLen(o.Src.W, rest)
+			n += setFrame + 9 + o.Format.PayloadLen(o.Src.W, rest)
 		}
 		return n
 	}
@@ -418,31 +426,73 @@ func WireBound(op Op) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Repaint regenerates the given region from the authoritative frame buffer
-// as fresh commands. This is the recovery path for lost datagrams and the
-// attach path when a session migrates to a new console: because the server
-// holds the true state, recovery never needs to stop and wait (§2.2).
-func (e *Encoder) Repaint(r protocol.Rect) []Datagram {
-	dgs := e.repaint(r)
-	if e.Flight.Armed() {
-		e.encoded(dgs, obs.Wall.Now())
+// TileWire is the most one TileSize² tile costs on the wire: its pixels as
+// one literal SET, header and rect (setFrame) included.
+const TileWire = setFrame + 3*TileSize*TileSize
+
+const setFrame = protocol.HeaderSize + 8
+
+// Repay repaints what d owes from the authoritative frame buffer, which
+// holds the true state (§2.2), and takes what it painted out of d. Past its
+// first piece it stops before one whose costliest encoding would take it
+// over budget wire bytes — a gen-2 tile where a run of solid tiles ends, or
+// rows of a gen-1 rect's SETs — so pieces cost the commands the whole does.
+// Each rect's encoder reports the rows of it painted and the band after.
+func (e *Encoder) Repay(d *fb.Region, budget int) []Datagram {
+	e.left = budget
+	var out []Datagram
+	for _, r := range d.Rects() {
+		c := r.Intersect(e.FB.Bounds())
+		var rows, band protocol.Rect
+		if e.codec2 != nil {
+			out, rows, band = e.encodeRegion2(out, c, true)
+		} else {
+			out, rows, band = e.repay1(out, c)
+		}
+		if rows != c {
+			d.Subtract(rows)
+			d.Subtract(band)
+			break
+		}
+		d.Subtract(r)
 	}
-	return dgs
+	if e.Flight.Armed() {
+		e.encoded(out, obs.Wall.Now())
+	}
+	return out
 }
 
-func (e *Encoder) repaint(r protocol.Rect) []Datagram {
-	r = r.Intersect(e.FB.Bounds())
-	if r.Empty() {
-		return nil
+// repay1 is gen-1's Repay of r: what is left of it leaves as one FILL,
+// read in place, when it is one colour, else as many rows of its literal
+// SETs (encodeSet's grid) as the budget holds — a first piece short of a
+// row is one SET — so literal pixels cost the commands of the whole, and a
+// piece analysis makes cheaper leaves budget for the next.
+func (e *Encoder) repay1(out []Datagram, r protocol.Rect) (_ []Datagram, rows, band protocol.Rect) {
+	tw, th := setGrid(r.W, e.MTU)
+	row := ceilDiv(r.W, tw)*setFrame + 3*r.W*th
+	for rows = (protocol.Rect{X: r.X, Y: r.Y, W: r.W}); rows.H < r.H; rows.H += band.H {
+		if len(out) > 0 && e.left < row {
+			return out, rows, protocol.Rect{}
+		}
+		band = protocol.Rect{X: r.X, Y: r.Y + rows.H, W: r.W, H: r.H - rows.H}
+		if c, ok := e.FB.Uniform(band); ok && e.AnalyzeImages {
+			out = append(out, e.emit(&protocol.Fill{Rect: band, Color: c}))
+			continue
+		}
+		band.H = min(band.H, max(e.left/row, 1)*th)
+		if e.left < row {
+			band.W = tw
+		}
+		// Gen-1's analysis wants the pixels contiguous: they land in an
+		// encoder-owned slab that encodeRegion only reads (tile payloads
+		// are copies), so the slab never escapes.
+		e.repaintPix = e.FB.ReadRectInto(e.repaintPix, band)
+		out = e.encodeRegion(out, band, e.repaintPix)
+		if band.W < r.W {
+			return out, rows, band
+		}
 	}
-	if e.codec2 != nil {
-		return e.encodeRegion2(r)
-	}
-	// Gen-1's analysis wants the pixels contiguous: they land in an
-	// encoder-owned slab that encodeRegion only reads (tile payloads are
-	// copies), so the slab never escapes.
-	e.repaintPix = e.FB.ReadRectInto(e.repaintPix, r)
-	return e.encodeRegion(r, e.repaintPix)
+	return out, r, protocol.Rect{}
 }
 
 // RepaintAll regenerates the entire screen (session attach after
@@ -452,7 +502,9 @@ func (e *Encoder) repaint(r protocol.Rect) []Datagram {
 // first; the repaint itself then re-seeds both sides identically.
 func (e *Encoder) RepaintAll() []Datagram {
 	e.ResetCodec2()
-	return e.Repaint(e.FB.Bounds())
+	var all fb.Region
+	all.Add(e.FB.Bounds())
+	return e.Repay(&all, math.MaxInt)
 }
 
 // Damage reports what a console that reported the loss n is missing, as a

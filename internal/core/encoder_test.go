@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -337,11 +338,7 @@ func repayNack(e *Encoder, n protocol.Nack) []Datagram {
 	if !ok {
 		return e.RepaintAll()
 	}
-	var out []Datagram
-	for _, r := range damage.Rects() {
-		out = append(out, e.Repaint(r)...)
-	}
-	return out
+	return e.Repay(&damage, math.MaxInt)
 }
 
 func TestDamageRepaintsAffectedUnion(t *testing.T) {

@@ -74,10 +74,16 @@ func liveHeap() int64 {
 // beyond its frame buffer, its scratch slabs and its tile-cache slots (the
 // 512 KB sent log, the cache index, the churn map, the accounting) is
 // under 768 KB. The gen-2 repaint reads the frame buffer in place, so it
-// leaves no full-screen staging copy behind.
+// leaves no full-screen staging copy behind, and so does a gen-1 repaint
+// of a blank screen, which is one FILL.
 func TestEncoderRetainsNoWire(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's shadow allocations are in the heap figure")
+	}
+	blank := NewEncoder(1280, 1024)
+	if dgs := blank.RepaintAll(); len(dgs) != 1 || cap(blank.repaintPix) != 0 {
+		t.Errorf("a blank gen-1 RepaintAll sent %d commands and left a %d-pixel staging slab; want one FILL and none",
+			len(dgs), cap(blank.repaintPix))
 	}
 	rng := rand.New(rand.NewSource(9))
 	const vw, vh = 320, 240

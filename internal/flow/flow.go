@@ -22,10 +22,12 @@
 // console can decode in one short quantum, so pacing never starves a
 // console that could have kept up.
 //
-// What a console is owed leaves through the same bucket, in pieces cut to
-// the tokens it holds (server.Session.repay), so recovery traffic competes
-// with interactive traffic (§5) only for the bytes the grant has to give.
-// The governor only accounts: Item.Retransmit marks repayment.
+// What a console is owed leaves through the same bucket: server.Session.repay
+// hands the tokens it holds to core.Encoder.Repay as a byte budget, and the
+// encoder, which knows what a tile costs, cuts the piece that fits. So
+// recovery traffic competes with interactive traffic (§5) only for the
+// bytes the grant has to give. The governor only accounts: Item.Retransmit
+// marks repayment.
 //
 // The governor is clock-agnostic: every method takes the current time as a
 // time.Duration offset, so the same code paces wall-clock transports (udp,

@@ -201,7 +201,7 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 			sent += n
 		}
 	}
-	if burst := sess.Governor().Config().BurstBytes; sent > burst+tileWire {
+	if burst := sess.Governor().Config().BurstBytes; sent > burst+core.TileWire {
 		t.Errorf("the storm sent %d bytes at once, more than a burst of %d and a tile", sent, burst)
 	}
 	drain(t, s, now, 100*time.Millisecond)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"slim/internal/protocol"
@@ -93,9 +94,10 @@ func (s *Server) ImportSession(sn *SessionSnapshot) error {
 
 // restoreLocked validates a snapshot — it may come from another process or
 // a file — and rebuilds its session here. ID 0 is the console table's "no
-// session". Callers hold s.mu.
+// session". A screen is 1…65535 pixels a side, as a Hello's uint16 size
+// says, which also keeps W*H from overflowing. Callers hold s.mu.
 func (s *Server) restoreLocked(sn *SessionSnapshot) error {
-	if sn.ID == 0 || sn.W <= 0 || sn.H <= 0 || len(sn.Pixels) != sn.W*sn.H {
+	if sn.ID == 0 || sn.W < 1 || sn.W > math.MaxUint16 || sn.H < 1 || sn.H > math.MaxUint16 || len(sn.Pixels) != sn.W*sn.H {
 		return fmt.Errorf("server: corrupt session snapshot for %q", sn.User)
 	}
 	if _, exists := s.byUser[sn.User]; exists {

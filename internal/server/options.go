@@ -76,8 +76,8 @@ func ResolveOptions(opts ...Option) Resolved {
 // session: display traffic is paced to the console's BandwidthGrant by one
 // token bucket, a paint the bucket cannot take now is owed instead of
 // encoded (Session.render), and the region a session owes its console
-// (Session.repay) leaves in pieces the tokens cover, so recovery cannot
-// starve fresh paints and nothing is queued.
+// (Session.repay) leaves in the pieces core.Encoder.Repay cuts to the
+// tokens, so recovery cannot starve fresh paints and nothing is queued.
 // Zero-value fields take the flow package defaults, derived from the
 // published Sun Ray 1 cost model (Table 5).
 func WithFlowControl(cfg flow.Config) Option {

@@ -163,3 +163,64 @@ func TestTerminalRestoreStateValidates(t *testing.T) {
 		t.Errorf("cursor not clamped: %d,%d", col, row)
 	}
 }
+
+// stateFile is the gob image of a session table holding sns.
+func stateFile(t testing.TB, sns ...SessionSnapshot) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(serverImage{NextID: 9, Sessions: sns}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// overflowingSize is a snapshot whose W*H wraps to 0, so its empty
+// Pixels match it.
+var overflowingSize = SessionSnapshot{ID: 1, User: "mallory", W: 1 << 33, H: 1 << 31}
+
+// TestRestoreRejectsScreensNoHelloCouldAsk: a state file or migration
+// snapshot names a screen of 1…65535 pixels a side, or it is refused —
+// never a frame buffer sized by an overflowed product.
+func TestRestoreRejectsScreensNoHelloCouldAsk(t *testing.T) {
+	for _, sn := range []SessionSnapshot{
+		overflowingSize,
+		{ID: 1, User: "mallory", W: 1 << 16, H: 1, Pixels: make([]protocol.Pixel, 1<<16)},
+		{ID: 1, User: "mallory", W: -1, H: -1, Pixels: make([]protocol.Pixel, 1)},
+	} {
+		if err := newTestServer(newMemTransport()).LoadSessions(bytes.NewReader(stateFile(t, sn))); err == nil {
+			t.Errorf("a state file with a %d×%d screen loaded", sn.W, sn.H)
+		}
+		if err := newTestServer(newMemTransport()).ImportSession(&sn); err == nil {
+			t.Errorf("a %d×%d snapshot imported", sn.W, sn.H)
+		}
+	}
+}
+
+// FuzzLoadSessions feeds arbitrary bytes to LoadSessions as a state file.
+// Refusing them is the expected answer to most; the server must not panic,
+// and every session it does restore has a W×H frame buffer.
+func FuzzLoadSessions(f *testing.F) {
+	s := newTestServer(newMemTransport())
+	if err := s.Handle("c1", hello(40, 24, "card-alice"), 0); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Handle("c1", &protocol.KeyEvent{Code: 'a', Down: true}, 0); err != nil {
+		f.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := s.SaveSessions(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes())
+	f.Add(stateFile(f, overflowingSize))
+	f.Fuzz(func(t *testing.T, state []byte) {
+		s := newTestServer(discard{})
+		_ = s.LoadSessions(bytes.NewReader(state))
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, sess := range s.sessions {
+			if fbuf := sess.Encoder.FB; fbuf.W < 1 || fbuf.H < 1 || len(fbuf.Pix) != fbuf.W*fbuf.H {
+				t.Fatalf("session %q restored a %d×%d frame buffer of %d pixels", sess.User, fbuf.W, fbuf.H, len(fbuf.Pix))
+			}
+		}
+	})
+}

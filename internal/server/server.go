@@ -651,7 +651,7 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 		if sess.damage.Empty() {
 			continue
 		}
-		if t := sess.gov.ReadyAt(now, sess.pieceBytes()); !pending || t < next {
+		if t := sess.gov.ReadyAt(now, min(core.TileWire, sess.gov.Config().BurstBytes)); !pending || t < next {
 			next, pending = t, true
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -196,59 +197,24 @@ func (sess *Session) oweNack(n protocol.Nack) {
 	}
 }
 
-// tileWire is what a TileSize² tile of literal pixels costs on the wire.
-const tileWire = protocol.HeaderSize + 8 + 3*core.TileSize*core.TileSize
-
-// piece cuts from the top left of r what a paced session pays next: as many
-// whole rows of tiles as bytes of literal pixels hold, or, when not one row
-// fits, as many tiles of the first row, and never less than one tile. Cuts
-// fall on r's tile grid, and a cut within a row never splits a run of solid
-// tiles (Encoder.RunEnd), so gen-2 encodes the pieces of a rect in exactly
-// the commands it encodes the rect in.
-func piece(e *core.Encoder, r protocol.Rect, bytes int) protocol.Rect {
-	const ts = core.TileSize
-	tiles := max(1, bytes/tileWire)
-	if rows := tiles / ((r.W + ts - 1) / ts); rows > 0 {
-		r.H = min(r.H, rows*ts)
-	} else {
-		r.W, r.H = e.RunEnd(r, r.X+min(r.W, tiles*ts))-r.X, min(r.H, ts)
-	}
-	return r
-}
-
-// pieceBytes is what the bucket must hold before repay cuts a piece: one
-// tile of literal pixels, or the whole burst when that is smaller, so a
-// bucket shallower than a tile still pays a tile each time it fills.
-func (sess *Session) pieceBytes() int {
-	return min(tileWire, sess.gov.Config().BurstBytes)
-}
-
 // repay sends what the session owes, repainted from the frame buffer as it
-// is now: all at once for an ungoverned session; for a governed one —
-// first attach, restored and migrated screens included — in pieces cut to
-// the bucket's tokens while they cover pieceBytes, at most half a burst per
-// call (a whole bucket handed to the socket at once overruns a slow
-// console's receive buffer, and what that loses comes back as debt). A
-// debt it leaves raises FlowPending, and PumpFlows names the instant the
-// bucket will pay the next piece.
+// is now, in one Encoder.Repay: all of it with no governor; under one, what
+// the tokens cover once they hold a tile (or a burst shallower than one),
+// at most half a burst per call: a whole bucket at once overruns a slow
+// console's receive buffer. A debt left raises FlowPending.
 func (sess *Session) repay(out *[]outbound, now time.Duration) {
-	if sess.gov == nil {
-		for _, r := range sess.damage.Rects() {
-			sess.submit(out, sess.Encoder.Repaint(r), now, true)
-		}
-		sess.damage.Clear()
+	if sess.damage.Empty() {
 		return
 	}
-	floor := sess.gov.Tokens(now) - max(sess.gov.Config().BurstBytes/2, sess.pieceBytes()) // where this call stops
-	for !sess.damage.Empty() {
-		tokens := sess.gov.Tokens(now)
-		if tokens < sess.pieceBytes() || tokens <= floor {
-			sess.flowPending.Store(true)
-			return
-		}
-		r := piece(sess.Encoder, sess.damage.Rects()[0], tokens-max(floor, 0))
-		sess.damage.Subtract(r)
-		sess.submit(out, sess.Encoder.Repaint(r), now, true)
+	budget := math.MaxInt
+	if sess.gov != nil {
+		budget = min(sess.gov.Tokens(now), max(sess.gov.Config().BurstBytes/2, core.TileWire))
+	}
+	if sess.gov == nil || budget >= min(core.TileWire, sess.gov.Config().BurstBytes) {
+		sess.submit(out, sess.Encoder.Repay(&sess.damage, budget), now, true)
+	}
+	if !sess.damage.Empty() {
+		sess.flowPending.Store(true)
 	}
 }
 
