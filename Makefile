@@ -43,8 +43,10 @@ race:
 # BenchmarkFabricEcho, one keystroke echo over the fabric with every
 # observer armed, and BenchmarkFleetEcho, the same echo in fleet_fabric's
 # shape (32 consoles on a 4-shard broker) — the one to profile the fleet by.
+# internal/video brings the MPEG-II stand-in's frame draw beside its
+# per-pixel reference.
 bench-guard:
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/protocol/ ./internal/broker/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/incident/ ./internal/obs/netqual/ ./internal/flow/ ./internal/fb/ ./internal/core/
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/protocol/ ./internal/broker/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/incident/ ./internal/obs/netqual/ ./internal/flow/ ./internal/fb/ ./internal/core/ ./internal/video/
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its own
 # that `go build ./... && go test ./...` never descends into, yet it
@@ -67,10 +69,10 @@ bench-smoke:
 	echo "bench-smoke: only the expected scroll_udp byte cross-check failed (see Makefile)"
 
 # Measure the pixel-pipeline hot paths (optimized vs slowXxx reference
-# kernels, the encoder's wire emit, full repaint and video encode) and
-# record the numbers as JSON.
+# kernels, the encoder's wire emit, full repaint and video encode, the
+# MPEG-II stand-in's frame draw) and record the numbers as JSON.
 bench-json:
-	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ | $(GO) run ./cmd/slimbench hotpath -o BENCH_hotpath.json
+	$(GO) test -run xxx -bench Hotpath -benchmem ./internal/fb/ ./internal/core/ ./internal/video/ | $(GO) run ./cmd/slimbench hotpath -o BENCH_hotpath.json
 
 # Steady-state allocation budgets on the hot paths (0 allocs/op for console
 # apply, the warm wire-emit path, the full tile cache, the SLO observe
@@ -80,13 +82,14 @@ bench-json:
 # flight recorder and the capture tap disabled and enabled, and the
 # server's burst flush; at most 8 per 42-byte fabric echo end to end, and
 # a governed blank 640x480 gen-2 attach at most 16 more than an ungoverned
-# one),
+# one, and a 352x240 video frame one CSCS message per strip plus the two
+# slices listing them, the payloads cut from one slab),
 # and the memory budgets: a tile cache holds only the slots it has
 # filled, the encoder retains no wire bytes, a 640x480 gen-2 session is
 # its two frame buffers plus at most 1 MiB. Run without -race: the race
 # detector's instrumentation allocates and shadows the heap, so these
 # tests skip themselves under it and `make race` never runs them.
-ALLOC_TESTS = ZeroAlloc|Heap|RetainsNo|AllocsPerEcho|AllocatesNothing|ReusesSlotStorage|FlushGroupsRunsPerConsole|PacedAttachAllocs
+ALLOC_TESTS = ZeroAlloc|Heap|RetainsNo|AllocsPerEcho|AllocatesNothing|ReusesSlotStorage|FlushGroupsRunsPerConsole|PacedAttachAllocs|VideoFrameAllocs
 alloc-guard:
 	$(GO) test -run '$(ALLOC_TESTS)' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/server/
 

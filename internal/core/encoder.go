@@ -100,6 +100,7 @@ type Encoder struct {
 	setSlab     []protocol.Pixel
 	bitSlab     []byte
 	bicolorBits []byte
+	cscsSlab    []byte // one video frame's CSCS strip payloads
 	repaintPix  []protocol.Pixel
 }
 
@@ -325,12 +326,32 @@ func videoRows(o VideoOp, mtu int) int {
 // will decode and applies them to the authoritative frame buffer, so the
 // server holds exactly the lossy pixels the console shows. The destination
 // is carved proportionally so scaled strips tile exactly.
+//
+// With wire generation on, the strips' payloads are cut from one slab
+// sized for the whole frame: every strip is applied before the first is
+// emitted, so no strip may reuse another's bytes.
 func (e *Encoder) applyVideo(o VideoOp) ([]*protocol.CSCS, error) {
 	rows := videoRows(o, e.MTU)
 	msgs := make([]*protocol.CSCS, 0, ceilDiv(o.Src.H, rows))
+	if !e.SkipWire {
+		need := o.Src.H/rows*o.Format.PayloadLen(o.Src.W, rows) + o.Format.PayloadLen(o.Src.W, o.Src.H%rows)
+		if cap(e.cscsSlab) < need {
+			e.cscsSlab = make([]byte, 0, need)
+		}
+		e.cscsSlab = e.cscsSlab[:0]
+	}
 	for y0 := 0; y0 < o.Src.H; y0 += rows {
 		h := min(rows, o.Src.H-y0)
-		data, err := fb.EncodeCSCS(o.Pixels[y0*o.Src.W:(y0+h)*o.Src.W], o.Src.W, h, o.Format)
+		pix := o.Pixels[y0*o.Src.W : (y0+h)*o.Src.W]
+		var data []byte
+		var err error
+		if e.SkipWire {
+			data, err = fb.EncodeCSCS(pix, o.Src.W, h, o.Format)
+		} else {
+			off := len(e.cscsSlab)
+			e.cscsSlab, err = fb.AppendCSCS(e.cscsSlab, pix, o.Src.W, h, o.Format)
+			data = e.cscsSlab[off:len(e.cscsSlab):len(e.cscsSlab)]
+		}
 		if err != nil {
 			return nil, err
 		}

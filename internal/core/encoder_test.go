@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,7 +180,9 @@ func TestEncodeVideoStrips(t *testing.T) {
 	if len(dgs) < 2 {
 		t.Fatalf("64x48 12bpp frame fit in %d datagrams", len(dgs))
 	}
-	// Strips must tile the destination exactly.
+	// Strips must tile the destination exactly, and each must carry its
+	// own rows' payload: the strips share one slab, cut before any is
+	// emitted.
 	covered := 0
 	for _, d := range dgs {
 		cs := d.Msg.(*protocol.CSCS)
@@ -189,6 +192,17 @@ func TestEncodeVideoStrips(t *testing.T) {
 		covered += cs.Dst.H
 		if cs.Dst.W != w {
 			t.Fatalf("strip width %d", cs.Dst.W)
+		}
+		_, msg, _, err := protocol.Decode(d.Wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fb.EncodeCSCS(pix[cs.Src.Y*w:(cs.Src.Y+cs.Src.H)*w], w, cs.Src.H, protocol.CSCS12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := msg.(*protocol.CSCS).Data; !bytes.Equal(got, want) {
+			t.Fatalf("strip at row %d carries %d bytes unlike its rows' %d-byte payload", cs.Src.Y, len(got), len(want))
 		}
 	}
 	if covered != h {

@@ -120,7 +120,7 @@ func TestEncoderRetainsNoWire(t *testing.T) {
 	grown := liveHeap() - before
 	const px = int64(unsafe.Sizeof(protocol.Pixel(0)))
 	accounted := px*int64(cap(e.FB.Pix)+cap(e.setSlab)+cap(e.codec2.pix)) +
-		int64(cap(e.bitSlab)+cap(e.bicolorBits)) +
+		int64(cap(e.bitSlab)+cap(e.bicolorBits)+cap(e.cscsSlab)) +
 		int64(cap(e.codec2.cache.ent))*int64(unsafe.Sizeof(tcEntry{}))
 	rest := grown - accounted
 	t.Logf("live heap grew %d KB: %d KB frame buffer, slabs and tile cache, %d KB besides", grown>>10, accounted>>10, rest>>10)
@@ -155,6 +155,41 @@ func TestEmitZeroAllocSteadyState(t *testing.T) {
 	// 2000 runs that is well under one object per op. Steady state is 0.
 	if allocs > 0.01 {
 		t.Errorf("warm emit path allocates %.3f objects/op, want 0", allocs)
+	}
+}
+
+// TestVideoFrameAllocs pins the video path's allocation budget: once the
+// wire pool is warm, encoding a 352x240 CSCS-12 frame allocates one CSCS
+// message per strip and the two slices that list them — the strips'
+// payloads are cut from the encoder's slab, not allocated strip by strip.
+func TestVideoFrameAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const vw, vh = 352, 240
+	e := NewEncoder(352, 288)
+	pix := make([]protocol.Pixel, vw*vh)
+	for i := range pix {
+		pix[i] = protocol.RGB(uint8(i), uint8(i/vw), 128)
+	}
+	op := VideoOp{Src: protocol.Rect{W: vw, H: vh}, Dst: protocol.Rect{W: vw, H: vh}, Format: protocol.CSCS12, Pixels: pix}
+	encode := func() {
+		dgs, err := e.Encode(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dgs {
+			dgs[i].ReleaseWire()
+		}
+	}
+	for range 5 {
+		encode()
+	}
+	strips := ceilDiv(vh, videoRows(op, e.MTU))
+	// sync.Pool may drop a wire buffer at a GC mid-run; one object a frame
+	// covers it.
+	if allocs, budget := testing.AllocsPerRun(50, encode), float64(strips+2+1); allocs > budget {
+		t.Errorf("a %dx%d CSCS-12 frame in %d strips allocates %.1f objects, want at most %.0f", vw, vh, strips, allocs, budget)
 	}
 }
 

@@ -443,17 +443,3 @@ func (f *Framebuffer) Image() *image.RGBA {
 func (f *Framebuffer) WritePNG(w io.Writer) error {
 	return png.Encode(w, f.Image())
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

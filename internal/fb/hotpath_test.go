@@ -197,7 +197,11 @@ func TestKernelsMatchReference(t *testing.T) {
 
 	t.Run("CSCSCodec", func(t *testing.T) {
 		formats := []protocol.CSCSFormat{protocol.CSCS16, protocol.CSCS12, protocol.CSCS8, protocol.CSCS6, protocol.CSCS5}
-		sizes := [][2]int{{1, 1}, {2, 2}, {3, 3}, {8, 6}, {17, 5}, {31, 23}, {64, 48}}
+		// Odd and even widths and heights, and the strip shapes video is
+		// cut into: rows of 320 (even, luma pairs only) and 321 (a lone
+		// last pixel per row and a one-pixel last chroma column), and two
+		// full-width rows of 720.
+		sizes := [][2]int{{1, 1}, {2, 2}, {3, 3}, {8, 6}, {17, 5}, {31, 23}, {64, 48}, {320, 4}, {321, 5}, {720, 2}}
 		for _, format := range formats {
 			for _, sz := range sizes {
 				cw, ch := sz[0], sz[1]
@@ -660,4 +664,80 @@ func BenchmarkHotpath_SlowCSCSEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The CSCS codec at the shapes the video workloads send: CSCS-6 at the
+// 320x240 the benchmark's movie window plays at, and CSCS-8 at the full
+// 720x480 of the MPEG-II source. Each fast kernel sits beside its slow*
+// reference; the content is benchCSCSPayload's smooth-ish frame.
+func benchCSCSEncode(b *testing.B, w, h int, format protocol.CSCSFormat, slow bool) {
+	pix, err := DecodeCSCS(benchCSCSPayload(b, w, h, format), w, h, format)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 0, format.PayloadLen(w, h))
+	b.SetBytes(int64(w * h * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if slow {
+			_, err = slowEncodeCSCS(pix, w, h, format)
+		} else {
+			buf, err = AppendCSCS(buf[:0], pix, w, h, format)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchCSCSDecode(b *testing.B, w, h int, format protocol.CSCSFormat, slow bool) {
+	data := benchCSCSPayload(b, w, h, format)
+	var pix []protocol.Pixel
+	b.SetBytes(int64(w * h * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if slow {
+			_, err = slowDecodeCSCS(data, w, h, format)
+		} else {
+			pix, err = DecodeCSCSInto(pix, data, w, h, format)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHotpath_CSCS6Encode320(b *testing.B) {
+	benchCSCSEncode(b, 320, 240, protocol.CSCS6, false)
+}
+
+func BenchmarkHotpath_SlowCSCS6Encode320(b *testing.B) {
+	benchCSCSEncode(b, 320, 240, protocol.CSCS6, true)
+}
+
+func BenchmarkHotpath_CSCS6Decode320(b *testing.B) {
+	benchCSCSDecode(b, 320, 240, protocol.CSCS6, false)
+}
+
+func BenchmarkHotpath_SlowCSCS6Decode320(b *testing.B) {
+	benchCSCSDecode(b, 320, 240, protocol.CSCS6, true)
+}
+
+func BenchmarkHotpath_CSCS8Encode720(b *testing.B) {
+	benchCSCSEncode(b, 720, 480, protocol.CSCS8, false)
+}
+
+func BenchmarkHotpath_SlowCSCS8Encode720(b *testing.B) {
+	benchCSCSEncode(b, 720, 480, protocol.CSCS8, true)
+}
+
+func BenchmarkHotpath_CSCS8Decode720(b *testing.B) {
+	benchCSCSDecode(b, 720, 480, protocol.CSCS8, false)
+}
+
+func BenchmarkHotpath_SlowCSCS8Decode720(b *testing.B) {
+	benchCSCSDecode(b, 720, 480, protocol.CSCS8, true)
 }

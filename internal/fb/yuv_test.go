@@ -1,6 +1,7 @@
 package fb
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -67,6 +68,100 @@ func TestBitPackRoundTrip(t *testing.T) {
 	for i, want := range vals {
 		if got := r.read(3); got != want {
 			t.Fatalf("value %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestBitPackerMatchesBitAtATime pins the word-at-a-time packer and
+// unpacker, which slowEncodeCSCS and slowDecodeCSCS share with the fast
+// codec, to a packer that handles one bit at a time: runs of values of
+// every width from 1 to 32 bits, written one by one and a run at a time
+// and flushed at arbitrary points, must give its bytes, and must read back
+// whole, also after a jump to a byte position.
+func TestBitPackerMatchesBitAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		var want []byte
+		var wantBits int
+		put := func(v uint32, n uint) {
+			for i := int(n) - 1; i >= 0; i-- {
+				if wantBits%8 == 0 {
+					want = append(want, 0)
+				}
+				want[len(want)-1] |= byte(v>>uint(i)&1) << (7 - uint(wantBits%8))
+				wantBits++
+			}
+		}
+		type run struct {
+			vals  []uint32
+			n     uint
+			start int // byte offset of a run that follows a flush
+		}
+		var runs []run
+		w := &bitWriter{}
+		for range 1 + rng.Intn(12) {
+			n := uint(1 + rng.Intn(32))
+			vals := make([]uint32, rng.Intn(40))
+			for i := range vals {
+				vals[i] = uint32(rng.Uint64()) & (1<<n - 1)
+				put(vals[i], n)
+			}
+			runs = append(runs, run{vals: vals, n: n, start: -1})
+			if rng.Intn(2) == 0 {
+				w.pack(vals, n)
+			} else {
+				for _, v := range vals {
+					w.write(v, n)
+				}
+			}
+			if rng.Intn(3) == 0 {
+				w.flush()
+				wantBits = (wantBits + 7) / 8 * 8
+				runs = append(runs, run{start: wantBits / 8})
+			}
+		}
+		w.flush()
+		if !bytes.Equal(w.buf, want) {
+			t.Fatalf("trial %d: packed %x, want %x", trial, w.buf, want)
+		}
+		r := &bitReader{buf: w.buf}
+		for i, rn := range runs {
+			if rn.start >= 0 {
+				r.align()
+				r.pos = rn.start
+				continue
+			}
+			got := make([]uint32, len(rn.vals))
+			if i%2 == 0 {
+				r.unpack(got, rn.n)
+			} else {
+				for j := range got {
+					got[j] = r.read(rn.n)
+				}
+			}
+			for j := range got {
+				if got[j] != rn.vals[j] {
+					t.Fatalf("trial %d run %d: value %d = %#x, want %#x (%d bits)", trial, i, j, got[j], rn.vals[j], rn.n)
+				}
+			}
+		}
+		if r.overrun {
+			t.Fatalf("trial %d: reading back what was written overran", trial)
+		}
+	}
+}
+
+// TestRGBToYUVMatchesClampedFormula checks RGBToYUV, which both the
+// codec and its slow references convert with, against the signed
+// formula with all six clamps on every 24-bit color.
+func TestRGBToYUVMatchesClampedFormula(t *testing.T) {
+	for c := protocol.Pixel(0); c < 1<<24; c++ {
+		r, g, b := int32(c.R()), int32(c.G()), int32(c.B())
+		wy := clamp8((77*r + 150*g + 29*b + 128) >> 8)
+		wu := clamp8(((-43*r - 85*g + 128*b + 128) >> 8) + 128)
+		wv := clamp8(((128*r - 107*g - 21*b + 128) >> 8) + 128)
+		if y, u, v := RGBToYUV(c); y != wy || u != wu || v != wv {
+			t.Fatalf("RGBToYUV(%06x) = %d, %d, %d; want %d, %d, %d", c, y, u, v, wy, wu, wv)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package server
 
-import "sync"
-
 // Font renders 8x16 glyph bitmaps for the terminal application. Glyph
 // shapes are generated procedurally (strokes derived from the character
 // code) rather than copied from a real typeface: every glyph is a stable,
@@ -9,11 +7,20 @@ import "sync"
 // experiments care about — BITMAP commands carry one bit per pixel
 // regardless of what the glyph looks like.
 type Font struct {
-	mu     sync.Mutex
-	glyphs map[byte][]byte
+	glyphs [256][TermGlyphH]byte
 }
 
-var defaultFont = &Font{glyphs: make(map[byte][]byte)}
+// defaultFont holds every glyph, drawn once at package init: a keystroke
+// reads its glyph with no lock and no lookup.
+var defaultFont = newFont()
+
+func newFont() *Font {
+	f := new(Font)
+	for ch := range f.glyphs {
+		f.glyphs[ch] = renderGlyph(byte(ch))
+	}
+	return f
+}
 
 // DefaultFont returns the process-wide shared font.
 func DefaultFont() *Font { return defaultFont }
@@ -22,21 +29,13 @@ func DefaultFont() *Font { return defaultFont }
 // (TermGlyphW = 8 bits). The returned slice is shared; callers must not
 // modify it.
 func (f *Font) Glyph(ch byte) []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok := f.glyphs[ch]; ok {
-		return g
-	}
-	g := renderGlyph(ch)
-	f.glyphs[ch] = g
-	return g
+	return f.glyphs[ch][:]
 }
 
 // renderGlyph draws a deterministic stroke pattern for a character: a
 // frame of vertical and horizontal strokes selected by the character's
 // bits, inside a 1-pixel margin, with a baseline at row 13. Space is blank.
-func renderGlyph(ch byte) []byte {
-	g := make([]byte, TermGlyphH)
+func renderGlyph(ch byte) (g [TermGlyphH]byte) {
 	if ch == ' ' || ch == 0 {
 		return g
 	}
