@@ -146,10 +146,11 @@ codec2-smoke:
 fleet-smoke:
 	$(GO) test -run 'TestFleetSmoke|TestHotdeskUnderGrantIsPaced|TestRestoredScreenIsPaced|TestZeroGrantNeitherFloodsNorWedges|TestHotdeskLeavesNoStaleGrant|TestLostTailHealsThroughHeartbeat|TestFaultScheduleConverges|TestDebtConvergesUnderAnyGrant|TestSimulationIsAFunctionOfItsSeed' -count 1 -v .
 
-# Evidence smoke against the real binaries: boot slimd with the flow
-# governor, a wire capture, breach dumps (every paint breaches a 1ns SLO
+# Evidence smoke against the real binaries: boot slimd, with no profile
+# flag, with a wire capture, breach dumps (every paint breaches a 1ns SLO
 # target) and incident bundles on, check the standard CPU profile still
-# answers beside them, type into it with slimview, ask for a bundle over
+# answers beside them, type into it with slimview, check /metrics shows
+# the shipped profile at work (paced traffic, gen-2 tiles), ask for a bundle over
 # /debug/incident, stop the daemon, and have `slimtrace explain` read the
 # bundle, the capture and the dump directory back; every artifact a bundle
 # must hold is checked on disk, and what was deleted must stay gone: the
@@ -158,14 +159,15 @@ fleet-smoke:
 # BREACHING, so its bundle may land first and the manual one answer 429
 # inside MinGap: either bundle will do. A second daemon, a 2-shard fleet,
 # is then typed into and must publish like one server: /metrics shows its
-# input-to-paint observations and `slim_sessions 1`. Ports 5497-5498 and
+# input-to-paint observations, `slim_sessions 1`, paced traffic and gen-2
+# tiles. Ports 5497-5498 and
 # 6061-6062 keep clear of a developer's running slimd.
 EVIDENCE := $(or $(TMPDIR),/tmp)/slim-evidence-smoke
 evidence-smoke:
 	rm -rf $(EVIDENCE) && mkdir -p $(EVIDENCE)
 	$(GO) build -o $(EVIDENCE)/ ./cmd/slimd ./cmd/slimview ./cmd/slimtrace
 	set -e; cd $(EVIDENCE); \
-	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -flow -netqual \
+	./slimd -addr 127.0.0.1:5498 -debug 127.0.0.1:6061 -netqual \
 		-capture run.slimcap -flight-dir dumps -slo-target 1ns -incident-dir incidents & \
 	slimd=$$!; trap 'kill $$slimd 2>/dev/null' EXIT; \
 	sleep 3; \
@@ -173,6 +175,9 @@ evidence-smoke:
 	code=$$(curl -sS -o /dev/null -w '%{http_code}' 'http://127.0.0.1:6061/debug/costmodel'); \
 	[ "$$code" = 404 ] || { echo "GET /debug/costmodel answered $$code"; exit 1; }; \
 	./slimview -server 127.0.0.1:5498 -card card-demo -type "evidence" -o screen.png; \
+	curl -fsS -o run.prom http://127.0.0.1:6061/metrics; \
+	grep -qE '^slim_flow_released_total [1-9]' run.prom || { echo "the daemon's /metrics shows no paced traffic"; exit 1; }; \
+	grep -qE '^slim_codec2_tiles_total\{[^}]*\} [1-9]' run.prom || { echo "the daemon's /metrics shows no gen-2 tiles"; exit 1; }; \
 	code=$$(curl -sS -o /dev/null -w '%{http_code}' -X POST 'http://127.0.0.1:6061/debug/incident?trigger=evidence-smoke'); \
 	case $$code in 200|429) ;; *) echo "POST /debug/incident answered $$code"; exit 1;; esac; \
 	kill -INT $$slimd; wait $$slimd || true; trap - EXIT; \
@@ -196,7 +201,9 @@ evidence-smoke:
 	curl -fsS -o fleet.prom http://127.0.0.1:6062/metrics; \
 	kill -INT $$fleet; wait $$fleet || true; trap - EXIT; \
 	grep -qE '^slim_input_to_paint_seconds_count [1-9]' fleet.prom || { echo "the fleet's /metrics shows no input-to-paint observations"; exit 1; }; \
-	grep -qx 'slim_sessions 1' fleet.prom || { echo "the fleet's /metrics does not show slim_sessions 1"; exit 1; }
+	grep -qx 'slim_sessions 1' fleet.prom || { echo "the fleet's /metrics does not show slim_sessions 1"; exit 1; }; \
+	grep -qE '^slim_flow_released_total [1-9]' fleet.prom || { echo "the fleet's /metrics shows no paced traffic"; exit 1; }; \
+	grep -qE '^slim_codec2_tiles_total\{[^}]*\} [1-9]' fleet.prom || { echo "the fleet's /metrics shows no gen-2 tiles"; exit 1; }
 	rm -rf $(EVIDENCE)
 
 # Counted non-test Go lines per top-level package — the number the

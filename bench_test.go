@@ -67,12 +67,7 @@ func BenchmarkTable4_ResponseTime(b *testing.B) {
 	}
 	b.StopTimer()
 	// Modelled 100 Mbps fabric RTT for the same path (the 550 µs row).
-	link := &netsim.Link{Bps: netsim.Rate100Mbps, Prop: 20 * time.Microsecond}
-	costs := core.SunRay1Costs()
-	glyph := &protocol.Bitmap{Rect: protocol.Rect{W: 8, H: 16}, Bits: make([]byte, 16)}
-	model := link.SerializeTime(15) + link.Prop + 150*time.Microsecond +
-		link.SerializeTime(protocol.WireSize(glyph)) + link.Prop + costs.ServiceTime(glyph)
-	b.ReportMetric(float64(model.Microseconds()), "model-rtt-µs")
+	b.ReportMetric(float64(experiments.ModelRTT().Microseconds()), "model-rtt-µs")
 }
 
 // BenchmarkTable4_X11perf runs the x11perf-style suite once per iteration

@@ -256,7 +256,7 @@ func udpTx() (datagrams, bytes int64) {
 	return m.Counter("slim_udp_tx_datagrams_total").Value(), m.Counter("slim_udp_tx_bytes_total").Value()
 }
 
-// shippedProfile is `slimd -flow -codec2` and the console that goes with it.
+// shippedProfile is what slimd serves and the console that goes with it.
 func shippedProfile(w, h int) ([]ServerOption, ConsoleConfig) {
 	return []ServerOption{WithFlowControl(FlowConfig{}), WithCodec2()},
 		ConsoleConfig{Width: w, Height: h, TileCacheEntries: DefaultTileCacheEntries}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -85,11 +86,11 @@ func main() {
 	sel := func(k string) bool { return all || want[k] }
 
 	if sel("table4") {
-		r, err := experiments.Table4(300 * time.Millisecond)
+		rtt, err := hostRTT(context.Background(), 64)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(experiments.RenderTable4(r))
+		fmt.Println(experiments.RenderTable4(experiments.Table4(rtt, 300*time.Millisecond)))
 	}
 	if sel("table5") {
 		fmt.Println(experiments.RenderTable5(experiments.Table5Measured()))

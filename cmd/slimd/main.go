@@ -3,6 +3,12 @@
 // with -app — a video player (the §7 multimedia configurations). Register
 // card tokens with -card token=user (repeatable).
 //
+// The daemon serves one profile, the one the repository benchmark
+// measures: every session paces its display traffic and loss recovery to
+// its console's bandwidth grants (§7), owing what the grant cannot yet
+// carry, and consoles advertising CACHE_PAINT get the gen-2 codec while
+// gen-1 consoles keep the plain encoding.
+//
 // With -shards N (N > 1) the one UDP attach point fronts a session-broker
 // fleet of N in-process server shards: the broker authenticates the card,
 // places the session on a shard (-routing hash|leastloaded), and
@@ -15,7 +21,6 @@
 //	slimd -addr 127.0.0.1:5499 -card card-1=alice -card card-2=bob
 //	slimd -shards 8 -routing leastloaded   # sharded fleet, rebalanced on hotdesk
 //	slimd -app quake -fps 30       # every session plays the game stream
-//	slimd -flow                    # §7 grant-paced per-session flow control
 //	slimd -debug :6060             # live metrics + pprof on http://:6060
 //	slimd -capture run.slimcap     # spool every datagram to a wire capture
 //	slimd -slo-target 100ms -slo-budget 0.005   # tighten the latency SLO
@@ -152,9 +157,6 @@ func main() {
 	state := flag.String("state", "", "session state file: loaded at boot, saved at shutdown (single server only)")
 	app := flag.String("app", "terminal", "session application: terminal|desktop|quake|mpeg2|ntsc")
 	fps := flag.Float64("fps", 24, "video frame rate for video applications")
-	flow := flag.Bool("flow", false, "enable the per-session send governor: pace display traffic and loss recovery to console grants, owe paints the token bucket cannot take and repaint them from the latest state (§7)")
-	codec2 := flag.Bool("codec2", false, "arm the gen-2 codec (content-typed tiles + dirty-tile cache); engages per attachment for consoles advertising CACHE_PAINT")
-	flowBps := flag.Uint64("flow-bps", 0, "with -flow, per-session bandwidth demand at attach, and the pace until the first grant, in bits/s (0: derive from the cost model)")
 	flightDir := flag.String("flight-dir", "", "directory for flight-recorder breach dumps (empty: count breaches, write nothing)")
 	capturePath := flag.String("capture", "", "spool a wire capture of every datagram to this .slimcap file")
 	sloTarget := flag.Duration("slo-target", slim.SLO().Target(),
@@ -163,7 +165,6 @@ func main() {
 		"allowed breach fraction, e.g. 0.01 for 1% of events")
 	netqualOn := flag.Bool("netqual", false, "estimate per-session path RTT/jitter/loss/goodput passively from STATUS/NACK/grant traffic (slim_netqual_*, /debug/netqual)")
 	hostmonOn := flag.Bool("hostmon", false, "sample host runtime telemetry (slim_runtime_*) and attribute HOST-caused latency breaches")
-	hostmonInterval := flag.Duration("hostmon-interval", 0, "with -hostmon, runtime sampling period (0: the 250ms default)")
 	incidentDir := flag.String("incident-dir", "", "write SLO-triggered incident bundles under this directory (implies -hostmon)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
@@ -209,12 +210,11 @@ func main() {
 	if *shards > 1 && *state != "" {
 		fatal("-state saves one server's session table; it cannot be combined with -shards above 1")
 	}
-	opts := []slim.ServerOption{slim.WithLogger(logger)}
-	if *codec2 {
-		opts = append(opts, slim.WithCodec2())
-	}
-	if *flow {
-		opts = append(opts, slim.WithFlowControl(slim.FlowConfig{InitialBps: *flowBps}))
+	// slimd's one profile (see the package comment).
+	opts := []slim.ServerOption{
+		slim.WithLogger(logger),
+		slim.WithFlowControl(slim.FlowConfig{}),
+		slim.WithCodec2(),
 	}
 	if *capturePath != "" {
 		cf, err := slim.StartCapture(*capturePath)
@@ -238,10 +238,9 @@ func main() {
 			"series", "slim_netqual_*", "watch", "/debug/netqual")
 	}
 	if *hostmonOn || *incidentDir != "" {
-		slim.HostMonitor().SetInterval(*hostmonInterval)
 		stop := slim.StartHostMonitor()
 		defer stop()
-		logger.Info("host runtime telemetry on", "interval", slim.HostMonitor().Interval())
+		logger.Info("host runtime telemetry on")
 	}
 	if *incidentDir != "" {
 		if err := os.MkdirAll(*incidentDir, 0o755); err != nil {
@@ -275,9 +274,6 @@ func main() {
 			fatal("listen", "addr", *addr, "err", err)
 		}
 		srv, dir = u, u.Broker
-	}
-	if *flow {
-		logger.Info("flow control on: sessions pace to console bandwidth grants")
 	}
 	defer srv.Close()
 	if *debugAddr != "" {

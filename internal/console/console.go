@@ -48,13 +48,13 @@ type Config struct {
 	// (telemetry.Default's if nil). In-process deployments share one
 	// recorder with the server, so both ends of the wire land in one ring.
 	Flight *flight.Recorder
-	// TileCacheEntries enables the gen-2 content-addressed tile cache
-	// with the given entry capacity; the console then advertises
-	// CapCachePaint in its Hello and accepts CACHE_PAINT commands. 0
-	// leaves the console a pure gen-1 frame buffer. The capacity must
-	// match what the server's encoder assumes (the capability bit
-	// implies core.DefaultTileCacheEntries) or the mirrored LRU orders
-	// drift — each drift is repaired by a NACK, but it costs bandwidth.
+	// TileCacheEntries enables the gen-2 content-addressed tile cache;
+	// the console then advertises CapCachePaint in its Hello and accepts
+	// CACHE_PAINT commands. 0 leaves the console a pure gen-1 frame
+	// buffer. The only other value New accepts is
+	// core.DefaultTileCacheEntries: the capability bit implies that
+	// capacity, the server's encoder mirrors it, and any other one would
+	// drift the mirrored LRU orders by construction.
 	TileCacheEntries int
 }
 
@@ -94,6 +94,10 @@ func New(cfg Config) (*Console, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("console: invalid geometry %dx%d", cfg.Width, cfg.Height)
 	}
+	if cfg.TileCacheEntries != 0 && cfg.TileCacheEntries != core.DefaultTileCacheEntries {
+		return nil, fmt.Errorf("console: tile cache of %d entries; the server mirrors %d, so the cache must hold that or be off (0)",
+			cfg.TileCacheEntries, core.DefaultTileCacheEntries)
+	}
 	if cfg.ReorderWindow == 0 {
 		cfg.ReorderWindow = 64
 	}
@@ -118,7 +122,7 @@ func New(cfg Config) (*Console, error) {
 		c.audioSink = audio.NewSink(cfg.AudioBuffer)
 	}
 	if cfg.TileCacheEntries > 0 {
-		c.cache = core.NewTileCache(cfg.TileCacheEntries, true)
+		c.cache = core.NewTileCache(core.DefaultTileCacheEntries, true)
 	}
 	return c, nil
 }

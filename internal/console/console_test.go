@@ -23,6 +23,26 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestNewRejectsForeignTileCacheCapacity: the server mirrors a gen-2
+// console's tile cache at core.DefaultTileCacheEntries, so any other
+// capacity would drift the mirrored LRU orders; New refuses it.
+func TestNewRejectsForeignTileCacheCapacity(t *testing.T) {
+	for _, n := range []int{-1, 1, 16, core.DefaultTileCacheEntries + 1} {
+		if _, err := New(Config{Width: 64, Height: 64, TileCacheEntries: n}); err == nil {
+			t.Errorf("TileCacheEntries %d accepted", n)
+		}
+	}
+	for _, n := range []int{0, core.DefaultTileCacheEntries} {
+		c, err := New(Config{Width: 64, Height: 64, TileCacheEntries: n})
+		if err != nil {
+			t.Fatalf("TileCacheEntries %d: %v", n, err)
+		}
+		if armed := c.Hello().Caps&protocol.CapCachePaint != 0; armed != (n > 0) {
+			t.Errorf("TileCacheEntries %d: CapCachePaint advertised = %v", n, armed)
+		}
+	}
+}
+
 func TestDisplayCommandRenders(t *testing.T) {
 	c := newTestConsole(t, nil)
 	wire := protocol.Encode(nil, 1, &protocol.Fill{Rect: protocol.Rect{W: 64, H: 64}, Color: 0xff0000})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/core"
 	"slim/internal/obs/capture"
 	"slim/internal/protocol"
 	"slim/internal/raceflag"
@@ -202,7 +203,7 @@ func FuzzConsoleHandleDatagram(f *testing.F) {
 	}
 	f.Add([]byte{0x53, 0x4c, 1, 0}, uint16(0))
 	f.Fuzz(func(t *testing.T, wire []byte, nowMs uint16) {
-		c, err := New(Config{Width: 64, Height: 48, TileCacheEntries: 16})
+		c, err := New(Config{Width: 64, Height: 48, TileCacheEntries: core.DefaultTileCacheEntries})
 		if err != nil {
 			t.Fatal(err)
 		}

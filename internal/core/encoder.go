@@ -13,14 +13,15 @@ import (
 	"slim/internal/wirebuf"
 )
 
-// DefaultMTU is the default maximum datagram body size. It leaves room for
-// UDP/IP headers inside a 1500-byte Ethernet frame, matching the fabric the
-// paper ran on.
+// DefaultMTU is the maximum datagram body size: every encoder cuts to it
+// and every bound on its output assumes it. It leaves room for UDP/IP
+// headers inside a 1500-byte Ethernet frame, matching the fabric the paper
+// ran on.
 const DefaultMTU = 1400
 
-// MaxDatagram is the largest datagram the encoder emits at DefaultMTU, and
-// so the size an endpoint packing commands into §5.4 frames fills: a frame
-// never asks more of the path than a SET strip already does.
+// MaxDatagram is the largest datagram the encoder emits, and so the size an
+// endpoint packing commands into §5.4 frames fills: a frame never asks
+// more of the path than a SET strip already does.
 const MaxDatagram = protocol.HeaderSize + DefaultMTU
 
 // Datagram is one framed protocol message ready for transmission.
@@ -60,8 +61,6 @@ func (d *Datagram) ReleaseWire() {
 type Encoder struct {
 	// FB is the server's persistent frame buffer for the session.
 	FB *fb.Framebuffer
-	// MTU bounds the body size of generated datagrams.
-	MTU int
 	// AnalyzeImages enables content analysis of ImageOps (uniform regions
 	// become FILL, bicolor regions become BITMAP). Disabling it is the
 	// "SET-only" ablation: every image pixel goes out literally.
@@ -108,7 +107,6 @@ type Encoder struct {
 func NewEncoder(w, h int) *Encoder {
 	return &Encoder{
 		FB:            fb.New(w, h),
-		MTU:           DefaultMTU,
 		AnalyzeImages: true,
 		sent:          make(sentLog, sentLogCapacity(w, h)),
 	}
@@ -214,7 +212,7 @@ func (e *Encoder) encodeRegion(out []Datagram, r protocol.Rect, pixels []protoco
 // encodeSet splits a literal-pixel rectangle into MTU-sized SET commands,
 // appended to out.
 func (e *Encoder) encodeSet(out []Datagram, r protocol.Rect, pixels []protocol.Pixel) []Datagram {
-	tw, th := setGrid(r.W, e.MTU)
+	tw, th := setGrid(r.W)
 	tiles := tile(r, tw, th)
 	out = slices.Grow(out, tiles.n())
 	for i := range tiles.n() {
@@ -235,10 +233,10 @@ func (e *Encoder) encodeSet(out []Datagram, r protocol.Rect, pixels []protocol.P
 	return out
 }
 
-// setGrid is the largest SET a w-wide rect is cut into at mtu: as wide as
-// the rect or the MTU holds, as many rows tall as then fit.
-func setGrid(w, mtu int) (tw, th int) {
-	maxPixels := max(1, (mtu-8)/3) // rect header
+// setGrid is the largest SET a w-wide rect is cut into: as wide as the
+// rect or the MTU holds, as many rows tall as then fit.
+func setGrid(w int) (tw, th int) {
+	maxPixels := max(1, (DefaultMTU-8)/3) // rect header
 	tw = min(max(w, 1), maxPixels)
 	return tw, max(1, maxPixels/tw)
 }
@@ -254,7 +252,7 @@ func copyTile(dst []protocol.Pixel, pixels []protocol.Pixel, r, t protocol.Rect)
 // encodeBitmap splits a bicolor rectangle into MTU-sized BITMAP commands,
 // appended to out.
 func (e *Encoder) encodeBitmap(out []Datagram, r protocol.Rect, fg, bg protocol.Pixel, bits []byte) []Datagram {
-	budget := e.MTU - 8 - 6 // rect + two colors
+	budget := DefaultMTU - 8 - 6 // rect + two colors
 	tileW := min(r.W, max(8, budget*8))
 	tiles := tile(r, tileW, max(1, budget/protocol.BitmapRowBytes(tileW)))
 	srcRow := protocol.BitmapRowBytes(r.W)
@@ -308,12 +306,12 @@ func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
 	return out, nil
 }
 
-// videoRows is the strip height encodeVideo cuts o into at mtu: the whole
-// frame if it fits, else the largest even count whose payload does
-// (payload grows with rows; two is the floor). Even heights keep 2x2
-// chroma blocks from straddling a boundary.
-func videoRows(o VideoOp, mtu int) int {
-	budget := mtu - 17 // two rects + format byte
+// videoRows is the strip height encodeVideo cuts o into: the whole frame
+// if it fits, else the largest even count whose payload does (payload
+// grows with rows; two is the floor). Even heights keep 2x2 chroma blocks
+// from straddling a boundary.
+func videoRows(o VideoOp) int {
+	budget := DefaultMTU - 17 // two rects + format byte
 	rows := o.Src.H
 	if o.Format.PayloadLen(o.Src.W, rows) > budget {
 		for rows = 2; o.Format.PayloadLen(o.Src.W, rows+2) <= budget; rows += 2 {
@@ -331,7 +329,7 @@ func videoRows(o VideoOp, mtu int) int {
 // sized for the whole frame: every strip is applied before the first is
 // emitted, so no strip may reuse another's bytes.
 func (e *Encoder) applyVideo(o VideoOp) ([]*protocol.CSCS, error) {
-	rows := videoRows(o, e.MTU)
+	rows := videoRows(o)
 	msgs := make([]*protocol.CSCS, 0, ceilDiv(o.Src.H, rows))
 	if !e.SkipWire {
 		need := o.Src.H/rows*o.Format.PayloadLen(o.Src.W, rows) + o.Format.PayloadLen(o.Src.W, o.Src.H%rows)
@@ -409,12 +407,11 @@ func (e *Encoder) apply(op Op) (protocol.Rect, error) {
 	return w.Intersect(e.FB.Bounds()), err
 }
 
-// WireBound bounds the wire bytes Encode(op) emits at DefaultMTU or above,
-// gen-1 or gen-2, cache hits or not: 3 bytes a pixel and one SET's framing
-// per command for images (the costliest lowering of any pixels, cut the
-// way whichever generation cuts finer), the exact strips for video. It
-// reads only op's geometry, so a governor can price a paint before anyone
-// encodes it.
+// WireBound bounds the wire bytes Encode(op) emits, gen-1 or gen-2, cache
+// hits or not: 3 bytes a pixel and one SET's framing per command for
+// images (the costliest lowering of any pixels, cut the way whichever
+// generation cuts finer), the exact strips for video. It reads only op's
+// geometry, so a governor can price a paint before anyone encodes it.
 func WireBound(op Op) int {
 	switch o := op.(type) {
 	case FillOp:
@@ -429,12 +426,12 @@ func WireBound(op Op) int {
 		return cmds*(setFrame+6) + (protocol.BitmapRowBytes(o.Rect.W)+cols)*o.Rect.H
 	case ImageOp:
 		r := o.Rect
-		tw, th := setGrid(r.W, DefaultMTU)
+		tw, th := setGrid(r.W)
 		gen1 := ceilDiv(r.W, tw) * ceilDiv(r.H, th)
 		gen2 := ceilDiv(r.W, TileSize) * ceilDiv(r.H, TileSize)
 		return max(gen1, gen2)*setFrame + 3*r.Pixels()
 	case VideoOp:
-		rows := videoRows(o, DefaultMTU)
+		rows := videoRows(o)
 		full, rest := o.Src.H/rows, o.Src.H%rows
 		n := full * (setFrame + 9 + o.Format.PayloadLen(o.Src.W, rows))
 		if rest > 0 {
@@ -489,7 +486,7 @@ func (e *Encoder) Repay(d *fb.Region, budget int) []Datagram {
 // row is one SET — so literal pixels cost the commands of the whole, and a
 // piece analysis makes cheaper leaves budget for the next.
 func (e *Encoder) repay1(out []Datagram, r protocol.Rect) (_ []Datagram, rows, band protocol.Rect) {
-	tw, th := setGrid(r.W, e.MTU)
+	tw, th := setGrid(r.W)
 	row := ceilDiv(r.W, tw)*setFrame + 3*r.W*th
 	for rows = (protocol.Rect{X: r.X, Y: r.Y, W: r.W}); rows.H < r.H; rows.H += band.H {
 		if len(out) > 0 && e.left < row {

@@ -113,13 +113,13 @@ func TestEncodeNoisyImageBecomesSetChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(dgs) < 2 {
-		t.Fatalf("10Kpx image fit in %d datagrams under a %dB MTU", len(dgs), e.MTU)
+		t.Fatalf("10Kpx image fit in %d datagrams under a %dB MTU", len(dgs), DefaultMTU)
 	}
 	for _, d := range dgs {
 		if d.Msg.Type() != protocol.TypeSet {
 			t.Fatalf("noisy image lowered to %v", d.Msg.Type())
 		}
-		if len(d.Wire) > e.MTU+protocol.HeaderSize {
+		if len(d.Wire) > MaxDatagram {
 			t.Fatalf("datagram %d bytes exceeds MTU budget", len(d.Wire))
 		}
 	}
@@ -186,7 +186,7 @@ func TestEncodeVideoStrips(t *testing.T) {
 	covered := 0
 	for _, d := range dgs {
 		cs := d.Msg.(*protocol.CSCS)
-		if len(d.Wire) > e.MTU+protocol.HeaderSize {
+		if len(d.Wire) > MaxDatagram {
 			t.Fatalf("video datagram %dB over MTU", len(d.Wire))
 		}
 		covered += cs.Dst.H
@@ -244,7 +244,7 @@ func TestVideoStripsFillTheMTU(t *testing.T) {
 		if tc.strips != 0 && len(dgs) != tc.strips {
 			t.Errorf("%dx%d format %d: %d strips, want %d", tc.w, tc.h, tc.format, len(dgs), tc.strips)
 		}
-		budget := e.MTU - 17
+		budget := DefaultMTU - 17
 		rows := 0
 		for i, d := range dgs {
 			cs := d.Msg.(*protocol.CSCS)

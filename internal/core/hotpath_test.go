@@ -185,7 +185,7 @@ func TestVideoFrameAllocs(t *testing.T) {
 	for range 5 {
 		encode()
 	}
-	strips := ceilDiv(vh, videoRows(op, e.MTU))
+	strips := ceilDiv(vh, videoRows(op))
 	// sync.Pool may drop a wire buffer at a GC mid-run; one object a frame
 	// covers it.
 	if allocs, budget := testing.AllocsPerRun(50, encode), float64(strips+2+1); allocs > budget {

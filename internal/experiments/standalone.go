@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"time"
 
-	"slim/internal/console"
 	"slim/internal/core"
 	"slim/internal/netsim"
 	"slim/internal/protocol"
@@ -17,7 +15,8 @@ import (
 // Table4Result holds the stand-alone component benchmarks of §4.
 type Table4Result struct {
 	// HostRTT is the measured keystroke→pixels round trip of this build
-	// over a real UDP loopback socket (echo application, §4.1).
+	// over a real UDP loopback socket: slimd's profile serving the echo
+	// terminal to a UDP console (§4.1).
 	HostRTT time.Duration
 	// ModelRTT is the same path priced on the paper's hardware model:
 	// 100 Mbps serialization both ways, switch latency, and the Sun Ray 1
@@ -34,16 +33,11 @@ type Table4Result struct {
 	Perf        []xproto.PerfResult
 }
 
-// Table4 runs the stand-alone benchmarks. perOp controls how long each
-// x11perf micro-op runs.
-func Table4(perOp time.Duration) (Table4Result, error) {
-	var res Table4Result
-	rtt, err := udpEchoRTT(64)
-	if err != nil {
-		return res, err
-	}
-	res.HostRTT = rtt
-	res.ModelRTT = modelRTT()
+// Table4 assembles the stand-alone benchmarks around hostRTT, the
+// response time measured over the shipped UDP endpoint (cmd/slimbench
+// measures it). perOp controls how long each x11perf micro-op runs.
+func Table4(hostRTT, perOp time.Duration) Table4Result {
+	res := Table4Result{HostRTT: hostRTT, ModelRTT: ModelRTT()}
 	res.EmacsRTT = res.ModelRTT + 3300*time.Microsecond - 250*time.Microsecond
 	res.Perf = xproto.RunSuite(perOp)
 	res.XmarkWithIF = xproto.Composite(res.Perf, true)
@@ -51,143 +45,13 @@ func Table4(perOp time.Duration) (Table4Result, error) {
 	if res.XmarkWithIF > 0 {
 		res.XmarkRatio = res.XmarkNoIF / res.XmarkWithIF
 	}
-	return res, nil
+	return res
 }
 
-// udpEchoRTT measures the median keystroke→rendered-pixels round trip over
-// a real UDP loopback: console sends a KeyEvent, a server with the echo
-// Terminal application replies with the glyph's display commands, and the
-// console decodes them into its frame buffer.
-func udpEchoRTT(samples int) (time.Duration, error) {
-	srvConn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return 0, fmt.Errorf("experiments: %w", err)
-	}
-	defer srvConn.Close()
-	conConn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return 0, fmt.Errorf("experiments: %w", err)
-	}
-	defer conConn.Close()
-
-	srvAddr := srvConn.LocalAddr().(*net.UDPAddr)
-	transport := &udpTransport{conn: srvConn}
-	srv := server.New(transport, func(user string, w, h int) server.Application {
-		return server.NewTerminal(w, h)
-	})
-	srv.Auth.Register("card-bench", "bench")
-
-	con, err := console.New(console.Config{Width: 640, Height: 480})
-	if err != nil {
-		return 0, err
-	}
-
-	// Server loop.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]byte, 64*1024)
-		for {
-			n, addr, err := srvConn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			transport.setAddr(addr)
-			if err := srv.HandleDatagram(addr.String(), buf[:n], 0); err != nil {
-				return
-			}
-		}
-	}()
-
-	// Boot: Hello with the card inserted; drain the attach + repaint.
-	hello := con.Hello()
-	hello.CardToken = "card-bench"
-	send := func(msg protocol.Message) error {
-		_, err := conConn.WriteToUDP(protocol.Encode(nil, 0, msg), srvAddr)
-		return err
-	}
-	if err := send(hello); err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 64*1024)
-	deadline := time.Now().Add(2 * time.Second)
-	if err := drainUntilQuiet(conConn, con, buf, deadline); err != nil {
-		return 0, err
-	}
-
-	// Measure: keystroke → all echo datagrams decoded.
-	lat := stats.NewCDF(samples)
-	for i := 0; i < samples; i++ {
-		start := time.Now()
-		if err := send(&protocol.KeyEvent{Code: uint16('a' + i%26), Down: true}); err != nil {
-			return 0, err
-		}
-		// The glyph echo is a single BITMAP datagram.
-		if err := recvOne(conConn, con, buf); err != nil {
-			return 0, err
-		}
-		lat.Add(time.Since(start).Seconds())
-		// Key release generates no display update; send it to keep the
-		// terminal state honest.
-		if err := send(&protocol.KeyEvent{Code: uint16('a' + i%26), Down: false}); err != nil {
-			return 0, err
-		}
-	}
-	srvConn.Close()
-	<-done
-	return time.Duration(lat.Percentile(0.5) * float64(time.Second)), nil
-}
-
-func recvOne(conn *net.UDPConn, con *console.Console, buf []byte) error {
-	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return err
-	}
-	n, _, err := conn.ReadFromUDP(buf)
-	if err != nil {
-		return err
-	}
-	_, err = con.HandleDatagram(buf[:n], 0)
-	return err
-}
-
-func drainUntilQuiet(conn *net.UDPConn, con *console.Console, buf []byte, deadline time.Time) error {
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
-			return err
-		}
-		n, _, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return nil
-			}
-			return err
-		}
-		if _, err := con.HandleDatagram(buf[:n], 0); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiments: boot drain did not settle")
-		}
-	}
-}
-
-// udpTransport sends server datagrams back to the console's UDP address.
-type udpTransport struct {
-	conn *net.UDPConn
-	addr *net.UDPAddr
-}
-
-func (t *udpTransport) setAddr(a *net.UDPAddr) { t.addr = a }
-
-func (t *udpTransport) Send(consoleID string, wire []byte) error {
-	_, err := t.conn.WriteToUDP(wire, t.addr)
-	return err
-}
-
-// modelRTT prices the §4.1 echo path on the paper's hardware: keystroke
+// ModelRTT prices the §4.1 echo path on the paper's hardware: keystroke
 // serialization upstream, switch latency each way, server processing, the
 // echoed glyph's datagram downstream, and the Sun Ray 1 BITMAP decode.
-func modelRTT() time.Duration {
+func ModelRTT() time.Duration {
 	link := &netsim.Link{Bps: netsim.Rate100Mbps, Prop: 20 * time.Microsecond}
 	costs := core.SunRay1Costs()
 	key := protocol.WireSize(&protocol.KeyEvent{})

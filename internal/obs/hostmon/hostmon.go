@@ -206,18 +206,6 @@ func (m *Monitor) Instrument(reg *obs.Registry) *Monitor {
 // Disabled ticks cost one atomic load and touch nothing.
 func (m *Monitor) SetEnabled(on bool) { m.enabled.Store(on) }
 
-// Interval reports the sampling period.
-func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
-
-// SetInterval changes the sampling period. Call it before Start; a
-// running loop keeps ticking at the period it started with. Non-positive
-// values are ignored.
-func (m *Monitor) SetInterval(d time.Duration) {
-	if d > 0 && m.stop == nil {
-		m.cfg.Interval = d
-	}
-}
-
 // Start launches the sampling loop. Starting a started monitor panics;
 // Close it first.
 func (m *Monitor) Start() {

@@ -43,6 +43,8 @@ const BundleVersion = 1
 const (
 	flightSubdir    = "flight"
 	captureTailName = "capture-tail.slimcap"
+	// flightTail is how many breach dumps, the newest, a bundle copies.
+	flightTail = 8
 )
 
 // Config parameterizes an engine. Dir is required; zero fields take
@@ -58,10 +60,8 @@ type Config struct {
 	// bundles are removed past it.
 	MaxBundles int
 	// CaptureTail bounds the wire-capture tail copied into a bundle
-	// (default 512 records); FlightTail the breach-dump files copied
-	// (default 8, newest first).
+	// (default 512 records).
 	CaptureTail int
-	FlightTail  int
 	// CPUProfile is the length of the CPU profile each bundle captures
 	// (default 250 ms).
 	CPUProfile time.Duration
@@ -76,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CaptureTail <= 0 {
 		c.CaptureTail = 512
-	}
-	if c.FlightTail <= 0 {
-		c.FlightTail = 8
 	}
 	if c.CPUProfile <= 0 {
 		c.CPUProfile = 250 * time.Millisecond
@@ -97,7 +94,7 @@ type Sources struct {
 	// Registry supplies metrics.prom.
 	Registry *obs.Registry
 	// FlightDir is the flight recorder's dump directory; the newest
-	// FlightTail dumps are copied into the bundle's flight/ directory.
+	// flightTail dumps are copied into the bundle's flight/ directory.
 	FlightDir string
 	// CaptureFile is the live .slimcap spool; its trailing CaptureTail
 	// records become capture-tail.slimcap.
@@ -370,7 +367,7 @@ func (e *Engine) cpuProfile(w io.Writer) error {
 	return nil
 }
 
-// copyFlightDumps copies the newest FlightTail breach dumps into the
+// copyFlightDumps copies the newest flightTail breach dumps into the
 // bundle's flight/ directory.
 func (e *Engine) copyFlightDumps(stage string, m *Manifest) {
 	if e.src.FlightDir == "" {
@@ -381,7 +378,7 @@ func (e *Engine) copyFlightDumps(stage string, m *Manifest) {
 		m.Errors["flight"] = err.Error()
 		return
 	}
-	for _, path := range dumps[max(0, len(dumps)-e.cfg.FlightTail):] {
+	for _, path := range dumps[max(0, len(dumps)-flightTail):] {
 		rel := filepath.Join(flightSubdir, filepath.Base(path))
 		data, err := os.ReadFile(path)
 		if err != nil {

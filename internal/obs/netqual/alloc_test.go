@@ -19,7 +19,7 @@ var allocGuard = func(t *testing.T) {
 // every observe call is one atomic load and nothing else.
 func TestZeroAllocDisabled(t *testing.T) {
 	allocGuard(t)
-	tr := New(obs.Wall, DefaultConfig())
+	tr := New(obs.Wall)
 	s := tr.Session(1, "alice")
 	if n := testing.AllocsPerRun(1000, func() {
 		s.OnSend(1, 1000, false)
@@ -37,7 +37,7 @@ func TestZeroAllocDisabled(t *testing.T) {
 func TestZeroAllocEnabled(t *testing.T) {
 	allocGuard(t)
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(1, "alice")
 
@@ -63,7 +63,7 @@ func TestZeroAllocEnabled(t *testing.T) {
 // fold, jitter, window accounting, gauge publish).
 func BenchmarkObserveStatus(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(1, "alice")
 	b.ReportAllocs()
@@ -77,7 +77,7 @@ func BenchmarkObserveStatus(b *testing.B) {
 
 // BenchmarkObserveSendDisabled measures the disarmed fast path.
 func BenchmarkObserveSendDisabled(b *testing.B) {
-	tr := New(obs.Wall, DefaultConfig())
+	tr := New(obs.Wall)
 	s := tr.Session(1, "alice")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -89,7 +89,7 @@ func BenchmarkObserveSendDisabled(b *testing.B) {
 // BenchmarkObserveNack measures the armed NACK ingest.
 func BenchmarkObserveNack(b *testing.B) {
 	reg := obs.NewRegistry(obs.DomainWall)
-	tr := New(obs.Wall, DefaultConfig()).Instrument(reg)
+	tr := New(obs.Wall).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(1, "alice")
 	b.ReportAllocs()

@@ -60,8 +60,8 @@ func (t *Tracker) Status() Status {
 	st := Status{
 		Enabled:     t.enabled.Load(),
 		Domain:      t.clock.Domain(),
-		ShortWindow: t.cfg.ShortWindow,
-		LongWindow:  t.cfg.LongWindow,
+		ShortWindow: ShortWindow,
+		LongWindow:  LongWindow,
 		Sessions:    make([]SessionStatus, 0, len(ids)),
 	}
 	for _, id := range ids {

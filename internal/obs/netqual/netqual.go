@@ -51,30 +51,14 @@ const (
 	ringMask = ringSize - 1
 )
 
-// Config parameterizes the loss/goodput accounting windows.
-type Config struct {
-	// ShortWindow is the fast loss/goodput window (default 5 s): what the
-	// pacer and the breach-time PathEvidence read.
-	ShortWindow time.Duration
-	// LongWindow is the slow window (default 1 m): steady-state loss for
-	// capacity decisions and the accuracy sweep.
-	LongWindow time.Duration
-}
-
-// DefaultConfig returns the 5 s / 1 m windows.
-func DefaultConfig() Config {
-	return Config{ShortWindow: 5 * time.Second, LongWindow: time.Minute}
-}
-
-func (c Config) withDefaults() Config {
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 5 * time.Second
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = time.Minute
-	}
-	return c
-}
+const (
+	// ShortWindow is the fast loss/goodput window: what the pacer and the
+	// breach-time PathEvidence read.
+	ShortWindow = 5 * time.Second
+	// LongWindow is the slow window: steady-state loss for capacity
+	// decisions and the accuracy sweep.
+	LongWindow = time.Minute
+)
 
 // txSlot records one sent datagram for ack matching.
 type txSlot struct {
@@ -90,7 +74,6 @@ type txSlot struct {
 // disabled observe path costs one atomic load.
 type Tracker struct {
 	clock   *obs.Clock
-	cfg     Config
 	enabled atomic.Bool
 
 	sessions obs.Sessions[PathSession]
@@ -107,8 +90,8 @@ type Tracker struct {
 
 // New returns a tracker that stamps and reads its windows on clock
 // (estimation disabled).
-func New(clock *obs.Clock, cfg Config) *Tracker {
-	return &Tracker{clock: clock, cfg: cfg.withDefaults()}
+func New(clock *obs.Clock) *Tracker {
+	return &Tracker{clock: clock}
 }
 
 // Instrument resolves the tracker's fleet counters in reg and makes reg
@@ -140,8 +123,8 @@ func (t *Tracker) Enabled() bool { return t.enabled.Load() }
 func (t *Tracker) Session(id uint32, user string) *PathSession {
 	return t.sessions.Get(id, func() *PathSession {
 		s := &PathSession{t: t, id: id, user: user}
-		s.short.Init(t.cfg.ShortWindow)
-		s.long.Init(t.cfg.LongWindow)
+		s.short.Init(ShortWindow)
+		s.long.Init(LongWindow)
 		t.mu.RLock()
 		reg := t.reg
 		t.mu.RUnlock()

@@ -12,7 +12,7 @@ import (
 // calls stamp from; tests set the clock before each call.
 func simTracker() (*Tracker, *obs.Clock) {
 	clk := obs.NewClock(obs.DomainSim)
-	t := New(clk, DefaultConfig())
+	t := New(clk)
 	t.SetEnabled(true)
 	return t, clk
 }
@@ -302,7 +302,7 @@ func TestConsoleDrops(t *testing.T) {
 // TestDisabledObservesNothing: a disarmed tracker records no state.
 func TestDisabledObservesNothing(t *testing.T) {
 	clk := obs.NewClock(obs.DomainSim)
-	tr := New(clk, DefaultConfig())
+	tr := New(clk)
 	s := tr.Session(1, "alice")
 	if s.Armed() {
 		t.Fatal("disabled tracker reports armed")
@@ -333,7 +333,7 @@ func TestDisabledObservesNothing(t *testing.T) {
 func TestEvictionRemovesLabeledSeries(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
 	clk := obs.NewClock(obs.DomainSim)
-	tr := New(clk, DefaultConfig()).Instrument(reg)
+	tr := New(clk).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(7, "bob")
 	clk.Set(0)
@@ -369,7 +369,7 @@ func TestEvictionRemovesLabeledSeries(t *testing.T) {
 func TestStatusReport(t *testing.T) {
 	reg := obs.NewRegistry(obs.DomainSim)
 	clk := obs.NewClock(obs.DomainSim)
-	tr := New(clk, DefaultConfig()).Instrument(reg)
+	tr := New(clk).Instrument(reg)
 	tr.SetEnabled(true)
 	s := tr.Session(2, "carol")
 	clk.Set(0)

@@ -42,7 +42,7 @@ func Replay(recs []capture.Record) *Replayed {
 	// A replay is virtual time whichever domain the spool came from: the
 	// tracker stamps from a clock set to each record's timestamp.
 	clk := obs.NewClock(obs.DomainSim)
-	tr := New(clk, DefaultConfig())
+	tr := New(clk)
 	tr.SetEnabled(true)
 
 	rep := &Replayed{Records: len(recs)}

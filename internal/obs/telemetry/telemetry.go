@@ -55,7 +55,7 @@ func New(d obs.Domain) *Kit {
 	k := &Kit{Clock: obs.NewClock(d), Registry: obs.NewRegistry(d)}
 	k.Flight = flight.NewOn(k.Clock).Instrument(k.Registry)
 	k.SLO = slo.New(k.Clock, slo.Config{}).Instrument(k.Registry)
-	k.NetQual = netqual.New(k.Clock, netqual.DefaultConfig()).Instrument(k.Registry)
+	k.NetQual = netqual.New(k.Clock).Instrument(k.Registry)
 	k.Flight.SetPathEvidence(k.NetQual.PathEvidence)
 	return k
 }

@@ -200,8 +200,9 @@ func (sess *Session) oweNack(n protocol.Nack) {
 // repay sends what the session owes, repainted from the frame buffer as it
 // is now, in one Encoder.Repay: all of it with no governor; under one, what
 // the tokens cover once they hold a tile (or a burst shallower than one),
-// at most half a burst per call: a whole bucket at once overruns a slow
-// console's receive buffer. A debt left raises FlowPending.
+// at most half a burst per call, so the UDP pump's 1 ms floor spaces the
+// halves: a whole bucket at once, as on a hotdesk under a live grant,
+// overruns the console's receive buffer. A debt left raises FlowPending.
 func (sess *Session) repay(out *[]outbound, now time.Duration) {
 	if sess.damage.Empty() {
 		return

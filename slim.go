@@ -147,7 +147,8 @@ func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowContro
 
 // DefaultTileCacheEntries is the dirty-tile cache capacity the gen-2
 // codec's capability bit implies; a console arms its cache by setting
-// ConsoleConfig.TileCacheEntries (this value, typically).
+// ConsoleConfig.TileCacheEntries to this value, the only nonzero one
+// NewConsole accepts.
 const DefaultTileCacheEntries = core.DefaultTileCacheEntries
 
 // WithCodec2 arms the gen-2 encoder: content-typed tiles plus the
