@@ -82,8 +82,9 @@ bench-json:
 # flight recorder and the capture tap disabled and enabled, and the
 # server's burst flush; at most 8 per 42-byte fabric echo end to end, and
 # a governed blank 640x480 gen-2 attach at most 16 more than an ungoverned
-# one, and a 352x240 video frame one CSCS message per strip plus the two
-# slices listing them, the payloads cut from one slab),
+# one, a 352x240 video frame of 120 CSCS strips at most 3 — its strips'
+# messages and payloads are the encoder's own slabs — and a video
+# source's frame after the first none: it redraws the surface it owns),
 # and the memory budgets: a tile cache holds only the slots it has
 # filled, the encoder retains no wire bytes, a 640x480 gen-2 session is
 # its two frame buffers plus at most 1 MiB. Run without -race: the race
@@ -91,7 +92,7 @@ bench-json:
 # tests skip themselves under it and `make race` never runs them.
 ALLOC_TESTS = ZeroAlloc|Heap|RetainsNo|AllocsPerEcho|AllocatesNothing|ReusesSlotStorage|FlushGroupsRunsPerConsole|PacedAttachAllocs|VideoFrameAllocs
 alloc-guard:
-	$(GO) test -run '$(ALLOC_TESTS)' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/server/
+	$(GO) test -run '$(ALLOC_TESTS)' -count 1 . ./internal/protocol/ ./internal/fb/ ./internal/core/ ./internal/broker/ ./internal/obs/slo/ ./internal/obs/hostmon/ ./internal/obs/netqual/ ./internal/flow/ ./internal/obs/flight/ ./internal/obs/capture/ ./internal/server/ ./internal/video/
 
 # Regenerate the committed capacity artifact: full LAN + WAN user ramps
 # until the SLO burn knee (~5s of wall time; see internal/capacity).
@@ -223,16 +224,19 @@ ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke co
 cover:
 	$(GO) test -cover ./...
 
-# The 70-second CI fuzz smoke, split between the message decoder, the §5.4
-# frame packer, the three entry points the transports feed raw datagrams
-# into (console, server, and the broker under spoofed sources), the session
-# state file (`LoadSessions` over arbitrary bytes), and the evidence reader
+# The 80-second CI fuzz smoke, split between the message decoder, the §5.4
+# frame packer, the CSCS codec (decode against its reference, and the
+# server's reconstruction against decode), the three entry points the
+# transports feed raw datagrams into (console, server, and the broker under
+# spoofed sources), the session state file (`LoadSessions` over arbitrary
+# bytes), and the evidence reader
 # (`slimtrace explain` over an arbitrary capture or dump file; its tables
 # iterate maps, so coverage varies run to run and the minimizer is capped
 # or it eats the whole budget).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage$$' -fuzztime 10s ./internal/protocol/
 	$(GO) test -run xxx -fuzz FuzzPackFrames -fuzztime 10s ./internal/protocol/
+	$(GO) test -run xxx -fuzz 'FuzzDecodeCSCS$$' -fuzztime 10s ./internal/fb/
 	$(GO) test -run xxx -fuzz FuzzConsoleHandleDatagram -fuzztime 10s ./internal/console/
 	$(GO) test -run xxx -fuzz FuzzServerHandleDatagram -fuzztime 10s ./internal/server/
 	$(GO) test -run xxx -fuzz FuzzBrokerHandleDatagram -fuzztime 10s ./internal/broker/

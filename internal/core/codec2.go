@@ -216,9 +216,8 @@ func (e *Encoder) encodeTile(out []Datagram, t protocol.Rect) []Datagram {
 			out = e.encodeSet(out, t, c2.pix)
 		}
 	case ClassChurn:
-		if dgs, ok := e.encodeTileCSCS(t, c2.pix); ok {
-			out = append(out, dgs...)
-		} else {
+		var ok bool
+		if out, ok = e.encodeTileCSCS(out, t, c2.pix); !ok {
 			out = e.encodeSet(out, t, c2.pix)
 		}
 	default: // ClassPhoto
@@ -238,19 +237,15 @@ func (e *Encoder) encodeTile(out []Datagram, t protocol.Rect) []Datagram {
 // fidelity that will not survive the next frame is traded for 2 bytes
 // per pixel and a cheaper console decode. The chroma subsampling needs
 // even geometry; edge tiles fall back to SET (ok=false). The server
-// applies the same lossy command to its own frame buffer, keeping the
-// authoritative state bit-identical to the console's.
-func (e *Encoder) encodeTileCSCS(t protocol.Rect, pix []protocol.Pixel) ([]Datagram, bool) {
+// paints the reconstruction of the codes it packed into its own frame
+// buffer, keeping the authoritative state bit-identical to the console's.
+func (e *Encoder) encodeTileCSCS(out []Datagram, t protocol.Rect, pix []protocol.Pixel) ([]Datagram, bool) {
 	if t.W < 2 || t.H < 2 || t.W%2 != 0 || t.H%2 != 0 {
-		return nil, false
+		return out, false
 	}
-	data, err := fb.EncodeCSCS(pix, t.W, t.H, protocol.CSCS16)
-	if err != nil {
-		return nil, false
+	msg := &protocol.CSCS{Src: t, Dst: t, Format: protocol.CSCS16}
+	if _, err := e.FB.PaintAndPackCSCS(nil, msg, pix); err != nil {
+		return out, false
 	}
-	msg := &protocol.CSCS{Src: t, Dst: t, Format: protocol.CSCS16, Data: data}
-	if err := e.FB.ApplyCSCS(msg); err != nil {
-		return nil, false
-	}
-	return []Datagram{e.emit(msg)}, true
+	return append(out, e.emit(msg)), true
 }

@@ -26,11 +26,13 @@ const MaxDatagram = protocol.HeaderSize + DefaultMTU
 
 // Datagram is one framed protocol message ready for transmission.
 //
-// Payload aliasing: when wire generation is on, the pixel/bitmap payloads
-// of Msg may alias encoder-owned scratch slabs that the next Encode call
-// reuses. Wire is always a self-contained marshalled copy; what outlives
-// the Encode call (the sent log, the server's outbound list until it is
-// flushed) reads only Msg's geometry or Wire, never Msg's payload.
+// Aliasing: when wire generation is on, the pixel/bitmap payloads of Msg
+// may alias encoder-owned scratch slabs that the next Encode call reuses,
+// and a video frame's CSCS strips — message and payload both — are the
+// encoder's own, valid until its next Encode, Apply or Repay. Wire is
+// always a self-contained marshalled copy; what outlives that (the sent
+// log, the server's outbound list until it is flushed) keeps Wire or a
+// copy of what it needs of Msg, never Msg itself.
 type Datagram struct {
 	Seq  uint32
 	Msg  protocol.Message
@@ -91,15 +93,17 @@ type Encoder struct {
 	// cache); nil runs the gen-1 command path. See codec2.go.
 	codec2 *Codec2
 
-	// Reusable payload slabs for the wire-generating path. Message payloads
-	// (Set.Pixels, Bitmap.Bits) alias these and are valid only until the
-	// next Encode call — see the Datagram aliasing contract. SkipWire mode
-	// allocates fresh payloads instead, since without a wire the message IS
+	// Reusable slabs for the wire-generating path. Message payloads
+	// (Set.Pixels, Bitmap.Bits, CSCS.Data) and a video frame's strip
+	// messages alias these and are valid only until the next Encode call —
+	// see the Datagram aliasing contract. SkipWire mode allocates fresh
+	// messages and payloads instead, since without a wire the message IS
 	// the output.
 	setSlab     []protocol.Pixel
 	bitSlab     []byte
 	bicolorBits []byte
-	cscsSlab    []byte // one video frame's CSCS strip payloads
+	cscsSlab    []byte          // one video frame's CSCS strip payloads
+	strips      []protocol.CSCS // one video frame's CSCS strip messages
 	repaintPix  []protocol.Pixel
 }
 
@@ -293,15 +297,15 @@ func (e *Encoder) encodeBitmap(out []Datagram, r protocol.Rect, fg, bg protocol.
 }
 
 // encodeVideo lowers a video frame to CSCS strips that fit the MTU,
-// applying them to the frame buffer (applyVideo) before it emits them.
+// painting them into the frame buffer (paintVideo) before it emits them.
 func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
-	msgs, err := e.applyVideo(o)
+	strips, err := e.paintVideo(o, true)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Datagram, 0, len(msgs))
-	for _, msg := range msgs {
-		out = append(out, e.emit(msg))
+	out := make([]Datagram, 0, len(strips))
+	for i := range strips {
+		out = append(out, e.emit(&strips[i]))
 	}
 	return out, nil
 }
@@ -320,57 +324,67 @@ func videoRows(o VideoOp) int {
 	return rows
 }
 
-// applyVideo compresses a video frame into the CSCS strips the console
-// will decode and applies them to the authoritative frame buffer, so the
-// server holds exactly the lossy pixels the console shows. The destination
-// is carved proportionally so scaled strips tile exactly.
+// paintVideo cuts a video frame into the CSCS strips the console will
+// decode and paints each into the authoritative frame buffer as the
+// reconstruction of the codes it quantized, so the server holds exactly
+// the lossy pixels the console shows without decoding its own payload.
+// With pack it also packs the strips' payloads; without (Apply) it packs
+// nothing. The destination is carved proportionally so scaled strips tile
+// exactly.
 //
-// With wire generation on, the strips' payloads are cut from one slab
-// sized for the whole frame: every strip is applied before the first is
-// emitted, so no strip may reuse another's bytes.
-func (e *Encoder) applyVideo(o VideoOp) ([]*protocol.CSCS, error) {
+// Unless wire generation is off and the strips are the output, they are
+// the encoder's own: messages and payloads are cut from slabs sized for
+// the whole frame and reused by the next call (the Datagram aliasing
+// contract). Every strip is painted before the first is emitted, so no
+// strip may reuse another's storage.
+func (e *Encoder) paintVideo(o VideoOp, pack bool) ([]protocol.CSCS, error) {
 	rows := videoRows(o)
-	msgs := make([]*protocol.CSCS, 0, ceilDiv(o.Src.H, rows))
-	if !e.SkipWire {
+	n := ceilDiv(o.Src.H, rows)
+	if cap(e.strips) < n {
+		e.strips = make([]protocol.CSCS, n)
+	}
+	strips := e.strips[:n]
+	switch {
+	case pack && e.SkipWire:
+		// No wire copy is made, so the messages own their storage.
+		strips = make([]protocol.CSCS, n)
+	case pack:
 		need := o.Src.H/rows*o.Format.PayloadLen(o.Src.W, rows) + o.Format.PayloadLen(o.Src.W, o.Src.H%rows)
 		if cap(e.cscsSlab) < need {
 			e.cscsSlab = make([]byte, 0, need)
 		}
 		e.cscsSlab = e.cscsSlab[:0]
 	}
-	for y0 := 0; y0 < o.Src.H; y0 += rows {
+	for i := range strips {
+		y0 := i * rows
 		h := min(rows, o.Src.H-y0)
-		pix := o.Pixels[y0*o.Src.W : (y0+h)*o.Src.W]
-		var data []byte
-		var err error
-		if e.SkipWire {
-			data, err = fb.EncodeCSCS(pix, o.Src.W, h, o.Format)
-		} else {
-			off := len(e.cscsSlab)
-			e.cscsSlab, err = fb.AppendCSCS(e.cscsSlab, pix, o.Src.W, h, o.Format)
-			data = e.cscsSlab[off:len(e.cscsSlab):len(e.cscsSlab)]
-		}
-		if err != nil {
-			return nil, err
-		}
 		// Proportional destination band.
 		dy0 := o.Dst.Y + y0*o.Dst.H/o.Src.H
 		dy1 := o.Dst.Y + (y0+h)*o.Dst.H/o.Src.H
 		if dy1 <= dy0 {
 			dy1 = dy0 + 1
 		}
-		m := &protocol.CSCS{
+		m := &strips[i]
+		*m = protocol.CSCS{
 			Src:    protocol.Rect{X: o.Src.X, Y: o.Src.Y + y0, W: o.Src.W, H: h},
 			Dst:    protocol.Rect{X: o.Dst.X, Y: dy0, W: o.Dst.W, H: dy1 - dy0},
 			Format: o.Format,
-			Data:   data,
 		}
-		if err := e.FB.ApplyCSCS(m); err != nil {
+		pix := o.Pixels[y0*o.Src.W : (y0+h)*o.Src.W]
+		var err error
+		switch {
+		case !pack:
+			err = e.FB.PaintCSCS(m, pix)
+		case e.SkipWire:
+			_, err = e.FB.PaintAndPackCSCS(nil, m, pix)
+		default:
+			e.cscsSlab, err = e.FB.PaintAndPackCSCS(e.cscsSlab, m, pix)
+		}
+		if err != nil {
 			return nil, err
 		}
-		msgs = append(msgs, m)
 	}
-	return msgs, nil
+	return strips, nil
 }
 
 // Apply paints op into the authoritative frame buffer as Encode would and
@@ -402,7 +416,7 @@ func (e *Encoder) apply(op Op) (protocol.Rect, error) {
 	case ImageOp:
 		err = e.FB.Set(o.Rect, o.Pixels)
 	case VideoOp:
-		_, err = e.applyVideo(o)
+		_, err = e.paintVideo(o, false)
 	}
 	return w.Intersect(e.FB.Bounds()), err
 }

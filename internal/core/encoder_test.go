@@ -210,6 +210,56 @@ func TestEncodeVideoStrips(t *testing.T) {
 	}
 }
 
+// TestReconstructMatchesDecode: the server never decodes its own CSCS —
+// Encode paints the reconstruction of the codes it packed, Apply that of
+// the codes it quantized without packing — so for every format, at odd and
+// even sizes, sent at size and scaled, the server's frame buffer must
+// equal that of a console which decoded the wire.
+func TestReconstructMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	formats := []protocol.CSCSFormat{protocol.CSCS16, protocol.CSCS12, protocol.CSCS8, protocol.CSCS6, protocol.CSCS5}
+	sizes := [][2]int{{1, 1}, {2, 2}, {3, 5}, {7, 4}, {320, 4}, {321, 5}, {720, 2}}
+	const sw, sh = 1024, 32
+	for _, format := range formats {
+		for _, sz := range sizes {
+			w, h := sz[0], sz[1]
+			pix := make([]protocol.Pixel, w*h)
+			for i := range pix {
+				pix[i] = protocol.Pixel(rng.Uint32() & 0xffffff)
+			}
+			for _, dst := range []protocol.Rect{
+				{X: 5, Y: 7, W: w, H: h},
+				{X: 1, Y: 3, W: w*4/3 + 1, H: 2*h + 1},
+			} {
+				op := VideoOp{Src: protocol.Rect{W: w, H: h}, Dst: dst, Format: format, Pixels: pix}
+				enc, app, console := NewEncoder(sw, sh), NewEncoder(sw, sh), fb.New(sw, sh)
+				dgs, err := enc.Encode(op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, d := range dgs {
+					_, msg, _, err := protocol.Decode(d.Wire)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := console.Apply(msg); err != nil {
+						t.Fatal(err)
+					}
+					dgs[i].ReleaseWire()
+				}
+				if _, err := app.Apply(op); err != nil {
+					t.Fatal(err)
+				}
+				for who, f := range map[string]*fb.Framebuffer{"Encode": enc.FB, "Apply": app.FB} {
+					if n, _ := f.DiffPixels(console); n != 0 {
+						t.Errorf("%v %dx%d to %v: %s's frame buffer differs from the decoding console's in %d pixels", format, w, h, dst, who, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestVideoStripsFillTheMTU: a frame that does not fit one datagram leaves
 // in the tallest even strips that do — every strip within the MTU, none
 // with room for two more rows (the halving search this replaced sent a

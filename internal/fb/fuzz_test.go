@@ -13,7 +13,9 @@ import (
 // without panicking, to exactly the pixels slowDecodeCSCS gives (a random
 // payload reaches every Y, U and V code, so every entry of a format's
 // cscsRGB table is in reach), and those pixels must re-encode to exactly
-// the bytes slowEncodeCSCS gives.
+// the bytes slowEncodeCSCS gives. The server's side is pinned with them:
+// PaintAndPackCSCS of those pixels packs those bytes and paints what
+// slowDecodeCSCS makes of them, and PaintCSCS paints the same.
 func FuzzDecodeCSCS(f *testing.F) {
 	seedPix := make([]protocol.Pixel, 8*6)
 	for i := range seedPix {
@@ -77,6 +79,27 @@ func FuzzDecodeCSCS(f *testing.F) {
 		}
 		if !bytes.Equal(re, wantRe) {
 			t.Fatalf("%v %dx%d: re-encoded bytes differ from the reference's", format, w, h)
+		}
+		wantPainted, err := slowDecodeCSCS(wantRe, w, h, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &protocol.CSCS{Src: protocol.Rect{W: w, H: h}, Dst: protocol.Rect{W: w, H: h}, Format: format}
+		packed, painted := New(w, h), New(w, h)
+		if _, err := packed.PaintAndPackCSCS(nil, m, pixels); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(m.Data, wantRe) {
+			t.Fatalf("%v %dx%d: PaintAndPackCSCS packed bytes that differ from the reference's", format, w, h)
+		}
+		if err := painted.PaintCSCS(m, pixels); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range wantPainted {
+			if packed.Pix[i] != p || painted.Pix[i] != p {
+				t.Fatalf("%v %dx%d: pixel %d painted %06x (packed) and %06x (unpacked), decode gives %06x",
+					format, w, h, i, packed.Pix[i], painted.Pix[i], p)
+			}
 		}
 	})
 }

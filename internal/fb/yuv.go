@@ -17,16 +17,21 @@ import (
 //
 // This is the most pixel-intensive command in the protocol (Table 5 prices
 // CSCS well above SET), so the codec here is fused and allocation-free in
-// steady state. Bits move a 64-bit word at a time, through one packer and
-// one unpacker for every width. RGB→YUV conversion happens inside the luma
-// packing loop, one packed value per horizontal pixel pair, with chroma
-// accumulated into a quarter-size scratch plane (no full-resolution
-// ys/us/vs intermediates) and a 2x2 block averaged with a shift. A format
-// whose Y, U and V codes fit 14 bits decodes a pixel with one lookup in
-// its RGB table; the others dequantize through lookup tables. Bilinear
-// scaling runs in 16.16 fixed point. At the benchmark's 320x240 CSCS-6
-// movie window, encode takes 1.0 ms and decode 0.35 ms on a 2-vCPU Xeon
-// VM, against 2.5 and 2.2 ms for the references
+// steady state. It has one intermediate form, the quantized codes
+// (cscsCodes): luma a horizontal pixel pair per value, chroma one value
+// per 2x2 block. Encoding quantizes pixels into codes and packs them;
+// decoding unpacks codes; one loop (reconstruct) turns codes into RGB for
+// both, so a server paints the pixels its console will decode from the
+// codes it has just quantized, never decoding its own payload
+// (PaintCSCS). RGB→YUV conversion happens inside the luma quantizing
+// loop, three table lookups a pixel, with chroma accumulated into a
+// quarter-size scratch plane and a 2x2 block averaged with a shift. Bits
+// move a 64-bit word at a time, through one packer and one unpacker for
+// every width. A format whose Y, U and V codes fit 14 bits reconstructs a
+// pixel with one lookup in its RGB table; the others dequantize through
+// lookup tables. Bilinear scaling runs in 16.16 fixed point. At the benchmark's 320x240 CSCS-6
+// movie window, encode takes 0.85 ms and decode 0.43 ms on a 2-vCPU Xeon
+// VM, against 2.3 and 2.0 ms for the references
 // (BenchmarkHotpath_CSCS6*). The original plane-at-a-time float
 // implementations are kept in slow.go as the differential references.
 
@@ -41,6 +46,30 @@ func RGBToYUV(p protocol.Pixel) (y, u, v uint8) {
 	uu := (128*b + 128<<8 + 128 - 43*r - 85*g) >> 8
 	vv := (128*r + 128<<8 + 128 - 107*g - 21*b) >> 8
 	return uint8(yy), uint8(min(uu, 255)), uint8(min(vv, 255))
+}
+
+// yuvLanes[c][x] is channel c's (R, G, B) share of RGBToYUV in three
+// 21-bit lanes, Y at bit 42, U at 21 and V at 0: each negative term is
+// rewritten on 255-x so that every lane only adds, and the rounding
+// constants ride in R's entries. A pixel is then three lookups and two
+// adds, and each lane shifted down 8 is the formula's result, U and V
+// still clamped at 255 (rgbToYUVLanes; no lane exceeds 65,536, so none
+// carries into the next).
+var yuvLanes [3][256]uint64
+
+func init() {
+	for x := uint64(0); x < 256; x++ {
+		yuvLanes[0][x] = (77*x+128)<<42 | (43*(255-x)+256)<<21 | (128*x + 256)
+		yuvLanes[1][x] = 150*x<<42 | 85*(255-x)<<21 | 107*(255-x)
+		yuvLanes[2][x] = 29*x<<42 | 128*x<<21 | 21*(255-x)
+	}
+}
+
+// rgbToYUVLanes is RGBToYUV through yuvLanes: the encoder's per-pixel
+// conversion.
+func rgbToYUVLanes(p protocol.Pixel) (y, u, v uint32) {
+	s := yuvLanes[0][p.R()] + yuvLanes[1][p.G()] + yuvLanes[2][p.B()]
+	return uint32(s >> 50), min(uint32(s>>29)&0x1ff, 255), min(uint32(s>>8)&0x1ff, 255)
 }
 
 // YUVToRGB converts full-range BT.601 YUV components back to a pixel.
@@ -212,13 +241,13 @@ func init() {
 }
 
 // yuvScratch holds the reusable intermediates of one encode/decode/scale
-// call: quarter-resolution chroma accumulators and planes, and the
-// horizontal resampling maps. Pooled so encoders and consoles running on
-// different goroutines (one loop per shard or socket) each get their own.
+// call: the block's codes, the encoder's quarter-resolution chroma
+// accumulators, and the horizontal resampling maps. Pooled so encoders
+// and consoles running on different goroutines (one loop per shard or
+// socket) each get their own.
 type yuvScratch struct {
-	codes        []uint32 // one row of codes for the packer or from the unpacker
+	codes        cscsCodes
 	uvsum        []uint32 // encode: 2x2 block sums, U<<16 | V
-	us, vs       []uint32 // decode: chroma planes (a table format's index bits in us)
 	x0s, x1s     []int32  // scale: source column pairs per destination column
 	txs          []int64  // scale: 16.16 horizontal blend weights
 	hrow0, hrow1 []int32  // scale: cached horizontally-resampled rows (16.16 per channel)
@@ -247,78 +276,126 @@ func growPix(s []protocol.Pixel, n int) []protocol.Pixel {
 	return s[:n]
 }
 
-// EncodeCSCS compresses a w×h block of RGB pixels into the packed YUV
-// payload of the given format: a full-resolution luma plane followed by
-// 2x2-subsampled chroma planes, both bit-packed.
-func EncodeCSCS(pixels []protocol.Pixel, w, h int, format protocol.CSCSFormat) ([]byte, error) {
-	return AppendCSCS(make([]byte, 0, format.PayloadLen(w, h)), pixels, w, h, format)
+// cscsCodes is a w×h CSCS block in the codec's one intermediate form: its
+// quantized codes. The encoder quantizes pixels into it and packs it; the
+// decoder unpacks a payload into it; and one loop, reconstruct, turns it
+// into RGB for both — so a server keeps exactly the pixels a console will
+// decode without decoding its own payload (Framebuffer.PaintCSCS).
+type cscsCodes struct {
+	w, h   int
+	format protocol.CSCSFormat
+	// luma holds (w+1)/2 codes a row: a horizontal pixel pair as
+	// y0<<yBits | y1, an odd width's lone last pixel as y0<<yBits (the
+	// first of a pair).
+	luma []uint32
+	// us and vs hold one chroma code per 2x2 block, row-major.
+	us, vs []uint32
 }
 
-// AppendCSCS appends the packed YUV payload to dst and returns it. The
-// conversion is fused: one pass over the pixels computes YUV, bit-packs the
-// quantized luma of each horizontal pixel pair as one value, and adds the
-// pair's chroma into a quarter-size scratch plane of block sums (U and V
-// share a word: a sum of four 8-bit components cannot carry out of its 16
-// bits); a second pass over the (4× smaller) block grid packs the chroma.
-func AppendCSCS(dst []byte, pixels []protocol.Pixel, w, h int, format protocol.CSCSFormat) ([]byte, error) {
-	if len(pixels) != w*h {
-		return nil, fmt.Errorf("fb: EncodeCSCS wants %d pixels, got %d", w*h, len(pixels))
-	}
-	if !format.Valid() {
-		return nil, fmt.Errorf("fb: invalid CSCS format %d", format)
-	}
-	yBits, cBits := format.Params()
+// reset sizes the codes for a w×h block of format.
+func (c *cscsCodes) reset(w, h int, format protocol.CSCSFormat) {
 	cw, ch := (w+1)/2, (h+1)/2
-	sc := yuvScratchPool.Get().(*yuvScratch)
+	c.w, c.h, c.format = w, h, format
+	c.luma = growU32(c.luma, cw*h)
+	c.us = growU32(c.us, cw*ch)
+	c.vs = growU32(c.vs, cw*ch)
+}
+
+// quantize converts w×h RGB pixels into sc.codes in one fused pass: each
+// horizontal pixel pair's YUV becomes one luma code, and the pair's
+// chroma is added into a quarter-size scratch plane of block sums (U and
+// V share a word: a sum of four 8-bit components cannot carry out of its
+// 16 bits); a second pass over the (4× smaller) block grid quantizes the
+// chroma.
+func (sc *yuvScratch) quantize(pixels []protocol.Pixel, w, h int, format protocol.CSCSFormat) {
+	c := &sc.codes
+	c.reset(w, h, format)
+	yBits, cBits := format.Params()
+	uy := uint(yBits)
+	// quantize(y, yBits) is y<<up>>down: one of the two shifts is zero.
+	up, down := uint(max(0, yBits-8)), uint(max(0, 8-yBits))
+	cw, ch := (w+1)/2, (h+1)/2
 	sc.uvsum = growU32(sc.uvsum, cw*ch)
 	uvsum := sc.uvsum
 	clear(uvsum)
-	need := format.PayloadLen(w, h)
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	bw := bitWriter{buf: dst}
-	sc.codes = growU32(sc.codes, cw)
-	codes := sc.codes
-	uy := uint(yBits)
 	for y := 0; y < h; y++ {
 		row := pixels[y*w : (y+1)*w]
+		codes := c.luma[y*cw : (y+1)*cw]
 		sums := uvsum[(y>>1)*cw : (y>>1+1)*cw]
 		for i := range w / 2 {
-			y0, u0, v0 := RGBToYUV(row[2*i])
-			y1, u1, v1 := RGBToYUV(row[2*i+1])
-			codes[i] = quantize(y0, yBits)<<uy | quantize(y1, yBits)
-			sums[i] += (uint32(u0)+uint32(u1))<<16 | (uint32(v0) + uint32(v1))
+			y0, u0, v0 := rgbToYUVLanes(row[2*i])
+			y1, u1, v1 := rgbToYUVLanes(row[2*i+1])
+			codes[i] = y0<<up>>down<<uy | y1<<up>>down
+			sums[i] += (u0+u1)<<16 | (v0 + v1)
 		}
-		bw.pack(codes[:w/2], 2*uy)
 		if w&1 != 0 {
-			y0, u0, v0 := RGBToYUV(row[w-1])
-			codes[cw-1] = quantize(y0, yBits)
-			sums[cw-1] += uint32(u0)<<16 | uint32(v0)
-			bw.pack(codes[cw-1:], uy)
+			y0, u0, v0 := rgbToYUVLanes(row[w-1])
+			codes[cw-1] = y0 << up >> down << uy
+			sums[cw-1] += u0<<16 | v0
 		}
 	}
-	bw.flush()
 	// Chroma: block averages, rounded like the reference's truncating
 	// division by the contributing pixel count. That count is 1, 2 or 4,
 	// so the division is a shift: one bit for each of the block's axes
 	// that has two pixels (only an odd width's last column or an odd
 	// height's last row has one).
-	for _, plane := range [2]uint{16, 0} {
-		for by := range ch {
-			rowShift := uint(min(1, h-1-by*2))
-			for bx, sum := range uvsum[by*cw : (by+1)*cw] {
-				shift := rowShift + uint(min(1, w-1-bx*2))
-				codes[bx] = quantize(uint8(sum>>plane&0xffff>>shift), cBits)
-			}
-			bw.pack(codes, uint(cBits))
+	for by := range ch {
+		rowShift := uint(min(1, h-1-by*2))
+		us, vs := c.us[by*cw:(by+1)*cw], c.vs[by*cw:(by+1)*cw]
+		for bx, sum := range uvsum[by*cw : (by+1)*cw] {
+			shift := rowShift + uint(min(1, w-1-bx*2))
+			us[bx] = quantize(uint8(sum>>16>>shift), cBits)
+			vs[bx] = quantize(uint8(sum&0xffff>>shift), cBits)
+		}
+	}
+}
+
+// pack appends the codes' payload to dst: the luma plane a row of pairs
+// at a time, then the U and V planes, each plane zero-padded to a byte.
+func (c *cscsCodes) pack(dst []byte) []byte {
+	yBits, cBits := c.format.Params()
+	uy := uint(yBits)
+	cw := (c.w + 1) / 2
+	if need := c.format.PayloadLen(c.w, c.h); cap(dst)-len(dst) < need {
+		grown := make([]byte, len(dst), len(dst)+need)
+		copy(grown, dst)
+		dst = grown
+	}
+	bw := bitWriter{buf: dst}
+	for y := range c.h {
+		row := c.luma[y*cw : (y+1)*cw]
+		bw.pack(row[:c.w/2], 2*uy)
+		if c.w&1 != 0 {
+			bw.write(row[cw-1]>>uy, uy)
 		}
 	}
 	bw.flush()
-	yuvScratchPool.Put(sc)
-	return bw.buf, nil
+	bw.pack(c.us, uint(cBits))
+	bw.pack(c.vs, uint(cBits))
+	bw.flush()
+	return bw.buf
+}
+
+// unpack reads a payload of the codes' length into them, reporting
+// whether it read past the payload's end.
+func (c *cscsCodes) unpack(data []byte) (overrun bool) {
+	yBits, cBits := c.format.Params()
+	uy := uint(yBits)
+	cw := (c.w + 1) / 2
+	lr := bitReader{buf: data}
+	for y := range c.h {
+		row := c.luma[y*cw : (y+1)*cw]
+		lr.unpack(row[:c.w/2], 2*uy)
+		if c.w&1 != 0 {
+			lr.unpack(row[cw-1:], uy)
+			row[cw-1] <<= uy
+		}
+	}
+	// Chroma starts at the byte-aligned end of the luma plane.
+	cr := bitReader{buf: data, pos: (c.w*c.h*yBits + 7) / 8}
+	cr.unpack(c.us, uint(cBits))
+	cr.unpack(c.vs, uint(cBits))
+	return lr.overrun || cr.overrun
 }
 
 // cscsRGB[format], for the formats whose Y, U and V codes fit 14 bits
@@ -349,39 +426,20 @@ func init() {
 	}
 }
 
-// DecodeCSCS expands a packed YUV payload back into w×h RGB pixels.
-func DecodeCSCS(data []byte, w, h int, format protocol.CSCSFormat) ([]protocol.Pixel, error) {
-	return DecodeCSCSInto(nil, data, w, h, format)
-}
-
-// DecodeCSCSInto decodes into dst (grown only when capacity is too small)
-// and returns it. The chroma planes are read first, into quarter-size
-// scratch; the luma plane is then unpacked a row at a time, each
-// horizontal pixel pair as one value, and combined with the chroma of its
-// block. Where the format has a cscsRGB table, a chroma block is kept as
-// the high bits of its pixels' table index and each pixel is one lookup;
-// otherwise the block is dequantized and its color terms are computed once
-// per pair.
-func DecodeCSCSInto(dst []protocol.Pixel, data []byte, w, h int, format protocol.CSCSFormat) ([]protocol.Pixel, error) {
-	if !format.Valid() {
-		return nil, fmt.Errorf("fb: invalid CSCS format %d", format)
-	}
-	if want := format.PayloadLen(w, h); len(data) != want {
-		return nil, fmt.Errorf("fb: DecodeCSCS wants %d bytes, got %d", want, len(data))
-	}
-	yBits, cBits := format.Params()
+// reconstruct turns the codes into w×h RGB pixels in dst (grown only when
+// capacity is too small) and returns it — the one path from codes to
+// color, run by decoder and encoder alike. Where the format has a cscsRGB
+// table, a chroma block is folded into the high bits of its pixels' table
+// index and each pixel is one lookup; otherwise the block is dequantized
+// and its color terms are computed once per pair. Either way the chroma
+// codes are rewritten in place, so a block is reconstructed once.
+func (c *cscsCodes) reconstruct(dst []protocol.Pixel) []protocol.Pixel {
+	w, h := c.w, c.h
+	yBits, cBits := c.format.Params()
 	uy, uc := uint(yBits), uint(cBits)
-	cw, ch := (w+1)/2, (h+1)/2
-	sc := yuvScratchPool.Get().(*yuvScratch)
-	sc.us = growU32(sc.us, cw*ch)
-	sc.vs = growU32(sc.vs, cw*ch)
-	sc.codes = growU32(sc.codes, cw)
-	us, vs, codes := sc.us, sc.vs, sc.codes
-	// Chroma starts at the byte-aligned end of the luma plane.
-	cr := bitReader{buf: data, pos: (w*h*yBits + 7) / 8}
-	cr.unpack(us, uc)
-	cr.unpack(vs, uc)
-	tbl := cscsRGB[format]
+	cw := (w + 1) / 2
+	us, vs := c.us, c.vs
+	tbl := cscsRGB[c.format]
 	if tbl != nil {
 		for i, u := range us {
 			us[i] = (u<<uc | vs[i]) << uy
@@ -393,17 +451,12 @@ func DecodeCSCSInto(dst []protocol.Pixel, data []byte, w, h int, format protocol
 		}
 	}
 	dst = growPix(dst, w*h)
-	lr := bitReader{buf: data}
 	ymask := uint32(1)<<uy - 1
 	// The formats without a table carry 8 or 12 bits of luma: above 8 a
 	// dequantize is a shift.
 	yShift := uy - 8
 	for y := 0; y < h; y++ {
-		lr.unpack(codes[:w/2], 2*uy)
-		if w&1 != 0 {
-			lr.unpack(codes[cw-1:], uy)
-			codes[cw-1] <<= uy // the lone pixel, as the first of a pair
-		}
+		codes := c.luma[y*cw : (y+1)*cw]
 		urow := us[(y>>1)*cw : (y>>1+1)*cw]
 		vrow := vs[(y>>1)*cw : (y>>1+1)*cw]
 		out := dst[y*w : (y+1)*w]
@@ -431,7 +484,60 @@ func DecodeCSCSInto(dst []protocol.Pixel, data []byte, w, h int, format protocol
 			}
 		}
 	}
-	overrun := cr.overrun || lr.overrun
+	return dst
+}
+
+// EncodeCSCS compresses a w×h block of RGB pixels into the packed YUV
+// payload of the given format: a full-resolution luma plane followed by
+// 2x2-subsampled chroma planes, both bit-packed.
+func EncodeCSCS(pixels []protocol.Pixel, w, h int, format protocol.CSCSFormat) ([]byte, error) {
+	return AppendCSCS(nil, pixels, w, h, format)
+}
+
+// AppendCSCS appends the packed YUV payload to dst and returns it: the
+// pixels are quantized into codes, and the codes packed.
+func AppendCSCS(dst []byte, pixels []protocol.Pixel, w, h int, format protocol.CSCSFormat) ([]byte, error) {
+	if err := checkCSCS(pixels, w, h, format); err != nil {
+		return nil, err
+	}
+	sc := yuvScratchPool.Get().(*yuvScratch)
+	sc.quantize(pixels, w, h, format)
+	dst = sc.codes.pack(dst)
+	yuvScratchPool.Put(sc)
+	return dst, nil
+}
+
+func checkCSCS(pixels []protocol.Pixel, w, h int, format protocol.CSCSFormat) error {
+	if len(pixels) != w*h {
+		return fmt.Errorf("fb: EncodeCSCS wants %d pixels, got %d", w*h, len(pixels))
+	}
+	if !format.Valid() {
+		return fmt.Errorf("fb: invalid CSCS format %d", format)
+	}
+	return nil
+}
+
+// DecodeCSCS expands a packed YUV payload back into w×h RGB pixels.
+func DecodeCSCS(data []byte, w, h int, format protocol.CSCSFormat) ([]protocol.Pixel, error) {
+	return DecodeCSCSInto(nil, data, w, h, format)
+}
+
+// DecodeCSCSInto decodes into dst (grown only when capacity is too small)
+// and returns it: the payload is unpacked into codes, and the codes
+// reconstructed.
+func DecodeCSCSInto(dst []protocol.Pixel, data []byte, w, h int, format protocol.CSCSFormat) ([]protocol.Pixel, error) {
+	if !format.Valid() {
+		return nil, fmt.Errorf("fb: invalid CSCS format %d", format)
+	}
+	if want := format.PayloadLen(w, h); len(data) != want {
+		return nil, fmt.Errorf("fb: DecodeCSCS wants %d bytes, got %d", want, len(data))
+	}
+	sc := yuvScratchPool.Get().(*yuvScratch)
+	sc.codes.reset(w, h, format)
+	overrun := sc.codes.unpack(data)
+	if !overrun {
+		dst = sc.codes.reconstruct(dst)
+	}
 	yuvScratchPool.Put(sc)
 	if overrun {
 		// Unreachable for length-validated payloads; a trip here means the
@@ -561,18 +667,75 @@ func growI64(s []int64, n int) []int64 {
 // rectangle. Decode and scale land in frame-buffer-owned scratch surfaces,
 // so the steady-state video path allocates nothing per command.
 func (f *Framebuffer) ApplyCSCS(m *protocol.CSCS) error {
-	// The scaled image is materialised before Set clips it, and the wire
-	// lets 16 bits of width and height claim 16 GiB of it.
-	if m.Dst.W > f.W || m.Dst.H > f.H {
-		return fmt.Errorf("fb: CSCS destination %dx%d exceeds the %dx%d frame buffer", m.Dst.W, m.Dst.H, f.W, f.H)
+	if err := f.checkCSCSDst(m); err != nil {
+		return err
 	}
 	var err error
 	f.cscsDecode, err = DecodeCSCSInto(f.cscsDecode, m.Data, m.Src.W, m.Src.H, m.Format)
 	if err != nil {
 		return err
 	}
+	return f.setCSCS(m)
+}
+
+// PaintCSCS paints into the frame buffer what ApplyCSCS would for m had its
+// payload been encoded from pixels (m.Src.W×m.Src.H of them, in m.Format),
+// and packs nothing: the pixels are quantized and the codes reconstructed
+// directly. m.Data is neither read nor set. It is how a server keeps the
+// lossy pixels of a frame it owes its console instead of sending.
+func (f *Framebuffer) PaintCSCS(m *protocol.CSCS, pixels []protocol.Pixel) error {
+	_, err := f.paintCSCS(nil, m, pixels, false)
+	return err
+}
+
+// PaintAndPackCSCS is PaintCSCS that also appends m's payload to data,
+// points m.Data at it (capped, so a later append cannot write into it)
+// and returns the grown data: the frame buffer holds the reconstruction of
+// the very codes packed, so it equals what a console applying m holds
+// without the payload ever being decoded.
+func (f *Framebuffer) PaintAndPackCSCS(data []byte, m *protocol.CSCS, pixels []protocol.Pixel) ([]byte, error) {
+	off := len(data)
+	data, err := f.paintCSCS(data, m, pixels, true)
+	if err != nil {
+		return data, err
+	}
+	m.Data = data[off:len(data):len(data)]
+	return data, nil
+}
+
+func (f *Framebuffer) paintCSCS(data []byte, m *protocol.CSCS, pixels []protocol.Pixel, pack bool) ([]byte, error) {
+	if err := f.checkCSCSDst(m); err != nil {
+		return data, err
+	}
+	if err := checkCSCS(pixels, m.Src.W, m.Src.H, m.Format); err != nil {
+		return data, err
+	}
+	sc := yuvScratchPool.Get().(*yuvScratch)
+	sc.quantize(pixels, m.Src.W, m.Src.H, m.Format)
+	if pack {
+		data = sc.codes.pack(data)
+	}
+	f.cscsDecode = sc.codes.reconstruct(f.cscsDecode)
+	yuvScratchPool.Put(sc)
+	return data, f.setCSCS(m)
+}
+
+// checkCSCSDst refuses a destination larger than the frame buffer: the
+// scaled image is materialised before Set clips it, and the wire lets 16
+// bits of width and height claim 16 GiB of it.
+func (f *Framebuffer) checkCSCSDst(m *protocol.CSCS) error {
+	if m.Dst.W > f.W || m.Dst.H > f.H {
+		return fmt.Errorf("fb: CSCS destination %dx%d exceeds the %dx%d frame buffer", m.Dst.W, m.Dst.H, f.W, f.H)
+	}
+	return nil
+}
+
+// setCSCS writes m's reconstructed pixels, held in cscsDecode, at m.Dst,
+// through the bilinear scale when the sizes differ.
+func (f *Framebuffer) setCSCS(m *protocol.CSCS) error {
 	pixels := f.cscsDecode
 	if m.Dst.W != m.Src.W || m.Dst.H != m.Src.H {
+		var err error
 		f.cscsScale, err = ScaleBilinearInto(f.cscsScale, pixels, m.Src.W, m.Src.H, m.Dst.W, m.Dst.H)
 		if err != nil {
 			return err

@@ -163,6 +163,9 @@ func TestRGBToYUVMatchesClampedFormula(t *testing.T) {
 		if y, u, v := RGBToYUV(c); y != wy || u != wu || v != wv {
 			t.Fatalf("RGBToYUV(%06x) = %d, %d, %d; want %d, %d, %d", c, y, u, v, wy, wu, wv)
 		}
+		if y, u, v := rgbToYUVLanes(c); y != uint32(wy) || u != uint32(wu) || v != uint32(wv) {
+			t.Fatalf("rgbToYUVLanes(%06x) = %d, %d, %d; want %d, %d, %d", c, y, u, v, wy, wu, wv)
+		}
 	}
 }
 

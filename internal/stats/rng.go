@@ -13,7 +13,14 @@ type RNG struct {
 // NewRNG returns a generator seeded from a single 64-bit seed via
 // splitmix64, the recommended seeding procedure for xoshiro.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := new(RNG)
+	r.seed(seed)
+	return r
+}
+
+// seed is NewRNG's body, kept apart so NewRNG inlines and a generator
+// that does not outlive its caller is not allocated.
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -29,7 +36,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 1
 	}
-	return r
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

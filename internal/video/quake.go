@@ -23,12 +23,13 @@ type QuakeSource struct {
 	rng     *stats.RNG
 	cost    time.Duration
 	indexed []byte
+	pix     []protocol.Pixel // the surface Next redraws
 }
 
 // NewQuake returns a Quake source at the given resolution (the paper uses
 // 640x480, 480x360, and 320x240).
 func NewQuake(w, h int, seed uint64) *QuakeSource {
-	q := &QuakeSource{W: w, H: h, rng: stats.NewRNG(seed), indexed: make([]byte, w*h)}
+	q := &QuakeSource{W: w, H: h, rng: stats.NewRNG(seed), indexed: make([]byte, w*h), pix: make([]protocol.Pixel, w*h)}
 	// Quake-ish palette: dark browns, grays, and lava highlights.
 	for i := 0; i < 256; i++ {
 		switch {
@@ -100,14 +101,13 @@ func (q *QuakeSource) RenderIndexed() []byte {
 // Next implements Source: render a frame and translate it through the
 // palette lookup table into RGB (the console's CSCS encode then converts
 // to YUV — the same double conversion path the paper's translation layer
-// took, with the LUT fused server side).
+// took, with the LUT fused server side). Every pixel of the surface is
+// redrawn.
 func (q *QuakeSource) Next() Frame {
-	idx := q.RenderIndexed()
-	f := Frame{W: q.W, H: q.H, Pixels: make([]protocol.Pixel, len(idx))}
-	for i, c := range idx {
-		f.Pixels[i] = q.Palette[c]
+	for i, c := range q.RenderIndexed() {
+		q.pix[i] = q.Palette[c]
 	}
-	return f
+	return Frame{W: q.W, H: q.H, Pixels: q.pix}
 }
 
 // TransmitCost models the server-side cost of pushing one frame's CSCS

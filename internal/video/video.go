@@ -14,10 +14,10 @@
 //
 // The modelled costs are what the experiments charge; what the sources
 // really spend drawing is kept small so it does not crowd out the protocol
-// path under test. The MPEG-II stand-in draws a 720x480 frame in one pass
-// in 0.64 ms, against 3.8 ms for the per-pixel formula it replaced, which
-// its test keeps as the reference (BenchmarkHotpath_MPEG2Next, 2-vCPU Xeon
-// VM).
+// path under test. The MPEG-II stand-in redraws its 720x480 surface in one
+// pass in 0.25 ms, against 3.3 ms for the per-pixel formula it replaced,
+// which its test keeps as the reference (BenchmarkHotpath_MPEG2Next, 2-vCPU
+// Xeon VM).
 package video
 
 import (
@@ -36,7 +36,12 @@ type Frame struct {
 // Source produces frames and models their per-frame server-side cost
 // (decode, capture, or game rendering — everything before SLIM encoding).
 type Source interface {
-	// Next returns the next frame.
+	// Next returns the next frame, drawn into a surface the source owns
+	// and redraws: its pixels stay valid until the next call to Next, like
+	// a hardware decoder's output buffer. A caller that keeps a frame
+	// longer copies it. Every caller in this module is done with a frame
+	// before asking for the next: Stream and the examples encode it, and
+	// the op App.Tick wraps it in is rendered before the next tick.
 	Next() Frame
 	// FrameCost reports the modelled server CPU time consumed producing
 	// the most recent frame.
@@ -75,12 +80,14 @@ type mpeg2Source struct {
 	frame int
 	rng   *stats.RNG
 	cost  time.Duration
+	pix   []protocol.Pixel // the surface Next redraws
 	cols  []protocol.Pixel // Next's scratch: a row's colors for each band parity
 }
 
 // NewMPEG2 returns the stored-video source of §7.1 (720x480).
 func NewMPEG2(seed uint64) Source {
-	return &mpeg2Source{w: 720, h: 480, rng: stats.NewRNG(seed)}
+	const w, h = 720, 480
+	return &mpeg2Source{w: w, h: h, rng: stats.NewRNG(seed), pix: make([]protocol.Pixel, w*h), cols: make([]protocol.Pixel, 2*w)}
 }
 
 func (s *mpeg2Source) Geometry() (int, int) { return s.w, s.h }
@@ -91,19 +98,17 @@ func (s *mpeg2Source) FrameCost() time.Duration { return s.cost }
 // the blob when its squared distance from the center is under its square.
 const mpeg2Blob = 40
 
-// Next draws the frame in one pass. Red is a function of the column,
-// green of the row, and the blue checker of the column's and the row's
-// 32-pixel band parities, so a row is the column colors (two sets, one
-// per row parity, made once a frame) with the row's green laid over
-// them; the blob is then drawn inside its bounding box only.
+// Next redraws the surface in one pass, every pixel of it. Red is a
+// function of the column, green of the row, and the blue checker of the
+// column's and the row's 32-pixel band parities, so a row is the column
+// colors (two sets, one per row parity, made once a frame) with the row's
+// green laid over them; the blob is then drawn inside its bounding box
+// only.
 func (s *mpeg2Source) Next() Frame {
 	w, h := s.w, s.h
-	f := Frame{W: w, H: h, Pixels: make([]protocol.Pixel, w*h)}
+	f := Frame{W: w, H: h, Pixels: s.pix}
 	t := s.frame
 	// Panning background plus a moving bright blob.
-	if len(s.cols) != 2*w {
-		s.cols = make([]protocol.Pixel, 2*w)
-	}
 	even, odd := s.cols[:w], s.cols[w:]
 	for x := range even {
 		r := uint8((x + t*2) * 255 / (w + 120))
@@ -145,19 +150,22 @@ type ntscSource struct {
 	frame int
 	rng   *stats.RNG
 	cost  time.Duration
+	pix   []protocol.Pixel // the surface Next redraws
 }
 
 // NewNTSC returns the live-video source of §7.2 (640x240 fields).
 func NewNTSC(seed uint64) Source {
-	return &ntscSource{w: 640, h: 240, rng: stats.NewRNG(seed)}
+	const w, h = 640, 240
+	return &ntscSource{w: w, h: h, rng: stats.NewRNG(seed), pix: make([]protocol.Pixel, w*h)}
 }
 
 func (s *ntscSource) Geometry() (int, int) { return s.w, s.h }
 
 func (s *ntscSource) FrameCost() time.Duration { return s.cost }
 
+// Next redraws every pixel of the surface.
 func (s *ntscSource) Next() Frame {
-	f := Frame{W: s.w, H: s.h, Pixels: make([]protocol.Pixel, s.w*s.h)}
+	f := Frame{W: s.w, H: s.h, Pixels: s.pix}
 	t := s.frame
 	for y := 0; y < s.h; y++ {
 		for x := 0; x < s.w; x++ {

@@ -1,6 +1,7 @@
 package video
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"slim/internal/fb"
 	"slim/internal/netsim"
 	"slim/internal/protocol"
+	"slim/internal/raceflag"
 )
 
 func TestMPEG2Source(t *testing.T) {
@@ -24,17 +26,30 @@ func TestMPEG2Source(t *testing.T) {
 	if cost < 40*time.Millisecond || cost > 56*time.Millisecond {
 		t.Errorf("decode cost = %v", cost)
 	}
-	// Frames animate.
-	g := src.Next()
-	same := true
-	for i := range f.Pixels {
-		if f.Pixels[i] != g.Pixels[i] {
-			same = false
-			break
-		}
-	}
-	if same {
+	// Frames animate. Next redraws the source's one surface, so the first
+	// frame is copied before the second is drawn.
+	first := slices.Clone(f.Pixels)
+	if g := src.Next(); slices.Equal(first, g.Pixels) {
 		t.Error("consecutive frames identical")
+	}
+}
+
+// TestSourceNextAllocatesNothing pins the Source contract's cost side:
+// each stand-in redraws the surface it owns, so a frame after the first
+// allocates nothing.
+func TestSourceNextAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	for name, src := range map[string]Source{
+		"mpeg2": NewMPEG2(1),
+		"ntsc":  NewNTSC(1),
+		"quake": NewQuake(320, 240, 1),
+	} {
+		src.Next()
+		if allocs := testing.AllocsPerRun(5, func() { src.Next() }); allocs != 0 {
+			t.Errorf("%s: Next allocates %.1f objects a frame, want 0", name, allocs)
+		}
 	}
 }
 

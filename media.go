@@ -10,6 +10,8 @@ import (
 type Ticker = server.Ticker
 
 // VideoSource produces RGB frames with a modelled per-frame server cost.
+// Next redraws one surface the source owns: a frame stays valid until the
+// next call, so a caller that keeps one longer copies it.
 type VideoSource = video.Source
 
 // VideoApp is a session application that plays a video source via CSCS —
