@@ -78,11 +78,11 @@ bench-json:
 # apply, the warm wire-emit path, the full tile cache, the SLO observe
 # path — disabled AND enabled — the hostmon sample path, and the netqual
 # observe path — disabled AND enabled — the §5.4 frame packer, the
-# flow governor ungoverned, sending under a grant and refusing, the
+# flow governor sending before a grant, under one and refusing, the
 # flight recorder and the capture tap disabled and enabled, and the
 # server's burst flush; at most 8 per 42-byte fabric echo end to end, and
-# a governed blank 640x480 gen-2 attach at most 16 more than an ungoverned
-# one, a 352x240 video frame of 120 CSCS strips at most 3 — its strips'
+# a paced blank 640x480 gen-2 attach at most 116 with its Terminate (16
+# more than it made sent unpaced), a 352x240 video frame of 120 CSCS strips at most 3 — its strips'
 # messages and payloads are the encoder's own slabs — and a video
 # source's frame after the first none: it redraws the surface it owns),
 # and the memory budgets: a tile cache holds only the slots it has
@@ -218,8 +218,9 @@ loc:
 
 # CI-style gate: static checks, race-detected tests, benchmark smoke run,
 # repository-benchmark smoke, allocation budgets, capacity-curve smoke,
-# path-estimation smoke, gen-2 codec smoke, fleet smoke, evidence smoke.
-ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke evidence-smoke
+# path-estimation smoke, gen-2 codec smoke, fleet smoke, evidence smoke,
+# and the examples.
+ci: vet race bench-guard bench-smoke alloc-guard capacity-smoke netqual-smoke codec2-smoke fleet-smoke evidence-smoke examples
 
 cover:
 	$(GO) test -cover ./...
@@ -263,6 +264,8 @@ fuzz:
 reproduce:
 	$(GO) run ./cmd/slimbench
 
+# Run every example end to end (a few seconds); each exits non-zero when
+# what it demonstrates does not hold, so CI runs them.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/mobility

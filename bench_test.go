@@ -421,41 +421,6 @@ func BenchmarkExtension_QoS(b *testing.B) {
 
 // --- Ablations (DESIGN.md: design choices worth ablating) ---
 
-// BenchmarkAblation_EncoderAnalysis models a screen-scraping display
-// driver (it sees only pixels, like VNC — no semantic text/fill hints) and
-// compares content analysis against SET-only lowering. This isolates the
-// value of the FILL/BITMAP detection that Figure 4 relies on.
-func BenchmarkAblation_EncoderAnalysis(b *testing.B) {
-	// Scrape a rendered session screen into pixel-only ops.
-	sess := workload.NewSession(workload.Netscape, 0, 9)
-	sess.Run(20 * time.Second)
-	screen := sess.Encoder.FB
-	var scraped []core.Op
-	for y := 0; y+64 <= screen.H; y += 64 {
-		for x := 0; x+64 <= screen.W; x += 64 {
-			r := protocol.Rect{X: x, Y: y, W: 64, H: 64}
-			scraped = append(scraped, core.ImageOp{Rect: r, Pixels: screen.ReadRect(r)})
-		}
-	}
-	encode := func(analyze bool) int64 {
-		e := core.NewEncoder(screen.W, screen.H)
-		e.AnalyzeImages = analyze
-		for _, op := range scraped {
-			if _, err := e.Encode(op); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return e.Stats.TotalWireBytes()
-	}
-	var with, without int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		with = encode(true)
-		without = encode(false)
-	}
-	b.ReportMetric(float64(without)/float64(with), "set-only-blowup-x")
-}
-
 // BenchmarkAblation_CSCSFormats sweeps the five CSCS bit depths on the same
 // frame, reporting bytes per frame at 5 bpp; quality-vs-bandwidth is the
 // paper's §8.1 knob.

@@ -114,39 +114,44 @@ func (f *framedFabric) SendBurst(console string, wires [][]byte) error {
 }
 
 // TestFramedStreamPaintsWhatPlainPaints captures the plain wires of an
-// attach and a scroll drive on a Fabric, packs each input's wires as the
-// UDP endpoint would, and replays the result into a fresh console through
+// attach and a scroll drive on a Fabric, packs each input's wires, and the
+// wires of the pumps that paid what it left owed, as the UDP endpoint
+// would, and replays the result into a fresh console through
 // Console.HandleDatagram alone: same pixels, nothing dropped, no NACK.
 // Neither console generation needed a change to read the new stream.
 func TestFramedStreamPaintsWhatPlainPaints(t *testing.T) {
 	for _, gen := range []struct {
 		name string
-		opts []ServerOption
 		cfg  ConsoleConfig
 	}{
-		{"gen1", nil, ConsoleConfig{Width: 640, Height: 480}},
-		{"gen2", []ServerOption{WithCodec2()}, ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries}},
+		{"gen1", ConsoleConfig{Width: 640, Height: 480}},
+		{"gen2", ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries}},
 	} {
 		t.Run(gen.name, func(t *testing.T) {
 			tap := &wireTap{Fabric: NewFabric()}
 			app := newScrollApp(t)
-			srv := NewServer(tap, func(string, int, int) Application { return app },
-				append(gen.opts, WithTelemetry(NewTelemetry()))...)
+			srv := NewServer(tap, func(string, int, int) Application { return app }, WithTelemetry(NewTelemetry()))
 			srv.Auth.Register("card-alice", "alice")
 			live, err := NewConsole(gen.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tap.Attach("desk-1", live, srv)
-			var bursts []int // len(tap.wires) after each input
+			// len(tap.wires) after each input, and after the pumps that
+			// paid what it left owed
+			var bursts []int
 			if err := tap.Boot("desk-1", "card-alice"); err != nil {
 				t.Fatal(err)
 			}
+			bursts = append(bursts, len(tap.wires))
+			settle(t, tap.Fabric, srv, "alice")
 			bursts = append(bursts, len(tap.wires))
 			for i := 0; i < 1+2*scrollCycle; i++ {
 				if err := tap.SendKey("desk-1", 'j', true); err != nil {
 					t.Fatal(err)
 				}
+				bursts = append(bursts, len(tap.wires))
+				settle(t, tap.Fabric, srv, "alice")
 				bursts = append(bursts, len(tap.wires))
 			}
 			sess := srv.SessionByUser("alice")
@@ -202,7 +207,7 @@ func TestLostFrameHealsByOneNack(t *testing.T) {
 	kit := NewTelemetry()
 	ff := &framedFabric{Fabric: NewFabric()}
 	app := newScrollApp(t)
-	srv := NewServer(ff, func(string, int, int) Application { return app }, WithCodec2(), WithTelemetry(kit))
+	srv := NewServer(ff, func(string, int, int) Application { return app }, WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries, Obs: kit.Registry})
 	if err != nil {
@@ -212,11 +217,13 @@ func TestLostFrameHealsByOneNack(t *testing.T) {
 	if err := ff.Boot("desk-1", "card-alice"); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, ff.Fabric, srv, "alice")
 	sess := srv.SessionByUser("alice")
 	for i := 0; i < 1+scrollCycle; i++ {
 		if err := ff.SendKey("desk-1", 'j', true); err != nil {
 			t.Fatal(err)
 		}
+		settle(t, ff.Fabric, srv, "alice")
 	}
 	nacks := kit.Registry.Counter("slim_console_nacks_total")
 	if !con.Framebuffer().Equal(sess.Encoder.FB) || nacks.Value() != 0 {
@@ -235,6 +242,7 @@ func TestLostFrameHealsByOneNack(t *testing.T) {
 	if got := nacks.Value(); got != 1 {
 		t.Errorf("one lost frame drew %d NACKs, want 1", got)
 	}
+	settle(t, ff.Fabric, srv, "alice")
 	// A full repaint is one of the screen the loss was healed on.
 	dgs := freshRepaint(sess.Encoder.FB, true)
 	for i := range dgs {
@@ -256,10 +264,10 @@ func udpTx() (datagrams, bytes int64) {
 	return m.Counter("slim_udp_tx_datagrams_total").Value(), m.Counter("slim_udp_tx_bytes_total").Value()
 }
 
-// shippedProfile is what slimd serves and the console that goes with it.
-func shippedProfile(w, h int) ([]ServerOption, ConsoleConfig) {
-	return []ServerOption{WithFlowControl(FlowConfig{}), WithCodec2()},
-		ConsoleConfig{Width: w, Height: h, TileCacheEntries: DefaultTileCacheEntries}
+// shippedConsole is the gen-2 console slimview dials, the one slimd's
+// profile (every server's defaults) is measured with.
+func shippedConsole(w, h int) ConsoleConfig {
+	return ConsoleConfig{Width: w, Height: h, TileCacheEntries: DefaultTileCacheEntries}
 }
 
 // TestUDPAttachDatagramBudget: a gen-2 attach is a fresh repaint of the
@@ -270,8 +278,8 @@ func shippedProfile(w, h int) ([]ServerOption, ConsoleConfig) {
 // datagram per command, a 5,120-tile attach overran a default socket
 // buffer, about 270 datagrams, before the reader woke.)
 func TestUDPAttachDatagramBudget(t *testing.T) {
-	opts, cfg := shippedProfile(1280, 1024)
-	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp(), opts...)
+	cfg := shippedConsole(1280, 1024)
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +324,7 @@ func TestUDPAttachDatagramBudget(t *testing.T) {
 // each repeat of the blank tile sent 1,200.
 func TestFabricAttachIsOneFillPerRow(t *testing.T) {
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithCodec2())
+	srv := NewServer(fabric, WithTerminalApp())
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries})
 	if err != nil {
@@ -345,14 +353,14 @@ func TestFabricAttachIsOneFillPerRow(t *testing.T) {
 // not at its key release: on a loaded host a repayment, or a loss's,
 // could still be running then, and spilled into the next step.
 func TestUDPScrollStep(t *testing.T) {
-	opts, cfg := shippedProfile(640, 480)
+	cfg := shippedConsole(640, 480)
 	// A lost tail heals by an idle heartbeat's repaint under fresh numbers,
 	// which carry the console past the hole only once more than its reorder
 	// window have arrived: at the default 64 that is some twenty heartbeats.
 	cfg.ReorderWindow = 1
 	app := newScrollApp(t)
 	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0",
-		func(string, int, int) Application { return app }, opts...)
+		func(string, int, int) Application { return app })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func TestOverloadCaptureReproducesCommandMix(t *testing.T) {
 // reportWriter reads a .slimcap stream as it is written — a header, then
 // whole records in each write, as Ring.SpoolTo writes them — and sums each
 // write's BuildReport, so a run's capture is never held whole (the
-// ungoverned overload run spools over 100 MB).
+// deep-bucket overload run spools over 100 MB).
 type reportWriter struct {
 	rep         capture.Report
 	rows        [2]map[string]*capture.Row // by direction: down, up
@@ -219,7 +219,7 @@ func TestFramedCaptureReadsPerCommand(t *testing.T) {
 	ff := &framedFabric{Fabric: NewFabric()}
 	ff.SetCapture(ring)
 	app := newScrollApp(t)
-	srv := NewServer(ff, func(string, int, int) Application { return app }, WithCodec2(), WithTelemetry(kit))
+	srv := NewServer(ff, func(string, int, int) Application { return app }, WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TileCacheEntries: DefaultTileCacheEntries, Obs: kit.Registry})
 	if err != nil {

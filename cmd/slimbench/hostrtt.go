@@ -12,12 +12,11 @@ import (
 
 // hostRTT measures Table 4's host response time (§4.1): the median
 // round trip from a keystroke leaving a console to the echoed glyph
-// applied on it, over loopback UDP through the shipped endpoint — slimd's
-// profile serving the terminal, a gen-2 console dialled to it as slimview
-// dials.
+// applied on it, over loopback UDP through the shipped endpoint — a
+// server with its defaults, slimd's profile, serving the terminal, a gen-2
+// console dialled to it as slimview dials.
 func hostRTT(ctx context.Context, samples int) (time.Duration, error) {
-	srv, err := slim.ListenAndServeContext(ctx, "127.0.0.1:0", slim.WithTerminalApp(),
-		slim.WithFlowControl(slim.FlowConfig{}), slim.WithCodec2())
+	srv, err := slim.ListenAndServeContext(ctx, "127.0.0.1:0", slim.WithTerminalApp())
 	if err != nil {
 		return 0, err
 	}

@@ -3,11 +3,11 @@
 // with -app — a video player (the §7 multimedia configurations). Register
 // card tokens with -card token=user (repeatable).
 //
-// The daemon serves one profile, the one the repository benchmark
-// measures: every session paces its display traffic and loss recovery to
-// its console's bandwidth grants (§7), owing what the grant cannot yet
-// carry, and consoles advertising CACHE_PAINT get the gen-2 codec while
-// gen-1 consoles keep the plain encoding.
+// The daemon serves what every slim server serves, the profile the
+// repository benchmark measures: every session paces its display traffic
+// and loss recovery to its console's bandwidth grants (§7), owing what the
+// grant cannot yet carry, and consoles advertising CACHE_PAINT get the
+// gen-2 codec while gen-1 consoles keep the plain encoding.
 //
 // With -shards N (N > 1) the one UDP attach point fronts a session-broker
 // fleet of N in-process server shards: the broker authenticates the card,
@@ -210,12 +210,9 @@ func main() {
 	if *shards > 1 && *state != "" {
 		fatal("-state saves one server's session table; it cannot be combined with -shards above 1")
 	}
-	// slimd's one profile (see the package comment).
-	opts := []slim.ServerOption{
-		slim.WithLogger(logger),
-		slim.WithFlowControl(slim.FlowConfig{}),
-		slim.WithCodec2(),
-	}
+	// The server's own defaults are slimd's profile (see the package
+	// comment).
+	opts := []slim.ServerOption{slim.WithLogger(logger)}
 	if *capturePath != "" {
 		cf, err := slim.StartCapture(*capturePath)
 		if err != nil {

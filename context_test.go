@@ -14,8 +14,7 @@ import (
 func TestContextCancelClosesUDPServer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	srv, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp(),
-		WithFlowControl(FlowConfig{}))
+	srv, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}

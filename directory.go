@@ -139,7 +139,7 @@ func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
 // their shards, as the architecture demands).
 //
 // Every shard inherits the broker-level options — WithLogger,
-// WithTelemetry, WithFlowControl, WithCodec2 — from the one list passed
+// WithTelemetry, WithFlowControl — from the one list passed
 // here, so callers stop re-threading them per server. The shards publish
 // into the one telemetry kit, so the fleet's series add up there as one
 // server's would, and a migrated session resolves the recorder, SLO and

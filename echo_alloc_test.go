@@ -131,7 +131,7 @@ func newEchoRig(tb testing.TB, consoles, shards int, step, pump time.Duration) *
 	tb.Helper()
 	r := &echoRig{tb: tb, kit: NewTelemetry(), wire: capture.NewRing(1 << 12), fabric: NewFabric(), step: step, pump: pump}
 	r.fabric.SetCapture(r.wire)
-	opts := []ServerOption{WithFlowControl(FlowConfig{}), WithCodec2(), WithTelemetry(r.kit)}
+	opts := []ServerOption{WithTelemetry(r.kit)}
 	if shards == 1 {
 		r.dir = NewSingle(NewServer(r.fabric, WithTerminalApp(), opts...))
 	} else {

@@ -274,10 +274,10 @@ func TestOversizedPaintIsOwed(t *testing.T) {
 	for i := range app.pix {
 		app.pix[i] = Pixel(rng.Uint32() & 0xffffff)
 	}
-	opts, cfg := shippedProfile(640, 480)
+	cfg := shippedConsole(640, 480)
 	cfg.Obs = kit.Registry
 	fabric := NewFabric()
-	srv := NewServer(fabric, func(string, int, int) Application { return app }, append(opts, WithTelemetry(kit))...)
+	srv := NewServer(fabric, func(string, int, int) Application { return app }, WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(cfg)
 	if err != nil {

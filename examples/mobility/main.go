@@ -2,12 +2,14 @@
 // pulls her smart card, walks to desk-2, and inserts it — "the screen is
 // returned to the exact state at which it was left", because the console
 // held only soft state and the server repaints from its persistent frame
-// buffer.
+// buffer, through the session's token bucket at the pace the new
+// console's grant allows (§7).
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"slim"
 )
@@ -53,11 +55,21 @@ func main() {
 	}
 	fmt.Printf("desk-2 shows session %d\n", desk2.SessionID())
 
+	// desk-2 is owed the whole screen, paid a piece at a time as the
+	// grant refills the session's bucket: give the fabric virtual time
+	// until nothing is owed.
+	for srv.Owed("alice") != nil {
+		fabric.SetClock(fabric.Now() + time.Millisecond)
+		if err := fabric.Pump(); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	// The session followed the card, and the screen is pixel-identical.
 	if !desk2.Framebuffer().Equal(before) {
 		log.Fatal("desk-2 did not restore the exact screen state")
 	}
-	fmt.Println("desk-2 restored the screen bit-for-bit; typing resumes mid-line:")
+	fmt.Printf("the screen is restored at the grant's pace (%v of virtual time), bit-for-bit; typing resumes mid-line:\n", fabric.Now())
 	if err := fabric.TypeString("desk-2", "resumed at another desk.\n"); err != nil {
 		log.Fatal(err)
 	}

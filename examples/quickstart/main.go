@@ -19,11 +19,10 @@ func main() {
 	fabric := slim.NewFabric()
 
 	// One server, running the echo terminal as every session's app (§2.4).
-	// Options configure the rest: the grant-paced send governor (§7), its
-	// defaults derived from the Sun Ray 1 decode costs (Table 5), paces
-	// each session's traffic to whatever bandwidth its console grants.
-	srv := slim.NewServer(fabric, slim.WithTerminalApp(),
-		slim.WithFlowControl(slim.FlowConfig{}))
+	// Every session has a grant-paced send governor (§7), its defaults
+	// derived from the Sun Ray 1 decode costs (Table 5): it paces the
+	// session's traffic to whatever bandwidth its console grants.
+	srv := slim.NewServer(fabric, slim.WithTerminalApp())
 	srv.Auth.Register("card-alice", "alice")
 
 	// One stateless console at desk-1 (§2.3).

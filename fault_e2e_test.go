@@ -68,7 +68,6 @@ func newFaultWorld(t *testing.T, gen2 bool, grant uint64) *faultWorld {
 		w.cfg.TotalBps = grant
 	}
 	if gen2 {
-		opts = append(opts, WithCodec2())
 		w.cfg.TileCacheEntries = DefaultTileCacheEntries
 	}
 	w.srv = NewServer(w.fabric, func(string, int, int) Application { return w.app }, opts...)

@@ -299,7 +299,7 @@ func TestSessionHeapIsTwoFrameBuffers(t *testing.T) {
 	}
 	fabric := NewFabric()
 	b, err := NewBroker(context.Background(), BrokerConfig{Shards: 2}, fabric,
-		WithTerminalApp(), WithFlowControl(FlowConfig{}), WithCodec2(), WithTelemetry(NewTelemetry()))
+		WithTerminalApp(), WithTelemetry(NewTelemetry()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,7 +378,7 @@ func BenchmarkBrokerKeystroke(b *testing.B) {
 // advertised capability bits — otherwise a gen-2 console fronted by a
 // broker silently never negotiates the tile cache.
 func TestBrokerForwardsConsoleCaps(t *testing.T) {
-	b, _, _ := newTestFleet(t, 2, RouteLeastLoaded, server.WithCodec2())
+	b, _, _ := newTestFleet(t, 2, RouteLeastLoaded)
 	b.Register("card-a", "alice")
 	b.Register("card-b", "bob")
 
@@ -431,7 +431,7 @@ func TestBrokerForwardsConsoleCaps(t *testing.T) {
 		t.Error("capability lost on the broker's migrating hotdesk redirect")
 	}
 
-	// A legacy console stays gen-1 on the same armed fleet.
+	// A legacy console stays gen-1 on the same fleet.
 	if err := b.Handle("g1", &protocol.Hello{Width: 64, Height: 64, CardToken: "card-b"}, 0); err != nil {
 		t.Fatal(err)
 	}

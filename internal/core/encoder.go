@@ -63,10 +63,6 @@ func (d *Datagram) ReleaseWire() {
 type Encoder struct {
 	// FB is the server's persistent frame buffer for the session.
 	FB *fb.Framebuffer
-	// AnalyzeImages enables content analysis of ImageOps (uniform regions
-	// become FILL, bicolor regions become BITMAP). Disabling it is the
-	// "SET-only" ablation: every image pixel goes out literally.
-	AnalyzeImages bool
 	// SkipWire suppresses datagram marshalling (and the sent log):
 	// commands are interpreted and rendered into the authoritative frame
 	// buffer but no display data is prepared for the IF — the x11perf
@@ -110,9 +106,8 @@ type Encoder struct {
 // NewEncoder returns an encoder managing a w×h session frame buffer.
 func NewEncoder(w, h int) *Encoder {
 	return &Encoder{
-		FB:            fb.New(w, h),
-		AnalyzeImages: true,
-		sent:          make(sentLog, sentLogCapacity(w, h)),
+		FB:   fb.New(w, h),
+		sent: make(sentLog, sentLogCapacity(w, h)),
 	}
 }
 
@@ -202,13 +197,11 @@ func (e *Encoder) encode(op Op) ([]Datagram, error) {
 // command sequence, chosen by whole-rect analysis of its pixels. Gen-2
 // reads the frame buffer tile by tile instead (encodeRegion2).
 func (e *Encoder) encodeRegion(out []Datagram, r protocol.Rect, pixels []protocol.Pixel) []Datagram {
-	if e.AnalyzeImages {
-		if c, uniform := analyzeUniform(pixels); uniform {
-			return append(out, e.emit(&protocol.Fill{Rect: r, Color: c}))
-		}
-		if fg, bg, bits, ok := e.analyzeBicolor(r, pixels); ok {
-			return e.encodeBitmap(out, r, fg, bg, bits)
-		}
+	if c, uniform := analyzeUniform(pixels); uniform {
+		return append(out, e.emit(&protocol.Fill{Rect: r, Color: c}))
+	}
+	if fg, bg, bits, ok := e.analyzeBicolor(r, pixels); ok {
+		return e.encodeBitmap(out, r, fg, bg, bits)
 	}
 	return e.encodeSet(out, r, pixels)
 }
@@ -507,7 +500,7 @@ func (e *Encoder) repay1(out []Datagram, r protocol.Rect) (_ []Datagram, rows, b
 			return out, rows, protocol.Rect{}
 		}
 		band = protocol.Rect{X: r.X, Y: r.Y + rows.H, W: r.W, H: r.H - rows.H}
-		if c, ok := e.FB.Uniform(band); ok && e.AnalyzeImages {
+		if c, ok := e.FB.Uniform(band); ok {
 			out = append(out, e.emit(&protocol.Fill{Rect: band, Color: c}))
 			continue
 		}

@@ -125,27 +125,6 @@ func TestEncodeNoisyImageBecomesSetChunks(t *testing.T) {
 	}
 }
 
-func TestAnalyzeImagesAblation(t *testing.T) {
-	mk := func(analyze bool) int64 {
-		e := NewEncoder(64, 64)
-		e.AnalyzeImages = analyze
-		r := protocol.Rect{W: 32, H: 32}
-		pix := make([]protocol.Pixel, r.Pixels())
-		for i := range pix {
-			pix[i] = 0x336699
-		}
-		if _, err := e.Encode(ImageOp{Rect: r, Pixels: pix}); err != nil {
-			t.Fatal(err)
-		}
-		return e.Stats.TotalWireBytes()
-	}
-	withAnalysis := mk(true)
-	without := mk(false)
-	if withAnalysis*10 >= without {
-		t.Errorf("analysis saved too little: %d vs %d bytes", withAnalysis, without)
-	}
-}
-
 func TestEncodeScrollOp(t *testing.T) {
 	e := NewEncoder(64, 64)
 	e.FB.Fill(protocol.Rect{X: 0, Y: 10, W: 64, H: 10}, 0x777777)

@@ -47,8 +47,9 @@ import (
 // Config tunes one session's governor. The zero value plus withDefaults
 // is a working configuration.
 type Config struct {
-	// Enabled is not read: a server governs its sessions when it is built
-	// with server.WithFlowControl.
+	// Enabled is not read: every session a server holds is governed, and
+	// server.WithFlowControl only tunes its governor. bench/replay.go still
+	// sets it.
 	Enabled bool
 	// InitialBps is the demand the server requests from the console's
 	// allocator at session attach, and the rate the governor paces at

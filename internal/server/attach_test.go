@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
@@ -13,13 +12,9 @@ import (
 
 // blankAttach builds a server and returns one blank first attach of a
 // w×h console — Hello with card — and the Terminate that ends it, ready to
-// repeat: gen-2 or gen-1, governed under flow.Config{} or not.
-func blankAttach(tb testing.TB, tr Transport, w, h int, gen2, governed bool) func() {
-	opts := []Option{WithTelemetry(telemetry.New(obs.DomainWall)), WithCodec2()}
-	if governed {
-		opts = append(opts, WithFlowControl(flow.Config{}))
-	}
-	s := newTestServer(tr, opts...)
+// repeat: gen-2 or gen-1.
+func blankAttach(tb testing.TB, tr Transport, w, h int, gen2 bool) func() {
+	s := newTestServer(tr, WithTelemetry(telemetry.New(obs.DomainWall)))
 	hi := hello(w, h, "card-alice")
 	if gen2 {
 		hi.Caps = protocol.CapCachePaint
@@ -38,7 +33,7 @@ func blankAttach(tb testing.TB, tr Transport, w, h int, gen2, governed bool) fun
 }
 
 // TestBlankAttachLeavesInOneCall: a blank screen costs what its commands
-// cost, not what its pixels would, so even a governed first attach sends
+// cost, not what its pixels would, so even a paced first attach sends
 // all of it within the attach call: one FILL per tile row on gen-2, one
 // FILL on gen-1.
 func TestBlankAttachLeavesInOneCall(t *testing.T) {
@@ -51,7 +46,7 @@ func TestBlankAttachLeavesInOneCall(t *testing.T) {
 		{640, 480, false, 1}, {1280, 1024, false, 1},
 	} {
 		tr := &wireLog{}
-		blankAttach(t, tr, c.w, c.h, c.gen2, true)()
+		blankAttach(t, tr, c.w, c.h, c.gen2)()
 		fills, display := 0, 0
 		for _, typ := range tr.types {
 			if typ == protocol.TypeFill {
@@ -68,33 +63,31 @@ func TestBlankAttachLeavesInOneCall(t *testing.T) {
 	}
 }
 
-// TestPacedAttachAllocs: a governed blank gen-2 attach allocates at most
-// 16 times more than an ungoverned one; pacing a debt that fits one call
-// costs no more than paying it.
+// TestPacedAttachAllocs: a blank gen-2 attach, paced through the
+// session's bucket, allocates at most 116 times with its Terminate: 16
+// more than the same attach made when it was sent unpaced (100), so
+// pacing a debt that fits one call costs little more than paying it.
 func TestPacedAttachAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	ungoverned := testing.AllocsPerRun(20, blankAttach(t, discard{}, 640, 480, true, false))
-	governed := testing.AllocsPerRun(20, blankAttach(t, discard{}, 640, 480, true, true))
-	t.Logf("a blank 640×480 gen-2 attach and Terminate: %.0f allocations ungoverned, %.0f governed", ungoverned, governed)
-	if governed > ungoverned+16 {
-		t.Errorf("a governed attach made %.0f allocations, the ungoverned one %.0f; want at most 16 more", governed, ungoverned)
+	allocs := testing.AllocsPerRun(20, blankAttach(t, discard{}, 640, 480, true))
+	t.Logf("a blank 640×480 gen-2 attach and Terminate: %.0f allocations", allocs)
+	if allocs > 116 {
+		t.Errorf("a paced attach made %.0f allocations; want at most 116", allocs)
 	}
 }
 
 // BenchmarkBlankAttach is one blank 640×480 first attach and its
-// Terminate, gen-1 and gen-2, governed and not.
+// Terminate, gen-1 and gen-2.
 func BenchmarkBlankAttach(b *testing.B) {
 	for _, gen2 := range []bool{false, true} {
-		for _, governed := range []bool{false, true} {
-			b.Run(fmt.Sprintf("gen2=%v/governed=%v", gen2, governed), func(b *testing.B) {
-				attach := blankAttach(b, discard{}, 640, 480, gen2, governed)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					attach()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("gen2=%v", gen2), func(b *testing.B) {
+			attach := blankAttach(b, discard{}, 640, 480, gen2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				attach()
+			}
+		})
 	}
 }

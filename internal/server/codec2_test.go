@@ -10,15 +10,6 @@ import (
 	"slim/internal/protocol"
 )
 
-// codec2TestServer arms gen-2 server-side; whether a given attachment
-// actually uses it is negotiated per console from its Hello caps.
-func codec2TestServer(tr Transport) *Server {
-	s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) }, WithCodec2())
-	s.Auth.Register("card-alice", "alice")
-	s.Auth.Register("card-bob", "bob")
-	return s
-}
-
 // driveOps pushes display ops through the server's real render/flush
 // path to whatever console the session is attached to.
 func driveOps(t *testing.T, s *Server, sess *Session, ops []core.Op) {
@@ -61,7 +52,7 @@ func countCachePaintMsgs(msgs []protocol.Message) int {
 	return n
 }
 
-// TestCodec2CapabilityNegotiation pins the mixed-fleet story: one armed
+// TestCodec2CapabilityNegotiation pins the mixed-fleet story: one
 // server, one console that advertises CapCachePaint and one that does
 // not. The capable console's stream carries CACHE_PAINT and replays
 // cleanly through a real gen-2 console; the legacy console's stream
@@ -69,7 +60,7 @@ func countCachePaintMsgs(msgs []protocol.Message) int {
 // predates it.
 func TestCodec2CapabilityNegotiation(t *testing.T) {
 	tr := newMemTransport()
-	s := codec2TestServer(tr)
+	s := newTestServer(tr)
 
 	h2 := hello(64, 64, "card-alice")
 	h2.Caps = protocol.CapCachePaint
@@ -118,8 +109,13 @@ func TestCodec2CapabilityNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(replies) != 0 {
-			t.Fatalf("gen-2 replay provoked a reply (NACK?)")
+		// The one reply due is the grant answering the session's
+		// BandwidthRequest (§7).
+		_, msg, _, _ := protocol.Decode(wire)
+		for _, r := range replies {
+			if _, reply, _, _ := protocol.Decode(r); msg.Type() != protocol.TypeBandwidthRequest || reply.Type() != protocol.TypeBandwidthGrant {
+				t.Fatalf("gen-2 replay of a %v provoked a %v", msg.Type(), reply.Type())
+			}
 		}
 	}
 	if !con.Framebuffer().Equal(sessA.Encoder.FB) {
@@ -136,7 +132,7 @@ func TestCodec2CapabilityNegotiation(t *testing.T) {
 // back down at a capable one.
 func TestCodec2HotdeskRenegotiates(t *testing.T) {
 	tr := newMemTransport()
-	s := codec2TestServer(tr)
+	s := newTestServer(tr)
 
 	h2 := hello(64, 64, "card-alice")
 	h2.Caps = protocol.CapCachePaint
@@ -157,7 +153,7 @@ func TestCodec2HotdeskRenegotiates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sess.Encoder.Codec2Enabled() {
-		t.Fatal("codec2 stayed armed on a legacy console")
+		t.Fatal("codec2 stayed enabled on a legacy console")
 	}
 	driveOps(t, s, sess, repeatedContentOps())
 	if n := countCachePaintMsgs(tr.msgsTo(t, "deskB")); n != 0 {
@@ -201,26 +197,5 @@ func TestCodec2HotdeskRenegotiates(t *testing.T) {
 	}
 	if !screen.Equal(sess.Encoder.FB) {
 		t.Fatal("deskA's full stream did not replay to the authoritative screen")
-	}
-}
-
-// TestCodec2RequiresArming: without WithCodec2, a capable console still
-// gets the plain gen-1 encoding — the capability bit is an offer, not a
-// demand.
-func TestCodec2RequiresArming(t *testing.T) {
-	tr := newMemTransport()
-	s := newTestServer(tr)
-	h2 := hello(64, 64, "card-alice")
-	h2.Caps = protocol.CapCachePaint
-	if err := s.Handle("g2", h2, 0); err != nil {
-		t.Fatal(err)
-	}
-	sess := s.SessionByUser("alice")
-	if sess.Encoder.Codec2Enabled() {
-		t.Fatal("unarmed server enabled codec2")
-	}
-	driveOps(t, s, sess, repeatedContentOps())
-	if n := countCachePaintMsgs(tr.msgsTo(t, "g2")); n != 0 {
-		t.Fatalf("unarmed server emitted %d CACHE_PAINTs", n)
 	}
 }

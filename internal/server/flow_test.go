@@ -12,8 +12,8 @@ import (
 	"slim/internal/protocol"
 )
 
-// newFlowServer builds a governed server over tr with a hermetic registry
-// and recorder, granting sessions bps once attached.
+// newFlowServer builds a server over tr whose governors cfg tunes, with a
+// hermetic registry and recorder.
 func newFlowServer(t *testing.T, tr Transport, cfg flow.Config) (*Server, *obs.Registry) {
 	t.Helper()
 	kit := telemetry.New(obs.DomainWall)
@@ -34,7 +34,7 @@ func TestFlowSessionRequestsBandwidth(t *testing.T) {
 	}
 	sess := s.SessionByUser("alice")
 	if sess.Governor() == nil {
-		t.Fatal("governed server created session without governor")
+		t.Fatal("the session has no governor")
 	}
 	var req *protocol.BandwidthRequest
 	for _, msg := range tr.msgsTo(t, "c1") {
@@ -154,7 +154,7 @@ func TestRecoveryStormOwesOneScreen(t *testing.T) {
 	const w, h, tiles = 1280, 1024, (1280 / core.TileSize) * (1024 / core.TileSize)
 	tr := &wireLog{}
 	kit := telemetry.New(obs.DomainWall)
-	s := newTestServer(tr, WithTelemetry(kit), WithCodec2(), WithFlowControl(flow.Config{}))
+	s := newTestServer(tr, WithTelemetry(kit))
 	gen2 := hello(w, h, "card-alice")
 	gen2.Caps = protocol.CapCachePaint
 	// The session starts on a blank screen, one FILL per tile row. Then

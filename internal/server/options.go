@@ -31,17 +31,6 @@ func WithLogger(l *slog.Logger) Option {
 	return func(s *Server) { s.log = l }
 }
 
-// WithCodec2 arms the gen-2 encoder: content-typed tiles plus the
-// hash-keyed dirty-tile cache. Armed servers negotiate per attachment —
-// the cache engages only for consoles whose Hello advertised
-// protocol.CapCachePaint, so a mixed fleet of gen-1 and gen-2 consoles
-// shares one server. Cache state never migrates: snapshots rebuild
-// encoders fresh, and the attach repaint restarts both sides' caches
-// from empty, mirrored.
-func WithCodec2() Option {
-	return func(s *Server) { s.codec2 = true }
-}
-
 // WithSessionIDBase starts the server's session-ID counter at base instead
 // of zero. A broker gives each shard a disjoint ID space (shard i issues
 // IDs above i<<24) so sessions keep their IDs, unique fleet-wide, when
@@ -54,8 +43,8 @@ func WithSessionIDBase(base uint32) Option {
 // see before fanning the same option list out to its shards — the
 // telemetry kit whose registry its fleet series publish into beside the
 // shards' own, and the logger for broker-level lifecycle events.
-// Everything else (flow config, gen-2 arming) is inherited opaquely by
-// each shard.
+// Everything else (the governor's tuning) is inherited opaquely by each
+// shard.
 type Resolved struct {
 	Telemetry *telemetry.Kit
 	Logger    *slog.Logger
@@ -72,14 +61,15 @@ func ResolveOptions(opts ...Option) Resolved {
 	return Resolved{Telemetry: probe.tel, Logger: probe.log}
 }
 
-// WithFlowControl enables the grant-driven send governor (§7) for every
-// session: display traffic is paced to the console's BandwidthGrant by one
+// WithFlowControl tunes the grant-driven send governor (§7) every session
+// has: display traffic is paced to the console's BandwidthGrant by one
 // token bucket, a paint the bucket cannot take now is owed instead of
 // encoded (Session.render), and the region a session owes its console
 // (Session.repay) leaves in the pieces core.Encoder.Repay cuts to the
 // tokens, so recovery cannot starve fresh paints and nothing is queued.
 // Zero-value fields take the flow package defaults, derived from the
-// published Sun Ray 1 cost model (Table 5).
+// published Sun Ray 1 cost model (Table 5); a server built without this
+// option runs the zero Config.
 func WithFlowControl(cfg flow.Config) Option {
-	return func(s *Server) { s.flowCfg = &cfg }
+	return func(s *Server) { s.flowCfg = cfg }
 }

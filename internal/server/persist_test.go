@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"slim/internal/fb"
 	"slim/internal/protocol"
@@ -57,17 +58,18 @@ func TestSaveLoadSessions(t *testing.T) {
 	if err := s2.Handle("c9", hello(320, 200, "card-alice"), 0); err != nil {
 		t.Fatal(err)
 	}
+	now := drain(t, s2, 0, time.Millisecond)
 	screen := fb.New(320, 200)
 	tr2.renderTo(t, "c9", screen)
 	if !screen.Equal(beforeFB) {
 		t.Error("console repaint after restart diverged")
 	}
-	if err := s2.Handle("c9", &protocol.KeyEvent{Code: '!', Down: true}, 0); err != nil {
+	if err := s2.Handle("c9", &protocol.KeyEvent{Code: '!', Down: true}, now); err != nil {
 		t.Fatal(err)
 	}
 
 	// New sessions get IDs beyond the restored ones.
-	if err := s2.Handle("c9", &protocol.SessionConnect{Token: "card-bob"}, 0); err != nil {
+	if err := s2.Handle("c9", &protocol.SessionConnect{Token: "card-bob"}, now); err != nil {
 		t.Fatal(err)
 	}
 	if bob := s2.SessionByUser("bob"); bob.ID <= before.ID {

@@ -128,22 +128,19 @@ type Server struct {
 	// log receives session lifecycle events (WithLogger); nil = silent.
 	log *slog.Logger
 
-	// flowCfg enables the per-session send governor when non-nil
-	// (WithFlowControl).
-	flowCfg *flow.Config
+	// flowCfg tunes every session's send governor (WithFlowControl); the
+	// zero value takes the flow package defaults.
+	flowCfg flow.Config
 	// flowPending is raised by a session's repay, settled by PumpFlows.
 	flowPending atomic.Bool
-	// codec2 arms the gen-2 tile cache (WithCodec2). The cache engages
-	// per attachment, only for consoles that advertised CapCachePaint in
-	// their Hello; gen-1 consoles keep receiving the plain encoding.
-	codec2 bool
 }
 
 type consoleState struct {
 	w, h int
 	// gen2 says whether an attachment here negotiates the gen-2 tile
-	// cache: the server is armed (WithCodec2) and the console advertised
-	// CapCachePaint in its Hello.
+	// cache: the console advertised CapCachePaint in its Hello. A gen-1
+	// console keeps receiving the plain encoding, so a mixed fleet shares
+	// one server.
 	gen2 bool
 	// sess is the session the console shows, nil on the login screen. It
 	// is set exactly while that session's Console names this console.
@@ -160,8 +157,9 @@ const heartbeat = console.StatusInterval
 // New returns a server sending through the given transport. Options are
 // the only way to configure it: they run before any session exists, so
 // every session resolves its instruments from the telemetry kit chosen
-// here. The zero-option call keeps the defaults (telemetry.Default, no
-// governor).
+// here. The zero-option call keeps the defaults: telemetry.Default, and
+// every session governed by the flow package's default bucket. A console
+// that advertises CapCachePaint gets the gen-2 codec, any server alike.
 func New(t Transport, newApp func(user string, w, h int) Application, opts ...Option) *Server {
 	s := &Server{
 		Auth:      NewAuthManager(),
@@ -368,7 +366,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		// gone from it, card or no card.
 		s.detachConsoleLocked(console)
 		s.consoles[console] = &consoleState{w: int(m.Width), h: int(m.Height),
-			gen2: s.codec2 && m.Caps&protocol.CapCachePaint != 0}
+			gen2: m.Caps&protocol.CapCachePaint != 0}
 		if m.CardToken != "" {
 			if err := s.attachByToken(out, console, m.CardToken, now); err != nil {
 				return err
@@ -407,7 +405,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 		// Consoles arbitrate downstream bandwidth between sessions (§7); a
 		// grant addresses a session and counts only from the console showing
 		// it. A stale grant, or one for a terminated session, is dropped.
-		if sess := s.consoles[console].sess; sess != nil && sess.ID == m.SessionID && sess.gov != nil {
+		if sess := s.consoles[console].sess; sess != nil && sess.ID == m.SessionID {
 			sess.tel.Path.OnGrant()
 			sess.gov.SetGrant(now, m.Bps)
 			sess.repay(out, now)
@@ -634,7 +632,7 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 	return cs.sess, nil
 }
 
-// PumpFlows services every governed session at now: a session in debt to
+// PumpFlows services every attached session at now: a session in debt to
 // its console repaints the pieces its tokens cover. It reports the
 // earliest instant a debt left behind can pay its next piece, so
 // transports schedule the next pump instead of polling — the UDP endpoint
@@ -644,7 +642,7 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 	s.mu.Lock()
 	var out []outbound
 	for _, sess := range s.sessions {
-		if sess.gov == nil || sess.Console == "" {
+		if sess.Console == "" {
 			continue
 		}
 		sess.pump(&out, now)

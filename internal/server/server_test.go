@@ -488,11 +488,29 @@ func TestStatusVerdictOnAQuietLine(t *testing.T) {
 			if sent := status(heartbeat+time.Millisecond, 0); len(sent) != 0 {
 				t.Errorf("a second verdict before the line was quiet again drew %d datagrams", len(sent))
 			}
-			if sent := status(2*heartbeat, sess.Encoder.LastSeq()); len(sent) != 0 {
-				t.Errorf("the healed console's heartbeat drew %d datagrams", len(sent))
+			// The heartbeat may carry the governor's re-announced demand,
+			// which is no repaint.
+			if n := displayCommands(t, status(2*heartbeat, sess.Encoder.LastSeq())); n != 0 {
+				t.Errorf("the healed console's heartbeat drew %d display commands", n)
 			}
 		})
 	}
+}
+
+// displayCommands counts the display commands among wires.
+func displayCommands(t *testing.T, wires [][]byte) int {
+	t.Helper()
+	n := 0
+	for _, wire := range wires {
+		_, msg, _, err := protocol.Decode(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Type().IsDisplay() {
+			n++
+		}
+	}
+	return n
 }
 
 // Compile-time check: Terminal satisfies Application.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -35,8 +34,7 @@ type Session struct {
 	// resolved together in newSessionLocked and released together in
 	// closeLocked.
 	tel *telemetry.Session
-	// gov paces display traffic to the console's bandwidth grant (§7);
-	// nil when the server runs without WithFlowControl.
+	// gov paces display traffic to the console's bandwidth grant (§7).
 	gov *flow.Governor
 	// flowPending is the server's flag (see repay).
 	flowPending *atomic.Bool
@@ -60,8 +58,8 @@ type Session struct {
 	lastSend time.Duration
 }
 
-// Governor exposes the session's send governor (nil when flow control is
-// disabled) — simulation harnesses drive its virtual-time pump directly.
+// Governor exposes the session's send governor, which every session has —
+// simulation harnesses drive its virtual-time pump directly.
 func (sess *Session) Governor() *flow.Governor { return sess.gov }
 
 // Telemetry exposes the session's telemetry handle: flight-recorder ring,
@@ -91,10 +89,8 @@ func (s *Server) newSessionLocked(id uint32, user string, w, h int, restore *Ses
 	sess.tel = s.tel.Session(id, user)
 	sess.Encoder.Metrics = s.encMetrics
 	sess.Encoder.Flight = sess.tel.Flight
-	if s.flowCfg != nil {
-		sess.gov = flow.NewGovernor(*s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))
-		sess.flowPending = &s.flowPending
-	}
+	sess.gov = flow.NewGovernor(s.flowCfg, flow.NewMetrics(s.tel.Registry, sess.tel.Series))
+	sess.flowPending = &s.flowPending
 	s.sessions = append(s.sessions, sess)
 	s.byUser[user] = sess
 	s.metrics.sessions.Add(1)
@@ -157,12 +153,10 @@ func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool) {
 func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time.Duration) {
 	sess.Console = console
 	send(out, console, &protocol.SessionAttach{SessionID: sess.ID})
-	if sess.gov != nil {
-		// The new console learns this session's bandwidth demand, measured
-		// afresh, so its allocator can grant a share (§7).
-		sess.gov.Reset(now)
-		sess.requestBandwidth(out, now)
-	}
+	// The new console learns this session's bandwidth demand, measured
+	// afresh, so its allocator can grant a share (§7).
+	sess.gov.Reset(now)
+	sess.requestBandwidth(out, now)
 	// A gen-1 console gets the plain encoding — same pixels, no
 	// CACHE_PAINT on its wire. EnableCodec2 resets the server-side cache
 	// and the SessionAttach above resets the console's (its setSession
@@ -198,20 +192,17 @@ func (sess *Session) oweNack(n protocol.Nack) {
 }
 
 // repay sends what the session owes, repainted from the frame buffer as it
-// is now, in one Encoder.Repay: all of it with no governor; under one, what
-// the tokens cover once they hold a tile (or a burst shallower than one),
-// at most half a burst per call, so the UDP pump's 1 ms floor spaces the
-// halves: a whole bucket at once, as on a hotdesk under a live grant,
-// overruns the console's receive buffer. A debt left raises FlowPending.
+// is now, in one Encoder.Repay: what the tokens cover once they hold a
+// tile (or a burst shallower than one), at most half a burst per call, so
+// the UDP pump's 1 ms floor spaces the halves: a whole bucket at once, as
+// on a hotdesk under a live grant, overruns the console's receive buffer.
+// A debt left raises FlowPending.
 func (sess *Session) repay(out *[]outbound, now time.Duration) {
 	if sess.damage.Empty() {
 		return
 	}
-	budget := math.MaxInt
-	if sess.gov != nil {
-		budget = min(sess.gov.Tokens(now), max(sess.gov.Config().BurstBytes/2, core.TileWire))
-	}
-	if sess.gov == nil || budget >= min(core.TileWire, sess.gov.Config().BurstBytes) {
+	burst := sess.gov.Config().BurstBytes
+	if budget := min(sess.gov.Tokens(now), max(burst/2, core.TileWire)); budget >= min(core.TileWire, burst) {
 		sess.submit(out, sess.Encoder.Repay(&sess.damage, budget), now, true)
 	}
 	if !sess.damage.Empty() {
@@ -233,7 +224,7 @@ func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
 // shrinks its claim and the console's §7 allocator can grant the freed
 // budget to hungrier sessions; a cache gone cold grows it back. The 1/8
 // deadband keeps steady-state traffic from emitting a BandwidthRequest
-// every pump. The session is governed and attached.
+// every pump. The session is attached.
 func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
 	if d, old := sess.gov.DemandBps(now), sess.demandBps; max(d, old)-min(d, old) > old/8 {
 		sess.requestBandwidth(out, now)
@@ -278,10 +269,9 @@ func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) e
 // admit decides before encoding whether op goes to the console now. A
 // COPY that reads pixels the console is owed would spread stale ones, so
 // it is owed itself; any other op is the governor's call (Admit), on the
-// most its encoding can cost. A detached or ungoverned session admits
-// everything.
+// most its encoding can cost. A detached session admits everything.
 func (sess *Session) admit(op core.Op, now time.Duration) bool {
-	if sess.gov == nil || sess.Console == "" {
+	if sess.Console == "" {
 		return true
 	}
 	if sc, ok := op.(core.ScrollOp); ok && sess.damage.Intersects(sc.Rect) {
@@ -290,8 +280,8 @@ func (sess *Session) admit(op core.Op, now time.Duration) bool {
 	return sess.gov.Admit(now, core.WireBound(op))
 }
 
-// submit sends display datagrams to the console, charging a governed
-// session's bucket for them. owed marks repayment.
+// submit sends display datagrams to the console, charging the session's
+// bucket for them. owed marks repayment.
 func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, owed bool) {
 	if sess.Console == "" {
 		// Detached session keeps rendering into its frame buffer; the wire
@@ -302,9 +292,7 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 		return
 	}
 	for _, d := range dgs {
-		if sess.gov != nil {
-			sess.gov.Submit(now, flow.Item{Msg: d.Msg, Wire: d.Wire, Retransmit: owed})
-		}
+		sess.gov.Submit(now, flow.Item{Msg: d.Msg, Wire: d.Wire, Retransmit: owed})
 		sess.sent(out, d.Seq, d.Msg.Type(), d.Wire, d.Buf, now)
 	}
 }
@@ -315,9 +303,7 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 // with nothing owed, yet an idle grant must go back.
 func (sess *Session) pump(out *[]outbound, now time.Duration) {
 	sess.repay(out, now)
-	if sess.gov != nil {
-		sess.announceDemand(out, now)
-	}
+	sess.announceDemand(out, now)
 }
 
 // sent queues a display command for the console and notes it leaving. A

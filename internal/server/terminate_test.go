@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"slim/internal/flow"
 	"slim/internal/obs"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
@@ -149,7 +148,7 @@ func TestTerminateEvictsAllSessionSeries(t *testing.T) {
 			fleet.NetQual.SetEnabled(true)
 			reg := fleet.Registry
 			s := New(tr, func(user string, w, h int) Application { return NewTerminal(w, h) },
-				WithTelemetry(fleet), WithFlowControl(flow.Config{}))
+				WithTelemetry(fleet))
 			s.Auth.Register("card-alice", "alice")
 
 			if err := s.Handle("desk-1", hello(64, 32, "card-alice"), 0); err != nil {

@@ -324,11 +324,9 @@ func RunCodecRow(name string, seed uint64) (CodecRow, error) {
 	d2, _ := NewDrive(name, seed)
 
 	gen1 := core.NewEncoder(ScreenW, ScreenH)
-	gen1.AnalyzeImages = true
 	raw, g1 := runDrive(d1, gen1)
 
 	gen2 := core.NewEncoder(ScreenW, ScreenH)
-	gen2.AnalyzeImages = true
 	gen2.EnableCodec2(0)
 	warmStats := core.Codec2Stats{}
 	_, g2 := runDriveWith(d2, gen2, func() { warmStats = gen2.Codec2Stats() })

@@ -62,14 +62,14 @@ func (a *wallpaperApp) HandleKey(ev protocol.KeyEvent) []Op {
 func TestUDPOneWriterInOrder(t *testing.T) {
 	kit := NewTelemetry()
 	consoles := obs.NewRegistry(obs.DomainWall)
-	opts, cfg := shippedProfile(1280, 1024)
+	cfg := shippedConsole(1280, 1024)
 	cfg.Obs = consoles
 	wp := wallpaper(rand.New(rand.NewSource(7)), 1280, 1024)
 	term := WithTerminalApp()
 	apps := func(user string, w, h int) Application {
 		return &wallpaperApp{Application: term(user, w, h), wallpaper: wp}
 	}
-	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", apps, append(opts, WithTelemetry(kit))...)
+	srv, err := ListenAndServeContext(testContext(t), "127.0.0.1:0", apps, WithTelemetry(kit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +324,13 @@ func TestOneGoroutinePerSocket(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp(), WithFlowControl(FlowConfig{}))
+	srv, err := ListenAndServeContext(ctx, "127.0.0.1:0", WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Server.Auth.Register("card-g", "gor")
 	srv.StartTicker(60)
-	fleet, err := ListenAndServeBroker(ctx, "127.0.0.1:0", BrokerConfig{Shards: 2}, WithTerminalApp(), WithFlowControl(FlowConfig{}))
+	fleet, err := ListenAndServeBroker(ctx, "127.0.0.1:0", BrokerConfig{Shards: 2}, WithTerminalApp())
 	if err != nil {
 		t.Fatal(err)
 	}

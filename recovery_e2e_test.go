@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,14 +32,28 @@ func pumpQuiet(t *testing.T, fabric *Fabric, srv *Server, sess *Session, step, q
 		if err := fabric.Pump(); err != nil {
 			t.Fatal(err)
 		}
-		if gov := sess.Governor(); gov != nil {
-			overdrawn = max(overdrawn, -gov.Tokens(fabric.Now()))
-		}
+		overdrawn = max(overdrawn, -sess.Governor().Tokens(fabric.Now()))
 		if sess.Encoder.LastSeq() != last || srv.Owed(sess.User) != nil {
 			last, quietSince = sess.Encoder.LastSeq(), fabric.Now()
 		}
 	}
 	return overdrawn
+}
+
+// settle advances the fabric's clock a millisecond a Pump until no
+// session of users owes its console anything: what the test drew has
+// reached the consoles at the grant's pace.
+func settle(t *testing.T, fabric *Fabric, srv *Server, users ...string) {
+	t.Helper()
+	for steps := 0; slices.ContainsFunc(users, func(u string) bool { return srv.Owed(u) != nil }); steps++ {
+		if steps == 100_000 {
+			t.Fatalf("%v still owe their consoles after %v of virtual time", users, fabric.Now())
+		}
+		fabric.SetClock(fabric.Now() + time.Millisecond)
+		if err := fabric.Pump(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestHotdeskUnderGrantIsPaced: a session that hotdesks keeps its grant, so
@@ -51,7 +66,7 @@ func pumpQuiet(t *testing.T, fabric *Fabric, srv *Server, sess *Session, step, q
 func TestHotdeskUnderGrantIsPaced(t *testing.T) {
 	kit := NewTelemetry()
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(kit))
+	srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(kit))
 	srv.Auth.Register("card-alice", "alice")
 	consoles := obs.NewRegistry(obs.DomainWall)
 	desk := func(id string) *Console {
@@ -163,7 +178,7 @@ func TestRestoredScreenIsPaced(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sn, state := noisy(t)
 			fabric, reg := NewFabric(), obs.NewRegistry(obs.DomainWall)
-			srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+			srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(NewTelemetry()))
 			srv.Auth.Register("card-alice", "alice")
 			if err := restore[name](srv, sn, state); err != nil {
 				t.Fatal(err)
@@ -178,7 +193,7 @@ func TestRestoredScreenIsPaced(t *testing.T) {
 	t.Run("MigrateUser", func(t *testing.T) {
 		fabric, reg := NewFabric(), obs.NewRegistry(obs.DomainWall)
 		b, err := NewBroker(context.Background(), BrokerConfig{Shards: 2}, fabric,
-			WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+			WithTerminalApp(), WithTelemetry(NewTelemetry()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +223,7 @@ func TestRestoredScreenIsPaced(t *testing.T) {
 // (A zero grant used to lift pacing altogether.)
 func TestZeroGrantNeitherFloodsNorWedges(t *testing.T) {
 	fabric, reg := NewFabric(), obs.NewRegistry(obs.DomainWall)
-	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+	srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(NewTelemetry()))
 	srv.Auth.Register("card-alice", "alice")
 	con, err := NewConsole(ConsoleConfig{Width: 640, Height: 480, TotalBps: 1_000_000, Obs: reg})
 	if err != nil {
@@ -270,7 +285,7 @@ func TestZeroGrantNeitherFloodsNorWedges(t *testing.T) {
 // alice was paced at 84.6 Mbit/s on y's 10.)
 func TestHotdeskLeavesNoStaleGrant(t *testing.T) {
 	fabric := NewFabric()
-	srv := NewServer(fabric, WithTerminalApp(), WithFlowControl(FlowConfig{}), WithTelemetry(NewTelemetry()))
+	srv := NewServer(fabric, WithTerminalApp(), WithTelemetry(NewTelemetry()))
 	srv.Auth.Register("card-alice", "alice")
 	srv.Auth.Register("card-bob", "bob")
 	for id, bps := range map[string]uint64{"x": 100_000_000, "y": 10_000_000} {
@@ -519,15 +534,14 @@ func TestAdmissionConvergesProperty(t *testing.T) {
 		bps := []uint64{64_000, 1_000_000, 20_000_000}[rng.Intn(3)]
 		burst := []int{0, 1 << 10, 4 << 10}[rng.Intn(3)]
 		kit := NewTelemetry()
-		opts := []ServerOption{WithFlowControl(FlowConfig{BurstBytes: burst}), WithTelemetry(kit)}
 		cfg := ConsoleConfig{Width: w, Height: h, TotalBps: bps, Obs: kit.Registry}
 		if seed%2 == 0 {
-			opts = append(opts, WithCodec2())
 			cfg.TileCacheEntries = DefaultTileCacheEntries
 		}
 		app := &scriptApp{}
 		fabric := NewFabric()
-		srv := NewServer(fabric, func(string, int, int) Application { return app }, opts...)
+		srv := NewServer(fabric, func(string, int, int) Application { return app },
+			WithFlowControl(FlowConfig{BurstBytes: burst}), WithTelemetry(kit))
 		srv.Auth.Register("card-alice", "alice")
 		con, err := NewConsole(cfg)
 		if err != nil {

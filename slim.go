@@ -133,16 +133,16 @@ type ServerOption = server.Option
 // WithFlowControl and internal/flow.
 type FlowConfig = flow.Config
 
-// WithFlowControl enables the grant-driven send governor (§7) on every
-// session: display traffic paces to the console's bandwidth grant through
-// one token bucket, a paint is sent in the call that drew it when the
-// bucket can take it and owed rather than encoded when it cannot, and
-// everything a session owes its console — such a paint, loss recovery, a
-// hotdesk repaint — leaves through the same bucket in pieces its tokens
-// cover, drawn from the frame buffer as it is then, so nothing is queued
-// and no storm of NACKs starves fresh paints. The zero FlowConfig takes
+// WithFlowControl tunes the grant-driven send governor (§7) every session
+// has: display traffic paces to the console's bandwidth grant through one
+// token bucket, a paint is sent in the call that drew it when the bucket
+// can take it and owed rather than encoded when it cannot, and everything
+// a session owes its console — such a paint, loss recovery, a hotdesk
+// repaint — leaves through the same bucket in pieces its tokens cover,
+// drawn from the frame buffer as it is then, so nothing is queued and no
+// storm of NACKs starves fresh paints. Zero-value fields take
 // throughput-matched defaults from the published Sun Ray 1 cost model
-// (Table 5).
+// (Table 5), which is also what a server built without this option runs.
 func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowControl(cfg) }
 
 // DefaultTileCacheEntries is the dirty-tile cache capacity the gen-2
@@ -151,11 +151,15 @@ func WithFlowControl(cfg FlowConfig) ServerOption { return server.WithFlowContro
 // NewConsole accepts.
 const DefaultTileCacheEntries = core.DefaultTileCacheEntries
 
-// WithCodec2 arms the gen-2 encoder: content-typed tiles plus the
-// hash-keyed dirty-tile cache. Engages per attachment, only for consoles
-// that advertise the CACHE_PAINT capability (ConsoleConfig.
-// TileCacheEntries > 0); everyone else keeps the gen-1 command stream.
-func WithCodec2() ServerOption { return server.WithCodec2() }
+// WithCodec2 does nothing: every server gives the gen-2 codec —
+// content-typed tiles plus the hash-keyed dirty-tile cache — to each
+// console that advertises the CACHE_PAINT capability
+// (ConsoleConfig.TileCacheEntries > 0), and the gen-1 command stream to
+// everyone else.
+//
+// Deprecated: gen-2 is negotiated from the console's capability alone;
+// drop the option.
+func WithCodec2() ServerOption { return func(*server.Server) {} }
 
 // WithTelemetry points the server at the telemetry kit k instead of the
 // process-wide one (Telemetry()): the registry its metrics publish into,
@@ -170,7 +174,8 @@ func WithTelemetry(k *TelemetryKit) ServerOption { return server.WithTelemetry(k
 func WithLogger(l *slog.Logger) ServerOption { return server.WithLogger(l) }
 
 // NewServer returns a SLIM server sending through the given transport.
-// Options configure flow control and observability; none are required.
+// Options tune the send governor every session has and configure
+// observability; none are required.
 func NewServer(t Transport, newApp AppFactory, opts ...ServerOption) *Server {
 	return server.New(t, newApp, opts...)
 }

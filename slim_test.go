@@ -381,6 +381,7 @@ func TestDesktopAppOverFabric(t *testing.T) {
 	if app.Windows() != 2 {
 		t.Fatalf("windows = %d", app.Windows())
 	}
+	settle(t, fabric, srv, "desker")
 	if !con.Framebuffer().Equal(sess.Encoder.FB) {
 		t.Error("console diverged from desktop session")
 	}
@@ -396,6 +397,7 @@ func TestDesktopAppOverFabric(t *testing.T) {
 	if err := fabric.InsertCard("desk2", "card-d"); err != nil {
 		t.Fatal(err)
 	}
+	settle(t, fabric, srv, "desker")
 	if !con2.Framebuffer().Equal(sess.Encoder.FB) {
 		t.Error("desktop not restored after mobility")
 	}

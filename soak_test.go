@@ -10,8 +10,9 @@ import (
 // users hot-desking between them, a desktop application with windows
 // opening/moving/closing, intermittent datagram loss on the fabric, and
 // periodic application ticks. The invariant throughout: after any
-// loss-free settling input, every attached console is pixel-identical to
-// its session's authoritative frame buffer.
+// loss-free settling input, and the virtual time its sessions need to pay
+// what they owe at the grant's pace, every attached console is
+// pixel-identical to its session's authoritative frame buffer.
 func TestSystemSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	fabric := NewFabric()
@@ -126,6 +127,7 @@ func TestSystemSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		settle(t, fabric, srv, "ana", "ben")
 		verify(step)
 	}
 
