@@ -83,8 +83,9 @@ bench-json:
 # server's burst flush; at most 8 per 42-byte fabric echo end to end, and
 # a paced blank 640x480 gen-2 attach at most 116 with its Terminate (16
 # more than it made sent unpaced), a 352x240 video frame of 120 CSCS strips at most 3 — its strips'
-# messages and payloads are the encoder's own slabs — and a video
-# source's frame after the first none: it redraws the surface it owns),
+# messages and payloads are the encoder's own slabs — a video source's
+# frame after the first none: it redraws the surface it owns — and an
+# owed 320x240 video frame none: Apply paints its own pixels),
 # and the memory budgets: a tile cache holds only the slots it has
 # filled, the encoder retains no wire bytes, a 640x480 gen-2 session is
 # its two frame buffers plus at most 1 MiB. Run without -race: the race

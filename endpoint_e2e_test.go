@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"slim/internal/fb"
 	"slim/internal/obs/flight"
 	"slim/internal/protocol"
+	"slim/internal/video"
 )
 
 // The console's STATUS cadence is one rule (internal/console/status.go)
@@ -323,6 +325,124 @@ func TestOversizedPaintIsOwed(t *testing.T) {
 		n, _ := con.Framebuffer().DiffPixels(sess.Encoder.FB)
 		t.Errorf("console differs from the session's frame buffer in %d pixels after %v quiet (%d commands sent)",
 			n, time.Second, sess.Encoder.LastSeq())
+	}
+}
+
+// keptSource is a video source that keeps a copy of the frame it last
+// drew, for a test to read after the frame's surface is redrawn.
+type keptSource struct {
+	VideoSource
+	last []Pixel
+}
+
+func (s *keptSource) Next() video.Frame {
+	f := s.VideoSource.Next()
+	s.last = append(s.last[:0], f.Pixels...)
+	return f
+}
+
+// TestOwedVideoFrameHeals: a governed session playing video faster than
+// its console's grant owes most frames, and an owed frame costs a copy:
+// right after the tick that refused it, the session's frame buffer holds
+// the frame's own pixels at the player's rect (scaled bilinearly to it
+// when the source is smaller), not a CSCS reconstruction of them. The
+// console never sees those pixels but through a repayment, which encodes
+// them afresh, so once the playing stops and the debt is paid the console
+// equals the session pixel for pixel, with no NACK: a gen-1 console
+// (repaid in literal SETs) playing at size and a gen-2 one (whose churning
+// tiles are repaid as CSCS) playing a quarter-size source scaled up.
+func TestOwedVideoFrameHeals(t *testing.T) {
+	kit := NewTelemetry()
+	type player struct {
+		user, card, desk string
+		cfg              ConsoleConfig
+		src              *keptSource
+		dst              Rect
+		con              *Console
+		sess             *Session
+		owed, sent       int
+	}
+	players := []*player{
+		{user: "gen1", card: "card-gen1", desk: "desk-1", cfg: ConsoleConfig{Width: 640, Height: 480},
+			src: &keptSource{VideoSource: NewQuakeSource(320, 240, 11)}, dst: Rect{X: 40, Y: 24, W: 320, H: 240}},
+		{user: "gen2", card: "card-gen2", desk: "desk-2", cfg: shippedConsole(640, 480),
+			src: &keptSource{VideoSource: NewQuakeSource(160, 120, 12)}, dst: Rect{X: 100, Y: 60, W: 320, H: 240}},
+	}
+	fabric := NewFabric()
+	srv := NewServer(fabric, func(user string, _, _ int) Application {
+		for _, p := range players {
+			if p.user == user {
+				return NewVideoApp(p.src, p.dst, CSCS6, 24)
+			}
+		}
+		return nil
+	}, WithTelemetry(kit))
+	for _, p := range players {
+		srv.Auth.Register(p.card, p.user)
+		p.cfg.TotalBps, p.cfg.Obs = 1_000_000, kit.Registry
+		con, err := NewConsole(p.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabric.Attach(p.desk, con, srv)
+		if err := fabric.Boot(p.desk, p.card); err != nil {
+			t.Fatal(err)
+		}
+		p.con, p.sess = con, srv.SessionByUser(p.user)
+	}
+	// Two seconds of 24 fps video against a 1 Mbit/s grant, in 5 ms steps.
+	for now := time.Duration(0); now < 2*time.Second; now += 5 * time.Millisecond {
+		fabric.SetClock(now)
+		type before struct {
+			frames int
+			seq    uint32
+		}
+		was := make([]before, len(players))
+		for i, p := range players {
+			was[i] = before{p.sess.App.(*VideoApp).Frames(), p.sess.Encoder.LastSeq()}
+		}
+		if err := srv.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range players {
+			switch {
+			case p.sess.App.(*VideoApp).Frames() == was[i].frames:
+			case p.sess.Encoder.LastSeq() != was[i].seq:
+				p.sent++
+			default:
+				p.owed++
+				want := p.src.last
+				if w, h := p.src.Geometry(); w != p.dst.W || h != p.dst.H {
+					var err error
+					if want, err = fb.ScaleBilinear(want, w, h, p.dst.W, p.dst.H); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := p.sess.Encoder.FB.ReadRect(p.dst); !slices.Equal(got, want) {
+					t.Fatalf("%s: at %v the owed frame's rect does not hold the frame's own pixels", p.user, now)
+				}
+				if srv.Owed(p.user) == nil {
+					t.Fatalf("%s: at %v a frame was neither sent nor owed", p.user, now)
+				}
+			}
+		}
+		if err := fabric.Pump(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range players {
+		if p.owed < 10 || p.sent == 0 {
+			t.Errorf("%s: %d frames owed and %d sent; want the grant to refuse most but not all", p.user, p.owed, p.sent)
+		}
+		t.Logf("%s: %d frames owed, %d sent", p.user, p.owed, p.sent)
+		pumpQuiet(t, fabric, srv, p.sess, 10*time.Millisecond, time.Second)
+		if !p.con.Framebuffer().Equal(p.sess.Encoder.FB) {
+			n, _ := p.con.Framebuffer().DiffPixels(p.sess.Encoder.FB)
+			t.Errorf("%s: console differs from the session's frame buffer in %d pixels after a quiet second", p.user, n)
+		}
+	}
+	if n := kit.Registry.Counter("slim_console_nacks_total").Value(); n != 0 {
+		t.Errorf("the consoles sent %d NACKs on a fabric that drops nothing", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,10 +36,14 @@ func newFabricMetrics(r *obs.Registry) *fabricMetrics {
 // Fabric implements Transport for the server side; console replies (Nacks,
 // Pongs, bandwidth grants) are routed back automatically.
 type Fabric struct {
-	mu     sync.Mutex
-	desks  map[string]desk
-	order  []string // desk IDs as first attached: Pump's polling order
-	closed bool
+	mu    sync.Mutex
+	desks map[string]desk
+	// list is the desks as first attached (Pump's polling order) and
+	// servers their distinct servers in that order. Attach replaces both
+	// and never writes into them, so Pump reads them without a copy.
+	list    []desk
+	servers []SessionHandler
+	closed  bool
 	// clock is the virtual time passed to console handlers (SetClock);
 	// advance it if your test models decode delays.
 	clock time.Duration
@@ -132,10 +137,20 @@ func (f *Fabric) SetCapture(r *capture.Ring) {
 func (f *Fabric) Attach(id string, con *Console, srv SessionHandler) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.desks[id]; !ok {
-		f.order = append(f.order, id)
+	d := desk{id, con, srv}
+	f.desks[id] = d
+	list := slices.Clone(f.list)
+	if i := slices.IndexFunc(list, func(x desk) bool { return x.id == id }); i >= 0 {
+		list[i] = d
+	} else {
+		list = append(list, d)
 	}
-	f.desks[id] = desk{id, con, srv}
+	f.list, f.servers = list, nil
+	for _, d := range list {
+		if d.srv != nil && !slices.Contains(f.servers, d.srv) {
+			f.servers = append(f.servers, d.srv)
+		}
+	}
 }
 
 // fabricAddr is the in-process transport's synthetic address.
@@ -153,7 +168,7 @@ func (f *Fabric) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.closed = true
-	f.desks, f.order = make(map[string]desk), nil
+	f.desks, f.list, f.servers = make(map[string]desk), nil, nil
 	return nil
 }
 
@@ -172,26 +187,21 @@ func (f *Fabric) Now() time.Duration {
 }
 
 // Pump runs the periodic duties at the fabric's current virtual clock, as
-// the UDP endpoints' loops do on the wall clock: every attached server's
-// flow governors are serviced (paced traffic is released, sessions in debt
-// repaint their next piece), then every console is polled for what it owes:
-// its STATUS, and the NACKs of holes its quiet line settles. Call it after
-// SetClock when a test advances time.
+// the UDP endpoints' loops do on the wall clock: every attached server
+// with a paced debt waiting (FlowPending) is pumped, so sessions in debt
+// repaint their next piece — a server that owes nothing is left alone, as
+// the UDP daemon's loop leaves it — then every console is polled for what
+// it owes: its STATUS, and the NACKs of holes its quiet line settles. Call
+// it after SetClock when a test advances time.
 func (f *Fabric) Pump() error {
 	f.mu.Lock()
-	clock, capRing := f.clock, f.capture
-	desks := make([]desk, len(f.order))
-	for i, id := range f.order {
-		desks[i] = f.desks[id]
-	}
+	clock, capRing, desks, servers := f.clock, f.capture, f.list, f.servers
 	f.mu.Unlock()
 	return f.serve(func() error {
 		var firstErr error
-		pumped := make(map[SessionHandler]bool, 1)
-		for _, d := range desks {
-			if d.srv != nil && !pumped[d.srv] {
-				pumped[d.srv] = true
-				_, _, err := d.srv.PumpFlows(clock)
+		for _, srv := range servers {
+			if srv.FlowPending() {
+				_, _, err := srv.PumpFlows(clock)
 				firstErr = cmp.Or(firstErr, err)
 			}
 		}

@@ -8,18 +8,22 @@ import (
 
 // TestFabricLossToggleRace drives steady fabric traffic while other
 // goroutines toggle loss injection, read loss counters, advance the
-// virtual clock — the shared state drain reads — and type at a second desk
-// and pump, so server calls from several goroutines hold and hand over
-// console replies at once. Run with -race; the test body only checks the
-// system stays consistent.
+// virtual clock and re-attach a desk — the shared state drain and Pump
+// read — and type at a second desk and pump, so server calls from several
+// goroutines hold and hand over console replies at once. Run with -race;
+// the test body only checks the system stays consistent.
 func TestFabricLossToggleRace(t *testing.T) {
 	fabric := NewFabric()
 	srv := NewServer(fabric, WithTerminalApp())
+	var conR *Console
 	for _, desk := range []string{"r", "s"} {
 		srv.Auth.Register("card-"+desk, "racer-"+desk)
 		con, err := NewConsole(ConsoleConfig{Width: 320, Height: 240})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if desk == "r" {
+			conR = con
 		}
 		fabric.Attach("desk-"+desk, con, srv)
 		if err := fabric.Boot("desk-"+desk, "card-"+desk); err != nil {
@@ -76,6 +80,7 @@ func TestFabricLossToggleRace(t *testing.T) {
 			clock += time.Millisecond
 			fabric.SetClock(clock)
 			fabric.Now()
+			fabric.Attach("desk-r", conR, srv)
 		}
 	}()
 

@@ -29,7 +29,7 @@ const MaxDatagram = protocol.HeaderSize + DefaultMTU
 // Aliasing: when wire generation is on, the pixel/bitmap payloads of Msg
 // may alias encoder-owned scratch slabs that the next Encode call reuses,
 // and a video frame's CSCS strips — message and payload both — are the
-// encoder's own, valid until its next Encode, Apply or Repay. Wire is
+// encoder's own, valid until its next Encode or Repay. Wire is
 // always a self-contained marshalled copy; what outlives that (the sent
 // log, the server's outbound list until it is flushed) keeps Wire or a
 // copy of what it needs of Msg, never Msg itself.
@@ -292,7 +292,7 @@ func (e *Encoder) encodeBitmap(out []Datagram, r protocol.Rect, fg, bg protocol.
 // encodeVideo lowers a video frame to CSCS strips that fit the MTU,
 // painting them into the frame buffer (paintVideo) before it emits them.
 func (e *Encoder) encodeVideo(o VideoOp) ([]Datagram, error) {
-	strips, err := e.paintVideo(o, true)
+	strips, err := e.paintVideo(o)
 	if err != nil {
 		return nil, err
 	}
@@ -321,27 +321,25 @@ func videoRows(o VideoOp) int {
 // decode and paints each into the authoritative frame buffer as the
 // reconstruction of the codes it quantized, so the server holds exactly
 // the lossy pixels the console shows without decoding its own payload.
-// With pack it also packs the strips' payloads; without (Apply) it packs
-// nothing. The destination is carved proportionally so scaled strips tile
-// exactly.
+// The destination is carved proportionally so scaled strips tile exactly.
 //
-// Unless wire generation is off and the strips are the output, they are
-// the encoder's own: messages and payloads are cut from slabs sized for
-// the whole frame and reused by the next call (the Datagram aliasing
-// contract). Every strip is painted before the first is emitted, so no
-// strip may reuse another's storage.
-func (e *Encoder) paintVideo(o VideoOp, pack bool) ([]protocol.CSCS, error) {
+// Unless wire generation is off, the strips are the encoder's own:
+// messages and payloads are cut from slabs sized for the whole frame and
+// reused by the next call (the Datagram aliasing contract). Every strip is
+// painted before the first is emitted, so no strip may reuse another's
+// storage.
+func (e *Encoder) paintVideo(o VideoOp) ([]protocol.CSCS, error) {
 	rows := videoRows(o)
 	n := ceilDiv(o.Src.H, rows)
-	if cap(e.strips) < n {
-		e.strips = make([]protocol.CSCS, n)
-	}
-	strips := e.strips[:n]
-	switch {
-	case pack && e.SkipWire:
+	var strips []protocol.CSCS
+	if e.SkipWire {
 		// No wire copy is made, so the messages own their storage.
 		strips = make([]protocol.CSCS, n)
-	case pack:
+	} else {
+		if cap(e.strips) < n {
+			e.strips = make([]protocol.CSCS, n)
+		}
+		strips = e.strips[:n]
 		need := o.Src.H/rows*o.Format.PayloadLen(o.Src.W, rows) + o.Format.PayloadLen(o.Src.W, o.Src.H%rows)
 		if cap(e.cscsSlab) < need {
 			e.cscsSlab = make([]byte, 0, need)
@@ -365,12 +363,9 @@ func (e *Encoder) paintVideo(o VideoOp, pack bool) ([]protocol.CSCS, error) {
 		}
 		pix := o.Pixels[y0*o.Src.W : (y0+h)*o.Src.W]
 		var err error
-		switch {
-		case !pack:
-			err = e.FB.PaintCSCS(m, pix)
-		case e.SkipWire:
+		if e.SkipWire {
 			_, err = e.FB.PaintAndPackCSCS(nil, m, pix)
-		default:
+		} else {
 			e.cscsSlab, err = e.FB.PaintAndPackCSCS(e.cscsSlab, m, pix)
 		}
 		if err != nil {
@@ -380,13 +375,17 @@ func (e *Encoder) paintVideo(o VideoOp, pack bool) ([]protocol.CSCS, error) {
 	return strips, nil
 }
 
-// Apply paints op into the authoritative frame buffer as Encode would and
-// emits nothing: no sequence number, no sent-log record, no tile-cache
-// entry. It reports the rect op wrote, clipped to the screen — what a
-// session that applied it instead of encoding it owes its console. (Where
-// gen-2 would have shipped a churning tile as lossy CSCS, the frame buffer
-// keeps the op's own pixels; whichever repaint pays the debt classifies
-// them afresh.)
+// Apply paints op into the authoritative frame buffer and emits nothing:
+// no sequence number, no sent-log record, no tile-cache entry. It reports
+// the rect op wrote, clipped to the screen — what a session that applied
+// it instead of encoding it owes its console. Pixels an encoding would
+// have made lossy are kept as the op's own: a video frame is painted at
+// Dst as its source pixels (scaled bilinearly when Dst is another size),
+// never quantized, and a tile gen-2 would have shipped as CSCS keeps the
+// image's pixels. The console sees owed pixels only through the repaint
+// that pays the debt, which encodes them afresh, so nothing is lost by
+// not quantizing what is never sent; every other op paints as Encode
+// would.
 func (e *Encoder) Apply(op Op) (protocol.Rect, error) {
 	if err := validateOp(op); err != nil {
 		return protocol.Rect{}, err
@@ -409,7 +408,7 @@ func (e *Encoder) apply(op Op) (protocol.Rect, error) {
 	case ImageOp:
 		err = e.FB.Set(o.Rect, o.Pixels)
 	case VideoOp:
-		_, err = e.paintVideo(o, false)
+		err = e.FB.SetScaled(o.Dst, o.Pixels, o.Src.W, o.Src.H)
 	}
 	return w.Intersect(e.FB.Bounds()), err
 }

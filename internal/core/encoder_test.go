@@ -190,10 +190,11 @@ func TestEncodeVideoStrips(t *testing.T) {
 }
 
 // TestReconstructMatchesDecode: the server never decodes its own CSCS —
-// Encode paints the reconstruction of the codes it packed, Apply that of
-// the codes it quantized without packing — so for every format, at odd and
-// even sizes, sent at size and scaled, the server's frame buffer must
-// equal that of a console which decoded the wire.
+// Encode paints the reconstruction of the codes it packed — so for every
+// format, at odd and even sizes, sent at size and scaled, the server's
+// frame buffer must equal that of a console which decoded the wire. Apply
+// quantizes nothing: it leaves the frame's own pixels at Dst (ownFrame),
+// reports Dst clipped to the screen and emits nothing.
 func TestReconstructMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	formats := []protocol.CSCSFormat{protocol.CSCS16, protocol.CSCS12, protocol.CSCS8, protocol.CSCS6, protocol.CSCS5}
@@ -226,13 +227,19 @@ func TestReconstructMatchesDecode(t *testing.T) {
 					}
 					dgs[i].ReleaseWire()
 				}
-				if _, err := app.Apply(op); err != nil {
+				own := ownFrame(t, app.FB, op)
+				wrote, err := app.Apply(op)
+				if err != nil {
 					t.Fatal(err)
 				}
-				for who, f := range map[string]*fb.Framebuffer{"Encode": enc.FB, "Apply": app.FB} {
-					if n, _ := f.DiffPixels(console); n != 0 {
-						t.Errorf("%v %dx%d to %v: %s's frame buffer differs from the decoding console's in %d pixels", format, w, h, dst, who, n)
-					}
+				if want := dst.Intersect(app.FB.Bounds()); wrote != want || app.LastSeq() != 0 {
+					t.Errorf("%v %dx%d to %v: Apply wrote %v (want %v) and emitted up to seq %d", format, w, h, dst, wrote, want, app.LastSeq())
+				}
+				if n, _ := enc.FB.DiffPixels(console); n != 0 {
+					t.Errorf("%v %dx%d to %v: Encode's frame buffer differs from the decoding console's in %d pixels", format, w, h, dst, n)
+				}
+				if n, _ := app.FB.DiffPixels(own); n != 0 {
+					t.Errorf("%v %dx%d to %v: Apply's frame buffer differs from the frame's own pixels in %d pixels", format, w, h, dst, n)
 				}
 			}
 		}

@@ -255,11 +255,11 @@ func BenchmarkHotpath_EncodeVideoSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkHotpath_EncodeVideo6 encodes the frame the repository
-// benchmark's video workload plays: 320x240 at CSCS-6 in 60 strips, placed
-// off-origin on a 1280x1024 gen-2 session, from a panning gradient with a
-// checker like the MPEG-II stand-in's.
-func BenchmarkHotpath_EncodeVideo6(b *testing.B) {
+// video6 is the frame the repository benchmark's video workload plays:
+// 320x240 at CSCS-6 (60 strips when sent), placed off-origin on a
+// 1280x1024 gen-2 session, from a panning gradient with a checker like the
+// MPEG-II stand-in's. The op is boxed once, as a server's ops arrive.
+func video6() (*Encoder, Op) {
 	const vw, vh = 320, 240
 	e := NewEncoder(1280, 1024)
 	e.EnableCodec2(0)
@@ -269,13 +269,43 @@ func BenchmarkHotpath_EncodeVideo6(b *testing.B) {
 			pix[y*vw+x] = protocol.RGB(uint8(x*255/vw), uint8(y*255/vh), uint8(128+64*((x>>4+y>>4)&1)))
 		}
 	}
-	var op Op = VideoOp{
+	return e, VideoOp{
 		Src:    protocol.Rect{W: vw, H: vh},
 		Dst:    protocol.Rect{X: 482, Y: 390, W: vw, H: vh},
 		Format: protocol.CSCS6,
 		Pixels: pix,
 	}
-	b.SetBytes(int64(vw * vh * 4))
+}
+
+// TestOwedVideoFrameAllocatesNothing pins what a governed session pays for
+// a video frame it owes instead of sending: Apply paints the frame's own
+// pixels, so the video6 frame costs no allocation, and a scaled one none
+// once the frame buffer's scale surface has grown.
+func TestOwedVideoFrameAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	e, op := video6()
+	var scaled Op = VideoOp{Src: protocol.Rect{W: 160, H: 120}, Dst: protocol.Rect{X: 7, Y: 9, W: 320, H: 240},
+		Format: protocol.CSCS6, Pixels: op.(VideoOp).Pixels[:160*120]}
+	for name, op := range map[string]Op{"320x240": op, "160x120 scaled to 320x240": scaled} {
+		apply := func() {
+			if _, err := e.Apply(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply()
+		if allocs := testing.AllocsPerRun(50, apply); allocs != 0 {
+			t.Errorf("an owed %s video frame allocates %.1f objects, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkHotpath_EncodeVideo6 encodes the video6 frame, as a session
+// sends it.
+func BenchmarkHotpath_EncodeVideo6(b *testing.B) {
+	e, op := video6()
+	b.SetBytes(int64(op.Bounds().Pixels() * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,6 +315,20 @@ func BenchmarkHotpath_EncodeVideo6(b *testing.B) {
 		}
 		for _, d := range dgs {
 			d.ReleaseWire()
+		}
+	}
+}
+
+// BenchmarkHotpath_ApplyVideo6 applies the video6 frame, as a session
+// that owes it instead of sending keeps it.
+func BenchmarkHotpath_ApplyVideo6(b *testing.B) {
+	e, op := video6()
+	b.SetBytes(int64(op.Bounds().Pixels() * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Apply(op); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

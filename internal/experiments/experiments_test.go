@@ -378,10 +378,11 @@ func TestEncoderOverheadSmall(t *testing.T) {
 	}
 	frac := EncoderOverhead(testCorpus)
 	// §5.5: protocol generation is a marginal share of the display path
-	// (the paper measured 1.7% of the X-server; we measure 1.8-2.1% of
-	// render+marshal on this pipeline).
+	// (the paper measured 1.7% of the X-server; this pipeline's
+	// render+marshal split reads 6-10%, a process's figure steady within
+	// about a point, on a 2-vCPU VM).
 	if frac <= 0 || frac > 0.10 {
-		t.Errorf("encoder overhead = %.1f%%, want ~2%%", 100*frac)
+		t.Errorf("encoder overhead = %.1f%%, want at most 10%%", 100*frac)
 	}
 }
 

@@ -36,9 +36,10 @@ type Framebuffer struct {
 	Pix  []protocol.Pixel
 
 	// cscsDecode and cscsScale are the per-frame-buffer scratch surfaces
-	// the CSCS apply path decodes and scales into; they grow to the largest
-	// command seen and are reused forever after, so a console playing video
-	// allocates nothing per frame (§7's sustained-stream case).
+	// the CSCS path decodes and SetScaled scales into; they grow to the
+	// largest command seen and are reused forever after, so a console
+	// playing video allocates nothing per frame (§7's sustained-stream
+	// case).
 	cscsDecode []protocol.Pixel
 	cscsScale  []protocol.Pixel
 }

@@ -23,7 +23,7 @@ import (
 // decoding unpacks codes; one loop (reconstruct) turns codes into RGB for
 // both, so a server paints the pixels its console will decode from the
 // codes it has just quantized, never decoding its own payload
-// (PaintCSCS). RGB→YUV conversion happens inside the luma quantizing
+// (PaintAndPackCSCS). RGB→YUV conversion happens inside the luma quantizing
 // loop, three table lookups a pixel, with chroma accumulated into a
 // quarter-size scratch plane and a 2x2 block averaged with a shift. Bits
 // move a 64-bit word at a time, through one packer and one unpacker for
@@ -280,7 +280,7 @@ func growPix(s []protocol.Pixel, n int) []protocol.Pixel {
 // quantized codes. The encoder quantizes pixels into it and packs it; the
 // decoder unpacks a payload into it; and one loop, reconstruct, turns it
 // into RGB for both — so a server keeps exactly the pixels a console will
-// decode without decoding its own payload (Framebuffer.PaintCSCS).
+// decode without decoding its own payload (Framebuffer.PaintAndPackCSCS).
 type cscsCodes struct {
 	w, h   int
 	format protocol.CSCSFormat
@@ -667,7 +667,7 @@ func growI64(s []int64, n int) []int64 {
 // rectangle. Decode and scale land in frame-buffer-owned scratch surfaces,
 // so the steady-state video path allocates nothing per command.
 func (f *Framebuffer) ApplyCSCS(m *protocol.CSCS) error {
-	if err := f.checkCSCSDst(m); err != nil {
+	if err := f.checkDst(m.Dst); err != nil {
 		return err
 	}
 	var err error
@@ -675,72 +675,60 @@ func (f *Framebuffer) ApplyCSCS(m *protocol.CSCS) error {
 	if err != nil {
 		return err
 	}
-	return f.setCSCS(m)
+	return f.SetScaled(m.Dst, f.cscsDecode, m.Src.W, m.Src.H)
 }
 
-// PaintCSCS paints into the frame buffer what ApplyCSCS would for m had its
-// payload been encoded from pixels (m.Src.W×m.Src.H of them, in m.Format),
-// and packs nothing: the pixels are quantized and the codes reconstructed
-// directly. m.Data is neither read nor set. It is how a server keeps the
-// lossy pixels of a frame it owes its console instead of sending.
-func (f *Framebuffer) PaintCSCS(m *protocol.CSCS, pixels []protocol.Pixel) error {
-	_, err := f.paintCSCS(nil, m, pixels, false)
-	return err
-}
-
-// PaintAndPackCSCS is PaintCSCS that also appends m's payload to data,
-// points m.Data at it (capped, so a later append cannot write into it)
-// and returns the grown data: the frame buffer holds the reconstruction of
-// the very codes packed, so it equals what a console applying m holds
-// without the payload ever being decoded.
+// PaintAndPackCSCS paints into the frame buffer what ApplyCSCS would for m
+// had its payload been encoded from pixels (m.Src.W×m.Src.H of them, in
+// m.Format), appends that payload to data, points m.Data at it (capped, so
+// a later append cannot write into it) and returns the grown data. The
+// pixels are quantized once and the codes packed and reconstructed, so the
+// frame buffer holds the reconstruction of the very codes packed — what a
+// console applying m holds — without the payload ever being decoded.
 func (f *Framebuffer) PaintAndPackCSCS(data []byte, m *protocol.CSCS, pixels []protocol.Pixel) ([]byte, error) {
-	off := len(data)
-	data, err := f.paintCSCS(data, m, pixels, true)
-	if err != nil {
-		return data, err
-	}
-	m.Data = data[off:len(data):len(data)]
-	return data, nil
-}
-
-func (f *Framebuffer) paintCSCS(data []byte, m *protocol.CSCS, pixels []protocol.Pixel, pack bool) ([]byte, error) {
-	if err := f.checkCSCSDst(m); err != nil {
+	if err := f.checkDst(m.Dst); err != nil {
 		return data, err
 	}
 	if err := checkCSCS(pixels, m.Src.W, m.Src.H, m.Format); err != nil {
 		return data, err
 	}
+	off := len(data)
 	sc := yuvScratchPool.Get().(*yuvScratch)
 	sc.quantize(pixels, m.Src.W, m.Src.H, m.Format)
-	if pack {
-		data = sc.codes.pack(data)
-	}
+	data = sc.codes.pack(data)
 	f.cscsDecode = sc.codes.reconstruct(f.cscsDecode)
 	yuvScratchPool.Put(sc)
-	return data, f.setCSCS(m)
+	m.Data = data[off:len(data):len(data)]
+	return data, f.SetScaled(m.Dst, f.cscsDecode, m.Src.W, m.Src.H)
 }
 
-// checkCSCSDst refuses a destination larger than the frame buffer: the
-// scaled image is materialised before Set clips it, and the wire lets 16
-// bits of width and height claim 16 GiB of it.
-func (f *Framebuffer) checkCSCSDst(m *protocol.CSCS) error {
-	if m.Dst.W > f.W || m.Dst.H > f.H {
-		return fmt.Errorf("fb: CSCS destination %dx%d exceeds the %dx%d frame buffer", m.Dst.W, m.Dst.H, f.W, f.H)
+// SetScaled writes a sw×sh block of pixels at dst: a plain Set when dst is
+// that size, else the block resampled bilinearly to dst first
+// (ScaleBilinear), in a scratch surface the frame buffer reuses, so a
+// stream of scaled frames allocates nothing once it has grown. It is how a
+// CSCS command's pixels land, and how a server keeps a video frame it owes
+// its console.
+func (f *Framebuffer) SetScaled(dst protocol.Rect, pixels []protocol.Pixel, sw, sh int) error {
+	if dst.W == sw && dst.H == sh {
+		return f.Set(dst, pixels)
+	}
+	if err := f.checkDst(dst); err != nil {
+		return err
+	}
+	var err error
+	f.cscsScale, err = ScaleBilinearInto(f.cscsScale, pixels, sw, sh, dst.W, dst.H)
+	if err != nil {
+		return err
+	}
+	return f.Set(dst, f.cscsScale)
+}
+
+// checkDst refuses a destination larger than the frame buffer: a scaled
+// image is materialised before Set clips it, and the wire lets 16 bits of
+// width and height claim 16 GiB of it.
+func (f *Framebuffer) checkDst(dst protocol.Rect) error {
+	if dst.W > f.W || dst.H > f.H {
+		return fmt.Errorf("fb: destination %dx%d exceeds the %dx%d frame buffer", dst.W, dst.H, f.W, f.H)
 	}
 	return nil
-}
-
-// setCSCS writes m's reconstructed pixels, held in cscsDecode, at m.Dst,
-// through the bilinear scale when the sizes differ.
-func (f *Framebuffer) setCSCS(m *protocol.CSCS) error {
-	pixels := f.cscsDecode
-	if m.Dst.W != m.Src.W || m.Dst.H != m.Src.H {
-		var err error
-		f.cscsScale, err = ScaleBilinearInto(f.cscsScale, pixels, m.Src.W, m.Src.H, m.Dst.W, m.Dst.H)
-		if err != nil {
-			return err
-		}
-		pixels = f.cscsScale
-	}
-	return f.Set(m.Dst, pixels)
 }
