@@ -245,9 +245,6 @@ func TestLostFrameHealsByOneNack(t *testing.T) {
 	settle(t, ff.Fabric, srv, "alice")
 	// A full repaint is one of the screen the loss was healed on.
 	dgs := freshRepaint(sess.Encoder.FB, true)
-	for i := range dgs {
-		dgs[i].ReleaseWire()
-	}
 	if sent, repaint := int(sess.Encoder.LastSeq()-before), len(dgs); sent > 97+repaint {
 		t.Errorf("step and recovery sent %d commands; a step is 97 and a full repaint %d", sent, repaint)
 	}
@@ -302,9 +299,6 @@ func TestUDPAttachDatagramBudget(t *testing.T) {
 	}
 	frames := 0
 	_ = packAndSend(wires, func([]byte, int) error { frames++; return nil })
-	for i := range repaint {
-		repaint[i].ReleaseWire()
-	}
 	applied, dropped := con.Console.Counters()
 	t.Logf("attach: %d commands in %d datagrams", applied, datagrams-datagrams0)
 	if applied < uint64(len(repaint)) || dropped != 0 {

@@ -128,12 +128,6 @@ func (b *Broker) Register(tok Token, user string) { b.Broker.Register(tok.String
 // Revoke implements Directory.
 func (b *Broker) Revoke(tok Token) { b.Broker.Revoke(tok.String()) }
 
-// MigrateUser forcibly moves a user's session to a shard, redirecting any
-// console currently displaying it.
-func (b *Broker) MigrateUser(user string, shard int, now time.Duration) error {
-	return b.Broker.MigrateUser(user, shard, now)
-}
-
 // NewBroker builds a session-broker fleet sending through one transport.
 // Context-first: cancelling ctx closes the broker (sessions persist on
 // their shards, as the architecture demands).

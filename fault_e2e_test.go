@@ -234,15 +234,12 @@ func screenDigest(f *fb.Framebuffer) [sha256.Size]byte {
 // pieces of whole tiles may cost — whichever is more.
 func (w *faultWorld) screen() int64 {
 	dgs := freshRepaint(w.sess.Encoder.FB, w.gen2)
-	for i := range dgs {
-		dgs[i].ReleaseWire()
-	}
 	return max(int64(len(dgs)), (faultW/core.TileSize)*(faultH/core.TileSize))
 }
 
 // freshRepaint is what one screen of src costs: a repaint of its pixels by
 // a scratch encoder that has sent nothing before, on the gen-2 tile path
-// or gen-1's. The caller owns the wires.
+// or gen-1's. The wires stay valid: the scratch encoder makes no other call.
 func freshRepaint(src *fb.Framebuffer, gen2 bool) []Datagram {
 	enc := NewEncoder(src.W, src.H)
 	copy(enc.FB.Pix, src.Pix)

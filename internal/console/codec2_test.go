@@ -43,7 +43,6 @@ func feedAll(t *testing.T, c *Console, dgs []core.Datagram) []protocol.Nack {
 				nacks = append(nacks, *n)
 			}
 		}
-		dgs[i].ReleaseWire()
 	}
 	return nacks
 }
@@ -183,7 +182,6 @@ func TestCodec2MirrorProperty(t *testing.T) {
 				t.Fatalf("repaint datagram %d drew a reply", i)
 			}
 		}
-		repaint[i].ReleaseWire()
 	}
 	if !cold.Framebuffer().Equal(enc2.FB) {
 		t.Fatal("repaint did not reproduce the screen on a cold console")
@@ -281,12 +279,8 @@ func TestCachePaintMissSelfHeals(t *testing.T) {
 		t.Fatalf("baseline nacked %v", nacks)
 	}
 	// The console never sees this paint: the datagram is "lost".
-	lost, err := enc.Encode(core.ImageOp{Rect: protocol.Rect{W: 16, H: 16}, Pixels: pix})
-	if err != nil {
+	if _, err := enc.Encode(core.ImageOp{Rect: protocol.Rect{W: 16, H: 16}, Pixels: pix}); err != nil {
 		t.Fatal(err)
-	}
-	for i := range lost {
-		lost[i].ReleaseWire()
 	}
 	// Same content elsewhere: the server's model says the console holds
 	// the tile, so it claims a hit the console cannot satisfy.

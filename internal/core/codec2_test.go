@@ -31,7 +31,6 @@ func countCachePaints(dgs []Datagram) int {
 		if _, ok := dgs[i].Msg.(*protocol.CachePaint); ok {
 			n++
 		}
-		dgs[i].ReleaseWire()
 	}
 	return n
 }
@@ -72,7 +71,6 @@ func TestCodec2HitsOnRepeatedContent(t *testing.T) {
 	if want := e.FB.HashRect(cp.Rect); cp.Key != want {
 		t.Fatalf("claimed key %#x, frame buffer content hashes to %#x", cp.Key, want)
 	}
-	dgs[0].ReleaseWire()
 	st = e.Codec2Stats()
 	if st.Hits != 1 {
 		t.Fatalf("after repeat paint: %+v", st)
@@ -115,9 +113,6 @@ func TestRepaintAllResetsCodec2(t *testing.T) {
 	// console would: every claim must already be present at claim time.
 	screen := fb.New(64, 64)
 	mirrorConsole(t, screen, NewTileCache(DefaultTileCacheEntries, true), dgs)
-	for i := range dgs {
-		dgs[i].ReleaseWire()
-	}
 	if !screen.Equal(e.FB) {
 		t.Fatal("repaint replay diverged from the authoritative frame buffer")
 	}
@@ -173,7 +168,6 @@ func TestSolidRunsAreOneFill(t *testing.T) {
 		if want := (protocol.Rect{Y: i * TileSize, W: 1280, H: TileSize}); !ok || f.Rect != want {
 			t.Fatalf("blank repaint command %d is %v %v, want a FILL of the tile row %v", i, dgs[i].Msg.Type(), WriteRect(dgs[i].Msg), want)
 		}
-		dgs[i].ReleaseWire()
 	}
 	if len(dgs) != 64 {
 		t.Fatalf("a blank 1280x1024 repaint is %d commands, want 64 FILLs", len(dgs))
@@ -256,7 +250,6 @@ func describe(dgs []Datagram) []string {
 		default:
 			got = append(got, "tile "+WriteRect(m).String())
 		}
-		dgs[i].ReleaseWire()
 	}
 	return got
 }
@@ -319,7 +312,6 @@ func commands(dgs []Datagram) []string {
 			key = cp.Key
 		}
 		got = append(got, fmt.Sprintf("%v %v %x", dgs[i].Msg.Type(), WriteRect(dgs[i].Msg), key))
-		dgs[i].ReleaseWire()
 	}
 	return got
 }
@@ -395,10 +387,10 @@ func TestCodec2CacheHitZeroAllocSteadyState(t *testing.T) {
 			t.Fatal("warm tile missed")
 		}
 		msg.Key = key
-		d := e.emit(msg) // noteEmit touches the entry
-		d.ReleaseWire()
+		e.begin()
+		e.emit(msg) // noteEmit touches the entry
 	}
-	for i := 0; i < 5000; i++ { // warm ring + pool
+	for i := 0; i < 5000; i++ { // warm the ring
 		hit()
 	}
 	allocs := testing.AllocsPerRun(2000, hit)
@@ -421,16 +413,16 @@ func BenchmarkHotpath_Codec2HitTile(b *testing.B) {
 	msg := &protocol.CachePaint{Rect: tile}
 	for i := 0; i < 5000; i++ {
 		msg.Key = e.FB.HashRect(tile)
-		d := e.emit(msg)
-		d.ReleaseWire()
+		e.begin()
+		e.emit(msg)
 	}
 	b.SetBytes(int64(tile.Pixels() * 4))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		msg.Key = e.FB.HashRect(tile)
-		d := e.emit(msg)
-		d.ReleaseWire()
+		e.begin()
+		e.emit(msg)
 	}
 }
 
@@ -447,12 +439,8 @@ func BenchmarkHotpath_Codec2MissTile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Perturb one pixel so every iteration is a genuine miss.
 		pix[0] = protocol.Pixel(uint32(i)&0xffffff | 1)
-		dgs, err := e.Encode(ImageOp{Rect: tile, Pixels: pix})
-		if err != nil {
+		if _, err := e.Encode(ImageOp{Rect: tile, Pixels: pix}); err != nil {
 			b.Fatal(err)
-		}
-		for j := range dgs {
-			dgs[j].ReleaseWire()
 		}
 	}
 }
@@ -478,12 +466,8 @@ func BenchmarkHotpath_Codec2ReexposeFrame(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dgs, err := e.Encode(ImageOp{Rect: r, Pixels: frames[i%2]})
-			if err != nil {
+			if _, err := e.Encode(ImageOp{Rect: r, Pixels: frames[i%2]}); err != nil {
 				b.Fatal(err)
-			}
-			for j := range dgs {
-				dgs[j].ReleaseWire()
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"slim/internal/obs"
 	"slim/internal/obs/flight"
 	"slim/internal/protocol"
-	"slim/internal/wirebuf"
 )
 
 // DefaultMTU is the maximum datagram body size: every encoder cuts to it
@@ -26,34 +25,25 @@ const MaxDatagram = protocol.HeaderSize + DefaultMTU
 
 // Datagram is one framed protocol message ready for transmission.
 //
-// Aliasing: when wire generation is on, the pixel/bitmap payloads of Msg
-// may alias encoder-owned scratch slabs that the next Encode call reuses,
-// and a video frame's CSCS strips — message and payload both — are the
-// encoder's own, valid until its next Encode or Repay. Wire is
-// always a self-contained marshalled copy; what outlives that (the sent
-// log, the server's outbound list until it is flushed) keeps Wire or a
-// copy of what it needs of Msg, never Msg itself.
+// Lifetime: unless wire generation is off, everything a Datagram holds —
+// Wire, Msg's payloads, a video frame's CSCS strips — is cut from the
+// encoder's slabs and lives until its next Encode or Repay. Nothing keeps
+// a sent datagram (loss recovery repaints from the frame buffer), so a
+// holder that needs any of it past that call copies it: the server copies
+// each wire into the outbox it flushes, and logs geometry, never Msg.
 type Datagram struct {
 	Seq  uint32
 	Msg  protocol.Message
 	Wire []byte
-	// Buf is the pooled buffer backing Wire (nil when wire generation is
-	// skipped). The Datagram's holder is its only owner: handing the
-	// datagram on hands Buf on, and the last holder calls ReleaseWire after
-	// the transport's Send, or when the command is dropped unsent.
-	Buf *wirebuf.Buf
+	// Deprecated: Buf is always nil; nothing owns or releases a wire.
+	Buf any
 }
 
-// ReleaseWire returns the datagram's pooled wire buffer to the pool. Safe
-// to call on datagrams without one; idempotent per Datagram value (a second
-// release through a copy of it panics).
-func (d *Datagram) ReleaseWire() {
-	if d.Buf != nil {
-		d.Buf.Release()
-		d.Buf = nil
-		d.Wire = nil
-	}
-}
+// ReleaseWire does nothing.
+//
+// Deprecated: a wire lives in the encoder's slab until its next Encode or
+// Repay, and nothing releases it.
+func (d *Datagram) ReleaseWire() {}
 
 // Encoder is the server-side SLIM display driver. Applications hand it
 // rendering Ops; it maintains the authoritative frame buffer (the console's
@@ -89,12 +79,12 @@ type Encoder struct {
 	// cache); nil runs the gen-1 command path. See codec2.go.
 	codec2 *Codec2
 
-	// Reusable slabs for the wire-generating path. Message payloads
+	// Reusable slabs for the wire-generating path: wires, payloads
 	// (Set.Pixels, Bitmap.Bits, CSCS.Data) and a video frame's strip
-	// messages alias these and are valid only until the next Encode call —
-	// see the Datagram aliasing contract. SkipWire mode allocates fresh
-	// messages and payloads instead, since without a wire the message IS
-	// the output.
+	// messages live in these until the next Encode or Repay (the Datagram
+	// lifetime rule). SkipWire mode allocates fresh messages and payloads
+	// instead, since without a wire the message IS the output.
+	wire        []byte // this call's marshalled datagrams, back to back
 	setSlab     []protocol.Pixel
 	bitSlab     []byte
 	bicolorBits []byte
@@ -111,18 +101,29 @@ func NewEncoder(w, h int) *Encoder {
 	}
 }
 
+// maxWireSlab is the most wire slab an encoder keeps between calls.
+const maxWireSlab = 128 << 10
+
+// begin starts an Encode or Repay: the previous call's wires are dead. A
+// slab a full repaint grew to megabytes is dropped, not pinned.
+func (e *Encoder) begin() {
+	if cap(e.wire) > maxWireSlab {
+		e.wire = nil
+	}
+	e.wire = e.wire[:0]
+}
+
 // emit assigns msg the next sequence number and completes its emission:
-// marshalling into a pooled wire buffer, logging the geometry for Damage,
-// and accounting. The returned Datagram owns the buffer.
+// marshalling onto the wire slab, logging the geometry for Damage, and
+// accounting.
 func (e *Encoder) emit(msg protocol.Message) Datagram {
 	seq := e.seq.Next()
 	d, size := Datagram{Seq: seq, Msg: msg}, protocol.WireSize(msg)
 	e.left -= size
 	if !e.SkipWire {
-		buf := wirebuf.Get(size)
-		buf.SetBytes(protocol.Encode(buf.Bytes(), seq, msg))
-		d.Wire = buf.Bytes()
-		d.Buf = buf
+		n := len(e.wire)
+		e.wire = protocol.Encode(slices.Grow(e.wire, size), seq, msg)
+		d.Wire = e.wire[n:len(e.wire):len(e.wire)]
 		e.sent.record(seq, msg, e.FB.Bounds())
 	}
 	e.Stats.Record(msg)
@@ -144,6 +145,7 @@ func (e *Encoder) Encode(op Op) ([]Datagram, error) {
 	if e.Metrics != nil {
 		start = obs.Wall.Now()
 	}
+	e.begin()
 	dgs, err := e.encode(op)
 	if e.Metrics != nil || e.Flight.Armed() {
 		end := obs.Wall.Now()
@@ -325,7 +327,7 @@ func videoRows(o VideoOp) int {
 //
 // Unless wire generation is off, the strips are the encoder's own:
 // messages and payloads are cut from slabs sized for the whole frame and
-// reused by the next call (the Datagram aliasing contract). Every strip is
+// reused by the next call (the Datagram lifetime rule). Every strip is
 // painted before the first is emitted, so no strip may reuse another's
 // storage.
 func (e *Encoder) paintVideo(o VideoOp) ([]protocol.CSCS, error) {
@@ -463,6 +465,7 @@ const setFrame = protocol.HeaderSize + 8
 // rows of a gen-1 rect's SETs — so pieces cost the commands the whole does.
 // Each rect's encoder reports the rows of it painted and the band after.
 func (e *Encoder) Repay(d *fb.Region, budget int) []Datagram {
+	e.begin()
 	e.left = budget
 	var out []Datagram
 	for _, r := range d.Rects() {

@@ -217,7 +217,7 @@ func TestReconstructMatchesDecode(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, d := range dgs {
+				for _, d := range dgs {
 					_, msg, _, err := protocol.Decode(d.Wire)
 					if err != nil {
 						t.Fatal(err)
@@ -225,7 +225,6 @@ func TestReconstructMatchesDecode(t *testing.T) {
 					if err := console.Apply(msg); err != nil {
 						t.Fatal(err)
 					}
-					dgs[i].ReleaseWire()
 				}
 				own := ownFrame(t, app.FB, op)
 				wrote, err := app.Apply(op)
@@ -300,9 +299,6 @@ func TestVideoStripsFillTheMTU(t *testing.T) {
 		}
 		if rows != tc.h {
 			t.Errorf("%dx%d format %d: strips carry %d rows", tc.w, tc.h, tc.format, rows)
-		}
-		for i := range dgs {
-			dgs[i].ReleaseWire()
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"slim/internal/fb"
@@ -56,21 +57,23 @@ func TestCopyIsNotIdempotentAlone(t *testing.T) {
 		ScrollOp{Rect: protocol.Rect{W: 8, H: 8}, DX: 8},
 		FillOp{Rect: protocol.Rect{W: 8, H: 8}, Color: 2},
 	}
-	var all []Datagram
+	var all [][]byte // copies: a wire lives only until the next Encode
 	for _, op := range ops {
 		dgs, err := e.Encode(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, dgs...)
+		for _, d := range dgs {
+			all = append(all, slices.Clone(d.Wire))
+		}
 	}
 	// Ordered replay of the full range, twice, still converges because
 	// each pass recreates the same sequence of states... except COPY reads
 	// state written *after* it on the first pass. Verify the failure mode
 	// exists, then verify Repaint-based recovery always works.
 	for pass := 0; pass < 2; pass++ {
-		for _, d := range all {
-			_, msg, _, _ := protocol.Decode(d.Wire)
+		for _, wire := range all {
+			_, msg, _, _ := protocol.Decode(wire)
 			if err := screen.Apply(msg); err != nil {
 				t.Fatal(err)
 			}

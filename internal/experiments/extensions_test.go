@@ -113,6 +113,20 @@ func TestWMTrafficCopyDominates(t *testing.T) {
 	}
 }
 
+// TestLowBandwidthPacketCounts pins §5.4's PIM row at slimbench's default
+// seed and duration: 1,842 plain datagrams packed into 1,215 as the UDP
+// endpoint packs them, to core.MaxDatagram. A burst that kept wires the
+// encoder reuses, or the 1,400-byte limit, moves the batched count.
+func TestLowBandwidthPacketCounts(t *testing.T) {
+	r, err := LowBandwidth(workload.PIM, netsim.Rate128Kbps, 1999, 10*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.PlainPkts != 1842 || r.BatchedPkts != 1215 {
+		t.Errorf("PIM sent %d plain and %d batched packets, want 1842 and 1215", r.PlainPkts, r.BatchedPkts)
+	}
+}
+
 func TestLowBandwidthBatchingSaves(t *testing.T) {
 	for _, app := range []workload.App{workload.PIM, workload.FrameMaker} {
 		r, err := LowBandwidth(app, netsim.Rate128Kbps, 3, 2*time.Minute)

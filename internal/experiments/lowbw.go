@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"slim/internal/core"
@@ -40,7 +41,7 @@ func LowBandwidth(app workload.App, bps float64, seed uint64, dur time.Duration)
 	line := &netsim.Link{Bps: netsim.Rate100Mbps}
 	var plain []netsim.Packet
 	var batched []netsim.Packet
-	var burst [][]byte        // the current event's plain wires...
+	var burst [][]byte        // the current event's plain wires, copied...
 	var ready []time.Duration // ...and when each was serialized
 	var frame []byte
 	var lastEvent time.Duration
@@ -52,7 +53,7 @@ func LowBandwidth(app workload.App, bps float64, seed uint64, dur time.Duration)
 	flushBurst := func() {
 		for i := 0; i < len(burst); {
 			var n int
-			frame, n = protocol.PackFrame(frame, burst[i:], core.DefaultMTU)
+			frame, n = protocol.PackFrame(frame, burst[i:], core.MaxDatagram)
 			i += n
 			t := lastEvent
 			if i < len(burst) {
@@ -76,7 +77,8 @@ func LowBandwidth(app workload.App, bps float64, seed uint64, dur time.Duration)
 		for _, d := range dgs {
 			pt += line.SerializeTime(len(d.Wire))
 			plain = append(plain, netsim.Packet{T: pt, Size: len(d.Wire), Flow: 0})
-			burst = append(burst, d.Wire)
+			// A wire lives only until the next Encode; the burst outlives it.
+			burst = append(burst, slices.Clone(d.Wire))
 			ready = append(ready, pt)
 		}
 	}

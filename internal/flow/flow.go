@@ -41,7 +41,6 @@ import (
 
 	"slim/internal/core"
 	"slim/internal/protocol"
-	"slim/internal/wirebuf"
 )
 
 // Config tunes one session's governor. The zero value plus withDefaults
@@ -128,10 +127,12 @@ func (c Config) withDefaults() Config {
 
 // Item is one display command charged to the governor.
 type Item struct {
-	// Seq, Cmd and Buf are not read by the governor; bench/replay.go sets them.
+	// Seq and Cmd are not read by the governor; bench/replay.go sets them.
 	Seq uint32
 	Cmd protocol.MsgType
-	Buf *wirebuf.Buf
+	// Deprecated: Buf is always nil and never read; bench/replay.go sets it
+	// from core.Datagram.Buf.
+	Buf any
 	// Msg is the decoded command; its wire size stands in for Wire's when
 	// Wire is nil.
 	Msg protocol.Message

@@ -14,14 +14,14 @@ import (
 // path to whatever console the session is attached to.
 func driveOps(t *testing.T, s *Server, sess *Session, ops []core.Op) {
 	t.Helper()
-	var out []outbound
+	out := newOutbox()
 	s.mu.Lock()
-	err := sess.render(&out, ops, 0)
+	err := sess.render(out, ops, 0)
 	s.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.flush(out); err != nil {
+	if err := s.deliver(out); err != nil {
 		t.Fatal(err)
 	}
 }

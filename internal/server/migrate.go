@@ -62,14 +62,14 @@ func (s *Server) ExportSession(user string) (*SessionSnapshot, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	var out []outbound
-	s.closeLocked(&out, sess, false)
+	out := newOutbox()
+	s.closeLocked(out, sess, false)
 	sn := sess.snapshot()
 	if s.log != nil {
 		s.log.Info("session exported", "user", user, "session", sn.ID, "last_seq", sn.LastSeq)
 	}
 	s.mu.Unlock()
-	return sn, s.flush(out)
+	return sn, s.deliver(out)
 }
 
 // ImportSession replays an exported snapshot into this server: the frame

@@ -23,7 +23,6 @@ import (
 	"slim/internal/obs/flight"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
-	"slim/internal/wirebuf"
 )
 
 // Application is the program a session runs: it receives raw input events
@@ -187,21 +186,41 @@ func (s *Server) FlowPending() bool { return s.flowPending.Load() }
 // record into.
 func (s *Server) Telemetry() *telemetry.Kit { return s.tel }
 
-// outbound is one queued server→console datagram. Sends are queued while
-// the server lock is held and flushed after it is released, so a transport
-// that delivers synchronously (the in-process fabric) can feed console
-// replies straight back into Handle without deadlocking. Display commands
-// carry their flight log and identity so flush can record the TX event at
-// the actual handoff to the transport; control messages leave flog nil.
+// outbound is one queued server→console datagram. Display commands carry
+// their flight log and identity so flush can record the TX event at the
+// actual handoff to the transport; control messages leave flog nil.
 type outbound struct {
 	console string
 	wire    []byte
 	flog    *flight.SessionLog
 	seq     uint32
 	cmd     protocol.MsgType
-	// buf is the pooled buffer backing wire; flush releases it after the
-	// transport hands the bytes off (Transport.Send must not retain).
-	buf *wirebuf.Buf
+}
+
+// outbox is what one entry point sends. Sends are queued while the server
+// lock is held and flushed after it is released, so a transport that
+// delivers synchronously (the in-process fabric) can feed console replies
+// straight back into Handle without deadlocking. Each wire is copied into
+// the arena as it is queued: an encoder's wires live only until its next
+// call, which another entry point may make before this one flushes.
+type outbox struct {
+	q     []outbound
+	arena []byte
+}
+
+// outboxes recycles outboxes: Handle runs once per input event, and an
+// echo's one command should cost neither a slice nor a wire. An arena
+// grown past 128 KiB (a whole fleet's pump) is dropped, not pinned.
+var outboxes = sync.Pool{New: func() any { return new(outbox) }}
+
+func newOutbox() *outbox { return outboxes.Get().(*outbox) }
+
+// add queues o, its wire copied into the arena.
+func (out *outbox) add(o outbound) {
+	n := len(out.arena)
+	out.arena = append(out.arena, o.wire...)
+	o.wire = out.arena[n:len(out.arena):len(out.arena)]
+	out.q = append(out.q, o)
 }
 
 // HandleDatagram processes one console→server datagram.
@@ -229,7 +248,7 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 	s.mu.Lock()
 	var arrived time.Duration
 	var drew *telemetry.Session // the session an input drew in
-	out := outbounds.Get().(*[]outbound)
+	out := newOutbox()
 	var herr error
 	switch msg.(type) {
 	case *protocol.KeyEvent, *protocol.PointerEvent:
@@ -239,10 +258,7 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 		herr = s.handleLocked(out, console, msg, now)
 	}
 	s.mu.Unlock()
-	ferr := s.flush(*out)
-	clear(*out) // the pool must not pin wires, logs or console names
-	*out = (*out)[:0]
-	outbounds.Put(out)
+	ferr := s.deliver(out)
 	if drew != nil {
 		painted := obs.Wall.Now()
 		latency := painted - arrived
@@ -257,7 +273,7 @@ func (s *Server) Handle(console string, msg protocol.Message, now time.Duration)
 // reading arrived, to its session's application and renders what that
 // returns, reporting the session's telemetry only if the application drew.
 // A stranger's input is refused uncounted. Callers hold s.mu.
-func (s *Server) input(out *[]outbound, console string, msg protocol.Message, arrived, now time.Duration) (*telemetry.Session, error) {
+func (s *Server) input(out *outbox, console string, msg protocol.Message, arrived, now time.Duration) (*telemetry.Session, error) {
 	sess, err := s.sessionFor(console)
 	if !errors.Is(err, ErrUnknownConsole) {
 		s.metrics.inputEvents.Inc()
@@ -296,17 +312,25 @@ type BurstSender interface {
 // at once, and a 1280×1024 attach is a 5,120-entry burst.
 var burstWires = sync.Pool{New: func() any { return new([][]byte) }}
 
-// outbounds recycles the queue Handle's datagrams wait in between the
-// locked dispatch and flush: Handle runs once per input event, and an
-// echo's one command should not cost a slice.
-var outbounds = sync.Pool{New: func() any { return new([]outbound) }}
+// deliver flushes what an entry point queued, outside the lock, and
+// returns the outbox to its pool.
+func (s *Server) deliver(out *outbox) error {
+	err := s.flush(out.q)
+	clear(out.q) // the pool must not pin logs or console names
+	if cap(out.arena) > 128<<10 {
+		out.arena = nil
+	}
+	out.q, out.arena = out.q[:0], out.arena[:0]
+	outboxes.Put(out)
+	return err
+}
 
-// flush delivers queued datagrams outside the lock, recording the TX event
-// for display commands at the moment they reach the transport and
-// returning their pooled wire buffers once the transport is done with the
-// bytes (the Transport contract forbids retention past Send). Consecutive
-// datagrams for one console go to a BurstSender as one burst; a burst of
-// one, and every datagram on a plain Transport, goes through Send.
+// flush hands queued datagrams to the transport in order, recording the TX
+// event for display commands at the moment they reach the transport.
+// Consecutive datagrams for one console go to a BurstSender as one burst;
+// a burst of one, and every datagram on a plain Transport, goes through
+// Send. The transport must not retain a wire past the call (the Transport
+// contract): the outbox's arena is reused next.
 func (s *Server) flush(out []outbound) error {
 	burst, _ := s.transport.(BurstSender)
 	for len(out) > 0 {
@@ -335,15 +359,9 @@ func (s *Server) flush(out []outbound) error {
 				wires = append(wires, run[i].wire)
 			}
 			err = burst.SendBurst(run[0].console, wires)
-			clear(wires) // the pool must not pin released wire buffers
+			clear(wires) // the pool must not pin an outbox's arena
 			*wp = wires
 			burstWires.Put(wp)
-		}
-		for i := range run {
-			if o := &run[i]; o.buf != nil {
-				o.buf.Release()
-				o.buf = nil
-			}
 		}
 		if err != nil {
 			return err
@@ -354,7 +372,7 @@ func (s *Server) flush(out []outbound) error {
 
 // handleLocked dispatches one message. Callers hold s.mu; all transmissions
 // are queued on out.
-func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Message, now time.Duration) error {
+func (s *Server) handleLocked(out *outbox, console string, msg protocol.Message, now time.Duration) error {
 	// Only a Hello introduces a console; anything else from a stranger is
 	// refused, so no source enters a transport's console table unheard.
 	if _, hello := msg.(*protocol.Hello); !hello && s.consoles[console] == nil {
@@ -437,7 +455,7 @@ func (s *Server) handleLocked(out *[]outbound, console string, msg protocol.Mess
 // one hole the console cannot settle itself, and owes what the sent log
 // says it cost. A verdict keeps the line busy until it is paid and a
 // heartbeat has passed, so none can storm. Callers hold s.mu.
-func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Status, now time.Duration) error {
+func (s *Server) handleStatus(out *outbox, console string, st *protocol.Status, now time.Duration) error {
 	cs := s.consoles[console]
 	sess := cs.sess
 	if sess == nil {
@@ -469,7 +487,7 @@ func (s *Server) handleStatus(out *[]outbound, console string, st *protocol.Stat
 
 // attachByToken authenticates a card token and moves the user's session to
 // the given console, creating the session on first use. Callers hold s.mu.
-func (s *Server) attachByToken(out *[]outbound, console, token string, now time.Duration) error {
+func (s *Server) attachByToken(out *outbox, console, token string, now time.Duration) error {
 	user, err := s.Auth.Authenticate(token)
 	if err != nil {
 		s.metrics.authFailures.Inc()
@@ -487,15 +505,15 @@ func (s *Server) attachByToken(out *[]outbound, console, token string, now time.
 // shard, and attaches by user. The console must have said Hello here first.
 func (s *Server) Attach(console, user string, now time.Duration) error {
 	s.mu.Lock()
-	var out []outbound
+	out := newOutbox()
 	var err error
 	if _, ok := s.consoles[console]; !ok {
 		err = fmt.Errorf("%w: %q", ErrUnknownConsole, console)
 	} else {
-		err = s.attachUserLocked(&out, console, user, now)
+		err = s.attachUserLocked(out, console, user, now)
 	}
 	s.mu.Unlock()
-	return cmp.Or(err, s.flush(out))
+	return cmp.Or(err, s.deliver(out))
 }
 
 // EvictConsole silently forgets a console: any session displayed there is
@@ -521,7 +539,7 @@ func (s *Server) detachConsoleLocked(console string) {
 
 // attachUserLocked moves an already-authenticated user's session to the
 // given console, creating the session on first use. Callers hold s.mu.
-func (s *Server) attachUserLocked(out *[]outbound, console, user string, now time.Duration) error {
+func (s *Server) attachUserLocked(out *outbox, console, user string, now time.Duration) error {
 	cs := s.consoles[console]
 	sess := s.byUser[user]
 	reconnect := sess != nil
@@ -561,15 +579,15 @@ func (s *Server) attachUserLocked(out *[]outbound, console, user string, now tim
 // configured tick rate.
 func (s *Server) Tick(now time.Duration) error {
 	s.mu.Lock()
-	var out []outbound
+	out := newOutbox()
 	var firstErr error
 	for _, sess := range s.sessions {
 		if tk, ok := sess.App.(Ticker); ok {
-			firstErr = cmp.Or(firstErr, sess.render(&out, tk.Tick(now), now))
+			firstErr = cmp.Or(firstErr, sess.render(out, tk.Tick(now), now))
 		}
 	}
 	s.mu.Unlock()
-	return cmp.Or(firstErr, s.flush(out))
+	return cmp.Or(firstErr, s.deliver(out))
 }
 
 // Detach removes a session from its console (card pulled) without
@@ -581,13 +599,13 @@ func (s *Server) Detach(user string) error {
 		s.mu.Unlock()
 		return err
 	}
-	var out []outbound
-	s.unbindLocked(&out, sess)
+	out := newOutbox()
+	s.unbindLocked(out, sess)
 	if s.log != nil {
 		s.log.Info("session detached", "user", user, "session", sess.ID)
 	}
 	s.mu.Unlock()
-	return s.flush(out)
+	return s.deliver(out)
 }
 
 // Terminate destroys a user's session: the console (if any) is detached,
@@ -602,13 +620,13 @@ func (s *Server) Terminate(user string) error {
 		s.mu.Unlock()
 		return err
 	}
-	var out []outbound
-	s.closeLocked(&out, sess, true)
+	out := newOutbox()
+	s.closeLocked(out, sess, true)
 	if s.log != nil {
 		s.log.Info("session terminated", "user", user, "session", sess.ID)
 	}
 	s.mu.Unlock()
-	return s.flush(out)
+	return s.deliver(out)
 }
 
 // userSessionLocked resolves a user's session. Callers hold s.mu.
@@ -640,12 +658,12 @@ func (s *Server) sessionFor(console string) (*Session, error) {
 // event loop.
 func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool, err error) {
 	s.mu.Lock()
-	var out []outbound
+	out := newOutbox()
 	for _, sess := range s.sessions {
 		if sess.Console == "" {
 			continue
 		}
-		sess.pump(&out, now)
+		sess.pump(out, now)
 		if sess.damage.Empty() {
 			continue
 		}
@@ -655,7 +673,7 @@ func (s *Server) PumpFlows(now time.Duration) (next time.Duration, pending bool,
 	}
 	s.flowPending.Store(pending)
 	s.mu.Unlock()
-	return next, pending, s.flush(out)
+	return next, pending, s.deliver(out)
 }
 
 // SessionOf reports the session currently owning a console (nil if none).

@@ -11,7 +11,6 @@ import (
 	"slim/internal/flow"
 	"slim/internal/obs/telemetry"
 	"slim/internal/protocol"
-	"slim/internal/wirebuf"
 )
 
 // Session is one user's persistent desktop: the authoritative frame buffer
@@ -116,7 +115,7 @@ func (sess *Session) snapshot() *SessionSnapshot {
 
 // unbindLocked takes a session off its console, telling the console so.
 // Callers hold s.mu.
-func (s *Server) unbindLocked(out *[]outbound, sess *Session) {
+func (s *Server) unbindLocked(out *outbox, sess *Session) {
 	if sess.Console == "" {
 		return
 	}
@@ -140,7 +139,7 @@ func (sess *Session) detach() {
 // the kit's shared per-session stores are evicted only when evictShared —
 // a migration leaves them for the importing server to resolve again, a
 // terminated session takes them along. Callers hold s.mu.
-func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool) {
+func (s *Server) closeLocked(out *outbox, sess *Session, evictShared bool) {
 	s.unbindLocked(out, sess)
 	s.sessions = slices.DeleteFunc(s.sessions, func(x *Session) bool { return x == sess })
 	delete(s.byUser, sess.User)
@@ -150,7 +149,7 @@ func (s *Server) closeLocked(out *[]outbound, sess *Session, evictShared bool) {
 
 // attach binds the session to a console and regenerates its screen there.
 // gen2 says whether this attachment negotiated the tile cache.
-func (sess *Session) attach(out *[]outbound, console string, gen2 bool, now time.Duration) {
+func (sess *Session) attach(out *outbox, console string, gen2 bool, now time.Duration) {
 	sess.Console = console
 	send(out, console, &protocol.SessionAttach{SessionID: sess.ID})
 	// The new console learns this session's bandwidth demand, measured
@@ -197,7 +196,7 @@ func (sess *Session) oweNack(n protocol.Nack) {
 // the UDP pump's 1 ms floor spaces the halves: a whole bucket at once, as
 // on a hotdesk under a live grant, overruns the console's receive buffer.
 // A debt left raises FlowPending.
-func (sess *Session) repay(out *[]outbound, now time.Duration) {
+func (sess *Session) repay(out *outbox, now time.Duration) {
 	if sess.damage.Empty() {
 		return
 	}
@@ -211,7 +210,7 @@ func (sess *Session) repay(out *[]outbound, now time.Duration) {
 }
 
 // requestBandwidth announces the governor's current demand to the console.
-func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
+func (sess *Session) requestBandwidth(out *outbox, now time.Duration) {
 	sess.tel.Path.OnProbe()
 	sess.demandBps = sess.gov.DemandBps(now)
 	send(out, sess.Console, &protocol.BandwidthRequest{SessionID: sess.ID, Bps: sess.demandBps})
@@ -225,7 +224,7 @@ func (sess *Session) requestBandwidth(out *[]outbound, now time.Duration) {
 // budget to hungrier sessions; a cache gone cold grows it back. The 1/8
 // deadband keeps steady-state traffic from emitting a BandwidthRequest
 // every pump. The session is attached.
-func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
+func (sess *Session) announceDemand(out *outbox, now time.Duration) {
 	if d, old := sess.gov.DemandBps(now), sess.demandBps; max(d, old)-min(d, old) > old/8 {
 		sess.requestBandwidth(out, now)
 	}
@@ -238,7 +237,7 @@ func (sess *Session) announceDemand(out *[]outbound, now time.Duration) {
 // pixels, so it pays whatever of that rect was owed. render ends in repay,
 // like every path that can leave a debt: fresh commands first, then the
 // next piece of what is owed.
-func (sess *Session) render(out *[]outbound, ops []core.Op, now time.Duration) error {
+func (sess *Session) render(out *outbox, ops []core.Op, now time.Duration) error {
 	for _, op := range ops {
 		if !sess.admit(op, now) {
 			w, err := sess.Encoder.Apply(op)
@@ -282,18 +281,13 @@ func (sess *Session) admit(op core.Op, now time.Duration) bool {
 
 // submit sends display datagrams to the console, charging the session's
 // bucket for them. owed marks repayment.
-func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Duration, owed bool) {
+func (sess *Session) submit(out *outbox, dgs []core.Datagram, now time.Duration, owed bool) {
 	if sess.Console == "" {
-		// Detached session keeps rendering into its frame buffer; the wire
-		// goes nowhere, so its buffer returns to the pool immediately.
-		for i := range dgs {
-			dgs[i].ReleaseWire()
-		}
-		return
+		return // a detached session keeps rendering; the wire goes nowhere
 	}
 	for _, d := range dgs {
 		sess.gov.Submit(now, flow.Item{Msg: d.Msg, Wire: d.Wire, Retransmit: owed})
-		sess.sent(out, d.Seq, d.Msg.Type(), d.Wire, d.Buf, now)
+		sess.sent(out, d.Seq, d.Msg.Type(), d.Wire, now)
 	}
 }
 
@@ -301,21 +295,21 @@ func (sess *Session) submit(out *[]outbound, dgs []core.Datagram, now time.Durat
 // of the debt the tokens cover, a drifted demand. PumpFlows runs it on a
 // transport's clock, handleStatus at every heartbeat: no pump is scheduled
 // with nothing owed, yet an idle grant must go back.
-func (sess *Session) pump(out *[]outbound, now time.Duration) {
+func (sess *Session) pump(out *outbox, now time.Duration) {
 	sess.repay(out, now)
 	sess.announceDemand(out, now)
 }
 
-// sent queues a display command for the console and notes it leaving. A
-// repaint is numbered afresh, so no acknowledgement is ever ambiguous
-// between two transmissions and every one may time the path.
-func (sess *Session) sent(out *[]outbound, seq uint32, cmd protocol.MsgType, wire []byte, buf *wirebuf.Buf, now time.Duration) {
+// sent queues a copy of a display command's wire for the console and notes
+// it leaving. A repaint is numbered afresh, so no acknowledgement is ever
+// ambiguous between two transmissions and every one may time the path.
+func (sess *Session) sent(out *outbox, seq uint32, cmd protocol.MsgType, wire []byte, now time.Duration) {
 	sess.tel.Path.OnSend(seq, len(wire), false)
 	sess.lastSend = now
-	*out = append(*out, outbound{console: sess.Console, wire: wire, flog: sess.tel.Flight, seq: seq, cmd: cmd, buf: buf})
+	out.add(outbound{console: sess.Console, wire: wire, flog: sess.tel.Flight, seq: seq, cmd: cmd})
 }
 
 // send queues one control message for a console.
-func send(out *[]outbound, console string, msg protocol.Message) {
-	*out = append(*out, outbound{console: console, wire: protocol.Encode(nil, 0, msg)})
+func send(out *outbox, console string, msg protocol.Message) {
+	out.add(outbound{console: console, wire: protocol.Encode(nil, 0, msg)})
 }

@@ -378,12 +378,8 @@ func runDriveWith(d *Drive, enc *core.Encoder, atWarmup func()) (raw, wire int64
 			}
 		}
 		for _, op := range d.Step(i) {
-			dgs, err := enc.Encode(op)
-			if err != nil {
+			if _, err := enc.Encode(op); err != nil {
 				panic("workload: " + err.Error()) // drive geometry is static
-			}
-			for _, dg := range dgs {
-				dg.ReleaseWire()
 			}
 		}
 	}

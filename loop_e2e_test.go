@@ -152,9 +152,6 @@ func TestUDPOneWriterInOrder(t *testing.T) {
 	}
 	for con, screen := range map[*UDPConsole]*fb.Framebuffer{con1: NewEncoder(1280, 1024).FB, con2: papered} {
 		repaint := freshRepaint(screen, true)
-		for i := range repaint {
-			repaint[i].ReleaseWire()
-		}
 		if id := con.conn.LocalAddr().String(); commands[id] < len(repaint) {
 			t.Errorf("console %s: %d display commands captured, want its %d-command repaint and more", id, commands[id], len(repaint))
 		}
@@ -413,5 +410,43 @@ func TestStartTickerWakeIsNotLost(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// stuckPump is a SessionHandler whose debt never clears and whose every
+// PumpFlows names now as the next pump: what Server.PumpFlows reports when
+// the half-burst cap stopped a repayment with tokens left.
+type stuckPump struct {
+	SessionHandler
+	pumps int
+}
+
+func (h *stuckPump) FlowPending() bool { return true }
+func (h *stuckPump) PumpFlows(now time.Duration) (time.Duration, bool, error) {
+	h.pumps++
+	return now, true, nil
+}
+
+// TestUDPPumpFloor: the endpoint's clock spaces two pumps of one debt by at
+// least a millisecond even when PumpFlows asks for the next at once. That
+// floor is what spaces the two halves of a burst repayment's cap, so a
+// hotdesk under a live grant does not hand its console a whole bucket in
+// one go (Session.repay).
+func TestUDPPumpFloor(t *testing.T) {
+	h := &stuckPump{}
+	l := &udpListener{handler: h}
+	now := obs.Wall.Now()
+	next, ok := l.due(now)
+	if h.pumps != 1 || !ok {
+		t.Fatalf("a pending debt drew %d pumps (scheduled %v), want 1 and a next pump", h.pumps, ok)
+	}
+	if next < now+time.Millisecond {
+		t.Fatalf("next pump %v after the first, want at least 1ms", next-now)
+	}
+	if again, _ := l.due(next - time.Microsecond); h.pumps != 1 || again != next {
+		t.Errorf("before its instant the loop pumped %d times and scheduled %v, want 1 and %v", h.pumps, again, next)
+	}
+	if l.due(next); h.pumps != 2 {
+		t.Errorf("at its instant the loop pumped %d times in all, want 2", h.pumps)
 	}
 }

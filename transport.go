@@ -3,12 +3,12 @@ package slim
 import (
 	"encoding/binary"
 	"net"
+	"sync"
 	"time"
 
 	"slim/internal/core"
 	"slim/internal/protocol"
 	"slim/internal/server"
-	"slim/internal/wirebuf"
 )
 
 // Transport is the server→console datagram path, unified across the
@@ -58,11 +58,11 @@ func isDisplayDatagram(wire []byte) bool {
 // one command is its plain wire). A failed send does not stop the rest of
 // the burst; the first error is returned.
 func packAndSend(wires [][]byte, send func(datagram []byte, commands int) error) error {
-	frame := wirebuf.Get(core.MaxDatagram)
-	defer frame.Release()
+	frame := frames.Get().(*[]byte)
+	defer frames.Put(frame)
 	var err error
 	for len(wires) > 0 {
-		datagram, n := protocol.PackFrame(frame.Bytes(), wires, core.MaxDatagram)
+		datagram, n := protocol.PackFrame(*frame, wires, core.MaxDatagram)
 		if serr := send(datagram, n); serr != nil && err == nil {
 			err = serr
 		}
@@ -70,6 +70,10 @@ func packAndSend(wires [][]byte, send func(datagram []byte, commands int) error)
 	}
 	return err
 }
+
+// frames recycles packAndSend's frame buffer: bursts are packed from the
+// UDP listener and the test transports at once.
+var frames = sync.Pool{New: func() any { b := make([]byte, 0, core.MaxDatagram); return &b }}
 
 // recordWireLoss flight-records the display commands of a datagram that
 // never made the wire (a failed socket write, injected fabric loss) — one
